@@ -2,14 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race chaos fuzz cover bench bench-smoke experiments full clean
+.PHONY: all build check test vet race chaos fuzz cover bench bench-smoke bench-e2e experiments full clean
 
 all: build vet test
 
 # Everything CI needs: compile, vet, full test suite, race pass, the
-# chaos soak, and a single-iteration pass over the ingestion benchmarks
-# (catches crashes and gross regressions without benchmarking for real).
-check: build vet test race chaos bench-smoke
+# chaos soak, a single-iteration pass over the ingestion benchmarks
+# (catches crashes and gross regressions without benchmarking for real),
+# and one workload of the loopback end-to-end harness as a correctness
+# gate.
+check: build vet test race chaos bench-smoke bench-e2e
 
 build:
 	$(GO) build ./...
@@ -49,7 +51,7 @@ bench:
 # One iteration of the ingestion-plane benchmarks, plus 3x (min kept,
 # settle ticks in-bench) of every monitor-tick and sharded-tier
 # benchmark: a smoke test, not a measurement (see EXPERIMENTS.md for
-# recorded numbers). The parsed numbers land in BENCH_8.json for the CI
+# recorded numbers). The parsed numbers land in BENCH.json for the CI
 # artifact, and benchjson enforces the recorded scale bounds: the PR 6
 # flat-tick ratio (1M vs 100k resident), the PR 7 per-shard ratio
 # (2048 ranks × 8 shards vs 256 ranks × 1), the PR 8 trace-overhead
@@ -59,13 +61,22 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPoolIngest$$|BenchmarkWindowResults' -benchtime 1x -benchmem . | tee bench-smoke.out
 	$(GO) test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale' -benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
-	$(GO) run ./cmd/benchjson -min -out BENCH_8.json \
+	$(GO) run ./cmd/benchjson -min -out BENCH.json \
 		-assert 'MonitorTickScale/servers=1/resident=1000k<=1.5*MonitorTickScale/servers=1/resident=100k' \
 		-assert 'MonitorTickScale/servers=4/resident=1000k<=1.5*MonitorTickScale/servers=4/resident=100k' \
 		-assert 'ShardedTickScale/shards=8/ranks=2048<=1.5*ShardedTickScale/shards=1/ranks=256@ns_per_shard_tick' \
 		-assert 'ShardedTickScaleTraced/shards=8/ranks=2048<=1.05*ShardedTickScale/shards=8/ranks=2048@ns_per_shard_tick' \
 		-assert 'MonitorTickMultiD/plane=inc<=0.35*MonitorTickMultiD/plane=batch' \
 		< bench-smoke.out
+
+# The loopback end-to-end harness (bench/README.md) on its common-case
+# workload, ≈20 s. The exit code is the gate: books balance, live window
+# results bit-identical to the cold reference, no event on a quiet
+# stream. Its numbers land in bench/out/BENCH.json; compare two such
+# files with `go run ./bench -compare A.json B.json`. Run nothing else
+# while it measures.
+bench-e2e:
+	$(GO) run ./bench -workload comp-steady
 
 experiments:
 	$(GO) run ./cmd/vaproexp all

@@ -732,7 +732,7 @@ func benchMonitorTickMultiD(b *testing.B, disable bool) {
 // BenchmarkMonitorTickMultiD pins the incremental multi-D clustering
 // plane: the steady-state tick over a 1M-resident comm/IO-heavy
 // population must run at ≤0.35x of the batch-fallback baseline (the
-// recorded bound benchjson asserts into BENCH_8.json).
+// recorded bound benchjson asserts into BENCH.json).
 func BenchmarkMonitorTickMultiD(b *testing.B) {
 	b.Run("plane=inc", func(b *testing.B) { benchMonitorTickMultiD(b, false) })
 	b.Run("plane=batch", func(b *testing.B) { benchMonitorTickMultiD(b, true) })
@@ -807,7 +807,7 @@ func benchMonitorTickScale(b *testing.B, servers, resident int) {
 // BenchmarkMonitorTickScale pins the flat-tick property across pool
 // shapes: 1 and 4 server graphs, 100k and 1M resident fragments. The
 // 1.5x acceptance ratio (1M vs 100k per server count) is recorded in
-// BENCH_8.json.
+// BENCH.json.
 func BenchmarkMonitorTickScale(b *testing.B) {
 	for _, servers := range []int{1, 4} {
 		for _, resident := range []int{100_000, 1_000_000} {
@@ -883,7 +883,7 @@ func benchShardedTickScale(b *testing.B, shards, ranks int) {
 // BenchmarkShardedTickScale pins the spatial scale-out property: 2048
 // ranks across 8 shard servers tick at the same per-shard cost as one
 // server holding 256 ranks. The 1.5x acceptance ratio on
-// ns_per_shard_tick is recorded in BENCH_8.json.
+// ns_per_shard_tick is recorded in BENCH.json.
 func BenchmarkShardedTickScale(b *testing.B) {
 	for _, cfg := range []struct{ shards, ranks int }{{1, 256}, {8, 2048}} {
 		b.Run(fmt.Sprintf("shards=%d/ranks=%d", cfg.shards, cfg.ranks), func(b *testing.B) {

@@ -474,21 +474,24 @@ func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
 // the steady-state tick a driver loop pays per period — with warm
 // elements it costs O(new data), not O(resident fragments).
 func (p *Pool) RunWindow(start, end int64) *detect.Result {
-	return p.runWindowWith(start, end, p.seq.Outages())
+	dopt := p.opt.Detect
+	dopt.Outages = p.seq.Outages()
+	return p.runWindowWith(start, end, p.ranks, dopt)
 }
 
-// runWindowWith is RunWindow with the outage set supplied by the
-// caller: the sharded tier passes the union of every shard's loss
-// intervals, so a rank's staleness lands in its owner's strip even
-// when the batch that exposed the loss arrived misrouted elsewhere.
-func (p *Pool) runWindowWith(start, end int64, outages []detect.Outage) *detect.Result {
+// runWindowWith is RunWindow with the rank axis and detection options
+// (outage set included) supplied by the caller. The sharded tier passes
+// the union of every shard's loss intervals, so a rank's staleness lands
+// in its owner's strip even when the batch that exposed the loss
+// arrived misrouted elsewhere; a Monitor passes its own MonitorOptions'
+// rank count and detection options, which is how its windows run on the
+// pool's resident data instead of a copy.
+func (p *Pool) runWindowWith(start, end int64, ranks int, dopt detect.Options) *detect.Result {
 	p.drainAll()
 	p.amu.Lock()
 	defer p.amu.Unlock()
 	g := p.refreshView()
-	dopt := p.opt.Detect
-	dopt.Outages = outages
-	res := p.an.RunWindow(g, p.ranks, dopt, start, end)
+	res := p.an.RunWindow(g, ranks, dopt, start, end)
 	// Journeys drained before this tick are now visible to analysis.
 	p.met.Trace.CompleteAnalyze()
 	return res

@@ -50,14 +50,18 @@ func ReplayJournal(jour *wal.Log, sink interface {
 	if mp, ok := sink.(metricsProvider); ok {
 		met = mp.Metrics()
 	}
+	// One decode buffer for the whole replay, as on a live connection:
+	// the sink copies what it keeps.
+	var frags []trace.Fragment
 	err = jour.Replay(func(payload []byte) error {
-		meta, frags, derr := trace.DecodeBatchMeta(payload)
+		meta, decoded, derr := trace.DecodeBatchMetaInto(frags, payload)
 		if derr != nil {
 			// Every journaled payload decoded once when it was live and
 			// is CRC-guarded on disk, so this is real corruption, not a
 			// torn tail (recovery already truncated those).
 			return fmt.Errorf("collector: journaled frame undecodable: %w", derr)
 		}
+		frags = decoded
 		if meta.HasSeq && seq != nil {
 			minStart, maxEnd := fragSpan(frags)
 			deliver, gap := seq.Observe(meta.Rank, meta.Seq, minStart, maxEnd)

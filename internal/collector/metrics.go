@@ -223,18 +223,9 @@ func (p *Pool) registerDerived() {
 	registerCacheDerived(reg, p.an.Cache())
 }
 
-// registerMonitorDerived points the cluster-cache Func metrics at the
-// monitor's analyzer instead of the pool's: with a Monitor in front,
-// window analyses run on the monitor's cache and the pool's stays cold.
-// Re-registration replaces the pool's entries (last writer wins).
-func (m *Monitor) registerMonitorDerived() {
-	registerCacheDerived(m.pool.met.Registry, m.analyzer.Cache())
-}
-
 // registerCacheDerived publishes one clustering cache's counters as
-// Func metrics. Both the pool and the monitor call it (last writer
-// wins), so the published values always describe the cache window
-// analyses actually run on.
+// Func metrics: the pool analyzer's, which is the cache window analyses
+// run on whether or not a Monitor fronts the pool.
 func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 	reg.Func("vapro_cluster_cache_hits", "cluster",
 		"analysis passes that reused a memoized clustering", func() float64 {

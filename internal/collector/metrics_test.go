@@ -159,11 +159,11 @@ func TestMonitorCacheStatsConcurrent(t *testing.T) {
 	if hits+misses == 0 {
 		t.Fatal("windows ran but the cache counters are zero")
 	}
-	// With a monitor in front, the cache Func metrics follow the
-	// monitor's analyzer, not the pool's cold one.
+	// The monitor ticks on the pool's analyzer, so the cache Func
+	// metrics the pool registered describe the monitor's windows.
 	snap := mon.Metrics().Registry.Snapshot()
 	if got := snap.Get("vapro_cluster_cache_misses").Value; got != float64(misses) {
-		t.Fatalf("registry cache misses %v, want %d (monitor's analyzer)", got, misses)
+		t.Fatalf("registry cache misses %v, want %d (the monitor's CacheStats)", got, misses)
 	}
 }
 

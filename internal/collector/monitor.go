@@ -20,6 +20,16 @@ import (
 // diagnosis stage needs. This is the deployment mode of the real tool;
 // the whole-run analysis in core.RunTraced is the offline equivalent.
 //
+// The monitor holds O(ranks) state of its own — the watermark, the
+// event queue and the warm regression moments. Fragments are resident
+// exactly once, in the pool's server logs: a closed window runs on the
+// pool's merged view with the pool's persistent analyzer, the same
+// plane Pool.RunWindow and WindowResults use. A tick therefore sees
+// everything the pool had staged when it drained — a superset of the
+// batches whose watermark update has run, and exactly those batches
+// when delivery is serialised (one feeder, or the wire server's journal
+// lock).
+//
 // Wrap it around a Pool as the interpose.Sink:
 //
 //	pool := collector.NewPool(ranks, copt)
@@ -28,29 +38,16 @@ import (
 //	events := mon.Drain()
 type Monitor struct {
 	pool *Pool
-	opt  MonitorOptions
-
-	mu sync.Mutex
-	// graph is the monitor's own incrementally merged STG: batches are
-	// appended as they arrive, so a window analysis starts from the
-	// current graph in O(1) instead of re-merging every server's graph
-	// (the old per-window O(total fragments) rebuild).
-	graph *stg.Graph
-	// analyzer memoizes per-element clusterings across windows; only
-	// elements that grew since the previous window are re-clustered.
-	analyzer *detect.Analyzer
-	// watermark is the minimum completed virtual time across ranks —
-	// a window is analyzable once every rank has advanced past its
-	// end.
-	rankHigh  map[int]sim.Time
-	nextStart sim.Time
-	events    []Event
-	stage     int
+	// windowLoop carries the watermark, the window cursor, the event
+	// queue and the arming stage under its mu. Lock order is mu → the
+	// pool's amu: ticks run inline on the delivering goroutine with mu
+	// held, and take amu inside Pool.runWindowWith.
+	windowLoop
 
 	// olsStreams holds each edge's warm per-cluster regression moments
-	// (see monitor_ols.go), maintained by the analyzer's cluster-delta
-	// hook. Guarded by olsMu, NOT m.mu: the hook fires from the window
-	// analysis's worker pool while analyzeWindowLocked holds m.mu.
+	// (see monitor_ols.go), maintained by the pool analyzer's
+	// cluster-delta hook. Guarded by olsMu, NOT mu: the hook fires from
+	// the window analysis's worker pool while a tick holds mu.
 	olsMu      sync.Mutex
 	olsStreams map[cluster.Key]*elemMoments
 	olsFactors []diagnose.Factor
@@ -111,34 +108,25 @@ type Event struct {
 
 // NewMonitor wraps pool with an online analysis loop.
 func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
-	if opt.Ranks <= 0 {
-		opt.Ranks = pool.ranks
-	}
-	if opt.Period <= 0 {
-		opt.Period = 15 * sim.Second
-	}
-	if opt.Overlap <= 0 || opt.Overlap >= opt.Period {
-		opt.Overlap = opt.Period / 2
-	}
-	if opt.MaxStage <= 0 {
-		opt.MaxStage = 3
-	}
+	opt = opt.normalized(pool.ranks)
 	m := &Monitor{
 		pool:       pool,
-		opt:        opt,
-		graph:      stg.New(),
-		analyzer:   detect.NewAnalyzer(),
-		rankHigh:   make(map[int]sim.Time),
-		stage:      1,
 		olsStreams: make(map[cluster.Key]*elemMoments),
 		olsFactors: olsFactorsFor(opt.MaxStage),
 	}
-	// The monitor's analyzer is where windows actually run with a
-	// monitor in front: point the detect instrumentation and the
-	// cache-derived metrics at it (replacing the pool's registrations).
-	m.analyzer.SetMetrics(pool.met.Detect)
-	m.analyzer.SetClusterDeltaHook(m.observeClustering)
-	m.registerMonitorDerived()
+	// Clustering is memoized per element across the overlapped windows
+	// (and normalization uses each element's full population, so the
+	// per-window reference performance is the best fragment seen so
+	// far, not just the window's best); the window only filters which
+	// samples feed the heat map.
+	m.windowLoop = newWindowLoop(opt, pool.Armed, func(start, end int64) *detect.Result {
+		dopt := opt.Detect
+		dopt.Outages = pool.seq.Outages()
+		return pool.runWindowWith(start, end, opt.Ranks, dopt)
+	})
+	pool.amu.Lock()
+	pool.an.SetClusterDeltaHook(m.observeClustering)
+	pool.amu.Unlock()
 	return m
 }
 
@@ -154,9 +142,9 @@ func (m *Monitor) SeqState() *SeqTracker { return m.pool.seq }
 // Monitor sink journals exactly what it delivers.
 func (m *Monitor) Journal() *wal.Log { return m.pool.Journal() }
 
-// Consume implements interpose.Sink: forward to the pool, append to the
-// monitor's merged graph, advance the rank watermark, and analyze any
-// window every rank has passed.
+// Consume implements interpose.Sink: forward to the pool (which takes
+// its one copy of the batch), advance the rank watermark, and analyze
+// any window every rank has passed.
 func (m *Monitor) Consume(rank int, frags []trace.Fragment) {
 	m.pool.Consume(rank, frags)
 	m.observe(rank, frags)
@@ -178,157 +166,31 @@ func (m *Monitor) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc 
 	m.observe(rank, frags)
 }
 
-// observe is the monitor's own half of consumption: merge, advance the
-// watermark, analyze completed windows.
-func (m *Monitor) observe(rank int, frags []trace.Fragment) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.graph.AddBatch(frags)
-	high := m.rankHigh[rank]
-	for i := range frags {
-		if e := sim.Time(frags[i].Start + frags[i].Elapsed); e > high {
-			high = e
-		}
-	}
-	m.rankHigh[rank] = high
-	m.analyzeReady()
-}
-
-// watermarkLocked returns the minimum high-water mark across all ranks
-// seen so far (0 until every rank has reported at least once).
-func (m *Monitor) watermarkLocked() sim.Time {
-	if len(m.rankHigh) < m.opt.Ranks {
-		return 0
-	}
-	var min sim.Time = 1 << 62
-	for _, t := range m.rankHigh {
-		if t < min {
-			min = t
-		}
-	}
-	return min
-}
-
-// analyzeReady runs the analysis for every window whose end the
-// watermark has passed. Caller holds m.mu.
-func (m *Monitor) analyzeReady() {
-	stride := m.opt.Period - m.opt.Overlap
-	for {
-		end := m.nextStart.Add(m.opt.Period)
-		if m.watermarkLocked() < end {
-			return
-		}
-		m.analyzeWindowLocked(m.nextStart, end)
-		m.nextStart = m.nextStart.Add(stride)
-	}
-}
-
-func (m *Monitor) analyzeWindowLocked(start, end sim.Time) {
-	// Clustering is memoized per element across the overlapped windows
-	// (and normalization uses each element's full population, so the
-	// per-window reference performance is the best fragment seen so
-	// far, not just the window's best); the window only filters which
-	// samples feed the heat map.
-	dopt := m.opt.Detect
-	dopt.Outages = m.pool.seq.Outages()
-	res := m.analyzer.RunWindow(m.graph, m.opt.Ranks, dopt, int64(start), int64(end))
-	// Journeys drained before this tick are now visible to analysis.
-	m.pool.met.Trace.CompleteAnalyze()
-	classOK := func(c detect.Class) bool {
-		if len(m.opt.Classes) == 0 {
-			return true
-		}
-		for _, want := range m.opt.Classes {
-			if c == want {
-				return true
-			}
-		}
-		return false
-	}
-	var regions []detect.Region
-	for _, reg := range res.Regions {
-		if classOK(reg.Class) && sim.Duration(reg.LossNS) >= m.opt.MinRegionLoss {
-			regions = append(regions, reg)
-		}
-	}
-	if len(regions) == 0 {
-		return
-	}
-	// Variance in this window: escalate one diagnosis stage by arming
-	// the next counter groups, so the following windows carry the data
-	// the finer factors need (§4.3's one-period-per-stage trade-off).
-	if m.stage < m.opt.MaxStage {
-		m.stage++
-		armed := m.pool.Armed.Get()
-		switch m.stage {
-		case 2:
-			armed |= sim.GroupBackend
-		default:
-			armed |= sim.GroupMemory | sim.GroupExtra
-		}
-		m.pool.Armed.Set(armed)
-	}
-	m.events = append(m.events, Event{
-		WindowStart: start,
-		WindowEnd:   end,
-		Regions:     regions,
-		ArmedAfter:  m.pool.Armed.Get(),
-		Stage:       m.stage,
-	})
-}
-
-// Flush analyzes any remaining partial window at the end of the run.
-func (m *Monitor) Flush() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var max sim.Time
-	for _, t := range m.rankHigh {
-		if t > max {
-			max = t
-		}
-	}
-	for m.nextStart < max {
-		m.analyzeWindowLocked(m.nextStart, m.nextStart.Add(m.opt.Period))
-		m.nextStart = m.nextStart.Add(m.opt.Period - m.opt.Overlap)
-	}
-}
-
-// Drain returns the events recorded so far and clears the queue.
-func (m *Monitor) Drain() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.events
-	m.events = nil
-	return out
-}
-
-// Stage returns the current progressive stage (1 until variance is
-// first detected).
-func (m *Monitor) Stage() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stage
-}
-
-// CacheStats reports the hit/miss counters of the monitor's memoized
-// clustering layer: hits are window analyses that reused a previous
-// window's clustering of an element that did not grow in between.
+// CacheStats reports the hit/miss counters of the memoized clustering
+// layer window analyses run on (the pool's): hits are analyses that
+// reused a previous window's clustering of an element that did not grow
+// in between.
 func (m *Monitor) CacheStats() (hits, misses uint64) {
-	return m.analyzer.Cache().Stats()
+	return m.pool.an.Cache().Stats()
 }
 
 // DiagnoseEvent runs the progressive diagnosis for an online event's
-// top region against the monitor's accumulated data. Fragments are
-// clustered per edge (reusing the clusterings the window analyses
-// already memoized) so only comparable fixed-workload populations
-// are differenced — mixing workload classes would misattribute their
-// intrinsic differences as variance.
+// top region against everything the pool holds at the time of the call.
+// Fragments are clustered per edge (reusing the clusterings the window
+// analyses already memoized) so only comparable fixed-workload
+// populations are differenced — mixing workload classes would
+// misattribute their intrinsic differences as variance.
 func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Report {
 	if len(ev.Regions) == 0 {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p := m.pool
+	p.drainAll()
+	p.amu.Lock()
+	defer p.amu.Unlock()
+	g := p.refreshView()
 	var clusters [][]trace.Fragment
 	var edges []*stg.Edge
 	seen := map[trace.EdgeKey]bool{}
@@ -337,12 +199,12 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 			continue
 		}
 		seen[s.ClusterRef.Edge] = true
-		e := m.graph.Edge(s.ClusterRef.Edge)
+		e := g.Edge(s.ClusterRef.Edge)
 		if e == nil {
 			continue
 		}
 		edges = append(edges, e)
-		cl := m.analyzer.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, m.opt.Detect.Cluster)
+		cl := p.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, m.opt.Detect.Cluster)
 		for ci := range cl.Clusters {
 			if !cl.Clusters[ci].Fixed {
 				continue

@@ -9,7 +9,9 @@ import (
 
 // Streaming §4.2 quantification: the monitor keeps each edge cluster's
 // regression moments (diagnose.ClusterMoments) warm as the cluster
-// population grows, driven by the detect analyzer's cluster-delta hook.
+// population grows, driven by the pool analyzer's cluster-delta hook
+// (so every pass over the pool's view — monitor ticks and WindowResults
+// alike — advances them).
 // When DiagnoseEvent later needs the OLS quantification, the moments
 // are already pooled — no walk over the resident fragment populations —
 // so the diagnosis cost of a steady-state tick stops scaling with how
@@ -154,8 +156,9 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags []trace.Fragment, res cl
 // moments of the given edges, or nil when the streaming plane cannot
 // serve this diagnosis (hatch on, a stream missing or at a stale
 // generation) — the caller then leaves the default batch QuantifyOLS in
-// place. Caller holds m.mu; edges must come from the monitor's graph so
-// their Gen fields describe the populations the diagnosis will walk.
+// place. Caller holds m.mu and the pool's amu; edges must come from the
+// pool's freshly refreshed view graph so their Gen fields describe the
+// populations the diagnosis will walk.
 func (m *Monitor) streamQuantifier(edges []*stg.Edge) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
 	if m.opt.DisableStreamingOLS {
 		return nil

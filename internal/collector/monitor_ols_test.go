@@ -71,6 +71,10 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 func eventEdges(m *Monitor, ev *Event) []*stg.Edge {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.pool.drainAll()
+	m.pool.amu.Lock()
+	defer m.pool.amu.Unlock()
+	g := m.pool.refreshView()
 	var edges []*stg.Edge
 	seen := map[trace.EdgeKey]bool{}
 	for _, s := range ev.Regions[0].Samples {
@@ -78,7 +82,7 @@ func eventEdges(m *Monitor, ev *Event) []*stg.Edge {
 			continue
 		}
 		seen[s.ClusterRef.Edge] = true
-		if e := m.graph.Edge(s.ClusterRef.Edge); e != nil {
+		if e := g.Edge(s.ClusterRef.Edge); e != nil {
 			edges = append(edges, e)
 		}
 	}

@@ -139,7 +139,7 @@ func TestMonitorWaitsForAllRanks(t *testing.T) {
 }
 
 // Overlapped windows must share clusterings: elements that did not grow
-// between two window analyses are served from the monitor's cache.
+// between two window analyses are served from the pool analyzer's cache.
 func TestMonitorReusesClusteringsAcrossWindows(t *testing.T) {
 	pool := NewPool(4, DefaultOptions())
 	m := NewMonitor(pool, monOpts(4))

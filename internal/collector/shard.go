@@ -268,14 +268,15 @@ func (t *ShardedPool) RunWindow(start, end int64) *detect.Result {
 
 // RunWindowStats is RunWindow plus the merge accounting.
 func (t *ShardedPool) RunWindowStats(start, end int64) (*detect.Result, detect.MergeStats) {
-	outages := t.outageUnion()
+	dopt := t.opt.Detect
+	dopt.Outages = t.outageUnion()
 	parts := make([]*detect.Result, len(t.planes))
 	var wg sync.WaitGroup
 	for i, p := range t.planes {
 		wg.Add(1)
 		go func(i int, p *Pool) {
 			defer wg.Done()
-			parts[i] = p.runWindowWith(start, end, outages)
+			parts[i] = p.runWindowWith(start, end, p.ranks, dopt)
 		}(i, p)
 	}
 	wg.Wait()

@@ -1,10 +1,6 @@
 package collector
 
 import (
-	"sync"
-
-	"vapro/internal/detect"
-	"vapro/internal/sim"
 	"vapro/internal/trace"
 	"vapro/internal/wal"
 )
@@ -16,18 +12,12 @@ import (
 // the results — the merged regions, not any single shard's, drive
 // event reporting and progressive counter arming, because the regions
 // worth escalating for are exactly the ones that may straddle shards.
-// Unlike Monitor it keeps no graph of its own: the planes hold the
-// resident data, and their persistent analyzers stay warm across
+// Like Monitor it keeps no fragments of its own: the planes hold the
+// one resident copy, and their persistent analyzers stay warm across
 // windows.
 type ShardedMonitor struct {
 	tier *ShardedPool
-	opt  MonitorOptions
-
-	mu        sync.Mutex
-	rankHigh  map[int]sim.Time
-	nextStart sim.Time
-	events    []Event
-	stage     int
+	windowLoop
 }
 
 // NewShardedMonitor wraps a sharded tier with the online analysis
@@ -35,23 +25,9 @@ type ShardedMonitor struct {
 // run them); MonitorOptions contributes the windowing, event filters
 // and arming policy.
 func NewShardedMonitor(tier *ShardedPool, opt MonitorOptions) *ShardedMonitor {
-	if opt.Ranks <= 0 {
-		opt.Ranks = tier.ranks
-	}
-	if opt.Period <= 0 {
-		opt.Period = 15 * sim.Second
-	}
-	if opt.Overlap <= 0 || opt.Overlap >= opt.Period {
-		opt.Overlap = opt.Period / 2
-	}
-	if opt.MaxStage <= 0 {
-		opt.MaxStage = 3
-	}
 	return &ShardedMonitor{
-		tier:     tier,
-		opt:      opt,
-		rankHigh: make(map[int]sim.Time),
-		stage:    1,
+		tier:       tier,
+		windowLoop: newWindowLoop(opt.normalized(tier.ranks), tier.Armed, tier.RunWindow),
 	}
 }
 
@@ -78,118 +54,6 @@ func (m *ShardedMonitor) ConsumeSized(rank int, frags []trace.Fragment, bytes in
 func (m *ShardedMonitor) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
 	m.tier.ConsumeTraced(rank, frags, bytes, tc)
 	m.observe(rank, frags)
-}
-
-func (m *ShardedMonitor) observe(rank int, frags []trace.Fragment) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	high := m.rankHigh[rank]
-	for i := range frags {
-		if e := sim.Time(frags[i].Start + frags[i].Elapsed); e > high {
-			high = e
-		}
-	}
-	m.rankHigh[rank] = high
-	m.analyzeReady()
-}
-
-func (m *ShardedMonitor) watermarkLocked() sim.Time {
-	if len(m.rankHigh) < m.opt.Ranks {
-		return 0
-	}
-	var min sim.Time = 1 << 62
-	for _, t := range m.rankHigh {
-		if t < min {
-			min = t
-		}
-	}
-	return min
-}
-
-func (m *ShardedMonitor) analyzeReady() {
-	stride := m.opt.Period - m.opt.Overlap
-	for {
-		end := m.nextStart.Add(m.opt.Period)
-		if m.watermarkLocked() < end {
-			return
-		}
-		m.analyzeWindowLocked(m.nextStart, end)
-		m.nextStart = m.nextStart.Add(stride)
-	}
-}
-
-func (m *ShardedMonitor) analyzeWindowLocked(start, end sim.Time) {
-	res := m.tier.RunWindow(int64(start), int64(end))
-	classOK := func(c detect.Class) bool {
-		if len(m.opt.Classes) == 0 {
-			return true
-		}
-		for _, want := range m.opt.Classes {
-			if c == want {
-				return true
-			}
-		}
-		return false
-	}
-	var regions []detect.Region
-	for _, reg := range res.Regions {
-		if classOK(reg.Class) && sim.Duration(reg.LossNS) >= m.opt.MinRegionLoss {
-			regions = append(regions, reg)
-		}
-	}
-	if len(regions) == 0 {
-		return
-	}
-	if m.stage < m.opt.MaxStage {
-		m.stage++
-		armed := m.tier.Armed.Get()
-		switch m.stage {
-		case 2:
-			armed |= sim.GroupBackend
-		default:
-			armed |= sim.GroupMemory | sim.GroupExtra
-		}
-		m.tier.Armed.Set(armed)
-	}
-	m.events = append(m.events, Event{
-		WindowStart: start,
-		WindowEnd:   end,
-		Regions:     regions,
-		ArmedAfter:  m.tier.Armed.Get(),
-		Stage:       m.stage,
-	})
-}
-
-// Flush analyzes any remaining partial window at the end of the run.
-func (m *ShardedMonitor) Flush() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var max sim.Time
-	for _, t := range m.rankHigh {
-		if t > max {
-			max = t
-		}
-	}
-	for m.nextStart < max {
-		m.analyzeWindowLocked(m.nextStart, m.nextStart.Add(m.opt.Period))
-		m.nextStart = m.nextStart.Add(m.opt.Period - m.opt.Overlap)
-	}
-}
-
-// Drain returns the events recorded so far and clears the queue.
-func (m *ShardedMonitor) Drain() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.events
-	m.events = nil
-	return out
-}
-
-// Stage returns the current progressive stage.
-func (m *ShardedMonitor) Stage() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stage
 }
 
 // WireSink returns the sink one shard's wire server feeds when a

@@ -38,6 +38,11 @@ const maxFramePayload = 64 << 20
 // claimed frame length.
 const frameReadChunk = 1 << 20
 
+// maxRetainedFrags bounds the decode buffer a connection keeps between
+// frames (~18 MB of fragments): one oversized batch must not pin its
+// worst case for the connection's lifetime.
+const maxRetainedFrags = 64 << 10
+
 // Batch is the transport unit: one client's buffered fragments.
 type Batch struct {
 	Rank      int
@@ -329,6 +334,11 @@ func (s *WireServer) serveConn(conn net.Conn) {
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var payload []byte // reused across frames, grown only as bytes arrive
+	// frags is the connection's one decode buffer: every frame decodes
+	// over the previous one's fragments. Legal because a sink copies what
+	// it keeps before Consume returns (the interpose.Sink contract), so
+	// a delivered fragment is allocated once — by the sink.
+	var frags []trace.Fragment
 	for {
 		size, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -348,7 +358,8 @@ func (s *WireServer) serveConn(conn net.Conn) {
 			s.setErr(err)
 			return
 		}
-		meta, frags, err := trace.DecodeBatchMeta(payload)
+		var meta trace.BatchMeta
+		meta, frags, err = trace.DecodeBatchMetaInto(frags, payload)
 		if err != nil {
 			s.met.WireDecodeErrors.Inc()
 			s.met.WireFramesRejected.Inc()
@@ -356,6 +367,9 @@ func (s *WireServer) serveConn(conn net.Conn) {
 			return
 		}
 		s.deliverFrame(meta, frags, payload)
+		if cap(frags) > maxRetainedFrags {
+			frags = nil
+		}
 	}
 }
 

@@ -56,7 +56,12 @@ func (m Mode) String() string {
 }
 
 // Sink consumes fragment batches from traced ranks. Implementations
-// must be safe for concurrent use by all ranks.
+// must be safe for concurrent use by all ranks, and must not retain
+// frags (or any slice of it) after Consume returns: the caller reuses
+// the backing array for its next batch — a rank's client buffer, a wire
+// connection's decode buffer, a journal replay's. A sink that keeps
+// fragments copies them first (the collector's servers copy once into
+// their staging area; RecordingSink copies into its recording).
 type Sink interface {
 	Consume(rank int, frags []trace.Fragment)
 }

@@ -26,10 +26,17 @@ func FuzzDecodeBatchMeta(f *testing.F) {
 	f.Add(AppendBatchSeq(nil, 3, 42, fuzzFrags()))
 	f.Add(AppendBatchTraced(nil, 3, 42, 0xdead, 12345, fuzzFrags()))
 	f.Add(AppendBatchSeq(nil, 0, 0, nil))
+	f.Add(hugeRankFrame(1 << 63)) // rank that converts to a negative int
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reusing entry point must agree with the allocating one on
+		// every input, hostile or not.
+		sameDecode(t, data)
 		meta, frags, err := DecodeBatchMeta(data)
 		if err != nil {
 			return
+		}
+		if meta.Rank < 0 {
+			t.Fatalf("negative batch rank %d decoded", meta.Rank)
 		}
 		// A decoded batch must be internally consistent: the fragment
 		// count was bounds-checked against the input size.

@@ -122,6 +122,19 @@ func Op(name string) OpSym {
 	return s
 }
 
+// opOfBytes is Op for a name still sitting in a decode buffer. A
+// vocabulary hit — every sighting after the first — looks the bytes up
+// in place, so the wire decoder's steady state allocates no strings.
+func opOfBytes(name []byte) OpSym {
+	opInterner.RLock()
+	s, ok := opInterner.ids[string(name)]
+	opInterner.RUnlock()
+	if ok {
+		return s
+	}
+	return Op(string(name))
+}
+
 // String returns the interned operation name.
 func (s OpSym) String() string {
 	opInterner.RLock()

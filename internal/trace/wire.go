@@ -21,6 +21,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -402,8 +403,22 @@ func DecodeBatch(data []byte) (rank int, frags []Fragment, err error) {
 	return meta.Rank, frags, err
 }
 
-// DecodeBatchMeta decodes a batch along with its header metadata.
+// DecodeBatchMeta decodes a batch along with its header metadata into
+// a freshly allocated fragment slice.
 func DecodeBatchMeta(data []byte) (meta BatchMeta, frags []Fragment, err error) {
+	return DecodeBatchMetaInto(nil, data)
+}
+
+// DecodeBatchMetaInto is DecodeBatchMeta decoding into dst's backing
+// array (from index 0; dst's contents and length are ignored, and it is
+// regrown only when the batch outgrows its capacity). A receive loop
+// that hands each batch to a sink which copies before returning — the
+// interpose.Sink contract — passes the previous call's result back in
+// and decodes without allocating: every fragment is written whole, and
+// state keys are read straight out of data, so no per-batch table is
+// built. On error the returned slice is nil (dst's elements may have
+// been overwritten).
+func DecodeBatchMetaInto(dst []Fragment, data []byte) (meta BatchMeta, frags []Fragment, err error) {
 	r := &wireReader{data: data}
 	if m := r.byte(); r.err == nil && m != wireMagic {
 		return meta, nil, fmt.Errorf("trace: bad batch magic %#x", m)
@@ -412,7 +427,14 @@ func DecodeBatchMeta(data []byte) (meta BatchMeta, frags []Fragment, err error) 
 	if r.err == nil && v != wireVersion && v != wireVersionSeq && v != wireVersionTraced {
 		return meta, nil, fmt.Errorf("trace: batch version %d, want %d, %d or %d", v, wireVersion, wireVersionSeq, wireVersionTraced)
 	}
-	rank := int(r.uvarint())
+	// Ranks index per-rank tables on the server; a value that does not
+	// fit a 32-bit int (or turns negative through the conversion) is a
+	// corrupt or hostile header, never a real client.
+	urank := r.uvarint()
+	if urank > math.MaxInt32 {
+		return meta, nil, fmt.Errorf("trace: batch rank %d out of range", urank)
+	}
+	rank := int(urank)
 	meta.Rank = rank
 	if v == wireVersionSeq || v == wireVersionTraced {
 		meta.Seq = r.uvarint()
@@ -434,19 +456,18 @@ func DecodeBatchMeta(data []byte) (meta BatchMeta, frags []Fragment, err error) 
 	if nkeys > uint64(len(data))/8 {
 		return meta, nil, fmt.Errorf("trace: batch claims %d keys in %d bytes", nkeys, len(data))
 	}
-	keys := make([]uint64, nkeys)
-	for i := range keys {
-		keys[i] = binary.LittleEndian.Uint64(r.bytes(8))
-		if r.err != nil {
-			return meta, nil, r.err
-		}
+	// The dictionary is nkeys little-endian words in place; fragments
+	// index into it where it lies.
+	keys := r.bytes(8 * int(nkeys))
+	if r.err != nil {
+		return meta, nil, r.err
 	}
 	key := func(idx uint64) uint64 {
-		if idx >= uint64(len(keys)) {
-			r.fail("key index %d of %d", idx, len(keys))
+		if idx >= nkeys {
+			r.fail("key index %d of %d", idx, nkeys)
 			return 0
 		}
-		return keys[idx]
+		return binary.LittleEndian.Uint64(keys[8*idx:])
 	}
 
 	// Pre-size for the claimed count, but cap the up-front allocation: a
@@ -457,7 +478,10 @@ func DecodeBatchMeta(data []byte) (meta BatchMeta, frags []Fragment, err error) 
 	if preAlloc > 4096 {
 		preAlloc = 4096
 	}
-	frags = make([]Fragment, 0, preAlloc)
+	frags = dst[:0]
+	if uint64(cap(frags)) < preAlloc {
+		frags = make([]Fragment, 0, preAlloc)
+	}
 	var prevStart, prevElapsed int64
 	var prevCounters [numCounterLanes]uint64
 	var prevArgs Args
@@ -500,7 +524,7 @@ func DecodeBatchMeta(data []byte) (meta BatchMeta, frags []Fragment, err error) 
 				break
 			}
 			if bitmap&(1<<0) != 0 {
-				prevArgs.Op = Op(string(r.bytes(int(r.uvarint()))))
+				prevArgs.Op = opOfBytes(r.bytes(int(r.uvarint())))
 			}
 			if bitmap&(1<<1) != 0 {
 				prevArgs.Bytes = int(unzigzag(r.uvarint()))

@@ -42,25 +42,32 @@ go test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
 # bounds. Every MonitorTick bench (and the sharded tier) runs 3x with
 # in-bench settle ticks, and benchjson -min keeps each benchmark's
 # fastest line (min-of-runs) — single cold runs used to make
-# BENCH_*.json non-monotone across resident sizes. The asserts gate the
+# BENCH.json non-monotone across resident sizes. The asserts gate the
 # PR 6 flat-tick ratio, the PR 7 per-shard ratio (2048 ranks × 8 shards
 # within 1.5x of 256 ranks × 1 shard per shard-tick), the PR 8
 # trace-overhead bound (the traced wire dispatch — sample, stamp,
 # exemplar ring — must keep the sharded tick within 1.05x of the
 # untraced path), and the PR 10 multi-D bound (the incremental plane's
 # comm/IO-heavy tick at ≤0.35x of the batch fallback). Raw output and
-# the parsed BENCH_8.json are kept for the CI artifact upload.
+# the parsed BENCH.json are kept for the CI artifact upload.
 go test -run xxx -bench 'BenchmarkPoolIngest$|BenchmarkWindowResults' \
 	-benchtime 1x -benchmem . | tee bench-smoke.out
 go test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale' \
 	-benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
-go run ./cmd/benchjson -min -out BENCH_8.json \
+go run ./cmd/benchjson -min -out BENCH.json \
 	-assert 'MonitorTickScale/servers=1/resident=1000k<=1.5*MonitorTickScale/servers=1/resident=100k' \
 	-assert 'MonitorTickScale/servers=4/resident=1000k<=1.5*MonitorTickScale/servers=4/resident=100k' \
 	-assert 'ShardedTickScale/shards=8/ranks=2048<=1.5*ShardedTickScale/shards=1/ranks=256@ns_per_shard_tick' \
 	-assert 'ShardedTickScaleTraced/shards=8/ranks=2048<=1.05*ShardedTickScale/shards=8/ranks=2048@ns_per_shard_tick' \
 	-assert 'MonitorTickMultiD/plane=inc<=0.35*MonitorTickMultiD/plane=batch' \
 	< bench-smoke.out
+
+# End-to-end harness: one workload of bench/ (the real stack over
+# loopback TCP, ≈20 s). The exit code is the correctness gate — books
+# balance, live window results bit-identical to the cold reference, no
+# event on the quiet stream; bench/out/BENCH.json is kept for the CI
+# artifact upload. Nothing else runs while it measures.
+go run ./bench -workload comp-steady
 
 # Observability smoke: boot a real collector, scrape its metrics
 # endpoint with `vapro status`, and assert the cross-layer metric names
