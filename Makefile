@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race chaos fuzz cover bench bench-smoke bench-e2e experiments full clean
+.PHONY: all build check test vet sortguard race chaos fuzz cover bench bench-smoke bench-e2e experiments full clean
 
 all: build vet test
 
@@ -11,13 +11,19 @@ all: build vet test
 # (catches crashes and gross regressions without benchmarking for real),
 # and one workload of the loopback end-to-end harness as a correctness
 # gate.
-check: build vet test race chaos bench-smoke bench-e2e
+check: build vet sortguard test race chaos bench-smoke bench-e2e
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The reflection-swapper sorts stay out of the tick's hot packages
+# (typed slices.Sort*/merges only).
+sortguard:
+	@! grep -nE 'sort\.(Slice|SliceStable|Sort|Stable)\(' $$(ls internal/detect/*.go internal/cluster/*.go | grep -v _test.go) \
+		|| { echo "sort.Slice/SliceStable/Sort in internal/detect or internal/cluster"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -40,6 +46,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeHello' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRecord' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
+	$(GO) test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/... .
@@ -56,8 +63,9 @@ bench:
 # flat-tick ratio (1M vs 100k resident), the PR 7 per-shard ratio
 # (2048 ranks × 8 shards vs 256 ranks × 1), the PR 8 trace-overhead
 # bound (traced dispatch within 1.05x of the untraced sharded tick),
-# and the PR 10 multi-D bound (incremental comm/IO-heavy tick ≤0.35x
-# of the batch fallback).
+# the PR 10 multi-D bound (incremental comm/IO-heavy tick ≤0.35x of the
+# batch fallback), and the PR 14 sort-free bound (comp-steady-shaped
+# tick ≤0.08x of the batch plane; measured 0.05x).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPoolIngest$$|BenchmarkWindowResults' -benchtime 1x -benchmem . | tee bench-smoke.out
 	$(GO) test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale' -benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
@@ -67,6 +75,7 @@ bench-smoke:
 		-assert 'ShardedTickScale/shards=8/ranks=2048<=1.5*ShardedTickScale/shards=1/ranks=256@ns_per_shard_tick' \
 		-assert 'ShardedTickScaleTraced/shards=8/ranks=2048<=1.05*ShardedTickScale/shards=8/ranks=2048@ns_per_shard_tick' \
 		-assert 'MonitorTickMultiD/plane=inc<=0.35*MonitorTickMultiD/plane=batch' \
+		-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
 		< bench-smoke.out
 
 # The loopback end-to-end harness (bench/README.md) on its common-case

@@ -738,6 +738,75 @@ func BenchmarkMonitorTickMultiD(b *testing.B) {
 	b.Run("plane=batch", func(b *testing.B) { benchMonitorTickMultiD(b, true) })
 }
 
+// nextFlushes returns one client flush from every rank: perRank
+// consecutive fragments of rank 0, then of rank 1, and so on — the shape
+// a wire delivery has (each flush is start-ordered; flushes of different
+// ranks overlap in time), which next()'s per-fragment rank draw lacks.
+func (s *tickStream) nextFlushes(perRank int) []trace.Fragment {
+	n := perRank * s.ranks
+	if cap(s.buf) < n {
+		s.buf = make([]trace.Fragment, 0, n)
+	}
+	batch := s.buf[:0]
+	for rank := 0; rank < s.ranks; rank++ {
+		for i := 0; i < perRank; i++ {
+			el := int64(900_000 + s.rng.Intn(200_000))
+			e := s.rng.Intn(s.edges)
+			class := uint64(1+s.rng.Intn(5)) * 1_000_000
+			batch = append(batch, trace.Fragment{
+				Rank: rank, Start: s.clocks[rank], Elapsed: el,
+				Kind: trace.Comp, From: uint64(e + 1), State: uint64(e + 2),
+				Counters: trace.CountersView{TotIns: class + uint64(s.rng.Intn(1000))},
+			})
+			s.clocks[rank] += el
+		}
+	}
+	s.buf = batch
+	return batch
+}
+
+// benchMonitorTickWindow measures the analysis tick of bench/'s
+// comp-steady workload in isolation: 64 ranks over 8 edges, every tick
+// appends one 256-fragment flush per rank (16k fragments) to a 500k
+// resident population and analyzes the newest 500 ms window (≈32k
+// samples) in 50 ms cells. On the incremental plane no sample is
+// comparison-sorted anywhere in that tick; the batch plane re-clusters,
+// re-normalizes and sorts.
+func benchMonitorTickWindow(b *testing.B, disable bool) {
+	const ranks, perRank, resident = 64, 256, 500_000
+	s := newTickStream(ranks, 8)
+	g := stg.New()
+	for fed := 0; fed < resident; fed += ranks * perRank {
+		g.AddBatch(s.nextFlushes(perRank))
+	}
+	a := detect.NewAnalyzer()
+	opt := detect.DefaultOptions()
+	opt.Window = 50 * sim.Millisecond
+	opt.DisableIncremental = disable
+	period := int64(500 * sim.Millisecond)
+	tick := func() {
+		g.AddBatch(s.nextFlushes(perRank))
+		wm := s.watermark()
+		a.RunWindow(g, ranks, opt, wm-period, wm)
+	}
+	for i := 0; i < 6; i++ { // warm the memoized layer, then settle as in benchMonitorTick
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+}
+
+// BenchmarkMonitorTickWindow pins the sort-free tick against the batch
+// plane on the comp-steady shape (the recorded bound benchjson asserts
+// into BENCH.json).
+func BenchmarkMonitorTickWindow(b *testing.B) {
+	b.Run("plane=inc", func(b *testing.B) { benchMonitorTickWindow(b, false) })
+	b.Run("plane=batch", func(b *testing.B) { benchMonitorTickWindow(b, true) })
+}
+
 // benchMonitorTickScale measures the steady-state tick END TO END
 // through a Pool: consume a 10k-fragment burst (sharded over `servers`
 // server graphs), refresh the delta-append merged view, and analyze the

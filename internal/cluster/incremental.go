@@ -166,44 +166,68 @@ func (s *incState) vec(i int) Vector {
 	return Vector(s.flat[s.voff[i]:s.voff[i+1]])
 }
 
-// mergeAppended stable-sorts the appended fragments [s.n, total) by
-// (norm, index) and merges them into s.order, preserving Run's exact
-// stable order (on a norm tie the resident fragment goes first — its
-// index is smaller than every appended index). It returns the sorted
-// new fragment ids, their final merged positions (ascending), and
-// their insertion points among the old order (ascending). s.norms must
+// mergeAppended orders the appended fragments [s.n, total) by (norm,
+// index) and merges them into s.order, preserving Run's exact stable
+// order (on a norm tie the resident fragment goes first — its index is
+// smaller than every appended index). It returns the sorted new
+// fragment ids, their final merged positions (ascending), and their
+// insertion points among the old order (ascending). s.norms must
 // already cover [0, total).
 func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 	k := total - s.n
 	norms := s.norms
-	batch = make([]int32, k)
-	for i := range batch {
-		batch[i] = int32(s.n + i)
+	// The batch is sorted on a packed (norm, index) key: the key is
+	// total, so an unstable typed sort reproduces the stable order, and
+	// the comparator never chases norms[] through an index.
+	type normKey struct {
+		norm float64
+		idx  int32
 	}
-	slices.SortStableFunc(batch, func(a, b int32) int { return cmp.Compare(norms[a], norms[b]) })
+	keys := make([]normKey, k)
+	for i := range keys {
+		keys[i] = normKey{norms[s.n+i], int32(s.n + i)}
+	}
+	slices.SortFunc(keys, func(a, b normKey) int {
+		if c := cmp.Compare(a.norm, b.norm); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 
-	// Each insertion point among the old elements comes from a binary
-	// search, then the displaced old spans shift right in chunks. The
-	// byte traffic is the same as an element-wise backward walk, but
+	// One galloping merge finds every insertion point among the old
+	// elements: the batch is ascending, so each search resumes where the
+	// previous one ended and doubles its stride until it overshoots — the
+	// probes stay near the last insertion instead of re-bisecting the
+	// whole resident order k times. The displaced old spans then shift
+	// right in chunks: the byte traffic of an element-wise backward walk
 	// without a norm compare and branch per moved element.
+	batch = make([]int32, k)
 	inserted = make([]int32, k) // final positions of the batch, ascending
 	ipos = make([]int32, k)     // insertion points among the old order
-	for j := 0; j < k; j++ {
-		nb := norms[batch[j]]
-		lo, hi := 0, s.n
+	order := s.order
+	lo := 0
+	for j, key := range keys {
+		hi, step := lo, 1
+		for hi < s.n && norms[order[hi]] <= key.norm {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		hi = min(hi, s.n)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if norms[s.order[mid]] <= nb {
+			if norms[order[mid]] <= key.norm {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
+		batch[j] = key.idx
 		ipos[j] = int32(lo)
 		inserted[j] = int32(lo + j)
 	}
 	s.order = append(s.order, batch...)
-	order := s.order
+	order = s.order
 	moveHi := int32(s.n) // old positions [ipos[j], moveHi) still to shift
 	for j := k - 1; j >= 0; j-- {
 		copy(order[int(ipos[j])+j+1:int(moveHi)+j+1], order[ipos[j]:moveHi])

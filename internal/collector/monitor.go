@@ -46,8 +46,10 @@ type Monitor struct {
 
 	// olsStreams holds each edge's warm per-cluster regression moments
 	// (see monitor_ols.go), maintained by the pool analyzer's
-	// cluster-delta hook. Guarded by olsMu, NOT mu: the hook fires from
-	// the window analysis's worker pool while a tick holds mu.
+	// cluster-delta hook. The map is guarded by olsMu, NOT mu — the hook
+	// fires from the window analysis's worker pool while a tick holds mu
+	// — and each element's moments by its own lock. Lock order:
+	// mu → p.amu → olsMu → elemMoments.mu.
 	olsMu      sync.Mutex
 	olsStreams map[cluster.Key]*elemMoments
 	olsFactors []diagnose.Factor

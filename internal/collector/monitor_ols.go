@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"sync"
+
 	"vapro/internal/cluster"
 	"vapro/internal/diagnose"
 	"vapro/internal/stg"
@@ -21,8 +23,11 @@ import (
 
 // elemMoments is one edge's warm regression state: a moment accumulator
 // per cluster of the edge's last-seen clustering, parallel to
-// Result.Clusters.
+// Result.Clusters. mu guards the fields below it and is the last lock
+// in the order m.mu → p.amu → olsMu → elemMoments.mu (olsMu is released
+// before mu is taken; it only guards the olsStreams map).
 type elemMoments struct {
+	mu      sync.Mutex
 	gen     stg.Gen
 	streams []*diagnose.ClusterMoments
 	fixed   []bool
@@ -71,15 +76,20 @@ func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags []trace.
 	if !key.IsEdge || m.opt.DisableStreamingOLS {
 		return
 	}
+	// olsMu covers only the map: the advance below runs under the
+	// element's own lock, so the pass's workers advance distinct edges
+	// concurrently.
 	m.olsMu.Lock()
-	defer m.olsMu.Unlock()
 	em := m.olsStreams[key]
-	if em != nil && em.gen == gen {
-		return // unchanged element (or a repeat consult of this generation)
-	}
 	if em == nil {
 		em = &elemMoments{}
 		m.olsStreams[key] = em
+	}
+	m.olsMu.Unlock()
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	if em.gen == gen && em.streams != nil {
+		return // unchanged element (or a repeat consult of this generation)
 	}
 	if !d.Full && em.gen == d.From && len(em.streams) > 0 {
 		if m.advanceMoments(em, frags, res, d) {
@@ -164,20 +174,27 @@ func (m *Monitor) streamQuantifier(edges []*stg.Edge) func([][]trace.Fragment, [
 		return nil
 	}
 	var streams []*diagnose.ClusterMoments
-	m.olsMu.Lock()
 	for _, e := range edges {
+		m.olsMu.Lock()
 		em := m.olsStreams[cluster.EdgeKey(e.Key)]
-		if em == nil || em.gen != e.Gen {
-			m.olsMu.Unlock()
+		m.olsMu.Unlock()
+		if em == nil {
 			return nil
 		}
-		for ci, cm := range em.streams {
-			if em.fixed[ci] {
-				streams = append(streams, cm)
+		em.mu.Lock()
+		warm := em.gen == e.Gen && em.streams != nil
+		if warm {
+			for ci, cm := range em.streams {
+				if em.fixed[ci] {
+					streams = append(streams, cm)
+				}
 			}
 		}
+		em.mu.Unlock()
+		if !warm {
+			return nil
+		}
 	}
-	m.olsMu.Unlock()
 	want := m.olsFactors
 	return func(clusters [][]trace.Fragment, kept []diagnose.Factor) *diagnose.OLSQuant {
 		if !sameFactors(kept, want) {

@@ -3,6 +3,7 @@ package collector
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vapro/internal/diagnose"
@@ -230,5 +231,59 @@ func TestMonitorStreamingOLSStaleFallback(t *testing.T) {
 	dopt.MaxStage = 2
 	if rep := m.DiagnoseEvent(&events[0], dopt); rep == nil || rep.OLS == nil {
 		t.Fatal("batch fallback did not produce a diagnosis")
+	}
+}
+
+// TestMonitorStreamingOLSParallelWorkers drives the cluster-delta hook
+// from four stage-1 workers over twelve edges (each advancing under its
+// own elemMoments lock) and requires every edge's moments to equal, bit
+// for bit, those of the same stream analyzed by one worker: an edge's
+// advances are ordered by its own generations, not by which worker ran
+// them. Run under -race it also pins the locking itself.
+func TestMonitorStreamingOLSParallelWorkers(t *testing.T) {
+	const ranks, edges = 4, 12
+	run := func(parallelism int) *Monitor {
+		opt := monOpts(ranks)
+		opt.Detect.Parallelism = parallelism
+		m := NewMonitor(NewPool(ranks, DefaultOptions()), opt)
+		rng := rand.New(rand.NewSource(99))
+		clock := make([]int64, ranks)
+		for round := 0; round < 12; round++ {
+			for rank := 0; rank < ranks; rank++ {
+				batch := make([]trace.Fragment, 0, 48)
+				for i := 0; i < 48; i++ {
+					e := uint64(rng.Intn(edges))
+					susp := rng.Int63n(50_000)
+					soft := uint64(rng.Intn(30))
+					el := 1_000_000 + susp + int64(soft)*1_000 + rng.Int63n(10_000)
+					batch = append(batch, trace.Fragment{
+						Rank: rank, Kind: trace.Comp, From: e + 1, State: e + 2,
+						Start: clock[rank], Elapsed: el,
+						Counters: trace.CountersView{
+							TotIns: 1_000_000 + uint64(rng.Intn(3))*400_000, Cycles: 500_000,
+							SuspensionNS: susp, SoftPF: soft, VolCS: uint64(rng.Intn(20)),
+						},
+					})
+					clock[rank] += el
+				}
+				m.Consume(rank, batch)
+			}
+		}
+		m.Flush()
+		return m
+	}
+	seq, par := run(1), run(4)
+	if len(seq.olsStreams) != edges || len(par.olsStreams) != edges {
+		t.Fatalf("moments kept for %d / %d edges, want %d", len(seq.olsStreams), len(par.olsStreams), edges)
+	}
+	if par.pool.met.OLSRank1Updates.Load() == 0 {
+		t.Fatal("no rank-1 updates: the delta path never ran")
+	}
+	for key, want := range seq.olsStreams {
+		got := par.olsStreams[key]
+		if got == nil || got.gen != want.gen || !reflect.DeepEqual(got.fixed, want.fixed) ||
+			!reflect.DeepEqual(got.streams, want.streams) {
+			t.Fatalf("edge %v: moments differ between 1 and 4 workers", key.Edge)
+		}
 	}
 }

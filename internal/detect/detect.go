@@ -8,9 +8,10 @@
 package detect
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,13 +50,13 @@ type Options struct {
 	// generation change re-clusters and re-normalizes from scratch.
 	// Results are bit-identical either way; this exists to benchmark
 	// the incremental plane against its baseline and as an escape
-	// hatch. It is the master switch — it also disables the chunked
-	// sample store and incremental region growing below.
+	// hatch. It is the master switch — it also disables the sample
+	// store and incremental region growing below.
 	DisableIncremental bool
 	// DisableSampleStore forces the flat prep representation: sample
 	// populations are kept as contiguous per-class arrays rebuilt (or
-	// merge-patched) per advance instead of the chunked append-only
-	// store. Results are bit-identical either way.
+	// merge-patched) per advance instead of being derived from the
+	// per-fragment store. Results are bit-identical either way.
 	DisableSampleStore bool
 	// DisableIncrementalRegions forces region growing to run from
 	// scratch every window instead of carrying unchanged regions over
@@ -142,18 +143,18 @@ type ClusterRef struct {
 	Cluster int
 }
 
-// sampleLess is the total order the per-class sample streams are
-// sorted by before the heat-map and region passes: Start first, ties
-// broken by owning element (edges before vertices, then key) and
-// fragment index. Start alone is not a total order — exact ties across
-// ranks are routine in lockstep SPMD phases — and under a partial key
-// the tie order would depend on the pre-sort emission order, which the
-// grow-only trailing-append Members representation no longer pins to
-// the batch plane's canonical order. The total key makes the sorted
-// stream — and everything folded over it: heat-map cells, region
-// growing, carried-region equality — a pure function of the sample
-// multiset, which is exactly the order-insensitivity the cluster
-// layer's lazy members contract provides.
+// sampleLess is the total order of the per-class sample streams the
+// heat-map and region passes fold over: Start first, ties broken by
+// owning element (edges before vertices, then key) and fragment index.
+// Start alone is not a total order — exact ties across ranks are
+// routine in lockstep SPMD phases — and a total key makes the stream,
+// and everything folded over it (heat-map cells, region growing,
+// carried-region equality), a pure function of the sample multiset.
+// The streams are built in this order, not sorted into it: every span
+// index keeps its entries ordered by (start, fragment index), so each
+// selection is a run already ordered under sampleLess, and stage 2
+// merges the runs (runMerger). Only the DisableIncremental oracle
+// sorts.
 func sampleLess(a, b *Sample) bool {
 	if a.Start != b.Start {
 		return a.Start < b.Start
@@ -174,9 +175,20 @@ func sampleLess(a, b *Sample) bool {
 	return a.FragIndex < b.FragIndex
 }
 
-// sortSamples sorts one class's merged samples by sampleLess.
-func sortSamples(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool { return sampleLess(&samples[i], &samples[j]) })
+// sortSamples orders one class's samples under sampleLess by a
+// comparison sort — the batch oracle's way, independent of the run
+// merge it pins.
+func sortSamples(samples []Sample) { slices.SortFunc(samples, compareSamples) }
+
+// compareSamples is sampleLess as a three-way comparison.
+func compareSamples(a, b Sample) int {
+	if sampleLess(&a, &b) {
+		return -1
+	}
+	if sampleLess(&b, &a) {
+		return 1
+	}
+	return 0
 }
 
 // HeatMap is a rank × window grid of weighted-average normalized
@@ -303,6 +315,11 @@ type Analyzer struct {
 	// regions_inc.go). Stage-2 workers each own exactly one class slot,
 	// so the fixed array needs no locking.
 	regionCarry [numClasses]*regionCarryState
+	// merge holds each class's stream-merge scratch, owned like
+	// regionCarry. permuteRuns, set only by tests, rearranges a class's
+	// runs before they are merged.
+	merge       [numClasses]runMerger
+	permuteRuns func(runs []sampleRun) []sampleRun
 
 	// met, when set via SetMetrics, receives per-pass latency and
 	// per-stage span observations; clock is its worker-side scratch.
@@ -368,36 +385,15 @@ func (a *Analyzer) RunWindow(g *stg.Graph, ranks int, opt Options, start, end in
 }
 
 // elemOut is the per-element partial result of the cluster+normalize
-// stage; partials merge deterministically in element order, which makes
-// the parallel pass bit-identical to the sequential one. Samples are
-// referenced, not materialized: either the element's whole canonical
-// list (all=true) or a selection of indices into it, copied exactly
-// once into the right-sized merged slice.
+// stage. Samples are referenced, not materialized: runs[c] lists the
+// element's class-c selection as runs already ordered under sampleLess,
+// in sampleLess order among themselves on equal starts (a store's older
+// segments hold the smaller fragment indexes).
 type elemOut struct {
-	prep          *prepElem
-	whole         [numClasses]bool
-	sel           [numClasses][]int32
+	runs          [numClasses][]elemRun
 	total, fixed  [numClasses]int64
 	fixedClusters int
 	smallClusters int
-}
-
-// sampleCount returns how many samples the element contributes to class
-// c under its selection.
-func (o *elemOut) sampleCount(c int) int {
-	if o.prep == nil {
-		return 0
-	}
-	if o.whole[c] {
-		if o.prep.storeMode() {
-			if Class(c) == o.prep.class {
-				return o.prep.liveCount
-			}
-			return 0
-		}
-		return len(o.prep.samples[c])
-	}
-	return len(o.sel[c])
 }
 
 // elemDirect is the materialized form of an element's window
@@ -459,12 +455,8 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 		tMerge = time.Now()
 	}
 
-	// Deterministic merge: element order (edges then vertices, both
-	// key-sorted) fixes the sample concatenation order regardless of
-	// which worker finished first. Counts are summed first so each
-	// class's merged slice is allocated once at its exact size — the
-	// per-window copy cost is one pass over the selected samples, with
-	// no append regrowth.
+	// Partials sum in element order; the sample counts size each
+	// class's stream exactly.
 	var total, fixed [numClasses]int64
 	var counts [numClasses]int
 	for i := range outs {
@@ -472,50 +464,11 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 		res.FixedClusters += o.fixedClusters
 		res.SmallClusters += o.smallClusters
 		for c := 0; c < numClasses; c++ {
-			counts[c] += o.sampleCount(c)
+			for ri := range o.runs[c] {
+				counts[c] += len(o.runs[c][ri].sel)
+			}
 			total[c] += o.total[c]
 			fixed[c] += o.fixed[c]
-		}
-	}
-	for c := 0; c < numClasses; c++ {
-		if counts[c] > 0 {
-			res.Samples[Class(c)] = make([]Sample, 0, counts[c])
-		}
-	}
-	for i := range outs {
-		o := &outs[i]
-		if o.prep == nil {
-			continue
-		}
-		for c := 0; c < numClasses; c++ {
-			if o.prep.storeMode() {
-				// Store-backed elements materialize lazily: Perf,
-				// Covered and the cluster index are derived from
-				// current cluster state as samples are copied out.
-				if Class(c) != o.prep.class {
-					continue
-				}
-				if o.whole[c] {
-					if o.prep.liveCount > 0 {
-						res.Samples[Class(c)] = o.prep.appendAllStore(res.Samples[Class(c)])
-					}
-				} else if len(o.sel[c]) > 0 {
-					res.Samples[Class(c)] = o.prep.appendStore(res.Samples[Class(c)], o.sel[c])
-				}
-				continue
-			}
-			if o.whole[c] {
-				if len(o.prep.samples[c]) > 0 {
-					res.Samples[Class(c)] = append(res.Samples[Class(c)], o.prep.samples[c]...)
-				}
-			} else if len(o.sel[c]) > 0 {
-				buf := res.Samples[Class(c)]
-				src := o.prep.samples[c]
-				for _, idx := range o.sel[c] {
-					buf = append(buf, src[idx])
-				}
-				res.Samples[Class(c)] = buf
-			}
 		}
 	}
 
@@ -541,17 +494,39 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 		tMap = time.Now()
 	}
 
-	// Stage 2: the per-class heat-map and region-growing passes are
-	// fully independent — run them concurrently, then concatenate the
-	// regions in fixed class order.
+	// Stage 2: each class's stream is merged from its elements' runs —
+	// in element order (edges then vertices, both key-sorted), which is
+	// sampleLess's own tie order, so the merge decides almost every
+	// comparison on Start — and folded into its heat map and regions.
+	// The classes are fully independent: run them concurrently, then
+	// concatenate the regions in fixed class order.
+	var streams [numClasses][]Sample
 	var maps [numClasses]*HeatMap
 	var regions [numClasses][]Region
 	forEach(numClasses, opt.Parallelism, func(c int) {
-		samples := res.Samples[Class(c)]
-		if len(samples) == 0 {
+		if counts[c] == 0 {
 			return
 		}
-		sortSamples(samples)
+		mg := &a.merge[c]
+		for i := range outs {
+			for ri := range outs[i].runs[c] {
+				mg.runs = append(mg.runs, &outs[i].runs[c][ri])
+			}
+		}
+		if a.permuteRuns != nil {
+			mg.runs = a.permuteRuns(mg.runs)
+		}
+		samples := make([]Sample, 0, counts[c])
+		if opt.DisableIncremental {
+			samples = mg.concat(samples)
+			sortSamples(samples)
+			if met != nil {
+				met.SortFallbacks.Inc()
+			}
+		} else {
+			samples = mg.merge(samples)
+		}
+		streams[c] = samples
 		h := buildHeatMap(Class(c), samples, ranks, opt.Window, origin)
 		if h == nil {
 			return
@@ -561,20 +536,28 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 		regions[c] = a.growRegionsFor(Class(c), h, samples, opt)
 	})
 	for c := 0; c < numClasses; c++ {
+		if streams[c] != nil {
+			res.Samples[Class(c)] = streams[c]
+		}
 		if maps[c] != nil {
 			res.Maps[Class(c)] = maps[c]
 			res.Regions = append(res.Regions, regions[c]...)
 		}
 	}
-	// Most impactful regions first (§3.5: reported by performance
-	// impact).
-	sort.Slice(res.Regions, func(i, j int) bool { return res.Regions[i].LossNS > res.Regions[j].LossNS })
+	sortRegionsByLoss(res.Regions)
 	if met != nil {
 		met.Spans.RecordNS(StageMap, since(tMap))
 		met.WindowNS.Observe(since(t0))
 		met.Windows.Inc()
 	}
 	return res
+}
+
+// sortRegionsByLoss puts the most impactful regions first (§3.5:
+// reported by performance impact); equal losses keep class-then-
+// discovery order.
+func sortRegionsByLoss(regions []Region) {
+	slices.SortStableFunc(regions, func(a, b Region) int { return cmp.Compare(b.LossNS, a.LossNS) })
 }
 
 // normalizeElement turns one element's clustering into normalized
@@ -898,7 +881,7 @@ func attachSamples(regions []Region, h *HeatMap, samples []Sample) {
 		// Multi-rank spans interleave buckets; restore the global scan
 		// order (ascending sample index) before appending.
 		if reg.RankMax > reg.RankMin {
-			sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
+			slices.Sort(idxs)
 		}
 		for _, i := range idxs {
 			s := &samples[i]

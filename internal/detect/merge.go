@@ -1,0 +1,136 @@
+package detect
+
+// sampleRun is one input of a stream merge: a sequence of samples
+// already ordered under sampleLess, materialized one at a time.
+type sampleRun interface {
+	// next writes the run's next sample to dst; false once exhausted.
+	next(dst *Sample) bool
+}
+
+// runMerger is the one k-way merge every ordered sample stream is built
+// by: the analyzer's per-class window stream (runs: each store segment's
+// and each flat index's ascending selection) and the spatial merger's
+// cross-shard stream (runs: the shards' own streams). It holds each
+// run's head materialized and a binary heap of the heads keyed by
+// Start, so an emitted sample costs one next() and about log2(runs)
+// integer compares; a Start tie is decided by sampleLess on the two
+// heads, and heads equal under sampleLess too (possible only across
+// shards) by run order. The scratch is reused across merges — a warm
+// merge allocates nothing but what dst needs.
+type runMerger struct {
+	runs  []sampleRun
+	heads []Sample
+	heap  []runHead
+}
+
+// runHead is one live run in the heap: its head's Start and its index.
+type runHead struct {
+	start int64
+	run   int32
+}
+
+func (m *runMerger) before(a, b runHead) bool {
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	ha, hb := &m.heads[a.run], &m.heads[b.run]
+	if sampleLess(ha, hb) {
+		return true
+	}
+	if sampleLess(hb, ha) {
+		return false
+	}
+	return a.run < b.run
+}
+
+func (m *runMerger) siftDown(i int) {
+	h := m.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && m.before(h[c+1], h[c]) {
+			c++
+		}
+		if !m.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// merge appends the merge of m.runs to dst and clears the run list.
+func (m *runMerger) merge(dst []Sample) []Sample {
+	if cap(m.heads) < len(m.runs) {
+		m.heads = make([]Sample, len(m.runs))
+	}
+	m.heads = m.heads[:len(m.runs)]
+	m.heap = m.heap[:0]
+	for i, r := range m.runs {
+		if r.next(&m.heads[i]) {
+			m.heap = append(m.heap, runHead{start: m.heads[i].Start, run: int32(i)})
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	for len(m.heap) > 0 {
+		top := m.heap[0].run
+		dst = append(dst, m.heads[top])
+		if m.runs[top].next(&m.heads[top]) {
+			m.heap[0].start = m.heads[top].Start
+		} else {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
+		}
+		m.siftDown(0)
+	}
+	m.reset()
+	return dst
+}
+
+// concat appends m.runs to dst one after the other, unmerged, and
+// clears the run list: what the batch oracle sorts.
+func (m *runMerger) concat(dst []Sample) []Sample {
+	var s Sample
+	for _, r := range m.runs {
+		for r.next(&s) {
+			dst = append(dst, s)
+		}
+	}
+	m.reset()
+	return dst
+}
+
+func (m *runMerger) reset() {
+	clear(m.runs) // the runs reference preps and selections; don't pin them
+	m.runs = m.runs[:0]
+}
+
+// elemRun is one run of an element's window selection: the ascending
+// entries sel of one span index. A flat element's index names
+// positions in its materialized samples; a store segment names
+// fragments, whose samples the store-backed prep derives.
+type elemRun struct {
+	ix    *spanIndex
+	sel   []int32
+	flat  []Sample  // flat path
+	store *prepElem // store path
+}
+
+func (r *elemRun) next(dst *Sample) bool {
+	if len(r.sel) == 0 {
+		return false
+	}
+	i := r.sel[0]
+	r.sel = r.sel[1:]
+	if r.store != nil {
+		r.store.sampleAt(r.ix, i, dst)
+	} else {
+		*dst = r.flat[r.ix.pos[i]]
+	}
+	return true
+}

@@ -10,9 +10,9 @@ import (
 // Pipeline stages traced per analysis window. StagePrep is the whole
 // per-element fan-out wall time; StageCluster and StageNormalize are the
 // CPU time summed across workers inside it (cache-miss clustering and
-// prep rebuilds — near zero on warm windows); StageMerge is the
-// deterministic sample merge; StageMap is the heat-map + region-growing
-// pass.
+// prep rebuilds — near zero on warm windows); StageMerge sums the
+// per-element partials; StageMap is the per-class stream merge plus the
+// heat-map and region-growing pass.
 const (
 	StagePrep = iota
 	StageCluster
@@ -38,13 +38,13 @@ type Metrics struct {
 	// DirtySpanPct is the distribution of the dirty-span ratio (percent
 	// of the sorted order each incremental advance recomputed).
 	DirtySpanPct *obs.Histogram
-	// StoreAppends counts samples appended to chunked sample stores
+	// StoreAppends counts fragments appended to store-backed elements
 	// (both initial builds and incremental advances).
 	StoreAppends *obs.Counter
-	// StoreCompactions counts store rebuilds forced by the dead-sample
-	// threshold (an advance retired too much; the element re-emitted
-	// into a fresh store).
-	StoreCompactions *obs.Counter
+	// SortFallbacks counts per-class sample streams ordered by a
+	// comparison sort instead of the run merge: the DisableIncremental
+	// oracle's streams, and nothing else.
+	SortFallbacks *obs.Counter
 	// RegionCellsCarried counts heat-map cells whose region membership
 	// was carried over from the previous window unchanged.
 	RegionCellsCarried *obs.Counter
@@ -55,6 +55,10 @@ type Metrics struct {
 
 // NewMetrics registers the detection metrics into reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
+	// The store has had nothing to compact since it stopped keeping
+	// samples; the series stays exposed, at 0, because bench/ reports it.
+	reg.Counter("vapro_detect_store_compactions_total", "detect",
+		"retired: always 0 (the sample store no longer compacts)")
 	return &Metrics{
 		Windows: reg.Counter("vapro_detect_windows_total", "detect",
 			"completed detection passes (whole-run and per-window)"),
@@ -70,9 +74,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"dirty-span ratio of incremental advances (percent of sorted order recomputed)",
 			[]int64{1, 2, 5, 10, 25, 50, 100}),
 		StoreAppends: reg.Counter("vapro_detect_store_appends_total", "detect",
-			"samples appended to chunked sample stores"),
-		StoreCompactions: reg.Counter("vapro_detect_store_compactions_total", "detect",
-			"sample-store rebuilds forced by the dead-sample threshold"),
+			"fragments appended to store-backed elements"),
+		SortFallbacks: reg.Counter("vapro_detect_sample_sort_fallbacks_total", "detect",
+			"per-class sample streams ordered by a comparison sort instead of the run merge"),
 		RegionCellsCarried: reg.Counter("vapro_detect_region_cells_carried_total", "detect",
 			"heat-map cells carried over from the previous window's regions"),
 		RegionCellsRegrown: reg.Counter("vapro_detect_region_cells_regrown_total", "detect",

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -18,9 +17,7 @@ import (
 // at the analysis window — the window just filters which samples feed
 // the heat map), so they are computed once per element generation and
 // every overlapped window slices them by binary search instead of
-// re-walking every cluster member. Sample emission order is preserved
-// exactly (cluster-major, member-index order), which keeps windowed
-// results bit-identical to the direct computation.
+// re-walking every cluster member.
 //
 // When the element advances by an append-only generation step (the
 // clustering cache hands back a structured Delta instead of Full),
@@ -28,7 +25,7 @@ import (
 // cluster spans are block-copied, grown clusters are merge-copied with
 // each cluster's fastest member tracked monotonically (the min can only
 // improve, so kept samples renormalize only when it actually does), and
-// the span indexes are extended by a remap+merge instead of a re-sort.
+// the span indexes are extended by merging in the appended spans.
 type prepElem struct {
 	gen    stg.Gen
 	nfrags int
@@ -39,138 +36,257 @@ type prepElem struct {
 	smallClusters int
 
 	// samples holds the full-population sample lists per class, in
-	// canonical emission order. Shared read-only with full-range runs.
+	// emission order (cluster-major). Flat path only.
 	samples [numClasses][]Sample
-	// sampleIdx slices samples by time window.
+	// sampleIdx slices samples by time window: its entries name
+	// positions in samples, ordered by (start, fragment index).
 	sampleIdx [numClasses]spanIndex
-	// fixedAll is the covered (fixed-workload) time per class over the
-	// whole population — the full-range fast path for elemOut.fixed.
-	fixedAll [numClasses]int64
 	// fragIdx indexes every fragment's span per class for the coverage
 	// denominator (elemOut.total sums all fragments, not just cluster
 	// members).
-	fragIdx  [numClasses]spanIndex
-	totalAll [numClasses]int64
+	fragIdx [numClasses]spanIndex
 
 	// Incremental-advance state, maintained only for single-class
 	// elements: computation edges (1-D norms) and all-comm / all-IO
 	// vertices (multi-D vectors) alike — both cluster planes produce
-	// structured deltas now. Mixed-class vertices still rebuild: their
+	// structured deltas. Mixed-class vertices still rebuild: their
 	// samples interleave several classes, so a cluster delta does not
 	// translate into per-class span patches.
 	singleClass bool
 	class       Class
+	minFrag     int
 	// spanOff[ci] is the offset in samples[class] where cluster ci's
 	// emission begins; spanOff[len(clusters)] closes the last span.
-	// Small and skipped clusters own empty spans.
+	// Small and skipped clusters own empty spans. Flat path only.
 	spanOff []int32
 	// cstate[ci] is cluster ci's normalization state.
 	cstate []clustState
 
-	// Chunked-store representation (see store.go), used instead of
-	// samples/sampleIdx/fragIdx/spanOff for 1-D computation elements
-	// when the store path is enabled. store == nil means flat.
+	// store replaces samples/sampleIdx/fragIdx/spanOff for 1-D
+	// computation elements (see store.go); nil means flat.
 	store *sampleStore
-	// ids[ci] is cluster ci's stable id; slotOf[id] maps an id back to
-	// its current cluster index (-1 once retired). minFrag caches the
-	// normalized coverage threshold.
-	ids     []int32
-	slotOf  []int32
-	nextID  int32
-	minFrag int
-	// liveCount is store.n minus retired samples — the store-mode
-	// whole-population sample count.
-	liveCount int
-	// sampleSeg/fragSeg are the segmented span indexes over store
-	// positions / fragment indexes.
-	sampleSeg segIndex
-	fragSeg   segIndex
-	// wholeOrder caches the canonical order of all live positions,
-	// invalidated per advance, rebuilt lazily on the merge stage.
-	wholeOrder []int32
-	// storeCompactPending is set when an advance refused because dead
-	// samples would exceed the compaction threshold; prepFor rebuilds.
-	storeCompactPending bool
 }
 
 // clustState tracks what one cluster's emission depends on, so an
 // append touching the cluster can be applied as a delta: the fastest
-// member (monotone — it only improves), the per-rank population counts
-// (monotone — they only grow, so a rank crosses the coverage threshold
-// at most once), and the covered time contributed to fixedAll.
+// member (monotone — it only improves) and the per-rank population
+// counts (monotone — they only grow, so a rank crosses the coverage
+// threshold at most once).
 type clustState struct {
 	// emitted: the cluster is Fixed with a valid best and its members
-	// are present in samples. perRank may be non-nil while emitted is
-	// false (a fixed cluster whose members all have Elapsed<=0).
+	// are samples.
 	emitted bool
 	best    int64
-	fixedNS int64
-	perRank map[int]int
-
-	// Store-mode extras (zero/nil on the flat path): perRankNS sums
-	// elapsed per rank so a coverage crossing can flip a rank's whole
-	// prior contribution without revisiting stored samples; nStored
-	// counts the cluster's samples living in the store (for delta
-	// validation and retirement accounting).
-	perRankNS map[int]int64
-	nStored   int32
+	ranks   rankTable
+	// nStored counts the members the state accounts for, for delta
+	// validation. Store path only.
+	nStored int32
 }
 
-// spanIndex answers "which spans overlap [start, end)" over a fixed set
-// of (start, elapsed) spans in O(log n + candidates): starts are sorted,
+// sample normalizes member m (fragment f) of cluster ci against the
+// cluster's state.
+func (st *clustState) sample(f *trace.Fragment, m int, ref ClusterRef, ci, minFrag int) Sample {
+	perf := 1.0
+	if f.Elapsed > 0 {
+		perf = float64(st.best) / float64(f.Elapsed)
+	}
+	ref.Cluster = ci
+	return Sample{
+		Rank:       f.Rank,
+		Start:      f.Start,
+		Elapsed:    f.Elapsed,
+		Perf:       perf,
+		Covered:    st.ranks.count(f.Rank) >= minFrag,
+		ClusterRef: ref,
+		FragIndex:  m,
+	}
+}
+
+// rankTable counts a cluster's members per rank. Slots are handed out
+// in first-seen order and never move, so a slot recorded when a member
+// was appended answers "is this rank covered" with an array read for
+// the cluster's lifetime. Nothing is sized by rank id: stray ids up to
+// MaxInt32 are legal input.
+type rankTable struct {
+	slot map[int]int32
+	rank []int
+	n    []int32
+}
+
+// add counts one more member of rank and returns the rank's slot.
+func (t *rankTable) add(rank int) int32 {
+	s, ok := t.slot[rank]
+	if !ok {
+		if t.slot == nil {
+			t.slot = make(map[int]int32, 8)
+		}
+		s = int32(len(t.rank))
+		t.slot[rank] = s
+		t.rank = append(t.rank, rank)
+		t.n = append(t.n, 0)
+	}
+	t.n[s]++
+	return s
+}
+
+// count returns how many members rank has contributed.
+func (t *rankTable) count(rank int) int {
+	if s, ok := t.slot[rank]; ok {
+		return int(t.n[s])
+	}
+	return 0
+}
+
+// countClusters refreshes the fixed/small cluster tallies.
+func (p *prepElem) countClusters(cl cluster.Result) {
+	p.smallClusters = cl.Small
+	p.fixedClusters = len(cl.Clusters) - cl.Small
+}
+
+// spanEnt is one span on its way into a spanIndex.
+type spanEnt struct {
+	start, elapsed int64
+	pos            int32 // what the entry names: a sample position or a fragment index
+	frag           int32 // the fragment index, the tie key under equal starts
+	covered        bool
+}
+
+func (a *spanEnt) before(b *spanEnt) bool {
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	return a.frag < b.frag
+}
+
+// orderSpans orders ents by (start, fragment index) by merging the runs
+// that are already in that order. The fragments of one flush arrive
+// start-ordered per rank, so an appended suffix is a handful of long
+// runs and this costs n·log(runs) typed compares; on arbitrary input it
+// degrades to a plain merge sort. The result may alias ents.
+func orderSpans(ents []spanEnt) []spanEnt {
+	bounds := []int{0}
+	for i := 1; i < len(ents); i++ {
+		if ents[i].before(&ents[i-1]) {
+			bounds = append(bounds, i)
+		}
+	}
+	runs := len(bounds)
+	if runs == 1 {
+		return ents
+	}
+	bounds = append(bounds, len(ents))
+	src, dst := ents, make([]spanEnt, len(ents))
+	for runs > 1 {
+		w := 0
+		for r := 0; r < runs; r += 2 {
+			lo, mid, hi := bounds[r], bounds[min(r+1, runs)], bounds[min(r+2, runs)]
+			i, j, o := lo, mid, lo
+			for i < mid && j < hi {
+				if src[j].before(&src[i]) {
+					dst[o] = src[j]
+					j++
+				} else {
+					dst[o] = src[i]
+					i++
+				}
+				o++
+			}
+			o += copy(dst[o:], src[i:mid])
+			copy(dst[o:], src[j:hi])
+			w++
+			bounds[w] = hi
+		}
+		runs = w
+		src, dst = dst, src
+	}
+	return src
+}
+
+// spanIndex answers "which spans overlap [start, end)" over a set of
+// (start, elapsed) spans in O(log n + candidates): starts are sorted,
 // and a span overlaps only if its start lies in (start-maxElapsed, end).
+// Entries are ordered by (start, fragment index), so any ascending
+// selection of one index is already ordered under sampleLess.
 type spanIndex struct {
-	order      []int32 // original positions, sorted by start
-	starts     []int64 // starts[i] = start of span order[i] (sorted)
-	elapsed    []int64 // elapsed[i] = elapsed of span order[i]
-	covered    []bool  // optional: covered flag of span order[i]
+	pos        []int32 // pos[i]: the sample position or fragment index entry i names
+	starts     []int64 // sorted
+	elapsed    []int64
+	covered    []bool // optional: covered flag of entry i
 	maxElapsed int64
 }
 
-func buildSpanIndex(starts, elapsed []int64, covered []bool) spanIndex {
-	n := len(starts)
+// newSpanIndex lays ordered entries out in columns.
+func newSpanIndex(ents []spanEnt, withCovered bool) spanIndex {
+	n := len(ents)
 	ix := spanIndex{
-		order:   make([]int32, n),
+		pos:     make([]int32, n),
 		starts:  make([]int64, n),
 		elapsed: make([]int64, n),
 	}
-	for i := range ix.order {
-		ix.order[i] = int32(i)
-	}
-	sort.Slice(ix.order, func(a, b int) bool {
-		sa, sb := starts[ix.order[a]], starts[ix.order[b]]
-		if sa != sb {
-			return sa < sb
-		}
-		return ix.order[a] < ix.order[b]
-	})
-	for i, o := range ix.order {
-		ix.starts[i] = starts[o]
-		ix.elapsed[i] = elapsed[o]
-		if e := elapsed[o]; e > ix.maxElapsed {
-			ix.maxElapsed = e
-		}
-	}
-	if covered != nil {
+	if withCovered {
 		ix.covered = make([]bool, n)
-		for i, o := range ix.order {
-			ix.covered[i] = covered[o]
+	}
+	for i := range ents {
+		e := &ents[i]
+		ix.pos[i], ix.starts[i], ix.elapsed[i] = e.pos, e.start, e.elapsed
+		if withCovered {
+			ix.covered[i] = e.covered
+		}
+		if e.elapsed > ix.maxElapsed {
+			ix.maxElapsed = e.elapsed
 		}
 	}
 	return ix
 }
 
-// candidates returns the [lo, hi) range of sorted positions whose spans
-// can overlap [start, end); each candidate still needs the exact
+// fragSpans orders the spans of frags[from:] into an index over
+// fragment positions.
+func fragSpans(frags []trace.Fragment, from int) spanIndex {
+	ents := make([]spanEnt, 0, len(frags)-from)
+	for i := from; i < len(frags); i++ {
+		ents = append(ents, spanEnt{start: frags[i].Start, elapsed: frags[i].Elapsed, pos: int32(i), frag: int32(i)})
+	}
+	return newSpanIndex(orderSpans(ents), false)
+}
+
+// mergeSpans merges two indexes over fragment positions. a predates b —
+// every position in b is larger than every position in a — so on equal
+// starts a's entries go first.
+func mergeSpans(a, b spanIndex) spanIndex {
+	n := len(a.pos) + len(b.pos)
+	out := spanIndex{
+		pos:        make([]int32, 0, n),
+		starts:     make([]int64, 0, n),
+		elapsed:    make([]int64, 0, n),
+		maxElapsed: max(a.maxElapsed, b.maxElapsed),
+	}
+	i, j := 0, 0
+	for i < len(a.pos) || j < len(b.pos) {
+		if j >= len(b.pos) || (i < len(a.pos) && a.starts[i] <= b.starts[j]) {
+			out.pos = append(out.pos, a.pos[i])
+			out.starts = append(out.starts, a.starts[i])
+			out.elapsed = append(out.elapsed, a.elapsed[i])
+			i++
+		} else {
+			out.pos = append(out.pos, b.pos[j])
+			out.starts = append(out.starts, b.starts[j])
+			out.elapsed = append(out.elapsed, b.elapsed[j])
+			j++
+		}
+	}
+	return out
+}
+
+// candidates returns the [lo, hi) range of entries whose spans can
+// overlap [start, end); each candidate still needs the exact
 // start+elapsed > start check.
 func (ix *spanIndex) candidates(start, end int64) (lo, hi int) {
 	// A span [s, s+e) overlaps iff s < end && s+e > start, which needs
-	// s > start-maxElapsed (saturating: start near MinInt64 would wrap).
-	thresh := start - ix.maxElapsed
-	if ix.maxElapsed > 0 && thresh > start {
-		thresh = math.MinInt64
+	// s > start-maxElapsed. A subtraction that wraps (start near
+	// MinInt64) excludes nothing.
+	if thresh := start - ix.maxElapsed; thresh <= start {
+		lo = sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] > thresh })
 	}
-	lo = sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] > thresh })
 	hi = sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] >= end })
 	return lo, hi
 }
@@ -187,11 +303,9 @@ func (ix *spanIndex) sumOverlapping(start, end int64) int64 {
 	return sum
 }
 
-// selectOverlapping returns the original positions of spans overlapping
-// [start, end) in original (canonical) order, plus the covered elapsed
-// sum over the selection. The positions are distinct, so sorting them
-// ascending reproduces the canonical emission order exactly regardless
-// of sort algorithm.
+// selectOverlapping returns the entries whose spans overlap [start,
+// end), ascending — one run already ordered under sampleLess — plus the
+// covered elapsed sum over the selection.
 func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int64) {
 	lo, hi := ix.candidates(start, end)
 	if lo >= hi {
@@ -200,13 +314,12 @@ func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int
 	sel = make([]int32, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if ix.starts[i]+ix.elapsed[i] > start {
-			sel = append(sel, ix.order[i])
-			if ix.covered != nil && ix.covered[i] {
+			sel = append(sel, int32(i))
+			if ix.covered[i] {
 				fixed += ix.elapsed[i]
 			}
 		}
 	}
-	slices.Sort(sel)
 	return sel, fixed
 }
 
@@ -251,30 +364,26 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 	if met != nil {
 		t0 = time.Now()
 	}
-	var storeN0 int32
-	if p != nil && p.storeMode() {
-		storeN0 = p.store.n
-	}
-	if p != nil && !opt.DisableIncremental && p.advance(frags, cl, d, opt, gen) {
-		if met != nil {
-			a.clock.normNS.Add(since(t0))
-			met.PrepIncremental.Inc()
-			met.DirtySpanPct.Observe(int64(d.Ratio*100 + 0.5))
-			if p.storeMode() {
-				met.StoreAppends.Add(uint64(p.store.n - storeN0))
+	if p != nil && !opt.DisableIncremental {
+		oldN := p.nfrags
+		if p.advance(frags, cl, d, opt, gen) {
+			if met != nil {
+				a.clock.normNS.Add(since(t0))
+				met.PrepIncremental.Inc()
+				met.DirtySpanPct.Observe(int64(d.Ratio*100 + 0.5))
+				if p.storeMode() {
+					met.StoreAppends.Add(uint64(len(frags) - oldN))
+				}
 			}
+			return p
 		}
-		return p
-	}
-	if met != nil && p != nil && p.storeCompactPending {
-		met.StoreCompactions.Inc()
 	}
 	p = buildPrep(frags, cl, ref, opt, gen)
 	if met != nil {
 		a.clock.normNS.Add(since(t0))
 		met.PrepRebuilds.Inc()
 		if p.storeMode() {
-			met.StoreAppends.Add(uint64(p.store.n))
+			met.StoreAppends.Add(uint64(len(frags)))
 		}
 	}
 	a.mu.Lock()
@@ -287,14 +396,12 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 // normalizeElement does with an unbounded window) and indexes the
 // outputs for window slicing.
 func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
-	if storeEligible(frags, opt) {
-		return buildPrepStore(frags, cl, ref, opt, gen)
-	}
-	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref}
 	minFrag := opt.Cluster.MinFragments
 	if minFrag <= 0 {
 		minFrag = 5
 	}
+	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref, minFrag: minFrag}
+	p.countClusters(cl)
 	p.singleClass = len(frags) > 0
 	if p.singleClass {
 		p.class = ClassOf(frags[0].Kind)
@@ -305,129 +412,88 @@ func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Op
 			}
 		}
 	}
+	if storeEligible(frags, opt) {
+		p.buildStore(frags, cl)
+		return p
+	}
 	if p.singleClass {
 		p.spanOff = make([]int32, 0, len(cl.Clusters)+1)
 		p.cstate = make([]clustState, 0, len(cl.Clusters))
 	}
+	var ents [numClasses][]spanEnt
 	for ci := range cl.Clusters {
 		c := &cl.Clusters[ci]
 		if p.singleClass {
 			p.spanOff = append(p.spanOff, int32(len(p.samples[p.class])))
 		}
-		if c.Fixed {
-			p.fixedClusters++
-		} else {
-			p.smallClusters++
+		if !c.Fixed {
 			if p.singleClass {
 				p.cstate = append(p.cstate, clustState{})
 			}
 			continue
 		}
-		best := int64(math.MaxInt64)
-		perRank := make(map[int]int)
+		st := clustState{best: math.MaxInt64}
 		for _, m := range c.Members {
-			perRank[frags[m].Rank]++
-			if e := frags[m].Elapsed; e > 0 && e < best {
-				best = e
+			st.ranks.add(frags[m].Rank)
+			if e := frags[m].Elapsed; e > 0 && e < st.best {
+				st.best = e
 			}
 		}
-		if best == math.MaxInt64 {
-			if p.singleClass {
-				p.cstate = append(p.cstate, clustState{perRank: perRank})
-			}
-			continue
-		}
-		st := clustState{emitted: true, best: best, perRank: perRank}
-		for _, m := range c.Members {
-			f := &frags[m]
-			class := ClassOf(f.Kind)
-			covered := perRank[f.Rank] >= minFrag
-			if covered {
-				p.fixedAll[class] += f.Elapsed
-				st.fixedNS += f.Elapsed
-			}
-			perf := 1.0
-			if f.Elapsed > 0 {
-				perf = float64(best) / float64(f.Elapsed)
-			}
-			ref := ref
-			ref.Cluster = ci
-			p.samples[class] = append(p.samples[class], Sample{
-				Rank:       f.Rank,
-				Start:      f.Start,
-				Elapsed:    f.Elapsed,
-				Perf:       perf,
-				Covered:    covered,
-				ClusterRef: ref,
-				FragIndex:  m,
-			})
-		}
+		st.emitted = st.best != math.MaxInt64
 		if p.singleClass {
 			p.cstate = append(p.cstate, st)
+		}
+		if !st.emitted {
+			continue
+		}
+		for _, m := range c.Members {
+			s := st.sample(&frags[m], m, ref, ci, minFrag)
+			class := ClassOf(frags[m].Kind)
+			ents[class] = append(ents[class], spanEnt{
+				start: s.Start, elapsed: s.Elapsed,
+				pos: int32(len(p.samples[class])), frag: int32(m), covered: s.Covered,
+			})
+			p.samples[class] = append(p.samples[class], s)
 		}
 	}
 	if p.singleClass {
 		p.spanOff = append(p.spanOff, int32(len(p.samples[p.class])))
 	}
 	for c := 0; c < numClasses; c++ {
-		n := len(p.samples[c])
-		starts := make([]int64, n)
-		elapsed := make([]int64, n)
-		covered := make([]bool, n)
-		for i := range p.samples[c] {
-			s := &p.samples[c][i]
-			starts[i], elapsed[i], covered[i] = s.Start, s.Elapsed, s.Covered
-		}
-		p.sampleIdx[c] = buildSpanIndex(starts, elapsed, covered)
+		p.sampleIdx[c] = newSpanIndex(orderSpans(ents[c]), true)
+		ents[c] = ents[c][:0]
 	}
-	var fragStarts, fragElapsed [numClasses][]int64
 	for i := range frags {
 		f := &frags[i]
 		class := ClassOf(f.Kind)
-		fragStarts[class] = append(fragStarts[class], f.Start)
-		fragElapsed[class] = append(fragElapsed[class], f.Elapsed)
-		p.totalAll[class] += f.Elapsed
+		ents[class] = append(ents[class], spanEnt{start: f.Start, elapsed: f.Elapsed, pos: int32(i), frag: int32(i)})
 	}
 	for c := 0; c < numClasses; c++ {
-		p.fragIdx[c] = buildSpanIndex(fragStarts[c], fragElapsed[c], nil)
+		p.fragIdx[c] = newSpanIndex(orderSpans(ents[c]), false)
 	}
 	return p
 }
 
 // window fills out with the element's contribution to one analysis
 // window — exactly what normalizeElement(frags, cl, ref, opt, start,
-// end) computes, but as references into the memoized full-population
-// prep: whole[c] shares the canonical slice, sel[c] names the selected
-// positions. The merge step copies each selected sample exactly once
-// into the final right-sized result slice.
+// end) computes, but as runs of references into the memoized
+// full-population prep: each run is an ascending selection of one span
+// index, which the stage-2 merge materializes exactly once into the
+// final right-sized stream.
 func (p *prepElem) window(start, end int64, out *elemOut) {
+	out.fixedClusters = p.fixedClusters
+	out.smallClusters = p.smallClusters
 	if p.storeMode() {
 		p.windowStore(start, end, out)
 		return
 	}
-	out.prep = p
-	out.fixedClusters = p.fixedClusters
-	out.smallClusters = p.smallClusters
-	if start == math.MinInt64 && end == math.MaxInt64 {
-		// Whole-run pass: everything is in range.
-		for c := 0; c < numClasses; c++ {
-			out.whole[c] = true
-		}
-		out.fixed = p.fixedAll
-		out.total = p.totalAll
-		return
-	}
 	for c := 0; c < numClasses; c++ {
-		sel, fixed := p.sampleIdx[c].selectOverlapping(start, end)
-		if len(sel) == len(p.samples[c]) {
-			out.whole[c] = true
-			out.fixed[c] = p.fixedAll[c]
-		} else {
-			out.sel[c] = sel
-			out.fixed[c] = fixed
+		ix := &p.sampleIdx[c]
+		sel, fixed := ix.selectOverlapping(start, end)
+		if len(sel) > 0 {
+			out.runs[c] = []elemRun{{ix: ix, sel: sel, flat: p.samples[c]}}
 		}
-		if len(p.fragIdx[c].starts) > 0 {
-			out.total[c] = p.fragIdx[c].sumOverlapping(start, end)
-		}
+		out.fixed[c] = fixed
+		out.total[c] = p.fragIdx[c].sumOverlapping(start, end)
 	}
 }

@@ -1,9 +1,7 @@
 package detect
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"vapro/internal/cluster"
 	"vapro/internal/stg"
@@ -33,11 +31,12 @@ import (
 //     emission run the fresh per-member walk, but only over their own
 //     members.
 //
-// The span indexes are then extended by a position remap + sorted merge
-// (old entries keep their (start, position-ascending) order under the
-// remap because surviving samples never reorder) instead of re-sorting
-// the whole population. Every piece lands bit-identical to a rebuild —
-// pinned by the analyzer equivalence fuzz.
+// The span indexes are then extended by merging: the fragment index
+// takes the appended spans as one more ordered segment, and the sample
+// index remaps its surviving entries (the remap is monotone and samples
+// never reorder, so they stay ordered by (start, fragment index)) and
+// merges them with the fresh ones. Every piece lands bit-identical to a
+// rebuild — pinned by the analyzer equivalence fuzz.
 func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
 	if p.storeMode() {
 		if opt.DisableSampleStore {
@@ -59,10 +58,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 			return false
 		}
 	}
-	minFrag := opt.Cluster.MinFragments
-	if minFrag <= 0 {
-		minFrag = 5
-	}
+	minFrag := p.minFrag
 	oldNC := len(p.cstate)
 	newNC := len(cl.Clusters)
 	if len(p.spanOff) != oldNC+1 ||
@@ -74,7 +70,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 	}
 	old := p.samples[class]
 	// Validate every grown run against the old spans before touching
-	// any shared state (the per-rank maps are mutated in place below).
+	// any shared state (the rank tables are mutated in place below).
 	for di, dr := range d.Dirty {
 		if dr.OldIndex < 0 {
 			continue
@@ -108,12 +104,12 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 	}
 	// fresh collects index entries for samples that are new or were
 	// re-emitted (anything not reachable through the remap).
-	type freshEnt struct {
-		pos            int32
-		start, elapsed int64
-		covered        bool
+	var fresh []spanEnt
+	emit := func(m, ci int, st *clustState) {
+		s := st.sample(&frags[m], m, p.ref, ci, minFrag)
+		fresh = append(fresh, spanEnt{start: s.Start, elapsed: s.Elapsed, pos: int32(len(newSamples)), frag: int32(m), covered: s.Covered})
+		newSamples = append(newSamples, s)
 	}
-	var fresh []freshEnt
 
 	newSamples = append(newSamples, old[:prefixEnd]...)
 	copy(newSpan, p.spanOff[:d.Prefix+1])
@@ -123,46 +119,20 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 	// cluster: recompute state and (when fixed with a valid best) emit
 	// all members.
 	emitCluster := func(ci int, cc *cluster.Cluster) {
-		st := clustState{perRank: make(map[int]int, 8)}
-		best := int64(math.MaxInt64)
-		for _, m := range cc.Members {
-			st.perRank[frags[m].Rank]++
-			if e := frags[m].Elapsed; e > 0 && e < best {
-				best = e
-			}
-		}
 		if !cc.Fixed {
-			st.perRank = nil // buildPrep doesn't track small clusters
-			newState[ci] = st
-			return
+			return // buildPrep doesn't track small clusters
 		}
-		if best == math.MaxInt64 {
-			newState[ci] = st
-			return
-		}
-		st.emitted, st.best = true, best
+		st := clustState{best: math.MaxInt64}
 		for _, m := range cc.Members {
-			f := &frags[m]
-			covered := st.perRank[f.Rank] >= minFrag
-			if covered {
-				st.fixedNS += f.Elapsed
+			st.ranks.add(frags[m].Rank)
+			if e := frags[m].Elapsed; e > 0 && e < st.best {
+				st.best = e
 			}
-			perf := 1.0
-			if f.Elapsed > 0 {
-				perf = float64(best) / float64(f.Elapsed)
+		}
+		if st.emitted = st.best != math.MaxInt64; st.emitted {
+			for _, m := range cc.Members {
+				emit(m, ci, &st)
 			}
-			ref := p.ref
-			ref.Cluster = ci
-			fresh = append(fresh, freshEnt{int32(len(newSamples)), f.Start, f.Elapsed, covered})
-			newSamples = append(newSamples, Sample{
-				Rank:       f.Rank,
-				Start:      f.Start,
-				Elapsed:    f.Elapsed,
-				Perf:       perf,
-				Covered:    covered,
-				ClusterRef: ref,
-				FragIndex:  m,
-			})
 		}
 		newState[ci] = st
 	}
@@ -180,13 +150,11 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		}
 		// Grown emitted cluster: merge-copy.
 		os := p.cstate[dr.OldIndex]
-		st := os // shares (and intentionally updates) the perRank map
+		st := os // shares (and intentionally updates) the rank table
 		var crossed map[int]bool
 		for _, ap := range dr.AddedPos {
 			f := &frags[cc.Members[ap]]
-			n := st.perRank[f.Rank] + 1
-			st.perRank[f.Rank] = n
-			if n == minFrag {
+			if int(st.ranks.n[st.ranks.add(f.Rank)]) == minFrag {
 				if crossed == nil {
 					crossed = make(map[int]bool, 2)
 				}
@@ -199,32 +167,11 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		bestChanged := st.best != os.best
 		oldSpan := old[p.spanOff[dr.OldIndex]:p.spanOff[dr.OldIndex+1]]
 		base := int(p.spanOff[dr.OldIndex]) - prefixEnd
-		st.fixedNS = 0
 		oi, ai := 0, 0
 		for mp := range cc.Members {
 			if ai < len(dr.AddedPos) && int(dr.AddedPos[ai]) == mp {
 				m := cc.Members[mp]
-				f := &frags[m]
-				covered := st.perRank[f.Rank] >= minFrag
-				if covered {
-					st.fixedNS += f.Elapsed
-				}
-				perf := 1.0
-				if f.Elapsed > 0 {
-					perf = float64(st.best) / float64(f.Elapsed)
-				}
-				ref := p.ref
-				ref.Cluster = ci
-				fresh = append(fresh, freshEnt{int32(len(newSamples)), f.Start, f.Elapsed, covered})
-				newSamples = append(newSamples, Sample{
-					Rank:       f.Rank,
-					Start:      f.Start,
-					Elapsed:    f.Elapsed,
-					Perf:       perf,
-					Covered:    covered,
-					ClusterRef: ref,
-					FragIndex:  m,
-				})
+				emit(m, ci, &st)
 				ai++
 				continue
 			}
@@ -237,9 +184,6 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 			}
 			if crossed != nil && !s.Covered && crossed[s.Rank] {
 				s.Covered = true
-			}
-			if s.Covered {
-				st.fixedNS += s.Elapsed
 			}
 			s.ClusterRef.Cluster = ci
 			dirtyRemap[base+oi] = int32(len(newSamples))
@@ -266,75 +210,29 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		newSpan[d.TailNew+j-d.TailOld] = p.spanOff[j] + int32(posDelta)
 	}
 
-	// Scalar aggregates. Covered time is the sum of per-cluster state;
-	// the class totals just extend.
-	p.fixedAll[class] = 0
-	p.fixedClusters, p.smallClusters = 0, 0
-	for ci := range cl.Clusters {
-		p.fixedAll[class] += newState[ci].fixedNS
-		if cl.Clusters[ci].Fixed {
-			p.fixedClusters++
-		} else {
-			p.smallClusters++
-		}
-	}
-	for i := oldN; i < nn; i++ {
-		p.totalAll[class] += frags[i].Elapsed
-	}
+	p.countClusters(cl)
 
 	// Fragment index: positions are fragment indexes (single class), so
-	// old entries are untouched — merge in the new tail, sorted.
-	{
-		add := make([]freshEnt, 0, nn-oldN)
-		for i := oldN; i < nn; i++ {
-			add = append(add, freshEnt{pos: int32(i), start: frags[i].Start, elapsed: frags[i].Elapsed})
-		}
-		slices.SortStableFunc(add, func(a, b freshEnt) int { return cmp.Compare(a.start, b.start) })
-		fi := &p.fragIdx[class]
-		mergedOrder := make([]int32, 0, nn)
-		mergedStarts := make([]int64, 0, nn)
-		mergedElapsed := make([]int64, 0, nn)
-		maxEl := fi.maxElapsed
-		i, j := 0, 0
-		for i < len(fi.starts) || j < len(add) {
-			// Old positions are always smaller than appended ones, so
-			// on equal starts the old entry keeps the earlier slot.
-			if j >= len(add) || (i < len(fi.starts) && fi.starts[i] <= add[j].start) {
-				mergedOrder = append(mergedOrder, fi.order[i])
-				mergedStarts = append(mergedStarts, fi.starts[i])
-				mergedElapsed = append(mergedElapsed, fi.elapsed[i])
-				i++
-			} else {
-				mergedOrder = append(mergedOrder, add[j].pos)
-				mergedStarts = append(mergedStarts, add[j].start)
-				mergedElapsed = append(mergedElapsed, add[j].elapsed)
-				if add[j].elapsed > maxEl {
-					maxEl = add[j].elapsed
-				}
-				j++
-			}
-		}
-		p.fragIdx[class] = spanIndex{order: mergedOrder, starts: mergedStarts, elapsed: mergedElapsed, maxElapsed: maxEl}
-	}
+	// old entries are untouched — merge in the appended spans.
+	p.fragIdx[class] = mergeSpans(p.fragIdx[class], fragSpans(frags, oldN))
 
-	// Sample index: remap surviving old entries (the remap is monotone,
-	// so their (start, position) order is preserved), drop entries of
+	// Sample index: remap surviving old entries, drop entries of
 	// re-emitted samples, and merge with the fresh entries. maxElapsed
 	// may overstate after drops — harmless, candidates() only uses it
 	// as a lower bound and every candidate is re-checked exactly.
 	{
-		slices.SortStableFunc(fresh, func(a, b freshEnt) int { return cmp.Compare(a.start, b.start) })
+		fresh = orderSpans(fresh)
 		si := &p.sampleIdx[class]
 		n2 := len(newSamples)
-		mergedOrder := make([]int32, 0, n2)
-		mergedStarts := make([]int64, 0, n2)
-		mergedElapsed := make([]int64, 0, n2)
-		mergedCovered := make([]bool, 0, n2)
-		maxEl := si.maxElapsed
-		for _, f := range fresh {
-			if f.elapsed > maxEl {
-				maxEl = f.elapsed
-			}
+		merged := spanIndex{
+			pos:        make([]int32, 0, n2),
+			starts:     make([]int64, 0, n2),
+			elapsed:    make([]int64, 0, n2),
+			covered:    make([]bool, 0, n2),
+			maxElapsed: si.maxElapsed,
+		}
+		for i := range fresh {
+			merged.maxElapsed = max(merged.maxElapsed, fresh[i].elapsed)
 		}
 		remap := func(op int32) int32 {
 			switch {
@@ -350,7 +248,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		for i < len(si.starts) || j < len(fresh) {
 			var np int32 = -1
 			if i < len(si.starts) {
-				np = remap(si.order[i])
+				np = remap(si.pos[i])
 				if np < 0 {
 					i++ // sample was re-emitted; its fresh entry covers it
 					continue
@@ -361,28 +259,25 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 				if si.starts[i] != fresh[j].start {
 					takeOld = si.starts[i] < fresh[j].start
 				} else {
-					takeOld = np < fresh[j].pos
+					takeOld = newSamples[np].FragIndex < int(fresh[j].frag)
 				}
 			}
 			if takeOld {
-				mergedOrder = append(mergedOrder, np)
-				mergedStarts = append(mergedStarts, si.starts[i])
-				mergedElapsed = append(mergedElapsed, si.elapsed[i])
-				mergedCovered = append(mergedCovered, newSamples[np].Covered)
+				merged.pos = append(merged.pos, np)
+				merged.starts = append(merged.starts, si.starts[i])
+				merged.elapsed = append(merged.elapsed, si.elapsed[i])
+				merged.covered = append(merged.covered, newSamples[np].Covered)
 				i++
 			} else {
 				f := fresh[j]
-				mergedOrder = append(mergedOrder, f.pos)
-				mergedStarts = append(mergedStarts, f.start)
-				mergedElapsed = append(mergedElapsed, f.elapsed)
-				mergedCovered = append(mergedCovered, f.covered)
+				merged.pos = append(merged.pos, f.pos)
+				merged.starts = append(merged.starts, f.start)
+				merged.elapsed = append(merged.elapsed, f.elapsed)
+				merged.covered = append(merged.covered, f.covered)
 				j++
 			}
 		}
-		p.sampleIdx[class] = spanIndex{
-			order: mergedOrder, starts: mergedStarts, elapsed: mergedElapsed,
-			covered: mergedCovered, maxElapsed: maxEl,
-		}
+		p.sampleIdx[class] = merged
 	}
 
 	p.samples[class] = newSamples

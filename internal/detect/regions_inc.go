@@ -1,9 +1,9 @@
 package detect
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Incremental region growing: the monitor's overlapped windows re-run
@@ -236,7 +236,7 @@ func growRegionsCarry(prev *regionCarryState, h *HeatMap, samples []Sample, opt 
 	// Discovery order: the batch scan finds each component at its
 	// smallest row-major cell, which is cells[0] for both carried and
 	// re-grown regions.
-	sort.Slice(kept, func(i, j int) bool { return kept[i].cells[0] < kept[j].cells[0] })
+	slices.SortFunc(kept, func(a, b placed) int { return cmp.Compare(a.cells[0], b.cells[0]) })
 
 	regions = make([]Region, len(kept))
 	for i := range kept {

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math"
-	"sort"
 
 	"vapro/internal/sim"
 )
@@ -36,6 +35,30 @@ type MergeStats struct {
 // A Merger is not safe for concurrent Merge calls.
 type Merger struct {
 	carry [numClasses]*regionCarryState
+	merge runMerger
+}
+
+// shardRun is one shard's sample stream as a merge input: already
+// ordered by the shard's own pass, restricted to the ranks the shard
+// owns (a misrouted fragment analyzed by a non-owning shard must not
+// double-attach).
+type shardRun struct {
+	src   []Sample
+	part  int
+	ranks int
+	owner func(rank int) int
+}
+
+func (r *shardRun) next(dst *Sample) bool {
+	for len(r.src) > 0 {
+		s := &r.src[0]
+		r.src = r.src[1:]
+		if s.Rank >= 0 && s.Rank < r.ranks && r.owner(s.Rank) == r.part {
+			*dst = *s
+			return true
+		}
+	}
+	return false
 }
 
 // NewMerger returns a Merger with cold region-carry state.
@@ -48,9 +71,10 @@ func NewMerger() *Merger { return &Merger{} }
 // fragments would. Per-shard maps must share window geometry (bucket
 // width and origin — the tier analyzes one global window, so they do);
 // a part whose geometry disagrees is treated as absent for that class.
-// Samples are owner-filtered (a misrouted fragment analyzed by a
-// non-owning shard must not double-attach) and k-way merged in start
-// order, ties resolved by part order.
+// Samples are owner-filtered and merged under sampleLess by the same
+// runMerger the analyzer builds its streams with; samples equal under
+// sampleLess (the same element and fragment index on two shards) keep
+// part order.
 func (m *Merger) Merge(parts []*Result, ranks int, owner func(rank int) int, opt Options) (*Result, MergeStats) {
 	if opt.Window <= 0 {
 		opt.Window = 500 * sim.Millisecond
@@ -166,50 +190,20 @@ func (m *Merger) Merge(parts []*Result, ranks int, owner func(rank int) int, opt
 			}
 		}
 
-		// Owner-filtered k-way merge of the per-shard sample streams
-		// (each already start-sorted by the shard's own pass). The merge
-		// walks the source slices in place — each head skips samples its
-		// part does not own — so the only per-tick allocation is the
-		// merged output itself; materializing filtered copies first used
-		// to dominate the merge's allocation profile.
-		owned := func(i int, s *Sample) bool {
-			return s.Rank >= 0 && s.Rank < ranks && owner(s.Rank) == i
-		}
-		srcs := make([][]Sample, len(parts))
-		heads := make([]int, len(parts))
+		// The merge walks the source slices in place — each run skips
+		// samples its part does not own — so the only per-tick
+		// allocation is the merged output itself.
 		want := 0
+		runs := make([]shardRun, len(parts))
 		for i, p := range parts {
 			if p == nil {
 				continue
 			}
-			src := p.Samples[class]
-			srcs[i] = src
-			for j := range src {
-				if owned(i, &src[j]) {
-					want++
-				}
-			}
-			for heads[i] < len(src) && !owned(i, &src[heads[i]]) {
-				heads[i]++
-			}
+			runs[i] = shardRun{src: p.Samples[class], part: i, ranks: ranks, owner: owner}
+			want += len(runs[i].src)
+			m.merge.runs = append(m.merge.runs, &runs[i])
 		}
-		samples := make([]Sample, 0, want)
-		for len(samples) < want {
-			best := -1
-			for i := range srcs {
-				if heads[i] >= len(srcs[i]) {
-					continue
-				}
-				if best == -1 || srcs[i][heads[i]].Start < srcs[best][heads[best]].Start {
-					best = i
-				}
-			}
-			samples = append(samples, srcs[best][heads[best]])
-			heads[best]++
-			for heads[best] < len(srcs[best]) && !owned(best, &srcs[best][heads[best]]) {
-				heads[best]++
-			}
-		}
+		samples := m.merge.merge(make([]Sample, 0, want))
 
 		res.Maps[class] = merged
 		res.Samples[class] = samples
@@ -235,6 +229,6 @@ func (m *Merger) Merge(parts []*Result, ranks int, owner func(rank int) int, opt
 		res.Regions = append(res.Regions, regs...)
 	}
 
-	sort.Slice(res.Regions, func(i, j int) bool { return res.Regions[i].LossNS > res.Regions[j].LossNS })
+	sortRegionsByLoss(res.Regions)
 	return res, stats
 }

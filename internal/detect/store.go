@@ -2,227 +2,81 @@ package detect
 
 import (
 	"math"
-	"sort"
 
 	"vapro/internal/cluster"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
 
-// Chunked append-only sample storage: the O(new-data) replacement for
-// the flat per-class samples arrays.
+// The sample store: the O(new-data) representation of a 1-D element
+// (all computation fragments, no extra metrics) — the population the
+// online monitor's steady state is made of.
 //
-// The flat representation pays O(resident) per advance twice over: the
-// canonical samples slice is memcpy-rebuilt (emission is cluster-major,
-// so new members of a grown cluster land in the MIDDLE of the array),
-// and both span indexes are extended by full sorted merges. The store
-// removes both costs with one structural observation about the 1-D
-// fast path (all-Comp fragments, no extra metrics): clusters are
-// contiguous runs of the stable (norm, fragment-index) sorted order,
-// and equal norms never split across clusters, so the canonical
-// cluster-major emission order IS the global (norm, fragment-index)
-// lexicographic order restricted to emitted clusters. Storage can
-// therefore be append-ordered — O(batch) per advance — and the
-// canonical order recovered at materialization time by sorting the
-// (usually window-sized) selection by that key.
+// A sample is a fragment seen through its cluster: Rank, Start, Elapsed
+// and the fragment index are the fragment's own, and Perf, Covered and
+// the cluster index follow from the owning cluster's current state
+// (its fastest member and per-rank counts, both monotone). The store
+// therefore keeps no samples at all. Position i describes frags[i] with
+// eight bytes — which cluster it belongs to, under an id that survives
+// the cluster's index shifting, and which slot of that cluster's rank
+// table its rank occupies — and a sample is derived as it is written
+// into a window's stream. An append writes the appended positions and
+// nothing else; a cluster whose composition changed re-points its own
+// members under a fresh id. Nothing is ever dead, so there is nothing
+// to compact.
 //
-// Mutable per-sample fields never block appending because they are
-// derived lazily at materialization from the owning cluster's current
-// state: Perf from the monotone best, Covered from the monotone
-// per-rank counts, and the cluster index through a stable cluster id
-// recorded at append time. A rebuilt cluster retires its id, which
-// makes its old samples dead; dead positions are skipped at selection
-// time and reclaimed by a full compaction rebuild once they exceed a
-// quarter of the store.
-//
-// The span indexes become segmented (one sorted segment appended per
-// advance, geometrically merged so lookups stay O(log² n) and appends
-// amortize to O(log n) — the classic logarithmic method), because a
-// flat sorted array can't absorb O(batch) inserts in place.
+// One span index covers every fragment — "is a sample" is a filter on
+// it, the coverage denominator is its unfiltered sum. It is segmented
+// (the logarithmic method): an advance merges the appended spans' runs
+// into one ordered segment and adds it; a segment at least half the
+// size of its predecessor is merged into it, so there are O(log n)
+// segments and appends amortize to O(log n). Every segment is ordered
+// by (start, fragment index), so a window's selection comes back as
+// one ordered run per segment and the stream merge never sorts.
 
-const (
-	storeChunkShift = 10
-	storeChunkSize  = 1 << storeChunkShift
-	storeChunkMask  = storeChunkSize - 1
-)
-
-// storeChunk holds up to storeChunkSize samples plus the per-sample
-// clustering key material (norm for canonical ordering, stable cluster
-// id for lazy derivation and liveness).
-type storeChunk struct {
-	samples []Sample
-	norm    []float64
-	cid     []int32
+// fragRef is the store's per-fragment state.
+type fragRef struct {
+	cid  int32 // stable id of the emitted cluster the fragment is a sample of; -1: not a sample
+	rank int32 // slot of the fragment's rank in that cluster's rank table
 }
 
-// sampleStore is the chunked append log. Positions are dense int32s:
-// chunk = pos>>storeChunkShift, offset = pos&storeChunkMask. Positions
-// are never reused; samples die when their cluster id is retired.
+// sampleStore is the store representation of one element.
 type sampleStore struct {
-	chunks []*storeChunk
-	n      int32 // appended, including dead
-	dead   int32 // retired by cluster rebuilds
+	// refs[i] describes frags[i].
+	refs []fragRef
+	// spans indexes every fragment's span by fragment position.
+	spans segIndex
+	// ids[ci] is cluster ci's stable id; slotOf[id] maps an id back to
+	// its current cluster index (-1 once retired).
+	ids    []int32
+	slotOf []int32
+	nextID int32
 }
 
-// append stores one sample and returns its position. Amortized
-// allocation-free: three slice allocations per 1024 appends.
-func (st *sampleStore) append(s Sample, norm float64, cid int32) int32 {
-	pos := st.n
-	ci := int(pos >> storeChunkShift)
-	if ci == len(st.chunks) {
-		st.chunks = append(st.chunks, &storeChunk{
-			samples: make([]Sample, 0, storeChunkSize),
-			norm:    make([]float64, 0, storeChunkSize),
-			cid:     make([]int32, 0, storeChunkSize),
-		})
-	}
-	ch := st.chunks[ci]
-	ch.samples = append(ch.samples, s)
-	ch.norm = append(ch.norm, norm)
-	ch.cid = append(ch.cid, cid)
-	st.n++
-	return pos
-}
-
-func (st *sampleStore) chunkOf(pos int32) (*storeChunk, int32) {
-	return st.chunks[pos>>storeChunkShift], pos & storeChunkMask
-}
-
-// segSpans is one sorted segment of a segmented span index: entries
-// ordered by (start, position), positions ascending within equal
-// starts because appends always carry larger positions than everything
-// already indexed.
-type segSpans struct {
-	pos        []int32
-	starts     []int64
-	elapsed    []int64
-	maxElapsed int64
-}
-
-// segIndex is the segmented span index: one segment appended per
-// advance, geometrically merged so the segment count stays O(log n).
+// segIndex is a segmented span index over fragment positions.
 type segIndex struct {
-	segs []segSpans
+	segs []spanIndex
 }
 
-// add appends one pre-sorted segment and re-establishes the geometric
-// invariant: a segment at least half the size of its predecessor is
-// merged into it (repeatedly), which amortizes total merge work to
-// O(n log n) over the store's lifetime.
-func (ix *segIndex) add(seg segSpans) {
+// add appends one ordered segment of positions newer than everything
+// indexed and re-establishes the geometric invariant.
+func (ix *segIndex) add(seg spanIndex) {
 	if len(seg.pos) == 0 {
 		return
 	}
 	ix.segs = append(ix.segs, seg)
-	for len(ix.segs) >= 2 {
-		a := &ix.segs[len(ix.segs)-2]
-		b := &ix.segs[len(ix.segs)-1]
-		if len(b.pos)*2 < len(a.pos) {
-			break
-		}
-		ix.segs[len(ix.segs)-2] = mergeSegs(*a, *b)
-		ix.segs = ix.segs[:len(ix.segs)-1]
+	for n := len(ix.segs); n >= 2 && len(ix.segs[n-1].pos)*2 >= len(ix.segs[n-2].pos); n-- {
+		ix.segs[n-2] = mergeSpans(ix.segs[n-2], ix.segs[n-1])
+		ix.segs = ix.segs[:n-1]
 	}
 }
 
-// mergeSegs merges two sorted segments. a predates b, so on equal
-// starts a's entries keep the earlier slots (their positions are
-// smaller), preserving the (start, position) order.
-func mergeSegs(a, b segSpans) segSpans {
-	n := len(a.pos) + len(b.pos)
-	out := segSpans{
-		pos:        make([]int32, 0, n),
-		starts:     make([]int64, 0, n),
-		elapsed:    make([]int64, 0, n),
-		maxElapsed: a.maxElapsed,
-	}
-	if b.maxElapsed > out.maxElapsed {
-		out.maxElapsed = b.maxElapsed
-	}
-	i, j := 0, 0
-	for i < len(a.pos) || j < len(b.pos) {
-		if j >= len(b.pos) || (i < len(a.pos) && a.starts[i] <= b.starts[j]) {
-			out.pos = append(out.pos, a.pos[i])
-			out.starts = append(out.starts, a.starts[i])
-			out.elapsed = append(out.elapsed, a.elapsed[i])
-			i++
-		} else {
-			out.pos = append(out.pos, b.pos[j])
-			out.starts = append(out.starts, b.starts[j])
-			out.elapsed = append(out.elapsed, b.elapsed[j])
-			j++
-		}
-	}
-	return out
-}
-
-// candidates returns the [lo, hi) band of one segment that can overlap
-// [start, end) — same saturating threshold as spanIndex.candidates.
-func (s *segSpans) candidates(start, end int64) (lo, hi int) {
-	thresh := start - s.maxElapsed
-	if s.maxElapsed > 0 && thresh > start {
-		thresh = math.MinInt64
-	}
-	lo = sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > thresh })
-	hi = sort.Search(len(s.starts), func(i int) bool { return s.starts[i] >= end })
-	return lo, hi
-}
-
-// sumOverlapping totals elapsed over spans overlapping [start, end)
-// across every segment (int64 sums are order-free, so the segment
-// partition is invisible).
-func (ix *segIndex) sumOverlapping(start, end int64) int64 {
-	var sum int64
-	for si := range ix.segs {
-		s := &ix.segs[si]
-		lo, hi := s.candidates(start, end)
-		for i := lo; i < hi; i++ {
-			if s.starts[i]+s.elapsed[i] > start {
-				sum += s.elapsed[i]
-			}
-		}
-	}
-	return sum
-}
-
-// sortSeg sorts one segment by (start, position) and fills maxElapsed.
-func sortSeg(s *segSpans) {
-	n := len(s.pos)
-	if n == 0 {
-		return
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if s.starts[ia] != s.starts[ib] {
-			return s.starts[ia] < s.starts[ib]
-		}
-		return s.pos[ia] < s.pos[ib]
-	})
-	pos := make([]int32, n)
-	starts := make([]int64, n)
-	elapsed := make([]int64, n)
-	for i, o := range idx {
-		pos[i] = s.pos[o]
-		starts[i] = s.starts[o]
-		elapsed[i] = s.elapsed[o]
-		if s.elapsed[o] > s.maxElapsed {
-			s.maxElapsed = s.elapsed[o]
-		}
-	}
-	s.pos, s.starts, s.elapsed = pos, starts, elapsed
-}
-
-// storeMode reports whether the prep is backed by the chunked store.
+// storeMode reports whether the prep is backed by the sample store.
 func (p *prepElem) storeMode() bool { return p.store != nil }
 
 // storeEligible reports whether an element can take the store path:
 // the 1-D clustering fast path (all computation fragments, no extra
-// metrics), which is what guarantees the canonical-order-by-(norm,
-// index) property the store relies on.
+// metrics).
 func storeEligible(frags []trace.Fragment, opt Options) bool {
 	if opt.DisableIncremental || opt.DisableSampleStore || opt.Cluster.UseExtraMetrics || len(frags) == 0 {
 		return false
@@ -235,106 +89,55 @@ func storeEligible(frags []trace.Fragment, opt Options) bool {
 	return true
 }
 
-// buildPrepStore is buildPrep for the store representation: the same
-// per-cluster normalization walk, but emitting into the chunked store
-// with per-cluster append state (per-rank elapsed sums for coverage
-// crossings, stored-sample counts for validation) and segmented span
-// indexes.
-func buildPrepStore(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
-	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref,
-		singleClass: true, class: Computation, store: &sampleStore{}}
-	minFrag := opt.Cluster.MinFragments
-	if minFrag <= 0 {
-		minFrag = 5
+// walk computes one cluster's state from its whole membership and
+// points every member's ref at it under id.
+func (st *sampleStore) walk(frags []trace.Fragment, c *cluster.Cluster, id int32) clustState {
+	cst := clustState{best: math.MaxInt64}
+	if c.Fixed {
+		for _, m := range c.Members {
+			f := &frags[m]
+			st.refs[m] = fragRef{cid: id, rank: cst.ranks.add(f.Rank)}
+			if e := f.Elapsed; e > 0 && e < cst.best {
+				cst.best = e
+			}
+		}
 	}
-	p.minFrag = minFrag
+	if cst.best == math.MaxInt64 {
+		// Small, or fixed with no positive elapsed: no member is a sample.
+		for _, m := range c.Members {
+			st.refs[m].cid = -1
+		}
+		return clustState{}
+	}
+	cst.emitted = true
+	cst.nStored = int32(len(c.Members))
+	return cst
+}
+
+// buildStore is buildPrep for the store representation.
+func (p *prepElem) buildStore(frags []trace.Fragment, cl cluster.Result) {
 	nc := len(cl.Clusters)
-	p.cstate = make([]clustState, 0, nc)
-	p.ids = make([]int32, nc)
-	p.slotOf = make([]int32, nc)
-	for ci := range p.ids {
-		p.ids[ci] = int32(ci)
-		p.slotOf[ci] = int32(ci)
+	st := &sampleStore{
+		refs:   make([]fragRef, len(frags)),
+		ids:    make([]int32, nc),
+		slotOf: make([]int32, nc),
+		nextID: int32(nc),
 	}
-	p.nextID = int32(nc)
-	class := p.class
-
-	seg := segSpans{}
+	p.store = st
+	p.cstate = make([]clustState, nc)
 	for ci := range cl.Clusters {
-		c := &cl.Clusters[ci]
-		if c.Fixed {
-			p.fixedClusters++
-		} else {
-			p.smallClusters++
-			p.cstate = append(p.cstate, clustState{})
-			continue
-		}
-		st := clustState{perRank: make(map[int]int), perRankNS: make(map[int]int64)}
-		best := int64(math.MaxInt64)
-		for _, m := range c.Members {
-			f := &frags[m]
-			st.perRank[f.Rank]++
-			st.perRankNS[f.Rank] += f.Elapsed
-			if e := f.Elapsed; e > 0 && e < best {
-				best = e
-			}
-		}
-		if best == math.MaxInt64 {
-			p.cstate = append(p.cstate, st)
-			continue
-		}
-		st.emitted, st.best = true, best
-		id := p.ids[ci]
-		for _, m := range c.Members {
-			f := &frags[m]
-			if st.perRank[f.Rank] >= minFrag {
-				st.fixedNS += f.Elapsed
-			}
-			// Perf/Covered/ClusterRef.Cluster are derived lazily at
-			// materialization; store the invariant fields only.
-			pos := p.store.append(Sample{
-				Rank:      f.Rank,
-				Start:     f.Start,
-				Elapsed:   f.Elapsed,
-				FragIndex: m,
-			}, float64(f.Counters.TotIns), id)
-			seg.pos = append(seg.pos, pos)
-			seg.starts = append(seg.starts, f.Start)
-			seg.elapsed = append(seg.elapsed, f.Elapsed)
-		}
-		st.nStored = int32(len(c.Members))
-		p.fixedAll[class] += st.fixedNS
-		p.cstate = append(p.cstate, st)
+		st.ids[ci], st.slotOf[ci] = int32(ci), int32(ci)
+		p.cstate[ci] = st.walk(frags, &cl.Clusters[ci], int32(ci))
 	}
-	p.liveCount = int(p.store.n)
-
-	// The emission walk is cluster-major, not time-sorted: sort the
-	// first segment by (start, position).
-	sortSeg(&seg)
-	p.sampleSeg.add(seg)
-
-	fseg := segSpans{pos: make([]int32, 0, len(frags)), starts: make([]int64, 0, len(frags)), elapsed: make([]int64, 0, len(frags))}
-	for i := range frags {
-		f := &frags[i]
-		fseg.pos = append(fseg.pos, int32(i))
-		fseg.starts = append(fseg.starts, f.Start)
-		fseg.elapsed = append(fseg.elapsed, f.Elapsed)
-		p.totalAll[class] += f.Elapsed
-	}
-	sortSeg(&fseg)
-	p.fragSeg.add(fseg)
-	return p
+	st.spans.add(fragSpans(frags, 0))
 }
 
 // advanceStore is advance() for the store representation: O(batch).
 // Prefix and tail clusters keep their state (only the tail's slot
-// mapping shifts), grown emitted clusters append just their added
-// members, rebuilt clusters retire their old id (their old samples
-// die in place) and re-emit under a fresh one. Nothing already stored
-// is touched; the lazily-derived fields absorb best and coverage
-// movement. When retiring would push dead samples past a quarter of
-// the store it refuses and flags a compaction instead, leaving the
-// prep untouched for the rebuild.
+// mapping shifts), grown emitted clusters point just their added
+// members at themselves, and rebuilt clusters re-point their whole
+// membership under a fresh id. The state derived per sample absorbs
+// best and coverage movement without touching anything resident.
 func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
 	if d.Full || p.copt != opt.Cluster || d.From != p.gen {
 		return false
@@ -349,20 +152,18 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 			return false
 		}
 	}
-	minFrag := p.minFrag
+	st := p.store
 	oldNC := len(p.cstate)
 	newNC := len(cl.Clusters)
-	if len(p.ids) != oldNC ||
+	if len(st.ids) != oldNC ||
 		d.Prefix < 0 || d.Prefix > d.TailNew || d.TailNew > newNC ||
 		d.Prefix > d.TailOld || d.TailOld > oldNC ||
 		d.TailNew-d.Prefix != len(d.Dirty) ||
 		newNC-d.TailNew != oldNC-d.TailOld {
 		return false
 	}
-	// Validate the whole delta and count retirements before mutating any
-	// shared state (the per-rank maps are updated in place below, and a
-	// compaction-triggering advance must leave the prep untouched).
-	var deaths int32
+	// Validate the whole delta before mutating any shared state (refs
+	// and the rank tables are updated in place below).
 	claimed := make(map[int]bool, len(d.Dirty))
 	for di, dr := range d.Dirty {
 		if dr.OldIndex < 0 {
@@ -372,336 +173,138 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 			return false
 		}
 		claimed[dr.OldIndex] = true
-		cc := &cl.Clusters[d.Prefix+di]
-		os := &p.cstate[dr.OldIndex]
-		if os.emitted {
-			if int(os.nStored) != len(cc.Members)-len(dr.AddedPos) {
-				return false
-			}
-			if !cc.Fixed {
-				// Defensive: growth can't un-fix a cluster, but if it
-				// ever did the fresh walk below retires the emission.
-				deaths += os.nStored
-			}
-		} else if os.nStored != 0 {
+		if os := &p.cstate[dr.OldIndex]; os.emitted &&
+			int(os.nStored) != len(cl.Clusters[d.Prefix+di].Members)-len(dr.AddedPos) {
 			return false
 		}
-	}
-	// Unclaimed clusters in the dirty region were rebuilt wholesale:
-	// everything they stored dies.
-	for oi := d.Prefix; oi < d.TailOld; oi++ {
-		if !claimed[oi] {
-			deaths += p.cstate[oi].nStored
-		}
-	}
-	st := p.store
-	if 4*(st.dead+deaths) > st.n {
-		p.storeCompactPending = true
-		return false
 	}
 
 	newIDs := make([]int32, newNC)
 	newState := make([]clustState, newNC)
-	copy(newIDs, p.ids[:d.Prefix])
+	copy(newIDs, st.ids[:d.Prefix])
 	copy(newState, p.cstate[:d.Prefix])
-	shiftOld := d.TailOld - d.TailNew
-	for ci := d.TailNew; ci < newNC; ci++ {
-		newIDs[ci] = p.ids[ci+shiftOld]
-		newState[ci] = p.cstate[ci+shiftOld]
-	}
+	copy(newIDs[d.TailNew:], st.ids[d.TailOld:])
+	copy(newState[d.TailNew:], p.cstate[d.TailOld:])
 
-	class := p.class
-	seg := segSpans{}
-	emit := func(f *trace.Fragment, m int, id int32) {
-		pos := st.append(Sample{
-			Rank:      f.Rank,
-			Start:     f.Start,
-			Elapsed:   f.Elapsed,
-			FragIndex: m,
-		}, float64(f.Counters.TotIns), id)
-		seg.pos = append(seg.pos, pos)
-		seg.starts = append(seg.starts, f.Start)
-		seg.elapsed = append(seg.elapsed, f.Elapsed)
-	}
-
+	st.refs = append(st.refs, make([]fragRef, nn-oldN)...)
 	for di, dr := range d.Dirty {
 		ci := d.Prefix + di
 		cc := &cl.Clusters[ci]
 		if dr.OldIndex >= 0 && p.cstate[dr.OldIndex].emitted && cc.Fixed {
-			// Grown emitted cluster: append only the added members.
-			cst := p.cstate[dr.OldIndex] // shares (and intentionally updates) the maps
-			id := p.ids[dr.OldIndex]
+			// Grown emitted cluster: only the added members are new.
+			cst := p.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table
+			id := st.ids[dr.OldIndex]
 			for _, ap := range dr.AddedPos {
 				m := cc.Members[ap]
 				f := &frags[m]
-				n := cst.perRank[f.Rank] + 1
-				cst.perRank[f.Rank] = n
-				if n == minFrag {
-					// This rank just crossed coverage: everything it
-					// already contributed flips covered at once.
-					cst.fixedNS += cst.perRankNS[f.Rank]
-				}
-				if n >= minFrag {
-					cst.fixedNS += f.Elapsed
-				}
-				cst.perRankNS[f.Rank] += f.Elapsed
+				st.refs[m] = fragRef{cid: id, rank: cst.ranks.add(f.Rank)}
 				if e := f.Elapsed; e > 0 && e < cst.best {
 					cst.best = e
 				}
-				emit(f, m, id)
-				cst.nStored++
 			}
-			newIDs[ci] = id
-			newState[ci] = cst
+			cst.nStored += int32(len(dr.AddedPos))
+			newIDs[ci], newState[ci] = id, cst
 			continue
 		}
 		// Rebuilt composition, a cluster newly grown into emission, or a
 		// still-small cluster: fresh walk under a fresh id (the old id —
-		// if any — is simply not carried forward, which retires its
-		// stored samples).
-		id := p.nextID
-		p.nextID++
-		newIDs[ci] = id
-		if !cc.Fixed {
-			newState[ci] = clustState{}
-			continue
-		}
-		cst := clustState{perRank: make(map[int]int, 8), perRankNS: make(map[int]int64, 8)}
-		best := int64(math.MaxInt64)
-		for _, m := range cc.Members {
-			f := &frags[m]
-			cst.perRank[f.Rank]++
-			cst.perRankNS[f.Rank] += f.Elapsed
-			if e := f.Elapsed; e > 0 && e < best {
-				best = e
-			}
-		}
-		if best == math.MaxInt64 {
-			newState[ci] = cst
-			continue
-		}
-		cst.emitted, cst.best = true, best
-		for _, m := range cc.Members {
-			f := &frags[m]
-			if cst.perRank[f.Rank] >= minFrag {
-				cst.fixedNS += f.Elapsed
-			}
-			emit(f, m, id)
-		}
-		cst.nStored = int32(len(cc.Members))
-		newState[ci] = cst
+		// if any — is simply not carried forward).
+		newIDs[ci] = st.nextID
+		newState[ci] = st.walk(frags, cc, st.nextID)
+		st.nextID++
 	}
 
-	// Commit: retire dead ids in the slot map, install the new ones.
-	for _, id := range p.ids {
-		p.slotOf[id] = -1
+	// Commit: retire the ids not carried forward, install the new ones.
+	for _, id := range st.ids {
+		st.slotOf[id] = -1
 	}
-	for int(p.nextID) > len(p.slotOf) {
-		p.slotOf = append(p.slotOf, -1)
+	for int(st.nextID) > len(st.slotOf) {
+		st.slotOf = append(st.slotOf, -1)
 	}
 	for ci, id := range newIDs {
-		p.slotOf[id] = int32(ci)
+		st.slotOf[id] = int32(ci)
 	}
-	p.ids = newIDs
+	st.ids = newIDs
 	p.cstate = newState
-	st.dead += deaths
-
-	// Scalar aggregates from the committed state.
-	p.fixedAll[class] = 0
-	p.fixedClusters, p.smallClusters = 0, 0
-	for ci := range cl.Clusters {
-		p.fixedAll[class] += newState[ci].fixedNS
-		if cl.Clusters[ci].Fixed {
-			p.fixedClusters++
-		} else {
-			p.smallClusters++
-		}
-	}
-	for i := oldN; i < nn; i++ {
-		p.totalAll[class] += frags[i].Elapsed
-	}
-
-	// Whole-order cache: an append-only advance (no retirements) just
-	// splices the new positions into the cached canonical order; any
-	// deaths invalidate it for a lazy rebuild.
-	if deaths != 0 {
-		p.wholeOrder = nil
-	} else if p.wholeOrder != nil && len(seg.pos) > 0 {
-		p.mergeWholeOrder(seg.pos)
-	}
-
-	sortSeg(&seg)
-	p.sampleSeg.add(seg)
-	fseg := segSpans{pos: make([]int32, 0, nn-oldN), starts: make([]int64, 0, nn-oldN), elapsed: make([]int64, 0, nn-oldN)}
-	for i := oldN; i < nn; i++ {
-		f := &frags[i]
-		fseg.pos = append(fseg.pos, int32(i))
-		fseg.starts = append(fseg.starts, f.Start)
-		fseg.elapsed = append(fseg.elapsed, f.Elapsed)
-	}
-	sortSeg(&fseg)
-	p.fragSeg.add(fseg)
-
-	p.liveCount = int(st.n - st.dead)
+	p.countClusters(cl)
+	st.spans.add(fragSpans(frags, oldN))
 	p.gen = gen
 	p.nfrags = nn
 	return true
 }
 
 // windowStore fills the element's window contribution from the store:
-// segment-banded candidate scan, liveness through the slot map, lazy
-// covered lookups for the fixed sum, canonical (norm, index) ordering
-// of the selection.
+// one candidate band per segment, "is a sample" through the fragment's
+// ref, the covered sum through the rank slot recorded at append — no
+// per-sample hashing — and one ordered run per segment.
 func (p *prepElem) windowStore(start, end int64, out *elemOut) {
-	out.prep = p
-	out.fixedClusters = p.fixedClusters
-	out.smallClusters = p.smallClusters
-	c := p.class
-	if start == math.MinInt64 && end == math.MaxInt64 {
-		for cc := 0; cc < numClasses; cc++ {
-			out.whole[cc] = true
-		}
-		out.fixed = p.fixedAll
-		out.total = p.totalAll
+	st := p.store
+	segs := st.spans.segs
+	type band struct{ lo, hi int }
+	bands := make([]band, len(segs))
+	cand := 0
+	for si := range segs {
+		lo, hi := segs[si].candidates(start, end)
+		bands[si] = band{lo, hi}
+		cand += hi - lo
+	}
+	if cand == 0 {
 		return
 	}
-	sel, fixed := p.selectStore(start, end)
-	if len(sel) == p.liveCount {
-		out.whole[c] = true
-		out.fixed[c] = p.fixedAll[c]
-	} else {
-		out.sel[c] = sel
-		out.fixed[c] = fixed
-	}
-	out.total[c] = p.fragSeg.sumOverlapping(start, end)
-}
-
-// selectStore returns the live store positions overlapping [start,
-// end) in canonical (norm, fragment-index) order, plus the covered
-// elapsed sum over the selection.
-func (p *prepElem) selectStore(start, end int64) (sel []int32, fixed int64) {
-	st := p.store
-	for si := range p.sampleSeg.segs {
-		s := &p.sampleSeg.segs[si]
-		lo, hi := s.candidates(start, end)
-		for i := lo; i < hi; i++ {
-			if s.starts[i]+s.elapsed[i] <= start {
+	minFrag := int32(p.minFrag)
+	buf := make([]int32, 0, cand)
+	runs := make([]elemRun, 0, len(segs))
+	var total, fixed int64
+	for si := range segs {
+		s := &segs[si]
+		from := len(buf)
+		for i := bands[si].lo; i < bands[si].hi; i++ {
+			el := s.elapsed[i]
+			if s.starts[i]+el <= start {
 				continue
 			}
-			pos := s.pos[i]
-			ch, off := st.chunkOf(pos)
-			slot := p.slotOf[ch.cid[off]]
-			if slot < 0 {
-				continue // cluster rebuilt; sample retired
+			total += el
+			ref := st.refs[s.pos[i]]
+			if ref.cid < 0 {
+				continue
 			}
-			sel = append(sel, pos)
-			cst := &p.cstate[slot]
-			if cst.perRank[ch.samples[off].Rank] >= p.minFrag {
-				fixed += s.elapsed[i]
+			if p.cstate[st.slotOf[ref.cid]].ranks.n[ref.rank] >= minFrag {
+				fixed += el
 			}
+			buf = append(buf, int32(i))
+		}
+		if len(buf) > from {
+			runs = append(runs, elemRun{ix: s, sel: buf[from:len(buf):len(buf)], store: p})
 		}
 	}
-	p.sortCanonical(sel)
-	return sel, fixed
+	out.runs[p.class] = runs
+	out.total[p.class] = total
+	out.fixed[p.class] = fixed
 }
 
-// sortCanonical orders store positions by (norm, fragment index) — the
-// canonical emission order (see the file comment for why those
-// coincide on the 1-D path).
-func (p *prepElem) sortCanonical(sel []int32) {
+// sampleAt derives the sample of entry i of segment s from the owning
+// cluster's current state: Perf against its current fastest member,
+// Covered from its current per-rank counts, the cluster index through
+// the slot map.
+func (p *prepElem) sampleAt(s *spanIndex, i int32, dst *Sample) {
 	st := p.store
-	sort.Slice(sel, func(a, b int) bool {
-		ca, oa := st.chunkOf(sel[a])
-		cb, ob := st.chunkOf(sel[b])
-		if ca.norm[oa] != cb.norm[ob] {
-			return ca.norm[oa] < cb.norm[ob]
-		}
-		return ca.samples[oa].FragIndex < cb.samples[ob].FragIndex
-	})
-}
-
-// mergeWholeOrder splices freshly appended store positions into the
-// cached canonical whole-population order without re-sorting it: the
-// batch is cloned and sorted canonically (O(k log k)), each insertion
-// point among the existing order is binary-searched (O(k log n)), and
-// the shifted suffixes move once each in a single backward pass of
-// chunked copies. Keys are unique — fragment indexes never repeat
-// among live samples — so the insertion points are unambiguous.
-func (p *prepElem) mergeWholeOrder(added []int32) {
-	n := len(p.wholeOrder)
-	batch := append([]int32(nil), added...)
-	p.sortCanonical(batch)
-	k := len(batch)
-	st := p.store
-	key := func(pos int32) (float64, int) {
-		ch, off := st.chunkOf(pos)
-		return ch.norm[off], ch.samples[off].FragIndex
+	pos := s.pos[i]
+	ref := st.refs[pos]
+	slot := st.slotOf[ref.cid]
+	cst := &p.cstate[slot]
+	el := s.elapsed[i]
+	perf := 1.0
+	if el > 0 {
+		perf = float64(cst.best) / float64(el)
 	}
-	ipos := make([]int, k)
-	order := p.wholeOrder
-	for j, np := range batch {
-		bn, bf := key(np)
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			en, ef := key(order[mid])
-			if en < bn || (en == bn && ef < bf) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		ipos[j] = lo
+	*dst = Sample{
+		Rank:       cst.ranks.rank[ref.rank],
+		Start:      s.starts[i],
+		Elapsed:    el,
+		Perf:       perf,
+		Covered:    cst.ranks.n[ref.rank] >= int32(p.minFrag),
+		ClusterRef: p.ref,
+		FragIndex:  int(pos),
 	}
-	order = append(order, batch...)
-	moveHi := n
-	for j := k - 1; j >= 0; j-- {
-		copy(order[ipos[j]+j+1:moveHi+j+1], order[ipos[j]:moveHi])
-		order[ipos[j]+j] = batch[j]
-		moveHi = ipos[j]
-	}
-	p.wholeOrder = order
-}
-
-// appendStore materializes the given positions (already canonical)
-// into buf, deriving the mutable fields from current cluster state:
-// Perf against the cluster's current fastest member, Covered from the
-// current per-rank counts, ClusterRef through the slot map.
-func (p *prepElem) appendStore(buf []Sample, positions []int32) []Sample {
-	st := p.store
-	for _, pos := range positions {
-		ch, off := st.chunkOf(pos)
-		s := ch.samples[off]
-		slot := p.slotOf[ch.cid[off]]
-		cst := &p.cstate[slot]
-		s.Perf = 1.0
-		if s.Elapsed > 0 {
-			s.Perf = float64(cst.best) / float64(s.Elapsed)
-		}
-		s.Covered = cst.perRank[s.Rank] >= p.minFrag
-		ref := p.ref
-		ref.Cluster = int(slot)
-		s.ClusterRef = ref
-		buf = append(buf, s)
-	}
-	return buf
-}
-
-// appendAllStore materializes every live sample in canonical order,
-// through a lazily rebuilt whole-order cache (invalidated per advance,
-// rebuilt on demand from the single-threaded merge stage).
-func (p *prepElem) appendAllStore(buf []Sample) []Sample {
-	if p.wholeOrder == nil {
-		order := make([]int32, 0, p.liveCount)
-		st := p.store
-		for pos := int32(0); pos < st.n; pos++ {
-			ch, off := st.chunkOf(pos)
-			if p.slotOf[ch.cid[off]] >= 0 {
-				order = append(order, pos)
-			}
-		}
-		p.sortCanonical(order)
-		p.wholeOrder = order
-	}
-	return p.appendStore(buf, p.wholeOrder)
+	dst.ClusterRef.Cluster = int(slot)
 }

@@ -169,12 +169,13 @@ func TestSampleStoreHatchMidRun(t *testing.T) {
 	check(opt, "post re-enable growth")
 }
 
-// TestSampleStoreCompaction drives an edge whose head clusters keep
-// re-forming (each burst's smaller norms move the greedy cut) while a
-// large stable cluster keeps the per-burst dirty ratio low, so dead
-// samples accumulate until the store refuses to advance and compacts.
-// The analyzer must stay exact throughout and must actually compact.
-func TestSampleStoreCompaction(t *testing.T) {
+// TestSampleStoreRebuildsLeaveNothingDead drives an edge whose head
+// clusters keep re-forming (each burst's smaller norms move the greedy
+// cut) beside a large stable cluster. Every re-formed cluster re-points
+// its members under a fresh id; the store must stay exact, keep exactly
+// one entry per fragment, and never need a rebuild — there is no dead
+// state to accumulate.
+func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	g := stg.New()
 	a := NewAnalyzer()
 	met := NewMetrics(obs.NewRegistry())
@@ -224,34 +225,69 @@ func TestSampleStoreCompaction(t *testing.T) {
 	check(-1)
 
 	// Each burst shifts the head's cluster boundary downward: the head
-	// clusters re-form (retiring their stored samples) while the
-	// ballast cluster is untouched prefix/tail.
+	// clusters re-form while the ballast cluster is untouched
+	// prefix/tail.
 	norm := uint64(1_950_000)
-	for b := 0; b < 40 && met.StoreCompactions.Load() == 0; b++ {
+	for b := 0; b < 40; b++ {
 		emitBatch([]uint64{norm, norm, norm, norm})
 		norm -= 45_000
 		check(b)
 	}
-	if met.StoreCompactions.Load() == 0 {
-		t.Fatalf("store never compacted (appends=%d, rebuilds=%d, advances=%d)",
-			met.StoreAppends.Load(), met.PrepRebuilds.Load(), met.PrepIncremental.Load())
+	if r := met.PrepRebuilds.Load(); r != 1 {
+		t.Fatalf("prep rebuilt %d times; want only the cold build", r)
+	}
+	var p *prepElem
+	for _, p = range a.preps {
+	}
+	st := p.store
+	if st == nil {
+		t.Fatal("edge is not store-backed")
+	}
+	if int(st.nextID) <= len(st.ids) {
+		t.Fatalf("no cluster was ever re-formed (nextID=%d, clusters=%d)", st.nextID, len(st.ids))
+	}
+	if len(st.refs) != p.nfrags || p.nfrags != g.NumFragments() {
+		t.Fatalf("store holds %d entries for %d fragments (graph: %d)", len(st.refs), p.nfrags, g.NumFragments())
+	}
+	indexed := 0
+	for i := range st.spans.segs {
+		indexed += len(st.spans.segs[i].pos)
+	}
+	if indexed != p.nfrags {
+		t.Fatalf("span index holds %d entries for %d fragments", indexed, p.nfrags)
 	}
 }
 
-// TestSampleStoreAppendAllocs pins the store append hot path: chunk
-// growth costs three allocations per 1024 samples, so a 4096-sample
-// append run must stay within a small constant (no per-sample allocs).
+// TestSampleStoreAppendAllocs pins the store's append path: advancing
+// a warm element by a 4096-fragment burst (and analyzing a window that
+// selects none of it) must cost a small constant number of allocations
+// — columns and scratch, never anything per fragment.
 func TestSampleStoreAppendAllocs(t *testing.T) {
 	const n = 4096
-	avg := testing.AllocsPerRun(10, func() {
-		st := &sampleStore{}
-		for i := 0; i < n; i++ {
-			st.append(Sample{Rank: i & 3, Start: int64(i), Elapsed: 10}, float64(i), int32(i&7))
+	g := stg.New()
+	a := NewAnalyzer()
+	opt := DefaultOptions()
+	var clock int64
+	burst := make([]trace.Fragment, n)
+	feed := func() {
+		for i := range burst {
+			burst[i] = trace.Fragment{
+				Rank: i & 3, Kind: trace.Comp, From: 1, State: 2,
+				Start: clock, Elapsed: 1000,
+				Counters: trace.CountersView{TotIns: 1_000_000 + uint64(i&7)},
+			}
+			clock += 1000
 		}
+		g.AddBatch(burst)
+	}
+	feed()
+	a.RunWindow(g, 4, opt, -2, -1)
+	avg := testing.AllocsPerRun(10, func() {
+		feed()
+		a.RunWindow(g, 4, opt, -2, -1)
 	})
-	// 4 chunks × 3 slices + the chunk-pointer slice growth ≈ 16; leave
-	// headroom for allocator noise but forbid anything per-sample.
-	if avg > 32 {
-		t.Fatalf("sampleStore append allocated %.1f times per %d samples; want <= 32", avg, n)
+	t.Logf("allocs per advance: %.1f", avg)
+	if avg > 80 {
+		t.Fatalf("a %d-fragment store advance allocated %.1f times; want <= 80", n, avg)
 	}
 }

@@ -140,29 +140,33 @@ func (g *Graph) Name(key uint64) string {
 	return fmt.Sprintf("state(%x)", key)
 }
 
-// growFrags appends src to dst, growing large logs with 2x headroom
-// instead of the runtime's ~1.25x. A fragment log is an append-only
-// array that lives for the whole run: with a growth factor g every
-// element is copied 1/(g-1) times on average, so doubling cuts the
-// steady-state realloc memmove (and the page faults of mapping each
+// growFrags returns dst ready for an append of extra fragments, having
+// grown a large log with 2x headroom instead of the runtime's ~1.25x.
+// A fragment log is an append-only array that lives for the whole run:
+// with a growth factor g every element is copied 1/(g-1) times on
+// average, so doubling cuts the steady-state realloc memmove (and the page faults of mapping each
 // fresh multi-megabyte array) 4x compared to the runtime policy. The
 // headroom costs at most one extra log's worth of memory, which is
 // cheap because Fragment is pointer-free — the collector neither scans
 // nor pre-zeroes the spare capacity. Small logs keep the runtime policy
 // (their realloc traffic is negligible and most elements stay small).
-func growFrags(dst []trace.Fragment, src ...trace.Fragment) []trace.Fragment {
+func growFrags(dst []trace.Fragment, extra int) []trace.Fragment {
 	const headroomMin = 32 << 10 // elements; ~3.5MB — realloc starts to hurt
-	if n := len(dst) + len(src); n > cap(dst) && len(dst) >= headroomMin {
+	if n := len(dst) + extra; n > cap(dst) && len(dst) >= headroomMin {
 		grown := make([]trace.Fragment, len(dst), 2*n)
 		copy(grown, dst)
 		dst = grown
 	}
-	return append(dst, src...)
+	return dst
 }
 
 // Add attaches one fragment: computation fragments to the edge
 // (From→State), everything else to the vertex State.
-func (g *Graph) Add(f trace.Fragment) {
+func (g *Graph) Add(f trace.Fragment) { g.add(&f) }
+
+// add is Add by pointer: the fragment is copied exactly once, into its
+// log (AddBatch walks its batch in place).
+func (g *Graph) add(f *trace.Fragment) {
 	g.frags++
 	if f.Kind == trace.Comp {
 		k := f.Edge()
@@ -171,7 +175,7 @@ func (g *Graph) Add(f trace.Fragment) {
 			e = &Edge{Key: k, MinStart: f.Start, MaxEnd: f.End()}
 			g.edges[k] = e
 		}
-		e.Fragments = growFrags(e.Fragments, f)
+		e.Fragments = append(growFrags(e.Fragments, 1), *f)
 		e.Gen.Count++
 		e.MinStart = min(e.MinStart, f.Start)
 		e.MaxEnd = max(e.MaxEnd, f.End())
@@ -182,7 +186,7 @@ func (g *Graph) Add(f trace.Fragment) {
 		v = &Vertex{Key: f.State, Kind: f.Kind, MinStart: f.Start, MaxEnd: f.End()}
 		g.vertices[f.State] = v
 	}
-	v.Fragments = growFrags(v.Fragments, f)
+	v.Fragments = append(growFrags(v.Fragments, 1), *f)
 	v.Gen.Count++
 	v.MinStart = min(v.MinStart, f.Start)
 	v.MaxEnd = max(v.MaxEnd, f.End())
@@ -356,7 +360,7 @@ func (g *Graph) ExtendVertex(key uint64, kind trace.Kind, newFrags []trace.Fragm
 		g.vertices[key] = v
 	}
 	g.frags += len(newFrags)
-	v.Fragments = growFrags(v.Fragments, newFrags...)
+	v.Fragments = append(growFrags(v.Fragments, len(newFrags)), newFrags...)
 	v.Gen.Count += uint64(len(newFrags))
 	for i := range newFrags {
 		v.MinStart = min(v.MinStart, newFrags[i].Start)
@@ -375,7 +379,7 @@ func (g *Graph) ExtendEdge(key trace.EdgeKey, newFrags []trace.Fragment) {
 		g.edges[key] = e
 	}
 	g.frags += len(newFrags)
-	e.Fragments = growFrags(e.Fragments, newFrags...)
+	e.Fragments = append(growFrags(e.Fragments, len(newFrags)), newFrags...)
 	e.Gen.Count += uint64(len(newFrags))
 	for i := range newFrags {
 		e.MinStart = min(e.MinStart, newFrags[i].Start)
@@ -444,7 +448,7 @@ func overlapsElement(frags []trace.Fragment, minStart, maxEnd, start, end int64)
 // AddBatch attaches a batch of fragments.
 func (g *Graph) AddBatch(frags []trace.Fragment) {
 	for i := range frags {
-		g.Add(frags[i])
+		g.add(&frags[i])
 	}
 }
 

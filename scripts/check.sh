@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Source guard: the reflection-swapper sorts stay out of the tick's hot
+# packages (typed slices.Sort*/merges only).
+if grep -nE 'sort\.(Slice|SliceStable|Sort|Stable)\(' $(ls internal/detect/*.go internal/cluster/*.go | grep -v _test.go); then
+	echo "sort.Slice/SliceStable/Sort in internal/detect or internal/cluster"; exit 1
+fi
 go test ./...
 go test -race ./internal/mpi ./internal/collector ./internal/core \
 	./internal/interpose ./internal/detect ./internal/cluster \
@@ -38,6 +43,9 @@ go test -run xxx -fuzz 'FuzzDecodeBatchMeta' -fuzztime 3s ./internal/trace
 go test -run xxx -fuzz 'FuzzDecodeHello' -fuzztime 3s ./internal/trace
 go test -run xxx -fuzz 'FuzzDecodeRecord' -fuzztime 3s ./internal/trace
 go test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
+# ... and the one merge every ordered sample stream is built by: any
+# partition of any sample multiset into runs must merge to its sort.
+go test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
 # Bench smoke: one iteration each, correctness plus the recorded scale
 # bounds. Every MonitorTick bench (and the sharded tier) runs 3x with
 # in-bench settle ticks, and benchjson -min keeps each benchmark's
@@ -47,9 +55,11 @@ go test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
 # within 1.5x of 256 ranks × 1 shard per shard-tick), the PR 8
 # trace-overhead bound (the traced wire dispatch — sample, stamp,
 # exemplar ring — must keep the sharded tick within 1.05x of the
-# untraced path), and the PR 10 multi-D bound (the incremental plane's
-# comm/IO-heavy tick at ≤0.35x of the batch fallback). Raw output and
-# the parsed BENCH.json are kept for the CI artifact upload.
+# untraced path), the PR 10 multi-D bound (the incremental plane's
+# comm/IO-heavy tick at ≤0.35x of the batch fallback), and the PR 14
+# sort-free bound (the comp-steady-shaped tick at ≤0.08x of the batch
+# plane; measured 0.05x). Raw output and the parsed BENCH.json are kept
+# for the CI artifact upload.
 go test -run xxx -bench 'BenchmarkPoolIngest$|BenchmarkWindowResults' \
 	-benchtime 1x -benchmem . | tee bench-smoke.out
 go test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale' \
@@ -60,6 +70,7 @@ go run ./cmd/benchjson -min -out BENCH.json \
 	-assert 'ShardedTickScale/shards=8/ranks=2048<=1.5*ShardedTickScale/shards=1/ranks=256@ns_per_shard_tick' \
 	-assert 'ShardedTickScaleTraced/shards=8/ranks=2048<=1.05*ShardedTickScale/shards=8/ranks=2048@ns_per_shard_tick' \
 	-assert 'MonitorTickMultiD/plane=inc<=0.35*MonitorTickMultiD/plane=batch' \
+	-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
 	< bench-smoke.out
 
 # End-to-end harness: one workload of bench/ (the real stack over
@@ -93,7 +104,7 @@ for name in vapro_uptime_seconds vapro_intake_staged vapro_intake_batches_total 
 	vapro_detect_window_ns vapro_cluster_cache_hits \
 	vapro_cluster_cache_inc_hits vapro_detect_prep_rebuilds_total \
 	vapro_storage_bytes_per_rank_second \
-	vapro_detect_store_appends_total vapro_detect_store_compactions_total \
+	vapro_detect_store_appends_total vapro_detect_sample_sort_fallbacks_total \
 	vapro_detect_region_cells_carried_total \
 	vapro_detect_region_cells_regrown_total \
 	vapro_view_cursor_advances_total vapro_view_epoch_rebases_total \
