@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet sortguard race chaos fuzz cover bench bench-smoke bench-e2e experiments full clean
+.PHONY: all build check test vet sortguard logguard race chaos fuzz cover bench bench-smoke bench-e2e experiments full clean
 
 all: build vet test
 
@@ -11,7 +11,7 @@ all: build vet test
 # (catches crashes and gross regressions without benchmarking for real),
 # and one workload of the loopback end-to-end harness as a correctness
 # gate.
-check: build vet sortguard test race chaos bench-smoke bench-e2e
+check: build vet sortguard logguard test race chaos bench-smoke bench-e2e
 
 build:
 	$(GO) build ./...
@@ -19,17 +19,24 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The reflection-swapper sorts stay out of the tick's hot packages
-# (typed slices.Sort*/merges only).
+# The reflection-swapper sorts stay out of the tick's hot packages and
+# out of what runs under a server's lock (typed slices.Sort*/merges
+# only).
 sortguard:
-	@! grep -nE 'sort\.(Slice|SliceStable|Sort|Stable)\(' $$(ls internal/detect/*.go internal/cluster/*.go | grep -v _test.go) \
-		|| { echo "sort.Slice/SliceStable/Sort in internal/detect or internal/cluster"; exit 1; }
+	@! grep -nE 'sort\.(Slice|SliceStable|Sort|Stable)\(' $$(ls internal/detect/*.go internal/cluster/*.go internal/stg/*.go internal/collector/*.go | grep -v _test.go) \
+		|| { echo "sort.Slice/SliceStable/Sort in internal/detect, cluster, stg or collector"; exit 1; }
+
+# The row log stays gone: an STG element's fragments live in a columnar
+# trace.Log, never in a []trace.Fragment field that append re-copies.
+logguard:
+	@! grep -nE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+\[\]trace\.Fragment([[:space:]]|$$)|growFrags' $$(ls internal/stg/*.go | grep -v _test.go) \
+		|| { echo "[]trace.Fragment field or growFrags in internal/stg"; exit 1; }
 
 test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mpi ./internal/collector ./internal/core ./internal/interpose ./internal/detect ./internal/cluster ./internal/obs ./internal/faults ./internal/wal
+	$(GO) test -race ./internal/mpi ./internal/collector ./internal/core ./internal/interpose ./internal/detect ./internal/cluster ./internal/obs ./internal/faults ./internal/wal ./internal/trace ./internal/stg
 
 # The fault-tolerance soaks: kill/restart the wire server 5x under
 # multi-rank load (single server), kill/restart one shard server of 8
@@ -40,13 +47,15 @@ chaos:
 	$(GO) test -race -count=2 -timeout 120s -run 'TestChaosSoakServerRestarts|TestChaosShardServerKillRestart|TestChaosSoakJournalCrashReplay' ./internal/collector
 
 # A few seconds of coverage-guided fuzzing per hostile-bytes surface
-# (wire decoders, WAL recovery), on top of the committed corpora.
+# (wire decoders, WAL recovery) and per model-checked structure (the
+# run merge, the columnar fragment log), on top of the committed corpora.
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatchMeta' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeHello' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRecord' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
+	$(GO) test -run xxx -fuzz 'FuzzLogRoundTrip' -fuzztime 3s ./internal/trace
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/... .
@@ -65,9 +74,11 @@ bench:
 # bound (traced dispatch within 1.05x of the untraced sharded tick),
 # the PR 10 multi-D bound (incremental comm/IO-heavy tick ≤0.35x of the
 # batch fallback), and the PR 14 sort-free bound (comp-steady-shaped
-# tick ≤0.08x of the batch plane; measured 0.05x).
+# tick ≤0.08x of the batch plane; measured 0.05x). BenchmarkLogAppend
+# (ns/frag, B/frag per population) and BenchmarkPoolIngest's
+# resident_B_per_frag record the fragment log's cost beside them.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPoolIngest$$|BenchmarkWindowResults' -benchtime 1x -benchmem . | tee bench-smoke.out
+	$(GO) test -run xxx -bench 'BenchmarkPoolIngest$$|BenchmarkWindowResults|BenchmarkLogAppend' -benchtime 1x -benchmem . | tee bench-smoke.out
 	$(GO) test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale' -benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
 	$(GO) run ./cmd/benchjson -min -out BENCH.json \
 		-assert 'MonitorTickScale/servers=1/resident=1000k<=1.5*MonitorTickScale/servers=1/resident=100k' \

@@ -13,6 +13,7 @@ package vapro_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -248,7 +249,7 @@ func synthFrags(n int) []trace.Fragment {
 // path): the 1-D TOT_INS fast path plus pooled scratch should keep the
 // per-call allocations near-constant regardless of fragment count.
 func BenchmarkClusterRun(b *testing.B) {
-	frags := synthFrags(100_000)
+	frags := trace.LogOf(synthFrags(100_000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,7 +260,7 @@ func BenchmarkClusterRun(b *testing.B) {
 // A warm cluster cache must serve repeated analyses of an unchanged
 // element with near-zero allocations.
 func BenchmarkClusterRunCached(b *testing.B) {
-	frags := synthFrags(100_000)
+	frags := trace.LogOf(synthFrags(100_000))
 	c := cluster.NewCache()
 	key := cluster.EdgeKey(trace.EdgeKey{From: 1, To: 2})
 	c.Run(key, stg.Gen{Count: 1}, frags, cluster.DefaultOptions())
@@ -321,12 +322,12 @@ func BenchmarkDetectRunParallel8(b *testing.B) { benchDetectRunParallel(b, 8) }
 // Algorithm 1 must stay (near-)linear: this bench documents its
 // throughput on a million fragments.
 func BenchmarkClusterMillionFragments(b *testing.B) {
-	frags := synthFrags(1_000_000)
+	frags := trace.LogOf(synthFrags(1_000_000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cluster.Run(frags, cluster.DefaultOptions())
 	}
-	b.ReportMetric(float64(len(frags)), "fragments")
+	b.ReportMetric(float64(frags.Len()), "fragments")
 }
 
 func BenchmarkOLSQuantify(b *testing.B) {
@@ -433,10 +434,22 @@ func ingestWorkload(clients, total, edges, batch int, spanNS int64) []collector.
 // BenchmarkPoolIngest pushes 256 clients × 1M fragments through
 // Pool.Consume from a single feeder and drains to the server graphs:
 // the server-side intake hot path.
+// It also reports what the ingested fragments cost to keep: the live
+// heap the drained pool holds, per fragment (no analysis has run, so
+// this is the fragment logs plus the intake's recycled staging buffers).
 func BenchmarkPoolIngest(b *testing.B) {
 	batches := ingestWorkload(256, 1_000_000, 32, 256, int64(50*sim.Second))
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		base := liveHeap()
+		b.StartTimer()
 		p := collector.NewPool(256, collector.DefaultOptions())
 		for _, bt := range batches {
 			p.Consume(bt.Rank, bt.Fragments)
@@ -444,6 +457,36 @@ func BenchmarkPoolIngest(b *testing.B) {
 		if n := p.FragmentCount(); n != benchIngestTotal {
 			b.Fatalf("ingested %d fragments", n)
 		}
+		b.StopTimer()
+		b.ReportMetric(float64(liveHeap()-base)/benchIngestTotal, "resident_B_per_frag")
+		runtime.KeepAlive(p)
+		b.StartTimer()
+	}
+}
+
+// BenchmarkLogAppend is the fragment-log layer alone: one stream of
+// each end-to-end population routed into a fresh STG (AddBatch — every
+// fragment lands in its element's columnar log). ns/frag is the append
+// cost, B/frag the heap the logs hold per fragment afterwards.
+func BenchmarkLogAppend(b *testing.B) {
+	const n = 1 << 18
+	for _, pop := range []string{"comp", "commio"} {
+		s := newTickStream(64, 8)
+		var frags []trace.Fragment
+		if pop == "comp" {
+			frags = append(frags, s.next(n)...)
+		} else {
+			frags = append(frags, s.nextCommHeavy(n)...)
+		}
+		b.Run("pop="+pop, func(b *testing.B) {
+			var g *stg.Graph
+			for i := 0; i < b.N; i++ {
+				g = stg.New()
+				g.AddBatch(frags)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/frag")
+			b.ReportMetric(float64(g.LogStats().Bytes())/n, "B/frag")
+		})
 	}
 }
 
@@ -712,7 +755,7 @@ func benchMonitorTickMultiD(b *testing.B, disable bool) {
 	period := int64(500 * sim.Millisecond)
 	wm := s.watermark()
 	a.RunWindow(g, ranks, opt, wm-period, wm) // warm the memoized layer
-	for i := 0; i < 5; i++ { // settle, as in benchMonitorTick
+	for i := 0; i < 5; i++ {                  // settle, as in benchMonitorTick
 		g.AddBatch(s.nextCommHeavy(tick))
 		wm = s.watermark()
 		a.RunWindow(g, ranks, opt, wm-period, wm)

@@ -244,10 +244,12 @@ func renderStatus(s *obs.Snapshot) string {
 				fmt.Fprintf(&b, "          shard %d: (no data)\n", i)
 				continue
 			}
-			fmt.Fprintf(&b, "          shard %d: resident %.0f rank(s)   intake staged %.0f   seq gaps %.0f\n",
+			fmt.Fprintf(&b, "          shard %d: resident %.0f rank(s)   intake staged %.0f   seq gaps %.0f   %s\n",
 				i, m.Value,
 				val(s, fmt.Sprintf("vapro_shard%d_intake_staged", i)),
-				val(s, fmt.Sprintf("vapro_shard%d_seq_gaps", i)))
+				val(s, fmt.Sprintf("vapro_shard%d_seq_gaps", i)),
+				residentLog(val(s, fmt.Sprintf("vapro_shard%d_intake_fragments", i)),
+					val(s, fmt.Sprintf("vapro_shard%d_stg_log_bytes", i))))
 		}
 	}
 
@@ -258,6 +260,12 @@ func renderStatus(s *obs.Snapshot) string {
 	fmt.Fprintf(&b, "          bytes in %s   storage rate %s/rank/s\n",
 		humanBytes(val(s, "vapro_intake_bytes_total")),
 		humanBytes(val(s, "vapro_storage_bytes_per_rank_second")))
+
+	// What the fragments cost to keep: the columnar logs are the
+	// server's one resident copy of every fragment received.
+	fmt.Fprintf(&b, "resident  %s   %.0f chunk(s), %.0f live lane(s)\n",
+		residentLog(val(s, "vapro_intake_fragments_total"), val(s, "vapro_stg_log_bytes")),
+		val(s, "vapro_stg_log_chunks"), val(s, "vapro_stg_log_lanes_live"))
 
 	fmt.Fprintf(&b, "wire      conns %.0f   frames %.0f (rejected %.0f, decode errors %.0f, panics %.0f)   bytes %s\n",
 		val(s, "vapro_wire_conns_total"), val(s, "vapro_wire_frames_total"),
@@ -349,6 +357,15 @@ func renderStatus(s *obs.Snapshot) string {
 		val(s, "vapro_client_interceptions_total"), val(s, "vapro_client_dropped_total"),
 		humanBytes(val(s, "vapro_client_bytes_out_total")), val(s, "vapro_client_flushes_total"))
 	return b.String()
+}
+
+// residentLog renders a fragment count against the log bytes holding it.
+func residentLog(frags, bytes float64) string {
+	per := 0.0
+	if frags > 0 {
+		per = bytes / frags
+	}
+	return fmt.Sprintf("fragments %.0f   log %s   %.1f B/fragment", frags, humanBytes(bytes), per)
 }
 
 func humanSeconds(s float64) string {

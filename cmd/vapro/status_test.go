@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -60,6 +61,8 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"intake    staged 0",
 		"batches 60",
 		"fragments 60",
+		"resident  fragments 60   log ",
+		"B/fragment   1 chunk(s), 0 live lane(s)",
 		"detect    windows",
 		"latency p50",
 		"cluster",
@@ -125,9 +128,19 @@ func TestStatusRenderSharded(t *testing.T) {
 		"shard 0: resident",
 		"shard 1: resident",
 		"seq gaps",
+		"resident  fragments 240   log ",
+		"B/fragment   2 chunk(s), 0 live lane(s)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sharded status panel missing %q:\n%s", want, out)
+		}
+	}
+	// Each shard row carries its own share of the resident log.
+	for shard := 0; shard < shards; shard++ {
+		row := out[strings.Index(out, fmt.Sprintf("shard %d: resident", shard)):]
+		row = row[:strings.Index(row, "\n")]
+		if !strings.Contains(row, "   fragments ") || !strings.Contains(row, " B/fragment") || strings.Contains(row, "fragments 0 ") {
+			t.Fatalf("shard %d row lacks its resident log: %q", shard, row)
 		}
 	}
 	if strings.Contains(out, "shard 2:") {

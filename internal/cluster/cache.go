@@ -96,13 +96,13 @@ func (c *Cache) entryFor(key Key) *entry {
 // and does not regress the cached state.
 //
 // The returned Result is shared between callers and read-only.
-func (c *Cache) RunInc(key Key, gen stg.Gen, frags []trace.Fragment, opt Options) (Result, Delta) {
+func (c *Cache) RunInc(key Key, gen stg.Gen, frags trace.LogView, opt Options) (Result, Delta) {
 	return c.run(key, gen, frags, opt, true)
 }
 
 // Run is RunInc without the delta, for callers that only consume the
 // clustering itself.
-func (c *Cache) Run(key Key, gen stg.Gen, frags []trace.Fragment, opt Options) Result {
+func (c *Cache) Run(key Key, gen stg.Gen, frags trace.LogView, opt Options) Result {
 	res, _ := c.run(key, gen, frags, opt, true)
 	return res
 }
@@ -111,18 +111,18 @@ func (c *Cache) Run(key Key, gen stg.Gen, frags []trace.Fragment, opt Options) R
 // every generation change pays a full Run. It exists to benchmark the
 // batch plane against the incremental one and as an escape hatch; the
 // results are identical either way.
-func (c *Cache) RunBatch(key Key, gen stg.Gen, frags []trace.Fragment, opt Options) Result {
+func (c *Cache) RunBatch(key Key, gen stg.Gen, frags trace.LogView, opt Options) Result {
 	res, _ := c.run(key, gen, frags, opt, false)
 	return res
 }
 
-func (c *Cache) run(key Key, gen stg.Gen, frags []trace.Fragment, opt Options, allowInc bool) (Result, Delta) {
+func (c *Cache) run(key Key, gen stg.Gen, frags trace.LogView, opt Options, allowInc bool) (Result, Delta) {
 	opt = opt.normalized()
 	e := c.entryFor(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	if e.have && e.gen == gen && e.nfrags == len(frags) && e.opt == opt {
+	if e.have && e.gen == gen && e.nfrags == frags.Len() && e.opt == opt {
 		c.hits.Add(1)
 		return e.res, unchangedDelta(gen, len(e.res.Clusters))
 	}
@@ -133,14 +133,14 @@ func (c *Cache) run(key Key, gen stg.Gen, frags []trace.Fragment, opt Options, a
 	}
 	if allowInc && e.have && e.opt == opt && e.inc != nil &&
 		gen.Epoch == e.gen.Epoch && gen.Count > e.gen.Count &&
-		uint64(len(frags)) == gen.Count && uint64(e.nfrags) == e.gen.Count {
+		uint64(frags.Len()) == gen.Count && uint64(e.nfrags) == e.gen.Count {
 		// Append-only advance: Gen.Count is the append-log length, so
 		// frags[e.nfrags:] is exactly what arrived since e.gen.
 		res, d, ok, why := e.inc.update(frags, e.res, opt)
 		if ok {
 			c.incHits.Add(1)
 			d.From = e.gen
-			e.gen, e.nfrags, e.res = gen, len(frags), res
+			e.gen, e.nfrags, e.res = gen, frags.Len(), res
 			return res, d
 		}
 		if why == fbDirty {
@@ -154,7 +154,7 @@ func (c *Cache) run(key Key, gen stg.Gen, frags []trace.Fragment, opt Options, a
 		c.evictions.Add(1) // stale entry replaced by a fresher clustering
 	}
 	res, inc := runCapture(frags, opt, allowInc)
-	e.have, e.gen, e.nfrags, e.opt, e.res = true, gen, len(frags), opt, res
+	e.have, e.gen, e.nfrags, e.opt, e.res = true, gen, frags.Len(), opt, res
 	e.inc = inc
 	return res, Delta{From: gen, Full: true}
 }

@@ -29,8 +29,8 @@ func TestCacheHitOnUnchangedGeneration(t *testing.T) {
 	key := cluster.EdgeKey(trace.EdgeKey{From: 1, To: 2})
 	opt := cluster.DefaultOptions()
 
-	first := c.Run(key, gen(10), frags, opt)
-	second := c.Run(key, gen(10), frags, opt)
+	first := c.Run(key, gen(10), trace.LogOf(frags), opt)
+	second := c.Run(key, gen(10), trace.LogOf(frags), opt)
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("stats after warm lookup: hits=%d misses=%d, want 1/1", hits, misses)
 	}
@@ -45,8 +45,8 @@ func TestCacheNormalizesOptions(t *testing.T) {
 	key := cluster.VertexKey(7)
 	// Zero options and the explicit defaults are the same clustering;
 	// they must share one cache entry.
-	c.Run(key, gen(2), frags, cluster.Options{})
-	c.Run(key, gen(2), frags, cluster.DefaultOptions())
+	c.Run(key, gen(2), trace.LogOf(frags), cluster.Options{})
+	c.Run(key, gen(2), trace.LogOf(frags), cluster.DefaultOptions())
 	if hits, _ := c.Stats(); hits != 1 {
 		t.Fatalf("zero options missed the default-options entry: hits=%d", hits)
 	}
@@ -59,8 +59,8 @@ func TestCacheDistinctOptionsRecompute(t *testing.T) {
 	a := cluster.DefaultOptions()
 	b := cluster.DefaultOptions()
 	b.Threshold = 0.01
-	c.Run(key, gen(2), frags, a)
-	res := c.Run(key, gen(2), frags, b)
+	c.Run(key, gen(2), trace.LogOf(frags), a)
+	res := c.Run(key, gen(2), trace.LogOf(frags), b)
 	if _, misses := c.Stats(); misses != 2 {
 		t.Fatalf("different options must not hit: misses=%d", misses)
 	}
@@ -73,7 +73,7 @@ func TestCacheInvalidate(t *testing.T) {
 	c := cluster.NewCache()
 	frags := []trace.Fragment{cacheFrag(100)}
 	key := cluster.VertexKey(1)
-	c.Run(key, gen(1), frags, cluster.DefaultOptions())
+	c.Run(key, gen(1), trace.LogOf(frags), cluster.DefaultOptions())
 	if c.Len() != 1 {
 		t.Fatalf("cache len %d, want 1", c.Len())
 	}
@@ -81,7 +81,7 @@ func TestCacheInvalidate(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("cache len %d after invalidate, want 0", c.Len())
 	}
-	c.Run(key, gen(1), frags, cluster.DefaultOptions())
+	c.Run(key, gen(1), trace.LogOf(frags), cluster.DefaultOptions())
 	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
 		t.Fatalf("invalidated entry must recompute: hits=%d misses=%d", hits, misses)
 	}
@@ -97,12 +97,12 @@ func TestCacheEvictions(t *testing.T) {
 	key := cluster.VertexKey(1)
 	opt := cluster.DefaultOptions()
 
-	c.Run(key, gen(1), frags, opt) // cold miss: nothing evicted
+	c.Run(key, gen(1), trace.LogOf(frags), opt) // cold miss: nothing evicted
 	if got := c.Evictions(); got != 0 {
 		t.Fatalf("evictions after cold miss: %d", got)
 	}
 	grown := append(append(make([]trace.Fragment, 0, 2), frags...), cacheFrag(101))
-	c.Run(key, gen(2), grown, opt) // append-only: incremental advance, no discard
+	c.Run(key, gen(2), trace.LogOf(grown), opt) // append-only: incremental advance, no discard
 	if got := c.Evictions(); got != 0 {
 		t.Fatalf("evictions after incremental advance: %d, want 0", got)
 	}
@@ -110,7 +110,7 @@ func TestCacheEvictions(t *testing.T) {
 		t.Fatalf("incremental hits: %d, want 1", incHits)
 	}
 	// An epoch bump is a wholesale replacement: the entry is rebuilt.
-	c.Run(key, stg.Gen{Epoch: 1, Count: 2}, grown, opt)
+	c.Run(key, stg.Gen{Epoch: 1, Count: 2}, trace.LogOf(grown), opt)
 	if got := c.Evictions(); got != 1 {
 		t.Fatalf("evictions after epoch bump: %d, want 1", got)
 	}
@@ -144,8 +144,8 @@ func TestCacheGenerationBumpTouchesOnlyGrownElement(t *testing.T) {
 	c := cluster.NewCache()
 	opt := cluster.DefaultOptions()
 	runBoth := func() {
-		c.Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, opt)
-		c.Run(cluster.VertexKey(v.Key), v.Gen, v.Fragments, opt)
+		c.Run(cluster.EdgeKey(e.Key), e.Gen, e.Log(), opt)
+		c.Run(cluster.VertexKey(v.Key), v.Gen, v.Log(), opt)
 	}
 	runBoth() // cold: 2 misses
 	runBoth() // warm: 2 hits
@@ -168,7 +168,7 @@ func TestCacheGenerationBumpTouchesOnlyGrownElement(t *testing.T) {
 	}
 
 	// The advanced edge clustering must see the appended fragment.
-	res := c.Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, opt)
+	res := c.Run(cluster.EdgeKey(e.Key), e.Gen, e.Log(), opt)
 	if got := len(res.Assign); got != 7 {
 		t.Fatalf("cached edge clustering covers %d fragments, want 7", got)
 	}

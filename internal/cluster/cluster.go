@@ -150,16 +150,8 @@ func appendVector(dst []float64, f *trace.Fragment, opt Options) []float64 {
 		float64(f.Args.Mode)*1e-3)
 }
 
-// vectorDims returns the dimensionality VectorOf would produce for f.
-func vectorDims(f *trace.Fragment, opt Options) int {
-	if f.Kind == trace.Comp {
-		if opt.UseExtraMetrics {
-			return 2
-		}
-		return 1
-	}
-	return 4
-}
+// maxVectorDims bounds the dimensionality of any workload vector.
+const maxVectorDims = 4
 
 // scratch holds the per-call working set of Run, recycled through a
 // sync.Pool so repeated clustering (the analysis hot path) does not
@@ -190,7 +182,7 @@ func (s *scratch) size(n int) {
 
 // Cluster is one identified workload class.
 type Cluster struct {
-	// Members indexes into the fragment slice that was clustered.
+	// Members are row indexes into the fragment log that was clustered.
 	Members []int
 	// Seed is the member with the smallest norm.
 	Seed int
@@ -214,7 +206,8 @@ type Result struct {
 
 // Run clusters the fragments with Algorithm 1. The input order is
 // irrelevant to the result (fragments are sorted by norm internally).
-func Run(frags []trace.Fragment, opt Options) Result {
+// Callers holding a plain slice wrap it with trace.LogOf.
+func Run(frags trace.LogView, opt Options) Result {
 	res, _ := runCapture(frags, opt, false)
 	return res
 }
@@ -223,9 +216,9 @@ func Run(frags []trace.Fragment, opt Options) Result {
 // (norm-sorted order, norms, per-fragment vectors for multi-D, cluster
 // seed positions) straight out of the working set, so the cache does
 // not pay a second sort or re-vectorization to seed the delta path.
-func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *incState) {
+func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incState) {
 	opt = opt.normalized()
-	n := len(frags)
+	n := frags.Len()
 	res := Result{Assign: make([]int, n)}
 	for i := range res.Assign {
 		res.Assign[i] = -1
@@ -247,37 +240,29 @@ func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *inc
 	// those the vector IS its norm (TOT_INS ≥ 0), so the whole pass runs
 	// on the norms array with no per-fragment vector at all, and the
 	// distance is |a−b| (exactly what Dist computes in 1-D).
-	oneD := !opt.UseExtraMetrics
-	for i := range frags {
-		if frags[i].Kind != trace.Comp {
-			oneD = false
-			break
-		}
-	}
+	oneD := !opt.UseExtraMetrics && frags.AllKind(0, trace.Comp)
 	var vecs []Vector
 	if oneD {
-		for i := range frags {
-			norms[i] = float64(frags[i].Counters.TotIns)
+		for i := 0; i < n; i++ {
+			norms[i] = float64(frags.TotIns(i))
 			order[i] = i
 		}
 	} else {
 		// One flat backing array for all vectors: n small slices become
 		// a single allocation (amortized to zero via the scratch pool).
-		dims := 0
-		for i := range frags {
-			dims += vectorDims(&frags[i], opt)
-		}
 		if cap(sc.vecs) < n {
 			sc.vecs = make([]Vector, n)
 		}
-		if cap(sc.flat) < dims {
-			sc.flat = make([]float64, 0, dims)
+		if cap(sc.flat) < maxVectorDims*n {
+			sc.flat = make([]float64, 0, maxVectorDims*n)
 		}
 		vecs = sc.vecs[:n]
 		flat := sc.flat[:0]
-		for i := range frags {
+		var f trace.Fragment
+		for i := 0; i < n; i++ {
+			frags.Read(i, &f)
 			lo := len(flat)
-			flat = appendVector(flat, &frags[i], opt)
+			flat = appendVector(flat, &f, opt)
 			vecs[i] = Vector(flat[lo:len(flat):len(flat)])
 			norms[i] = vecs[i].Norm()
 			order[i] = i
@@ -361,8 +346,8 @@ func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *inc
 			st.flat = append([]float64(nil), sc.flat...)
 			st.voff = make([]int32, n+1)
 			off := int32(0)
-			for i := range frags {
-				off += int32(vectorDims(&frags[i], opt))
+			for i := range vecs {
+				off += int32(len(vecs[i]))
 				st.voff[i+1] = off
 			}
 		}
@@ -373,13 +358,14 @@ func runCapture(frags []trace.Fragment, opt Options, capture bool) (Result, *inc
 // FixedFraction returns the fraction of total elapsed time that falls in
 // fixed (large-enough) clusters — the per-edge contribution to detection
 // coverage (§6.2).
-func (r *Result) FixedFraction(frags []trace.Fragment) float64 {
+func (r *Result) FixedFraction(frags trace.LogView) float64 {
 	var fixed, total int64
-	for i := range frags {
-		total += frags[i].Elapsed
+	for i := 0; i < frags.Len(); i++ {
+		_, _, elapsed := frags.Span(i)
+		total += elapsed
 		ci := r.Assign[i]
 		if ci >= 0 && r.Clusters[ci].Fixed {
-			fixed += frags[i].Elapsed
+			fixed += elapsed
 		}
 	}
 	if total == 0 {

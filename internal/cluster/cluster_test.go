@@ -25,7 +25,7 @@ func commFrag(bytes, peer, tag int) trace.Fragment {
 }
 
 func TestEmptyInput(t *testing.T) {
-	res := Run(nil, DefaultOptions())
+	res := Run(trace.LogOf(nil), DefaultOptions())
 	if len(res.Clusters) != 0 || len(res.Assign) != 0 {
 		t.Fatal("empty input must give empty result")
 	}
@@ -41,7 +41,7 @@ func TestSeparatesWorkloadClasses(t *testing.T) {
 			frags = append(frags, compFrag(uint64(float64(base)*jitter), 100))
 		}
 	}
-	res := Run(frags, DefaultOptions())
+	res := Run(trace.LogOf(frags), DefaultOptions())
 	fixed := 0
 	for _, c := range res.Clusters {
 		if c.Fixed {
@@ -64,7 +64,7 @@ func TestMergesWithinThreshold(t *testing.T) {
 		frags = append(frags, compFrag(1000000, 100))
 		frags = append(frags, compFrag(1020000, 100))
 	}
-	res := Run(frags, DefaultOptions())
+	res := Run(trace.LogOf(frags), DefaultOptions())
 	if len(res.Clusters) != 1 {
 		t.Fatalf("2%%-apart classes split into %d clusters", len(res.Clusters))
 	}
@@ -74,7 +74,7 @@ func TestSmallClusterReported(t *testing.T) {
 	frags := []trace.Fragment{
 		compFrag(1000, 1), compFrag(1001, 1), // pair, below MinFragments
 	}
-	res := Run(frags, DefaultOptions())
+	res := Run(trace.LogOf(frags), DefaultOptions())
 	if res.Small != 1 {
 		t.Fatalf("small clusters: %d", res.Small)
 	}
@@ -89,7 +89,7 @@ func TestEveryFragmentAssigned(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		frags = append(frags, compFrag(uint64(1000+rng.Intn(1000000)), 1))
 	}
-	res := Run(frags, DefaultOptions())
+	res := Run(trace.LogOf(frags), DefaultOptions())
 	for i, a := range res.Assign {
 		if a < 0 || a >= len(res.Clusters) {
 			t.Fatalf("fragment %d unassigned (%d)", i, a)
@@ -106,13 +106,13 @@ func TestOrderIndependence(t *testing.T) {
 		for i := range frags {
 			frags[i] = compFrag(uint64(1000+rng.Intn(100000)), 1)
 		}
-		a := Run(frags, DefaultOptions())
+		a := Run(trace.LogOf(frags), DefaultOptions())
 		// Reverse order.
 		rev := make([]trace.Fragment, n)
 		for i := range frags {
 			rev[n-1-i] = frags[i]
 		}
-		b := Run(rev, DefaultOptions())
+		b := Run(trace.LogOf(rev), DefaultOptions())
 		// Compare by canonical signature: multiset of sorted member
 		// norms per cluster count.
 		return len(a.Clusters) == len(b.Clusters)
@@ -133,7 +133,7 @@ func TestIntraClusterDiameter(t *testing.T) {
 		for i := range frags {
 			frags[i] = compFrag(uint64(1000+rng.Intn(1000000)), 1)
 		}
-		res := Run(frags, opt)
+		res := Run(trace.LogOf(frags), opt)
 		for _, c := range res.Clusters {
 			seedVec := CompVector(&frags[c.Seed], false)
 			for _, m := range c.Members {
@@ -156,7 +156,7 @@ func TestCommClusteringByArgs(t *testing.T) {
 		frags = append(frags, commFrag(65536, 1, 10))
 		frags = append(frags, commFrag(32768, 1, 10))
 	}
-	res := Run(frags, DefaultOptions())
+	res := Run(trace.LogOf(frags), DefaultOptions())
 	if len(res.Clusters) != 2 {
 		t.Fatalf("message sizes 64K/32K must split: %d clusters", len(res.Clusters))
 	}
@@ -168,7 +168,7 @@ func TestZeroNormCluster(t *testing.T) {
 		frags = append(frags, compFrag(0, 1)) // glue fragments
 	}
 	frags = append(frags, compFrag(500000, 1))
-	res := Run(frags, DefaultOptions())
+	res := Run(trace.LogOf(frags), DefaultOptions())
 	// Zero-norm fragments must not swallow the real workload.
 	if res.Assign[6] == res.Assign[0] {
 		t.Fatal("zero-norm seed absorbed a real workload")
@@ -181,8 +181,8 @@ func TestFixedFraction(t *testing.T) {
 		frags = append(frags, compFrag(1000000, 100))
 	}
 	frags = append(frags, compFrag(77000000, 900)) // lone slow one-off
-	res := Run(frags, DefaultOptions())
-	got := res.FixedFraction(frags)
+	res := Run(trace.LogOf(frags), DefaultOptions())
+	got := res.FixedFraction(trace.LogOf(frags))
 	want := 1000.0 / 1900.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("fixed fraction %v, want %v", got, want)
@@ -203,7 +203,7 @@ func TestUseExtraMetrics(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	frags := []trace.Fragment{compFrag(100, 1), compFrag(100, 1)}
-	res := Run(frags, Options{}) // zero options → defaults
+	res := Run(trace.LogOf(frags), Options{}) // zero options → defaults
 	if len(res.Clusters) != 1 {
 		t.Fatalf("zero options broke clustering: %d clusters", len(res.Clusters))
 	}

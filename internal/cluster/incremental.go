@@ -242,25 +242,23 @@ func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 // caller). ok=false means the state cannot advance incrementally — the
 // returned fallbackReason says why — and the caller must re-cluster
 // from scratch; the state is then stale and must be recaptured.
-func (s *incState) update(frags []trace.Fragment, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
-	k := len(frags) - s.n
+func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
+	k := frags.Len() - s.n
 	if s.dead || k <= 0 {
 		return Result{}, Delta{}, false, fbMultiD
 	}
 	if s.multiD {
 		return s.updateMultiD(frags, prev, opt)
 	}
-	for i := s.n; i < len(frags); i++ {
-		if frags[i].Kind != trace.Comp {
-			// The element left the 1-D domain; the cached state has no
-			// vectors, so fall back once and recapture as multi-D.
-			s.dead = true
-			return Result{}, Delta{}, false, fbMultiD
-		}
+	if !frags.AllKind(s.n, trace.Comp) {
+		// The element left the 1-D domain; the cached state has no
+		// vectors, so fall back once and recapture as multi-D.
+		s.dead = true
+		return Result{}, Delta{}, false, fbMultiD
 	}
-	total := len(frags)
+	total := frags.Len()
 	for i := s.n; i < total; i++ {
-		s.norms = append(s.norms, float64(frags[i].Counters.TotIns))
+		s.norms = append(s.norms, float64(frags.TotIns(i)))
 	}
 	norms := s.norms
 
@@ -549,15 +547,17 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 // cluster would steal a resident fragment from a later cluster the
 // partition is restructured beyond what a delta can express and the
 // advance falls back (fbMultiD).
-func (s *incState) updateMultiD(frags []trace.Fragment, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
+func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
 	oldN := s.n
-	total := len(frags)
+	total := frags.Len()
 	k := total - oldN
 	// Vectorize the suffix into the cached flat backing (dimensionality
 	// varies per fragment kind; voff tracks offsets).
+	var f trace.Fragment
 	for i := oldN; i < total; i++ {
+		frags.Read(i, &f)
 		lo := len(s.flat)
-		s.flat = appendVector(s.flat, &frags[i], opt)
+		s.flat = appendVector(s.flat, &f, opt)
 		s.voff = append(s.voff, int32(len(s.flat)))
 		s.norms = append(s.norms, Vector(s.flat[lo:]).Norm())
 	}

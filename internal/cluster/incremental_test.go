@@ -147,8 +147,8 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 				now += int64(rng.Intn(50))
 			}
 			g.Count = uint64(len(frags))
-			got, d := c.RunInc(key, g, frags, opt)
-			want := cluster.Run(frags, opt)
+			got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
+			want := cluster.Run(trace.LogOf(frags), opt)
 			if !sameClustering(got, want) {
 				t.Fatalf("schedule %d burst %d (n=%d, opt=%+v): incremental clustering diverges from batch",
 					s, b, len(frags), opt)
@@ -163,8 +163,8 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 				// and must not corrupt the entry for later advances.
 				m := 1 + rng.Intn(len(frags)-1)
 				sg := stg.Gen{Epoch: g.Epoch, Count: uint64(m)}
-				sres := c.Run(key, sg, frags[:m], opt)
-				if !reflect.DeepEqual(sres, cluster.Run(frags[:m], opt)) {
+				sres := c.Run(key, sg, trace.LogOf(frags[:m]), opt)
+				if !reflect.DeepEqual(sres, cluster.Run(trace.LogOf(frags[:m]), opt)) {
 					t.Fatalf("schedule %d burst %d: stale read at %d diverges", s, b, m)
 				}
 			}
@@ -173,11 +173,11 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 				// epoch bump forces the batch path.
 				rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
 				g.Epoch++
-				got, d := c.RunInc(key, g, frags, opt)
+				got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
 				if !d.Full {
 					t.Fatalf("schedule %d burst %d: rebase did not take the batch path", s, b)
 				}
-				if !reflect.DeepEqual(got, cluster.Run(frags, opt)) {
+				if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags), opt)) {
 					t.Fatalf("schedule %d burst %d: post-rebase clustering diverges", s, b)
 				}
 				prev = got
@@ -194,17 +194,17 @@ func TestCacheStaleGenerationRejected(t *testing.T) {
 		frags = append(frags, cacheFrag(uint64(100_000+i*200)))
 	}
 	key := cluster.VertexKey(3)
-	c.Run(key, gen(20), frags, opt)
+	c.Run(key, gen(20), trace.LogOf(frags), opt)
 
-	res := c.Run(key, gen(12), frags[:12], opt)
-	if !reflect.DeepEqual(res, cluster.Run(frags[:12], opt)) {
+	res := c.Run(key, gen(12), trace.LogOf(frags[:12]), opt)
+	if !reflect.DeepEqual(res, cluster.Run(trace.LogOf(frags[:12]), opt)) {
 		t.Fatal("stale lookup returned a wrong clustering")
 	}
 	if got := c.StaleRejects(); got != 1 {
 		t.Fatalf("stale rejects: %d, want 1", got)
 	}
 	// The fresher entry survived: the original watermark still hits.
-	c.Run(key, gen(20), frags, opt)
+	c.Run(key, gen(20), trace.LogOf(frags), opt)
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d after stale read, want 1/1", hits, misses)
 	}
@@ -227,13 +227,13 @@ func TestCacheDirtyRatioFallback(t *testing.T) {
 		v *= 1.04
 	}
 	key := cluster.VertexKey(9)
-	base := c.Run(key, gen(200), frags, opt)
+	base := c.Run(key, gen(200), trace.LogOf(frags), opt)
 	if len(base.Clusters) != 100 {
 		t.Fatalf("geometric chain clustered into %d clusters, want 100 pairs", len(base.Clusters))
 	}
 	frags = append(frags, cacheFrag(96_153)) // just below the old minimum, within 5% of it
-	res := c.Run(key, gen(201), frags, opt)
-	if !reflect.DeepEqual(res, cluster.Run(frags, opt)) {
+	res := c.Run(key, gen(201), trace.LogOf(frags), opt)
+	if !reflect.DeepEqual(res, cluster.Run(trace.LogOf(frags), opt)) {
 		t.Fatal("fallback clustering diverges from batch")
 	}
 	incHits, incFallbacks := c.IncStats()
@@ -263,7 +263,7 @@ func TestCacheConcurrentIncrementalRace(t *testing.T) {
 	go func() { // writer: advances the element one burst at a time
 		defer wg.Done()
 		for n := step; n <= total; n += step {
-			got, _ := c.RunInc(key, gen(n), frags[:n], opt)
+			got, _ := c.RunInc(key, gen(n), trace.LogOf(frags[:n]), opt)
 			if len(got.Assign) != n {
 				t.Errorf("writer at %d: %d assignments", n, len(got.Assign))
 				return
@@ -277,12 +277,12 @@ func TestCacheConcurrentIncrementalRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
 				n := step * (1 + rng.Intn(total/step))
-				got := c.Run(key, gen(n), frags[:n], opt)
-				if !sameClustering(got, cluster.Run(frags[:n], opt)) {
+				got := c.Run(key, gen(n), trace.LogOf(frags[:n]), opt)
+				if !sameClustering(got, cluster.Run(trace.LogOf(frags[:n]), opt)) {
 					t.Errorf("reader snapshot %d diverges from batch", n)
 					return
 				}
-				c.Run(otherKey, gen(1), frags[:1], opt) // uncontended element stays hot
+				c.Run(otherKey, gen(1), trace.LogOf(frags[:1]), opt) // uncontended element stays hot
 			}
 		}(int64(100 + r))
 	}
@@ -386,8 +386,8 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 				frags = append(frags, f)
 			}
 			g.Count = uint64(len(frags))
-			got, d := c.RunInc(key, g, frags, opt)
-			want := cluster.Run(frags, opt)
+			got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
+			want := cluster.Run(trace.LogOf(frags), opt)
 			if !sameClustering(got, want) {
 				t.Fatalf("schedule %d burst %d (n=%d, opt=%+v): multi-D incremental diverges from batch",
 					s, b, len(frags), opt)
@@ -400,18 +400,18 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 			if rng.Intn(8) == 0 && len(frags) > 5 {
 				m := 1 + rng.Intn(len(frags)-1)
 				sg := stg.Gen{Epoch: g.Epoch, Count: uint64(m)}
-				if !sameClustering(c.Run(key, sg, frags[:m], opt), cluster.Run(frags[:m], opt)) {
+				if !sameClustering(c.Run(key, sg, trace.LogOf(frags[:m]), opt), cluster.Run(trace.LogOf(frags[:m]), opt)) {
 					t.Fatalf("schedule %d burst %d: stale multi-D read at %d diverges", s, b, m)
 				}
 			}
 			if rng.Intn(10) == 0 {
 				rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
 				g.Epoch++
-				got, d := c.RunInc(key, g, frags, opt)
+				got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
 				if !d.Full {
 					t.Fatalf("schedule %d burst %d: multi-D rebase did not take the batch path", s, b)
 				}
-				if !sameClustering(got, cluster.Run(frags, opt)) {
+				if !sameClustering(got, cluster.Run(trace.LogOf(frags), opt)) {
 					t.Fatalf("schedule %d burst %d: post-rebase multi-D clustering diverges", s, b)
 				}
 				prev = got
@@ -437,7 +437,7 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 			frags = append(frags, pal[rng.Intn(len(pal))].frag(rng, false))
 		}
 		g := stg.Gen{Count: uint64(len(frags))}
-		c.RunInc(key, g, frags, opt)
+		c.RunInc(key, g, trace.LogOf(frags), opt)
 		advances := 30
 		for b := 0; b < advances; b++ {
 			n := 1 + rng.Intn(64)
@@ -445,11 +445,11 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 				frags = append(frags, pal[rng.Intn(len(pal))].frag(rng, false))
 			}
 			g.Count = uint64(len(frags))
-			got, d := c.RunInc(key, g, frags, opt)
+			got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
 			if d.Full {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D burst fell back to batch", s, b)
 			}
-			if !sameClustering(got, cluster.Run(frags, opt)) {
+			if !sameClustering(got, cluster.Run(trace.LogOf(frags), opt)) {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D diverges", s, b)
 			}
 		}
@@ -473,27 +473,22 @@ func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 	opt := cluster.DefaultOptions()
 	c := cluster.NewCache()
 	key := cluster.VertexKey(99)
-	frags := make([]trace.Fragment, 0, 70_000)
-	for i := 0; i < 50_000; i++ {
-		frags = append(frags, pal[rng.Intn(len(pal))].frag(rng, false))
+	log := trace.NewLog(nil)
+	grow := func(n int) stg.Gen {
+		for i := 0; i < n; i++ {
+			f := pal[rng.Intn(len(pal))].frag(rng, false)
+			log.Append(&f)
+		}
+		return stg.Gen{Count: uint64(log.Len())}
 	}
-	g := stg.Gen{Count: uint64(len(frags))}
-	c.RunInc(key, g, frags, opt)
+	c.RunInc(key, grow(50_000), log.View(), opt)
 	// Warm the grow-only backings past their first few geometric
 	// doublings so the measured advances see the amortized state.
 	for b := 0; b < 32; b++ {
-		for i := 0; i < 8; i++ {
-			frags = append(frags, pal[rng.Intn(len(pal))].frag(rng, false))
-		}
-		g.Count = uint64(len(frags))
-		c.RunInc(key, g, frags, opt)
+		c.RunInc(key, grow(8), log.View(), opt)
 	}
 	allocs := testing.AllocsPerRun(24, func() {
-		for i := 0; i < 8; i++ {
-			frags = append(frags, pal[rng.Intn(len(pal))].frag(rng, false))
-		}
-		g.Count = uint64(len(frags))
-		if _, d := c.RunInc(key, g, frags, opt); d.Full {
+		if _, d := c.RunInc(key, grow(8), log.View(), opt); d.Full {
 			t.Fatal("measured advance fell back to batch")
 		}
 	})
@@ -511,8 +506,9 @@ func TestRunAllocsPinned(t *testing.T) {
 		frags = append(frags, cacheFrag(uint64(1+rng.Intn(6))*100_000))
 	}
 	opt := cluster.DefaultOptions()
-	cluster.Run(frags, opt) // warm the scratch pool
-	allocs := testing.AllocsPerRun(10, func() { _ = cluster.Run(frags, opt) })
+	log := trace.LogOf(frags)
+	cluster.Run(log, opt) // warm the scratch pool
+	allocs := testing.AllocsPerRun(10, func() { _ = cluster.Run(log, opt) })
 	if allocs > 96 {
 		t.Fatalf("cluster.Run allocates %.0f times per call, budget 96", allocs)
 	}

@@ -34,10 +34,10 @@ func listenRetry(t *testing.T, addr string) net.Listener {
 func allFragments(g *stg.Graph) []trace.Fragment {
 	var out []trace.Fragment
 	for _, e := range g.Edges() {
-		out = append(out, e.Fragments...)
+		out = append(out, e.Log().Slice()...)
 	}
 	for _, v := range g.Vertices() {
-		out = append(out, v.Fragments...)
+		out = append(out, v.Log().Slice()...)
 	}
 	return out
 }

@@ -207,16 +207,17 @@ func (p *Pool) FragmentCount() int {
 // unchanged pool refreshes in O(elements) version checks instead of
 // O(total fragments).
 //
-// Elements held by a single server hand the server's own (append-only)
-// slice to the view; PutEdgeLog/PutVertexLog keep the element's
-// generation epoch across the server's reallocations, which is what
-// lets the incremental clustering + prep planes stay warm. Elements
-// held by several servers keep a view-owned append log with a cursor
-// per server: a refresh appends each server's new suffix in fixed
-// server order (ExtendEdge/ExtendVertex), so the element's epoch stays
-// warm too — the old full re-concatenation bumped the epoch every
-// period and pushed every cross-server element back through the batch
-// plane. A rebase (full concat, epoch bump) happens only on the first
+// The view's graph owns no fragments: every element aliases a log
+// (stg.Graph.AliasEdge/AliasVertex). An element held by a single server
+// aliases that server's own log — a later view of the same log keeps
+// the element's generation epoch, which is what lets the incremental
+// clustering + prep planes stay warm, and costs no copy. An element
+// held by several servers aliases a view-owned log with a cursor per
+// server: a refresh appends each server's new suffix in fixed server
+// order (trace.Log.AppendFrom), so the element's epoch stays warm too,
+// at the price of a second resident copy of that element's rows (in
+// columns, not 280-byte structs). A rebase — a fresh owned log built
+// from every server's rows, epoch bump — happens only on the first
 // multi-server sighting, a server epoch change, a shrink, or the
 // DisableDeltaView hatch.
 type mergedView struct {
@@ -225,6 +226,8 @@ type mergedView struct {
 	vertVer   map[uint64]uint64
 	edgeElems map[trace.EdgeKey]*viewElem
 	vertElems map[uint64]*viewElem
+	// logs accounts the view-owned logs.
+	logs trace.LogStats
 }
 
 func newMergedView() *mergedView {
@@ -238,14 +241,12 @@ func newMergedView() *mergedView {
 }
 
 // viewElem is the per-element merge state: how much of each server's
-// append log is already in the view, and whether the view element's
-// backing array is view-owned. Extending in place is only legal on an
-// owned array — an element aliasing a server slice could otherwise
-// append into the server's spare capacity and clobber its log.
+// log is already in the view, and the view-owned log of a multi-server
+// element (nil while the element aliases a single server's log).
 type viewElem struct {
 	cursors []int    // per server: fragments already folded into the view
 	epochs  []uint64 // per server: epoch those cursors were taken against
-	owned   bool     // view owns the backing array (multi-server log)
+	log     *trace.Log
 }
 
 // viewAccum is one element's per-refresh snapshot across servers,
@@ -253,14 +254,15 @@ type viewElem struct {
 type viewAccum struct {
 	ver    uint64
 	kind   trace.Kind
-	parts  [][]trace.Fragment
+	parts  []trace.LogView
 	epochs []uint64
 }
 
 // refreshView folds the servers' current graphs into the merged view.
-// Per-server fragment slices are snapshotted (length-bounded) under the
-// server lock; stg appends never mutate the snapshotted prefix, so the
-// merge can run without holding any server lock. Caller holds p.amu.
+// Per-server logs are snapshotted as views under the server lock; a
+// view is physically stable under the server's later appends
+// (trace.Log), so the merge runs without holding any server lock.
+// Caller holds p.amu.
 func (p *Pool) refreshView() *stg.Graph {
 	v := p.view
 	ns := len(p.servers)
@@ -271,11 +273,11 @@ func (p *Pool) refreshView() *stg.Graph {
 		for _, e := range s.graph.Edges() {
 			a := eacc[e.Key]
 			if a == nil {
-				a = &viewAccum{parts: make([][]trace.Fragment, ns), epochs: make([]uint64, ns)}
+				a = &viewAccum{parts: make([]trace.LogView, ns), epochs: make([]uint64, ns)}
 				eacc[e.Key] = a
 			}
 			a.ver += e.Gen.Count
-			a.parts[si] = e.Fragments[:len(e.Fragments):len(e.Fragments)]
+			a.parts[si] = e.Log()
 			a.epochs[si] = e.Gen.Epoch
 		}
 		for _, vx := range s.graph.Vertices() {
@@ -284,11 +286,11 @@ func (p *Pool) refreshView() *stg.Graph {
 				// The first server holding the vertex decides its kind,
 				// matching a from-scratch merge (vertex kind comes from
 				// the first fragment added).
-				a = &viewAccum{kind: vx.Kind, parts: make([][]trace.Fragment, ns), epochs: make([]uint64, ns)}
+				a = &viewAccum{kind: vx.Kind, parts: make([]trace.LogView, ns), epochs: make([]uint64, ns)}
 				vacc[vx.Key] = a
 			}
 			a.ver += vx.Gen.Count
-			a.parts[si] = vx.Fragments[:len(vx.Fragments):len(vx.Fragments)]
+			a.parts[si] = vx.Log()
 			a.epochs[si] = vx.Gen.Epoch
 		}
 		s.graph.EachName(v.graph.SetName)
@@ -298,115 +300,97 @@ func (p *Pool) refreshView() *stg.Graph {
 		if v.edgeVer[k] == a.ver {
 			continue
 		}
-		applyView(p.opt.DisableDeltaView, p.met, a, v.edgeElems, k,
-			func(frags []trace.Fragment) { v.graph.PutEdge(k, frags) },
-			func(frags []trace.Fragment) { v.graph.PutEdgeLog(k, frags) },
-			func(frags []trace.Fragment) { v.graph.ExtendEdge(k, frags) },
-			func() { delete(v.edgeElems, k) })
+		applyView(p, a, v.edgeElems, k, func(log trace.LogView) { v.graph.AliasEdge(k, log) })
 		v.edgeVer[k] = a.ver
 	}
 	for k, a := range vacc {
 		if v.vertVer[k] == a.ver {
 			continue
 		}
-		applyView(p.opt.DisableDeltaView, p.met, a, v.vertElems, k,
-			func(frags []trace.Fragment) { v.graph.PutVertex(k, a.kind, frags) },
-			func(frags []trace.Fragment) { v.graph.PutVertexLog(k, a.kind, frags) },
-			func(frags []trace.Fragment) { v.graph.ExtendVertex(k, a.kind, frags) },
-			func() { delete(v.vertElems, k) })
+		applyView(p, a, v.vertElems, k, func(log trace.LogView) { v.graph.AliasVertex(k, a.kind, log) })
 		v.vertVer[k] = a.ver
 	}
 	return v.graph
 }
 
-// applyView folds one changed element's snapshot into the view, choosing
-// between the aliased single-server log, the delta-append owned log,
-// and the full-concat rebase. put/putLog/extend close over the element
-// key; drop removes the element's merge state (hatch path).
-func applyView[K comparable](hatch bool, met *Metrics, a *viewAccum, elems map[K]*viewElem, k K,
-	put, putLog, extend func([]trace.Fragment), drop func()) {
-	if hatch {
-		// Legacy path: full concatenation for every changed element. The
-		// merge state is dropped so a later re-enable rebases from
-		// scratch instead of delta-appending onto unknown content.
-		put(viewConcat(a.parts))
-		drop()
-		return
-	}
-	holder := -1
-	holders := 0
-	for si, part := range a.parts {
-		if len(part) > 0 {
-			holder = si
-			holders++
-		}
-	}
-	if holders == 0 {
-		return
-	}
+// applyView folds one changed element's snapshot into the view: alias
+// points the view graph's element (alias closes over its key) at the
+// single holder's log, or at the view-owned log after it took every
+// server's new suffix — or, on a rebase, at a fresh one.
+func applyView[K comparable](p *Pool, a *viewAccum, elems map[K]*viewElem, k K, alias func(trace.LogView)) {
 	elem := elems[k]
 	if elem == nil {
 		elem = &viewElem{cursors: make([]int, len(a.parts)), epochs: make([]uint64, len(a.parts))}
 		elems[k] = elem
 	}
-	if holders == 1 {
-		// Single server: alias its append log. PutEdgeLog/PutVertexLog
-		// keep the view element's epoch across the server's slice
-		// reallocations (the caller-asserted logical prefix), so the
-		// analysis planes stay warm even at power-of-2 growth boundaries.
-		putLog(a.parts[holder])
-		elem.owned = false
-		for si := range elem.cursors {
-			elem.cursors[si] = len(a.parts[si])
+	// own replaces the view-owned log (log == nil: the element aliases a
+	// server's) and notes how far into every server's log the view is.
+	own := func(log *trace.Log) {
+		if elem.log != nil && elem.log != log {
+			elem.log.Discard()
+		}
+		elem.log = log
+		for si, part := range a.parts {
+			elem.cursors[si] = part.Len()
 			elem.epochs[si] = a.epochs[si]
 		}
+	}
+	rebase := func() {
+		log := trace.NewLog(&p.view.logs)
+		for _, part := range a.parts {
+			log.AppendFrom(part, 0)
+		}
+		alias(log.View())
+		own(log)
+	}
+	if p.opt.DisableDeltaView {
+		// Legacy path: a full copy of every changed element.
+		rebase()
 		return
 	}
-	ok := elem.owned
+	holder := -1
+	holders := 0
+	for si, part := range a.parts {
+		if part.Len() > 0 {
+			holder = si
+			holders++
+		}
+	}
+	switch holders {
+	case 0:
+		return
+	case 1:
+		// Single server: alias its log; nothing is copied.
+		alias(a.parts[holder])
+		own(nil)
+		return
+	}
+	ok := elem.log != nil
 	if ok {
 		for si, part := range a.parts {
-			if elem.cursors[si] > len(part) || (elem.cursors[si] > 0 && elem.epochs[si] != a.epochs[si]) {
+			if elem.cursors[si] > part.Len() || (elem.cursors[si] > 0 && elem.epochs[si] != a.epochs[si]) {
 				ok = false // a server rebased or shrank under the cursor
 				break
 			}
 		}
 	}
 	if !ok {
-		// First multi-server sighting (or a server-side rebase): rebuild
-		// the view element as a fresh owned concat. PutEdge sees a
-		// non-prefix replacement and bumps the epoch — the one analysis
-		// pass after a rebase runs batch, then the log is warm again.
-		put(viewConcat(a.parts))
-		elem.owned = true
-		for si := range elem.cursors {
-			elem.cursors[si] = len(a.parts[si])
-			elem.epochs[si] = a.epochs[si]
-		}
-		met.ViewEpochRebases.Inc()
+		// First multi-server sighting (or a server-side rebase): the view
+		// element moves to a fresh owned log, which bumps its epoch — the
+		// one analysis pass after a rebase runs batch, then the log is
+		// warm again.
+		rebase()
+		p.met.ViewEpochRebases.Inc()
 		return
 	}
 	for si, part := range a.parts {
-		if d := part[elem.cursors[si]:]; len(d) > 0 {
-			extend(d)
-			elem.cursors[si] = len(part)
-			elem.epochs[si] = a.epochs[si]
-			met.ViewCursorAdvances.Inc()
+		if elem.cursors[si] < part.Len() {
+			elem.log.AppendFrom(part, elem.cursors[si])
+			p.met.ViewCursorAdvances.Inc()
 		}
 	}
-}
-
-// viewConcat concatenates the snapshotted parts into a fresh slice the
-// view owns.
-func viewConcat(parts [][]trace.Fragment) []trace.Fragment {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]trace.Fragment, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	alias(elem.log.View())
+	own(elem.log)
 }
 
 // WindowResults runs the periodic per-window analysis and concatenates

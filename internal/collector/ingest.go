@@ -1,7 +1,8 @@
 package collector
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,6 +72,11 @@ type Server struct {
 	seq    atomic.Uint64
 	staged atomic.Int64
 	shards []intakeShard
+	// free holds drained staging buffers for stage to reuse: a staged
+	// copy is dead the moment AddBatch has written its rows into the
+	// graph's columns. Its capacity is Intake.MaxStaged — no more
+	// buffers than that are ever staged at once.
+	free chan []trace.Fragment
 
 	notify    chan struct{}
 	done      chan struct{}
@@ -79,6 +85,8 @@ type Server struct {
 
 	mu    sync.Mutex
 	graph *stg.Graph
+	// drained is drainLocked's scratch, kept (emptied) between sweeps.
+	drained []stagedBatch
 	// bytesIn tracks the transport volume for the storage-overhead
 	// accounting of §6.2, measured over the encoded wire format.
 	bytesIn int64
@@ -95,6 +103,7 @@ func newServer(id int, opt Options, met *Metrics) *Server {
 		opt:    opt,
 		met:    met,
 		shards: make([]intakeShard, opt.Intake.Shards),
+		free:   make(chan []trace.Fragment, opt.Intake.MaxStaged),
 		graph:  stg.New(),
 	}
 	if opt.Intake.Background {
@@ -122,7 +131,15 @@ func (s *Server) consumeSized(rank int, frags []trace.Fragment, bytes int) {
 // provenance context into the staged entry so the drain can stamp the
 // remaining journey hops.
 func (s *Server) stage(rank int, frags []trace.Fragment, bytes int, tc TraceCtx, traced bool) {
-	cp := make([]trace.Fragment, len(frags))
+	var cp []trace.Fragment
+	select {
+	case cp = <-s.free:
+	default:
+	}
+	if cap(cp) < len(frags) {
+		cp = make([]trace.Fragment, len(frags))
+	}
+	cp = cp[:len(frags)]
 	copy(cp, frags)
 	sh := &s.shards[uint(rank)%uint(len(s.shards))]
 	sh.mu.Lock()
@@ -171,12 +188,15 @@ func (s *Server) drain() {
 // drainLocked merges every staged batch into the graph in arrival
 // order. Caller holds s.mu.
 func (s *Server) drainLocked() {
-	var all []stagedBatch
+	all := s.drained
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		if len(sh.batches) > 0 {
 			all = append(all, sh.batches...)
+			// Clear, not just truncate: a slot left behind would keep its
+			// batch's buffer reachable for as long as the stripe lives.
+			clear(sh.batches)
 			sh.batches = sh.batches[:0]
 		}
 		sh.mu.Unlock()
@@ -184,7 +204,7 @@ func (s *Server) drainLocked() {
 	if len(all) == 0 {
 		return
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	slices.SortFunc(all, func(a, b stagedBatch) int { return cmp.Compare(a.seq, b.seq) })
 	for i := range all {
 		s.graph.AddBatch(all[i].frags)
 		s.bytesIn += int64(all[i].bytes)
@@ -193,10 +213,16 @@ func (s *Server) drainLocked() {
 			tc := all[i].tc
 			s.met.Trace.MarkDrained(tc.Key(), tc.Rank, tc.FlushNS)
 		}
+		select {
+		case s.free <- all[i].frags:
+		default:
+		}
 	}
 	s.staged.Add(int64(-len(all)))
 	s.met.IntakeDrains.Inc()
 	s.met.DrainBatches.Observe(int64(len(all)))
+	clear(all)
+	s.drained = all[:0]
 }
 
 func (s *Server) mergerLoop() {

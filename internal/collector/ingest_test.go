@@ -38,10 +38,10 @@ func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 		}
 	}
 	for _, e := range g.Edges() {
-		collect(e.Fragments)
+		collect(e.Log().Slice())
 	}
 	for _, v := range g.Vertices() {
-		collect(v.Fragments)
+		collect(v.Log().Slice())
 	}
 	if maxEnd == 0 {
 		return nil
@@ -54,18 +54,22 @@ func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 		keep := func(f *trace.Fragment) bool {
 			return f.Start < end && f.Start+f.Elapsed > start
 		}
-		for _, e := range g.Edges() {
-			for i := range e.Fragments {
-				if keep(&e.Fragments[i]) {
+		anyKept := func(frags []trace.Fragment) bool {
+			for i := range frags {
+				if keep(&frags[i]) {
 					return true
 				}
 			}
+			return false
+		}
+		for _, e := range g.Edges() {
+			if anyKept(e.Log().Slice()) {
+				return true
+			}
 		}
 		for _, v := range g.Vertices() {
-			for i := range v.Fragments {
-				if keep(&v.Fragments[i]) {
-					return true
-				}
+			if anyKept(v.Log().Slice()) {
+				return true
 			}
 		}
 		return false
@@ -117,13 +121,13 @@ func assertViewMatchesMerge(t *testing.T, p *Pool, g *stg.Graph) {
 	}
 	for _, e := range m.Edges() {
 		ve := g.Edge(e.Key)
-		if ve == nil || !sameMultiset(e.Fragments, ve.Fragments) {
+		if ve == nil || !sameMultiset(e.Log().Slice(), ve.Log().Slice()) {
 			t.Fatalf("edge %v: view content diverged from server union", e.Key)
 		}
 	}
 	for _, vx := range m.Vertices() {
 		vv := g.Vertex(vx.Key)
-		if vv == nil || vv.Kind != vx.Kind || !sameMultiset(vx.Fragments, vv.Fragments) {
+		if vv == nil || vv.Kind != vx.Kind || !sameMultiset(vx.Log().Slice(), vv.Log().Slice()) {
 			t.Fatalf("vertex %d: view content diverged from server union", vx.Key)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"vapro/internal/detect"
 	"vapro/internal/interpose"
 	"vapro/internal/obs"
+	"vapro/internal/trace"
 )
 
 // Metrics is the collector's self-observability surface: one registry
@@ -194,6 +195,22 @@ func (p *Pool) stagedNow() int64 {
 	return n
 }
 
+// logStats sums the footprint of the fragment logs the pool keeps
+// resident: every server's graph plus the merged view's own logs (the
+// second copy of cross-server elements). Lock-free.
+func (p *Pool) logStats() (chunks, lanes, bytes int64) {
+	add := func(st *trace.LogStats) {
+		chunks += st.Chunks()
+		lanes += st.Lanes()
+		bytes += st.Bytes()
+	}
+	for _, s := range p.servers {
+		add(s.graph.LogStats())
+	}
+	add(&p.view.logs)
+	return chunks, lanes, bytes
+}
+
 // registerDerived adds the pool-shaped Func metrics: values owned by
 // other layers as live atomics (staged depth, cache counters) or
 // derived from counters already registered (the §6.2 storage rate),
@@ -219,6 +236,21 @@ func (p *Pool) registerDerived() {
 				return 0
 			}
 			return float64(p.met.IntakeBytes.Load()) / sec / float64(p.ranks)
+		})
+	reg.Func("vapro_stg_log_bytes", "stg",
+		"heap bytes of the resident columnar fragment logs (servers and view-owned)", func() float64 {
+			_, _, b := p.logStats()
+			return float64(b)
+		})
+	reg.Func("vapro_stg_log_chunks", "stg",
+		"fixed-size chunks allocated by the resident fragment logs", func() float64 {
+			c, _, _ := p.logStats()
+			return float64(c)
+		})
+	reg.Func("vapro_stg_log_lanes_live", "stg",
+		"lane arrays materialised in those chunks (fields that varied within a chunk)", func() float64 {
+			_, l, _ := p.logStats()
+			return float64(l)
 		})
 	registerCacheDerived(reg, p.an.Cache())
 }

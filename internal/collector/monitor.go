@@ -206,16 +206,12 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 			continue
 		}
 		edges = append(edges, e)
-		cl := p.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, m.opt.Detect.Cluster)
+		log := e.Log()
+		cl := p.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, log, m.opt.Detect.Cluster)
 		for ci := range cl.Clusters {
-			if !cl.Clusters[ci].Fixed {
-				continue
+			if cl.Clusters[ci].Fixed {
+				clusters = append(clusters, log.Pick(cl.Clusters[ci].Members))
 			}
-			sub := make([]trace.Fragment, 0, len(cl.Clusters[ci].Members))
-			for _, idx := range cl.Clusters[ci].Members {
-				sub = append(sub, e.Fragments[idx])
-			}
-			clusters = append(clusters, sub)
 		}
 	}
 	// When every involved edge has warm regression moments at the

@@ -58,10 +58,12 @@ func sameFactors(a, b []diagnose.Factor) bool {
 	return true
 }
 
-func buildClusterMoments(factors []diagnose.Factor, frags []trace.Fragment, members []int) *diagnose.ClusterMoments {
+func buildClusterMoments(factors []diagnose.Factor, frags trace.LogView, members []int) *diagnose.ClusterMoments {
 	cm := diagnose.NewClusterMoments(factors)
+	var f trace.Fragment
 	for _, idx := range members {
-		cm.Add(&frags[idx])
+		frags.Read(idx, &f)
+		cm.Add(&f)
 	}
 	return cm
 }
@@ -72,7 +74,7 @@ func buildClusterMoments(factors []diagnose.Factor, frags []trace.Fragment, memb
 // — rank-1 Adds for appended members of grown clusters, carried
 // pointers for untouched clusters — and rebuilds from scratch when the
 // delta does not connect to the recorded generation.
-func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags []trace.Fragment, res cluster.Result, d cluster.Delta) {
+func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta) {
 	if !key.IsEdge || m.opt.DisableStreamingOLS {
 		return
 	}
@@ -111,7 +113,7 @@ func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags []trace.
 
 // advanceMoments patches em's streams by the delta. Returns false if an
 // index falls outside the recorded state (the caller then rebuilds).
-func (m *Monitor) advanceMoments(em *elemMoments, frags []trace.Fragment, res cluster.Result, d cluster.Delta) bool {
+func (m *Monitor) advanceMoments(em *elemMoments, frags trace.LogView, res cluster.Result, d cluster.Delta) bool {
 	old := em.streams
 	if d.Prefix > len(old) || d.TailOld > len(old) {
 		return false
@@ -119,6 +121,7 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags []trace.Fragment, res cl
 	streams := make([]*diagnose.ClusterMoments, len(res.Clusters))
 	fixed := make([]bool, len(res.Clusters))
 	var adds, rebuilt uint64
+	var f trace.Fragment
 	for i := range res.Clusters {
 		switch {
 		case i < d.Prefix:
@@ -141,7 +144,8 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags []trace.Fragment, res cl
 					if int(pos) >= len(members) {
 						return false
 					}
-					cm.Add(&frags[members[pos]])
+					frags.Read(members[pos], &f)
+					cm.Add(&f)
 				}
 				adds += uint64(len(dr.AddedPos))
 				streams[i] = cm

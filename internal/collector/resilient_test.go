@@ -140,12 +140,12 @@ func TestResilientSpillEviction(t *testing.T) {
 	g := pool.Graph()
 	starts := map[int64]bool{}
 	for _, v := range g.Vertices() {
-		for _, f := range v.Fragments {
+		for _, f := range v.Log().Slice() {
 			starts[f.Start] = true
 		}
 	}
 	for _, e := range g.Edges() {
-		for _, f := range e.Fragments {
+		for _, f := range e.Log().Slice() {
 			starts[f.Start] = true
 		}
 	}

@@ -372,8 +372,9 @@ func (t *ShardedPool) Stats(makespan sim.Duration) Stats {
 // registerTierDerived publishes the tier-layer Func metrics on the tier
 // registry: the shard count, the global rank space, and one row per
 // shard for the status surface. The pool-shaped sums (servers, staged
-// depth, storage rate, cluster-cache counters) are no longer duplicated
-// here — every plane registers its own and MergedSnapshot folds them.
+// depth, storage rate, cluster-cache counters, fragment-log footprint)
+// are no longer duplicated here — every plane registers its own and
+// MergedSnapshot folds them.
 func (t *ShardedPool) registerTierDerived(resident []int) {
 	reg := t.met.Registry
 	reg.Func("vapro_shards", "shard",
@@ -397,6 +398,15 @@ func (t *ShardedPool) registerTierDerived(resident []int) {
 		reg.Func(fmt.Sprintf("vapro_shard%d_seq_gaps", i), "shard",
 			fmt.Sprintf("batches inferred lost on shard %d", i), func() float64 {
 				return float64(t.planes[i].seq.GapFrames())
+			})
+		reg.Func(fmt.Sprintf("vapro_shard%d_intake_fragments", i), "shard",
+			fmt.Sprintf("fragments received by shard %d", i), func() float64 {
+				return float64(t.planes[i].met.IntakeFragments.Load())
+			})
+		reg.Func(fmt.Sprintf("vapro_shard%d_stg_log_bytes", i), "shard",
+			fmt.Sprintf("heap bytes of shard %d's resident fragment logs", i), func() float64 {
+				_, _, b := t.planes[i].logStats()
+				return float64(b)
 			})
 	}
 }

@@ -186,10 +186,10 @@ func TestWireFragmentFidelity(t *testing.T) {
 
 	g := pool.Graph()
 	v := g.Vertex(9)
-	if v == nil || len(v.Fragments) != 1 {
+	if v == nil || v.Log().Len() != 1 {
 		t.Fatal("fragment not delivered")
 	}
-	got := v.Fragments[0]
+	got := v.Log().Slice()[0]
 	if got != want {
 		t.Fatalf("fragment mutated in transit:\n got %+v\nwant %+v", got, want)
 	}

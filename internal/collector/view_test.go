@@ -116,15 +116,15 @@ func runViewSchedule(t *testing.T, seed int64, advances, rebases *atomic.Uint64)
 		assertViewMatchesMerge(t, p, p.view.graph)
 
 		if hatched {
-			// Hatch drops the merge state: every element must rebase on
-			// re-enable, so prior epoch observations are void.
+			// The hatch rebases every changed element, so prior epoch
+			// observations are void.
 			warmEdge = map[trace.EdgeKey]uint64{}
 			warmVert = map[uint64]uint64{}
 			p.opt.DisableDeltaView = false
 			continue
 		}
 		for k, elem := range p.view.edgeElems {
-			if !elem.owned {
+			if elem.log == nil {
 				continue
 			}
 			ep := p.view.graph.Edge(k).Gen.Epoch
@@ -134,7 +134,7 @@ func runViewSchedule(t *testing.T, seed int64, advances, rebases *atomic.Uint64)
 			warmEdge[k] = ep
 		}
 		for k, elem := range p.view.vertElems {
-			if !elem.owned {
+			if elem.log == nil {
 				continue
 			}
 			ep := p.view.graph.Vertex(k).Gen.Epoch
@@ -147,10 +147,10 @@ func runViewSchedule(t *testing.T, seed int64, advances, rebases *atomic.Uint64)
 }
 
 // TestMergedViewSingleServerEpochs pins the 1-server fast path: the view
-// aliases the server's append log through PutEdgeLog/PutVertexLog, so
-// element epochs survive even when the server's slice reallocates at a
-// growth boundary — the regression that used to send every element back
-// through the batch plane whenever append crossed a power of two.
+// aliases the server's own log (AliasEdge/AliasVertex), so element
+// epochs survive however far the log grows — across chunk boundaries
+// here, where a slice log used to reallocate and send every element
+// back through the batch plane.
 func TestMergedViewSingleServerEpochs(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Servers = 1
@@ -178,9 +178,9 @@ func TestMergedViewSingleServerEpochs(t *testing.T) {
 	p.RunWindow(0, 50_000_000)
 	ep := p.view.graph.Edge(key).Gen.Epoch
 	var gen stg.Gen
-	// Push the server's slice through several reallocation boundaries.
+	// Push the server's log across several chunk boundaries.
 	for i := 0; i < 6; i++ {
-		feed(100)
+		feed(trace.LogChunkRows*2/3 + 1)
 		p.RunWindow(0, 50_000_000)
 		e := p.view.graph.Edge(key)
 		if e.Gen.Epoch != ep {

@@ -146,11 +146,11 @@ type Result struct {
 }
 
 // clusterElement returns the (memoized) clustering of one STG element.
-func (r *Result) clusterElement(key cluster.Key, gen stg.Gen, frags []trace.Fragment) cluster.Result {
+func (r *Result) clusterElement(key cluster.Key, el *stg.Element) cluster.Result {
 	if r.analyzer == nil {
 		r.analyzer = detect.NewAnalyzer()
 	}
-	return r.analyzer.Cache().Run(key, gen, frags, r.clusterOpt)
+	return r.analyzer.Cache().Run(key, el.Gen, el.Log(), r.clusterOpt)
 }
 
 // RunTraced executes the application with Vapro attached: interposition,
@@ -337,30 +337,24 @@ func (r *Result) regionClusters(region *detect.Region) [][]trace.Fragment {
 			continue
 		}
 		seen[k] = true
-		var frags []trace.Fragment
+		var el *stg.Element
 		var ckey cluster.Key
-		var gen stg.Gen
 		if k.isEdge {
 			if e := r.Graph.Edge(k.edge); e != nil {
-				frags, ckey, gen = e.Fragments, cluster.EdgeKey(k.edge), e.Gen
+				el, ckey = &e.Element, cluster.EdgeKey(k.edge)
 			}
 		} else if v := r.Graph.Vertex(k.vertex); v != nil {
-			frags, ckey, gen = v.Fragments, cluster.VertexKey(k.vertex), v.Gen
+			el, ckey = &v.Element, cluster.VertexKey(k.vertex)
 		}
-		if frags == nil {
+		if el == nil {
 			continue
 		}
-		cl := r.clusterElement(ckey, gen, frags)
+		cl := r.clusterElement(ckey, el)
 		if k.cluster < 0 || k.cluster >= len(cl.Clusters) {
 			continue
 		}
-		members := cl.Clusters[k.cluster].Members
-		sub := make([]trace.Fragment, 0, len(members))
-		for _, m := range members {
-			sub = append(sub, frags[m])
-		}
-		if len(sub) > 0 {
-			out = append(out, sub)
+		if members := cl.Clusters[k.cluster].Members; len(members) > 0 {
+			out = append(out, el.Log().Pick(members))
 		}
 	}
 	return out
@@ -388,27 +382,23 @@ func (r *Result) DiagnoseTop(class detect.Class, opt diagnose.Options) *diagnose
 // populations diagnosis operates on.
 func (r *Result) FixedClusters(class detect.Class) [][]trace.Fragment {
 	var clusters [][]trace.Fragment
-	collect := func(key cluster.Key, gen stg.Gen, frags []trace.Fragment) {
-		cl := r.clusterElement(key, gen, frags)
+	collect := func(key cluster.Key, el *stg.Element) {
+		log := el.Log()
+		cl := r.clusterElement(key, el)
 		for ci := range cl.Clusters {
-			if !cl.Clusters[ci].Fixed {
-				continue
+			if cl.Clusters[ci].Fixed {
+				clusters = append(clusters, log.Pick(cl.Clusters[ci].Members))
 			}
-			sub := make([]trace.Fragment, 0, len(cl.Clusters[ci].Members))
-			for _, m := range cl.Clusters[ci].Members {
-				sub = append(sub, frags[m])
-			}
-			clusters = append(clusters, sub)
 		}
 	}
 	if class == detect.Computation {
 		for _, e := range r.Graph.Edges() {
-			collect(cluster.EdgeKey(e.Key), e.Gen, e.Fragments)
+			collect(cluster.EdgeKey(e.Key), &e.Element)
 		}
 	} else {
 		for _, v := range r.Graph.Vertices() {
-			if len(v.Fragments) > 0 && detect.ClassOf(v.Fragments[0].Kind) == class {
-				collect(cluster.VertexKey(v.Key), v.Gen, v.Fragments)
+			if log := v.Log(); log.Len() > 0 && detect.ClassOf(log.Kind(0)) == class {
+				collect(cluster.VertexKey(v.Key), &v.Element)
 			}
 		}
 	}

@@ -130,8 +130,7 @@ type Sample struct {
 	Covered bool
 	// ClusterRef identifies the owning cluster for diagnosis drill-down.
 	ClusterRef ClusterRef
-	// FragIndex indexes the fragment inside its edge/vertex fragment
-	// slice.
+	// FragIndex is the fragment's row in its edge/vertex fragment log.
 	FragIndex int
 }
 
@@ -299,8 +298,8 @@ type Result struct {
 // Analyzer runs detection passes that share one memoized clustering
 // layer: repeated analyses over the same (or a growing) graph — the
 // online monitor's overlapped windows, the whole-run pass, diagnosis
-// drill-down — re-cluster only the STG elements whose fragment slices
-// actually changed (tracked by the elements' version stamps).
+// drill-down — re-cluster only the STG elements whose fragment logs
+// actually grew (tracked by the elements' generation watermarks).
 type Analyzer struct {
 	cache *cluster.Cache
 
@@ -333,7 +332,7 @@ type Analyzer struct {
 	// clustering pass. Called from stage-1 workers CONCURRENTLY — the
 	// handler must do its own locking (and must not call back into the
 	// Analyzer, which would deadlock on the pass's internal locks).
-	clusterHook func(key cluster.Key, gen stg.Gen, frags []trace.Fragment, res cluster.Result, d cluster.Delta)
+	clusterHook func(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta)
 }
 
 // NewAnalyzer returns an Analyzer with an empty clustering cache.
@@ -354,7 +353,7 @@ func (a *Analyzer) Cache() *cluster.Cache { return a.cache }
 // previous generation, so a consumer pinned to it can patch derived
 // state by the delta and rebuild otherwise. fn is called concurrently
 // from the pass's worker pool.
-func (a *Analyzer) SetClusterDeltaHook(fn func(key cluster.Key, gen stg.Gen, frags []trace.Fragment, res cluster.Result, d cluster.Delta)) {
+func (a *Analyzer) SetClusterDeltaHook(fn func(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta)) {
 	a.clusterHook = fn
 }
 
@@ -438,11 +437,11 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 	forEach(len(outs), opt.Parallelism, func(i int) {
 		if i < len(edges) {
 			e := edges[i]
-			p := a.prepFor(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, opt, ClusterRef{IsEdge: true, Edge: e.Key})
+			p := a.prepFor(cluster.EdgeKey(e.Key), e.Gen, e.Log(), opt, ClusterRef{IsEdge: true, Edge: e.Key})
 			p.window(start, end, &outs[i])
 		} else {
 			v := verts[i-len(edges)]
-			p := a.prepFor(cluster.VertexKey(v.Key), v.Gen, v.Fragments, opt, ClusterRef{Vertex: v.Key})
+			p := a.prepFor(cluster.VertexKey(v.Key), v.Gen, v.Log(), opt, ClusterRef{Vertex: v.Key})
 			p.window(start, end, &outs[i])
 		}
 	})
@@ -570,7 +569,7 @@ func sortRegionsByLoss(regions []Region) {
 // the same outputs from a memoized full-population pass — but this
 // direct form remains the semantic reference: the equivalence tests pin
 // the sliced path bit-identical to it.
-func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, start, end int64) (out elemDirect) {
+func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Options, start, end int64) (out elemDirect) {
 	minFrag := opt.Cluster.MinFragments
 	if minFrag <= 0 {
 		minFrag = 5
@@ -587,8 +586,9 @@ func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef,
 		best := int64(math.MaxInt64)
 		perRank := make(map[int]int)
 		for _, m := range c.Members {
-			perRank[frags[m].Rank]++
-			if e := frags[m].Elapsed; e > 0 && e < best {
+			rank, _, e := frags.Span(m)
+			perRank[rank]++
+			if e > 0 && e < best {
 				best = e
 			}
 		}
@@ -596,30 +596,30 @@ func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef,
 			continue
 		}
 		for _, m := range c.Members {
-			f := &frags[m]
-			if f.Start >= end || f.Start+f.Elapsed <= start {
+			rank, fstart, elapsed := frags.Span(m)
+			if fstart >= end || fstart+elapsed <= start {
 				continue
 			}
-			class := ClassOf(f.Kind)
+			class := ClassOf(frags.Kind(m))
 			// Detection pools fragments across processes (the
 			// inter-process comparison needs that), but coverage
 			// follows the paper's repetition notion: the snippet
 			// must recur within a process to count as repeated
 			// fixed workload there.
-			covered := perRank[f.Rank] >= minFrag
+			covered := perRank[rank] >= minFrag
 			if covered {
-				out.fixed[class] += f.Elapsed
+				out.fixed[class] += elapsed
 			}
 			perf := 1.0
-			if f.Elapsed > 0 {
-				perf = float64(best) / float64(f.Elapsed)
+			if elapsed > 0 {
+				perf = float64(best) / float64(elapsed)
 			}
 			ref := ref
 			ref.Cluster = ci
 			out.samples[class] = append(out.samples[class], Sample{
-				Rank:       f.Rank,
-				Start:      f.Start,
-				Elapsed:    f.Elapsed,
+				Rank:       rank,
+				Start:      fstart,
+				Elapsed:    elapsed,
 				Perf:       perf,
 				Covered:    covered,
 				ClusterRef: ref,
@@ -627,12 +627,12 @@ func normalizeElement(frags []trace.Fragment, cl cluster.Result, ref ClusterRef,
 			})
 		}
 	}
-	for i := range frags {
-		f := &frags[i]
-		if f.Start >= end || f.Start+f.Elapsed <= start {
+	for i := 0; i < frags.Len(); i++ {
+		_, fstart, elapsed := frags.Span(i)
+		if fstart >= end || fstart+elapsed <= start {
 			continue
 		}
-		out.total[ClassOf(f.Kind)] += f.Elapsed
+		out.total[ClassOf(frags.Kind(i))] += elapsed
 	}
 	return out
 }

@@ -156,14 +156,13 @@ func runEquivSchedule(t *testing.T, seed int64, advances, rebuilds *atomic.Uint6
 		}
 		g.AddBatch(batch)
 
-		// Occasionally rebase one edge wholesale (fresh backing array):
-		// the epoch bumps and the incremental analyzer must fall back to
-		// a full prep rebuild, not reuse positions from the old log.
+		// Occasionally rebase one edge wholesale (a fresh copy of its
+		// log): the epoch bumps and the incremental analyzer must fall
+		// back to a full prep rebuild, not reuse positions from the old
+		// log.
 		if rng.Intn(5) == 0 {
-			if e := g.Edge(edges[rng.Intn(len(edges))]); e != nil && len(e.Fragments) > 0 {
-				rebased := make([]trace.Fragment, len(e.Fragments))
-				copy(rebased, e.Fragments)
-				g.PutEdge(e.Key, rebased)
+			if e := g.Edge(edges[rng.Intn(len(edges))]); e != nil && e.Log().Len() > 0 {
+				g.AliasEdge(e.Key, trace.LogOf(e.Log().Slice()))
 			}
 		}
 

@@ -138,7 +138,7 @@ func TestAnalyzerMemoizesAcrossRuns(t *testing.T) {
 
 	// Grow one edge: exactly one element re-clusters on the next run.
 	e := g.Edges()[0]
-	f := e.Fragments[0]
+	f := e.Log().Slice()[0]
 	f.Start = f.Start + 1
 	g.Add(f)
 	a.Run(g, ranks, opt)

@@ -83,23 +83,34 @@ type clustState struct {
 	nStored int32
 }
 
-// sample normalizes member m (fragment f) of cluster ci against the
-// cluster's state.
-func (st *clustState) sample(f *trace.Fragment, m int, ref ClusterRef, ci, minFrag int) Sample {
+// sample normalizes member m of cluster ci against the cluster's
+// state.
+func (st *clustState) sample(frags trace.LogView, m int, ref ClusterRef, ci, minFrag int) Sample {
+	rank, start, elapsed := frags.Span(m)
 	perf := 1.0
-	if f.Elapsed > 0 {
-		perf = float64(st.best) / float64(f.Elapsed)
+	if elapsed > 0 {
+		perf = float64(st.best) / float64(elapsed)
 	}
 	ref.Cluster = ci
 	return Sample{
-		Rank:       f.Rank,
-		Start:      f.Start,
-		Elapsed:    f.Elapsed,
+		Rank:       rank,
+		Start:      start,
+		Elapsed:    elapsed,
 		Perf:       perf,
-		Covered:    st.ranks.count(f.Rank) >= minFrag,
+		Covered:    st.ranks.count(rank) >= minFrag,
 		ClusterRef: ref,
 		FragIndex:  m,
 	}
+}
+
+// observe folds member m into the cluster's state — its rank's count
+// and the fastest-member minimum — and returns the rank's slot.
+func (st *clustState) observe(frags trace.LogView, m int) (rank int, slot int32) {
+	rank, _, elapsed := frags.Span(m)
+	if elapsed > 0 && elapsed < st.best {
+		st.best = elapsed
+	}
+	return rank, st.ranks.add(rank)
 }
 
 // rankTable counts a cluster's members per rank. Slots are handed out
@@ -239,12 +250,13 @@ func newSpanIndex(ents []spanEnt, withCovered bool) spanIndex {
 	return ix
 }
 
-// fragSpans orders the spans of frags[from:] into an index over
-// fragment positions.
-func fragSpans(frags []trace.Fragment, from int) spanIndex {
-	ents := make([]spanEnt, 0, len(frags)-from)
-	for i := from; i < len(frags); i++ {
-		ents = append(ents, spanEnt{start: frags[i].Start, elapsed: frags[i].Elapsed, pos: int32(i), frag: int32(i)})
+// fragSpans orders the spans of rows [from, frags.Len()) into an index
+// over fragment positions.
+func fragSpans(frags trace.LogView, from int) spanIndex {
+	ents := make([]spanEnt, 0, frags.Len()-from)
+	for i := from; i < frags.Len(); i++ {
+		_, start, elapsed := frags.Span(i)
+		ents = append(ents, spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
 	}
 	return newSpanIndex(orderSpans(ents), false)
 }
@@ -329,7 +341,7 @@ func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int
 // clustering cache is consulted unconditionally so its hit/miss
 // accounting keeps meaning "analysis passes that reused a clustering",
 // warm prep or not.
-func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment, opt Options, ref ClusterRef) *prepElem {
+func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, opt Options, ref ClusterRef) *prepElem {
 	met := a.met
 	var t0 time.Time
 	if met != nil {
@@ -357,7 +369,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 	// behavior); the reverse direction keeps a warm flat prep — it is
 	// equally correct and re-enables the store on the next rebuild.
 	storeOff := opt.DisableIncremental || opt.DisableSampleStore
-	if p != nil && p.gen == gen && p.nfrags == len(frags) && p.copt == opt.Cluster &&
+	if p != nil && p.gen == gen && p.nfrags == frags.Len() && p.copt == opt.Cluster &&
 		!(storeOff && p.storeMode()) {
 		return p
 	}
@@ -372,7 +384,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 				met.PrepIncremental.Inc()
 				met.DirtySpanPct.Observe(int64(d.Ratio*100 + 0.5))
 				if p.storeMode() {
-					met.StoreAppends.Add(uint64(len(frags) - oldN))
+					met.StoreAppends.Add(uint64(frags.Len() - oldN))
 				}
 			}
 			return p
@@ -383,7 +395,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 		a.clock.normNS.Add(since(t0))
 		met.PrepRebuilds.Inc()
 		if p.storeMode() {
-			met.StoreAppends.Add(uint64(len(frags)))
+			met.StoreAppends.Add(uint64(frags.Len()))
 		}
 	}
 	a.mu.Lock()
@@ -395,18 +407,19 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags []trace.Fragment,
 // buildPrep runs the full-population normalization once (the same walk
 // normalizeElement does with an unbounded window) and indexes the
 // outputs for window slicing.
-func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
+func buildPrep(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
 	minFrag := opt.Cluster.MinFragments
 	if minFrag <= 0 {
 		minFrag = 5
 	}
-	p := &prepElem{gen: gen, nfrags: len(frags), copt: opt.Cluster, ref: ref, minFrag: minFrag}
+	n := frags.Len()
+	p := &prepElem{gen: gen, nfrags: n, copt: opt.Cluster, ref: ref, minFrag: minFrag}
 	p.countClusters(cl)
-	p.singleClass = len(frags) > 0
+	p.singleClass = n > 0
 	if p.singleClass {
-		p.class = ClassOf(frags[0].Kind)
-		for i := range frags {
-			if ClassOf(frags[i].Kind) != p.class {
+		p.class = ClassOf(frags.Kind(0))
+		for i := 1; i < n; i++ {
+			if ClassOf(frags.Kind(i)) != p.class {
 				p.singleClass = false
 				break
 			}
@@ -434,10 +447,7 @@ func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Op
 		}
 		st := clustState{best: math.MaxInt64}
 		for _, m := range c.Members {
-			st.ranks.add(frags[m].Rank)
-			if e := frags[m].Elapsed; e > 0 && e < st.best {
-				st.best = e
-			}
+			st.observe(frags, m)
 		}
 		st.emitted = st.best != math.MaxInt64
 		if p.singleClass {
@@ -447,8 +457,8 @@ func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Op
 			continue
 		}
 		for _, m := range c.Members {
-			s := st.sample(&frags[m], m, ref, ci, minFrag)
-			class := ClassOf(frags[m].Kind)
+			s := st.sample(frags, m, ref, ci, minFrag)
+			class := ClassOf(frags.Kind(m))
 			ents[class] = append(ents[class], spanEnt{
 				start: s.Start, elapsed: s.Elapsed,
 				pos: int32(len(p.samples[class])), frag: int32(m), covered: s.Covered,
@@ -463,10 +473,10 @@ func buildPrep(frags []trace.Fragment, cl cluster.Result, ref ClusterRef, opt Op
 		p.sampleIdx[c] = newSpanIndex(orderSpans(ents[c]), true)
 		ents[c] = ents[c][:0]
 	}
-	for i := range frags {
-		f := &frags[i]
-		class := ClassOf(f.Kind)
-		ents[class] = append(ents[class], spanEnt{start: f.Start, elapsed: f.Elapsed, pos: int32(i), frag: int32(i)})
+	for i := 0; i < n; i++ {
+		_, start, elapsed := frags.Span(i)
+		class := ClassOf(frags.Kind(i))
+		ents[class] = append(ents[class], spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
 	}
 	for c := 0; c < numClasses; c++ {
 		p.fragIdx[c] = newSpanIndex(orderSpans(ents[c]), false)

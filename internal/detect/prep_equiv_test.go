@@ -33,12 +33,12 @@ func referenceRun(cache *cluster.Cache, g *stg.Graph, ranks int, opt Options, st
 	forEach(len(outs), opt.Parallelism, func(i int) {
 		if i < len(edges) {
 			e := edges[i]
-			cl := cache.Run(cluster.EdgeKey(e.Key), e.Gen, e.Fragments, opt.Cluster)
-			outs[i] = normalizeElement(e.Fragments, cl, ClusterRef{IsEdge: true, Edge: e.Key}, opt, start, end)
+			cl := cache.Run(cluster.EdgeKey(e.Key), e.Gen, e.Log(), opt.Cluster)
+			outs[i] = normalizeElement(e.Log(), cl, ClusterRef{IsEdge: true, Edge: e.Key}, opt, start, end)
 		} else {
 			v := verts[i-len(edges)]
-			cl := cache.Run(cluster.VertexKey(v.Key), v.Gen, v.Fragments, opt.Cluster)
-			outs[i] = normalizeElement(v.Fragments, cl, ClusterRef{Vertex: v.Key}, opt, start, end)
+			cl := cache.Run(cluster.VertexKey(v.Key), v.Gen, v.Log(), opt.Cluster)
+			outs[i] = normalizeElement(v.Log(), cl, ClusterRef{Vertex: v.Key}, opt, start, end)
 		}
 	})
 	var total, fixed [numClasses]int64

@@ -37,7 +37,7 @@ import (
 // never reorder, so they stay ordered by (start, fragment index)) and
 // merges them with the fresh ones. Every piece lands bit-identical to a
 // rebuild — pinned by the analyzer equivalence fuzz.
-func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
+func (p *prepElem) advance(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
 	if p.storeMode() {
 		if opt.DisableSampleStore {
 			return false // representation mismatch: rebuild flat
@@ -48,13 +48,13 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		return false
 	}
 	oldN := p.nfrags
-	nn := len(frags)
+	nn := frags.Len()
 	if nn <= oldN || len(cl.Assign) != nn {
 		return false
 	}
 	class := p.class
 	for i := oldN; i < nn; i++ {
-		if ClassOf(frags[i].Kind) != class {
+		if ClassOf(frags.Kind(i)) != class {
 			return false
 		}
 	}
@@ -106,7 +106,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 	// re-emitted (anything not reachable through the remap).
 	var fresh []spanEnt
 	emit := func(m, ci int, st *clustState) {
-		s := st.sample(&frags[m], m, p.ref, ci, minFrag)
+		s := st.sample(frags, m, p.ref, ci, minFrag)
 		fresh = append(fresh, spanEnt{start: s.Start, elapsed: s.Elapsed, pos: int32(len(newSamples)), frag: int32(m), covered: s.Covered})
 		newSamples = append(newSamples, s)
 	}
@@ -124,10 +124,7 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		}
 		st := clustState{best: math.MaxInt64}
 		for _, m := range cc.Members {
-			st.ranks.add(frags[m].Rank)
-			if e := frags[m].Elapsed; e > 0 && e < st.best {
-				st.best = e
-			}
+			st.observe(frags, m)
 		}
 		if st.emitted = st.best != math.MaxInt64; st.emitted {
 			for _, m := range cc.Members {
@@ -153,15 +150,12 @@ func (p *prepElem) advance(frags []trace.Fragment, cl cluster.Result, d cluster.
 		st := os // shares (and intentionally updates) the rank table
 		var crossed map[int]bool
 		for _, ap := range dr.AddedPos {
-			f := &frags[cc.Members[ap]]
-			if int(st.ranks.n[st.ranks.add(f.Rank)]) == minFrag {
+			rank, slot := st.observe(frags, cc.Members[ap])
+			if int(st.ranks.n[slot]) == minFrag {
 				if crossed == nil {
 					crossed = make(map[int]bool, 2)
 				}
-				crossed[f.Rank] = true
-			}
-			if e := f.Elapsed; e > 0 && e < st.best {
-				st.best = e
+				crossed[rank] = true
 			}
 		}
 		bestChanged := st.best != os.best

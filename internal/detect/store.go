@@ -77,29 +77,21 @@ func (p *prepElem) storeMode() bool { return p.store != nil }
 // storeEligible reports whether an element can take the store path:
 // the 1-D clustering fast path (all computation fragments, no extra
 // metrics).
-func storeEligible(frags []trace.Fragment, opt Options) bool {
-	if opt.DisableIncremental || opt.DisableSampleStore || opt.Cluster.UseExtraMetrics || len(frags) == 0 {
+func storeEligible(frags trace.LogView, opt Options) bool {
+	if opt.DisableIncremental || opt.DisableSampleStore || opt.Cluster.UseExtraMetrics || frags.Len() == 0 {
 		return false
 	}
-	for i := range frags {
-		if frags[i].Kind != trace.Comp {
-			return false
-		}
-	}
-	return true
+	return frags.AllKind(0, trace.Comp)
 }
 
 // walk computes one cluster's state from its whole membership and
 // points every member's ref at it under id.
-func (st *sampleStore) walk(frags []trace.Fragment, c *cluster.Cluster, id int32) clustState {
+func (st *sampleStore) walk(frags trace.LogView, c *cluster.Cluster, id int32) clustState {
 	cst := clustState{best: math.MaxInt64}
 	if c.Fixed {
 		for _, m := range c.Members {
-			f := &frags[m]
-			st.refs[m] = fragRef{cid: id, rank: cst.ranks.add(f.Rank)}
-			if e := f.Elapsed; e > 0 && e < cst.best {
-				cst.best = e
-			}
+			_, slot := cst.observe(frags, m)
+			st.refs[m] = fragRef{cid: id, rank: slot}
 		}
 	}
 	if cst.best == math.MaxInt64 {
@@ -115,10 +107,10 @@ func (st *sampleStore) walk(frags []trace.Fragment, c *cluster.Cluster, id int32
 }
 
 // buildStore is buildPrep for the store representation.
-func (p *prepElem) buildStore(frags []trace.Fragment, cl cluster.Result) {
+func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
 	nc := len(cl.Clusters)
 	st := &sampleStore{
-		refs:   make([]fragRef, len(frags)),
+		refs:   make([]fragRef, frags.Len()),
 		ids:    make([]int32, nc),
 		slotOf: make([]int32, nc),
 		nextID: int32(nc),
@@ -138,19 +130,14 @@ func (p *prepElem) buildStore(frags []trace.Fragment, cl cluster.Result) {
 // members at themselves, and rebuilt clusters re-point their whole
 // membership under a fresh id. The state derived per sample absorbs
 // best and coverage movement without touching anything resident.
-func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
+func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
 	if d.Full || p.copt != opt.Cluster || d.From != p.gen {
 		return false
 	}
 	oldN := p.nfrags
-	nn := len(frags)
-	if nn <= oldN || len(cl.Assign) != nn {
+	nn := frags.Len()
+	if nn <= oldN || len(cl.Assign) != nn || !frags.AllKind(oldN, trace.Comp) {
 		return false
-	}
-	for i := oldN; i < nn; i++ {
-		if frags[i].Kind != trace.Comp {
-			return false
-		}
 	}
 	st := p.store
 	oldNC := len(p.cstate)
@@ -196,11 +183,8 @@ func (p *prepElem) advanceStore(frags []trace.Fragment, cl cluster.Result, d clu
 			id := st.ids[dr.OldIndex]
 			for _, ap := range dr.AddedPos {
 				m := cc.Members[ap]
-				f := &frags[m]
-				st.refs[m] = fragRef{cid: id, rank: cst.ranks.add(f.Rank)}
-				if e := f.Elapsed; e > 0 && e < cst.best {
-					cst.best = e
-				}
+				_, slot := cst.observe(frags, m)
+				st.refs[m] = fragRef{cid: id, rank: slot}
 			}
 			cst.nStored += int32(len(dr.AddedPos))
 			newIDs[ci], newState[ci] = id, cst

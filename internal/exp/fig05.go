@@ -43,7 +43,7 @@ func fig05series(res *core.Result) (ins, tsc []float64) {
 	var best []trace.Fragment
 	for _, e := range res.Graph.Edges() {
 		var r0 []trace.Fragment
-		for _, f := range e.Fragments {
+		for _, f := range e.Log().Slice() {
 			if f.Rank == 0 && f.Counters.TotIns > 0 {
 				r0 = append(r0, f)
 			}
@@ -51,7 +51,7 @@ func fig05series(res *core.Result) (ins, tsc []float64) {
 		if len(r0) < 2 {
 			continue
 		}
-		cl := cluster.Run(r0, cluster.DefaultOptions())
+		cl := cluster.Run(trace.LogOf(r0), cluster.DefaultOptions())
 		for _, c := range cl.Clusters {
 			if len(c.Members) > len(best) {
 				sub := make([]trace.Fragment, 0, len(c.Members))

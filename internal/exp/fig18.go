@@ -9,9 +9,9 @@ import (
 	"vapro/internal/detect"
 	"vapro/internal/heatmap"
 	"vapro/internal/noise"
-	"vapro/internal/trace"
 	"vapro/internal/sim"
 	"vapro/internal/stats"
+	"vapro/internal/trace"
 )
 
 // Fig18Result is the RAxML IO-variance case study (Figures 18-19): the
@@ -106,8 +106,9 @@ func Fig18(w io.Writer, scale Scale) *Fig18Result {
 	// Figure 19: the per-operation series of the most varied IO
 	// clusters (reads of the small partition files, checkpoint writes).
 	for _, v := range res.Graph.Vertices() {
-		for i := range v.Fragments {
-			f := &v.Fragments[i]
+		frags := v.Log().Slice()
+		for i := range frags {
+			f := &frags[i]
 			if f.Rank != 0 {
 				continue
 			}

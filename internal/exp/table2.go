@@ -62,13 +62,14 @@ func Table2(w io.Writer, scale Scale) *Table2Result {
 		clusterBase := 0
 		truthBase := 0
 		for _, e := range run.Graph.Edges() {
-			if len(e.Fragments) < 5*run.Ranks {
+			if e.Log().Len() < 5*run.Ranks {
 				continue // cold path, not instrumented
 			}
-			cl := cluster.Run(e.Fragments, opt.Collector.Detect.Cluster)
+			cl := cluster.Run(e.Log(), opt.Collector.Detect.Cluster)
 			truthID := map[uint64]int{}
-			for i := range e.Fragments {
-				f := &e.Fragments[i]
+			frags := e.Log().Slice()
+			for i := range frags {
+				f := &frags[i]
 				if f.Counters.TotIns == 0 || f.Truth == 0 {
 					continue
 				}

@@ -33,29 +33,28 @@ func Profile(g *stg.Graph, ranks int) []RankProfile {
 	for i := range out {
 		out[i].Rank = i
 	}
-	add := func(f *trace.Fragment) {
-		if f.Rank < 0 || f.Rank >= ranks {
-			return
-		}
-		p := &out[f.Rank]
-		switch f.Kind {
-		case trace.Comp, trace.Probe:
-			p.CompNS += f.Elapsed
-		case trace.IO:
-			p.IONS += f.Elapsed
-		default:
-			p.CommNS += f.Elapsed
+	add := func(log trace.LogView) {
+		for i := 0; i < log.Len(); i++ {
+			rank, _, elapsed := log.Span(i)
+			if rank < 0 || rank >= ranks {
+				continue
+			}
+			p := &out[rank]
+			switch log.Kind(i) {
+			case trace.Comp, trace.Probe:
+				p.CompNS += elapsed
+			case trace.IO:
+				p.IONS += elapsed
+			default:
+				p.CommNS += elapsed
+			}
 		}
 	}
 	for _, e := range g.Edges() {
-		for i := range e.Fragments {
-			add(&e.Fragments[i])
-		}
+		add(e.Log())
 	}
 	for _, v := range g.Vertices() {
-		for i := range v.Fragments {
-			add(&v.Fragments[i])
-		}
+		add(v.Log())
 	}
 	return out
 }

@@ -2,7 +2,7 @@ package stg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -31,26 +31,28 @@ func (g *Graph) DOT() string {
 	for k := range keys {
 		sorted = append(sorted, k)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	for _, k := range sorted {
 		label := g.Name(k)
 		if v := g.Vertex(k); v != nil {
-			label = fmt.Sprintf("%s\\n%d %s fragments", label, len(v.Fragments), v.Kind)
+			label = fmt.Sprintf("%s\\n%d %s fragments", label, v.Gen.Count, v.Kind)
 		}
 		fmt.Fprintf(&b, "  %s [label=\"%s\"];\n", id(k), escapeDOT(label))
 	}
 	for _, e := range g.Edges() {
+		log := e.Log()
 		var total int64
-		for i := range e.Fragments {
-			total += e.Fragments[i].Elapsed
+		for i := 0; i < log.Len(); i++ {
+			_, _, elapsed := log.Span(i)
+			total += elapsed
 		}
 		mean := float64(0)
-		if n := len(e.Fragments); n > 0 {
+		if n := log.Len(); n > 0 {
 			mean = float64(total) / float64(n) / 1e6
 		}
 		fmt.Fprintf(&b, "  %s -> %s [label=\"%d x %.2fms\"];\n",
-			id(e.Key.From), id(e.Key.To), len(e.Fragments), mean)
+			id(e.Key.From), id(e.Key.To), log.Len(), mean)
 	}
 	b.WriteString("}\n")
 	return b.String()

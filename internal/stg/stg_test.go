@@ -22,10 +22,10 @@ func TestAddRouting(t *testing.T) {
 	if g.NumEdges() != 1 || g.NumVertices() != 1 || g.NumFragments() != 2 {
 		t.Fatalf("routing: %s", g)
 	}
-	if e := g.Edge(trace.EdgeKey{From: 1, To: 2}); e == nil || len(e.Fragments) != 1 {
+	if e := g.Edge(trace.EdgeKey{From: 1, To: 2}); e == nil || e.Log().Len() != 1 {
 		t.Fatal("comp fragment not on edge")
 	}
-	if v := g.Vertex(2); v == nil || len(v.Fragments) != 1 || v.Kind != trace.Comm {
+	if v := g.Vertex(2); v == nil || v.Log().Len() != 1 || v.Kind != trace.Comm {
 		t.Fatal("comm fragment not on vertex")
 	}
 }
@@ -42,25 +42,41 @@ func TestSuccessors(t *testing.T) {
 }
 
 func TestDeterministicIteration(t *testing.T) {
-	build := func() *Graph {
+	// The element lists are kept in key order by insertion, whatever
+	// order the elements first appear in.
+	build := func(stride uint64) *Graph {
 		g := New()
-		for i := uint64(0); i < 50; i++ {
-			g.Add(fragComp(0, i, i+1, 0, 1))
+		for j := uint64(0); j < 50; j++ {
+			i := j * stride % 50
+			g.Add(fragComp(0, i%7, i, 0, 1))
 			g.Add(fragComm(0, i, 0, 1))
 		}
 		return g
 	}
-	a, b := build(), build()
+	a, b := build(1), build(37)
 	ae, be := a.Edges(), b.Edges()
+	if len(ae) != 50 || len(be) != 50 {
+		t.Fatalf("%d and %d edges", len(ae), len(be))
+	}
 	for i := range ae {
 		if ae[i].Key != be[i].Key {
 			t.Fatal("edge iteration order not deterministic")
 		}
+		if i > 0 && (ae[i-1].Key.From > ae[i].Key.From ||
+			(ae[i-1].Key.From == ae[i].Key.From && ae[i-1].Key.To >= ae[i].Key.To)) {
+			t.Fatalf("edges not in key order at %d", i)
+		}
 	}
 	av, bv := a.Vertices(), b.Vertices()
+	if len(av) != 50 || len(bv) != 50 {
+		t.Fatalf("%d and %d vertices", len(av), len(bv))
+	}
 	for i := range av {
 		if av[i].Key != bv[i].Key {
 			t.Fatal("vertex iteration order not deterministic")
+		}
+		if i > 0 && av[i-1].Key >= av[i].Key {
+			t.Fatalf("vertices not in key order at %d", i)
 		}
 	}
 }
@@ -143,40 +159,54 @@ func TestPutMatchesAdd(t *testing.T) {
 	for _, f := range vfrags {
 		added.Add(f)
 	}
-	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, frags)
-	put.PutVertex(9, trace.Comm, vfrags)
+	key := trace.EdgeKey{From: 1, To: 2}
+	put.AliasEdge(key, trace.LogOf(frags))
+	put.AliasVertex(9, trace.Comm, trace.LogOf(vfrags))
 	if put.NumFragments() != added.NumFragments() {
 		t.Fatalf("frag count %d, want %d", put.NumFragments(), added.NumFragments())
 	}
-	ea, ep := added.Edge(trace.EdgeKey{From: 1, To: 2}), put.Edge(trace.EdgeKey{From: 1, To: 2})
-	if ep.Gen.Count != ea.Gen.Count || ep.MinStart != ea.MinStart || ep.MaxEnd != ea.MaxEnd {
+	ea, ep := added.Edge(key), put.Edge(key)
+	if ep.Gen != ea.Gen || ep.MinStart != ea.MinStart || ep.MaxEnd != ea.MaxEnd {
 		t.Fatalf("edge meta: put %+v, add %+v", ep, ea)
 	}
 	va, vp := added.Vertex(9), put.Vertex(9)
-	if vp.Gen.Count != va.Gen.Count || vp.MinStart != va.MinStart || vp.MaxEnd != va.MaxEnd || vp.Kind != va.Kind {
+	if vp.Gen != va.Gen || vp.MinStart != va.MinStart || vp.MaxEnd != va.MaxEnd || vp.Kind != va.Kind {
 		t.Fatalf("vertex meta: put %+v, add %+v", vp, va)
 	}
-	// Replacing with a grown slice adjusts the count and bounds. The
-	// copy shares no backing with the edge's slice, so the watermark
-	// must take an epoch bump (this is NOT a verified append).
-	grown := make([]trace.Fragment, 0, 8)
-	grown = append(grown, frags...)
-	grown = append(grown, fragComp(2, 1, 2, 500, 10))
-	epoch0 := put.Edge(trace.EdgeKey{From: 1, To: 2}).Gen.Epoch
-	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, grown)
+	// Pointing the edge at a grown copy — another log, whatever its
+	// contents — adjusts the count and bounds and must take an epoch
+	// bump (this is NOT a verified append).
+	grown := trace.NewLog(nil)
+	grown.AppendFrom(trace.LogOf(frags), 0)
+	extra := fragComp(2, 1, 2, 500, 10)
+	grown.Append(&extra)
+	epoch0 := put.Edge(key).Gen.Epoch
+	put.AliasEdge(key, grown.View())
 	if put.NumFragments() != 4 {
 		t.Fatalf("frag count after regrow: %d", put.NumFragments())
 	}
-	if ep := put.Edge(trace.EdgeKey{From: 1, To: 2}); ep.MaxEnd != 510 || ep.Gen.Count != 3 || ep.Gen.Epoch != epoch0+1 {
+	if ep := put.Edge(key); ep.MaxEnd != 510 || ep.Gen.Count != 3 || ep.Gen.Epoch != epoch0+1 {
 		t.Fatalf("edge meta after regrow: %+v", ep)
 	}
-	// An append that extends the same backing array keeps the epoch:
-	// the old fragments are a pointer-verified prefix of the new slice
-	// (grown has spare capacity above, so no reallocation happens).
-	extended := append(grown, fragComp(3, 1, 2, 600, 10))
-	put.PutEdge(trace.EdgeKey{From: 1, To: 2}, extended)
-	if ep2 := put.Edge(trace.EdgeKey{From: 1, To: 2}); ep2.Gen.Epoch != epoch0+1 || ep2.Gen.Count != 4 {
+	// A later view of the same log keeps the epoch: the rows the edge
+	// held are a prefix of it by construction.
+	extra = fragComp(3, 1, 2, 600, 10)
+	grown.Append(&extra)
+	put.AliasEdge(key, grown.View())
+	if ep2 := put.Edge(key); ep2.Gen.Epoch != epoch0+1 || ep2.Gen.Count != 4 || ep2.MaxEnd != 610 {
 		t.Fatalf("edge gen after in-place extension: %+v", ep2.Gen)
+	}
+	if put.NumFragments() != 5 {
+		t.Fatalf("frag count after extension: %d", put.NumFragments())
+	}
+	// Add on an aliasing element copies the rows into a log of its own
+	// first: the aliased log is untouched, the edge's rows stay a prefix.
+	put.Add(fragComp(4, 1, 2, 700, 10))
+	if ep3 := put.Edge(key); ep3.Gen.Epoch != epoch0+1 || ep3.Gen.Count != 5 || ep3.MaxEnd != 710 || ep3.Log().Len() != 5 {
+		t.Fatalf("edge after add-on-alias: %+v", ep3.Gen)
+	}
+	if grown.Len() != 4 {
+		t.Fatalf("add-on-alias wrote into the aliased log: %d rows", grown.Len())
 	}
 }
 
@@ -191,16 +221,19 @@ func TestGenSince(t *testing.T) {
 		t.Fatalf("gen count %d, want 5", mark.Count)
 	}
 	// Nothing new yet.
-	if delta, ok := e.Since(mark); !ok || len(delta) != 0 {
-		t.Fatalf("since(now): %d frags ok=%v", len(delta), ok)
+	if from, ok := e.Since(mark); !ok || from != e.Log().Len() {
+		t.Fatalf("since(now): from %d ok=%v", from, ok)
 	}
 	for i := 5; i < 8; i++ {
 		g.Add(fragComp(0, 1, 2, int64(i*10), 5))
 	}
 	e = g.Edge(trace.EdgeKey{From: 1, To: 2})
-	delta, ok := e.Since(mark)
-	if !ok || len(delta) != 3 || delta[0].Start != 50 {
-		t.Fatalf("since(mark): %d frags ok=%v", len(delta), ok)
+	from, ok := e.Since(mark)
+	if !ok || e.Log().Len()-from != 3 {
+		t.Fatalf("since(mark): from %d of %d ok=%v", from, e.Log().Len(), ok)
+	}
+	if _, start, _ := e.Log().Span(from); start != 50 {
+		t.Fatalf("since(mark): first new fragment starts at %d", start)
 	}
 	// A watermark from another epoch is unanswerable.
 	if _, ok := e.Since(Gen{Epoch: mark.Epoch + 1, Count: 1}); ok {
@@ -254,23 +287,32 @@ func TestMergeNames(t *testing.T) {
 	}
 }
 
+// extend grows a view-owned log the way the collector's merged view
+// does — AppendFrom the new rows, re-alias — and returns the element.
+func extendEdge(g *Graph, log *trace.Log, key trace.EdgeKey, newFrags []trace.Fragment) *Edge {
+	log.AppendFrom(trace.LogOf(newFrags), 0)
+	g.AliasEdge(key, log.View())
+	return g.Edge(key)
+}
+
 func TestExtendPreservesEpoch(t *testing.T) {
 	g := New()
+	key := trace.EdgeKey{From: 1, To: 2}
+	log := trace.NewLog(nil)
 	// Extend on a missing element behaves like a run of Adds.
-	g.ExtendEdge(trace.EdgeKey{From: 1, To: 2}, []trace.Fragment{
+	e := extendEdge(g, log, key, []trace.Fragment{
 		fragComp(0, 1, 2, 0, 10), fragComp(1, 1, 2, 5, 10),
 	})
-	e := g.Edge(trace.EdgeKey{From: 1, To: 2})
 	if e == nil || e.Gen != (Gen{Epoch: 0, Count: 2}) {
 		t.Fatalf("extend-create gen: %+v", e)
 	}
 	if e.MinStart != 0 || e.MaxEnd != 15 {
 		t.Fatalf("extend-create bounds: [%d,%d)", e.MinStart, e.MaxEnd)
 	}
-	// Repeated extends keep the epoch no matter how often the backing
-	// array reallocates, and bounds/counts track every append.
+	// Repeated extends keep the epoch however far the log grows, and
+	// bounds/counts track every append.
 	for i := 0; i < 100; i++ {
-		g.ExtendEdge(e.Key, []trace.Fragment{fragComp(0, 1, 2, int64(20+i*10), 10)})
+		extendEdge(g, log, key, []trace.Fragment{fragComp(0, 1, 2, int64(20+i*10), 10)})
 	}
 	if e.Gen != (Gen{Epoch: 0, Count: 102}) {
 		t.Fatalf("extend gen after growth: %+v", e.Gen)
@@ -282,13 +324,17 @@ func TestExtendPreservesEpoch(t *testing.T) {
 		t.Fatalf("fragment accounting: %d", g.NumFragments())
 	}
 	// Empty extends are no-ops (no watermark movement).
-	g.ExtendEdge(e.Key, nil)
-	if e.Gen.Count != 102 {
+	extendEdge(g, log, key, nil)
+	if e.Gen != (Gen{Epoch: 0, Count: 102}) {
 		t.Fatal("empty extend moved the watermark")
 	}
 
-	g.ExtendVertex(7, trace.Comm, []trace.Fragment{fragComm(0, 7, 0, 5)})
-	g.ExtendVertex(7, trace.Comm, []trace.Fragment{fragComm(1, 7, 10, 5)})
+	vlog := trace.NewLog(nil)
+	for _, f := range []trace.Fragment{fragComm(0, 7, 0, 5), fragComm(1, 7, 10, 5)} {
+		f := f
+		vlog.Append(&f)
+		g.AliasVertex(7, trace.Comm, vlog.View())
+	}
 	v := g.Vertex(7)
 	if v == nil || v.Gen != (Gen{Epoch: 0, Count: 2}) || v.Kind != trace.Comm {
 		t.Fatalf("vertex extend: %+v", v)
@@ -299,8 +345,9 @@ func TestExtendPreservesEpoch(t *testing.T) {
 }
 
 func TestExtendMatchesAdd(t *testing.T) {
-	// A graph grown by ExtendEdge batches must be indistinguishable —
-	// gen, bounds, fragments — from one grown by per-fragment Add.
+	// A graph whose edge aliases a log grown by AppendFrom batches must
+	// be indistinguishable — gen, bounds, fragments — from one grown by
+	// per-fragment Add.
 	a, b := New(), New()
 	batch := []trace.Fragment{
 		fragComp(0, 1, 2, 0, 10), fragComp(1, 1, 2, 3, 4), fragComp(0, 1, 2, 20, 1),
@@ -308,40 +355,69 @@ func TestExtendMatchesAdd(t *testing.T) {
 	for _, f := range batch {
 		a.Add(f)
 	}
-	b.ExtendEdge(trace.EdgeKey{From: 1, To: 2}, batch)
-	ae, be := a.Edge(trace.EdgeKey{From: 1, To: 2}), b.Edge(trace.EdgeKey{From: 1, To: 2})
-	if ae.Gen != be.Gen || ae.MinStart != be.MinStart || ae.MaxEnd != be.MaxEnd || len(ae.Fragments) != len(be.Fragments) {
+	key := trace.EdgeKey{From: 1, To: 2}
+	be := extendEdge(b, trace.NewLog(nil), key, batch)
+	ae := a.Edge(key)
+	if ae.Gen != be.Gen || ae.MinStart != be.MinStart || ae.MaxEnd != be.MaxEnd || ae.Log().Len() != be.Log().Len() {
 		t.Fatalf("extend != add: %+v vs %+v", ae, be)
+	}
+	af, bf := ae.Log().Slice(), be.Log().Slice()
+	for i := range batch {
+		if af[i] != batch[i] || bf[i] != batch[i] {
+			t.Fatalf("row %d: add %+v, extend %+v, want %+v", i, af[i], bf[i], batch[i])
+		}
 	}
 }
 
+// TestPutLogKeepsEpochAcrossRealloc: an element aliasing a growing log
+// keeps its epoch across any number of chunk boundaries — there is no
+// reallocation left to defeat the proof — and bounds and counts follow
+// every step. Only pointing it at an earlier state of the log (a
+// shrink) rebases.
 func TestPutLogKeepsEpochAcrossRealloc(t *testing.T) {
 	g := New()
-	log := []trace.Fragment{fragComp(0, 1, 2, 0, 10)}
-	g.PutEdgeLog(trace.EdgeKey{From: 1, To: 2}, log)
-	e := g.Edge(trace.EdgeKey{From: 1, To: 2})
+	key := trace.EdgeKey{From: 1, To: 2}
+	log := trace.NewLog(nil)
+	first := fragComp(0, 1, 2, 0, 10)
+	log.Append(&first)
+	early := log.View()
+	g.AliasEdge(key, early)
+	e := g.Edge(key)
 	epoch := e.Gen.Epoch
-	// A grown copy with a DIFFERENT backing array: PutEdge would rebase
-	// (pointer proof fails), PutEdgeLog trusts the caller's assertion.
-	grown := make([]trace.Fragment, 0, 8)
-	grown = append(grown, log...)
-	grown = append(grown, fragComp(0, 1, 2, 10, 10))
-	g.PutEdgeLog(e.Key, grown)
-	if e.Gen != (Gen{Epoch: epoch, Count: 2}) {
-		t.Fatalf("put-log rebased on realloc: %+v", e.Gen)
+	n := 1
+	for _, step := range []int{1, trace.LogChunkRows - 3, 2, trace.LogChunkRows, 2*trace.LogChunkRows + 7} {
+		for i := 0; i < step; i++ {
+			f := fragComp(n%5, 1, 2, int64(n*10), 10)
+			log.Append(&f)
+			n++
+		}
+		g.AliasEdge(key, log.View())
+		if e.Gen != (Gen{Epoch: epoch, Count: uint64(n)}) {
+			t.Fatalf("alias rebased after %d rows: %+v", n, e.Gen)
+		}
+		if e.MinStart != 0 || e.MaxEnd != int64(n*10) || g.NumFragments() != n {
+			t.Fatalf("after %d rows: bounds [%d,%d), %d fragments", n, e.MinStart, e.MaxEnd, g.NumFragments())
+		}
+	}
+	if n <= 4*trace.LogChunkRows {
+		t.Fatalf("only %d rows: the log must cross several chunk boundaries", n)
 	}
 	// A shrink is not an append-only advance: defensive rebase.
-	g.PutEdgeLog(e.Key, grown[:1:1])
-	if e.Gen.Epoch == epoch {
-		t.Fatal("put-log kept the epoch across a shrink")
+	g.AliasEdge(key, early)
+	if e.Gen.Epoch == epoch || e.Gen.Count != 1 || e.MaxEnd != 10 || g.NumFragments() != 1 {
+		t.Fatalf("alias kept the epoch across a shrink: %+v [%d,%d)", e.Gen, e.MinStart, e.MaxEnd)
 	}
 
-	g.PutVertexLog(9, trace.IO, []trace.Fragment{{Rank: 0, Kind: trace.IO, State: 9, Start: 0, Elapsed: 5}})
+	vlog := trace.NewLog(nil)
+	io := trace.Fragment{Rank: 0, Kind: trace.IO, State: 9, Start: 0, Elapsed: 5}
+	vlog.Append(&io)
+	g.AliasVertex(9, trace.IO, vlog.View())
 	v := g.Vertex(9)
 	vepoch := v.Gen.Epoch
-	regrown := []trace.Fragment{v.Fragments[0], {Rank: 1, Kind: trace.IO, State: 9, Start: 5, Elapsed: 5}}
-	g.PutVertexLog(9, trace.IO, regrown)
+	io = trace.Fragment{Rank: 1, Kind: trace.IO, State: 9, Start: 5, Elapsed: 5}
+	vlog.Append(&io)
+	g.AliasVertex(9, trace.IO, vlog.View())
 	if v.Gen != (Gen{Epoch: vepoch, Count: 2}) {
-		t.Fatalf("vertex put-log rebased: %+v", v.Gen)
+		t.Fatalf("vertex alias rebased: %+v", v.Gen)
 	}
 }

@@ -84,12 +84,11 @@ var EntryState = State{Key: 0, Name: "<entry>"}
 // OpSym is an interned operation name ("Send", "Allreduce", "read",
 // ...). Operations come from a tiny fixed vocabulary but ride along on
 // every fragment, so storing the string itself would make Fragment a
-// pointer-carrying type — and fragment logs are the dominant resident
-// arrays of a long run. Keeping Fragment pointer-free means the garbage
-// collector never scans (and slice growth never pre-zeroes) the
-// million-fragment logs: on a busy collector that is the difference
-// between O(batch) and O(resident) background cost per tick. The zero
-// OpSym is the empty name.
+// pointer-carrying type. Keeping Fragment pointer-free means a symbol
+// is one word of a fragment log's lane (see Log) — constant per STG
+// element, so usually not stored per row at all — and the buffers that
+// do hold whole fragments (wire decode, intake staging) are never
+// scanned by the garbage collector. The zero OpSym is the empty name.
 type OpSym uint32
 
 // opInterner is the process-wide Op vocabulary. Reads vastly outnumber

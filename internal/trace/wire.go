@@ -87,16 +87,21 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // counterLanes flattens a CountersView into uint64 lanes in field order
 // (SuspensionNS is reinterpreted; wrapping deltas preserve it exactly).
-func counterLanes(c *CountersView) [numCounterLanes]uint64 {
-	return [numCounterLanes]uint64{
-		c.TotIns, c.Cycles,
-		c.SlotsFrontend, c.SlotsBadSpec, c.SlotsRetiring, c.SlotsBackend,
-		c.SlotsCore, c.SlotsMemory,
-		c.SlotsL1, c.SlotsL2, c.SlotsL3, c.SlotsDRAM,
-		uint64(c.SuspensionNS),
-		c.SoftPF, c.HardPF, c.VolCS, c.InvolCS, c.Signals,
-		c.LoadStores, c.CacheMisses, c.L2MissStall,
-	}
+func counterLanes(c *CountersView) (l [numCounterLanes]uint64) {
+	counterLanesInto(&l, c)
+	return l
+}
+
+// counterLanesInto is counterLanes written in place (the fragment log
+// flattens a row per append and cannot afford the array copy).
+func counterLanesInto(l *[numCounterLanes]uint64, c *CountersView) {
+	l[0], l[1] = c.TotIns, c.Cycles
+	l[2], l[3], l[4], l[5] = c.SlotsFrontend, c.SlotsBadSpec, c.SlotsRetiring, c.SlotsBackend
+	l[6], l[7] = c.SlotsCore, c.SlotsMemory
+	l[8], l[9], l[10], l[11] = c.SlotsL1, c.SlotsL2, c.SlotsL3, c.SlotsDRAM
+	l[12] = uint64(c.SuspensionNS)
+	l[13], l[14], l[15], l[16], l[17] = c.SoftPF, c.HardPF, c.VolCS, c.InvolCS, c.Signals
+	l[18], l[19], l[20] = c.LoadStores, c.CacheMisses, c.L2MissStall
 }
 
 // setCounterLanes is the inverse of counterLanes.

@@ -84,8 +84,9 @@ func Analyze(g *stg.Graph, ranks int, cap Capability, opt detect.Options) *Resul
 	var usableTime, totalTime int64
 	groups := make(map[groupKey][]*trace.Fragment)
 	for _, e := range g.Edges() {
-		for i := range e.Fragments {
-			f := &e.Fragments[i]
+		frags := e.Log().Slice()
+		for i := range frags {
+			f := &frags[i]
 			totalTime += f.Elapsed
 			if !f.Static {
 				continue
@@ -122,8 +123,10 @@ func Analyze(g *stg.Graph, ranks int, cap Capability, opt detect.Options) *Resul
 	// vSensor v2 tracks communication too but we compare computation
 	// coverage as Table 1 does: total time includes everything.
 	for _, v := range g.Vertices() {
-		for i := range v.Fragments {
-			totalTime += v.Fragments[i].Elapsed
+		log := v.Log()
+		for i := 0; i < log.Len(); i++ {
+			_, _, elapsed := log.Span(i)
+			totalTime += elapsed
 		}
 	}
 	if totalTime > 0 {

@@ -8,15 +8,22 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# Source guard: the reflection-swapper sorts stay out of the tick's hot
-# packages (typed slices.Sort*/merges only).
-if grep -nE 'sort\.(Slice|SliceStable|Sort|Stable)\(' $(ls internal/detect/*.go internal/cluster/*.go | grep -v _test.go); then
-	echo "sort.Slice/SliceStable/Sort in internal/detect or internal/cluster"; exit 1
+# Source guards: the reflection-swapper sorts stay out of the tick's hot
+# packages and out of what runs under a server's lock (typed
+# slices.Sort*/merges only), and the row log stays gone — an STG
+# element's fragments live in a columnar trace.Log, never in a
+# []trace.Fragment field that append re-copies.
+if grep -nE 'sort\.(Slice|SliceStable|Sort|Stable)\(' $(ls internal/detect/*.go internal/cluster/*.go internal/stg/*.go internal/collector/*.go | grep -v _test.go); then
+	echo "sort.Slice/SliceStable/Sort in internal/detect, cluster, stg or collector"; exit 1
+fi
+if grep -nE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+\[\]trace\.Fragment([[:space:]]|$)|growFrags' $(ls internal/stg/*.go | grep -v _test.go); then
+	echo "[]trace.Fragment field or growFrags in internal/stg"; exit 1
 fi
 go test ./...
 go test -race ./internal/mpi ./internal/collector ./internal/core \
 	./internal/interpose ./internal/detect ./internal/cluster \
-	./internal/obs ./internal/faults ./internal/wal
+	./internal/obs ./internal/faults ./internal/wal \
+	./internal/trace ./internal/stg
 
 # Chaos stage: the fault-tolerance soaks must hold the exact
 # loss-accounting invariant (consumed == delivered + sequence gaps)
@@ -46,6 +53,10 @@ go test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
 # ... and the one merge every ordered sample stream is built by: any
 # partition of any sample multiset into runs must merge to its sort.
 go test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
+# ... and the structure every resident fragment lives in: any script of
+# appends, cross-log copies, held views and reads must agree with a
+# plain []Fragment, row for row.
+go test -run xxx -fuzz 'FuzzLogRoundTrip' -fuzztime 3s ./internal/trace
 # Bench smoke: one iteration each, correctness plus the recorded scale
 # bounds. Every MonitorTick bench (and the sharded tier) runs 3x with
 # in-bench settle ticks, and benchjson -min keeps each benchmark's
@@ -58,9 +69,11 @@ go test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
 # untraced path), the PR 10 multi-D bound (the incremental plane's
 # comm/IO-heavy tick at ≤0.35x of the batch fallback), and the PR 14
 # sort-free bound (the comp-steady-shaped tick at ≤0.08x of the batch
-# plane; measured 0.05x). Raw output and the parsed BENCH.json are kept
-# for the CI artifact upload.
-go test -run xxx -bench 'BenchmarkPoolIngest$|BenchmarkWindowResults' \
+# plane; measured 0.05x). BenchmarkLogAppend (ns/frag and B/frag per
+# end-to-end population) and BenchmarkPoolIngest's resident_B_per_frag
+# record what the columnar fragment log costs. Raw output and the parsed
+# BENCH.json are kept for the CI artifact upload.
+go test -run xxx -bench 'BenchmarkPoolIngest$|BenchmarkWindowResults|BenchmarkLogAppend' \
 	-benchtime 1x -benchmem . | tee bench-smoke.out
 go test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale' \
 	-benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
@@ -108,12 +121,16 @@ for name in vapro_uptime_seconds vapro_intake_staged vapro_intake_batches_total 
 	vapro_detect_region_cells_carried_total \
 	vapro_detect_region_cells_regrown_total \
 	vapro_view_cursor_advances_total vapro_view_epoch_rebases_total \
-	vapro_ols_rank1_updates_total vapro_ols_refactors_total; do
+	vapro_ols_rank1_updates_total vapro_ols_refactors_total \
+	vapro_stg_log_bytes vapro_stg_log_chunks vapro_stg_log_lanes_live; do
 	grep -q "$name" /tmp/vapro-metrics.out || {
 		echo "metrics endpoint missing $name"; exit 1; }
 done
-# The rendered panel must come up on the same endpoint.
-/tmp/vapro-check status -addr "$METRICS_ADDR" | grep -q 'vapro collector'
+# The rendered panel must come up on the same endpoint, with the
+# resident-memory row.
+/tmp/vapro-check status -addr "$METRICS_ADDR" >/tmp/vapro-status.out
+grep -q 'vapro collector' /tmp/vapro-status.out
+grep -q '^resident  fragments' /tmp/vapro-status.out
 kill $SERVE_PID
 trap - EXIT
 
@@ -139,12 +156,15 @@ for name in vapro_shards vapro_shard_strips_merged_total \
 	vapro_shard_regions_stitched_total vapro_shardmap_rebalances_total \
 	vapro_shard_redirects_total vapro_shard_misroutes_total \
 	vapro_shard0_resident_ranks vapro_shard1_resident_ranks \
-	vapro_shard0_seq_gaps vapro_shard1_intake_staged; do
+	vapro_shard0_seq_gaps vapro_shard1_intake_staged \
+	vapro_stg_log_bytes vapro_shard0_stg_log_bytes \
+	vapro_shard1_intake_fragments; do
 	grep -q "$name" /tmp/vapro-shard-metrics.out || {
 		echo "sharded metrics endpoint missing $name"; exit 1; }
 done
-# The panel grows the shard rows on a sharded endpoint.
-/tmp/vapro-check status -addr "$SHARD_METRICS_ADDR" | grep -q 'shard 1: resident'
+# The panel grows the shard rows on a sharded endpoint, each with its
+# share of the resident log.
+/tmp/vapro-check status -addr "$SHARD_METRICS_ADDR" | grep -q 'shard 1: resident.*B/fragment'
 kill $SHARD_PID
 trap - EXIT
 
