@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet sortguard logguard race chaos fuzz cover bench bench-smoke bench-e2e experiments full clean
+.PHONY: all build check test vet sortguard logguard hatchguard race chaos fuzz cover bench bench-smoke bench-e2e experiments full clean
 
 all: build vet test
 
@@ -11,7 +11,7 @@ all: build vet test
 # (catches crashes and gross regressions without benchmarking for real),
 # and one workload of the loopback end-to-end harness as a correctness
 # gate.
-check: build vet sortguard logguard test race chaos bench-smoke bench-e2e
+check: build vet sortguard logguard hatchguard test race chaos bench-smoke bench-e2e
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ logguard:
 	@! grep -nE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+\[\]trace\.Fragment([[:space:]]|$$)|growFrags' $$(ls internal/stg/*.go | grep -v _test.go) \
 		|| { echo "[]trace.Fragment field or growFrags in internal/stg"; exit 1; }
 
+# No escape hatch comes back unnoticed: outside bench/ and tests, the
+# only option fields named Disable* or MaxDirtyRatio are the ones a
+# later deletion PR owns. The list can only shrink.
+hatchguard:
+	@! grep -nE '^[[:space:]]+(Disable[A-Z][A-Za-z0-9_]*|MaxDirtyRatio)[[:space:]]+[A-Za-z*\[]' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*') \
+		| grep -vE '^\./internal/(detect/[^/]*:[0-9]+:[[:space:]]+DisableIncremental|collector/[^/]*:[0-9]+:[[:space:]]+(DisableDeltaView|DisableStreamingOLS)|cluster/[^/]*:[0-9]+:[[:space:]]+MaxDirtyRatio)[[:space:]]' \
+		|| { echo "a Disable*/MaxDirtyRatio option field outside the hatchguard allow-list"; exit 1; }
+
 test:
 	$(GO) test ./...
 
@@ -48,13 +56,17 @@ chaos:
 
 # A few seconds of coverage-guided fuzzing per hostile-bytes surface
 # (wire decoders, WAL recovery) and per model-checked structure (the
-# run merge, the columnar fragment log), on top of the committed corpora.
+# run merge, the warm analyzer against its cold oracle, the columnar
+# fragment log), on top of the committed corpora. The analyzer target's
+# inputs are kilobyte scripts: the engine's default minute of minimizing
+# each new one would leave a 3 s run a few hundred executions.
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatchMeta' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeHello' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRecord' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
+	$(GO) test -run xxx -fuzz 'FuzzAnalyzerEquivalence' -fuzztime 3s -fuzzminimizetime 200x ./internal/detect
 	$(GO) test -run xxx -fuzz 'FuzzLogRoundTrip' -fuzztime 3s ./internal/trace
 
 cover:
@@ -72,8 +84,9 @@ bench:
 # flat-tick ratio (1M vs 100k resident), the PR 7 per-shard ratio
 # (2048 ranks × 8 shards vs 256 ranks × 1), the PR 8 trace-overhead
 # bound (traced dispatch within 1.05x of the untraced sharded tick),
-# the PR 10 multi-D bound (incremental comm/IO-heavy tick ≤0.35x of the
-# batch fallback), and the PR 14 sort-free bound (comp-steady-shaped
+# the comm/IO bounds (the incremental comm/IO-heavy tick ≤0.05x of the
+# batch oracle, measured 0.013–0.018x, and flat in the resident population:
+# 1M within 1.5x of 100k), and the PR 14 sort-free bound (comp-steady-shaped
 # tick ≤0.08x of the batch plane; measured 0.05x). BenchmarkLogAppend
 # (ns/frag, B/frag per population) and BenchmarkPoolIngest's
 # resident_B_per_frag record the fragment log's cost beside them.
@@ -85,7 +98,8 @@ bench-smoke:
 		-assert 'MonitorTickScale/servers=4/resident=1000k<=1.5*MonitorTickScale/servers=4/resident=100k' \
 		-assert 'ShardedTickScale/shards=8/ranks=2048<=1.5*ShardedTickScale/shards=1/ranks=256@ns_per_shard_tick' \
 		-assert 'ShardedTickScaleTraced/shards=8/ranks=2048<=1.05*ShardedTickScale/shards=8/ranks=2048@ns_per_shard_tick' \
-		-assert 'MonitorTickMultiD/plane=inc<=0.35*MonitorTickMultiD/plane=batch' \
+		-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=1.5*MonitorTickMultiD/plane=inc/resident=100k' \
+		-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 		-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
 		< bench-smoke.out
 

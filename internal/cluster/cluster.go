@@ -224,8 +224,11 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		res.Assign[i] = -1
 	}
 	if n == 0 {
+		// An empty element captures the 1-D state (a comm/IO suffix
+		// kills it on sight). Under UseExtraMetrics no element is 1-D:
+		// capture nothing, and the first growth clusters from scratch.
 		var st *incState
-		if capture {
+		if capture && !opt.UseExtraMetrics {
 			st = &incState{runStart: []int32{0}}
 		}
 		return res, st

@@ -210,6 +210,28 @@ func TestCacheStaleGenerationRejected(t *testing.T) {
 	}
 }
 
+// TestCacheEmptyElementExtraMetrics: an element first seen empty must
+// not advance on the 1-D path when UseExtraMetrics makes its
+// computation vectors 2-D (found by detect's FuzzAnalyzerEquivalence:
+// two fragments 5 % apart in TOT_INS but farther in the plane shared a
+// cluster).
+func TestCacheEmptyElementExtraMetrics(t *testing.T) {
+	c := cluster.NewCache()
+	opt := cluster.DefaultOptions()
+	opt.UseExtraMetrics = true
+	frags := []trace.Fragment{cacheFrag(105_000), cacheFrag(100_000)}
+	for i := range frags {
+		frags[i].Counters.LoadStores = frags[i].Counters.TotIns / 3
+	}
+	key := cluster.EdgeKey(trace.EdgeKey{From: 1, To: 2})
+	for n := 0; n <= len(frags); n++ {
+		got, _ := c.RunInc(key, gen(n), trace.LogOf(frags[:n]), opt)
+		if want := cluster.Run(trace.LogOf(frags[:n]), opt); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d fragments: incremental %+v, batch %+v", n, got, want)
+		}
+	}
+}
+
 // TestCacheDirtyRatioFallback drives a worst-case append with a tiny
 // MaxDirtyRatio: norms form a geometric chain of 2-element clusters
 // (ratio 1.04: each value is within 5% of its neighbor, pairs are not),

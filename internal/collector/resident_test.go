@@ -55,8 +55,7 @@ func benchFragment(rng *rand.Rand, commIO bool, rank int, clock int64) trace.Fra
 // windows closing as they go — the live heap the server keeps per
 // fragment stays inside a fixed number of bytes. The columnar log is
 // ≈ 30 B of it; the rest is the analysis planes' per-fragment state
-// (span index + store, or the flat multi-D samples; cluster order and
-// norms). TestMonitorSingleResidentCopy is the relative bound beside it.
+// (span index + store; cluster order, norms and the multi-D vectors). TestMonitorSingleResidentCopy is the relative bound beside it.
 func TestResidentBytesPerFragmentBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 2 × 213 k fragments")
@@ -68,7 +67,7 @@ func TestResidentBytesPerFragmentBudget(t *testing.T) {
 		budget float64
 	}{
 		{"computation", false, 220},
-		{"commio", true, 320},
+		{"commio", true, 160},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			copt := DefaultOptions()

@@ -46,23 +46,12 @@ type Options struct {
 	// lost must not be read as fast or slow there, and stale cells never
 	// seed or join variance regions.
 	Outages []Outage
-	// DisableIncremental forces the batch analysis path: every element
-	// generation change re-clusters and re-normalizes from scratch.
-	// Results are bit-identical either way; this exists to benchmark
-	// the incremental plane against its baseline and as an escape
-	// hatch. It is the master switch — it also disables the sample
-	// store and incremental region growing below.
+	// DisableIncremental selects the batch oracle (oracle.go): every
+	// element generation change re-clusters and re-normalizes from
+	// scratch, every stream is comparison-sorted and regions are grown
+	// from nothing. Results are bit-identical either way; this is what
+	// the incremental plane is tested and benchmarked against.
 	DisableIncremental bool
-	// DisableSampleStore forces the flat prep representation: sample
-	// populations are kept as contiguous per-class arrays rebuilt (or
-	// merge-patched) per advance instead of being derived from the
-	// per-fragment store. Results are bit-identical either way.
-	DisableSampleStore bool
-	// DisableIncrementalRegions forces region growing to run from
-	// scratch every window instead of carrying unchanged regions over
-	// from the previous window's overlap. Results are bit-identical
-	// either way.
-	DisableIncrementalRegions bool
 }
 
 // Outage is one rank's data-loss interval in virtual time: batches
@@ -172,22 +161,6 @@ func sampleLess(a, b *Sample) bool {
 		return ra.Vertex < rb.Vertex
 	}
 	return a.FragIndex < b.FragIndex
-}
-
-// sortSamples orders one class's samples under sampleLess by a
-// comparison sort — the batch oracle's way, independent of the run
-// merge it pins.
-func sortSamples(samples []Sample) { slices.SortFunc(samples, compareSamples) }
-
-// compareSamples is sampleLess as a three-way comparison.
-func compareSamples(a, b Sample) int {
-	if sampleLess(&a, &b) {
-		return -1
-	}
-	if sampleLess(&b, &a) {
-		return 1
-	}
-	return 0
 }
 
 // HeatMap is a rank × window grid of weighted-average normalized

@@ -47,8 +47,8 @@ func equalHeatMaps(a, b *HeatMap) bool {
 }
 
 // TestAnalyzerIncrementalEquivalenceFuzz pins the whole incremental
-// analysis plane — delta clustering plus the monotone normalization and
-// span-index advances in prep_inc.go — against the batch path at the
+// analysis plane — delta clustering plus the sample store's in-place
+// advance (store.go) — against the batch path at the
 // analyzer level: a persistent Analyzer re-run after every appended
 // burst must return results bit-identical (reflect.DeepEqual, floats
 // included) to a cold Analyzer forced onto the batch path over the same
@@ -356,3 +356,105 @@ func TestMonitorIncrementalIdentity(t *testing.T) {
 // collector's Monitor has its own richer Event type; this test stays
 // inside the detect package to keep the dependency direction clean).
 type Event struct{ Regions []Region }
+
+// FuzzAnalyzerEquivalence is the native form of the equivalence fuzzes
+// above: the input bytes script the bursts, so the engine steers which
+// element a fragment lands on, its kind, its workload class and when a
+// window closes. data[0] picks options (bit 0 UseExtraMetrics, bit 1
+// MinFragments=2; the pass runs sequentially, so coverage is a function
+// of the input and the engine's minimizer converges); every following
+// six bytes are one fragment —
+//
+//	kind     %5: Comp, Comm, IO, Sync, Probe
+//	element  %6: three edges, three vertices, whatever the kind (each is
+//	             a log of the harness's own, aliased in, so any element
+//	             can be single-class, mixed, turn mixed, or stay empty)
+//	rank     %4
+//	workload     TotIns / argument class (low bits a band inside it)
+//	elapsed      ×10 µs; the top bit first jumps the rank's clock 5 ms
+//	window       0: the burst goes on; 255: analyse the whole run;
+//	             else analyse [lo nibble × 2 ms, + (hi nibble+1) × 4 ms)
+//
+// — and after every analysed burst (the first 24 of a script, and its
+// end: a cold oracle per fragment would make long scripts quadratic)
+// one warm analyzer must agree bit for bit with a cold
+// DisableIncremental oracle. The seed corpus under
+// testdata/fuzz holds the shapes of TestSampleStoreHatchEquivalenceFuzz.
+func FuzzAnalyzerEquivalence(f *testing.F) {
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1+6*512 {
+			return
+		}
+		opt := DefaultOptions()
+		opt.Window = 2 * sim.Millisecond
+		opt.Cluster.UseExtraMetrics = data[0]&1 != 0
+		if data[0]&2 != 0 {
+			opt.Cluster.MinFragments = 2
+		}
+		opt.Parallelism = 1
+		bopt := opt
+		bopt.DisableIncremental = true
+
+		const ranks = 4
+		g := stg.New()
+		var logs [6]*trace.Log
+		for i := range logs {
+			logs[i] = trace.NewLog(nil)
+		}
+		inc := NewAnalyzer()
+		var clock [ranks]int64
+		analyse := func(w byte) {
+			for i, l := range logs {
+				if i < 3 {
+					g.AliasEdge(trace.EdgeKey{From: uint64(i + 1), To: uint64(i + 2)}, l.View())
+				} else {
+					g.AliasVertex(uint64(100+i), trace.Comm, l.View())
+				}
+			}
+			var got, want *Result
+			if w == 255 {
+				got = inc.Run(g, ranks, opt)
+				want = NewAnalyzer().Run(g, ranks, bopt)
+			} else {
+				ws := int64(w&15) * 2_000_000
+				we := ws + int64(w>>4+1)*4_000_000
+				got = inc.RunWindow(g, ranks, opt, ws, we)
+				want = NewAnalyzer().RunWindow(g, ranks, bopt, ws, we)
+			}
+			if !equalResults(got, want) {
+				t.Fatalf("window %d: warm analyzer diverged from the cold oracle", w)
+			}
+		}
+		pending, analysed := false, 0
+		for rec := data[1:]; len(rec) >= 6; rec = rec[6:] {
+			kind := []trace.Kind{trace.Comp, trace.Comm, trace.IO, trace.Sync, trace.Probe}[rec[0]%5]
+			elem, rank, wl := int(rec[1]%6), int(rec[2]%4), uint64(rec[3])
+			if rec[4]&0x80 != 0 {
+				clock[rank] += 5_000_000
+			}
+			fr := trace.Fragment{
+				Rank: rank, Kind: kind, Start: clock[rank], Elapsed: int64(rec[4]&0x7f) * 10_000,
+				From: uint64(elem + 1), State: uint64(elem + 2),
+			}
+			clock[rank] += fr.Elapsed
+			switch kind {
+			case trace.Comp, trace.Probe:
+				fr.Counters.TotIns = (wl&3+1)*100_000 + wl>>2*500
+				fr.Counters.LoadStores = fr.Counters.TotIns / 3
+			case trace.IO:
+				fr.Args = trace.Args{Op: trace.Op("write"), Bytes: 4096 << (wl & 3), FD: 3}
+			default:
+				fr.Args = trace.Args{Op: trace.Op("Allreduce"), Bytes: 1 << (10 + wl&3), Peer: -1}
+			}
+			logs[elem].Append(&fr)
+			if pending = rec[5] == 0 || analysed == 24; !pending {
+				analyse(rec[5])
+				analysed++
+			}
+		}
+		if pending {
+			analyse(255)
+		}
+	})
+}

@@ -9,8 +9,8 @@ type sampleRun interface {
 
 // runMerger is the one k-way merge every ordered sample stream is built
 // by: the analyzer's per-class window stream (runs: each store segment's
-// and each flat index's ascending selection) and the spatial merger's
-// cross-shard stream (runs: the shards' own streams). It holds each
+// ascending selection) and the spatial merger's cross-shard stream
+// (runs: the shards' own streams). It holds each
 // run's head materialized and a binary heap of the heads keyed by
 // Start, so an emitted sample costs one next() and about log2(runs)
 // integer compares; a Start tie is decided by sampleLess on the two
@@ -92,33 +92,20 @@ func (m *runMerger) merge(dst []Sample) []Sample {
 	return dst
 }
 
-// concat appends m.runs to dst one after the other, unmerged, and
-// clears the run list: what the batch oracle sorts.
-func (m *runMerger) concat(dst []Sample) []Sample {
-	var s Sample
-	for _, r := range m.runs {
-		for r.next(&s) {
-			dst = append(dst, s)
-		}
-	}
-	m.reset()
-	return dst
-}
-
 func (m *runMerger) reset() {
 	clear(m.runs) // the runs reference preps and selections; don't pin them
 	m.runs = m.runs[:0]
 }
 
 // elemRun is one run of an element's window selection: the ascending
-// entries sel of one span index. A flat element's index names
-// positions in its materialized samples; a store segment names
-// fragments, whose samples the store-backed prep derives.
+// entries sel of one span index. A store segment names fragments,
+// whose samples the store-backed prep derives; the oracle's flat index
+// names positions in its materialized samples.
 type elemRun struct {
 	ix    *spanIndex
 	sel   []int32
-	flat  []Sample  // flat path
-	store *prepElem // store path
+	store *prepElem // store segment
+	flat  []Sample  // oracle
 }
 
 func (r *elemRun) next(dst *Sample) bool {

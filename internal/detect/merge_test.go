@@ -173,8 +173,8 @@ func splitAndShuffle(rng *rand.Rand, most *int) func([]sampleRun) []sampleRun {
 }
 
 // tieGraph appends one burst of a lockstep-heavy population: several
-// comp edges (store path), an all-comm vertex (flat incremental path)
-// and a mixed-kind vertex (flat rebuild path), with starts drawn from a
+// comp edges, an all-comm vertex and a mixed-kind vertex (three span
+// indexes in one store), with starts drawn from a
 // coarse grid so equal starts across ranks, edges and vertices are the
 // norm.
 func tieGraph(g *stg.Graph, rng *rand.Rand, ranks int, clock []int64) {
@@ -256,9 +256,9 @@ func TestWindowStreamIsMultisetFunction(t *testing.T) {
 
 // TestSteadyTickNeverComparisonSorts: on the incremental plane no
 // sample stream is ever ordered by a comparison sort — not on 1-D
-// computation schedules (store path) and not on comm/IO schedules (flat
-// multi-D path) — while the DisableIncremental oracle sorts every
-// stream it builds.
+// computation schedules and not on comm/IO schedules (multi-D
+// clustering) — while the DisableIncremental oracle sorts every stream
+// it builds.
 func TestSteadyTickNeverComparisonSorts(t *testing.T) {
 	for _, pop := range []string{"comp", "commio"} {
 		for sched := 0; sched < 40; sched++ {

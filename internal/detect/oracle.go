@@ -1,0 +1,169 @@
+package detect
+
+import (
+	"math"
+	"slices"
+
+	"vapro/internal/cluster"
+	"vapro/internal/trace"
+)
+
+// The DisableIncremental oracle: the from-scratch analysis every
+// incremental structure is pinned bit-identical to (the equivalence
+// fuzzes, bench/'s gate, BenchmarkMonitorTick*/plane=batch). Its chain
+// is cache.RunBatch → buildFlat → flatPrep.window → runMerger.concat →
+// sortSamples → batch growRegions: samples materialized per element
+// generation, a window's stream comparison-sorted, regions grown from
+// nothing. It is rebuilt whenever its element moves and never advanced,
+// and it shares no state with the sample store — only the span-index
+// and cluster-state arithmetic both are made of.
+
+// flatPrep is the oracle's body of a prepElem.
+type flatPrep struct {
+	// samples holds the full-population sample lists per class, in
+	// emission order (cluster-major).
+	samples [numClasses][]Sample
+	// sampleIdx slices samples by time window: its entries name
+	// positions in samples, ordered by (start, fragment index).
+	sampleIdx [numClasses]spanIndex
+	// fragIdx indexes every fragment's span per class for the coverage
+	// denominator (elemOut.total sums all fragments, not just cluster
+	// members).
+	fragIdx [numClasses]spanIndex
+}
+
+// buildFlat runs the full-population normalization once (the same walk
+// normalizeElement does with an unbounded window) and indexes the
+// outputs for window slicing.
+func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag int) *flatPrep {
+	p := &flatPrep{fragIdx: classSpans(frags, 0)}
+	var ents [numClasses][]spanEnt
+	for ci := range cl.Clusters {
+		c := &cl.Clusters[ci]
+		if !c.Fixed {
+			continue
+		}
+		st := clustState{best: math.MaxInt64}
+		for _, m := range c.Members {
+			st.observe(frags, m)
+		}
+		if st.best == math.MaxInt64 {
+			continue
+		}
+		for _, m := range c.Members {
+			s := st.sample(frags, m, ref, ci, minFrag)
+			class := ClassOf(frags.Kind(m))
+			ents[class] = append(ents[class], spanEnt{
+				start: s.Start, elapsed: s.Elapsed,
+				pos: int32(len(p.samples[class])), frag: int32(m), covered: s.Covered,
+			})
+			p.samples[class] = append(p.samples[class], s)
+		}
+	}
+	for c := range ents {
+		p.sampleIdx[c] = newSpanIndex(orderSpans(ents[c]), true)
+	}
+	return p
+}
+
+// sample normalizes member m of cluster ci against the cluster's
+// state.
+func (st *clustState) sample(frags trace.LogView, m int, ref ClusterRef, ci, minFrag int) Sample {
+	rank, start, elapsed := frags.Span(m)
+	perf := 1.0
+	if elapsed > 0 {
+		perf = float64(st.best) / float64(elapsed)
+	}
+	ref.Cluster = ci
+	return Sample{
+		Rank:       rank,
+		Start:      start,
+		Elapsed:    elapsed,
+		Perf:       perf,
+		Covered:    st.ranks.count(rank) >= minFrag,
+		ClusterRef: ref,
+		FragIndex:  m,
+	}
+}
+
+// count returns how many members rank has contributed.
+func (t *rankTable) count(rank int) int {
+	if s, ok := t.slot[rank]; ok {
+		return int(t.n[s])
+	}
+	return 0
+}
+
+// window is prepElem.window for the flat body: one run per class.
+func (p *flatPrep) window(start, end int64, out *elemOut) {
+	for c := 0; c < numClasses; c++ {
+		ix := &p.sampleIdx[c]
+		sel, fixed := ix.selectOverlapping(start, end)
+		if len(sel) > 0 {
+			out.runs[c] = []elemRun{{ix: ix, sel: sel, flat: p.samples[c]}}
+		}
+		out.fixed[c] = fixed
+		out.total[c] = p.fragIdx[c].sumOverlapping(start, end)
+	}
+}
+
+// sumOverlapping totals elapsed over spans overlapping [start, end).
+func (ix *spanIndex) sumOverlapping(start, end int64) int64 {
+	lo, hi := ix.candidates(start, end)
+	var sum int64
+	for i := lo; i < hi; i++ {
+		if ix.starts[i]+ix.elapsed[i] > start {
+			sum += ix.elapsed[i]
+		}
+	}
+	return sum
+}
+
+// selectOverlapping returns the entries whose spans overlap [start,
+// end), ascending — one run already ordered under sampleLess — plus the
+// covered elapsed sum over the selection.
+func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int64) {
+	lo, hi := ix.candidates(start, end)
+	if lo >= hi {
+		return nil, 0
+	}
+	sel = make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		if ix.starts[i]+ix.elapsed[i] > start {
+			sel = append(sel, int32(i))
+			if ix.covered[i] {
+				fixed += ix.elapsed[i]
+			}
+		}
+	}
+	return sel, fixed
+}
+
+// concat appends m.runs to dst one after the other, unmerged, and
+// clears the run list: what the oracle sorts.
+func (m *runMerger) concat(dst []Sample) []Sample {
+	var s Sample
+	for _, r := range m.runs {
+		for r.next(&s) {
+			dst = append(dst, s)
+		}
+	}
+	m.reset()
+	return dst
+}
+
+// sortSamples orders one class's samples under sampleLess by a
+// comparison sort — the oracle's way, independent of the run merge it
+// pins.
+func sortSamples(samples []Sample) { slices.SortFunc(samples, compareSamples) }
+
+// compareSamples is sampleLess as a three-way comparison.
+func compareSamples(a, b Sample) int {
+	if sampleLess(&a, &b) {
+		return -1
+	}
+	if sampleLess(&b, &a) {
+		return 1
+	}
+	return 0
+}

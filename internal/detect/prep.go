@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -19,52 +18,25 @@ import (
 // every overlapped window slices them by binary search instead of
 // re-walking every cluster member.
 //
-// When the element advances by an append-only generation step (the
-// clustering cache hands back a structured Delta instead of Full),
-// advance() patches this state instead of rebuilding it: untouched
-// cluster spans are block-copied, grown clusters are merge-copied with
-// each cluster's fastest member tracked monotonically (the min can only
-// improve, so kept samples renormalize only when it actually does), and
-// the span indexes are extended by merging in the appended spans.
+// It has exactly one of two bodies, fixed when it is built. On the
+// incremental plane it is the sample store (store.go), advanced in
+// place by every append-only generation step the clustering cache
+// reports as a structured Delta. Under DisableIncremental it is the
+// flat oracle (oracle.go), rebuilt from scratch whenever the element
+// moves. A prep is never served or advanced in the mode that did not
+// build it.
 type prepElem struct {
-	gen    stg.Gen
-	nfrags int
-	copt   cluster.Options
-	ref    ClusterRef
+	gen     stg.Gen
+	nfrags  int
+	copt    cluster.Options
+	ref     ClusterRef
+	minFrag int
 
 	fixedClusters int
 	smallClusters int
 
-	// samples holds the full-population sample lists per class, in
-	// emission order (cluster-major). Flat path only.
-	samples [numClasses][]Sample
-	// sampleIdx slices samples by time window: its entries name
-	// positions in samples, ordered by (start, fragment index).
-	sampleIdx [numClasses]spanIndex
-	// fragIdx indexes every fragment's span per class for the coverage
-	// denominator (elemOut.total sums all fragments, not just cluster
-	// members).
-	fragIdx [numClasses]spanIndex
-
-	// Incremental-advance state, maintained only for single-class
-	// elements: computation edges (1-D norms) and all-comm / all-IO
-	// vertices (multi-D vectors) alike — both cluster planes produce
-	// structured deltas. Mixed-class vertices still rebuild: their
-	// samples interleave several classes, so a cluster delta does not
-	// translate into per-class span patches.
-	singleClass bool
-	class       Class
-	minFrag     int
-	// spanOff[ci] is the offset in samples[class] where cluster ci's
-	// emission begins; spanOff[len(clusters)] closes the last span.
-	// Small and skipped clusters own empty spans. Flat path only.
-	spanOff []int32
-	// cstate[ci] is cluster ci's normalization state.
-	cstate []clustState
-
-	// store replaces samples/sampleIdx/fragIdx/spanOff for 1-D
-	// computation elements (see store.go); nil means flat.
 	store *sampleStore
+	flat  *flatPrep
 }
 
 // clustState tracks what one cluster's emission depends on, so an
@@ -79,38 +51,18 @@ type clustState struct {
 	best    int64
 	ranks   rankTable
 	// nStored counts the members the state accounts for, for delta
-	// validation. Store path only.
+	// validation.
 	nStored int32
-}
-
-// sample normalizes member m of cluster ci against the cluster's
-// state.
-func (st *clustState) sample(frags trace.LogView, m int, ref ClusterRef, ci, minFrag int) Sample {
-	rank, start, elapsed := frags.Span(m)
-	perf := 1.0
-	if elapsed > 0 {
-		perf = float64(st.best) / float64(elapsed)
-	}
-	ref.Cluster = ci
-	return Sample{
-		Rank:       rank,
-		Start:      start,
-		Elapsed:    elapsed,
-		Perf:       perf,
-		Covered:    st.ranks.count(rank) >= minFrag,
-		ClusterRef: ref,
-		FragIndex:  m,
-	}
 }
 
 // observe folds member m into the cluster's state — its rank's count
 // and the fastest-member minimum — and returns the rank's slot.
-func (st *clustState) observe(frags trace.LogView, m int) (rank int, slot int32) {
+func (st *clustState) observe(frags trace.LogView, m int) int32 {
 	rank, _, elapsed := frags.Span(m)
 	if elapsed > 0 && elapsed < st.best {
 		st.best = elapsed
 	}
-	return rank, st.ranks.add(rank)
+	return st.ranks.add(rank)
 }
 
 // rankTable counts a cluster's members per rank. Slots are handed out
@@ -138,14 +90,6 @@ func (t *rankTable) add(rank int) int32 {
 	}
 	t.n[s]++
 	return s
-}
-
-// count returns how many members rank has contributed.
-func (t *rankTable) count(rank int) int {
-	if s, ok := t.slot[rank]; ok {
-		return int(t.n[s])
-	}
-	return 0
 }
 
 // countClusters refreshes the fixed/small cluster tallies.
@@ -250,15 +194,47 @@ func newSpanIndex(ents []spanEnt, withCovered bool) spanIndex {
 	return ix
 }
 
-// fragSpans orders the spans of rows [from, frags.Len()) into an index
-// over fragment positions.
-func fragSpans(frags trace.LogView, from int) spanIndex {
-	ents := make([]spanEnt, 0, frags.Len()-from)
-	for i := from; i < frags.Len(); i++ {
-		_, start, elapsed := frags.Span(i)
-		ents = append(ents, spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
+// classSpans orders the spans of rows [from, frags.Len()) into one
+// index over fragment positions per heat-map class, each row under its
+// own kind's class. The entries are pre-sized: a suffix of one kind
+// throughout — every append to a computation edge, nearly every one to
+// a vertex — is known whole from its first row, a mixed one is counted
+// first.
+func classSpans(frags trace.LogView, from int) (out [numClasses]spanIndex) {
+	n := frags.Len()
+	if from >= n {
+		return out
 	}
-	return newSpanIndex(orderSpans(ents), false)
+	var size [numClasses]int
+	only := -1 // the class of a single-kind suffix
+	if k := frags.Kind(from); frags.AllKind(from, k) {
+		only = int(ClassOf(k))
+		size[only] = n - from
+	} else {
+		for i := from; i < n; i++ {
+			size[ClassOf(frags.Kind(i))]++
+		}
+	}
+	var ents [numClasses][]spanEnt
+	for c, sz := range size {
+		if sz > 0 {
+			ents[c] = make([]spanEnt, 0, sz)
+		}
+	}
+	for i := from; i < n; i++ {
+		c := only
+		if c < 0 {
+			c = int(ClassOf(frags.Kind(i)))
+		}
+		_, start, elapsed := frags.Span(i)
+		ents[c] = append(ents[c], spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
+	}
+	for c := range ents {
+		if len(ents[c]) > 0 {
+			out[c] = newSpanIndex(orderSpans(ents[c]), false)
+		}
+	}
+	return out
 }
 
 // mergeSpans merges two indexes over fragment positions. a predates b —
@@ -303,41 +279,9 @@ func (ix *spanIndex) candidates(start, end int64) (lo, hi int) {
 	return lo, hi
 }
 
-// sumOverlapping totals elapsed over spans overlapping [start, end).
-func (ix *spanIndex) sumOverlapping(start, end int64) int64 {
-	lo, hi := ix.candidates(start, end)
-	var sum int64
-	for i := lo; i < hi; i++ {
-		if ix.starts[i]+ix.elapsed[i] > start {
-			sum += ix.elapsed[i]
-		}
-	}
-	return sum
-}
-
-// selectOverlapping returns the entries whose spans overlap [start,
-// end), ascending — one run already ordered under sampleLess — plus the
-// covered elapsed sum over the selection.
-func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int64) {
-	lo, hi := ix.candidates(start, end)
-	if lo >= hi {
-		return nil, 0
-	}
-	sel = make([]int32, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if ix.starts[i]+ix.elapsed[i] > start {
-			sel = append(sel, int32(i))
-			if ix.covered[i] {
-				fixed += ix.elapsed[i]
-			}
-		}
-	}
-	return sel, fixed
-}
-
 // prepFor returns the memoized window-independent analysis of one
 // element: unchanged generations reuse it as-is, append-only advances
-// patch it through advance(), and everything else rebuilds. The
+// patch the store in place, and everything else rebuilds. The
 // clustering cache is consulted unconditionally so its hit/miss
 // accounting keeps meaning "analysis passes that reused a clustering",
 // warm prep or not.
@@ -364,28 +308,23 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 	a.mu.Lock()
 	p := a.preps[key]
 	a.mu.Unlock()
-	// A store-backed prep is never served or advanced once the store
-	// path is disabled (the escape hatches must produce flat-path
-	// behavior); the reverse direction keeps a warm flat prep — it is
-	// equally correct and re-enables the store on the next rebuild.
-	storeOff := opt.DisableIncremental || opt.DisableSampleStore
-	if p != nil && p.gen == gen && p.nfrags == frags.Len() && p.copt == opt.Cluster &&
-		!(storeOff && p.storeMode()) {
+	if p != nil && (p.flat != nil) != opt.DisableIncremental {
+		p = nil // built in the other mode: neither served nor advanced
+	}
+	if p != nil && p.gen == gen && p.nfrags == frags.Len() && p.copt == opt.Cluster {
 		return p
 	}
 	if met != nil {
 		t0 = time.Now()
 	}
-	if p != nil && !opt.DisableIncremental {
+	if p != nil && p.store != nil {
 		oldN := p.nfrags
-		if p.advance(frags, cl, d, opt, gen) {
+		if p.advanceStore(frags, cl, d, opt, gen) {
 			if met != nil {
 				a.clock.normNS.Add(since(t0))
 				met.PrepIncremental.Inc()
 				met.DirtySpanPct.Observe(int64(d.Ratio*100 + 0.5))
-				if p.storeMode() {
-					met.StoreAppends.Add(uint64(frags.Len() - oldN))
-				}
+				met.StoreAppends.Add(uint64(frags.Len() - oldN))
 			}
 			return p
 		}
@@ -394,7 +333,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 	if met != nil {
 		a.clock.normNS.Add(since(t0))
 		met.PrepRebuilds.Inc()
-		if p.storeMode() {
+		if p.store != nil {
 			met.StoreAppends.Add(uint64(frags.Len()))
 		}
 	}
@@ -404,82 +343,19 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 	return p
 }
 
-// buildPrep runs the full-population normalization once (the same walk
-// normalizeElement does with an unbounded window) and indexes the
-// outputs for window slicing.
+// buildPrep builds an element's prep from scratch, in the body opt
+// selects.
 func buildPrep(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
 	minFrag := opt.Cluster.MinFragments
 	if minFrag <= 0 {
 		minFrag = 5
 	}
-	n := frags.Len()
-	p := &prepElem{gen: gen, nfrags: n, copt: opt.Cluster, ref: ref, minFrag: minFrag}
+	p := &prepElem{gen: gen, nfrags: frags.Len(), copt: opt.Cluster, ref: ref, minFrag: minFrag}
 	p.countClusters(cl)
-	p.singleClass = n > 0
-	if p.singleClass {
-		p.class = ClassOf(frags.Kind(0))
-		for i := 1; i < n; i++ {
-			if ClassOf(frags.Kind(i)) != p.class {
-				p.singleClass = false
-				break
-			}
-		}
-	}
-	if storeEligible(frags, opt) {
+	if opt.DisableIncremental {
+		p.flat = buildFlat(frags, cl, ref, minFrag)
+	} else {
 		p.buildStore(frags, cl)
-		return p
-	}
-	if p.singleClass {
-		p.spanOff = make([]int32, 0, len(cl.Clusters)+1)
-		p.cstate = make([]clustState, 0, len(cl.Clusters))
-	}
-	var ents [numClasses][]spanEnt
-	for ci := range cl.Clusters {
-		c := &cl.Clusters[ci]
-		if p.singleClass {
-			p.spanOff = append(p.spanOff, int32(len(p.samples[p.class])))
-		}
-		if !c.Fixed {
-			if p.singleClass {
-				p.cstate = append(p.cstate, clustState{})
-			}
-			continue
-		}
-		st := clustState{best: math.MaxInt64}
-		for _, m := range c.Members {
-			st.observe(frags, m)
-		}
-		st.emitted = st.best != math.MaxInt64
-		if p.singleClass {
-			p.cstate = append(p.cstate, st)
-		}
-		if !st.emitted {
-			continue
-		}
-		for _, m := range c.Members {
-			s := st.sample(frags, m, ref, ci, minFrag)
-			class := ClassOf(frags.Kind(m))
-			ents[class] = append(ents[class], spanEnt{
-				start: s.Start, elapsed: s.Elapsed,
-				pos: int32(len(p.samples[class])), frag: int32(m), covered: s.Covered,
-			})
-			p.samples[class] = append(p.samples[class], s)
-		}
-	}
-	if p.singleClass {
-		p.spanOff = append(p.spanOff, int32(len(p.samples[p.class])))
-	}
-	for c := 0; c < numClasses; c++ {
-		p.sampleIdx[c] = newSpanIndex(orderSpans(ents[c]), true)
-		ents[c] = ents[c][:0]
-	}
-	for i := 0; i < n; i++ {
-		_, start, elapsed := frags.Span(i)
-		class := ClassOf(frags.Kind(i))
-		ents[class] = append(ents[class], spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
-	}
-	for c := 0; c < numClasses; c++ {
-		p.fragIdx[c] = newSpanIndex(orderSpans(ents[c]), false)
 	}
 	return p
 }
@@ -493,17 +369,9 @@ func buildPrep(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Optio
 func (p *prepElem) window(start, end int64, out *elemOut) {
 	out.fixedClusters = p.fixedClusters
 	out.smallClusters = p.smallClusters
-	if p.storeMode() {
+	if p.flat != nil {
+		p.flat.window(start, end, out)
+	} else {
 		p.windowStore(start, end, out)
-		return
-	}
-	for c := 0; c < numClasses; c++ {
-		ix := &p.sampleIdx[c]
-		sel, fixed := ix.selectOverlapping(start, end)
-		if len(sel) > 0 {
-			out.runs[c] = []elemRun{{ix: ix, sel: sel, flat: p.samples[c]}}
-		}
-		out.fixed[c] = fixed
-		out.total[c] = p.fragIdx[c].sumOverlapping(start, end)
 	}
 }

@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -111,10 +112,12 @@ func runRegionCarrySchedule(t *testing.T, seed int64, carried *atomic.Uint64) {
 	}
 }
 
-// TestRegionCarryHatch pins the DisableIncrementalRegions escape hatch:
-// a persistent analyzer flipped onto the hatch mid-run must produce
-// batch-identical results, and flipping back must also stay exact (the
-// hatch clears carry state, so nothing stale survives the round trip).
+// TestRegionCarryHatch pins the carried regions against the exported
+// batch GrowRegions on the very heat map and stream each window
+// produced — the carry has no switch of its own to be compared with —
+// and the one switch that does bypass it: a persistent analyzer flipped
+// onto the DisableIncremental oracle mid-run drops its carry state, so
+// nothing stale is consulted when the carrying pass resumes.
 func TestRegionCarryHatch(t *testing.T) {
 	g := stg.New()
 	a := NewAnalyzer()
@@ -123,6 +126,8 @@ func TestRegionCarryHatch(t *testing.T) {
 	opt := DefaultOptions()
 	winNS := int64(2_000_000)
 	opt.Window = sim.Duration(winNS)
+	bopt := opt
+	bopt.DisableIncremental = true
 
 	// All data lands up front; the windows then slide over a settled
 	// graph (the monitor's steady state once ingest catches up). Rank 1
@@ -150,30 +155,40 @@ func TestRegionCarryHatch(t *testing.T) {
 	g.AddBatch(batch)
 
 	check := func(o Options, ws int64, stage string) {
+		t.Helper()
 		got := a.RunWindow(g, 4, o, ws, ws+12*winNS)
-		bopt := o
-		bopt.DisableIncremental = true
-		want := NewAnalyzer().RunWindow(g, 4, bopt, ws, ws+12*winNS)
-		if !equalResults(got, want) {
-			t.Fatalf("%s: result diverged from batch", stage)
+		var want []Region
+		for c := 0; c < numClasses; c++ {
+			if h := got.Maps[Class(c)]; h != nil {
+				want = append(want, GrowRegions(h, got.Samples[Class(c)], o)...)
+			}
+		}
+		sortRegionsByLoss(want)
+		if len(want) == 0 || !reflect.DeepEqual(got.Regions, want) {
+			t.Fatalf("%s: %d regions, batch GrowRegions finds %d on the same heat map", stage, len(got.Regions), len(want))
 		}
 	}
 
 	check(opt, 0, "warmup")
 	check(opt, winNS, "carry")
 	if met.RegionCellsCarried.Load() == 0 {
-		t.Fatal("carry path did not engage before the hatch flip")
+		t.Fatal("carry path did not engage")
 	}
 
-	hatch := opt
-	hatch.DisableIncrementalRegions = true
-	check(hatch, 2*winNS, "hatch")
+	check(bopt, 2*winNS, "oracle")
 	for c := 0; c < numClasses; c++ {
 		if a.regionCarry[c] != nil {
-			t.Fatalf("class %d carry state survived the hatch", c)
+			t.Fatalf("class %d carry state survived the oracle pass", c)
 		}
 	}
 
-	check(opt, 3*winNS, "re-enable")
-	check(opt, 4*winNS, "post re-enable carry")
+	carried := met.RegionCellsCarried.Load()
+	check(opt, 3*winNS, "resume")
+	if met.RegionCellsCarried.Load() != carried {
+		t.Fatal("the first carrying pass after the oracle carried cells from before it")
+	}
+	check(opt, 4*winNS, "post-resume carry")
+	if met.RegionCellsCarried.Load() == carried {
+		t.Fatal("carry path did not re-engage")
+	}
 }

@@ -2,15 +2,18 @@ package detect
 
 import (
 	"math"
+	"slices"
 
 	"vapro/internal/cluster"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
 
-// The sample store: the O(new-data) representation of a 1-D element
-// (all computation fragments, no extra metrics) — the population the
-// online monitor's steady state is made of.
+// The sample store: the O(new-data) representation of every STG element
+// on the incremental plane — 1-D computation edges, single-class
+// comm/IO vertices, UseExtraMetrics elements and mixed-class vertices
+// alike. Both clustering planes hand back the same structured Delta,
+// and nothing below looks at what kind of element it is.
 //
 // A sample is a fragment seen through its cluster: Rank, Start, Elapsed
 // and the fragment index are the fragment's own, and Perf, Covered and
@@ -25,14 +28,17 @@ import (
 // members under a fresh id. Nothing is ever dead, so there is nothing
 // to compact.
 //
-// One span index covers every fragment — "is a sample" is a filter on
-// it, the coverage denominator is its unfiltered sum. It is segmented
-// (the logarithmic method): an advance merges the appended spans' runs
-// into one ordered segment and adds it; a segment at least half the
-// size of its predecessor is merged into it, so there are O(log n)
-// segments and appends amortize to O(log n). Every segment is ordered
-// by (start, fragment index), so a window's selection comes back as
-// one ordered run per segment and the stream merge never sorts.
+// Every fragment's span is indexed once, under the fragment's own
+// heat-map class: class is a property of a fragment's place in the
+// index, not of the element, so a vertex carrying several kinds needs
+// no representation of its own. "Is a sample" is a filter on a class's
+// index, the class's coverage denominator is its unfiltered sum. Each
+// index is segmented (the logarithmic method): an advance merges the
+// appended spans' runs into one ordered segment and adds it; a segment
+// at least half the size of its predecessor is merged into it, so there
+// are O(log n) segments and appends amortize to O(log n). Every segment
+// is ordered by (start, fragment index), so a window's selection comes
+// back as one ordered run per segment and the stream merge never sorts.
 
 // fragRef is the store's per-fragment state.
 type fragRef struct {
@@ -44,14 +50,25 @@ type fragRef struct {
 type sampleStore struct {
 	// refs[i] describes frags[i].
 	refs []fragRef
-	// spans indexes every fragment's span by fragment position.
-	spans segIndex
+	// spans[c] indexes the spans of the class-c fragments by fragment
+	// position.
+	spans [numClasses]segIndex
+	// cstate[ci] is cluster ci's normalization state.
+	cstate []clustState
 	// ids[ci] is cluster ci's stable id; slotOf[id] maps an id back to
 	// its current cluster index (-1 once retired).
 	ids    []int32
 	slotOf []int32
 	nextID int32
+
+	// Scratch, reused: the old dirty clusters an advance's delta has
+	// claimed, and a window's candidate band per segment.
+	claimed []bool
+	bands   []band
 }
+
+// band is one segment's candidate range for a window.
+type band struct{ lo, hi int }
 
 // segIndex is a segmented span index over fragment positions.
 type segIndex struct {
@@ -71,17 +88,12 @@ func (ix *segIndex) add(seg spanIndex) {
 	}
 }
 
-// storeMode reports whether the prep is backed by the sample store.
-func (p *prepElem) storeMode() bool { return p.store != nil }
-
-// storeEligible reports whether an element can take the store path:
-// the 1-D clustering fast path (all computation fragments, no extra
-// metrics).
-func storeEligible(frags trace.LogView, opt Options) bool {
-	if opt.DisableIncremental || opt.DisableSampleStore || opt.Cluster.UseExtraMetrics || frags.Len() == 0 {
-		return false
+// addSpans indexes the spans of rows [from, frags.Len()).
+func (st *sampleStore) addSpans(frags trace.LogView, from int) {
+	segs := classSpans(frags, from)
+	for c := range segs {
+		st.spans[c].add(segs[c])
 	}
-	return frags.AllKind(0, trace.Comp)
 }
 
 // walk computes one cluster's state from its whole membership and
@@ -90,7 +102,7 @@ func (st *sampleStore) walk(frags trace.LogView, c *cluster.Cluster, id int32) c
 	cst := clustState{best: math.MaxInt64}
 	if c.Fixed {
 		for _, m := range c.Members {
-			_, slot := cst.observe(frags, m)
+			slot := cst.observe(frags, m)
 			st.refs[m] = fragRef{cid: id, rank: slot}
 		}
 	}
@@ -106,41 +118,45 @@ func (st *sampleStore) walk(frags trace.LogView, c *cluster.Cluster, id int32) c
 	return cst
 }
 
-// buildStore is buildPrep for the store representation.
+// buildStore builds the store representation from scratch.
 func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
 	nc := len(cl.Clusters)
 	st := &sampleStore{
 		refs:   make([]fragRef, frags.Len()),
+		cstate: make([]clustState, nc),
 		ids:    make([]int32, nc),
 		slotOf: make([]int32, nc),
 		nextID: int32(nc),
 	}
 	p.store = st
-	p.cstate = make([]clustState, nc)
 	for ci := range cl.Clusters {
 		st.ids[ci], st.slotOf[ci] = int32(ci), int32(ci)
-		p.cstate[ci] = st.walk(frags, &cl.Clusters[ci], int32(ci))
+		st.cstate[ci] = st.walk(frags, &cl.Clusters[ci], int32(ci))
 	}
-	st.spans.add(fragSpans(frags, 0))
+	st.addSpans(frags, 0)
 }
 
-// advanceStore is advance() for the store representation: O(batch).
-// Prefix and tail clusters keep their state (only the tail's slot
-// mapping shifts), grown emitted clusters point just their added
-// members at themselves, and rebuilt clusters re-point their whole
-// membership under a fresh id. The state derived per sample absorbs
-// best and coverage movement without touching anything resident.
+// advanceStore patches the store with an append-only clustering delta,
+// in place, in O(batch), and reports whether it could. False means the
+// caller must rebuild: the delta is unstructured (Full), it advances
+// from a different generation than the prep holds, the options moved,
+// or a consistency check failed. Prefix and tail clusters keep their
+// state (only the tail's slot mapping shifts), grown emitted clusters
+// point just their added members at themselves, and rebuilt clusters
+// re-point their whole membership under a fresh id. The state derived
+// per sample absorbs best and coverage movement without touching
+// anything resident.
 func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
 	if d.Full || p.copt != opt.Cluster || d.From != p.gen {
 		return false
 	}
 	oldN := p.nfrags
 	nn := frags.Len()
-	if nn <= oldN || len(cl.Assign) != nn || !frags.AllKind(oldN, trace.Comp) {
+	if nn <= oldN || len(cl.Assign) != nn {
 		return false
 	}
 	st := p.store
-	oldNC := len(p.cstate)
+	oldNC := len(st.cstate)
 	newNC := len(cl.Clusters)
 	if len(st.ids) != oldNC ||
 		d.Prefix < 0 || d.Prefix > d.TailNew || d.TailNew > newNC ||
@@ -151,16 +167,17 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	}
 	// Validate the whole delta before mutating any shared state (refs
 	// and the rank tables are updated in place below).
-	claimed := make(map[int]bool, len(d.Dirty))
+	st.claimed = slices.Grow(st.claimed[:0], d.TailOld-d.Prefix)[:d.TailOld-d.Prefix]
+	clear(st.claimed)
 	for di, dr := range d.Dirty {
 		if dr.OldIndex < 0 {
 			continue
 		}
-		if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld || claimed[dr.OldIndex] {
+		if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld || st.claimed[dr.OldIndex-d.Prefix] {
 			return false
 		}
-		claimed[dr.OldIndex] = true
-		if os := &p.cstate[dr.OldIndex]; os.emitted &&
+		st.claimed[dr.OldIndex-d.Prefix] = true
+		if os := &st.cstate[dr.OldIndex]; os.emitted &&
 			int(os.nStored) != len(cl.Clusters[d.Prefix+di].Members)-len(dr.AddedPos) {
 			return false
 		}
@@ -169,22 +186,21 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	newIDs := make([]int32, newNC)
 	newState := make([]clustState, newNC)
 	copy(newIDs, st.ids[:d.Prefix])
-	copy(newState, p.cstate[:d.Prefix])
+	copy(newState, st.cstate[:d.Prefix])
 	copy(newIDs[d.TailNew:], st.ids[d.TailOld:])
-	copy(newState[d.TailNew:], p.cstate[d.TailOld:])
+	copy(newState[d.TailNew:], st.cstate[d.TailOld:])
 
 	st.refs = append(st.refs, make([]fragRef, nn-oldN)...)
 	for di, dr := range d.Dirty {
 		ci := d.Prefix + di
 		cc := &cl.Clusters[ci]
-		if dr.OldIndex >= 0 && p.cstate[dr.OldIndex].emitted && cc.Fixed {
+		if dr.OldIndex >= 0 && st.cstate[dr.OldIndex].emitted && cc.Fixed {
 			// Grown emitted cluster: only the added members are new.
-			cst := p.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table
+			cst := st.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table
 			id := st.ids[dr.OldIndex]
 			for _, ap := range dr.AddedPos {
 				m := cc.Members[ap]
-				_, slot := cst.observe(frags, m)
-				st.refs[m] = fragRef{cid: id, rank: slot}
+				st.refs[m] = fragRef{cid: id, rank: cst.observe(frags, m)}
 			}
 			cst.nStored += int32(len(dr.AddedPos))
 			newIDs[ci], newState[ci] = id, cst
@@ -209,9 +225,9 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 		st.slotOf[id] = int32(ci)
 	}
 	st.ids = newIDs
-	p.cstate = newState
+	st.cstate = newState
 	p.countClusters(cl)
-	st.spans.add(fragSpans(frags, oldN))
+	st.addSpans(frags, oldN)
 	p.gen = gen
 	p.nfrags = nn
 	return true
@@ -220,50 +236,64 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 // windowStore fills the element's window contribution from the store:
 // one candidate band per segment, "is a sample" through the fragment's
 // ref, the covered sum through the rank slot recorded at append — no
-// per-sample hashing — and one ordered run per segment.
+// per-sample hashing — and one ordered run per segment. A window that
+// selects anything costs two allocations however many classes and
+// segments it touches: the selection buffer, sized once from the bands,
+// and the run list; a class with no fragments contributes no band.
 func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 	st := p.store
-	segs := st.spans.segs
-	type band struct{ lo, hi int }
-	bands := make([]band, len(segs))
-	cand := 0
-	for si := range segs {
-		lo, hi := segs[si].candidates(start, end)
-		bands[si] = band{lo, hi}
-		cand += hi - lo
+	st.bands = st.bands[:0]
+	cand, nruns := 0, 0
+	for c := range st.spans {
+		for si := range st.spans[c].segs {
+			lo, hi := st.spans[c].segs[si].candidates(start, end)
+			st.bands = append(st.bands, band{lo, hi})
+			if hi > lo {
+				cand += hi - lo
+				nruns++
+			}
+		}
 	}
 	if cand == 0 {
 		return
 	}
 	minFrag := int32(p.minFrag)
 	buf := make([]int32, 0, cand)
-	runs := make([]elemRun, 0, len(segs))
-	var total, fixed int64
-	for si := range segs {
-		s := &segs[si]
-		from := len(buf)
-		for i := bands[si].lo; i < bands[si].hi; i++ {
-			el := s.elapsed[i]
-			if s.starts[i]+el <= start {
-				continue
+	runs := make([]elemRun, 0, nruns)
+	bands := st.bands
+	for c := range st.spans {
+		segs := st.spans[c].segs
+		first := len(runs)
+		var total, fixed int64
+		for si := range segs {
+			s := &segs[si]
+			from := len(buf)
+			for i := bands[si].lo; i < bands[si].hi; i++ {
+				el := s.elapsed[i]
+				if s.starts[i]+el <= start {
+					continue
+				}
+				total += el
+				ref := st.refs[s.pos[i]]
+				if ref.cid < 0 {
+					continue
+				}
+				if st.cstate[st.slotOf[ref.cid]].ranks.n[ref.rank] >= minFrag {
+					fixed += el
+				}
+				buf = append(buf, int32(i))
 			}
-			total += el
-			ref := st.refs[s.pos[i]]
-			if ref.cid < 0 {
-				continue
+			if len(buf) > from {
+				runs = append(runs, elemRun{ix: s, sel: buf[from:len(buf):len(buf)], store: p})
 			}
-			if p.cstate[st.slotOf[ref.cid]].ranks.n[ref.rank] >= minFrag {
-				fixed += el
-			}
-			buf = append(buf, int32(i))
 		}
-		if len(buf) > from {
-			runs = append(runs, elemRun{ix: s, sel: buf[from:len(buf):len(buf)], store: p})
+		bands = bands[len(segs):]
+		if len(runs) > first {
+			out.runs[c] = runs[first:len(runs):len(runs)]
 		}
+		out.total[c] = total
+		out.fixed[c] = fixed
 	}
-	out.runs[p.class] = runs
-	out.total[p.class] = total
-	out.fixed[p.class] = fixed
 }
 
 // sampleAt derives the sample of entry i of segment s from the owning
@@ -275,7 +305,7 @@ func (p *prepElem) sampleAt(s *spanIndex, i int32, dst *Sample) {
 	pos := s.pos[i]
 	ref := st.refs[pos]
 	slot := st.slotOf[ref.cid]
-	cst := &p.cstate[slot]
+	cst := &st.cstate[slot]
 	el := s.elapsed[i]
 	perf := 1.0
 	if el > 0 {
