@@ -343,6 +343,52 @@ func BenchmarkOLSQuantify(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterMomentsAdd is the monitor's per-fragment streaming-OLS
+// fold at MaxStage 3 (all 8 OS factors) of a 4 096-fragment comp-steady
+// burst into a warm cluster. counters=idle is the paper's
+// common case — every OS event count zero, so only the intercept and
+// elapsed are folded; counters=armed has every column nonzero, the dense
+// triangle. One op folds the burst 16 times, so that a -benchtime 1x
+// op (bench-smoke asserts idle ≤ 0.5× armed) lasts milliseconds.
+func BenchmarkClusterMomentsAdd(b *testing.B) {
+	const burst, rounds = 4096, 16
+	for _, armed := range []bool{false, true} {
+		name := "counters=idle"
+		if armed {
+			name = "counters=armed"
+		}
+		b.Run(name, func(b *testing.B) {
+			rng := sim.NewRNG(5)
+			frags := make([]trace.Fragment, burst)
+			for i := range frags {
+				f := &frags[i]
+				f.Kind, f.Elapsed = trace.Comp, int64(900_000+rng.Intn(200_000))
+				f.Counters.TotIns = uint64(1+rng.Intn(5)) * 1_000_000
+				if armed {
+					f.Counters.SuspensionNS = int64(1 + rng.Intn(50_000))
+					f.Counters.SoftPF, f.Counters.HardPF = uint64(1+rng.Intn(30)), uint64(1+rng.Intn(5))
+					f.Counters.VolCS, f.Counters.InvolCS = uint64(1+rng.Intn(20)), uint64(1+rng.Intn(8))
+					f.Counters.Signals = uint64(1 + rng.Intn(3))
+				}
+			}
+			cm := diagnose.NewClusterMoments(diagnose.OSFactors())
+			for i := range frags {
+				cm.Add(&frags[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rounds; r++ {
+					for j := range frags {
+						cm.Add(&frags[j])
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds*burst), "ns/frag")
+		})
+	}
+}
+
 func BenchmarkVMeasure(b *testing.B) {
 	rng := sim.NewRNG(2)
 	n := 100_000
@@ -846,12 +892,48 @@ func benchMonitorTickWindow(b *testing.B, disable bool) {
 	}
 }
 
+// benchMonitorTickWindowMonitor is the same tick shape through the real
+// monitor: NewPool+NewMonitor with comp-steady's windows (500 ms period,
+// 250 ms overlap, 50 ms cells). One op delivers one flush per rank, and
+// the monitor ticks whenever the watermark closes a window (about once
+// per op), so the op also pays the pool's intake and view refresh and
+// the streaming-OLS cluster-delta hook, which a bare analyzer never runs.
+func benchMonitorTickWindowMonitor(b *testing.B) {
+	const ranks, perRank, resident = 64, 256, 500_000
+	s := newTickStream(ranks, 8)
+	copt := collector.DefaultOptions()
+	copt.Period, copt.Overlap = 500*sim.Millisecond, 250*sim.Millisecond
+	copt.Detect.Window = 50 * sim.Millisecond
+	mopt := collector.DefaultMonitorOptions(ranks)
+	mopt.Period, mopt.Overlap, mopt.Detect = copt.Period, copt.Overlap, copt.Detect
+	m := collector.NewMonitor(collector.NewPool(ranks, copt), mopt)
+	round := func() {
+		batch := s.nextFlushes(perRank)
+		for r := 0; r < ranks; r++ {
+			m.Consume(r, batch[r*perRank:(r+1)*perRank])
+		}
+	}
+	for fed := 0; fed < resident; fed += ranks * perRank {
+		round()
+	}
+	for i := 0; i < 6; i++ { // settle, as in benchMonitorTickWindow
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
 // BenchmarkMonitorTickWindow pins the sort-free tick against the batch
 // plane on the comp-steady shape (the recorded bound benchjson asserts
-// into BENCH.json).
+// into BENCH.json); plane=monitor records the whole monitor round beside
+// them, unasserted (its 1x spread on a shared host is ±15 %).
 func BenchmarkMonitorTickWindow(b *testing.B) {
 	b.Run("plane=inc", func(b *testing.B) { benchMonitorTickWindow(b, false) })
 	b.Run("plane=batch", func(b *testing.B) { benchMonitorTickWindow(b, true) })
+	b.Run("plane=monitor", benchMonitorTickWindowMonitor)
 }
 
 // benchMonitorTickScale measures the steady-state tick END TO END

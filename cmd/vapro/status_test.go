@@ -65,6 +65,7 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"B/fragment   1 chunk(s), 0 live lane(s)",
 		"detect    windows",
 		"latency p50",
+		"· hook p50 ",
 		"cluster",
 		"steady    store appends",
 		"view cursor advances",

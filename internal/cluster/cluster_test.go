@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -206,5 +209,46 @@ func TestDefaultsApplied(t *testing.T) {
 	res := Run(trace.LogOf(frags), Options{}) // zero options → defaults
 	if len(res.Clusters) != 1 {
 		t.Fatalf("zero options broke clustering: %d clusters", len(res.Clusters))
+	}
+}
+
+// TestSortNormKeysMatchesStableSort: the append merge's radix order is
+// exactly Run's — slices.SortStableFunc with cmp.Compare over the norms
+// in index order — on adversarial norms: NaN, ±0, ±Inf, negatives,
+// subnormals, long runs of equal values, and batch sizes from 1 to 4 096.
+func TestSortNormKeysMatchesStableSort(t *testing.T) {
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		-1, -2.5, 1, 2.5, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1e6, 1e6 + 1, math.Float64frombits(0x7ff8000000000001)}
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{1, 2, 3, 17, 256, 1000, 4096} {
+		for trial := 0; trial < 20; trial++ {
+			norms := make([]float64, k)
+			for i := range norms {
+				switch r := rng.Intn(4); {
+				case r == 0:
+					norms[i] = special[rng.Intn(len(special))]
+				case r == 1 && i > 0:
+					norms[i] = norms[i-1] // equal runs
+				case r == 2:
+					norms[i] = float64(rng.Intn(5)) * 1_000_000
+				default:
+					norms[i] = rng.NormFloat64() * 1e6
+				}
+			}
+			const base = 1000
+			want := make([]int32, k)
+			for i := range want {
+				want[i] = base + int32(i)
+			}
+			slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(norms[a-base], norms[b-base]) })
+			got := sortNormKeys(norms, base)
+			for i, key := range got {
+				if key.idx != want[i] {
+					t.Fatalf("k=%d trial %d: position %d holds fragment %d (norm %v), stable sort has %d (norm %v)",
+						k, trial, i, key.idx, norms[key.idx-base], want[i], norms[want[i]-base])
+				}
+			}
+		}
 	}
 }

@@ -56,8 +56,7 @@
 package cluster
 
 import (
-	"cmp"
-	"slices"
+	"math"
 	"sort"
 
 	"vapro/internal/stg"
@@ -176,23 +175,7 @@ func (s *incState) vec(i int) Vector {
 func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 	k := total - s.n
 	norms := s.norms
-	// The batch is sorted on a packed (norm, index) key: the key is
-	// total, so an unstable typed sort reproduces the stable order, and
-	// the comparator never chases norms[] through an index.
-	type normKey struct {
-		norm float64
-		idx  int32
-	}
-	keys := make([]normKey, k)
-	for i := range keys {
-		keys[i] = normKey{norms[s.n+i], int32(s.n + i)}
-	}
-	slices.SortFunc(keys, func(a, b normKey) int {
-		if c := cmp.Compare(a.norm, b.norm); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	keys := sortNormKeys(norms[s.n:total], int32(s.n))
 
 	// One galloping merge finds every insertion point among the old
 	// elements: the batch is ascending, so each search resumes where the
@@ -207,8 +190,9 @@ func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 	order := s.order
 	lo := 0
 	for j, key := range keys {
+		norm := norms[key.idx]
 		hi, step := lo, 1
-		for hi < s.n && norms[order[hi]] <= key.norm {
+		for hi < s.n && norms[order[hi]] <= norm {
 			lo = hi + 1
 			hi += step
 			step <<= 1
@@ -216,7 +200,7 @@ func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 		hi = min(hi, s.n)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if norms[order[mid]] <= key.norm {
+			if norms[order[mid]] <= norm {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -235,6 +219,64 @@ func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 		moveHi = ipos[j]
 	}
 	return batch, inserted, ipos
+}
+
+// normKey is an appended fragment's sort key: the radix image of its
+// norm and its fragment index.
+type normKey struct {
+	key uint64
+	idx int32
+}
+
+// radixNorm maps a norm to a uint64 whose unsigned order is
+// cmp.Compare's order on float64: NaN first (0), −0 folded onto +0, and
+// every other value by the sign-flip transform (a negative has all its
+// bits inverted, a non-negative its sign bit set).
+func radixNorm(x float64) uint64 {
+	switch b := math.Float64bits(x); {
+	case x != x:
+		return 0
+	case x == 0:
+		return 1 << 63
+	case b>>63 != 0:
+		return ^b
+	default:
+		return b | 1<<63
+	}
+}
+
+// sortNormKeys returns the keys of norms — fragment indexes base,
+// base+1, … — ordered by (norm, index) under cmp.Compare, by a stable
+// LSD radix sort on radixNorm: one 8-bit digit per pass, skipping every
+// pass whose digit is the same in all keys. The keys start in index
+// order and each pass is stable, so equal norms stay in index order.
+func sortNormKeys(norms []float64, base int32) []normKey {
+	k := len(norms)
+	buf := make([]normKey, 2*k)
+	keys, tmp := buf[:k], buf[k:]
+	var count [8][256]int32
+	for i, x := range norms {
+		keys[i] = normKey{radixNorm(x), base + int32(i)}
+		for p := range count {
+			count[p][byte(keys[i].key>>(8*p))]++
+		}
+	}
+	for p := range count {
+		c := &count[p]
+		if k == 0 || c[byte(keys[0].key>>(8*p))] == int32(k) {
+			continue // a single digit value: the pass would move nothing
+		}
+		sum := int32(0)
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		for _, key := range keys {
+			d := byte(key.key >> (8 * p))
+			tmp[c[d]], c[d] = key, c[d]+1
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // update advances the state with the appended suffix frags[s.n:] and

@@ -74,12 +74,6 @@ type MonitorOptions struct {
 	Classes []detect.Class
 	// MaxStage caps how far the progressive arming may descend.
 	MaxStage int
-	// DisableStreamingOLS is the escape hatch for the streaming §4.2
-	// quantification: when set, the monitor keeps no warm regression
-	// moments and DiagnoseEvent quantifies with the batch QuantifyOLS
-	// over the collected cluster populations (the legacy path). The two
-	// paths are pinned equivalent by TestMonitorStreamingOLSEquivalence.
-	DisableStreamingOLS bool
 }
 
 // DefaultMonitorOptions mirrors the offline defaults.

@@ -17,9 +17,9 @@ import (
 // When DiagnoseEvent later needs the OLS quantification, the moments
 // are already pooled — no walk over the resident fragment populations —
 // so the diagnosis cost of a steady-state tick stops scaling with how
-// much data is resident. The moment-form quantification is pinned
-// against the batch QuantifyOLS by the equivalence fuzz in
-// internal/diagnose.
+// much data is resident. The batch QuantifyOLS is its test oracle: the
+// equivalence fuzz in internal/diagnose pins the moment form to it, and
+// TestMonitorStreamingOLSEquivalence the monitor's whole diagnosis.
 
 // elemMoments is one edge's warm regression state: a moment accumulator
 // per cluster of the edge's last-seen clustering, parallel to
@@ -58,11 +58,13 @@ func sameFactors(a, b []diagnose.Factor) bool {
 	return true
 }
 
+// buildClusterMoments folds members into fresh moments. Members are read
+// with ReadCounters: Add only looks at Elapsed and Counters.
 func buildClusterMoments(factors []diagnose.Factor, frags trace.LogView, members []int) *diagnose.ClusterMoments {
 	cm := diagnose.NewClusterMoments(factors)
 	var f trace.Fragment
 	for _, idx := range members {
-		frags.Read(idx, &f)
+		frags.ReadCounters(idx, &f)
 		cm.Add(&f)
 	}
 	return cm
@@ -75,7 +77,7 @@ func buildClusterMoments(factors []diagnose.Factor, frags trace.LogView, members
 // pointers for untouched clusters — and rebuilds from scratch when the
 // delta does not connect to the recorded generation.
 func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta) {
-	if !key.IsEdge || m.opt.DisableStreamingOLS {
+	if !key.IsEdge {
 		return
 	}
 	// olsMu covers only the map: the advance below runs under the
@@ -144,7 +146,7 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags trace.LogView, res clust
 					if int(pos) >= len(members) {
 						return false
 					}
-					frags.Read(members[pos], &f)
+					frags.ReadCounters(members[pos], &f)
 					cm.Add(&f)
 				}
 				adds += uint64(len(dr.AddedPos))
@@ -168,15 +170,12 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags trace.LogView, res clust
 
 // streamQuantifier returns a diagnose quantifier backed by the warm
 // moments of the given edges, or nil when the streaming plane cannot
-// serve this diagnosis (hatch on, a stream missing or at a stale
-// generation) — the caller then leaves the default batch QuantifyOLS in
-// place. Caller holds m.mu and the pool's amu; edges must come from the
-// pool's freshly refreshed view graph so their Gen fields describe the
-// populations the diagnosis will walk.
+// serve this diagnosis (a stream missing or at a stale generation) — the
+// caller then leaves the default batch QuantifyOLS in place. Caller
+// holds m.mu and the pool's amu; edges must come from the pool's freshly
+// refreshed view graph so their Gen fields describe the populations the
+// diagnosis will walk.
 func (m *Monitor) streamQuantifier(edges []*stg.Edge) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
-	if m.opt.DisableStreamingOLS {
-		return nil
-	}
 	var streams []*diagnose.ClusterMoments
 	for _, e := range edges {
 		m.olsMu.Lock()

@@ -1,11 +1,13 @@
 package collector
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"vapro/internal/cluster"
 	"vapro/internal/diagnose"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
@@ -66,10 +68,11 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 	m.Flush()
 }
 
-// eventEdges replicates DiagnoseEvent's edge collection so the test can
-// verify the streaming quantifier actually serves the event (rather
-// than silently falling back to the batch path).
-func eventEdges(m *Monitor, ev *Event) []*stg.Edge {
+// eventEdges replicates DiagnoseEvent's edge and cluster collection so
+// the tests can verify the streaming quantifier actually serves the
+// event (rather than silently falling back to the batch path) and run
+// the batch oracle over the same populations.
+func eventEdges(m *Monitor, ev *Event) ([]*stg.Edge, [][]trace.Fragment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pool.drainAll()
@@ -77,112 +80,102 @@ func eventEdges(m *Monitor, ev *Event) []*stg.Edge {
 	defer m.pool.amu.Unlock()
 	g := m.pool.refreshView()
 	var edges []*stg.Edge
+	var clusters [][]trace.Fragment
 	seen := map[trace.EdgeKey]bool{}
 	for _, s := range ev.Regions[0].Samples {
 		if !s.ClusterRef.IsEdge || seen[s.ClusterRef.Edge] {
 			continue
 		}
 		seen[s.ClusterRef.Edge] = true
-		if e := g.Edge(s.ClusterRef.Edge); e != nil {
-			edges = append(edges, e)
+		e := g.Edge(s.ClusterRef.Edge)
+		if e == nil {
+			continue
+		}
+		edges = append(edges, e)
+		cl := m.pool.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Log(), m.opt.Detect.Cluster)
+		for ci := range cl.Clusters {
+			if cl.Clusters[ci].Fixed {
+				clusters = append(clusters, e.Log().Pick(cl.Clusters[ci].Members))
+			}
 		}
 	}
-	return edges
+	return edges, clusters
 }
 
 // TestMonitorStreamingOLSEquivalence pins the streaming §4.2 plane to
-// the batch one: two monitors fed the identical run — one quantifying
-// from warm moments, one with the hatch set — must detect the same
-// events, produce the same formula-based diagnosis, and agree on the
-// statistical quantification within floating-point reassociation.
+// its oracle: the monitor's DiagnoseEvent, quantifying from warm
+// moments, must produce the formula-based diagnosis and — within
+// floating-point reassociation — the statistical quantification that the
+// default batch QuantifyOLS computes over the same cluster populations.
 // MaxStage 2 keeps the factor set full-rank (the stage-3 leaves are
 // exact summands of their parents, where drop order is rounding-
 // dependent by nature — see the diagnose equivalence fuzz).
 func TestMonitorStreamingOLSEquivalence(t *testing.T) {
-	run := func(hatch bool) (*Monitor, []Event, *diagnose.Report) {
-		pool := NewPool(4, DefaultOptions())
-		opt := monOpts(4)
-		opt.MaxStage = 2
-		opt.DisableStreamingOLS = hatch
-		m := NewMonitor(pool, opt)
-		feedOLSMonitor(m, 777)
-		events := m.Drain()
-		if len(events) == 0 {
-			t.Fatal("monitor produced no events")
-		}
-		dopt := diagnose.DefaultOptions()
-		dopt.MaxStage = 2
-		rep := m.DiagnoseEvent(&events[0], dopt)
-		if rep == nil {
-			t.Fatal("no diagnosis")
-		}
-		return m, events, rep
+	opt := monOpts(4)
+	opt.MaxStage = 2
+	m := NewMonitor(NewPool(4, DefaultOptions()), opt)
+	feedOLSMonitor(m, 777)
+	events := m.Drain()
+	if len(events) == 0 {
+		t.Fatal("monitor produced no events")
 	}
-	ms, evS, repS := run(false)
-	mh, evH, repH := run(true)
+	dopt := diagnose.DefaultOptions()
+	dopt.MaxStage = 2
+	repS := m.DiagnoseEvent(&events[0], dopt)
+	if repS == nil {
+		t.Fatal("no diagnosis")
+	}
+	edges, clusters := eventEdges(m, &events[0])
+	repB := diagnose.New(dopt).Run(diagnose.SliceSource(clusters))
 
-	// Detection is independent of the quantification plane.
-	if len(evS) != len(evH) {
-		t.Fatalf("event counts differ: %d streaming vs %d hatch", len(evS), len(evH))
-	}
-	for i := range evS {
-		if evS[i].WindowStart != evH[i].WindowStart || evS[i].WindowEnd != evH[i].WindowEnd ||
-			len(evS[i].Regions) != len(evH[i].Regions) {
-			t.Fatalf("event %d differs: %+v vs %+v", i, evS[i], evH[i])
-		}
-	}
-
-	// The streaming monitor must actually have served the event from
-	// warm moments, and its counters must show the plane at work.
-	if q := ms.streamQuantifier(eventEdges(ms, &evS[0])); q == nil {
+	// The monitor must actually have served the event from warm
+	// moments, and its counters must show the plane at work.
+	if q := m.streamQuantifier(edges); q == nil {
 		t.Fatal("streaming quantifier unavailable for the diagnosed event")
 	}
-	if ms.pool.met.OLSRank1Updates.Load() == 0 {
+	if m.pool.met.OLSRank1Updates.Load() == 0 {
 		t.Fatal("streaming monitor performed no rank-1 moment updates")
 	}
-	if ms.pool.met.OLSRefactors.Load() == 0 {
+	if m.pool.met.OLSRefactors.Load() == 0 {
 		t.Fatal("streaming monitor recorded no initial moment builds")
-	}
-	if mh.pool.met.OLSRank1Updates.Load() != 0 || mh.pool.met.OLSRefactors.Load() != 0 {
-		t.Fatal("hatch monitor touched the streaming plane")
 	}
 
 	// Formula-based diagnosis is identical; the OLS quantification
 	// agrees within reassociation tolerance.
-	if repS.AbnormalFrags != repH.AbnormalFrags || repS.NormalFrags != repH.NormalFrags ||
-		repS.AnalyzedNS != repH.AnalyzedNS || repS.TotalSlowdownNS != repH.TotalSlowdownNS {
-		t.Fatalf("formula diagnosis differs: %+v vs %+v", repS, repH)
+	if repS.AbnormalFrags != repB.AbnormalFrags || repS.NormalFrags != repB.NormalFrags ||
+		repS.AnalyzedNS != repB.AnalyzedNS || repS.TotalSlowdownNS != repB.TotalSlowdownNS {
+		t.Fatalf("formula diagnosis differs: %+v vs %+v", repS, repB)
 	}
-	qs, qh := repS.OLS, repH.OLS
-	if (qs == nil) != (qh == nil) {
-		t.Fatalf("OLS presence differs: %v vs %v", qs, qh)
+	qs, qb := repS.OLS, repB.OLS
+	if (qs == nil) != (qb == nil) {
+		t.Fatalf("OLS presence differs: %v vs %v", qs, qb)
 	}
 	if qs == nil {
 		t.Fatal("diagnosis produced no OLS quantification")
 	}
-	if len(qs.Dropped) != len(qh.Dropped) {
-		t.Fatalf("dropped sets differ: %v vs %v", qs.Dropped, qh.Dropped)
+	if len(qs.Dropped) != len(qb.Dropped) {
+		t.Fatalf("dropped sets differ: %v vs %v", qs.Dropped, qb.Dropped)
 	}
 	for i := range qs.Dropped {
-		if qs.Dropped[i] != qh.Dropped[i] {
-			t.Fatalf("dropped[%d]: %v vs %v", i, qs.Dropped[i], qh.Dropped[i])
+		if qs.Dropped[i] != qb.Dropped[i] {
+			t.Fatalf("dropped[%d]: %v vs %v", i, qs.Dropped[i], qb.Dropped[i])
 		}
 	}
-	if !olsClose(qs.FGStat, qh.FGStat, 1e-6) || !olsClose(qs.FGPValue, qh.FGPValue, 1e-6) ||
-		!olsClose(qs.R2, qh.R2, 1e-6) {
+	if !olsClose(qs.FGStat, qb.FGStat, 1e-6) || !olsClose(qs.FGPValue, qb.FGPValue, 1e-6) ||
+		!olsClose(qs.R2, qb.R2, 1e-6) {
 		t.Fatalf("fit differs: FG (%v,%v) R2 %v vs FG (%v,%v) R2 %v",
-			qs.FGStat, qs.FGPValue, qs.R2, qh.FGStat, qh.FGPValue, qh.R2)
+			qs.FGStat, qs.FGPValue, qs.R2, qb.FGStat, qb.FGPValue, qb.R2)
 	}
-	if len(qs.PValue) != len(qh.PValue) || len(qs.TimePerUnit) != len(qh.TimePerUnit) {
-		t.Fatalf("factor sets differ: %v vs %v", qs, qh)
+	if len(qs.PValue) != len(qb.PValue) || len(qs.TimePerUnit) != len(qb.TimePerUnit) {
+		t.Fatalf("factor sets differ: %v vs %v", qs, qb)
 	}
-	for f, wp := range qh.PValue {
+	for f, wp := range qb.PValue {
 		gp, ok := qs.PValue[f]
 		if !ok || !olsClose(gp, wp, 1e-6) {
 			t.Fatalf("PValue[%v]: %v (ok=%v) vs %v", f, gp, ok, wp)
 		}
 	}
-	for f, wv := range qh.TimePerUnit {
+	for f, wv := range qb.TimePerUnit {
 		gv, ok := qs.TimePerUnit[f]
 		if !ok || !olsClose(gv, wv, 1e-6) {
 			t.Fatalf("TimePerUnit[%v]: %v (ok=%v) vs %v", f, gv, ok, wv)
@@ -210,7 +203,7 @@ func TestMonitorStreamingOLSStaleFallback(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
-	edges := eventEdges(m, &events[0])
+	edges, _ := eventEdges(m, &events[0])
 	if q := m.streamQuantifier(edges); q == nil {
 		t.Fatal("quantifier should be warm after Flush")
 	}
@@ -222,7 +215,7 @@ func TestMonitorStreamingOLSStaleFallback(t *testing.T) {
 		Start: 200_000_000, Elapsed: 1_000_000,
 		Counters: trace.CountersView{TotIns: 1_000_000},
 	}})
-	edges = eventEdges(m, &events[0])
+	edges, _ = eventEdges(m, &events[0])
 	if q := m.streamQuantifier(edges); q != nil {
 		t.Fatal("stale moments served: generation check failed")
 	}
@@ -239,8 +232,16 @@ func TestMonitorStreamingOLSStaleFallback(t *testing.T) {
 // own elemMoments lock) and requires every edge's moments to equal, bit
 // for bit, those of the same stream analyzed by one worker: an edge's
 // advances are ordered by its own generations, not by which worker ran
-// them. Run under -race it also pins the locking itself.
+// them. Run under -race it also pins the locking itself. Two streams:
+// OS noise on every fragment (the dense fold) and idle OS counters (the
+// sparse fold: only the intercept and elapsed are nonzero).
 func TestMonitorStreamingOLSParallelWorkers(t *testing.T) {
+	for _, idle := range []bool{false, true} {
+		t.Run(fmt.Sprintf("idle=%v", idle), func(t *testing.T) { testOLSParallelWorkers(t, idle) })
+	}
+}
+
+func testOLSParallelWorkers(t *testing.T, idle bool) {
 	const ranks, edges = 4, 12
 	run := func(parallelism int) *Monitor {
 		opt := monOpts(ranks)
@@ -255,13 +256,17 @@ func TestMonitorStreamingOLSParallelWorkers(t *testing.T) {
 					e := uint64(rng.Intn(edges))
 					susp := rng.Int63n(50_000)
 					soft := uint64(rng.Intn(30))
+					vol := uint64(rng.Intn(20))
+					if idle {
+						susp, soft, vol = 0, 0, 0
+					}
 					el := 1_000_000 + susp + int64(soft)*1_000 + rng.Int63n(10_000)
 					batch = append(batch, trace.Fragment{
 						Rank: rank, Kind: trace.Comp, From: e + 1, State: e + 2,
 						Start: clock[rank], Elapsed: el,
 						Counters: trace.CountersView{
 							TotIns: 1_000_000 + uint64(rng.Intn(3))*400_000, Cycles: 500_000,
-							SuspensionNS: susp, SoftPF: soft, VolCS: uint64(rng.Intn(20)),
+							SuspensionNS: susp, SoftPF: soft, VolCS: vol,
 						},
 					})
 					clock[rank] += el

@@ -424,6 +424,7 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 		met.Spans.RecordNS(StagePrep, since(t0))
 		met.Spans.RecordNS(StageCluster, a.clock.clusterNS.Load())
 		met.Spans.RecordNS(StageNormalize, a.clock.normNS.Load())
+		met.Spans.RecordNS(StageHook, a.clock.hookNS.Load())
 		tMerge = time.Now()
 	}
 

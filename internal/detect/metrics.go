@@ -8,17 +8,19 @@ import (
 )
 
 // Pipeline stages traced per analysis window. StagePrep is the whole
-// per-element fan-out wall time; StageCluster and StageNormalize are the
-// CPU time summed across workers inside it (cache-miss clustering and
-// prep rebuilds — near zero on warm windows); StageMerge sums the
-// per-element partials; StageMap is the per-class stream merge plus the
-// heat-map and region-growing pass.
+// per-element fan-out wall time; StageCluster, StageNormalize and
+// StageHook are the CPU time summed across workers inside it (cache-miss
+// clustering and prep rebuilds — near zero on warm windows — and the
+// cluster-delta hook, e.g. the monitor's streaming-OLS moments);
+// StageMerge sums the per-element partials; StageMap is the per-class
+// stream merge plus the heat-map and region-growing pass.
 const (
 	StagePrep = iota
 	StageCluster
 	StageNormalize
 	StageMerge
 	StageMap
+	StageHook
 )
 
 // Metrics is the detection layer's observability surface.
@@ -65,7 +67,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		WindowNS: reg.Histogram("vapro_detect_window_ns", "detect",
 			"end-to-end latency of one detection pass (ns)", obs.LatencyBounds()),
 		Spans: obs.NewSpans(reg, "vapro_detect_stage", "detect",
-			"prep", "cluster", "normalize", "merge", "map"),
+			"prep", "cluster", "normalize", "merge", "map", "hook"),
 		PrepIncremental: reg.Counter("vapro_detect_prep_incremental_total", "detect",
 			"element preps advanced incrementally (append-only delta applied in place)"),
 		PrepRebuilds: reg.Counter("vapro_detect_prep_rebuilds_total", "detect",
@@ -96,11 +98,13 @@ func (a *Analyzer) SetMetrics(m *Metrics) { a.met = m }
 type stageClock struct {
 	clusterNS atomic.Int64
 	normNS    atomic.Int64
+	hookNS    atomic.Int64
 }
 
 func (sc *stageClock) reset() {
 	sc.clusterNS.Store(0)
 	sc.normNS.Store(0)
+	sc.hookNS.Store(0)
 }
 
 // since is a tiny helper for the instrumentation sites.

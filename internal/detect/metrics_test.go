@@ -41,7 +41,7 @@ func TestAnalyzerMetrics(t *testing.T) {
 	if met.WindowNS.Count() != 2 {
 		t.Fatalf("window latency observations: %d, want 2", met.WindowNS.Count())
 	}
-	for _, st := range []int{StagePrep, StageCluster, StageNormalize, StageMerge, StageMap} {
+	for _, st := range []int{StagePrep, StageCluster, StageNormalize, StageMerge, StageMap, StageHook} {
 		if got := met.Spans.Hist(st).Count(); got != 2 {
 			t.Fatalf("stage %s recorded %d spans, want 2", met.Spans.Stages()[st], got)
 		}

@@ -303,7 +303,13 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 		a.clock.clusterNS.Add(since(t0))
 	}
 	if h := a.clusterHook; h != nil {
+		if met != nil {
+			t0 = time.Now()
+		}
 		h(key, gen, frags, cl, d)
+		if met != nil {
+			a.clock.hookNS.Add(since(t0))
+		}
 	}
 	a.mu.Lock()
 	p := a.preps[key]

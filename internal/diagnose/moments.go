@@ -22,11 +22,21 @@ import (
 // would otherwise eat the mantissa and break the 1e-9 equivalence).
 type ClusterMoments struct {
 	factors []Factor
+	osOnly  bool // every factor is an OS factor: its Metric reads only osCounters
 	n       int
-	m       []float64 // (k+2)×(k+2) row-major moments of the shifted v
+	m       []float64 // (k+2)×(k+2) row-major moments of the shifted v, upper triangle only (see cell)
 	shift   []float64 // first member's raw [f1..fk, y]
+	os      [6]uint64 // first member's osCounters
 	lo, hi  []float64 // raw per-column min/max [f1..fk, y]
-	buf     []float64 // scratch v, preallocated so Add never allocates
+	buf     []float64 // scratch v (buf[0] = 1), preallocated so Add never allocates
+	nz      []int     // scratch: v's nonzero entries, [0] = the intercept
+}
+
+// osCounters are the counters the OS factors' Metric reads: suspension
+// time and the event counts.
+func osCounters(f *trace.Fragment) [6]uint64 {
+	c := &f.Counters
+	return [6]uint64{uint64(c.SuspensionNS), c.SoftPF, c.HardPF, c.VolCS, c.InvolCS, c.Signals}
 }
 
 // NewClusterMoments returns an accumulator for the given factor set.
@@ -40,6 +50,11 @@ func NewClusterMoments(factors []Factor) *ClusterMoments {
 		lo:      make([]float64, k+1),
 		hi:      make([]float64, k+1),
 		buf:     make([]float64, d),
+		nz:      make([]int, 1, d),
+	}
+	c.buf[0], c.osOnly = 1, true
+	for _, f := range factors {
+		c.osOnly = c.osOnly && (f == Suspension || !f.Quantifiable())
 	}
 	for j := range c.lo {
 		c.lo[j] = math.MaxFloat64
@@ -52,36 +67,78 @@ func NewClusterMoments(factors []Factor) *ClusterMoments {
 func (c *ClusterMoments) N() int { return c.n }
 
 // Add folds one cluster member into the moments. It never allocates.
+//
+// The fold is the rank-1 update m += v·v' over only the entries of
+// v = [1, f−shift, y−shift] that are not exactly zero, upper triangle
+// only. It is bitwise the dense update for every input:
+//   - a skipped product has a ±0 factor and a finite other one: it is ±0;
+//   - a cell starts at +0 and never becomes −0 (an exact cancellation
+//     rounds to +0, and −0 only survives −0 + −0), so x + (±0) = x;
+//   - a row with a non-finite entry (0·Inf is NaN) is folded densely;
+//   - a column bitwise equal to its shift gives v = +0 (when finite) and
+//     already lies inside lo/hi (math.Min/Max are idempotent), so only
+//     the others touch lo/hi;
+//   - when every factor is an OS factor and the row's osCounters are the
+//     first member's, every factor column is bitwise its shift (and
+//     finite: a count or a time in ns), so none is even computed.
+//
+// OS event counts are zero on most fragments, so a steady tick folds
+// the intercept and elapsed: 3 products instead of d²; a row with every
+// column armed walks the triangle without the index list.
+// FuzzClusterMoments pins all of it against the dense update.
 func (c *ClusterMoments) Add(frag *trace.Fragment) {
 	k := len(c.factors)
 	d := k + 2
-	v := c.buf
-	v[0] = 1
-	for j, f := range c.factors {
-		raw := Metric(f, frag)
-		if c.n == 0 {
-			c.shift[j] = raw
+	shift, lo, hi := c.shift[:k+1], c.lo[:k+1], c.hi[:k+1]
+	v, nz := c.buf[:d], c.nz
+	first, finite := c.n == 0, true
+	from, os := 0, osCounters(frag) // from: the first column to fold
+	if first {
+		c.os = os
+	} else if c.osOnly && os == c.os {
+		from = k
+		clear(v[1 : k+1])
+	}
+	for j := from; j < k; j++ {
+		v[j+1] = Metric(c.factors[j], frag)
+	}
+	v[k+1] = float64(frag.Elapsed)
+	for j := from; j <= k; j++ {
+		raw := v[j+1]
+		if first {
+			shift[j] = raw
 		}
-		c.lo[j] = math.Min(c.lo[j], raw)
-		c.hi[j] = math.Max(c.hi[j], raw)
-		v[j+1] = raw - c.shift[j]
+		if first || math.Float64bits(raw) != math.Float64bits(shift[j]) {
+			lo[j] = math.Min(lo[j], raw)
+			hi[j] = math.Max(hi[j], raw)
+		}
+		x := raw - shift[j]
+		v[j+1] = x
+		if x != 0 {
+			nz = append(nz, j+1)
+			finite = finite && x-x == 0
+		}
 	}
-	y := float64(frag.Elapsed)
-	if c.n == 0 {
-		c.shift[k] = y
-	}
-	c.lo[k] = math.Min(c.lo[k], y)
-	c.hi[k] = math.Max(c.hi[k], y)
-	v[k+1] = y - c.shift[k]
-	for i := 0; i < d; i++ {
-		row := c.m[i*d:]
-		vi := v[i]
-		for j := 0; j < d; j++ {
-			row[j] += vi * v[j]
+	if len(nz) == d || !finite {
+		for i := 0; i < d; i++ {
+			vi, row := v[i], c.m[i*d:i*d+d]
+			for j := i; j < d; j++ {
+				row[j] += vi * v[j]
+			}
+		}
+	} else {
+		for a, i := range nz {
+			vi, row := v[i], c.m[i*d:i*d+d]
+			for _, j := range nz[a:] {
+				row[j] += vi * v[j]
+			}
 		}
 	}
 	c.n++
 }
+
+// cell returns moment (i, j), mirroring the triangle Add keeps.
+func (c *ClusterMoments) cell(i, j int) float64 { return c.m[min(i, j)*(len(c.factors)+2)+max(i, j)] }
 
 // span returns column j's normalization span under buildOLSData's rule
 // (hi−lo, degenerate spans forced to 1) and whether it was degenerate.
@@ -114,8 +171,8 @@ func (c *ClusterMoments) normalized() []float64 {
 	p := make([]float64, d*d)
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
-			p[i*d+j] = scale[i]*scale[j]*c.m[i*d+j] +
-				scale[i]*off[j]*c.m[i*d] +
+			p[i*d+j] = scale[i]*scale[j]*c.cell(i, j) +
+				scale[i]*off[j]*c.m[i] +
 				off[i]*scale[j]*c.m[j] +
 				off[i]*off[j]*c.m[0]
 		}

@@ -182,17 +182,25 @@ func TestQuantifyMomentsSingularHierarchy(t *testing.T) {
 	}
 }
 
-// TestClusterMomentsAddAllocs pins the per-fragment accumulation as
-// allocation-free.
+// TestClusterMomentsAddAllocs pins the per-fragment accumulation of a
+// warm accumulator as allocation-free, on the sparse (idle counters),
+// mixed and dense (every column armed) folds.
 func TestClusterMomentsAddAllocs(t *testing.T) {
-	cm := NewClusterMoments(osFactorsUnderTest())
-	frag := trace.Fragment{
-		Rank: 1, Kind: trace.Comp, Start: 5, Elapsed: 1_000_000,
-		Counters: trace.CountersView{SuspensionNS: 1000, SoftPF: 3, VolCS: 2},
-	}
-	avg := testing.AllocsPerRun(100, func() { cm.Add(&frag) })
-	if avg != 0 {
-		t.Fatalf("ClusterMoments.Add allocated %.1f times per call; want 0", avg)
+	for _, c := range []trace.CountersView{
+		{},
+		{SuspensionNS: 1000, SoftPF: 3, VolCS: 2},
+		{SuspensionNS: 1000, SoftPF: 3, HardPF: 1, VolCS: 2, InvolCS: 4, Signals: 1},
+	} {
+		cm := NewClusterMoments(osFactorsUnderTest())
+		warm := trace.Fragment{Kind: trace.Comp, Elapsed: 900_000}
+		for i := 0; i < 4; i++ {
+			cm.Add(&warm)
+		}
+		frag := trace.Fragment{Rank: 1, Kind: trace.Comp, Start: 5, Elapsed: 1_000_000, Counters: c}
+		avg := testing.AllocsPerRun(100, func() { cm.Add(&frag) })
+		if avg != 0 {
+			t.Fatalf("counters %+v: ClusterMoments.Add allocated %.1f times per call; want 0", c, avg)
+		}
 	}
 }
 

@@ -310,13 +310,11 @@ func (v LogView) TotIns(i int) uint64 {
 	return c.lane(laneTotIns, r)
 }
 
-// Read materialises row i into f, overwriting every field. Only the
-// lanes present in the row's chunk are visited.
-func (v LogView) Read(i int, f *Fragment) {
-	c, r := v.row(i)
-	var w logLanes
+// fill copies row r's lanes in mask into w, visiting only those present
+// in the chunk (the rest stay zero).
+func (c *logChunk) fill(r int, mask uint64, w *logLanes) {
 	live := c.live.Load()
-	for m := live | c.nonzero; m != 0; m &= m - 1 {
+	for m := (live | c.nonzero) & mask; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros64(m)
 		if live>>k&1 != 0 {
 			w[k] = c.arrs[k][r]
@@ -324,6 +322,24 @@ func (v LogView) Read(i int, f *Fragment) {
 			w[k] = c.consts[k]
 		}
 	}
+}
+
+// ReadCounters fills only f.Elapsed and f.Counters from row i — the
+// fields diagnose.Metric reads — visiting counter lanes only.
+func (v LogView) ReadCounters(i int, f *Fragment) {
+	c, r := v.row(i)
+	var w logLanes
+	c.fill(r, 1<<numCounterLanes-1, &w)
+	f.Elapsed = c.elapsed[r]
+	setCounterLanes(&f.Counters, *(*[numCounterLanes]uint64)(w[:numCounterLanes]))
+}
+
+// Read materialises row i into f, overwriting every field. Only the
+// lanes present in the row's chunk are visited.
+func (v LogView) Read(i int, f *Fragment) {
+	c, r := v.row(i)
+	var w logLanes
+	c.fill(r, ^uint64(0), &w)
 	f.Rank = int(int64(c.rank[r]) + int64(w[laneRankHi]))
 	f.Start, f.Elapsed = c.start[r], c.elapsed[r]
 	setCounterLanes(&f.Counters, *(*[numCounterLanes]uint64)(w[:numCounterLanes]))

@@ -116,6 +116,20 @@ func checkView(t *testing.T, what string, v LogView, model []Fragment) {
 		if got[i] != model[i] {
 			t.Fatalf("%s: row %d = %+v, model %+v", what, i, got[i], model[i])
 		}
+		checkCounters(t, v, model, i)
+	}
+}
+
+// checkCounters: the narrow reader fills exactly Read's Elapsed and
+// Counters and touches nothing else.
+func checkCounters(t *testing.T, v LogView, model []Fragment, i int) {
+	t.Helper()
+	f := Fragment{Rank: -3, Start: 77, Truth: 99, Counters: CountersView{TotIns: 5, SuspensionNS: -9, L2MissStall: 1}}
+	want := f
+	want.Elapsed, want.Counters = model[i].Elapsed, model[i].Counters
+	v.ReadCounters(i, &f)
+	if f != want {
+		t.Fatalf("ReadCounters(%d) = %+v, want %+v", i, f, want)
 	}
 }
 
@@ -134,6 +148,7 @@ func checkRow(t *testing.T, v LogView, model []Fragment, i int) {
 	if v.Kind(i) != f.Kind || v.TotIns(i) != f.Counters.TotIns {
 		t.Fatalf("Kind/TotIns(%d) = %v/%d, model %+v", i, v.Kind(i), v.TotIns(i), model[i])
 	}
+	checkCounters(t, v, model, i)
 }
 
 // maxScriptRows keeps one fuzz execution to a few chunks.

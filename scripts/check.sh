@@ -23,7 +23,7 @@ fi
 # tests, the only option fields named Disable* or MaxDirtyRatio are the
 # ones a later deletion PR owns. The list can only shrink.
 if grep -nE '^[[:space:]]+(Disable[A-Z][A-Za-z0-9_]*|MaxDirtyRatio)[[:space:]]+[A-Za-z*\[]' $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*') |
-	grep -vE '^\./internal/(detect/[^/]*:[0-9]+:[[:space:]]+DisableIncremental|collector/[^/]*:[0-9]+:[[:space:]]+(DisableDeltaView|DisableStreamingOLS)|cluster/[^/]*:[0-9]+:[[:space:]]+MaxDirtyRatio)[[:space:]]'; then
+	grep -vE '^\./internal/(detect/[^/]*:[0-9]+:[[:space:]]+DisableIncremental|collector/[^/]*:[0-9]+:[[:space:]]+DisableDeltaView|cluster/[^/]*:[0-9]+:[[:space:]]+MaxDirtyRatio)[[:space:]]'; then
 	echo "a Disable*/MaxDirtyRatio option field outside the hatchguard allow-list"; exit 1
 fi
 go test ./...
@@ -70,6 +70,10 @@ go test -run xxx -fuzz 'FuzzAnalyzerEquivalence' -fuzztime 3s -fuzzminimizetime 
 # appends, cross-log copies, held views and reads must agree with a
 # plain []Fragment, row for row.
 go test -run xxx -fuzz 'FuzzLogRoundTrip' -fuzztime 3s ./internal/trace
+# ... and the streaming-OLS fold: any row stream (idle, equal to the
+# first member, columns arming and returning, integer extremes) keeps
+# the sparse moments bitwise equal to the dense update.
+go test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
 # Bench smoke: one iteration each, correctness plus the recorded scale
 # bounds. Every MonitorTick bench (and the sharded tier) runs 3x with
 # in-bench settle ticks, and benchjson -min keeps each benchmark's
@@ -84,13 +88,17 @@ go test -run xxx -fuzz 'FuzzLogRoundTrip' -fuzztime 3s ./internal/trace
 # and flat in the resident population, 1M within 1.5x of 100k: every
 # element is on the sample store, nothing copies residents), and the PR 14
 # sort-free bound (the comp-steady-shaped tick at ≤0.08x of the batch
-# plane; measured 0.05x). BenchmarkLogAppend (ns/frag and B/frag per
+# plane; measured 0.05x), and the sparse streaming-OLS fold (idle OS
+# counters at ≤0.5x of all columns armed; measured 0.17x, the dense
+# fold reads 1.0x). BenchmarkLogAppend (ns/frag and B/frag per
 # end-to-end population) and BenchmarkPoolIngest's resident_B_per_frag
-# record what the columnar fragment log costs. Raw output and the parsed
-# BENCH.json are kept for the CI artifact upload.
+# record what the columnar fragment log costs, and
+# MonitorTickWindow/plane=monitor the whole monitor round (unasserted:
+# ±15 % at 1x). Raw output and the parsed BENCH.json are kept for the CI
+# artifact upload.
 go test -run xxx -bench 'BenchmarkPoolIngest$|BenchmarkWindowResults|BenchmarkLogAppend' \
 	-benchtime 1x -benchmem . | tee bench-smoke.out
-go test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale' \
+go test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale|BenchmarkClusterMomentsAdd' \
 	-benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
 go run ./cmd/benchjson -min -out BENCH.json \
 	-assert 'MonitorTickScale/servers=1/resident=1000k<=1.5*MonitorTickScale/servers=1/resident=100k' \
@@ -100,6 +108,7 @@ go run ./cmd/benchjson -min -out BENCH.json \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=1.5*MonitorTickMultiD/plane=inc/resident=100k' \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 	-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
+	-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
 	< bench-smoke.out
 
 # End-to-end harness: one workload of bench/ (the real stack over
@@ -130,7 +139,7 @@ for name in vapro_uptime_seconds vapro_intake_staged vapro_intake_batches_total 
 	vapro_wire_frames_total vapro_wire_frames_rejected_total \
 	vapro_wire_seq_gaps_total vapro_net_batches_lost_total \
 	vapro_net_reconnects_total vapro_net_spill_depth \
-	vapro_detect_window_ns vapro_cluster_cache_hits \
+	vapro_detect_window_ns vapro_detect_stage_hook_ns vapro_cluster_cache_hits \
 	vapro_cluster_cache_inc_hits vapro_detect_prep_rebuilds_total \
 	vapro_storage_bytes_per_rank_second \
 	vapro_detect_store_appends_total vapro_detect_sample_sort_fallbacks_total \
