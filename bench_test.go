@@ -404,43 +404,22 @@ func BenchmarkVMeasure(b *testing.B) {
 	}
 }
 
-// MRNet-style tree aggregation (§5): per-node merge work stays bounded
-// by the fan-out; this bench documents reduce cost at 256 clients.
-func BenchmarkTreeAggregation(b *testing.B) {
-	batches := make([][]trace.Fragment, 256)
-	for rank := range batches {
-		batches[rank] = synthFrags(50)
-		for i := range batches[rank] {
-			batches[rank][i].Rank = rank
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree := collector.NewTree(256, 8)
-		for rank, frags := range batches {
-			tree.Consume(rank, frags)
-		}
-		g := tree.Reduce()
-		b.ReportMetric(float64(g.NumFragments()), "fragments")
-		b.ReportMetric(float64(tree.Levels()), "levels")
-	}
-}
-
-// Wire transport cost: gob-encoding fragment batches (the client->server
-// hop of Figure 8).
+// Wire transport cost: encoding one 256-fragment batch as the traced
+// (v4) frame a tracing ResilientClient ships — the client->server hop of
+// Figure 8 — into a buffer reused across batches, as the client's
+// writer does.
 func BenchmarkWireEncode(b *testing.B) {
-	frags := synthFrags(256)
+	const n = 256
+	frags := synthFrags(n)
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := collector.NewWireClient(nopCloser{io.Discard})
-		c.Consume(0, frags)
-		b.SetBytes(c.BytesOut())
+		buf = trace.AppendBatchTraced(buf[:0], 0, uint64(i+1), 1, 0, frags)
 	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/frag")
+	b.ReportMetric(float64(len(buf))/n, "B/frag")
 }
-
-type nopCloser struct{ io.Writer }
-
-func (nopCloser) Close() error { return nil }
 
 // --- ingestion-plane benches (§3.5/§5 server intake + window analysis) ---
 

@@ -4,17 +4,82 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"vapro"
 	"vapro/internal/collector"
 	"vapro/internal/sim"
 	"vapro/internal/trace"
 	"vapro/internal/wal"
 )
 
-// analyzeMain replays a delivery journal written by `vapro serve
+// analyzeUsage is printed, with exit status 2, when analyze gets
+// neither input or both.
+const analyzeUsage = `usage: vapro analyze -journal DIR [-from S] [-to S] [-ranks N] [-json]
+       vapro analyze [-diagnose] [-json] [-html F] [-png F] [-svg F] [-dot F] FILE.vrec`
+
+// analyzeMain re-runs the analysis offline over one of two inputs: a
+// delivery journal (-journal DIR, see analyzeJournal) or one fragment
+// recording written by `vapro -record FILE.vrec`, for which it prints
+// the run mode's report (printReport). It returns the process exit
+// status.
+func analyzeMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vapro analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	journal := fs.String("journal", "", "journal directory written by vapro serve -journal")
+	from := fs.Float64("from", 0, "journal: range start, seconds of virtual time")
+	to := fs.Float64("to", 0, "journal: range end, seconds of virtual time (0 = end of data)")
+	ranks := fs.Int("ranks", 0, "journal: rank-space size (0 = infer from the journaled frames)")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of text: a journal's window rows, or a recording's report")
+	rf := addReportFlags(fs)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	var err error
+	switch {
+	case *journal != "" && fs.NArg() == 0:
+		err = analyzeJournal(stdout, *journal, *from, *to, *ranks, *jsonOut)
+	case *journal == "" && fs.NArg() == 1:
+		err = analyzeRecording(stdout, fs.Arg(0), *jsonOut, rf)
+	default:
+		fmt.Fprintln(stderr, analyzeUsage)
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "vapro analyze:", err)
+		return 1
+	}
+	return 0
+}
+
+// analyzeRecording re-analyzes a fragment recording and prints its
+// report (printReport), or with asJSON its JSON report alone.
+func analyzeRecording(w io.Writer, path string, asJSON bool, rf reportFlags) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	res, err := vapro.AnalyzeRecording(f, vapro.DefaultOptions().Collector.Detect)
+	if err != nil {
+		return err
+	}
+	if asJSON {
+		data, err := vapro.ReportJSON(res, true)
+		if err == nil {
+			_, err = w.Write(data)
+		}
+		return err
+	}
+	return printReport(w, res, nil, "", rf)
+}
+
+// analyzeJournal replays a delivery journal written by `vapro serve
 // -journal` into a fresh offline pool and runs the windowed analysis
 // over a virtual-time range. The journal holds the delivered frame
 // stream in delivery order, so the rebuilt state — fragment logs,
@@ -22,34 +87,25 @@ import (
 // and the window grid is anchored at zero exactly like the live one:
 // a range query returns the same rows the live WindowResults would,
 // filtered to the requested [from, to) span.
-func analyzeMain(args []string) {
-	fs := flag.NewFlagSet("vapro analyze", flag.ExitOnError)
-	journal := fs.String("journal", "", "journal directory written by vapro serve -journal")
-	from := fs.Float64("from", 0, "range start, seconds of virtual time")
-	to := fs.Float64("to", 0, "range end, seconds of virtual time (0 = end of data)")
-	ranks := fs.Int("ranks", 0, "rank-space size (0 = infer from the journaled frames)")
-	jsonOut := fs.Bool("json", false, "emit the window rows as JSON")
-	_ = fs.Parse(args)
-	if *journal == "" {
-		fmt.Fprintln(os.Stderr, "vapro analyze: -journal is required")
-		os.Exit(2)
-	}
-
-	dirs, err := journalDirs(*journal)
+func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, asJSON bool) error {
+	dirs, err := journalDirs(journal)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vapro analyze:", err)
-		os.Exit(1)
+		return err
 	}
 
 	// First pass: recover every log (truncating torn tails) and size
 	// the rank space off the journaled frames themselves.
 	logs := make([]*wal.Log, 0, len(dirs))
+	defer func() {
+		for _, l := range logs {
+			_ = l.Close()
+		}
+	}()
 	maxRank, frames := -1, 0
 	for _, d := range dirs {
 		l, err := wal.Open(d, wal.Options{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro analyze:", err)
-			os.Exit(1)
+			return err
 		}
 		logs = append(logs, l)
 		err = l.Replay(func(payload []byte) error {
@@ -64,17 +120,15 @@ func analyzeMain(args []string) {
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro analyze:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if frames == 0 {
-		fmt.Fprintln(os.Stderr, "vapro analyze: journal holds no frames")
-		os.Exit(1)
+		return fmt.Errorf("journal holds no frames")
 	}
 	n := maxRank + 1
-	if *ranks > n {
-		n = *ranks
+	if ranks > n {
+		n = ranks
 	}
 
 	// Second pass: replay for real through the collector path (sequence
@@ -82,36 +136,33 @@ func analyzeMain(args []string) {
 	// replay sequentially — ranks never span shards, so each rank's
 	// frame order is exactly its original delivery order.
 	pool := collector.NewPool(n, collector.DefaultOptions())
-	defer pool.Close()
 	replayed := 0
 	for _, l := range logs {
 		nf, err := collector.ReplayJournal(l, pool)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro analyze:", err)
-			os.Exit(1)
+			return err
 		}
 		replayed += nf
-		_ = l.Close()
 	}
-	fromNS := int64(*from * float64(sim.Second))
-	toNS := int64(*to * float64(sim.Second))
+	fromNS := int64(from * float64(sim.Second))
+	toNS := int64(to * float64(sim.Second))
 	results := pool.WindowResultsRange(fromNS, toNS)
 
-	if *jsonOut {
-		printWindowsJSON(results, replayed)
-		return
+	if asJSON {
+		return printWindowsJSON(w, results, replayed)
 	}
-	fmt.Printf("replayed %d frame(s) from %d journal(s), %d rank(s), %d window(s)\n",
+	fmt.Fprintf(w, "replayed %d frame(s) from %d journal(s), %d rank(s), %d window(s)\n",
 		replayed, len(logs), n, len(results))
-	for _, w := range results {
-		fmt.Printf("window %.2fs-%.2fs: %d region(s)\n",
-			w.Start.Seconds(), w.End.Seconds(), len(w.Result.Regions))
-		for _, reg := range w.Result.Regions {
-			fmt.Printf("  %-13s ranks %d-%d cells %d mean perf %.3f loss %.3fms\n",
+	for _, win := range results {
+		fmt.Fprintf(w, "window %.2fs-%.2fs: %d region(s)\n",
+			win.Start.Seconds(), win.End.Seconds(), len(win.Result.Regions))
+		for _, reg := range win.Result.Regions {
+			fmt.Fprintf(w, "  %-13s ranks %d-%d cells %d mean perf %.3f loss %.3fms\n",
 				reg.Class, reg.RankMin, reg.RankMax, reg.Cells, reg.MeanPerf,
 				float64(reg.LossNS)/1e6)
 		}
 	}
+	return nil
 }
 
 // journalDirs resolves the journal layout: a single-server journal is
@@ -152,7 +203,7 @@ type regionRow struct {
 	LossMS   float64 `json:"loss_ms"`
 }
 
-func printWindowsJSON(results []*collector.WindowResult, replayed int) {
+func printWindowsJSON(w io.Writer, results []*collector.WindowResult, replayed int) error {
 	out := struct {
 		Replayed int         `json:"replayed_frames"`
 		Windows  []windowRow `json:"windows"`
@@ -167,7 +218,7 @@ func printWindowsJSON(results []*collector.WindowResult, replayed int) {
 		}
 		out.Windows = append(out.Windows, row)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	return enc.Encode(out)
 }

@@ -17,6 +17,7 @@
 //	vapro status -addr HOST:PORT -json|-trace|-fleet        machine schema / batch journeys / fleet health
 //	vapro feed   -bootstrap HOST:PORT -ranks 4 -batches 32  stream synthetic traced batches into it
 //	vapro analyze -journal DIR -from 0 -to 30               re-run window analysis over a journal range
+//	vapro analyze -diagnose run.vrec                        re-analyze a run recorded with -record
 package main
 
 import (
@@ -59,8 +60,7 @@ func main() {
 			feedMain(os.Args[2:])
 			return
 		case "analyze":
-			analyzeMain(os.Args[2:])
-			return
+			os.Exit(analyzeMain(os.Args[2:], os.Stdout, os.Stderr))
 		}
 	}
 	appName := flag.String("app", "CG", "application skeleton to run (see -list)")
@@ -71,13 +71,9 @@ func main() {
 	memNoise := flag.String("mem-noise", "", "inject memory contention: node=N,start=S,end=E,slow=F")
 	ioNoise := flag.String("io-noise", "", "inject IO interference: start=S,end=E,slow=F")
 	degraded := flag.Int("degraded-node", -1, "node with degraded memory bandwidth (84.5%)")
-	diagnoseFlag := flag.Bool("diagnose", false, "run progressive diagnosis on detected variance")
-	record := flag.String("record", "", "persist the raw fragment stream to this file (analyze later with vaproanalyze)")
-	htmlOut := flag.String("html", "", "write a full HTML report to this file")
+	record := flag.String("record", "", "persist the raw fragment stream to this file (analyze later with vapro analyze FILE)")
 	jsonOut := flag.String("json", "", "write a machine-readable JSON summary to this file")
-	pngOut := flag.String("png", "", "write the computation heat map as PNG to this file")
-	svgOut := flag.String("svg", "", "write the computation heat map as SVG to this file")
-	dotOut := flag.String("dot", "", "write the State Transition Graph as Graphviz dot to this file")
+	rf := addReportFlags(flag.CommandLine)
 	online := flag.Bool("online", false, "run in deployment mode: report variance events live (Figure 8)")
 	overhead := flag.Bool("overhead", false, "also run untraced baseline and report tool overhead")
 	list := flag.Bool("list", false, "list bundled applications and exit")
@@ -157,83 +153,14 @@ func main() {
 		res = vapro.Run(app, opt)
 	}
 	if *record != "" {
-		f, err := os.Create(*record)
-		if err == nil {
-			err = res.SaveRecording(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := writeFile(*record, res.SaveRecording); err != nil {
 			fmt.Fprintln(os.Stderr, "vapro:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("recorded fragment stream to %s\n", *record)
 	}
-	fmt.Println(res.Summary())
-	if plain != nil {
-		fmt.Printf("overhead vs untraced baseline: %.2f%%\n", 100*res.Overhead(plain))
-	}
-	for _, class := range []vapro.Class{vapro.Computation, vapro.Communication, vapro.IO} {
-		if res.Detection.Maps[class] == nil {
-			continue
-		}
-		fmt.Println()
-		fmt.Print(vapro.RenderHeatMap(res, class))
-	}
-	if *jsonOut != "" {
-		data, err := vapro.ReportJSON(res, true)
-		if err == nil {
-			err = os.WriteFile(*jsonOut, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-	if *pngOut != "" {
-		f, err := os.Create(*pngOut)
-		if err == nil {
-			err = vapro.WriteHeatMapPNG(f, res, vapro.Computation)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *pngOut)
-	}
-	if *htmlOut != "" {
-		if err := os.WriteFile(*htmlOut, []byte(vapro.ReportHTML(res)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "vapro:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *htmlOut)
-	}
-	if *svgOut != "" {
-		if err := os.WriteFile(*svgOut, []byte(vapro.RenderHeatMapSVG(res, vapro.Computation)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "vapro:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *svgOut)
-	}
-	if *dotOut != "" {
-		if err := os.WriteFile(*dotOut, []byte(vapro.RenderSTG(res)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "vapro:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *dotOut)
-	}
-	if *diagnoseFlag {
-		for _, class := range []vapro.Class{vapro.Computation, vapro.Communication, vapro.IO} {
-			rep := res.DiagnoseTop(class, vapro.DefaultDiagnoseOptions())
-			if rep == nil || rep.AbnormalFrags == 0 {
-				continue
-			}
-			fmt.Printf("\nprogressive diagnosis (%s):\n%s", class, rep.String())
-		}
+	if err := printReport(os.Stdout, res, plain, *jsonOut, rf); err != nil {
+		fmt.Fprintln(os.Stderr, "vapro:", err)
+		os.Exit(1)
 	}
 }

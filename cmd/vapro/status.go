@@ -271,9 +271,8 @@ func renderStatus(s *obs.Snapshot) string {
 		val(s, "vapro_wire_conns_total"), val(s, "vapro_wire_frames_total"),
 		val(s, "vapro_wire_frames_rejected_total"), val(s, "vapro_wire_decode_errors_total"),
 		val(s, "vapro_wire_panics_total"), humanBytes(val(s, "vapro_wire_bytes_total")))
-	fmt.Fprintf(&b, "          seq gaps %.0f (lost batches)   dups %.0f   client drops %.0f\n",
-		val(s, "vapro_wire_seq_gaps_total"), val(s, "vapro_wire_dups_total"),
-		val(s, "vapro_wire_client_drops_total"))
+	fmt.Fprintf(&b, "          seq gaps %.0f (lost batches)   dups %.0f\n",
+		val(s, "vapro_wire_seq_gaps_total"), val(s, "vapro_wire_dups_total"))
 
 	// Durability surface: present only when the collector runs with a
 	// delivery journal (vapro serve -journal). Pending counts records

@@ -63,6 +63,7 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"fragments 60",
 		"resident  fragments 60   log ",
 		"B/fragment   1 chunk(s), 0 live lane(s)",
+		"seq gaps 0 (lost batches)   dups 0\n",
 		"detect    windows",
 		"latency p50",
 		"· hook p50 ",

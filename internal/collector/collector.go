@@ -36,9 +36,6 @@ type Options struct {
 	Overlap sim.Duration
 	// Detect configures the per-window analysis.
 	Detect detect.Options
-	// Intake tunes the server intake path (staging shards, background
-	// merging, backpressure).
-	Intake IntakeOptions
 	// DisableDeltaView is the escape hatch for the delta-append merged
 	// view: when set, every changed multi-server element is rebuilt by
 	// full concatenation (the legacy path), which bumps its epoch and
@@ -130,7 +127,7 @@ func newPoolWith(ranks int, opt Options, met *Metrics, derived bool) *Pool {
 	}
 	p.an.SetMetrics(p.met.Detect)
 	for i := 0; i < n; i++ {
-		p.servers = append(p.servers, newServer(i, opt, p.met))
+		p.servers = append(p.servers, newServer(p.met))
 	}
 	if derived {
 		p.registerDerived()
@@ -160,13 +157,10 @@ func (p *Pool) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
 	s.consumeSized(rank, frags, bytes)
 }
 
-// Close stops background mergers and drains any staged batches. Pools
-// without background intake need no Close; calling it is always safe.
-func (p *Pool) Close() {
-	for _, s := range p.servers {
-		s.close()
-	}
-}
+// Close drains every server's staged batches into its graph. Every read
+// path drains on demand too, so a pool needs no Close; calling it is
+// always safe.
+func (p *Pool) Close() { p.drainAll() }
 
 // drainAll merges every server's staged batches into its graph.
 func (p *Pool) drainAll() {
@@ -516,7 +510,7 @@ type Stats struct {
 	// 12.8-47.4 KB/s), measured over the encoded wire format.
 	BytesPerRankSecond float64
 	// IntakeStalls counts consumers that found the staged backlog at
-	// its MaxStaged bound and had to drain synchronously (backpressure).
+	// its bound and had to drain synchronously (backpressure).
 	IntakeStalls uint64
 	// MaxStagedDepth is the high-water mark of batches staged at once.
 	MaxStagedDepth int64

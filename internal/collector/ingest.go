@@ -11,38 +11,22 @@ import (
 	"vapro/internal/trace"
 )
 
-// IntakeOptions tunes the server intake path. The old path serialized
-// every client of a server behind one mutex for the whole graph append;
-// intake now stages batches in striped shards (a short critical section
-// per stripe) and merges them into the graph in arrival order either
-// opportunistically on the consume path or on a background merger.
-type IntakeOptions struct {
-	// Shards stripes each server's staging area so concurrent Consume
-	// calls from different clients contend only within a stripe. 0
-	// means 8; 1 is the sequential reference mode (a single stripe,
-	// still staged, bit-identical results).
-	Shards int
-	// Background moves graph merging to a dedicated goroutine per
-	// server, taking it off the client consume path entirely. Pools
-	// with background intake should be Closed to stop the mergers
-	// (every read path still drains on demand, so results never depend
-	// on merger timing).
-	Background bool
-	// MaxStaged bounds the per-server staged-batch backlog; a consumer
-	// that finds the backlog at the bound performs a synchronous drain
-	// (backpressure instead of unbounded buffering). 0 means 256.
-	MaxStaged int
-}
-
-func (o IntakeOptions) normalized() IntakeOptions {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
-	if o.MaxStaged <= 0 {
-		o.MaxStaged = 256
-	}
-	return o
-}
+// Server intake: batches are staged in striped shards (a short critical
+// section per stripe, so concurrent clients of one server contend only
+// within a stripe) and merged into the graph in arrival order by
+// whichever consumer gets the graph lock without waiting. EXPERIMENTS
+// "What the intake's knobs were worth" has the measurements behind both
+// constants and behind staging itself.
+const (
+	// intakeStripes is the staging stripe count per server: at 2 and 8
+	// concurrent feeders it beats a single stripe, and a sequential
+	// feeder builds the same graph either way.
+	intakeStripes = 8
+	// intakeMaxStaged bounds a server's staged-batch backlog: a consumer
+	// that finds the backlog at the bound drains synchronously
+	// (backpressure instead of unbounded buffering).
+	intakeMaxStaged = 256
+)
 
 // stagedBatch is one client batch waiting to be merged. seq is the
 // arrival stamp: drains apply batches in seq order, so a sequential
@@ -65,23 +49,20 @@ type intakeShard struct {
 
 // Server is one analysis server process.
 type Server struct {
-	id  int
-	opt Options
 	met *Metrics
 
 	seq    atomic.Uint64
 	staged atomic.Int64
 	shards []intakeShard
+	// maxStaged is the backlog bound, intakeMaxStaged in production;
+	// in-package tests shrink it (and resize shards) to force the
+	// backpressure path or a single stripe.
+	maxStaged int
 	// free holds drained staging buffers for stage to reuse: a staged
 	// copy is dead the moment AddBatch has written its rows into the
-	// graph's columns. Its capacity is Intake.MaxStaged — no more
-	// buffers than that are ever staged at once.
+	// graph's columns. Its capacity is maxStaged — no more buffers than
+	// that are ever staged at once.
 	free chan []trace.Fragment
-
-	notify    chan struct{}
-	done      chan struct{}
-	mergerWG  sync.WaitGroup
-	closeOnce sync.Once
 
 	mu    sync.Mutex
 	graph *stg.Graph
@@ -93,26 +74,14 @@ type Server struct {
 	batches int
 }
 
-func newServer(id int, opt Options, met *Metrics) *Server {
-	opt.Intake = opt.Intake.normalized()
-	if met == nil {
-		met = NewMetrics() // standalone servers still count into something
+func newServer(met *Metrics) *Server {
+	return &Server{
+		met:       met,
+		shards:    make([]intakeShard, intakeStripes),
+		maxStaged: intakeMaxStaged,
+		free:      make(chan []trace.Fragment, intakeMaxStaged),
+		graph:     stg.New(),
 	}
-	s := &Server{
-		id:     id,
-		opt:    opt,
-		met:    met,
-		shards: make([]intakeShard, opt.Intake.Shards),
-		free:   make(chan []trace.Fragment, opt.Intake.MaxStaged),
-		graph:  stg.New(),
-	}
-	if opt.Intake.Background {
-		s.notify = make(chan struct{}, 1)
-		s.done = make(chan struct{})
-		s.mergerWG.Add(1)
-		go s.mergerLoop()
-	}
-	return s
 }
 
 // consume stages one batch. The encoded size is measured here (outside
@@ -154,19 +123,7 @@ func (s *Server) stage(rank int, frags []trace.Fragment, bytes int, tc TraceCtx,
 	s.met.IntakeBytes.Add(uint64(bytes))
 	s.met.IntakeStagedPeak.SetMax(n)
 
-	if s.notify != nil {
-		select {
-		case s.notify <- struct{}{}:
-		default:
-		}
-		if int(n) >= s.opt.Intake.MaxStaged {
-			s.met.IntakeStalls.Inc()
-			s.met.IntakeSyncDrains.Inc()
-			s.drain() // backpressure: the merger fell behind
-		}
-		return
-	}
-	if int(n) >= s.opt.Intake.MaxStaged {
+	if int(n) >= s.maxStaged {
 		s.met.IntakeStalls.Inc()
 		s.drain()
 		return
@@ -223,28 +180,4 @@ func (s *Server) drainLocked() {
 	s.met.DrainBatches.Observe(int64(len(all)))
 	clear(all)
 	s.drained = all[:0]
-}
-
-func (s *Server) mergerLoop() {
-	defer s.mergerWG.Done()
-	for {
-		select {
-		case <-s.notify:
-			s.drain()
-		case <-s.done:
-			s.drain()
-			return
-		}
-	}
-}
-
-// close stops the background merger (if any) and drains what it left.
-func (s *Server) close() {
-	s.closeOnce.Do(func() {
-		if s.done != nil {
-			close(s.done)
-			s.mergerWG.Wait()
-		}
-		s.drain()
-	})
 }

@@ -233,8 +233,29 @@ func feedEquivWorkload(p *Pool, ranks int) {
 	}
 }
 
+// intakeMode is one server intake shape: the staging stripe count and
+// the staged-backlog bound. The zero value is production's.
+type intakeMode struct {
+	name              string
+	stripes, maxStage int
+}
+
+// setIntake reshapes every server of a fresh pool to m, before anything
+// is staged: one stripe is the sequential reference, a tiny bound forces
+// the synchronous-drain path on most consumes.
+func setIntake(p *Pool, m intakeMode) {
+	for _, s := range p.servers {
+		if m.stripes > 0 {
+			s.shards = make([]intakeShard, m.stripes)
+		}
+		if m.maxStage > 0 {
+			s.maxStaged = m.maxStage
+		}
+	}
+}
+
 // TestWindowResultsEquivalence pins the optimized analysis plane to the
-// naive one: for every intake mode, sequential feeding must produce
+// naive one: for every intake shape, sequential feeding must produce
 // WindowResults bit-identical to a cold batch rescan of the merged
 // view, on cold, warm, and grown pools.
 func TestWindowResultsEquivalence(t *testing.T) {
@@ -246,19 +267,14 @@ func TestWindowResultsEquivalence(t *testing.T) {
 		t.Fatalf("fixture too small: %d windows", len(want))
 	}
 
-	modes := []struct {
-		name   string
-		intake IntakeOptions
-	}{
-		{"sequential", IntakeOptions{Shards: 1}},
-		{"sharded", IntakeOptions{Shards: 8}},
-		{"tiny-backlog", IntakeOptions{Shards: 2, MaxStaged: 1}},
-		{"background", IntakeOptions{Shards: 8, Background: true}},
+	modes := []intakeMode{
+		{name: "sequential", stripes: 1},
+		{name: "sharded"},
+		{name: "tiny-backlog", stripes: 2, maxStage: 1},
 	}
 	for _, m := range modes {
-		opt := equivOptions()
-		opt.Intake = m.intake
-		p := NewPool(ranks, opt)
+		p := NewPool(ranks, equivOptions())
+		setIntake(p, m)
 		feedEquivWorkload(p, ranks)
 		got := p.WindowResults()
 		sameWindowResults(t, m.name, got, want)
@@ -286,15 +302,13 @@ func TestWindowResultsEquivalence(t *testing.T) {
 // analysis side reads, then checks nothing was lost. Run under -race
 // via `make race`.
 func TestConcurrentConsume(t *testing.T) {
-	for _, intake := range []IntakeOptions{
-		{Shards: 8},
-		{Shards: 8, Background: true},
-		{Shards: 2, MaxStaged: 4},
+	for _, intake := range []intakeMode{
+		{name: "sharded"},
+		{name: "small-backlog", stripes: 2, maxStage: 4},
 	} {
-		opt := equivOptions()
-		opt.Intake = intake
 		const ranks, perRank = 8, 500
-		p := NewPool(ranks, opt)
+		p := NewPool(ranks, equivOptions())
+		setIntake(p, intake)
 		var wg sync.WaitGroup
 		for rank := 0; rank < ranks; rank++ {
 			wg.Add(1)
@@ -317,13 +331,13 @@ func TestConcurrentConsume(t *testing.T) {
 		wg.Wait()
 		p.Close()
 		if n := p.FragmentCount(); n != ranks*perRank {
-			t.Fatalf("intake %+v: %d fragments, want %d", intake, n, ranks*perRank)
+			t.Fatalf("%s: %d fragments, want %d", intake.name, n, ranks*perRank)
 		}
 		if st := p.Stats(sim.Second); st.Batches != ranks*perRank {
-			t.Fatalf("intake %+v: %d batches", intake, st.Batches)
+			t.Fatalf("%s: %d batches", intake.name, st.Batches)
 		}
 		if len(p.WindowResults()) == 0 {
-			t.Fatalf("intake %+v: no windows", intake)
+			t.Fatalf("%s: no windows", intake.name)
 		}
 	}
 }
@@ -333,8 +347,8 @@ func TestConcurrentConsume(t *testing.T) {
 func TestIntakeBackpressure(t *testing.T) {
 	opt := equivOptions()
 	opt.Servers = 1
-	opt.Intake = IntakeOptions{Shards: 4, MaxStaged: 2}
 	p := NewPool(4, opt)
+	setIntake(p, intakeMode{stripes: 4, maxStage: 2})
 	for i := 0; i < 100; i++ {
 		p.Consume(i%4, []trace.Fragment{frag(i%4, int64(i)*1000, 500)})
 	}

@@ -24,8 +24,7 @@ type Metrics struct {
 	IntakeBatches    *obs.Counter
 	IntakeFragments  *obs.Counter
 	IntakeBytes      *obs.Counter
-	IntakeStalls     *obs.Counter // consumers that hit the MaxStaged bound
-	IntakeSyncDrains *obs.Counter // background mode's synchronous-drain fallbacks
+	IntakeStalls     *obs.Counter // consumers that hit the staged-backlog bound
 	IntakeDrains     *obs.Counter // drain sweeps that merged at least one batch
 	IntakeStagedPeak *obs.Gauge   // high-water mark of the staged backlog
 	DrainBatches     *obs.Histogram
@@ -39,7 +38,6 @@ type Metrics struct {
 	WirePanics         *obs.Counter // subset: decoder panics caught by recover
 	WireSeqGaps        *obs.Counter // batches inferred lost from sequence gaps
 	WireDups           *obs.Counter // duplicate batches suppressed (retransmits)
-	WireClientDrops    *obs.Counter // batches a legacy WireClient discarded after its sticky error
 
 	// Net is the resilient client's surface: connection churn and the
 	// fate of every batch that could not be shipped immediately.
@@ -100,9 +98,7 @@ func NewMetrics() *Metrics {
 		IntakeBytes: reg.Counter("vapro_intake_bytes_total", "intake",
 			"wire-encoded bytes received (the §6.2 storage volume)"),
 		IntakeStalls: reg.Counter("vapro_intake_stalls_total", "intake",
-			"consumers that found the staged backlog at its MaxStaged bound"),
-		IntakeSyncDrains: reg.Counter("vapro_intake_sync_drains_total", "intake",
-			"synchronous drains forced on producers while a background merger lagged"),
+			"consumers that found the staged backlog at its bound and drained synchronously"),
 		IntakeDrains: reg.Counter("vapro_intake_drains_total", "intake",
 			"drain sweeps that merged at least one staged batch"),
 		IntakeStagedPeak: reg.Gauge("vapro_intake_staged_peak", "intake",
@@ -125,8 +121,6 @@ func NewMetrics() *Metrics {
 			"batches inferred lost from per-rank sequence gaps"),
 		WireDups: reg.Counter("vapro_wire_dups_total", "wire",
 			"duplicate batches suppressed by sequence tracking"),
-		WireClientDrops: reg.Counter("vapro_wire_client_drops_total", "wire",
-			"batches a legacy WireClient discarded after its sticky error"),
 		NetDials: reg.Counter("vapro_net_dials_total", "net",
 			"dial attempts by the resilient client (including failures)"),
 		NetConnects: reg.Counter("vapro_net_connects_total", "net",

@@ -8,20 +8,20 @@ import (
 	"vapro/internal/trace"
 )
 
-// A MaxStaged bound of 1 forces every consume onto the backpressure
-// path; the stall counter and the staged high-water mark must show it.
+// A backlog bound of 1 forces every consume onto the backpressure path;
+// the stall counter and the staged high-water mark must show it.
 func TestIntakeBackpressureStall(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Servers = 1
-	opt.Intake.MaxStaged = 1
 	p := NewPool(1, opt)
+	setIntake(p, intakeMode{maxStage: 1})
 	const n = 8
 	for i := 0; i < n; i++ {
 		p.Consume(0, []trace.Fragment{frag(0, int64(i)*1000, 500)})
 	}
 	st := p.Stats(sim.Second)
 	if st.IntakeStalls != n {
-		t.Fatalf("stalls: %d, want %d (MaxStaged=1 stalls every consume)", st.IntakeStalls, n)
+		t.Fatalf("stalls: %d, want %d (a bound of 1 stalls every consume)", st.IntakeStalls, n)
 	}
 	if st.MaxStagedDepth != 1 {
 		t.Fatalf("max staged depth: %d, want 1", st.MaxStagedDepth)

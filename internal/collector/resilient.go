@@ -104,8 +104,8 @@ type ResilientStats struct {
 	LostByRank    map[int]uint64
 }
 
-// ResilientClient is the fault-tolerant wire client: it implements
-// interpose.Sink like WireClient, but owns dialing through a Dialer,
+// ResilientClient is the wire client: it implements interpose.Sink
+// over framed connections it owns. It dials through a Dialer,
 // reconnects with jittered exponential backoff, and absorbs outages in
 // a bounded spill queue so Consume never blocks and never errors. Every
 // frame carries a per-rank sequence number (wire format v2), which is
@@ -123,8 +123,8 @@ type ResilientStats struct {
 // disk degrades the client back to memory-only eviction; it never
 // fails a flush.
 //
-// Unlike WireClient it is safe for any number of ranks: one client per
-// traced process, shared by its ranks.
+// It is safe for any number of ranks: one client per traced process,
+// shared by its ranks.
 type ResilientClient struct {
 	dial    Dialer
 	opt     ResilientOptions

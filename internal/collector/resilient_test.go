@@ -300,29 +300,6 @@ func TestPoolWindowResultsMarkStale(t *testing.T) {
 	}
 }
 
-// TestWireClientDropAccounting: the legacy client's post-error behavior
-// is still to swallow, but every swallowed batch is now counted.
-func TestWireClientDropAccounting(t *testing.T) {
-	conn, _ := net.Pipe()
-	conn.Close()
-	c := NewWireClient(conn)
-	met := NewMetrics()
-	c.SetMetrics(met)
-	c.Consume(0, []trace.Fragment{frag(0, 0, 1)})
-	if c.Err() == nil {
-		t.Fatal("write to closed pipe must error")
-	}
-	for i := 0; i < 3; i++ {
-		c.Consume(0, []trace.Fragment{frag(0, int64(i)*1000, 1)})
-	}
-	if got := c.Dropped(); got != 3 {
-		t.Fatalf("dropped = %d, want 3", got)
-	}
-	if got := met.WireClientDrops.Load(); got != 3 {
-		t.Fatalf("metric drops = %d, want 3", got)
-	}
-}
-
 // TestWireServerShutdownHungConn: a connection that sends half a frame
 // and stalls used to leak its serveConn goroutine past Close forever;
 // now the drain timeout force-closes it and Close returns.

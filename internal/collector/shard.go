@@ -198,7 +198,7 @@ func (t *ShardedPool) ConsumeTraced(rank int, frags []trace.Fragment, bytes int,
 	t.planes[t.Owner(rank)].ConsumeTraced(rank, frags, bytes, tc)
 }
 
-// Close stops every plane's background mergers.
+// Close drains every plane's staged batches (see Pool.Close).
 func (t *ShardedPool) Close() {
 	for _, p := range t.planes {
 		p.Close()

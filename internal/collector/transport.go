@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"sync"
@@ -24,9 +23,10 @@ import (
 // default because the simulation runs everything in one address space.
 //
 // The stream is a sequence of frames: a uvarint payload length followed
-// by one trace.AppendBatch-encoded batch. The compact encoding is what
-// the §6.2 storage accounting measures, so the transport ships exactly
-// those bytes.
+// by one encoded batch — what ResilientClient writes (sequenced v2, or
+// traced v4 with tracing on), or an older version, since the decoder
+// reads v1–v4. The compact encoding is what the §6.2 storage accounting
+// measures, so the transport ships exactly those bytes.
 
 // maxFramePayload rejects absurd frame lengths (a corrupt or hostile
 // stream must not OOM the server). 64 MiB is orders of magnitude above
@@ -47,98 +47,6 @@ const maxRetainedFrags = 64 << 10
 type Batch struct {
 	Rank      int
 	Fragments []trace.Fragment
-}
-
-// WireClient ships fragment batches over a connection. It implements
-// interpose.Sink, so a traced rank can write straight to a remote
-// server. Safe for use by one rank; open one client per rank (as the
-// real library does) or guard externally.
-type WireClient struct {
-	mu      sync.Mutex
-	conn    io.WriteCloser
-	err     error
-	scratch []byte
-	n       int64
-	dropped uint64
-	warned  bool
-	met     *Metrics
-}
-
-// NewWireClient wraps conn. For connection ownership, reconnection and
-// bounded spill buffering, use ResilientClient instead.
-func NewWireClient(conn io.WriteCloser) *WireClient {
-	return &WireClient{conn: conn}
-}
-
-// SetMetrics mirrors the client's post-error drop count into a
-// collector metrics surface.
-func (c *WireClient) SetMetrics(m *Metrics) {
-	c.mu.Lock()
-	c.met = m
-	c.mu.Unlock()
-}
-
-// Consume implements interpose.Sink by encoding the batch onto the wire.
-// Transport errors are deliberately swallowed after the first (the
-// client library must never take the application down); Err reports the
-// sticky error, and every batch discarded after it is counted in
-// Dropped — silent loss was a bug, accounted loss is the contract.
-func (c *WireClient) Consume(rank int, frags []trace.Fragment) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		c.dropped++
-		if c.met != nil {
-			c.met.WireClientDrops.Inc()
-		}
-		if !c.warned {
-			c.warned = true
-			log.Printf("vapro: wire client disabled after error (%v); dropping batches", c.err)
-		}
-		return
-	}
-	// Build the whole frame in one buffer so short writes can't
-	// interleave with another frame.
-	c.scratch = c.scratch[:0]
-	c.scratch = append(c.scratch, make([]byte, binary.MaxVarintLen64)...)
-	c.scratch = trace.AppendBatch(c.scratch, rank, frags)
-	payload := len(c.scratch) - binary.MaxVarintLen64
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(payload))
-	frame := c.scratch[binary.MaxVarintLen64-hn:]
-	copy(frame, hdr[:hn])
-	n, err := c.conn.Write(frame)
-	c.n += int64(n)
-	c.err = err
-}
-
-// Err returns the first transport error, if any.
-func (c *WireClient) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Dropped returns how many batches were discarded after the sticky
-// error disabled the client.
-func (c *WireClient) Dropped() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
-// BytesOut returns the total bytes written (payload plus frame headers).
-func (c *WireClient) BytesOut() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Close flushes and closes the connection.
-func (c *WireClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn.Close()
 }
 
 // sizedSink is implemented by sinks (Pool, Monitor) that can book an

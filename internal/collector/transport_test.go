@@ -2,6 +2,7 @@ package collector
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -10,6 +11,25 @@ import (
 	"vapro/internal/trace"
 )
 
+// writeFrames writes each payload as one wire frame (uvarint length,
+// then the payload) in a single Write, and returns the bytes written.
+func writeFrames(t *testing.T, w io.Writer, payloads ...[]byte) int {
+	t.Helper()
+	var out []byte
+	for _, p := range payloads {
+		out = binary.AppendUvarint(out, uint64(len(p)))
+		out = append(out, p...)
+	}
+	n, err := w.Write(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestWireTransportRoundTrip delivers unsequenced v1 frames
+// (trace.AppendBatch) end to end: the decoder still reads every wire
+// version, so a pre-sequence client's stream must land whole.
 func TestWireTransportRoundTrip(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -25,19 +45,14 @@ func TestWireTransportRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewWireClient(conn)
+		var payloads [][]byte
 		for i := 0; i < 5; i++ {
 			batch := []trace.Fragment{frag(rank, int64(i)*1000, 500)}
 			wantBytes += int64(trace.BatchWireSize(rank, batch))
-			c.Consume(rank, batch)
+			payloads = append(payloads, trace.AppendBatch(nil, rank, batch))
 		}
-		if c.Err() != nil {
-			t.Fatal(c.Err())
-		}
-		if c.BytesOut() == 0 {
-			t.Fatal("nothing written")
-		}
-		c.Close()
+		writeFrames(t, conn, payloads...)
+		conn.Close()
 	}
 
 	// Wait for the server to drain.
@@ -115,9 +130,8 @@ func TestWireServerHostileFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewWireClient(conn3)
-	c.Consume(0, []trace.Fragment{frag(0, 0, 500)})
-	c.Close()
+	writeFrames(t, conn3, trace.AppendBatch(nil, 0, []trace.Fragment{frag(0, 0, 500)}))
+	conn3.Close()
 	waitUntil(5*time.Second, func() bool { return pool.FragmentCount() >= 1 })
 	srv.Close()
 	if got := pool.FragmentCount(); got != 1 {
@@ -149,18 +163,6 @@ func TestWireServerHostileFrame(t *testing.T) {
 	}
 }
 
-func TestWireClientStickyError(t *testing.T) {
-	conn, _ := net.Pipe()
-	conn.Close()
-	c := NewWireClient(conn)
-	c.Consume(0, []trace.Fragment{frag(0, 0, 1)})
-	if c.Err() == nil {
-		t.Fatal("write to closed pipe must error")
-	}
-	// Further writes are swallowed, not panics.
-	c.Consume(0, []trace.Fragment{frag(0, 0, 1)})
-}
-
 func TestWireFragmentFidelity(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -176,10 +178,12 @@ func TestWireFragmentFidelity(t *testing.T) {
 		Args:     trace.Args{Op: trace.Op("Send"), Bytes: 1024, Peer: 3, Tag: 5},
 		Static:   true, Truth: 99,
 	}
-	conn, _ := net.Dial("tcp", ln.Addr().String())
-	c := NewWireClient(conn)
-	c.Consume(0, []trace.Fragment{want})
-	c.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFrames(t, conn, trace.AppendBatchSeq(nil, 0, 1, []trace.Fragment{want}))
+	conn.Close()
 
 	waitUntil(5*time.Second, func() bool { return pool.FragmentCount() >= 1 })
 	srv.Close()

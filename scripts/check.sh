@@ -122,6 +122,19 @@ go run ./bench -workload comp-steady
 # endpoint with `vapro status`, and assert the cross-layer metric names
 # are exposed.
 go build -o /tmp/vapro-check ./cmd/vapro
+
+# Record→analyze smoke: a run recorded with -record and re-analyzed
+# offline by `vapro analyze FILE.vrec` must report the same summary
+# (ranks, makespan, STG, fragments, coverage, regions) as the run did;
+# only the label differs ("CG:" against "recording:"). The recording
+# stays behind on failure for the CI artifact upload.
+/tmp/vapro-check -app CG -ranks 8 -record /tmp/vapro-run.vrec >/tmp/vapro-run.out
+/tmp/vapro-check analyze /tmp/vapro-run.vrec >/tmp/vapro-run-analyze.out
+RUN_SUMMARY=$(grep ' ranks, makespan ' /tmp/vapro-run.out | sed 's/^[^:]*: //')
+ANALYZE_SUMMARY=$(grep ' ranks, makespan ' /tmp/vapro-run-analyze.out | sed 's/^[^:]*: //')
+[ -n "$RUN_SUMMARY" ] && [ "$RUN_SUMMARY" = "$ANALYZE_SUMMARY" ]
+grep -q 'performance heat map' /tmp/vapro-run-analyze.out
+rm -f /tmp/vapro-run.vrec
 /tmp/vapro-check serve -listen 127.0.0.1:0 -metrics 127.0.0.1:0 \
 	>/tmp/vapro-serve.out 2>&1 &
 SERVE_PID=$!
