@@ -56,11 +56,12 @@ chaos:
 
 # A few seconds of coverage-guided fuzzing per hostile-bytes surface
 # (wire decoders, WAL recovery) and per model-checked structure (the
-# run merge, the warm analyzer against its cold oracle, the columnar
-# fragment log, the sparse moment fold against the dense one), on top of
-# the committed corpora. The analyzer target's
-# inputs are kilobyte scripts: the engine's default minute of minimizing
-# each new one would leave a 3 s run a few hundred executions.
+# run merge, the warm analyzer against its cold oracle, the multi-D
+# incremental clustering against Run, the columnar fragment log, the
+# sparse moment fold against the dense one), on top of the committed
+# corpora. The analyzer and clustering targets' inputs are kilobyte
+# scripts: the engine's default minute of minimizing each new one would
+# leave a 3 s run a few hundred executions.
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatchMeta' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeHello' -fuzztime 3s ./internal/trace
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
 	$(GO) test -run xxx -fuzz 'FuzzAnalyzerEquivalence' -fuzztime 3s -fuzzminimizetime 200x ./internal/detect
+	$(GO) test -run xxx -fuzz 'FuzzIncrementalMultiD' -fuzztime 3s -fuzzminimizetime 200x ./internal/cluster
 	$(GO) test -run xxx -fuzz 'FuzzLogRoundTrip' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
 
@@ -92,9 +94,10 @@ bench:
 # tick ≤0.08x of the batch plane; measured 0.05x), and the sparse
 # streaming-OLS fold (idle OS counters ≤0.5x of all columns armed;
 # measured 0.17x, the dense fold reads 1.0x). BenchmarkLogAppend
-# (ns/frag, B/frag per population), BenchmarkPoolIngest's
-# resident_B_per_frag and MonitorTickWindow/plane=monitor (the whole
-# monitor round, ±15 % at 1x, unasserted) are recorded beside them.
+# (ns/frag, B/frag per population), BenchmarkPoolIngest's and
+# MonitorTickMultiD's resident_B_per_frag (the comm/IO footprint of the
+# graph plus the analyzer) and MonitorTickWindow/plane=monitor (the whole
+# monitor round, ±15 % at 1x) are recorded beside them, unasserted.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPoolIngest$$|BenchmarkWindowResults|BenchmarkLogAppend' -benchtime 1x -benchmem . | tee bench-smoke.out
 	$(GO) test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale|BenchmarkClusterMomentsAdd' -benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out

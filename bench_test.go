@@ -456,20 +456,23 @@ func ingestWorkload(clients, total, edges, batch int, spanNS int64) []collector.
 	return out
 }
 
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // BenchmarkPoolIngest pushes 256 clients × 1M fragments through
 // Pool.Consume from a single feeder and drains to the server graphs:
 // the server-side intake hot path.
 // It also reports what the ingested fragments cost to keep: the live
 // heap the drained pool holds, per fragment (no analysis has run, so
-// this is the fragment logs plus the intake's recycled staging buffers).
+// this is the fragment logs plus the intake's few recycled staging
+// buffers).
 func BenchmarkPoolIngest(b *testing.B) {
 	batches := ingestWorkload(256, 1_000_000, 32, 256, int64(50*sim.Second))
-	liveHeap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -762,12 +765,17 @@ func BenchmarkMonitorTickBatch(b *testing.B) { benchMonitorTick(b, true) }
 // multi-D delta-clustering path (vector back-merge + dirtied-run
 // recluster, trailing-append members); the batch plane re-vectorizes,
 // re-sorts and re-clusters every resident vertex population each tick —
-// the O(population) term this bench exists to keep dead.
+// the O(population) term this bench exists to keep dead. It also reports
+// resident_B_per_frag: the live heap the graph and the analyzer hold per
+// fragment after the settle ticks (the fragment logs plus every analysis
+// plane's per-fragment state).
 func benchMonitorTickMultiD(b *testing.B, disable bool, resident int) {
 	const tick = 10_000
 	const ranks = 32
 	s := newTickStream(ranks, 8)
 	s.comms = 8
+	s.buf = make([]trace.Fragment, 0, tick)
+	base := liveHeap()
 	g := stg.New()
 	// Fill tick by tick so the stream buffer stays burst-sized.
 	for fed := 0; fed < resident; fed += tick {
@@ -784,6 +792,7 @@ func benchMonitorTickMultiD(b *testing.B, disable bool, resident int) {
 		wm = s.watermark()
 		a.RunWindow(g, ranks, opt, wm-period, wm)
 	}
+	perFrag := float64(liveHeap()-base) / float64(g.NumFragments())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -794,6 +803,7 @@ func benchMonitorTickMultiD(b *testing.B, disable bool, resident int) {
 		wm = s.watermark()
 		a.RunWindow(g, ranks, opt, wm-period, wm)
 	}
+	b.ReportMetric(perFrag, "resident_B_per_frag")
 }
 
 // BenchmarkMonitorTickMultiD pins the incremental plane on comm/IO

@@ -75,18 +75,7 @@ func (v Vector) Norm() float64 {
 
 // Dist returns the Euclidean distance to o. Vectors of unequal length
 // compare only the common prefix (never happens for same-site data).
-func (v Vector) Dist(o Vector) float64 {
-	n := len(v)
-	if len(o) < n {
-		n = len(o)
-	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		d := v[i] - o[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
+func (v Vector) Dist(o Vector) float64 { return math.Sqrt(distSq(v, o)) }
 
 // distSq is Dist without the final square root: the clustering inner
 // loop compares squared distances against a squared threshold instead.
@@ -103,38 +92,15 @@ func distSq(v, o Vector) float64 {
 	return s
 }
 
-// CompVector builds the workload vector of a computation fragment:
-// TOT_INS is the crucial proxy metric (Figure 5 shows it stays stable
-// under noise while TSC does not); loads/stores optionally refine it.
-func CompVector(f *trace.Fragment, extra bool) Vector {
-	if extra {
-		return Vector{float64(f.Counters.TotIns), float64(f.Counters.LoadStores)}
-	}
-	return Vector{float64(f.Counters.TotIns)}
-}
+// VectorOf builds the workload vector of f.
+func VectorOf(f *trace.Fragment, opt Options) Vector { return appendVector(nil, f, opt) }
 
-// InvokeVector builds the workload vector of a communication or IO
-// fragment from its invocation arguments: PMU values of a busy-wait are
-// meaningless (§3.3), so size/peers/mode approximate the workload.
-func InvokeVector(f *trace.Fragment) Vector {
-	return Vector{
-		float64(f.Args.Bytes),
-		float64(f.Args.Peer+2) * 1e-3, // shifted so AnySource(-1) differs from rank 0
-		float64(f.Args.Tag) * 1e-3,
-		float64(f.Args.Mode) * 1e-3,
-	}
-}
-
-// VectorOf dispatches on fragment kind.
-func VectorOf(f *trace.Fragment, opt Options) Vector {
-	if f.Kind == trace.Comp {
-		return CompVector(f, opt.UseExtraMetrics)
-	}
-	return InvokeVector(f)
-}
-
-// appendVector appends the workload vector of f to dst, mirroring
-// VectorOf but into a shared flat buffer (no per-fragment allocation).
+// appendVector appends the workload vector of f to dst. A computation
+// fragment's is TOT_INS, the crucial proxy metric (Figure 5 shows it
+// stays stable under noise while TSC does not), optionally refined by
+// loads/stores. A communication or IO fragment's is its invocation
+// arguments: PMU values of a busy-wait are meaningless (§3.3), so
+// size/peers/mode approximate the workload.
 func appendVector(dst []float64, f *trace.Fragment, opt Options) []float64 {
 	if f.Kind == trace.Comp {
 		dst = append(dst, float64(f.Counters.TotIns))
@@ -145,7 +111,7 @@ func appendVector(dst []float64, f *trace.Fragment, opt Options) []float64 {
 	}
 	return append(dst,
 		float64(f.Args.Bytes),
-		float64(f.Args.Peer+2)*1e-3,
+		float64(f.Args.Peer+2)*1e-3, // shifted so AnySource(-1) differs from rank 0
 		float64(f.Args.Tag)*1e-3,
 		float64(f.Args.Mode)*1e-3)
 }
@@ -153,37 +119,61 @@ func appendVector(dst []float64, f *trace.Fragment, opt Options) []float64 {
 // maxVectorDims bounds the dimensionality of any workload vector.
 const maxVectorDims = 4
 
-// scratch holds the per-call working set of Run, recycled through a
-// sync.Pool so repeated clustering (the analysis hot path) does not
-// re-allocate it. Nothing in a returned Result aliases the scratch.
+// wvec is one workload vector held by value.
+type wvec struct {
+	x [maxVectorDims]float64
+	n int
+}
+
+func (w *wvec) vec() Vector { return w.x[:w.n] }
+
+// read fills w with row i's workload vector, read through f from the
+// lanes it is built from. Reading a row twice gives the same ints
+// through the same float expressions, so a vector read back is
+// bit-identical to the one read before.
+func (w *wvec) read(frags trace.LogView, i int, opt Options, f *trace.Fragment) Vector {
+	frags.ReadWorkload(i, f)
+	w.n = len(appendVector(w.x[:0], f, opt))
+	return w.vec()
+}
+
+// scratch holds the working set of one clustering call — Run's or an
+// incremental advance's — recycled through a sync.Pool so repeated
+// clustering (the analysis hot path) does not re-allocate it and no
+// element keeps any of it between advances. Nothing in a returned Result
+// or Delta aliases the scratch.
 type scratch struct {
 	norms     []float64
-	order     []int
+	order     []int32
 	processed []bool
-	vecs      []Vector
-	flat      []float64
+	// vecs holds multi-D workload vectors: Run's for every fragment, an
+	// advance's for the appended batch.
+	vecs []wvec
+	// An advance's: mergeAppended's outputs and radix keys, updateMultiD's
+	// absorb flags and batch positions, the 1-D update's run list.
+	batch, inserted, ipos []int32
+	keys                  []normKey
+	absorbed              []bool
+	jOf                   []int32
+	mids                  []midRun
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// Run and the advances draw from separate pools. A Run's scratch is
+// sized by a whole element and an advance's by its batch; advances run
+// every tick, and sharing one pool would keep the largest Run's buffers
+// in circulation instead of letting the GC take them.
+var (
+	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+	advancePool = sync.Pool{New: func() any { return new(scratch) }}
+)
 
-func (s *scratch) size(n int) {
-	if cap(s.norms) < n {
-		s.norms = make([]float64, n)
-		s.order = make([]int, n)
-		s.processed = make([]bool, n)
-	}
-	s.norms = s.norms[:n]
-	s.order = s.order[:n]
-	s.processed = s.processed[:n]
-	for i := range s.processed {
-		s.processed[i] = false
-	}
-}
+// resize returns s with length n, reusing its backing when it fits.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Cluster is one identified workload class.
 type Cluster struct {
 	// Members are row indexes into the fragment log that was clustered.
-	Members []int
+	Members []int32
 	// Seed is the member with the smallest norm.
 	Seed int
 	// SeedNorm is the norm of the seed vector.
@@ -198,7 +188,7 @@ type Result struct {
 	Clusters []Cluster
 	// Assign maps fragment index -> cluster index (-1 for none; cannot
 	// happen with Algorithm 1, every fragment lands somewhere).
-	Assign []int
+	Assign []int32
 	// Small is the number of clusters below MinFragments (reported to
 	// the user as possibly-abnormal rarely-executed paths).
 	Small int
@@ -213,13 +203,13 @@ func Run(frags trace.LogView, opt Options) Result {
 }
 
 // runCapture is Run plus an optional capture of the incremental state
-// (norm-sorted order, norms, per-fragment vectors for multi-D, cluster
-// seed positions) straight out of the working set, so the cache does
-// not pay a second sort or re-vectorization to seed the delta path.
+// (norm-sorted order, norms, cluster seed positions) straight out of the
+// working set, so the cache does not pay a second sort to seed the delta
+// path. Multi-D vectors are not captured: the log keeps their inputs.
 func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incState) {
 	opt = opt.normalized()
 	n := frags.Len()
-	res := Result{Assign: make([]int, n)}
+	res := Result{Assign: make([]int32, n)}
 	for i := range res.Assign {
 		res.Assign[i] = -1
 	}
@@ -236,7 +226,8 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.size(n)
+	sc.norms, sc.order, sc.processed = resize(sc.norms, n), resize(sc.order, n), resize(sc.processed, n)
+	clear(sc.processed)
 	norms, order := sc.norms, sc.order
 
 	// The dominant population is 1-D TOT_INS computation vectors; for
@@ -244,37 +235,24 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 	// on the norms array with no per-fragment vector at all, and the
 	// distance is |a−b| (exactly what Dist computes in 1-D).
 	oneD := !opt.UseExtraMetrics && frags.AllKind(0, trace.Comp)
-	var vecs []Vector
+	var vecs []wvec
 	if oneD {
 		for i := 0; i < n; i++ {
 			norms[i] = float64(frags.TotIns(i))
-			order[i] = i
+			order[i] = int32(i)
 		}
 	} else {
-		// One flat backing array for all vectors: n small slices become
-		// a single allocation (amortized to zero via the scratch pool).
-		if cap(sc.vecs) < n {
-			sc.vecs = make([]Vector, n)
-		}
-		if cap(sc.flat) < maxVectorDims*n {
-			sc.flat = make([]float64, 0, maxVectorDims*n)
-		}
-		vecs = sc.vecs[:n]
-		flat := sc.flat[:0]
+		sc.vecs = resize(sc.vecs, n)
+		vecs = sc.vecs
 		var f trace.Fragment
-		for i := 0; i < n; i++ {
-			frags.Read(i, &f)
-			lo := len(flat)
-			flat = appendVector(flat, &f, opt)
-			vecs[i] = Vector(flat[lo:len(flat):len(flat)])
-			norms[i] = vecs[i].Norm()
-			order[i] = i
+		for i := range vecs {
+			norms[i] = vecs[i].read(frags, i, opt, &f).Norm()
+			order[i] = int32(i)
 		}
-		sc.flat = flat
 	}
 	// Line 2: sort by norm. Stable, so ties keep ascending fragment
 	// index — the canonical order the incremental path reproduces.
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(norms[a], norms[b]) })
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(norms[a], norms[b]) })
 
 	// Lines 3-7: greedy minimum-norm seeded clusters. Because the
 	// candidates are norm-sorted, all members of a cluster lie in the
@@ -290,7 +268,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		if capture {
 			seedPos = append(seedPos, int32(pos))
 		}
-		c := Cluster{Seed: seed, SeedNorm: norms[seed]}
+		c := Cluster{Seed: int(seed), SeedNorm: norms[seed]}
 		limit := norms[seed] * (1 + opt.Threshold)
 		maxDist := norms[seed] * opt.Threshold
 		if norms[seed] == 0 {
@@ -313,14 +291,14 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 				// exactly the 1-D Euclidean distance.
 				in = norms[cand]-norms[seed] <= maxDist
 			} else {
-				in = distSq(vecs[cand], vecs[seed]) <= maxDistSq
+				in = distSq(vecs[cand].vec(), vecs[seed].vec()) <= maxDistSq
 			}
 			if in {
 				processed[cand] = true
 				c.Members = append(c.Members, cand)
 			}
 		}
-		ci := len(res.Clusters)
+		ci := int32(len(res.Clusters))
 		for _, m := range c.Members {
 			res.Assign[m] = ci
 		}
@@ -332,13 +310,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 	}
 	var st *incState
 	if capture {
-		st = &incState{n: n}
-		st.norms = append([]float64(nil), norms...)
-		st.order = make([]int32, n)
-		for i, o := range order {
-			st.order[i] = int32(o)
-		}
-		st.assign = res.Assign
+		st = &incState{n: n, norms: slices.Clone(norms), order: slices.Clone(order), assign: res.Assign}
 		if oneD {
 			// 1-D clusters are contiguous runs: the seed positions are
 			// exactly the run starts.
@@ -346,13 +318,6 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		} else {
 			st.multiD = true
 			st.seedPos = seedPos
-			st.flat = append([]float64(nil), sc.flat...)
-			st.voff = make([]int32, n+1)
-			off := int32(0)
-			for i := range vecs {
-				off += int32(len(vecs[i]))
-				st.voff[i+1] = off
-			}
 		}
 	}
 	return res, st

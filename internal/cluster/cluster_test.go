@@ -94,7 +94,7 @@ func TestEveryFragmentAssigned(t *testing.T) {
 	}
 	res := Run(trace.LogOf(frags), DefaultOptions())
 	for i, a := range res.Assign {
-		if a < 0 || a >= len(res.Clusters) {
+		if a < 0 || int(a) >= len(res.Clusters) {
 			t.Fatalf("fragment %d unassigned (%d)", i, a)
 		}
 	}
@@ -138,9 +138,9 @@ func TestIntraClusterDiameter(t *testing.T) {
 		}
 		res := Run(trace.LogOf(frags), opt)
 		for _, c := range res.Clusters {
-			seedVec := CompVector(&frags[c.Seed], false)
+			seedVec := VectorOf(&frags[c.Seed], opt)
 			for _, m := range c.Members {
-				v := CompVector(&frags[m], false)
+				v := VectorOf(&frags[m], opt)
 				if c.SeedNorm > 0 && v.Dist(seedVec) > opt.Threshold*c.SeedNorm*(1+1e-9) {
 					return false
 				}
@@ -194,10 +194,10 @@ func TestFixedFraction(t *testing.T) {
 
 func TestUseExtraMetrics(t *testing.T) {
 	f := trace.Fragment{Kind: trace.Comp, Counters: trace.CountersView{TotIns: 100, LoadStores: 40}}
-	if len(CompVector(&f, false)) != 1 || len(CompVector(&f, true)) != 2 {
-		t.Fatal("extra metrics must add a dimension")
-	}
 	opt := DefaultOptions()
+	if got := VectorOf(&f, opt); len(got) != 1 {
+		t.Fatalf("a computation vector has %d dimensions, want 1", len(got))
+	}
 	opt.UseExtraMetrics = true
 	if got := VectorOf(&f, opt); len(got) != 2 {
 		t.Fatal("VectorOf ignored UseExtraMetrics")
@@ -242,7 +242,7 @@ func TestSortNormKeysMatchesStableSort(t *testing.T) {
 				want[i] = base + int32(i)
 			}
 			slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(norms[a-base], norms[b-base]) })
-			got := sortNormKeys(norms, base)
+			got := sortNormKeys(new([]normKey), norms, base)
 			for i, key := range got {
 				if key.idx != want[i] {
 					t.Fatalf("k=%d trial %d: position %d holds fragment %d (norm %v), stable sort has %d (norm %v)",

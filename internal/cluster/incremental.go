@@ -29,12 +29,13 @@
 // it iff the full squared-distance test passes, without re-scanning the
 // cluster's resident members at all (old-vs-old absorb decisions cannot
 // change when the only new candidates are the insertions). The state
-// caches per-fragment workload vectors, norms, and the norm-sorted
-// order, so an advance re-vectorizes and re-sorts nothing resident; the
-// one case it cannot patch is an insertion that seeds a NEW cluster and
-// steals a resident fragment from a later cluster — that restructures
-// the partition and falls back to the batch path (counted separately,
-// see Cache.IncFallbackReasons).
+// caches norms and the norm-sorted order, so an advance re-sorts nothing
+// resident; the few resident vectors it needs (a reaching cluster's
+// seed, a candidate a new seed might steal) are read back from the log's
+// lanes. The one case it cannot patch is an insertion that seeds a NEW
+// cluster and steals a resident fragment from a later cluster — that
+// restructures the partition and falls back to the batch path (counted
+// separately, see Cache.IncFallbackReasons).
 //
 // Bit-identity with Run is non-negotiable for Assign, Seed, SeedNorm,
 // Fixed and Small (the equivalence fuzz pins them), which dictates two
@@ -57,6 +58,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"vapro/internal/stg"
@@ -122,14 +124,22 @@ const (
 	fbDirty
 )
 
+// midRun is one cluster of a 1-D update's middle region [r0, tailOld):
+// either a greedy-recomputed run or an old run carried over verbatim
+// because the cascade re-aligned before the next insertion (skip=true).
+type midRun struct {
+	a, b   int32 // span in the new sorted order
+	oldIdx int32 // skip: the old cluster reproduced verbatim
+	skip   bool
+}
+
 // incState is the persistent per-element state behind the incremental
-// path: the norm-sorted order, cached norms (and, for multi-D elements,
-// the cached workload vectors) and the cut structure of the previous
-// clustering. Guarded by the owning cache entry's mutex.
+// path: the norm-sorted order, cached norms and the cut structure of the
+// previous clustering — three 4- or 8-byte words per fragment. Guarded
+// by the owning cache entry's mutex.
 type incState struct {
-	// multiD marks an element on the vector path: per-fragment vectors
-	// are cached in flat/voff and clusters are tracked by seed position
-	// instead of contiguous runs.
+	// multiD marks an element on the vector path: clusters are tracked
+	// by seed position instead of contiguous runs.
 	multiD bool
 	// dead marks a state that cannot advance any more (the element
 	// changed vector shape); the next advance falls back and recaptures.
@@ -143,10 +153,6 @@ type incState struct {
 	// runStart[len(clusters)] == n. Valid because 1-D clusters are
 	// contiguous runs of the sorted order. 1-D only.
 	runStart []int32
-	// flat holds the concatenated per-fragment workload vectors;
-	// voff[i] is fragment i's offset (len n+1). Multi-D only.
-	flat []float64
-	voff []int32
 	// seedPos[i] is the position in order of cluster i's seed. Seeds
 	// are taken in position order, so it is ascending. Multi-D only.
 	seedPos []int32
@@ -157,12 +163,7 @@ type incState struct {
 	// length-capped view — older Results only see their own prefix, so
 	// sharing is safe. Any advance that must rewrite a prefix entry
 	// clones to a fresh array first and adopts that as the new backing.
-	assign []int
-}
-
-// vec returns fragment i's cached workload vector (multi-D states).
-func (s *incState) vec(i int) Vector {
-	return Vector(s.flat[s.voff[i]:s.voff[i+1]])
+	assign []int32
 }
 
 // mergeAppended orders the appended fragments [s.n, total) by (norm,
@@ -170,12 +171,12 @@ func (s *incState) vec(i int) Vector {
 // order (on a norm tie the resident fragment goes first — its index is
 // smaller than every appended index). It returns the sorted new
 // fragment ids, their final merged positions (ascending), and their
-// insertion points among the old order (ascending). s.norms must
-// already cover [0, total).
-func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
+// insertion points among the old order (ascending), all three in sc.
+// s.norms must already cover [0, total).
+func (s *incState) mergeAppended(total int, sc *scratch) (batch, inserted, ipos []int32) {
 	k := total - s.n
 	norms := s.norms
-	keys := sortNormKeys(norms[s.n:total], int32(s.n))
+	keys := sortNormKeys(&sc.keys, norms[s.n:total], int32(s.n))
 
 	// One galloping merge finds every insertion point among the old
 	// elements: the batch is ascending, so each search resumes where the
@@ -184,9 +185,10 @@ func (s *incState) mergeAppended(total int) (batch, inserted, ipos []int32) {
 	// whole resident order k times. The displaced old spans then shift
 	// right in chunks: the byte traffic of an element-wise backward walk
 	// without a norm compare and branch per moved element.
-	batch = make([]int32, k)
-	inserted = make([]int32, k) // final positions of the batch, ascending
-	ipos = make([]int32, k)     // insertion points among the old order
+	sc.batch, sc.inserted, sc.ipos = resize(sc.batch, k), resize(sc.inserted, k), resize(sc.ipos, k)
+	batch = sc.batch
+	inserted = sc.inserted // final positions of the batch, ascending
+	ipos = sc.ipos         // insertion points among the old order
 	order := s.order
 	lo := 0
 	for j, key := range keys {
@@ -250,10 +252,11 @@ func radixNorm(x float64) uint64 {
 // LSD radix sort on radixNorm: one 8-bit digit per pass, skipping every
 // pass whose digit is the same in all keys. The keys start in index
 // order and each pass is stable, so equal norms stay in index order.
-func sortNormKeys(norms []float64, base int32) []normKey {
+// *buf is the sort's scratch, grown as needed; the result aliases it.
+func sortNormKeys(buf *[]normKey, norms []float64, base int32) []normKey {
 	k := len(norms)
-	buf := make([]normKey, 2*k)
-	keys, tmp := buf[:k], buf[k:]
+	*buf = resize(*buf, 2*k)
+	keys, tmp := (*buf)[:k], (*buf)[k:]
 	var count [8][256]int32
 	for i, x := range norms {
 		keys[i] = normKey{radixNorm(x), base + int32(i)}
@@ -289,8 +292,10 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 	if s.dead || k <= 0 {
 		return Result{}, Delta{}, false, fbMultiD
 	}
+	sc := advancePool.Get().(*scratch)
+	defer advancePool.Put(sc)
 	if s.multiD {
-		return s.updateMultiD(frags, prev, opt)
+		return s.updateMultiD(frags, prev, opt, sc)
 	}
 	if !frags.AllKind(s.n, trace.Comp) {
 		// The element left the 1-D domain; the cached state has no
@@ -304,7 +309,7 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 	}
 	norms := s.norms
 
-	batch, inserted, _ := s.mergeAppended(total)
+	batch, inserted, _ := s.mergeAppended(total, sc)
 	order := s.order
 
 	// The recompute starts at the run containing the predecessor of the
@@ -332,15 +337,7 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 
 	maxSpan := int(opt.MaxDirtyRatio * float64(total))
 	t := opt.Threshold
-	// midRun is one cluster of the middle region [r0, tailOld): either a
-	// greedy-recomputed run or an old run carried over verbatim because
-	// the cascade re-aligned before the next insertion (skip=true).
-	type midRun struct {
-		a, b   int32 // span in the new sorted order
-		oldIdx int32 // skip: the old cluster reproduced verbatim
-		skip   bool
-	}
-	var mids []midRun
+	mids := sc.mids[:0]
 	tailOld := oldNC // old cluster index where the preserved tail begins (oldNC: none)
 	insIdx := 0      // insertions at positions < pos
 	convPtr := r0    // old-run pointer for the convergence check
@@ -405,6 +402,8 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 		}
 	}
 
+	sc.mids = mids
+
 	// Assemble the new Result, sharing every untouched Cluster struct
 	// with prev (Results are read-only by contract, so aliasing the
 	// immutable Members slices is safe — and what keeps this O(dirty)).
@@ -455,7 +454,7 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 			// matchPtr: it only grew.
 			oldIdx = matchPtr
 		}
-		var members []int
+		var members []int32
 		var addedPos []int32
 		if oldIdx >= 0 {
 			// Grown run: keep the old (immutable, shared) membership as
@@ -471,13 +470,10 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 			}
 			for j := insStart; j < ai; j++ {
 				addedPos[j-insStart] = int32(len(members))
-				members = append(members, int(batch[j]))
+				members = append(members, batch[j])
 			}
 		} else {
-			members = make([]int, r.b-r.a)
-			for p := r.a; p < r.b; p++ {
-				members[p-r.a] = int(order[p])
-			}
+			members = slices.Clone(order[r.a:r.b])
 		}
 		c := Cluster{
 			Members:  members,
@@ -526,7 +522,7 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 // and skip the O(n) prefix copy entirely. Otherwise clone prev's
 // entries into a fresh array, apply the full patch set, and adopt the
 // clone as the new backing.
-func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRun, r0, tailNew, shift, nc, k int) []int {
+func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRun, r0, tailNew, shift, nc, k int) []int32 {
 	shared := shift == 0 && s.assign != nil && len(prev.Assign) == s.n &&
 		(s.n == 0 || &prev.Assign[0] == &s.assign[0])
 	if shared {
@@ -537,12 +533,12 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 			}
 		}
 	}
-	var assign []int
+	var assign []int32
 	if shared {
-		s.assign = append(s.assign, make([]int, k)...)
+		s.assign = append(s.assign, make([]int32, k)...)
 		assign = s.assign
 		for i := range dirty {
-			ci := r0 + i
+			ci := int32(r0 + i)
 			for _, p := range dirty[i].AddedPos {
 				assign[clusters[ci].Members[p]] = ci
 			}
@@ -552,10 +548,10 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 	// append with a full-sliced base reallocates — growslice does not
 	// zero noscan memory, so the cost is one memmove of the prefix,
 	// not a zero+copy of the whole array.
-	assign = append(prev.Assign[:s.n:s.n], make([]int, k)...)
+	assign = append(prev.Assign[:s.n:s.n], make([]int32, k)...)
 	for i := range dirty {
-		ci := r0 + i
-		if dr := dirty[i]; dr.OldIndex == ci {
+		ci := int32(r0 + i)
+		if dr := dirty[i]; dr.OldIndex == int(ci) {
 			for _, p := range dr.AddedPos {
 				assign[clusters[ci].Members[p]] = ci
 			}
@@ -568,7 +564,7 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 	if shift != 0 {
 		for ci := tailNew; ci < nc; ci++ {
 			for _, m := range clusters[ci].Members {
-				assign[m] = ci
+				assign[m] = int32(ci)
 			}
 		}
 	}
@@ -576,8 +572,8 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 	return assign
 }
 
-// updateMultiD advances a multi-D state. The cached vectors, norms and
-// sorted order make the append O(merge + reachable clusters): appended
+// updateMultiD advances a multi-D state. The cached norms and sorted
+// order make the append O(merge + reachable clusters): appended
 // fragments merge into the order without re-vectorizing or re-sorting
 // residents, clusters whose norm band cannot reach the smallest
 // appended norm reproduce verbatim (prefix) or are carried over
@@ -589,23 +585,22 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 // cluster would steal a resident fragment from a later cluster the
 // partition is restructured beyond what a delta can express and the
 // advance falls back (fbMultiD).
-func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
+func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, sc *scratch) (Result, Delta, bool, fallbackReason) {
 	oldN := s.n
 	total := frags.Len()
 	k := total - oldN
-	// Vectorize the suffix into the cached flat backing (dimensionality
-	// varies per fragment kind; voff tracks offsets).
+	// Vectorize the suffix into scratch. Resident vectors are not kept:
+	// the few this advance compares against are read back from the log.
 	var f trace.Fragment
-	for i := oldN; i < total; i++ {
-		frags.Read(i, &f)
-		lo := len(s.flat)
-		s.flat = appendVector(s.flat, &f, opt)
-		s.voff = append(s.voff, int32(len(s.flat)))
-		s.norms = append(s.norms, Vector(s.flat[lo:]).Norm())
+	var rv wvec // a resident vector read back
+	sc.vecs = resize(sc.vecs, k)
+	bvecs := sc.vecs
+	for j := range bvecs {
+		s.norms = append(s.norms, bvecs[j].read(frags, oldN+j, opt, &f).Norm())
 	}
 	norms := s.norms
 
-	batch, inserted, ipos := s.mergeAppended(total)
+	batch, inserted, ipos := s.mergeAppended(total, sc)
 	order := s.order
 
 	oldNC := len(prev.Clusters)
@@ -628,10 +623,12 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options) (
 
 	maxSpan := int(opt.MaxDirtyRatio * float64(total))
 	work := 0
-	absorbed := make([]bool, k) // by batch position j
-	jOf := make([]int32, k)     // fragment id - oldN -> batch position
-	for j, f := range batch {
-		jOf[int(f)-oldN] = int32(j)
+	sc.absorbed, sc.jOf = resize(sc.absorbed, k), resize(sc.jOf, k)
+	absorbed := sc.absorbed // by batch position j
+	jOf := sc.jOf           // fragment id - oldN -> batch position
+	clear(absorbed)
+	for j, fi := range batch {
+		jOf[int(fi)-oldN] = int32(j)
 	}
 	var midClusters []Cluster
 	var midSeedPos []int32 // merged seed positions of the mid clusters
@@ -683,27 +680,26 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options) (
 				// the seed vector. Residents are not re-scanned — their
 				// absorb decisions are unchanged.
 				maxDistSq := maxDist * maxDist
-				sv := s.vec(oc.Seed)
-				var added []int
+				sv := rv.read(frags, oc.Seed, opt, &f)
+				members := oc.Members // grown at the tail, as in 1-D
 				for j := insJ; j < k && norms[batch[j]] <= limit; j++ {
 					if absorbed[j] {
 						continue
 					}
 					work++
-					if distSq(s.vec(int(batch[j])), sv) <= maxDistSq {
+					if distSq(bvecs[int(batch[j])-oldN].vec(), sv) <= maxDistSq {
 						absorbed[j] = true
-						added = append(added, int(batch[j]))
+						members = append(members, batch[j])
 					}
 				}
-				if len(added) == 0 {
+				if len(members) == len(oc.Members) {
 					midClusters = append(midClusters, oc)
 					midSeedPos = append(midSeedPos, int32(mseed))
 					dirty = append(dirty, DirtyRun{OldIndex: c})
 					c++
 					continue
 				}
-				members := append(oc.Members, added...)
-				addedPos := make([]int32, len(added))
+				addedPos := make([]int32, len(members)-len(oc.Members))
 				for x := range addedPos {
 					addedPos[x] = int32(len(oc.Members) + x)
 				}
@@ -729,24 +725,24 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options) (
 			limit, maxDist = 0, 0
 		}
 		maxDistSq := maxDist * maxDist
-		sv := s.vec(seedF)
+		sv := bvecs[seedF-oldN].vec()
 		absorbed[insJ] = true
-		members := []int{seedF}
+		members := []int32{batch[insJ]}
 		e := insPos + 1 + sort.Search(total-insPos-1, func(i int) bool {
 			return norms[order[insPos+1+i]] > limit
 		})
 		for p := insPos + 1; p < e; p++ {
 			work++
-			f := int(order[p])
-			if f >= oldN {
-				j := int(jOf[f-oldN])
-				if !absorbed[j] && distSq(s.vec(f), sv) <= maxDistSq {
+			fi := int(order[p])
+			if fi >= oldN {
+				j := int(jOf[fi-oldN])
+				if !absorbed[j] && distSq(bvecs[fi-oldN].vec(), sv) <= maxDistSq {
 					absorbed[j] = true
-					members = append(members, f)
+					members = append(members, order[p])
 				}
 				continue
 			}
-			if prev.Assign[f] >= c && distSq(s.vec(f), sv) <= maxDistSq {
+			if int(prev.Assign[fi]) >= c && distSq(rv.read(frags, fi, opt, &f), sv) <= maxDistSq {
 				// The new cluster steals a resident fragment from a
 				// later cluster: the partition restructures and the
 				// delta machinery cannot express it.

@@ -3,7 +3,7 @@ package cluster_test
 import (
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -31,11 +31,10 @@ func sameClustering(got, want cluster.Result) bool {
 			len(g.Members) != len(w.Members) {
 			return false
 		}
-		gm := append([]int(nil), g.Members...)
-		wm := append([]int(nil), w.Members...)
-		sort.Ints(gm)
-		sort.Ints(wm)
-		if !reflect.DeepEqual(gm, wm) {
+		gm, wm := slices.Clone(g.Members), slices.Clone(w.Members)
+		slices.Sort(gm)
+		slices.Sort(wm)
+		if !slices.Equal(gm, wm) {
 			return false
 		}
 	}
@@ -71,7 +70,7 @@ func checkDelta(t *testing.T, sched, burst int, prev, got cluster.Result, d clus
 		}
 		nc := got.Clusters[d.Prefix+di]
 		oc := prev.Clusters[dr.OldIndex]
-		kept := make([]int, 0, len(nc.Members))
+		kept := make([]int32, 0, len(nc.Members))
 		ai := 0
 		for p, m := range nc.Members {
 			if ai < len(dr.AddedPos) && int(dr.AddedPos[ai]) == p {
@@ -516,6 +515,79 @@ func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 	})
 	if allocs > 48 {
 		t.Fatalf("grown multi-D advance allocates %.0f times, budget 48", allocs)
+	}
+}
+
+// TestWarmAdvanceAllocsIndependentOfBatch: an advance's scratch (the
+// merge's positions and radix keys, the appended vectors, the absorb
+// flags, the 1-D run list) is recycled through the advances' scratch
+// pool, so a warm advance allocates the same number of times whether it
+// appends 64 fragments or 4 096, on the 1-D path and on the multi-D one,
+// and only for what it hands out: the Result's cluster slice, the
+// Delta's dirty list and one AddedPos per grown cluster, the next cut
+// table (and on the multi-D path the growth of its mid-cluster lists).
+// Every view is taken before measuring, so the log's own chunk
+// allocations stay out of the count.
+func TestWarmAdvanceAllocsIndependentOfBatch(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("clusters 2 × 2 × 200 k resident fragments; counts need the pool's reuse")
+	}
+	const resident, warm, runs = 200_000, 4, 20
+	pal := []mdClass{
+		{kind: trace.Comm, args: trace.Args{Op: trace.Op("Allreduce"), Bytes: 4096, Peer: -1}},
+		{kind: trace.Comm, args: trace.Args{Op: trace.Op("Send"), Bytes: 65536, Peer: 3, Tag: 1}},
+		{kind: trace.IO, args: trace.Args{Op: trace.Op("write"), Bytes: 1 << 20, FD: 3}},
+		{kind: trace.Comp, tot: 300_000},
+	}
+	planes := []struct {
+		name   string
+		budget float64
+		draw   func(rng *rand.Rand) trace.Fragment
+	}{
+		{"1-D", 8, func(rng *rand.Rand) trace.Fragment {
+			return cacheFrag(uint64(1+rng.Intn(4))*1_000_000 + uint64(rng.Intn(1000)))
+		}},
+		{"multi-D", 16, func(rng *rand.Rand) trace.Fragment { return pal[rng.Intn(len(pal))].frag(rng, false) }},
+	}
+	for _, plane := range planes {
+		var counts []float64
+		for _, k := range []int{64, 4096} {
+			rng := rand.New(rand.NewSource(3))
+			log := trace.NewLog(nil)
+			grow := func(n int) trace.LogView {
+				for i := 0; i < n; i++ {
+					f := plane.draw(rng)
+					log.Append(&f)
+				}
+				return log.View()
+			}
+			c := cluster.NewCache()
+			key := cluster.VertexKey(1)
+			advance := func(v trace.LogView) {
+				if _, d := c.RunInc(key, gen(v.Len()), v, cluster.DefaultOptions()); d.Full {
+					t.Fatalf("%s k=%d: advance to %d fell back to batch", plane.name, k, v.Len())
+				}
+			}
+			first := grow(resident)
+			views := make([]trace.LogView, warm+runs+1) // AllocsPerRun adds one warm-up call
+			for i := range views {
+				views[i] = grow(k)
+			}
+			c.RunInc(key, gen(first.Len()), first, cluster.DefaultOptions())
+			for _, v := range views[:warm] {
+				advance(v)
+			}
+			next := warm
+			counts = append(counts, testing.AllocsPerRun(runs, func() {
+				advance(views[next])
+				next++
+			}))
+		}
+		if counts[0] != counts[1] || counts[0] > plane.budget {
+			t.Fatalf("%s: a warm advance allocates %.0f times at k=64, %.0f at k=4096; budget %.0f at both",
+				plane.name, counts[0], counts[1], plane.budget)
+		}
+		t.Logf("%s: %.0f allocations per warm advance at k=64 and k=4096", plane.name, counts[0])
 	}
 }
 

@@ -60,8 +60,11 @@ type Server struct {
 	maxStaged int
 	// free holds drained staging buffers for stage to reuse: a staged
 	// copy is dead the moment AddBatch has written its rows into the
-	// graph's columns. Its capacity is maxStaged — no more buffers than
-	// that are ever staged at once.
+	// graph's columns. It retains at most intakeStripes of them. Up to
+	// maxStaged can be staged at once (a drain preempted while every
+	// connection keeps staging), and keeping them all would pin a
+	// burst's buffers for the server's lifetime; past the bound a drained
+	// buffer goes back to the GC.
 	free chan []trace.Fragment
 
 	mu    sync.Mutex
@@ -79,7 +82,7 @@ func newServer(met *Metrics) *Server {
 		met:       met,
 		shards:    make([]intakeShard, intakeStripes),
 		maxStaged: intakeMaxStaged,
-		free:      make(chan []trace.Fragment, intakeMaxStaged),
+		free:      make(chan []trace.Fragment, intakeStripes),
 		graph:     stg.New(),
 	}
 }
@@ -105,11 +108,9 @@ func (s *Server) stage(rank int, frags []trace.Fragment, bytes int, tc TraceCtx,
 	case cp = <-s.free:
 	default:
 	}
-	if cap(cp) < len(frags) {
-		cp = make([]trace.Fragment, len(frags))
-	}
-	cp = cp[:len(frags)]
-	copy(cp, frags)
+	// A buffer too small (or none) is replaced by append, which does not
+	// zero the pointer-free rows it is about to overwrite.
+	cp = append(cp[:0], frags...)
 	sh := &s.shards[uint(rank)%uint(len(s.shards))]
 	sh.mu.Lock()
 	sh.batches = append(sh.batches, stagedBatch{seq: s.seq.Add(1), bytes: bytes, frags: cp, tc: tc, traced: traced})

@@ -359,3 +359,31 @@ func TestIntakeBackpressure(t *testing.T) {
 		t.Fatalf("fragments: %d", n)
 	}
 }
+
+// TestBurstStagingBuffersReleased: while a drain holds the graph lock,
+// every delivered batch is staged into a buffer of its own. After the
+// drain the server keeps at most intakeStripes of those for reuse; the
+// rest go back to the GC instead of staying pinned for its lifetime.
+func TestBurstStagingBuffersReleased(t *testing.T) {
+	opt := equivOptions()
+	opt.Servers = 1
+	p := NewPool(4, opt)
+	defer p.Close()
+	s := p.servers[0]
+	const burst = 100
+	s.mu.Lock() // a drain in progress: no consume can merge
+	for i := 0; i < burst; i++ {
+		p.Consume(i%4, []trace.Fragment{frag(i%4, int64(i)*1000, 500)})
+	}
+	if staged := s.staged.Load(); staged != burst {
+		t.Fatalf("%d staged during the held drain, want %d", staged, burst)
+	}
+	s.mu.Unlock()
+	s.drain()
+	if kept := len(s.free); kept > intakeStripes {
+		t.Fatalf("server retains %d staging buffers after the burst, bound %d", kept, intakeStripes)
+	}
+	if n := p.FragmentCount(); n != burst {
+		t.Fatalf("fragments: %d", n)
+	}
+}

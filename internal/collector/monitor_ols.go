@@ -60,11 +60,11 @@ func sameFactors(a, b []diagnose.Factor) bool {
 
 // buildClusterMoments folds members into fresh moments. Members are read
 // with ReadCounters: Add only looks at Elapsed and Counters.
-func buildClusterMoments(factors []diagnose.Factor, frags trace.LogView, members []int) *diagnose.ClusterMoments {
+func buildClusterMoments(factors []diagnose.Factor, frags trace.LogView, members []int32) *diagnose.ClusterMoments {
 	cm := diagnose.NewClusterMoments(factors)
 	var f trace.Fragment
 	for _, idx := range members {
-		frags.ReadCounters(idx, &f)
+		frags.ReadCounters(int(idx), &f)
 		cm.Add(&f)
 	}
 	return cm
@@ -146,7 +146,7 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags trace.LogView, res clust
 					if int(pos) >= len(members) {
 						return false
 					}
-					frags.ReadCounters(members[pos], &f)
+					frags.ReadCounters(int(members[pos]), &f)
 					cm.Add(&f)
 				}
 				adds += uint64(len(dr.AddedPos))

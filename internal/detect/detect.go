@@ -560,7 +560,7 @@ func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, op
 		best := int64(math.MaxInt64)
 		perRank := make(map[int]int)
 		for _, m := range c.Members {
-			rank, _, e := frags.Span(m)
+			rank, _, e := frags.Span(int(m))
 			perRank[rank]++
 			if e > 0 && e < best {
 				best = e
@@ -570,11 +570,11 @@ func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, op
 			continue
 		}
 		for _, m := range c.Members {
-			rank, fstart, elapsed := frags.Span(m)
+			rank, fstart, elapsed := frags.Span(int(m))
 			if fstart >= end || fstart+elapsed <= start {
 				continue
 			}
-			class := ClassOf(frags.Kind(m))
+			class := ClassOf(frags.Kind(int(m)))
 			// Detection pools fragments across processes (the
 			// inter-process comparison needs that), but coverage
 			// follows the paper's repetition notion: the snippet
@@ -597,7 +597,7 @@ func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, op
 				Perf:       perf,
 				Covered:    covered,
 				ClusterRef: ref,
-				FragIndex:  m,
+				FragIndex:  int(m),
 			})
 		}
 	}

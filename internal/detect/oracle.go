@@ -52,10 +52,10 @@ func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag i
 		}
 		for _, m := range c.Members {
 			s := st.sample(frags, m, ref, ci, minFrag)
-			class := ClassOf(frags.Kind(m))
+			class := ClassOf(frags.Kind(int(m)))
 			ents[class] = append(ents[class], spanEnt{
 				start: s.Start, elapsed: s.Elapsed,
-				pos: int32(len(p.samples[class])), frag: int32(m), covered: s.Covered,
+				pos: int32(len(p.samples[class])), frag: m, covered: s.Covered,
 			})
 			p.samples[class] = append(p.samples[class], s)
 		}
@@ -68,8 +68,8 @@ func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag i
 
 // sample normalizes member m of cluster ci against the cluster's
 // state.
-func (st *clustState) sample(frags trace.LogView, m int, ref ClusterRef, ci, minFrag int) Sample {
-	rank, start, elapsed := frags.Span(m)
+func (st *clustState) sample(frags trace.LogView, m int32, ref ClusterRef, ci, minFrag int) Sample {
+	rank, start, elapsed := frags.Span(int(m))
 	perf := 1.0
 	if elapsed > 0 {
 		perf = float64(st.best) / float64(elapsed)
@@ -82,7 +82,7 @@ func (st *clustState) sample(frags trace.LogView, m int, ref ClusterRef, ci, min
 		Perf:       perf,
 		Covered:    st.ranks.count(rank) >= minFrag,
 		ClusterRef: ref,
-		FragIndex:  m,
+		FragIndex:  int(m),
 	}
 }
 

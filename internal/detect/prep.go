@@ -57,8 +57,8 @@ type clustState struct {
 
 // observe folds member m into the cluster's state — its rank's count
 // and the fastest-member minimum — and returns the rank's slot.
-func (st *clustState) observe(frags trace.LogView, m int) int32 {
-	rank, _, elapsed := frags.Span(m)
+func (st *clustState) observe(frags trace.LogView, m int32) int32 {
+	rank, _, elapsed := frags.Span(int(m))
 	if elapsed > 0 && elapsed < st.best {
 		st.best = elapsed
 	}

@@ -40,7 +40,10 @@ const (
 
 // Lane indexes: the counter lanes in counterLanes order, then the
 // remaining non-hot fields.
-const laneTotIns = 0
+const (
+	laneTotIns     = 0
+	laneLoadStores = 18 // its place in counterLanesInto
+)
 
 const (
 	laneFrom = numCounterLanes + iota
@@ -334,6 +337,23 @@ func (v LogView) ReadCounters(i int, f *Fragment) {
 	setCounterLanes(&f.Counters, *(*[numCounterLanes]uint64)(w[:numCounterLanes]))
 }
 
+// workloadLanes are the lanes of a workload vector.
+const workloadLanes = 1<<laneTotIns | 1<<laneLoadStores | 1<<laneMeta |
+	1<<laneBytes | 1<<lanePeer | 1<<laneTag | 1<<laneMode
+
+// ReadWorkload fills only f.Kind, f.Counters.TotIns and .LoadStores and
+// f.Args.Bytes, .Peer, .Tag and .Mode from row i — the fields a
+// clustering workload vector is built from — visiting those lanes only.
+func (v LogView) ReadWorkload(i int, f *Fragment) {
+	c, r := v.row(i)
+	var w logLanes
+	c.fill(r, workloadLanes, &w)
+	f.Kind = Kind(w[laneMeta])
+	f.Counters.TotIns, f.Counters.LoadStores = w[laneTotIns], w[laneLoadStores]
+	f.Args.Bytes, f.Args.Peer = int(w[laneBytes]), int(w[lanePeer])
+	f.Args.Tag, f.Args.Mode = int(w[laneTag]), int(w[laneMode])
+}
+
 // Read materialises row i into f, overwriting every field. Only the
 // lanes present in the row's chunk are visited.
 func (v LogView) Read(i int, f *Fragment) {
@@ -365,10 +385,10 @@ func (v LogView) Slice() []Fragment {
 }
 
 // Pick materialises the rows named by idx, in idx order.
-func (v LogView) Pick(idx []int) []Fragment {
+func (v LogView) Pick(idx []int32) []Fragment {
 	out := make([]Fragment, len(idx))
 	for j, i := range idx {
-		v.Read(i, &out[j])
+		v.Read(int(i), &out[j])
 	}
 	return out
 }

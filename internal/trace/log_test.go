@@ -117,6 +117,24 @@ func checkView(t *testing.T, what string, v LogView, model []Fragment) {
 			t.Fatalf("%s: row %d = %+v, model %+v", what, i, got[i], model[i])
 		}
 		checkCounters(t, v, model, i)
+		checkWorkload(t, v, model, i)
+	}
+}
+
+// checkWorkload: the workload reader fills exactly Read's Kind,
+// TotIns, LoadStores, Bytes, Peer, Tag and Mode and touches nothing else.
+func checkWorkload(t *testing.T, v LogView, model []Fragment, i int) {
+	t.Helper()
+	f := Fragment{Rank: -3, Kind: Kind(77), Elapsed: 5, Truth: 99,
+		Counters: CountersView{TotIns: 5, LoadStores: 6, SuspensionNS: -9},
+		Args:     Args{Op: 3, Bytes: 7, Peer: -8, Tag: 9, FD: 10, Mode: -11}}
+	want := f
+	m := &model[i]
+	want.Kind, want.Counters.TotIns, want.Counters.LoadStores = m.Kind, m.Counters.TotIns, m.Counters.LoadStores
+	want.Args.Bytes, want.Args.Peer, want.Args.Tag, want.Args.Mode = m.Args.Bytes, m.Args.Peer, m.Args.Tag, m.Args.Mode
+	v.ReadWorkload(i, &f)
+	if f != want {
+		t.Fatalf("ReadWorkload(%d) = %+v, want %+v", i, f, want)
 	}
 }
 
@@ -149,6 +167,7 @@ func checkRow(t *testing.T, v LogView, model []Fragment, i int) {
 		t.Fatalf("Kind/TotIns(%d) = %v/%d, model %+v", i, v.Kind(i), v.TotIns(i), model[i])
 	}
 	checkCounters(t, v, model, i)
+	checkWorkload(t, v, model, i)
 }
 
 // maxScriptRows keeps one fuzz execution to a few chunks.
@@ -207,7 +226,7 @@ func runLogScript(t *testing.T, data []byte) {
 			if got := v.AllKind(from, k); got != want {
 				t.Fatalf("AllKind(%d, %v) = %v over %d rows, model says %v", from, k, got, n, want)
 			}
-			idx := []int{n - 1, from, 0, from}
+			idx := []int32{int32(n - 1), int32(from), 0, int32(from)}
 			for j, f := range v.Pick(idx) {
 				if f != a.model[idx[j]] {
 					t.Fatalf("Pick %v: position %d = %+v, model %+v", idx, j, f, a.model[idx[j]])
@@ -504,6 +523,7 @@ func TestLogAppendAllocs(t *testing.T) {
 	var out Fragment
 	allocs = testing.AllocsPerRun(runs, func() {
 		v.Read(v.Len()/2, &out)
+		v.ReadWorkload(v.Len()/3, &out)
 		v.Span(3)
 	})
 	if allocs != 0 {

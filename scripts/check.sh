@@ -66,6 +66,10 @@ go test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
 # (Its inputs are kilobyte scripts: the engine's default minute of
 # minimizing each new one would leave this run a few hundred executions.)
 go test -run xxx -fuzz 'FuzzAnalyzerEquivalence' -fuzztime 3s -fuzzminimizetime 200x ./internal/detect
+# ... and its clustering half on its own: any script of multi-D appends
+# (argument classes, batch sizes, extra metrics, a kind flip) keeps the
+# warm cache's clustering equal to a cold Run after every advance.
+go test -run xxx -fuzz 'FuzzIncrementalMultiD' -fuzztime 3s -fuzzminimizetime 200x ./internal/cluster
 # ... and the structure every resident fragment lives in: any script of
 # appends, cross-log copies, held views and reads must agree with a
 # plain []Fragment, row for row.
@@ -92,9 +96,10 @@ go test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
 # counters at ≤0.5x of all columns armed; measured 0.17x, the dense
 # fold reads 1.0x). BenchmarkLogAppend (ns/frag and B/frag per
 # end-to-end population) and BenchmarkPoolIngest's resident_B_per_frag
-# record what the columnar fragment log costs, and
-# MonitorTickWindow/plane=monitor the whole monitor round (unasserted:
-# ±15 % at 1x). Raw output and the parsed BENCH.json are kept for the CI
+# record what the columnar fragment log costs, MonitorTickMultiD's
+# resident_B_per_frag what a comm/IO fragment costs the graph plus the
+# analyzer, and MonitorTickWindow/plane=monitor the whole monitor round
+# (all unasserted; the round is ±15 % at 1x). Raw output and the parsed BENCH.json are kept for the CI
 # artifact upload.
 go test -run xxx -bench 'BenchmarkPoolIngest$|BenchmarkWindowResults|BenchmarkLogAppend' \
 	-benchtime 1x -benchmem . | tee bench-smoke.out
