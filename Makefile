@@ -56,6 +56,7 @@ chaos:
 
 # A few seconds of coverage-guided fuzzing per hostile-bytes surface
 # (wire decoders, WAL recovery) and per model-checked structure (the
+# wire encoder against the map-dictionary one it replaced, the
 # run merge, the warm analyzer against its cold oracle, the multi-D
 # incremental clustering against Run, the columnar fragment log, the
 # sparse moment fold against the dense one), on top of the committed
@@ -64,6 +65,7 @@ chaos:
 # leave a 3 s run a few hundred executions.
 fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatchMeta' -fuzztime 3s ./internal/trace
+	$(GO) test -run xxx -fuzz 'FuzzAppendBatch' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeHello' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRecord' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
@@ -95,11 +97,15 @@ bench:
 # streaming-OLS fold (idle OS counters ≤0.5x of all columns armed;
 # measured 0.17x, the dense fold reads 1.0x). BenchmarkLogAppend
 # (ns/frag, B/frag per population), BenchmarkPoolIngest's and
-# MonitorTickMultiD's resident_B_per_frag (the comm/IO footprint of the
-# graph plus the analyzer) and MonitorTickWindow/plane=monitor (the whole
-# monitor round, ±15 % at 1x) are recorded beside them, unasserted.
+# MonitorTickMultiD's and MonitorTickWindow/plane=inc's
+# resident_B_per_frag (the comm/IO and the computation footprint of the
+# graph plus the analyzer), MonitorTickWindow/plane=monitor (the whole
+# monitor round, ±15 % at 1x) and BenchmarkEncodeFrame (a client flush's
+# encoding: ns/frag, B/frag, allocs per frame, per population) are
+# recorded beside them, unasserted.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPoolIngest$$|BenchmarkWindowResults|BenchmarkLogAppend' -benchtime 1x -benchmem . | tee bench-smoke.out
+	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame' -benchtime 2000x -benchmem ./internal/collector | tee -a bench-smoke.out
 	$(GO) test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale|BenchmarkClusterMomentsAdd' -benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
 	$(GO) run ./cmd/benchjson -min -out BENCH.json \
 		-assert 'MonitorTickScale/servers=1/resident=1000k<=1.5*MonitorTickScale/servers=1/resident=100k' \

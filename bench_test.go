@@ -853,10 +853,13 @@ func (s *tickStream) nextFlushes(perRank int) []trace.Fragment {
 // resident population and analyzes the newest 500 ms window (≈32k
 // samples) in 50 ms cells. On the incremental plane no sample is
 // comparison-sorted anywhere in that tick; the batch plane re-clusters,
-// re-normalizes and sorts.
+// re-normalizes and sorts. The incremental plane also reports
+// resident_B_per_frag, as benchMonitorTickMultiD does: the live heap
+// the graph and the analyzer hold per fragment after the settle ticks.
 func benchMonitorTickWindow(b *testing.B, disable bool) {
 	const ranks, perRank, resident = 64, 256, 500_000
 	s := newTickStream(ranks, 8)
+	base := liveHeap()
 	g := stg.New()
 	for fed := 0; fed < resident; fed += ranks * perRank {
 		g.AddBatch(s.nextFlushes(perRank))
@@ -874,10 +877,14 @@ func benchMonitorTickWindow(b *testing.B, disable bool) {
 	for i := 0; i < 6; i++ { // warm the memoized layer, then settle as in benchMonitorTick
 		tick()
 	}
+	perFrag := float64(liveHeap()-base) / float64(g.NumFragments())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick()
+	}
+	if !disable {
+		b.ReportMetric(perFrag, "resident_B_per_frag")
 	}
 }
 

@@ -55,10 +55,11 @@ func benchFragment(rng *rand.Rand, commIO bool, rank int, clock int64) trace.Fra
 // windows closing as they go — the live heap the server keeps per
 // fragment stays inside a fixed number of bytes. The columnar log is
 // ≈ 30 B of it; the rest is the analysis planes' per-fragment state:
-// the sample store's fragRef and span-index entry, and the cluster
-// cache's order, norm and Assign entry plus one Members slot. A multi-D
-// workload vector is not kept: it is read back from the log's lanes.
-// Measured 94 B (computation) and 100 B (comm/IO).
+// the sample store's 8-byte fragRef and its span-index entry — one
+// 4-byte position, the span itself is read from the log — and the
+// cluster cache's order, norm and Assign entry plus one Members slot. A
+// multi-D workload vector is not kept: it is read back from the log's
+// lanes. Measured 67 B (computation) and 71 B (comm/IO).
 // TestMonitorSingleResidentCopy is the relative bound beside it.
 func TestResidentBytesPerFragmentBudget(t *testing.T) {
 	if testing.Short() {
@@ -70,8 +71,8 @@ func TestResidentBytesPerFragmentBudget(t *testing.T) {
 		commIO bool
 		budget float64
 	}{
-		{"computation", false, 110},
-		{"commio", true, 110},
+		{"computation", false, 85},
+		{"commio", true, 85},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			copt := DefaultOptions()

@@ -97,12 +97,11 @@ func (m *runMerger) reset() {
 	m.runs = m.runs[:0]
 }
 
-// elemRun is one run of an element's window selection: the ascending
-// entries sel of one span index. A store segment names fragments,
-// whose samples the store-backed prep derives; the oracle's flat index
-// names positions in its materialized samples.
+// elemRun is one run of an element's window selection: what one span
+// index selected, in its order. From a store segment sel names
+// fragments, whose samples the store-backed prep derives; from the
+// oracle's flat index it names positions in its materialized samples.
 type elemRun struct {
-	ix    *spanIndex
 	sel   []int32
 	store *prepElem // store segment
 	flat  []Sample  // oracle
@@ -115,9 +114,9 @@ func (r *elemRun) next(dst *Sample) bool {
 	i := r.sel[0]
 	r.sel = r.sel[1:]
 	if r.store != nil {
-		r.store.sampleAt(r.ix, i, dst)
+		r.store.sampleAt(i, dst)
 	} else {
-		*dst = r.flat[r.ix.pos[i]]
+		*dst = r.flat[i]
 	}
 	return true
 }

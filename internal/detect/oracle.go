@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -15,8 +16,10 @@ import (
 // sortSamples → batch growRegions: samples materialized per element
 // generation, a window's stream comparison-sorted, regions grown from
 // nothing. It is rebuilt whenever its element moves and never advanced,
-// and it shares no state with the sample store — only the span-index
-// and cluster-state arithmetic both are made of.
+// and it shares no state with the sample store — only the cluster-state
+// arithmetic both are made of. Its span index is its own: a column
+// index, comparison-sorted, holding every span it answers for, which
+// the store's position-only segments are pinned to.
 
 // flatPrep is the oracle's body of a prepElem.
 type flatPrep struct {
@@ -32,12 +35,56 @@ type flatPrep struct {
 	fragIdx [numClasses]spanIndex
 }
 
+// spanEnt is one span on its way into a spanIndex.
+type spanEnt struct {
+	start, elapsed int64
+	pos            int32 // what the entry names: a sample position or a fragment index
+	frag           int32 // the fragment index, the tie key under equal starts
+	covered        bool
+}
+
+// spanIndex is the oracle's column index: it answers "which spans
+// overlap [start, end)" in O(log n + candidates) from its own copy of
+// every span, starts sorted.
+type spanIndex struct {
+	pos        []int32 // pos[i]: the sample position or fragment index entry i names
+	starts     []int64 // sorted
+	elapsed    []int64
+	covered    []bool // covered flag of entry i (sample entries only)
+	maxElapsed int64
+}
+
+// newSpanIndex orders ents by (start, fragment index) and lays them out
+// in columns.
+func newSpanIndex(ents []spanEnt) spanIndex {
+	slices.SortFunc(ents, func(a, b spanEnt) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.frag, b.frag))
+	})
+	n := len(ents)
+	ix := spanIndex{pos: make([]int32, n), starts: make([]int64, n), elapsed: make([]int64, n), covered: make([]bool, n)}
+	for i, e := range ents {
+		ix.pos[i], ix.starts[i], ix.elapsed[i], ix.covered[i] = e.pos, e.start, e.elapsed, e.covered
+		ix.maxElapsed = max(ix.maxElapsed, e.elapsed)
+	}
+	return ix
+}
+
+// candidates is segment.candidates over the columns.
+func (ix *spanIndex) candidates(start, end int64) (lo, hi int) {
+	return overlapBand(len(ix.starts), ix.maxElapsed, start, end, func(i int) int64 { return ix.starts[i] })
+}
+
 // buildFlat runs the full-population normalization once (the same walk
 // normalizeElement does with an unbounded window) and indexes the
 // outputs for window slicing.
 func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag int) *flatPrep {
-	p := &flatPrep{fragIdx: classSpans(frags, 0)}
-	var ents [numClasses][]spanEnt
+	p := &flatPrep{}
+	var all, ents [numClasses][]spanEnt
+	for i := 0; i < frags.Len(); i++ {
+		_, start, elapsed := frags.Span(i)
+		c := ClassOf(frags.Kind(i))
+		all[c] = append(all[c], spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
+	}
 	for ci := range cl.Clusters {
 		c := &cl.Clusters[ci]
 		if !c.Fixed {
@@ -61,7 +108,8 @@ func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag i
 		}
 	}
 	for c := range ents {
-		p.sampleIdx[c] = newSpanIndex(orderSpans(ents[c]), true)
+		p.fragIdx[c] = newSpanIndex(all[c])
+		p.sampleIdx[c] = newSpanIndex(ents[c])
 	}
 	return p
 }
@@ -100,7 +148,7 @@ func (p *flatPrep) window(start, end int64, out *elemOut) {
 		ix := &p.sampleIdx[c]
 		sel, fixed := ix.selectOverlapping(start, end)
 		if len(sel) > 0 {
-			out.runs[c] = []elemRun{{ix: ix, sel: sel, flat: p.samples[c]}}
+			out.runs[c] = []elemRun{{sel: sel, flat: p.samples[c]}}
 		}
 		out.fixed[c] = fixed
 		out.total[c] = p.fragIdx[c].sumOverlapping(start, end)
@@ -119,9 +167,9 @@ func (ix *spanIndex) sumOverlapping(start, end int64) int64 {
 	return sum
 }
 
-// selectOverlapping returns the entries whose spans overlap [start,
-// end), ascending — one run already ordered under sampleLess — plus the
-// covered elapsed sum over the selection.
+// selectOverlapping returns what the entries whose spans overlap
+// [start, end) name, in index order — one run already ordered under
+// sampleLess — plus the covered elapsed sum over the selection.
 func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int64) {
 	lo, hi := ix.candidates(start, end)
 	if lo >= hi {
@@ -130,7 +178,7 @@ func (ix *spanIndex) selectOverlapping(start, end int64) (sel []int32, fixed int
 	sel = make([]int32, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if ix.starts[i]+ix.elapsed[i] > start {
-			sel = append(sel, int32(i))
+			sel = append(sel, ix.pos[i])
 			if ix.covered[i] {
 				fixed += ix.elapsed[i]
 			}

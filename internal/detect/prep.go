@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"sort"
 	"time"
 
 	"vapro/internal/cluster"
@@ -31,6 +30,9 @@ type prepElem struct {
 	copt    cluster.Options
 	ref     ClusterRef
 	minFrag int
+	// frags is the element's log as of the pass serving the prep: the
+	// store reads every span it orders, filters and emits from it.
+	frags trace.LogView
 
 	fixedClusters int
 	smallClusters int
@@ -98,187 +100,6 @@ func (p *prepElem) countClusters(cl cluster.Result) {
 	p.fixedClusters = len(cl.Clusters) - cl.Small
 }
 
-// spanEnt is one span on its way into a spanIndex.
-type spanEnt struct {
-	start, elapsed int64
-	pos            int32 // what the entry names: a sample position or a fragment index
-	frag           int32 // the fragment index, the tie key under equal starts
-	covered        bool
-}
-
-func (a *spanEnt) before(b *spanEnt) bool {
-	if a.start != b.start {
-		return a.start < b.start
-	}
-	return a.frag < b.frag
-}
-
-// orderSpans orders ents by (start, fragment index) by merging the runs
-// that are already in that order. The fragments of one flush arrive
-// start-ordered per rank, so an appended suffix is a handful of long
-// runs and this costs n·log(runs) typed compares; on arbitrary input it
-// degrades to a plain merge sort. The result may alias ents.
-func orderSpans(ents []spanEnt) []spanEnt {
-	bounds := []int{0}
-	for i := 1; i < len(ents); i++ {
-		if ents[i].before(&ents[i-1]) {
-			bounds = append(bounds, i)
-		}
-	}
-	runs := len(bounds)
-	if runs == 1 {
-		return ents
-	}
-	bounds = append(bounds, len(ents))
-	src, dst := ents, make([]spanEnt, len(ents))
-	for runs > 1 {
-		w := 0
-		for r := 0; r < runs; r += 2 {
-			lo, mid, hi := bounds[r], bounds[min(r+1, runs)], bounds[min(r+2, runs)]
-			i, j, o := lo, mid, lo
-			for i < mid && j < hi {
-				if src[j].before(&src[i]) {
-					dst[o] = src[j]
-					j++
-				} else {
-					dst[o] = src[i]
-					i++
-				}
-				o++
-			}
-			o += copy(dst[o:], src[i:mid])
-			copy(dst[o:], src[j:hi])
-			w++
-			bounds[w] = hi
-		}
-		runs = w
-		src, dst = dst, src
-	}
-	return src
-}
-
-// spanIndex answers "which spans overlap [start, end)" over a set of
-// (start, elapsed) spans in O(log n + candidates): starts are sorted,
-// and a span overlaps only if its start lies in (start-maxElapsed, end).
-// Entries are ordered by (start, fragment index), so any ascending
-// selection of one index is already ordered under sampleLess.
-type spanIndex struct {
-	pos        []int32 // pos[i]: the sample position or fragment index entry i names
-	starts     []int64 // sorted
-	elapsed    []int64
-	covered    []bool // optional: covered flag of entry i
-	maxElapsed int64
-}
-
-// newSpanIndex lays ordered entries out in columns.
-func newSpanIndex(ents []spanEnt, withCovered bool) spanIndex {
-	n := len(ents)
-	ix := spanIndex{
-		pos:     make([]int32, n),
-		starts:  make([]int64, n),
-		elapsed: make([]int64, n),
-	}
-	if withCovered {
-		ix.covered = make([]bool, n)
-	}
-	for i := range ents {
-		e := &ents[i]
-		ix.pos[i], ix.starts[i], ix.elapsed[i] = e.pos, e.start, e.elapsed
-		if withCovered {
-			ix.covered[i] = e.covered
-		}
-		if e.elapsed > ix.maxElapsed {
-			ix.maxElapsed = e.elapsed
-		}
-	}
-	return ix
-}
-
-// classSpans orders the spans of rows [from, frags.Len()) into one
-// index over fragment positions per heat-map class, each row under its
-// own kind's class. The entries are pre-sized: a suffix of one kind
-// throughout — every append to a computation edge, nearly every one to
-// a vertex — is known whole from its first row, a mixed one is counted
-// first.
-func classSpans(frags trace.LogView, from int) (out [numClasses]spanIndex) {
-	n := frags.Len()
-	if from >= n {
-		return out
-	}
-	var size [numClasses]int
-	only := -1 // the class of a single-kind suffix
-	if k := frags.Kind(from); frags.AllKind(from, k) {
-		only = int(ClassOf(k))
-		size[only] = n - from
-	} else {
-		for i := from; i < n; i++ {
-			size[ClassOf(frags.Kind(i))]++
-		}
-	}
-	var ents [numClasses][]spanEnt
-	for c, sz := range size {
-		if sz > 0 {
-			ents[c] = make([]spanEnt, 0, sz)
-		}
-	}
-	for i := from; i < n; i++ {
-		c := only
-		if c < 0 {
-			c = int(ClassOf(frags.Kind(i)))
-		}
-		_, start, elapsed := frags.Span(i)
-		ents[c] = append(ents[c], spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
-	}
-	for c := range ents {
-		if len(ents[c]) > 0 {
-			out[c] = newSpanIndex(orderSpans(ents[c]), false)
-		}
-	}
-	return out
-}
-
-// mergeSpans merges two indexes over fragment positions. a predates b —
-// every position in b is larger than every position in a — so on equal
-// starts a's entries go first.
-func mergeSpans(a, b spanIndex) spanIndex {
-	n := len(a.pos) + len(b.pos)
-	out := spanIndex{
-		pos:        make([]int32, 0, n),
-		starts:     make([]int64, 0, n),
-		elapsed:    make([]int64, 0, n),
-		maxElapsed: max(a.maxElapsed, b.maxElapsed),
-	}
-	i, j := 0, 0
-	for i < len(a.pos) || j < len(b.pos) {
-		if j >= len(b.pos) || (i < len(a.pos) && a.starts[i] <= b.starts[j]) {
-			out.pos = append(out.pos, a.pos[i])
-			out.starts = append(out.starts, a.starts[i])
-			out.elapsed = append(out.elapsed, a.elapsed[i])
-			i++
-		} else {
-			out.pos = append(out.pos, b.pos[j])
-			out.starts = append(out.starts, b.starts[j])
-			out.elapsed = append(out.elapsed, b.elapsed[j])
-			j++
-		}
-	}
-	return out
-}
-
-// candidates returns the [lo, hi) range of entries whose spans can
-// overlap [start, end); each candidate still needs the exact
-// start+elapsed > start check.
-func (ix *spanIndex) candidates(start, end int64) (lo, hi int) {
-	// A span [s, s+e) overlaps iff s < end && s+e > start, which needs
-	// s > start-maxElapsed. A subtraction that wraps (start near
-	// MinInt64) excludes nothing.
-	if thresh := start - ix.maxElapsed; thresh <= start {
-		lo = sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] > thresh })
-	}
-	hi = sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] >= end })
-	return lo, hi
-}
-
 // prepFor returns the memoized window-independent analysis of one
 // element: unchanged generations reuse it as-is, append-only advances
 // patch the store in place, and everything else rebuilds. The
@@ -318,6 +139,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 		p = nil // built in the other mode: neither served nor advanced
 	}
 	if p != nil && p.gen == gen && p.nfrags == frags.Len() && p.copt == opt.Cluster {
+		p.frags = frags
 		return p
 	}
 	if met != nil {
@@ -356,7 +178,7 @@ func buildPrep(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Optio
 	if minFrag <= 0 {
 		minFrag = 5
 	}
-	p := &prepElem{gen: gen, nfrags: frags.Len(), copt: opt.Cluster, ref: ref, minFrag: minFrag}
+	p := &prepElem{gen: gen, nfrags: frags.Len(), copt: opt.Cluster, ref: ref, minFrag: minFrag, frags: frags}
 	p.countClusters(cl)
 	if opt.DisableIncremental {
 		p.flat = buildFlat(frags, cl, ref, minFrag)

@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"slices"
+	"sort"
 
 	"vapro/internal/cluster"
 	"vapro/internal/stg"
@@ -39,6 +40,12 @@ import (
 // are O(log n) segments and appends amortize to O(log n). Every segment
 // is ordered by (start, fragment index), so a window's selection comes
 // back as one ordered run per segment and the stream merge never sorts.
+// A segment entry is the fragment's 4-byte position and nothing else:
+// the start and elapsed it is ordered, filtered and summed by are read
+// from the element's log (trace.LogView.StartElapsed), which holds them
+// once already. They are the same int64s a copy would hold, so every
+// comparison and sum comes out bit for bit as over a column index (the
+// oracle's).
 
 // fragRef is the store's per-fragment state.
 type fragRef struct {
@@ -72,27 +79,175 @@ type band struct{ lo, hi int }
 
 // segIndex is a segmented span index over fragment positions.
 type segIndex struct {
-	segs []spanIndex
+	segs []segment
+}
+
+// segment is one ordered run of a segIndex: fragment positions ordered
+// by (start, position), and the longest elapsed among them.
+type segment struct {
+	pos        []int32
+	maxElapsed int64
+}
+
+// startAt reads fragment p's start, the key every segment is ordered by.
+func startAt(frags trace.LogView, p int32) int64 {
+	s, _ := frags.StartElapsed(int(p))
+	return s
 }
 
 // add appends one ordered segment of positions newer than everything
 // indexed and re-establishes the geometric invariant.
-func (ix *segIndex) add(seg spanIndex) {
+func (ix *segIndex) add(frags trace.LogView, seg segment) {
 	if len(seg.pos) == 0 {
 		return
 	}
 	ix.segs = append(ix.segs, seg)
 	for n := len(ix.segs); n >= 2 && len(ix.segs[n-1].pos)*2 >= len(ix.segs[n-2].pos); n-- {
-		ix.segs[n-2] = mergeSpans(ix.segs[n-2], ix.segs[n-1])
+		ix.segs[n-2] = mergeSegments(frags, ix.segs[n-2], ix.segs[n-1])
+		ix.segs[n-1] = segment{} // don't pin the merged-away positions
 		ix.segs = ix.segs[:n-1]
 	}
+}
+
+// mergeSegments merges two segments. a predates b — every position in b
+// is larger than every position in a — so on equal starts a's entries
+// go first. Each of b's starts is read once; a is galloped through, not
+// walked: b is the stream's newest tail, so almost all of a precedes all
+// of b and is copied in bulk, read only at the probes that find its end.
+func mergeSegments(frags trace.LogView, a, b segment) segment {
+	out := make([]int32, 0, len(a.pos)+len(b.pos))
+	i := 0
+	for _, p := range b.pos {
+		s := startAt(frags, p)
+		// The first k ≥ i whose start exceeds s: probe i, i+1, i+3, i+7,
+		// … until one does, then bisect the last step.
+		lo, hi := i, i
+		for step := 1; hi < len(a.pos) && startAt(frags, a.pos[hi]) <= s; step <<= 1 {
+			lo, hi = hi+1, hi+step
+		}
+		hi = min(hi, len(a.pos))
+		k := lo + sort.Search(hi-lo, func(j int) bool { return startAt(frags, a.pos[lo+j]) > s })
+		out = append(append(out, a.pos[i:k]...), p)
+		i = k
+	}
+	return segment{pos: append(out, a.pos[i:]...), maxElapsed: max(a.maxElapsed, b.maxElapsed)}
+}
+
+// candidates returns the [lo, hi) range of s's entries whose spans can
+// overlap [start, end); each candidate still needs the exact
+// start+elapsed > start check.
+func (s *segment) candidates(frags trace.LogView, start, end int64) (lo, hi int) {
+	return overlapBand(len(s.pos), s.maxElapsed, start, end, func(i int) int64 { return startAt(frags, s.pos[i]) })
+}
+
+// overlapBand is a span index's candidate range over n entries ordered
+// by startOf, the longest spanning maxElapsed.
+func overlapBand(n int, maxElapsed, start, end int64, startOf func(i int) int64) (lo, hi int) {
+	// A span [s, s+e) overlaps iff s < end && s+e > start, which needs
+	// s > start-maxElapsed. A subtraction that wraps (start near
+	// MinInt64) excludes nothing.
+	if thresh := start - maxElapsed; thresh <= start {
+		lo = sort.Search(n, func(i int) bool { return startOf(i) > thresh })
+	}
+	hi = sort.Search(n, func(i int) bool { return startOf(i) >= end })
+	return lo, hi
+}
+
+// classSpans orders rows [from, frags.Len()) into one segment per
+// heat-map class, each row under its own kind's class. The position
+// lists are pre-sized: a suffix of one kind throughout — every append
+// to a computation edge, nearly every one to a vertex — is known whole
+// from its first row, a mixed one is counted first.
+func classSpans(frags trace.LogView, from int) (out [numClasses]segment) {
+	n := frags.Len()
+	if from >= n {
+		return out
+	}
+	var size [numClasses]int
+	only := -1 // the class of a single-kind suffix
+	if k := frags.Kind(from); frags.AllKind(from, k) {
+		only = int(ClassOf(k))
+		size[only] = n - from
+	} else {
+		for i := from; i < n; i++ {
+			size[ClassOf(frags.Kind(i))]++
+		}
+	}
+	for c, sz := range size {
+		if sz > 0 {
+			out[c].pos = make([]int32, 0, sz)
+		}
+	}
+	starts := make([]int64, n-from) // starts[i-from]: row i's start, the sort key
+	for i := from; i < n; i++ {
+		c := only
+		if c < 0 {
+			c = int(ClassOf(frags.Kind(i)))
+		}
+		s, el := frags.StartElapsed(i)
+		starts[i-from] = s
+		out[c].pos = append(out[c].pos, int32(i))
+		out[c].maxElapsed = max(out[c].maxElapsed, el)
+	}
+	for c := range out {
+		out[c].pos = orderPositions(out[c].pos, starts, from)
+	}
+	return out
+}
+
+// orderPositions orders ascending positions by (start, position) —
+// position p's start is starts[p-base] — by merging the runs that are
+// already in start order. The merge is stable and the positions start
+// ascending, so equal starts keep position order. The fragments of one
+// flush arrive start-ordered per rank, so an appended suffix is a
+// handful of long runs and this costs n·log(runs) compares; on
+// arbitrary input it degrades to a plain merge sort. The result may
+// alias pos.
+func orderPositions(pos []int32, starts []int64, base int) []int32 {
+	before := func(a, b int32) bool { return starts[int(a)-base] < starts[int(b)-base] }
+	bounds := []int{0}
+	for i := 1; i < len(pos); i++ {
+		if before(pos[i], pos[i-1]) {
+			bounds = append(bounds, i)
+		}
+	}
+	runs := len(bounds)
+	if runs == 1 {
+		return pos
+	}
+	bounds = append(bounds, len(pos))
+	src, dst := pos, make([]int32, len(pos))
+	for runs > 1 {
+		w := 0
+		for r := 0; r < runs; r += 2 {
+			lo, mid, hi := bounds[r], bounds[min(r+1, runs)], bounds[min(r+2, runs)]
+			i, j, o := lo, mid, lo
+			for i < mid && j < hi {
+				if before(src[j], src[i]) {
+					dst[o] = src[j]
+					j++
+				} else {
+					dst[o] = src[i]
+					i++
+				}
+				o++
+			}
+			o += copy(dst[o:], src[i:mid])
+			copy(dst[o:], src[j:hi])
+			w++
+			bounds[w] = hi
+		}
+		runs = w
+		src, dst = dst, src
+	}
+	return src
 }
 
 // addSpans indexes the spans of rows [from, frags.Len()).
 func (st *sampleStore) addSpans(frags trace.LogView, from int) {
 	segs := classSpans(frags, from)
 	for c := range segs {
-		st.spans[c].add(segs[c])
+		st.spans[c].add(frags, segs[c])
 	}
 }
 
@@ -230,6 +385,7 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	st.addSpans(frags, oldN)
 	p.gen = gen
 	p.nfrags = nn
+	p.frags = frags
 	return true
 }
 
@@ -241,12 +397,12 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 // segments it touches: the selection buffer, sized once from the bands,
 // and the run list; a class with no fragments contributes no band.
 func (p *prepElem) windowStore(start, end int64, out *elemOut) {
-	st := p.store
+	st, frags := p.store, p.frags
 	st.bands = st.bands[:0]
 	cand, nruns := 0, 0
 	for c := range st.spans {
 		for si := range st.spans[c].segs {
-			lo, hi := st.spans[c].segs[si].candidates(start, end)
+			lo, hi := st.spans[c].segs[si].candidates(frags, start, end)
 			st.bands = append(st.bands, band{lo, hi})
 			if hi > lo {
 				cand += hi - lo
@@ -266,25 +422,24 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 		first := len(runs)
 		var total, fixed int64
 		for si := range segs {
-			s := &segs[si]
 			from := len(buf)
-			for i := bands[si].lo; i < bands[si].hi; i++ {
-				el := s.elapsed[i]
-				if s.starts[i]+el <= start {
+			for _, pos := range segs[si].pos[bands[si].lo:bands[si].hi] {
+				s, el := frags.StartElapsed(int(pos))
+				if s+el <= start {
 					continue
 				}
 				total += el
-				ref := st.refs[s.pos[i]]
+				ref := st.refs[pos]
 				if ref.cid < 0 {
 					continue
 				}
 				if st.cstate[st.slotOf[ref.cid]].ranks.n[ref.rank] >= minFrag {
 					fixed += el
 				}
-				buf = append(buf, int32(i))
+				buf = append(buf, pos)
 			}
 			if len(buf) > from {
-				runs = append(runs, elemRun{ix: s, sel: buf[from:len(buf):len(buf)], store: p})
+				runs = append(runs, elemRun{sel: buf[from:len(buf):len(buf)], store: p})
 			}
 		}
 		bands = bands[len(segs):]
@@ -296,24 +451,23 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 	}
 }
 
-// sampleAt derives the sample of entry i of segment s from the owning
-// cluster's current state: Perf against its current fastest member,
-// Covered from its current per-rank counts, the cluster index through
-// the slot map.
-func (p *prepElem) sampleAt(s *spanIndex, i int32, dst *Sample) {
+// sampleAt derives the sample of fragment pos from its span in the log
+// and the owning cluster's current state: Perf against its current
+// fastest member, Covered from its current per-rank counts, the cluster
+// index through the slot map.
+func (p *prepElem) sampleAt(pos int32, dst *Sample) {
 	st := p.store
-	pos := s.pos[i]
 	ref := st.refs[pos]
 	slot := st.slotOf[ref.cid]
 	cst := &st.cstate[slot]
-	el := s.elapsed[i]
+	start, el := p.frags.StartElapsed(int(pos))
 	perf := 1.0
 	if el > 0 {
 		perf = float64(cst.best) / float64(el)
 	}
 	*dst = Sample{
 		Rank:       cst.ranks.rank[ref.rank],
-		Start:      s.starts[i],
+		Start:      start,
 		Elapsed:    el,
 		Perf:       perf,
 		Covered:    cst.ranks.n[ref.rank] >= int32(p.minFrag),

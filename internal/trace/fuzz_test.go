@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -27,6 +28,10 @@ func FuzzDecodeBatchMeta(f *testing.F) {
 	f.Add(AppendBatchTraced(nil, 3, 42, 0xdead, 12345, fuzzFrags()))
 	f.Add(AppendBatchSeq(nil, 0, 0, nil))
 	f.Add(hugeRankFrame(1 << 63)) // rank that converts to a negative int
+	// Names the vocabulary has never held: one it may take, and one far
+	// past the length bound.
+	f.Add(opFrame([]byte("fresh-op-seed")))
+	f.Add(opFrame(bytes.Repeat([]byte{'x'}, 1<<20)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The reusing entry point must agree with the allocating one on
 		// every input, hostile or not.

@@ -279,6 +279,13 @@ func (v LogView) Span(i int) (rank int, start, elapsed int64) {
 	return rank, c.start[r], c.elapsed[r]
 }
 
+// StartElapsed returns row i's Start and Elapsed: the two hot columns a
+// span index orders and filters by, without the rank lane.
+func (v LogView) StartElapsed(i int) (start, elapsed int64) {
+	c, r := v.row(i)
+	return c.start[r], c.elapsed[r]
+}
+
 // Kind returns row i's fragment kind.
 func (v LogView) Kind(i int) Kind {
 	c, r := v.row(i)

@@ -118,6 +118,16 @@ func checkView(t *testing.T, what string, v LogView, model []Fragment) {
 		}
 		checkCounters(t, v, model, i)
 		checkWorkload(t, v, model, i)
+		checkStartElapsed(t, v, model, i)
+	}
+}
+
+// checkStartElapsed: the span reader returns exactly the row's Start
+// and Elapsed.
+func checkStartElapsed(t *testing.T, v LogView, model []Fragment, i int) {
+	t.Helper()
+	if start, elapsed := v.StartElapsed(i); start != model[i].Start || elapsed != model[i].Elapsed {
+		t.Fatalf("StartElapsed(%d) = (%d, %d), model %+v", i, start, elapsed, model[i])
 	}
 }
 
@@ -168,6 +178,7 @@ func checkRow(t *testing.T, v LogView, model []Fragment, i int) {
 	}
 	checkCounters(t, v, model, i)
 	checkWorkload(t, v, model, i)
+	checkStartElapsed(t, v, model, i)
 }
 
 // maxScriptRows keeps one fuzz execution to a few chunks.
@@ -525,6 +536,7 @@ func TestLogAppendAllocs(t *testing.T) {
 		v.Read(v.Len()/2, &out)
 		v.ReadWorkload(v.Len()/3, &out)
 		v.Span(3)
+		v.StartElapsed(5)
 	})
 	if allocs != 0 {
 		t.Fatalf("read allocates %.0f times", allocs)

@@ -112,26 +112,56 @@ func Op(name string) OpSym {
 	}
 	opInterner.Lock()
 	defer opInterner.Unlock()
+	return internLocked(name)
+}
+
+// internLocked returns name's symbol, adding it if it is new. The
+// caller holds the interner's write lock.
+func internLocked(name string) OpSym {
 	if s, ok := opInterner.ids[name]; ok {
 		return s
 	}
-	s = OpSym(len(opInterner.names))
+	s := OpSym(len(opInterner.names))
 	opInterner.names = append(opInterner.names, name)
 	opInterner.ids[name] = s
 	return s
 }
 
-// opOfBytes is Op for a name still sitting in a decode buffer. A
-// vocabulary hit — every sighting after the first — looks the bytes up
-// in place, so the wire decoder's steady state allocates no strings.
-func opOfBytes(name []byte) OpSym {
+// The bounds on what a peer can add to the vocabulary. A frame may name
+// any operation and nothing is ever released, so a name first seen on
+// the wire is interned only while the vocabulary holds fewer than
+// maxWireOps names, and only if it is at most maxWireOpName bytes: a
+// peer can pin at most 64 KiB of names for the life of the process. The
+// interposition layer's own vocabulary is two dozen names of under 16
+// bytes. In-process Op is not bounded.
+const (
+	maxWireOps    = 1 << 10
+	maxWireOpName = 64
+)
+
+// opOfBytes is Op for a name still sitting in a decode buffer, false
+// for a new name past the wire bounds. A vocabulary hit — every sighting
+// after the first — looks the bytes up in place, so the wire decoder's
+// steady state allocates no strings.
+func opOfBytes(name []byte) (OpSym, bool) {
 	opInterner.RLock()
 	s, ok := opInterner.ids[string(name)]
 	opInterner.RUnlock()
 	if ok {
-		return s
+		return s, true
 	}
-	return Op(string(name))
+	if len(name) > maxWireOpName {
+		return 0, false
+	}
+	opInterner.Lock()
+	defer opInterner.Unlock()
+	if s, ok := opInterner.ids[string(name)]; ok {
+		return s, true
+	}
+	if len(opInterner.names) >= maxWireOps {
+		return 0, false
+	}
+	return internLocked(string(name)), true
 }
 
 // String returns the interned operation name.

@@ -22,7 +22,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // wireVersion is bumped on incompatible format changes.
@@ -197,6 +199,69 @@ func DecodeHello(data []byte) (version uint64, addrs []string, err error) {
 	return version, addrs, nil
 }
 
+// counterWords views c as its lanes, in counterLanes order: the struct
+// is numCounterLanes 8-byte fields in exactly that order (SuspensionNS
+// reads as its two's-complement bits, as counterLanes makes it).
+func counterWords(c *CountersView) *[numCounterLanes]uint64 {
+	return (*[numCounterLanes]uint64)(unsafe.Pointer(c))
+}
+
+// counterWords is sound only while CountersView is numCounterLanes
+// words: either array length goes negative, and fails to compile, if
+// the size moves.
+var (
+	_ [unsafe.Sizeof(CountersView{}) - numCounterLanes*8]struct{}
+	_ [numCounterLanes*8 - unsafe.Sizeof(CountersView{})]struct{}
+)
+
+// keyDict is a batch's state-key dictionary: the keys in first-seen
+// order, an open-addressing table over them, and the last key looked up
+// (a batch revisits a handful of keys, often the one just seen).
+type keyDict struct {
+	keys  []uint64
+	slots []int32 // 1 + the index of the key hashed there, 0 empty; at most half full
+	shift uint    // 64 - log2(len(slots))
+	last  uint64
+	lastI int // last's index, -1 before the first lookup
+}
+
+func newKeyDict() keyDict {
+	return keyDict{keys: make([]uint64, 0, 32), slots: make([]int32, 64), shift: 64 - 6, lastI: -1}
+}
+
+func (d *keyDict) home(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> d.shift) }
+
+// index returns k's index, adding k if it is new.
+func (d *keyDict) index(k uint64) int {
+	if k == d.last && d.lastI >= 0 {
+		return d.lastI
+	}
+	mask := len(d.slots) - 1
+	h := d.home(k)
+	for ; d.slots[h] != 0; h = (h + 1) & mask {
+		if i := int(d.slots[h]) - 1; d.keys[i] == k {
+			d.last, d.lastI = k, i
+			return i
+		}
+	}
+	i := len(d.keys)
+	d.keys = append(d.keys, k)
+	d.slots[h] = int32(i + 1)
+	if 2*len(d.keys) > len(d.slots) {
+		d.slots, d.shift = make([]int32, 2*len(d.slots)), d.shift-1
+		mask = len(d.slots) - 1
+		for j, k := range d.keys {
+			h := d.home(k)
+			for d.slots[h] != 0 {
+				h = (h + 1) & mask
+			}
+			d.slots[h] = int32(j + 1)
+		}
+	}
+	d.last, d.lastI = k, i
+	return i
+}
+
 // appendFrags encodes the version-independent tail of a batch: the
 // fragment count, the state-key dictionary, and the fragment stream.
 func appendFrags(dst []byte, rank int, frags []Fragment) []byte {
@@ -205,32 +270,38 @@ func appendFrags(dst []byte, rank int, frags []Fragment) []byte {
 	// State-key dictionary, first-seen order (From then State per
 	// fragment). Entry fragments share key 0 with real states rarely, so
 	// the dictionary stays tiny relative to 8-byte raw hashes.
-	keyIdx := make(map[uint64]int, 16)
-	var keys []uint64
-	intern := func(k uint64) int {
-		if i, ok := keyIdx[k]; ok {
-			return i
-		}
-		i := len(keys)
-		keyIdx[k] = i
-		keys = append(keys, k)
-		return i
-	}
+	keys := newKeyDict()
 	for i := range frags {
-		intern(frags[i].From)
-		intern(frags[i].State)
+		keys.index(frags[i].From)
+		keys.index(frags[i].State)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
+	dst = binary.AppendUvarint(dst, uint64(len(keys.keys)))
+	for _, k := range keys.keys {
 		dst = binary.LittleEndian.AppendUint64(dst, k)
 	}
 
 	var prevStart, prevElapsed int64
-	var prevCounters [numCounterLanes]uint64
+	prevCounters := new([numCounterLanes]uint64)
 	var prevArgs Args
+	// The name of the last operation written: a batch's ops change
+	// rarely, and a lookup takes the interner's lock.
+	op, opName := OpSym(0), ""
 	for i := range frags {
 		f := &frags[i]
-		lanes := counterLanes(&f.Counters)
+		lanes := counterWords(&f.Counters)
+		// changed: bit l set iff lane l moved. TOT_INS moves on nearly
+		// every computation fragment and the other lanes mostly stay put,
+		// so those are compared as one block and walked only if it moved.
+		var changed uint64
+		if lanes[0] != prevCounters[0] {
+			changed = 1
+		}
+		if *(*[numCounterLanes - 1]uint64)(lanes[1:]) != *(*[numCounterLanes - 1]uint64)(prevCounters[1:]) {
+			for l := 1; l < numCounterLanes; l++ {
+				d := lanes[l] ^ prevCounters[l]
+				changed |= (d | -d) >> 63 << l // no branch: armed lanes move unpredictably
+			}
+		}
 
 		flags := byte(0)
 		if f.Kind < flagKindEscape {
@@ -247,7 +318,7 @@ func appendFrags(dst []byte, rank int, frags []Fragment) []byte {
 		if f.Args != prevArgs {
 			flags |= flagArgs
 		}
-		if lanes != prevCounters {
+		if changed != 0 {
 			flags |= flagCounters
 		}
 		if f.Rank != rank {
@@ -260,25 +331,18 @@ func appendFrags(dst []byte, rank int, frags []Fragment) []byte {
 		if flags&flagRank != 0 {
 			dst = binary.AppendUvarint(dst, zigzag(int64(f.Rank)-int64(rank)))
 		}
-		dst = binary.AppendUvarint(dst, uint64(keyIdx[f.From]))
-		dst = binary.AppendUvarint(dst, uint64(keyIdx[f.State]))
+		dst = binary.AppendUvarint(dst, uint64(keys.index(f.From)))
+		dst = binary.AppendUvarint(dst, uint64(keys.index(f.State)))
 		dst = binary.AppendUvarint(dst, zigzag(f.Start-prevStart))
 		dst = binary.AppendUvarint(dst, zigzag(f.Elapsed-prevElapsed))
 		prevStart, prevElapsed = f.Start, f.Elapsed
 
-		if flags&flagCounters != 0 {
-			var bitmap uint64
-			for l := 0; l < numCounterLanes; l++ {
-				if lanes[l] != prevCounters[l] {
-					bitmap |= 1 << l
-				}
-			}
-			dst = binary.AppendUvarint(dst, bitmap)
-			for l := 0; l < numCounterLanes; l++ {
-				if bitmap&(1<<l) != 0 {
-					// Wrapping delta: exact for every uint64 value.
-					dst = binary.AppendUvarint(dst, zigzag(int64(lanes[l]-prevCounters[l])))
-				}
+		if changed != 0 {
+			dst = binary.AppendUvarint(dst, changed)
+			for m := changed; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				// Wrapping delta: exact for every uint64 value.
+				dst = binary.AppendUvarint(dst, zigzag(int64(lanes[l]-prevCounters[l])))
 			}
 			prevCounters = lanes
 		}
@@ -304,9 +368,11 @@ func appendFrags(dst []byte, rank int, frags []Fragment) []byte {
 			}
 			dst = binary.AppendUvarint(dst, bitmap)
 			if bitmap&(1<<0) != 0 {
-				op := f.Args.Op.String()
-				dst = binary.AppendUvarint(dst, uint64(len(op)))
-				dst = append(dst, op...)
+				if f.Args.Op != op {
+					op, opName = f.Args.Op, f.Args.Op.String()
+				}
+				dst = binary.AppendUvarint(dst, uint64(len(opName)))
+				dst = append(dst, opName...)
 			}
 			if bitmap&(1<<1) != 0 {
 				dst = binary.AppendUvarint(dst, zigzag(int64(f.Args.Bytes)))
@@ -529,7 +595,16 @@ func DecodeBatchMetaInto(dst []Fragment, data []byte) (meta BatchMeta, frags []F
 				break
 			}
 			if bitmap&(1<<0) != 0 {
-				prevArgs.Op = opOfBytes(r.bytes(int(r.uvarint())))
+				name := r.bytes(int(r.uvarint()))
+				if r.err != nil {
+					break
+				}
+				op, ok := opOfBytes(name)
+				if !ok {
+					r.fail("new operation name of %d bytes past the wire vocabulary bounds", len(name))
+					break
+				}
+				prevArgs.Op = op
 			}
 			if bitmap&(1<<1) != 0 {
 				prevArgs.Bytes = int(unzigzag(r.uvarint()))

@@ -70,6 +70,9 @@ go test -run xxx -fuzz 'FuzzAnalyzerEquivalence' -fuzztime 3s -fuzzminimizetime 
 # (argument classes, batch sizes, extra metrics, a kind flip) keeps the
 # warm cache's clustering equal to a cold Run after every advance.
 go test -run xxx -fuzz 'FuzzIncrementalMultiD' -fuzztime 3s -fuzzminimizetime 200x ./internal/cluster
+# ... and the client's flush encoder: any batch the script spells must
+# encode to exactly the bytes of the map-dictionary encoder it replaced.
+go test -run xxx -fuzz 'FuzzAppendBatch' -fuzztime 3s ./internal/trace
 # ... and the structure every resident fragment lives in: any script of
 # appends, cross-log copies, held views and reads must agree with a
 # plain []Fragment, row for row.
@@ -96,13 +99,17 @@ go test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
 # counters at ≤0.5x of all columns armed; measured 0.17x, the dense
 # fold reads 1.0x). BenchmarkLogAppend (ns/frag and B/frag per
 # end-to-end population) and BenchmarkPoolIngest's resident_B_per_frag
-# record what the columnar fragment log costs, MonitorTickMultiD's
-# resident_B_per_frag what a comm/IO fragment costs the graph plus the
-# analyzer, and MonitorTickWindow/plane=monitor the whole monitor round
-# (all unasserted; the round is ±15 % at 1x). Raw output and the parsed BENCH.json are kept for the CI
-# artifact upload.
+# record what the columnar fragment log costs, MonitorTickMultiD's and
+# MonitorTickWindow/plane=inc's resident_B_per_frag what a comm/IO and a
+# computation fragment cost the graph plus the analyzer,
+# MonitorTickWindow/plane=monitor the whole monitor round, and
+# BenchmarkEncodeFrame a client flush's encoding (ns/frag, B/frag,
+# allocs per frame; all unasserted; the round is ±15 % at 1x). Raw
+# output and the parsed BENCH.json are kept for the CI artifact upload.
 go test -run xxx -bench 'BenchmarkPoolIngest$|BenchmarkWindowResults|BenchmarkLogAppend' \
 	-benchtime 1x -benchmem . | tee bench-smoke.out
+go test -run xxx -bench 'BenchmarkEncodeFrame' -benchtime 2000x -benchmem \
+	./internal/collector | tee -a bench-smoke.out
 go test -run xxx -bench 'BenchmarkMonitorTick|BenchmarkShardedTickScale|BenchmarkClusterMomentsAdd' \
 	-benchtime 1x -count=3 -benchmem . | tee -a bench-smoke.out
 go run ./cmd/benchjson -min -out BENCH.json \
