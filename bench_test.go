@@ -215,21 +215,6 @@ func BenchmarkAblationSampling(b *testing.B) {
 	}
 }
 
-// Multi-server sharding throughput.
-func BenchmarkAblationServers(b *testing.B) {
-	for _, servers := range []int{1, 4} {
-		b.Run(map[int]string{1: "1server", 4: "4servers"}[servers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opt := core.DefaultOptions()
-				opt.Ranks = 32
-				opt.Collector.Servers = servers
-				res := core.RunTraced(apps.NewCG(5), opt)
-				b.ReportMetric(float64(res.Pool.Servers()), "servers")
-			}
-		})
-	}
-}
-
 // --- algorithm micro-benches ---
 
 func synthFrags(n int) []trace.Fragment {
@@ -933,13 +918,12 @@ func BenchmarkMonitorTickWindow(b *testing.B) {
 }
 
 // benchMonitorTickScale measures the steady-state tick END TO END
-// through a Pool: consume a 10k-fragment burst (sharded over `servers`
-// server graphs), refresh the delta-append merged view, and analyze the
-// newest window over it. The sublinear claim is that the per-tick cost
+// through a Pool: consume a 10k-fragment burst, refresh the graph's
+// snapshot, and analyze the newest window over it. The sublinear claim is that the per-tick cost
 // at 1M resident fragments stays within 1.5x of the cost at 100k —
 // i.e. no stage of the pipeline (store append, view refresh, delta
 // clustering, region growing) re-walks the resident population.
-func benchMonitorTickScale(b *testing.B, servers, resident int) {
+func benchMonitorTickScale(b *testing.B, resident int) {
 	const tick = 10_000
 	const ranks = 32
 	s := newTickStream(ranks, 8)
@@ -948,9 +932,7 @@ func benchMonitorTickScale(b *testing.B, servers, resident int) {
 	// clustering path. Kept for cross-PR comparability; the comm-heavy
 	// concentration is BenchmarkMonitorTickMultiD's job.
 	s.comms = 256
-	opt := collector.DefaultOptions()
-	opt.Servers = servers
-	p := collector.NewPool(ranks, opt)
+	p := collector.NewPool(ranks, collector.DefaultOptions())
 	perRank := make([][]trace.Fragment, ranks)
 	feed := func(frags []trace.Fragment) {
 		for r := range perRank {
@@ -998,17 +980,14 @@ func benchMonitorTickScale(b *testing.B, servers, resident int) {
 	}
 }
 
-// BenchmarkMonitorTickScale pins the flat-tick property across pool
-// shapes: 1 and 4 server graphs, 100k and 1M resident fragments. The
-// 1.5x acceptance ratio (1M vs 100k per server count) is recorded in
-// BENCH.json.
+// BenchmarkMonitorTickScale pins the flat-tick property: 100k and 1M
+// resident fragments. The 1.5x acceptance ratio (1M vs 100k) is
+// recorded in BENCH.json.
 func BenchmarkMonitorTickScale(b *testing.B) {
-	for _, servers := range []int{1, 4} {
-		for _, resident := range []int{100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("servers=%d/resident=%dk", servers, resident/1000), func(b *testing.B) {
-				benchMonitorTickScale(b, servers, resident)
-			})
-		}
+	for _, resident := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("resident=%dk", resident/1000), func(b *testing.B) {
+			benchMonitorTickScale(b, resident)
+		})
 	}
 }
 

@@ -348,8 +348,7 @@ func renderStatus(s *obs.Snapshot) string {
 	fmt.Fprintf(&b, "steady    store appends %.0f (sort fallbacks %.0f)   region cells carried %.0f / regrown %.0f\n",
 		val(s, "vapro_detect_store_appends_total"), val(s, "vapro_detect_sample_sort_fallbacks_total"),
 		val(s, "vapro_detect_region_cells_carried_total"), val(s, "vapro_detect_region_cells_regrown_total"))
-	fmt.Fprintf(&b, "          view cursor advances %.0f / epoch rebases %.0f   ols rank-1 %.0f / refactors %.0f\n",
-		val(s, "vapro_view_cursor_advances_total"), val(s, "vapro_view_epoch_rebases_total"),
+	fmt.Fprintf(&b, "          ols rank-1 %.0f / refactors %.0f\n",
 		val(s, "vapro_ols_rank1_updates_total"), val(s, "vapro_ols_refactors_total"))
 
 	fmt.Fprintf(&b, "client    interceptions %.0f   dropped %.0f   bytes out %s   flushes %.0f\n",

@@ -69,13 +69,15 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"· hook p50 ",
 		"cluster",
 		"steady    store appends",
-		"view cursor advances",
 		"ols rank-1",
 		"client    interceptions",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("status panel missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "view cursor") {
+		t.Fatalf("status panel still renders the removed view counters:\n%s", out)
 	}
 }
 

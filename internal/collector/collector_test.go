@@ -16,49 +16,27 @@ func frag(rank int, start, elapsed int64) trace.Fragment {
 	}
 }
 
+// TestPoolSizing: a plane is one server at any rank count, so a tier's
+// server count is its shard count (the paper's one server per 256
+// clients is vapro serve -shards ⌈ranks/256⌉).
 func TestPoolSizing(t *testing.T) {
-	cases := []struct{ ranks, servers int }{
-		{1, 1}, {256, 1}, {257, 2}, {1024, 4}, {2048, 8},
-	}
-	for _, c := range cases {
-		p := NewPool(c.ranks, DefaultOptions())
-		if p.Servers() != c.servers {
-			t.Fatalf("%d ranks → %d servers, want %d (1:256)", c.ranks, p.Servers(), c.servers)
+	for _, ranks := range []int{1, 256, 257, 2048} {
+		if n := NewPool(ranks, DefaultOptions()).Stats(sim.Second).Servers; n != 1 {
+			t.Fatalf("%d ranks → %d servers, want 1", ranks, n)
 		}
 	}
-	// Explicit server count wins.
-	opt := DefaultOptions()
-	opt.Servers = 3
-	if p := NewPool(1000, opt); p.Servers() != 3 {
-		t.Fatal("explicit server count ignored")
+	tier := NewShardedPool(2048, 8, DefaultOptions())
+	if n := tier.Stats(sim.Second).Servers; n != 8 {
+		t.Fatalf("8-shard tier → %d servers, want 8", n)
 	}
-}
-
-func TestSharding(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Servers = 4
-	p := NewPool(16, opt)
-	for rank := 0; rank < 16; rank++ {
-		p.Consume(rank, []trace.Fragment{frag(rank, 0, 100)})
-	}
-	if p.FragmentCount() != 16 {
-		t.Fatalf("fragments: %d", p.FragmentCount())
-	}
-	// Each server holds exactly its shard (16/4).
-	for i, s := range p.servers {
-		s.mu.Lock()
-		n := s.graph.NumFragments()
-		s.mu.Unlock()
-		if n != 4 {
-			t.Fatalf("server %d holds %d fragments, want 4", i, n)
-		}
+	snap := tier.MergedSnapshot()
+	if v := snap.Get("vapro_servers").Value; v != 8 {
+		t.Fatalf("merged vapro_servers = %v, want 8", v)
 	}
 }
 
 func TestGraphMerge(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Servers = 2
-	p := NewPool(4, opt)
+	p := NewPool(4, DefaultOptions())
 	for rank := 0; rank < 4; rank++ {
 		for i := 0; i < 6; i++ {
 			p.Consume(rank, []trace.Fragment{frag(rank, int64(i)*1000, 500)})

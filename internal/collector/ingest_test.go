@@ -15,20 +15,16 @@ import (
 // referenceWindowResults is the naive implementation the optimized path
 // must reproduce bit for bit: scan every fragment for the span, guard
 // each window with a full-graph overlap scan, analyze with a fresh
-// (cold, batch) analyzer per call. It runs over the pool's merged view
-// — the view's fragment order (arrival order: servers in fixed order
-// per refresh) is the canonical order of the online plane, and a
-// from-scratch server merge can't reproduce it once cross-server
-// elements grow by delta appends — but the view's *content* is pinned
-// separately: every element must hold exactly the multiset union of the
-// server elements (assertViewMatchesMerge).
+// (cold, batch) analyzer per call. It runs over the pool's snapshot,
+// whose content is pinned separately: every element must alias exactly
+// the graph's rows (assertViewMatchesGraph).
 func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 	t.Helper()
-	p.drainAll()
+	p.drain()
 	p.amu.Lock()
 	g := p.refreshView()
 	p.amu.Unlock()
-	assertViewMatchesMerge(t, p, g)
+	assertViewMatchesGraph(t, p, g)
 	var maxEnd int64
 	collect := func(frags []trace.Fragment) {
 		for i := range frags {
@@ -87,48 +83,27 @@ func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 	return out
 }
 
-// assertViewMatchesMerge pins the merged view's content: every element
-// must hold exactly the multiset union of the servers' elements (the
-// delta-append path may reorder across servers, never drop, duplicate,
-// or invent fragments), and no element may exist on one side only.
-func assertViewMatchesMerge(t *testing.T, p *Pool, g *stg.Graph) {
+// assertViewMatchesGraph pins the snapshot's content: every element
+// holds exactly the graph element's rows, in order, with its kind, and
+// no element exists on one side only.
+func assertViewMatchesGraph(t *testing.T, p *Pool, g *stg.Graph) {
 	t.Helper()
-	m := stg.New()
-	for _, s := range p.servers {
-		s.mu.Lock()
-		m.Merge(s.graph)
-		s.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if g.NumEdges() != p.graph.NumEdges() || g.NumVertices() != p.graph.NumVertices() {
+		t.Fatalf("snapshot has %d edges/%d vertices, graph has %d/%d",
+			g.NumEdges(), g.NumVertices(), p.graph.NumEdges(), p.graph.NumVertices())
 	}
-	sameMultiset := func(a, b []trace.Fragment) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		count := make(map[trace.Fragment]int, len(a))
-		for _, f := range a {
-			count[f]++
-		}
-		for _, f := range b {
-			count[f]--
-			if count[f] < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if g.NumEdges() != m.NumEdges() || g.NumVertices() != m.NumVertices() {
-		t.Fatalf("view has %d edges/%d vertices, merge has %d/%d",
-			g.NumEdges(), g.NumVertices(), m.NumEdges(), m.NumVertices())
-	}
-	for _, e := range m.Edges() {
+	for _, e := range p.graph.Edges() {
 		ve := g.Edge(e.Key)
-		if ve == nil || !sameMultiset(e.Log().Slice(), ve.Log().Slice()) {
-			t.Fatalf("edge %v: view content diverged from server union", e.Key)
+		if ve == nil || !reflect.DeepEqual(e.Log().Slice(), ve.Log().Slice()) {
+			t.Fatalf("edge %v: snapshot diverged from the graph", e.Key)
 		}
 	}
-	for _, vx := range m.Vertices() {
+	for _, vx := range p.graph.Vertices() {
 		vv := g.Vertex(vx.Key)
-		if vv == nil || vv.Kind != vx.Kind || !sameMultiset(vx.Log().Slice(), vv.Log().Slice()) {
-			t.Fatalf("vertex %d: view content diverged from server union", vx.Key)
+		if vv == nil || vv.Kind != vx.Kind || !reflect.DeepEqual(vx.Log().Slice(), vv.Log().Slice()) {
+			t.Fatalf("vertex %d: snapshot diverged from the graph", vx.Key)
 		}
 	}
 }
@@ -181,7 +156,6 @@ func sameWindowResults(t *testing.T, mode string, got, want []*WindowResult) {
 
 func equivOptions() Options {
 	opt := DefaultOptions()
-	opt.Servers = 3
 	opt.Period = 10 * sim.Millisecond
 	opt.Overlap = 5 * sim.Millisecond
 	opt.Detect.Window = sim.Millisecond
@@ -233,31 +207,25 @@ func feedEquivWorkload(p *Pool, ranks int) {
 	}
 }
 
-// intakeMode is one server intake shape: the staging stripe count and
-// the staged-backlog bound. The zero value is production's.
+// intakeMode is one intake shape: the staged-backlog bound. The zero
+// value is production's.
 type intakeMode struct {
-	name              string
-	stripes, maxStage int
+	name     string
+	maxStage int
 }
 
-// setIntake reshapes every server of a fresh pool to m, before anything
-// is staged: one stripe is the sequential reference, a tiny bound forces
-// the synchronous-drain path on most consumes.
+// setIntake reshapes a fresh pool to m, before anything is staged: a
+// tiny bound forces the synchronous-drain path on most consumes.
 func setIntake(p *Pool, m intakeMode) {
-	for _, s := range p.servers {
-		if m.stripes > 0 {
-			s.shards = make([]intakeShard, m.stripes)
-		}
-		if m.maxStage > 0 {
-			s.maxStaged = m.maxStage
-		}
+	if m.maxStage > 0 {
+		p.maxStaged = m.maxStage
 	}
 }
 
 // TestWindowResultsEquivalence pins the optimized analysis plane to the
 // naive one: for every intake shape, sequential feeding must produce
-// WindowResults bit-identical to a cold batch rescan of the merged
-// view, on cold, warm, and grown pools.
+// WindowResults bit-identical to a cold batch rescan of the snapshot, on
+// cold, warm, and grown pools.
 func TestWindowResultsEquivalence(t *testing.T) {
 	const ranks = 6
 	ref := NewPool(ranks, equivOptions())
@@ -268,9 +236,8 @@ func TestWindowResultsEquivalence(t *testing.T) {
 	}
 
 	modes := []intakeMode{
-		{name: "sequential", stripes: 1},
-		{name: "sharded"},
-		{name: "tiny-backlog", stripes: 2, maxStage: 1},
+		{name: "production"},
+		{name: "tiny-backlog", maxStage: 1},
 	}
 	for _, m := range modes {
 		p := NewPool(ranks, equivOptions())
@@ -290,11 +257,6 @@ func TestWindowResultsEquivalence(t *testing.T) {
 
 		ref = NewPool(ranks, equivOptions())
 		feedEquivWorkload(ref, ranks)
-		// Refresh now so the fresh reference's view shares the tested
-		// pools' cadence (one refresh after each feed): under arrival
-		// order, a view refreshed once after two feeds orders cross-server
-		// growth differently than one refreshed per feed.
-		referenceWindowResults(t, ref)
 	}
 }
 
@@ -303,8 +265,8 @@ func TestWindowResultsEquivalence(t *testing.T) {
 // via `make race`.
 func TestConcurrentConsume(t *testing.T) {
 	for _, intake := range []intakeMode{
-		{name: "sharded"},
-		{name: "small-backlog", stripes: 2, maxStage: 4},
+		{name: "production"},
+		{name: "small-backlog", maxStage: 4},
 	} {
 		const ranks, perRank = 8, 500
 		p := NewPool(ranks, equivOptions())
@@ -345,14 +307,12 @@ func TestConcurrentConsume(t *testing.T) {
 // TestIntakeBackpressure: a tiny backlog bound forces synchronous
 // drains; nothing may be lost or double-counted.
 func TestIntakeBackpressure(t *testing.T) {
-	opt := equivOptions()
-	opt.Servers = 1
-	p := NewPool(4, opt)
-	setIntake(p, intakeMode{stripes: 4, maxStage: 2})
+	p := NewPool(4, equivOptions())
+	setIntake(p, intakeMode{maxStage: 2})
 	for i := 0; i < 100; i++ {
 		p.Consume(i%4, []trace.Fragment{frag(i%4, int64(i)*1000, 500)})
 	}
-	if staged := p.servers[0].staged.Load(); staged > 2 {
+	if staged := p.stagedNow(); staged > 2 {
 		t.Fatalf("backlog exceeded bound: %d staged", staged)
 	}
 	if n := p.FragmentCount(); n != 100 {
@@ -362,26 +322,23 @@ func TestIntakeBackpressure(t *testing.T) {
 
 // TestBurstStagingBuffersReleased: while a drain holds the graph lock,
 // every delivered batch is staged into a buffer of its own. After the
-// drain the server keeps at most intakeStripes of those for reuse; the
+// drain the pool keeps at most intakeFreeBuffers of those for reuse; the
 // rest go back to the GC instead of staying pinned for its lifetime.
 func TestBurstStagingBuffersReleased(t *testing.T) {
-	opt := equivOptions()
-	opt.Servers = 1
-	p := NewPool(4, opt)
+	p := NewPool(4, equivOptions())
 	defer p.Close()
-	s := p.servers[0]
 	const burst = 100
-	s.mu.Lock() // a drain in progress: no consume can merge
+	p.mu.Lock() // a drain in progress: no consume can merge
 	for i := 0; i < burst; i++ {
 		p.Consume(i%4, []trace.Fragment{frag(i%4, int64(i)*1000, 500)})
 	}
-	if staged := s.staged.Load(); staged != burst {
+	if staged := p.stagedNow(); staged != burst {
 		t.Fatalf("%d staged during the held drain, want %d", staged, burst)
 	}
-	s.mu.Unlock()
-	s.drain()
-	if kept := len(s.free); kept > intakeStripes {
-		t.Fatalf("server retains %d staging buffers after the burst, bound %d", kept, intakeStripes)
+	p.mu.Unlock()
+	p.drain()
+	if kept := len(p.free); kept > intakeFreeBuffers {
+		t.Fatalf("pool retains %d staging buffers after the burst, bound %d", kept, intakeFreeBuffers)
 	}
 	if n := p.FragmentCount(); n != burst {
 		t.Fatalf("fragments: %d", n)

@@ -7,7 +7,6 @@ import (
 	"vapro/internal/detect"
 	"vapro/internal/interpose"
 	"vapro/internal/obs"
-	"vapro/internal/trace"
 )
 
 // Metrics is the collector's self-observability surface: one registry
@@ -50,13 +49,6 @@ type Metrics struct {
 	NetSpillDepth    *obs.Gauge   // batches currently spilled awaiting a connection
 	NetSpillPeak     *obs.Gauge   // high-water mark of the spill queue
 	NetSpillBytes    *obs.Gauge   // encoded bytes currently spilled in memory
-
-	// View is the delta-append merged view's surface: cursor advances
-	// are refreshes that appended a server's new suffix in place (epoch
-	// kept warm), epoch rebases are full re-concatenations (first
-	// multi-server sighting, server-side rebase, or the hatch).
-	ViewCursorAdvances *obs.Counter
-	ViewEpochRebases   *obs.Counter
 
 	// Shard is the spatial scale-out surface: strip merges and region
 	// stitches per tier tick, shard-map version churn, and the routing
@@ -139,10 +131,6 @@ func NewMetrics() *Metrics {
 			"high-water mark of the spill queue"),
 		NetSpillBytes: reg.Gauge("vapro_net_spill_bytes", "net",
 			"encoded frame bytes held in the in-memory spill queue"),
-		ViewCursorAdvances: reg.Counter("vapro_view_cursor_advances_total", "view",
-			"merged-view refreshes that delta-appended a server's new suffix in place"),
-		ViewEpochRebases: reg.Counter("vapro_view_epoch_rebases_total", "view",
-			"merged-view elements rebuilt by full concatenation (epoch bumped)"),
 		ShardStripsMerged: reg.Counter("vapro_shard_strips_merged_total", "shard",
 			"per-class heat-map strips combined by the spatial merger"),
 		ShardRegionsStitched: reg.Counter("vapro_shard_regions_stitched_total", "shard",
@@ -180,31 +168,6 @@ func (p *Pool) Metrics() *Metrics { return p.met }
 // JSON; see obs.Registry.Handler) plus /trace (exemplar journeys).
 func (p *Pool) Handler() http.Handler { return p.met.Handler() }
 
-// stagedNow sums the servers' current staged backlogs.
-func (p *Pool) stagedNow() int64 {
-	var n int64
-	for _, s := range p.servers {
-		n += s.staged.Load()
-	}
-	return n
-}
-
-// logStats sums the footprint of the fragment logs the pool keeps
-// resident: every server's graph plus the merged view's own logs (the
-// second copy of cross-server elements). Lock-free.
-func (p *Pool) logStats() (chunks, lanes, bytes int64) {
-	add := func(st *trace.LogStats) {
-		chunks += st.Chunks()
-		lanes += st.Lanes()
-		bytes += st.Bytes()
-	}
-	for _, s := range p.servers {
-		add(s.graph.LogStats())
-	}
-	add(&p.view.logs)
-	return chunks, lanes, bytes
-}
-
 // registerDerived adds the pool-shaped Func metrics: values owned by
 // other layers as live atomics (staged depth, cache counters) or
 // derived from counters already registered (the §6.2 storage rate),
@@ -212,12 +175,12 @@ func (p *Pool) logStats() (chunks, lanes, bytes int64) {
 func (p *Pool) registerDerived() {
 	reg := p.met.Registry
 	reg.Func("vapro_intake_staged", "intake",
-		"batches currently staged across servers", func() float64 {
+		"batches currently staged", func() float64 {
 			return float64(p.stagedNow())
 		})
 	reg.Func("vapro_servers", "intake",
-		"server processes in the pool", func() float64 {
-			return float64(len(p.servers))
+		"analysis servers (1 per plane; a tier's merged value is its shard count)", func() float64 {
+			return 1
 		})
 	reg.Func("vapro_ranks", "intake",
 		"client ranks the pool was provisioned for", func() float64 {
@@ -232,19 +195,16 @@ func (p *Pool) registerDerived() {
 			return float64(p.met.IntakeBytes.Load()) / sec / float64(p.ranks)
 		})
 	reg.Func("vapro_stg_log_bytes", "stg",
-		"heap bytes of the resident columnar fragment logs (servers and view-owned)", func() float64 {
-			_, _, b := p.logStats()
-			return float64(b)
+		"heap bytes of the resident columnar fragment logs", func() float64 {
+			return float64(p.graph.LogStats().Bytes())
 		})
 	reg.Func("vapro_stg_log_chunks", "stg",
 		"fixed-size chunks allocated by the resident fragment logs", func() float64 {
-			c, _, _ := p.logStats()
-			return float64(c)
+			return float64(p.graph.LogStats().Chunks())
 		})
 	reg.Func("vapro_stg_log_lanes_live", "stg",
 		"lane arrays materialised in those chunks (fields that varied within a chunk)", func() float64 {
-			_, l, _ := p.logStats()
-			return float64(l)
+			return float64(p.graph.LogStats().Lanes())
 		})
 	registerCacheDerived(reg, p.an.Cache())
 }

@@ -11,9 +11,7 @@ import (
 // A backlog bound of 1 forces every consume onto the backpressure path;
 // the stall counter and the staged high-water mark must show it.
 func TestIntakeBackpressureStall(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Servers = 1
-	p := NewPool(1, opt)
+	p := NewPool(1, DefaultOptions())
 	setIntake(p, intakeMode{maxStage: 1})
 	const n = 8
 	for i := 0; i < n; i++ {

@@ -183,7 +183,7 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p := m.pool
-	p.drainAll()
+	p.drain()
 	p.amu.Lock()
 	defer p.amu.Unlock()
 	g := p.refreshView()

@@ -75,7 +75,7 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 func eventEdges(m *Monitor, ev *Event) ([]*stg.Edge, [][]trace.Fragment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pool.drainAll()
+	m.pool.drain()
 	m.pool.amu.Lock()
 	defer m.pool.amu.Unlock()
 	g := m.pool.refreshView()

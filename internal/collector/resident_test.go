@@ -100,7 +100,7 @@ func TestResidentBytesPerFragmentBudget(t *testing.T) {
 			resident := liveHeap() - base
 			frags := pool.FragmentCount()
 			windows := pool.Metrics().Detect.Windows.Load()
-			_, _, logBytes := pool.logStats()
+			logBytes := pool.graph.LogStats().Bytes()
 			runtime.KeepAlive(mon)
 			pool.Close()
 			if frags < 200_000 || windows < 5 {
@@ -134,7 +134,7 @@ func TestWarmConsumeAllocatesNothing(t *testing.T) {
 		}
 	}
 	// Warm: the first batches allocate the chunk, its TOT_INS lane, the
-	// staging buffer, the stripe's slot and the drain scratch.
+	// staging buffer, the staged list's slot and the drain scratch.
 	for i := 0; i < 3; i++ {
 		fill()
 		p.ConsumeSized(1, batch, 100)

@@ -14,16 +14,15 @@ import (
 	"vapro/internal/wal"
 )
 
-// Spatial scale-out (DESIGN §12): the plain Pool shards *clients*
-// across servers but one analysis plane still holds every rank, so
-// spatial scale stops where one plane's memory and tick budget stop.
-// The sharded tier splits the rank space itself: a stable hash assigns
-// each rank to an owning shard, every shard runs the full incremental
-// pipeline (staged intake → delta-append merged view → persistent
-// analyzer) over only its resident ranks, and each tier tick merges the
-// per-shard window results spatially — an O(ranks × windows) strip
-// concatenation plus warm region growing over the merged grid — into
-// one global result. Per-shard tick cost tracks resident ranks, not
+// Spatial scale-out (DESIGN §12): one Pool is one analysis server that
+// holds every rank, so spatial scale stops where one plane's memory and
+// tick budget stop. The sharded tier splits the rank space itself: a
+// stable hash assigns each rank to an owning shard, every shard runs the
+// full incremental pipeline (staged intake → graph snapshot →
+// persistent analyzer) over only its resident ranks, and each tier tick
+// merges the per-shard window results spatially — an O(ranks × windows)
+// strip concatenation plus warm region growing over the merged grid —
+// into one global result. Per-shard tick cost tracks resident ranks, not
 // population; merge cost tracks the grid, not the fragment volume.
 
 // splitmix64 is the stable rank hash: the finalizer of the SplitMix64
@@ -89,10 +88,9 @@ type ShardedPool struct {
 }
 
 // NewShardedPool builds shards analysis planes over a global rank space
-// of size ranks. Each plane is provisioned for its resident ranks only
-// (Servers derives from ClientsPerServer against the resident count),
-// shares the tier's metrics registry and arming handle, and analyzes
-// the global rank axis so its heat-map strips line up for the merge.
+// of size ranks. Each plane is one server that holds its resident ranks
+// only, shares the tier's arming handle, and analyzes the global rank
+// axis so its heat-map strips line up for the merge.
 func NewShardedPool(ranks, shards int, opt Options) *ShardedPool {
 	if shards < 1 {
 		shards = 1
@@ -117,22 +115,13 @@ func NewShardedPool(ranks, shards int, opt Options) *ShardedPool {
 		t.owner[r] = ShardOwner(r, shards)
 		resident[t.owner[r]]++
 	}
-	per := opt.ClientsPerServer
-	if per <= 0 {
-		per = 256
-	}
 	for i := 0; i < shards; i++ {
-		popt := opt
-		popt.Servers = (resident[i] + per - 1) / per
-		if popt.Servers < 1 {
-			popt.Servers = 1
-		}
 		// Each plane owns a full registry (derived Funcs included): the
 		// per-shard endpoints serve it directly, and the tier view is the
 		// merge. vapro_ranks merges by max and the per-plane storage rate
 		// divides by the global rank count, so the merged values read
 		// exactly like the single-plane ones.
-		plane := newPoolWith(ranks, popt, nil, true)
+		plane := NewPool(ranks, opt)
 		plane.Armed = t.Armed
 		t.planes = append(t.planes, plane)
 	}
@@ -326,7 +315,7 @@ func (t *ShardedPool) WindowResults() []*WindowResult {
 	return out
 }
 
-// Graph merges every plane's servers into one fresh global STG (final
+// Graph merges every plane into one fresh global STG (final
 // whole-run analysis and reports; the caller owns the result).
 func (t *ShardedPool) Graph() *stg.Graph {
 	g := stg.New()
@@ -405,8 +394,7 @@ func (t *ShardedPool) registerTierDerived(resident []int) {
 			})
 		reg.Func(fmt.Sprintf("vapro_shard%d_stg_log_bytes", i), "shard",
 			fmt.Sprintf("heap bytes of shard %d's resident fragment logs", i), func() float64 {
-				_, _, b := t.planes[i].logStats()
-				return float64(b)
+				return float64(t.planes[i].graph.LogStats().Bytes())
 			})
 	}
 }
@@ -427,7 +415,7 @@ type ShardSink struct {
 }
 
 // Consume implements interpose.Sink. A batch whose rank the shard does
-// not own is still delivered — its rows won't enter the merged view
+// not own is still delivered — its rows won't enter the merged result
 // (the merger copies owner rows only) but its loss accounting and
 // bytes must not vanish — and counted as a misroute.
 func (k *ShardSink) Consume(rank int, frags []trace.Fragment) {

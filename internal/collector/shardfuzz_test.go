@@ -171,9 +171,7 @@ func TestShardedEquivalenceFuzz(t *testing.T) {
 			// that shard's deliveries; plus the full pool for shards=1.
 			refs := make([]*Pool, shards)
 			for s := 0; s < shards; s++ {
-				ropt := opt
-				ropt.Servers = 1
-				refs[s] = NewPool(ranks, ropt)
+				refs[s] = NewPool(ranks, opt)
 			}
 			for _, b := range schedule {
 				owner := tier.Owner(b.rank)

@@ -30,9 +30,8 @@ type tracedSink interface {
 	ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx)
 }
 
-// ConsumeTraced routes a sampled traced batch to the rank's shard,
-// carrying its provenance context through staging and drain.
+// ConsumeTraced stages a sampled traced batch, carrying its provenance
+// context through staging and drain.
 func (p *Pool) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
-	s := p.servers[rank%len(p.servers)]
-	s.stage(rank, frags, bytes, tc, true)
+	p.stage(frags, bytes, tc, true)
 }

@@ -3,6 +3,7 @@ package collector
 import (
 	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -125,6 +126,15 @@ func TestWireServerHostileFrame(t *testing.T) {
 	}
 	conn2.Close()
 
+	// A fragment whose end, Start+Elapsed, wraps int64 is undecodable.
+	conn2b, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap := frag(0, math.MaxInt64-100, 500)
+	writeFrames(t, conn2b, trace.AppendBatch(nil, 0, []trace.Fragment{wrap}))
+	conn2b.Close()
+
 	// The server process survives: a well-formed client still lands.
 	conn3, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -139,13 +149,13 @@ func TestWireServerHostileFrame(t *testing.T) {
 	}
 
 	// The rejections are swallowed as connection kills by design, but
-	// they must be counted: one undecodable payload, one oversized
+	// they must be counted: two undecodable payloads, one oversized
 	// header, no contained panics.
-	if got := srv.FramesRejected(); got != 2 {
-		t.Fatalf("frames rejected: %d, want 2", got)
+	if got := srv.FramesRejected(); got != 3 {
+		t.Fatalf("frames rejected: %d, want 3", got)
 	}
-	if got := srv.DecodeErrors(); got != 1 {
-		t.Fatalf("decode errors: %d, want 1", got)
+	if got := srv.DecodeErrors(); got != 2 {
+		t.Fatalf("decode errors: %d, want 2", got)
 	}
 	if got := srv.Panics(); got != 0 {
 		t.Fatalf("panics: %d, want 0", got)
@@ -155,8 +165,8 @@ func TestWireServerHostileFrame(t *testing.T) {
 	if srv.Metrics() != pool.Metrics() {
 		t.Fatal("wire server must share the pool's metrics surface")
 	}
-	if got := pool.Stats(sim.Second).FramesRejected; got != 2 {
-		t.Fatalf("pool stats FramesRejected: %d, want 2", got)
+	if got := pool.Stats(sim.Second).FramesRejected; got != 3 {
+		t.Fatalf("pool stats FramesRejected: %d, want 3", got)
 	}
 	if got := srv.Metrics().WireFrames.Load(); got != 1 {
 		t.Fatalf("accepted frames: %d, want 1", got)

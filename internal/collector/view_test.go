@@ -3,7 +3,6 @@ package collector
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"vapro/internal/detect"
@@ -12,64 +11,48 @@ import (
 	"vapro/internal/trace"
 )
 
-// TestMergedViewDeltaEquivalenceFuzz pins the delta-append merged view
-// under multi-server pools: random bursts land on 2-4 servers, and after
-// every burst the pool's incremental RunWindow must match a cold batch
-// analyzer run over the same view graph bit for bit, the view's content
-// must stay the exact multiset union of the server graphs, and — the
-// point of the whole exercise — warm cross-server elements must keep
-// their generation epoch across refreshes, so the incremental analysis
-// planes never go cold. Half the schedules flip the DisableDeltaView
-// hatch mid-run, which must force a clean rebase on re-enable.
+// TestMergedViewDeltaEquivalenceFuzz pins the plane's analysis snapshot
+// under random bursts: after every burst the pool's incremental
+// RunWindow must match a cold batch analyzer run over the same snapshot
+// bit for bit, the snapshot must alias exactly the graph's rows, and no
+// element's generation epoch may ever move, because the graph only
+// appends — so the incremental analysis planes never go cold. (The
+// name is kept from when a plane re-joined several servers' graphs.)
 func TestMergedViewDeltaEquivalenceFuzz(t *testing.T) {
 	schedules := 50
 	if testing.Short() {
 		schedules = 12
 	}
-	var advances, rebases atomic.Uint64
-	t.Cleanup(func() {
-		if advances.Load() == 0 {
-			t.Errorf("no view cursor advances across %d schedules: delta-append path never ran", schedules)
-		}
-		if rebases.Load() == 0 {
-			t.Errorf("no view epoch rebases across %d schedules: rebase path never ran", schedules)
-		}
-	})
 	for sched := 0; sched < schedules; sched++ {
 		sched := sched
 		t.Run(fmt.Sprintf("sched%03d", sched), func(t *testing.T) {
 			t.Parallel()
-			runViewSchedule(t, int64(13400+sched), &advances, &rebases)
+			runViewSchedule(t, int64(13400+sched))
 		})
 	}
 }
 
-func runViewSchedule(t *testing.T, seed int64, advances, rebases *atomic.Uint64) {
+func runViewSchedule(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	ranks := 4 + rng.Intn(5)
 
 	opt := DefaultOptions()
-	opt.Servers = 2 + rng.Intn(3)
 	opt.Period = 10 * sim.Millisecond
 	opt.Overlap = 5 * sim.Millisecond
 	opt.Detect.Window = sim.Duration(1+rng.Intn(3)) * sim.Millisecond
 	opt.Detect.Cluster.MinFragments = 2 + rng.Intn(3)
 	p := NewPool(ranks, opt)
 	defer p.Close()
-	defer func() {
-		advances.Add(p.met.ViewCursorAdvances.Load())
-		rebases.Add(p.met.ViewEpochRebases.Load())
-	}()
-	useHatch := seed%2 == 0
 
 	clock := make([]int64, ranks)
 	edges := []trace.EdgeKey{{From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 1}}
-
-	// Epochs of view elements observed after they went multi-server
-	// (owned): in a hatch-free schedule they must never move again,
-	// because servers only ever append.
-	warmEdge := map[trace.EdgeKey]uint64{}
-	warmVert := map[uint64]uint64{}
+	epochs := map[any]uint64{}
+	checkEpoch := func(b int, k any, ep uint64) {
+		if prev, ok := epochs[k]; ok && prev != ep {
+			t.Fatalf("burst %d: element %v epoch moved %d -> %d", b, k, prev, ep)
+		}
+		epochs[k] = ep
+	}
 
 	bursts := 5 + rng.Intn(5)
 	for b := 0; b < bursts; b++ {
@@ -96,64 +79,35 @@ func runViewSchedule(t *testing.T, seed int64, advances, rebases *atomic.Uint64)
 			p.Consume(rank, batch)
 		}
 
-		hatched := useHatch && b == bursts/2
-		if hatched {
-			p.opt.DisableDeltaView = true
-		}
-
 		ws := int64(rng.Intn(10)) * 1_000_000
 		we := ws + int64(5+rng.Intn(20))*1_000_000
 		got := p.RunWindow(ws, we)
 
-		// The batch reference runs over the very same view graph the pool
-		// just analyzed, so the comparison isolates the analyzer planes
-		// from the merge order (which is pinned by the multiset check).
+		// The batch reference runs over the very snapshot the pool just
+		// analyzed, so the comparison isolates the analyzer planes.
 		bopt := p.opt.Detect
 		bopt.DisableIncremental = true
 		bopt.Outages = p.seq.Outages()
-		want := detect.NewAnalyzer().RunWindow(p.view.graph, p.ranks, bopt, ws, we)
+		want := detect.NewAnalyzer().RunWindow(p.view, p.ranks, bopt, ws, we)
 		sameDetectResult(t, b, got, want)
-		assertViewMatchesMerge(t, p, p.view.graph)
+		assertViewMatchesGraph(t, p, p.view)
 
-		if hatched {
-			// The hatch rebases every changed element, so prior epoch
-			// observations are void.
-			warmEdge = map[trace.EdgeKey]uint64{}
-			warmVert = map[uint64]uint64{}
-			p.opt.DisableDeltaView = false
-			continue
+		for _, e := range p.view.Edges() {
+			checkEpoch(b, e.Key, e.Gen.Epoch)
 		}
-		for k, elem := range p.view.edgeElems {
-			if elem.log == nil {
-				continue
-			}
-			ep := p.view.graph.Edge(k).Gen.Epoch
-			if prev, ok := warmEdge[k]; ok && prev != ep {
-				t.Fatalf("burst %d: warm edge %v epoch moved %d -> %d", b, k, prev, ep)
-			}
-			warmEdge[k] = ep
-		}
-		for k, elem := range p.view.vertElems {
-			if elem.log == nil {
-				continue
-			}
-			ep := p.view.graph.Vertex(k).Gen.Epoch
-			if prev, ok := warmVert[k]; ok && prev != ep {
-				t.Fatalf("burst %d: warm vertex %d epoch moved %d -> %d", b, k, prev, ep)
-			}
-			warmVert[k] = ep
+		for _, v := range p.view.Vertices() {
+			checkEpoch(b, v.Key, v.Gen.Epoch)
 		}
 	}
 }
 
-// TestMergedViewSingleServerEpochs pins the 1-server fast path: the view
-// aliases the server's own log (AliasEdge/AliasVertex), so element
-// epochs survive however far the log grows — across chunk boundaries
-// here, where a slice log used to reallocate and send every element
-// back through the batch plane.
+// TestMergedViewSingleServerEpochs pins the snapshot's aliasing: it
+// points at the graph's own log (AliasEdge/AliasVertex), so element
+// epochs survive however far the log grows — across six chunk
+// boundaries here, where a slice log used to reallocate and send every
+// element back through the batch plane.
 func TestMergedViewSingleServerEpochs(t *testing.T) {
 	opt := DefaultOptions()
-	opt.Servers = 1
 	opt.Detect.Window = sim.Millisecond
 	p := NewPool(2, opt)
 	defer p.Close()
@@ -176,22 +130,39 @@ func TestMergedViewSingleServerEpochs(t *testing.T) {
 	key := trace.EdgeKey{From: 1, To: 2}
 	feed(3)
 	p.RunWindow(0, 50_000_000)
-	ep := p.view.graph.Edge(key).Gen.Epoch
+	ep := p.view.Edge(key).Gen.Epoch
 	var gen stg.Gen
-	// Push the server's log across several chunk boundaries.
+	crossed := 0
 	for i := 0; i < 6; i++ {
-		feed(trace.LogChunkRows*2/3 + 1)
+		before := p.view.Edge(key).Gen.Count / trace.LogChunkRows
+		feed(trace.LogChunkRows + 1)
 		p.RunWindow(0, 50_000_000)
-		e := p.view.graph.Edge(key)
+		e := p.view.Edge(key)
 		if e.Gen.Epoch != ep {
-			t.Fatalf("grow %d: single-server edge epoch moved %d -> %d", i, ep, e.Gen.Epoch)
+			t.Fatalf("grow %d: edge epoch moved %d -> %d", i, ep, e.Gen.Epoch)
 		}
 		if !gen.Before(e.Gen) {
-			t.Fatalf("grow %d: view generation went backwards", i)
+			t.Fatalf("grow %d: snapshot generation went backwards", i)
 		}
 		gen = e.Gen
+		if e.Gen.Count/trace.LogChunkRows > before {
+			crossed++
+		}
 	}
-	if p.met.ViewEpochRebases.Load() != 0 {
-		t.Fatalf("single-server pool rebased %d times; want 0", p.met.ViewEpochRebases.Load())
+	if crossed != 6 {
+		t.Fatalf("the log crossed %d chunk boundaries, want 6", crossed)
+	}
+}
+
+// TestRefreshViewWarmAllocs: refreshing a warm plane that received no
+// fragments since its last refresh allocates nothing.
+func TestRefreshViewWarmAllocs(t *testing.T) {
+	p := NewPool(6, equivOptions())
+	feedEquivWorkload(p, 6)
+	p.WindowResults()
+	p.amu.Lock()
+	defer p.amu.Unlock()
+	if n := testing.AllocsPerRun(100, func() { p.refreshView() }); n != 0 {
+		t.Fatalf("warm refresh allocates %v times, want 0", n)
 	}
 }

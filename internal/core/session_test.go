@@ -146,12 +146,7 @@ func TestContextModeOption(t *testing.T) {
 }
 
 func TestCollectorPoolWiring(t *testing.T) {
-	opt := smallOpt()
-	opt.Collector.Servers = 2
-	res := RunTraced(apps.NewCG(3), opt)
-	if res.Pool.Servers() != 2 {
-		t.Fatalf("servers: %d", res.Pool.Servers())
-	}
+	res := RunTraced(apps.NewCG(3), smallOpt())
 	st := res.Pool.Stats(res.Makespan)
 	if st.Fragments != res.Graph.NumFragments() {
 		t.Fatal("pool stats disagree with graph")

@@ -60,8 +60,9 @@ func segCovered(p int32) bool { return p%3 != 1 }
 // segFragment draws row i of a schedule. Flavour 0 is a client-shaped
 // stream (per-rank clocks, a flush start-ordered per rank); 1 draws
 // starts from seven values, so equal starts recur across positions,
-// batches and segments; 2 draws anything, negative and extreme starts
-// and elapsed included, so start-maxElapsed wraps.
+// batches and segments; 2 draws negative and extreme starts and elapsed,
+// so start-maxElapsed wraps, but only spans whose end Start+Elapsed fits
+// int64: the wire decoder rejects the rest, so no element holds one.
 func segFragment(rng *rand.Rand, flavour int, clocks []int64, kind trace.Kind) trace.Fragment {
 	f := trace.Fragment{Kind: kind, State: 7, Rank: rng.Intn(len(clocks))}
 	switch flavour {
@@ -78,7 +79,12 @@ func segFragment(rng *rand.Rand, flavour int, clocks []int64, kind trace.Kind) t
 			}
 			return rng.Int63n(2_000_000) - 1_000_000
 		}
-		f.Start, f.Elapsed = pick(), pick()
+		for {
+			f.Start, f.Elapsed = pick(), pick()
+			if end := f.Start + f.Elapsed; (f.Elapsed >= 0) == (end >= f.Start) {
+				break // the end did not wrap
+			}
+		}
 	}
 	return f
 }
@@ -110,7 +116,7 @@ func segWindow(rng *rand.Rand, lo, hi int64) (int64, int64) {
 // spans under the same schedule; every window gets the same candidate
 // band per segment, the same selection and the same total and covered
 // sums; and the segments together answer as one column index over every
-// row does.
+// row does, on every flavour.
 func TestSegIndexMatchesColumnIndex(t *testing.T) {
 	schedules := 90
 	if testing.Short() {
@@ -148,18 +154,14 @@ func TestSegIndexMatchesColumnIndex(t *testing.T) {
 				seg[c].add(v, segs[c])
 				col[c].add(newSpanIndex(ents[c]))
 			}
-			checkSegIndex(t, rng, v, &seg, &col, flavour != 2)
+			checkSegIndex(t, rng, v, &seg, &col)
 		}
 	}
 }
 
-// checkSegIndex compares seg with col segment by segment and, when
-// whole is set, with a scan of every row and with one column index over
-// them. Those need spans whose ends do not overflow: the exact check
-// s+e > start wraps where the band's bound s > start-maxElapsed does
-// not, so for such a span the answer depends on which segment's
-// maxElapsed bounds it.
-func checkSegIndex(t *testing.T, rng *rand.Rand, v trace.LogView, seg *[numClasses]segIndex, col *[numClasses]columnSegs, whole bool) {
+// checkSegIndex compares seg with col segment by segment, with a scan of
+// every row and with one column index over them.
+func checkSegIndex(t *testing.T, rng *rand.Rand, v trace.LogView, seg *[numClasses]segIndex, col *[numClasses]columnSegs) {
 	t.Helper()
 	var rows [numClasses][]spanEnt
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
@@ -211,9 +213,6 @@ func checkSegIndex(t *testing.T, rng *rand.Rand, v trace.LogView, seg *[numClass
 					t.Fatalf("class %d segment %d window [%d, %d): selection differs from the column segment's", c, si, start, end)
 				}
 				sel = append(sel, segSel...)
-			}
-			if !whole {
-				continue
 			}
 			var scanSel []int32
 			var scanTotal, scanFixed int64

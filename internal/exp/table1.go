@@ -90,15 +90,16 @@ func Table1(w io.Writer, scale Scale) *Table1Result {
 
 		cf := core.RunTraced(mk(), opt)
 
+		st := cf.Pool.Stats(cf.Makespan)
 		row := Table1Row{
 			App:         name,
 			Threaded:    info.Threaded,
 			Ranks:       opt.Ranks,
 			CFOverhead:  cf.Overhead(plain),
 			CFCoverage:  cf.Detection.OverallCoverage,
-			StorageKBps: cf.Pool.Stats(cf.Makespan).BytesPerRankSecond / 1024,
+			StorageKBps: st.BytesPerRankSecond / 1024,
 		}
-		res.ServersUsed = cf.Pool.Servers()
+		res.ServersUsed = st.Servers
 
 		if !info.Threaded {
 			optCA := opt

@@ -266,10 +266,9 @@ func (g *Graph) AddBatch(frags []trace.Fragment) {
 }
 
 // AliasEdge makes log the edge's fragment log, creating the edge if
-// needed, without copying a row: the collector's merged view points its
-// elements at the logs that already hold the fragments (a server's own
-// for a single-server element, a view-owned trace.Log grown by
-// AppendFrom for a cross-server one). Gen.Count becomes log.Len(), the
+// needed, without copying a row: the collector's analysis snapshot
+// points its elements at the logs of the graph that holds the
+// fragments. Gen.Count becomes log.Len(), the
 // count an Add-built element would carry, so downstream memoization
 // keys stay aligned; the epoch survives exactly when log extends what
 // the edge held before (Element.setAlias).

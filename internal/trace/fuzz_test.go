@@ -32,6 +32,9 @@ func FuzzDecodeBatchMeta(f *testing.F) {
 	// past the length bound.
 	f.Add(opFrame([]byte("fresh-op-seed")))
 	f.Add(opFrame(bytes.Repeat([]byte{'x'}, 1<<20)))
+	// Spans whose end wraps int64, upward and downward.
+	f.Add(overflowFrames(false)[1])
+	f.Add(overflowFrames(true)[2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The reusing entry point must agree with the allocating one on
 		// every input, hostile or not.
@@ -50,6 +53,11 @@ func FuzzDecodeBatchMeta(f *testing.F) {
 		}
 		if meta.HasTrace && !meta.HasSeq {
 			t.Fatal("traced batch without sequence")
+		}
+		for i := range frags {
+			if endOverflows(frags[i].Start, frags[i].Elapsed) {
+				t.Fatalf("fragment %d decoded with an overflowing span end", i)
+			}
 		}
 	})
 }

@@ -130,22 +130,6 @@ func NewLog(stats *LogStats) *Log { return &Log{stats: stats} }
 // Len returns the number of rows.
 func (l *Log) Len() int { return l.n }
 
-// Discard takes the log's footprint off its LogStats: the owner calls it
-// when it drops the log. Views stay readable; the log must not grow
-// again.
-func (l *Log) Discard() {
-	if l.stats == nil {
-		return
-	}
-	lanes := 0
-	for _, c := range l.chunks {
-		lanes += bits.OnesCount64(c.live.Load())
-	}
-	l.stats.chunks.Add(-int64(len(l.chunks)))
-	l.stats.lanes.Add(-int64(lanes))
-	l.stats = nil
-}
-
 // View returns the immutable snapshot of the log's current rows.
 func (l *Log) View() LogView { return LogView{chunks: l.chunks, n: l.n} }
 

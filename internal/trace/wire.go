@@ -453,6 +453,12 @@ func (r *wireReader) bytes(n int) []byte {
 	return b
 }
 
+// endOverflows reports whether a span's end, start+elapsed, wraps int64.
+func endOverflows(start, elapsed int64) bool {
+	return (elapsed > 0 && start > math.MaxInt64-elapsed) ||
+		(elapsed < 0 && start < math.MinInt64-elapsed)
+}
+
 // BatchMeta is the per-batch header DecodeBatchMeta returns: the
 // client rank plus, for sequenced (version 2+) batches, the per-rank
 // sequence number, and for traced (version 4) batches, the trace
@@ -574,6 +580,13 @@ func DecodeBatchMetaInto(dst []Fragment, data []byte) (meta BatchMeta, frags []F
 		f.Start = prevStart + unzigzag(r.uvarint())
 		f.Elapsed = prevElapsed + unzigzag(r.uvarint())
 		prevStart, prevElapsed = f.Start, f.Elapsed
+		// Window bounds compare against the span's end, Start+Elapsed; a
+		// pair whose end wraps int64 is corrupt or hostile (no clock gets
+		// there), and analysis would answer it inconsistently.
+		if endOverflows(f.Start, f.Elapsed) {
+			r.fail("fragment %d span end %d%+d overflows int64", i, f.Start, f.Elapsed)
+			break
+		}
 
 		if flags&flagCounters != 0 {
 			bitmap := r.uvarint()

@@ -143,11 +143,15 @@ func TestWireExtremeCounterDeltas(t *testing.T) {
 	}
 }
 
+// TestWireExtremeTimestamps: every span whose end fits int64 round-trips,
+// however far the deltas between neighbours wrap.
 func TestWireExtremeTimestamps(t *testing.T) {
 	frags := []Fragment{
-		{Kind: Comm, State: 1, Start: math.MaxInt64, Elapsed: math.MaxInt64},
+		{Kind: Comm, State: 1, Start: math.MaxInt64, Elapsed: 0},
 		{Kind: Comm, State: 1, Start: math.MinInt64, Elapsed: 0},
 		{Kind: Comm, State: 1, Start: 0, Elapsed: math.MaxInt64},
+		{Kind: Comm, State: 1, Start: -1, Elapsed: math.MinInt64 + 1},
+		{Kind: Comm, State: 1, Start: 1, Elapsed: math.MaxInt64 - 1},
 	}
 	enc := AppendBatch(nil, 3, frags)
 	_, got, err := DecodeBatch(enc)

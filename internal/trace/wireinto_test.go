@@ -133,3 +133,40 @@ func TestDecodeRejectsOutOfRangeRank(t *testing.T) {
 		t.Fatalf("MaxInt32 rank refused: meta=%+v err=%v", meta, err)
 	}
 }
+
+// overflowFrames encodes one batch per wire version whose second
+// fragment's span end, Start+Elapsed, wraps int64 (sign given by neg).
+func overflowFrames(neg bool) [][]byte {
+	bad := Fragment{Kind: Comp, From: 1, State: 2, Start: math.MaxInt64 - 5, Elapsed: 6}
+	if neg {
+		bad.Start, bad.Elapsed = math.MinInt64+5, -6
+	}
+	frags := []Fragment{{Kind: Comp, From: 1, State: 2, Start: 10, Elapsed: 5}, bad}
+	return [][]byte{
+		AppendBatch(nil, 3, frags),
+		AppendBatchSeq(nil, 3, 7, frags),
+		AppendBatchTraced(nil, 3, 7, 0xbeef, 99, frags),
+	}
+}
+
+// TestDecodeRejectsOverflowingSpan: a fragment whose end does not fit
+// int64 is a decode error in every batch version, so no analysis ever
+// sees a span whose window test wraps.
+func TestDecodeRejectsOverflowingSpan(t *testing.T) {
+	for _, neg := range []bool{false, true} {
+		for v, frame := range overflowFrames(neg) {
+			meta, frags, err := DecodeBatchMeta(frame)
+			if err == nil || !strings.Contains(err.Error(), "overflows int64") {
+				t.Fatalf("neg=%v version #%d decoded: meta=%+v n=%d err=%v", neg, v, meta, len(frags), err)
+			}
+		}
+	}
+	// The largest ends that fit still decode.
+	ok := []Fragment{
+		{Kind: Comp, From: 1, State: 2, Start: math.MaxInt64 - 6, Elapsed: 6},
+		{Kind: Comp, From: 1, State: 2, Start: math.MinInt64 + 6, Elapsed: -6},
+	}
+	if _, got, err := DecodeBatch(AppendBatch(nil, 3, ok)); err != nil || len(got) != 2 {
+		t.Fatalf("in-range extreme spans: n=%d err=%v", len(got), err)
+	}
+}
