@@ -57,8 +57,8 @@ chaos:
 # A few seconds of coverage-guided fuzzing per hostile-bytes surface
 # (wire decoders, WAL recovery) and per model-checked structure (the
 # wire encoder against the map-dictionary one it replaced, the
-# run merge, the warm analyzer against its cold oracle, the multi-D
-# incremental clustering against Run, the columnar fragment log, the
+# run merge, the warm analyzer against its cold oracle, the 1-D and the
+# multi-D incremental clustering against Run, the columnar fragment log, the
 # sparse moment fold against the dense one), on top of the committed
 # corpora. The analyzer and clustering targets' inputs are kilobyte
 # scripts: the engine's default minute of minimizing each new one would
@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzLogRecover' -fuzztime 3s ./internal/wal
 	$(GO) test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
 	$(GO) test -run xxx -fuzz 'FuzzAnalyzerEquivalence' -fuzztime 3s -fuzzminimizetime 200x ./internal/detect
+	$(GO) test -run xxx -fuzz 'FuzzIncremental1D' -fuzztime 3s -fuzzminimizetime 200x ./internal/cluster
 	$(GO) test -run xxx -fuzz 'FuzzIncrementalMultiD' -fuzztime 3s -fuzzminimizetime 200x ./internal/cluster
 	$(GO) test -run xxx -fuzz 'FuzzLogRoundTrip' -fuzztime 3s ./internal/trace
 	$(GO) test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
@@ -95,11 +96,14 @@ bench:
 # 1M within 1.5x of 100k), the PR 14 sort-free bound (comp-steady-shaped
 # tick ≤0.08x of the batch plane; measured 0.05x), and the sparse
 # streaming-OLS fold (idle OS counters ≤0.5x of all columns armed;
-# measured 0.17x, the dense fold reads 1.0x). BenchmarkLogAppend
-# (ns/frag, B/frag per population), BenchmarkPoolIngest's and
-# MonitorTickMultiD's and MonitorTickWindow/plane=inc's
-# resident_B_per_frag (the comm/IO and the computation footprint of the
-# graph plus the analyzer), MonitorTickWindow/plane=monitor (the whole
+# measured 0.17x, the dense fold reads 1.0x), and absolute ceilings on
+# what a resident fragment costs the graph plus the analyzer
+# (resident_B_per_frag): a computation fragment on
+# MonitorTickWindow/plane=inc and a comm/IO one on MonitorTickMultiD at
+# 1M resident, each 5 % above its measured 54.8 and 56.0 B.
+# BenchmarkLogAppend (ns/frag, B/frag per population),
+# BenchmarkPoolIngest's resident_B_per_frag,
+# MonitorTickWindow/plane=monitor (the whole
 # monitor round, ±15 % at 1x) and BenchmarkEncodeFrame (a client flush's
 # encoding: ns/frag, B/frag, allocs per frame, per population) are
 # recorded beside them, unasserted.
@@ -115,6 +119,8 @@ bench-smoke:
 		-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 		-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
 		-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
+		-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=57.5' \
+		-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=58.8' \
 		< bench-smoke.out
 
 # The loopback end-to-end harness (bench/README.md) on its common-case

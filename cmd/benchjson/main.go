@@ -16,6 +16,8 @@
 //
 //	-assert 'NameA<=1.5*NameB'             // ns/op ratio bound
 //	-assert 'NameA<=1.5*NameB@ns_per_tick' // custom-metric ratio bound
+//	-assert 'NameA@resident_B_per_frag<=62' // custom-metric ceiling
+//	-assert 'NameA<=2e6'                    // ns/op ceiling
 //
 // Each assertion fails (nonzero exit, after the JSON is written) when a
 // named benchmark or metric is missing or the bound does not hold.
@@ -65,35 +67,63 @@ func keepFastest(in []bench) []bench {
 	return out
 }
 
-// assertion is one parsed `A<=FACTOR*B[@metric]` bound.
+// assertion is one parsed bound: `A<=FACTOR*B[@metric]`, A against a
+// multiple of B, or `A[@metric]<=VALUE`, A against a ceiling (b empty).
 type assertion struct {
 	a, b   string
-	factor float64
-	metric string // empty = ns/op
+	factor float64 // the multiple of B, or the ceiling
+	metric string  // empty = ns/op
 }
+
+const assertionForms = "A<=FACTOR*B[@metric] or A[@metric]<=VALUE"
 
 func parseAssertion(s string) (assertion, error) {
 	var as assertion
 	lhs, rhs, ok := strings.Cut(s, "<=")
-	if !ok {
-		return as, fmt.Errorf("benchjson: assertion %q: want A<=FACTOR*B[@metric]", s)
+	if !ok || lhs == "" {
+		return as, fmt.Errorf("benchjson: assertion %q: want %s", s, assertionForms)
 	}
-	fac, b, ok := strings.Cut(rhs, "*")
-	if !ok {
-		return as, fmt.Errorf("benchjson: assertion %q: want A<=FACTOR*B[@metric]", s)
+	fac, b, ratio := strings.Cut(rhs, "*")
+	if ratio {
+		as.a = lhs
+		as.b, as.metric, _ = strings.Cut(b, "@")
+		if as.b == "" {
+			return as, fmt.Errorf("benchjson: assertion %q: want %s", s, assertionForms)
+		}
+	} else {
+		as.a, as.metric, _ = strings.Cut(lhs, "@")
 	}
 	f, err := strconv.ParseFloat(fac, 64)
 	if err != nil || f <= 0 {
-		return as, fmt.Errorf("benchjson: assertion %q: bad factor %q", s, fac)
+		return as, fmt.Errorf("benchjson: assertion %q: bad bound %q", s, fac)
 	}
-	if b, m, ok := strings.Cut(b, "@"); ok {
-		as.metric = m
-		as.b = b
-	} else {
-		as.b = b
-	}
-	as.a, as.factor = lhs, f
+	as.factor = f
 	return as, nil
+}
+
+// check evaluates a against rep: whether it holds, and the line that
+// says so.
+func (a assertion) check(rep *report) (bool, string) {
+	unit := "ns/op"
+	if a.metric != "" {
+		unit = a.metric
+	}
+	av, ok := value(rep, a.a, a.metric)
+	if !ok {
+		return false, fmt.Sprintf("assert: %s has no %s", a.a, unit)
+	}
+	bound, of := a.factor, fmt.Sprintf("%g", a.factor)
+	if a.b != "" {
+		bv, ok := value(rep, a.b, a.metric)
+		if !ok {
+			return false, fmt.Sprintf("assert: %s has no %s", a.b, unit)
+		}
+		bound, of = a.factor*bv, fmt.Sprintf("%.2f * %s (= %.0f %s)", a.factor, a.b, a.factor*bv, unit)
+	}
+	if av > bound {
+		return false, fmt.Sprintf("assert FAILED: %s = %.0f %s > %s", a.a, av, unit, of)
+	}
+	return true, fmt.Sprintf("assert ok: %s = %.0f %s <= %s", a.a, av, unit, of)
 }
 
 // value resolves an assertion side: the benchmark's ns/op, or its named
@@ -110,6 +140,49 @@ func value(rep *report, name, metric string) (float64, bool) {
 		return v, ok
 	}
 	return 0, false
+}
+
+// parseLine parses one `go test -bench` result line; ok=false for any
+// other line.
+func parseLine(line string) (b bench, ok bool) {
+	if !strings.HasPrefix(line, "Benchmark") {
+		return b, false
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 4 {
+		return b, false
+	}
+	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return b, false
+	}
+	name := strings.TrimPrefix(fields[0], "Benchmark")
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	b = bench{Name: name, Iterations: iters}
+	for i := 2; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			continue
+		}
+		switch fields[i+1] {
+		case "ns/op":
+			b.NsPerOp = v
+		case "B/op":
+			b.BytesPerOp = v
+		case "allocs/op":
+			b.AllocsPerOp = v
+		default:
+			if b.Metrics == nil {
+				b.Metrics = make(map[string]float64)
+			}
+			b.Metrics[fields[i+1]] = v
+		}
+	}
+	return b, true
 }
 
 type assertList []assertion
@@ -129,52 +202,16 @@ func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	min := flag.Bool("min", false, "with -count runs, keep only each benchmark's fastest line (noise-robust estimator)")
 	var asserts assertList
-	flag.Var(&asserts, "assert", "bound to enforce, A<=FACTOR*B[@metric]; repeatable, nonzero exit on violation")
+	flag.Var(&asserts, "assert", "bound to enforce, "+assertionForms+"; repeatable, nonzero exit on violation")
 	flag.Parse()
 
 	var rep report
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
+		if b, ok := parseLine(sc.Text()); ok {
+			rep.Benchmarks = append(rep.Benchmarks, b)
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		b := bench{Name: name, Iterations: iters}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				b.NsPerOp = v
-			case "B/op":
-				b.BytesPerOp = v
-			case "allocs/op":
-				b.AllocsPerOp = v
-			default:
-				if b.Metrics == nil {
-					b.Metrics = make(map[string]float64)
-				}
-				b.Metrics[fields[i+1]] = v
-			}
-		}
-		rep.Benchmarks = append(rep.Benchmarks, b)
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
@@ -199,27 +236,9 @@ func main() {
 
 	failed := false
 	for _, a := range asserts {
-		unit := "ns/op"
-		if a.metric != "" {
-			unit = a.metric
-		}
-		av, aok := value(&rep, a.a, a.metric)
-		bv, bok := value(&rep, a.b, a.metric)
-		switch {
-		case !aok:
-			fmt.Fprintf(os.Stderr, "benchjson: assert: %s has no %s\n", a.a, unit)
-			failed = true
-		case !bok:
-			fmt.Fprintf(os.Stderr, "benchjson: assert: %s has no %s\n", a.b, unit)
-			failed = true
-		case av > a.factor*bv:
-			fmt.Fprintf(os.Stderr, "benchjson: assert FAILED: %s = %.0f %s > %.2f * %s (= %.0f %s)\n",
-				a.a, av, unit, a.factor, a.b, a.factor*bv, unit)
-			failed = true
-		default:
-			fmt.Fprintf(os.Stderr, "benchjson: assert ok: %s = %.0f %s <= %.2f * %s (= %.0f %s)\n",
-				a.a, av, unit, a.factor, a.b, a.factor*bv, unit)
-		}
+		ok, msg := a.check(&rep)
+		fmt.Fprintln(os.Stderr, "benchjson: "+msg)
+		failed = failed || !ok
 	}
 	if failed {
 		os.Exit(1)

@@ -143,6 +143,7 @@ func (w *wvec) read(frags trace.LogView, i int, opt Options, f *trace.Fragment) 
 // element keeps any of it between advances. Nothing in a returned Result
 // or Delta aliases the scratch.
 type scratch struct {
+	// norms holds Run's norms, or a 1-D advance's for its appended batch.
 	norms     []float64
 	order     []int32
 	processed []bool
@@ -203,9 +204,10 @@ func Run(frags trace.LogView, opt Options) Result {
 }
 
 // runCapture is Run plus an optional capture of the incremental state
-// (norm-sorted order, norms, cluster seed positions) straight out of the
-// working set, so the cache does not pay a second sort to seed the delta
-// path. Multi-D vectors are not captured: the log keeps their inputs.
+// (norm-sorted order, cluster seed positions, multi-D norms) straight
+// out of the working set, so the cache does not pay a second sort to
+// seed the delta path. Neither multi-D vectors nor 1-D norms are
+// captured: the log keeps their inputs.
 func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incState) {
 	opt = opt.normalized()
 	n := frags.Len()
@@ -310,13 +312,14 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 	}
 	var st *incState
 	if capture {
-		st = &incState{n: n, norms: slices.Clone(norms), order: slices.Clone(order), assign: res.Assign}
+		st = &incState{n: n, order: slices.Clone(order), assign: res.Assign}
 		if oneD {
 			// 1-D clusters are contiguous runs: the seed positions are
 			// exactly the run starts.
 			st.runStart = append(seedPos, int32(n))
 		} else {
 			st.multiD = true
+			st.norms = slices.Clone(norms)
 			st.seedPos = seedPos
 		}
 	}

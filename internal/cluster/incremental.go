@@ -134,9 +134,11 @@ type midRun struct {
 }
 
 // incState is the persistent per-element state behind the incremental
-// path: the norm-sorted order, cached norms and the cut structure of the
-// previous clustering — three 4- or 8-byte words per fragment. Guarded
-// by the owning cache entry's mutex.
+// path: the norm-sorted order and the cut structure of the previous
+// clustering — per fragment a 4-byte order entry, plus an 8-byte norm
+// on the multi-D path (a 1-D norm is read back from the log). The Assign
+// backing is shared with the Results. Guarded by the owning cache
+// entry's mutex.
 type incState struct {
 	// multiD marks an element on the vector path: clusters are tracked
 	// by seed position instead of contiguous runs.
@@ -146,7 +148,8 @@ type incState struct {
 	dead bool
 	// n is the fragment count the state describes.
 	n     int
-	norms []float64
+	norms []float64 // multi-D only
+	tot   totTable  // 1-D only
 	// order is the stable norm-sorted fragment order (Run's line 2).
 	order []int32
 	// runStart[i] is the position in order where cluster i begins;
@@ -166,25 +169,67 @@ type incState struct {
 	assign []int32
 }
 
-// mergeAppended orders the appended fragments [s.n, total) by (norm,
-// index) and merges them into s.order, preserving Run's exact stable
-// order (on a norm tie the resident fragment goes first — its index is
-// smaller than every appended index). It returns the sorted new
-// fragment ids, their final merged positions (ascending), and their
-// insertion points among the old order (ascending), all three in sc.
-// s.norms must already cover [0, total).
-func (s *incState) mergeAppended(total int, sc *scratch) (batch, inserted, ipos []int32) {
-	k := total - s.n
-	norms := s.norms
-	keys := sortNormKeys(&sc.keys, norms[s.n:total], int32(s.n))
+// totTable reads a 1-D element's norms back from its log: entry c is
+// chunk c's TOT_INS lane, or nil and the value the lane is constant at.
+type totTable []totLane
+
+type totLane struct {
+	arr *[trace.LogChunkRows]uint64
+	c   uint64
+}
+
+// refresh brings the table up to frags: an entry for every new chunk,
+// and a fresh one for the chunk the previous view ended in, whose lane
+// may have become an array since. Full chunks never change.
+func (t *totTable) refresh(frags trace.LogView) {
+	nc := (frags.Len() + trace.LogChunkRows - 1) / trace.LogChunkRows
+	*t = (*t)[:max(len(*t)-1, 0)]
+	for c := len(*t); c < nc; c++ {
+		arr, k := frags.TotInsLane(c)
+		*t = append(*t, totLane{arr, k})
+	}
+}
+
+// norm returns fragment i's norm, by the expression Run computes it with.
+func (t totTable) norm(i int32) float64 {
+	l := &t[uint32(i)/trace.LogChunkRows]
+	if l.arr == nil {
+		return float64(l.c)
+	}
+	return float64(l.arr[uint32(i)%trace.LogChunkRows])
+}
+
+// norm returns fragment i's norm: cached on the multi-D path, read back
+// from the log in 1-D.
+func (s *incState) norm(i int32) float64 {
+	if s.multiD {
+		return s.norms[i]
+	}
+	return s.tot.norm(i)
+}
+
+// mergeAppended orders the appended fragments [s.n, s.n+len(bnorms)) —
+// fragment s.n+j has norm bnorms[j] — by (norm, index) and merges them
+// into s.order, preserving Run's exact stable order (on a norm tie the
+// resident fragment goes first — its index is smaller than every
+// appended index). It returns the sorted new fragment ids, their final
+// merged positions (ascending), and their insertion points among the old
+// order (ascending), all three in sc.
+func (s *incState) mergeAppended(bnorms []float64, sc *scratch) (batch, inserted, ipos []int32) {
+	k := len(bnorms)
+	keys := sortNormKeys(&sc.keys, bnorms, int32(s.n))
 
 	// One galloping merge finds every insertion point among the old
 	// elements: the batch is ascending, so each search resumes where the
 	// previous one ended and doubles its stride until it overshoots — the
 	// probes stay near the last insertion instead of re-bisecting the
-	// whole resident order k times. The displaced old spans then shift
-	// right in chunks: the byte traffic of an element-wise backward walk
-	// without a norm compare and branch per moved element.
+	// whole resident order k times. Every probe reads the norm of a row
+	// scattered across the log, so the first stride is the gap the
+	// remaining keys leave on average: a typical search overshoots at once
+	// and bisects that gap, instead of doubling up to it from one. The
+	// displaced old spans then shift right in chunks: the byte traffic of
+	// an element-wise backward walk without a norm compare and branch per
+	// moved element.
 	sc.batch, sc.inserted, sc.ipos = resize(sc.batch, k), resize(sc.inserted, k), resize(sc.ipos, k)
 	batch = sc.batch
 	inserted = sc.inserted // final positions of the batch, ascending
@@ -192,17 +237,13 @@ func (s *incState) mergeAppended(total int, sc *scratch) (batch, inserted, ipos 
 	order := s.order
 	lo := 0
 	for j, key := range keys {
-		norm := norms[key.idx]
-		hi, step := lo, 1
-		for hi < s.n && norms[order[hi]] <= norm {
-			lo = hi + 1
-			hi += step
-			step <<= 1
+		norm := bnorms[int(key.idx)-s.n]
+		hi, step := lo, max(1, (s.n-lo)/(k-j))
+		for hi < s.n && s.norm(order[hi]) <= norm {
+			lo, hi, step = hi+1, hi+step, step<<1
 		}
-		hi = min(hi, s.n)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if norms[order[mid]] <= norm {
+		for hi = min(hi, s.n); lo < hi; {
+			if mid := int(uint(lo+hi) >> 1); s.norm(order[mid]) <= norm {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -304,35 +345,23 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 		return Result{}, Delta{}, false, fbMultiD
 	}
 	total := frags.Len()
-	for i := s.n; i < total; i++ {
-		s.norms = append(s.norms, float64(frags.TotIns(i)))
+	s.tot.refresh(frags)
+	tot := s.tot
+	sc.norms = resize(sc.norms, k)
+	for j := range sc.norms {
+		sc.norms[j] = tot.norm(int32(s.n + j))
 	}
-	norms := s.norms
 
-	batch, inserted, _ := s.mergeAppended(total, sc)
+	batch, inserted, _ := s.mergeAppended(sc.norms, sc)
 	order := s.order
 
 	// The recompute starts at the run containing the predecessor of the
 	// first insertion: an insertion can extend the preceding run.
+	// The predecessor's position is unchanged by the merge: all
+	// insertions are at >= inserted[0].
 	oldNC := len(prev.Clusters)
-	pmin := int(inserted[0])
-	r0 := 0
-	if pmin > 0 {
-		oldPos := pmin - 1 // position unchanged by the merge: all insertions are at >= pmin
-		lo, hi := 0, oldNC // find the largest r with runStart[r] <= oldPos
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if int(s.runStart[mid]) <= oldPos {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		r0 = lo - 1
-		if r0 < 0 {
-			r0 = 0
-		}
-	}
+	pred := int(inserted[0]) - 1
+	r0 := max(sort.Search(oldNC, func(r int) bool { return int(s.runStart[r]) > pred })-1, 0)
 	startPos := int(s.runStart[r0]) // no insertions precede it, so old == new coords
 
 	maxSpan := int(opt.MaxDirtyRatio * float64(total))
@@ -389,10 +418,10 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 		// case). The norms are sorted along order, so the absorb
 		// predicate is monotone and the cut is a binary search away —
 		// the run's length no longer prices its recompute.
-		sn := norms[order[pos]]
+		sn := tot.norm(order[pos])
 		maxDist := sn * t
 		e := pos + sort.Search(total-pos, func(i int) bool {
-			return norms[order[pos+i]]-sn > maxDist
+			return tot.norm(order[pos+i])-sn > maxDist
 		})
 		mids = append(mids, midRun{a: int32(pos), b: int32(e)})
 		work += e - pos
@@ -478,7 +507,7 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 		c := Cluster{
 			Members:  members,
 			Seed:     int(order[r.a]),
-			SeedNorm: norms[order[r.a]],
+			SeedNorm: tot.norm(order[r.a]),
 			Fixed:    len(members) >= opt.MinFragments,
 		}
 		if !c.Fixed {
@@ -600,7 +629,7 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 	}
 	norms := s.norms
 
-	batch, inserted, ipos := s.mergeAppended(total, sc)
+	batch, inserted, ipos := s.mergeAppended(norms[oldN:], sc)
 	order := s.order
 
 	oldNC := len(prev.Clusters)

@@ -128,18 +128,10 @@ func (st *clustState) sample(frags trace.LogView, m int32, ref ClusterRef, ci, m
 		Start:      start,
 		Elapsed:    elapsed,
 		Perf:       perf,
-		Covered:    st.ranks.count(rank) >= minFrag,
+		Covered:    int(st.ranks.count(rank)) >= minFrag,
 		ClusterRef: ref,
 		FragIndex:  int(m),
 	}
-}
-
-// count returns how many members rank has contributed.
-func (t *rankTable) count(rank int) int {
-	if s, ok := t.slot[rank]; ok {
-		return int(t.n[s])
-	}
-	return 0
 }
 
 // window is prepElem.window for the flat body: one run per class.

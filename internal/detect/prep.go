@@ -57,41 +57,50 @@ type clustState struct {
 	nStored int32
 }
 
-// observe folds member m into the cluster's state — its rank's count
-// and the fastest-member minimum — and returns the rank's slot.
-func (st *clustState) observe(frags trace.LogView, m int32) int32 {
+// observe folds member m into the cluster's state: its rank's count and
+// the fastest-member minimum.
+func (st *clustState) observe(frags trace.LogView, m int32) {
 	rank, _, elapsed := frags.Span(int(m))
 	if elapsed > 0 && elapsed < st.best {
 		st.best = elapsed
 	}
-	return st.ranks.add(rank)
+	st.ranks.add(rank)
 }
 
-// rankTable counts a cluster's members per rank. Slots are handed out
-// in first-seen order and never move, so a slot recorded when a member
-// was appended answers "is this rank covered" with an array read for
-// the cluster's lifetime. Nothing is sized by rank id: stray ids up to
-// MaxInt32 are legal input.
+// rankTable counts a cluster's members per rank: in an array indexed by
+// rank for the ids a job numbers its ranks with, and in a map for stray
+// ids (legal input up to MaxInt64), so "is this rank covered" is an
+// array read for every rank of a real run and no array is sized by a
+// stray id.
 type rankTable struct {
-	slot map[int]int32
-	rank []int
-	n    []int32
+	dense []int32 // dense[r]: members of rank r < denseRanks
+	stray map[int]int32
 }
 
-// add counts one more member of rank and returns the rank's slot.
-func (t *rankTable) add(rank int) int32 {
-	s, ok := t.slot[rank]
-	if !ok {
-		if t.slot == nil {
-			t.slot = make(map[int]int32, 8)
+// denseRanks bounds a rank table's array: 64 KB.
+const denseRanks = 1 << 14
+
+// add counts one more member of rank.
+func (t *rankTable) add(rank int) {
+	if uint(rank) >= denseRanks {
+		if t.stray == nil {
+			t.stray = make(map[int]int32)
 		}
-		s = int32(len(t.rank))
-		t.slot[rank] = s
-		t.rank = append(t.rank, rank)
-		t.n = append(t.n, 0)
+		t.stray[rank]++
+		return
 	}
-	t.n[s]++
-	return s
+	if rank >= len(t.dense) {
+		t.dense = append(t.dense, make([]int32, rank+1-len(t.dense))...)
+	}
+	t.dense[rank]++
+}
+
+// count returns how many members rank has contributed.
+func (t *rankTable) count(rank int) int32 {
+	if uint(rank) < uint(len(t.dense)) {
+		return t.dense[rank]
+	}
+	return t.stray[rank]
 }
 
 // countClusters refreshes the fixed/small cluster tallies.

@@ -20,14 +20,17 @@ import (
 // and the fragment index are the fragment's own, and Perf, Covered and
 // the cluster index follow from the owning cluster's current state
 // (its fastest member and per-rank counts, both monotone). The store
-// therefore keeps no samples at all. Position i describes frags[i] with
-// eight bytes — which cluster it belongs to, under an id that survives
-// the cluster's index shifting, and which slot of that cluster's rank
-// table its rank occupies — and a sample is derived as it is written
-// into a window's stream. An append writes the appended positions and
-// nothing else; a cluster whose composition changed re-points its own
-// members under a fresh id. Nothing is ever dead, so there is nothing
-// to compact.
+// therefore keeps no samples at all. Which cluster frags[i] belongs to
+// is the clustering's own Assign, which the store reads instead of
+// restating: a Result's Assign is never rewritten (an advance extends a
+// grow-only backing past every older view, or clones), so the store
+// holds the Assign of the Result it advanced to, and a fragment's rank
+// is read from the log like its span. So the store keeps nothing per
+// fragment beyond its span-index entry, and a sample is derived as it
+// is written into a window's stream. An append folds the appended
+// positions into their clusters' states and touches nothing else; a
+// cluster whose composition changed re-walks its own members. Nothing
+// is ever dead, so there is nothing to compact.
 //
 // Every fragment's span is indexed once, under the fragment's own
 // heat-map class: class is a property of a fragment's place in the
@@ -47,26 +50,17 @@ import (
 // comparison and sum comes out bit for bit as over a column index (the
 // oracle's).
 
-// fragRef is the store's per-fragment state.
-type fragRef struct {
-	cid  int32 // stable id of the emitted cluster the fragment is a sample of; -1: not a sample
-	rank int32 // slot of the fragment's rank in that cluster's rank table
-}
-
 // sampleStore is the store representation of one element.
 type sampleStore struct {
-	// refs[i] describes frags[i].
-	refs []fragRef
+	// assign is the Assign of the clustering the store advanced to:
+	// frags[i] belongs to cluster assign[i], and is a sample iff that
+	// cluster's state is emitted. Shared with the Result, never written.
+	assign []int32
 	// spans[c] indexes the spans of the class-c fragments by fragment
 	// position.
 	spans [numClasses]segIndex
 	// cstate[ci] is cluster ci's normalization state.
 	cstate []clustState
-	// ids[ci] is cluster ci's stable id; slotOf[id] maps an id back to
-	// its current cluster index (-1 once retired).
-	ids    []int32
-	slotOf []int32
-	nextID int32
 
 	// Scratch, reused: the old dirty clusters an advance's delta has
 	// claimed, and a window's candidate band per segment.
@@ -251,21 +245,16 @@ func (st *sampleStore) addSpans(frags trace.LogView, from int) {
 	}
 }
 
-// walk computes one cluster's state from its whole membership and
-// points every member's ref at it under id.
-func (st *sampleStore) walk(frags trace.LogView, c *cluster.Cluster, id int32) clustState {
+// walk computes one cluster's state from its whole membership.
+func walk(frags trace.LogView, c *cluster.Cluster) clustState {
 	cst := clustState{best: math.MaxInt64}
 	if c.Fixed {
 		for _, m := range c.Members {
-			slot := cst.observe(frags, m)
-			st.refs[m] = fragRef{cid: id, rank: slot}
+			cst.observe(frags, m)
 		}
 	}
 	if cst.best == math.MaxInt64 {
 		// Small, or fixed with no positive elapsed: no member is a sample.
-		for _, m := range c.Members {
-			st.refs[m].cid = -1
-		}
 		return clustState{}
 	}
 	cst.emitted = true
@@ -275,18 +264,13 @@ func (st *sampleStore) walk(frags trace.LogView, c *cluster.Cluster, id int32) c
 
 // buildStore builds the store representation from scratch.
 func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
-	nc := len(cl.Clusters)
 	st := &sampleStore{
-		refs:   make([]fragRef, frags.Len()),
-		cstate: make([]clustState, nc),
-		ids:    make([]int32, nc),
-		slotOf: make([]int32, nc),
-		nextID: int32(nc),
+		assign: cl.Assign,
+		cstate: make([]clustState, len(cl.Clusters)),
 	}
 	p.store = st
 	for ci := range cl.Clusters {
-		st.ids[ci], st.slotOf[ci] = int32(ci), int32(ci)
-		st.cstate[ci] = st.walk(frags, &cl.Clusters[ci], int32(ci))
+		st.cstate[ci] = walk(frags, &cl.Clusters[ci])
 	}
 	st.addSpans(frags, 0)
 }
@@ -296,11 +280,10 @@ func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
 // caller must rebuild: the delta is unstructured (Full), it advances
 // from a different generation than the prep holds, the options moved,
 // or a consistency check failed. Prefix and tail clusters keep their
-// state (only the tail's slot mapping shifts), grown emitted clusters
-// point just their added members at themselves, and rebuilt clusters
-// re-point their whole membership under a fresh id. The state derived
-// per sample absorbs best and coverage movement without touching
-// anything resident.
+// state (the tail's under its shifted index), grown emitted clusters
+// fold in just their added members, and rebuilt clusters re-walk their
+// whole membership. The state derived per sample absorbs best and
+// coverage movement without touching anything resident.
 func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
 	if d.Full || p.copt != opt.Cluster || d.From != p.gen {
 		return false
@@ -313,15 +296,14 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	st := p.store
 	oldNC := len(st.cstate)
 	newNC := len(cl.Clusters)
-	if len(st.ids) != oldNC ||
-		d.Prefix < 0 || d.Prefix > d.TailNew || d.TailNew > newNC ||
+	if d.Prefix < 0 || d.Prefix > d.TailNew || d.TailNew > newNC ||
 		d.Prefix > d.TailOld || d.TailOld > oldNC ||
 		d.TailNew-d.Prefix != len(d.Dirty) ||
 		newNC-d.TailNew != oldNC-d.TailOld {
 		return false
 	}
-	// Validate the whole delta before mutating any shared state (refs
-	// and the rank tables are updated in place below).
+	// Validate the whole delta before mutating any shared state (the
+	// rank tables are updated in place below).
 	st.claimed = slices.Grow(st.claimed[:0], d.TailOld-d.Prefix)[:d.TailOld-d.Prefix]
 	clear(st.claimed)
 	for di, dr := range d.Dirty {
@@ -338,48 +320,29 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 		}
 	}
 
-	newIDs := make([]int32, newNC)
 	newState := make([]clustState, newNC)
-	copy(newIDs, st.ids[:d.Prefix])
 	copy(newState, st.cstate[:d.Prefix])
-	copy(newIDs[d.TailNew:], st.ids[d.TailOld:])
 	copy(newState[d.TailNew:], st.cstate[d.TailOld:])
 
-	st.refs = append(st.refs, make([]fragRef, nn-oldN)...)
 	for di, dr := range d.Dirty {
 		ci := d.Prefix + di
 		cc := &cl.Clusters[ci]
 		if dr.OldIndex >= 0 && st.cstate[dr.OldIndex].emitted && cc.Fixed {
 			// Grown emitted cluster: only the added members are new.
 			cst := st.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table
-			id := st.ids[dr.OldIndex]
 			for _, ap := range dr.AddedPos {
-				m := cc.Members[ap]
-				st.refs[m] = fragRef{cid: id, rank: cst.observe(frags, m)}
+				cst.observe(frags, cc.Members[ap])
 			}
 			cst.nStored += int32(len(dr.AddedPos))
-			newIDs[ci], newState[ci] = id, cst
+			newState[ci] = cst
 			continue
 		}
 		// Rebuilt composition, a cluster newly grown into emission, or a
-		// still-small cluster: fresh walk under a fresh id (the old id —
-		// if any — is simply not carried forward).
-		newIDs[ci] = st.nextID
-		newState[ci] = st.walk(frags, cc, st.nextID)
-		st.nextID++
+		// still-small cluster: a fresh walk.
+		newState[ci] = walk(frags, cc)
 	}
 
-	// Commit: retire the ids not carried forward, install the new ones.
-	for _, id := range st.ids {
-		st.slotOf[id] = -1
-	}
-	for int(st.nextID) > len(st.slotOf) {
-		st.slotOf = append(st.slotOf, -1)
-	}
-	for ci, id := range newIDs {
-		st.slotOf[id] = int32(ci)
-	}
-	st.ids = newIDs
+	st.assign = cl.Assign
 	st.cstate = newState
 	p.countClusters(cl)
 	st.addSpans(frags, oldN)
@@ -391,8 +354,9 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 
 // windowStore fills the element's window contribution from the store:
 // one candidate band per segment, "is a sample" through the fragment's
-// ref, the covered sum through the rank slot recorded at append — no
-// per-sample hashing — and one ordered run per segment. A window that
+// cluster state, the covered sum through the rank read from the log and
+// the cluster's rank array — no per-sample hashing — and one ordered
+// run per segment. A window that
 // selects anything costs two allocations however many classes and
 // segments it touches: the selection buffer, sized once from the bands,
 // and the run list; a class with no fragments contributes no band.
@@ -424,16 +388,16 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 		for si := range segs {
 			from := len(buf)
 			for _, pos := range segs[si].pos[bands[si].lo:bands[si].hi] {
-				s, el := frags.StartElapsed(int(pos))
+				rank, s, el := frags.Span(int(pos))
 				if s+el <= start {
 					continue
 				}
 				total += el
-				ref := st.refs[pos]
-				if ref.cid < 0 {
+				cst := &st.cstate[st.assign[pos]]
+				if !cst.emitted {
 					continue
 				}
-				if st.cstate[st.slotOf[ref.cid]].ranks.n[ref.rank] >= minFrag {
+				if cst.ranks.count(rank) >= minFrag {
 					fixed += el
 				}
 				buf = append(buf, pos)
@@ -453,26 +417,24 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 
 // sampleAt derives the sample of fragment pos from its span in the log
 // and the owning cluster's current state: Perf against its current
-// fastest member, Covered from its current per-rank counts, the cluster
-// index through the slot map.
+// fastest member, Covered from its current per-rank counts.
 func (p *prepElem) sampleAt(pos int32, dst *Sample) {
 	st := p.store
-	ref := st.refs[pos]
-	slot := st.slotOf[ref.cid]
-	cst := &st.cstate[slot]
-	start, el := p.frags.StartElapsed(int(pos))
+	ci := st.assign[pos]
+	cst := &st.cstate[ci]
+	rank, start, el := p.frags.Span(int(pos))
 	perf := 1.0
 	if el > 0 {
 		perf = float64(cst.best) / float64(el)
 	}
 	*dst = Sample{
-		Rank:       cst.ranks.rank[ref.rank],
+		Rank:       rank,
 		Start:      start,
 		Elapsed:    el,
 		Perf:       perf,
-		Covered:    cst.ranks.n[ref.rank] >= int32(p.minFrag),
+		Covered:    cst.ranks.count(rank) >= int32(p.minFrag),
 		ClusterRef: p.ref,
 		FragIndex:  int(pos),
 	}
-	dst.ClusterRef.Cluster = int(slot)
+	dst.ClusterRef.Cluster = int(ci)
 }

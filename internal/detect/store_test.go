@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"vapro/internal/cluster"
@@ -256,10 +257,10 @@ func TestSampleStoreHatchMidRun(t *testing.T) {
 
 // TestSampleStoreRebuildsLeaveNothingDead drives an edge whose head
 // clusters keep re-forming (each burst's smaller norms move the greedy
-// cut) beside a large stable cluster. Every re-formed cluster re-points
-// its members under a fresh id; the store must stay exact, keep exactly
-// one entry per fragment, and never need a rebuild — there is no dead
-// state to accumulate.
+// cut) beside a large stable cluster. Every re-formed cluster re-walks
+// its members; the store must stay exact, keep exactly one entry per
+// fragment, and never need a rebuild — there is no dead state to
+// accumulate.
 func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	g := stg.New()
 	a := NewAnalyzer()
@@ -268,6 +269,14 @@ func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Window = 5 * sim.Millisecond
 	opt.Cluster.MinFragments = 2
+	var reformed atomic.Int64 // delta runs rebuilt from other clusters' members
+	a.SetClusterDeltaHook(func(_ cluster.Key, _ stg.Gen, _ trace.LogView, _ cluster.Result, d cluster.Delta) {
+		for _, dr := range d.Dirty {
+			if dr.OldIndex < 0 {
+				reformed.Add(1)
+			}
+		}
+	})
 
 	var clock int64
 	emitBatch := func(norms []uint64) {
@@ -325,11 +334,11 @@ func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	for _, p = range a.preps {
 	}
 	st := p.store
-	if int(st.nextID) <= len(st.ids) {
-		t.Fatalf("no cluster was ever re-formed (nextID=%d, clusters=%d)", st.nextID, len(st.ids))
+	if reformed.Load() == 0 {
+		t.Fatal("no cluster was ever re-formed")
 	}
-	if len(st.refs) != p.nfrags || p.nfrags != g.NumFragments() {
-		t.Fatalf("store holds %d entries for %d fragments (graph: %d)", len(st.refs), p.nfrags, g.NumFragments())
+	if len(st.assign) != p.nfrags || p.nfrags != g.NumFragments() {
+		t.Fatalf("store reads %d assignments for %d fragments (graph: %d)", len(st.assign), p.nfrags, g.NumFragments())
 	}
 	if indexed := indexedSpans(st); indexed != p.nfrags {
 		t.Fatalf("span index holds %d entries for %d fragments", indexed, p.nfrags)

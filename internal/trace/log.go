@@ -304,6 +304,20 @@ func (v LogView) TotIns(i int) uint64 {
 	return c.lane(laneTotIns, r)
 }
 
+// TotInsLane returns chunk c's TOT_INS lane for a reader that keeps it
+// across reads: the chunk's array once the lane is one (index it by row
+// modulo LogChunkRows, only at rows the view covers), else nil and the
+// value every row of the chunk holds. The chunk a view ends in may turn
+// its lane into an array later, so an answer kept for it must be asked
+// again under a longer view.
+func (v LogView) TotInsLane(c int) (lane *[LogChunkRows]uint64, constant uint64) {
+	ch := v.chunks[c]
+	if ch.live.Load()>>laneTotIns&1 != 0 {
+		return ch.arrs[laneTotIns], 0
+	}
+	return nil, ch.consts[laneTotIns]
+}
+
 // fill copies row r's lanes in mask into w, visiting only those present
 // in the chunk (the rest stay zero).
 func (c *logChunk) fill(r int, mask uint64, w *logLanes) {

@@ -66,9 +66,12 @@ go test -run xxx -fuzz 'FuzzMergeRuns' -fuzztime 3s ./internal/detect
 # (Its inputs are kilobyte scripts: the engine's default minute of
 # minimizing each new one would leave this run a few hundred executions.)
 go test -run xxx -fuzz 'FuzzAnalyzerEquivalence' -fuzztime 3s -fuzzminimizetime 200x ./internal/detect
-# ... and its clustering half on its own: any script of multi-D appends
+# ... and its clustering half on its own: any script of 1-D appends
+# (TOT_INS ties, zero norms, counts past 2^53, constant chunk lanes,
+# batches across a chunk boundary) and any script of multi-D appends
 # (argument classes, batch sizes, extra metrics, a kind flip) keeps the
 # warm cache's clustering equal to a cold Run after every advance.
+go test -run xxx -fuzz 'FuzzIncremental1D' -fuzztime 3s -fuzzminimizetime 200x ./internal/cluster
 go test -run xxx -fuzz 'FuzzIncrementalMultiD' -fuzztime 3s -fuzzminimizetime 200x ./internal/cluster
 # ... and the client's flush encoder: any batch the script spells must
 # encode to exactly the bytes of the map-dictionary encoder it replaced.
@@ -97,11 +100,13 @@ go test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
 # sort-free bound (the comp-steady-shaped tick at ≤0.08x of the batch
 # plane; measured 0.05x), and the sparse streaming-OLS fold (idle OS
 # counters at ≤0.5x of all columns armed; measured 0.17x, the dense
-# fold reads 1.0x). BenchmarkLogAppend (ns/frag and B/frag per
+# fold reads 1.0x), and absolute ceilings on what a computation and a
+# comm/IO fragment cost the graph plus the analyzer
+# (resident_B_per_frag of MonitorTickWindow/plane=inc and of
+# MonitorTickMultiD/plane=inc at 1M resident, each 5 % above its
+# measured 54.8 and 56.0 B). BenchmarkLogAppend (ns/frag and B/frag per
 # end-to-end population) and BenchmarkPoolIngest's resident_B_per_frag
-# record what the columnar fragment log costs, MonitorTickMultiD's and
-# MonitorTickWindow/plane=inc's resident_B_per_frag what a comm/IO and a
-# computation fragment cost the graph plus the analyzer,
+# record what the columnar fragment log costs,
 # MonitorTickWindow/plane=monitor the whole monitor round, and
 # BenchmarkEncodeFrame a client flush's encoding (ns/frag, B/frag,
 # allocs per frame; all unasserted; the round is ±15 % at 1x). Raw
@@ -120,6 +125,8 @@ go run ./cmd/benchjson -min -out BENCH.json \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 	-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
 	-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
+	-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=57.5' \
+	-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=58.8' \
 	< bench-smoke.out
 
 # End-to-end harness: one workload of bench/ (the real stack over
