@@ -94,7 +94,12 @@ bench:
 # the comm/IO bounds (the incremental comm/IO-heavy tick ≤0.05x of the
 # batch oracle, measured 0.013–0.018x, and flat in the resident population:
 # 1M within 1.5x of 100k), the PR 14 sort-free bound (comp-steady-shaped
-# tick ≤0.08x of the batch plane; measured 0.05x), and the sparse
+# tick ≤0.08x of the batch plane; measured 0.05x), the tier round
+# (MonitorTickWindow/plane=tier: the plane=monitor stream through a
+# 2-shard tier, every plane carrying its own streaming-OLS hook, ≤1.32x
+# of plane=monitor; min-of-3 ratios measured 0.96–1.20 over 11 runs,
+# and the bound is the worst plus 10 %; its hook_share metric is the
+# hook's worker time per tick), and the sparse
 # streaming-OLS fold (idle OS counters ≤0.5x of all columns armed;
 # measured 0.17x, the dense fold reads 1.0x), and absolute ceilings on
 # what a resident fragment costs the graph plus the analyzer
@@ -118,6 +123,7 @@ bench-smoke:
 		-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=1.5*MonitorTickMultiD/plane=inc/resident=100k' \
 		-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 		-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
+		-assert 'MonitorTickWindow/plane=tier<=1.32*MonitorTickWindow/plane=monitor' \
 		-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
 		-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=57.5' \
 		-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=58.8' \

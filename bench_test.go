@@ -879,15 +879,31 @@ func benchMonitorTickWindow(b *testing.B, disable bool) {
 // the monitor ticks whenever the watermark closes a window (about once
 // per op), so the op also pays the pool's intake and view refresh and
 // the streaming-OLS cluster-delta hook, which a bare analyzer never runs.
-func benchMonitorTickWindowMonitor(b *testing.B) {
+// shards > 0 runs the same stream and ticks through NewShardedMonitor
+// over a tier of that many planes: each plane's analyzer carries the
+// hook for its own elements, and every tick fans out and merges.
+func benchMonitorTickWindowMonitor(b *testing.B, shards int) {
 	const ranks, perRank, resident = 64, 256, 500_000
 	s := newTickStream(ranks, 8)
 	copt := collector.DefaultOptions()
 	copt.Period, copt.Overlap = 500*sim.Millisecond, 250*sim.Millisecond
 	copt.Detect.Window = 50 * sim.Millisecond
 	mopt := collector.DefaultMonitorOptions(ranks)
-	mopt.Period, mopt.Overlap, mopt.Detect = copt.Period, copt.Overlap, copt.Detect
-	m := collector.NewMonitor(collector.NewPool(ranks, copt), mopt)
+	var m *collector.Monitor
+	var snapshot func() obs.Snapshot
+	if shards > 0 {
+		tier := collector.NewShardedPool(ranks, shards, copt)
+		m, snapshot = collector.NewShardedMonitor(tier, mopt), tier.MergedSnapshot
+	} else {
+		pool := collector.NewPool(ranks, copt)
+		m, snapshot = collector.NewMonitor(pool, mopt), pool.Metrics().Registry.Snapshot
+	}
+	// hookNS is the cluster-delta hook's worker time so far, summed over
+	// the planes.
+	hookNS := func() float64 {
+		snap := snapshot()
+		return float64(snap.Get("vapro_detect_stage_hook_ns").Hist.Sum)
+	}
 	round := func() {
 		batch := s.nextFlushes(perRank)
 		for r := 0; r < ranks; r++ {
@@ -901,20 +917,25 @@ func benchMonitorTickWindowMonitor(b *testing.B) {
 		round()
 	}
 	b.ReportAllocs()
+	hook0 := hookNS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
 	}
+	b.StopTimer()
+	b.ReportMetric((hookNS()-hook0)/float64(b.Elapsed().Nanoseconds()), "hook_share")
 }
 
 // BenchmarkMonitorTickWindow pins the sort-free tick against the batch
 // plane on the comp-steady shape (the recorded bound benchjson asserts
 // into BENCH.json); plane=monitor records the whole monitor round beside
-// them, unasserted (its 1x spread on a shared host is ±15 %).
+// them (its 1x spread on a shared host is ±15 %), and plane=tier the
+// same round over a 2-shard tier, bounded against plane=monitor.
 func BenchmarkMonitorTickWindow(b *testing.B) {
 	b.Run("plane=inc", func(b *testing.B) { benchMonitorTickWindow(b, false) })
 	b.Run("plane=batch", func(b *testing.B) { benchMonitorTickWindow(b, true) })
-	b.Run("plane=monitor", benchMonitorTickWindowMonitor)
+	b.Run("plane=monitor", func(b *testing.B) { benchMonitorTickWindowMonitor(b, 0) })
+	b.Run("plane=tier", func(b *testing.B) { benchMonitorTickWindowMonitor(b, 2) })
 }
 
 // benchMonitorTickScale measures the steady-state tick END TO END

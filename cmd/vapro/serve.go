@@ -15,81 +15,172 @@ import (
 	"vapro/internal/wal"
 )
 
-// serveMain starts a standalone collector: a wire server accepting
-// framed fragment batches, backed by a server pool with an online
-// monitor, plus the metrics HTTP endpoint `vapro status` reads. It
+// serveMain starts a standalone collector: one online monitor over
+// -shards analysis planes — one Pool, or a rank-sharded tier — with one
+// wire listener per plane (shard 0 at -listen, the rest on ephemeral
+// ports), plus the metrics HTTP endpoint `vapro status` reads. It
 // prints the actual bound addresses (so -listen/-metrics may use port
-// 0) and runs until interrupted.
+// 0) and runs until interrupted. Every listener publishes the shard map
+// in the wire hello, so clients need any one address to bootstrap.
+//
+// Observability: -metrics serves the plane's registry, or on a tier the
+// merge of every registry (plus /trace) with one more listener per
+// shard (printed metrics0=, metrics1=, …) so per-shard truth stays
+// scrapeable; -fleet starts a FleetScraper polling the per-shard
+// endpoints (the -metrics one for a single plane) into the /fleet
+// health surface.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("vapro serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "address for the fragment wire listener")
 	metrics := fs.String("metrics", "127.0.0.1:0", "address for the metrics HTTP endpoint (empty disables)")
 	ranks := fs.Int("ranks", 256, "client ranks the pool is provisioned for")
 	shards := fs.Int("shards", 1, "shard servers to run (>1 starts a rank-sharded tier, one wire listener per shard)")
-	fleet := fs.String("fleet", "", "address for the fleet scraper endpoint (sharded mode; empty disables)")
+	fleet := fs.String("fleet", "", "address for the fleet scraper endpoint (empty disables)")
 	journal := fs.String("journal", "", "directory for the crash-safe delivery journal (sharded mode writes shard<N>/ subdirectories; empty disables)")
 	journalMaxBytes := fs.Int64("journal-max-bytes", 0, "reclaim oldest journal segments past this many bytes (0 = unbounded)")
 	journalMaxAge := fs.Duration("journal-max-age", 0, "reclaim journal segments older than this (0 = unbounded)")
 	drain := fs.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight connections before force-closing them")
 	_ = fs.Parse(args)
-
-	if *shards > 1 {
-		serveSharded(*listen, *metrics, *fleet, *journal, *ranks, *shards,
-			*journalMaxBytes, *journalMaxAge, *drain)
-		return
-	}
+	n := max(*shards, 1)
 
 	opt := collector.DefaultOptions()
-	pool := collector.NewPool(*ranks, opt)
-	mon := collector.NewMonitor(pool, collector.DefaultMonitorOptions(*ranks))
+	mopt := collector.DefaultMonitorOptions(*ranks)
+	var (
+		mon     *collector.Monitor
+		tier    *collector.ShardedPool
+		handler http.Handler
+	)
+	if n > 1 {
+		tier = collector.NewShardedPool(*ranks, n, opt)
+		mon, handler = collector.NewShardedMonitor(tier, mopt), tier.Handler()
+	} else {
+		pool := collector.NewPool(*ranks, opt)
+		mon, handler = collector.NewMonitor(pool, mopt), pool.Metrics().Handler()
+	}
 
-	var jlog *wal.Log
+	// One journal per plane: a single plane's in DIR itself, a shard's
+	// in its own shard<i>/ subdirectory (its sequence space is its
+	// resident ranks'), so a single shard's crash replays independently
+	// of the others. Open (recovering torn tails), replay the delivered
+	// stream through the monitor's sink — rebuilding fragment logs,
+	// sequence state and the global watermark exactly as the pre-crash
+	// process held them — and only then attach, so the wire server
+	// journals new frames behind the replayed ones.
+	jlogs := make([]*wal.Log, n)
 	if *journal != "" {
-		// Open (recovering torn tails), replay the delivered stream into
-		// the fresh monitor — rebuilding fragment logs, sequence state
-		// and watermarks exactly as the pre-crash process held them —
-		// and only then attach, so the wire server journals new frames
-		// behind the replayed ones.
-		jlog = openJournal(*journal, pool.Metrics(), *journalMaxBytes, *journalMaxAge)
-		n, err := collector.ReplayJournal(jlog, mon)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro serve:", err)
-			os.Exit(1)
+		replayed := 0
+		for i := range jlogs {
+			dir := *journal
+			if tier != nil {
+				dir = filepath.Join(dir, fmt.Sprintf("shard%d", i))
+			}
+			sink := mon.WireSink(i)
+			jlogs[i] = openJournal(dir, sink.Metrics(), *journalMaxBytes, *journalMaxAge)
+			k, err := collector.ReplayJournal(jlogs[i], sink)
+			if err != nil {
+				fatal(err)
+			}
+			replayed += k
+			mon.Plane(i).AttachJournal(jlogs[i])
 		}
-		pool.AttachJournal(jlog)
-		fmt.Printf("journal=%s replayed=%d\n", *journal, n)
+		fmt.Printf("journal=%s replayed=%d\n", *journal, replayed)
 	}
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vapro serve:", err)
-		os.Exit(1)
-	}
-	srv := collector.ServeWire(ln, mon)
-	srv.SetDrainTimeout(*drain)
-	// Publish a one-entry shard map so ShardDialer clients (vapro feed)
-	// can bootstrap against a single server exactly as they would
-	// against the sharded tier.
-	srv.SetHello(1, []string{ln.Addr().String()})
-	fmt.Printf("wire=%s\n", ln.Addr())
-	if *metrics != "" {
-		mln, err := net.Listen("tcp", *metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro serve:", err)
-			os.Exit(1)
+	srvs := make([]*collector.WireServer, n)
+	addrs := make([]string, n)
+	for i := range srvs {
+		bind := "127.0.0.1:0"
+		if i == 0 {
+			bind = *listen
 		}
-		srv.ServeMetrics(mln)
+		ln := mustListen(bind)
+		addrs[i] = ln.Addr().String()
+		srvs[i] = collector.ServeWire(ln, mon.WireSink(i))
+		srvs[i].SetDrainTimeout(*drain)
+	}
+	// A tier publishes its live map; a single server a one-entry map
+	// naming itself, so ShardDialer clients (vapro feed) bootstrap
+	// against either exactly the same way.
+	if tier != nil {
+		if err := tier.Rebalance(addrs); err != nil {
+			fatal(err)
+		}
+	} else {
+		srvs[0].SetHello(1, addrs)
+	}
+	fmt.Printf("wire=%s\n", addrs[0])
+	for i := 1; i < n; i++ {
+		fmt.Printf("wire%d=%s\n", i, addrs[i])
+	}
+
+	var https []*http.Server
+	serveHTTP := func(ln net.Listener, h http.Handler) {
+		s := &http.Server{Handler: h}
+		https = append(https, s)
+		go func() { _ = s.Serve(ln) }()
+	}
+	shardMet := make([]string, n)
+	if *metrics != "" {
+		mln := mustListen(*metrics)
+		serveHTTP(mln, handler)
+		shardMet[0] = mln.Addr().String()
 		fmt.Printf("metrics=%s\n", mln.Addr())
+		// A tier's per-shard endpoints: the fleet scraper's targets, and
+		// the ground truth for "fleet sum == Σ shard counters" checks.
+		if tier != nil {
+			for i := range shardMet {
+				sln := mustListen("127.0.0.1:0")
+				shardMet[i] = sln.Addr().String()
+				serveHTTP(sln, mon.WireSink(i).Metrics().Handler())
+				fmt.Printf("metrics%d=%s\n", i, shardMet[i])
+			}
+		}
+	}
+	var fstop chan struct{}
+	if *fleet != "" {
+		if *metrics == "" {
+			fmt.Fprintln(os.Stderr, "vapro serve: -fleet needs -metrics (the per-shard endpoints are its scrape targets)")
+			os.Exit(2)
+		}
+		fln := mustListen(*fleet)
+		fsc := collector.NewFleetScraper(shardMet, collector.FleetOptions{Interval: time.Second})
+		fstop = make(chan struct{})
+		go fsc.Run(fstop)
+		serveHTTP(fln, fsc.Handler())
+		fmt.Printf("fleet=%s\n", fln.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	_ = srv.Close()
-	pool.Close()
-	if jlog != nil {
-		_ = jlog.Close()
+	if fstop != nil {
+		close(fstop)
 	}
+	for _, s := range https {
+		_ = s.Close()
+	}
+	for i, srv := range srvs {
+		_ = srv.Close()
+		mon.Plane(i).Close()
+	}
+	for _, l := range jlogs {
+		if l != nil {
+			_ = l.Close()
+		}
+	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "vapro serve:", err)
+	os.Exit(1)
+}
+
+func mustListen(addr string) net.Listener {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(err)
+	}
+	return ln
 }
 
 // openJournal opens a delivery journal with its metrics registered on
@@ -103,130 +194,8 @@ func openJournal(dir string, met *collector.Metrics, maxBytes int64, maxAge time
 		Metrics:  wal.NewMetrics(met.Registry, "journal"),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vapro serve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	wal.RegisterOldestAge(met.Registry, "journal", l)
 	return l
-}
-
-// serveSharded runs the rank-sharded tier: one wire listener per shard
-// (shard 0 at -listen, the rest on ephemeral ports), a shared monitor
-// merging the per-shard analyses, and the shard map published to every
-// client through the wire hello. Clients only need any one address to
-// bootstrap — the hello redirects them to their owner.
-//
-// Observability comes in three tiers: -metrics serves the tier-merged
-// registry (plus /trace), each shard additionally gets its own metrics
-// listener (printed metrics0=, metrics1=, …) so per-shard truth stays
-// scrapeable, and -fleet starts a FleetScraper polling those per-shard
-// endpoints into the /fleet health surface.
-func serveSharded(listen, metrics, fleet, journal string, ranks, shards int,
-	journalMaxBytes int64, journalMaxAge, drain time.Duration) {
-	opt := collector.DefaultOptions()
-	tier := collector.NewShardedPool(ranks, shards, opt)
-	mon := collector.NewShardedMonitor(tier, collector.DefaultMonitorOptions(ranks))
-
-	// Per-shard journals: each shard journals the stream it delivered
-	// into its own shard<i>/ subdirectory (its sequence space is its
-	// resident ranks'), so a single shard's crash replays independently
-	// of the others. Replay runs through the monitor sink so the global
-	// watermark rebuilds too.
-	jlogs := make([]*wal.Log, shards)
-	if journal != "" {
-		replayed := 0
-		for i := 0; i < shards; i++ {
-			jlogs[i] = openJournal(filepath.Join(journal, fmt.Sprintf("shard%d", i)),
-				tier.Plane(i).Metrics(), journalMaxBytes, journalMaxAge)
-			n, err := collector.ReplayJournal(jlogs[i], mon.WireSink(i))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vapro serve:", err)
-				os.Exit(1)
-			}
-			replayed += n
-			tier.Plane(i).AttachJournal(jlogs[i])
-		}
-		fmt.Printf("journal=%s replayed=%d\n", journal, replayed)
-	}
-
-	srvs := make([]*collector.WireServer, shards)
-	addrs := make([]string, shards)
-	shardMet := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		bind := "127.0.0.1:0"
-		if i == 0 {
-			bind = listen
-		}
-		ln, err := net.Listen("tcp", bind)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro serve:", err)
-			os.Exit(1)
-		}
-		addrs[i] = ln.Addr().String()
-		srvs[i] = collector.ServeWire(ln, mon.WireSink(i))
-		srvs[i].SetDrainTimeout(drain)
-	}
-	if err := tier.Rebalance(addrs); err != nil {
-		fmt.Fprintln(os.Stderr, "vapro serve:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wire=%s\n", addrs[0])
-	for i := 1; i < shards; i++ {
-		fmt.Printf("wire%d=%s\n", i, addrs[i])
-	}
-	if metrics != "" {
-		mln, err := net.Listen("tcp", metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro serve:", err)
-			os.Exit(1)
-		}
-		go func() { _ = (&http.Server{Handler: tier.Handler()}).Serve(mln) }()
-		fmt.Printf("metrics=%s\n", mln.Addr())
-		// Per-shard endpoints: the fleet scraper's targets, and the
-		// ground truth for "fleet sum == Σ shard counters" checks.
-		for i := 0; i < shards; i++ {
-			sln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vapro serve:", err)
-				os.Exit(1)
-			}
-			shardMet[i] = sln.Addr().String()
-			h := mon.WireSink(i).Metrics().Handler()
-			go func() { _ = (&http.Server{Handler: h}).Serve(sln) }()
-			fmt.Printf("metrics%d=%s\n", i, shardMet[i])
-		}
-	}
-	var fstop chan struct{}
-	if fleet != "" {
-		if metrics == "" {
-			fmt.Fprintln(os.Stderr, "vapro serve: -fleet needs -metrics (the per-shard endpoints are its scrape targets)")
-			os.Exit(2)
-		}
-		fln, err := net.Listen("tcp", fleet)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vapro serve:", err)
-			os.Exit(1)
-		}
-		fsc := collector.NewFleetScraper(shardMet, collector.FleetOptions{Interval: time.Second})
-		fstop = make(chan struct{})
-		go fsc.Run(fstop)
-		go func() { _ = (&http.Server{Handler: fsc.Handler()}).Serve(fln) }()
-		fmt.Printf("fleet=%s\n", fln.Addr())
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	if fstop != nil {
-		close(fstop)
-	}
-	for _, srv := range srvs {
-		_ = srv.Close()
-	}
-	tier.Close()
-	for _, l := range jlogs {
-		if l != nil {
-			_ = l.Close()
-		}
-	}
 }

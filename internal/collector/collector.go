@@ -262,9 +262,7 @@ func (p *Pool) RunWindow(start, end int64) *detect.Result {
 // (outage set included) supplied by the caller. The sharded tier passes
 // the union of every shard's loss intervals, so a rank's staleness lands
 // in its owner's strip even when the batch that exposed the loss
-// arrived misrouted elsewhere; a Monitor passes its own MonitorOptions'
-// rank count and detection options, which is how its windows run on the
-// pool's resident data instead of a copy.
+// arrived misrouted elsewhere.
 func (p *Pool) runWindowWith(start, end int64, ranks int, dopt detect.Options) *detect.Result {
 	p.drain()
 	p.amu.Lock()

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -99,18 +100,25 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 }
 
 // Monitor.CacheStats (and the registry snapshot) must be safe while
-// windows are being analyzed concurrently — run under -race in CI.
+// windows are being analyzed concurrently, over one plane and over a
+// tier — run under -race in CI.
 func TestMonitorCacheStatsConcurrent(t *testing.T) {
+	for _, shards := range testShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testCacheStatsConcurrent(t, shards) })
+	}
+}
+
+func testCacheStatsConcurrent(t *testing.T, shards int) {
 	opt := DefaultOptions()
 	opt.Period = 5 * sim.Millisecond
 	opt.Overlap = 2 * sim.Millisecond
 	opt.Detect.Window = sim.Millisecond
-	pool := NewPool(4, opt)
-	mopt := DefaultMonitorOptions(4)
-	mopt.Period = opt.Period
-	mopt.Overlap = opt.Overlap
-	mopt.Detect = opt.Detect
-	mon := NewMonitor(pool, mopt)
+	mon := newTestMonitor(shards, opt, DefaultMonitorOptions(4))
+	// The tier's scrape surface is the merge of its planes' registries.
+	snapshot := mon.Metrics().Registry.Snapshot
+	if mon.tier != nil {
+		snapshot = mon.tier.MergedSnapshot
+	}
 
 	done := make(chan struct{})
 	var probes sync.WaitGroup
@@ -133,7 +141,7 @@ func TestMonitorCacheStatsConcurrent(t *testing.T) {
 			case <-done:
 				return
 			default:
-				mon.Metrics().Registry.Snapshot()
+				snapshot()
 			}
 		}
 	}()
@@ -157,9 +165,9 @@ func TestMonitorCacheStatsConcurrent(t *testing.T) {
 	if hits+misses == 0 {
 		t.Fatal("windows ran but the cache counters are zero")
 	}
-	// The monitor ticks on the pool's analyzer, so the cache Func
-	// metrics the pool registered describe the monitor's windows.
-	snap := mon.Metrics().Registry.Snapshot()
+	// The monitor ticks on the planes' analyzers, so the cache Func
+	// metrics the planes registered describe the monitor's windows.
+	snap := snapshot()
 	if got := snap.Get("vapro_cluster_cache_misses").Value; got != float64(misses) {
 		t.Fatalf("registry cache misses %v, want %d (the monitor's CacheStats)", got, misses)
 	}

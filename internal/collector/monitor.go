@@ -1,11 +1,13 @@
 package collector
 
 import (
+	"slices"
 	"sync"
 
 	"vapro/internal/cluster"
 	"vapro/internal/detect"
 	"vapro/internal/diagnose"
+	"vapro/internal/interpose"
 	"vapro/internal/sim"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
@@ -20,48 +22,70 @@ import (
 // diagnosis stage needs. This is the deployment mode of the real tool;
 // the whole-run analysis in core.RunTraced is the offline equivalent.
 //
-// The monitor holds O(ranks) state of its own — the watermark, the
-// event queue and the warm regression moments. Fragments are resident
-// exactly once, in the pool's server logs: a closed window runs on the
-// pool's merged view with the pool's persistent analyzer, the same
-// plane Pool.RunWindow and WindowResults use. A tick therefore sees
-// everything the pool had staged when it drained — a superset of the
-// batches whose watermark update has run, and exactly those batches
-// when delivery is serialised (one feeder, or the wire server's journal
-// lock).
+// A monitor fronts one or more analysis planes: one Pool (NewMonitor),
+// or the planes of a rank-sharded tier (NewShardedMonitor). It holds
+// O(ranks) state of its own — the watermark, the event queue and the
+// warm regression moments. Fragments are resident exactly once, in the
+// planes' element logs, and a closed window runs on the planes'
+// persistent analyzers: on one plane it is Pool.RunWindow, inline on
+// the delivering goroutine; on a tier it is ShardedPool.RunWindow's
+// fan-out and spatial merge, whose merged regions drive events and
+// arming because the regions worth escalating for may straddle shards.
+// A tick sees everything the planes had staged when they drained — a
+// superset of the batches whose watermark update has run, and exactly
+// those batches when delivery is serialised (one feeder, or the wire
+// server's journal lock).
 //
-// Wrap it around a Pool as the interpose.Sink:
+// The windows (period, overlap, detection options, rank count) are the
+// planes' Options. Wrap it around a Pool as the interpose.Sink:
 //
 //	pool := collector.NewPool(ranks, copt)
 //	mon := collector.NewMonitor(pool, mopt)
 //	... use mon as the sink for traced ranks ...
 //	events := mon.Drain()
+//
+// or feed a tier's wire servers from WireSink(shard).
 type Monitor struct {
-	pool *Pool
-	// windowLoop carries the watermark, the window cursor, the event
-	// queue and the arming stage under its mu. Lock order is mu → the
-	// pool's amu: ticks run inline on the delivering goroutine with mu
-	// held, and take amu inside Pool.runWindowWith.
-	windowLoop
+	// planes hold the resident fragments, in shard order; tier is the
+	// sharded pool over them, nil when the monitor wraps one Pool.
+	planes []*Pool
+	tier   *ShardedPool
+	opt    MonitorOptions
+	armed  *interpose.Armed
 
-	// olsStreams holds each edge's warm per-cluster regression moments
-	// (see monitor_ols.go), maintained by the pool analyzer's
-	// cluster-delta hook. The map is guarded by olsMu, NOT mu — the hook
-	// fires from the window analysis's worker pool while a tick holds mu
-	// — and each element's moments by its own lock. Lock order:
-	// mu → p.amu → olsMu → elemMoments.mu.
+	// mu guards the watermark, the window cursor, the event queue and
+	// the arming stage. Ticks run inline on the delivering goroutine
+	// with mu held. Lock order: mu → a plane's amu (DiagnoseEvent takes
+	// every plane's, in plane order) → olsMu → elemMoments.mu.
+	mu        sync.Mutex
+	marks     watermark
+	nextStart sim.Time
+	events    []Event
+	stage     int
+
+	// olsStreams holds each plane's edges' warm per-cluster regression
+	// moments (see monitor_ols.go), maintained by every plane analyzer's
+	// cluster-delta hook. An STG edge key names no rank, so one edge
+	// spans every plane: the moments are keyed by plane too. The map is
+	// guarded by olsMu, NOT mu — the hook fires from the window
+	// analysis's worker pool while a tick holds mu — and each element's
+	// moments by its own lock.
 	olsMu      sync.Mutex
-	olsStreams map[cluster.Key]*elemMoments
+	olsStreams map[olsKey]*elemMoments
 	olsFactors []diagnose.Factor
 }
 
-// MonitorOptions configures the online loop.
+// MonitorOptions configures the online loop's reporting. The windows
+// themselves are the planes': NewPool's or NewShardedPool's Options.
 type MonitorOptions struct {
-	// Ranks the monitor waits for before closing a window.
+	// Deprecated: the monitor waits for its planes' provisioned ranks;
+	// this field is read nowhere.
 	Ranks int
-	// Period and Overlap mirror the pool's analysis windows.
+	// Deprecated: windows are the planes' Options.Period and
+	// Options.Overlap; these fields are read nowhere.
 	Period, Overlap sim.Duration
-	// Detect configures the per-window analysis.
+	// Deprecated: windows run with the planes' Options.Detect; this
+	// field is read nowhere.
 	Detect detect.Options
 	// MinRegionLoss filters reported regions: a region must have lost
 	// at least this much time to trigger an event.
@@ -76,18 +100,22 @@ type MonitorOptions struct {
 	MaxStage int
 }
 
-// DefaultMonitorOptions mirrors the offline defaults.
-func DefaultMonitorOptions(ranks int) MonitorOptions {
-	o := DefaultOptions()
+// DefaultMonitorOptions returns the reporting defaults. The rank count
+// is unused: the monitor takes it from its planes.
+func DefaultMonitorOptions(int) MonitorOptions {
 	return MonitorOptions{
-		Ranks:         ranks,
-		Period:        o.Period,
-		Overlap:       o.Overlap,
-		Detect:        o.Detect,
 		MinRegionLoss: 10 * sim.Millisecond,
 		MaxStage:      3,
 		Classes:       []detect.Class{detect.Computation, detect.IOClass},
 	}
+}
+
+// normalized fills the reporting defaults.
+func (opt MonitorOptions) normalized() MonitorOptions {
+	if opt.MaxStage <= 0 {
+		opt.MaxStage = 3
+	}
+	return opt
 }
 
 // Event is one online finding: a window analysis that detected variance,
@@ -102,106 +130,275 @@ type Event struct {
 	Stage int
 }
 
+// ShardedMonitor is the name the benchmark harness still compiles
+// against.
+//
+// Deprecated: use Monitor, which fronts a tier as well as one pool.
+type ShardedMonitor = Monitor
+
 // NewMonitor wraps pool with an online analysis loop.
 func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
-	opt = opt.normalized(pool.ranks)
+	return newMonitor([]*Pool{pool}, nil, opt)
+}
+
+// NewShardedMonitor wraps a sharded tier with the online analysis loop:
+// it tracks the global watermark across every rank (whichever shard the
+// rank reports through) and ticks the tier's merged windows.
+func NewShardedMonitor(tier *ShardedPool, opt MonitorOptions) *Monitor {
+	return newMonitor(tier.planes, tier, opt)
+}
+
+// newMonitor builds the loop over planes; a tier's planes share its
+// arming handle.
+func newMonitor(planes []*Pool, tier *ShardedPool, opt MonitorOptions) *Monitor {
+	opt = opt.normalized()
 	m := &Monitor{
-		pool:       pool,
-		olsStreams: make(map[cluster.Key]*elemMoments),
+		planes:     planes,
+		tier:       tier,
+		opt:        opt,
+		armed:      planes[0].Armed,
+		marks:      newWatermark(planes[0].ranks),
+		stage:      1,
+		olsStreams: make(map[olsKey]*elemMoments),
 		olsFactors: olsFactorsFor(opt.MaxStage),
 	}
-	// Clustering is memoized per element across the overlapped windows
-	// (and normalization uses each element's full population, so the
-	// per-window reference performance is the best fragment seen so
-	// far, not just the window's best); the window only filters which
-	// samples feed the heat map.
-	m.windowLoop = newWindowLoop(opt, pool.Armed, func(start, end int64) *detect.Result {
-		dopt := opt.Detect
-		dopt.Outages = pool.seq.Outages()
-		return pool.runWindowWith(start, end, opt.Ranks, dopt)
-	})
-	pool.amu.Lock()
-	pool.an.SetClusterDeltaHook(m.observeClustering)
-	pool.amu.Unlock()
+	for i, p := range planes {
+		p.amu.Lock()
+		p.an.SetClusterDeltaHook(func(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta) {
+			m.observeClustering(i, key, gen, frags, res, d)
+		})
+		p.amu.Unlock()
+	}
 	return m
 }
 
-// Metrics returns the observability surface shared with the wrapped
-// pool; the wire server counts into it when a Monitor is the sink.
-func (m *Monitor) Metrics() *Metrics { return m.pool.met }
+// Metrics returns the surface a wire server counts into when the
+// monitor itself is its sink: the pool's over one plane, the tier
+// registry over a tier.
+func (m *Monitor) Metrics() *Metrics {
+	if m.tier != nil {
+		return m.tier.met
+	}
+	return m.planes[0].met
+}
 
-// SeqState forwards the pool's sequence tracker so a wire server with a
-// Monitor sink still accumulates gap accounting across restarts.
-func (m *Monitor) SeqState() *SeqTracker { return m.pool.seq }
+// SeqState returns the plane's sequence tracker over one plane, so a
+// wire server with a Monitor sink accumulates gap accounting across
+// restarts; nil over several planes, whose trackers are per shard
+// (WireSink).
+func (m *Monitor) SeqState() *SeqTracker {
+	if len(m.planes) > 1 {
+		return nil
+	}
+	return m.planes[0].seq
+}
 
-// Journal forwards the pool's delivery journal so a wire server with a
-// Monitor sink journals exactly what it delivers.
-func (m *Monitor) Journal() *wal.Log { return m.pool.Journal() }
+// Journal returns the plane's delivery journal over one plane, so a
+// wire server with a Monitor sink journals exactly what it delivers;
+// nil over several planes, whose journals are per shard (WireSink).
+func (m *Monitor) Journal() *wal.Log {
+	if len(m.planes) > 1 {
+		return nil
+	}
+	return m.planes[0].Journal()
+}
 
-// Consume implements interpose.Sink: forward to the pool (which takes
-// its one copy of the batch), advance the rank watermark, and analyze
-// any window every rank has passed.
+// Plane returns the analysis plane of the given shard (0 over one
+// plane).
+func (m *Monitor) Plane(shard int) *Pool { return m.planes[shard] }
+
+// Consume implements interpose.Sink: forward to the owning plane (which
+// takes its one copy of the batch), advance the rank watermark, and
+// analyze any window every rank has passed.
 func (m *Monitor) Consume(rank int, frags []trace.Fragment) {
-	m.pool.Consume(rank, frags)
+	m.planes[m.owner(rank)].Consume(rank, frags)
 	m.observe(rank, frags)
 }
 
-// ConsumeSized mirrors Consume for the wire path: the pool books the
+// ConsumeSized mirrors Consume for the wire path: the plane books the
 // payload size the wire server measured instead of re-encoding the
 // batch.
 func (m *Monitor) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
-	m.pool.ConsumeSized(rank, frags, bytes)
+	m.planes[m.owner(rank)].ConsumeSized(rank, frags, bytes)
 	m.observe(rank, frags)
 }
 
 // ConsumeTraced mirrors ConsumeSized for sampled traced batches: the
-// provenance context rides through the pool's staging path while the
+// provenance context rides through the plane's staging path while the
 // monitor's own half proceeds unchanged.
 func (m *Monitor) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
-	m.pool.ConsumeTraced(rank, frags, bytes, tc)
+	m.planes[m.owner(rank)].ConsumeTraced(rank, frags, bytes, tc)
 	m.observe(rank, frags)
 }
 
+// WireSink returns the sink one plane's wire server feeds: delivery
+// goes to that plane, the watermark advances globally, and on a tier
+// the hello carries the shard map.
+func (m *Monitor) WireSink(shard int) *ShardSink {
+	return &ShardSink{plane: m.planes[shard], tier: m.tier, shard: shard, mon: m}
+}
+
+// owner returns the plane holding rank's fragments.
+func (m *Monitor) owner(rank int) int {
+	if m.tier == nil {
+		return 0
+	}
+	return m.tier.Owner(rank)
+}
+
+// observe advances rank's watermark by one delivered batch and analyzes
+// every window whose end the minimum across ranks has passed.
+func (m *Monitor) observe(rank int, frags []trace.Fragment) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.marks.observe(rank, frags)
+	for m.marks.low() >= m.nextStart.Add(m.planes[0].opt.Period) {
+		m.analyzeNextLocked()
+	}
+}
+
+// analyzeNextLocked runs the window at the cursor, reports its regions
+// and moves the cursor one stride on. Clustering is memoized per
+// element across the overlapped windows (and normalization uses each
+// element's full population, so the per-window reference performance
+// is the best fragment seen so far, not just the window's best); the
+// window only filters which samples feed the heat map.
+func (m *Monitor) analyzeNextLocked() {
+	win := m.planes[0].opt
+	start, end := m.nextStart, m.nextStart.Add(win.Period)
+	m.nextStart = start.Add(win.Period - win.Overlap)
+	var res *detect.Result
+	if m.tier != nil {
+		res = m.tier.RunWindow(int64(start), int64(end))
+	} else {
+		res = m.planes[0].RunWindow(int64(start), int64(end))
+	}
+	var regions []detect.Region
+	for _, reg := range res.Regions {
+		if (len(m.opt.Classes) == 0 || slices.Contains(m.opt.Classes, reg.Class)) &&
+			sim.Duration(reg.LossNS) >= m.opt.MinRegionLoss {
+			regions = append(regions, reg)
+		}
+	}
+	if len(regions) == 0 {
+		return
+	}
+	// Variance in this window: escalate one diagnosis stage by arming
+	// the next counter groups, so the following windows carry the data
+	// the finer factors need (§4.3's one-period-per-stage trade-off).
+	if m.stage < m.opt.MaxStage {
+		m.stage++
+		armed := m.armed.Get()
+		switch m.stage {
+		case 2:
+			armed |= sim.GroupBackend
+		default:
+			armed |= sim.GroupMemory | sim.GroupExtra
+		}
+		m.armed.Set(armed)
+	}
+	m.events = append(m.events, Event{
+		WindowStart: start,
+		WindowEnd:   end,
+		Regions:     regions,
+		ArmedAfter:  m.armed.Get(),
+		Stage:       m.stage,
+	})
+}
+
+// Flush analyzes any remaining partial window at the end of the run.
+func (m *Monitor) Flush() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.nextStart < m.marks.high() {
+		m.analyzeNextLocked()
+	}
+}
+
+// Drain returns the events recorded so far and clears the queue.
+func (m *Monitor) Drain() []Event {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := m.events
+	m.events = nil
+	return out
+}
+
+// Stage returns the current progressive stage (1 until variance is
+// first detected).
+func (m *Monitor) Stage() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stage
+}
+
 // CacheStats reports the hit/miss counters of the memoized clustering
-// layer window analyses run on (the pool's): hits are analyses that
-// reused a previous window's clustering of an element that did not grow
-// in between.
+// layer window analyses run on, summed over the planes: hits are
+// analyses that reused a previous window's clustering of an element
+// that did not grow in between.
 func (m *Monitor) CacheStats() (hits, misses uint64) {
-	return m.pool.an.Cache().Stats()
+	for _, p := range m.planes {
+		h, ms := p.an.Cache().Stats()
+		hits, misses = hits+h, misses+ms
+	}
+	return hits, misses
+}
+
+// lockPlanes drains every plane, takes the planes' amu in plane order
+// and returns their refreshed views; unlockPlanes releases them. Caller
+// holds m.mu.
+func (m *Monitor) lockPlanes() []*stg.Graph {
+	views := make([]*stg.Graph, len(m.planes))
+	for i, p := range m.planes {
+		p.drain()
+		p.amu.Lock()
+		views[i] = p.refreshView()
+	}
+	return views
+}
+
+func (m *Monitor) unlockPlanes() {
+	for _, p := range m.planes {
+		p.amu.Unlock()
+	}
 }
 
 // DiagnoseEvent runs the progressive diagnosis for an online event's
-// top region against everything the pool holds at the time of the call.
-// Fragments are clustered per edge (reusing the clusterings the window
-// analyses already memoized) so only comparable fixed-workload
+// top region against everything the planes hold at the time of the
+// call. Fragments are clustered per edge (reusing the clusterings the
+// window analyses already memoized) so only comparable fixed-workload
 // populations are differenced — mixing workload classes would
-// misattribute their intrinsic differences as variance.
+// misattribute their intrinsic differences as variance. A sample's
+// edge and clusters are its owning plane's: the plane that holds its
+// rank, whose rows the tier merge kept.
 func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Report {
 	if len(ev.Regions) == 0 {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p := m.pool
-	p.drain()
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	g := p.refreshView()
+	views := m.lockPlanes()
+	defer m.unlockPlanes()
 	var clusters [][]trace.Fragment
-	var edges []*stg.Edge
-	seen := map[trace.EdgeKey]bool{}
+	var edges []planeEdge
+	seen := map[olsKey]bool{}
 	for _, s := range ev.Regions[0].Samples {
-		if !s.ClusterRef.IsEdge || seen[s.ClusterRef.Edge] {
+		if !s.ClusterRef.IsEdge {
 			continue
 		}
-		seen[s.ClusterRef.Edge] = true
-		e := g.Edge(s.ClusterRef.Edge)
+		k := olsKey{plane: m.owner(s.Rank), Key: cluster.EdgeKey(s.ClusterRef.Edge)}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		e := views[k.plane].Edge(s.ClusterRef.Edge)
 		if e == nil {
 			continue
 		}
-		edges = append(edges, e)
+		edges = append(edges, planeEdge{k.plane, e})
+		p := m.planes[k.plane]
 		log := e.Log()
-		cl := p.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, log, m.opt.Detect.Cluster)
+		cl := p.an.Cache().Run(k.Key, e.Gen, log, p.opt.Detect.Cluster)
 		for ci := range cl.Clusters {
 			if cl.Clusters[ci].Fixed {
 				clusters = append(clusters, log.Pick(cl.Clusters[ci].Members))

@@ -14,13 +14,12 @@ import (
 	"vapro/internal/trace"
 )
 
-// Single-copy monitor equivalence and residency. Monitor no longer
-// keeps a graph or an analyzer: its windows run on the pool's merged
-// view. These tests pin that the move changed nothing observable — the
-// events and window results equal the sharded monitor's (the path that
-// already worked this way) and a reference that re-implements the old
-// private-graph monitor cold — and that the monitor's own state is
-// O(ranks), not O(fragments).
+// Single-copy monitor equivalence and residency. Monitor keeps no graph
+// or analyzer: its windows run on its planes' views. These tests pin
+// that this changes nothing observable — the events and window results
+// over one pool equal those over a one-shard tier and a reference that
+// re-implements the old private-graph monitor cold — and that the
+// monitor's own state is O(ranks), not O(fragments).
 
 // equivSchedule is one scripted run for the monitor equivalence fuzz:
 // per-rank batch streams (some lost in transit, leaving sequence gaps)
@@ -82,7 +81,6 @@ func singleCopyOptions(ranks int) (Options, MonitorOptions) {
 	copt.Detect.Window = 10 * sim.Microsecond
 	copt.Detect.MinRegionCells = 1
 	mopt := DefaultMonitorOptions(ranks)
-	mopt.Period, mopt.Overlap, mopt.Detect = copt.Period, copt.Overlap, copt.Detect
 	mopt.MinRegionLoss = sim.Microsecond
 	mopt.Classes = nil // every class may report: comm/IO populations too
 	return copt, mopt
@@ -93,6 +91,8 @@ func singleCopyOptions(ranks int) (Options, MonitorOptions) {
 // watermark, and a cold analysis (fresh analyzer, DisableIncremental)
 // of every window the watermark closes.
 type refMonitor struct {
+	ranks     int
+	win       Options // the windows
 	opt       MonitorOptions
 	seq       *SeqTracker
 	armed     *interpose.Armed
@@ -103,10 +103,11 @@ type refMonitor struct {
 	events    []Event
 }
 
-func newRefMonitor(opt MonitorOptions) *refMonitor {
-	opt.Detect.DisableIncremental = true
+func newRefMonitor(ranks int, win Options, opt MonitorOptions) *refMonitor {
+	win.Detect.DisableIncremental = true
 	return &refMonitor{
-		opt: opt, seq: NewSeqTracker(), graph: stg.New(), rankHigh: map[int]sim.Time{}, stage: 1,
+		ranks: ranks, win: win, opt: opt,
+		seq: NewSeqTracker(), graph: stg.New(), rankHigh: map[int]sim.Time{}, stage: 1,
 		armed: interpose.NewArmed(sim.GroupBase | sim.GroupTopdownL1 | sim.GroupOS),
 	}
 }
@@ -134,7 +135,7 @@ func (m *refMonitor) ConsumeSized(rank int, frags []trace.Fragment, _ int) {
 		}
 	}
 	m.rankHigh[rank] = high
-	for mapWatermark(m.rankHigh, m.opt.Ranks) >= m.nextStart.Add(m.opt.Period) {
+	for mapWatermark(m.rankHigh, m.ranks) >= m.nextStart.Add(m.win.Period) {
 		m.analyzeNext()
 	}
 }
@@ -152,11 +153,11 @@ func (m *refMonitor) flush() {
 }
 
 func (m *refMonitor) analyzeNext() {
-	start, end := m.nextStart, m.nextStart.Add(m.opt.Period)
-	m.nextStart = start.Add(m.opt.Period - m.opt.Overlap)
-	dopt := m.opt.Detect
+	start, end := m.nextStart, m.nextStart.Add(m.win.Period)
+	m.nextStart = start.Add(m.win.Period - m.win.Overlap)
+	dopt := m.win.Detect
 	dopt.Outages = m.seq.Outages()
-	res := detect.NewAnalyzer().RunWindow(m.graph, m.opt.Ranks, dopt, int64(start), int64(end))
+	res := detect.NewAnalyzer().RunWindow(m.graph, m.ranks, dopt, int64(start), int64(end))
 	var regions []detect.Region
 	for _, reg := range res.Regions {
 		if sim.Duration(reg.LossNS) >= m.opt.MinRegionLoss {
@@ -197,8 +198,8 @@ func sameEventList(got, want []Event) error {
 
 // TestMonitorSingleCopyEquivalenceFuzz: over seeded delivery schedules
 // and both population shapes, the graph-less Monitor's drained events
-// and its pool's WindowResults equal (a) a one-shard tier under
-// ShardedMonitor and (b) the old private-graph monitor run cold.
+// and its pool's WindowResults equal (a) a monitor over a one-shard
+// tier and (b) the old private-graph monitor run cold.
 func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 	const ranks = 6
 	var events int
@@ -212,7 +213,7 @@ func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 			tier := NewShardedPool(ranks, 1, copt)
 			smon := NewShardedMonitor(tier, mopt)
 			ssink := smon.WireSink(0)
-			ref := newRefMonitor(mopt)
+			ref := newRefMonitor(ranks, copt, mopt)
 			for _, b := range schedule {
 				deliverTo(pool.SeqState(), mon, b)
 				deliverTo(tier.SeqStateFor(0), ssink, b)
@@ -242,7 +243,7 @@ func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 			if len(live) == 0 || len(live) != len(sharded) {
 				t.Fatalf("commIO=%v seed=%d: %d windows, tier has %d", commIO, seed, len(live), len(sharded))
 			}
-			cold := ref.opt.Detect
+			cold := ref.win.Detect
 			cold.Outages = ref.seq.Outages()
 			for wi, w := range live {
 				if w.Start != sharded[wi].Start || w.End != sharded[wi].End {
@@ -308,7 +309,6 @@ func TestMonitorSingleResidentCopy(t *testing.T) {
 	copt.Overlap = sim.Second
 	copt.Detect.Window = 100 * sim.Millisecond
 	mopt := DefaultMonitorOptions(16)
-	mopt.Period, mopt.Overlap, mopt.Detect = copt.Period, copt.Overlap, copt.Detect
 
 	// Monitored run: note after which batch each window closed.
 	base := liveHeap()

@@ -11,9 +11,11 @@ import (
 
 // Streaming §4.2 quantification: the monitor keeps each edge cluster's
 // regression moments (diagnose.ClusterMoments) warm as the cluster
-// population grows, driven by the pool analyzer's cluster-delta hook
-// (so every pass over the pool's view — monitor ticks and WindowResults
-// alike — advances them).
+// population grows, driven by every plane analyzer's cluster-delta hook
+// (so every pass over a plane's view — monitor ticks and WindowResults
+// alike — advances them). A plane's hook keeps the moments of that
+// plane's elements, keyed by plane: an edge key names no rank, so on a
+// tier one edge has a population, a clustering and moments per plane.
 // When DiagnoseEvent later needs the OLS quantification, the moments
 // are already pooled — no walk over the resident fragment populations —
 // so the diagnosis cost of a steady-state tick stops scaling with how
@@ -76,18 +78,20 @@ func buildClusterMoments(factors []diagnose.Factor, frags trace.LogView, members
 // — rank-1 Adds for appended members of grown clusters, carried
 // pointers for untouched clusters — and rebuilds from scratch when the
 // delta does not connect to the recorded generation.
-func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta) {
+func (m *Monitor) observeClustering(plane int, key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta) {
 	if !key.IsEdge {
 		return
 	}
+	met := m.planes[plane].met
 	// olsMu covers only the map: the advance below runs under the
 	// element's own lock, so the pass's workers advance distinct edges
 	// concurrently.
+	k := olsKey{plane: plane, Key: key}
 	m.olsMu.Lock()
-	em := m.olsStreams[key]
+	em := m.olsStreams[k]
 	if em == nil {
 		em = &elemMoments{}
-		m.olsStreams[key] = em
+		m.olsStreams[k] = em
 	}
 	m.olsMu.Unlock()
 	em.mu.Lock()
@@ -96,7 +100,7 @@ func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags trace.Lo
 		return // unchanged element (or a repeat consult of this generation)
 	}
 	if !d.Full && em.gen == d.From && len(em.streams) > 0 {
-		if m.advanceMoments(em, frags, res, d) {
+		if m.advanceMoments(met, em, frags, res, d) {
 			em.gen = gen
 			return
 		}
@@ -110,12 +114,13 @@ func (m *Monitor) observeClustering(key cluster.Key, gen stg.Gen, frags trace.Lo
 		em.fixed[i] = res.Clusters[i].Fixed
 	}
 	em.gen = gen
-	m.pool.met.OLSRefactors.Add(uint64(len(res.Clusters)))
+	met.OLSRefactors.Add(uint64(len(res.Clusters)))
 }
 
-// advanceMoments patches em's streams by the delta. Returns false if an
-// index falls outside the recorded state (the caller then rebuilds).
-func (m *Monitor) advanceMoments(em *elemMoments, frags trace.LogView, res cluster.Result, d cluster.Delta) bool {
+// advanceMoments patches em's streams by the delta, counting into the
+// plane's met. Returns false if an index falls outside the recorded
+// state (the caller then rebuilds).
+func (m *Monitor) advanceMoments(met *Metrics, em *elemMoments, frags trace.LogView, res cluster.Result, d cluster.Delta) bool {
 	old := em.streams
 	if d.Prefix > len(old) || d.TailOld > len(old) {
 		return false
@@ -160,32 +165,44 @@ func (m *Monitor) advanceMoments(em *elemMoments, frags trace.LogView, res clust
 	}
 	em.streams, em.fixed = streams, fixed
 	if adds > 0 {
-		m.pool.met.OLSRank1Updates.Add(adds)
+		met.OLSRank1Updates.Add(adds)
 	}
 	if rebuilt > 0 {
-		m.pool.met.OLSRefactors.Add(rebuilt)
+		met.OLSRefactors.Add(rebuilt)
 	}
 	return true
+}
+
+// olsKey names one plane's element.
+type olsKey struct {
+	plane int
+	cluster.Key
+}
+
+// planeEdge is an edge of one plane's view.
+type planeEdge struct {
+	plane int
+	e     *stg.Edge
 }
 
 // streamQuantifier returns a diagnose quantifier backed by the warm
 // moments of the given edges, or nil when the streaming plane cannot
 // serve this diagnosis (a stream missing or at a stale generation) — the
 // caller then leaves the default batch QuantifyOLS in place. Caller
-// holds m.mu and the pool's amu; edges must come from the pool's freshly
-// refreshed view graph so their Gen fields describe the populations the
-// diagnosis will walk.
-func (m *Monitor) streamQuantifier(edges []*stg.Edge) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
+// holds m.mu and the planes' amu; edges must come from the planes'
+// freshly refreshed view graphs so their Gen fields describe the
+// populations the diagnosis will walk.
+func (m *Monitor) streamQuantifier(edges []planeEdge) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
 	var streams []*diagnose.ClusterMoments
-	for _, e := range edges {
+	for _, pe := range edges {
 		m.olsMu.Lock()
-		em := m.olsStreams[cluster.EdgeKey(e.Key)]
+		em := m.olsStreams[olsKey{plane: pe.plane, Key: cluster.EdgeKey(pe.e.Key)}]
 		m.olsMu.Unlock()
 		if em == nil {
 			return nil
 		}
 		em.mu.Lock()
-		warm := em.gen == e.Gen && em.streams != nil
+		warm := em.gen == pe.e.Gen && em.streams != nil
 		if warm {
 			for ci, cm := range em.streams {
 				if em.fixed[ci] {

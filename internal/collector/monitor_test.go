@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"sync"
 	"testing"
 
 	"vapro/internal/diagnose"
@@ -42,18 +43,32 @@ func feedMonitor(m *Monitor) {
 	m.Flush()
 }
 
-func monOpts(ranks int) MonitorOptions {
-	opt := DefaultMonitorOptions(ranks)
-	opt.Period = 20 * sim.Millisecond
-	opt.Overlap = 10 * sim.Millisecond
-	opt.Detect.Window = 5 * sim.Millisecond
-	opt.MinRegionLoss = sim.Millisecond
-	return opt
+// monOpts returns the monitor tests' windows — 20 ms periods
+// overlapping by 10 ms, 5 ms cells, set on the planes, where the
+// monitor reads them — and its reporting options.
+func monOpts() (Options, MonitorOptions) {
+	mopt := DefaultMonitorOptions(4)
+	mopt.MinRegionLoss = sim.Millisecond
+	return shardTestOptions(), mopt
 }
 
+// newTestMonitor builds a monitor over 4 ranks: over one Pool when
+// shards is 1, over a sharded tier of that many planes otherwise.
+func newTestMonitor(shards int, copt Options, mopt MonitorOptions) *Monitor {
+	if shards == 1 {
+		return NewMonitor(NewPool(4, copt), mopt)
+	}
+	return NewShardedMonitor(NewShardedPool(4, shards, copt), mopt)
+}
+
+// testShards are the plane counts the monitor tests that run over a
+// tier take as table inputs.
+var testShards = []int{1, 2, 4}
+
 func TestMonitorDetectsOnline(t *testing.T) {
-	pool := NewPool(4, DefaultOptions())
-	m := NewMonitor(pool, monOpts(4))
+	copt, mopt := monOpts()
+	pool := NewPool(4, copt)
+	m := NewMonitor(pool, mopt)
 	feedMonitor(m)
 	events := m.Drain()
 	if len(events) == 0 {
@@ -80,8 +95,9 @@ func TestMonitorDetectsOnline(t *testing.T) {
 }
 
 func TestMonitorProgressiveArming(t *testing.T) {
-	pool := NewPool(4, DefaultOptions())
-	m := NewMonitor(pool, monOpts(4))
+	copt, mopt := monOpts()
+	pool := NewPool(4, copt)
+	m := NewMonitor(pool, mopt)
 	if m.Stage() != 1 {
 		t.Fatal("initial stage")
 	}
@@ -100,8 +116,9 @@ func TestMonitorProgressiveArming(t *testing.T) {
 }
 
 func TestMonitorQuietRunNoEvents(t *testing.T) {
-	pool := NewPool(4, DefaultOptions())
-	m := NewMonitor(pool, monOpts(4))
+	copt, mopt := monOpts()
+	pool := NewPool(4, copt)
+	m := NewMonitor(pool, mopt)
 	for rank := 0; rank < 4; rank++ {
 		var batch []trace.Fragment
 		for t := int64(0); t < 100_000_000; t += 1_000_000 {
@@ -119,8 +136,9 @@ func TestMonitorQuietRunNoEvents(t *testing.T) {
 }
 
 func TestMonitorWaitsForAllRanks(t *testing.T) {
-	pool := NewPool(4, DefaultOptions())
-	m := NewMonitor(pool, monOpts(4))
+	copt, mopt := monOpts()
+	pool := NewPool(4, copt)
+	m := NewMonitor(pool, mopt)
 	// Only 3 of 4 ranks report: no window may close.
 	for rank := 0; rank < 3; rank++ {
 		var batch []trace.Fragment
@@ -141,8 +159,9 @@ func TestMonitorWaitsForAllRanks(t *testing.T) {
 // Overlapped windows must share clusterings: elements that did not grow
 // between two window analyses are served from the pool analyzer's cache.
 func TestMonitorReusesClusteringsAcrossWindows(t *testing.T) {
-	pool := NewPool(4, DefaultOptions())
-	m := NewMonitor(pool, monOpts(4))
+	copt, mopt := monOpts()
+	pool := NewPool(4, copt)
+	m := NewMonitor(pool, mopt)
 	feedMonitor(m)
 	hits, misses := m.CacheStats()
 	if misses == 0 {
@@ -154,18 +173,57 @@ func TestMonitorReusesClusteringsAcrossWindows(t *testing.T) {
 }
 
 func TestMonitorDiagnoseEvent(t *testing.T) {
-	pool := NewPool(4, DefaultOptions())
-	m := NewMonitor(pool, monOpts(4))
+	for _, shards := range testShards {
+		copt, mopt := monOpts()
+		m := newTestMonitor(shards, copt, mopt)
+		feedMonitor(m)
+		events := m.Drain()
+		if len(events) == 0 {
+			t.Fatalf("shards=%d: no events", shards)
+		}
+		rep := m.DiagnoseEvent(&events[0], diagnoseDefaults())
+		if rep == nil {
+			t.Fatalf("shards=%d: no diagnosis", shards)
+		}
+		if rep.AbnormalFrags == 0 {
+			t.Fatalf("shards=%d: diagnosis saw no abnormal fragments", shards)
+		}
+	}
+}
+
+// TestMonitorDiagnoseEventDuringDelivery pins the tier's lock order
+// under -race: DiagnoseEvent takes the monitor lock and then every
+// plane's analysis lock in plane order while two goroutines keep
+// delivering — and ticking windows on both planes — through the
+// shards' wire sinks.
+func TestMonitorDiagnoseEventDuringDelivery(t *testing.T) {
+	copt, mopt := monOpts()
+	tier := NewShardedPool(4, 2, copt)
+	defer tier.Close()
+	m := NewShardedMonitor(tier, mopt)
 	feedMonitor(m)
 	events := m.Drain()
 	if len(events) == 0 {
-		t.Skip("no events")
+		t.Fatal("no events")
 	}
-	rep := m.DiagnoseEvent(&events[0], diagnoseDefaults())
-	if rep == nil {
-		t.Fatal("no diagnosis")
+	var feeders sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		feeders.Add(1)
+		go func(g int) {
+			defer feeders.Done()
+			for i := int64(0); i < 200; i++ {
+				for rank := g; rank < 4; rank += 2 {
+					m.WireSink(tier.Owner(rank)).Consume(rank,
+						[]trace.Fragment{monFrag(rank, 100_000_000+i*1_000_000, 1_000_000, false)})
+				}
+			}
+		}(g)
 	}
-	if rep.AbnormalFrags == 0 {
-		t.Fatal("diagnosis saw no abnormal fragments")
+	for i := 0; i < 20; i++ {
+		if rep := m.DiagnoseEvent(&events[0], diagnoseDefaults()); rep == nil || rep.AbnormalFrags == 0 {
+			t.Fatalf("diagnosis %d during delivery: %+v", i, rep)
+		}
 	}
+	feeders.Wait()
+	m.Flush()
 }

@@ -83,7 +83,6 @@ func TestResidentBytesPerFragmentBudget(t *testing.T) {
 			copt.Overlap = 250 * sim.Millisecond
 			copt.Detect.Window = 100 * sim.Millisecond
 			mopt := DefaultMonitorOptions(ranks)
-			mopt.Period, mopt.Overlap, mopt.Detect = copt.Period, copt.Overlap, copt.Detect
 
 			base := liveHeap()
 			pool := NewPool(ranks, copt)

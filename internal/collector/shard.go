@@ -404,14 +404,18 @@ func (t *ShardedPool) registerTierDerived(resident []int) {
 // tracker, and the hello carries the current shard map so clients can
 // verify (or discover) their owner.
 func (t *ShardedPool) WireSink(shard int) *ShardSink {
-	return &ShardSink{tier: t, shard: shard}
+	return &ShardSink{plane: t.planes[shard], tier: t, shard: shard}
 }
 
-// ShardSink adapts one shard of a ShardedPool to the wire server's sink
-// interfaces (sized consumption, sequence state, metrics, hello).
+// ShardSink adapts one analysis plane to the wire server's sink
+// interfaces (sized consumption, sequence state, metrics, hello). Built
+// by Monitor.WireSink, it also advances the monitor's watermark, so
+// wire-delivered batches tick windows exactly like in-process ones.
 type ShardSink struct {
-	tier  *ShardedPool
+	plane *Pool
+	tier  *ShardedPool // nil for a monitor's one plane: no shard map
 	shard int
+	mon   *Monitor // nil when no monitor fronts the plane
 }
 
 // Consume implements interpose.Sink. A batch whose rank the shard does
@@ -420,13 +424,15 @@ type ShardSink struct {
 // bytes must not vanish — and counted as a misroute.
 func (k *ShardSink) Consume(rank int, frags []trace.Fragment) {
 	k.note(rank)
-	k.tier.planes[k.shard].Consume(rank, frags)
+	k.plane.Consume(rank, frags)
+	k.observe(rank, frags)
 }
 
 // ConsumeSized mirrors Consume for pre-measured wire batches.
 func (k *ShardSink) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
 	k.note(rank)
-	k.tier.planes[k.shard].ConsumeSized(rank, frags, bytes)
+	k.plane.ConsumeSized(rank, frags, bytes)
+	k.observe(rank, frags)
 }
 
 // ConsumeTraced mirrors ConsumeSized for sampled traced batches:
@@ -434,12 +440,19 @@ func (k *ShardSink) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
 // journey end to end.
 func (k *ShardSink) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
 	k.note(rank)
-	k.tier.planes[k.shard].ConsumeTraced(rank, frags, bytes, tc)
+	k.plane.ConsumeTraced(rank, frags, bytes, tc)
+	k.observe(rank, frags)
 }
 
 func (k *ShardSink) note(rank int) {
-	if k.tier.Owner(rank) != k.shard {
+	if k.tier != nil && k.tier.Owner(rank) != k.shard {
 		k.tier.met.ShardMisroutes.Inc()
+	}
+}
+
+func (k *ShardSink) observe(rank int, frags []trace.Fragment) {
+	if k.mon != nil {
+		k.mon.observe(rank, frags)
 	}
 }
 
@@ -447,20 +460,24 @@ func (k *ShardSink) note(rank int) {
 // shard's own endpoint (and its wire/trace counters) describe exactly
 // the traffic that shard served. Tier-layer counters (misroutes,
 // rebalances) stay on the tier registry.
-func (k *ShardSink) Metrics() *Metrics { return k.tier.planes[k.shard].met }
+func (k *ShardSink) Metrics() *Metrics { return k.plane.met }
 
 // SeqState returns this shard's tracker: gap accounting is per shard,
 // and survives the shard's wire-server restarts because the tracker
 // lives on the plane.
-func (k *ShardSink) SeqState() *SeqTracker { return k.tier.planes[k.shard].seq }
+func (k *ShardSink) SeqState() *SeqTracker { return k.plane.seq }
 
 // Journal returns this shard's delivery journal (attached per plane —
 // each shard journals its own delivered stream into its own directory,
 // so shard restarts replay independently).
-func (k *ShardSink) Journal() *wal.Log { return k.tier.planes[k.shard].Journal() }
+func (k *ShardSink) Journal() *wal.Log { return k.plane.Journal() }
 
-// Hello returns the current shard map for the wire handshake.
+// Hello returns the current shard map for the wire handshake; a plane
+// outside a tier publishes none (WireServer.SetHello supplies one).
 func (k *ShardSink) Hello() (version uint64, addrs []string, ok bool) {
+	if k.tier == nil {
+		return 0, nil, false
+	}
 	m := k.tier.ShardMap()
 	return m.Version, m.Addrs, true
 }

@@ -208,14 +208,13 @@ func TestShardTierMetrics(t *testing.T) {
 
 // TestShardedMonitorDetectsOnline mirrors TestMonitorDetectsOnline over
 // a 2-shard tier: the merged analysis must produce the same kind of
-// events (rank 2's slowdown) regardless of which shard owns rank 2.
+// events (rank 2's slowdown) regardless of which shard owns rank 2, and
+// diagnose them.
 func TestShardedMonitorDetectsOnline(t *testing.T) {
 	opt := shardTestOptions()
 	tier := NewShardedPool(4, 2, opt)
 	defer tier.Close()
 	mopt := DefaultMonitorOptions(4)
-	mopt.Period = 20 * sim.Millisecond
-	mopt.Overlap = 10 * sim.Millisecond
 	mopt.MinRegionLoss = sim.Millisecond
 	m := NewShardedMonitor(tier, mopt)
 	for rank := 0; rank < 4; rank++ {
@@ -255,5 +254,10 @@ func TestShardedMonitorDetectsOnline(t *testing.T) {
 	}
 	if m.Stage() < 2 {
 		t.Fatalf("stage = %d, want escalation past 1", m.Stage())
+	}
+	// The tier diagnoses its events: each region sample's clusters come
+	// from the plane that owns the sample's rank.
+	if rep := m.DiagnoseEvent(&ev, diagnoseDefaults()); rep == nil || rep.OLS == nil {
+		t.Fatalf("first event's diagnosis has no OLS part: %+v", rep)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -88,7 +87,6 @@ type WireServer struct {
 	hello  helloProvider // non-nil when sink implements helloProvider
 	jour   *wal.Log      // non-nil when sink implements journalProvider
 	met    *Metrics
-	mln    net.Listener // metrics HTTP listener, if serving
 	wg     sync.WaitGroup
 
 	// jmu serializes observe→journal→deliver across connections when a
@@ -149,13 +147,11 @@ func (s *WireServer) Metrics() *Metrics { return s.met }
 // SetHello publishes a static shard map on every subsequently accepted
 // connection — how a single-server deployment speaks the same
 // bootstrap handshake as the sharded tier (a one-entry map naming
-// itself), so ShardDialer clients dial either uniformly. A sink that
-// publishes its own live map (ShardSink) keeps precedence.
+// itself), so ShardDialer clients dial either uniformly. It replaces
+// whatever the sink publishes.
 func (s *WireServer) SetHello(version uint64, addrs []string) {
 	s.mu.Lock()
-	if s.hello == nil {
-		s.hello = staticHello{ver: version, addrs: append([]string(nil), addrs...)}
-	}
+	s.hello = staticHello{ver: version, addrs: append([]string(nil), addrs...)}
 	s.mu.Unlock()
 }
 
@@ -165,20 +161,6 @@ type staticHello struct {
 }
 
 func (h staticHello) Hello() (uint64, []string, bool) { return h.ver, h.addrs, true }
-
-// ServeMetrics serves the metrics registry (Prometheus text / JSON)
-// over HTTP on mln until the wire server is closed.
-func (s *WireServer) ServeMetrics(mln net.Listener) {
-	s.mu.Lock()
-	s.mln = mln
-	s.mu.Unlock()
-	srv := &http.Server{Handler: s.met.Handler()}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		_ = srv.Serve(mln) // returns when mln closes
-	}()
-}
 
 func (s *WireServer) acceptLoop() {
 	defer s.wg.Done()
@@ -356,18 +338,12 @@ func readPayload(br *bufio.Reader, buf []byte, size int) ([]byte, error) {
 	return buf, nil
 }
 
-// Shutdown stops accepting (wire and metrics listeners) and waits for
-// in-flight connections to drain. When ctx expires first, remaining
-// connections are force-closed and the wait completes — a hung client
-// can no longer leak serveConn goroutines past Close.
+// Shutdown stops accepting and waits for in-flight connections to
+// drain. When ctx expires first, remaining connections are force-closed
+// and the wait completes — a hung client can no longer leak serveConn
+// goroutines past Close.
 func (s *WireServer) Shutdown(ctx context.Context) error {
 	err := s.ln.Close()
-	s.mu.Lock()
-	mln := s.mln
-	s.mu.Unlock()
-	if mln != nil {
-		_ = mln.Close()
-	}
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

@@ -89,8 +89,9 @@ func TestWatermarkIgnoresStrayRanks(t *testing.T) {
 // rank id used to count as the fourth and close windows early. Its
 // fragments are still stored.
 func TestMonitorStrayRankDoesNotCloseWindows(t *testing.T) {
-	pool := NewPool(4, DefaultOptions())
-	m := NewMonitor(pool, monOpts(4))
+	copt, mopt := monOpts()
+	pool := NewPool(4, copt)
+	m := NewMonitor(pool, mopt)
 	feed := func(rank int) {
 		var batch []trace.Fragment
 		for tm := int64(0); tm < 100_000_000; tm += 1_000_000 {

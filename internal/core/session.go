@@ -266,11 +266,7 @@ type OnlineResult struct {
 func RunOnline(app apps.App, opt Options) *OnlineResult {
 	world, fs, ranks := setup(app, &opt)
 	pool := collector.NewPool(ranks, opt.Collector)
-	mopt := collector.DefaultMonitorOptions(ranks)
-	mopt.Period = opt.Collector.Period
-	mopt.Overlap = opt.Collector.Overlap
-	mopt.Detect = opt.Collector.Detect
-	mon := collector.NewMonitor(pool, mopt)
+	mon := collector.NewMonitor(pool, collector.DefaultMonitorOptions(ranks))
 	cfg := rt.Config{FS: fs, BufferedIO: opt.BufferedIO}
 
 	res := &Result{

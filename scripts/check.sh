@@ -98,7 +98,11 @@ go test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
 # and flat in the resident population, 1M within 1.5x of 100k: every
 # element is on the sample store, nothing copies residents), and the PR 14
 # sort-free bound (the comp-steady-shaped tick at ≤0.08x of the batch
-# plane; measured 0.05x), and the sparse streaming-OLS fold (idle OS
+# plane; measured 0.05x), the tier round (MonitorTickWindow/plane=tier:
+# the plane=monitor stream through a 2-shard tier, every plane carrying
+# its own streaming-OLS hook, at ≤1.32x of plane=monitor; min-of-3
+# ratios measured 0.96–1.20 over 11 runs, the bound is the worst plus
+# 10 %), and the sparse streaming-OLS fold (idle OS
 # counters at ≤0.5x of all columns armed; measured 0.17x, the dense
 # fold reads 1.0x), and absolute ceilings on what a computation and a
 # comm/IO fragment cost the graph plus the analyzer
@@ -124,6 +128,7 @@ go run ./cmd/benchjson -min -out BENCH.json \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=1.5*MonitorTickMultiD/plane=inc/resident=100k' \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 	-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
+	-assert 'MonitorTickWindow/plane=tier<=1.32*MonitorTickWindow/plane=monitor' \
 	-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
 	-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=57.5' \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=58.8' \
