@@ -99,7 +99,9 @@ bench:
 # 2-shard tier, every plane carrying its own streaming-OLS hook, ≤1.32x
 # of plane=monitor; min-of-3 ratios measured 0.96–1.20 over 11 runs,
 # and the bound is the worst plus 10 %; its hook_share metric is the
-# hook's worker time per tick), and the sparse
+# hook's worker time per tick; its B/op ≤1.93x of plane=monitor's, the
+# worst min-of-3 ratio measured once planes stopped at partials, 1.75,
+# plus 10 %), and the sparse
 # streaming-OLS fold (idle OS counters ≤0.5x of all columns armed;
 # measured 0.17x, the dense fold reads 1.0x), and absolute ceilings on
 # what a resident fragment costs the graph plus the analyzer
@@ -124,6 +126,7 @@ bench-smoke:
 		-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 		-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
 		-assert 'MonitorTickWindow/plane=tier<=1.32*MonitorTickWindow/plane=monitor' \
+		-assert 'MonitorTickWindow/plane=tier<=1.93*MonitorTickWindow/plane=monitor@B/op' \
 		-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
 		-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=57.5' \
 		-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=58.8' \

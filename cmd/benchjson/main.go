@@ -16,6 +16,7 @@
 //
 //	-assert 'NameA<=1.5*NameB'             // ns/op ratio bound
 //	-assert 'NameA<=1.5*NameB@ns_per_tick' // custom-metric ratio bound
+//	-assert 'NameA<=1.2*NameB@B/op'        // B/op ratio bound (-benchmem)
 //	-assert 'NameA@resident_B_per_frag<=62' // custom-metric ceiling
 //	-assert 'NameA<=2e6'                    // ns/op ceiling
 //
@@ -40,6 +41,7 @@ type bench struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	mem         bool               // the line had B/op and allocs/op columns
 }
 
 type report struct {
@@ -126,17 +128,24 @@ func (a assertion) check(rep *report) (bool, string) {
 	return true, fmt.Sprintf("assert ok: %s = %.0f %s <= %s", a.a, av, unit, of)
 }
 
-// value resolves an assertion side: the benchmark's ns/op, or its named
-// b.ReportMetric value. ok=false when either is absent.
+// value resolves an assertion side: the benchmark's ns/op, its B/op or
+// allocs/op column (present only under -benchmem), or its named
+// b.ReportMetric value. ok=false when that is absent.
 func value(rep *report, name, metric string) (float64, bool) {
 	for i := range rep.Benchmarks {
-		if rep.Benchmarks[i].Name != name {
+		b := &rep.Benchmarks[i]
+		if b.Name != name {
 			continue
 		}
-		if metric == "" {
-			return rep.Benchmarks[i].NsPerOp, true
+		switch metric {
+		case "":
+			return b.NsPerOp, true
+		case "B/op":
+			return b.BytesPerOp, b.mem
+		case "allocs/op":
+			return b.AllocsPerOp, b.mem
 		}
-		v, ok := rep.Benchmarks[i].Metrics[metric]
+		v, ok := b.Metrics[metric]
 		return v, ok
 	}
 	return 0, false
@@ -173,6 +182,7 @@ func parseLine(line string) (b bench, ok bool) {
 			b.NsPerOp = v
 		case "B/op":
 			b.BytesPerOp = v
+			b.mem = true
 		case "allocs/op":
 			b.AllocsPerOp = v
 		default:

@@ -14,7 +14,7 @@ func TestParseLine(t *testing.T) {
 		{
 			"BenchmarkMonitorTickWindow/plane=inc-2   \t      20\t  13778756 ns/op\t        59.37 resident_B_per_frag\t 5889687 B/op\t     909 allocs/op",
 			bench{Name: "MonitorTickWindow/plane=inc", Iterations: 20, NsPerOp: 13778756, BytesPerOp: 5889687, AllocsPerOp: 909,
-				Metrics: map[string]float64{"resident_B_per_frag": 59.37}},
+				Metrics: map[string]float64{"resident_B_per_frag": 59.37}, mem: true},
 			true,
 		},
 		{
@@ -61,8 +61,9 @@ func TestParseAssertion(t *testing.T) {
 
 func TestAssertionCheck(t *testing.T) {
 	rep := &report{Benchmarks: []bench{
-		{Name: "Inc", NsPerOp: 100, Metrics: map[string]float64{"resident_B_per_frag": 55}},
-		{Name: "Batch", NsPerOp: 2000, Metrics: map[string]float64{"resident_B_per_frag": 90}},
+		{Name: "Inc", NsPerOp: 100, BytesPerOp: 3000, AllocsPerOp: 40, mem: true, Metrics: map[string]float64{"resident_B_per_frag": 55}},
+		{Name: "Batch", NsPerOp: 2000, BytesPerOp: 2000, AllocsPerOp: 50, mem: true, Metrics: map[string]float64{"resident_B_per_frag": 90}},
+		{Name: "NoMem", NsPerOp: 100},
 	}}
 	for _, tc := range []struct {
 		in   string
@@ -79,6 +80,11 @@ func TestAssertionCheck(t *testing.T) {
 		{"Missing@resident_B_per_frag<=1000", false},
 		{"Inc@no_such_metric<=1000", false},
 		{"Inc<=2*Missing", false},
+		{"Inc<=1.5*Batch@B/op", true},
+		{"Inc<=1.4*Batch@B/op", false},
+		{"Inc@allocs/op<=40", true},
+		{"Inc<=0.7*Batch@allocs/op", false},
+		{"NoMem<=2*Batch@B/op", false},
 	} {
 		a, err := parseAssertion(tc.in)
 		if err != nil {

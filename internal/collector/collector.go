@@ -221,6 +221,10 @@ func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
 	if stride <= 0 {
 		stride = int64(p.opt.Period)
 	}
+	// Windows covering a loss interval mark the rank stale there, all
+	// against one snapshot of the outages.
+	dopt := p.opt.Detect
+	dopt.Outages = p.seq.Outages()
 	var out []*WindowResult
 	for start := int64(0); start < maxEnd; start += stride {
 		end := start + int64(p.opt.Period)
@@ -232,10 +236,6 @@ func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
 		if !g.Overlaps(start, end) {
 			continue
 		}
-		// Windows covering a loss interval mark the rank stale there
-		// instead of mistaking its silence for speed.
-		dopt := p.opt.Detect
-		dopt.Outages = p.seq.Outages()
 		res := p.an.RunWindow(g, p.ranks, dopt, start, end)
 		out = append(out, &WindowResult{
 			Start:  sim.Time(start),
@@ -255,20 +255,17 @@ func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
 func (p *Pool) RunWindow(start, end int64) *detect.Result {
 	dopt := p.opt.Detect
 	dopt.Outages = p.seq.Outages()
-	return p.runWindowWith(start, end, p.ranks, dopt)
+	return p.analyze(func(g *stg.Graph) *detect.Result { return p.an.RunWindow(g, p.ranks, dopt, start, end) })
 }
 
-// runWindowWith is RunWindow with the rank axis and detection options
-// (outage set included) supplied by the caller. The sharded tier passes
-// the union of every shard's loss intervals, so a rank's staleness lands
-// in its owner's strip even when the batch that exposed the loss
-// arrived misrouted elsewhere.
-func (p *Pool) runWindowWith(start, end int64, ranks int, dopt detect.Options) *detect.Result {
+// analyze drains the intake, aliases the grown elements' logs, and runs
+// pass over the snapshot: RunWindow's, or a tier plane's partial
+// (detect.Analyzer.Partial), which the tier merges and marks stale.
+func (p *Pool) analyze(pass func(g *stg.Graph) *detect.Result) *detect.Result {
 	p.drain()
 	p.amu.Lock()
 	defer p.amu.Unlock()
-	g := p.refreshView()
-	res := p.an.RunWindow(g, ranks, dopt, start, end)
+	res := pass(p.refreshView())
 	// Journeys drained before this tick are now visible to analysis.
 	p.met.Trace.CompleteAnalyze()
 	return res

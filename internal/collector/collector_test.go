@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"reflect"
 	"testing"
 
 	"vapro/internal/detect"
@@ -80,6 +81,51 @@ func TestWindowResultsOverlap(t *testing.T) {
 		if w.Result == nil || len(w.Result.Samples[detect.Computation]) == 0 {
 			t.Fatal("window analysis empty")
 		}
+	}
+}
+
+// TestWindowResultsRangeOutageSnapshot: a range query marks all its
+// windows against one outage snapshot. An outage booked between two
+// queries is absent from every window of the first answer and present
+// in every window of the second that it overlaps, exactly as a fresh
+// single-window pass marks it.
+func TestWindowResultsRangeOutageSnapshot(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Period = 10 * sim.Millisecond
+	opt.Overlap = 5 * sim.Millisecond
+	opt.Detect.Window = sim.Millisecond
+	p := NewPool(2, opt)
+	for rank := 0; rank < 2; rank++ {
+		for i := 0; i < 30; i++ {
+			p.Consume(rank, []trace.Fragment{frag(rank, int64(i)*1_000_000, 900_000)})
+		}
+	}
+	p.SeqState().Observe(1, 0, 0, 1_000_000)
+	before := p.WindowResultsRange(0, 0)
+
+	// Two lost batches: rank 1 is stale over [1 ms, 22 ms).
+	p.SeqState().Observe(1, 3, 22_000_000, 23_000_000)
+	after := p.WindowResultsRange(0, 0)
+
+	if len(before) != len(after) || len(before) < 5 {
+		t.Fatalf("answers hold %d and %d windows", len(before), len(after))
+	}
+	marked := 0
+	for i, w := range after {
+		if h := before[i].Result.Maps[detect.Computation]; h.Stale != nil {
+			t.Fatalf("window [%v,%v) of the first answer marks an outage booked after it", w.Start, w.End)
+		}
+		want := p.RunWindow(int64(w.Start), int64(w.End)).Maps[detect.Computation]
+		got := w.Result.Maps[detect.Computation]
+		if !reflect.DeepEqual(got.Stale, want.Stale) {
+			t.Fatalf("window [%v,%v): stale marks differ from a fresh pass", w.Start, w.End)
+		}
+		if got.Stale != nil {
+			marked++
+		}
+	}
+	if marked < 3 {
+		t.Fatalf("the outage marked %d windows of the second answer, want ≥ 3", marked)
 	}
 }
 

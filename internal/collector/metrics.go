@@ -50,7 +50,7 @@ type Metrics struct {
 	NetSpillPeak     *obs.Gauge   // high-water mark of the spill queue
 	NetSpillBytes    *obs.Gauge   // encoded bytes currently spilled in memory
 
-	// Shard is the spatial scale-out surface: strip merges and region
+	// Shard is the spatial scale-out surface: merged strips and region
 	// stitches per tier tick, shard-map version churn, and the routing
 	// corrections (redirects are clients re-dialed to their owner after
 	// a hello; misroutes are batches that arrived at a non-owning shard
@@ -132,7 +132,7 @@ func NewMetrics() *Metrics {
 		NetSpillBytes: reg.Gauge("vapro_net_spill_bytes", "net",
 			"encoded frame bytes held in the in-memory spill queue"),
 		ShardStripsMerged: reg.Counter("vapro_shard_strips_merged_total", "shard",
-			"per-class heat-map strips combined by the spatial merger"),
+			"(class, plane) pairs binned into the tier's merged heat maps"),
 		ShardRegionsStitched: reg.Counter("vapro_shard_regions_stitched_total", "shard",
 			"merged variance regions spanning more than one shard's ranks"),
 		ShardmapRebalances: reg.Counter("vapro_shardmap_rebalances_total", "shard",

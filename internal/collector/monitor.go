@@ -27,10 +27,10 @@ import (
 // O(ranks) state of its own — the watermark, the event queue and the
 // warm regression moments. Fragments are resident exactly once, in the
 // planes' element logs, and a closed window runs on the planes'
-// persistent analyzers: on one plane it is Pool.RunWindow, inline on
-// the delivering goroutine; on a tier it is ShardedPool.RunWindow's
-// fan-out and spatial merge, whose merged regions drive events and
-// arming because the regions worth escalating for may straddle shards.
+// persistent analyzers, inline on the delivering goroutine: on one plane
+// it is Pool.RunWindow; on a tier, ShardedPool.RunWindow merges the
+// planes' partials into one map and one region growth, whose regions
+// may straddle shards.
 // A tick sees everything the planes had staged when they drained — a
 // superset of the batches whose watermark update has run, and exactly
 // those batches when delivery is serialised (one feeder, or the wire

@@ -17,13 +17,12 @@ import (
 // Spatial scale-out (DESIGN §12): one Pool is one analysis server that
 // holds every rank, so spatial scale stops where one plane's memory and
 // tick budget stop. The sharded tier splits the rank space itself: a
-// stable hash assigns each rank to an owning shard, every shard runs the
-// full incremental pipeline (staged intake → graph snapshot →
-// persistent analyzer) over only its resident ranks, and each tier tick
-// merges the per-shard window results spatially — an O(ranks × windows)
-// strip concatenation plus warm region growing over the merged grid —
-// into one global result. Per-shard tick cost tracks resident ranks, not
-// population; merge cost tracks the grid, not the fragment volume.
+// stable hash assigns each rank to an owning shard, and every shard runs
+// the incremental pipeline (staged intake → graph snapshot → persistent
+// analyzer) over only its resident ranks, up to a partial: its window's
+// sample streams and time sums. Each tier tick merges the partials once,
+// into one heat map per class and one region growth. Per-shard tick
+// cost tracks resident ranks; the merge, the grid and the window.
 
 // splitmix64 is the stable rank hash: the finalizer of the SplitMix64
 // generator, fixed forever so a rank's owner never depends on build,
@@ -82,15 +81,15 @@ type ShardedPool struct {
 	mp  ShardMap
 
 	// amu serializes tier merges: the Merger's region carry is warm
-	// state threaded from tick to tick.
+	// state threaded from tick to tick (counted on the tier registry).
 	amu    sync.Mutex
 	merger *detect.Merger
 }
 
 // NewShardedPool builds shards analysis planes over a global rank space
 // of size ranks. Each plane is one server that holds its resident ranks
-// only, shares the tier's arming handle, and analyzes the global rank
-// axis so its heat-map strips line up for the merge.
+// only and shares the tier's arming handle; its window pass stops at a
+// partial, and the tier bins every plane's samples into one grid.
 func NewShardedPool(ranks, shards int, opt Options) *ShardedPool {
 	if shards < 1 {
 		shards = 1
@@ -110,6 +109,7 @@ func NewShardedPool(ranks, shards int, opt Options) *ShardedPool {
 		mp:     ShardMap{Addrs: make([]string, shards)},
 		merger: detect.NewMerger(),
 	}
+	t.merger.SetMetrics(t.met.Detect)
 	resident := make([]int, shards)
 	for r := 0; r < ranks; r++ {
 		t.owner[r] = ShardOwner(r, shards)
@@ -236,20 +236,9 @@ func (t *ShardedPool) Handler() http.Handler {
 // are per client connection, which is per shard).
 func (t *ShardedPool) SeqStateFor(shard int) *SeqTracker { return t.planes[shard].seq }
 
-// outageUnion collects every shard's loss intervals. Passing the union
-// to every plane keeps a rank's staleness in its owner's strip even if
-// the batch that exposed the loss was misrouted to another shard.
-func (t *ShardedPool) outageUnion() []detect.Outage {
-	var out []detect.Outage
-	for _, p := range t.planes {
-		out = append(out, p.seq.Outages()...)
-	}
-	return out
-}
-
 // RunWindow is the tier's steady-state tick: fan the window out to
-// every plane's incremental pipeline concurrently, then spatially merge
-// the per-shard results into one global result.
+// every plane's incremental pipeline concurrently, each stopping at its
+// partial, then merge the partials into one global result.
 func (t *ShardedPool) RunWindow(start, end int64) *detect.Result {
 	res, _ := t.RunWindowStats(start, end)
 	return res
@@ -257,29 +246,33 @@ func (t *ShardedPool) RunWindow(start, end int64) *detect.Result {
 
 // RunWindowStats is RunWindow plus the merge accounting.
 func (t *ShardedPool) RunWindowStats(start, end int64) (*detect.Result, detect.MergeStats) {
+	// The merge marks every shard's loss intervals, so a rank's staleness
+	// lands in its row even if the batch exposing it was misrouted.
 	dopt := t.opt.Detect
-	dopt.Outages = t.outageUnion()
+	dopt.Outages = nil
+	for _, p := range t.planes {
+		dopt.Outages = append(dopt.Outages, p.seq.Outages()...)
+	}
 	parts := make([]*detect.Result, len(t.planes))
 	var wg sync.WaitGroup
 	for i, p := range t.planes {
 		wg.Add(1)
 		go func(i int, p *Pool) {
 			defer wg.Done()
-			parts[i] = p.runWindowWith(start, end, p.ranks, dopt)
+			parts[i] = p.analyze(func(g *stg.Graph) *detect.Result { return p.an.Partial(g, p.opt.Detect, start, end) })
 		}(i, p)
 	}
 	wg.Wait()
 	t.amu.Lock()
 	defer t.amu.Unlock()
-	res, stats := t.merger.Merge(parts, t.ranks, t.Owner, t.opt.Detect)
+	res, stats := t.merger.Merge(parts, t.ranks, t.Owner, dopt)
 	t.met.ShardStripsMerged.Add(uint64(stats.Strips))
 	t.met.ShardRegionsStitched.Add(uint64(stats.Stitched))
 	return res, stats
 }
 
 // WindowResults mirrors Pool.WindowResults over the tier: the global
-// window grid spans every plane's data, each window is analyzed
-// per shard and spatially merged.
+// window grid spans every plane's data, and each window is a tier tick.
 func (t *ShardedPool) WindowResults() []*WindowResult {
 	maxEnd := int64(0)
 	any := false
@@ -419,9 +412,9 @@ type ShardSink struct {
 }
 
 // Consume implements interpose.Sink. A batch whose rank the shard does
-// not own is still delivered — its rows won't enter the merged result
-// (the merger copies owner rows only) but its loss accounting and
-// bytes must not vanish — and counted as a misroute.
+// not own is still delivered — its samples won't enter the merged result
+// (the merge keeps each rank's samples from its owner only) but its
+// loss accounting and bytes must not vanish — and counted as a misroute.
 func (k *ShardSink) Consume(rank int, frags []trace.Fragment) {
 	k.note(rank)
 	k.plane.Consume(rank, frags)

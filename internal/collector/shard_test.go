@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vapro/internal/obs"
 	"vapro/internal/sim"
 	"vapro/internal/trace"
 )
@@ -152,20 +153,45 @@ func TestShardHelloRedirect(t *testing.T) {
 }
 
 // TestShardTierMetrics: the tier registers the shard surface — global
-// counters plus one row of Funcs per shard.
+// counters plus one row of Funcs per shard — and counts the region
+// growth it keeps: the tier's merge grows regions, no plane does.
 func TestShardTierMetrics(t *testing.T) {
 	const ranks, shards = 32, 4
 	tier := NewShardedPool(ranks, shards, shardTestOptions())
 	defer tier.Close()
 	for r := 0; r < ranks; r++ {
 		for i := 0; i < 30; i++ {
-			tier.Consume(r, []trace.Fragment{frag(r, int64(i)*1_000_000, 900_000)})
+			el := int64(900_000)
+			if r == 5 && i >= 10 && i < 20 {
+				el *= 2 // a slow stretch: something to grow regions over
+			}
+			tier.Consume(r, []trace.Fragment{frag(r, int64(i)*1_000_000, el)})
 		}
 	}
 	if res := tier.RunWindow(0, 30_000_000); res == nil {
 		t.Fatal("tier window returned nil")
 	}
+	if res := tier.RunWindow(10_000_000, 40_000_000); len(res.Regions) == 0 {
+		t.Fatal("no region in the overlapped window")
+	}
+	cells := func(snap obs.Snapshot) float64 {
+		n := 0.0
+		for _, name := range []string{"vapro_detect_region_cells_carried_total", "vapro_detect_region_cells_regrown_total"} {
+			if m := snap.Get(name); m != nil {
+				n += m.Value
+			}
+		}
+		return n
+	}
+	for i := 0; i < shards; i++ {
+		if n := cells(tier.Plane(i).Metrics().Registry.Snapshot()); n != 0 {
+			t.Fatalf("plane %d grew regions over %v cells; only the tier's merge grows them", i, n)
+		}
+	}
 	snap := tier.Metrics().Registry.Snapshot()
+	if cells(snap) == 0 {
+		t.Fatal("the tier's merge counted no carried or regrown region cells")
+	}
 	if m := snap.Get("vapro_shards"); m == nil || m.Value != float64(shards) {
 		t.Fatalf("vapro_shards = %+v", m)
 	}

@@ -25,8 +25,14 @@ import (
 //  3. at shard count 1 the entire Result (maps, samples, regions,
 //     coverage) deep-equals a plain Pool.RunWindow.
 //
-// 25 seeds × shard counts {1,2,4,8} = 100 scripted schedules, each
-// with two overlapped windows so the warm merge carry is exercised.
+// 25 seeds × shard counts {1,2,4,8} × misroute shares {0, 0.25} = 175
+// scripted schedules (a single shard has nowhere to misroute), each
+// with two overlapped windows so the warm merge carry is exercised. A
+// misrouted batch lands on a non-owning shard's sink and on that
+// shard's restricted reference, so property 1 pins the merge's owner
+// filter: its samples never reach the rank's row. Its sequence
+// accounting stays with the rank's owner on both sides (one sequence
+// space per rank), so the outage sets the two sides mark agree.
 
 type fuzzBatch struct {
 	rank    int
@@ -159,43 +165,58 @@ func TestShardedEquivalenceFuzz(t *testing.T) {
 	windows := [][2]int64{{0, 60_000}, {30_000, 90_000}}
 	for seed := 0; seed < 25; seed++ {
 		for _, shards := range shardCounts {
-			schedule := fuzzSchedule(rand.New(rand.NewSource(int64(seed))), ranks)
-			opt := fuzzOptions()
-
-			tier := NewShardedPool(ranks, shards, opt)
-			sinks := make([]*ShardSink, shards)
-			for s := 0; s < shards; s++ {
-				sinks[s] = tier.WireSink(s)
-			}
-			// Restricted references: one plain pool per shard, fed only
-			// that shard's deliveries; plus the full pool for shards=1.
-			refs := make([]*Pool, shards)
-			for s := 0; s < shards; s++ {
-				refs[s] = NewPool(ranks, opt)
-			}
-			for _, b := range schedule {
-				owner := tier.Owner(b.rank)
-				deliverTo(tier.SeqStateFor(owner), sinks[owner], b)
-				deliverTo(refs[owner].SeqState(), refs[owner], b)
-			}
-
-			for wi, w := range windows {
-				merged := tier.RunWindow(w[0], w[1])
-				refRes := make([]*detect.Result, shards)
-				for s := 0; s < shards; s++ {
-					refRes[s] = refs[s].RunWindow(w[0], w[1])
+			for _, misroute := range []float64{0, 0.25} {
+				if shards == 1 && misroute > 0 {
+					continue
 				}
-				compareRows(t, seed, shards, wi, tier, merged, refRes, ranks)
-				compareRegions(t, seed, shards, wi, merged, opt.Detect)
-				if shards == 1 {
-					compareFull(t, seed, wi, merged, refRes[0])
-				}
-			}
-			tier.Close()
-			for _, p := range refs {
-				p.Close()
+				shardedEquivalenceSchedule(t, seed, ranks, shards, misroute, windows)
 			}
 		}
+	}
+}
+
+func shardedEquivalenceSchedule(t *testing.T, seed, ranks, shards int, misroute float64, windows [][2]int64) {
+	t.Helper()
+	schedule := fuzzSchedule(rand.New(rand.NewSource(int64(seed))), ranks)
+	route := rand.New(rand.NewSource(int64(seed) + 1_000))
+	opt := fuzzOptions()
+
+	tier := NewShardedPool(ranks, shards, opt)
+	sinks := make([]*ShardSink, shards)
+	for s := 0; s < shards; s++ {
+		sinks[s] = tier.WireSink(s)
+	}
+	// Restricted references: one plain pool per shard, fed only
+	// that shard's deliveries; plus the full pool for shards=1.
+	refs := make([]*Pool, shards)
+	for s := 0; s < shards; s++ {
+		refs[s] = NewPool(ranks, opt)
+	}
+	for _, b := range schedule {
+		owner := tier.Owner(b.rank)
+		dst := owner
+		if shards > 1 && route.Float64() < misroute {
+			dst = (owner + 1 + route.Intn(shards-1)) % shards
+		}
+		deliverTo(tier.SeqStateFor(owner), sinks[dst], b)
+		deliverTo(refs[owner].SeqState(), refs[dst], b)
+	}
+
+	for wi, w := range windows {
+		merged := tier.RunWindow(w[0], w[1])
+		refRes := make([]*detect.Result, shards)
+		for s := 0; s < shards; s++ {
+			refRes[s] = refs[s].RunWindow(w[0], w[1])
+		}
+		compareRows(t, seed, shards, wi, tier, merged, refRes, ranks)
+		compareRegions(t, seed, shards, wi, merged, opt.Detect)
+		if shards == 1 {
+			compareFull(t, seed, wi, merged, refRes[0])
+		}
+	}
+	tier.Close()
+	for _, p := range refs {
+		p.Close()
 	}
 }
 

@@ -140,7 +140,7 @@ type ClusterRef struct {
 // carried-region equality), a pure function of the sample multiset.
 // The streams are built in this order, not sorted into it: every span
 // index keeps its entries ordered by (start, fragment index), so each
-// selection is a run already ordered under sampleLess, and stage 2
+// selection is a run already ordered under sampleLess, and the partial
 // merges the runs (runMerger). Only the DisableIncremental oracle
 // sorts.
 func sampleLess(a, b *Sample) bool {
@@ -189,28 +189,28 @@ func (h *HeatMap) StaleAt(rank, win int) bool {
 	return h.Stale != nil && h.Stale[rank*h.Windows+win]
 }
 
-// markStale flags every cell an outage interval touches. Zero-length
-// outages (loss at a rank's high-water mark with no later data yet)
-// mark the single cell containing their start.
-func (h *HeatMap) markStale(outages []Outage) {
+// markStale flags every cell an outage interval touches, each rank's
+// row cut at limit(rank) columns (nil: the whole row; a merged map marks
+// a row only as far as its owner's stream reaches). Zero-length outages
+// (loss at a rank's high-water mark with no later data yet) mark the
+// single cell containing their start.
+func (h *HeatMap) markStale(outages []Outage, limit func(rank int) int) {
 	for _, o := range outages {
 		if o.Rank < 0 || o.Rank >= h.Ranks {
 			continue
+		}
+		wins := h.Windows
+		if limit != nil {
+			wins = limit(o.Rank)
 		}
 		end := o.End
 		if end <= o.Start {
 			end = o.Start + 1
 		}
-		w0 := int((o.Start - int64(h.Origin)) / int64(h.Window))
-		w1 := int((end - 1 - int64(h.Origin)) / int64(h.Window))
-		if w1 < 0 || w0 >= h.Windows {
+		w0 := max(int((o.Start-int64(h.Origin))/int64(h.Window)), 0)
+		w1 := min(int((end-1-int64(h.Origin))/int64(h.Window)), wins-1)
+		if w0 > w1 {
 			continue
-		}
-		if w0 < 0 {
-			w0 = 0
-		}
-		if w1 >= h.Windows {
-			w1 = h.Windows - 1
 		}
 		if h.Stale == nil {
 			h.Stale = make([]bool, len(h.Cells))
@@ -247,7 +247,9 @@ func (r *Region) EndTime(h *HeatMap) sim.Time {
 	return h.Origin.Add(sim.Duration(r.WinMax+1) * h.Window)
 }
 
-// Result is the outcome of a detection pass.
+// Result is the outcome of a detection pass. A partial (Analyzer.Partial)
+// is a Result with nil Maps, Regions and Coverage: the sample streams,
+// time sums, cluster counts and origin a Merger completes it from.
 type Result struct {
 	Maps    map[Class]*HeatMap
 	Regions []Region
@@ -257,15 +259,29 @@ type Result struct {
 	// repeated fixed-workload fragments, per class and overall (§6.2).
 	Coverage map[Class]float64
 	// TotalTimeNS / FixedTimeNS are the raw per-class elapsed-time sums
-	// behind Coverage. Exposed so the spatial merger can combine
-	// per-shard results into coverage figures identical to one global
-	// pass (summing exact int64 partials instead of averaging floats).
+	// behind Coverage. The Merger sums them across partials, so a merged
+	// coverage equals one global pass over the union of the fragments
+	// (exact int64 partials instead of averaged floats).
 	TotalTimeNS map[Class]int64
 	FixedTimeNS map[Class]int64
 	// OverallCoverage weights classes by their total time.
 	OverallCoverage float64
 	// FixedClusters / SmallClusters count cluster populations.
 	FixedClusters, SmallClusters int
+	// Origin is the virtual time of the heat maps' first column: the
+	// window start of a windowed pass, 0 for a whole-run pass.
+	Origin sim.Time
+}
+
+// setTimes records the per-class time sums, keeping only the classes
+// that saw time.
+func (r *Result) setTimes(total, fixed *[numClasses]int64) {
+	for c := 0; c < numClasses; c++ {
+		if total[c] != 0 || fixed[c] != 0 {
+			r.TotalTimeNS[Class(c)] = total[c]
+			r.FixedTimeNS[Class(c)] = fixed[c]
+		}
+	}
 }
 
 // Analyzer runs detection passes that share one memoized clustering
@@ -283,15 +299,16 @@ type Analyzer struct {
 	mu    sync.Mutex
 	preps map[cluster.Key]*prepElem
 
-	// regionCarry holds each class's region-growing carry-over (see
-	// regions_inc.go). Stage-2 workers each own exactly one class slot,
-	// so the fixed array needs no locking.
-	regionCarry [numClasses]*regionCarryState
-	// merge holds each class's stream-merge scratch, owned like
-	// regionCarry. permuteRuns, set only by tests, rearranges a class's
-	// runs before they are merged.
+	// merge holds each class's stream-merge scratch; stage-1 results
+	// are merged into streams by one worker per class, so the fixed
+	// array needs no locking. permuteRuns, set only by tests, rearranges
+	// a class's runs before they are merged.
 	merge       [numClasses]runMerger
 	permuteRuns func(runs []sampleRun) []sampleRun
+
+	// merger is stage 2 over this analyzer's own partial: one part,
+	// whose warm region carry threads from pass to pass.
+	merger Merger
 
 	// met, when set via SetMetrics, receives per-pass latency and
 	// per-stage span observations; clock is its worker-side scratch.
@@ -356,6 +373,18 @@ func (a *Analyzer) RunWindow(g *stg.Graph, ranks int, opt Options, start, end in
 	return a.run(g, ranks, opt, start, end, start)
 }
 
+// Partial is a plane's half of RunWindow: stage 1 over every element,
+// each class's ordered sample stream, the int64 time sums, the cluster
+// counts and the window origin. It builds no heat map and grows no
+// region (Maps, Regions and Coverage are nil); a Merger completes one
+// or more partials into the Result. The sharded collector tier runs one
+// per plane and merges them once, over one grid.
+func (a *Analyzer) Partial(g *stg.Graph, opt Options, start, end int64) *Result {
+	res, t0, tMap := a.partial(g, opt, start, end, start)
+	a.recordPass(t0, tMap)
+	return res
+}
+
 // elemOut is the per-element partial result of the cluster+normalize
 // stage. Samples are referenced, not materialized: runs[c] lists the
 // element's class-c selection as runs already ordered under sampleLess,
@@ -382,21 +411,32 @@ type elemDirect struct {
 const numClasses = 3
 
 func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin int64) *Result {
-	if opt.Window <= 0 {
-		opt.Window = 500 * sim.Millisecond
+	res, t0, tMap := a.partial(g, opt, start, end, origin)
+	a.merger.finish(res, []*Result{res}, ranks, nil, opt)
+	a.recordPass(t0, tMap)
+	return res
+}
+
+// recordPass closes a pass's instrumentation: the StageMap span from
+// tMap on and the pass latency from t0.
+func (a *Analyzer) recordPass(t0, tMap time.Time) {
+	if met := a.met; met != nil {
+		met.Spans.RecordNS(StageMap, since(tMap))
+		met.WindowNS.Observe(since(t0))
+		met.Windows.Inc()
 	}
-	if opt.Threshold <= 0 {
-		opt.Threshold = 0.85
-	}
-	res := &Result{
-		Maps:        make(map[Class]*HeatMap),
+}
+
+// partial runs stage 1 and builds the class streams; t0 and tMap are
+// the pass's start and its stream stage's start (zero without metrics).
+func (a *Analyzer) partial(g *stg.Graph, opt Options, start, end, origin int64) (res *Result, t0, tMap time.Time) {
+	res = &Result{
 		Samples:     make(map[Class][]Sample),
-		Coverage:    make(map[Class]float64),
 		TotalTimeNS: make(map[Class]int64),
 		FixedTimeNS: make(map[Class]int64),
+		Origin:      sim.Time(origin),
 	}
 	met := a.met
-	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
 		a.clock.reset()
@@ -444,38 +484,19 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 			fixed[c] += o.fixed[c]
 		}
 	}
+	res.setTimes(&total, &fixed)
 
-	var allTotal, allFixed int64
-	for c := 0; c < numClasses; c++ {
-		allTotal += total[c]
-		allFixed += fixed[c]
-		if total[c] > 0 {
-			res.Coverage[Class(c)] = float64(fixed[c]) / float64(total[c])
-		}
-		if total[c] != 0 || fixed[c] != 0 {
-			res.TotalTimeNS[Class(c)] = total[c]
-			res.FixedTimeNS[Class(c)] = fixed[c]
-		}
-	}
-	if allTotal > 0 {
-		res.OverallCoverage = float64(allFixed) / float64(allTotal)
-	}
-
-	var tMap time.Time
 	if met != nil {
 		met.Spans.RecordNS(StageMerge, since(tMerge))
 		tMap = time.Now()
 	}
 
-	// Stage 2: each class's stream is merged from its elements' runs —
-	// in element order (edges then vertices, both key-sorted), which is
+	// Each class's stream is merged from its elements' runs — in
+	// element order (edges then vertices, both key-sorted), which is
 	// sampleLess's own tie order, so the merge decides almost every
-	// comparison on Start — and folded into its heat map and regions.
-	// The classes are fully independent: run them concurrently, then
-	// concatenate the regions in fixed class order.
+	// comparison on Start. The classes are independent: merge them
+	// concurrently.
 	var streams [numClasses][]Sample
-	var maps [numClasses]*HeatMap
-	var regions [numClasses][]Region
 	forEach(numClasses, opt.Parallelism, func(c int) {
 		if counts[c] == 0 {
 			return
@@ -500,30 +521,13 @@ func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin 
 			samples = mg.merge(samples)
 		}
 		streams[c] = samples
-		h := buildHeatMap(Class(c), samples, ranks, opt.Window, origin)
-		if h == nil {
-			return
-		}
-		h.markStale(opt.Outages)
-		maps[c] = h
-		regions[c] = a.growRegionsFor(Class(c), h, samples, opt)
 	})
 	for c := 0; c < numClasses; c++ {
 		if streams[c] != nil {
 			res.Samples[Class(c)] = streams[c]
 		}
-		if maps[c] != nil {
-			res.Maps[Class(c)] = maps[c]
-			res.Regions = append(res.Regions, regions[c]...)
-		}
 	}
-	sortRegionsByLoss(res.Regions)
-	if met != nil {
-		met.Spans.RecordNS(StageMap, since(tMap))
-		met.WindowNS.Observe(since(t0))
-		met.Windows.Inc()
-	}
-	return res
+	return res, t0, tMap
 }
 
 // sortRegionsByLoss puts the most impactful regions first (§3.5:
@@ -662,7 +666,7 @@ func MapAndRegions(class Class, samples []Sample, ranks int, opt Options) (*Heat
 	if h == nil {
 		return nil, nil
 	}
-	h.markStale(opt.Outages)
+	h.markStale(opt.Outages, nil)
 	return h, growRegions(h, samples, opt)
 }
 
@@ -675,16 +679,28 @@ func buildHeatMap(class Class, samples []Sample, ranks int, window sim.Duration,
 	if len(samples) == 0 || ranks <= 0 {
 		return nil
 	}
+	return binHeatMap(class, samples, ranks, window, origin, mapWidth(samples, window, origin))
+}
+
+// mapWidth is the column count a heat map over samples needs to reach
+// their latest end from origin: at least 1, and 0 for no samples.
+func mapWidth(samples []Sample, window sim.Duration, origin int64) int {
+	if len(samples) == 0 {
+		return 0
+	}
 	maxEnd := origin
 	for i := range samples {
 		if e := samples[i].Start + samples[i].Elapsed; e > maxEnd {
 			maxEnd = e
 		}
 	}
-	wins := int((maxEnd-origin)/int64(window)) + 1
-	if wins < 1 {
-		wins = 1
-	}
+	return max(int((maxEnd-origin)/int64(window))+1, 1)
+}
+
+// binHeatMap is buildHeatMap over a grid wins columns wide. A sample
+// never reaches past its own stream's mapWidth, so a wider grid leaves
+// every cell it shares with the narrower one bit-identical.
+func binHeatMap(class Class, samples []Sample, ranks int, window sim.Duration, origin int64, wins int) *HeatMap {
 	h := &HeatMap{Class: class, Ranks: ranks, Windows: wins, Window: window, Origin: sim.Time(origin)}
 	h.Cells = make([]float64, ranks*wins)
 	weight := make([]float64, ranks*wins)

@@ -13,7 +13,8 @@ import (
 // clustering and prep rebuilds — near zero on warm windows — and the
 // cluster-delta hook, e.g. the monitor's streaming-OLS moments);
 // StageMerge sums the per-element partials; StageMap is the per-class
-// stream merge plus the heat-map and region-growing pass.
+// stream merge plus, in a whole pass, the heat-map and region-growing
+// pass (a Partial stops at the streams).
 const (
 	StagePrep = iota
 	StageCluster
@@ -88,10 +89,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // SetMetrics attaches m to the analyzer; nil detaches. Instrumentation
 // is observational only — results are bit-identical with or without it.
-func (a *Analyzer) SetMetrics(m *Metrics) { a.met = m }
+func (a *Analyzer) SetMetrics(m *Metrics) {
+	a.met = m
+	a.merger.SetMetrics(m)
+}
 
 // stageClock accumulates worker CPU time for the sub-stages that run
-// inside the stage-1 fan-out. Workers add concurrently; run() drains the
+// inside the stage-1 fan-out. Workers add concurrently; partial() drains the
 // totals into span records once per pass. Passes themselves are
 // serialized by the callers (the pool's analysis mutex, the monitor's
 // lock, the sequential core paths), so drain-and-reset is safe.

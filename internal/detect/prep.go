@@ -201,8 +201,8 @@ func buildPrep(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Optio
 // window — exactly what normalizeElement(frags, cl, ref, opt, start,
 // end) computes, but as runs of references into the memoized
 // full-population prep: each run is an ascending selection of one span
-// index, which the stage-2 merge materializes exactly once into the
-// final right-sized stream.
+// index, which the partial's stream merge materializes exactly once
+// into the final right-sized stream.
 func (p *prepElem) window(start, end int64, out *elemOut) {
 	out.fixedClusters = p.fixedClusters
 	out.smallClusters = p.smallClusters

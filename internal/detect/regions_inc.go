@@ -52,33 +52,7 @@ func (s *regionCarryState) staleAt(idx int32) bool {
 	return s.stale != nil && s.stale[idx]
 }
 
-// growRegionsFor dispatches between the carrying pass and the batch
-// oracle, which clears the per-class carry state so nothing stale is
-// ever consulted by a later carrying pass.
-func (a *Analyzer) growRegionsFor(class Class, h *HeatMap, samples []Sample, opt Options) []Region {
-	c := int(class)
-	if opt.DisableIncremental {
-		a.regionCarry[c] = nil
-		return growRegions(h, samples, opt)
-	}
-	return a.growRegionsInc(c, h, samples, opt)
-}
-
-// growRegionsInc is growRegions with carry-over. It runs inside the
-// stage-2 per-class fan-out; each class owns its regionCarry slot, so
-// the workers never share state.
-func (a *Analyzer) growRegionsInc(c int, h *HeatMap, samples []Sample, opt Options) []Region {
-	regions, next, carried, regrown := growRegionsCarry(a.regionCarry[c], h, samples, opt)
-	if met := a.met; met != nil {
-		met.RegionCellsCarried.Add(carried)
-		met.RegionCellsRegrown.Add(regrown)
-	}
-	a.regionCarry[c] = next
-	return regions
-}
-
-// growRegionsCarry is the carry-over core shared by the per-class
-// analyzer slots and the spatial merger's per-class merge state: grow
+// growRegionsCarry is the Merger's per-class region growth: grow
 // regions over h, carrying forward every previous region whose cells
 // (and 4-neighborhood) are bit-unchanged after the origin shift, and
 // return the next carry basis plus the carried/regrown cell counts for

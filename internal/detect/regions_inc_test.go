@@ -177,7 +177,7 @@ func TestRegionCarryHatch(t *testing.T) {
 
 	check(bopt, 2*winNS, "oracle")
 	for c := 0; c < numClasses; c++ {
-		if a.regionCarry[c] != nil {
+		if a.merger.carry[c] != nil {
 			t.Fatalf("class %d carry state survived the oracle pass", c)
 		}
 	}

@@ -36,7 +36,7 @@ func spatialPart(t *testing.T, ranks int, samples []Sample, window int64, outage
 	if h == nil {
 		t.Fatal("buildHeatMap returned nil")
 	}
-	h.markStale(outages)
+	h.markStale(outages, nil)
 	res := &Result{
 		Maps:        map[Class]*HeatMap{Computation: h},
 		Samples:     map[Class][]Sample{Computation: samples},
@@ -49,6 +49,25 @@ func spatialPart(t *testing.T, ranks int, samples []Sample, window int64, outage
 		res.FixedTimeNS[Computation] += samples[i].Elapsed
 	}
 	return res
+}
+
+// partForms are the two shapes a part reaches Merge in: a full Result
+// (what bench/'s gate passes: each plane's whole RunWindow) and a
+// partial (what the tier's planes hand over: Analyzer.Partial). Merge
+// reads only a partial's fields, so both must merge identically.
+var partForms = []struct {
+	name string
+	form func(*Result) *Result
+}{
+	{"full", func(r *Result) *Result { return r }},
+	{"partial", func(r *Result) *Result {
+		if r == nil {
+			return nil
+		}
+		p := *r
+		p.Maps, p.Regions, p.Coverage = nil, nil, nil
+		return &p
+	}},
 }
 
 // TestSpatialMergeBoundaryStitch pins the tentpole equivalence: a
@@ -82,12 +101,20 @@ func TestSpatialMergeBoundaryStitch(t *testing.T) {
 	// Rank 4's data for window 2 was lost in transit: the owning shard
 	// reports the outage, and the merged grid must exclude that cell.
 	outages := []Outage{{Rank: 4, Start: 2 * window, End: 3 * window}}
-	parts := []*Result{
+	full := []*Result{
 		spatialPart(t, ranks, perShard[0], window, nil),
 		spatialPart(t, ranks, perShard[1], window, outages),
 	}
-	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1}
+	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1, Outages: outages}
+	for _, pf := range partForms {
+		t.Run(pf.name, func(t *testing.T) {
+			parts := []*Result{pf.form(full[0]), pf.form(full[1])}
+			spatialBoundaryStitch(t, parts, global, ranks, wins, window, outages, owner, opt)
+		})
+	}
+}
 
+func spatialBoundaryStitch(t *testing.T, parts []*Result, global []Sample, ranks, wins int, window int64, outages []Outage, owner func(int) int, opt Options) {
 	m := NewMerger()
 	merged, stats := m.Merge(parts, ranks, owner, opt)
 
@@ -124,9 +151,10 @@ func TestSpatialMergeBoundaryStitch(t *testing.T) {
 
 	// Unsharded reference the long way: one global pass over all
 	// samples must build the identical grid.
+	global = append([]Sample(nil), global...)
 	sortSamplesByStart(global)
 	ref := buildHeatMap(Computation, global, ranks, sim.Duration(window), 0)
-	ref.markStale(outages)
+	ref.markStale(outages, nil)
 	for i := range ref.Cells {
 		if math.Float64bits(ref.Cells[i]) != math.Float64bits(h.Cells[i]) {
 			t.Fatalf("merged cell %d differs from global pass: %v vs %v", i, h.Cells[i], ref.Cells[i])
@@ -167,23 +195,28 @@ func TestSpatialMergeDownShard(t *testing.T) {
 		s0 = append(s0, spatialSample(0, w, window, 0.5), spatialSample(2, w, window, 0.5))
 	}
 	sortSamplesByStart(s0)
-	parts := []*Result{spatialPart(t, ranks, s0, window, nil), nil}
+	full := spatialPart(t, ranks, s0, window, nil)
 	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1}
-	merged, stats := NewMerger().Merge(parts, ranks, owner, opt)
-	h := merged.Maps[Computation]
-	for w := 0; w < h.Windows; w++ {
-		if !math.IsNaN(h.At(1, w)) || !math.IsNaN(h.At(3, w)) {
-			t.Fatalf("down shard's rows not NaN at win %d", w)
-		}
-	}
-	// Ranks 0 and 2 are low but separated by the NaN rank-1 row: two
-	// regions, neither stitched.
-	if len(merged.Regions) != 2 || stats.Stitched != 0 {
-		t.Fatalf("regions %d stitched %d, want 2/0", len(merged.Regions), stats.Stitched)
-	}
-	want := GrowRegions(h, merged.Samples[Computation], opt)
-	if !reflect.DeepEqual(merged.Regions, want) {
-		t.Fatal("down-shard regions differ from batch grower")
+	for _, pf := range partForms {
+		t.Run(pf.name, func(t *testing.T) {
+			parts := []*Result{pf.form(full), pf.form(nil)}
+			merged, stats := NewMerger().Merge(parts, ranks, owner, opt)
+			h := merged.Maps[Computation]
+			for w := 0; w < h.Windows; w++ {
+				if !math.IsNaN(h.At(1, w)) || !math.IsNaN(h.At(3, w)) {
+					t.Fatalf("down shard's rows not NaN at win %d", w)
+				}
+			}
+			// Ranks 0 and 2 are low but separated by the NaN rank-1 row:
+			// two regions, neither stitched.
+			if len(merged.Regions) != 2 || stats.Stitched != 0 {
+				t.Fatalf("regions %d stitched %d, want 2/0", len(merged.Regions), stats.Stitched)
+			}
+			want := GrowRegions(h, merged.Samples[Computation], opt)
+			if !reflect.DeepEqual(merged.Regions, want) {
+				t.Fatal("down-shard regions differ from batch grower")
+			}
+		})
 	}
 }
 
@@ -208,26 +241,31 @@ func TestSpatialMergeConcurrent(t *testing.T) {
 	for i := range perShard {
 		sortSamplesByStart(perShard[i])
 	}
-	parts := []*Result{
+	full := []*Result{
 		spatialPart(t, ranks, perShard[0], window, nil),
 		spatialPart(t, ranks, perShard[1], window, nil),
 	}
 	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1}
-	ref, _ := NewMerger().Merge(parts, ranks, owner, opt)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := NewMerger()
-			for pass := 0; pass < 3; pass++ {
-				got, _ := m.Merge(parts, ranks, owner, opt)
-				if !reflect.DeepEqual(got.Regions, ref.Regions) {
-					t.Error("concurrent merge diverged")
-					return
-				}
+	for _, pf := range partForms {
+		t.Run(pf.name, func(t *testing.T) {
+			parts := []*Result{pf.form(full[0]), pf.form(full[1])}
+			ref, _ := NewMerger().Merge(parts, ranks, owner, opt)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					m := NewMerger()
+					for pass := 0; pass < 3; pass++ {
+						got, _ := m.Merge(parts, ranks, owner, opt)
+						if !reflect.DeepEqual(got.Regions, ref.Regions) {
+							t.Error("concurrent merge diverged")
+							return
+						}
+					}
+				}()
 			}
-		}()
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }

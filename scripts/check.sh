@@ -102,10 +102,12 @@ go test -run xxx -fuzz 'FuzzClusterMoments' -fuzztime 3s ./internal/diagnose
 # the plane=monitor stream through a 2-shard tier, every plane carrying
 # its own streaming-OLS hook, at ≤1.32x of plane=monitor; min-of-3
 # ratios measured 0.96–1.20 over 11 runs, the bound is the worst plus
-# 10 %), and the sparse streaming-OLS fold (idle OS
-# counters at ≤0.5x of all columns armed; measured 0.17x, the dense
-# fold reads 1.0x), and absolute ceilings on what a computation and a
-# comm/IO fragment cost the graph plus the analyzer
+# 10 %; its B/op at ≤1.93x of plane=monitor's, the worst min-of-3 ratio
+# measured once planes stopped at partials, 1.75, plus 10 %), and the
+# sparse streaming-OLS fold (idle OS counters at ≤0.5x of all columns
+# armed; measured 0.17x, the dense fold reads 1.0x), and absolute
+# ceilings on what a computation and a comm/IO fragment cost the graph
+# plus the analyzer
 # (resident_B_per_frag of MonitorTickWindow/plane=inc and of
 # MonitorTickMultiD/plane=inc at 1M resident, each 5 % above its
 # measured 54.8 and 56.0 B). BenchmarkLogAppend (ns/frag and B/frag per
@@ -129,6 +131,7 @@ go run ./cmd/benchjson -min -out BENCH.json \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k<=0.05*MonitorTickMultiD/plane=batch' \
 	-assert 'MonitorTickWindow/plane=inc<=0.08*MonitorTickWindow/plane=batch' \
 	-assert 'MonitorTickWindow/plane=tier<=1.32*MonitorTickWindow/plane=monitor' \
+	-assert 'MonitorTickWindow/plane=tier<=1.93*MonitorTickWindow/plane=monitor@B/op' \
 	-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
 	-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=57.5' \
 	-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=58.8' \
