@@ -441,8 +441,14 @@ func ingestWorkload(clients, total, edges, batch int, spanNS int64) []collector.
 	return out
 }
 
-// liveHeap is the heap still reachable after a full collection.
+// liveHeap is the heap still reachable after a full collection. It
+// collects twice: the first collection moves what the sync.Pools hold
+// (advance and Run scratch) to their victim caches, where it still
+// counts, and the second frees it. Pooled scratch is not resident
+// state; with one collection a reading depended on whether the GC had
+// happened to run between the last pooled Run and the measurement.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

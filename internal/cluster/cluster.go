@@ -171,10 +171,12 @@ var (
 // resize returns s with length n, reusing its backing when it fits.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// Cluster is one identified workload class.
+// Cluster is one identified workload class. Which fragments belong to
+// it is Result.Assign's answer alone; Result.Groups lists them for the
+// cold readers that need lists.
 type Cluster struct {
-	// Members are row indexes into the fragment log that was clustered.
-	Members []int32
+	// Size is the number of member fragments.
+	Size int
 	// Seed is the member with the smallest norm.
 	Seed int
 	// SeedNorm is the norm of the seed vector.
@@ -270,6 +272,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		if capture {
 			seedPos = append(seedPos, int32(pos))
 		}
+		ci := int32(len(res.Clusters))
 		c := Cluster{Seed: int(seed), SeedNorm: norms[seed]}
 		limit := norms[seed] * (1 + opt.Threshold)
 		maxDist := norms[seed] * opt.Threshold
@@ -297,14 +300,11 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 			}
 			if in {
 				processed[cand] = true
-				c.Members = append(c.Members, cand)
+				res.Assign[cand] = ci
+				c.Size++
 			}
 		}
-		ci := int32(len(res.Clusters))
-		for _, m := range c.Members {
-			res.Assign[m] = ci
-		}
-		c.Fixed = len(c.Members) >= opt.MinFragments
+		c.Fixed = c.Size >= opt.MinFragments
 		if !c.Fixed {
 			res.Small++
 		}
@@ -324,6 +324,26 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		}
 	}
 	return res, st
+}
+
+// Groups returns every cluster's members, indexed like Clusters, each
+// list in ascending fragment order: one pass over Assign into a single
+// backing array cut by the clusters' sizes.
+func (r *Result) Groups() [][]int32 {
+	groups := make([][]int32, len(r.Clusters))
+	flat := make([]int32, len(r.Assign))
+	off := 0
+	for ci := range r.Clusters {
+		n := r.Clusters[ci].Size
+		groups[ci] = flat[off : off : off+n]
+		off += n
+	}
+	for i, ci := range r.Assign {
+		if ci >= 0 {
+			groups[ci] = append(groups[ci], int32(i))
+		}
+	}
+	return groups
 }
 
 // FixedFraction returns the fraction of total elapsed time that falls in

@@ -49,8 +49,8 @@ func TestSeparatesWorkloadClasses(t *testing.T) {
 	for _, c := range res.Clusters {
 		if c.Fixed {
 			fixed++
-			if len(c.Members) != 10 {
-				t.Fatalf("cluster size %d, want 10", len(c.Members))
+			if c.Size != 10 {
+				t.Fatalf("cluster size %d, want 10", c.Size)
 			}
 		}
 	}
@@ -137,9 +137,10 @@ func TestIntraClusterDiameter(t *testing.T) {
 			frags[i] = compFrag(uint64(1000+rng.Intn(1000000)), 1)
 		}
 		res := Run(trace.LogOf(frags), opt)
-		for _, c := range res.Clusters {
+		groups := res.Groups()
+		for ci, c := range res.Clusters {
 			seedVec := VectorOf(&frags[c.Seed], opt)
-			for _, m := range c.Members {
+			for _, m := range groups[ci] {
 				v := VectorOf(&frags[m], opt)
 				if c.SeedNorm > 0 && v.Dist(seedVec) > opt.Threshold*c.SeedNorm*(1+1e-9) {
 					return false

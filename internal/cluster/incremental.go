@@ -37,23 +37,19 @@
 // restructures the partition and falls back to the batch path (counted
 // separately, see Cache.IncFallbackReasons).
 //
-// Bit-identity with Run is non-negotiable for Assign, Seed, SeedNorm,
-// Fixed and Small (the equivalence fuzz pins them), which dictates two
-// details: the sorted order must be the exact stable order Run produces
-// — ties broken by ascending fragment index, which a backward merge of
-// the old order with the sorted new batch preserves because new
-// fragments always carry the largest indices — and the absorb test
-// must be the exact float expression Run evaluates:
+// Bit-identity with Run is non-negotiable — an advanced Result is
+// reflect.DeepEqual to Run's on the same log (the equivalence fuzz pins
+// it) — which dictates two details: the sorted order must be the exact
+// stable order Run produces — ties broken by ascending fragment index,
+// which a backward merge of the old order with the sorted new batch
+// preserves because new fragments always carry the largest indices —
+// and the absorb test must be the exact float expression Run evaluates:
 // norms[cand]-norms[seed] <= seedNorm*Threshold in 1-D (NOT the
 // algebraically equal norms[cand] <= seedNorm*(1+Threshold), which
 // rounds differently) and distSq(cand, seed) <= (seedNorm*Threshold)²
-// in multi-D. Members ORDER is the one deliberate relaxation: a grown
-// cluster appends its new members at the tail of the previous Members
-// slice (grow-only backing, no memmove splice per advance), so Members
-// is equal to the batch clustering as a SET but not element-for-element
-// — the canonical position-sorted order is only observable through
-// derived artifacts (assignments, per-cluster sample sets) that are
-// order-insensitive.
+// in multi-D. A Cluster lists no members — membership is Assign — so
+// an advance hands the fragments that moved to consumers in its Delta:
+// each dirty run's Added, owned by the Delta.
 package cluster
 
 import (
@@ -68,16 +64,15 @@ import (
 // DirtyRun describes one recomputed cluster inside a Delta.
 type DirtyRun struct {
 	// OldIndex is the cluster of the previous Result whose membership
-	// this cluster extends (new members = old members plus the entries
-	// at AddedPos), or -1 when the cluster was rebuilt from fragments
-	// that previously belonged to other clusters.
+	// this cluster extends (new members = old members plus Added), or -1
+	// when the cluster was rebuilt from fragments that previously
+	// belonged to other clusters or arrived in this advance.
 	OldIndex int
-	// AddedPos lists, in ascending order, the positions in the new
-	// cluster's Members slice that hold newly appended fragments. Grown
-	// clusters append new members at the tail, so these are the
-	// trailing len(AddedPos) positions and Members[:len-len(AddedPos)]
-	// is the old membership verbatim. Only meaningful when OldIndex>=0.
-	AddedPos []int32
+	// Added lists the fragments the cluster gained: with OldIndex >= 0
+	// the appended fragments it absorbed, with OldIndex < 0 its whole
+	// membership. The Delta owns the lists; nothing the cluster state
+	// keeps aliases them. Their order is unspecified.
+	Added []int32
 }
 
 // Delta tells a consumer how a Result evolved from the Result of the
@@ -99,7 +94,7 @@ type Delta struct {
 	TailNew, TailOld int
 	// Dirty has one entry per middle cluster Prefix+i: recomputed runs
 	// and — when the cascade re-aligned between two insertion sites —
-	// old runs carried over verbatim (OldIndex set, empty AddedPos).
+	// old runs carried over verbatim (OldIndex set, empty Added).
 	Dirty []DirtyRun
 	// Ratio is the fraction of the sorted order the recompute spanned.
 	Ratio float64
@@ -433,9 +428,8 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 
 	sc.mids = mids
 
-	// Assemble the new Result, sharing every untouched Cluster struct
-	// with prev (Results are read-only by contract, so aliasing the
-	// immutable Members slices is safe — and what keeps this O(dirty)).
+	// Assemble the new Result: untouched clusters are copied from prev, a
+	// dirty run's membership goes into the Delta's Added lists.
 	tailNew := r0 + len(mids)
 	shift := tailNew - tailOld
 	nc := tailNew + (oldNC - tailOld)
@@ -443,6 +437,9 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 	clusters = append(clusters, prev.Clusters[:r0]...)
 
 	dirty := make([]DirtyRun, 0, len(mids))
+	// added backs the Added lists of grown runs, which hold only appended
+	// fragments, so it never outgrows k; a rebuilt run's list is its own.
+	added := make([]int32, 0, k)
 	ai := 0        // pointer into inserted
 	matchPtr := r0 // old-run pointer for grown-run matching
 	small := prev.Small
@@ -483,42 +480,31 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 			// matchPtr: it only grew.
 			oldIdx = matchPtr
 		}
-		var members []int32
-		var addedPos []int32
+		var gained []int32
 		if oldIdx >= 0 {
-			// Grown run: keep the old (immutable, shared) membership as
-			// the prefix and append the insertions at the tail. The
-			// append extends the grow-only backing behind the old slice
-			// when capacity allows — older Results hold length-capped
-			// views it cannot disturb — so a grown run costs O(added),
-			// not O(run): the per-advance memmove splice is gone.
-			oc := prev.Clusters[oldIdx].Members
-			members = oc
-			if ai > insStart {
-				addedPos = make([]int32, ai-insStart)
-			}
-			for j := insStart; j < ai; j++ {
-				addedPos[j-insStart] = int32(len(members))
-				members = append(members, batch[j])
-			}
+			// Grown run: the old members stay, the insertions join.
+			from := len(added)
+			added = append(added, batch[insStart:ai]...)
+			gained = added[from:len(added):len(added)]
 		} else {
-			members = slices.Clone(order[r.a:r.b])
+			gained = slices.Clone(order[r.a:r.b])
 		}
+		size := int(r.b - r.a)
 		c := Cluster{
-			Members:  members,
+			Size:     size,
 			Seed:     int(order[r.a]),
 			SeedNorm: tot.norm(order[r.a]),
-			Fixed:    len(members) >= opt.MinFragments,
+			Fixed:    size >= opt.MinFragments,
 		}
 		if !c.Fixed {
 			small++
 		}
 		clusters = append(clusters, c)
-		dirty = append(dirty, DirtyRun{OldIndex: oldIdx, AddedPos: addedPos})
+		dirty = append(dirty, DirtyRun{OldIndex: oldIdx, Added: gained})
 	}
 	clusters = append(clusters, prev.Clusters[tailOld:]...)
 
-	assign := s.commitAssign(prev, clusters, dirty, r0, tailNew, shift, nc, k)
+	assign := s.commitAssign(prev, dirty, r0, tailOld, shift, k)
 	res := Result{Clusters: clusters, Assign: assign[:total:total], Small: small}
 
 	// Commit the state.
@@ -549,9 +535,10 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 // extend the shared grow-only backing in place (older Results hold
 // length-capped prefixes of it, which the suffix writes cannot reach)
 // and skip the O(n) prefix copy entirely. Otherwise clone prev's
-// entries into a fresh array, apply the full patch set, and adopt the
+// entries into a fresh array, remap every surviving old cluster index
+// to its new one in one pass, write the Added lists, and adopt the
 // clone as the new backing.
-func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRun, r0, tailNew, shift, nc, k int) []int32 {
+func (s *incState) commitAssign(prev Result, dirty []DirtyRun, r0, tailOld, shift, k int) []int32 {
 	shared := shift == 0 && s.assign != nil && len(prev.Assign) == s.n &&
 		(s.n == 0 || &prev.Assign[0] == &s.assign[0])
 	if shared {
@@ -566,38 +553,41 @@ func (s *incState) commitAssign(prev Result, clusters []Cluster, dirty []DirtyRu
 	if shared {
 		s.assign = append(s.assign, make([]int32, k)...)
 		assign = s.assign
+	} else {
+		// append with a full-sliced base reallocates — growslice does not
+		// zero noscan memory, so the cost is one memmove of the prefix,
+		// not a zero+copy of the whole array.
+		assign = append(prev.Assign[:s.n:s.n], make([]int32, k)...)
+		// remap[o-r0] is the new index of middle cluster o, or -1 when o
+		// dissolved into rebuilt runs, whose Added lists rewrite its
+		// members below.
+		remap := make([]int32, tailOld-r0)
+		for i := range remap {
+			remap[i] = -1
+		}
 		for i := range dirty {
-			ci := int32(r0 + i)
-			for _, p := range dirty[i].AddedPos {
-				assign[clusters[ci].Members[p]] = ci
+			if o := dirty[i].OldIndex; o >= 0 {
+				remap[o-r0] = int32(r0 + i)
 			}
 		}
-		return assign
+		lo, hi := int32(r0), int32(tailOld)
+		for m, a := range assign[:s.n] {
+			switch {
+			case a < lo:
+			case a >= hi:
+				assign[m] = a + int32(shift)
+			default:
+				assign[m] = remap[a-lo]
+			}
+		}
+		s.assign = assign
 	}
-	// append with a full-sliced base reallocates — growslice does not
-	// zero noscan memory, so the cost is one memmove of the prefix,
-	// not a zero+copy of the whole array.
-	assign = append(prev.Assign[:s.n:s.n], make([]int32, k)...)
 	for i := range dirty {
 		ci := int32(r0 + i)
-		if dr := dirty[i]; dr.OldIndex == int(ci) {
-			for _, p := range dr.AddedPos {
-				assign[clusters[ci].Members[p]] = ci
-			}
-			continue
-		}
-		for _, m := range clusters[ci].Members {
+		for _, m := range dirty[i].Added {
 			assign[m] = ci
 		}
 	}
-	if shift != 0 {
-		for ci := tailNew; ci < nc; ci++ {
-			for _, m := range clusters[ci].Members {
-				assign[m] = int32(ci)
-			}
-		}
-	}
-	s.assign = assign
 	return assign
 }
 
@@ -662,6 +652,9 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 	var midClusters []Cluster
 	var midSeedPos []int32 // merged seed positions of the mid clusters
 	var dirty []DirtyRun
+	// added backs every Added list of the advance; only appended
+	// fragments join a cluster here, so it never outgrows k.
+	added := make([]int32, 0, k)
 	c := r0     // next old cluster to process
 	insJ := 0   // next pending insertion, in batch (= position) order
 	insPtr := 0 // #insertion points at old positions <= seedPos[c]
@@ -710,7 +703,7 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 				// absorb decisions are unchanged.
 				maxDistSq := maxDist * maxDist
 				sv := rv.read(frags, oc.Seed, opt, &f)
-				members := oc.Members // grown at the tail, as in 1-D
+				from := len(added)
 				for j := insJ; j < k && norms[batch[j]] <= limit; j++ {
 					if absorbed[j] {
 						continue
@@ -718,28 +711,25 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 					work++
 					if distSq(bvecs[int(batch[j])-oldN].vec(), sv) <= maxDistSq {
 						absorbed[j] = true
-						members = append(members, batch[j])
+						added = append(added, batch[j])
 					}
 				}
-				if len(members) == len(oc.Members) {
+				if len(added) == from {
 					midClusters = append(midClusters, oc)
 					midSeedPos = append(midSeedPos, int32(mseed))
 					dirty = append(dirty, DirtyRun{OldIndex: c})
 					c++
 					continue
 				}
-				addedPos := make([]int32, len(members)-len(oc.Members))
-				for x := range addedPos {
-					addedPos[x] = int32(len(oc.Members) + x)
-				}
+				size := oc.Size + len(added) - from
 				midClusters = append(midClusters, Cluster{
-					Members:  members,
+					Size:     size,
 					Seed:     oc.Seed,
 					SeedNorm: oc.SeedNorm,
-					Fixed:    len(members) >= opt.MinFragments,
+					Fixed:    size >= opt.MinFragments,
 				})
 				midSeedPos = append(midSeedPos, int32(mseed))
-				dirty = append(dirty, DirtyRun{OldIndex: c, AddedPos: addedPos})
+				dirty = append(dirty, DirtyRun{OldIndex: c, Added: added[from:len(added):len(added)]})
 				c++
 				continue
 			}
@@ -756,7 +746,8 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 		maxDistSq := maxDist * maxDist
 		sv := bvecs[seedF-oldN].vec()
 		absorbed[insJ] = true
-		members := []int32{batch[insJ]}
+		from := len(added)
+		added = append(added, batch[insJ])
 		e := insPos + 1 + sort.Search(total-insPos-1, func(i int) bool {
 			return norms[order[insPos+1+i]] > limit
 		})
@@ -767,7 +758,7 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 				j := int(jOf[fi-oldN])
 				if !absorbed[j] && distSq(bvecs[fi-oldN].vec(), sv) <= maxDistSq {
 					absorbed[j] = true
-					members = append(members, order[p])
+					added = append(added, order[p])
 				}
 				continue
 			}
@@ -781,14 +772,15 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 		if work > maxSpan {
 			return Result{}, Delta{}, false, fbDirty
 		}
+		size := len(added) - from
 		midClusters = append(midClusters, Cluster{
-			Members:  members,
+			Size:     size,
 			Seed:     seedF,
 			SeedNorm: sn,
-			Fixed:    len(members) >= opt.MinFragments,
+			Fixed:    size >= opt.MinFragments,
 		})
 		midSeedPos = append(midSeedPos, int32(insPos))
-		dirty = append(dirty, DirtyRun{OldIndex: -1})
+		dirty = append(dirty, DirtyRun{OldIndex: -1, Added: added[from:len(added):len(added)]})
 	}
 
 	// Assemble the Result: untouched prefix, mid clusters, verbatim tail.
@@ -811,7 +803,7 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 		}
 	}
 
-	assign := s.commitAssign(prev, clusters, dirty, r0, tailNew, shift, nc, k)
+	assign := s.commitAssign(prev, dirty, r0, tailOld, shift, k)
 	res := Result{Clusters: clusters, Assign: assign[:total:total], Small: small}
 
 	// Commit the state. Prefix seed positions are unchanged (every

@@ -12,37 +12,12 @@ import (
 	"vapro/internal/trace"
 )
 
-// sameClustering reports whether got (an incremental result) is
-// equivalent to want (the batch result on the same fragments): Assign,
-// Small, and every cluster's Seed/SeedNorm/Fixed must be bit-identical;
-// Members must hold the same fragment SET. Member order is the one
-// deliberate relaxation of the incremental contract — grown clusters
-// append new members at the tail instead of splicing them into the
-// canonical position order, and nothing downstream observes the order
-// (derived artifacts are keyed by Assign or re-sorted).
-func sameClustering(got, want cluster.Result) bool {
-	if got.Small != want.Small || len(got.Clusters) != len(want.Clusters) ||
-		!reflect.DeepEqual(got.Assign, want.Assign) {
-		return false
-	}
-	for i := range got.Clusters {
-		g, w := got.Clusters[i], want.Clusters[i]
-		if g.Seed != w.Seed || g.SeedNorm != w.SeedNorm || g.Fixed != w.Fixed ||
-			len(g.Members) != len(w.Members) {
-			return false
-		}
-		gm, wm := slices.Clone(g.Members), slices.Clone(w.Members)
-		slices.Sort(gm)
-		slices.Sort(wm)
-		if !slices.Equal(gm, wm) {
-			return false
-		}
-	}
-	return true
-}
-
 // checkDelta verifies the structural claims a non-Full Delta makes
-// about how `got` evolved from `prev`.
+// about how `got` evolved from `prev`. A dirty run's Added must be
+// exactly the fragments whose new Assign is its cluster and which are
+// new to it: for a grown run the members its old cluster did not have
+// (and every old member must stay, so the sizes add up), for a rebuilt
+// run every member.
 func checkDelta(t *testing.T, sched, burst int, prev, got cluster.Result, d cluster.Delta) {
 	t.Helper()
 	if d.Prefix < 0 || d.Prefix > d.TailNew || d.TailNew > len(got.Clusters) ||
@@ -61,27 +36,32 @@ func checkDelta(t *testing.T, sched, burst int, prev, got cluster.Result, d clus
 			t.Fatalf("schedule %d burst %d: tail cluster %d changed", sched, burst, i)
 		}
 	}
-	for di, dr := range d.Dirty {
-		if dr.OldIndex < 0 {
+	want := make([][]int32, len(d.Dirty)) // by dirty run: the members new to it
+	for m, ci := range got.Assign {
+		di := int(ci) - d.Prefix
+		if di < 0 || di >= len(d.Dirty) {
 			continue
 		}
-		if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld {
-			t.Fatalf("schedule %d burst %d: grown run references preserved cluster %d", sched, burst, dr.OldIndex)
+		if o := d.Dirty[di].OldIndex; o >= 0 && m < len(prev.Assign) && int(prev.Assign[m]) == o {
+			continue
 		}
-		nc := got.Clusters[d.Prefix+di]
-		oc := prev.Clusters[dr.OldIndex]
-		kept := make([]int32, 0, len(nc.Members))
-		ai := 0
-		for p, m := range nc.Members {
-			if ai < len(dr.AddedPos) && int(dr.AddedPos[ai]) == p {
-				ai++
-				continue
+		want[di] = append(want[di], int32(m))
+	}
+	for di, dr := range d.Dirty {
+		if dr.OldIndex >= 0 {
+			if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld {
+				t.Fatalf("schedule %d burst %d: grown run references preserved cluster %d", sched, burst, dr.OldIndex)
 			}
-			kept = append(kept, m)
+			if got.Clusters[d.Prefix+di].Size != prev.Clusters[dr.OldIndex].Size+len(dr.Added) {
+				t.Fatalf("schedule %d burst %d: dirty run %d is not old cluster %d plus Added",
+					sched, burst, di, dr.OldIndex)
+			}
 		}
-		if ai != len(dr.AddedPos) || !reflect.DeepEqual(kept, oc.Members) {
-			t.Fatalf("schedule %d burst %d: dirty run %d is not old cluster %d plus AddedPos",
-				sched, burst, di, dr.OldIndex)
+		added := slices.Clone(dr.Added)
+		slices.Sort(added)
+		if !slices.Equal(added, want[di]) {
+			t.Fatalf("schedule %d burst %d: dirty run %d (old %d) added %v, want %v",
+				sched, burst, di, dr.OldIndex, added, want[di])
 		}
 	}
 }
@@ -148,7 +128,7 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 			g.Count = uint64(len(frags))
 			got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
 			want := cluster.Run(trace.LogOf(frags), opt)
-			if !sameClustering(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("schedule %d burst %d (n=%d, opt=%+v): incremental clustering diverges from batch",
 					s, b, len(frags), opt)
 			}
@@ -299,7 +279,7 @@ func TestCacheConcurrentIncrementalRace(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				n := step * (1 + rng.Intn(total/step))
 				got := c.Run(key, gen(n), trace.LogOf(frags[:n]), opt)
-				if !sameClustering(got, cluster.Run(trace.LogOf(frags[:n]), opt)) {
+				if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags[:n]), opt)) {
 					t.Errorf("reader snapshot %d diverges from batch", n)
 					return
 				}
@@ -365,9 +345,9 @@ func mdPalette(rng *rand.Rand) []mdClass {
 // novel vectors that seed new clusters mid-order (including ones that
 // restructure the partition and must fall back), extra-metrics 2-D
 // computation vectors, stale reads, and epoch rebases — the incremental
-// path stays equivalent to cluster.Run on the same fragment set (exact
-// Assign/Seed/Fixed/Small, order-insensitive Members) and its Deltas
-// accurately describe the evolution.
+// path returns results bit-identical (reflect.DeepEqual) to cluster.Run
+// on the same fragment set and its Deltas accurately describe the
+// evolution.
 func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 	schedules := 1100
 	if testing.Short() {
@@ -409,7 +389,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 			g.Count = uint64(len(frags))
 			got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
 			want := cluster.Run(trace.LogOf(frags), opt)
-			if !sameClustering(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("schedule %d burst %d (n=%d, opt=%+v): multi-D incremental diverges from batch",
 					s, b, len(frags), opt)
 			}
@@ -421,7 +401,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 			if rng.Intn(8) == 0 && len(frags) > 5 {
 				m := 1 + rng.Intn(len(frags)-1)
 				sg := stg.Gen{Epoch: g.Epoch, Count: uint64(m)}
-				if !sameClustering(c.Run(key, sg, trace.LogOf(frags[:m]), opt), cluster.Run(trace.LogOf(frags[:m]), opt)) {
+				if !reflect.DeepEqual(c.Run(key, sg, trace.LogOf(frags[:m]), opt), cluster.Run(trace.LogOf(frags[:m]), opt)) {
 					t.Fatalf("schedule %d burst %d: stale multi-D read at %d diverges", s, b, m)
 				}
 			}
@@ -432,7 +412,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 				if !d.Full {
 					t.Fatalf("schedule %d burst %d: multi-D rebase did not take the batch path", s, b)
 				}
-				if !sameClustering(got, cluster.Run(trace.LogOf(frags), opt)) {
+				if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags), opt)) {
 					t.Fatalf("schedule %d burst %d: post-rebase multi-D clustering diverges", s, b)
 				}
 				prev = got
@@ -470,7 +450,7 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 			if d.Full {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D burst fell back to batch", s, b)
 			}
-			if !sameClustering(got, cluster.Run(trace.LogOf(frags), opt)) {
+			if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags), opt)) {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D diverges", s, b)
 			}
 		}
@@ -484,10 +464,10 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 }
 
 // TestMultiDAdvanceAllocsPinned pins the steady-state allocation count
-// of one grown multi-D advance: with the cached vectors, order, and
-// grow-only Members/Assign backings, an advance allocates only the
-// small per-delta bookkeeping — no per-advance Members splice, nothing
-// proportional to the resident population.
+// of one grown multi-D advance: with the cached norms and order and the
+// grow-only Assign backing, an advance allocates only the small
+// per-delta bookkeeping — nothing proportional to the resident
+// population.
 func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pal := mdPalette(rng)
@@ -524,7 +504,7 @@ func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 // pool, so a warm advance allocates the same number of times whether it
 // appends 64 fragments or 4 096, on the 1-D path and on the multi-D one,
 // and only for what it hands out: the Result's cluster slice, the
-// Delta's dirty list and one AddedPos per grown cluster, the next cut
+// Delta's dirty list and the backing of its Added lists, the next cut
 // table (and on the multi-D path the growth of its mid-cluster lists).
 // Every view is taken before measuring, so the log's own chunk
 // allocations stay out of the count.

@@ -399,9 +399,9 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 		p := m.planes[k.plane]
 		log := e.Log()
 		cl := p.an.Cache().Run(k.Key, e.Gen, log, p.opt.Detect.Cluster)
-		for ci := range cl.Clusters {
+		for ci, members := range cl.Groups() {
 			if cl.Clusters[ci].Fixed {
-				clusters = append(clusters, log.Pick(cl.Clusters[ci].Members))
+				clusters = append(clusters, log.PickByTime(members))
 			}
 		}
 	}

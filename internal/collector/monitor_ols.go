@@ -72,10 +72,25 @@ func buildClusterMoments(factors []diagnose.Factor, frags trace.LogView, members
 	return cm
 }
 
+// buildMoments folds every fragment into fresh moments of its cluster,
+// in one pass over Assign.
+func buildMoments(factors []diagnose.Factor, frags trace.LogView, res cluster.Result) []*diagnose.ClusterMoments {
+	streams := make([]*diagnose.ClusterMoments, len(res.Clusters))
+	for i := range streams {
+		streams[i] = diagnose.NewClusterMoments(factors)
+	}
+	var f trace.Fragment
+	for i, ci := range res.Assign {
+		frags.ReadCounters(i, &f)
+		streams[ci].Add(&f)
+	}
+	return streams
+}
+
 // observeClustering is the analyzer hook: fired for every element
 // clustering a window analysis consults, concurrently from the pass's
 // workers. It advances the edge's warm moments by the clustering Delta
-// — rank-1 Adds for appended members of grown clusters, carried
+// — rank-1 Adds for the Added members of grown clusters, carried
 // pointers for untouched clusters — and rebuilds from scratch when the
 // delta does not connect to the recorded generation.
 func (m *Monitor) observeClustering(plane int, key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta) {
@@ -106,11 +121,10 @@ func (m *Monitor) observeClustering(plane int, key cluster.Key, gen stg.Gen, fra
 		}
 	}
 	// No usable relationship to the recorded state: rebuild every
-	// cluster's moments from its membership.
-	em.streams = make([]*diagnose.ClusterMoments, len(res.Clusters))
+	// cluster's moments from the clustering.
+	em.streams = buildMoments(m.olsFactors, frags, res)
 	em.fixed = make([]bool, len(res.Clusters))
 	for i := range res.Clusters {
-		em.streams[i] = buildClusterMoments(m.olsFactors, frags, res.Clusters[i].Members)
 		em.fixed[i] = res.Clusters[i].Fixed
 	}
 	em.gen = gen
@@ -144,20 +158,17 @@ func (m *Monitor) advanceMoments(met *Metrics, em *elemMoments, frags trace.LogV
 				return false
 			}
 			dr := d.Dirty[i-d.Prefix]
-			members := res.Clusters[i].Members
 			if dr.OldIndex >= 0 && dr.OldIndex < len(old) {
 				cm := old[dr.OldIndex]
-				for _, pos := range dr.AddedPos {
-					if int(pos) >= len(members) {
-						return false
-					}
-					frags.ReadCounters(int(members[pos]), &f)
+				for _, fi := range dr.Added {
+					frags.ReadCounters(int(fi), &f)
 					cm.Add(&f)
 				}
-				adds += uint64(len(dr.AddedPos))
+				adds += uint64(len(dr.Added))
 				streams[i] = cm
 			} else {
-				streams[i] = buildClusterMoments(m.olsFactors, frags, members)
+				// Rebuilt: Added is the whole membership.
+				streams[i] = buildClusterMoments(m.olsFactors, frags, dr.Added)
 				rebuilt++
 			}
 		}

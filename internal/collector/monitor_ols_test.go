@@ -97,9 +97,9 @@ func eventEdges(m *Monitor, ev *Event) ([]planeEdge, [][]trace.Fragment) {
 		edges = append(edges, planeEdge{plane, e})
 		p := m.planes[plane]
 		cl := p.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Log(), p.opt.Detect.Cluster)
-		for ci := range cl.Clusters {
+		for ci, members := range cl.Groups() {
 			if cl.Clusters[ci].Fixed {
-				clusters = append(clusters, e.Log().Pick(cl.Clusters[ci].Members))
+				clusters = append(clusters, e.Log().PickByTime(members))
 			}
 		}
 	}

@@ -349,8 +349,8 @@ func (r *Result) regionClusters(region *detect.Region) [][]trace.Fragment {
 		if k.cluster < 0 || k.cluster >= len(cl.Clusters) {
 			continue
 		}
-		if members := cl.Clusters[k.cluster].Members; len(members) > 0 {
-			out = append(out, el.Log().Pick(members))
+		if members := cl.Groups()[k.cluster]; len(members) > 0 {
+			out = append(out, el.Log().PickByTime(members))
 		}
 	}
 	return out
@@ -381,9 +381,9 @@ func (r *Result) FixedClusters(class detect.Class) [][]trace.Fragment {
 	collect := func(key cluster.Key, el *stg.Element) {
 		log := el.Log()
 		cl := r.clusterElement(key, el)
-		for ci := range cl.Clusters {
+		for ci, members := range cl.Groups() {
 			if cl.Clusters[ci].Fixed {
-				clusters = append(clusters, log.Pick(cl.Clusters[ci].Members))
+				clusters = append(clusters, log.PickByTime(members))
 			}
 		}
 	}

@@ -193,7 +193,8 @@ func (h *HeatMap) StaleAt(rank, win int) bool {
 // row cut at limit(rank) columns (nil: the whole row; a merged map marks
 // a row only as far as its owner's stream reaches). Zero-length outages
 // (loss at a rank's high-water mark with no later data yet) mark the
-// single cell containing their start.
+// single cell containing their start. An outage that ends at or before
+// the origin touches no cell.
 func (h *HeatMap) markStale(outages []Outage, limit func(rank int) int) {
 	for _, o := range outages {
 		if o.Rank < 0 || o.Rank >= h.Ranks {
@@ -206,6 +207,9 @@ func (h *HeatMap) markStale(outages []Outage, limit func(rank int) int) {
 		end := o.End
 		if end <= o.Start {
 			end = o.Start + 1
+		}
+		if end <= int64(h.Origin) {
+			continue // wholly before column 0: the division below would truncate it into it
 		}
 		w0 := max(int((o.Start-int64(h.Origin))/int64(h.Window)), 0)
 		w1 := min(int((end-1-int64(h.Origin))/int64(h.Window)), wins-1)
@@ -552,9 +556,9 @@ func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, op
 	if minFrag <= 0 {
 		minFrag = 5
 	}
+	groups := cl.Groups()
 	for ci := range cl.Clusters {
-		c := &cl.Clusters[ci]
-		if c.Fixed {
+		if cl.Clusters[ci].Fixed {
 			out.fixedClusters++
 		} else {
 			out.smallClusters++
@@ -563,7 +567,7 @@ func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, op
 		// Fastest member defines performance 1.0.
 		best := int64(math.MaxInt64)
 		perRank := make(map[int]int)
-		for _, m := range c.Members {
+		for _, m := range groups[ci] {
 			rank, _, e := frags.Span(int(m))
 			perRank[rank]++
 			if e > 0 && e < best {
@@ -573,7 +577,7 @@ func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, op
 		if best == math.MaxInt64 {
 			continue
 		}
-		for _, m := range c.Members {
+		for _, m := range groups[ci] {
 			rank, fstart, elapsed := frags.Span(int(m))
 			if fstart >= end || fstart+elapsed <= start {
 				continue

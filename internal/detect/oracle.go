@@ -85,19 +85,19 @@ func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag i
 		c := ClassOf(frags.Kind(i))
 		all[c] = append(all[c], spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
 	}
+	groups := cl.Groups()
 	for ci := range cl.Clusters {
-		c := &cl.Clusters[ci]
-		if !c.Fixed {
+		if !cl.Clusters[ci].Fixed {
 			continue
 		}
 		st := clustState{best: math.MaxInt64}
-		for _, m := range c.Members {
+		for _, m := range groups[ci] {
 			st.observe(frags, m)
 		}
 		if st.best == math.MaxInt64 {
 			continue
 		}
-		for _, m := range c.Members {
+		for _, m := range groups[ci] {
 			s := st.sample(frags, m, ref, ci, minFrag)
 			class := ClassOf(frags.Kind(int(m)))
 			ents[class] = append(ents[class], spanEnt{

@@ -123,3 +123,36 @@ func TestStaleMapAndRegionsParity(t *testing.T) {
 		t.Fatalf("stale cells formed regions: %+v", regions)
 	}
 }
+
+// TestMarkStaleBeforeOrigin: an outage that ends at or before a heat
+// map's origin marks no cell. A negative offset divided by the cell
+// width truncates toward zero, into column 0, and a stale cell never
+// joins a region, so such a mark would hide variance at the start of
+// every overlapped window.
+func TestMarkStaleBeforeOrigin(t *testing.T) {
+	const origin, window = int64(10_000_000_000), int64(50_000_000)
+	for _, tc := range []struct {
+		name  string
+		o     Outage
+		stale []int // columns that must be stale
+	}{
+		{"ends before origin", Outage{Start: origin - 100, End: origin - 50}, nil},
+		{"zero-length before origin", Outage{Start: origin - 40_000_000, End: origin - 40_000_000}, nil},
+		{"ends at origin", Outage{Start: origin - window, End: origin}, nil},
+		{"straddles origin", Outage{Start: origin - 100, End: origin + 1}, []int{0}},
+		{"zero-length at origin", Outage{Start: origin, End: origin}, []int{0}},
+		{"second column", Outage{Start: origin + window, End: origin + window + 1}, []int{1}},
+	} {
+		h := &HeatMap{Ranks: 1, Windows: 3, Window: sim.Duration(window), Origin: sim.Time(origin), Cells: make([]float64, 3)}
+		h.markStale([]Outage{tc.o}, nil)
+		for w := 0; w < h.Windows; w++ {
+			want := false
+			for _, s := range tc.stale {
+				want = want || s == w
+			}
+			if h.StaleAt(0, w) != want {
+				t.Errorf("%s: column %d stale=%v, want %v", tc.name, w, h.StaleAt(0, w), want)
+			}
+		}
+	}
+}

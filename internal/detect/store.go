@@ -29,8 +29,9 @@ import (
 // fragment beyond its span-index entry, and a sample is derived as it
 // is written into a window's stream. An append folds the appended
 // positions into their clusters' states and touches nothing else; a
-// cluster whose composition changed re-walks its own members. Nothing
-// is ever dead, so there is nothing to compact.
+// rebuilt cluster folds the whole membership its Delta lists, and a
+// cluster that starts to emit is walked in one pass over Assign.
+// Nothing is ever dead, so there is nothing to compact.
 //
 // Every fragment's span is indexed once, under the fragment's own
 // heat-map class: class is a property of a fragment's place in the
@@ -245,21 +246,36 @@ func (st *sampleStore) addSpans(frags trace.LogView, from int) {
 	}
 }
 
-// walk computes one cluster's state from its whole membership.
-func walk(frags trace.LogView, c *cluster.Cluster) clustState {
-	cst := clustState{best: math.MaxInt64}
-	if c.Fixed {
-		for _, m := range c.Members {
-			cst.observe(frags, m)
+// seal finishes a state its cluster's members were folded into: a
+// cluster with a valid best emits its members as samples; a small one,
+// or a fixed one with no positive elapsed, emits nothing.
+func (st *clustState) seal(size int) {
+	if st.best == math.MaxInt64 {
+		*st = clustState{}
+		return
+	}
+	st.emitted = true
+	st.nStored = int32(size)
+}
+
+// walkAssign computes the states of the clusters marked in need from
+// their whole memberships, in one pass over Assign.
+func walkAssign(frags trace.LogView, cl cluster.Result, cstate []clustState, need []bool) {
+	for ci := range cstate {
+		if need[ci] {
+			cstate[ci] = clustState{best: math.MaxInt64}
 		}
 	}
-	if cst.best == math.MaxInt64 {
-		// Small, or fixed with no positive elapsed: no member is a sample.
-		return clustState{}
+	for i, ci := range cl.Assign {
+		if need[ci] {
+			cstate[ci].observe(frags, int32(i))
+		}
 	}
-	cst.emitted = true
-	cst.nStored = int32(len(c.Members))
-	return cst
+	for ci := range cstate {
+		if need[ci] {
+			cstate[ci].seal(cl.Clusters[ci].Size)
+		}
+	}
 }
 
 // buildStore builds the store representation from scratch.
@@ -269,9 +285,11 @@ func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
 		cstate: make([]clustState, len(cl.Clusters)),
 	}
 	p.store = st
+	need := make([]bool, len(cl.Clusters))
 	for ci := range cl.Clusters {
-		st.cstate[ci] = walk(frags, &cl.Clusters[ci])
+		need[ci] = cl.Clusters[ci].Fixed
 	}
+	walkAssign(frags, cl, st.cstate, need)
 	st.addSpans(frags, 0)
 }
 
@@ -281,9 +299,12 @@ func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
 // from a different generation than the prep holds, the options moved,
 // or a consistency check failed. Prefix and tail clusters keep their
 // state (the tail's under its shifted index), grown emitted clusters
-// fold in just their added members, and rebuilt clusters re-walk their
-// whole membership. The state derived per sample absorbs best and
-// coverage movement without touching anything resident.
+// fold in just their Added members, and rebuilt clusters fold their
+// Added lists, which hold their whole memberships. A grown cluster that
+// starts to emit had its old members never folded: those clusters are
+// walked together in one pass over Assign. The state derived per sample
+// absorbs best and coverage movement without touching anything
+// resident.
 func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
 	if d.Full || p.copt != opt.Cluster || d.From != p.gen {
 		return false
@@ -307,15 +328,18 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	st.claimed = slices.Grow(st.claimed[:0], d.TailOld-d.Prefix)[:d.TailOld-d.Prefix]
 	clear(st.claimed)
 	for di, dr := range d.Dirty {
+		size := cl.Clusters[d.Prefix+di].Size
 		if dr.OldIndex < 0 {
+			if len(dr.Added) != size {
+				return false
+			}
 			continue
 		}
 		if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld || st.claimed[dr.OldIndex-d.Prefix] {
 			return false
 		}
 		st.claimed[dr.OldIndex-d.Prefix] = true
-		if os := &st.cstate[dr.OldIndex]; os.emitted &&
-			int(os.nStored) != len(cl.Clusters[d.Prefix+di].Members)-len(dr.AddedPos) {
+		if os := &st.cstate[dr.OldIndex]; os.emitted && int(os.nStored) != size-len(dr.Added) {
 			return false
 		}
 	}
@@ -324,22 +348,39 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	copy(newState, st.cstate[:d.Prefix])
 	copy(newState[d.TailNew:], st.cstate[d.TailOld:])
 
+	var need []bool // the clusters walkAssign computes
 	for di, dr := range d.Dirty {
 		ci := d.Prefix + di
 		cc := &cl.Clusters[ci]
-		if dr.OldIndex >= 0 && st.cstate[dr.OldIndex].emitted && cc.Fixed {
+		switch {
+		case !cc.Fixed:
+			// Small: no member is a sample; the zero state says so.
+		case dr.OldIndex < 0:
+			// Rebuilt: Added is the whole membership.
+			cst := clustState{best: math.MaxInt64}
+			for _, m := range dr.Added {
+				cst.observe(frags, m)
+			}
+			cst.seal(cc.Size)
+			newState[ci] = cst
+		case st.cstate[dr.OldIndex].emitted:
 			// Grown emitted cluster: only the added members are new.
 			cst := st.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table
-			for _, ap := range dr.AddedPos {
-				cst.observe(frags, cc.Members[ap])
+			for _, m := range dr.Added {
+				cst.observe(frags, m)
 			}
-			cst.nStored += int32(len(dr.AddedPos))
+			cst.nStored += int32(len(dr.Added))
 			newState[ci] = cst
-			continue
+		default:
+			// Grown into emission: its old members were never folded.
+			if need == nil {
+				need = make([]bool, newNC)
+			}
+			need[ci] = true
 		}
-		// Rebuilt composition, a cluster newly grown into emission, or a
-		// still-small cluster: a fresh walk.
-		newState[ci] = walk(frags, cc)
+	}
+	if need != nil {
+		walkAssign(frags, cl, newState, need)
 	}
 
 	st.assign = cl.Assign

@@ -52,10 +52,10 @@ func fig05series(res *core.Result) (ins, tsc []float64) {
 			continue
 		}
 		cl := cluster.Run(trace.LogOf(r0), cluster.DefaultOptions())
-		for _, c := range cl.Clusters {
-			if len(c.Members) > len(best) {
-				sub := make([]trace.Fragment, 0, len(c.Members))
-				for _, m := range c.Members {
+		for ci, members := range cl.Groups() {
+			if cl.Clusters[ci].Size > len(best) {
+				sub := make([]trace.Fragment, 0, len(members))
+				for _, m := range members {
 					sub = append(sub, r0[m])
 				}
 				best = sub

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 )
@@ -396,4 +398,18 @@ func (v LogView) Pick(idx []int32) []Fragment {
 		v.Read(int(i), &out[j])
 	}
 	return out
+}
+
+// PickByTime materialises the rows named by idx in time order: by
+// start, then rank, then position. A log's rows are in the order ranks'
+// batches reached the server, which varies run to run; a reader that
+// sums floats over the rows gets the same bits from every run when it
+// reads them in time order. It reorders idx.
+func (v LogView) PickByTime(idx []int32) []Fragment {
+	slices.SortFunc(idx, func(a, b int32) int {
+		ra, sa, _ := v.Span(int(a))
+		rb, sb, _ := v.Span(int(b))
+		return cmp.Or(cmp.Compare(sa, sb), cmp.Compare(ra, rb), cmp.Compare(a, b))
+	})
+	return v.Pick(idx)
 }
