@@ -884,10 +884,10 @@ func benchMonitorTickWindow(b *testing.B, disable bool) {
 // 250 ms overlap, 50 ms cells). One op delivers one flush per rank, and
 // the monitor ticks whenever the watermark closes a window (about once
 // per op), so the op also pays the pool's intake and view refresh and
-// the streaming-OLS cluster-delta hook, which a bare analyzer never runs.
+// the streaming-OLS moment fold, which a bare analyzer never runs.
 // shards > 0 runs the same stream and ticks through NewShardedMonitor
-// over a tier of that many planes: each plane's analyzer carries the
-// hook for its own elements, and every tick fans out and merges.
+// over a tier of that many planes: each plane's analyzer folds the
+// moments of its own elements, and every tick fans out and merges.
 func benchMonitorTickWindowMonitor(b *testing.B, shards int) {
 	const ranks, perRank, resident = 64, 256, 500_000
 	s := newTickStream(ranks, 8)
@@ -896,19 +896,10 @@ func benchMonitorTickWindowMonitor(b *testing.B, shards int) {
 	copt.Detect.Window = 50 * sim.Millisecond
 	mopt := collector.DefaultMonitorOptions(ranks)
 	var m *collector.Monitor
-	var snapshot func() obs.Snapshot
 	if shards > 0 {
-		tier := collector.NewShardedPool(ranks, shards, copt)
-		m, snapshot = collector.NewShardedMonitor(tier, mopt), tier.MergedSnapshot
+		m = collector.NewShardedMonitor(collector.NewShardedPool(ranks, shards, copt), mopt)
 	} else {
-		pool := collector.NewPool(ranks, copt)
-		m, snapshot = collector.NewMonitor(pool, mopt), pool.Metrics().Registry.Snapshot
-	}
-	// hookNS is the cluster-delta hook's worker time so far, summed over
-	// the planes.
-	hookNS := func() float64 {
-		snap := snapshot()
-		return float64(snap.Get("vapro_detect_stage_hook_ns").Hist.Sum)
+		m = collector.NewMonitor(collector.NewPool(ranks, copt), mopt)
 	}
 	round := func() {
 		batch := s.nextFlushes(perRank)
@@ -923,13 +914,10 @@ func benchMonitorTickWindowMonitor(b *testing.B, shards int) {
 		round()
 	}
 	b.ReportAllocs()
-	hook0 := hookNS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
 	}
-	b.StopTimer()
-	b.ReportMetric((hookNS()-hook0)/float64(b.Elapsed().Nanoseconds()), "hook_share")
 }
 
 // BenchmarkMonitorTickWindow pins the sort-free tick against the batch

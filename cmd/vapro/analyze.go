@@ -7,10 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
+	"strings"
 
 	"vapro"
 	"vapro/internal/collector"
+	"vapro/internal/interpose"
 	"vapro/internal/sim"
 	"vapro/internal/trace"
 	"vapro/internal/wal"
@@ -80,13 +82,16 @@ func analyzeRecording(w io.Writer, path string, asJSON bool, rf reportFlags) err
 }
 
 // analyzeJournal replays a delivery journal written by `vapro serve
-// -journal` into a fresh offline pool and runs the windowed analysis
-// over a virtual-time range. The journal holds the delivered frame
-// stream in delivery order, so the rebuilt state — fragment logs,
-// sequence gaps, outage intervals — matches what the live server held,
-// and the window grid is anchored at zero exactly like the live one:
-// a range query returns the same rows the live WindowResults would,
-// filtered to the requested [from, to) span.
+// -journal` into a fresh offline copy of the live planes and runs the
+// windowed analysis over a virtual-time range. The journal holds the
+// delivered frame stream in delivery order, so the rebuilt state —
+// fragment logs, sequence gaps, outage intervals — matches what the
+// live server held: a single server's journal replays into one pool,
+// and shard i's journal of a sharded serve into plane i of a tier with
+// the same shard count, so every plane normalizes against its own
+// population as it did live. The window grid is anchored at zero
+// exactly like the live one: a range query returns the same rows the
+// live WindowResults would, filtered to the requested [from, to) span.
 func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, asJSON bool) error {
 	dirs, err := journalDirs(journal)
 	if err != nil {
@@ -132,13 +137,25 @@ func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, as
 	}
 
 	// Second pass: replay for real through the collector path (sequence
-	// observation included), then run the range query. Sharded journals
-	// replay sequentially — ranks never span shards, so each rank's
-	// frame order is exactly its original delivery order.
-	pool := collector.NewPool(n, collector.DefaultOptions())
+	// observation included), then run the range query. Shards replay
+	// one after the other: ranks never span shards, so each rank's frame
+	// order is exactly its original delivery order.
+	opt := collector.DefaultOptions()
+	var sinks []interpose.Sink
+	var query func(from, to int64) []*collector.WindowResult
+	if len(logs) == 1 {
+		pool := collector.NewPool(n, opt)
+		sinks, query = []interpose.Sink{pool}, pool.WindowResultsRange
+	} else {
+		tier := collector.NewShardedPool(n, len(logs), opt)
+		for i := range logs {
+			sinks = append(sinks, tier.WireSink(i))
+		}
+		query = tier.WindowResultsRange
+	}
 	replayed := 0
-	for _, l := range logs {
-		nf, err := collector.ReplayJournal(l, pool)
+	for i, l := range logs {
+		nf, err := collector.ReplayJournal(l, sinks[i])
 		if err != nil {
 			return err
 		}
@@ -146,7 +163,7 @@ func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, as
 	}
 	fromNS := int64(from * float64(sim.Second))
 	toNS := int64(to * float64(sim.Second))
-	results := pool.WindowResultsRange(fromNS, toNS)
+	results := query(fromNS, toNS)
 
 	if asJSON {
 		return printWindowsJSON(w, results, replayed)
@@ -166,24 +183,33 @@ func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, as
 }
 
 // journalDirs resolves the journal layout: a single-server journal is
-// segments directly in dir; a sharded serve writes shard<N>/
-// subdirectories. Both shapes are accepted.
+// segments directly in dir; a sharded serve writes one shard<i>/
+// subdirectory per plane, returned at index i — by the number in its
+// name, not lexically (shard10 sorts before shard2) — and every shard
+// of the tier must be there.
 func journalDirs(dir string) ([]string, error) {
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if len(segs) > 0 {
 		return []string{dir}, nil
 	}
 	shards, _ := filepath.Glob(filepath.Join(dir, "shard*"))
-	var out []string
+	byIndex := map[int]string{}
 	for _, s := range shards {
-		if fi, err := os.Stat(s); err == nil && fi.IsDir() {
-			out = append(out, s)
+		i, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(s), "shard"))
+		if fi, serr := os.Stat(s); err == nil && i >= 0 && serr == nil && fi.IsDir() {
+			byIndex[i] = s
 		}
 	}
-	if len(out) == 0 {
+	if len(byIndex) == 0 {
 		return nil, fmt.Errorf("no journal segments or shard*/ subdirectories under %s", dir)
 	}
-	sort.Strings(out)
+	out := make([]string, len(byIndex))
+	for i, s := range byIndex {
+		if i >= len(out) {
+			return nil, fmt.Errorf("%s: shard directories are not shard0..shard%d", dir, len(out)-1)
+		}
+		out[i] = s
+	}
 	return out, nil
 }
 

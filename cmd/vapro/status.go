@@ -321,7 +321,7 @@ func renderStatus(s *obs.Snapshot) string {
 	}
 	b.WriteString("\n")
 	var stages []string
-	for _, st := range []string{"prep", "cluster", "normalize", "merge", "map", "hook"} {
+	for _, st := range []string{"prep", "cluster", "normalize", "merge", "map"} {
 		if h := hist(s, "vapro_detect_stage_"+st+"_ns"); h != nil && h.Total > 0 {
 			stages = append(stages, fmt.Sprintf("%s p50 %s", st, humanNS(h.P50)))
 		}

@@ -66,7 +66,7 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"seq gaps 0 (lost batches)   dups 0\n",
 		"detect    windows",
 		"latency p50",
-		"· hook p50 ",
+		"· map p50 ",
 		"cluster",
 		"steady    store appends",
 		"ols rank-1",

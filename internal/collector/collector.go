@@ -206,9 +206,6 @@ func (p *Pool) WindowResults() []*WindowResult {
 // that is what makes historical queries over a replayed journal line
 // up with the live run's results. to <= 0 means "end of data".
 func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
-	if to <= 0 {
-		to = math.MaxInt64
-	}
 	p.drain()
 	p.amu.Lock()
 	defer p.amu.Unlock()
@@ -217,33 +214,39 @@ func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
 	if !ok || maxEnd <= 0 {
 		return nil
 	}
-	stride := int64(p.opt.Period - p.opt.Overlap)
-	if stride <= 0 {
-		stride = int64(p.opt.Period)
-	}
-	// Windows covering a loss interval mark the rank stale there, all
-	// against one snapshot of the outages.
 	dopt := p.opt.Detect
 	dopt.Outages = p.seq.Outages()
+	// Element span bounds reject empty windows without touching
+	// fragments.
+	out := windowGrid(p.opt, maxEnd, from, to, g.Overlaps, func(start, end int64) *detect.Result {
+		return p.an.RunWindow(g, p.ranks, dopt, start, end)
+	})
+	p.met.Trace.CompleteAnalyze()
+	return out
+}
+
+// windowGrid runs, in time order, the windows of the grid anchored at
+// zero — one every Period−Overlap (Period when that is not positive) —
+// that start before maxEnd, intersect [from, to) (to <= 0: end of
+// data) and that covered admits. A range query calls it once, with one
+// snapshot of the outages in run's options, so windows covering a loss
+// interval all mark the rank stale against the same snapshot.
+func windowGrid(opt Options, maxEnd, from, to int64, covered func(start, end int64) bool, run func(start, end int64) *detect.Result) []*WindowResult {
+	if to <= 0 {
+		to = math.MaxInt64
+	}
+	stride := int64(opt.Period - opt.Overlap)
+	if stride <= 0 {
+		stride = int64(opt.Period)
+	}
 	var out []*WindowResult
 	for start := int64(0); start < maxEnd; start += stride {
-		end := start + int64(p.opt.Period)
-		if end <= from || start >= to {
+		end := start + int64(opt.Period)
+		if end <= from || start >= to || !covered(start, end) {
 			continue
 		}
-		// Element span bounds reject empty windows without touching
-		// fragments (the old path re-scanned every fragment per window).
-		if !g.Overlaps(start, end) {
-			continue
-		}
-		res := p.an.RunWindow(g, p.ranks, dopt, start, end)
-		out = append(out, &WindowResult{
-			Start:  sim.Time(start),
-			End:    sim.Time(end),
-			Result: res,
-		})
+		out = append(out, &WindowResult{Start: sim.Time(start), End: sim.Time(end), Result: run(start, end)})
 	}
-	p.met.Trace.CompleteAnalyze()
 	return out
 }
 

@@ -61,13 +61,6 @@ type Metrics struct {
 	ShardRedirects       *obs.Counter
 	ShardMisroutes       *obs.Counter
 
-	// OLS is the monitor's streaming-regression surface: rank-1 updates
-	// are fragments folded into warm per-cluster regression moments;
-	// refactors are cluster moment sets rebuilt from scratch (first
-	// sighting, epoch bump, non-append clustering change, or the hatch).
-	OLSRank1Updates *obs.Counter
-	OLSRefactors    *obs.Counter
-
 	// Detect is the per-window analysis surface (latency, stage spans).
 	Detect *detect.Metrics
 	// Client is the interposition-layer surface shared by traced ranks.
@@ -141,10 +134,6 @@ func NewMetrics() *Metrics {
 			"clients re-dialed to their owning shard after a hello"),
 		ShardMisroutes: reg.Counter("vapro_shard_misroutes_total", "shard",
 			"batches accepted by a shard that does not own their rank"),
-		OLSRank1Updates: reg.Counter("vapro_ols_rank1_updates_total", "ols",
-			"fragments folded into warm regression moments by rank-1 updates"),
-		OLSRefactors: reg.Counter("vapro_ols_refactors_total", "ols",
-			"per-cluster regression moment sets rebuilt from scratch"),
 		Detect: detect.NewMetrics(reg),
 		Client: interpose.NewMetrics(reg),
 		Trace:  obs.NewTrace(reg, "trace", 0, 0),

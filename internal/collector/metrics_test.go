@@ -62,7 +62,7 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 	if m := snap.Get("vapro_detect_window_ns"); m == nil || m.Hist == nil || m.Hist.Total == 0 {
 		t.Fatalf("window latency histogram: %+v", m)
 	}
-	for _, st := range []string{"prep", "cluster", "normalize", "merge", "map", "hook"} {
+	for _, st := range []string{"prep", "cluster", "normalize", "merge", "map"} {
 		if m := snap.Get("vapro_detect_stage_" + st + "_ns"); m == nil || m.Hist == nil || m.Hist.Total == 0 {
 			t.Fatalf("stage %s span histogram: %+v", st, m)
 		}

@@ -24,13 +24,13 @@ import (
 //
 // A monitor fronts one or more analysis planes: one Pool (NewMonitor),
 // or the planes of a rank-sharded tier (NewShardedMonitor). It holds
-// O(ranks) state of its own — the watermark, the event queue and the
-// warm regression moments. Fragments are resident exactly once, in the
-// planes' element logs, and a closed window runs on the planes'
-// persistent analyzers, inline on the delivering goroutine: on one plane
-// it is Pool.RunWindow; on a tier, ShardedPool.RunWindow merges the
-// planes' partials into one map and one region growth, whose regions
-// may straddle shards.
+// O(ranks) state of its own — the watermark and the event queue; the
+// warm regression moments live in the planes' analyzers. Fragments are
+// resident exactly once, in the planes' element logs, and a closed
+// window runs on the planes' persistent analyzers, inline on the
+// delivering goroutine: on one plane it is Pool.RunWindow; on a tier,
+// ShardedPool.RunWindow merges the planes' partials into one map and
+// one region growth, whose regions may straddle shards.
 // A tick sees everything the planes had staged when they drained — a
 // superset of the batches whose watermark update has run, and exactly
 // those batches when delivery is serialised (one feeder, or the wire
@@ -56,22 +56,15 @@ type Monitor struct {
 	// mu guards the watermark, the window cursor, the event queue and
 	// the arming stage. Ticks run inline on the delivering goroutine
 	// with mu held. Lock order: mu → a plane's amu (DiagnoseEvent takes
-	// every plane's, in plane order) → olsMu → elemMoments.mu.
+	// every plane's, in plane order).
 	mu        sync.Mutex
 	marks     watermark
 	nextStart sim.Time
 	events    []Event
 	stage     int
 
-	// olsStreams holds each plane's edges' warm per-cluster regression
-	// moments (see monitor_ols.go), maintained by every plane analyzer's
-	// cluster-delta hook. An STG edge key names no rank, so one edge
-	// spans every plane: the moments are keyed by plane too. The map is
-	// guarded by olsMu, NOT mu — the hook fires from the window
-	// analysis's worker pool while a tick holds mu — and each element's
-	// moments by its own lock.
-	olsMu      sync.Mutex
-	olsStreams map[olsKey]*elemMoments
+	// olsFactors is the factor set every plane's analyzer keeps warm
+	// per-cluster regression moments over (see monitor_ols.go).
 	olsFactors []diagnose.Factor
 }
 
@@ -159,14 +152,11 @@ func newMonitor(planes []*Pool, tier *ShardedPool, opt MonitorOptions) *Monitor 
 		armed:      planes[0].Armed,
 		marks:      newWatermark(planes[0].ranks),
 		stage:      1,
-		olsStreams: make(map[olsKey]*elemMoments),
 		olsFactors: olsFactorsFor(opt.MaxStage),
 	}
-	for i, p := range planes {
+	for _, p := range planes {
 		p.amu.Lock()
-		p.an.SetClusterDeltaHook(func(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta) {
-			m.observeClustering(i, key, gen, frags, res, d)
-		})
+		p.an.SetOLSFactors(m.olsFactors)
 		p.amu.Unlock()
 	}
 	return m
@@ -381,24 +371,28 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 	defer m.unlockPlanes()
 	var clusters [][]trace.Fragment
 	var edges []planeEdge
-	seen := map[olsKey]bool{}
+	type planeKey struct {
+		plane int
+		edge  trace.EdgeKey
+	}
+	seen := map[planeKey]bool{}
 	for _, s := range ev.Regions[0].Samples {
 		if !s.ClusterRef.IsEdge {
 			continue
 		}
-		k := olsKey{plane: m.owner(s.Rank), Key: cluster.EdgeKey(s.ClusterRef.Edge)}
+		k := planeKey{m.owner(s.Rank), s.ClusterRef.Edge}
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		e := views[k.plane].Edge(s.ClusterRef.Edge)
+		e := views[k.plane].Edge(k.edge)
 		if e == nil {
 			continue
 		}
 		edges = append(edges, planeEdge{k.plane, e})
 		p := m.planes[k.plane]
 		log := e.Log()
-		cl := p.an.Cache().Run(k.Key, e.Gen, log, p.opt.Detect.Cluster)
+		cl := p.an.Cache().Run(cluster.EdgeKey(k.edge), e.Gen, log, p.opt.Detect.Cluster)
 		for ci, members := range cl.Groups() {
 			if cl.Clusters[ci].Fixed {
 				clusters = append(clusters, log.PickByTime(members))

@@ -109,8 +109,8 @@ func eventEdges(m *Monitor, ev *Event) ([]planeEdge, [][]trace.Fragment) {
 // olsCounters sums the streaming plane's counters over the planes.
 func olsCounters(m *Monitor) (rank1, refactors uint64) {
 	for _, p := range m.planes {
-		rank1 += p.met.OLSRank1Updates.Load()
-		refactors += p.met.OLSRefactors.Load()
+		rank1 += p.met.Detect.OLSRank1Updates.Load()
+		refactors += p.met.Detect.OLSRefactors.Load()
 	}
 	return rank1, refactors
 }
@@ -267,14 +267,14 @@ func testStreamingOLSStaleFallback(t *testing.T, shards int) {
 	}
 }
 
-// TestMonitorStreamingOLSParallelWorkers drives the cluster-delta hook
-// from four stage-1 workers over twelve edges (each advancing under its
-// own elemMoments lock) and requires every edge's moments to equal, bit
-// for bit, those of the same stream analyzed by one worker: an edge's
-// advances are ordered by its own generations, not by which worker ran
-// them. Run under -race it also pins the locking itself. Two streams:
-// OS noise on every fragment (the dense fold) and idle OS counters (the
-// sparse fold: only the intercept and elapsed are nonzero).
+// TestMonitorStreamingOLSParallelWorkers drives the moment fold from
+// four stage-1 workers over twelve edges (each advancing its own sample
+// store) and requires every edge's moments to equal, bit for bit, those
+// of the same stream analyzed by one worker: an edge's advances are
+// ordered by its own generations, not by which worker ran them. Run
+// under -race it also pins the locking itself. Two streams: OS noise
+// on every fragment (the dense fold) and idle OS counters (the sparse
+// fold: only the intercept and elapsed are nonzero).
 func TestMonitorStreamingOLSParallelWorkers(t *testing.T) {
 	for _, idle := range []bool{false, true} {
 		t.Run(fmt.Sprintf("idle=%v", idle), func(t *testing.T) { testOLSParallelWorkers(t, idle) })
@@ -317,18 +317,33 @@ func testOLSParallelWorkers(t *testing.T, idle bool) {
 		m.Flush()
 		return m
 	}
-	seq, par := run(1), run(4)
-	if len(seq.olsStreams) != edges || len(par.olsStreams) != edges {
-		t.Fatalf("moments kept for %d / %d edges, want %d", len(seq.olsStreams), len(par.olsStreams), edges)
+	// moments reads every edge's warm moments at its current generation.
+	moments := func(m *Monitor) map[trace.EdgeKey][]*diagnose.ClusterMoments {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		views := m.lockPlanes()
+		defer m.unlockPlanes()
+		out := make(map[trace.EdgeKey][]*diagnose.ClusterMoments)
+		for _, e := range views[0].Edges() {
+			ms, ok := m.planes[0].an.ClusterMoments(cluster.EdgeKey(e.Key), e.Gen, m.olsFactors)
+			if !ok {
+				t.Fatalf("edge %v: no warm moments at its generation", e.Key)
+			}
+			out[e.Key] = ms
+		}
+		return out
 	}
-	if par.planes[0].met.OLSRank1Updates.Load() == 0 {
+	seqM, par := moments(run(1)), run(4)
+	parM := moments(par)
+	if len(seqM) != edges || len(parM) != edges {
+		t.Fatalf("moments kept for %d / %d edges, want %d", len(seqM), len(parM), edges)
+	}
+	if par.planes[0].met.Detect.OLSRank1Updates.Load() == 0 {
 		t.Fatal("no rank-1 updates: the delta path never ran")
 	}
-	for key, want := range seq.olsStreams {
-		got := par.olsStreams[key]
-		if got == nil || got.gen != want.gen || !reflect.DeepEqual(got.fixed, want.fixed) ||
-			!reflect.DeepEqual(got.streams, want.streams) {
-			t.Fatalf("edge %v: moments differ between 1 and 4 workers", key.Edge)
+	for key, want := range seqM {
+		if got := parM[key]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("edge %v: moments differ between 1 and 4 workers", key)
 		}
 	}
 }

@@ -246,13 +246,24 @@ func (t *ShardedPool) RunWindow(start, end int64) *detect.Result {
 
 // RunWindowStats is RunWindow plus the merge accounting.
 func (t *ShardedPool) RunWindowStats(start, end int64) (*detect.Result, detect.MergeStats) {
-	// The merge marks every shard's loss intervals, so a rank's staleness
-	// lands in its row even if the batch exposing it was misrouted.
+	return t.runWindow(start, end, t.outageOptions())
+}
+
+// outageOptions returns the detection options with every shard's loss
+// intervals: the merge marks them all, so a rank's staleness lands in
+// its row even if the batch exposing it was misrouted.
+func (t *ShardedPool) outageOptions() detect.Options {
 	dopt := t.opt.Detect
 	dopt.Outages = nil
 	for _, p := range t.planes {
 		dopt.Outages = append(dopt.Outages, p.seq.Outages()...)
 	}
+	return dopt
+}
+
+// runWindow fans one window out to every plane's partial and merges
+// the partials under dopt.
+func (t *ShardedPool) runWindow(start, end int64, dopt detect.Options) (*detect.Result, detect.MergeStats) {
 	parts := make([]*detect.Result, len(t.planes))
 	var wg sync.WaitGroup
 	for i, p := range t.planes {
@@ -274,38 +285,32 @@ func (t *ShardedPool) RunWindowStats(start, end int64) (*detect.Result, detect.M
 // WindowResults mirrors Pool.WindowResults over the tier: the global
 // window grid spans every plane's data, and each window is a tier tick.
 func (t *ShardedPool) WindowResults() []*WindowResult {
+	return t.WindowResultsRange(0, 0)
+}
+
+// WindowResultsRange mirrors Pool.WindowResultsRange over the tier: the
+// same grid, filtered to [from, to) (to <= 0: end of data), each window
+// a tier tick against one snapshot of every shard's outages.
+func (t *ShardedPool) WindowResultsRange(from, to int64) []*WindowResult {
 	maxEnd := int64(0)
-	any := false
 	for _, p := range t.planes {
-		if _, e, ok := p.viewBounds(); ok && e > maxEnd {
-			maxEnd = e
-			any = true
+		if _, e, ok := p.viewBounds(); ok {
+			maxEnd = max(maxEnd, e)
 		}
 	}
-	if !any || maxEnd <= 0 {
-		return nil
-	}
-	stride := int64(t.opt.Period - t.opt.Overlap)
-	if stride <= 0 {
-		stride = int64(t.opt.Period)
-	}
-	var out []*WindowResult
-	for start := int64(0); start < maxEnd; start += stride {
-		end := start + int64(t.opt.Period)
-		covered := false
+	covered := func(start, end int64) bool {
 		for _, p := range t.planes {
 			if p.viewOverlaps(start, end) {
-				covered = true
-				break
+				return true
 			}
 		}
-		if !covered {
-			continue
-		}
-		res, _ := t.RunWindowStats(start, end)
-		out = append(out, &WindowResult{Start: sim.Time(start), End: sim.Time(end), Result: res})
+		return false
 	}
-	return out
+	dopt := t.outageOptions()
+	return windowGrid(t.opt, maxEnd, from, to, covered, func(start, end int64) *detect.Result {
+		res, _ := t.runWindow(start, end, dopt)
+		return res
+	})
 }
 
 // Graph merges every plane into one fresh global STG (final

@@ -17,7 +17,6 @@ type TraceCtx struct {
 	FlushNS  int64
 }
 
-// key returns the journey key for the exemplar ring.
 // Key returns the journey key the context addresses in the exemplar ring.
 func (tc TraceCtx) Key() obs.TraceKey {
 	return obs.TraceKey{ClientID: tc.ClientID, Seq: tc.Seq}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vapro/internal/cluster"
+	"vapro/internal/diagnose"
 	"vapro/internal/sim"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
@@ -319,14 +320,10 @@ type Analyzer struct {
 	met   *Metrics
 	clock stageClock
 
-	// clusterHook, when set, observes every clustering a detection pass
-	// consulted, together with the Delta relating it to the previous
-	// generation. The monitor's streaming-OLS plane hangs off this to
-	// keep per-cluster regression moments warm without a second
-	// clustering pass. Called from stage-1 workers CONCURRENTLY — the
-	// handler must do its own locking (and must not call back into the
-	// Analyzer, which would deadlock on the pass's internal locks).
-	clusterHook func(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta)
+	// olsFactors, when set via SetOLSFactors, is the factor set every
+	// Fixed cluster of an edge keeps warm regression moments for, in its
+	// store state (ClusterMoments reads them).
+	olsFactors []diagnose.Factor
 }
 
 // NewAnalyzer returns an Analyzer with an empty clustering cache.
@@ -339,16 +336,36 @@ func NewAnalyzer() *Analyzer {
 // the same per-element clusterings detection computed.
 func (a *Analyzer) Cache() *cluster.Cache { return a.cache }
 
-// SetClusterDeltaHook registers fn to observe each element clustering a
-// pass consults: the element key, the generation analyzed, the fragment
-// population, the (shared, read-only) clustering and the Delta from the
-// previous generation. An unchanged element reports its own generation
-// as Delta.From with nothing dirty; an incremental advance reports the
-// previous generation, so a consumer pinned to it can patch derived
-// state by the delta and rebuild otherwise. fn is called concurrently
-// from the pass's worker pool.
-func (a *Analyzer) SetClusterDeltaHook(fn func(key cluster.Key, gen stg.Gen, frags trace.LogView, res cluster.Result, d cluster.Delta)) {
-	a.clusterHook = fn
+// SetOLSFactors makes every Fixed cluster of an edge keep §4.2
+// regression moments over factors (diagnose.ClusterMoments), folded
+// with the cluster's normalization state: a store prep folds each
+// appended member once, in the pass that appends it. A prep folded over
+// another set is rebuilt by its next pass; nil (the default) keeps no
+// moments. The caller serializes it with the analyzer's passes.
+func (a *Analyzer) SetOLSFactors(factors []diagnose.Factor) {
+	a.olsFactors = factors
+}
+
+// ClusterMoments returns the regression moments of the Fixed clusters
+// of edge key, in cluster order, when its prep is a sample store at
+// exactly gen whose moments were folded over factors; otherwise (no
+// prep, the DisableIncremental oracle, another generation, another
+// factor set) it returns false. The caller serializes it with the
+// analyzer's passes (a plane's analysis lock).
+func (a *Analyzer) ClusterMoments(key cluster.Key, gen stg.Gen, factors []diagnose.Factor) ([]*diagnose.ClusterMoments, bool) {
+	a.mu.Lock()
+	p := a.preps[key]
+	a.mu.Unlock()
+	if p == nil || p.store == nil || p.gen != gen || len(factors) == 0 || !slices.Equal(p.factors, factors) {
+		return nil, false
+	}
+	out := make([]*diagnose.ClusterMoments, 0, p.fixedClusters)
+	for i := range p.store.cstate {
+		if cm := p.store.cstate[i].mom; cm != nil {
+			out = append(out, cm)
+		}
+	}
+	return out, len(out) == p.fixedClusters
 }
 
 // Run clusters every STG edge and vertex of g, normalizes performance
@@ -468,7 +485,6 @@ func (a *Analyzer) partial(g *stg.Graph, opt Options, start, end, origin int64) 
 		met.Spans.RecordNS(StagePrep, since(t0))
 		met.Spans.RecordNS(StageCluster, a.clock.clusterNS.Load())
 		met.Spans.RecordNS(StageNormalize, a.clock.normNS.Load())
-		met.Spans.RecordNS(StageHook, a.clock.hookNS.Load())
 		tMerge = time.Now()
 	}
 

@@ -8,20 +8,19 @@ import (
 )
 
 // Pipeline stages traced per analysis window. StagePrep is the whole
-// per-element fan-out wall time; StageCluster, StageNormalize and
-// StageHook are the CPU time summed across workers inside it (cache-miss
-// clustering and prep rebuilds — near zero on warm windows — and the
-// cluster-delta hook, e.g. the monitor's streaming-OLS moments);
-// StageMerge sums the per-element partials; StageMap is the per-class
-// stream merge plus, in a whole pass, the heat-map and region-growing
-// pass (a Partial stops at the streams).
+// per-element fan-out wall time; StageCluster and StageNormalize are the
+// CPU time summed across workers inside it (cache-miss clustering, and
+// prep rebuilds and advances — the regression-moment fold included —
+// both near zero on warm windows); StageMerge sums the per-element
+// partials; StageMap is the per-class stream merge plus, in a whole
+// pass, the heat-map and region-growing pass (a Partial stops at the
+// streams).
 const (
 	StagePrep = iota
 	StageCluster
 	StageNormalize
 	StageMerge
 	StageMap
-	StageHook
 )
 
 // Metrics is the detection layer's observability surface.
@@ -54,6 +53,13 @@ type Metrics struct {
 	// RegionCellsRegrown counts heat-map cells the region-growing pass
 	// actually revisited (changed, shifted out of overlap, or batch).
 	RegionCellsRegrown *obs.Counter
+	// OLSRank1Updates counts fragments folded into a cluster's warm
+	// regression moments by one rank-1 Add; OLSRefactors counts moment
+	// sets built from a cluster's whole membership (a cold or rebuilt
+	// prep, a re-formed cluster, one that grew into Fixed). Both stay 0
+	// on an analyzer given no factor set (SetOLSFactors).
+	OLSRank1Updates *obs.Counter
+	OLSRefactors    *obs.Counter
 }
 
 // NewMetrics registers the detection metrics into reg.
@@ -68,7 +74,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		WindowNS: reg.Histogram("vapro_detect_window_ns", "detect",
 			"end-to-end latency of one detection pass (ns)", obs.LatencyBounds()),
 		Spans: obs.NewSpans(reg, "vapro_detect_stage", "detect",
-			"prep", "cluster", "normalize", "merge", "map", "hook"),
+			"prep", "cluster", "normalize", "merge", "map"),
 		PrepIncremental: reg.Counter("vapro_detect_prep_incremental_total", "detect",
 			"element preps advanced incrementally (append-only delta applied in place)"),
 		PrepRebuilds: reg.Counter("vapro_detect_prep_rebuilds_total", "detect",
@@ -84,6 +90,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"heat-map cells carried over from the previous window's regions"),
 		RegionCellsRegrown: reg.Counter("vapro_detect_region_cells_regrown_total", "detect",
 			"heat-map cells revisited by region growing"),
+		OLSRank1Updates: reg.Counter("vapro_ols_rank1_updates_total", "ols",
+			"fragments folded into warm regression moments by rank-1 updates"),
+		OLSRefactors: reg.Counter("vapro_ols_refactors_total", "ols",
+			"per-cluster regression moment sets built from the whole membership"),
 	}
 }
 
@@ -102,13 +112,11 @@ func (a *Analyzer) SetMetrics(m *Metrics) {
 type stageClock struct {
 	clusterNS atomic.Int64
 	normNS    atomic.Int64
-	hookNS    atomic.Int64
 }
 
 func (sc *stageClock) reset() {
 	sc.clusterNS.Store(0)
 	sc.normNS.Store(0)
-	sc.hookNS.Store(0)
 }
 
 // since is a tiny helper for the instrumentation sites.

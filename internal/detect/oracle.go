@@ -92,7 +92,7 @@ func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag i
 		}
 		st := clustState{best: math.MaxInt64}
 		for _, m := range groups[ci] {
-			st.observe(frags, m)
+			st.observe(frags, m, nil) // no moments: no scratch read
 		}
 		if st.best == math.MaxInt64 {
 			continue

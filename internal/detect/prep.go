@@ -1,9 +1,11 @@
 package detect
 
 import (
+	"slices"
 	"time"
 
 	"vapro/internal/cluster"
+	"vapro/internal/diagnose"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
@@ -33,6 +35,10 @@ type prepElem struct {
 	// frags is the element's log as of the pass serving the prep: the
 	// store reads every span it orders, filters and emits from it.
 	frags trace.LogView
+	// factors is the regression factor set the store's Fixed clusters
+	// keep moments over: the analyzer's (SetOLSFactors) on an edge, nil
+	// on a vertex.
+	factors []diagnose.Factor
 
 	fixedClusters int
 	smallClusters int
@@ -45,7 +51,8 @@ type prepElem struct {
 // append touching the cluster can be applied as a delta: the fastest
 // member (monotone — it only improves) and the per-rank population
 // counts (monotone — they only grow, so a rank crosses the coverage
-// threshold at most once).
+// threshold at most once). A Fixed cluster of a prep with a factor set
+// also carries its §4.2 regression moments, which only grow too.
 type clustState struct {
 	// emitted: the cluster is Fixed with a valid best and its members
 	// are samples.
@@ -55,16 +62,25 @@ type clustState struct {
 	// nStored counts the members the state accounts for, for delta
 	// validation.
 	nStored int32
+	// mom is the cluster's regression moments: set on every Fixed
+	// cluster (emitted or not) of a prep with factors, nil otherwise.
+	// Nothing a Result holds reads it.
+	mom *diagnose.ClusterMoments
 }
 
-// observe folds member m into the cluster's state: its rank's count and
-// the fastest-member minimum.
-func (st *clustState) observe(frags trace.LogView, m int32) {
+// observe folds member m into the cluster's state: its rank's count,
+// the fastest-member minimum and, when kept, the moments (f is the
+// caller's scratch).
+func (st *clustState) observe(frags trace.LogView, m int32, f *trace.Fragment) {
 	rank, _, elapsed := frags.Span(int(m))
 	if elapsed > 0 && elapsed < st.best {
 		st.best = elapsed
 	}
 	st.ranks.add(rank)
+	if st.mom != nil {
+		frags.ReadCounters(int(m), f)
+		st.mom.Add(f)
+	}
 }
 
 // rankTable counts a cluster's members per rank: in an array indexed by
@@ -132,20 +148,15 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 	if met != nil {
 		a.clock.clusterNS.Add(since(t0))
 	}
-	if h := a.clusterHook; h != nil {
-		if met != nil {
-			t0 = time.Now()
-		}
-		h(key, gen, frags, cl, d)
-		if met != nil {
-			a.clock.hookNS.Add(since(t0))
-		}
-	}
 	a.mu.Lock()
 	p := a.preps[key]
 	a.mu.Unlock()
-	if p != nil && (p.flat != nil) != opt.DisableIncremental {
-		p = nil // built in the other mode: neither served nor advanced
+	var factors []diagnose.Factor
+	if key.IsEdge {
+		factors = a.olsFactors
+	}
+	if p != nil && ((p.flat != nil) != opt.DisableIncremental || !slices.Equal(p.factors, factors)) {
+		p = nil // built in the other mode or for other moments: neither served nor advanced
 	}
 	if p != nil && p.gen == gen && p.nfrags == frags.Len() && p.copt == opt.Cluster {
 		p.frags = frags
@@ -156,7 +167,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 	}
 	if p != nil && p.store != nil {
 		oldN := p.nfrags
-		if p.advanceStore(frags, cl, d, opt, gen) {
+		if p.advanceStore(frags, cl, d, opt, gen, met) {
 			if met != nil {
 				a.clock.normNS.Add(since(t0))
 				met.PrepIncremental.Inc()
@@ -166,7 +177,7 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 			return p
 		}
 	}
-	p = buildPrep(frags, cl, ref, opt, gen)
+	p = buildPrep(frags, cl, ref, opt, gen, factors, met)
 	if met != nil {
 		a.clock.normNS.Add(since(t0))
 		met.PrepRebuilds.Inc()
@@ -181,18 +192,19 @@ func (a *Analyzer) prepFor(key cluster.Key, gen stg.Gen, frags trace.LogView, op
 }
 
 // buildPrep builds an element's prep from scratch, in the body opt
-// selects.
-func buildPrep(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen) *prepElem {
+// selects; the store keeps moments over factors (counted into met, if
+// set), the flat oracle none.
+func buildPrep(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Options, gen stg.Gen, factors []diagnose.Factor, met *Metrics) *prepElem {
 	minFrag := opt.Cluster.MinFragments
 	if minFrag <= 0 {
 		minFrag = 5
 	}
-	p := &prepElem{gen: gen, nfrags: frags.Len(), copt: opt.Cluster, ref: ref, minFrag: minFrag, frags: frags}
+	p := &prepElem{gen: gen, nfrags: frags.Len(), copt: opt.Cluster, ref: ref, minFrag: minFrag, frags: frags, factors: factors}
 	p.countClusters(cl)
 	if opt.DisableIncremental {
 		p.flat = buildFlat(frags, cl, ref, minFrag)
 	} else {
-		p.buildStore(frags, cl)
+		p.buildStore(frags, cl, met)
 	}
 	return p
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"vapro/internal/cluster"
+	"vapro/internal/diagnose"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
@@ -248,27 +249,43 @@ func (st *sampleStore) addSpans(frags trace.LogView, from int) {
 
 // seal finishes a state its cluster's members were folded into: a
 // cluster with a valid best emits its members as samples; a small one,
-// or a fixed one with no positive elapsed, emits nothing.
+// or a fixed one with no positive elapsed, emits nothing (the latter
+// keeps its moments).
 func (st *clustState) seal(size int) {
 	if st.best == math.MaxInt64 {
-		*st = clustState{}
+		*st = clustState{mom: st.mom}
 		return
 	}
 	st.emitted = true
 	st.nStored = int32(size)
 }
 
-// walkAssign computes the states of the clusters marked in need from
-// their whole memberships, in one pass over Assign.
-func walkAssign(frags trace.LogView, cl cluster.Result, cstate []clustState, need []bool) {
+// fresh returns a cluster's state before any member is folded: with
+// moments over factors, if any.
+func fresh(factors []diagnose.Factor) clustState {
+	st := clustState{best: math.MaxInt64}
+	if factors != nil {
+		st.mom = diagnose.NewClusterMoments(factors)
+	}
+	return st
+}
+
+// walkAssign computes the states of the clusters marked in need (all
+// Fixed) from their whole memberships, in one pass over Assign, and
+// returns how many moment sets it built.
+func walkAssign(frags trace.LogView, cl cluster.Result, cstate []clustState, need []bool, factors []diagnose.Factor) (built uint64) {
 	for ci := range cstate {
 		if need[ci] {
-			cstate[ci] = clustState{best: math.MaxInt64}
+			cstate[ci] = fresh(factors)
+			if factors != nil {
+				built++
+			}
 		}
 	}
+	var f trace.Fragment
 	for i, ci := range cl.Assign {
 		if need[ci] {
-			cstate[ci].observe(frags, int32(i))
+			cstate[ci].observe(frags, int32(i), &f)
 		}
 	}
 	for ci := range cstate {
@@ -276,10 +293,11 @@ func walkAssign(frags trace.LogView, cl cluster.Result, cstate []clustState, nee
 			cstate[ci].seal(cl.Clusters[ci].Size)
 		}
 	}
+	return built
 }
 
 // buildStore builds the store representation from scratch.
-func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
+func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result, met *Metrics) {
 	st := &sampleStore{
 		assign: cl.Assign,
 		cstate: make([]clustState, len(cl.Clusters)),
@@ -289,7 +307,9 @@ func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
 	for ci := range cl.Clusters {
 		need[ci] = cl.Clusters[ci].Fixed
 	}
-	walkAssign(frags, cl, st.cstate, need)
+	if built := walkAssign(frags, cl, st.cstate, need, p.factors); met != nil {
+		met.OLSRefactors.Add(built)
+	}
 	st.addSpans(frags, 0)
 }
 
@@ -304,8 +324,8 @@ func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result) {
 // starts to emit had its old members never folded: those clusters are
 // walked together in one pass over Assign. The state derived per sample
 // absorbs best and coverage movement without touching anything
-// resident.
-func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen) bool {
+// resident. Moment work is counted into met, if set.
+func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen, met *Metrics) bool {
 	if d.Full || p.copt != opt.Cluster || d.From != p.gen {
 		return false
 	}
@@ -349,6 +369,8 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	copy(newState[d.TailNew:], st.cstate[d.TailOld:])
 
 	var need []bool // the clusters walkAssign computes
+	var f trace.Fragment
+	var adds, rebuilt uint64
 	for di, dr := range d.Dirty {
 		ci := d.Prefix + di
 		cc := &cl.Clusters[ci]
@@ -357,22 +379,25 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 			// Small: no member is a sample; the zero state says so.
 		case dr.OldIndex < 0:
 			// Rebuilt: Added is the whole membership.
-			cst := clustState{best: math.MaxInt64}
+			cst := fresh(p.factors)
 			for _, m := range dr.Added {
-				cst.observe(frags, m)
+				cst.observe(frags, m, &f)
 			}
 			cst.seal(cc.Size)
 			newState[ci] = cst
+			rebuilt++
 		case st.cstate[dr.OldIndex].emitted:
 			// Grown emitted cluster: only the added members are new.
-			cst := st.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table
+			cst := st.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table and moments
 			for _, m := range dr.Added {
-				cst.observe(frags, m)
+				cst.observe(frags, m, &f)
 			}
 			cst.nStored += int32(len(dr.Added))
 			newState[ci] = cst
+			adds += uint64(len(dr.Added))
 		default:
-			// Grown into emission: its old members were never folded.
+			// Grown into emission, or into Fixed: its old members were
+			// never folded.
 			if need == nil {
 				need = make([]bool, newNC)
 			}
@@ -380,7 +405,11 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 		}
 	}
 	if need != nil {
-		walkAssign(frags, cl, newState, need)
+		rebuilt += walkAssign(frags, cl, newState, need, p.factors)
+	}
+	if met != nil && p.factors != nil {
+		met.OLSRank1Updates.Add(adds)
+		met.OLSRefactors.Add(rebuilt)
 	}
 
 	st.assign = cl.Assign

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"vapro/internal/cluster"
@@ -269,14 +268,21 @@ func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Window = 5 * sim.Millisecond
 	opt.Cluster.MinFragments = 2
-	var reformed atomic.Int64 // delta runs rebuilt from other clusters' members
-	a.SetClusterDeltaHook(func(_ cluster.Key, _ stg.Gen, _ trace.LogView, _ cluster.Result, d cluster.Delta) {
-		for _, dr := range d.Dirty {
-			if dr.OldIndex < 0 {
-				reformed.Add(1)
+	// A second cache, stepped through the same generations, hands back
+	// the Deltas the analyzer's own cache sees: count the runs rebuilt
+	// from other clusters' members.
+	deltas := cluster.NewCache()
+	reformed := 0
+	countReformed := func() {
+		for _, e := range g.Edges() {
+			_, d := deltas.RunInc(cluster.EdgeKey(e.Key), e.Gen, e.Log(), opt.Cluster)
+			for _, dr := range d.Dirty {
+				if dr.OldIndex < 0 {
+					reformed++
+				}
 			}
 		}
-	})
+	}
 
 	var clock int64
 	emitBatch := func(norms []uint64) {
@@ -308,6 +314,7 @@ func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	emitBatch(append(append([]uint64{}, ballast...), head...))
 
 	check := func(b int) {
+		countReformed()
 		got := a.Run(g, 1, opt)
 		bopt := opt
 		bopt.DisableIncremental = true
@@ -334,7 +341,7 @@ func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	for _, p = range a.preps {
 	}
 	st := p.store
-	if reformed.Load() == 0 {
+	if reformed == 0 {
 		t.Fatal("no cluster was ever re-formed")
 	}
 	if len(st.assign) != p.nfrags || p.nfrags != g.NumFragments() {

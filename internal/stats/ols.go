@@ -89,6 +89,66 @@ func OLS(y []float64, xs [][]float64) (*OLSResult, error) {
 	return res, nil
 }
 
+// SolveMomentOLS fits y = Xb + e from the moment form: n observations,
+// k explanatory variables, xtx the (k+1)×(k+1) row-major X'X with the
+// intercept in position 0, xty = X'y, yty = y'y. The degeneracy rules,
+// standard errors, t statistics and p-values mirror OLS exactly; the
+// fit-quality sums are computed from the moments (rss = y'y − b·X'y,
+// tss = y'y − n·ȳ²), which is the algebraic identity of the batch
+// residual loops.
+func SolveMomentOLS(n, k int, xtx, xty []float64, yty float64) (*OLSResult, error) {
+	d := k + 1
+	if n < k+2 || len(xtx) != d*d || len(xty) != d {
+		return nil, ErrDegenerate
+	}
+	m := NewMatrix(d, d)
+	copy(m.Data, xtx)
+	inv, err := m.Inverse()
+	if err != nil {
+		return nil, ErrDegenerate
+	}
+	coef := inv.MulVec(xty)
+
+	rss := yty
+	for j := 0; j < d; j++ {
+		rss -= coef[j] * xty[j]
+	}
+	if rss < 0 {
+		rss = 0 // reassociation noise on a perfect fit
+	}
+	ym := xty[0] / float64(n)
+	tss := yty - float64(n)*ym*ym
+	if tss < 0 {
+		tss = 0
+	}
+	df := n - d
+	sigma2 := rss / float64(df)
+	res := &OLSResult{
+		Coef:   coef,
+		StdErr: make([]float64, d),
+		TStat:  make([]float64, d),
+		PValue: make([]float64, d),
+		DF:     df,
+		N:      n,
+	}
+	if tss > 0 {
+		res.R2 = 1 - rss/tss
+		res.AdjR2 = 1 - (1-res.R2)*float64(n-1)/float64(df)
+	}
+	for j := 0; j < d; j++ {
+		se := math.Sqrt(sigma2 * inv.At(j, j))
+		res.StdErr[j] = se
+		if se > 0 {
+			res.TStat[j] = coef[j] / se
+			res.PValue[j] = StudentTSF2(res.TStat[j], float64(df))
+		} else {
+			res.TStat[j] = math.Inf(1)
+			res.PValue[j] = 0
+		}
+	}
+	return res, nil
+}
+
 // FarrarGlauber runs the Farrar–Glauber chi-squared test for
 // multicollinearity on the explanatory variables: the statistic
 //
