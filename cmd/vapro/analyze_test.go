@@ -26,7 +26,6 @@ func TestAnalyzeRecording(t *testing.T) {
 	app.(vapro.SizeScaler).ScaleSize(0.5)
 	opt := vapro.DefaultOptions()
 	opt.Ranks = 8
-	opt.Record = true
 	res := vapro.Run(app, opt)
 	path := filepath.Join(t.TempDir(), "run.vrec")
 	if err := writeFile(path, res.SaveRecording); err != nil {

@@ -139,7 +139,6 @@ func main() {
 		plain = vapro.RunPlain(base, opt)
 	}
 
-	opt.Record = *record != ""
 	var res *vapro.Result
 	if *online {
 		on := vapro.RunOnline(app, opt)

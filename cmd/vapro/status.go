@@ -337,10 +337,9 @@ func renderStatus(s *obs.Snapshot) string {
 	}
 	fmt.Fprintf(&b, "cluster   cache %.1f%% hit (%.0f hits, %.0f misses, %.0f evictions, %.0f entries)\n",
 		hitRate, hits, misses, val(s, "vapro_cluster_cache_evictions"), val(s, "vapro_cluster_cache_entries"))
-	fmt.Fprintf(&b, "          inc advances %.0f   fallbacks %.0f (multi-D %.0f · dirty %.0f · stale %.0f)\n",
+	fmt.Fprintf(&b, "          inc advances %.0f   fallbacks %.0f (multi-D %.0f · stale %.0f)\n",
 		val(s, "vapro_cluster_cache_inc_hits"), val(s, "vapro_cluster_cache_inc_fallbacks"),
 		val(s, "vapro_cluster_cache_inc_fallback_multid"),
-		val(s, "vapro_cluster_cache_inc_fallback_dirty"),
 		val(s, "vapro_cluster_cache_inc_fallback_stale"))
 
 	// The sublinear steady-state planes: how much per-tick work the

@@ -50,10 +50,9 @@ type Cache struct {
 
 	hits, misses, evictions atomic.Uint64
 	incHits, staleRejects   atomic.Uint64
-	// Incremental fallbacks, split by reason: structural multi-D events
-	// (vector-shape change, partition restructured by a new seed) vs the
-	// dirty span exceeding MaxDirtyRatio.
-	incFallbackMultiD, incFallbackDirty atomic.Uint64
+	// Incremental fallbacks: structural multi-D events (vector-shape
+	// change, partition restructured by a new seed).
+	incFallbacks atomic.Uint64
 }
 
 // NewCache returns an empty cache.
@@ -86,8 +85,7 @@ func (c *Cache) entryFor(key Key) *entry {
 //   - append-only advance (same epoch, grown count): the incremental
 //     splice — 1-D run deltas or the multi-D vector path — equivalent
 //     to Run by construction and pinned by the equivalence fuzz; falls
-//     back to a full Run when the dirty span exceeds
-//     Options.MaxDirtyRatio, the element changed vector shape, or an
+//     back to a full Run when the element changed vector shape or an
 //     appended fragment restructured the multi-D partition;
 //   - anything else — epoch bump, option change, first sight: full Run.
 //
@@ -136,18 +134,14 @@ func (c *Cache) run(key Key, gen stg.Gen, frags trace.LogView, opt Options, allo
 		uint64(frags.Len()) == gen.Count && uint64(e.nfrags) == e.gen.Count {
 		// Append-only advance: Gen.Count is the append-log length, so
 		// frags[e.nfrags:] is exactly what arrived since e.gen.
-		res, d, ok, why := e.inc.update(frags, e.res, opt)
+		res, d, ok := e.inc.update(frags, e.res, opt)
 		if ok {
 			c.incHits.Add(1)
 			d.From = e.gen
 			e.gen, e.nfrags, e.res = gen, frags.Len(), res
 			return res, d
 		}
-		if why == fbDirty {
-			c.incFallbackDirty.Add(1)
-		} else {
-			c.incFallbackMultiD.Add(1)
-		}
+		c.incFallbacks.Add(1)
 	}
 	c.misses.Add(1)
 	if e.have {
@@ -185,22 +179,11 @@ func (c *Cache) Stats() (hits, misses uint64) {
 
 // IncStats returns the incremental-path counters: advances that spliced
 // the previous clustering, and fallbacks where the splice was abandoned
-// and a full Run was paid instead (all reasons summed — see
-// IncFallbackReasons for the split).
+// and a full Run was paid instead — every one a structural multi-D
+// event (the element changed vector shape, or an appended fragment
+// seeded a new cluster that stole resident members).
 func (c *Cache) IncStats() (incHits, incFallbacks uint64) {
-	return c.incHits.Load(), c.incFallbackMultiD.Load() + c.incFallbackDirty.Load()
-}
-
-// IncFallbackReasons splits the incremental fallbacks by cause:
-// multiD counts structural multi-D events (the element changed vector
-// shape, or an appended fragment seeded a new cluster that stole
-// resident members — the partition restructured beyond what a delta
-// expresses); dirty counts recomputes whose span exceeded
-// Options.MaxDirtyRatio; stale counts lookups that carried an older
-// generation than the cached one and were answered off to the side
-// (same events StaleRejects reports).
-func (c *Cache) IncFallbackReasons() (multiD, dirty, stale uint64) {
-	return c.incFallbackMultiD.Load(), c.incFallbackDirty.Load(), c.staleRejects.Load()
+	return c.incHits.Load(), c.incFallbacks.Load()
 }
 
 // StaleRejects returns how many lookups carried an older generation

@@ -29,14 +29,6 @@ type Options struct {
 	// UseExtraMetrics adds loads/stores to the computation workload
 	// vector (the paper's optional higher-precision mode).
 	UseExtraMetrics bool
-	// MaxDirtyRatio bounds the incremental re-cluster: when an append
-	// batch forces recomputing more than this fraction of an element's
-	// sorted order, the incremental path abandons the splice and
-	// re-clusters from scratch. 0 means 1.0 — no fallback: even a fully
-	// dirty update is a few linear passes, cheaper than Run's
-	// re-sort, so the bound exists as a safety valve, not a default.
-	// It never changes results, only which path computes them.
-	MaxDirtyRatio float64
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -53,9 +45,6 @@ func (o Options) normalized() Options {
 	}
 	if o.MinFragments <= 0 {
 		o.MinFragments = 5
-	}
-	if o.MaxDirtyRatio <= 0 {
-		o.MaxDirtyRatio = 1.0
 	}
 	return o
 }

@@ -105,20 +105,6 @@ func unchangedDelta(from stg.Gen, nClusters int) Delta {
 	return Delta{From: from, Prefix: nClusters, TailNew: nClusters, TailOld: nClusters}
 }
 
-// fallbackReason classifies why an incremental advance was abandoned.
-type fallbackReason uint8
-
-const (
-	fbNone fallbackReason = iota
-	// fbMultiD: a structural multi-D event the delta cannot patch — the
-	// element changed vector shape (a 1-D state saw a non-computation
-	// arrival, forcing a multi-D recapture), or an appended fragment
-	// seeded a new cluster that steals resident members.
-	fbMultiD
-	// fbDirty: the recompute span exceeded Options.MaxDirtyRatio.
-	fbDirty
-)
-
 // midRun is one cluster of a 1-D update's middle region [r0, tailOld):
 // either a greedy-recomputed run or an old run carried over verbatim
 // because the cascade re-aligned before the next insertion (skip=true).
@@ -320,13 +306,16 @@ func sortNormKeys(buf *[]normKey, norms []float64, base int32) []normKey {
 
 // update advances the state with the appended suffix frags[s.n:] and
 // returns the new Result plus its Delta (Delta.From is filled by the
-// caller). ok=false means the state cannot advance incrementally — the
-// returned fallbackReason says why — and the caller must re-cluster
-// from scratch; the state is then stale and must be recaptured.
-func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result, Delta, bool, fallbackReason) {
+// caller). ok=false means the state cannot advance incrementally — a
+// structural multi-D event the delta cannot patch: the element changed
+// vector shape (a 1-D state saw a non-computation arrival, forcing a
+// multi-D recapture), or an appended fragment seeded a new cluster that
+// steals resident members — and the caller must re-cluster from
+// scratch; the state is then stale and must be recaptured.
+func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result, Delta, bool) {
 	k := frags.Len() - s.n
 	if s.dead || k <= 0 {
-		return Result{}, Delta{}, false, fbMultiD
+		return Result{}, Delta{}, false
 	}
 	sc := advancePool.Get().(*scratch)
 	defer advancePool.Put(sc)
@@ -337,7 +326,7 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 		// The element left the 1-D domain; the cached state has no
 		// vectors, so fall back once and recapture as multi-D.
 		s.dead = true
-		return Result{}, Delta{}, false, fbMultiD
+		return Result{}, Delta{}, false
 	}
 	total := frags.Len()
 	s.tot.refresh(frags)
@@ -359,7 +348,6 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 	r0 := max(sort.Search(oldNC, func(r int) bool { return int(s.runStart[r]) > pred })-1, 0)
 	startPos := int(s.runStart[r0]) // no insertions precede it, so old == new coords
 
-	maxSpan := int(opt.MaxDirtyRatio * float64(total))
 	t := opt.Threshold
 	mids := sc.mids[:0]
 	tailOld := oldNC // old cluster index where the preserved tail begins (oldNC: none)
@@ -402,9 +390,6 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 				convPtr = rNext
 				pos = int(s.runStart[rNext]) + insIdx
 			}
-		}
-		if work > maxSpan {
-			return Result{}, Delta{}, false, fbDirty
 		}
 		// One greedy run, bit-identical to Run's inner loop: in 1-D the
 		// absorbed candidates are exactly the contiguous span where
@@ -526,7 +511,7 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result
 		Dirty:   dirty,
 		Ratio:   float64(work) / float64(total),
 	}
-	return res, d, true, fbNone
+	return res, d, true
 }
 
 // commitAssign builds the Assign backing of an advance: when every
@@ -603,8 +588,8 @@ func (s *incState) commitAssign(prev Result, dirty []DirtyRun, r0, tailOld, shif
 // An insertion no cluster absorbs seeds a new cluster; if that new
 // cluster would steal a resident fragment from a later cluster the
 // partition is restructured beyond what a delta can express and the
-// advance falls back (fbMultiD).
-func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, sc *scratch) (Result, Delta, bool, fallbackReason) {
+// advance falls back.
+func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, sc *scratch) (Result, Delta, bool) {
 	oldN := s.n
 	total := frags.Len()
 	k := total - oldN
@@ -640,7 +625,6 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 		return limit >= nb0
 	})
 
-	maxSpan := int(opt.MaxDirtyRatio * float64(total))
 	work := 0
 	sc.absorbed, sc.jOf = resize(sc.absorbed, k), resize(sc.jOf, k)
 	absorbed := sc.absorbed // by batch position j
@@ -669,9 +653,6 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 			// insertions, so they reproduce verbatim as the tail.
 			tailOld = c
 			break
-		}
-		if work > maxSpan {
-			return Result{}, Delta{}, false, fbDirty
 		}
 		insPos := int(inserted[insJ])
 		nb := norms[batch[insJ]]
@@ -766,11 +747,8 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 				// The new cluster steals a resident fragment from a
 				// later cluster: the partition restructures and the
 				// delta machinery cannot express it.
-				return Result{}, Delta{}, false, fbMultiD
+				return Result{}, Delta{}, false
 			}
-		}
-		if work > maxSpan {
-			return Result{}, Delta{}, false, fbDirty
 		}
 		size := len(added) - from
 		midClusters = append(midClusters, Cluster{
@@ -831,5 +809,5 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 		Dirty:   dirty,
 		Ratio:   float64(work) / float64(total),
 	}
-	return res, d, true, fbNone
+	return res, d, true
 }

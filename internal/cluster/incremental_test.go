@@ -82,9 +82,8 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 	for s := 0; s < schedules; s++ {
 		rng := rand.New(rand.NewSource(int64(7919*s + 13)))
 		opt := cluster.Options{
-			Threshold:     []float64{0, 0.05, 0.2}[rng.Intn(3)],
-			MinFragments:  []int{0, 2, 5}[rng.Intn(3)],
-			MaxDirtyRatio: []float64{0, 0.001, 0.25, 1.0}[rng.Intn(4)],
+			Threshold:    []float64{0, 0.05, 0.2}[rng.Intn(3)],
+			MinFragments: []int{0, 2, 5}[rng.Intn(3)],
 		}
 		if rng.Intn(10) == 0 {
 			opt.UseExtraMetrics = true // 2-D vectors: rides the multi-D delta path
@@ -211,16 +210,16 @@ func TestCacheEmptyElementExtraMetrics(t *testing.T) {
 	}
 }
 
-// TestCacheDirtyRatioFallback drives a worst-case append with a tiny
-// MaxDirtyRatio: norms form a geometric chain of 2-element clusters
-// (ratio 1.04: each value is within 5% of its neighbor, pairs are not),
-// so inserting one value below the minimum re-pairs EVERY cluster — the
-// cascade never re-aligns with an old cut. The splice must be abandoned
-// for a full re-cluster, and the result stays identical.
-func TestCacheDirtyRatioFallback(t *testing.T) {
+// TestCacheGeometricChainSplices drives a worst-case append: norms form
+// a geometric chain of 2-element clusters (ratio 1.04: each value is
+// within 5% of its neighbor, pairs are not), so inserting one value
+// below the minimum re-pairs EVERY cluster — the cascade never
+// re-aligns with an old cut. Even a fully dirty update splices (a few
+// linear passes, cheaper than Run's re-sort), and the result stays
+// identical to batch.
+func TestCacheGeometricChainSplices(t *testing.T) {
 	c := cluster.NewCache()
 	opt := cluster.DefaultOptions()
-	opt.MaxDirtyRatio = 0.01
 	frags := make([]trace.Fragment, 0, 201)
 	v := 100_000.0
 	for i := 0; i < 200; i++ {
@@ -233,13 +232,16 @@ func TestCacheDirtyRatioFallback(t *testing.T) {
 		t.Fatalf("geometric chain clustered into %d clusters, want 100 pairs", len(base.Clusters))
 	}
 	frags = append(frags, cacheFrag(96_153)) // just below the old minimum, within 5% of it
-	res := c.Run(key, gen(201), trace.LogOf(frags), opt)
+	res, d := c.RunInc(key, gen(201), trace.LogOf(frags), opt)
 	if !reflect.DeepEqual(res, cluster.Run(trace.LogOf(frags), opt)) {
-		t.Fatal("fallback clustering diverges from batch")
+		t.Fatal("spliced clustering diverges from batch")
+	}
+	if d.Full {
+		t.Fatal("fully dirty advance fell back to a full re-cluster")
 	}
 	incHits, incFallbacks := c.IncStats()
-	if incHits != 0 || incFallbacks != 1 {
-		t.Fatalf("inc stats %d/%d, want 0 hits / 1 fallback", incHits, incFallbacks)
+	if incHits != 1 || incFallbacks != 0 {
+		t.Fatalf("inc stats %d/%d, want 1 hit / 0 fallbacks", incHits, incFallbacks)
 	}
 }
 
@@ -358,7 +360,6 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 		opt := cluster.Options{
 			Threshold:       []float64{0, 0.05, 0.2}[rng.Intn(3)],
 			MinFragments:    []int{0, 2, 5}[rng.Intn(3)],
-			MaxDirtyRatio:   []float64{0, 0.25, 1.0}[rng.Intn(3)],
 			UseExtraMetrics: rng.Intn(3) == 0,
 		}
 		pal := mdPalette(rng)
@@ -454,11 +455,9 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D diverges", s, b)
 			}
 		}
-		incHits, incFallbacks := c.IncStats()
-		multiD, dirtyR, _ := c.IncFallbackReasons()
-		if incHits != uint64(advances) || incFallbacks != 0 || multiD != 0 || dirtyR != 0 {
-			t.Fatalf("schedule %d: incHits=%d fallbacks=%d (multiD=%d dirty=%d), want %d/0/0/0",
-				s, incHits, incFallbacks, multiD, dirtyR, advances)
+		if incHits, incFallbacks := c.IncStats(); incHits != uint64(advances) || incFallbacks != 0 {
+			t.Fatalf("schedule %d: incHits=%d fallbacks=%d, want %d/0",
+				s, incHits, incFallbacks, advances)
 		}
 	}
 }

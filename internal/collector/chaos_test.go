@@ -11,6 +11,7 @@ import (
 	"vapro/internal/detect"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
+	"vapro/internal/wal"
 )
 
 // listenRetry rebinds addr, retrying briefly: the kernel can lag a few
@@ -67,18 +68,21 @@ func sortFragments(fs []trace.Fragment) {
 //   - exact loss accounting (every consumed batch is either delivered
 //     or counted in a sequence gap: consumed == delivered + gaps),
 //   - the analysis over the delivered subset is bit-identical however
-//     that subset is viewed (live pool graph vs recorded stream).
+//     that subset is viewed (live pool graph vs its delivery journal
+//     replayed into a fresh pool).
 func TestChaosSoakServerRestarts(t *testing.T) {
 	const ranks = 4
 	const maxSpill = 8
 	pool := NewPool(ranks, DefaultOptions())
-	rec := NewRecordingSink(pool)
+	jlog := openTestWAL(t, t.TempDir(), wal.Options{SegmentBytes: 1 << 20})
+	defer jlog.Close()
+	pool.AttachJournal(jlog)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	srv := ServeWire(ln, rec)
+	srv := ServeWire(ln, pool)
 	srv.SetDrainTimeout(20 * time.Millisecond)
 	met := pool.Metrics()
 
@@ -122,7 +126,7 @@ func TestChaosSoakServerRestarts(t *testing.T) {
 		}
 		time.Sleep(30 * time.Millisecond)
 		ln = listenRetry(t, addr)
-		srv = ServeWire(ln, rec)
+		srv = ServeWire(ln, pool)
 		srv.SetDrainTimeout(20 * time.Millisecond)
 	}
 	time.Sleep(25 * time.Millisecond)
@@ -179,19 +183,26 @@ func TestChaosSoakServerRestarts(t *testing.T) {
 	srv.Close()
 
 	// The delivered subset is one well-defined data set: the live
-	// pool's merged graph and the recorded stream hold the same
-	// fragment multiset...
+	// pool's merged graph and the journal replayed into a fresh pool
+	// hold the same fragment multiset...
+	replayed := NewPool(ranks, DefaultOptions())
+	frames, err := ReplayJournal(jlog, replayed)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if want := met.WireFrames.Load(); uint64(frames) != want {
+		t.Fatalf("replayed %d frames, the live server delivered %d", frames, want)
+	}
 	poolFrags := allFragments(pool.Graph())
-	recording := rec.Recording(ranks, 1<<41, nil)
-	recFrags := allFragments(recording.Graph())
+	recFrags := allFragments(replayed.Graph())
 	sortFragments(poolFrags)
 	sortFragments(recFrags)
 	if len(poolFrags) != len(recFrags) {
-		t.Fatalf("pool holds %d fragments, recording %d", len(poolFrags), len(recFrags))
+		t.Fatalf("pool holds %d fragments, replay %d", len(poolFrags), len(recFrags))
 	}
 	for i := range poolFrags {
 		if poolFrags[i] != recFrags[i] {
-			t.Fatalf("fragment %d differs between pool and recording:\n %+v\n %+v",
+			t.Fatalf("fragment %d differs between pool and replay:\n %+v\n %+v",
 				i, poolFrags[i], recFrags[i])
 		}
 	}

@@ -19,14 +19,6 @@ import (
 // each journaled sequence number makes the same deliver/suppress
 // decision the live server made.
 
-// journalProvider is implemented by sinks (Pool via AttachJournal, and
-// the Monitor / RecordingSink / ShardSink forwards) that carry a
-// delivery journal. The wire server probes it at ServeWire time, so
-// attach the journal before starting the server.
-type journalProvider interface {
-	Journal() *wal.Log
-}
-
 // ReplayJournal feeds every journaled payload back through the sink,
 // in journal (= original delivery) order: decode, re-observe the
 // sequence number, deliver. Wire frame/byte counters advance so the
@@ -41,15 +33,12 @@ type journalProvider interface {
 func ReplayJournal(jour *wal.Log, sink interface {
 	Consume(rank int, frags []trace.Fragment)
 }) (frames int, err error) {
-	sized, _ := sink.(sizedSink)
-	var seq *SeqTracker
-	if ss, ok := sink.(seqStater); ok {
-		seq = ss.SeqState()
-	}
-	var met *Metrics
-	if mp, ok := sink.(metricsProvider); ok {
-		met = mp.Metrics()
-	}
+	// The wire server's delivery step, without its journal (the records
+	// are already durable) and without its tracer (replay stamps no
+	// journey hops).
+	var d delivery
+	d.probe(sink)
+	d.jour, d.traced = nil, nil
 	// One decode buffer for the whole replay, as on a live connection:
 	// the sink copies what it keeps.
 	var frags []trace.Fragment
@@ -62,32 +51,12 @@ func ReplayJournal(jour *wal.Log, sink interface {
 			return fmt.Errorf("collector: journaled frame undecodable: %w", derr)
 		}
 		frags = decoded
-		if meta.HasSeq && seq != nil {
-			minStart, maxEnd := fragSpan(frags)
-			deliver, gap := seq.Observe(meta.Rank, meta.Seq, minStart, maxEnd)
-			if gap > 0 && met != nil {
-				met.WireSeqGaps.Add(gap)
-			}
-			if !deliver {
-				// Unreachable on a fresh tracker (dups were never
-				// journaled) but kept for defense: replaying into a
-				// non-empty sink must not double-deliver.
-				if met != nil {
-					met.WireDups.Inc()
-				}
-				return nil
-			}
+		// A fresh tracker suppresses nothing (dups were never
+		// journaled); replaying into a non-empty sink must not
+		// double-deliver, and the step's dedup sees to that.
+		if d.deliver(meta, frags, payload) {
+			frames++
 		}
-		if sized != nil {
-			sized.ConsumeSized(meta.Rank, frags, len(payload))
-		} else {
-			sink.Consume(meta.Rank, frags)
-		}
-		if met != nil {
-			met.WireFrames.Inc()
-			met.WireBytes.Add(uint64(len(payload)))
-		}
-		frames++
 		return nil
 	})
 	return frames, err

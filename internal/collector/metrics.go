@@ -226,24 +226,18 @@ func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 			return float64(h)
 		})
 	reg.Func("vapro_cluster_cache_inc_fallbacks", "cluster",
-		"incremental updates abandoned for a full re-cluster (all reasons; see the per-reason split)", func() float64 {
+		"incremental updates abandoned for a full re-cluster", func() float64 {
 			_, f := cache.IncStats()
 			return float64(f)
 		})
 	reg.Func("vapro_cluster_cache_inc_fallback_multid", "cluster",
-		"incremental fallbacks from structural multi-D events (vector-shape change, partition restructured by a new seed)", func() float64 {
-			m, _, _ := cache.IncFallbackReasons()
-			return float64(m)
-		})
-	reg.Func("vapro_cluster_cache_inc_fallback_dirty", "cluster",
-		"incremental fallbacks whose dirty span exceeded MaxDirtyRatio", func() float64 {
-			_, d, _ := cache.IncFallbackReasons()
-			return float64(d)
+		"incremental fallbacks from structural multi-D events (vector-shape change, partition restructured by a new seed); every fallback is one, so this equals inc_fallbacks", func() float64 {
+			_, f := cache.IncStats()
+			return float64(f)
 		})
 	reg.Func("vapro_cluster_cache_inc_fallback_stale", "cluster",
 		"lookups at an older generation than the cached entry, answered by a one-off batch run (same events as stale_rejects)", func() float64 {
-			_, _, s := cache.IncFallbackReasons()
-			return float64(s)
+			return float64(cache.StaleRejects())
 		})
 	reg.Func("vapro_cluster_cache_stale_rejects", "cluster",
 		"reads at an older generation than the cached entry (answered one-off, entry kept)", func() float64 {

@@ -4,18 +4,17 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sync"
 
 	"vapro/internal/stg"
-	"vapro/internal/trace"
-	"vapro/internal/wal"
 )
 
 // Recording is a persisted fragment stream: everything the analysis
 // side needs to re-run detection and diagnosis later, offline. The
 // production workflow this enables — record cheaply during the run,
 // analyze after the fact or on another machine — is how the paper's
-// tool is used when no server capacity is spared at run time.
+// tool is used when no server capacity is spared at run time. It is
+// written from the graph the run already holds (NewRecording), so
+// recording keeps no second copy of the delivered stream.
 type Recording struct {
 	// Version guards the wire format.
 	Version int
@@ -25,8 +24,29 @@ type Recording struct {
 	MakespanNS int64
 	// SiteNames maps state keys to human-readable call-sites.
 	SiteNames map[uint64]string
-	// Batches is the raw fragment stream.
+	// Batches is the fragment stream. NewRecording writes one batch per
+	// STG element with Rank 0; older writers stored delivery batches.
+	// Graph reads either the same way.
 	Batches []Batch
+}
+
+// NewRecording builds the persisted form of g: one batch per element,
+// vertices then edges in key order, each element's log in arrival
+// order. That is the walk stg.Graph.Merge takes, so Graph replays the
+// add sequence that built a merged copy such as Pool.Graph's, and the
+// rebuilt graph's elements carry the same logs and generations.
+func NewRecording(g *stg.Graph, ranks int, makespanNS int64, siteNames map[uint64]string) *Recording {
+	rec := &Recording{Ranks: ranks, MakespanNS: makespanNS, SiteNames: siteNames}
+	add := func(el *stg.Element) {
+		rec.Batches = append(rec.Batches, Batch{Fragments: el.Log().Slice()})
+	}
+	for _, v := range g.Vertices() {
+		add(&v.Element)
+	}
+	for _, e := range g.Edges() {
+		add(&e.Element)
+	}
+	return rec
 }
 
 // recordingVersion is bumped on incompatible format changes.
@@ -64,104 +84,4 @@ func (rec *Recording) Graph() *stg.Graph {
 		g.SetName(k, n)
 	}
 	return g
-}
-
-// FragmentCount returns the total recorded fragments.
-func (rec *Recording) FragmentCount() int {
-	n := 0
-	for _, b := range rec.Batches {
-		n += len(b.Fragments)
-	}
-	return n
-}
-
-// RecordingSink accumulates batches for later persistence. The zero
-// value is ready to use. It implements interpose.Sink and can wrap
-// another sink (e.g. a Pool) so recording and live analysis can run
-// together.
-type RecordingSink struct {
-	mu   sync.Mutex
-	next interface {
-		Consume(rank int, frags []trace.Fragment)
-	}
-	batches []Batch
-}
-
-// NewRecordingSink creates a sink; next may be nil (record only).
-func NewRecordingSink(next interface {
-	Consume(rank int, frags []trace.Fragment)
-}) *RecordingSink {
-	return &RecordingSink{next: next}
-}
-
-// Consume implements interpose.Sink.
-func (s *RecordingSink) Consume(rank int, frags []trace.Fragment) {
-	s.record(rank, frags)
-	if s.next != nil {
-		s.next.Consume(rank, frags)
-	}
-}
-
-// ConsumeSized mirrors Consume for the wire path, forwarding the
-// measured encoded size when the wrapped sink can book it directly.
-func (s *RecordingSink) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
-	s.record(rank, frags)
-	if ss, ok := s.next.(sizedSink); ok {
-		ss.ConsumeSized(rank, frags, bytes)
-	} else if s.next != nil {
-		s.next.Consume(rank, frags)
-	}
-}
-
-// Metrics forwards the wrapped sink's observability surface, if any, so
-// a wire server serving a recording sink still counts into the live
-// pool's registry. Returns nil when nothing downstream provides one.
-func (s *RecordingSink) Metrics() *Metrics {
-	if mp, ok := s.next.(metricsProvider); ok {
-		return mp.Metrics()
-	}
-	return nil
-}
-
-// SeqState forwards the wrapped sink's sequence tracker, if any, so a
-// wire server serving a recording sink keeps exact gap accounting.
-func (s *RecordingSink) SeqState() *SeqTracker {
-	if ss, ok := s.next.(seqStater); ok {
-		return ss.SeqState()
-	}
-	return nil
-}
-
-// Journal forwards the wrapped sink's delivery journal, if any, so
-// recording in front of a journaled pool keeps durability intact.
-func (s *RecordingSink) Journal() *wal.Log {
-	if jp, ok := s.next.(journalProvider); ok {
-		return jp.Journal()
-	}
-	return nil
-}
-
-func (s *RecordingSink) record(rank int, frags []trace.Fragment) {
-	cp := make([]trace.Fragment, len(frags))
-	copy(cp, frags)
-	s.mu.Lock()
-	s.batches = append(s.batches, Batch{Rank: rank, Fragments: cp})
-	s.mu.Unlock()
-}
-
-// Recording assembles the persisted form.
-func (s *RecordingSink) Recording(ranks int, makespanNS int64, siteNames map[uint64]string) *Recording {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Recording{
-		Ranks:      ranks,
-		MakespanNS: makespanNS,
-		SiteNames:  siteNames,
-		Batches:    s.batches,
-	}
-}
-
-// encodeRaw writes a recording without version stamping (tests only).
-func encodeRaw(w io.Writer, rec *Recording) error {
-	return gob.NewEncoder(w).Encode(rec)
 }

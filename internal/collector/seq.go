@@ -129,10 +129,3 @@ func (t *SeqTracker) LastSeen(rank int) time.Time {
 	}
 	return time.Time{}
 }
-
-// seqStater is implemented by sinks (Pool, Monitor, RecordingSink
-// wrapping either) that own a sequence tracker; the wire server feeds
-// it so gap state survives server restarts.
-type seqStater interface {
-	SeqState() *SeqTracker
-}

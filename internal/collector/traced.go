@@ -22,13 +22,6 @@ func (tc TraceCtx) Key() obs.TraceKey {
 	return obs.TraceKey{ClientID: tc.ClientID, Seq: tc.Seq}
 }
 
-// tracedSink is the optional sink extension the wire server probes for:
-// a sink that can carry a sampled batch's trace context through the
-// intake path. Pool, Monitor, and the sharded tier's sinks implement it.
-type tracedSink interface {
-	ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx)
-}
-
 // ConsumeTraced stages a sampled traced batch, carrying its provenance
 // context through staging and drain.
 func (p *Pool) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {

@@ -48,6 +48,9 @@ type Batch struct {
 	Fragments []trace.Fragment
 }
 
+// The sink capabilities the delivery step probes for. Every sink takes
+// Consume; each optional method set lets it take more of the step.
+
 // sizedSink is implemented by sinks (Pool, Monitor) that can book an
 // already-measured encoded size, so the wire server's decoded payload
 // length feeds the §6.2 byte accounting directly instead of the sink
@@ -56,12 +59,33 @@ type sizedSink interface {
 	ConsumeSized(rank int, frags []trace.Fragment, bytes int)
 }
 
-// metricsProvider is implemented by sinks (Pool, Monitor,
-// RecordingSink wrapping either) that expose a collector metrics
-// surface; the wire server counts frames into it so transport failures
-// that are swallowed as connection kills still leave a visible trace.
+// tracedSink is implemented by sinks (Pool, Monitor, the sharded tier's
+// sinks) that carry a sampled batch's trace context through the intake
+// path.
+type tracedSink interface {
+	ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx)
+}
+
+// seqStater is implemented by sinks (Pool, Monitor) that own a sequence
+// tracker; the step feeds it so gap state survives server restarts.
+type seqStater interface {
+	SeqState() *SeqTracker
+}
+
+// metricsProvider is implemented by sinks (Pool, Monitor) that expose a
+// collector metrics surface; the step counts frames into it so
+// transport failures that are swallowed as connection kills still leave
+// a visible trace.
 type metricsProvider interface {
 	Metrics() *Metrics
+}
+
+// journalProvider is implemented by sinks (Pool via AttachJournal, and
+// the Monitor / ShardSink forwards) that carry a delivery journal. The
+// probe runs at ServeWire time, so attach the journal before starting
+// the server.
+type journalProvider interface {
+	Journal() *wal.Log
 }
 
 // helloProvider is implemented by sinks (ShardSink) that publish a
@@ -74,10 +98,10 @@ type helloProvider interface {
 	Hello() (version uint64, addrs []string, ok bool)
 }
 
-// WireServer accepts connections and feeds decoded batches into a sink
-// (normally a Pool or Monitor).
-type WireServer struct {
-	ln   net.Listener
+// delivery is one sink's probed capabilities and the
+// observe→journal→deliver→count step every delivered frame takes, live
+// off a connection (WireServer) or from disk (ReplayJournal).
+type delivery struct {
 	sink interface {
 		Consume(rank int, frags []trace.Fragment)
 	}
@@ -86,15 +110,97 @@ type WireServer struct {
 	seq    *SeqTracker   // non-nil when sink implements seqStater
 	hello  helloProvider // non-nil when sink implements helloProvider
 	jour   *wal.Log      // non-nil when sink implements journalProvider
-	met    *Metrics
-	wg     sync.WaitGroup
+	met    *Metrics      // the sink's surface, else a standalone one
 
 	// jmu serializes observe→journal→deliver across connections when a
 	// journal is attached: the journal's record order must equal the
 	// sequence tracker's decision order and the sink's delivery order,
 	// or replay would rebuild a different state than the live run held.
-	// Without a journal the path stays lock-free as before.
+	// Without a journal the path stays lock-free.
 	jmu sync.Mutex
+}
+
+// probe reads sink's capabilities into d.
+func (d *delivery) probe(sink interface {
+	Consume(rank int, frags []trace.Fragment)
+}) {
+	d.sink = sink
+	d.sized, _ = sink.(sizedSink)
+	d.traced, _ = sink.(tracedSink)
+	if ss, ok := sink.(seqStater); ok {
+		d.seq = ss.SeqState()
+	}
+	if mp, ok := sink.(metricsProvider); ok {
+		d.met = mp.Metrics()
+	}
+	d.hello, _ = sink.(helloProvider)
+	if jp, ok := sink.(journalProvider); ok {
+		d.jour = jp.Journal()
+	}
+	if d.met == nil {
+		d.met = NewMetrics() // standalone counting surface
+	}
+}
+
+// deliver runs one decoded frame's observe→journal→deliver→count step
+// and reports whether the sink received the batch (false: a suppressed
+// duplicate). With a journal attached the whole step is a single
+// critical section across connections (jmu); without one only the
+// tracker's own lock is involved.
+func (d *delivery) deliver(meta trace.BatchMeta, frags []trace.Fragment, payload []byte) bool {
+	if d.jour != nil {
+		d.jmu.Lock()
+		defer d.jmu.Unlock()
+	}
+	rank := meta.Rank
+	if meta.HasSeq && d.seq != nil {
+		// Sequence accounting: gaps are batches that died with a
+		// connection or were evicted client-side; duplicates are
+		// retransmits whose original arrived (e.g. a write deadline
+		// fired on a live link) and must not be delivered twice.
+		minStart, maxEnd := fragSpan(frags)
+		deliver, gap := d.seq.Observe(rank, meta.Seq, minStart, maxEnd)
+		if gap > 0 {
+			d.met.WireSeqGaps.Add(gap)
+		}
+		if !deliver {
+			d.met.WireDups.Inc()
+			return false
+		}
+	}
+	if d.jour != nil {
+		// Journal the delivered payload before the sink sees it.
+		// Duplicates never reach this point, so the journal holds
+		// exactly the delivered stream. An append failure (disk full,
+		// dead device) is counted by the log's own metrics and must not
+		// kill the connection: durability degrades, ingestion keeps
+		// serving.
+		_ = d.jour.Append(payload)
+	}
+	if meta.HasTrace && d.traced != nil && d.met.Trace.Sample(meta.Seq) {
+		// Sampled exemplar: stamp delivery and carry the provenance
+		// context through staging and drain. The sampling decision is
+		// derived from the sequence number alone, so the client that
+		// stamped flush/enqueue/write picked the same batches.
+		tc := TraceCtx{ClientID: meta.ClientID, Seq: meta.Seq, Rank: rank, FlushNS: meta.FlushNS}
+		d.met.Trace.Record(tc.Key(), rank, meta.FlushNS, obs.HopDeliver)
+		d.traced.ConsumeTraced(rank, frags, len(payload), tc)
+	} else if d.sized != nil {
+		d.sized.ConsumeSized(rank, frags, len(payload))
+	} else {
+		d.sink.Consume(rank, frags)
+	}
+	d.met.WireFrames.Inc()
+	d.met.WireBytes.Add(uint64(len(payload)))
+	return true
+}
+
+// WireServer accepts connections and feeds decoded batches into a sink
+// (normally a Pool or Monitor).
+type WireServer struct {
+	ln net.Listener
+	delivery
+	wg sync.WaitGroup
 
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
@@ -111,22 +217,8 @@ const defaultDrainTimeout = 5 * time.Second
 func ServeWire(ln net.Listener, sink interface {
 	Consume(rank int, frags []trace.Fragment)
 }) *WireServer {
-	s := &WireServer{ln: ln, sink: sink, conns: make(map[net.Conn]struct{}), drain: defaultDrainTimeout}
-	s.sized, _ = sink.(sizedSink)
-	s.traced, _ = sink.(tracedSink)
-	if ss, ok := sink.(seqStater); ok {
-		s.seq = ss.SeqState()
-	}
-	if mp, ok := sink.(metricsProvider); ok {
-		s.met = mp.Metrics()
-	}
-	s.hello, _ = sink.(helloProvider)
-	if jp, ok := sink.(journalProvider); ok {
-		s.jour = jp.Journal()
-	}
-	if s.met == nil {
-		s.met = NewMetrics() // standalone counting surface
-	}
+	s := &WireServer{ln: ln, conns: make(map[net.Conn]struct{}), drain: defaultDrainTimeout}
+	s.probe(sink)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -256,68 +348,15 @@ func (s *WireServer) serveConn(conn net.Conn) {
 			s.setErr(err)
 			return
 		}
-		s.deliverFrame(meta, frags, payload)
+		if s.deliver(meta, frags, payload) {
+			s.mu.Lock()
+			s.batches++
+			s.mu.Unlock()
+		}
 		if cap(frags) > maxRetainedFrags {
 			frags = nil
 		}
 	}
-}
-
-// deliverFrame runs one decoded frame's observe→journal→deliver
-// sequence. With a journal attached the whole sequence is a single
-// critical section across connections (jmu): the journal's record
-// order must equal the tracker's decision order and the sink's
-// delivery order, or replay would rebuild a different state than the
-// live run held. Without a journal only the tracker's own lock is
-// involved, as before.
-func (s *WireServer) deliverFrame(meta trace.BatchMeta, frags []trace.Fragment, payload []byte) {
-	if s.jour != nil {
-		s.jmu.Lock()
-		defer s.jmu.Unlock()
-	}
-	rank := meta.Rank
-	if meta.HasSeq && s.seq != nil {
-		// Sequence accounting: gaps are batches that died with a
-		// connection or were evicted client-side; duplicates are
-		// retransmits whose original arrived (e.g. a write deadline
-		// fired on a live link) and must not be delivered twice.
-		minStart, maxEnd := fragSpan(frags)
-		deliver, gap := s.seq.Observe(rank, meta.Seq, minStart, maxEnd)
-		if gap > 0 {
-			s.met.WireSeqGaps.Add(gap)
-		}
-		if !deliver {
-			s.met.WireDups.Inc()
-			return
-		}
-	}
-	if s.jour != nil {
-		// Journal the delivered payload before the sink sees it.
-		// Duplicates never reach this point, so the journal holds
-		// exactly the delivered stream. An append failure (disk full,
-		// dead device) is counted by the log's own metrics and must not
-		// kill the connection: durability degrades, ingestion keeps
-		// serving.
-		_ = s.jour.Append(payload)
-	}
-	if meta.HasTrace && s.traced != nil && s.met.Trace.Sample(meta.Seq) {
-		// Sampled exemplar: stamp delivery and carry the provenance
-		// context through staging and drain. The sampling decision is
-		// derived from the sequence number alone, so the client that
-		// stamped flush/enqueue/write picked the same batches.
-		tc := TraceCtx{ClientID: meta.ClientID, Seq: meta.Seq, Rank: rank, FlushNS: meta.FlushNS}
-		s.met.Trace.Record(tc.Key(), rank, meta.FlushNS, obs.HopDeliver)
-		s.traced.ConsumeTraced(rank, frags, len(payload), tc)
-	} else if s.sized != nil {
-		s.sized.ConsumeSized(rank, frags, len(payload))
-	} else {
-		s.sink.Consume(rank, frags)
-	}
-	s.met.WireFrames.Inc()
-	s.met.WireBytes.Add(uint64(len(payload)))
-	s.mu.Lock()
-	s.batches++
-	s.mu.Unlock()
 }
 
 // readPayload appends exactly size bytes from br onto buf in bounded

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
-	"io"
+	"math"
+	"reflect"
 	"testing"
 
 	"vapro/internal/apps"
+	"vapro/internal/collector"
+	"vapro/internal/detect"
 	"vapro/internal/diagnose"
 	"vapro/internal/noise"
 	"vapro/internal/sim"
@@ -54,14 +57,10 @@ func TestRunOnline(t *testing.T) {
 func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ranks = 8
-	opt.Record = true
 	sch := noise.NewSchedule()
 	sch.Add(noise.CPUContention(0, 1, sim.Time(700*sim.Millisecond), sim.Time(1200*sim.Millisecond), 0.5))
 	opt.Noise = sch
 	res := RunTraced(apps.NewCG(10), opt)
-	if res.Recording == nil {
-		t.Fatal("Record option produced no recording")
-	}
 
 	var buf bytes.Buffer
 	if err := res.SaveRecording(&buf); err != nil {
@@ -90,11 +89,83 @@ func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveRecordingWithoutRecord(t *testing.T) {
+// TestSaveRecordingOfEveryRun: a recording is written from the run's
+// graph, so an offline and an online run both save, the saved file
+// re-analyzes to the run's own Detection, and saving the re-analysis
+// writes the same stream again.
+func TestSaveRecordingOfEveryRun(t *testing.T) {
 	opt := DefaultOptions()
-	opt.Ranks = 4
-	res := RunTraced(apps.NewCG(2), opt)
-	if err := res.SaveRecording(io.Discard); err == nil {
-		t.Fatal("unrecorded run saved")
+	opt.Ranks = 8
+	opt.Collector.Period = 200 * sim.Millisecond
+	opt.Collector.Overlap = 100 * sim.Millisecond
+	sch := noise.NewSchedule()
+	sch.Add(noise.CPUContention(0, 1, sim.Time(700*sim.Millisecond), sim.Time(1200*sim.Millisecond), 0.5))
+	opt.Noise = sch
+	for _, tc := range []struct {
+		name string
+		res  *Result
+	}{
+		{"offline", RunTraced(apps.NewCG(10), opt)},
+		{"online", RunOnline(apps.NewCG(10), opt).Result},
+	} {
+		var saved bytes.Buffer
+		if err := tc.res.SaveRecording(&saved); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		first := saved.Bytes()
+		re, err := AnalyzeRecording(bytes.NewReader(first), opt.Collector.Detect)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !sameDetection(re.Detection, tc.res.Detection) {
+			t.Fatalf("%s: re-analyzed detection differs from the run's", tc.name)
+		}
+		var again bytes.Buffer
+		if err := re.SaveRecording(&again); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// gob writes a map in Go's randomized iteration order, so two
+		// saves may place SiteNames' entries differently: compare what
+		// the files hold.
+		if !reflect.DeepEqual(readRecording(t, first), readRecording(t, again.Bytes())) {
+			t.Fatalf("%s: save→analyze→save changed the recording", tc.name)
+		}
 	}
+}
+
+func readRecording(t *testing.T, file []byte) *collector.Recording {
+	t.Helper()
+	rec, err := collector.ReadRecording(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// sameDetection is reflect.DeepEqual with heat-map cells compared
+// bitwise: empty cells hold NaN, and NaN != NaN would fail DeepEqual on
+// otherwise identical results.
+func sameDetection(a, b *detect.Result) bool {
+	if len(a.Maps) != len(b.Maps) {
+		return false
+	}
+	for c, ha := range a.Maps {
+		hb := b.Maps[c]
+		if hb == nil || len(ha.Cells) != len(hb.Cells) {
+			return false
+		}
+		for i := range ha.Cells {
+			if math.Float64bits(ha.Cells[i]) != math.Float64bits(hb.Cells[i]) {
+				return false
+			}
+		}
+		hac, hbc := *ha, *hb
+		hac.Cells, hbc.Cells = nil, nil
+		if !reflect.DeepEqual(hac, hbc) {
+			return false
+		}
+	}
+	ac, bc := *a, *b
+	ac.Maps, bc.Maps = nil, nil
+	return reflect.DeepEqual(ac, bc)
 }

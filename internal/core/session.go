@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"vapro/internal/apps"
 	"vapro/internal/cluster"
@@ -43,9 +42,6 @@ type Options struct {
 	Collector collector.Options
 	// BufferedIO enables the client-side file buffer (the RAxML fix).
 	BufferedIO bool
-	// Record keeps the raw fragment stream on the Result so it can be
-	// persisted with SaveRecording and re-analyzed offline later.
-	Record bool
 	// PMUJitter overrides the counter-read jitter (default 0.002).
 	PMUJitter float64
 }
@@ -133,9 +129,6 @@ type Result struct {
 	BytesOut        int64
 	// SiteNames maps state keys to human-readable call-sites.
 	SiteNames map[uint64]string
-	// Recording holds the raw fragment stream when Options.Record was
-	// set (nil otherwise).
-	Recording *collector.Recording
 
 	clusterOpt cluster.Options
 	// analyzer memoizes per-element clusterings: the whole-run
@@ -156,13 +149,18 @@ func (r *Result) clusterElement(key cluster.Key, el *stg.Element) cluster.Result
 // RunTraced executes the application with Vapro attached: interposition,
 // collection through the server pool, then a whole-run detection pass.
 func RunTraced(app apps.App, opt Options) *Result {
+	return runTraced(app, opt, nil)
+}
+
+// runTraced is the one traced-run harness. front, when non-nil, builds
+// the sink the ranks deliver to in front of the pool (the online
+// monitor); nil delivers to the pool itself.
+func runTraced(app apps.App, opt Options, front func(pool *collector.Pool, ranks int) interpose.Sink) *Result {
 	world, fs, ranks := setup(app, &opt)
 	pool := collector.NewPool(ranks, opt.Collector)
 	var sink interpose.Sink = pool
-	var recorder *collector.RecordingSink
-	if opt.Record {
-		recorder = collector.NewRecordingSink(pool)
-		sink = recorder
+	if front != nil {
+		sink = front(pool, ranks)
 	}
 	cfg := rt.Config{FS: fs, BufferedIO: opt.BufferedIO}
 
@@ -209,19 +207,15 @@ func RunTraced(app apps.App, opt Options) *Result {
 	}
 	res.analyzer = detect.NewAnalyzer()
 	res.Detection = res.analyzer.Run(res.Graph, ranks, opt.Collector.Detect)
-	if recorder != nil {
-		res.Recording = recorder.Recording(ranks, int64(res.Makespan), res.SiteNames)
-	}
 	return res
 }
 
-// SaveRecording persists the run's raw fragment stream (requires
-// Options.Record). Load it back with AnalyzeRecording.
+// SaveRecording persists the run's fragment stream, written from the
+// whole-run graph (collector.NewRecording), so every traced run —
+// online, offline or itself re-analyzed — can be saved. Load it back
+// with AnalyzeRecording.
 func (r *Result) SaveRecording(w io.Writer) error {
-	if r.Recording == nil {
-		return fmt.Errorf("core: run was not recorded (set Options.Record)")
-	}
-	return collector.WriteRecording(w, r.Recording)
+	return collector.WriteRecording(w, collector.NewRecording(r.Graph, r.Ranks, int64(r.Makespan), r.SiteNames))
 }
 
 // AnalyzeRecording rebuilds an analysis Result from a persisted
@@ -239,7 +233,6 @@ func AnalyzeRecording(rd io.Reader, dopt detect.Options) (*Result, error) {
 		Makespan:   sim.Duration(rec.MakespanNS),
 		Graph:      g,
 		SiteNames:  rec.SiteNames,
-		Recording:  rec,
 		clusterOpt: dopt.Cluster,
 	}
 	res.App.Name = "recording"
@@ -264,43 +257,12 @@ type OnlineResult struct {
 // run ends. The returned result also carries the usual whole-run
 // analysis for convenience.
 func RunOnline(app apps.App, opt Options) *OnlineResult {
-	world, fs, ranks := setup(app, &opt)
-	pool := collector.NewPool(ranks, opt.Collector)
-	mon := collector.NewMonitor(pool, collector.DefaultMonitorOptions(ranks))
-	cfg := rt.Config{FS: fs, BufferedIO: opt.BufferedIO}
-
-	res := &Result{
-		App:        app.Info(),
-		Ranks:      ranks,
-		SiteNames:  make(map[uint64]string),
-		clusterOpt: opt.Collector.Detect.Cluster,
-	}
-	var mu sync.Mutex
-	times := world.Run(func(r *mpi.Rank) {
-		tr := interpose.NewTraced(r, cfg, opt.Interpose, mon, pool.Armed)
-		tr.SetMetrics(pool.Metrics().Client)
-		app.Run(tr)
-		tr.Flush()
-		mu.Lock()
-		res.Events += tr.Events
-		res.Dropped += tr.Dropped
-		res.BytesOut += tr.BytesOut
-		for k, v := range tr.SiteNames() {
-			res.SiteNames[k] = v
-		}
-		mu.Unlock()
+	var mon *collector.Monitor
+	res := runTraced(app, opt, func(pool *collector.Pool, ranks int) interpose.Sink {
+		mon = collector.NewMonitor(pool, collector.DefaultMonitorOptions(ranks))
+		return mon
 	})
 	mon.Flush()
-
-	res.Makespan = makespan(times)
-	res.RankTimes = times
-	res.Pool = pool
-	res.Graph = pool.Graph()
-	for k, v := range res.SiteNames {
-		res.Graph.SetName(k, v)
-	}
-	res.analyzer = detect.NewAnalyzer()
-	res.Detection = res.analyzer.Run(res.Graph, ranks, opt.Collector.Detect)
 	return &OnlineResult{Result: res, Monitor: mon, Events: mon.Drain()}
 }
 

@@ -300,8 +300,7 @@ func runMixedMultiDSchedule(t *testing.T, seed int64) {
 	if met.PrepIncremental.Load() == 0 {
 		t.Fatalf("no prep advanced incrementally across %d bursts", bursts)
 	}
-	multiD, _, _ := inc.Cache().IncFallbackReasons()
-	if multiD != 0 {
+	if _, multiD := inc.Cache().IncStats(); multiD != 0 {
 		t.Fatalf("steady-state palette appends hit %d structural multi-D fallbacks", multiD)
 	}
 	if hits, _ := inc.Cache().IncStats(); hits == 0 {

@@ -64,10 +64,6 @@ type Metrics struct {
 
 // NewMetrics registers the detection metrics into reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	// The store has had nothing to compact since it stopped keeping
-	// samples; the series stays exposed, at 0, because bench/ reports it.
-	reg.Counter("vapro_detect_store_compactions_total", "detect",
-		"retired: always 0 (the sample store no longer compacts)")
 	return &Metrics{
 		Windows: reg.Counter("vapro_detect_windows_total", "detect",
 			"completed detection passes (whole-run and per-window)"),

@@ -61,7 +61,7 @@ func (m Mode) String() string {
 // the backing array for its next batch — a rank's client buffer, a wire
 // connection's decode buffer, a journal replay's. A sink that keeps
 // fragments copies them first (the collector's servers copy once into
-// their staging area; RecordingSink copies into its recording).
+// their staging area).
 type Sink interface {
 	Consume(rank int, frags []trace.Fragment)
 }

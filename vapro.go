@@ -172,8 +172,9 @@ func RenderHeatMapSVG(res *Result, class Class) string {
 func RenderSTG(res *Result) string { return res.Graph.DOT() }
 
 // AnalyzeRecording rebuilds an analysis result from a fragment stream
-// persisted with Result.SaveRecording (Options.Record must have been
-// set during the run): the offline half of the record/analyze workflow.
+// persisted with Result.SaveRecording (any traced run, online or
+// offline, can be saved): the offline half of the record/analyze
+// workflow.
 func AnalyzeRecording(r io.Reader, dopt detect.Options) (*Result, error) {
 	return core.AnalyzeRecording(r, dopt)
 }

@@ -19,7 +19,6 @@ func noisyRun(t *testing.T) *vapro.Result {
 	}
 	opt := vapro.DefaultOptions()
 	opt.Ranks = 16
-	opt.Record = true
 	sch := vapro.NewNoise()
 	sch.Add(vapro.CPUContention(0, 1, vapro.Seconds(0.9), vapro.Seconds(1.6), 0.5))
 	opt.Noise = sch
