@@ -12,7 +12,6 @@ import (
 
 	"vapro"
 	"vapro/internal/collector"
-	"vapro/internal/interpose"
 	"vapro/internal/sim"
 	"vapro/internal/trace"
 	"vapro/internal/wal"
@@ -86,10 +85,9 @@ func analyzeRecording(w io.Writer, path string, asJSON bool, rf reportFlags) err
 // windowed analysis over a virtual-time range. The journal holds the
 // delivered frame stream in delivery order, so the rebuilt state —
 // fragment logs, sequence gaps, outage intervals — matches what the
-// live server held: a single server's journal replays into one pool,
-// and shard i's journal of a sharded serve into plane i of a tier with
-// the same shard count, so every plane normalizes against its own
-// population as it did live. The window grid is anchored at zero
+// live server held: journal i replays into plane i of a pool with as
+// many planes as the serve had, so every rank is owned by the plane that
+// owned it live. The window grid is anchored at zero
 // exactly like the live one: a range query returns the same rows the
 // live WindowResults would, filtered to the requested [from, to) span.
 func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, asJSON bool) error {
@@ -140,22 +138,10 @@ func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, as
 	// observation included), then run the range query. Shards replay
 	// one after the other: ranks never span shards, so each rank's frame
 	// order is exactly its original delivery order.
-	opt := collector.DefaultOptions()
-	var sinks []interpose.Sink
-	var query func(from, to int64) []*collector.WindowResult
-	if len(logs) == 1 {
-		pool := collector.NewPool(n, opt)
-		sinks, query = []interpose.Sink{pool}, pool.WindowResultsRange
-	} else {
-		tier := collector.NewShardedPool(n, len(logs), opt)
-		for i := range logs {
-			sinks = append(sinks, tier.WireSink(i))
-		}
-		query = tier.WindowResultsRange
-	}
+	pool := collector.NewShardedPool(n, len(logs), collector.DefaultOptions())
 	replayed := 0
 	for i, l := range logs {
-		nf, err := collector.ReplayJournal(l, sinks[i])
+		nf, err := collector.ReplayJournal(l, pool.WireSink(i))
 		if err != nil {
 			return err
 		}
@@ -163,7 +149,7 @@ func analyzeJournal(w io.Writer, journal string, from, to float64, ranks int, as
 	}
 	fromNS := int64(from * float64(sim.Second))
 	toNS := int64(to * float64(sim.Second))
-	results := query(fromNS, toNS)
+	results := pool.WindowResultsRange(fromNS, toNS)
 
 	if asJSON {
 		return printWindowsJSON(w, results, replayed)

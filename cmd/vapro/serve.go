@@ -15,18 +15,18 @@ import (
 	"vapro/internal/wal"
 )
 
-// serveMain starts a standalone collector: one online monitor over
-// -shards analysis planes — one Pool, or a rank-sharded tier — with one
-// wire listener per plane (shard 0 at -listen, the rest on ephemeral
-// ports), plus the metrics HTTP endpoint `vapro status` reads. It
-// prints the actual bound addresses (so -listen/-metrics may use port
-// 0) and runs until interrupted. Every listener publishes the shard map
-// in the wire hello, so clients need any one address to bootstrap.
+// serveMain starts a standalone collector: one online monitor over a
+// Pool of -shards analysis planes, with one wire listener per plane
+// (plane 0 at -listen, the rest on ephemeral ports), plus the metrics
+// HTTP endpoint `vapro status` reads. It prints the actual bound
+// addresses (so -listen/-metrics may use port 0) and runs until
+// interrupted. Every listener publishes the pool's shard map in the
+// wire hello, so clients need any one address to bootstrap.
 //
-// Observability: -metrics serves the plane's registry, or on a tier the
-// merge of every registry (plus /trace) with one more listener per
-// shard (printed metrics0=, metrics1=, …) so per-shard truth stays
-// scrapeable; -fleet starts a FleetScraper polling the per-shard
+// Observability: -metrics serves the pool's registry view (the merge of
+// every registry, plus /trace); over several planes one more listener
+// per plane (printed metrics0=, metrics1=, …) keeps per-plane truth
+// scrapeable. -fleet starts a FleetScraper polling the per-plane
 // endpoints (the -metrics one for a single plane) into the /fleet
 // health surface.
 func serveMain(args []string) {
@@ -43,20 +43,12 @@ func serveMain(args []string) {
 	_ = fs.Parse(args)
 	n := max(*shards, 1)
 
-	opt := collector.DefaultOptions()
-	mopt := collector.DefaultMonitorOptions(*ranks)
-	var (
-		mon     *collector.Monitor
-		tier    *collector.ShardedPool
-		handler http.Handler
-	)
-	if n > 1 {
-		tier = collector.NewShardedPool(*ranks, n, opt)
-		mon, handler = collector.NewShardedMonitor(tier, mopt), tier.Handler()
-	} else {
-		pool := collector.NewPool(*ranks, opt)
-		mon, handler = collector.NewMonitor(pool, mopt), pool.Metrics().Handler()
-	}
+	pool := collector.NewShardedPool(*ranks, n, collector.DefaultOptions())
+	mon := collector.NewMonitor(pool, collector.DefaultMonitorOptions(*ranks))
+	// A plane's own surfaces — its journal directory, its metrics
+	// listener — are named apart from the pool's only when there are
+	// several planes.
+	perPlane := n > 1
 
 	// One journal per plane: a single plane's in DIR itself, a shard's
 	// in its own shard<i>/ subdirectory (its sequence space is its
@@ -71,7 +63,7 @@ func serveMain(args []string) {
 		replayed := 0
 		for i := range jlogs {
 			dir := *journal
-			if tier != nil {
+			if perPlane {
 				dir = filepath.Join(dir, fmt.Sprintf("shard%d", i))
 			}
 			sink := mon.WireSink(i)
@@ -81,7 +73,7 @@ func serveMain(args []string) {
 				fatal(err)
 			}
 			replayed += k
-			mon.Plane(i).AttachJournal(jlogs[i])
+			pool.Plane(i).AttachJournal(jlogs[i])
 		}
 		fmt.Printf("journal=%s replayed=%d\n", *journal, replayed)
 	}
@@ -98,15 +90,11 @@ func serveMain(args []string) {
 		srvs[i] = collector.ServeWire(ln, mon.WireSink(i))
 		srvs[i].SetDrainTimeout(*drain)
 	}
-	// A tier publishes its live map; a single server a one-entry map
-	// naming itself, so ShardDialer clients (vapro feed) bootstrap
-	// against either exactly the same way.
-	if tier != nil {
-		if err := tier.Rebalance(addrs); err != nil {
-			fatal(err)
-		}
-	} else {
-		srvs[0].SetHello(1, addrs)
+	// Publish the live map — one entry naming this server for a single
+	// plane — so ShardDialer clients (vapro feed) bootstrap against any
+	// deployment exactly the same way.
+	if err := pool.Rebalance(addrs); err != nil {
+		fatal(err)
 	}
 	fmt.Printf("wire=%s\n", addrs[0])
 	for i := 1; i < n; i++ {
@@ -122,16 +110,16 @@ func serveMain(args []string) {
 	shardMet := make([]string, n)
 	if *metrics != "" {
 		mln := mustListen(*metrics)
-		serveHTTP(mln, handler)
+		serveHTTP(mln, pool.Handler())
 		shardMet[0] = mln.Addr().String()
 		fmt.Printf("metrics=%s\n", mln.Addr())
-		// A tier's per-shard endpoints: the fleet scraper's targets, and
-		// the ground truth for "fleet sum == Σ shard counters" checks.
-		if tier != nil {
+		// The per-plane endpoints: the fleet scraper's targets, and the
+		// ground truth for "fleet sum == Σ shard counters" checks.
+		if perPlane {
 			for i := range shardMet {
 				sln := mustListen("127.0.0.1:0")
 				shardMet[i] = sln.Addr().String()
-				serveHTTP(sln, mon.WireSink(i).Metrics().Handler())
+				serveHTTP(sln, pool.Plane(i).Metrics().Handler())
 				fmt.Printf("metrics%d=%s\n", i, shardMet[i])
 			}
 		}
@@ -159,10 +147,10 @@ func serveMain(args []string) {
 	for _, s := range https {
 		_ = s.Close()
 	}
-	for i, srv := range srvs {
+	for _, srv := range srvs {
 		_ = srv.Close()
-		mon.Plane(i).Close()
 	}
+	pool.Close()
 	for _, l := range jlogs {
 		if l != nil {
 			_ = l.Close()

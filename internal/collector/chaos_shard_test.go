@@ -85,7 +85,7 @@ func TestChaosShardServerKillRestart(t *testing.T) {
 		out := make(map[int]int)
 		for s := 0; s < shards; s++ {
 			if s != victim {
-				out[s] = tier.Plane(s).FragmentCount()
+				out[s] = tier.Plane(s).fragments()
 			}
 		}
 		return out
@@ -130,9 +130,9 @@ func TestChaosShardServerKillRestart(t *testing.T) {
 
 	// Re-attach: the victim shard's ranks must resume landing in its
 	// plane through the rebalanced map.
-	attachMark := tier.Plane(victim).FragmentCount()
+	attachMark := tier.Plane(victim).fragments()
 	if !waitUntil(10*time.Second, func() bool {
-		return tier.Plane(victim).FragmentCount() > attachMark
+		return tier.Plane(victim).fragments() > attachMark
 	}) {
 		t.Fatal("victim shard's ranks never re-attached after restart")
 	}
@@ -173,12 +173,12 @@ func TestChaosShardServerKillRestart(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		s := s
 		if !waitUntil(10*time.Second, func() bool {
-			delivered := uint64(tier.Plane(s).Stats(0).Batches)
-			return consumedBy[s] == delivered+tier.SeqStateFor(s).GapFrames()
+			delivered := uint64(tier.Plane(s).stats().Batches)
+			return consumedBy[s] == delivered+tier.Plane(s).SeqState().GapFrames()
 		}) {
 			t.Fatalf("shard %d books never balanced: consumed %d != delivered %d + gaps %d (dups %d)",
-				s, consumedBy[s], tier.Plane(s).Stats(0).Batches,
-				tier.SeqStateFor(s).GapFrames(), tier.SeqStateFor(s).Dups())
+				s, consumedBy[s], tier.Plane(s).stats().Batches,
+				tier.Plane(s).SeqState().GapFrames(), tier.Plane(s).SeqState().Dups())
 		}
 	}
 	if met.ShardMisroutes.Load() != 0 {

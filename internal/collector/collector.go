@@ -2,7 +2,7 @@
 // plane (§3.5, §5): application ranks ship fragment batches to dedicated
 // server processes; each server periodically analyzes the last time
 // window, with windows overlapped so consecutive results concatenate;
-// servers shard ranks for scale (ShardedPool; one server per 256
+// a Pool shards ranks over its planes for scale (one server per 256
 // clients in the paper's configuration). During progressive diagnosis the
 // server instructs its clients to switch counter groups.
 package collector
@@ -41,15 +41,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// Pool is one analysis server: a staged intake, the STG it merges into,
-// and a persistent analyzer over a snapshot of that graph, plus the
-// shared counter-arming handle. It implements interpose.Sink. The
-// paper's one server per 256 clients is a shard count: ShardedPool runs
-// one Pool per shard.
-type Pool struct {
+// plane is one analysis server: a staged intake, the STG it merges
+// into, and a persistent analyzer over a snapshot of that graph, with
+// its own sequence tracker, delivery journal and metrics registry. A
+// Pool runs one plane per shard; the paper's one server per 256 clients
+// is a shard count.
+type plane struct {
 	opt   Options
 	ranks int
-	Armed *interpose.Armed
 
 	// Intake (ingest.go): smu guards the staged list; mu guards the graph
 	// and the drain that merges staged batches into it.
@@ -64,7 +63,7 @@ type Pool struct {
 	// graph's columns. It retains at most intakeFreeBuffers of them. Up
 	// to maxStaged can be staged at once (a drain preempted while every
 	// connection keeps staging), and keeping them all would pin a burst's
-	// buffers for the pool's lifetime; past the bound a drained buffer
+	// buffers for the plane's lifetime; past the bound a drained buffer
 	// goes back to the GC.
 	free  chan []trace.Fragment
 	mu    sync.Mutex
@@ -80,34 +79,27 @@ type Pool struct {
 	view *stg.Graph
 	an   *detect.Analyzer
 
-	// met is the pool's always-on observability surface.
+	// met is the plane's always-on observability surface.
 	met *Metrics
 
-	// seq is the per-rank sequence tracker. It lives on the pool rather
+	// seq is the per-rank sequence tracker. It lives on the plane rather
 	// than the wire server so gap accounting survives server restarts —
 	// exactly the window where batches get lost.
 	seq *SeqTracker
 
 	// jour is the delivery journal the serving process attached
 	// (AttachJournal), if any; the wire server appends every delivered
-	// frame to it. The pool only holds the handle — open/close belong
+	// frame to it. The plane only holds the handle — open/close belong
 	// to whoever runs the process.
 	jour *wal.Log
 }
 
-// NewPool builds the analysis server for the given number of client
-// ranks.
-func NewPool(ranks int, opt Options) *Pool {
-	if opt.Period <= 0 {
-		opt.Period = 15 * sim.Second
-	}
-	if opt.Overlap <= 0 || opt.Overlap >= opt.Period {
-		opt.Overlap = opt.Period / 2
-	}
-	p := &Pool{
+// newPlane builds one analysis server over a rank space of size ranks;
+// opt is already normalized.
+func newPlane(ranks int, opt Options) *plane {
+	pl := &plane{
 		opt:       opt,
 		ranks:     ranks,
-		Armed:     interpose.NewArmed(sim.GroupBase | sim.GroupTopdownL1 | sim.GroupOS),
 		maxStaged: intakeMaxStaged,
 		free:      make(chan []trace.Fragment, intakeFreeBuffers),
 		graph:     stg.New(),
@@ -116,52 +108,19 @@ func NewPool(ranks int, opt Options) *Pool {
 		met:       NewMetrics(),
 		seq:       NewSeqTracker(),
 	}
-	p.an.SetMetrics(p.met.Detect)
-	p.registerDerived()
-	return p
+	pl.an.SetMetrics(pl.met.Detect)
+	pl.registerDerived()
+	return pl
 }
 
-// SeqState returns the pool's sequence tracker; wire servers feed it so
+// SeqState returns the plane's sequence tracker; wire servers feed it so
 // per-rank gap accounting accumulates across server restarts.
-func (p *Pool) SeqState() *SeqTracker { return p.seq }
-
-// Consume implements interpose.Sink: stage the batch. The encoded size
-// is measured here (outside every lock) so Stats reports real wire
-// bytes.
-func (p *Pool) Consume(rank int, frags []trace.Fragment) {
-	p.stage(frags, trace.BatchWireSize(rank, frags), TraceCtx{}, false)
-}
-
-// ConsumeSized stages a batch whose encoded wire size was already
-// measured (the wire server passes the payload length it just decoded),
-// so the batch is not re-encoded merely for the byte accounting.
-func (p *Pool) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
-	p.stage(frags, bytes, TraceCtx{}, false)
-}
+func (pl *plane) SeqState() *SeqTracker { return pl.seq }
 
 // Close drains the staged batches into the graph. Every read path
-// drains on demand too, so a pool needs no Close; calling it is always
+// drains on demand too, so a plane needs no Close; calling it is always
 // safe.
-func (p *Pool) Close() { p.drain() }
-
-// Graph copies the pool's STG into one fresh graph (used for the final
-// whole-run analysis and reports; the caller owns the result).
-func (p *Pool) Graph() *stg.Graph {
-	p.drain()
-	g := stg.New()
-	p.mu.Lock()
-	g.Merge(p.graph)
-	p.mu.Unlock()
-	return g
-}
-
-// FragmentCount returns the total fragments received.
-func (p *Pool) FragmentCount() int {
-	p.drain()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.graph.NumFragments()
-}
+func (pl *plane) Close() { pl.drain() }
 
 // refreshView points the analysis snapshot at the graph's current
 // element logs, aliasing (not copying) every element whose generation
@@ -170,33 +129,298 @@ func (p *Pool) FragmentCount() int {
 // epoch survives — which is what keeps the incremental clustering and
 // prep planes warm. A log view is physically stable under later appends
 // (trace.Log), so the analysis then runs without the graph lock. Caller
-// holds p.amu.
-func (p *Pool) refreshView() *stg.Graph {
-	v := p.view
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.graph.Edges() {
+// holds pl.amu.
+func (pl *plane) refreshView() *stg.Graph {
+	v := pl.view
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for _, e := range pl.graph.Edges() {
 		if ve := v.Edge(e.Key); ve == nil || ve.Gen.Count != e.Gen.Count {
 			v.AliasEdge(e.Key, e.Log())
 		}
 	}
-	for _, vx := range p.graph.Vertices() {
+	for _, vx := range pl.graph.Vertices() {
 		if vv := v.Vertex(vx.Key); vv == nil || vv.Gen.Count != vx.Gen.Count {
 			v.AliasVertex(vx.Key, vx.Kind, vx.Log())
 		}
 	}
-	p.graph.EachName(v.SetName)
+	pl.graph.EachName(v.SetName)
 	return v
+}
+
+// RunWindow analyzes one explicit window over the plane's snapshot, as a
+// whole server: drain the intake, alias the grown elements' logs, and
+// run the persistent analyzer's full pass against the plane's own
+// outages. This is the steady-state tick a driver loop pays per period
+// — with warm elements it costs O(new data), not O(resident fragments).
+func (pl *plane) RunWindow(start, end int64) *detect.Result {
+	dopt := pl.opt.Detect
+	dopt.Outages = pl.seq.Outages()
+	return pl.runWindow(start, end, dopt)
+}
+
+// runWindow is RunWindow under the given options.
+func (pl *plane) runWindow(start, end int64, dopt detect.Options) *detect.Result {
+	return pl.analyze(func(g *stg.Graph) *detect.Result { return pl.an.RunWindow(g, pl.ranks, dopt, start, end) })
+}
+
+// analyze drains the intake, aliases the grown elements' logs, and runs
+// pass over the snapshot: a full window pass, or a partial
+// (detect.Analyzer.Partial) that the pool merges across planes.
+func (pl *plane) analyze(pass func(g *stg.Graph) *detect.Result) *detect.Result {
+	pl.drain()
+	pl.amu.Lock()
+	defer pl.amu.Unlock()
+	res := pass(pl.refreshView())
+	// Journeys drained before this tick are now visible to analysis.
+	pl.met.Trace.CompleteAnalyze()
+	return res
+}
+
+// viewBounds drains the intake, refreshes the snapshot, and returns its
+// fragment span, so the pool lays one window grid across its planes.
+func (pl *plane) viewBounds() (minStart, maxEnd int64, ok bool) {
+	pl.drain()
+	pl.amu.Lock()
+	defer pl.amu.Unlock()
+	g := pl.refreshView()
+	return g.Bounds()
+}
+
+// viewOverlaps reports whether any element's fragment span intersects
+// [start, end). Callers refresh the view first (viewBounds).
+func (pl *plane) viewOverlaps(start, end int64) bool {
+	pl.amu.Lock()
+	defer pl.amu.Unlock()
+	return pl.view.Overlaps(start, end)
+}
+
+// stats returns the plane's transport statistics; the storage rate is
+// the pool's, over its whole rank space.
+func (pl *plane) stats() Stats {
+	pl.drain()
+	st := Stats{Servers: 1}
+	pl.mu.Lock()
+	st.Fragments = pl.graph.NumFragments()
+	st.BytesIn = pl.bytesIn
+	st.Batches = pl.batches
+	pl.mu.Unlock()
+	st.IntakeStalls = pl.met.IntakeStalls.Load()
+	st.MaxStagedDepth = pl.met.IntakeStagedPeak.Load()
+	st.FramesRejected = pl.met.WireFramesRejected.Load()
+	st.SeqGaps = pl.seq.GapFrames()
+	st.DupFrames = pl.seq.Dups()
+	st.Outages = len(pl.seq.Outages())
+	return st
+}
+
+// Pool is the analysis service over one rank space: n ≥ 1 planes, each
+// holding the ranks a stable hash assigns it (DESIGN §12), behind one
+// routing, analysis and metrics surface, plus the shared counter-arming
+// handle. It implements interpose.Sink — in-process producers route by
+// owner; wire producers get a per-plane sink from WireSink. The rank
+// space is one population whatever n is: every window normalizes and
+// grows regions over all of it.
+//
+// Two choices depend on n, each made in one place: the tick (runWindow:
+// one plane runs its full pass inline; more planes stop at partials
+// that the pool merges) and the registry (NewShardedPool: one plane's
+// registry is the pool's; more planes add a tier registry with the
+// shard rows). The direct-sink accessors SeqState, Journal and
+// AttachJournal address a one-plane pool's plane; per-plane access
+// goes through Plane(i).
+type Pool struct {
+	opt    Options
+	ranks  int
+	Armed  *interpose.Armed
+	planes []*plane
+	owner  []int // precomputed ShardOwner per rank
+
+	// met is the pool's surface: its one plane's, or a tier registry for
+	// the shard-layer counters (misroutes, rebalances, merge accounting)
+	// and the per-shard rows. mets is what MergedSnapshot folds: met,
+	// then every plane's that is not met.
+	met  *Metrics
+	mets []*Metrics
+
+	// mmu guards the published shard map (address set + version).
+	mmu sync.Mutex
+	mp  ShardMap
+
+	// amu serializes merges: the Merger's region carry is warm state
+	// threaded from tick to tick.
+	amu    sync.Mutex
+	merger *detect.Merger
+}
+
+// NewPool builds the analysis service for the given number of client
+// ranks on one plane.
+func NewPool(ranks int, opt Options) *Pool { return NewShardedPool(ranks, 1, opt) }
+
+// NewShardedPool builds shards analysis planes over a global rank space
+// of size ranks. Each plane holds its resident ranks only and shares
+// the pool's arming handle.
+func NewShardedPool(ranks, shards int, opt Options) *Pool {
+	shards = max(shards, 1)
+	if opt.Period <= 0 {
+		opt.Period = 15 * sim.Second
+	}
+	if opt.Overlap <= 0 || opt.Overlap >= opt.Period {
+		opt.Overlap = opt.Period / 2
+	}
+	p := &Pool{
+		opt:    opt,
+		ranks:  ranks,
+		Armed:  interpose.NewArmed(sim.GroupBase | sim.GroupTopdownL1 | sim.GroupOS),
+		owner:  make([]int, ranks),
+		mp:     ShardMap{Addrs: make([]string, shards)},
+		merger: detect.NewMerger(),
+	}
+	resident := make([]int, shards)
+	for r := 0; r < ranks; r++ {
+		p.owner[r] = ShardOwner(r, shards)
+		resident[p.owner[r]]++
+	}
+	for i := 0; i < shards; i++ {
+		// Each plane owns a full registry (derived Funcs included): a
+		// plane's own endpoint serves it directly, and the pool's view is
+		// the merge. vapro_ranks merges by max and the per-plane storage
+		// rate divides by the global rank count, so the merged values
+		// read exactly like one plane's.
+		p.planes = append(p.planes, newPlane(ranks, opt))
+	}
+	if shards == 1 {
+		p.met = p.planes[0].met
+		p.mets = []*Metrics{p.met}
+		return p
+	}
+	p.met = NewMetrics()
+	p.mets = []*Metrics{p.met}
+	for _, pl := range p.planes {
+		p.mets = append(p.mets, pl.met)
+	}
+	p.merger.SetMetrics(p.met.Detect)
+	p.registerTierDerived(resident)
+	return p
+}
+
+// Plane exposes one shard's analysis plane (the status surface, the
+// per-plane endpoints and journals, and tests read per-shard state
+// through it).
+func (p *Pool) Plane(shard int) *plane { return p.planes[shard] }
+
+// solo returns the pool's plane when it has exactly one, else nil: the
+// plane a direct sink's sequence state and journal belong to.
+func (p *Pool) solo() *plane {
+	if len(p.planes) == 1 {
+		return p.planes[0]
+	}
+	return nil
+}
+
+// SeqState returns a one-plane pool's sequence tracker, so a wire server
+// fed directly by the pool (or a Monitor over it) accumulates gap
+// accounting across restarts; nil over several planes, whose trackers
+// are per plane (WireSink).
+func (p *Pool) SeqState() *SeqTracker {
+	if pl := p.solo(); pl != nil {
+		return pl.seq
+	}
+	return nil
+}
+
+// Close drains every plane's staged batches. Every read path drains on
+// demand too, so a pool needs no Close; calling it is always safe.
+func (p *Pool) Close() {
+	for _, pl := range p.planes {
+		pl.drain()
+	}
+}
+
+// Graph copies every plane into one fresh global STG (used for the
+// final whole-run analysis and reports; the caller owns the result).
+func (p *Pool) Graph() *stg.Graph {
+	g := stg.New()
+	for _, pl := range p.planes {
+		pl.drain()
+		pl.mu.Lock()
+		g.Merge(pl.graph)
+		pl.mu.Unlock()
+	}
+	return g
+}
+
+// FragmentCount returns the total fragments received.
+func (p *Pool) FragmentCount() int {
+	n := 0
+	for _, pl := range p.planes {
+		n += pl.fragments()
+	}
+	return n
+}
+
+// fragments returns the fragments the plane holds, staged ones drained.
+func (pl *plane) fragments() int {
+	pl.drain()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.graph.NumFragments()
+}
+
+// RunWindow is the pool's steady-state tick: one window over every
+// plane, normalized and grown as one rank space, with every plane's
+// loss intervals marked.
+func (p *Pool) RunWindow(start, end int64) *detect.Result {
+	return p.runWindow(start, end, p.outageOptions())
+}
+
+// outageOptions returns the detection options with every plane's loss
+// intervals: a rank's staleness lands in its row even if the batch
+// exposing it was misrouted.
+func (p *Pool) outageOptions() detect.Options {
+	dopt := p.opt.Detect
+	dopt.Outages = nil
+	for _, pl := range p.planes {
+		dopt.Outages = append(dopt.Outages, pl.seq.Outages()...)
+	}
+	return dopt
+}
+
+// runWindow analyzes one window under dopt. One plane runs its
+// analyzer's full pass inline. More planes run concurrently, each
+// stopping at its partial, and the Merger completes the partials into
+// one global result: one heat map per class and one region growth.
+func (p *Pool) runWindow(start, end int64, dopt detect.Options) *detect.Result {
+	if pl := p.solo(); pl != nil {
+		return pl.runWindow(start, end, dopt)
+	}
+	parts := make([]*detect.Result, len(p.planes))
+	var wg sync.WaitGroup
+	for i, pl := range p.planes {
+		wg.Add(1)
+		go func(i int, pl *plane) {
+			defer wg.Done()
+			parts[i] = pl.analyze(func(g *stg.Graph) *detect.Result { return pl.an.Partial(g, pl.opt.Detect, start, end) })
+		}(i, pl)
+	}
+	wg.Wait()
+	p.amu.Lock()
+	defer p.amu.Unlock()
+	res, stats := p.merger.Merge(parts, p.ranks, p.Owner, dopt)
+	p.met.ShardStripsMerged.Add(uint64(stats.Strips))
+	p.met.ShardRegionsStitched.Add(uint64(stats.Stitched))
+	return res
 }
 
 // WindowResults runs the periodic per-window analysis and concatenates
 // the results in time order: the online view of the run. Each window
 // [k·(period−overlap), k·(period−overlap)+period) is analyzed
 // independently, exactly like a server waking up each period. The
-// analysis runs over the graph's snapshot with a persistent analyzer, so repeated calls re-do work only for the elements (and
+// analysis runs over the planes' snapshots with their persistent
+// analyzers, so repeated calls re-do work only for the elements (and
 // windows) that received new fragments.
 func (p *Pool) WindowResults() []*WindowResult {
-	return p.WindowResultsRange(0, math.MaxInt64)
+	return p.WindowResultsRange(0, 0)
 }
 
 // WindowResultsRange is WindowResults restricted to the windows that
@@ -206,23 +430,26 @@ func (p *Pool) WindowResults() []*WindowResult {
 // that is what makes historical queries over a replayed journal line
 // up with the live run's results. to <= 0 means "end of data".
 func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
-	p.drain()
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	g := p.refreshView()
-	_, maxEnd, ok := g.Bounds()
-	if !ok || maxEnd <= 0 {
-		return nil
+	maxEnd := int64(0)
+	for _, pl := range p.planes {
+		if _, e, ok := pl.viewBounds(); ok {
+			maxEnd = max(maxEnd, e)
+		}
 	}
-	dopt := p.opt.Detect
-	dopt.Outages = p.seq.Outages()
 	// Element span bounds reject empty windows without touching
 	// fragments.
-	out := windowGrid(p.opt, maxEnd, from, to, g.Overlaps, func(start, end int64) *detect.Result {
-		return p.an.RunWindow(g, p.ranks, dopt, start, end)
+	covered := func(start, end int64) bool {
+		for _, pl := range p.planes {
+			if pl.viewOverlaps(start, end) {
+				return true
+			}
+		}
+		return false
+	}
+	dopt := p.outageOptions()
+	return windowGrid(p.opt, maxEnd, from, to, covered, func(start, end int64) *detect.Result {
+		return p.runWindow(start, end, dopt)
 	})
-	p.met.Trace.CompleteAnalyze()
-	return out
 }
 
 // windowGrid runs, in time order, the windows of the grid anchored at
@@ -250,49 +477,6 @@ func windowGrid(opt Options, maxEnd, from, to int64, covered func(start, end int
 	return out
 }
 
-// RunWindow analyzes one explicit window over the graph's snapshot:
-// drain the intake, alias the grown elements' logs, and run the
-// persistent analyzer. This is
-// the steady-state tick a driver loop pays per period — with warm
-// elements it costs O(new data), not O(resident fragments).
-func (p *Pool) RunWindow(start, end int64) *detect.Result {
-	dopt := p.opt.Detect
-	dopt.Outages = p.seq.Outages()
-	return p.analyze(func(g *stg.Graph) *detect.Result { return p.an.RunWindow(g, p.ranks, dopt, start, end) })
-}
-
-// analyze drains the intake, aliases the grown elements' logs, and runs
-// pass over the snapshot: RunWindow's, or a tier plane's partial
-// (detect.Analyzer.Partial), which the tier merges and marks stale.
-func (p *Pool) analyze(pass func(g *stg.Graph) *detect.Result) *detect.Result {
-	p.drain()
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	res := pass(p.refreshView())
-	// Journeys drained before this tick are now visible to analysis.
-	p.met.Trace.CompleteAnalyze()
-	return res
-}
-
-// viewBounds drains the intake, refreshes the snapshot, and returns its
-// fragment span. The sharded tier uses it
-// to lay out a global window grid across planes.
-func (p *Pool) viewBounds() (minStart, maxEnd int64, ok bool) {
-	p.drain()
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	g := p.refreshView()
-	return g.Bounds()
-}
-
-// viewOverlaps reports whether any element's fragment span intersects
-// [start, end). Callers refresh the view first (viewBounds).
-func (p *Pool) viewOverlaps(start, end int64) bool {
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	return p.view.Overlaps(start, end)
-}
-
 // WindowResult is one analysis period's outcome.
 type WindowResult struct {
 	Start, End sim.Time
@@ -301,8 +485,7 @@ type WindowResult struct {
 
 // Stats summarizes a pool's transport volume.
 type Stats struct {
-	// Servers counts analysis servers: 1 for a Pool, the shard count for
-	// a ShardedPool.
+	// Servers counts analysis servers: the pool's plane count.
 	Servers   int
 	Fragments int
 	BytesIn   int64
@@ -327,23 +510,25 @@ type Stats struct {
 	Outages   int
 }
 
-// Stats returns transport statistics given the run's virtual makespan.
+// Stats returns transport statistics, summed over the planes, given the
+// run's virtual makespan.
 func (p *Pool) Stats(makespan sim.Duration) Stats {
-	p.drain()
-	st := Stats{Servers: 1}
-	p.mu.Lock()
-	st.Fragments = p.graph.NumFragments()
-	st.BytesIn = p.bytesIn
-	st.Batches = p.batches
-	p.mu.Unlock()
+	var st Stats
+	for _, pl := range p.planes {
+		ps := pl.stats()
+		st.Servers += ps.Servers
+		st.Fragments += ps.Fragments
+		st.BytesIn += ps.BytesIn
+		st.Batches += ps.Batches
+		st.SeqGaps += ps.SeqGaps
+		st.DupFrames += ps.DupFrames
+		st.Outages += ps.Outages
+		st.IntakeStalls += ps.IntakeStalls
+		st.FramesRejected += ps.FramesRejected
+		st.MaxStagedDepth = max(st.MaxStagedDepth, ps.MaxStagedDepth)
+	}
 	if sec := makespan.Seconds(); sec > 0 && p.ranks > 0 {
 		st.BytesPerRankSecond = float64(st.BytesIn) / sec / float64(p.ranks)
 	}
-	st.IntakeStalls = p.met.IntakeStalls.Load()
-	st.MaxStagedDepth = p.met.IntakeStagedPeak.Load()
-	st.FramesRejected = p.met.WireFramesRejected.Load()
-	st.SeqGaps = p.seq.GapFrames()
-	st.DupFrames = p.seq.Dups()
-	st.Outages = len(p.seq.Outages())
 	return st
 }

@@ -33,82 +33,82 @@ type stagedBatch struct {
 // stage is the shared staging path; traced batches carry their
 // provenance context into the staged entry so the drain can stamp the
 // remaining journey hops.
-func (p *Pool) stage(frags []trace.Fragment, bytes int, tc TraceCtx, traced bool) {
+func (pl *plane) stage(frags []trace.Fragment, bytes int, tc TraceCtx, traced bool) {
 	var cp []trace.Fragment
 	select {
-	case cp = <-p.free:
+	case cp = <-pl.free:
 	default:
 	}
 	// A buffer too small (or none) is replaced by append, which does not
 	// zero the pointer-free rows it is about to overwrite.
 	cp = append(cp[:0], frags...)
-	p.smu.Lock()
-	p.staged = append(p.staged, stagedBatch{bytes: bytes, frags: cp, tc: tc, traced: traced})
-	n := len(p.staged)
-	p.smu.Unlock()
+	pl.smu.Lock()
+	pl.staged = append(pl.staged, stagedBatch{bytes: bytes, frags: cp, tc: tc, traced: traced})
+	n := len(pl.staged)
+	pl.smu.Unlock()
 	if traced {
-		p.met.Trace.Record(tc.Key(), tc.Rank, tc.FlushNS, obs.HopStage)
+		pl.met.Trace.Record(tc.Key(), tc.Rank, tc.FlushNS, obs.HopStage)
 	}
-	p.met.IntakeBatches.Inc()
-	p.met.IntakeFragments.Add(uint64(len(cp)))
-	p.met.IntakeBytes.Add(uint64(bytes))
-	p.met.IntakeStagedPeak.SetMax(int64(n))
+	pl.met.IntakeBatches.Inc()
+	pl.met.IntakeFragments.Add(uint64(len(cp)))
+	pl.met.IntakeBytes.Add(uint64(bytes))
+	pl.met.IntakeStagedPeak.SetMax(int64(n))
 
-	if n >= p.maxStaged {
-		p.met.IntakeStalls.Inc()
-		p.drain()
+	if n >= pl.maxStaged {
+		pl.met.IntakeStalls.Inc()
+		pl.drain()
 		return
 	}
 	// Opportunistic merge: whoever gets the graph lock without waiting
 	// merges everyone's staged batches; contenders just stage and leave.
-	if p.mu.TryLock() {
-		p.drainLocked()
-		p.mu.Unlock()
+	if pl.mu.TryLock() {
+		pl.drainLocked()
+		pl.mu.Unlock()
 	}
 }
 
 // stagedNow returns the current staged backlog.
-func (p *Pool) stagedNow() int {
-	p.smu.Lock()
-	defer p.smu.Unlock()
-	return len(p.staged)
+func (pl *plane) stagedNow() int {
+	pl.smu.Lock()
+	defer pl.smu.Unlock()
+	return len(pl.staged)
 }
 
-func (p *Pool) drain() {
-	p.mu.Lock()
-	p.drainLocked()
-	p.mu.Unlock()
+func (pl *plane) drain() {
+	pl.mu.Lock()
+	pl.drainLocked()
+	pl.mu.Unlock()
 }
 
 // drainLocked merges every staged batch into the graph in arrival
 // order: the staged list and the drain scratch swap, so stagers keep
-// appending while the drain runs. Caller holds p.mu.
-func (p *Pool) drainLocked() {
-	p.smu.Lock()
-	all := p.staged
-	p.staged = p.drained
-	p.smu.Unlock()
+// appending while the drain runs. Caller holds pl.mu.
+func (pl *plane) drainLocked() {
+	pl.smu.Lock()
+	all := pl.staged
+	pl.staged = pl.drained
+	pl.smu.Unlock()
 	if len(all) == 0 {
-		p.drained = all
+		pl.drained = all
 		return
 	}
 	for i := range all {
-		p.graph.AddBatch(all[i].frags)
-		p.bytesIn += int64(all[i].bytes)
-		p.batches++
+		pl.graph.AddBatch(all[i].frags)
+		pl.bytesIn += int64(all[i].bytes)
+		pl.batches++
 		if all[i].traced {
 			tc := all[i].tc
-			p.met.Trace.MarkDrained(tc.Key(), tc.Rank, tc.FlushNS)
+			pl.met.Trace.MarkDrained(tc.Key(), tc.Rank, tc.FlushNS)
 		}
 		select {
-		case p.free <- all[i].frags:
+		case pl.free <- all[i].frags:
 		default:
 		}
 	}
-	p.met.IntakeDrains.Inc()
-	p.met.DrainBatches.Observe(int64(len(all)))
+	pl.met.IntakeDrains.Inc()
+	pl.met.DrainBatches.Observe(int64(len(all)))
 	// Clear, not just truncate: a slot left behind would keep its batch's
-	// buffer reachable for as long as the pool lives.
+	// buffer reachable for as long as the plane lives.
 	clear(all)
-	p.drained = all[:0]
+	pl.drained = all[:0]
 }

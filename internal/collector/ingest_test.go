@@ -20,11 +20,12 @@ import (
 // the graph's rows (assertViewMatchesGraph).
 func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 	t.Helper()
-	p.drain()
-	p.amu.Lock()
-	g := p.refreshView()
-	p.amu.Unlock()
-	assertViewMatchesGraph(t, p, g)
+	pl := p.Plane(0)
+	pl.drain()
+	pl.amu.Lock()
+	g := pl.refreshView()
+	pl.amu.Unlock()
+	assertViewMatchesGraph(t, pl, g)
 	var maxEnd int64
 	collect := func(frags []trace.Fragment) {
 		for i := range frags {
@@ -86,21 +87,21 @@ func referenceWindowResults(t *testing.T, p *Pool) []*WindowResult {
 // assertViewMatchesGraph pins the snapshot's content: every element
 // holds exactly the graph element's rows, in order, with its kind, and
 // no element exists on one side only.
-func assertViewMatchesGraph(t *testing.T, p *Pool, g *stg.Graph) {
+func assertViewMatchesGraph(t *testing.T, pl *plane, g *stg.Graph) {
 	t.Helper()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if g.NumEdges() != p.graph.NumEdges() || g.NumVertices() != p.graph.NumVertices() {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if g.NumEdges() != pl.graph.NumEdges() || g.NumVertices() != pl.graph.NumVertices() {
 		t.Fatalf("snapshot has %d edges/%d vertices, graph has %d/%d",
-			g.NumEdges(), g.NumVertices(), p.graph.NumEdges(), p.graph.NumVertices())
+			g.NumEdges(), g.NumVertices(), pl.graph.NumEdges(), pl.graph.NumVertices())
 	}
-	for _, e := range p.graph.Edges() {
+	for _, e := range pl.graph.Edges() {
 		ve := g.Edge(e.Key)
 		if ve == nil || !reflect.DeepEqual(e.Log().Slice(), ve.Log().Slice()) {
 			t.Fatalf("edge %v: snapshot diverged from the graph", e.Key)
 		}
 	}
-	for _, vx := range p.graph.Vertices() {
+	for _, vx := range pl.graph.Vertices() {
 		vv := g.Vertex(vx.Key)
 		if vv == nil || vv.Kind != vx.Kind || !reflect.DeepEqual(vx.Log().Slice(), vv.Log().Slice()) {
 			t.Fatalf("vertex %d: snapshot diverged from the graph", vx.Key)
@@ -218,7 +219,7 @@ type intakeMode struct {
 // tiny bound forces the synchronous-drain path on most consumes.
 func setIntake(p *Pool, m intakeMode) {
 	if m.maxStage > 0 {
-		p.maxStaged = m.maxStage
+		p.Plane(0).maxStaged = m.maxStage
 	}
 }
 
@@ -312,7 +313,7 @@ func TestIntakeBackpressure(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.Consume(i%4, []trace.Fragment{frag(i%4, int64(i)*1000, 500)})
 	}
-	if staged := p.stagedNow(); staged > 2 {
+	if staged := p.Plane(0).stagedNow(); staged > 2 {
 		t.Fatalf("backlog exceeded bound: %d staged", staged)
 	}
 	if n := p.FragmentCount(); n != 100 {
@@ -328,16 +329,17 @@ func TestBurstStagingBuffersReleased(t *testing.T) {
 	p := NewPool(4, equivOptions())
 	defer p.Close()
 	const burst = 100
-	p.mu.Lock() // a drain in progress: no consume can merge
+	pl := p.Plane(0)
+	pl.mu.Lock() // a drain in progress: no consume can merge
 	for i := 0; i < burst; i++ {
 		p.Consume(i%4, []trace.Fragment{frag(i%4, int64(i)*1000, 500)})
 	}
-	if staged := p.stagedNow(); staged != burst {
+	if staged := pl.stagedNow(); staged != burst {
 		t.Fatalf("%d staged during the held drain, want %d", staged, burst)
 	}
-	p.mu.Unlock()
-	p.drain()
-	if kept := len(p.free); kept > intakeFreeBuffers {
+	pl.mu.Unlock()
+	pl.drain()
+	if kept := len(pl.free); kept > intakeFreeBuffers {
 		t.Fatalf("pool retains %d staging buffers after the burst, bound %d", kept, intakeFreeBuffers)
 	}
 	if n := p.FragmentCount(); n != burst {

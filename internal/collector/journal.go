@@ -77,10 +77,32 @@ func fragSpan(frags []trace.Fragment) (minStart, maxEnd int64) {
 	return minStart, maxEnd
 }
 
-// AttachJournal hands the pool a delivery journal. The wire server
-// probes Journal() from its sink, so attach before ServeWire; the pool
+// AttachJournal hands a plane its delivery journal. The wire server
+// probes Journal() from its sink, so attach before ServeWire; the plane
 // takes no ownership (the serving process opened it and closes it).
-func (p *Pool) AttachJournal(l *wal.Log) { p.jour = l }
+func (pl *plane) AttachJournal(l *wal.Log) { pl.jour = l }
 
-// Journal returns the attached delivery journal, nil when none.
-func (p *Pool) Journal() *wal.Log { return p.jour }
+// Journal returns the plane's delivery journal, nil when none.
+func (pl *plane) Journal() *wal.Log { return pl.jour }
+
+// AttachJournal hands a one-plane pool's plane its delivery journal, so
+// a wire server fed by the pool (or a Monitor over it) journals what it
+// delivers. A pool of several planes refuses: each plane journals its
+// own stream (Plane(i).AttachJournal).
+func (p *Pool) AttachJournal(l *wal.Log) error {
+	pl := p.solo()
+	if pl == nil {
+		return fmt.Errorf("collector: a %d-plane pool journals per plane", len(p.planes))
+	}
+	pl.AttachJournal(l)
+	return nil
+}
+
+// Journal returns a one-plane pool's delivery journal; nil when none is
+// attached or over several planes, whose journals are per plane.
+func (p *Pool) Journal() *wal.Log {
+	if pl := p.solo(); pl != nil {
+		return pl.jour
+	}
+	return nil
+}

@@ -10,7 +10,7 @@ import (
 )
 
 // Metrics is the collector's self-observability surface: one registry
-// per pool, threaded through every layer a fragment crosses — the
+// per plane, threaded through every layer a fragment crosses — the
 // client shim, the wire transport, the staged intake, the per-window
 // analysis and its clustering cache. Handles are plain atomics; the hot
 // paths never touch the registry. §6.2's self-overhead accounting
@@ -150,22 +150,56 @@ func (m *Metrics) Handler() http.Handler {
 	return mux
 }
 
-// Metrics returns the pool's observability surface.
+// Metrics returns the pool's observability surface: its one plane's, or
+// over several planes the tier registry (shard counters and per-shard
+// rows). Per-plane ingestion counters live on each plane's own registry;
+// MergedSnapshot folds everything together.
 func (p *Pool) Metrics() *Metrics { return p.met }
 
-// Handler serves the pool's registry over HTTP (Prometheus text or
-// JSON; see obs.Registry.Handler) plus /trace (exemplar journeys).
-func (p *Pool) Handler() http.Handler { return p.met.Handler() }
+// MergedSnapshot folds the pool's registry and every plane's into one
+// snapshot: counters and summing Funcs add, gauges take the max,
+// histograms merge bucket-wise with exact quantile semantics. Over one
+// plane it is that plane's snapshot.
+func (p *Pool) MergedSnapshot() obs.Snapshot {
+	snaps := make([]obs.Snapshot, 0, len(p.mets))
+	for _, m := range p.mets {
+		snaps = append(snaps, m.Registry.Snapshot())
+	}
+	return obs.MergeSnapshots(snaps)
+}
 
-// registerDerived adds the pool-shaped Func metrics: values owned by
+// mergedTrace folds every plane's exemplar journeys into one snapshot,
+// slowest first.
+func (p *Pool) mergedTrace() obs.TraceSnapshot {
+	snaps := make([]obs.TraceSnapshot, 0, len(p.planes))
+	for _, pl := range p.planes {
+		snaps = append(snaps, pl.met.Trace.Snapshot())
+	}
+	return obs.MergeTraceSnapshots(snaps)
+}
+
+// Handler serves the pool's merged registry view over HTTP (Prometheus
+// text or JSON; see obs.SnapshotHandler) plus /trace (merged exemplar
+// journeys).
+func (p *Pool) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", obs.SnapshotHandler(p.MergedSnapshot))
+	mux.Handle("/trace", obs.TraceHandler(p.mergedTrace))
+	return mux
+}
+
+// Metrics returns the plane's own observability surface.
+func (pl *plane) Metrics() *Metrics { return pl.met }
+
+// registerDerived adds the plane-shaped Func metrics: values owned by
 // other layers as live atomics (staged depth, cache counters) or
 // derived from counters already registered (the §6.2 storage rate),
 // computed at snapshot time so nothing is double-accounted.
-func (p *Pool) registerDerived() {
-	reg := p.met.Registry
+func (pl *plane) registerDerived() {
+	reg := pl.met.Registry
 	reg.Func("vapro_intake_staged", "intake",
 		"batches currently staged", func() float64 {
-			return float64(p.stagedNow())
+			return float64(pl.stagedNow())
 		})
 	reg.Func("vapro_servers", "intake",
 		"analysis servers (1 per plane; a tier's merged value is its shard count)", func() float64 {
@@ -173,33 +207,33 @@ func (p *Pool) registerDerived() {
 		})
 	reg.Func("vapro_ranks", "intake",
 		"client ranks the pool was provisioned for", func() float64 {
-			return float64(p.ranks)
+			return float64(pl.ranks)
 		})
 	reg.Func("vapro_storage_bytes_per_rank_second", "intake",
 		"received bytes per rank per wall second (§6.2 storage rate)", func() float64 {
-			sec := p.met.Registry.Uptime().Seconds()
-			if sec <= 0 || p.ranks == 0 {
+			sec := pl.met.Registry.Uptime().Seconds()
+			if sec <= 0 || pl.ranks == 0 {
 				return 0
 			}
-			return float64(p.met.IntakeBytes.Load()) / sec / float64(p.ranks)
+			return float64(pl.met.IntakeBytes.Load()) / sec / float64(pl.ranks)
 		})
 	reg.Func("vapro_stg_log_bytes", "stg",
 		"heap bytes of the resident columnar fragment logs", func() float64 {
-			return float64(p.graph.LogStats().Bytes())
+			return float64(pl.graph.LogStats().Bytes())
 		})
 	reg.Func("vapro_stg_log_chunks", "stg",
 		"fixed-size chunks allocated by the resident fragment logs", func() float64 {
-			return float64(p.graph.LogStats().Chunks())
+			return float64(pl.graph.LogStats().Chunks())
 		})
 	reg.Func("vapro_stg_log_lanes_live", "stg",
 		"lane arrays materialised in those chunks (fields that varied within a chunk)", func() float64 {
-			return float64(p.graph.LogStats().Lanes())
+			return float64(pl.graph.LogStats().Lanes())
 		})
-	registerCacheDerived(reg, p.an.Cache())
+	registerCacheDerived(reg, pl.an.Cache())
 }
 
 // registerCacheDerived publishes one clustering cache's counters as
-// Func metrics: the pool analyzer's, which is the cache window analyses
+// Func metrics: the plane analyzer's, which is the cache window analyses
 // run on whether or not a Monitor fronts the pool.
 func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 	reg.Func("vapro_cluster_cache_hits", "cluster",
@@ -229,15 +263,6 @@ func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 		"incremental updates abandoned for a full re-cluster", func() float64 {
 			_, f := cache.IncStats()
 			return float64(f)
-		})
-	reg.Func("vapro_cluster_cache_inc_fallback_multid", "cluster",
-		"incremental fallbacks from structural multi-D events (vector-shape change, partition restructured by a new seed); every fallback is one, so this equals inc_fallbacks", func() float64 {
-			_, f := cache.IncStats()
-			return float64(f)
-		})
-	reg.Func("vapro_cluster_cache_inc_fallback_stale", "cluster",
-		"lookups at an older generation than the cached entry, answered by a one-off batch run (same events as stale_rejects)", func() float64 {
-			return float64(cache.StaleRejects())
 		})
 	reg.Func("vapro_cluster_cache_stale_rejects", "cluster",
 		"reads at an older generation than the cached entry (answered one-off, entry kept)", func() float64 {

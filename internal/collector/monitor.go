@@ -22,36 +22,31 @@ import (
 // diagnosis stage needs. This is the deployment mode of the real tool;
 // the whole-run analysis in core.RunTraced is the offline equivalent.
 //
-// A monitor fronts one or more analysis planes: one Pool (NewMonitor),
-// or the planes of a rank-sharded tier (NewShardedMonitor). It holds
-// O(ranks) state of its own — the watermark and the event queue; the
-// warm regression moments live in the planes' analyzers. Fragments are
-// resident exactly once, in the planes' element logs, and a closed
-// window runs on the planes' persistent analyzers, inline on the
-// delivering goroutine: on one plane it is Pool.RunWindow; on a tier,
-// ShardedPool.RunWindow merges the planes' partials into one map and
-// one region growth, whose regions may straddle shards.
+// A monitor fronts one Pool of n ≥ 1 planes. It holds O(ranks) state
+// of its own — the watermark and the event queue; the warm regression
+// moments live in the planes' analyzers. Fragments are resident exactly
+// once, in the planes' element logs, and a closed window runs as the
+// pool's RunWindow, inline on the delivering goroutine; its regions may
+// straddle planes.
 // A tick sees everything the planes had staged when they drained — a
 // superset of the batches whose watermark update has run, and exactly
 // those batches when delivery is serialised (one feeder, or the wire
 // server's journal lock).
 //
 // The windows (period, overlap, detection options, rank count) are the
-// planes' Options. Wrap it around a Pool as the interpose.Sink:
+// pool's Options. Wrap it around a Pool as the interpose.Sink:
 //
 //	pool := collector.NewPool(ranks, copt)
 //	mon := collector.NewMonitor(pool, mopt)
 //	... use mon as the sink for traced ranks ...
 //	events := mon.Drain()
 //
-// or feed a tier's wire servers from WireSink(shard).
+// or feed each plane's wire server from WireSink(shard).
 type Monitor struct {
-	// planes hold the resident fragments, in shard order; tier is the
-	// sharded pool over them, nil when the monitor wraps one Pool.
-	planes []*Pool
-	tier   *ShardedPool
-	opt    MonitorOptions
-	armed  *interpose.Armed
+	// pool holds the resident fragments.
+	pool  *Pool
+	opt   MonitorOptions
+	armed *interpose.Armed
 
 	// mu guards the watermark, the window cursor, the event queue and
 	// the arming stage. Ticks run inline on the delivering goroutine
@@ -69,7 +64,7 @@ type Monitor struct {
 }
 
 // MonitorOptions configures the online loop's reporting. The windows
-// themselves are the planes': NewPool's or NewShardedPool's Options.
+// themselves are the pool's: NewPool's or NewShardedPool's Options.
 type MonitorOptions struct {
 	// Deprecated: the monitor waits for its planes' provisioned ranks;
 	// this field is read nowhere.
@@ -126,82 +121,55 @@ type Event struct {
 // ShardedMonitor is the name the benchmark harness still compiles
 // against.
 //
-// Deprecated: use Monitor, which fronts a tier as well as one pool.
+// Deprecated: use Monitor, which fronts a pool of any plane count.
 type ShardedMonitor = Monitor
 
-// NewMonitor wraps pool with an online analysis loop.
+// NewMonitor wraps pool with an online analysis loop: it tracks the
+// global watermark across every rank (whichever plane the rank reports
+// through) and ticks the pool's windows.
 func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
-	return newMonitor([]*Pool{pool}, nil, opt)
-}
-
-// NewShardedMonitor wraps a sharded tier with the online analysis loop:
-// it tracks the global watermark across every rank (whichever shard the
-// rank reports through) and ticks the tier's merged windows.
-func NewShardedMonitor(tier *ShardedPool, opt MonitorOptions) *Monitor {
-	return newMonitor(tier.planes, tier, opt)
-}
-
-// newMonitor builds the loop over planes; a tier's planes share its
-// arming handle.
-func newMonitor(planes []*Pool, tier *ShardedPool, opt MonitorOptions) *Monitor {
 	opt = opt.normalized()
 	m := &Monitor{
-		planes:     planes,
-		tier:       tier,
+		pool:       pool,
 		opt:        opt,
-		armed:      planes[0].Armed,
-		marks:      newWatermark(planes[0].ranks),
+		armed:      pool.Armed,
+		marks:      newWatermark(pool.ranks),
 		stage:      1,
 		olsFactors: olsFactorsFor(opt.MaxStage),
 	}
-	for _, p := range planes {
-		p.amu.Lock()
-		p.an.SetOLSFactors(m.olsFactors)
-		p.amu.Unlock()
+	for _, pl := range pool.planes {
+		pl.amu.Lock()
+		pl.an.SetOLSFactors(m.olsFactors)
+		pl.amu.Unlock()
 	}
 	return m
 }
 
+// NewShardedMonitor is the name the benchmark harness still compiles
+// against.
+//
+// Deprecated: use NewMonitor, which fronts a pool of any plane count.
+func NewShardedMonitor(pool *Pool, opt MonitorOptions) *Monitor { return NewMonitor(pool, opt) }
+
 // Metrics returns the surface a wire server counts into when the
-// monitor itself is its sink: the pool's over one plane, the tier
-// registry over a tier.
-func (m *Monitor) Metrics() *Metrics {
-	if m.tier != nil {
-		return m.tier.met
-	}
-	return m.planes[0].met
-}
+// monitor itself is its sink: the pool's.
+func (m *Monitor) Metrics() *Metrics { return m.pool.Metrics() }
 
-// SeqState returns the plane's sequence tracker over one plane, so a
-// wire server with a Monitor sink accumulates gap accounting across
-// restarts; nil over several planes, whose trackers are per shard
-// (WireSink).
-func (m *Monitor) SeqState() *SeqTracker {
-	if len(m.planes) > 1 {
-		return nil
-	}
-	return m.planes[0].seq
-}
+// SeqState returns the pool's direct-sink sequence tracker (see
+// Pool.SeqState), so a wire server with a Monitor sink accumulates gap
+// accounting across restarts.
+func (m *Monitor) SeqState() *SeqTracker { return m.pool.SeqState() }
 
-// Journal returns the plane's delivery journal over one plane, so a
-// wire server with a Monitor sink journals exactly what it delivers;
-// nil over several planes, whose journals are per shard (WireSink).
-func (m *Monitor) Journal() *wal.Log {
-	if len(m.planes) > 1 {
-		return nil
-	}
-	return m.planes[0].Journal()
-}
+// Journal returns the pool's direct-sink delivery journal (see
+// Pool.Journal), so a wire server with a Monitor sink journals exactly
+// what it delivers.
+func (m *Monitor) Journal() *wal.Log { return m.pool.Journal() }
 
-// Plane returns the analysis plane of the given shard (0 over one
-// plane).
-func (m *Monitor) Plane(shard int) *Pool { return m.planes[shard] }
-
-// Consume implements interpose.Sink: forward to the owning plane (which
-// takes its one copy of the batch), advance the rank watermark, and
-// analyze any window every rank has passed.
+// Consume implements interpose.Sink: forward to the pool (whose owning
+// plane takes its one copy of the batch), advance the rank watermark,
+// and analyze any window every rank has passed.
 func (m *Monitor) Consume(rank int, frags []trace.Fragment) {
-	m.planes[m.owner(rank)].Consume(rank, frags)
+	m.pool.Consume(rank, frags)
 	m.observe(rank, frags)
 }
 
@@ -209,7 +177,7 @@ func (m *Monitor) Consume(rank int, frags []trace.Fragment) {
 // payload size the wire server measured instead of re-encoding the
 // batch.
 func (m *Monitor) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
-	m.planes[m.owner(rank)].ConsumeSized(rank, frags, bytes)
+	m.pool.ConsumeSized(rank, frags, bytes)
 	m.observe(rank, frags)
 }
 
@@ -217,23 +185,15 @@ func (m *Monitor) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
 // provenance context rides through the plane's staging path while the
 // monitor's own half proceeds unchanged.
 func (m *Monitor) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
-	m.planes[m.owner(rank)].ConsumeTraced(rank, frags, bytes, tc)
+	m.pool.ConsumeTraced(rank, frags, bytes, tc)
 	m.observe(rank, frags)
 }
 
 // WireSink returns the sink one plane's wire server feeds: delivery
-// goes to that plane, the watermark advances globally, and on a tier
-// the hello carries the shard map.
+// goes to that plane, the watermark advances globally, and the hello
+// carries the pool's shard map.
 func (m *Monitor) WireSink(shard int) *ShardSink {
-	return &ShardSink{plane: m.planes[shard], tier: m.tier, shard: shard, mon: m}
-}
-
-// owner returns the plane holding rank's fragments.
-func (m *Monitor) owner(rank int) int {
-	if m.tier == nil {
-		return 0
-	}
-	return m.tier.Owner(rank)
+	return &ShardSink{pool: m.pool, shard: shard, mon: m}
 }
 
 // observe advances rank's watermark by one delivered batch and analyzes
@@ -242,7 +202,7 @@ func (m *Monitor) observe(rank int, frags []trace.Fragment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.marks.observe(rank, frags)
-	for m.marks.low() >= m.nextStart.Add(m.planes[0].opt.Period) {
+	for m.marks.low() >= m.nextStart.Add(m.pool.opt.Period) {
 		m.analyzeNextLocked()
 	}
 }
@@ -254,15 +214,10 @@ func (m *Monitor) observe(rank int, frags []trace.Fragment) {
 // is the best fragment seen so far, not just the window's best); the
 // window only filters which samples feed the heat map.
 func (m *Monitor) analyzeNextLocked() {
-	win := m.planes[0].opt
+	win := m.pool.opt
 	start, end := m.nextStart, m.nextStart.Add(win.Period)
 	m.nextStart = start.Add(win.Period - win.Overlap)
-	var res *detect.Result
-	if m.tier != nil {
-		res = m.tier.RunWindow(int64(start), int64(end))
-	} else {
-		res = m.planes[0].RunWindow(int64(start), int64(end))
-	}
+	res := m.pool.RunWindow(int64(start), int64(end))
 	var regions []detect.Region
 	for _, reg := range res.Regions {
 		if (len(m.opt.Classes) == 0 || slices.Contains(m.opt.Classes, reg.Class)) &&
@@ -327,8 +282,8 @@ func (m *Monitor) Stage() int {
 // analyses that reused a previous window's clustering of an element
 // that did not grow in between.
 func (m *Monitor) CacheStats() (hits, misses uint64) {
-	for _, p := range m.planes {
-		h, ms := p.an.Cache().Stats()
+	for _, pl := range m.pool.planes {
+		h, ms := pl.an.Cache().Stats()
 		hits, misses = hits+h, misses+ms
 	}
 	return hits, misses
@@ -338,29 +293,29 @@ func (m *Monitor) CacheStats() (hits, misses uint64) {
 // and returns their refreshed views; unlockPlanes releases them. Caller
 // holds m.mu.
 func (m *Monitor) lockPlanes() []*stg.Graph {
-	views := make([]*stg.Graph, len(m.planes))
-	for i, p := range m.planes {
-		p.drain()
-		p.amu.Lock()
-		views[i] = p.refreshView()
+	views := make([]*stg.Graph, len(m.pool.planes))
+	for i, pl := range m.pool.planes {
+		pl.drain()
+		pl.amu.Lock()
+		views[i] = pl.refreshView()
 	}
 	return views
 }
 
 func (m *Monitor) unlockPlanes() {
-	for _, p := range m.planes {
-		p.amu.Unlock()
+	for _, pl := range m.pool.planes {
+		pl.amu.Unlock()
 	}
 }
 
 // DiagnoseEvent runs the progressive diagnosis for an online event's
 // top region against everything the planes hold at the time of the
-// call. Fragments are clustered per edge (reusing the clusterings the
-// window analyses already memoized) so only comparable fixed-workload
-// populations are differenced — mixing workload classes would
-// misattribute their intrinsic differences as variance. A sample's
-// edge and clusters are its owning plane's: the plane that holds its
-// rank, whose rows the tier merge kept.
+// call. Fragments are clustered per STG element — the edge of a
+// computation sample, the vertex of a communication or IO one — reusing
+// the clusterings the window analyses already memoized, so only
+// comparable fixed-workload populations are differenced: mixing
+// workload classes would misattribute their intrinsic differences as
+// variance.
 func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Report {
 	if len(ev.Regions) == 0 {
 		return nil
@@ -369,42 +324,71 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 	defer m.mu.Unlock()
 	views := m.lockPlanes()
 	defer m.unlockPlanes()
+	elems, clusters := m.eventClusters(views, ev)
+	// When every involved element is an edge with warm regression
+	// moments at the current generation, the §4.2 quantification answers
+	// from them instead of refitting over the resident populations;
+	// otherwise the default batch QuantifyOLS runs unchanged.
+	if q := m.streamQuantifier(elems); q != nil {
+		opt.Quantifier = q
+	}
+	return diagnose.New(opt).Run(diagnose.SliceSource(clusters))
+}
+
+// planeElem is an STG element of one plane's view, at the generation
+// the view holds.
+type planeElem struct {
+	plane int
+	key   cluster.Key
+	gen   stg.Gen
+}
+
+// eventClusters collects the populations an event's diagnosis
+// differences: for each element its top region's samples name, every
+// Fixed cluster of that element, taken from the plane that owns the
+// sample's rank (whose rows the merge kept). Caller holds m.mu and the
+// planes' amu; views are the planes' refreshed views.
+func (m *Monitor) eventClusters(views []*stg.Graph, ev *Event) ([]planeElem, [][]trace.Fragment) {
+	var elems []planeElem
 	var clusters [][]trace.Fragment
-	var edges []planeEdge
 	type planeKey struct {
 		plane int
-		edge  trace.EdgeKey
+		key   cluster.Key
 	}
 	seen := map[planeKey]bool{}
 	for _, s := range ev.Regions[0].Samples {
-		if !s.ClusterRef.IsEdge {
-			continue
+		ref := s.ClusterRef
+		k := planeKey{m.pool.Owner(s.Rank), cluster.VertexKey(ref.Vertex)}
+		if ref.IsEdge {
+			k.key = cluster.EdgeKey(ref.Edge)
 		}
-		k := planeKey{m.owner(s.Rank), s.ClusterRef.Edge}
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		e := views[k.plane].Edge(k.edge)
-		if e == nil {
-			continue
+		var gen stg.Gen
+		var log trace.LogView
+		if ref.IsEdge {
+			e := views[k.plane].Edge(ref.Edge)
+			if e == nil {
+				continue
+			}
+			gen, log = e.Gen, e.Log()
+		} else {
+			v := views[k.plane].Vertex(ref.Vertex)
+			if v == nil {
+				continue
+			}
+			gen, log = v.Gen, v.Log()
 		}
-		edges = append(edges, planeEdge{k.plane, e})
-		p := m.planes[k.plane]
-		log := e.Log()
-		cl := p.an.Cache().Run(cluster.EdgeKey(k.edge), e.Gen, log, p.opt.Detect.Cluster)
+		elems = append(elems, planeElem{k.plane, k.key, gen})
+		pl := m.pool.planes[k.plane]
+		cl := pl.an.Cache().Run(k.key, gen, log, pl.opt.Detect.Cluster)
 		for ci, members := range cl.Groups() {
 			if cl.Clusters[ci].Fixed {
 				clusters = append(clusters, log.PickByTime(members))
 			}
 		}
 	}
-	// When every involved edge has warm regression moments at the
-	// current generation, the §4.2 quantification answers from them
-	// instead of refitting over the resident populations; otherwise the
-	// default batch QuantifyOLS runs unchanged.
-	if q := m.streamQuantifier(edges); q != nil {
-		opt.Quantifier = q
-	}
-	return diagnose.New(opt).Run(diagnose.SliceSource(clusters))
+	return elems, clusters
 }

@@ -216,7 +216,7 @@ func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 			ref := newRefMonitor(ranks, copt, mopt)
 			for _, b := range schedule {
 				deliverTo(pool.SeqState(), mon, b)
-				deliverTo(tier.SeqStateFor(0), ssink, b)
+				deliverTo(tier.Plane(0).SeqState(), ssink, b)
 				deliverTo(ref.seq, ref, b)
 			}
 			mon.Flush()

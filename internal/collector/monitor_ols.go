@@ -3,9 +3,7 @@ package collector
 import (
 	"slices"
 
-	"vapro/internal/cluster"
 	"vapro/internal/diagnose"
-	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
 
@@ -37,23 +35,21 @@ func olsFactorsFor(maxStage int) []diagnose.Factor {
 	return out
 }
 
-// planeEdge is an edge of one plane's view.
-type planeEdge struct {
-	plane int
-	e     *stg.Edge
-}
-
 // streamQuantifier returns a diagnose quantifier backed by the warm
-// moments of the given edges, or nil when the streaming plane cannot
-// serve this diagnosis (an edge whose prep is not at its generation) —
-// the caller then leaves the default batch QuantifyOLS in place. Caller
-// holds m.mu and the planes' amu; edges must come from the planes'
-// freshly refreshed view graphs so their Gen fields describe the
-// populations the diagnosis will walk.
-func (m *Monitor) streamQuantifier(edges []planeEdge) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
+// moments of the given elements, or nil when the streaming plane cannot
+// serve this diagnosis (a vertex, whose clusters keep no moments, or an
+// edge whose prep is not at its generation) — the caller then leaves
+// the default batch QuantifyOLS in place. Caller holds m.mu and the
+// planes' amu; elems must come from the planes' freshly refreshed view
+// graphs so their generations describe the populations the diagnosis
+// will walk.
+func (m *Monitor) streamQuantifier(elems []planeElem) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
 	var streams []*diagnose.ClusterMoments
-	for _, pe := range edges {
-		ms, ok := m.planes[pe.plane].an.ClusterMoments(cluster.EdgeKey(pe.e.Key), pe.e.Gen, m.olsFactors)
+	for _, pe := range elems {
+		if !pe.key.IsEdge {
+			return nil
+		}
+		ms, ok := m.pool.planes[pe.plane].an.ClusterMoments(pe.key, pe.gen, m.olsFactors)
 		if !ok {
 			return nil
 		}

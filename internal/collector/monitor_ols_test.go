@@ -67,50 +67,23 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 	m.Flush()
 }
 
-// eventEdges replicates DiagnoseEvent's edge and cluster collection so
-// the tests can verify the streaming quantifier actually serves the
-// event (rather than silently falling back to the batch path) and run
-// the batch oracle over the same populations: each sample's edge and
-// fixed clusters from the plane that owns its rank.
-func eventEdges(m *Monitor, ev *Event) ([]planeEdge, [][]trace.Fragment) {
+// eventEdges runs DiagnoseEvent's element and cluster collection under
+// its locks, so the tests can verify the streaming quantifier actually
+// serves the event (rather than silently falling back to the batch
+// path) and run the batch oracle over the same populations.
+func eventEdges(m *Monitor, ev *Event) ([]planeElem, [][]trace.Fragment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	views := m.lockPlanes()
 	defer m.unlockPlanes()
-	var edges []planeEdge
-	var clusters [][]trace.Fragment
-	type seenKey struct {
-		plane int
-		edge  trace.EdgeKey
-	}
-	seen := map[seenKey]bool{}
-	for _, s := range ev.Regions[0].Samples {
-		plane := ShardOwner(s.Rank, len(m.planes))
-		if !s.ClusterRef.IsEdge || seen[seenKey{plane, s.ClusterRef.Edge}] {
-			continue
-		}
-		seen[seenKey{plane, s.ClusterRef.Edge}] = true
-		e := views[plane].Edge(s.ClusterRef.Edge)
-		if e == nil {
-			continue
-		}
-		edges = append(edges, planeEdge{plane, e})
-		p := m.planes[plane]
-		cl := p.an.Cache().Run(cluster.EdgeKey(e.Key), e.Gen, e.Log(), p.opt.Detect.Cluster)
-		for ci, members := range cl.Groups() {
-			if cl.Clusters[ci].Fixed {
-				clusters = append(clusters, e.Log().PickByTime(members))
-			}
-		}
-	}
-	return edges, clusters
+	return m.eventClusters(views, ev)
 }
 
 // olsCounters sums the streaming plane's counters over the planes.
 func olsCounters(m *Monitor) (rank1, refactors uint64) {
-	for _, p := range m.planes {
-		rank1 += p.met.Detect.OLSRank1Updates.Load()
-		refactors += p.met.Detect.OLSRefactors.Load()
+	for _, pl := range m.pool.planes {
+		rank1 += pl.met.Detect.OLSRank1Updates.Load()
+		refactors += pl.met.Detect.OLSRefactors.Load()
 	}
 	return rank1, refactors
 }
@@ -325,7 +298,7 @@ func testOLSParallelWorkers(t *testing.T, idle bool) {
 		defer m.unlockPlanes()
 		out := make(map[trace.EdgeKey][]*diagnose.ClusterMoments)
 		for _, e := range views[0].Edges() {
-			ms, ok := m.planes[0].an.ClusterMoments(cluster.EdgeKey(e.Key), e.Gen, m.olsFactors)
+			ms, ok := m.pool.planes[0].an.ClusterMoments(cluster.EdgeKey(e.Key), e.Gen, m.olsFactors)
 			if !ok {
 				t.Fatalf("edge %v: no warm moments at its generation", e.Key)
 			}
@@ -338,7 +311,7 @@ func testOLSParallelWorkers(t *testing.T, idle bool) {
 	if len(seqM) != edges || len(parM) != edges {
 		t.Fatalf("moments kept for %d / %d edges, want %d", len(seqM), len(parM), edges)
 	}
-	if par.planes[0].met.Detect.OLSRank1Updates.Load() == 0 {
+	if par.pool.planes[0].met.Detect.OLSRank1Updates.Load() == 0 {
 		t.Fatal("no rank-1 updates: the delta path never ran")
 	}
 	for key, want := range seqM {

@@ -20,9 +20,22 @@ func monFrag(rank int, start, elapsed int64, slow bool) trace.Fragment {
 	return f
 }
 
+// ioFrag is monFrag's IO twin: a write on one STG vertex, whose
+// workload is the invocation arguments.
+func ioFrag(rank int, start, elapsed int64, _ bool) trace.Fragment {
+	return trace.Fragment{
+		Rank: rank, Kind: trace.IO, State: 3,
+		Start: start, Elapsed: elapsed,
+		Args: trace.Args{Op: trace.OpWrite, Bytes: 4096, FD: 3},
+	}
+}
+
 // feedMonitor streams a synthetic run: 4 ranks, 1ms fragments over
 // 100ms, with rank 2 running 2x slower during [40ms, 70ms).
-func feedMonitor(m *Monitor) {
+func feedMonitor(m *Monitor) { feedMonitorWith(m, monFrag) }
+
+// feedMonitorWith is feedMonitor over the fragments frag builds.
+func feedMonitorWith(m *Monitor, frag func(rank int, start, elapsed int64, slow bool) trace.Fragment) {
 	for rank := 0; rank < 4; rank++ {
 		t := int64(0)
 		var batch []trace.Fragment
@@ -31,7 +44,7 @@ func feedMonitor(m *Monitor) {
 			if rank == 2 && t >= 40_000_000 && t < 70_000_000 {
 				el = 2_000_000
 			}
-			batch = append(batch, monFrag(rank, t, el, el > 1_000_000))
+			batch = append(batch, frag(rank, t, el, el > 1_000_000))
 			t += el
 			if len(batch) == 8 {
 				m.Consume(rank, batch)
@@ -172,21 +185,31 @@ func TestMonitorReusesClusteringsAcrossWindows(t *testing.T) {
 	}
 }
 
+// TestMonitorDiagnoseEvent diagnoses the first event of a computation
+// run (its clusters on an STG edge) and of an IO run (on a vertex): both
+// must difference a real abnormal population against a normal one.
 func TestMonitorDiagnoseEvent(t *testing.T) {
-	for _, shards := range testShards {
-		copt, mopt := monOpts()
-		m := newTestMonitor(shards, copt, mopt)
-		feedMonitor(m)
-		events := m.Drain()
-		if len(events) == 0 {
-			t.Fatalf("shards=%d: no events", shards)
-		}
-		rep := m.DiagnoseEvent(&events[0], diagnoseDefaults())
-		if rep == nil {
-			t.Fatalf("shards=%d: no diagnosis", shards)
-		}
-		if rep.AbnormalFrags == 0 {
-			t.Fatalf("shards=%d: diagnosis saw no abnormal fragments", shards)
+	feeds := []struct {
+		name string
+		frag func(rank int, start, elapsed int64, slow bool) trace.Fragment
+	}{{"comp", monFrag}, {"io", ioFrag}}
+	for _, feed := range feeds {
+		for _, shards := range testShards {
+			copt, mopt := monOpts()
+			m := newTestMonitor(shards, copt, mopt)
+			feedMonitorWith(m, feed.frag)
+			events := m.Drain()
+			if len(events) == 0 {
+				t.Fatalf("%s shards=%d: no events", feed.name, shards)
+			}
+			rep := m.DiagnoseEvent(&events[0], diagnoseDefaults())
+			if rep == nil {
+				t.Fatalf("%s shards=%d: no diagnosis", feed.name, shards)
+			}
+			if rep.AbnormalFrags == 0 || rep.NormalFrags == 0 {
+				t.Fatalf("%s shards=%d: diagnosis over %d abnormal / %d normal fragments",
+					feed.name, shards, rep.AbnormalFrags, rep.NormalFrags)
+			}
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestResidentBytesPerFragmentBudget(t *testing.T) {
 			resident := liveHeap() - base
 			frags := pool.FragmentCount()
 			windows := pool.Metrics().Detect.Windows.Load()
-			logBytes := pool.graph.LogStats().Bytes()
+			logBytes := pool.Plane(0).graph.LogStats().Bytes()
 			runtime.KeepAlive(mon)
 			pool.Close()
 			if frags < 200_000 || windows < 5 {

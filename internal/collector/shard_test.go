@@ -83,7 +83,7 @@ func TestShardedPoolRouting(t *testing.T) {
 				want += perRank
 			}
 		}
-		if got := tier.Plane(s).FragmentCount(); got != want {
+		if got := tier.Plane(s).fragments(); got != want {
 			t.Fatalf("shard %d fragments = %d, want %d", s, got, want)
 		}
 	}
@@ -134,10 +134,10 @@ func TestShardHelloRedirect(t *testing.T) {
 	}
 	c.Close()
 	if !waitUntil(5*time.Second, func() bool {
-		return tier.Plane(tier.Owner(rank)).FragmentCount() == batches
+		return tier.Plane(tier.Owner(rank)).fragments() == batches
 	}) {
 		t.Fatalf("owner plane has %d fragments, want %d",
-			tier.Plane(tier.Owner(rank)).FragmentCount(), batches)
+			tier.Plane(tier.Owner(rank)).fragments(), batches)
 	}
 	if tier.Metrics().ShardRedirects.Load() == 0 {
 		t.Fatal("no redirect was counted despite a wrong bootstrap")

@@ -198,7 +198,7 @@ func shardedEquivalenceSchedule(t *testing.T, seed, ranks, shards int, misroute 
 		if shards > 1 && route.Float64() < misroute {
 			dst = (owner + 1 + route.Intn(shards-1)) % shards
 		}
-		deliverTo(tier.SeqStateFor(owner), sinks[dst], b)
+		deliverTo(tier.Plane(owner).SeqState(), sinks[dst], b)
 		deliverTo(refs[owner].SeqState(), refs[dst], b)
 	}
 

@@ -1,9 +1,6 @@
 package collector
 
-import (
-	"vapro/internal/obs"
-	"vapro/internal/trace"
-)
+import "vapro/internal/obs"
 
 // TraceCtx is the provenance context of one sampled wire batch: who
 // flushed it (client id + per-rank seq, together the journey key), for
@@ -20,10 +17,4 @@ type TraceCtx struct {
 // Key returns the journey key the context addresses in the exemplar ring.
 func (tc TraceCtx) Key() obs.TraceKey {
 	return obs.TraceKey{ClientID: tc.ClientID, Seq: tc.Seq}
-}
-
-// ConsumeTraced stages a sampled traced batch, carrying its provenance
-// context through staging and drain.
-func (p *Pool) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
-	p.stage(frags, bytes, tc, true)
 }

@@ -43,6 +43,7 @@ func runViewSchedule(t *testing.T, seed int64) {
 	opt.Detect.Cluster.MinFragments = 2 + rng.Intn(3)
 	p := NewPool(ranks, opt)
 	defer p.Close()
+	pl := p.Plane(0)
 
 	clock := make([]int64, ranks)
 	edges := []trace.EdgeKey{{From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 1}}
@@ -87,15 +88,15 @@ func runViewSchedule(t *testing.T, seed int64) {
 		// analyzed, so the comparison isolates the analyzer planes.
 		bopt := p.opt.Detect
 		bopt.DisableIncremental = true
-		bopt.Outages = p.seq.Outages()
-		want := detect.NewAnalyzer().RunWindow(p.view, p.ranks, bopt, ws, we)
+		bopt.Outages = pl.seq.Outages()
+		want := detect.NewAnalyzer().RunWindow(pl.view, p.ranks, bopt, ws, we)
 		sameDetectResult(t, b, got, want)
-		assertViewMatchesGraph(t, p, p.view)
+		assertViewMatchesGraph(t, pl, pl.view)
 
-		for _, e := range p.view.Edges() {
+		for _, e := range pl.view.Edges() {
 			checkEpoch(b, e.Key, e.Gen.Epoch)
 		}
-		for _, v := range p.view.Vertices() {
+		for _, v := range pl.view.Vertices() {
 			checkEpoch(b, v.Key, v.Gen.Epoch)
 		}
 	}
@@ -111,6 +112,7 @@ func TestMergedViewSingleServerEpochs(t *testing.T) {
 	opt.Detect.Window = sim.Millisecond
 	p := NewPool(2, opt)
 	defer p.Close()
+	pl := p.Plane(0)
 
 	var clock int64
 	feed := func(n int) {
@@ -130,14 +132,14 @@ func TestMergedViewSingleServerEpochs(t *testing.T) {
 	key := trace.EdgeKey{From: 1, To: 2}
 	feed(3)
 	p.RunWindow(0, 50_000_000)
-	ep := p.view.Edge(key).Gen.Epoch
+	ep := pl.view.Edge(key).Gen.Epoch
 	var gen stg.Gen
 	crossed := 0
 	for i := 0; i < 6; i++ {
-		before := p.view.Edge(key).Gen.Count / trace.LogChunkRows
+		before := pl.view.Edge(key).Gen.Count / trace.LogChunkRows
 		feed(trace.LogChunkRows + 1)
 		p.RunWindow(0, 50_000_000)
-		e := p.view.Edge(key)
+		e := pl.view.Edge(key)
 		if e.Gen.Epoch != ep {
 			t.Fatalf("grow %d: edge epoch moved %d -> %d", i, ep, e.Gen.Epoch)
 		}
@@ -160,9 +162,10 @@ func TestRefreshViewWarmAllocs(t *testing.T) {
 	p := NewPool(6, equivOptions())
 	feedEquivWorkload(p, 6)
 	p.WindowResults()
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	if n := testing.AllocsPerRun(100, func() { p.refreshView() }); n != 0 {
+	pl := p.Plane(0)
+	pl.amu.Lock()
+	defer pl.amu.Unlock()
+	if n := testing.AllocsPerRun(100, func() { pl.refreshView() }); n != 0 {
 		t.Fatalf("warm refresh allocates %v times, want 0", n)
 	}
 }
