@@ -19,16 +19,15 @@ import (
 // class outcome — the shard shows up as unreachable with the error, it
 // is never silently omitted.
 
+// fleetSeriesLen is the per-metric time-series ring capacity.
+const fleetSeriesLen = 64
+
 // FleetOptions tunes the scraper.
 type FleetOptions struct {
 	// Interval between scrape sweeps in Run. 0 means 2s.
 	Interval time.Duration
 	// Timeout bounds one shard scrape. 0 means 2s.
 	Timeout time.Duration
-	// Rules is the health rule table. Nil means DefaultHealthRules.
-	Rules []obs.HealthRule
-	// SeriesLen is the per-metric ring capacity. 0 means 64.
-	SeriesLen int
 	// Fetch overrides the HTTP scrape (deterministic tests plug in
 	// registries directly). Nil means an HTTP GET of
 	// http://<target>/metrics?format=json.
@@ -76,6 +75,7 @@ type fleetShard struct {
 // FleetScraper polls shard metrics endpoints into one merged view.
 type FleetScraper struct {
 	opt   FleetOptions
+	rules []obs.HealthRule // obs.DefaultHealthRules
 	now   func() int64
 	fetch func(target string) (obs.Snapshot, error)
 
@@ -102,13 +102,7 @@ func NewFleetScraper(targets []string, opt FleetOptions) *FleetScraper {
 	if opt.Timeout <= 0 {
 		opt.Timeout = 2 * time.Second
 	}
-	if opt.Rules == nil {
-		opt.Rules = obs.DefaultHealthRules()
-	}
-	if opt.SeriesLen <= 0 {
-		opt.SeriesLen = 64
-	}
-	f := &FleetScraper{opt: opt, now: opt.Now, fetch: opt.Fetch, reg: obs.NewRegistry()}
+	f := &FleetScraper{opt: opt, rules: obs.DefaultHealthRules(), now: opt.Now, fetch: opt.Fetch, reg: obs.NewRegistry()}
 	if f.now == nil {
 		f.now = func() int64 { return time.Now().UnixNano() }
 	}
@@ -143,7 +137,7 @@ func (f *FleetScraper) SetTargets(targets []string) {
 			next[i] = f.shards[i]
 			continue
 		}
-		next[i] = &fleetShard{target: tgt, series: obs.NewSeriesSet(f.opt.SeriesLen)}
+		next[i] = &fleetShard{target: tgt, series: obs.NewSeriesSet(fleetSeriesLen)}
 	}
 	f.shards = next
 }
@@ -208,7 +202,7 @@ func (f *FleetScraper) ScrapeOnce() FleetStatus {
 		sh.lastErr = ""
 		sh.snap = &snap
 		sh.series.Observe(&snap, now)
-		sh.health = obs.EvalHealth(f.opt.Rules, &snap, sh.series)
+		sh.health = obs.EvalHealth(f.rules, &snap, sh.series)
 	}
 	f.state, f.why = foldFleetHealth(shards)
 	f.health.Set(int64(f.state))

@@ -38,10 +38,6 @@ func Reset() WriteOp { return WriteOp{Err: ErrInjected} }
 // Partial is a WriteOp that passes n bytes then fails (a torn frame).
 func Partial(n int) WriteOp { return WriteOp{Pass: n} }
 
-// PassAll is an explicit no-op step (useful to let k writes through
-// before a scripted failure).
-func PassAll() WriteOp { return WriteOp{Pass: -1} }
-
 // Conn wraps a net.Conn with a per-write failure script. Writes consume
 // script entries in order; once the script is exhausted every write
 // passes through. Safe for one writer at a time (like net.Conn itself).

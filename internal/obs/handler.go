@@ -54,24 +54,11 @@ func wantJSON(req *http.Request) bool {
 	return strings.Contains(req.Header.Get("Accept"), "application/json")
 }
 
-// WriteJSON writes the registry snapshot as JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	snap := r.Snapshot()
-	return WriteSnapshotJSON(w, &snap)
-}
-
 // WriteSnapshotJSON writes one snapshot as indented JSON.
 func WriteSnapshotJSON(w io.Writer, snap *Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
-}
-
-// WritePrometheus writes the registry snapshot in the Prometheus text
-// exposition format.
-func (r *Registry) WritePrometheus(w io.Writer) {
-	snap := r.Snapshot()
-	WriteSnapshotPrometheus(w, &snap)
 }
 
 // WriteSnapshotPrometheus writes one snapshot in the Prometheus text

@@ -88,18 +88,6 @@ type Config struct {
 	Seed         uint64  // root of all randomness
 }
 
-// DefaultConfig returns a machine resembling one rack of the paper's
-// testbed: dual 12-core Xeon nodes at 2.2 GHz.
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:        nodes,
-		CoresPerNode: 24,
-		FreqGHz:      2.2,
-		PMUJitter:    0.002,
-		Seed:         1,
-	}
-}
-
 // Machine executes workloads on simulated cores, producing elapsed
 // virtual time and performance counters. The zero value is unusable;
 // construct with NewMachine.

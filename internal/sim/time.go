@@ -36,9 +36,6 @@ const (
 // Seconds reports the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Std converts a virtual duration to a time.Duration for printing.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // String formats the duration like time.Duration does.
 func (d Duration) String() string { return time.Duration(d).String() }
 

@@ -197,9 +197,6 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // recover scans the directory, truncates torn tails, counts records,
 // and opens the newest segment for appending (creating the first
 // segment when the directory is empty).
