@@ -880,14 +880,14 @@ func benchMonitorTickWindow(b *testing.B, disable bool) {
 }
 
 // benchMonitorTickWindowMonitor is the same tick shape through the real
-// monitor: NewPool+NewMonitor with comp-steady's windows (500 ms period,
-// 250 ms overlap, 50 ms cells). One op delivers one flush per rank, and
+// monitor: NewMonitor over a one-plane pool with comp-steady's windows
+// (500 ms period, 250 ms overlap, 50 ms cells). One op delivers one flush per rank, and
 // the monitor ticks whenever the watermark closes a window (about once
 // per op), so the op also pays the pool's intake and view refresh and
 // the streaming-OLS moment fold, which a bare analyzer never runs.
-// shards > 0 runs the same stream and ticks through NewShardedMonitor
-// over a tier of that many planes: each plane's analyzer folds the
-// moments of its own elements, and every tick fans out and merges.
+// shards > 1 runs the same stream and ticks through a pool of that many
+// planes: each plane's analyzer folds the moments of its own elements,
+// and every tick fans out and merges.
 func benchMonitorTickWindowMonitor(b *testing.B, shards int) {
 	const ranks, perRank, resident = 64, 256, 500_000
 	s := newTickStream(ranks, 8)
@@ -895,12 +895,7 @@ func benchMonitorTickWindowMonitor(b *testing.B, shards int) {
 	copt.Period, copt.Overlap = 500*sim.Millisecond, 250*sim.Millisecond
 	copt.Detect.Window = 50 * sim.Millisecond
 	mopt := collector.DefaultMonitorOptions(ranks)
-	var m *collector.Monitor
-	if shards > 0 {
-		m = collector.NewShardedMonitor(collector.NewShardedPool(ranks, shards, copt), mopt)
-	} else {
-		m = collector.NewMonitor(collector.NewPool(ranks, copt), mopt)
-	}
+	m := collector.NewMonitor(collector.NewShardedPool(ranks, shards, copt), mopt)
 	round := func() {
 		batch := s.nextFlushes(perRank)
 		for r := 0; r < ranks; r++ {
@@ -928,7 +923,7 @@ func benchMonitorTickWindowMonitor(b *testing.B, shards int) {
 func BenchmarkMonitorTickWindow(b *testing.B) {
 	b.Run("plane=inc", func(b *testing.B) { benchMonitorTickWindow(b, false) })
 	b.Run("plane=batch", func(b *testing.B) { benchMonitorTickWindow(b, true) })
-	b.Run("plane=monitor", func(b *testing.B) { benchMonitorTickWindowMonitor(b, 0) })
+	b.Run("plane=monitor", func(b *testing.B) { benchMonitorTickWindowMonitor(b, 1) })
 	b.Run("plane=tier", func(b *testing.B) { benchMonitorTickWindowMonitor(b, 2) })
 }
 

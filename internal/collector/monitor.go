@@ -7,7 +7,6 @@ import (
 	"vapro/internal/cluster"
 	"vapro/internal/detect"
 	"vapro/internal/diagnose"
-	"vapro/internal/interpose"
 	"vapro/internal/sim"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
@@ -43,10 +42,9 @@ import (
 //
 // or feed each plane's wire server from WireSink(shard).
 type Monitor struct {
-	// pool holds the resident fragments.
-	pool  *Pool
-	opt   MonitorOptions
-	armed *interpose.Armed
+	// pool holds the resident fragments and the arming handle.
+	pool *Pool
+	opt  MonitorOptions
 
 	// mu guards the watermark, the window cursor, the event queue and
 	// the arming stage. Ticks run inline on the delivering goroutine
@@ -132,7 +130,6 @@ func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
 	m := &Monitor{
 		pool:       pool,
 		opt:        opt,
-		armed:      pool.Armed,
 		marks:      newWatermark(pool.ranks),
 		stage:      1,
 		olsFactors: olsFactorsFor(opt.MaxStage),
@@ -193,7 +190,9 @@ func (m *Monitor) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc 
 // goes to that plane, the watermark advances globally, and the hello
 // carries the pool's shard map.
 func (m *Monitor) WireSink(shard int) *ShardSink {
-	return &ShardSink{pool: m.pool, shard: shard, mon: m}
+	k := m.pool.WireSink(shard)
+	k.mon = m
+	return k
 }
 
 // observe advances rank's watermark by one delivered batch and analyzes
@@ -233,20 +232,20 @@ func (m *Monitor) analyzeNextLocked() {
 	// the finer factors need (§4.3's one-period-per-stage trade-off).
 	if m.stage < m.opt.MaxStage {
 		m.stage++
-		armed := m.armed.Get()
+		armed := m.pool.Armed.Get()
 		switch m.stage {
 		case 2:
 			armed |= sim.GroupBackend
 		default:
 			armed |= sim.GroupMemory | sim.GroupExtra
 		}
-		m.armed.Set(armed)
+		m.pool.Armed.Set(armed)
 	}
 	m.events = append(m.events, Event{
 		WindowStart: start,
 		WindowEnd:   end,
 		Regions:     regions,
-		ArmedAfter:  m.armed.Get(),
+		ArmedAfter:  m.pool.Armed.Get(),
 		Stage:       m.stage,
 	})
 }

@@ -211,7 +211,7 @@ func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 			pool := NewPool(ranks, copt)
 			mon := NewMonitor(pool, mopt)
 			tier := NewShardedPool(ranks, 1, copt)
-			smon := NewShardedMonitor(tier, mopt)
+			smon := NewMonitor(tier, mopt)
 			ssink := smon.WireSink(0)
 			ref := newRefMonitor(ranks, copt, mopt)
 			for _, b := range schedule {

@@ -13,8 +13,8 @@ import (
 // (diagnose.ClusterMoments) in the sample store, folded in the same
 // loops that fold its normalization state — every pass over a plane's
 // view, monitor ticks and WindowResults alike, advances them. An edge
-// key names no rank, so on a tier one edge has a population, a
-// clustering and moments per plane. When DiagnoseEvent later needs the
+// key names no rank, so over several planes one edge has a population,
+// a clustering and moments per plane. When DiagnoseEvent later needs the
 // OLS quantification, the moments are already pooled — no walk over the
 // resident fragment populations — so the diagnosis cost of a
 // steady-state tick stops scaling with how much data is resident. The

@@ -65,17 +65,14 @@ func monOpts() (Options, MonitorOptions) {
 	return shardTestOptions(), mopt
 }
 
-// newTestMonitor builds a monitor over 4 ranks: over one Pool when
-// shards is 1, over a sharded tier of that many planes otherwise.
+// newTestMonitor builds a monitor over a pool of 4 ranks on shards
+// planes.
 func newTestMonitor(shards int, copt Options, mopt MonitorOptions) *Monitor {
-	if shards == 1 {
-		return NewMonitor(NewPool(4, copt), mopt)
-	}
-	return NewShardedMonitor(NewShardedPool(4, shards, copt), mopt)
+	return NewMonitor(NewShardedPool(4, shards, copt), mopt)
 }
 
-// testShards are the plane counts the monitor tests that run over a
-// tier take as table inputs.
+// testShards are the plane counts the monitor tests take as table
+// inputs.
 var testShards = []int{1, 2, 4}
 
 func TestMonitorDetectsOnline(t *testing.T) {
@@ -223,7 +220,7 @@ func TestMonitorDiagnoseEventDuringDelivery(t *testing.T) {
 	copt, mopt := monOpts()
 	tier := NewShardedPool(4, 2, copt)
 	defer tier.Close()
-	m := NewShardedMonitor(tier, mopt)
+	m := NewMonitor(tier, mopt)
 	feedMonitor(m)
 	events := m.Drain()
 	if len(events) == 0 {

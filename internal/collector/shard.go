@@ -155,16 +155,17 @@ func (p *Pool) registerTierDerived(resident []int) {
 // the hello carries the published shard map so clients can verify (or
 // discover) their owner.
 func (p *Pool) WireSink(shard int) *ShardSink {
-	return &ShardSink{pool: p, shard: shard}
+	return &ShardSink{pool: p, plane: p.planes[shard], shard: shard}
 }
 
 // ShardSink adapts one analysis plane to the wire server's sink
 // interfaces (sized consumption, sequence state, metrics, journal,
 // hello). Built by Monitor.WireSink, it also advances the monitor's
 // watermark, so wire-delivered batches tick windows exactly like
-// in-process ones.
+// in-process ones; Pool.WireSink's only delivers.
 type ShardSink struct {
 	pool  *Pool
+	plane *plane
 	shard int
 	mon   *Monitor // nil when no monitor fronts the pool
 }
@@ -193,7 +194,7 @@ func (k *ShardSink) deliver(rank int, frags []trace.Fragment, bytes int, tc Trac
 	if k.pool.Owner(rank) != k.shard {
 		k.pool.met.ShardMisroutes.Inc()
 	}
-	k.pool.planes[k.shard].stage(frags, bytes, tc, traced)
+	k.plane.stage(frags, bytes, tc, traced)
 	if k.mon != nil {
 		k.mon.observe(rank, frags)
 	}
@@ -203,17 +204,17 @@ func (k *ShardSink) deliver(rank int, frags []trace.Fragment, bytes int, tc Trac
 // own endpoint (and its wire/trace counters) describe exactly the
 // traffic that plane served. Tier-layer counters (misroutes,
 // rebalances) stay on the pool's registry.
-func (k *ShardSink) Metrics() *Metrics { return k.pool.planes[k.shard].met }
+func (k *ShardSink) Metrics() *Metrics { return k.plane.met }
 
 // SeqState returns this plane's tracker: gap accounting is per plane,
 // and survives the plane's wire-server restarts because the tracker
 // lives on the plane.
-func (k *ShardSink) SeqState() *SeqTracker { return k.pool.planes[k.shard].seq }
+func (k *ShardSink) SeqState() *SeqTracker { return k.plane.seq }
 
 // Journal returns this plane's delivery journal (attached per plane —
 // each plane journals its own delivered stream into its own directory,
 // so plane restarts replay independently).
-func (k *ShardSink) Journal() *wal.Log { return k.pool.planes[k.shard].jour }
+func (k *ShardSink) Journal() *wal.Log { return k.plane.jour }
 
 // Hello returns the pool's shard map for the wire handshake once
 // Rebalance has published one.

@@ -30,19 +30,10 @@ const maxHelloFrame = 1 << 20
 // which is how a restarted shard's new address propagates (the client
 // reconnects anywhere, learns the rebalanced map, and re-attaches).
 func ShardDialer(rank int, bootstrap []string, met *Metrics) Dialer {
-	return ShardDialerWith(rank, bootstrap, met, func(addr string) (net.Conn, error) {
-		return net.Dial("tcp", addr)
-	})
-}
-
-// ShardDialerWith is ShardDialer with the raw per-address dial
-// injectable (tests gate or fail it deterministically).
-func ShardDialerWith(rank int, bootstrap []string, met *Metrics, dial func(addr string) (net.Conn, error)) Dialer {
 	d := &shardDialer{
 		rank:      rank,
 		bootstrap: append([]string(nil), bootstrap...),
 		met:       met,
-		dialAddr:  dial,
 	}
 	return d.dial
 }
@@ -51,7 +42,6 @@ type shardDialer struct {
 	rank      int
 	bootstrap []string
 	met       *Metrics
-	dialAddr  func(addr string) (net.Conn, error)
 
 	mu    sync.Mutex
 	owner string   // last verified owning address
@@ -84,7 +74,7 @@ func (d *shardDialer) candidates() []string {
 func (d *shardDialer) dial() (net.Conn, error) {
 	var lastErr error
 	for _, addr := range d.candidates() {
-		conn, err := d.dialAddr(addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			lastErr = err
 			continue
@@ -138,7 +128,7 @@ func (d *shardDialer) verify(conn net.Conn, addr string) (net.Conn, error) {
 		if d.met != nil {
 			d.met.ShardRedirects.Inc()
 		}
-		next, err := d.dialAddr(ownerAddr)
+		next, err := net.Dial("tcp", ownerAddr)
 		if err != nil {
 			return nil, err
 		}

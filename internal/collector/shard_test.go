@@ -242,7 +242,7 @@ func TestShardedMonitorDetectsOnline(t *testing.T) {
 	defer tier.Close()
 	mopt := DefaultMonitorOptions(4)
 	mopt.MinRegionLoss = sim.Millisecond
-	m := NewShardedMonitor(tier, mopt)
+	m := NewMonitor(tier, mopt)
 	for rank := 0; rank < 4; rank++ {
 		tm := int64(0)
 		var batch []trace.Fragment

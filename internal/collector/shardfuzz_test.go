@@ -223,7 +223,7 @@ func shardedEquivalenceSchedule(t *testing.T, seed, ranks, shards int, misroute 
 // compareRows: every merged heat-map row equals the restricted
 // reference's row for the rank's owner, bit for bit, NaN beyond the
 // reference's width.
-func compareRows(t *testing.T, seed, shards, wi int, tier *ShardedPool, merged *detect.Result, refRes []*detect.Result, ranks int) {
+func compareRows(t *testing.T, seed, shards, wi int, tier *Pool, merged *detect.Result, refRes []*detect.Result, ranks int) {
 	t.Helper()
 	for c := detect.Computation; c <= detect.IOClass; c++ {
 		mh := merged.Maps[c]

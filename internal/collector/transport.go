@@ -59,15 +59,15 @@ type sizedSink interface {
 	ConsumeSized(rank int, frags []trace.Fragment, bytes int)
 }
 
-// tracedSink is implemented by sinks (Pool, Monitor, the sharded tier's
-// sinks) that carry a sampled batch's trace context through the intake
-// path.
+// tracedSink is implemented by sinks (Pool, Monitor, ShardSink) that
+// carry a sampled batch's trace context through the intake path.
 type tracedSink interface {
 	ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx)
 }
 
-// seqStater is implemented by sinks (Pool, Monitor) that own a sequence
-// tracker; the step feeds it so gap state survives server restarts.
+// seqStater is implemented by sinks (Pool, Monitor, ShardSink) that own
+// a sequence tracker; the step feeds it so gap state survives server
+// restarts.
 type seqStater interface {
 	SeqState() *SeqTracker
 }
