@@ -87,15 +87,14 @@ func (pl *plane) Journal() *wal.Log { return pl.jour }
 
 // AttachJournal hands a one-plane pool's plane its delivery journal, so
 // a wire server fed by the pool (or a Monitor over it) journals what it
-// delivers. A pool of several planes refuses: each plane journals its
-// own stream (Plane(i).AttachJournal).
-func (p *Pool) AttachJournal(l *wal.Log) error {
+// delivers. A pool of several planes refuses with a panic — a caller
+// bug: each plane journals its own stream (Plane(i).AttachJournal).
+func (p *Pool) AttachJournal(l *wal.Log) {
 	pl := p.solo()
 	if pl == nil {
-		return fmt.Errorf("collector: a %d-plane pool journals per plane", len(p.planes))
+		panic(fmt.Sprintf("collector: AttachJournal on a %d-plane pool; attach per plane", len(p.planes)))
 	}
 	pl.AttachJournal(l)
-	return nil
 }
 
 // Journal returns a one-plane pool's delivery journal; nil when none is

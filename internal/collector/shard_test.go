@@ -90,6 +90,17 @@ func TestShardedPoolRouting(t *testing.T) {
 	if tier.Metrics().ShardMisroutes.Load() != 0 {
 		t.Fatal("in-process routing counted misroutes")
 	}
+	// The direct-sink accessors address one plane; over several, the
+	// sequence spaces and journals are per plane.
+	if tier.SeqState() != nil || tier.Journal() != nil {
+		t.Fatal("a multi-plane pool exposed a direct-sink tracker or journal")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AttachJournal on a multi-plane pool did not refuse")
+		}
+	}()
+	tier.AttachJournal(nil)
 }
 
 // TestShardHelloRedirect: a client bootstrapped at the wrong shard's
