@@ -219,8 +219,9 @@ func (pl *plane) stats() Stats {
 // routing, analysis and metrics surface, plus the shared counter-arming
 // handle. It implements interpose.Sink — in-process producers route by
 // owner; wire producers get a per-plane sink from WireSink. The rank
-// space is one population whatever n is: every window normalizes and
-// grows regions over all of it.
+// space is one population whatever n is: every window bins one heat map
+// per class and grows regions over all of it (normalization stays
+// per plane, DESIGN §12).
 //
 // Two choices depend on n, each made in one place: the tick (runWindow:
 // one plane runs its full pass inline; more planes stop at partials
@@ -248,7 +249,7 @@ type Pool struct {
 	mp  ShardMap
 
 	// amu serializes merges: the Merger's region carry is warm state
-	// threaded from tick to tick.
+	// threaded from tick to tick. A one-plane pool has no merger.
 	amu    sync.Mutex
 	merger *detect.Merger
 }
@@ -269,12 +270,11 @@ func NewShardedPool(ranks, shards int, opt Options) *Pool {
 		opt.Overlap = opt.Period / 2
 	}
 	p := &Pool{
-		opt:    opt,
-		ranks:  ranks,
-		Armed:  interpose.NewArmed(sim.GroupBase | sim.GroupTopdownL1 | sim.GroupOS),
-		owner:  make([]int, ranks),
-		mp:     ShardMap{Addrs: make([]string, shards)},
-		merger: detect.NewMerger(),
+		opt:   opt,
+		ranks: ranks,
+		Armed: interpose.NewArmed(sim.GroupBase | sim.GroupTopdownL1 | sim.GroupOS),
+		owner: make([]int, ranks),
+		mp:    ShardMap{Addrs: make([]string, shards)},
 	}
 	resident := make([]int, shards)
 	for r := 0; r < ranks; r++ {
@@ -299,14 +299,14 @@ func NewShardedPool(ranks, shards int, opt Options) *Pool {
 	for _, pl := range p.planes {
 		p.mets = append(p.mets, pl.met)
 	}
+	p.merger = detect.NewMerger()
 	p.merger.SetMetrics(p.met.Detect)
 	p.registerTierDerived(resident)
 	return p
 }
 
-// Plane exposes one shard's analysis plane (the status surface, the
-// per-plane endpoints and journals, and tests read per-shard state
-// through it).
+// Plane exposes one shard's analysis plane: per-plane journals,
+// metrics endpoints and window passes go through it.
 func (p *Pool) Plane(shard int) *plane { return p.planes[shard] }
 
 // solo returns the pool's plane when it has exactly one, else nil: the
@@ -368,8 +368,8 @@ func (pl *plane) fragments() int {
 }
 
 // RunWindow is the pool's steady-state tick: one window over every
-// plane, normalized and grown as one rank space, with every plane's
-// loss intervals marked.
+// plane, binned and grown as one rank space, with every plane's loss
+// intervals marked.
 func (p *Pool) RunWindow(start, end int64) *detect.Result {
 	return p.runWindow(start, end, p.outageOptions())
 }
