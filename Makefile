@@ -7,7 +7,7 @@ GO ?= go
 # gates). `make check` runs every stage — exactly what CI runs — and
 # each stage's target runs that stage alone (with the go on PATH; GO
 # only reaches the targets below the list).
-STAGES = build vet sortguard logguard hatchguard test repro race chaos shardfuzz fuzz bench-smoke bench-e2e record-analyze obs crash-replay
+STAGES = build vet sortguard logguard hatchguard test race chaos shardfuzz fuzz bench-smoke bench-e2e record-analyze obs crash-replay
 
 .PHONY: all check $(STAGES) cover bench experiments full clean
 

@@ -156,11 +156,6 @@ func (pl *plane) refreshView() *stg.Graph {
 func (pl *plane) RunWindow(start, end int64) *detect.Result {
 	dopt := pl.opt.Detect
 	dopt.Outages = pl.seq.Outages()
-	return pl.runWindow(start, end, dopt)
-}
-
-// runWindow is RunWindow under the given options.
-func (pl *plane) runWindow(start, end int64, dopt detect.Options) *detect.Result {
 	return pl.analyze(func(g *stg.Graph) *detect.Result { return pl.an.RunWindow(g, pl.ranks, dopt, start, end) })
 }
 
@@ -175,24 +170,6 @@ func (pl *plane) analyze(pass func(g *stg.Graph) *detect.Result) *detect.Result 
 	// Journeys drained before this tick are now visible to analysis.
 	pl.met.Trace.CompleteAnalyze()
 	return res
-}
-
-// viewBounds drains the intake, refreshes the snapshot, and returns its
-// fragment span, so the pool lays one window grid across its planes.
-func (pl *plane) viewBounds() (minStart, maxEnd int64, ok bool) {
-	pl.drain()
-	pl.amu.Lock()
-	defer pl.amu.Unlock()
-	g := pl.refreshView()
-	return g.Bounds()
-}
-
-// viewOverlaps reports whether any element's fragment span intersects
-// [start, end). Callers refresh the view first (viewBounds).
-func (pl *plane) viewOverlaps(start, end int64) bool {
-	pl.amu.Lock()
-	defer pl.amu.Unlock()
-	return pl.view.Overlaps(start, end)
 }
 
 // stats returns the plane's transport statistics; the storage rate is
@@ -223,11 +200,11 @@ func (pl *plane) stats() Stats {
 // per class and grows regions over all of it (normalization stays
 // per plane, DESIGN §12).
 //
-// Two choices depend on n, each made in one place: the tick (runWindow:
-// one plane runs its full pass inline; more planes stop at partials
-// that the pool merges) and the registry (NewShardedPool: one plane's
-// registry is the pool's; more planes add a tier registry with the
-// shard rows). The direct-sink accessors SeqState, Journal and
+// Two choices depend on n, both made in NewShardedPool: the tick (one
+// plane gets no merger, and pass runs its full pass inline; more planes
+// get one, stop at partials and the pool merges them) and the registry
+// (one plane's registry is the pool's; more planes add a tier registry
+// with the shard rows). The direct-sink accessors SeqState, Journal and
 // AttachJournal address a one-plane pool's plane; per-plane access
 // goes through Plane(i).
 type Pool struct {
@@ -249,7 +226,8 @@ type Pool struct {
 	mp  ShardMap
 
 	// amu serializes merges: the Merger's region carry is warm state
-	// threaded from tick to tick. A one-plane pool has no merger.
+	// threaded from tick to tick. A one-plane pool has no merger, which
+	// is what selects its full pass (pass).
 	amu    sync.Mutex
 	merger *detect.Merger
 }
@@ -386,13 +364,23 @@ func (p *Pool) outageOptions() detect.Options {
 	return dopt
 }
 
-// runWindow analyzes one window under dopt. One plane runs its
-// analyzer's full pass inline. More planes run concurrently, each
-// stopping at its partial, and the Merger completes the partials into
-// one global result: one heat map per class and one region growth.
+// runWindow is the tick: each plane drains, refreshes its view and runs
+// its share of the window over it.
 func (p *Pool) runWindow(start, end int64, dopt detect.Options) *detect.Result {
-	if pl := p.solo(); pl != nil {
-		return pl.runWindow(start, end, dopt)
+	return p.pass(start, end, dopt, func(i int, pass func(g *stg.Graph) *detect.Result) *detect.Result {
+		return p.planes[i].analyze(pass)
+	})
+}
+
+// pass analyzes one window under dopt, running plane i's share through
+// on(i, share). A pool without a merger (one plane) runs its analyzer's
+// full pass inline. Otherwise the planes run concurrently, each stopping
+// at its partial, and the Merger completes the partials into one global
+// result: one heat map per class and one region growth.
+func (p *Pool) pass(start, end int64, dopt detect.Options, on func(i int, share func(g *stg.Graph) *detect.Result) *detect.Result) *detect.Result {
+	if p.merger == nil {
+		an := p.planes[0].an
+		return on(0, func(g *stg.Graph) *detect.Result { return an.RunWindow(g, p.ranks, dopt, start, end) })
 	}
 	parts := make([]*detect.Result, len(p.planes))
 	var wg sync.WaitGroup
@@ -400,7 +388,7 @@ func (p *Pool) runWindow(start, end int64, dopt detect.Options) *detect.Result {
 		wg.Add(1)
 		go func(i int, pl *plane) {
 			defer wg.Done()
-			parts[i] = pl.analyze(func(g *stg.Graph) *detect.Result { return pl.an.Partial(g, pl.opt.Detect, start, end) })
+			parts[i] = on(i, func(g *stg.Graph) *detect.Result { return pl.an.Partial(g, pl.opt.Detect, start, end) })
 		}(i, pl)
 	}
 	wg.Wait()
@@ -410,6 +398,24 @@ func (p *Pool) runWindow(start, end int64, dopt detect.Options) *detect.Result {
 	p.met.ShardStripsMerged.Add(uint64(stats.Strips))
 	p.met.ShardRegionsStitched.Add(uint64(stats.Stitched))
 	return res
+}
+
+// lockPlanes drains every plane, takes the planes' amu in plane order
+// and returns their refreshed views; unlockPlanes releases them.
+func (p *Pool) lockPlanes() []*stg.Graph {
+	views := make([]*stg.Graph, len(p.planes))
+	for i, pl := range p.planes {
+		pl.drain()
+		pl.amu.Lock()
+		views[i] = pl.refreshView()
+	}
+	return views
+}
+
+func (p *Pool) unlockPlanes() {
+	for _, pl := range p.planes {
+		pl.amu.Unlock()
+	}
 }
 
 // WindowResults runs the periodic per-window analysis and concatenates
@@ -428,28 +434,42 @@ func (p *Pool) WindowResults() []*WindowResult {
 // windows still start at multiples of the stride from zero, so a range
 // query returns exactly the rows the full query would, filtered — and
 // that is what makes historical queries over a replayed journal line
-// up with the live run's results. to <= 0 means "end of data".
+// up with the live run's results. to <= 0 means "end of data". Every
+// window of the query runs against one snapshot: each plane's view is
+// refreshed once and its analysis lock held until the last window.
 func (p *Pool) WindowResultsRange(from, to int64) []*WindowResult {
+	views := p.lockPlanes()
+	defer p.unlockPlanes()
 	maxEnd := int64(0)
-	for _, pl := range p.planes {
-		if _, e, ok := pl.viewBounds(); ok {
+	for _, g := range views {
+		if _, e, ok := g.Bounds(); ok {
 			maxEnd = max(maxEnd, e)
 		}
+	}
+	if maxEnd <= 0 {
+		return nil
 	}
 	// Element span bounds reject empty windows without touching
 	// fragments.
 	covered := func(start, end int64) bool {
-		for _, pl := range p.planes {
-			if pl.viewOverlaps(start, end) {
+		for _, g := range views {
+			if g.Overlaps(start, end) {
 				return true
 			}
 		}
 		return false
 	}
 	dopt := p.outageOptions()
-	return windowGrid(p.opt, maxEnd, from, to, covered, func(start, end int64) *detect.Result {
-		return p.runWindow(start, end, dopt)
+	out := windowGrid(p.opt, maxEnd, from, to, covered, func(start, end int64) *detect.Result {
+		return p.pass(start, end, dopt, func(i int, share func(g *stg.Graph) *detect.Result) *detect.Result {
+			return share(views[i])
+		})
 	})
+	// Journeys drained before this query are now visible to analysis.
+	for _, pl := range p.planes {
+		pl.met.Trace.CompleteAnalyze()
+	}
+	return out
 }
 
 // windowGrid runs, in time order, the windows of the grid anchored at

@@ -288,25 +288,6 @@ func (m *Monitor) CacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// lockPlanes drains every plane, takes the planes' amu in plane order
-// and returns their refreshed views; unlockPlanes releases them. Caller
-// holds m.mu.
-func (m *Monitor) lockPlanes() []*stg.Graph {
-	views := make([]*stg.Graph, len(m.pool.planes))
-	for i, pl := range m.pool.planes {
-		pl.drain()
-		pl.amu.Lock()
-		views[i] = pl.refreshView()
-	}
-	return views
-}
-
-func (m *Monitor) unlockPlanes() {
-	for _, pl := range m.pool.planes {
-		pl.amu.Unlock()
-	}
-}
-
 // DiagnoseEvent runs the progressive diagnosis for an online event's
 // top region against everything the planes hold at the time of the
 // call. Fragments are clustered per STG element — the edge of a
@@ -321,8 +302,8 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	views := m.lockPlanes()
-	defer m.unlockPlanes()
+	views := m.pool.lockPlanes()
+	defer m.pool.unlockPlanes()
 	elems, clusters := m.eventClusters(views, ev)
 	// When every involved element is an edge with warm regression
 	// moments at the current generation, the §4.2 quantification answers

@@ -17,9 +17,9 @@ import (
 // Single-copy monitor equivalence and residency. Monitor keeps no graph
 // or analyzer: its windows run on its planes' views. These tests pin
 // that this changes nothing observable — the events and window results
-// fed in process equal those fed through a wire sink and a reference that
-// re-implements the old private-graph monitor cold — and that the
-// monitor's own state is O(ranks), not O(fragments).
+// over one pool equal those over a merging one-plane pool and a
+// reference that re-implements the old private-graph monitor cold — and
+// that the monitor's own state is O(ranks), not O(fragments).
 
 // equivSchedule is one scripted run for the monitor equivalence fuzz:
 // per-rank batch streams (some lost in transit, leaving sequence gaps)
@@ -198,9 +198,9 @@ func sameEventList(got, want []Event) error {
 
 // TestMonitorSingleCopyEquivalenceFuzz: over seeded delivery schedules
 // and both population shapes, the graph-less Monitor's drained events
-// and its pool's WindowResults equal (a) a monitor over
-// NewShardedPool(ranks, 1) fed through its WireSink(0) and (b) the old
-// private-graph monitor run cold.
+// and its pool's WindowResults equal (a) a monitor over a one-plane
+// pool that merges its plane's partials (forceMerge), fed through its
+// WireSink(0), and (b) the old private-graph monitor run cold.
 func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 	const ranks = 6
 	var events int
@@ -212,6 +212,7 @@ func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 			pool := NewPool(ranks, copt)
 			mon := NewMonitor(pool, mopt)
 			tier := NewShardedPool(ranks, 1, copt)
+			forceMerge(tier)
 			smon := NewMonitor(tier, mopt)
 			ssink := smon.WireSink(0)
 			ref := newRefMonitor(ranks, copt, mopt)
@@ -227,7 +228,7 @@ func TestMonitorSingleCopyEquivalenceFuzz(t *testing.T) {
 			got := mon.Drain()
 			events += len(got)
 			if err := sameEventList(got, smon.Drain()); err != nil {
-				t.Fatalf("commIO=%v seed=%d: monitor vs its wire-sink twin: %v", commIO, seed, err)
+				t.Fatalf("commIO=%v seed=%d: monitor vs its merging wire-sink twin: %v", commIO, seed, err)
 			}
 			if err := sameEventList(got, ref.events); err != nil {
 				t.Fatalf("commIO=%v seed=%d: monitor vs cold private-graph reference: %v", commIO, seed, err)

@@ -74,8 +74,8 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 func eventEdges(m *Monitor, ev *Event) ([]planeElem, [][]trace.Fragment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	views := m.lockPlanes()
-	defer m.unlockPlanes()
+	views := m.pool.lockPlanes()
+	defer m.pool.unlockPlanes()
 	return m.eventClusters(views, ev)
 }
 
@@ -294,8 +294,8 @@ func testOLSParallelWorkers(t *testing.T, idle bool) {
 	moments := func(m *Monitor) map[trace.EdgeKey][]*diagnose.ClusterMoments {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		views := m.lockPlanes()
-		defer m.unlockPlanes()
+		views := m.pool.lockPlanes()
+		defer m.pool.unlockPlanes()
 		out := make(map[trace.EdgeKey][]*diagnose.ClusterMoments)
 		for _, e := range views[0].Edges() {
 			ms, ok := m.pool.planes[0].an.ClusterMoments(cluster.EdgeKey(e.Key), e.Gen, m.olsFactors)

@@ -182,6 +182,9 @@ func shardedEquivalenceSchedule(t *testing.T, seed, ranks, shards int, misroute 
 	opt := fuzzOptions()
 
 	tier := NewShardedPool(ranks, shards, opt)
+	if shards == 1 {
+		forceMerge(tier)
+	}
 	sinks := make([]*ShardSink, shards)
 	for s := 0; s < shards; s++ {
 		sinks[s] = tier.WireSink(s)
@@ -218,6 +221,16 @@ func shardedEquivalenceSchedule(t *testing.T, seed, ranks, shards int, misroute 
 	for _, p := range refs {
 		p.Close()
 	}
+}
+
+// forceMerge gives a one-plane pool a Merger, so its windows take the
+// multi-plane path — the plane stops at its partial and the Merger
+// completes it — where the pool would run the plane's full pass. The
+// equivalence tests compare that merge of one partial, field by field
+// (compareFull), with a plain pool's full pass.
+func forceMerge(p *Pool) {
+	p.merger = detect.NewMerger()
+	p.merger.SetMetrics(p.met.Detect)
 }
 
 // compareRows: every merged heat-map row equals the restricted
@@ -275,8 +288,8 @@ func compareRegions(t *testing.T, seed, shards, wi int, merged *detect.Result, d
 	}
 }
 
-// compareFull: at shard count 1 the merge is an identity — the whole
-// Result deep-equals the plain pool's.
+// compareFull: the merge of one plane's partial is an identity — the
+// whole Result deep-equals the plain pool's full pass.
 func compareFull(t *testing.T, seed, wi int, merged, ref *detect.Result) {
 	t.Helper()
 	if len(merged.Maps) != len(ref.Maps) {

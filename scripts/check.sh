@@ -6,13 +6,13 @@
 # such call: `make race` runs `./scripts/check.sh race`). Each command
 # and each bound is written here once. Stages:
 #
-#   build vet sortguard logguard hatchguard test repro race chaos
-#   shardfuzz fuzz bench-smoke bench-e2e record-analyze obs crash-replay
+#   build vet sortguard logguard hatchguard test race chaos shardfuzz
+#   fuzz bench-smoke bench-e2e record-analyze obs crash-replay
 set -eux
 
 cd "$(dirname "$0")/.."
 
-STAGES="build vet sortguard logguard hatchguard test repro race chaos shardfuzz fuzz bench-smoke bench-e2e record-analyze obs crash-replay"
+STAGES="build vet sortguard logguard hatchguard test race chaos shardfuzz fuzz bench-smoke bench-e2e record-analyze obs crash-replay"
 
 stage_build() {
 	go build ./...
@@ -51,17 +51,14 @@ stage_hatchguard() {
 	fi
 }
 
-stage_test() {
-	go test ./...
-}
-
-# The paper's outputs, pinned: every experiment at Small scale must
-# print exactly internal/exp/testdata/golden/<id>.txt (`vaproexp <id>`
-# without its "[… completed in …]" line). Regenerate with
+# The test stage also pins the paper's outputs: internal/exp's TestQuick
+# runs every experiment at Small scale and must print exactly
+# internal/exp/testdata/golden/<id>.txt (`vaproexp <id>` without its
+# "[… completed in …]" line). Regenerate with
 # `go test ./internal/exp -run TestQuick -update`; a golden change needs
 # an EXPERIMENTS.md row saying why the reproduced numbers moved.
-stage_repro() {
-	go test -count=1 -run 'TestQuick' ./internal/exp
+stage_test() {
+	go test ./...
 }
 
 stage_race() {
