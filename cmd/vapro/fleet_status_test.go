@@ -49,68 +49,73 @@ func TestRenderTraceJourneys(t *testing.T) {
 }
 
 // TestRenderFleetTable pins the -fleet rendering: every shard gets a
-// row, unreachable shards carry their scrape error, and fleet reasons
-// are listed with shard attribution.
+// row with its first reason as the detail, and fleet reasons are
+// listed with shard attribution.
 func TestRenderFleetTable(t *testing.T) {
 	st := &collector.FleetStatus{
-		Source: "fleet", State: obs.HealthDegraded,
-		Reasons: []string{"shard 1: scrape failed: connection refused"},
-		Ranks:   8, Servers: 2, WireFrames: 40, SeqGaps: 1,
-		Scrapes: 6, ScrapeFailures: 1,
+		State:   obs.HealthDegraded,
+		Reasons: []string{"shard 1: critical: seq-gap-rate vapro_wire_seq_gaps_total=10"},
+		Ranks:   8, Servers: 2, WireFrames: 40, SeqGaps: 10,
 		Shards: []collector.ShardStatus{
 			{Shard: 0, Target: "127.0.0.1:9001", State: obs.HealthOK, ResidentRanks: 4},
-			{Shard: 1, Target: "127.0.0.1:9002", State: obs.HealthUnreachable,
-				Error: "scrape failed: connection refused"},
+			{Shard: 1, Target: "127.0.0.1:9002", State: obs.HealthCritical, ResidentRanks: 4, SeqGaps: 10,
+				Reasons: []string{"critical: seq-gap-rate vapro_wire_seq_gaps_total=10"}},
 		},
 	}
 	out := renderFleet(st)
 	for _, want := range []string{
-		"vapro fleet (fleet) — degraded",
-		"scrapes   6 (failures 1)",
-		"! shard 1: scrape failed",
-		"unreachable",
+		"vapro fleet — degraded   ranks 8   servers 2   frames 40   seq gaps 10",
+		"! shard 1: critical: seq-gap-rate",
+		"critical",
 		"127.0.0.1:9002",
-		"scrape failed: connection refused",
+		"  critical: seq-gap-rate vapro_wire_seq_gaps_total=10",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleet render missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "scrape") {
+		t.Fatalf("fleet render still has a scrape line:\n%s", out)
 	}
 	if strings.Count(out, "127.0.0.1:900") != 2 {
 		t.Fatalf("expected both shard rows:\n%s", out)
 	}
 }
 
-// TestFetchFleetStatusFallback: against a fleet endpoint the /fleet
-// schema comes back verbatim; against a plain metrics endpoint the same
-// schema is derived from the snapshot.
+// TestFetchFleetStatusFallback: `vapro status -json|-fleet` reads /fleet
+// from the pool's one HTTP surface, one row per plane whatever the
+// plane count; a body naming an unknown health state is an error that
+// names the value.
 func TestFetchFleetStatusFallback(t *testing.T) {
-	// Plain per-shard endpoint: no /fleet route.
-	reg := obs.NewRegistry()
-	reg.Gauge("vapro_ranks", "collect", "").Set(4)
-	plain := httptest.NewServer(reg.Handler())
-	defer plain.Close()
 	client := &http.Client{Timeout: 2 * time.Second}
-	st, err := fetchFleetStatus(client, strings.TrimPrefix(plain.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Source != "endpoint" || st.Ranks != 4 || len(st.Shards) != 1 {
-		t.Fatalf("derived status: %+v", st)
+	for _, shards := range []int{1, 4} {
+		pool := collector.NewShardedPool(8, shards, collector.DefaultOptions())
+		srv := httptest.NewServer(pool.Handler())
+		st, err := fetchFleetStatus(client, strings.TrimPrefix(srv.URL, "http://"))
+		srv.Close()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if st.State != obs.HealthOK || st.Ranks != 8 || st.Servers != float64(shards) || len(st.Shards) != shards {
+			t.Fatalf("shards=%d: status %+v", shards, st)
+		}
+		var resident float64
+		for _, row := range st.Shards {
+			resident += row.ResidentRanks
+		}
+		if resident != 8 {
+			t.Fatalf("shards=%d: resident ranks across rows %v", shards, resident)
+		}
 	}
 
-	// Fleet scraper endpoint: /fleet served directly.
-	fs := collector.NewFleetScraper([]string{strings.TrimPrefix(plain.URL, "http://")},
-		collector.FleetOptions{Timeout: time.Second})
-	fs.ScrapeOnce()
-	fleet := httptest.NewServer(fs.Handler())
-	defer fleet.Close()
-	st, err = fetchFleetStatus(client, strings.TrimPrefix(fleet.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Source != "fleet" || st.Scrapes != 1 || len(st.Shards) != 1 {
-		t.Fatalf("fleet status: %+v", st)
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"state": "unreachable", "shards": []}`))
+	}))
+	defer bad.Close()
+	_, err := fetchFleetStatus(client, strings.TrimPrefix(bad.URL, "http://"))
+	if err == nil || !strings.Contains(err.Error(), `"unreachable"`) || !strings.Contains(err.Error(), "/fleet") {
+		t.Fatalf("bad state body: err %v, want one naming /fleet and the value", err)
 	}
 }
 

@@ -11,10 +11,10 @@
 //
 // Subcommands:
 //
-//	vapro serve  -listen 127.0.0.1:0 -metrics 127.0.0.1:0   start a collector
+//	vapro serve  -listen 127.0.0.1:0 -metrics 127.0.0.1:0   start a collector (-shards N: N planes, one metrics endpoint)
 //	vapro serve  -journal DIR                               …with a crash-safe delivery journal
 //	vapro status -addr HOST:PORT                            render its live metrics
-//	vapro status -addr HOST:PORT -json|-trace|-fleet        machine schema / batch journeys / fleet health
+//	vapro status -addr HOST:PORT -json|-trace|-fleet        /fleet health schema / batch journeys / health table
 //	vapro feed   -bootstrap HOST:PORT -ranks 4 -batches 32  stream synthetic traced batches into it
 //	vapro analyze -journal DIR -from 0 -to 30               re-run window analysis over a journal range
 //	vapro analyze -diagnose run.vrec                        re-analyze a run recorded with -record

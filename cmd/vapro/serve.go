@@ -23,19 +23,16 @@ import (
 // interrupted. Every listener publishes the pool's shard map in the
 // wire hello, so clients need any one address to bootstrap.
 //
-// Observability: -metrics serves the pool's registry view (the merge of
-// every registry, plus /trace); over several planes one more listener
-// per plane (printed metrics0=, metrics1=, …) keeps per-plane truth
-// scrapeable. -fleet starts a FleetScraper polling the per-plane
-// endpoints (the -metrics one for a single plane) into the /fleet
-// health surface.
+// Observability: -metrics is the one HTTP listener. It serves the
+// pool's merged registry view, /trace and the /fleet health view; the
+// pool's health is also evaluated once a second, so its series keep
+// history between reads.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("vapro serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "address for the fragment wire listener")
 	metrics := fs.String("metrics", "127.0.0.1:0", "address for the metrics HTTP endpoint (empty disables)")
 	ranks := fs.Int("ranks", 256, "client ranks the pool is provisioned for")
 	shards := fs.Int("shards", 1, "shard servers to run (>1 starts a rank-sharded tier, one wire listener per shard)")
-	fleet := fs.String("fleet", "", "address for the fleet scraper endpoint (empty disables)")
 	journal := fs.String("journal", "", "directory for the crash-safe delivery journal (sharded mode writes shard<N>/ subdirectories; empty disables)")
 	journalMaxBytes := fs.Int64("journal-max-bytes", 0, "reclaim oldest journal segments past this many bytes (0 = unbounded)")
 	journalMaxAge := fs.Duration("journal-max-age", 0, "reclaim journal segments older than this (0 = unbounded)")
@@ -45,9 +42,8 @@ func serveMain(args []string) {
 
 	pool := collector.NewShardedPool(*ranks, n, collector.DefaultOptions())
 	mon := collector.NewMonitor(pool, collector.DefaultMonitorOptions(*ranks))
-	// A plane's own surfaces — its journal directory, its metrics
-	// listener — are named apart from the pool's only when there are
-	// several planes.
+	// A plane's journal directory is named apart from the pool's only
+	// when there are several planes.
 	perPlane := n > 1
 
 	// One journal per plane: a single plane's in DIR itself, a shard's
@@ -101,51 +97,33 @@ func serveMain(args []string) {
 		fmt.Printf("wire%d=%s\n", i, addrs[i])
 	}
 
-	var https []*http.Server
-	serveHTTP := func(ln net.Listener, h http.Handler) {
-		s := &http.Server{Handler: h}
-		https = append(https, s)
-		go func() { _ = s.Serve(ln) }()
-	}
-	shardMet := make([]string, n)
+	var hsrv *http.Server
+	hstop := make(chan struct{})
 	if *metrics != "" {
 		mln := mustListen(*metrics)
-		serveHTTP(mln, pool.Handler())
-		shardMet[0] = mln.Addr().String()
+		hsrv = &http.Server{Handler: pool.Handler()}
+		go func() { _ = hsrv.Serve(mln) }()
 		fmt.Printf("metrics=%s\n", mln.Addr())
-		// The per-plane endpoints: the fleet scraper's targets, and the
-		// ground truth for "fleet sum == Σ shard counters" checks.
-		if perPlane {
-			for i := range shardMet {
-				sln := mustListen("127.0.0.1:0")
-				shardMet[i] = sln.Addr().String()
-				serveHTTP(sln, pool.Plane(i).Metrics().Handler())
-				fmt.Printf("metrics%d=%s\n", i, shardMet[i])
+		go func() {
+			tick := time.NewTicker(time.Second)
+			defer tick.Stop()
+			for {
+				select {
+				case now := <-tick.C:
+					pool.Health(now.UnixNano())
+				case <-hstop:
+					return
+				}
 			}
-		}
-	}
-	var fstop chan struct{}
-	if *fleet != "" {
-		if *metrics == "" {
-			fmt.Fprintln(os.Stderr, "vapro serve: -fleet needs -metrics (the per-shard endpoints are its scrape targets)")
-			os.Exit(2)
-		}
-		fln := mustListen(*fleet)
-		fsc := collector.NewFleetScraper(shardMet, collector.FleetOptions{Interval: time.Second})
-		fstop = make(chan struct{})
-		go fsc.Run(fstop)
-		serveHTTP(fln, fsc.Handler())
-		fmt.Printf("fleet=%s\n", fln.Addr())
+		}()
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	if fstop != nil {
-		close(fstop)
-	}
-	for _, s := range https {
-		_ = s.Close()
+	close(hstop)
+	if hsrv != nil {
+		_ = hsrv.Close()
 	}
 	for _, srv := range srvs {
 		_ = srv.Close()

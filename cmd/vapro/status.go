@@ -18,13 +18,13 @@ import (
 // status snapshot: intake depth, throughput, window analysis latency,
 // cache hit rate, and the §6.2 storage rate. With -raw it dumps the
 // endpoint's body instead (prom or json), which is what scripted
-// consumers grep. -json emits the stable FleetStatus schema (from the
-// endpoint's /fleet view when it has one, else derived from the
-// snapshot), -trace renders the slowest sampled batch journeys, and
-// -fleet renders the fleet health table (repeating every -watch).
+// consumers grep. -json emits the stable FleetStatus schema of the
+// endpoint's /fleet view, -trace renders the slowest sampled batch
+// journeys, and -fleet renders the fleet health table (repeating every
+// -watch).
 func statusMain(args []string) {
 	fs := flag.NewFlagSet("vapro status", flag.ExitOnError)
-	addr := fs.String("addr", "", "metrics address (host:port) of a running collector or fleet endpoint")
+	addr := fs.String("addr", "", "metrics address (host:port) of a running collector")
 	raw := fs.String("raw", "", "dump the raw endpoint body in this format (prom|json) instead of rendering")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable FleetStatus JSON schema")
 	traceView := fs.Bool("trace", false, "render the slowest recent batch journeys from the endpoint's /trace view")
@@ -110,23 +110,20 @@ func fetchJSON(client *http.Client, addr, path string, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", path, resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
-// fetchFleetStatus returns the endpoint's fleet view: the /fleet JSON
-// when the address hosts a fleet scraper, else the stable schema
-// derived from the metrics snapshot (same shape either way).
+// fetchFleetStatus returns the endpoint's /fleet view: the pool's
+// health, evaluated for the read.
 func fetchFleetStatus(client *http.Client, addr string) (*collector.FleetStatus, error) {
 	var st collector.FleetStatus
-	if err := fetchJSON(client, addr, "/fleet", &st); err == nil && st.Source == "fleet" {
-		return &st, nil
-	}
-	var snap obs.Snapshot
-	if err := fetchJSON(client, addr, "/metrics?format=json", &snap); err != nil {
+	if err := fetchJSON(client, addr, "/fleet", &st); err != nil {
 		return nil, err
 	}
-	derived := collector.FleetStatusFromSnapshot(&snap, nil)
-	return &derived, nil
+	return &st, nil
 }
 
 // renderTrace formats the slowest sampled batch journeys with a
@@ -177,24 +174,20 @@ func renderTrace(ts *obs.TraceSnapshot) string {
 	return b.String()
 }
 
-// renderFleet formats the fleet health table. Every shard the fleet
-// knows about gets a row — unreachable ones carry their scrape error
-// instead of silently vanishing.
+// renderFleet formats the fleet health table: the fleet state and its
+// reasons, then one row per shard with its first reason as the detail.
 func renderFleet(st *collector.FleetStatus) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "vapro fleet (%s) — %s   ranks %.0f   servers %.0f   frames %.0f   seq gaps %.0f\n",
-		st.Source, st.State, st.Ranks, st.Servers, st.WireFrames, st.SeqGaps)
-	if st.Scrapes > 0 {
-		fmt.Fprintf(&b, "scrapes   %d (failures %d)\n", st.Scrapes, st.ScrapeFailures)
-	}
+	fmt.Fprintf(&b, "vapro fleet — %s   ranks %.0f   servers %.0f   frames %.0f   seq gaps %.0f\n",
+		st.State, st.Ranks, st.Servers, st.WireFrames, st.SeqGaps)
 	for _, r := range st.Reasons {
 		fmt.Fprintf(&b, "  ! %s\n", r)
 	}
 	fmt.Fprintf(&b, "%-6s %-12s %-22s %9s %7s %8s  %s\n",
 		"shard", "state", "target", "resident", "staged", "seqgaps", "detail")
 	for _, sh := range st.Shards {
-		detail := sh.Error
-		if detail == "" && len(sh.Reasons) > 0 {
+		detail := ""
+		if len(sh.Reasons) > 0 {
 			detail = sh.Reasons[0]
 		}
 		fmt.Fprintf(&b, "%-6d %-12s %-22s %9.0f %7.0f %8.0f  %s\n",

@@ -13,6 +13,7 @@ import (
 
 	"vapro/internal/detect"
 	"vapro/internal/interpose"
+	"vapro/internal/obs"
 	"vapro/internal/sim"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
@@ -213,6 +214,8 @@ type Pool struct {
 	Armed  *interpose.Armed
 	planes []*plane
 	owner  []int // precomputed ShardOwner per rank
+	// resident counts each plane's owned ranks (its shard row's value).
+	resident []int
 
 	// met is the pool's surface: its one plane's, or a tier registry for
 	// the shard-layer counters (misroutes, rebalances, merge accounting)
@@ -230,6 +233,12 @@ type Pool struct {
 	// is what selects its full pass (pass).
 	amu    sync.Mutex
 	merger *detect.Merger
+
+	// hmu serializes Health (fleet.go): each call appends one point to
+	// every plane's series rings and sets the health gauge.
+	hmu    sync.Mutex
+	series []*obs.SeriesSet // per plane
+	health *obs.Gauge       // vapro_fleet_health, on met
 }
 
 // NewPool builds the analysis service for the given number of client
@@ -254,37 +263,40 @@ func NewShardedPool(ranks, shards int, opt Options) *Pool {
 		owner: make([]int, ranks),
 		mp:    ShardMap{Addrs: make([]string, shards)},
 	}
-	resident := make([]int, shards)
+	p.resident = make([]int, shards)
 	for r := 0; r < ranks; r++ {
 		p.owner[r] = ShardOwner(r, shards)
-		resident[p.owner[r]]++
+		p.resident[p.owner[r]]++
 	}
 	for i := 0; i < shards; i++ {
-		// Each plane owns a full registry (derived Funcs included): a
-		// plane's own endpoint serves it directly, and the pool's view is
-		// the merge. vapro_ranks merges by max and the per-plane storage
-		// rate divides by the global rank count, so the merged values
-		// read exactly like one plane's.
+		// Each plane owns a full registry (derived Funcs included): Health
+		// judges each on its own, and the pool's view is the merge.
+		// vapro_ranks merges by max and the per-plane storage rate divides
+		// by the global rank count, so the merged values read exactly like
+		// one plane's.
 		p.planes = append(p.planes, newPlane(ranks, opt))
+		p.series = append(p.series, obs.NewSeriesSet(fleetSeriesLen))
 	}
 	if shards == 1 {
 		p.met = p.planes[0].met
 		p.mets = []*Metrics{p.met}
-		return p
+	} else {
+		p.met = NewMetrics()
+		p.mets = []*Metrics{p.met}
+		for _, pl := range p.planes {
+			p.mets = append(p.mets, pl.met)
+		}
+		p.merger = detect.NewMerger()
+		p.merger.SetMetrics(p.met.Detect)
+		p.registerTierDerived()
 	}
-	p.met = NewMetrics()
-	p.mets = []*Metrics{p.met}
-	for _, pl := range p.planes {
-		p.mets = append(p.mets, pl.met)
-	}
-	p.merger = detect.NewMerger()
-	p.merger.SetMetrics(p.met.Detect)
-	p.registerTierDerived(resident)
+	p.health = p.met.Registry.Gauge("vapro_fleet_health", "fleet",
+		"fleet health state (0 ok, 1 degraded, 2 critical)")
 	return p
 }
 
 // Plane exposes one shard's analysis plane: per-plane journals,
-// metrics endpoints and window passes go through it.
+// registries and window passes go through it.
 func (p *Pool) Plane(shard int) *plane { return p.planes[shard] }
 
 // solo returns the pool's plane when it has exactly one, else nil: the

@@ -2,12 +2,10 @@ package collector
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,59 +13,66 @@ import (
 	"vapro/internal/trace"
 )
 
-// wrapDown serves the wrapped handler, or 503 while the flag is set —
-// a shard "kill" that can be reverted on the same address.
-func wrapDown(down *atomic.Bool, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
-			http.Error(w, "shard down", http.StatusServiceUnavailable)
-			return
+// readFleet reads /fleet through the pool's one HTTP surface.
+func readFleet(t *testing.T, p *Pool) FleetStatus {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	p.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/fleet", nil))
+	if rr.Code != 200 {
+		t.Fatalf("/fleet: status %d: %s", rr.Code, rr.Body.String())
+	}
+	var st FleetStatus
+	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+		t.Fatalf("/fleet JSON: %v", err)
+	}
+	return st
+}
+
+// hasReason reports whether some reason starts with prefix.
+func hasReason(reasons []string, prefix string) bool {
+	for _, r := range reasons {
+		if strings.HasPrefix(r, prefix) {
+			return true
 		}
-		h.ServeHTTP(w, r)
-	})
+	}
+	return false
 }
 
 // TestFleetMergedCountersEqualShardSum is the live consistency check:
-// real wire traffic into a 4-shard tier, each shard's metrics served
-// over real HTTP, a FleetScraper polling them — and the fleet's merged
-// counters must EXACTLY equal the sum of the per-shard counters.
+// real wire traffic into a 4-plane pool, and the views of that one
+// process must agree — /fleet's frame count, the merged registry's and
+// the sum over the planes' own counters; each row's resident ranks are
+// its plane's owned ranks, and its target the published address.
 func TestFleetMergedCountersEqualShardSum(t *testing.T) {
 	const ranks, shards = 8, 4
 	tier := NewShardedPool(ranks, shards, shardTestOptions())
 	defer tier.Close()
 
-	srvs := make([]*WireServer, shards)
 	addrs := make([]string, shards)
-	metSrvs := make([]*httptest.Server, shards)
-	targets := make([]string, shards)
 	for i := 0; i < shards; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = ln.Addr().String()
-		srvs[i] = ServeWire(ln, tier.WireSink(i))
-		defer srvs[i].Close()
-		metSrvs[i] = httptest.NewServer(tier.WireSink(i).Metrics().Handler())
-		defer metSrvs[i].Close()
-		targets[i] = strings.TrimPrefix(metSrvs[i].URL, "http://")
+		srv := ServeWire(ln, tier.WireSink(i))
+		defer srv.Close()
 	}
 	if err := tier.Rebalance(addrs); err != nil {
 		t.Fatal(err)
 	}
 
-	clients := make([]*ResilientClient, ranks)
 	for r := 0; r < ranks; r++ {
-		clients[r] = NewResilientClient(
+		c := NewResilientClient(
 			ShardDialer(r, append([]string(nil), addrs...), tier.Metrics()),
 			ResilientOptions{MaxSpill: 16})
-		defer clients[r].Close()
+		defer c.Close()
 		for n := 0; n < 5; n++ {
-			clients[r].Consume(r, []trace.Fragment{frag(r, int64(n)*1000, 500)})
+			c.Consume(r, []trace.Fragment{frag(r, int64(n)*1000, 500)})
 		}
 	}
 	// Delivery is asynchronous: wait until every batch landed in a
-	// plane before scraping.
+	// plane before reading.
 	deadline := time.Now().Add(5 * time.Second)
 	for tier.FragmentCount() < ranks*5 {
 		if time.Now().After(deadline) {
@@ -76,243 +81,202 @@ func TestFleetMergedCountersEqualShardSum(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	fs := NewFleetScraper(targets, FleetOptions{})
-	st := fs.ScrapeOnce()
+	st := readFleet(t, tier)
 	if st.State != obs.HealthOK {
 		t.Fatalf("fleet state %v, reasons %v", st.State, st.Reasons)
 	}
-	if st.Scrapes != shards || st.ScrapeFailures != 0 {
-		t.Fatalf("scrapes=%d failures=%d", st.Scrapes, st.ScrapeFailures)
+	if st.WireFrames != ranks*5 || st.Ranks != ranks || st.Servers != shards {
+		t.Fatalf("fleet totals: frames %v ranks %v servers %v", st.WireFrames, st.Ranks, st.Servers)
 	}
-
-	// Sum each summed counter over the per-shard endpoints directly and
-	// compare against the fleet's merged registry.
-	merged := fs.Merged()
-	for _, name := range []string{
-		"vapro_wire_frames_total",
-		"vapro_wire_bytes_total",
-		"vapro_intake_batches_total",
-		"vapro_intake_fragments_total",
-	} {
-		var sum float64
-		for i := range metSrvs {
-			snap, err := fs.httpFetch(targets[i])
-			if err != nil {
-				t.Fatalf("shard %d refetch: %v", i, err)
-			}
-			m := snap.Get(name)
-			if m == nil {
-				t.Fatalf("shard %d missing %s", i, name)
-			}
-			sum += m.Value
-		}
-		got := merged.Get(name)
-		if got == nil || got.Value != sum {
-			t.Fatalf("%s: fleet merged %v, shard sum %v", name, got, sum)
-		}
-		if name == "vapro_wire_frames_total" && sum != ranks*5 {
-			t.Fatalf("wire frames %v, want %d", sum, ranks*5)
-		}
-	}
-
-	// The stable JSON schema round-trips through the /fleet endpoint.
-	rr := httptest.NewRecorder()
-	fs.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/fleet", nil))
-	var round FleetStatus
-	if err := json.Unmarshal(rr.Body.Bytes(), &round); err != nil {
-		t.Fatalf("fleet JSON: %v", err)
-	}
-	if round.Source != "fleet" || len(round.Shards) != shards {
-		t.Fatalf("fleet status round-trip: %+v", round)
-	}
-	if round.WireFrames != ranks*5 {
-		t.Fatalf("fleet wire frames %v, want %d", round.WireFrames, ranks*5)
-	}
-	// The merged registry endpoint still speaks Prometheus.
-	rr = httptest.NewRecorder()
-	fs.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics?format=prom", nil))
-	if !strings.Contains(rr.Body.String(), "vapro_wire_frames_total") {
-		t.Fatal("fleet prometheus view missing wire counter")
-	}
-}
-
-// TestFleetKillDegradeRecover drives the health surface: a killed shard
-// endpoint must surface as unreachable with the scrape error, degrade
-// the fleet with shard attribution, and clear on recovery. A majority
-// outage goes critical.
-func TestFleetKillDegradeRecover(t *testing.T) {
-	const shards = 2
-	var down [shards]atomic.Bool
-	targets := make([]string, shards)
+	merged := tier.MergedSnapshot()
+	var planeSum float64
 	for i := 0; i < shards; i++ {
-		i := i
-		reg := obs.NewRegistry()
-		reg.Counter("vapro_wire_frames_total", "wire", "frames").Add(uint64(10 * (i + 1)))
-		srv := httptest.NewServer(wrapDown(&down[i], reg.Handler()))
-		defer srv.Close()
-		targets[i] = strings.TrimPrefix(srv.URL, "http://")
+		planeSum += float64(tier.Plane(i).Metrics().WireFrames.Load())
+	}
+	if m := merged.Get("vapro_wire_frames_total"); m == nil || m.Value != st.WireFrames || planeSum != st.WireFrames {
+		t.Fatalf("wire frames: /fleet %v, merged %+v, plane sum %v", st.WireFrames, m, planeSum)
 	}
 
-	fs := NewFleetScraper(targets, FleetOptions{Timeout: time.Second})
-	if st := fs.ScrapeOnce(); st.State != obs.HealthOK {
-		t.Fatalf("healthy fleet reports %v: %v", st.State, st.Reasons)
-	}
-
-	// Kill shard 1: it must show up unreachable — not vanish — and the
-	// fleet must degrade with the shard named in the reason.
-	down[1].Store(true)
-	st := fs.ScrapeOnce()
-	if st.State != obs.HealthDegraded {
-		t.Fatalf("one dead shard of two: fleet %v, want degraded", st.State)
-	}
 	if len(st.Shards) != shards {
-		t.Fatalf("dead shard dropped from status: %+v", st.Shards)
-	}
-	row := st.Shards[1]
-	if row.State != obs.HealthUnreachable || row.Error == "" {
-		t.Fatalf("dead shard row: %+v", row)
-	}
-	found := false
-	for _, r := range st.Reasons {
-		if strings.HasPrefix(r, "shard 1: scrape failed") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fleet reasons missing shard attribution: %v", st.Reasons)
-	}
-	// Last-known data survives the outage: the merged view still counts
-	// shard 1's frames, and its status row keeps the stale snapshot.
-	merged := fs.Merged()
-	if m := merged.Get("vapro_wire_frames_total"); m == nil || m.Value != 30 {
-		t.Fatalf("merged frames during outage: %+v", m)
-	}
-	if st.ScrapeFailures != 1 {
-		t.Fatalf("scrape failures %d, want 1", st.ScrapeFailures)
-	}
-
-	// Majority outage is critical.
-	down[0].Store(true)
-	if st := fs.ScrapeOnce(); st.State != obs.HealthCritical {
-		t.Fatalf("all shards dead: fleet %v, want critical", st.State)
-	}
-
-	// Recovery clears everything.
-	down[0].Store(false)
-	down[1].Store(false)
-	st = fs.ScrapeOnce()
-	if st.State != obs.HealthOK {
-		t.Fatalf("recovered fleet reports %v: %v", st.State, st.Reasons)
-	}
-	if st.Shards[1].Error != "" || st.Shards[1].State != obs.HealthOK {
-		t.Fatalf("recovered shard row: %+v", st.Shards[1])
-	}
-}
-
-// TestFleetHealthRuleFires checks a rule evaluated over scraped series:
-// a shard whose spill depth crosses the critical threshold drives both
-// the shard row and the fleet state, with the rule named in the reason.
-func TestFleetHealthRuleFires(t *testing.T) {
-	depth := int64(0)
-	fetch := func(string) (obs.Snapshot, error) {
-		reg := obs.NewRegistry()
-		reg.Gauge("vapro_net_spill_depth", "net", "spilled batches").Set(depth)
-		return reg.Snapshot(), nil
-	}
-	var tick int64
-	fs := NewFleetScraper([]string{"a"}, FleetOptions{
-		Fetch: fetch,
-		Now:   func() int64 { tick += int64(time.Second); return tick },
-	})
-	if st := fs.ScrapeOnce(); st.State != obs.HealthOK {
-		t.Fatalf("empty spill: %v", st.State)
-	}
-	depth = 600 // critical threshold is 512
-	st := fs.ScrapeOnce()
-	if st.State != obs.HealthCritical {
-		t.Fatalf("deep spill: fleet %v, want critical (reasons %v)", st.State, st.Reasons)
-	}
-	if len(st.Reasons) == 0 || !strings.Contains(st.Reasons[0], "spill-depth") {
-		t.Fatalf("reasons: %v", st.Reasons)
-	}
-	if fs.health.Load() != int64(obs.HealthCritical) {
-		t.Fatal("vapro_fleet_health gauge not updated")
-	}
-	depth = 0
-	if st := fs.ScrapeOnce(); st.State != obs.HealthOK {
-		t.Fatalf("drained spill: %v (%v)", st.State, st.Reasons)
-	}
-}
-
-// TestFleetStatusFromSnapshot pins the single-endpoint fallback of the
-// stable schema: a tier snapshot yields one row per shard, and a row
-// the tier promised but the scrape lacks reads "no data" instead of
-// being silently dropped.
-func TestFleetStatusFromSnapshot(t *testing.T) {
-	tier := NewShardedPool(8, 4, shardTestOptions())
-	defer tier.Close()
-	for r := 0; r < 8; r++ {
-		tier.Consume(r, []trace.Fragment{frag(r, 0, 100)})
-	}
-	snap := tier.MergedSnapshot()
-	st := FleetStatusFromSnapshot(&snap, nil)
-	if st.Source != "endpoint" {
-		t.Fatalf("source %q", st.Source)
-	}
-	if len(st.Shards) != 4 {
 		t.Fatalf("shard rows: %d", len(st.Shards))
 	}
+	owned := make([]float64, shards)
+	for r := 0; r < ranks; r++ {
+		owned[tier.Owner(r)]++
+	}
 	var resident float64
-	for _, row := range st.Shards {
+	for i, row := range st.Shards {
+		if row.Shard != i || row.ResidentRanks != owned[i] || row.Target != addrs[i] {
+			t.Fatalf("row %d: %+v, want resident %v target %s", i, row, owned[i], addrs[i])
+		}
 		resident += row.ResidentRanks
 	}
-	if resident != 8 {
-		t.Fatalf("resident ranks across rows: %v", resident)
+	if resident != ranks {
+		t.Fatalf("resident ranks across rows: %v, want %d", resident, ranks)
 	}
-
-	// A snapshot claiming more shards than it has rows for: the missing
-	// row must be explicit.
-	reg := obs.NewRegistry()
-	reg.Gauge("vapro_shards", "shard", "shards").Set(2)
-	reg.Func("vapro_shard0_resident_ranks", "shard", "ranks", func() float64 { return 3 })
-	partial := reg.Snapshot()
-	st = FleetStatusFromSnapshot(&partial, nil)
-	if len(st.Shards) != 2 {
-		t.Fatalf("partial rows: %d", len(st.Shards))
-	}
-	if st.Shards[1].State != obs.HealthUnreachable || st.Shards[1].Error != "no data" {
-		t.Fatalf("missing row not surfaced: %+v", st.Shards[1])
-	}
-
-	// A plain pool snapshot yields one synthetic row.
-	p := NewPool(4, DefaultOptions())
-	defer p.Close()
-	ps := p.met.Registry.Snapshot()
-	st = FleetStatusFromSnapshot(&ps, nil)
-	if len(st.Shards) != 1 || st.Shards[0].Shard != 0 {
-		t.Fatalf("pool rows: %+v", st.Shards)
+	// The health gauge rides the merged registry beside everything else.
+	if m := merged.Get("vapro_fleet_health"); m == nil || m.Value != float64(obs.HealthOK) {
+		t.Fatalf("vapro_fleet_health: %+v", m)
 	}
 }
 
-// TestFleetSetTargets checks rebalance behavior: history is kept for
-// unchanged addresses and reset for moved shards.
+// TestFleetHealthRuleFires checks a rate rule over the pool's own
+// series: sequence gaps advancing on one plane between two Health
+// calls turn that row critical and degrade the fleet with the plane
+// named in the reason; once the gaps stop the rate decays over the
+// ring's window and both recover.
+func TestFleetHealthRuleFires(t *testing.T) {
+	tier := NewShardedPool(8, 4, shardTestOptions())
+	defer tier.Close()
+	sec := int64(time.Second)
+	if st := tier.Health(1 * sec); st.State != obs.HealthOK {
+		t.Fatalf("quiet pool: %v (%v)", st.State, st.Reasons)
+	}
+	tier.Plane(2).Metrics().WireSeqGaps.Add(10) // 10 gaps/s: critical >= 5
+	st := tier.Health(2 * sec)
+	if st.Shards[2].State != obs.HealthCritical || !strings.Contains(st.Shards[2].Reasons[0], "seq-gap-rate") {
+		t.Fatalf("gapping plane row: %+v", st.Shards[2])
+	}
+	if st.State != obs.HealthDegraded || !hasReason(st.Reasons, "shard 2: critical: seq-gap-rate") {
+		t.Fatalf("one critical plane of four: fleet %v, reasons %v", st.State, st.Reasons)
+	}
+	if tier.health.Load() != int64(obs.HealthDegraded) {
+		t.Fatalf("vapro_fleet_health %d, want degraded", tier.health.Load())
+	}
+	// A minute with no further gaps: 10 over 61 s is under the 0.5/s
+	// degraded threshold.
+	if st := tier.Health(62 * sec); st.State != obs.HealthOK || st.Shards[2].State != obs.HealthOK {
+		t.Fatalf("gaps stopped: fleet %v, row %+v", st.State, st.Shards[2])
+	}
+	if tier.health.Load() != int64(obs.HealthOK) {
+		t.Fatal("vapro_fleet_health did not recover")
+	}
+}
+
+// TestFleetHealthConcurrent reads the fleet view from several
+// goroutines (the /fleet route and the serve ticker share one pool)
+// while batches stage and drain, so the race detector sees Health
+// beside ingestion and analysis.
+func TestFleetHealthConcurrent(t *testing.T) {
+	const ranks = 8
+	tier := NewShardedPool(ranks, 4, shardTestOptions())
+	defer tier.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				if st := tier.Health(time.Now().UnixNano()); len(st.Shards) != 4 {
+					t.Errorf("rows: %d", len(st.Shards))
+					return
+				}
+			}
+		}()
+	}
+	for n := 0; n < 50; n++ {
+		for r := 0; r < ranks; r++ {
+			tier.Consume(r, []trace.Fragment{frag(r, int64(n)*1000, 500)})
+		}
+		if n%10 == 9 {
+			tier.RunWindow(0, int64(n+1)*1000)
+		}
+	}
+	wg.Wait()
+}
+
+// TestFleetKillDegradeRecover drives the fold: one critical plane
+// degrades the fleet, more than half critical makes it critical, and
+// clearing the cause returns every row and the fleet to ok. The value
+// rule needs no history, so each Health call judges the planes as they
+// stand.
+func TestFleetKillDegradeRecover(t *testing.T) {
+	const shards = 4
+	tier := NewShardedPool(8, shards, shardTestOptions())
+	defer tier.Close()
+	spill := func(i int, depth int64) { tier.Plane(i).Metrics().NetSpillDepth.Set(depth) }
+	ns := int64(0)
+	health := func() FleetStatus { ns += int64(time.Second); return tier.Health(ns) }
+
+	if st := health(); st.State != obs.HealthOK {
+		t.Fatalf("healthy pool: %v (%v)", st.State, st.Reasons)
+	}
+	spill(1, 600) // critical >= 512
+	st := health()
+	if st.State != obs.HealthDegraded || st.Shards[1].State != obs.HealthCritical ||
+		!hasReason(st.Reasons, "shard 1: critical: spill-depth") {
+		t.Fatalf("one critical plane: fleet %v, reasons %v, row %+v", st.State, st.Reasons, st.Shards[1])
+	}
+	// Exactly half critical is still degraded; more than half is critical.
+	spill(3, 600)
+	if st := health(); st.State != obs.HealthDegraded {
+		t.Fatalf("two of four critical: fleet %v, want degraded", st.State)
+	}
+	spill(0, 600)
+	if st := health(); st.State != obs.HealthCritical {
+		t.Fatalf("three of four critical: fleet %v, want critical", st.State)
+	}
+	for i := 0; i < shards; i++ {
+		spill(i, 0)
+	}
+	st = health()
+	if st.State != obs.HealthOK || len(st.Reasons) != 0 {
+		t.Fatalf("recovered pool: %v (%v)", st.State, st.Reasons)
+	}
+	for _, row := range st.Shards {
+		if row.State != obs.HealthOK {
+			t.Fatalf("recovered row: %+v", row)
+		}
+	}
+}
+
+// TestFleetSetTargets checks Rebalance against the fleet view: targets
+// are empty until a map is published, follow every new map, and a
+// plane's series history survives the address change.
 func TestFleetSetTargets(t *testing.T) {
-	fetch := func(target string) (obs.Snapshot, error) {
-		reg := obs.NewRegistry()
-		reg.Counter("vapro_wire_frames_total", "wire", "frames").Add(1)
-		return reg.Snapshot(), nil
+	tier := NewShardedPool(8, 2, shardTestOptions())
+	defer tier.Close()
+	sec := int64(time.Second)
+	st := tier.Health(1 * sec)
+	if st.Shards[0].Target != "" || st.Shards[1].Target != "" {
+		t.Fatalf("targets before Rebalance: %+v", st.Shards)
 	}
-	fs := NewFleetScraper([]string{"a", "b"}, FleetOptions{Fetch: fetch})
-	fs.ScrapeOnce()
-	keep := fs.shards[0]
-	fs.SetTargets([]string{"a", "c"})
-	if fs.shards[0] != keep {
-		t.Fatal("unchanged target lost its history")
+	if err := tier.Rebalance([]string{"a:1", "b:1"}); err != nil {
+		t.Fatal(err)
 	}
-	if fs.shards[1].snap != nil || fs.shards[1].target != "c" {
-		t.Fatalf("moved target kept stale state: %+v", fs.shards[1])
+	tier.Health(2 * sec)
+	if err := tier.Rebalance([]string{"a:1", "c:1"}); err != nil {
+		t.Fatal(err)
 	}
-	if got := fmt.Sprint(len(fs.shards)); got != "2" {
-		t.Fatalf("targets: %s", got)
+	st = tier.Health(3 * sec)
+	if st.Shards[0].Target != "a:1" || st.Shards[1].Target != "c:1" {
+		t.Fatalf("targets after Rebalance: %+v", st.Shards)
+	}
+	for i := range st.Shards {
+		if n := tier.series[i].Get("vapro_wire_frames_total").Len(); n != 3 {
+			t.Fatalf("plane %d history: %d points, want 3", i, n)
+		}
+	}
+}
+
+// TestFleetStatusFromSnapshot pins the one-plane shape of the schema:
+// one row owning every rank, and the health gauge on the plane's own
+// registry (which is the pool's).
+func TestFleetStatusFromSnapshot(t *testing.T) {
+	p := NewPool(4, DefaultOptions())
+	defer p.Close()
+	for r := 0; r < 4; r++ {
+		p.Consume(r, []trace.Fragment{frag(r, 0, 100)})
+	}
+	st := readFleet(t, p)
+	if st.State != obs.HealthOK || st.Ranks != 4 || st.Servers != 1 {
+		t.Fatalf("one-plane status: %+v", st)
+	}
+	if len(st.Shards) != 1 || st.Shards[0].Shard != 0 || st.Shards[0].ResidentRanks != 4 {
+		t.Fatalf("one-plane rows: %+v", st.Shards)
+	}
+	snap := p.Plane(0).Metrics().Registry.Snapshot()
+	if snap.Get("vapro_fleet_health") == nil {
+		t.Fatal("one-plane registry lacks vapro_fleet_health")
 	}
 }

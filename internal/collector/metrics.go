@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"encoding/json"
 	"net/http"
+	"time"
 
 	"vapro/internal/cluster"
 	"vapro/internal/detect"
@@ -141,15 +143,6 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// Handler serves the metrics surface over HTTP: the registry at every
-// path except /trace, which serves the exemplar journey ring as JSON.
-func (m *Metrics) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", m.Registry.Handler())
-	mux.Handle("/trace", obs.TraceHandler(m.Trace.Snapshot))
-	return mux
-}
-
 // Metrics returns the pool's observability surface: its one plane's, or
 // over several planes the tier registry (shard counters and per-shard
 // rows). Per-plane ingestion counters live on each plane's own registry;
@@ -178,13 +171,21 @@ func (p *Pool) mergedTrace() obs.TraceSnapshot {
 	return obs.MergeTraceSnapshots(snaps)
 }
 
-// Handler serves the pool's merged registry view over HTTP (Prometheus
-// text or JSON; see obs.SnapshotHandler) plus /trace (merged exemplar
-// journeys).
+// Handler serves the pool's one observability surface over HTTP: the
+// merged registry view (Prometheus text or JSON; see
+// obs.SnapshotHandler), /trace (merged exemplar journeys) and /fleet
+// (the FleetStatus JSON of a Health call made for the read).
 func (p *Pool) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.SnapshotHandler(p.MergedSnapshot))
 	mux.Handle("/trace", obs.TraceHandler(p.mergedTrace))
+	mux.HandleFunc("/fleet", func(w http.ResponseWriter, _ *http.Request) {
+		st := p.Health(time.Now().UnixNano())
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(&st)
+	})
 	return mux
 }
 

@@ -116,7 +116,7 @@ func (p *Pool) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc Tra
 // sums (servers, staged depth, storage rate, cluster-cache counters,
 // fragment-log footprint) are not duplicated here — every plane
 // registers its own and MergedSnapshot folds them.
-func (p *Pool) registerTierDerived(resident []int) {
+func (p *Pool) registerTierDerived() {
 	reg := p.met.Registry
 	reg.Func("vapro_shards", "shard",
 		"analysis planes in the sharded tier", func() float64 {
@@ -129,7 +129,7 @@ func (p *Pool) registerTierDerived(resident []int) {
 	for i, pl := range p.planes {
 		reg.Func(fmt.Sprintf("vapro_shard%d_resident_ranks", i), "shard",
 			fmt.Sprintf("ranks owned by shard %d", i), func() float64 {
-				return float64(resident[i])
+				return float64(p.resident[i])
 			})
 		reg.Func(fmt.Sprintf("vapro_shard%d_intake_staged", i), "shard",
 			fmt.Sprintf("batches currently staged on shard %d", i), func() float64 {

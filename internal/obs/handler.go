@@ -8,17 +8,11 @@ import (
 	"strings"
 )
 
-// Handler serves the registry over HTTP in two formats: Prometheus text
-// exposition (the default, scrapable) and JSON (`?format=json` or an
-// Accept header preferring application/json) — the surface `vapro
-// status` renders.
-func (r *Registry) Handler() http.Handler {
-	return SnapshotHandler(r.Snapshot)
-}
-
-// SnapshotHandler serves an arbitrary snapshot source with the same
-// content negotiation as Registry.Handler — the sharded tier and fleet
-// scraper plug their merged views in here.
+// SnapshotHandler serves a snapshot source over HTTP in two formats:
+// Prometheus text exposition (the default, scrapable) and JSON
+// (`?format=json` or an Accept header preferring application/json) —
+// the surface `vapro status` renders. The collector's pool plugs its
+// merged registry view in here.
 func SnapshotHandler(fn func() Snapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		snap := fn()

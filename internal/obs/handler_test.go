@@ -20,7 +20,7 @@ func testRegistry() *Registry {
 
 func TestHandlerPrometheus(t *testing.T) {
 	rr := httptest.NewRecorder()
-	testRegistry().Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	SnapshotHandler(testRegistry().Snapshot).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type: %q", ct)
 	}
@@ -52,7 +52,7 @@ func TestHandlerJSON(t *testing.T) {
 			req.Header.Set("Accept", "application/json")
 		}
 		rr := httptest.NewRecorder()
-		reg.Handler().ServeHTTP(rr, req)
+		SnapshotHandler(reg.Snapshot).ServeHTTP(rr, req)
 		if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("%s content type: %q", r, ct)
 		}
@@ -72,7 +72,7 @@ func TestHandlerJSON(t *testing.T) {
 	req := httptest.NewRequest("GET", "/metrics?format=prom", nil)
 	req.Header.Set("Accept", "application/json")
 	rr := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rr, req)
+	SnapshotHandler(reg.Snapshot).ServeHTTP(rr, req)
 	if !strings.HasPrefix(rr.Header().Get("Content-Type"), "text/plain") {
 		t.Fatal("format=prom did not force text output")
 	}

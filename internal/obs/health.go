@@ -8,21 +8,20 @@ import (
 // Declarative health rules over the metric rings: each rule names a
 // metric, how to read it (instant value, ring rate, or current-p99 vs
 // the ring's median p99), and the degraded/critical thresholds. The
-// fleet scraper evaluates the table per shard and folds shard states
-// into one fleet state, so "is the fleet ok" is a table lookup, not a
-// human squinting at counters.
+// collector's pool evaluates the table per plane over that plane's own
+// registry and folds plane states into one fleet state, so "is the
+// fleet ok" is a table lookup, not a human squinting at counters.
 
-// HealthState orders ok < degraded < critical < unreachable.
+// HealthState orders ok < degraded < critical.
 type HealthState int
 
 const (
 	HealthOK HealthState = iota
 	HealthDegraded
 	HealthCritical
-	HealthUnreachable // scrape failed; no data to judge
 )
 
-var healthNames = [...]string{"ok", "degraded", "critical", "unreachable"}
+var healthNames = [...]string{"ok", "degraded", "critical"}
 
 func (s HealthState) String() string {
 	if s < 0 || int(s) >= len(healthNames) {
@@ -38,7 +37,8 @@ func (s HealthState) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON accepts the state name, so FleetStatus round-trips
-// through HTTP (unknown names decode as unreachable, the safe worst).
+// through HTTP. An unknown name is an error: the body came from outside
+// the process, and no state it could mean is safe to guess.
 func (s *HealthState) UnmarshalJSON(b []byte) error {
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {
@@ -50,16 +50,7 @@ func (s *HealthState) UnmarshalJSON(b []byte) error {
 			return nil
 		}
 	}
-	*s = HealthUnreachable
-	return nil
-}
-
-// worse returns the more severe of two states.
-func (s HealthState) worse(o HealthState) HealthState {
-	if o > s {
-		return o
-	}
-	return s
+	return fmt.Errorf("unknown health state %q", name)
 }
 
 // RuleKind selects how a rule reads its metric.
@@ -69,7 +60,7 @@ const (
 	// RuleValue compares the metric's instant value.
 	RuleValue RuleKind = iota
 	// RuleRate compares the metric's per-second rate over the series
-	// ring (counters: events/s across the scrape window).
+	// ring (counters: events/s across the ring's window).
 	RuleRate
 	// RuleP99Ratio compares the metric's current histogram p99 against
 	// the median p99 across the ring — "is latency N× its own recent
@@ -146,7 +137,7 @@ func EvalHealth(rules []HealthRule, snap *Snapshot, series *SeriesSet) HealthRep
 		default:
 			continue
 		}
-		rep.State = rep.State.worse(st)
+		rep.State = max(rep.State, st)
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf("%s: %s %s=%.3g (degraded>=%.3g critical>=%.3g)",
 			st, r.Name, r.Metric, v, r.Degraded, r.Critical))
 	}

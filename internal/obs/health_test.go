@@ -142,7 +142,7 @@ func TestEvalHealthRules(t *testing.T) {
 }
 
 func TestHealthStateJSONRoundTrip(t *testing.T) {
-	for _, st := range []HealthState{HealthOK, HealthDegraded, HealthCritical, HealthUnreachable} {
+	for _, st := range []HealthState{HealthOK, HealthDegraded, HealthCritical} {
 		b, err := st.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -155,9 +155,12 @@ func TestHealthStateJSONRoundTrip(t *testing.T) {
 			t.Fatalf("%v round-tripped to %v", st, back)
 		}
 	}
-	var odd HealthState
-	if err := odd.UnmarshalJSON([]byte(`"someday-state"`)); err != nil || odd != HealthUnreachable {
-		t.Fatalf("unknown name: %v %v", odd, nil)
+	// An unknown name is refused, naming the value, and leaves the
+	// state untouched.
+	odd := HealthDegraded
+	err := odd.UnmarshalJSON([]byte(`"unreachable"`))
+	if err == nil || !strings.Contains(err.Error(), `"unreachable"`) || odd != HealthDegraded {
+		t.Fatalf("unknown name: state %v, err %v", odd, err)
 	}
 }
 

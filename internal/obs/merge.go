@@ -2,13 +2,13 @@ package obs
 
 import "sort"
 
-// Snapshot merging: the fleet scraper and the sharded tier both need
-// one registry-shaped view over many per-process registries. Merging is
-// defined per metric kind:
+// Snapshot merging: the collector's pool serves one registry-shaped
+// view over its tier registry and every plane's. Merging is defined per
+// metric kind:
 //
-//   - counters sum (each process counts disjoint events),
-//   - gauges take the max (depth/peak gauges are per-process high-water
-//     marks; a sum would invent load no process ever saw),
+//   - counters sum (each plane counts disjoint events),
+//   - gauges take the max (depth/peak gauges are per-plane high-water
+//     marks; a sum would invent load no plane ever saw),
 //   - histograms merge bucket-wise — every registry builds its ladders
 //     from the same LatencyBounds/CountBounds constructors, so equal
 //     bounds add exactly and the quantiles recomputed over the merged
@@ -22,7 +22,7 @@ import "sort"
 
 // mergeMax names the Func/gauge-like metrics that merge by max rather
 // than sum: values that describe the same global quantity from every
-// process (provisioned ranks, shard count) or a per-process clock.
+// plane (provisioned ranks, shard count) or a per-registry clock.
 var mergeMax = map[string]bool{
 	"vapro_uptime_seconds":        true,
 	"vapro_ranks":                 true,

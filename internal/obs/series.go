@@ -2,10 +2,10 @@ package obs
 
 import "sort"
 
-// Per-metric time-series rings: a scraper appends one point per metric
-// per scrape, and the health rules read rates ("stalls per second over
-// the scrape window") and reference quantile histories ("current p99
-// vs the window's median p99") off the rings. Deliberately tiny — a
+// Per-metric time-series rings: each health evaluation appends one
+// point per metric, and the health rules read rates ("stalls per second
+// over the ring's window") and reference quantile histories ("current
+// p99 vs the window's median p99") off the rings. Deliberately tiny — a
 // fixed ring of (ns, value) points per metric, no downsampling — this
 // is a live-status surface, not a TSDB.
 

@@ -300,58 +300,57 @@ stage_obs() {
 	trap - EXIT
 
 	# Fleet observability smoke: boot the rank-sharded tier (4 shard
-	# servers) with per-shard metrics listeners and the fleet scraper,
-	# stream real traced batches through the wire with `vapro feed`, and
-	# assert the fleet's merged counter exactly equals the sum of the
-	# per-shard endpoints — the merge must be additive, not approximate.
-	# The fleet health table, the stable -json schema, and the batch
-	# journey view must all come up on the same deployment.
+	# servers) with its one metrics listener, stream real traced batches
+	# through the wire with `vapro feed`, and assert the pool's own /fleet
+	# view agrees with the feed exactly: every frame sent is counted, and
+	# the shard rows own every rank once. The fleet health table, the
+	# stable -json schema, and the batch journey view must all come up
+	# on the same endpoint.
 	/tmp/vapro-check serve -shards 4 -ranks 16 -listen 127.0.0.1:0 \
-		-metrics 127.0.0.1:0 -fleet 127.0.0.1:0 \
-		>/tmp/vapro-serve-fleet.out 2>&1 &
+		-metrics 127.0.0.1:0 >/tmp/vapro-serve-fleet.out 2>&1 &
 	FLEET_PID=$!
 	trap 'kill $FLEET_PID 2>/dev/null || true' EXIT
 	i=0
-	while ! grep -q '^fleet=' /tmp/vapro-serve-fleet.out; do
+	while ! grep -q '^metrics=' /tmp/vapro-serve-fleet.out; do
 		i=$((i + 1))
 		[ "$i" -gt 100 ] && { echo "fleet vapro serve never came up"; cat /tmp/vapro-serve-fleet.out; exit 1; }
 		sleep 0.1
 	done
 	WIRE_ADDR=$(sed -n 's/^wire=//p' /tmp/vapro-serve-fleet.out)
-	FLEET_METRICS_ADDR=$(sed -n 's/^metrics=//p' /tmp/vapro-serve-fleet.out)
-	FLEET_ADDR=$(sed -n 's/^fleet=//p' /tmp/vapro-serve-fleet.out)
-	/tmp/vapro-check feed -bootstrap "$WIRE_ADDR" -ranks 8 -batches 5
-	# The feed has drained, so the shard counters are static; poll until
-	# the fleet scraper's merged view catches up and agrees exactly.
+	FLEET_ADDR=$(sed -n 's/^metrics=//p' /tmp/vapro-serve-fleet.out)
+	/tmp/vapro-check feed -bootstrap "$WIRE_ADDR" -ranks 8 -batches 5 >/tmp/vapro-feed.out
+	cat /tmp/vapro-feed.out
+	SENT=$(sed -n 's/.* sent=\([0-9]*\) .*/\1/p' /tmp/vapro-feed.out)
+	[ "${SENT:-0}" -eq 40 ] || { echo "feed sent ${SENT:-none} batches, want 40"; exit 1; }
+	# The feed has drained; poll until the server has counted every frame
+	# it sent, then hold the count to exactly that.
 	i=0
 	while :; do
-		SHARD_SUM=0
-		for maddr in $(grep '^metrics[0-9]' /tmp/vapro-serve-fleet.out | cut -d= -f2); do
-			v=$(/tmp/vapro-check status -addr "$maddr" -raw prom |
-				awk '/^vapro_wire_frames_total[{ ]/ { printf "%.0f", $2 }')
-			SHARD_SUM=$((SHARD_SUM + ${v:-0}))
-		done
-		FLEET_SUM=$(/tmp/vapro-check status -addr "$FLEET_ADDR" -raw prom |
-			awk '/^vapro_wire_frames_total[{ ]/ { printf "%.0f", $2 }')
-		[ "$SHARD_SUM" -gt 0 ] && [ "${FLEET_SUM:-0}" -eq "$SHARD_SUM" ] && break
+		/tmp/vapro-check status -addr "$FLEET_ADDR" -json >/tmp/vapro-fleet.json
+		FRAMES=$(awk '/"wire_frames":/ { gsub(/,/, "", $2); printf "%.0f", $2 }' /tmp/vapro-fleet.json)
+		[ "${FRAMES:-0}" -eq "$SENT" ] && break
 		i=$((i + 1))
 		[ "$i" -gt 100 ] && {
-			echo "fleet merged frames ($FLEET_SUM) never matched shard sum ($SHARD_SUM)"
+			echo "/fleet wire_frames ($FRAMES) never matched the feed's sent ($SENT)"
 			exit 1
 		}
 		sleep 0.1
 	done
-	# The fleet's own scrape-loop metrics ride the merged view too.
+	RESIDENT=$(awk '/"resident_ranks":/ { gsub(/,/, "", $2); s += $2 } END { printf "%.0f", s }' /tmp/vapro-fleet.json)
+	[ "$RESIDENT" -eq 16 ] || { echo "/fleet rows own $RESIDENT ranks, want 16"; exit 1; }
+	# The health gauge and the batch-journey counters ride the merged view.
 	/tmp/vapro-check status -addr "$FLEET_ADDR" -raw prom >/tmp/vapro-fleet-metrics.out
-	for name in vapro_fleet_scrapes_total vapro_fleet_health vapro_fleet_shards \
-		vapro_trace_batches_total vapro_trace_sampled_total; do
+	for name in vapro_fleet_health vapro_trace_batches_total vapro_trace_sampled_total; do
 		grep -q "$name" /tmp/vapro-fleet-metrics.out || {
-			echo "fleet endpoint missing $name"; exit 1; }
+			echo "metrics endpoint missing $name"; exit 1; }
 	done
-	# All three status views render against the live deployment.
-	/tmp/vapro-check status -addr "$FLEET_ADDR" -fleet | grep -q 'vapro fleet (fleet)'
-	/tmp/vapro-check status -addr "$FLEET_ADDR" -json | grep -q '"source": "fleet"'
-	/tmp/vapro-check status -addr "$FLEET_METRICS_ADDR" -trace | grep -q 'batch journeys'
+	# All three status views render against the live deployment: the
+	# health table with one row per shard.
+	/tmp/vapro-check status -addr "$FLEET_ADDR" -fleet >/tmp/vapro-fleet-table.out
+	grep -q '^vapro fleet — ' /tmp/vapro-fleet-table.out
+	[ "$(grep -cE '^[0-9]+ +(ok|degraded|critical) ' /tmp/vapro-fleet-table.out)" -eq 4 ] || {
+		echo "fleet table lacks its 4 shard rows"; cat /tmp/vapro-fleet-table.out; exit 1; }
+	/tmp/vapro-check status -addr "$FLEET_ADDR" -trace | grep -q 'batch journeys'
 	kill $FLEET_PID
 	trap - EXIT
 }
