@@ -41,7 +41,9 @@ func serveMain(args []string) {
 	n := max(*shards, 1)
 
 	pool := collector.NewShardedPool(*ranks, n, collector.DefaultOptions())
-	mon := collector.NewMonitor(pool, collector.DefaultMonitorOptions(*ranks))
+	// The monitor observes the pool: every batch any plane stages, live
+	// or replayed, advances its watermark and ticks the windows.
+	collector.NewMonitor(pool, collector.DefaultMonitorOptions(*ranks))
 	// A plane's journal directory is named apart from the pool's only
 	// when there are several planes.
 	perPlane := n > 1
@@ -50,10 +52,11 @@ func serveMain(args []string) {
 	// in its own shard<i>/ subdirectory (its sequence space is its
 	// resident ranks'), so a single shard's crash replays independently
 	// of the others. Open (recovering torn tails), replay the delivered
-	// stream through the monitor's sink — rebuilding fragment logs,
-	// sequence state and the global watermark exactly as the pre-crash
-	// process held them — and only then attach, so the wire server
-	// journals new frames behind the replayed ones.
+	// stream through the plane's sink — rebuilding fragment logs,
+	// sequence state and, through the monitor observing the pool, the
+	// global watermark exactly as the pre-crash process held them — and
+	// only then attach, so the wire server journals new frames behind
+	// the replayed ones.
 	jlogs := make([]*wal.Log, n)
 	if *journal != "" {
 		replayed := 0
@@ -62,7 +65,7 @@ func serveMain(args []string) {
 			if perPlane {
 				dir = filepath.Join(dir, fmt.Sprintf("shard%d", i))
 			}
-			sink := mon.WireSink(i)
+			sink := pool.WireSink(i)
 			jlogs[i] = openJournal(dir, sink.Metrics(), *journalMaxBytes, *journalMaxAge)
 			k, err := collector.ReplayJournal(jlogs[i], sink)
 			if err != nil {
@@ -83,7 +86,7 @@ func serveMain(args []string) {
 		}
 		ln := mustListen(bind)
 		addrs[i] = ln.Addr().String()
-		srvs[i] = collector.ServeWire(ln, mon.WireSink(i))
+		srvs[i] = collector.ServeWire(ln, pool.WireSink(i))
 		srvs[i].SetDrainTimeout(*drain)
 	}
 	// Publish the live map — one entry naming this server for a single

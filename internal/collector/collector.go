@@ -196,7 +196,9 @@ func (pl *plane) stats() Stats {
 // holding the ranks a stable hash assigns it (DESIGN §12), behind one
 // routing, analysis and metrics surface, plus the shared counter-arming
 // handle. It implements interpose.Sink — in-process producers route by
-// owner; wire producers get a per-plane sink from WireSink. The rank
+// owner; wire producers get a per-plane sink from WireSink — and every
+// batch, whichever way it came, stages through one deliver step, which
+// also tells the pool's monitor (NewMonitor), if one observes it. The rank
 // space is one population whatever n is: every window bins one heat map
 // per class and grows regions over all of it (normalization stays
 // per plane, DESIGN §12).
@@ -239,6 +241,11 @@ type Pool struct {
 	hmu    sync.Mutex
 	series []*obs.SeriesSet // per plane
 	health *obs.Gauge       // vapro_fleet_health, on met
+
+	// mon is the monitor observing the pool (NewMonitor sets it), told
+	// about every batch the pool stages; nil when none. It is set once,
+	// before delivery starts.
+	mon *Monitor
 }
 
 // NewPool builds the analysis service for the given number of client

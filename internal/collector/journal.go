@@ -30,15 +30,12 @@ import (
 // accepting connections; a retransmit arriving after replay dedups
 // against the rebuilt tracker exactly as it would have against the
 // live one.
-func ReplayJournal(jour *wal.Log, sink interface {
-	Consume(rank int, frags []trace.Fragment)
-}) (frames int, err error) {
+func ReplayJournal(jour *wal.Log, sink wireSink) (frames int, err error) {
 	// The wire server's delivery step, without its journal (the records
-	// are already durable) and without its tracer (replay stamps no
-	// journey hops).
+	// are already durable) and not live (replay stamps no journey hops).
 	var d delivery
 	d.probe(sink)
-	d.jour, d.traced = nil, nil
+	d.jour = nil
 	// One decode buffer for the whole replay, as on a live connection:
 	// the sink copies what it keeps.
 	var frags []trace.Fragment
@@ -78,8 +75,9 @@ func fragSpan(frags []trace.Fragment) (minStart, maxEnd int64) {
 }
 
 // AttachJournal hands a plane its delivery journal. The wire server
-// probes Journal() from its sink, so attach before ServeWire; the plane
-// takes no ownership (the serving process opened it and closes it).
+// reads Journal() from its sink once, so attach before ServeWire; the
+// plane takes no ownership (the serving process opened it and closes
+// it).
 func (pl *plane) AttachJournal(l *wal.Log) { pl.jour = l }
 
 // Journal returns the plane's delivery journal, nil when none.

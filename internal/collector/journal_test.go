@@ -140,8 +140,8 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 		writeRaw(t, conn, seqPayload(1, seq, mk(1, 10+i)))
 	}
 	const delivered = 11 // 12 frames minus the suppressed duplicate
-	if !waitUntil(10*time.Second, func() bool { return srv.Batches() == delivered }) {
-		t.Fatalf("delivered %d batches, want %d", srv.Batches(), delivered)
+	if !waitUntil(10*time.Second, func() bool { return srv.Metrics().WireFrames.Load() == delivered }) {
+		t.Fatalf("delivered %d batches, want %d", srv.Metrics().WireFrames.Load(), delivered)
 	}
 	conn.Close()
 	srv.Close()
@@ -249,8 +249,8 @@ func TestSeqRetransmitAfterJournalReplaySuppressed(t *testing.T) {
 	for seq := uint64(0); seq < 4; seq++ {
 		writeRaw(t, conn, seqPayload(0, seq, []trace.Fragment{frag(0, int64(seq)*1000, 500)}))
 	}
-	if !waitUntil(10*time.Second, func() bool { return srv1.Batches() == 4 }) {
-		t.Fatalf("delivered %d, want 4", srv1.Batches())
+	if !waitUntil(10*time.Second, func() bool { return srv1.Metrics().WireFrames.Load() == 4 }) {
+		t.Fatalf("delivered %d, want 4", srv1.Metrics().WireFrames.Load())
 	}
 	conn.Close()
 	srv1.Close()
@@ -269,6 +269,10 @@ func TestSeqRetransmitAfterJournalReplaySuppressed(t *testing.T) {
 	}
 	srv2 := ServeWire(ln2, pool2)
 	defer srv2.Close()
+	// srv2 counts into pool2's surface, which the replay already
+	// advanced: what it delivered live is the delta past the replay.
+	replayed := pool2.Metrics().WireFrames.Load()
+	live := func() uint64 { return srv2.Metrics().WireFrames.Load() - replayed }
 	conn2, err := net.Dial("tcp", ln2.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +283,8 @@ func TestSeqRetransmitAfterJournalReplaySuppressed(t *testing.T) {
 	for _, seq := range []uint64{2, 3, 4} {
 		writeRaw(t, conn2, seqPayload(0, seq, []trace.Fragment{frag(0, int64(seq)*1000, 500)}))
 	}
-	if !waitUntil(10*time.Second, func() bool { return pool2.SeqState().Dups() == 2 && srv2.Batches() == 1 }) {
-		t.Fatalf("dups=%d live-delivered=%d, want 2 and 1", pool2.SeqState().Dups(), srv2.Batches())
+	if !waitUntil(10*time.Second, func() bool { return pool2.SeqState().Dups() == 2 && live() == 1 }) {
+		t.Fatalf("dups=%d live-delivered=%d, want 2 and 1", pool2.SeqState().Dups(), live())
 	}
 	if got := pool2.Metrics().WireFrames.Load(); got != 5 {
 		t.Fatalf("total delivered frames %d, want 5 (4 replayed + 1 live)", got)
@@ -311,8 +315,8 @@ func TestSeqClientRestartInJournalReplay(t *testing.T) {
 	for i, seq := range []uint64{0, 1, 2, 0, 1, 2, 3} {
 		writeRaw(t, conn, seqPayload(0, seq, []trace.Fragment{frag(0, int64(i)*1000, 500)}))
 	}
-	if !waitUntil(10*time.Second, func() bool { return srv.Batches() == 7 }) {
-		t.Fatalf("delivered %d, want 7", srv.Batches())
+	if !waitUntil(10*time.Second, func() bool { return srv.Metrics().WireFrames.Load() == 7 }) {
+		t.Fatalf("delivered %d, want 7", srv.Metrics().WireFrames.Load())
 	}
 	conn.Close()
 	srv.Close()
@@ -362,8 +366,8 @@ func TestJournalKillPointsEquivalence(t *testing.T) {
 		payloads[i] = p
 		writeRaw(t, conn, p)
 	}
-	if !waitUntil(10*time.Second, func() bool { return srv.Batches() == frames }) {
-		t.Fatalf("delivered %d, want %d", srv.Batches(), frames)
+	if !waitUntil(10*time.Second, func() bool { return srv.Metrics().WireFrames.Load() == frames }) {
+		t.Fatalf("delivered %d, want %d", srv.Metrics().WireFrames.Load(), frames)
 	}
 	conn.Close()
 	srv.Close()
@@ -427,8 +431,8 @@ func TestJournalKillPointsEquivalence(t *testing.T) {
 			for _, p := range payloads[:n] {
 				writeRaw(t, rconn, p)
 			}
-			if !waitUntil(10*time.Second, func() bool { return rsrv.Batches() == n }) {
-				t.Fatalf("reference delivered %d, want %d", rsrv.Batches(), n)
+			if !waitUntil(10*time.Second, func() bool { return rsrv.Metrics().WireFrames.Load() == uint64(n) }) {
+				t.Fatalf("reference delivered %d, want %d", rsrv.Metrics().WireFrames.Load(), n)
 			}
 			rconn.Close()
 			rsrv.Close()

@@ -113,7 +113,7 @@ func testCacheStatsConcurrent(t *testing.T, shards int) {
 	opt.Detect.Window = sim.Millisecond
 	mon := newTestMonitor(shards, opt, DefaultMonitorOptions(4))
 	// The scrape surface is the merge of the pool's registries.
-	snapshot := mon.pool.MergedSnapshot
+	snapshot := mon.Pool.MergedSnapshot
 
 	done := make(chan struct{})
 	var probes sync.WaitGroup

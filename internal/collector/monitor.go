@@ -10,7 +10,6 @@ import (
 	"vapro/internal/sim"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
-	"vapro/internal/wal"
 )
 
 // Monitor is the online analysis loop of Figure 8: as fragment batches
@@ -21,30 +20,34 @@ import (
 // diagnosis stage needs. This is the deployment mode of the real tool;
 // the whole-run analysis in core.RunTraced is the offline equivalent.
 //
-// A monitor fronts one Pool of n ≥ 1 planes. It holds O(ranks) state
-// of its own — the watermark and the event queue; the warm regression
-// moments live in the planes' analyzers. Fragments are resident exactly
-// once, in the planes' element logs, and a closed window runs as the
-// pool's RunWindow, inline on the delivering goroutine; its regions may
-// straddle planes.
+// A monitor observes one Pool of n ≥ 1 planes: the pool tells it about
+// every batch it stages, whichever way the batch arrived (Consume, a
+// wire server over the pool or over WireSink(i), ReplayJournal). It
+// holds O(ranks) state of its own — the watermark and the event queue;
+// the warm regression moments live in the planes' analyzers. Fragments
+// are resident exactly once, in the planes' element logs, and a closed
+// window runs as the pool's RunWindow, inline on the delivering
+// goroutine; its regions may straddle planes.
 // A tick sees everything the planes had staged when they drained — a
 // superset of the batches whose watermark update has run, and exactly
 // those batches when delivery is serialised (one feeder, or the wire
 // server's journal lock).
 //
 // The windows (period, overlap, detection options, rank count) are the
-// pool's Options. Wrap it around a Pool as the interpose.Sink:
+// pool's Options. Attach the monitor before delivering, then feed the
+// pool (the Monitor embeds it, so the monitor is a sink too):
 //
 //	pool := collector.NewPool(ranks, copt)
 //	mon := collector.NewMonitor(pool, mopt)
-//	... use mon as the sink for traced ranks ...
+//	... use pool as the sink for traced ranks ...
 //	events := mon.Drain()
 //
-// or feed each plane's wire server from WireSink(shard).
+// or feed each plane's wire server from pool.WireSink(shard).
 type Monitor struct {
-	// pool holds the resident fragments and the arming handle.
-	pool *Pool
-	opt  MonitorOptions
+	// Pool holds the resident fragments and the arming handle; its
+	// delivery methods are the monitor's.
+	*Pool
+	opt MonitorOptions
 
 	// mu guards the watermark, the window cursor, the event queue and
 	// the arming stage. Ticks run inline on the delivering goroutine
@@ -122,13 +125,18 @@ type Event struct {
 // Deprecated: use Monitor, which fronts a pool of any plane count.
 type ShardedMonitor = Monitor
 
-// NewMonitor wraps pool with an online analysis loop: it tracks the
+// NewMonitor attaches an online analysis loop to pool: it tracks the
 // global watermark across every rank (whichever plane the rank reports
-// through) and ticks the pool's windows.
+// through) and ticks the pool's windows. Attach it before delivering —
+// batches the pool staged earlier advance no watermark. A pool takes
+// one monitor; a second panics (a caller bug).
 func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
+	if pool.mon != nil {
+		panic("collector: NewMonitor on a pool that already has a monitor")
+	}
 	opt = opt.normalized()
 	m := &Monitor{
-		pool:       pool,
+		Pool:       pool,
 		opt:        opt,
 		marks:      newWatermark(pool.ranks),
 		stage:      1,
@@ -139,6 +147,7 @@ func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
 		pl.an.SetOLSFactors(m.olsFactors)
 		pl.amu.Unlock()
 	}
+	pool.mon = m
 	return m
 }
 
@@ -148,60 +157,13 @@ func NewMonitor(pool *Pool, opt MonitorOptions) *Monitor {
 // Deprecated: use NewMonitor, which fronts a pool of any plane count.
 func NewShardedMonitor(pool *Pool, opt MonitorOptions) *Monitor { return NewMonitor(pool, opt) }
 
-// Metrics returns the surface a wire server counts into when the
-// monitor itself is its sink: the pool's.
-func (m *Monitor) Metrics() *Metrics { return m.pool.Metrics() }
-
-// SeqState returns the pool's direct-sink sequence tracker (see
-// Pool.SeqState), so a wire server with a Monitor sink accumulates gap
-// accounting across restarts.
-func (m *Monitor) SeqState() *SeqTracker { return m.pool.SeqState() }
-
-// Journal returns the pool's direct-sink delivery journal (see
-// Pool.Journal), so a wire server with a Monitor sink journals exactly
-// what it delivers.
-func (m *Monitor) Journal() *wal.Log { return m.pool.Journal() }
-
-// Consume implements interpose.Sink: forward to the pool (whose owning
-// plane takes its one copy of the batch), advance the rank watermark,
-// and analyze any window every rank has passed.
-func (m *Monitor) Consume(rank int, frags []trace.Fragment) {
-	m.pool.Consume(rank, frags)
-	m.observe(rank, frags)
-}
-
-// ConsumeSized mirrors Consume for the wire path: the plane books the
-// payload size the wire server measured instead of re-encoding the
-// batch.
-func (m *Monitor) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
-	m.pool.ConsumeSized(rank, frags, bytes)
-	m.observe(rank, frags)
-}
-
-// ConsumeTraced mirrors ConsumeSized for sampled traced batches: the
-// provenance context rides through the plane's staging path while the
-// monitor's own half proceeds unchanged.
-func (m *Monitor) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
-	m.pool.ConsumeTraced(rank, frags, bytes, tc)
-	m.observe(rank, frags)
-}
-
-// WireSink returns the sink one plane's wire server feeds: delivery
-// goes to that plane, the watermark advances globally, and the hello
-// carries the pool's shard map.
-func (m *Monitor) WireSink(shard int) *ShardSink {
-	k := m.pool.WireSink(shard)
-	k.mon = m
-	return k
-}
-
 // observe advances rank's watermark by one delivered batch and analyzes
 // every window whose end the minimum across ranks has passed.
 func (m *Monitor) observe(rank int, frags []trace.Fragment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.marks.observe(rank, frags)
-	for m.marks.low() >= m.nextStart.Add(m.pool.opt.Period) {
+	for m.marks.low() >= m.nextStart.Add(m.Pool.opt.Period) {
 		m.analyzeNextLocked()
 	}
 }
@@ -213,10 +175,10 @@ func (m *Monitor) observe(rank int, frags []trace.Fragment) {
 // is the best fragment seen so far, not just the window's best); the
 // window only filters which samples feed the heat map.
 func (m *Monitor) analyzeNextLocked() {
-	win := m.pool.opt
+	win := m.Pool.opt
 	start, end := m.nextStart, m.nextStart.Add(win.Period)
 	m.nextStart = start.Add(win.Period - win.Overlap)
-	res := m.pool.RunWindow(int64(start), int64(end))
+	res := m.Pool.RunWindow(int64(start), int64(end))
 	var regions []detect.Region
 	for _, reg := range res.Regions {
 		if (len(m.opt.Classes) == 0 || slices.Contains(m.opt.Classes, reg.Class)) &&
@@ -232,20 +194,20 @@ func (m *Monitor) analyzeNextLocked() {
 	// the finer factors need (§4.3's one-period-per-stage trade-off).
 	if m.stage < m.opt.MaxStage {
 		m.stage++
-		armed := m.pool.Armed.Get()
+		armed := m.Pool.Armed.Get()
 		switch m.stage {
 		case 2:
 			armed |= sim.GroupBackend
 		default:
 			armed |= sim.GroupMemory | sim.GroupExtra
 		}
-		m.pool.Armed.Set(armed)
+		m.Pool.Armed.Set(armed)
 	}
 	m.events = append(m.events, Event{
 		WindowStart: start,
 		WindowEnd:   end,
 		Regions:     regions,
-		ArmedAfter:  m.pool.Armed.Get(),
+		ArmedAfter:  m.Pool.Armed.Get(),
 		Stage:       m.stage,
 	})
 }
@@ -281,7 +243,7 @@ func (m *Monitor) Stage() int {
 // analyses that reused a previous window's clustering of an element
 // that did not grow in between.
 func (m *Monitor) CacheStats() (hits, misses uint64) {
-	for _, pl := range m.pool.planes {
+	for _, pl := range m.Pool.planes {
 		h, ms := pl.an.Cache().Stats()
 		hits, misses = hits+h, misses+ms
 	}
@@ -302,8 +264,8 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	views := m.pool.lockPlanes()
-	defer m.pool.unlockPlanes()
+	views := m.Pool.lockPlanes()
+	defer m.Pool.unlockPlanes()
 	elems, clusters := m.eventClusters(views, ev)
 	// When every involved element is an edge with warm regression
 	// moments at the current generation, the §4.2 quantification answers
@@ -338,7 +300,7 @@ func (m *Monitor) eventClusters(views []*stg.Graph, ev *Event) ([]planeElem, [][
 	seen := map[planeKey]bool{}
 	for _, s := range ev.Regions[0].Samples {
 		ref := s.ClusterRef
-		k := planeKey{m.pool.Owner(s.Rank), cluster.VertexKey(ref.Vertex)}
+		k := planeKey{m.Pool.Owner(s.Rank), cluster.VertexKey(ref.Vertex)}
 		if ref.IsEdge {
 			k.key = cluster.EdgeKey(ref.Edge)
 		}
@@ -362,7 +324,7 @@ func (m *Monitor) eventClusters(views []*stg.Graph, ev *Event) ([]planeElem, [][
 			gen, log = v.Gen, v.Log()
 		}
 		elems = append(elems, planeElem{k.plane, k.key, gen})
-		pl := m.pool.planes[k.plane]
+		pl := m.Pool.planes[k.plane]
 		cl := pl.an.Cache().Run(k.key, gen, log, pl.opt.Detect.Cluster)
 		for ci, members := range cl.Groups() {
 			if cl.Clusters[ci].Fixed {

@@ -49,7 +49,7 @@ func (m *Monitor) streamQuantifier(elems []planeElem) func([][]trace.Fragment, [
 		if !pe.key.IsEdge {
 			return nil
 		}
-		ms, ok := m.pool.planes[pe.plane].an.ClusterMoments(pe.key, pe.gen, m.olsFactors)
+		ms, ok := m.Pool.planes[pe.plane].an.ClusterMoments(pe.key, pe.gen, m.olsFactors)
 		if !ok {
 			return nil
 		}

@@ -74,14 +74,14 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 func eventEdges(m *Monitor, ev *Event) ([]planeElem, [][]trace.Fragment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	views := m.pool.lockPlanes()
-	defer m.pool.unlockPlanes()
+	views := m.Pool.lockPlanes()
+	defer m.Pool.unlockPlanes()
 	return m.eventClusters(views, ev)
 }
 
 // olsCounters sums the streaming plane's counters over the planes.
 func olsCounters(m *Monitor) (rank1, refactors uint64) {
-	for _, pl := range m.pool.planes {
+	for _, pl := range m.Pool.planes {
 		rank1 += pl.met.Detect.OLSRank1Updates.Load()
 		refactors += pl.met.Detect.OLSRefactors.Load()
 	}
@@ -294,11 +294,11 @@ func testOLSParallelWorkers(t *testing.T, idle bool) {
 	moments := func(m *Monitor) map[trace.EdgeKey][]*diagnose.ClusterMoments {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		views := m.pool.lockPlanes()
-		defer m.pool.unlockPlanes()
+		views := m.Pool.lockPlanes()
+		defer m.Pool.unlockPlanes()
 		out := make(map[trace.EdgeKey][]*diagnose.ClusterMoments)
 		for _, e := range views[0].Edges() {
-			ms, ok := m.pool.planes[0].an.ClusterMoments(cluster.EdgeKey(e.Key), e.Gen, m.olsFactors)
+			ms, ok := m.Pool.planes[0].an.ClusterMoments(cluster.EdgeKey(e.Key), e.Gen, m.olsFactors)
 			if !ok {
 				t.Fatalf("edge %v: no warm moments at its generation", e.Key)
 			}
@@ -311,7 +311,7 @@ func testOLSParallelWorkers(t *testing.T, idle bool) {
 	if len(seqM) != edges || len(parM) != edges {
 		t.Fatalf("moments kept for %d / %d edges, want %d", len(seqM), len(parM), edges)
 	}
-	if par.pool.planes[0].met.Detect.OLSRank1Updates.Load() == 0 {
+	if par.Pool.planes[0].met.Detect.OLSRank1Updates.Load() == 0 {
 		t.Fatal("no rank-1 updates: the delta path never ran")
 	}
 	for key, want := range seqM {

@@ -1,12 +1,17 @@
 package collector
 
 import (
+	"fmt"
+	"net"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"vapro/internal/diagnose"
 	"vapro/internal/sim"
 	"vapro/internal/trace"
+	"vapro/internal/wal"
 )
 
 func diagnoseDefaults() diagnose.Options { return diagnose.DefaultOptions() }
@@ -36,6 +41,13 @@ func feedMonitor(m *Monitor) { feedMonitorWith(m, monFrag) }
 
 // feedMonitorWith is feedMonitor over the fragments frag builds.
 func feedMonitorWith(m *Monitor, frag func(rank int, start, elapsed int64, slow bool) trace.Fragment) {
+	monitorStream(frag, m.Consume)
+	m.Flush()
+}
+
+// monitorStream hands feedMonitor's stream to deliver, batch by batch:
+// every batch of rank 0, then rank 1's, and so on.
+func monitorStream(frag func(rank int, start, elapsed int64, slow bool) trace.Fragment, deliver func(rank int, batch []trace.Fragment)) {
 	for rank := 0; rank < 4; rank++ {
 		t := int64(0)
 		var batch []trace.Fragment
@@ -47,13 +59,12 @@ func feedMonitorWith(m *Monitor, frag func(rank int, start, elapsed int64, slow 
 			batch = append(batch, frag(rank, t, el, el > 1_000_000))
 			t += el
 			if len(batch) == 8 {
-				m.Consume(rank, batch)
+				deliver(rank, batch)
 				batch = nil
 			}
 		}
-		m.Consume(rank, batch)
+		deliver(rank, batch)
 	}
-	m.Flush()
 }
 
 // monOpts returns the monitor tests' windows — 20 ms periods
@@ -101,6 +112,94 @@ func TestMonitorDetectsOnline(t *testing.T) {
 	// Drain clears.
 	if len(m.Drain()) != 0 {
 		t.Fatal("Drain did not clear")
+	}
+	// A pool takes one monitor.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second NewMonitor on one pool did not refuse")
+		}
+	}()
+	NewMonitor(pool, mopt)
+}
+
+// TestEveryDeliveryPathTicksMonitor: a monitor observes its pool, so a
+// batch advances the watermark whichever way it reaches the pool — the
+// pool's Consume, a plane's WireSink, a wire server over that sink fed
+// by a resilient client, or a replay of that server's journal — and
+// every way draws the events feeding the monitor itself draws.
+func TestEveryDeliveryPathTicksMonitor(t *testing.T) {
+	copt, mopt := monOpts()
+	for _, shards := range testShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ref := newTestMonitor(shards, copt, mopt)
+			feedMonitor(ref)
+			want := ref.Drain()
+			if len(want) == 0 {
+				t.Fatal("the monitor fed directly drew no events")
+			}
+			check := func(path string, m *Monitor) {
+				t.Helper()
+				m.Flush()
+				if got := m.Drain(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %d events, want the %d the monitor fed directly draws", path, len(got), len(want))
+				}
+			}
+
+			m := newTestMonitor(shards, copt, mopt)
+			monitorStream(monFrag, m.Pool.Consume)
+			check("pool.Consume", m)
+
+			m = newTestMonitor(shards, copt, mopt)
+			monitorStream(monFrag, func(rank int, batch []trace.Fragment) {
+				m.Pool.WireSink(m.Pool.Owner(rank)).Consume(rank, batch)
+			})
+			check("pool.WireSink(owner)", m)
+
+			// One journaling wire server and one resilient client per
+			// plane. Each batch is awaited before the next is sent, so the
+			// planes take the stream in the order the reference did.
+			m = newTestMonitor(shards, copt, mopt)
+			jlogs := make([]*wal.Log, shards)
+			srvs := make([]*WireServer, shards)
+			clients := make([]*ResilientClient, shards)
+			for i := range shards {
+				jlogs[i] = openTestWAL(t, t.TempDir(), wal.Options{})
+				defer jlogs[i].Close()
+				m.Pool.Plane(i).AttachJournal(jlogs[i])
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				srvs[i] = ServeWire(ln, m.Pool.WireSink(i))
+				defer srvs[i].Close()
+				addr := ln.Addr().String()
+				clients[i] = NewResilientClient(func() (net.Conn, error) { return net.Dial("tcp", addr) }, DefaultResilientOptions())
+				defer clients[i].Close()
+			}
+			frames := func() (n uint64) {
+				for _, srv := range srvs {
+					n += srv.Metrics().WireFrames.Load()
+				}
+				return n
+			}
+			sent := uint64(0)
+			monitorStream(monFrag, func(rank int, batch []trace.Fragment) {
+				clients[m.Pool.Owner(rank)].Consume(rank, batch)
+				sent++
+				if !waitUntil(10*time.Second, func() bool { return frames() == sent }) {
+					t.Fatalf("wire delivered %d of %d frames", frames(), sent)
+				}
+			})
+			check("ServeWire(pool.WireSink(i))", m)
+
+			m = newTestMonitor(shards, copt, mopt)
+			for i, l := range jlogs {
+				if _, err := ReplayJournal(l, m.Pool.WireSink(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("ReplayJournal", m)
+		})
 	}
 }
 

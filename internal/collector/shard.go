@@ -94,20 +94,30 @@ func (p *Pool) Rebalance(addrs []string) error {
 // owning plane. The encoded size is measured here (outside every lock)
 // so Stats reports real wire bytes.
 func (p *Pool) Consume(rank int, frags []trace.Fragment) {
-	p.planes[p.Owner(rank)].stage(frags, trace.BatchWireSize(rank, frags), TraceCtx{}, false)
+	p.deliver(p.planes[p.Owner(rank)], rank, frags, trace.BatchWireSize(rank, frags), TraceCtx{}, false)
 }
 
 // ConsumeSized stages a batch whose encoded wire size was already
 // measured (the wire server passes the payload length it just decoded),
 // so the batch is not re-encoded merely for the byte accounting.
 func (p *Pool) ConsumeSized(rank int, frags []trace.Fragment, bytes int) {
-	p.planes[p.Owner(rank)].stage(frags, bytes, TraceCtx{}, false)
+	p.deliver(p.planes[p.Owner(rank)], rank, frags, bytes, TraceCtx{}, false)
 }
 
 // ConsumeTraced stages a sampled traced batch, carrying its provenance
 // context through staging and drain.
 func (p *Pool) ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx) {
-	p.planes[p.Owner(rank)].stage(frags, bytes, tc, true)
+	p.deliver(p.planes[p.Owner(rank)], rank, frags, bytes, tc, true)
+}
+
+// deliver is every batch's one way into the pool: stage it on pl, then,
+// when a monitor observes the pool, advance the rank's watermark, which
+// analyzes every window all ranks have passed.
+func (p *Pool) deliver(pl *plane, rank int, frags []trace.Fragment, bytes int, tc TraceCtx, traced bool) {
+	pl.stage(frags, bytes, tc, traced)
+	if p.mon != nil {
+		p.mon.observe(rank, frags)
+	}
 }
 
 // registerTierDerived publishes the tier-layer Func metrics on a
@@ -159,15 +169,14 @@ func (p *Pool) WireSink(shard int) *ShardSink {
 }
 
 // ShardSink adapts one analysis plane to the wire server's sink
-// interfaces (sized consumption, sequence state, metrics, journal,
-// hello). Built by Monitor.WireSink, it also advances the monitor's
-// watermark, so wire-delivered batches tick windows exactly like
-// in-process ones; Pool.WireSink's only delivers.
+// (sized and traced consumption, sequence state, metrics, journal,
+// hello). Built by Pool.WireSink, it delivers through the pool, so a
+// monitor observing the pool sees wire-delivered batches exactly like
+// in-process ones.
 type ShardSink struct {
 	pool  *Pool
 	plane *plane
 	shard int
-	mon   *Monitor // nil when no monitor fronts the pool
 }
 
 // Consume implements interpose.Sink. A batch whose rank the plane does
@@ -194,10 +203,7 @@ func (k *ShardSink) deliver(rank int, frags []trace.Fragment, bytes int, tc Trac
 	if k.pool.Owner(rank) != k.shard {
 		k.pool.met.ShardMisroutes.Inc()
 	}
-	k.plane.stage(frags, bytes, tc, traced)
-	if k.mon != nil {
-		k.mon.observe(rank, frags)
-	}
+	k.pool.deliver(k.plane, rank, frags, bytes, tc, traced)
 }
 
 // Metrics exposes this plane's surface to the wire server, so a plane's

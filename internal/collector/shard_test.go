@@ -254,24 +254,7 @@ func TestShardedMonitorDetectsOnline(t *testing.T) {
 	mopt := DefaultMonitorOptions(4)
 	mopt.MinRegionLoss = sim.Millisecond
 	m := NewMonitor(tier, mopt)
-	for rank := 0; rank < 4; rank++ {
-		tm := int64(0)
-		var batch []trace.Fragment
-		for tm < 100_000_000 {
-			el := int64(1_000_000)
-			if rank == 2 && tm >= 40_000_000 && tm < 70_000_000 {
-				el = 2_000_000
-			}
-			batch = append(batch, monFrag(rank, tm, el, el > 1_000_000))
-			tm += el
-			if len(batch) == 8 {
-				m.Consume(rank, batch)
-				batch = nil
-			}
-		}
-		m.Consume(rank, batch)
-	}
-	m.Flush()
+	feedMonitor(m)
 	events := m.Drain()
 	if len(events) == 0 {
 		t.Fatal("sharded monitor produced no events")

@@ -26,6 +26,10 @@ import (
 // traced v4 with tracing on), or an older version, since the decoder
 // reads v1–v4. The compact encoding is what the §6.2 storage accounting
 // measures, so the transport ships exactly those bytes.
+//
+// A server takes one sink (wireSink): a Pool, or one plane's ShardSink
+// from Pool.WireSink. A monitor observes the pool, so it needs no sink
+// of its own. The server counts into its sink's metrics surface.
 
 // maxFramePayload rejects absurd frame lengths (a corrupt or hostile
 // stream must not OOM the server). 64 MiB is orders of magnitude above
@@ -48,69 +52,41 @@ type Batch struct {
 	Fragments []trace.Fragment
 }
 
-// The sink capabilities the delivery step probes for. Every sink takes
-// Consume; each optional method set lets it take more of the step.
-
-// sizedSink is implemented by sinks (Pool, Monitor) that can book an
-// already-measured encoded size, so the wire server's decoded payload
-// length feeds the §6.2 byte accounting directly instead of the sink
-// re-encoding the batch just to measure it.
-type sizedSink interface {
+// wireSink is what the delivery step takes from its sink: sized and
+// traced consumption (the wire server passes the payload length it just
+// decoded, so the §6.2 byte accounting needs no re-encode), the
+// sequence tracker (nil skips sequence accounting), the metrics surface
+// the step counts into, and the delivery journal (nil: none). A Pool
+// (or a Monitor over it, whose methods are the pool's) and a ShardSink
+// implement it. The probe runs at ServeWire time, so attach a journal
+// before starting the server.
+type wireSink interface {
 	ConsumeSized(rank int, frags []trace.Fragment, bytes int)
-}
-
-// tracedSink is implemented by sinks (Pool, Monitor, ShardSink) that
-// carry a sampled batch's trace context through the intake path.
-type tracedSink interface {
 	ConsumeTraced(rank int, frags []trace.Fragment, bytes int, tc TraceCtx)
-}
-
-// seqStater is implemented by sinks (Pool, Monitor, ShardSink) that own
-// a sequence tracker; the step feeds it so gap state survives server
-// restarts.
-type seqStater interface {
 	SeqState() *SeqTracker
-}
-
-// metricsProvider is implemented by sinks (Pool, Monitor) that expose a
-// collector metrics surface; the step counts frames into it so
-// transport failures that are swallowed as connection kills still leave
-// a visible trace.
-type metricsProvider interface {
 	Metrics() *Metrics
-}
-
-// journalProvider is implemented by sinks (Pool via AttachJournal, and
-// the Monitor / ShardSink forwards) that carry a delivery journal. The
-// probe runs at ServeWire time, so attach the journal before starting
-// the server.
-type journalProvider interface {
 	Journal() *wal.Log
 }
 
 // helloProvider is implemented by sinks (ShardSink) that publish a
 // shard map: the server writes one hello frame at the top of every
 // accepted connection so the client learns the rank→server assignment
-// and can redirect to its owner. Legacy sinks don't implement it and
-// legacy clients never read from the connection, so the handshake is
-// invisible to both.
+// and can redirect to its owner. Legacy clients never read from the
+// connection, so the handshake is invisible to them.
 type helloProvider interface {
 	Hello() (version uint64, addrs []string, ok bool)
 }
 
-// delivery is one sink's probed capabilities and the
-// observe→journal→deliver→count step every delivered frame takes, live
-// off a connection (WireServer) or from disk (ReplayJournal).
+// delivery is one sink and the observe→journal→deliver→count step
+// every delivered frame takes, live off a connection (WireServer) or
+// from disk (ReplayJournal).
 type delivery struct {
-	sink interface {
-		Consume(rank int, frags []trace.Fragment)
-	}
-	sized  sizedSink     // non-nil when sink implements sizedSink
-	traced tracedSink    // non-nil when sink implements tracedSink
-	seq    *SeqTracker   // non-nil when sink implements seqStater
-	hello  helloProvider // non-nil when sink implements helloProvider
-	jour   *wal.Log      // non-nil when sink implements journalProvider
-	met    *Metrics      // the sink's surface, else a standalone one
+	sink  wireSink
+	seq   *SeqTracker   // the sink's tracker; nil skips sequence accounting
+	jour  *wal.Log      // the sink's journal; nil when none
+	met   *Metrics      // the sink's surface
+	live  bool          // off a connection: sampled batches stamp their journey
+	hello helloProvider // non-nil when the sink publishes a shard map
 
 	// jmu serializes observe→journal→deliver across connections when a
 	// journal is attached: the journal's record order must equal the
@@ -120,26 +96,13 @@ type delivery struct {
 	jmu sync.Mutex
 }
 
-// probe reads sink's capabilities into d.
-func (d *delivery) probe(sink interface {
-	Consume(rank int, frags []trace.Fragment)
-}) {
+// probe reads sink's state into d.
+func (d *delivery) probe(sink wireSink) {
 	d.sink = sink
-	d.sized, _ = sink.(sizedSink)
-	d.traced, _ = sink.(tracedSink)
-	if ss, ok := sink.(seqStater); ok {
-		d.seq = ss.SeqState()
-	}
-	if mp, ok := sink.(metricsProvider); ok {
-		d.met = mp.Metrics()
-	}
+	d.seq = sink.SeqState()
+	d.met = sink.Metrics()
+	d.jour = sink.Journal()
 	d.hello, _ = sink.(helloProvider)
-	if jp, ok := sink.(journalProvider); ok {
-		d.jour = jp.Journal()
-	}
-	if d.met == nil {
-		d.met = NewMetrics() // standalone counting surface
-	}
 }
 
 // deliver runs one decoded frame's observe→journal→deliver→count step
@@ -177,18 +140,16 @@ func (d *delivery) deliver(meta trace.BatchMeta, frags []trace.Fragment, payload
 		// serving.
 		_ = d.jour.Append(payload)
 	}
-	if meta.HasTrace && d.traced != nil && d.met.Trace.Sample(meta.Seq) {
+	if d.live && meta.HasTrace && d.met.Trace.Sample(meta.Seq) {
 		// Sampled exemplar: stamp delivery and carry the provenance
 		// context through staging and drain. The sampling decision is
 		// derived from the sequence number alone, so the client that
 		// stamped flush/enqueue/write picked the same batches.
 		tc := TraceCtx{ClientID: meta.ClientID, Seq: meta.Seq, Rank: rank, FlushNS: meta.FlushNS}
 		d.met.Trace.Record(tc.Key(), rank, meta.FlushNS, obs.HopDeliver)
-		d.traced.ConsumeTraced(rank, frags, len(payload), tc)
-	} else if d.sized != nil {
-		d.sized.ConsumeSized(rank, frags, len(payload))
+		d.sink.ConsumeTraced(rank, frags, len(payload), tc)
 	} else {
-		d.sink.Consume(rank, frags)
+		d.sink.ConsumeSized(rank, frags, len(payload))
 	}
 	d.met.WireFrames.Inc()
 	d.met.WireBytes.Add(uint64(len(payload)))
@@ -196,17 +157,17 @@ func (d *delivery) deliver(meta trace.BatchMeta, frags []trace.Fragment, payload
 }
 
 // WireServer accepts connections and feeds decoded batches into a sink
-// (normally a Pool or Monitor).
+// (a Pool, or one plane's ShardSink). It counts into the sink's metrics
+// surface only.
 type WireServer struct {
 	ln net.Listener
 	delivery
 	wg sync.WaitGroup
 
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	drain   time.Duration
-	batches int
-	err     error
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	drain time.Duration
+	err   error
 }
 
 // defaultDrainTimeout bounds Close's wait for in-flight connections.
@@ -214,11 +175,10 @@ const defaultDrainTimeout = 5 * time.Second
 
 // ServeWire starts accepting on ln and decoding into sink until ln is
 // closed. Call Close (or Shutdown) to stop and drain.
-func ServeWire(ln net.Listener, sink interface {
-	Consume(rank int, frags []trace.Fragment)
-}) *WireServer {
+func ServeWire(ln net.Listener, sink wireSink) *WireServer {
 	s := &WireServer{ln: ln, conns: make(map[net.Conn]struct{}), drain: defaultDrainTimeout}
 	s.probe(sink)
+	s.live = true
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -232,8 +192,10 @@ func (s *WireServer) SetDrainTimeout(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Metrics returns the surface the server counts into — the sink's own
-// when the sink provides one, otherwise a private registry.
+// Metrics returns the surface the server counts into: the sink's. Its
+// vapro_wire_* series (frames, bytes, gaps, duplicates, rejected frames,
+// decode errors, contained panics) are the server's counters; over a
+// sink that several servers feed, they are the servers' sum.
 func (s *WireServer) Metrics() *Metrics { return s.met }
 
 // SetHello publishes a static shard map on every subsequently accepted
@@ -348,11 +310,7 @@ func (s *WireServer) serveConn(conn net.Conn) {
 			s.setErr(err)
 			return
 		}
-		if s.deliver(meta, frags, payload) {
-			s.mu.Lock()
-			s.batches++
-			s.mu.Unlock()
-		}
+		s.deliver(meta, frags, payload)
 		if cap(frags) > maxRetainedFrags {
 			frags = nil
 		}
@@ -410,34 +368,6 @@ func (s *WireServer) Close() error {
 	defer cancel()
 	return s.Shutdown(ctx)
 }
-
-// SeqGaps returns the batches inferred lost from sequence gaps, and
-// Dups the duplicates suppressed. Both count into the sink's tracker
-// when it has one, so the totals survive server restarts.
-func (s *WireServer) SeqGaps() uint64 { return s.met.WireSeqGaps.Load() }
-
-// Dups returns the duplicate batches suppressed by sequence tracking.
-func (s *WireServer) Dups() uint64 { return s.met.WireDups.Load() }
-
-// Batches returns how many batches were decoded.
-func (s *WireServer) Batches() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches
-}
-
-// FramesRejected counts frames that terminated their connection:
-// oversized headers, torn payloads, undecodable batches, and decoder
-// panics contained by recover. These failures are swallowed on the
-// serving path by design (a hostile client must not take the server
-// down) — the counter is how they stay visible.
-func (s *WireServer) FramesRejected() uint64 { return s.met.WireFramesRejected.Load() }
-
-// DecodeErrors counts payloads trace.DecodeBatch refused.
-func (s *WireServer) DecodeErrors() uint64 { return s.met.WireDecodeErrors.Load() }
-
-// Panics counts per-connection panics contained by recover.
-func (s *WireServer) Panics() uint64 { return s.met.WirePanics.Load() }
 
 // Err returns the first decode error (io.EOF excluded).
 func (s *WireServer) Err() error {

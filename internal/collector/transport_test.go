@@ -63,8 +63,8 @@ func TestWireTransportRoundTrip(t *testing.T) {
 	if got := pool.FragmentCount(); got != 20 {
 		t.Fatalf("server received %d fragments, want 20", got)
 	}
-	if srv.Batches() != 20 {
-		t.Fatalf("batches: %d", srv.Batches())
+	if got := srv.Metrics().WireFrames.Load(); got != 20 {
+		t.Fatalf("wire frames: %d", got)
 	}
 	if srv.Err() != nil {
 		t.Fatalf("server error: %v", srv.Err())
@@ -151,13 +151,14 @@ func TestWireServerHostileFrame(t *testing.T) {
 	// The rejections are swallowed as connection kills by design, but
 	// they must be counted: two undecodable payloads, one oversized
 	// header, no contained panics.
-	if got := srv.FramesRejected(); got != 3 {
+	met := srv.Metrics()
+	if got := met.WireFramesRejected.Load(); got != 3 {
 		t.Fatalf("frames rejected: %d, want 3", got)
 	}
-	if got := srv.DecodeErrors(); got != 2 {
+	if got := met.WireDecodeErrors.Load(); got != 2 {
 		t.Fatalf("decode errors: %d, want 2", got)
 	}
-	if got := srv.Panics(); got != 0 {
+	if got := met.WirePanics.Load(); got != 0 {
 		t.Fatalf("panics: %d, want 0", got)
 	}
 	// The server counts into the sink's own surface, so the pool's

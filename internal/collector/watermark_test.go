@@ -139,9 +139,11 @@ func TestWireRejectsOutOfRangeRank(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(5*time.Second, func() bool { return srv.FramesRejected() >= 1 })
-	if srv.FramesRejected() != 1 || srv.DecodeErrors() != 1 || srv.Panics() != 0 || srv.Batches() != 0 {
-		t.Fatalf("rejected=%d decodeErrors=%d panics=%d batches=%d, want 1/1/0/0",
-			srv.FramesRejected(), srv.DecodeErrors(), srv.Panics(), srv.Batches())
+	met := srv.Metrics()
+	waitUntil(5*time.Second, func() bool { return met.WireFramesRejected.Load() >= 1 })
+	rejected, decodeErrs, panics, frames := met.WireFramesRejected.Load(), met.WireDecodeErrors.Load(), met.WirePanics.Load(), met.WireFrames.Load()
+	if rejected != 1 || decodeErrs != 1 || panics != 0 || frames != 0 {
+		t.Fatalf("rejected=%d decodeErrors=%d panics=%d frames=%d, want 1/1/0/0",
+			rejected, decodeErrs, panics, frames)
 	}
 }

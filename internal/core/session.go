@@ -152,15 +152,14 @@ func RunTraced(app apps.App, opt Options) *Result {
 	return runTraced(app, opt, nil)
 }
 
-// runTraced is the one traced-run harness. front, when non-nil, builds
-// the sink the ranks deliver to in front of the pool (the online
-// monitor); nil delivers to the pool itself.
-func runTraced(app apps.App, opt Options, front func(pool *collector.Pool, ranks int) interpose.Sink) *Result {
+// runTraced is the one traced-run harness: the ranks deliver to the
+// pool. attach, when non-nil, runs before the first delivery (the
+// online monitor attaches to the pool there).
+func runTraced(app apps.App, opt Options, attach func(pool *collector.Pool, ranks int)) *Result {
 	world, fs, ranks := setup(app, &opt)
 	pool := collector.NewPool(ranks, opt.Collector)
-	var sink interpose.Sink = pool
-	if front != nil {
-		sink = front(pool, ranks)
+	if attach != nil {
+		attach(pool, ranks)
 	}
 	cfg := rt.Config{FS: fs, BufferedIO: opt.BufferedIO}
 
@@ -172,7 +171,7 @@ func runTraced(app apps.App, opt Options, front func(pool *collector.Pool, ranks
 	stats := make([]rankStats, ranks)
 
 	times := world.Run(func(r *mpi.Rank) {
-		tr := interpose.NewTraced(r, cfg, opt.Interpose, sink, pool.Armed)
+		tr := interpose.NewTraced(r, cfg, opt.Interpose, pool, pool.Armed)
 		tr.SetMetrics(pool.Metrics().Client)
 		app.Run(tr)
 		tr.Flush()
@@ -258,9 +257,8 @@ type OnlineResult struct {
 // analysis for convenience.
 func RunOnline(app apps.App, opt Options) *OnlineResult {
 	var mon *collector.Monitor
-	res := runTraced(app, opt, func(pool *collector.Pool, ranks int) interpose.Sink {
+	res := runTraced(app, opt, func(pool *collector.Pool, ranks int) {
 		mon = collector.NewMonitor(pool, collector.DefaultMonitorOptions(ranks))
-		return mon
 	})
 	mon.Flush()
 	return &OnlineResult{Result: res, Monitor: mon, Events: mon.Drain()}

@@ -19,12 +19,9 @@ type Options struct {
 	MajorThreshold float64
 	// MaxStage bounds the descent (3 covers the full model).
 	MaxStage int
-	// UseOLS enables the statistical quantification for unquantifiable
-	// factors; otherwise their contribution is reported in counts.
-	UseOLS bool
-	// Quantifier overrides how the §4.2 statistical quantification is
-	// computed when UseOLS is set. nil means QuantifyOLS over the
-	// collected clusters; the monitor's streaming plane injects a
+	// Quantifier overrides how the §4.2 statistical quantification of
+	// the unquantifiable factors is computed. nil means QuantifyOLS over
+	// the collected clusters; the monitor's streaming plane injects a
 	// moment-based quantifier here so diagnosis reuses incrementally
 	// maintained sufficient statistics instead of refitting from the
 	// flat design.
@@ -33,7 +30,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
-	return Options{AbnormalRatio: 1.2, MajorThreshold: 0.25, MaxStage: 3, UseOLS: true}
+	return Options{AbnormalRatio: 1.2, MajorThreshold: 0.25, MaxStage: 3}
 }
 
 // FactorReport is one node of the diagnosis output tree.
@@ -269,20 +266,18 @@ func (d *Diagnoser) Run(src Source) *Report {
 
 	// OLS quantification for unquantifiable factors, fitted on the
 	// full cluster populations (normal + abnormal) as §4.2 does.
-	if d.opt.UseOLS {
-		osFactors := OSFactors()
-		kept := osFactors[:0:0]
-		for _, f := range osFactors {
-			if f.Stage() <= d.opt.MaxStage {
-				kept = append(kept, f)
-			}
+	osFactors := OSFactors()
+	kept := osFactors[:0:0]
+	for _, f := range osFactors {
+		if f.Stage() <= d.opt.MaxStage {
+			kept = append(kept, f)
 		}
-		quant := d.opt.Quantifier
-		if quant == nil {
-			quant = QuantifyOLS
-		}
-		rep.OLS = quant(clusters, kept)
 	}
+	quant := d.opt.Quantifier
+	if quant == nil {
+		quant = QuantifyOLS
+	}
+	rep.OLS = quant(clusters, kept)
 
 	// contribution computes a factor's excess over reference summed
 	// across abnormal fragments, in ns where possible.

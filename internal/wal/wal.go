@@ -590,6 +590,32 @@ func (l *Log) loadSegLocked(seg *segment) ([]byte, error) {
 	return data[segHeaderSize:], nil
 }
 
+// extendSeg appends to buf, which caches a prefix of seg's record
+// area, the bytes from len(buf) up to the segment's recorded size,
+// reading only that tail from disk. It never writes below len(buf), so
+// a payload Next handed out of the cache stays intact until Ack,
+// whether the cache grows in place or moves. A move at least doubles
+// the capacity, so a segment drained record by record as it is written
+// costs O(segment) allocation, not O(segment) per record.
+func extendSeg(seg *segment, buf []byte) ([]byte, error) {
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	have, need := len(buf), int(seg.size-segHeaderSize)
+	if need > cap(buf) {
+		grown := make([]byte, have, max(need, 2*cap(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
+	buf = buf[:need]
+	if _, err := f.ReadAt(buf[have:], segHeaderSize+int64(have)); err != nil {
+		return buf[:have], err
+	}
+	return buf, nil
+}
+
 // totalBytesLocked sums on-disk segment sizes.
 func (l *Log) totalBytesLocked() int64 {
 	var n int64
@@ -629,7 +655,7 @@ func (l *Log) Next() ([]byte, error) {
 		// Extend the cached buffer if the segment grew under the cursor
 		// (only the active segment does).
 		if int64(len(l.curBuf)) < recArea {
-			buf, err := l.loadSegLocked(seg)
+			buf, err := extendSeg(seg, l.curBuf)
 			if err != nil {
 				l.countErrLocked()
 				return nil, err

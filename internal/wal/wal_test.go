@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -71,6 +73,59 @@ func TestAppendNextAckRoundTrip(t *testing.T) {
 	}
 	if l.Pending() != 0 {
 		t.Fatalf("Pending after drain = %d", l.Pending())
+	}
+}
+
+// TestDrainUnderAppendReadsOnlyTheTail is a spill WAL drained while the
+// writer appends: every Next after an Append finds the active segment
+// grown. Extending the cursor's cache must read only the appended tail —
+// re-reading the whole segment each round allocated ≈ 500× the appended
+// bytes — and must leave the bytes of an earlier peek intact.
+func TestDrainUnderAppendReadsOnlyTheTail(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const rounds, size = 1000, 4 << 10
+	p := make([]byte, size)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < rounds; i++ {
+		binary.LittleEndian.PutUint32(p, uint32(i))
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		got, err := l.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("round %d: peeked record %d", i, binary.LittleEndian.Uint32(got))
+		}
+		l.Ack()
+	}
+	runtime.ReadMemStats(&ms)
+	if alloc, limit := ms.TotalAlloc-before, uint64(8*rounds*size); alloc > limit {
+		t.Fatalf("%d rounds allocated %d B, want ≤ %d (8× the appended bytes)", rounds, alloc, limit)
+	}
+
+	// A peek taken before the segment grew keeps its bytes while the
+	// cache extends behind it.
+	if err := l.Append([]byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	held, _ := l.Next()
+	if err := l.Append([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := l.Next(); !bytes.Equal(again, held) {
+		t.Fatalf("repeated peek %q, want %q", again, held)
+	}
+	l.Ack()
+	if got, _ := l.Next(); string(got) != "next" || string(held) != "held" {
+		t.Fatalf("after extending: next %q, held peek %q", got, held)
 	}
 }
 

@@ -436,14 +436,32 @@ stage_crash_replay() {
 	GAPS=$(/tmp/vapro-check status -addr "$J2_METRICS" -raw prom |
 		awk '/^vapro_wire_seq_gaps_total[{ ]/ { printf "%.0f", $2 }')
 	[ "${GAPS:-missing}" = "0" ]
+	# Third generation through the WAL drain path: a one-byte memory
+	# bound sends every frame through the rank's spill WAL, which the
+	# writer drains while the feed appends. Nothing may be lost.
+	/tmp/vapro-check feed -bootstrap "$J2_WIRE" -ranks 4 -batches 8 -wal "$WDIR" \
+		-max-spill-bytes 1 | tee /tmp/vapro-feed-walspill.out
+	grep -q 'sent=32 lost=0 ' /tmp/vapro-feed-walspill.out
+	i=0
+	while :; do
+		FRAMES=$(/tmp/vapro-check status -addr "$J2_METRICS" -raw prom |
+			awk '/^vapro_wire_frames_total[{ ]/ { printf "%.0f", $2 }')
+		[ "${FRAMES:-0}" -eq 96 ] && break
+		i=$((i + 1))
+		[ "$i" -gt 100 ] && { echo "restarted serve delivered ${FRAMES:-0}/96 through the spill WAL"; exit 1; }
+		sleep 0.1
+	done
+	GAPS=$(/tmp/vapro-check status -addr "$J2_METRICS" -raw prom |
+		awk '/^vapro_wire_seq_gaps_total[{ ]/ { printf "%.0f", $2 }')
+	[ "${GAPS:-missing}" = "0" ]
 	kill $JRN2_PID
 	trap - EXIT
 	wait $JRN2_PID 2>/dev/null || true
 	# Offline historical queries over the journal reproduce the whole run.
 	/tmp/vapro-check analyze -journal "$JDIR" | tee /tmp/vapro-analyze.out
-	grep -Fq 'replayed 64 frame(s)' /tmp/vapro-analyze.out
+	grep -Fq 'replayed 96 frame(s)' /tmp/vapro-analyze.out
 	/tmp/vapro-check analyze -journal "$JDIR" -json |
-		grep -q '"replayed_frames": 64'
+		grep -q '"replayed_frames": 96'
 	rm -rf "$JDIR" "$WDIR"
 }
 
