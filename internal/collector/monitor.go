@@ -257,7 +257,9 @@ func (m *Monitor) CacheStats() (hits, misses uint64) {
 // the clusterings the window analyses already memoized, so only
 // comparable fixed-workload populations are differenced: mixing
 // workload classes would misattribute their intrinsic differences as
-// variance.
+// variance. The §4.2 quantification reads the warm moments of every
+// edge whose prep is at its generation; it folds every other cluster
+// from its rows.
 func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Report {
 	if len(ev.Regions) == 0 {
 		return nil
@@ -266,33 +268,19 @@ func (m *Monitor) DiagnoseEvent(ev *Event, opt diagnose.Options) *diagnose.Repor
 	defer m.mu.Unlock()
 	views := m.Pool.lockPlanes()
 	defer m.Pool.unlockPlanes()
-	elems, clusters := m.eventClusters(views, ev)
-	// When every involved element is an edge with warm regression
-	// moments at the current generation, the §4.2 quantification answers
-	// from them instead of refitting over the resident populations;
-	// otherwise the default batch QuantifyOLS runs unchanged.
-	if q := m.streamQuantifier(elems); q != nil {
-		opt.Quantifier = q
-	}
-	return diagnose.New(opt).Run(diagnose.SliceSource(clusters))
-}
-
-// planeElem is an STG element of one plane's view, at the generation
-// the view holds.
-type planeElem struct {
-	plane int
-	key   cluster.Key
-	gen   stg.Gen
+	return diagnose.New(opt).Run(m.eventClusters(views, ev))
 }
 
 // eventClusters collects the populations an event's diagnosis
 // differences: for each element its top region's samples name, every
 // Fixed cluster of that element, taken from the plane that owns the
-// sample's rank (whose rows the merge kept). Caller holds m.mu and the
-// planes' amu; views are the planes' refreshed views.
-func (m *Monitor) eventClusters(views []*stg.Graph, ev *Event) ([]planeElem, [][]trace.Fragment) {
-	var elems []planeElem
+// sample's rank (whose rows the merge kept). Beside each cluster it
+// returns the cluster's warm moments when the element is an edge whose
+// prep is at the generation the view holds, nil otherwise. Caller holds
+// m.mu and the planes' amu; views are the planes' refreshed views.
+func (m *Monitor) eventClusters(views []*stg.Graph, ev *Event) ([][]trace.Fragment, []*diagnose.ClusterMoments) {
 	var clusters [][]trace.Fragment
+	var moments []*diagnose.ClusterMoments
 	type planeKey struct {
 		plane int
 		key   cluster.Key
@@ -323,14 +311,25 @@ func (m *Monitor) eventClusters(views []*stg.Graph, ev *Event) ([]planeElem, [][
 			}
 			gen, log = v.Gen, v.Log()
 		}
-		elems = append(elems, planeElem{k.plane, k.key, gen})
 		pl := m.Pool.planes[k.plane]
 		cl := pl.an.Cache().Run(k.key, gen, log, pl.opt.Detect.Cluster)
-		for ci, members := range cl.Groups() {
-			if cl.Clusters[ci].Fixed {
-				clusters = append(clusters, log.PickByTime(members))
+		var warm []*diagnose.ClusterMoments
+		if ref.IsEdge {
+			if ms, ok := pl.an.ClusterMoments(k.key, gen, m.olsFactors); ok {
+				warm = ms
 			}
 		}
+		for ci, members := range cl.Groups() {
+			if !cl.Clusters[ci].Fixed {
+				continue
+			}
+			var cm *diagnose.ClusterMoments
+			if len(warm) > 0 {
+				cm, warm = warm[0], warm[1:]
+			}
+			clusters = append(clusters, log.PickByTime(members))
+			moments = append(moments, cm)
+		}
 	}
-	return elems, clusters
+	return clusters, moments
 }

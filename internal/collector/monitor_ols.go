@@ -1,11 +1,6 @@
 package collector
 
-import (
-	"slices"
-
-	"vapro/internal/diagnose"
-	"vapro/internal/trace"
-)
+import "vapro/internal/diagnose"
 
 // Streaming §4.2 quantification: every plane's analyzer is given the
 // monitor's factor set (detect.Analyzer.SetOLSFactors), so each Fixed
@@ -14,13 +9,14 @@ import (
 // loops that fold its normalization state — every pass over a plane's
 // view, monitor ticks and WindowResults alike, advances them. An edge
 // key names no rank, so over several planes one edge has a population,
-// a clustering and moments per plane. When DiagnoseEvent later needs the
-// OLS quantification, the moments are already pooled — no walk over the
-// resident fragment populations — so the diagnosis cost of a
-// steady-state tick stops scaling with how much data is resident. The
-// batch QuantifyOLS is its test oracle: the equivalence fuzz in
-// internal/diagnose pins the moment form to it, and
-// TestMonitorStreamingOLSEquivalence the monitor's whole diagnosis.
+// a clustering and moments per plane. DiagnoseEvent hands the moments
+// of every edge at its generation to the diagnosis, which solves the
+// one §4.2 quantifier (diagnose.QuantifyMoments) from them and folds
+// only the other clusters (vertices, edges grown since their last
+// pass) from their rows, so the diagnosis cost of a steady-state tick
+// stops scaling with how much data is resident.
+// TestMonitorStreamingOLSEquivalence pins the monitor's diagnosis to
+// the one folded from the same clusters' rows.
 
 // olsFactorsFor returns the factor set the monitor accumulates moments
 // for: the OS factors reachable within maxStage, matching what the
@@ -33,35 +29,4 @@ func olsFactorsFor(maxStage int) []diagnose.Factor {
 		}
 	}
 	return out
-}
-
-// streamQuantifier returns a diagnose quantifier backed by the warm
-// moments of the given elements, or nil when the streaming plane cannot
-// serve this diagnosis (a vertex, whose clusters keep no moments, or an
-// edge whose prep is not at its generation) — the caller then leaves
-// the default batch QuantifyOLS in place. Caller holds m.mu and the
-// planes' amu; elems must come from the planes' freshly refreshed view
-// graphs so their generations describe the populations the diagnosis
-// will walk.
-func (m *Monitor) streamQuantifier(elems []planeElem) func([][]trace.Fragment, []diagnose.Factor) *diagnose.OLSQuant {
-	var streams []*diagnose.ClusterMoments
-	for _, pe := range elems {
-		if !pe.key.IsEdge {
-			return nil
-		}
-		ms, ok := m.Pool.planes[pe.plane].an.ClusterMoments(pe.key, pe.gen, m.olsFactors)
-		if !ok {
-			return nil
-		}
-		streams = append(streams, ms...)
-	}
-	want := m.olsFactors
-	return func(clusters [][]trace.Fragment, kept []diagnose.Factor) *diagnose.OLSQuant {
-		if !slices.Equal(kept, want) {
-			// The diagnosis runs at a different stage depth than the
-			// moments were accumulated for: fall back to the batch fit.
-			return diagnose.QuantifyOLS(clusters, kept)
-		}
-		return diagnose.QuantifyMoments(streams, kept)
-	}
 }

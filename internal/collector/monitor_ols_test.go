@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vapro/internal/cluster"
@@ -32,29 +33,51 @@ func olsClose(a, b, tol float64) bool {
 // produce events).
 func feedOLSMonitor(m *Monitor, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
+	feedOSMonitor(m, func() trace.CountersView {
+		return trace.CountersView{
+			SuspensionNS: rng.Int63n(50_000), SoftPF: uint64(rng.Intn(30)), HardPF: uint64(rng.Intn(5)),
+			VolCS: uint64(rng.Intn(20)), InvolCS: uint64(rng.Intn(8)), Signals: uint64(rng.Intn(3)),
+		}
+	}, func(c trace.CountersView) int64 {
+		return 1_000_000 + c.SuspensionNS + int64(c.SoftPF)*1_000 + int64(c.HardPF)*20_000 +
+			int64(c.VolCS)*800 + int64(c.InvolCS)*4_000 + rng.Int63n(10_000)
+	})
+}
+
+// feedHierarchyMonitor streams the same shape of run with HardPF and
+// VolCS always 0, so page-fault is bitwise soft-page-fault and
+// context-switch is involuntary-cs: involuntary switches drive
+// suspension and elapsed, soft faults drive elapsed alone.
+func feedHierarchyMonitor(m *Monitor, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	feedOSMonitor(m, func() trace.CountersView {
+		invol := uint64(rng.Intn(4))
+		return trace.CountersView{
+			SuspensionNS: 2_000*int64(invol) + rng.Int63n(500),
+			SoftPF:       uint64(rng.Intn(3)), InvolCS: invol,
+		}
+	}, func(c trace.CountersView) int64 {
+		return 1_000_000 + 40_000*int64(c.InvolCS) + 10_000*int64(c.SoftPF) + rng.Int63n(5_000)
+	})
+}
+
+// feedOSMonitor streams 100 ms of one computation edge per rank over 4
+// ranks, in batches of 8, with OS counters from counters and elapsed
+// from elapsed, rank 2 slowed 2x during [40ms, 70ms).
+func feedOSMonitor(m *Monitor, counters func() trace.CountersView, elapsed func(trace.CountersView) int64) {
 	for rank := 0; rank < 4; rank++ {
 		t := int64(0)
 		var batch []trace.Fragment
 		for t < 100_000_000 {
-			susp := rng.Int63n(50_000)
-			soft := uint64(rng.Intn(30))
-			hard := uint64(rng.Intn(5))
-			vol := uint64(rng.Intn(20))
-			invol := uint64(rng.Intn(8))
-			sig := uint64(rng.Intn(3))
-			el := int64(1_000_000) + susp + int64(soft)*1_000 + int64(hard)*20_000 +
-				int64(vol)*800 + int64(invol)*4_000 + rng.Int63n(10_000)
+			c := counters()
+			c.TotIns, c.Cycles = 1_000_000, 500_000
+			el := elapsed(c)
 			if rank == 2 && t >= 40_000_000 && t < 70_000_000 {
 				el *= 2
 			}
 			batch = append(batch, trace.Fragment{
 				Rank: rank, Kind: trace.Comp, From: 1, State: 2,
-				Start: t, Elapsed: el,
-				Counters: trace.CountersView{
-					TotIns: 1_000_000, Cycles: 500_000,
-					SuspensionNS: susp, SoftPF: soft, HardPF: hard,
-					VolCS: vol, InvolCS: invol, Signals: sig,
-				},
+				Start: t, Elapsed: el, Counters: c,
 			})
 			t += el
 			if len(batch) == 8 {
@@ -67,11 +90,10 @@ func feedOLSMonitor(m *Monitor, seed int64) {
 	m.Flush()
 }
 
-// eventEdges runs DiagnoseEvent's element and cluster collection under
-// its locks, so the tests can verify the streaming quantifier actually
-// serves the event (rather than silently falling back to the batch
-// path) and run the batch oracle over the same populations.
-func eventEdges(m *Monitor, ev *Event) ([]planeElem, [][]trace.Fragment) {
+// eventClusters runs DiagnoseEvent's cluster collection under its
+// locks, so the tests can see which clusters the diagnosis reads warm
+// moments for and run the offline diagnosis over the same populations.
+func eventClusters(m *Monitor, ev *Event) ([][]trace.Fragment, []*diagnose.ClusterMoments) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	views := m.Pool.lockPlanes()
@@ -89,17 +111,23 @@ func olsCounters(m *Monitor) (rank1, refactors uint64) {
 }
 
 // TestMonitorStreamingOLSEquivalence pins the streaming §4.2 plane to
-// its oracle, over one plane and over 2- and 4-shard tiers: the
-// monitor's DiagnoseEvent, quantifying from warm moments, must produce
-// for every event the formula-based diagnosis and — within
-// floating-point reassociation — the statistical quantification that the
-// default batch QuantifyOLS computes over the same cluster populations.
-// MaxStage 2 keeps the factor set full-rank (the stage-3 leaves are
-// exact summands of their parents, where drop order is rounding-
-// dependent by nature — see the diagnose equivalence fuzz).
+// the offline diagnosis, over one plane and over 2- and 4-shard tiers:
+// the monitor's DiagnoseEvent, quantifying from warm moments, must
+// produce for every event the formula-based diagnosis and — within
+// floating-point reassociation, with identical drops — the statistical
+// quantification that Run folds from the same clusters' rows. It runs
+// at MaxStage 2 on a full-rank stream, and at the default MaxStage 3 on
+// streams where a parent counter equals its child bitwise (the
+// collinearity rule's case: soft-page-fault drives elapsed and must
+// never be dropped).
 func TestMonitorStreamingOLSEquivalence(t *testing.T) {
 	for _, shards := range testShards {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testStreamingOLSEquivalence(t, shards) })
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testStreamingOLSEquivalence(t, shards)
+			for seed := int64(1); seed <= 10; seed++ {
+				t.Run(fmt.Sprintf("stage3/seed=%d", seed), func(t *testing.T) { testStreamingOLSHierarchy(t, shards, seed) })
+			}
+		})
 	}
 }
 
@@ -108,29 +136,9 @@ func testStreamingOLSEquivalence(t *testing.T, shards int) {
 	opt.MaxStage = 2
 	m := newTestMonitor(shards, copt, opt)
 	feedOLSMonitor(m, 777)
-	events := m.Drain()
-	if len(events) == 0 {
-		t.Fatal("monitor produced no events")
-	}
 	dopt := diagnose.DefaultOptions()
 	dopt.MaxStage = 2
-	fitted, quantified := 0, 0
-	for i := range events {
-		repS := m.DiagnoseEvent(&events[i], dopt)
-		if repS == nil {
-			t.Fatalf("event %d: no diagnosis", i)
-		}
-		edges, clusters := eventEdges(m, &events[i])
-		repB := diagnose.New(dopt).Run(diagnose.SliceSource(clusters))
-		// The monitor must actually have served the event from warm
-		// moments.
-		if q := m.streamQuantifier(edges); q == nil {
-			t.Fatalf("event %d: streaming quantifier unavailable", i)
-		}
-		compareOLSReports(t, i, repS, repB)
-		fitted += len(repS.OLS.PValue)
-		quantified += len(repS.OLS.TimePerUnit)
-	}
+	fitted, quantified := diagnoseOnlineOffline(t, m, dopt)
 	// The counters must show the plane at work.
 	rank1, refactors := olsCounters(m)
 	if rank1 == 0 {
@@ -147,6 +155,50 @@ func testStreamingOLSEquivalence(t *testing.T, shards int) {
 	if fitted == 0 || (shards == 1 && quantified == 0) {
 		t.Fatalf("%d factors fitted, %d quantified; the workload should expose OS-noise signal", fitted, quantified)
 	}
+}
+
+func testStreamingOLSHierarchy(t *testing.T, shards int, seed int64) {
+	copt, opt := monOpts()
+	m := newTestMonitor(shards, copt, opt)
+	feedHierarchyMonitor(m, seed)
+	fitted, _ := diagnoseOnlineOffline(t, m, diagnose.DefaultOptions())
+	if fitted == 0 {
+		t.Fatal("no factor fitted; the workload should expose OS-noise signal")
+	}
+}
+
+// diagnoseOnlineOffline diagnoses every event of m twice — online
+// (DiagnoseEvent, from warm moments) and offline (Run folding the same
+// clusters from their rows) — and requires the two to agree
+// (compareOLSReports), every cluster to have been served warm, and
+// soft-page-fault never to be dropped. It returns how many factors the
+// online diagnoses fitted and quantified.
+func diagnoseOnlineOffline(t *testing.T, m *Monitor, dopt diagnose.Options) (fitted, quantified int) {
+	t.Helper()
+	events := m.Drain()
+	if len(events) == 0 {
+		t.Fatal("monitor produced no events")
+	}
+	for i := range events {
+		repS := m.DiagnoseEvent(&events[i], dopt)
+		if repS == nil {
+			t.Fatalf("event %d: no diagnosis", i)
+		}
+		clusters, moments := eventClusters(m, &events[i])
+		// The monitor must actually have served the event from warm
+		// moments.
+		if len(moments) == 0 || slices.Contains(moments, nil) {
+			t.Fatalf("event %d: not every cluster has warm moments", i)
+		}
+		repB := diagnose.New(dopt).Run(clusters, nil)
+		compareOLSReports(t, i, repS, repB)
+		if slices.Contains(repS.OLS.Dropped, diagnose.SoftPageFault) {
+			t.Fatalf("event %d: dropped soft-page-fault (%v)", i, repS.OLS.Dropped)
+		}
+		fitted += len(repS.OLS.PValue)
+		quantified += len(repS.OLS.TimePerUnit)
+	}
+	return fitted, quantified
 }
 
 // compareOLSReports requires the formula-based diagnosis to be
@@ -197,9 +249,10 @@ func compareOLSReports(t *testing.T, ev int, repS, repB *diagnose.Report) {
 
 // TestMonitorStreamingOLSStaleFallback: an edge that grew after the
 // last window analysis has moments at an older generation — the
-// streaming plane must refuse to serve it rather than quantify stale
-// data. Over a tier the edge that grows is the plane's that owns the
-// event's first sample.
+// monitor must not quantify from them, but fold the edge's clusters
+// from their rows, exactly as the offline diagnosis does. Over a tier
+// the edge that grows is the plane's that owns the event's first
+// sample.
 func TestMonitorStreamingOLSStaleFallback(t *testing.T) {
 	for _, shards := range testShards {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testStreamingOLSStaleFallback(t, shards) })
@@ -215,9 +268,8 @@ func testStreamingOLSStaleFallback(t *testing.T, shards int) {
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
-	edges, _ := eventEdges(m, &events[0])
-	if q := m.streamQuantifier(edges); q == nil {
-		t.Fatal("quantifier should be warm after Flush")
+	if _, moments := eventClusters(m, &events[0]); len(moments) == 0 || slices.Contains(moments, nil) {
+		t.Fatal("moments should be warm after Flush")
 	}
 	// Grow the edge past the analyzed generation without closing a new
 	// window: only one rank reports, so no window completes and no
@@ -228,15 +280,21 @@ func testStreamingOLSStaleFallback(t *testing.T, shards int) {
 		Start: 200_000_000, Elapsed: 1_000_000,
 		Counters: trace.CountersView{TotIns: 1_000_000},
 	}})
-	edges, _ = eventEdges(m, &events[0])
-	if q := m.streamQuantifier(edges); q != nil {
-		t.Fatal("stale moments served: generation check failed")
+	clusters, moments := eventClusters(m, &events[0])
+	for i, cm := range moments {
+		if cm != nil {
+			t.Fatalf("cluster %d: stale moments served: generation check failed", i)
+		}
 	}
-	// DiagnoseEvent still works via the batch fallback.
+	// The diagnosis is the one folded from the grown edge's rows.
 	dopt := diagnose.DefaultOptions()
 	dopt.MaxStage = 2
-	if rep := m.DiagnoseEvent(&events[0], dopt); rep == nil || rep.OLS == nil {
-		t.Fatal("batch fallback did not produce a diagnosis")
+	rep := m.DiagnoseEvent(&events[0], dopt)
+	if rep == nil || rep.OLS == nil {
+		t.Fatal("stale edge produced no diagnosis")
+	}
+	if want := diagnose.New(dopt).Run(clusters, nil); !reflect.DeepEqual(rep, want) {
+		t.Fatalf("stale edge: diagnosis %+v, folded from its rows %+v", rep, want)
 	}
 }
 

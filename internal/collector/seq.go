@@ -3,7 +3,6 @@ package collector
 import (
 	"math"
 	"sync"
-	"time"
 
 	"vapro/internal/detect"
 )
@@ -37,9 +36,8 @@ type SeqTracker struct {
 
 // rankSeq is one rank's tracking state.
 type rankSeq struct {
-	next     uint64 // next expected sequence number
-	high     int64  // virtual-time high-water mark of delivered fragments
-	lastSeen time.Time
+	next uint64 // next expected sequence number
+	high int64  // virtual-time high-water mark of delivered fragments
 }
 
 // NewSeqTracker returns an empty tracker.
@@ -53,7 +51,6 @@ func NewSeqTracker() *SeqTracker {
 // (false for duplicates) and how many batches were lost immediately
 // before it.
 func (t *SeqTracker) Observe(rank int, seq uint64, minStart, maxEnd int64) (deliver bool, gap uint64) {
-	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rs := t.ranks[rank]
@@ -61,7 +58,6 @@ func (t *SeqTracker) Observe(rank int, seq uint64, minStart, maxEnd int64) (deli
 		rs = &rankSeq{}
 		t.ranks[rank] = rs
 	}
-	rs.lastSeen = now
 	switch {
 	case seq < rs.next && seq == 0:
 		// Client restart: numbering begins again; prior frames were
@@ -117,15 +113,4 @@ func (t *SeqTracker) Outages() []detect.Outage {
 	out := make([]detect.Outage, len(t.outages))
 	copy(out, t.outages)
 	return out
-}
-
-// LastSeen returns when rank's latest sequenced batch arrived (zero
-// time if the rank was never seen).
-func (t *SeqTracker) LastSeen(rank int) time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rs := t.ranks[rank]; rs != nil {
-		return rs.lastSeen
-	}
-	return time.Time{}
 }

@@ -319,7 +319,7 @@ func (r *Result) regionClusters(region *detect.Region) [][]trace.Fragment {
 // Diagnose runs the progressive variance diagnosis on a detected region.
 func (r *Result) Diagnose(region *detect.Region, opt diagnose.Options) *diagnose.Report {
 	clusters := r.regionClusters(region)
-	return diagnose.New(opt).Run(diagnose.SliceSource(clusters))
+	return diagnose.New(opt).Run(clusters, nil)
 }
 
 // DiagnoseTop diagnoses the most impactful detected region of the given
@@ -365,7 +365,7 @@ func (r *Result) FixedClusters(class detect.Class) [][]trace.Fragment {
 // region) — used when variance is spread across the whole run, like the
 // HPL hardware-bug case.
 func (r *Result) DiagnoseAll(class detect.Class, opt diagnose.Options) *diagnose.Report {
-	return diagnose.New(opt).Run(diagnose.SliceSource(r.FixedClusters(class)))
+	return diagnose.New(opt).Run(r.FixedClusters(class), nil)
 }
 
 // Summary renders a one-paragraph report of the run.

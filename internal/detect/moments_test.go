@@ -88,8 +88,8 @@ func requireSameQuant(t *testing.T, what string, got, want *diagnose.OLSQuant) {
 // grow from Small into Fixed (lone seeds joined later), beside an edge
 // whose one Fixed cluster never emits (no positive elapsed). After every
 // pass each Fixed edge cluster must carry moments over exactly its
-// members, and their quantification must match the batch QuantifyOLS
-// over the same members. Moments never touch a Result; preps built
+// members, and their quantification must match QuantifyOLS folding
+// the same members afresh, in time order. Moments never touch a Result; preps built
 // under DisableIncremental, for another factor set or at another
 // generation serve none.
 func TestStoreMomentsTrackFixedClusters(t *testing.T) {

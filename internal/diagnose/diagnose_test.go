@@ -144,7 +144,7 @@ func synthCluster(n, slow int) []trace.Fragment {
 
 func TestProgressiveFindsMemoryBound(t *testing.T) {
 	clusters := [][]trace.Fragment{synthCluster(40, 8)}
-	rep := New(DefaultOptions()).Run(SliceSource(clusters))
+	rep := New(DefaultOptions()).Run(clusters, nil)
 	if rep.AbnormalFrags != 8 || rep.NormalFrags != 32 {
 		t.Fatalf("split: %d abnormal / %d normal", rep.AbnormalFrags, rep.NormalFrags)
 	}
@@ -178,7 +178,7 @@ func TestProgressiveFindsMemoryBound(t *testing.T) {
 
 func TestNoVarianceNoDiagnosis(t *testing.T) {
 	clusters := [][]trace.Fragment{synthCluster(40, 0)}
-	rep := New(DefaultOptions()).Run(SliceSource(clusters))
+	rep := New(DefaultOptions()).Run(clusters, nil)
 	if rep.AbnormalFrags != 0 || rep.TotalSlowdownNS != 0 {
 		t.Fatalf("quiet cluster diagnosed: %+v", rep)
 	}
@@ -192,13 +192,13 @@ func TestAbnormalRatioOption(t *testing.T) {
 		frags = append(frags, synthFragment(1000, 0))
 		frags = append(frags, synthFragment(1100, 0))
 	}
-	def := New(DefaultOptions()).Run(SliceSource([][]trace.Fragment{frags}))
+	def := New(DefaultOptions()).Run([][]trace.Fragment{frags}, nil)
 	if def.AbnormalFrags != 0 {
 		t.Fatalf("1.1x fragments abnormal under ka=1.2: %d", def.AbnormalFrags)
 	}
 	opt := DefaultOptions()
 	opt.AbnormalRatio = 1.05
-	tight := New(opt).Run(SliceSource([][]trace.Fragment{frags}))
+	tight := New(opt).Run([][]trace.Fragment{frags}, nil)
 	if tight.AbnormalFrags != 10 {
 		t.Fatalf("ka=1.05 found %d abnormal, want 10", tight.AbnormalFrags)
 	}
@@ -208,7 +208,7 @@ func TestMaxStageLimitsDescent(t *testing.T) {
 	clusters := [][]trace.Fragment{synthCluster(40, 8)}
 	opt := DefaultOptions()
 	opt.MaxStage = 1
-	rep := New(opt).Run(SliceSource(clusters))
+	rep := New(opt).Run(clusters, nil)
 	if rep.Find(MemoryBound) != nil {
 		t.Fatal("stage-1 cap still descended to S2")
 	}
@@ -229,7 +229,7 @@ func TestSuspensionDiagnosis(t *testing.T) {
 		}
 		frags = append(frags, f)
 	}
-	rep := New(DefaultOptions()).Run(SliceSource([][]trace.Fragment{frags}))
+	rep := New(DefaultOptions()).Run([][]trace.Fragment{frags}, nil)
 	if rep.TopFactor() != Suspension {
 		t.Fatalf("top factor %v, want suspension", rep.TopFactor())
 	}
@@ -260,20 +260,20 @@ func TestMaskView(t *testing.T) {
 	}
 }
 
-func TestSliceSourceMasks(t *testing.T) {
-	clusters := SliceSource([][]trace.Fragment{synthCluster(6, 0)})
-	got := clusters.Collect(sim.GroupBase)
+func TestCollectMasks(t *testing.T) {
+	clusters := [][]trace.Fragment{synthCluster(6, 0)}
+	got := collect(clusters, sim.GroupBase)
 	if got[0][0].Counters.SlotsBackend != 0 {
-		t.Fatal("Collect did not mask")
+		t.Fatal("collect did not mask")
 	}
 	// Original untouched.
 	if clusters[0][0].Counters.SlotsBackend == 0 {
-		t.Fatal("Collect mutated the source")
+		t.Fatal("collect mutated the clusters")
 	}
 }
 
 func TestReportString(t *testing.T) {
-	rep := New(DefaultOptions()).Run(SliceSource([][]trace.Fragment{synthCluster(40, 8)}))
+	rep := New(DefaultOptions()).Run([][]trace.Fragment{synthCluster(40, 8)}, nil)
 	s := rep.String()
 	if s == "" || rep.Find(BackendBound) == nil {
 		t.Fatal("report rendering")

@@ -2,7 +2,6 @@ package diagnose
 
 import (
 	"math"
-	"sort"
 
 	"vapro/internal/stats"
 	"vapro/internal/trace"
@@ -11,8 +10,8 @@ import (
 // ClusterMoments accumulates one fixed-workload cluster's contribution
 // to the §4.2 pooled regression in moment form: raw second moments of
 // v = [1, f1..fk, elapsed] plus per-column min/max. The per-cluster
-// [0,1] normalization that buildOLSData applies fragment-by-fragment is
-// an affine map, so it can be applied to the moments at solve time
+// [0,1] normalization §4.2 applies to every fragment's metrics is an
+// affine map, so it can be applied to the moments at solve time
 // (normalized moments = T·M·T' for the triangular T built from the
 // current lo/span) — which is what lets a cluster grow by rank-1 Adds
 // while the quantification stays equivalent to refitting from scratch.
@@ -140,8 +139,8 @@ func (c *ClusterMoments) Add(frag *trace.Fragment) {
 // cell returns moment (i, j), mirroring the triangle Add keeps.
 func (c *ClusterMoments) cell(i, j int) float64 { return c.m[min(i, j)*(len(c.factors)+2)+max(i, j)] }
 
-// span returns column j's normalization span under buildOLSData's rule
-// (hi−lo, degenerate spans forced to 1) and whether it was degenerate.
+// span returns column j's normalization span (hi−lo, degenerate spans
+// forced to 1) and whether it was degenerate.
 func (c *ClusterMoments) span(j int) (float64, bool) {
 	s := c.hi[j] - c.lo[j]
 	if s <= 0 {
@@ -180,7 +179,7 @@ func (c *ClusterMoments) normalized() []float64 {
 	return p
 }
 
-// momentData is the pooled normalized moment form of olsData.
+// momentData is the pooled normalized design of §4.2 in moment form.
 type momentData struct {
 	factors []Factor
 	k       int
@@ -194,7 +193,7 @@ type momentData struct {
 }
 
 // poolMoments folds the per-cluster moments into the pooled design,
-// skipping clusters below the 3-member floor exactly like buildOLSData.
+// skipping clusters below the 3-member floor.
 func poolMoments(streams []*ClusterMoments, factors []Factor) *momentData {
 	k := len(factors)
 	d := k + 2
@@ -280,12 +279,13 @@ func (md *momentData) farrarGlauber(cols []int, alpha float64) (stat, p float64,
 	return stat, p, p < alpha
 }
 
-// solve runs SolveMomentOLS regressing column y on the given columns.
-func (md *momentData) solve(cols []int, y int) (*stats.OLSResult, error) {
+// design returns X'X and X'y of regressing column y on the given
+// columns, with the intercept in position 0.
+func (md *momentData) design(cols []int, y int) (xtx, xty []float64) {
 	d := md.k + 2
 	kk := len(cols)
-	xtx := make([]float64, (kk+1)*(kk+1))
-	xty := make([]float64, kk+1)
+	xtx = make([]float64, (kk+1)*(kk+1))
+	xty = make([]float64, kk+1)
 	at := func(i, j int) float64 { return md.p[i*d+j] }
 	xtx[0] = at(0, 0)
 	xty[0] = at(0, y)
@@ -297,143 +297,70 @@ func (md *momentData) solve(cols []int, y int) (*stats.OLSResult, error) {
 			xtx[(i+1)*(kk+1)+j+1] = at(ci, cj)
 		}
 	}
-	return stats.SolveMomentOLS(md.n, kk, xtx, xty, at(y, y))
+	return xtx, xty
 }
 
-// vif is the moment form of stats.VIF over the active columns.
-func (md *momentData) vif(cols []int) []float64 {
-	out := make([]float64, len(cols))
-	for j := range cols {
-		others := make([]int, 0, len(cols)-1)
-		for i, c := range cols {
-			if i != j {
-				others = append(others, c)
-			}
-		}
-		if len(others) == 0 {
-			out[j] = 1
-			continue
-		}
-		res, err := md.solve(others, cols[j])
-		if err != nil {
-			out[j] = math.Inf(1)
-			continue
-		}
-		if res.R2 >= 1 {
-			out[j] = math.Inf(1)
-		} else {
-			out[j] = 1 / (1 - res.R2)
+// solve runs SolveMomentOLS regressing column y on the given columns.
+func (md *momentData) solve(cols []int, y int) (*stats.OLSResult, error) {
+	xtx, xty := md.design(cols, y)
+	return stats.SolveMomentOLS(md.n, len(cols), xtx, xty, md.p[y*(md.k+2)+y])
+}
+
+// collinear is the R² at or above which a column counts as an exact
+// linear function of the columns it is regressed on.
+const collinear = 1 - 1e-9
+
+// r2 returns the R² of regressing column y on cols: 0 on no columns, 1
+// when their design is singular.
+func (md *momentData) r2(cols []int, y int) float64 {
+	if len(cols) == 0 {
+		return 0
+	}
+	xtx, xty := md.design(cols, y)
+	r2, err := stats.MomentR2(md.n, len(cols), xtx, xty, md.p[y*(md.k+2)+y])
+	if err != nil {
+		return 1
+	}
+	return r2
+}
+
+// basis returns a basis of the span of cols: walking them in order, it
+// keeps each column whose R² on the columns kept so far is below
+// collinear. When cols are linearly independent it is cols itself.
+func (md *momentData) basis(cols []int) []int {
+	out := make([]int, 0, len(cols))
+	for _, c := range cols {
+		if md.r2(out, c) < collinear {
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// QuantifyMoments is QuantifyOLS computed from incrementally maintained
-// cluster moments instead of the flat per-fragment design: the same
-// constant-column screen, the same Farrar–Glauber drop loop with the
-// same VIF rule, the same final fit, significance filter, rescaling and
-// dropped-factor estimation. Results agree with QuantifyOLS to
-// floating-point reassociation (1e-9 relative in the equivalence fuzz);
-// decisions (drops, significance) are identical away from exact
-// threshold ties.
-func QuantifyMoments(streams []*ClusterMoments, factors []Factor) *OLSQuant {
-	q := &OLSQuant{
-		TimePerUnit: make(map[Factor]float64),
-		PValue:      make(map[Factor]float64),
-	}
-	md := poolMoments(streams, factors)
-	if md.n < len(factors)+3 {
-		return q
-	}
-	col := func(f Factor) int {
-		for i, ff := range factors {
-			if ff == f {
-				return i + 1
-			}
-		}
-		return -1
-	}
-	yCol := md.k + 1
-
-	active := make([]Factor, 0, len(factors))
-	for i, f := range factors {
-		if !md.degenerate[i] {
-			active = append(active, f)
-		}
-	}
-	sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
-
-	cols := func() []int {
-		out := make([]int, len(active))
-		for i, f := range active {
-			out[i] = col(f)
-		}
-		return out
-	}
-	for len(active) >= 2 {
-		stat, p, multi := md.farrarGlauber(cols(), 0.05)
-		q.FGStat, q.FGPValue = stat, p
-		if !multi {
-			break
-		}
-		vifs := md.vif(cols())
-		worst, worstV := 0, -1.0
-		for i, v := range vifs {
-			if math.IsInf(v, 1) {
-				worst, worstV = i, math.Inf(1)
-				break
-			}
-			if v > worstV {
-				worst, worstV = i, v
-			}
-		}
-		if worstV < 5 {
-			break
-		}
-		q.Dropped = append(q.Dropped, active[worst])
-		active = append(active[:worst], active[worst+1:]...)
-	}
-
-	if len(active) == 0 {
-		return q
-	}
-	res, err := md.solve(cols(), yCol)
-	if err != nil {
-		return q
-	}
-	q.R2 = res.R2
-
-	ys := md.yNormSum / float64(md.n)
-	for i, f := range active {
-		q.PValue[f] = res.PValue[i+1]
-		if res.PValue[i+1] >= 0.05 {
+// vif is the moment form of stats.VIF over the active columns, with a
+// deterministic rule for exact collinearity: each column is regressed
+// on a basis of the other columns' span, so a singular set of others
+// does not leave its VIF to rounding, and a column they explain to
+// R² ≥ collinear reads +Inf. Of two identical columns (a parent whose
+// sibling counter is always 0, and that sibling's twin) both read +Inf,
+// while a column the others do not explain reads finite even when the
+// others are singular among themselves; the drop loop takes the first
+// +Inf in factor order, and stage-2 factors sort before stage-3 ones,
+// so the parent goes.
+func (md *momentData) vif(cols []int) []float64 {
+	out := make([]float64, len(cols))
+	others := make([]int, 0, len(cols))
+	for j, c := range cols {
+		others = append(append(others[:0], cols[:j]...), cols[j+1:]...)
+		if len(others) == 0 {
+			out[j] = 1
 			continue
 		}
-		xsc := md.fNormSum[col(f)-1] / float64(md.n)
-		if xsc == 0 {
-			continue
-		}
-		q.TimePerUnit[f] = res.Coef[i+1] * ys / xsc
-	}
-
-	for _, df := range q.Dropped {
-		best, bestCorr := Factor(-1), 0.0
-		for _, kf := range active {
-			if _, ok := q.TimePerUnit[kf]; !ok {
-				continue
-			}
-			c := md.corr(col(df), col(kf))
-			if math.Abs(c) > math.Abs(bestCorr) {
-				best, bestCorr = kf, c
-			}
-		}
-		if best >= 0 && math.Abs(bestCorr) > 0.5 {
-			xdc := md.fNormSum[col(df)-1] / float64(md.n)
-			xkc := md.fNormSum[col(best)-1] / float64(md.n)
-			if xdc > 0 {
-				q.TimePerUnit[df] = bestCorr * q.TimePerUnit[best] * xkc / xdc
-			}
+		if r2 := md.r2(md.basis(others), c); r2 >= collinear {
+			out[j] = math.Inf(1)
+		} else {
+			out[j] = 1 / (1 - r2)
 		}
 	}
-	return q
+	return out
 }

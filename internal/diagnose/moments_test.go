@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vapro/internal/trace"
@@ -101,8 +102,9 @@ func momentStreams(clusters [][]trace.Fragment, factors []Factor) []*ClusterMome
 }
 
 // TestQuantifyMomentsMatchesBatchFuzz pins the moment-form
-// quantification to QuantifyOLS: identical drop decisions and
-// significance sets, and all reported numbers within tolerance.
+// quantification to the design-matrix reference (quantifyDesign):
+// identical drop decisions and significance sets, and all reported
+// numbers within tolerance.
 func TestQuantifyMomentsMatchesBatchFuzz(t *testing.T) {
 	schedules := 120
 	if testing.Short() {
@@ -116,7 +118,7 @@ func TestQuantifyMomentsMatchesBatchFuzz(t *testing.T) {
 			clusters := synthClusters(rng)
 			factors := fullRankFactors()
 
-			want := QuantifyOLS(clusters, factors)
+			want := quantifyDesign(clusters, factors)
 			got := QuantifyMoments(momentStreams(clusters, factors), factors)
 
 			if len(got.Dropped) != len(want.Dropped) {
@@ -158,11 +160,11 @@ func TestQuantifyMomentsMatchesBatchFuzz(t *testing.T) {
 // TestQuantifyMomentsSingularHierarchy checks the moment path on the
 // real diagnosis factor set, where PageFault and ContextSwitch are
 // exact sums of their children and the design starts rank-deficient.
-// Exact singularity puts the VIF drop *order* at the mercy of rounding,
-// so this does not compare against the batch path — it pins that the
-// drop loop converges to a usable model: enough factors dropped to
-// restore full rank, a final fit that succeeds, and finite reported
-// times.
+// Under exact singularity the design-matrix reference leaves the drop
+// order to rounding, so this does not compare against it — it pins
+// that the drop loop converges to a usable model: enough factors
+// dropped to restore full rank, a final fit that succeeds, and finite
+// reported times.
 func TestQuantifyMomentsSingularHierarchy(t *testing.T) {
 	rng := rand.New(rand.NewSource(990))
 	clusters := synthClusters(rng)
@@ -207,4 +209,61 @@ func TestClusterMomentsAddAllocs(t *testing.T) {
 func osFactorsUnderTest() []Factor {
 	return []Factor{Suspension, PageFault, ContextSwitch, Signal,
 		SoftPageFault, HardPageFault, VoluntaryCS, InvoluntaryCS}
+}
+
+// hierarchyClusters builds clusters whose parent counters equal one
+// child bitwise: HardPF and VolCS are always 0, so page-fault is
+// soft-page-fault and context-switch is involuntary-cs. Involuntary
+// switches drive both suspension and elapsed; soft faults drive elapsed
+// and correlate with no other column.
+func hierarchyClusters(rng *rand.Rand) [][]trace.Fragment {
+	clusters := make([][]trace.Fragment, 2+rng.Intn(6))
+	for c := range clusters {
+		base := int64(1_000_000 * (c + 1))
+		frags := make([]trace.Fragment, 20+rng.Intn(2000))
+		for i := range frags {
+			invol := uint64(rng.Intn(4))
+			soft := uint64(rng.Intn(3))
+			susp := 2_000*int64(invol) + rng.Int63n(500)
+			frags[i] = trace.Fragment{
+				Rank: i % 4, Kind: trace.Comp, From: 1, State: 2,
+				Start:   int64(i) * base,
+				Elapsed: base + 40_000*int64(invol) + 10_000*int64(soft) + rng.Int63n(5_000),
+				Counters: trace.CountersView{
+					TotIns: uint64(base), SuspensionNS: susp, SoftPF: soft, InvolCS: invol,
+				},
+			}
+		}
+		clusters[c] = frags
+	}
+	return clusters
+}
+
+// TestQuantifyCollinearHierarchy: on the full OS factor set, a parent
+// bitwise equal to its child must not leave the drop order to
+// rounding. Page-fault and context-switch go first, in that order;
+// soft-page-fault, which drives elapsed, is never dropped; and the
+// clusters folded in another row order (as a warm store folds them, in
+// arrival order) drop the same factors.
+func TestQuantifyCollinearHierarchy(t *testing.T) {
+	factors := osFactorsUnderTest()
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clusters := hierarchyClusters(rng)
+		q := QuantifyMoments(momentStreams(clusters, factors), factors)
+		if len(q.Dropped) < 2 || q.Dropped[0] != PageFault || q.Dropped[1] != ContextSwitch {
+			t.Fatalf("seed %d: dropped %v, want page-fault then context-switch first", seed, q.Dropped)
+		}
+		if slices.Contains(q.Dropped, SoftPageFault) {
+			t.Fatalf("seed %d: dropped soft-page-fault (%v)", seed, q.Dropped)
+		}
+		shuffled := make([][]trace.Fragment, len(clusters))
+		for c, frags := range clusters {
+			shuffled[c] = slices.Clone(frags)
+			rng.Shuffle(len(frags), func(i, j int) { shuffled[c][i], shuffled[c][j] = shuffled[c][j], shuffled[c][i] })
+		}
+		if got := QuantifyMoments(momentStreams(shuffled, factors), factors); !slices.Equal(got.Dropped, q.Dropped) {
+			t.Fatalf("seed %d: row order changed the drops: %v vs %v", seed, got.Dropped, q.Dropped)
+		}
+	}
 }

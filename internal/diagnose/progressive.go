@@ -19,13 +19,6 @@ type Options struct {
 	MajorThreshold float64
 	// MaxStage bounds the descent (3 covers the full model).
 	MaxStage int
-	// Quantifier overrides how the §4.2 statistical quantification of
-	// the unquantifiable factors is computed. nil means QuantifyOLS over
-	// the collected clusters; the monitor's streaming plane injects a
-	// moment-based quantifier here so diagnosis reuses incrementally
-	// maintained sufficient statistics instead of refitting from the
-	// flat design.
-	Quantifier func(clusters [][]trace.Fragment, factors []Factor) *OLSQuant
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -76,10 +69,9 @@ type Report struct {
 	OLS *OLSQuant
 }
 
-// Diagnoser runs the progressive method against a data source. The
-// source abstracts the client/server collection loop: each stage the
-// diagnoser asks for the fragments of the clusters under analysis with
-// a particular counter-group set armed.
+// Diagnoser runs the progressive method over fixed-workload clusters.
+// Each stage reads the clusters with a particular counter-group set
+// armed, as one client→server collection period would report them.
 type Diagnoser struct {
 	opt Options
 }
@@ -98,21 +90,13 @@ func New(opt Options) *Diagnoser {
 	return &Diagnoser{opt: opt}
 }
 
-// Source supplies cluster fragment data per stage. Collect returns one
-// slice per fixed-workload cluster under analysis, with counters masked
-// to the armed groups (in the real tool this costs one reporting
-// period; the session implementation replays recorded data).
-type Source interface {
-	Collect(armed sim.Group) [][]trace.Fragment
-}
-
-// SliceSource is a trivial Source over in-memory cluster data.
-type SliceSource [][]trace.Fragment
-
-// Collect implements Source by masking the stored counters.
-func (s SliceSource) Collect(armed sim.Group) [][]trace.Fragment {
-	out := make([][]trace.Fragment, len(s))
-	for i, frags := range s {
+// collect returns copies of the clusters with counters masked to the
+// armed groups: what one collection period with those groups armed
+// reports (in the real tool this costs one reporting period; here the
+// recorded data is replayed).
+func collect(clusters [][]trace.Fragment, armed sim.Group) [][]trace.Fragment {
+	out := make([][]trace.Fragment, len(clusters))
+	for i, frags := range clusters {
 		cp := make([]trace.Fragment, len(frags))
 		copy(cp, frags)
 		for j := range cp {
@@ -164,7 +148,6 @@ func maskView(c trace.CountersView, armed sim.Group) trace.CountersView {
 // the k_a rule and returns the flattened sets plus the per-fragment
 // reference elapsed (its cluster's mean normal elapsed).
 type splitData struct {
-	clusters [][]trace.Fragment
 	abnormal []trace.Fragment
 	// refElapsed aligns with abnormal: the mean elapsed of the normal
 	// fragments of the same cluster.
@@ -176,7 +159,7 @@ type splitData struct {
 }
 
 func (d *Diagnoser) split(clusters [][]trace.Fragment, factors []Factor) *splitData {
-	sd := &splitData{clusters: clusters, refMetric: make(map[Factor][]float64)}
+	sd := &splitData{refMetric: make(map[Factor][]float64)}
 	for _, frags := range clusters {
 		if len(frags) == 0 {
 			continue
@@ -235,8 +218,12 @@ func (d *Diagnoser) allFactors() []Factor {
 	return out
 }
 
-// Run performs the progressive diagnosis over the source.
-func (d *Diagnoser) Run(src Source) *Report {
+// Run performs the progressive diagnosis over fixed-workload clusters.
+// moments, when given, holds one warm ClusterMoments per cluster (nil
+// entries allowed) for the §4.2 quantification; a cluster whose entry
+// is nil or was folded over another factor set is folded from its
+// stage-1 rows.
+func (d *Diagnoser) Run(clusters [][]trace.Fragment, moments []*ClusterMoments) *Report {
 	rep := &Report{GroupsArmed: sim.GroupBase}
 
 	// Stage 1: arm the top-down level-1 group plus OS counters (both
@@ -244,10 +231,10 @@ func (d *Diagnoser) Run(src Source) *Report {
 	armed := sim.GroupBase | sim.GroupTopdownL1 | sim.GroupOS
 	rep.GroupsArmed |= armed
 	rep.Stages = 1
-	clusters := src.Collect(armed)
+	stage1 := collect(clusters, armed)
 
 	factors := d.allFactors()
-	sd := d.split(clusters, factors)
+	sd := d.split(stage1, factors)
 	rep.AbnormalFrags = len(sd.abnormal)
 	rep.NormalFrags = sd.normalN
 	rep.AnalyzedNS = sd.analyzedNS
@@ -273,11 +260,7 @@ func (d *Diagnoser) Run(src Source) *Report {
 			kept = append(kept, f)
 		}
 	}
-	quant := d.opt.Quantifier
-	if quant == nil {
-		quant = QuantifyOLS
-	}
-	rep.OLS = quant(clusters, kept)
+	rep.OLS = QuantifyMoments(momentsOf(stage1, moments, kept), kept)
 
 	// contribution computes a factor's excess over reference summed
 	// across abnormal fragments, in ns where possible.
@@ -346,8 +329,7 @@ func (d *Diagnoser) Run(src Source) *Report {
 						rep.Stages++
 						// Re-collect with the wider group set; the
 						// replayed data now carries the new counters.
-						clusters = src.Collect(rep.GroupsArmed)
-						sd = d.split(clusters, factors)
+						sd = d.split(collect(clusters, rep.GroupsArmed), factors)
 					}
 					fr.Children = build(kids, stage+1)
 				}

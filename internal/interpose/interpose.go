@@ -338,8 +338,8 @@ func (t *Traced) beginExternal(st trace.State) sim.Time {
 	elapsed := now.Sub(t.segStart)
 	if elapsed > 0 || t.pending.TotIns > 0 {
 		// Fragments carry the full counter snapshot; masking to the
-		// armed groups happens at the analysis boundary
-		// (diagnose.SliceSource), which lets the progressive
+		// armed groups happens at the analysis boundary (each stage
+		// of diagnose.Diagnoser.Run), which lets the progressive
 		// controller replay later stages from recorded data. The
 		// armed handle still drives the per-event cost model: a
 		// client pays for each group it keeps enabled.

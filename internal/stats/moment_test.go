@@ -101,6 +101,10 @@ func TestStreamOLSMatchesBatchFuzz(t *testing.T) {
 			if !relClose(got.R2, want.R2, 1e-8) || !relClose(got.AdjR2, want.AdjR2, 1e-8) {
 				t.Fatalf("fit quality differs: R2 %v vs %v", got.R2, want.R2)
 			}
+			// MomentR2 is SolveMomentOLS's R² bit for bit.
+			if r2, err := MomentR2(n, k, xtx, xty, yty); err != nil || math.Float64bits(r2) != math.Float64bits(got.R2) {
+				t.Fatalf("MomentR2 %v (err %v), SolveMomentOLS R2 %v", r2, err, got.R2)
+			}
 		})
 	}
 }

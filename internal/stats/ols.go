@@ -97,30 +97,11 @@ func OLS(y []float64, xs [][]float64) (*OLSResult, error) {
 // tss = y'y − n·ȳ²), which is the algebraic identity of the batch
 // residual loops.
 func SolveMomentOLS(n, k int, xtx, xty []float64, yty float64) (*OLSResult, error) {
-	d := k + 1
-	if n < k+2 || len(xtx) != d*d || len(xty) != d {
-		return nil, ErrDegenerate
-	}
-	m := NewMatrix(d, d)
-	copy(m.Data, xtx)
-	inv, err := m.Inverse()
+	inv, coef, rss, tss, err := momentFit(n, k, xtx, xty, yty)
 	if err != nil {
-		return nil, ErrDegenerate
+		return nil, err
 	}
-	coef := inv.MulVec(xty)
-
-	rss := yty
-	for j := 0; j < d; j++ {
-		rss -= coef[j] * xty[j]
-	}
-	if rss < 0 {
-		rss = 0 // reassociation noise on a perfect fit
-	}
-	ym := xty[0] / float64(n)
-	tss := yty - float64(n)*ym*ym
-	if tss < 0 {
-		tss = 0
-	}
+	d := k + 1
 	df := n - d
 	sigma2 := rss / float64(df)
 	res := &OLSResult{
@@ -147,6 +128,45 @@ func SolveMomentOLS(n, k int, xtx, xty []float64, yty float64) (*OLSResult, erro
 		}
 	}
 	return res, nil
+}
+
+// MomentR2 is the R² of SolveMomentOLS alone (0 when y does not vary),
+// bitwise: the same solve and fit-quality sums, without the standard
+// errors and p-values.
+func MomentR2(n, k int, xtx, xty []float64, yty float64) (float64, error) {
+	_, _, rss, tss, err := momentFit(n, k, xtx, xty, yty)
+	if err != nil || tss <= 0 {
+		return 0, err
+	}
+	return 1 - rss/tss, nil
+}
+
+// momentFit solves the normal equations of the moment form and returns
+// (X'X)⁻¹, the coefficients and the residual and total sums of squares.
+func momentFit(n, k int, xtx, xty []float64, yty float64) (inv *Matrix, coef []float64, rss, tss float64, err error) {
+	d := k + 1
+	if n < k+2 || len(xtx) != d*d || len(xty) != d {
+		return nil, nil, 0, 0, ErrDegenerate
+	}
+	m := NewMatrix(d, d)
+	copy(m.Data, xtx)
+	if inv, err = m.Inverse(); err != nil {
+		return nil, nil, 0, 0, ErrDegenerate
+	}
+	coef = inv.MulVec(xty)
+	rss = yty
+	for j := 0; j < d; j++ {
+		rss -= coef[j] * xty[j]
+	}
+	if rss < 0 {
+		rss = 0 // reassociation noise on a perfect fit
+	}
+	ym := xty[0] / float64(n)
+	tss = yty - float64(n)*ym*ym
+	if tss < 0 {
+		tss = 0
+	}
+	return inv, coef, rss, tss, nil
 }
 
 // FarrarGlauber runs the Farrar–Glauber chi-squared test for

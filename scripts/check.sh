@@ -207,8 +207,11 @@ vapro_check() {
 # Record→analyze smoke: a run recorded with -record and re-analyzed
 # offline by `vapro analyze FILE.vrec` must report the same summary
 # (ranks, makespan, STG, fragments, coverage, regions) as the run did;
-# only the label differs ("CG:" against "recording:"). The recording
-# stays behind on failure for the CI artifact upload.
+# only the label differs ("CG:" against "recording:"). A recorded run
+# whose diagnosis quantifies by OLS must re-diagnose offline
+# (`vapro analyze -diagnose`) to byte-identical progressive diagnosis
+# sections, with at least one OLS p-value among them. The recordings
+# stay behind on failure for the CI artifact upload.
 stage_record_analyze() {
 	vapro_check
 	# Offline and online runs both save; either file re-analyzes to the
@@ -222,6 +225,15 @@ stage_record_analyze() {
 		grep -q 'performance heat map' /tmp/vapro-run-analyze.out
 		rm -f /tmp/vapro-run.vrec
 	done
+	/tmp/vapro-check -app CG -ranks 48 -cpu-noise node=1,start=0.5,end=2,share=0.5 \
+		-diagnose -record /tmp/vapro-diag.vrec >/tmp/vapro-diag-run.out
+	/tmp/vapro-check analyze -diagnose /tmp/vapro-diag.vrec >/tmp/vapro-diag-analyze.out
+	sed -n '/^progressive diagnosis/,$p' /tmp/vapro-diag-run.out >/tmp/vapro-diag-run.sec
+	sed -n '/^progressive diagnosis/,$p' /tmp/vapro-diag-analyze.out >/tmp/vapro-diag-analyze.sec
+	[ -s /tmp/vapro-diag-run.sec ]
+	cmp /tmp/vapro-diag-run.sec /tmp/vapro-diag-analyze.sec
+	grep -q ' p=' /tmp/vapro-diag-run.sec
+	rm -f /tmp/vapro-diag.vrec
 }
 
 # Observability smoke: boot a real collector, scrape its metrics
