@@ -267,20 +267,20 @@ func synthGraph(edges, perEdge, ranks int) *stg.Graph {
 		from, to := uint64(e+1), uint64(e+2)
 		for i := 0; i < perEdge; i++ {
 			class := uint64(1+rng.Intn(5)) * 1_000_000
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: i % ranks, Kind: trace.Comp, From: from, State: to,
 				Start:    int64(i/ranks) * 1_000_000,
 				Elapsed:  500_000 + int64(rng.Intn(100_000)),
 				Counters: trace.CountersView{TotIns: class + uint64(rng.Intn(1000))},
-			})
+			}})
 		}
 		for i := 0; i < perEdge/8; i++ {
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: i % ranks, Kind: trace.Comm, State: to,
 				Start:   int64(i/ranks)*1_000_000 + 600_000,
 				Elapsed: 50_000,
 				Args:    trace.Args{Op: trace.Op("Send"), Bytes: 1024 << uint(e%3)},
-			})
+			}})
 		}
 	}
 	return g

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,7 +19,7 @@ import (
 )
 
 // analyzeUsage is printed, with exit status 2, when analyze gets
-// neither input or both.
+// neither input, both, or a flag its input ignores.
 const analyzeUsage = `usage: vapro analyze -journal DIR [-from S] [-to S] [-ranks N] [-json]
        vapro analyze [-diagnose] [-json] [-html F] [-png F] [-svg F] [-dot F] FILE.vrec`
 
@@ -41,8 +42,19 @@ func analyzeMain(args []string, stdout, stderr io.Writer) int {
 	} else if err != nil {
 		return 2
 	}
+	// A set flag the chosen input ignores is a usage error, not a no-op:
+	// the report flags apply to a recording, the range flags to a journal.
+	ignored := []string{"from", "to", "ranks"}
+	if *journal != "" {
+		ignored = []string{"diagnose", "html", "png", "svg", "dot"}
+	}
+	misfit := false
+	fs.Visit(func(f *flag.Flag) { misfit = misfit || slices.Contains(ignored, f.Name) })
 	var err error
 	switch {
+	case misfit:
+		fmt.Fprintln(stderr, analyzeUsage)
+		return 2
 	case *journal != "" && fs.NArg() == 0:
 		err = analyzeJournal(stdout, *journal, *from, *to, *ranks, *jsonOut)
 	case *journal == "" && fs.NArg() == 1:

@@ -58,7 +58,17 @@ func TestAnalyzeRecording(t *testing.T) {
 // With neither a journal nor a recording (or with both), analyze prints
 // its usage and exits 2.
 func TestAnalyzeUsage(t *testing.T) {
-	for _, args := range [][]string{nil, {"-journal", t.TempDir(), "run.vrec"}, {"a.vrec", "b.vrec"}} {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		nil,
+		{"-journal", dir, "run.vrec"},
+		{"a.vrec", "b.vrec"},
+		// A flag the input ignores: report flags with a journal, range
+		// flags with a recording.
+		{"-journal", dir, "-diagnose"},
+		{"-journal", dir, "-html", filepath.Join(dir, "r.html")},
+		{"-from", "1", "a.vrec"},
+	} {
 		var stdout, stderr bytes.Buffer
 		if code := analyzeMain(args, &stdout, &stderr); code != 2 {
 			t.Fatalf("analyze %q exited %d, want 2", args, code)

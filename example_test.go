@@ -28,8 +28,8 @@ func ExampleRun() {
 		}
 	}
 	fmt.Printf("computation regions detected: %d\n", comp)
-	if rep := res.DiagnoseTop(vapro.Computation, vapro.DefaultDiagnoseOptions()); rep != nil {
-		fmt.Printf("top factor: %v\n", rep.TopFactor())
+	if rep := res.DiagnoseTop(vapro.Computation, vapro.DefaultDiagnoseOptions()); rep != nil && len(rep.Factors) > 0 {
+		fmt.Printf("top factor: %v\n", rep.Factors[0].Factor)
 	}
 	// Output:
 	// computation regions detected: 1

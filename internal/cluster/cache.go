@@ -153,16 +153,6 @@ func (c *Cache) run(key Key, gen stg.Gen, frags trace.LogView, opt Options, allo
 	return res, Delta{From: gen, Full: true}
 }
 
-// Invalidate drops the cached clustering of one element.
-func (c *Cache) Invalidate(key Key) {
-	c.mu.Lock()
-	if _, had := c.entries[key]; had {
-		c.evictions.Add(1)
-	}
-	delete(c.entries, key)
-	c.mu.Unlock()
-}
-
 // Len returns the number of cached elements.
 func (c *Cache) Len() int {
 	c.mu.RLock()
@@ -192,8 +182,8 @@ func (c *Cache) StaleRejects() uint64 {
 	return c.staleRejects.Load()
 }
 
-// Evictions returns how many cached clusterings were discarded — stale
-// entries overwritten on recompute plus explicit invalidations.
+// Evictions returns how many cached clusterings were discarded: stale
+// entries overwritten on recompute.
 func (c *Cache) Evictions() uint64 {
 	return c.evictions.Load()
 }

@@ -69,28 +69,9 @@ func TestCacheDistinctOptionsRecompute(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := cluster.NewCache()
-	frags := []trace.Fragment{cacheFrag(100)}
-	key := cluster.VertexKey(1)
-	c.Run(key, gen(1), trace.LogOf(frags), cluster.DefaultOptions())
-	if c.Len() != 1 {
-		t.Fatalf("cache len %d, want 1", c.Len())
-	}
-	c.Invalidate(key)
-	if c.Len() != 0 {
-		t.Fatalf("cache len %d after invalidate, want 0", c.Len())
-	}
-	c.Run(key, gen(1), trace.LogOf(frags), cluster.DefaultOptions())
-	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
-		t.Fatalf("invalidated entry must recompute: hits=%d misses=%d", hits, misses)
-	}
-}
-
 // Evictions count discarded clusterings: entries overwritten by a full
-// recompute and explicit invalidations of present entries — never cold
-// misses, invalidations of absent keys, or incremental advances (which
-// evolve the entry rather than discard it).
+// recompute — never cold misses or incremental advances (which evolve
+// the entry rather than discard it).
 func TestCacheEvictions(t *testing.T) {
 	c := cluster.NewCache()
 	frags := []trace.Fragment{cacheFrag(100)}
@@ -114,14 +95,6 @@ func TestCacheEvictions(t *testing.T) {
 	if got := c.Evictions(); got != 1 {
 		t.Fatalf("evictions after epoch bump: %d, want 1", got)
 	}
-	c.Invalidate(key)
-	if got := c.Evictions(); got != 2 {
-		t.Fatalf("evictions after invalidate: %d, want 2", got)
-	}
-	c.Invalidate(key) // absent: no entry was discarded
-	if got := c.Evictions(); got != 2 {
-		t.Fatalf("evicting an absent key counted: %d", got)
-	}
 }
 
 // Appending fragments to one STG edge advances its generation and
@@ -130,10 +103,10 @@ func TestCacheEvictions(t *testing.T) {
 func TestCacheGenerationBumpTouchesOnlyGrownElement(t *testing.T) {
 	g := stg.New()
 	for i := 0; i < 6; i++ {
-		g.Add(trace.Fragment{Rank: 0, Kind: trace.Comp, From: 1, State: 2,
-			Counters: trace.CountersView{TotIns: 1_000_000}, Elapsed: 100})
-		g.Add(trace.Fragment{Rank: 0, Kind: trace.Comm, State: 2,
-			Args: trace.Args{Op: trace.Op("Send"), Bytes: 1024}, Elapsed: 10})
+		g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.Comp, From: 1, State: 2,
+			Counters: trace.CountersView{TotIns: 1_000_000}, Elapsed: 100}})
+		g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.Comm, State: 2,
+			Args: trace.Args{Op: trace.Op("Send"), Bytes: 1024}, Elapsed: 10}})
 	}
 	e := g.Edge(trace.EdgeKey{From: 1, To: 2})
 	v := g.Vertex(2)
@@ -151,8 +124,8 @@ func TestCacheGenerationBumpTouchesOnlyGrownElement(t *testing.T) {
 	runBoth() // warm: 2 hits
 
 	// Grow only the edge.
-	g.Add(trace.Fragment{Rank: 0, Kind: trace.Comp, From: 1, State: 2,
-		Counters: trace.CountersView{TotIns: 1_000_000}, Elapsed: 100})
+	g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.Comp, From: 1, State: 2,
+		Counters: trace.CountersView{TotIns: 1_000_000}, Elapsed: 100}})
 	if e.Gen.Count != 7 {
 		t.Fatalf("edge gen %d after append, want 7", e.Gen.Count)
 	}

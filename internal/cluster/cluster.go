@@ -62,12 +62,10 @@ func (v Vector) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Dist returns the Euclidean distance to o. Vectors of unequal length
-// compare only the common prefix (never happens for same-site data).
-func (v Vector) Dist(o Vector) float64 { return math.Sqrt(distSq(v, o)) }
-
-// distSq is Dist without the final square root: the clustering inner
-// loop compares squared distances against a squared threshold instead.
+// distSq is the squared Euclidean distance between v and o: the
+// clustering inner loop compares squared distances against a squared
+// threshold. Vectors of unequal length compare only the common prefix
+// (never happens for same-site data).
 func distSq(v, o Vector) float64 {
 	n := len(v)
 	if len(o) < n {
@@ -80,9 +78,6 @@ func distSq(v, o Vector) float64 {
 	}
 	return s
 }
-
-// VectorOf builds the workload vector of f.
-func VectorOf(f *trace.Fragment, opt Options) Vector { return appendVector(nil, f, opt) }
 
 // appendVector appends the workload vector of f to dst. A computation
 // fragment's is TOT_INS, the crucial proxy metric (Figure 5 shows it
@@ -333,23 +328,4 @@ func (r *Result) Groups() [][]int32 {
 		}
 	}
 	return groups
-}
-
-// FixedFraction returns the fraction of total elapsed time that falls in
-// fixed (large-enough) clusters — the per-edge contribution to detection
-// coverage (§6.2).
-func (r *Result) FixedFraction(frags trace.LogView) float64 {
-	var fixed, total int64
-	for i := 0; i < frags.Len(); i++ {
-		_, _, elapsed := frags.Span(i)
-		total += elapsed
-		ci := r.Assign[i]
-		if ci >= 0 && r.Clusters[ci].Fixed {
-			fixed += elapsed
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(fixed) / float64(total)
 }

@@ -139,10 +139,10 @@ func TestIntraClusterDiameter(t *testing.T) {
 		res := Run(trace.LogOf(frags), opt)
 		groups := res.Groups()
 		for ci, c := range res.Clusters {
-			seedVec := VectorOf(&frags[c.Seed], opt)
+			seedVec := appendVector(nil, &frags[c.Seed], opt)
 			for _, m := range groups[ci] {
-				v := VectorOf(&frags[m], opt)
-				if c.SeedNorm > 0 && v.Dist(seedVec) > opt.Threshold*c.SeedNorm*(1+1e-9) {
+				v := appendVector(nil, &frags[m], opt)
+				if c.SeedNorm > 0 && math.Sqrt(distSq(v, seedVec)) > opt.Threshold*c.SeedNorm*(1+1e-9) {
 					return false
 				}
 			}
@@ -179,29 +179,15 @@ func TestZeroNormCluster(t *testing.T) {
 	}
 }
 
-func TestFixedFraction(t *testing.T) {
-	var frags []trace.Fragment
-	for i := 0; i < 10; i++ {
-		frags = append(frags, compFrag(1000000, 100))
-	}
-	frags = append(frags, compFrag(77000000, 900)) // lone slow one-off
-	res := Run(trace.LogOf(frags), DefaultOptions())
-	got := res.FixedFraction(trace.LogOf(frags))
-	want := 1000.0 / 1900.0
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("fixed fraction %v, want %v", got, want)
-	}
-}
-
 func TestUseExtraMetrics(t *testing.T) {
 	f := trace.Fragment{Kind: trace.Comp, Counters: trace.CountersView{TotIns: 100, LoadStores: 40}}
 	opt := DefaultOptions()
-	if got := VectorOf(&f, opt); len(got) != 1 {
+	if got := appendVector(nil, &f, opt); len(got) != 1 {
 		t.Fatalf("a computation vector has %d dimensions, want 1", len(got))
 	}
 	opt.UseExtraMetrics = true
-	if got := VectorOf(&f, opt); len(got) != 2 {
-		t.Fatal("VectorOf ignored UseExtraMetrics")
+	if got := appendVector(nil, &f, opt); len(got) != 2 {
+		t.Fatal("the workload vector ignored UseExtraMetrics")
 	}
 }
 

@@ -118,11 +118,6 @@ func newPlane(ranks int, opt Options) *plane {
 // per-rank gap accounting accumulates across server restarts.
 func (pl *plane) SeqState() *SeqTracker { return pl.seq }
 
-// Close drains the staged batches into the graph. Every read path
-// drains on demand too, so a plane needs no Close; calling it is always
-// safe.
-func (pl *plane) Close() { pl.drain() }
-
 // refreshView points the analysis snapshot at the graph's current
 // element logs, aliasing (not copying) every element whose generation
 // moved since the last refresh. The graph only ever appends, so a later

@@ -179,8 +179,8 @@ func TestArmedHandleShared(t *testing.T) {
 	if p.Armed == nil {
 		t.Fatal("pool must expose the armed-groups handle")
 	}
-	p.Armed.Set(sim.GroupAll)
-	if p.Armed.Get() != sim.GroupAll {
+	p.Armed.Set(sim.GroupBase | sim.GroupOS)
+	if p.Armed.Get() != sim.GroupBase|sim.GroupOS {
 		t.Fatal("armed handle not settable")
 	}
 }

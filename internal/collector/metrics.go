@@ -35,7 +35,7 @@ type Metrics struct {
 	WireFrames         *obs.Counter
 	WireBytes          *obs.Counter
 	WireFramesRejected *obs.Counter // any frame that killed its connection
-	WireDecodeErrors   *obs.Counter // subset: payloads DecodeBatch refused
+	WireDecodeErrors   *obs.Counter // subset: payloads DecodeBatchMeta refused
 	WirePanics         *obs.Counter // subset: decoder panics caught by recover
 	WireSeqGaps        *obs.Counter // batches inferred lost from sequence gaps
 	WireDups           *obs.Counter // duplicate batches suppressed (retransmits)
@@ -101,7 +101,7 @@ func NewMetrics() *Metrics {
 		WireFramesRejected: reg.Counter("vapro_wire_frames_rejected_total", "wire",
 			"frames that terminated their connection (oversized, torn, undecodable)"),
 		WireDecodeErrors: reg.Counter("vapro_wire_decode_errors_total", "wire",
-			"payloads DecodeBatch refused"),
+			"payloads DecodeBatchMeta refused"),
 		WirePanics: reg.Counter("vapro_wire_panics_total", "wire",
 			"per-connection panics contained by recover"),
 		WireSeqGaps: reg.Counter("vapro_wire_seq_gaps_total", "wire",
@@ -248,7 +248,7 @@ func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 			return float64(mi)
 		})
 	reg.Func("vapro_cluster_cache_evictions", "cluster",
-		"memoized clusterings discarded (stale overwrites and invalidations)", func() float64 {
+		"memoized clusterings discarded (stale overwrites)", func() float64 {
 			return float64(cache.Evictions())
 		})
 	reg.Func("vapro_cluster_cache_entries", "cluster",

@@ -97,9 +97,9 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// Monitor.CacheStats (and the registry snapshot) must be safe while
-// windows are being analyzed concurrently, over one plane and over a
-// tier — run under -race in CI.
+// The registry snapshot, whose cache Func metrics read every plane's
+// clustering cache, must be safe while windows are being analyzed
+// concurrently, over one plane and over a tier — run under -race in CI.
 func TestMonitorCacheStatsConcurrent(t *testing.T) {
 	for _, shards := range testShards {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testCacheStatsConcurrent(t, shards) })
@@ -118,28 +118,19 @@ func testCacheStatsConcurrent(t *testing.T, shards int) {
 	done := make(chan struct{})
 	var probes sync.WaitGroup
 	probes.Add(2)
-	go func() {
-		defer probes.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				mon.CacheStats()
+	for range 2 {
+		go func() {
+			defer probes.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					snapshot()
+				}
 			}
-		}
-	}()
-	go func() {
-		defer probes.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				snapshot()
-			}
-		}
-	}()
+		}()
+	}
 
 	var feeders sync.WaitGroup
 	for rank := 0; rank < 4; rank++ {
@@ -156,14 +147,10 @@ func testCacheStatsConcurrent(t *testing.T, shards int) {
 	close(done)
 	probes.Wait()
 
-	hits, misses := mon.CacheStats()
-	if hits+misses == 0 {
-		t.Fatal("windows ran but the cache counters are zero")
-	}
 	// The monitor ticks on the planes' analyzers, so the cache Func
 	// metrics the planes registered describe the monitor's windows.
 	snap := snapshot()
-	if got := snap.Get("vapro_cluster_cache_misses").Value; got != float64(misses) {
-		t.Fatalf("registry cache misses %v, want %d (the monitor's CacheStats)", got, misses)
+	if snap.Get("vapro_cluster_cache_hits").Value+snap.Get("vapro_cluster_cache_misses").Value == 0 {
+		t.Fatal("windows ran but the cache counters are zero")
 	}
 }

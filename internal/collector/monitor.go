@@ -238,18 +238,6 @@ func (m *Monitor) Stage() int {
 	return m.stage
 }
 
-// CacheStats reports the hit/miss counters of the memoized clustering
-// layer window analyses run on, summed over the planes: hits are
-// analyses that reused a previous window's clustering of an element
-// that did not grow in between.
-func (m *Monitor) CacheStats() (hits, misses uint64) {
-	for _, pl := range m.Pool.planes {
-		h, ms := pl.an.Cache().Stats()
-		hits, misses = hits+h, misses+ms
-	}
-	return hits, misses
-}
-
 // DiagnoseEvent runs the progressive diagnosis for an online event's
 // top region against everything the planes hold at the time of the
 // call. Fragments are clustered per STG element — the edge of a

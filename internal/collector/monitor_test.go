@@ -272,7 +272,8 @@ func TestMonitorReusesClusteringsAcrossWindows(t *testing.T) {
 	pool := NewPool(4, copt)
 	m := NewMonitor(pool, mopt)
 	feedMonitor(m)
-	hits, misses := m.CacheStats()
+	snap := pool.MergedSnapshot()
+	hits, misses := snap.Get("vapro_cluster_cache_hits").Value, snap.Get("vapro_cluster_cache_misses").Value
 	if misses == 0 {
 		t.Fatal("monitor never clustered anything")
 	}

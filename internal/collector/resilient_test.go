@@ -255,8 +255,12 @@ func TestSeqTrackerAccounting(t *testing.T) {
 	if deliver, gap := tr.Observe(3, 0, 9000, 9500); !deliver || gap != 0 {
 		t.Fatalf("restart batch: deliver=%v gap=%d", deliver, gap)
 	}
-	if tr.Restarts() != 1 {
-		t.Fatalf("restarts = %d, want 1", tr.Restarts())
+	// The new generation numbers from 1 on: in order, not a gap.
+	if deliver, gap := tr.Observe(3, 1, 9500, 9900); !deliver || gap != 0 {
+		t.Fatalf("post-restart batch: deliver=%v gap=%d", deliver, gap)
+	}
+	if tr.Dups() != 1 || tr.GapFrames() != 3 {
+		t.Fatalf("after restart dups=%d gaps=%d, want 1/3", tr.Dups(), tr.GapFrames())
 	}
 }
 

@@ -213,8 +213,9 @@ func TestResilientWALRestartReplay(t *testing.T) {
 	if met.WireFrames.Load() != wantDelivered {
 		t.Fatalf("delivered %d frames, want %d", met.WireFrames.Load(), wantDelivered)
 	}
-	if pool.SeqState().Restarts() == 0 {
-		t.Fatal("gen2's fresh numbering never hit the restart branch")
+	// gen2's fresh numbering restarts at 0: a restart, not a duplicate.
+	if dups := pool.SeqState().Dups(); dups != 0 {
+		t.Fatalf("dups=%d: gen2's fresh numbering was taken for retransmits", dups)
 	}
 }
 

@@ -30,7 +30,6 @@ type SeqTracker struct {
 
 	gapFrames uint64
 	dups      uint64
-	restarts  uint64
 	outages   []detect.Outage
 }
 
@@ -62,7 +61,6 @@ func (t *SeqTracker) Observe(rank int, seq uint64, minStart, maxEnd int64) (deli
 	case seq < rs.next && seq == 0:
 		// Client restart: numbering begins again; prior frames were
 		// already accounted, so no gap.
-		t.restarts++
 		rs.next = 1
 	case seq < rs.next:
 		t.dups++
@@ -96,13 +94,6 @@ func (t *SeqTracker) Dups() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dups
-}
-
-// Restarts returns how many client-generation restarts were observed.
-func (t *SeqTracker) Restarts() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.restarts
 }
 
 // Outages returns a copy of the recorded per-rank loss intervals in

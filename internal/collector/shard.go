@@ -46,12 +46,6 @@ type ShardMap struct {
 	Addrs   []string
 }
 
-// Shards returns the shard count the map describes.
-func (m ShardMap) Shards() int { return len(m.Addrs) }
-
-// Owner returns the rank's owning shard under this map.
-func (m ShardMap) Owner(rank int) int { return ShardOwner(rank, len(m.Addrs)) }
-
 // ShardedPool is the name the benchmark harness still compiles against.
 //
 // Deprecated: use Pool, which is n ≥ 1 planes.

@@ -27,7 +27,6 @@ func TestTracedJourneyDeterministic(t *testing.T) {
 	defer pool.Close()
 	tr := pool.Metrics().Trace
 	tr.SetNow(func() int64 { return fc.Now().UnixNano() })
-	tr.SetInterval(1) // sample every batch: this test wants the exemplar
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -60,7 +59,8 @@ func TestTracedJourneyDeterministic(t *testing.T) {
 
 	c.Consume(0, []trace.Fragment{frag(0, 0, 500)})
 
-	// Flush and enqueue stamp at the epoch, before any dial resolves.
+	// Seq 0 is an exemplar under every sampling interval. Flush and
+	// enqueue stamp at the epoch, before any dial resolves.
 	key := obs.TraceKey{ClientID: 7, Seq: 0}
 	if !waitUntil(2*time.Second, func() bool {
 		for _, j := range tr.Snapshot().Journeys {
@@ -80,8 +80,13 @@ func TestTracedJourneyDeterministic(t *testing.T) {
 		}
 		fc.Advance(d)
 	}
-	// Third dial succeeds; the frame is written and delivered.
-	if !waitUntil(2*time.Second, func() bool { return pool.FragmentCount() == 1 }) {
+	// Third dial succeeds; the frame is written and delivered. The
+	// server can stage the frame before the writer returns from Write
+	// and stamps the write hop (under the same lock that counts it
+	// sent), so wait for both sides.
+	if !waitUntil(2*time.Second, func() bool {
+		return pool.FragmentCount() == 1 && c.Stats().Sent == 1
+	}) {
 		t.Fatalf("batch never delivered: %+v", c.Stats())
 	}
 	// First analyzed tick closes the journey.
@@ -145,7 +150,6 @@ func TestTracedWireDispatch(t *testing.T) {
 	pool := NewPool(2, DefaultOptions())
 	defer pool.Close()
 	tr := pool.Metrics().Trace
-	tr.SetInterval(2) // sample even sequence numbers only
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -164,10 +168,11 @@ func TestTracedWireDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// seq 2: traced + sampled → journey. seq 3: traced, unsampled.
-	send(encodeFrameTraced(0, 2, 9, 111, []trace.Fragment{frag(0, 0, 100)}))
-	send(encodeFrame(1, 2, []trace.Fragment{frag(1, 0, 100)})) // v2, even seq
-	send(encodeFrameTraced(0, 3, 9, 222, []trace.Fragment{frag(0, 200, 100)}))
+	// The default sampler takes every 64th seq. seq 64: traced + sampled
+	// → journey. seq 65: traced, unsampled.
+	send(encodeFrameTraced(0, 64, 9, 111, []trace.Fragment{frag(0, 0, 100)}))
+	send(encodeFrame(1, 64, []trace.Fragment{frag(1, 0, 100)})) // v2, sampled seq
+	send(encodeFrameTraced(0, 65, 9, 222, []trace.Fragment{frag(0, 200, 100)}))
 
 	if !waitUntil(2*time.Second, func() bool { return pool.FragmentCount() == 3 }) {
 		t.Fatalf("frames not delivered: %d", pool.FragmentCount())
@@ -177,14 +182,14 @@ func TestTracedWireDispatch(t *testing.T) {
 		t.Fatalf("journeys: %+v", snap.Journeys)
 	}
 	j := snap.Journeys[0]
-	if j.Key != (obs.TraceKey{ClientID: 9, Seq: 2}) || j.FlushNS != 111 {
+	if j.Key != (obs.TraceKey{ClientID: 9, Seq: 64}) || j.FlushNS != 111 {
 		t.Fatalf("wrong exemplar: %+v", j)
 	}
 	if j.Hops[obs.HopDeliver] == 0 || j.Hops[obs.HopStage] == 0 {
 		t.Fatalf("server hops missing: %+v", j.Hops)
 	}
 	// Only traced frames count into the sampler's totals: the v2 frame
-	// with an even seq must not have been counted or sampled.
+	// with a sampled seq must not have been counted or sampled.
 	if snap.Total != 2 || snap.Sampled != 1 {
 		t.Fatalf("total=%d sampled=%d, want 2/1", snap.Total, snap.Sampled)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -167,7 +166,6 @@ type WireServer struct {
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 	drain time.Duration
-	err   error
 }
 
 // defaultDrainTimeout bounds Close's wait for in-flight connections.
@@ -237,14 +235,6 @@ func (s *WireServer) acceptLoop() {
 	}
 }
 
-func (s *WireServer) setErr(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
 func (s *WireServer) serveConn(conn net.Conn) {
 	defer conn.Close()
 	s.met.WireConns.Inc()
@@ -255,7 +245,6 @@ func (s *WireServer) serveConn(conn net.Conn) {
 		if p := recover(); p != nil {
 			s.met.WirePanics.Inc()
 			s.met.WireFramesRejected.Inc()
-			s.setErr(fmt.Errorf("collector: panic serving connection: %v", p))
 		}
 	}()
 	s.mu.Lock()
@@ -271,7 +260,6 @@ func (s *WireServer) serveConn(conn net.Conn) {
 			out := binary.AppendUvarint(nil, uint64(len(payload)))
 			out = append(out, payload...)
 			if _, err := conn.Write(out); err != nil {
-				s.setErr(err)
 				return
 			}
 		}
@@ -286,20 +274,15 @@ func (s *WireServer) serveConn(conn net.Conn) {
 	for {
 		size, err := binary.ReadUvarint(br)
 		if err != nil {
-			if err != io.EOF {
-				s.setErr(err)
-			}
-			return
+			return // EOF, or the connection died between frames
 		}
 		if size > maxFramePayload {
 			s.met.WireFramesRejected.Inc()
-			s.setErr(fmt.Errorf("collector: frame of %d bytes exceeds limit", size))
 			return
 		}
 		payload, err = readPayload(br, payload[:0], int(size))
 		if err != nil {
 			s.met.WireFramesRejected.Inc() // torn frame
-			s.setErr(err)
 			return
 		}
 		var meta trace.BatchMeta
@@ -307,7 +290,6 @@ func (s *WireServer) serveConn(conn net.Conn) {
 		if err != nil {
 			s.met.WireDecodeErrors.Inc()
 			s.met.WireFramesRejected.Inc()
-			s.setErr(err)
 			return
 		}
 		s.deliver(meta, frags, payload)
@@ -367,11 +349,4 @@ func (s *WireServer) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
 	return s.Shutdown(ctx)
-}
-
-// Err returns the first decode error (io.EOF excluded).
-func (s *WireServer) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }

@@ -66,8 +66,8 @@ func TestWireTransportRoundTrip(t *testing.T) {
 	if got := srv.Metrics().WireFrames.Load(); got != 20 {
 		t.Fatalf("wire frames: %d", got)
 	}
-	if srv.Err() != nil {
-		t.Fatalf("server error: %v", srv.Err())
+	if got := srv.Metrics().WireFramesRejected.Load(); got != 0 {
+		t.Fatalf("server rejected %d frames", got)
 	}
 	// The wire path books the measured payload bytes (via ConsumeSized),
 	// which must match what the clients encoded.
@@ -77,9 +77,9 @@ func TestWireTransportRoundTrip(t *testing.T) {
 }
 
 // TestWireServerHostileFrame feeds the regression frame from the
-// DecodeBatch overflow (a ~13-byte payload claiming 2^61+1 keys) plus
+// batch decoder's overflow (a ~13-byte payload claiming 2^61+1 keys) plus
 // an oversized frame header to a live server: both must surface as
-// connection errors, never crash the process, and the server must keep
+// counted rejections, never crash the process, and the server must keep
 // serving well-formed clients afterwards.
 func TestWireServerHostileFrame(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -107,7 +107,7 @@ func TestWireServerHostileFrame(t *testing.T) {
 	}
 	conn.Close()
 
-	if !waitUntil(5*time.Second, func() bool { return srv.Err() != nil }) {
+	if !waitUntil(5*time.Second, func() bool { return srv.Metrics().WireDecodeErrors.Load() != 0 }) {
 		t.Fatal("hostile frame not rejected")
 	}
 	if got := pool.FragmentCount(); got != 0 {

@@ -143,7 +143,7 @@ func TestMergedViewSingleServerEpochs(t *testing.T) {
 		if e.Gen.Epoch != ep {
 			t.Fatalf("grow %d: edge epoch moved %d -> %d", i, ep, e.Gen.Epoch)
 		}
-		if !gen.Before(e.Gen) {
+		if e.Gen.Count < gen.Count {
 			t.Fatalf("grow %d: snapshot generation went backwards", i)
 		}
 		gen = e.Gen

@@ -80,8 +80,8 @@ func TestNoiseDetectionAndDiagnosis(t *testing.T) {
 	if rep.AbnormalFrags == 0 {
 		t.Fatal("diagnosis found nothing")
 	}
-	if rep.TopFactor() != diagnose.Suspension {
-		t.Fatalf("top factor %v, want suspension for CPU contention", rep.TopFactor())
+	if len(rep.Factors) == 0 || rep.Factors[0].Factor != diagnose.Suspension {
+		t.Fatalf("top factors %+v, want suspension first for CPU contention", rep.Factors)
 	}
 
 	// DiagnoseTop must find the same region.

@@ -22,11 +22,11 @@ func buildGraph(ranks, perRank int, slowRank int, slowFactor float64, slowStart,
 			if rank == slowRank && t >= slowStart && t < slowEnd {
 				el = int64(float64(base) * slowFactor)
 			}
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: rank, Kind: trace.Comp, From: 1, State: 2,
 				Start: t, Elapsed: el,
 				Counters: trace.CountersView{TotIns: 500000, Cycles: 250000},
-			})
+			}})
 			t += el
 		}
 	}
@@ -109,11 +109,11 @@ func TestCoveragePerProcessRule(t *testing.T) {
 	// still exist (inter-process detection keeps working).
 	g := stg.New()
 	for rank := 0; rank < 16; rank++ {
-		g.Add(trace.Fragment{
+		g.AddBatch([]trace.Fragment{{
 			Rank: rank, Kind: trace.Comp, From: 1, State: 2,
 			Start: 0, Elapsed: 1_000_000,
 			Counters: trace.CountersView{TotIns: 500000, Cycles: 250000},
-		})
+		}})
 	}
 	res := Run(g, 16, opts())
 	if res.Coverage[Computation] != 0 {
@@ -139,15 +139,15 @@ func TestClassSeparation(t *testing.T) {
 	g := stg.New()
 	for rank := 0; rank < 2; rank++ {
 		for i := 0; i < 10; i++ {
-			g.Add(trace.Fragment{Rank: rank, Kind: trace.Comp, From: 1, State: 2,
+			g.AddBatch([]trace.Fragment{{Rank: rank, Kind: trace.Comp, From: 1, State: 2,
 				Start: int64(i) * 2_000_000, Elapsed: 1_000_000,
-				Counters: trace.CountersView{TotIns: 1000, Cycles: 500}})
-			g.Add(trace.Fragment{Rank: rank, Kind: trace.Comm, State: 2,
+				Counters: trace.CountersView{TotIns: 1000, Cycles: 500}}})
+			g.AddBatch([]trace.Fragment{{Rank: rank, Kind: trace.Comm, State: 2,
 				Start: int64(i)*2_000_000 + 1_000_000, Elapsed: 500_000,
-				Args: trace.Args{Op: trace.Op("Send"), Bytes: 1024}})
-			g.Add(trace.Fragment{Rank: rank, Kind: trace.IO, State: 3,
+				Args: trace.Args{Op: trace.Op("Send"), Bytes: 1024}}})
+			g.AddBatch([]trace.Fragment{{Rank: rank, Kind: trace.IO, State: 3,
 				Start: int64(i)*2_000_000 + 1_500_000, Elapsed: 250_000,
-				Args: trace.Args{Op: trace.Op("read"), Bytes: 4096}})
+				Args: trace.Args{Op: trace.Op("read"), Bytes: 4096}}})
 		}
 	}
 	res := Run(g, 2, opts())
@@ -166,9 +166,9 @@ func TestHeatMapWeighting(t *testing.T) {
 	// the weighted cell must be dominated by the long fragment.
 	g := stg.New()
 	for i := 0; i < 10; i++ {
-		g.Add(trace.Fragment{Rank: 0, Kind: trace.Comp, From: 1, State: 2,
+		g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.Comp, From: 1, State: 2,
 			Start: int64(i) * 10_000, Elapsed: 10_000,
-			Counters: trace.CountersView{TotIns: 1000, Cycles: 100}})
+			Counters: trace.CountersView{TotIns: 1000, Cycles: 100}}})
 	}
 	// Slow duplicates of a much bigger workload class.
 	for i := 0; i < 10; i++ {
@@ -176,9 +176,9 @@ func TestHeatMapWeighting(t *testing.T) {
 		if i > 0 {
 			el = 800_000 // half performance
 		}
-		g.Add(trace.Fragment{Rank: 0, Kind: trace.Comp, From: 2, State: 3,
+		g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.Comp, From: 2, State: 3,
 			Start: 100_000 + int64(i)*800_000, Elapsed: el,
-			Counters: trace.CountersView{TotIns: 100000, Cycles: 10000}})
+			Counters: trace.CountersView{TotIns: 100000, Cycles: 10000}}})
 	}
 	o := opts()
 	o.Window = 10 * sim.Millisecond
@@ -202,9 +202,9 @@ func TestRegionGrowingMergesNeighbors(t *testing.T) {
 			if rank == 2 || rank == 3 {
 				el = 2_000_000
 			}
-			g.Add(trace.Fragment{Rank: rank, Kind: trace.Comp, From: 1, State: 2,
+			g.AddBatch([]trace.Fragment{{Rank: rank, Kind: trace.Comp, From: 1, State: 2,
 				Start: int64(i) * 2_000_000, Elapsed: el,
-				Counters: trace.CountersView{TotIns: 500000, Cycles: 250000}})
+				Counters: trace.CountersView{TotIns: 500000, Cycles: 250000}}})
 		}
 	}
 	res := Run(g, 6, opts())

@@ -22,7 +22,7 @@ func TestAnalyzerMetrics(t *testing.T) {
 	g := stg.New()
 	for rank := 0; rank < 2; rank++ {
 		for i := 0; i < 10; i++ {
-			g.Add(metricsFrag(rank, int64(i)*1000, 500))
+			g.AddBatch([]trace.Fragment{metricsFrag(rank, int64(i)*1000, 500)})
 		}
 	}
 	reg := obs.NewRegistry()
@@ -38,12 +38,13 @@ func TestAnalyzerMetrics(t *testing.T) {
 	if met.Windows.Load() != 2 {
 		t.Fatalf("windows: %d, want 2", met.Windows.Load())
 	}
-	if met.WindowNS.Count() != 2 {
-		t.Fatalf("window latency observations: %d, want 2", met.WindowNS.Count())
+	if n := met.WindowNS.Snapshot().Total; n != 2 {
+		t.Fatalf("window latency observations: %d, want 2", n)
 	}
-	for _, st := range []int{StagePrep, StageCluster, StageNormalize, StageMerge, StageMap} {
-		if got := met.Spans.Hist(st).Count(); got != 2 {
-			t.Fatalf("stage %s recorded %d spans, want 2", met.Spans.Stages()[st], got)
+	snap := reg.Snapshot()
+	for _, st := range []string{"prep", "cluster", "normalize", "merge", "map"} {
+		if got := snap.Get("vapro_detect_stage_" + st + "_ns").Hist.Total; got != 2 {
+			t.Fatalf("stage %s recorded %d spans, want 2", st, got)
 		}
 	}
 

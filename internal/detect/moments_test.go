@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -158,10 +159,12 @@ func TestStoreMomentsTrackFixedClusters(t *testing.T) {
 				if !cl.Clusters[ci].Fixed {
 					continue
 				}
-				if j >= len(ms) || ms[j].N() != cl.Clusters[ci].Size {
-					t.Fatalf("%s: edge %v cluster %d: moments do not cover its %d members", step, e.Key, ci, cl.Clusters[ci].Size)
+				if j >= len(ms) {
+					t.Fatalf("%s: edge %v cluster %d: no moments cover its %d members", step, e.Key, ci, cl.Clusters[ci].Size)
 				}
 				members = append(members, e.Log().PickByTime(group))
+				requireSameQuant(t, fmt.Sprintf("%s: edge %v cluster %d", step, e.Key, ci),
+					diagnose.QuantifyMoments(ms[j:j+1], momentFactors), diagnose.QuantifyOLS(members[j:], momentFactors))
 				j++
 			}
 			if j != len(ms) {

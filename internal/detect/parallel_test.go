@@ -140,7 +140,7 @@ func TestAnalyzerMemoizesAcrossRuns(t *testing.T) {
 	e := g.Edges()[0]
 	f := e.Log().Slice()[0]
 	f.Start = f.Start + 1
-	g.Add(f)
+	g.AddBatch([]trace.Fragment{f})
 	a.Run(g, ranks, opt)
 	hits, misses := a.Cache().Stats()
 	incHits, incFallbacks := a.Cache().IncStats()
@@ -157,12 +157,12 @@ func TestMixedKindVertexClassedPerFragment(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		// Comm first: the old wholesale rule would have classed the IO
 		// fragments as Communication too.
-		g.Add(trace.Fragment{Rank: 0, Kind: trace.Comm, State: 9,
+		g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.Comm, State: 9,
 			Start: int64(i) * 2_000_000, Elapsed: 500_000,
-			Args: trace.Args{Op: trace.Op("Send"), Bytes: 1024}})
-		g.Add(trace.Fragment{Rank: 0, Kind: trace.IO, State: 9,
+			Args: trace.Args{Op: trace.Op("Send"), Bytes: 1024}}})
+		g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.IO, State: 9,
 			Start: int64(i)*2_000_000 + 1_000_000, Elapsed: 250_000,
-			Args: trace.Args{Op: trace.Op("read"), Bytes: 65536}})
+			Args: trace.Args{Op: trace.Op("read"), Bytes: 65536}}})
 	}
 	res := detect.Run(g, 1, detect.DefaultOptions())
 	if n := len(res.Samples[detect.Communication]); n != 10 {

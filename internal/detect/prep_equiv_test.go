@@ -154,27 +154,27 @@ func equivGraph() *stg.Graph {
 			if rank == 2 && i >= 20 && i < 30 {
 				el *= 3 // variance region
 			}
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: rank, Kind: trace.Comp, From: 1, State: 2,
 				Start:   int64(i) * 2_000_000, // exact ties across ranks
 				Elapsed: el,
 				Counters: trace.CountersView{
 					TotIns: uint64(5_000_000 + i%7),
 				},
-			})
+			}})
 		}
 	}
 	// Zero-elapsed and straddling fragments on a second edge.
 	for rank := 0; rank < 4; rank++ {
 		for i := 0; i < 12; i++ {
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: rank, Kind: trace.Comp, From: 2, State: 3,
 				Start:   int64(i)*7_000_000 + 3_500_000, // straddles 10ms window edges
 				Elapsed: int64(i%2) * 9_000_000,         // half are zero-elapsed
 				Counters: trace.CountersView{
 					TotIns: uint64(3_000_000 + i%5),
 				},
-			})
+			}})
 		}
 	}
 	// Mixed-class vertex: comm and IO fragments on one state.
@@ -184,32 +184,32 @@ func equivGraph() *stg.Graph {
 			if i%2 == 0 {
 				k = trace.IO
 			}
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: rank, Kind: k, State: 3,
 				Start:   int64(i)*8_000_000 + int64(rank),
 				Elapsed: 400_000 + int64(i%4)*1000,
 				Args:    trace.Args{Op: trace.Op("Allreduce"), Bytes: 1 << 14},
-			})
+			}})
 		}
 	}
 	// Bounds-gap element: activity only at the run's two ends.
 	for rank := 0; rank < 4; rank++ {
 		for i := 0; i < 6; i++ {
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: rank, Kind: trace.Sync, State: 9,
 				Start:   int64(i%2) * 76_000_000, // 0 or 76ms, nothing between
 				Elapsed: 300_000,
-			})
+			}})
 		}
 	}
 	// Element outside most windows.
 	for rank := 0; rank < 4; rank++ {
 		for i := 0; i < 8; i++ {
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: rank, Kind: trace.Comp, From: 9, State: 10,
 				Start:   74_000_000 + int64(i)*200_000,
 				Elapsed: 150_000,
-			})
+			}})
 		}
 	}
 	return g
@@ -268,16 +268,16 @@ func TestPrepEquivalenceAfterGrowth(t *testing.T) {
 	// Grow one edge and one vertex, then re-check against a fresh
 	// reference.
 	for rank := 0; rank < 4; rank++ {
-		g.Add(trace.Fragment{
+		g.AddBatch([]trace.Fragment{{
 			Rank: rank, Kind: trace.Comp, From: 1, State: 2,
 			Start: 80_000_000 + int64(rank), Elapsed: 1_000_000,
 			Counters: trace.CountersView{TotIns: 5_000_001},
-		})
-		g.Add(trace.Fragment{
+		}})
+		g.AddBatch([]trace.Fragment{{
 			Rank: rank, Kind: trace.Comm, State: 3,
 			Start: 82_000_000 + int64(rank), Elapsed: 500_000,
 			Args: trace.Args{Op: trace.Op("Allreduce"), Bytes: 1 << 14},
-		})
+		}})
 	}
 	check()
 }

@@ -34,7 +34,7 @@ func TestDetectRobustAgainstRandomStreams(t *testing.T) {
 				},
 				Args: trace.Args{Bytes: rng.Intn(1 << 20), Peer: rng.Intn(8) - 2, Tag: rng.Intn(4)},
 			}
-			g.Add(fr)
+			g.AddBatch([]trace.Fragment{fr})
 		}
 		res := Run(g, ranks, Options{Window: sim.Millisecond, Threshold: 0.85})
 		// Invariants: perf in (0,1] or exactly 1 for degenerate input;

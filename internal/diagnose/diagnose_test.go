@@ -3,6 +3,7 @@ package diagnose
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"vapro/internal/sim"
 	"vapro/internal/trace"
@@ -11,18 +12,18 @@ import (
 // --- factor model structure ---
 
 func TestFactorTreeStructure(t *testing.T) {
+	parent := map[Factor]Factor{}
 	for f := Factor(0); f < numFactors; f++ {
-		// Every non-S1 factor's parent must list it as a child.
-		if p := f.Parent(); p >= 0 {
-			found := false
-			for _, k := range p.Children() {
-				if k == f {
-					found = true
-				}
+		for _, k := range f.Children() {
+			if p, ok := parent[k]; ok {
+				t.Fatalf("%v listed by both %v and %v", k, p, f)
 			}
-			if !found {
-				t.Fatalf("%v's parent %v does not list it", f, p)
-			}
+			parent[k] = f
+		}
+	}
+	for f := Factor(0); f < numFactors; f++ {
+		// Every non-S1 factor is one stage below the factor listing it.
+		if p, ok := parent[f]; ok {
 			if p.Stage() != f.Stage()-1 {
 				t.Fatalf("%v stage %d but parent %v stage %d", f, f.Stage(), p, p.Stage())
 			}
@@ -151,8 +152,8 @@ func TestProgressiveFindsMemoryBound(t *testing.T) {
 	if rep.TotalSlowdownNS <= 0 {
 		t.Fatal("no slowdown measured")
 	}
-	if rep.TopFactor() != BackendBound {
-		t.Fatalf("top factor %v, want backend-bound", rep.TopFactor())
+	if len(rep.Factors) == 0 || rep.Factors[0].Factor != BackendBound {
+		t.Fatalf("top factors %+v, want backend-bound first", rep.Factors)
 	}
 	be := rep.Find(BackendBound)
 	if be == nil || !be.Major {
@@ -230,8 +231,8 @@ func TestSuspensionDiagnosis(t *testing.T) {
 		frags = append(frags, f)
 	}
 	rep := New(DefaultOptions()).Run([][]trace.Fragment{frags}, nil)
-	if rep.TopFactor() != Suspension {
-		t.Fatalf("top factor %v, want suspension", rep.TopFactor())
+	if len(rep.Factors) == 0 || rep.Factors[0].Factor != Suspension {
+		t.Fatalf("top factors %+v, want suspension first", rep.Factors)
 	}
 	cs := rep.Find(ContextSwitch)
 	if cs == nil {
@@ -245,18 +246,81 @@ func TestSuspensionDiagnosis(t *testing.T) {
 	}
 }
 
+// allGroups arms every counter group.
+const allGroups = sim.GroupBase | sim.GroupTopdownL1 | sim.GroupBackend | sim.GroupMemory | sim.GroupOS | sim.GroupExtra
+
+// maskCounters sets every counter maskView knows, each to its own value.
+var maskCounters = trace.CountersView{
+	TotIns: 1000, Cycles: 500,
+	SlotsFrontend: 100, SlotsBadSpec: 50, SlotsRetiring: 1000, SlotsBackend: 850,
+	SlotsCore: 200, SlotsMemory: 650,
+	SlotsL1: 100, SlotsL2: 150, SlotsL3: 200, SlotsDRAM: 210,
+	SuspensionNS: 42, SoftPF: 3, HardPF: 1, VolCS: 2, InvolCS: 5, Signals: 1,
+	LoadStores: 400, CacheMisses: 7, L2MissStall: 9,
+}
+
 func TestMaskView(t *testing.T) {
-	f := synthFragment(1000, 200)
-	m := maskView(f.Counters, sim.GroupBase)
-	if m.SlotsBackend != 0 || m.SoftPF != 0 {
-		t.Fatal("mask leaked")
+	c := maskCounters
+	t.Run("BaseAlwaysKept", func(t *testing.T) {
+		m := maskView(c, sim.GroupBase)
+		if m.TotIns != c.TotIns || m.Cycles != c.Cycles {
+			t.Fatal("base fields must survive any mask")
+		}
+		if m.SlotsBackend != 0 || m.SoftPF != 0 || m.LoadStores != 0 {
+			t.Fatalf("non-armed fields leaked: %+v", m)
+		}
+	})
+	t.Run("AllIsIdentity", func(t *testing.T) {
+		if full := maskView(c, allGroups); full != c {
+			t.Fatal("arming every group must be the identity")
+		}
+	})
+}
+
+func TestMaskViewGroupSelectivity(t *testing.T) {
+	c := maskCounters
+
+	m := maskView(c, sim.GroupBase|sim.GroupTopdownL1)
+	if m.SlotsFrontend != c.SlotsFrontend || m.SuspensionNS != c.SuspensionNS {
+		t.Fatal("topdown L1 group not delivered")
 	}
-	if m.TotIns != f.Counters.TotIns {
-		t.Fatal("base fields lost")
+	if m.SlotsMemory != 0 || m.SlotsL2 != 0 || m.SoftPF != 0 {
+		t.Fatal("other groups leaked through topdown mask")
 	}
-	full := maskView(f.Counters, sim.GroupAll)
-	if full != f.Counters {
-		t.Fatal("GroupAll mask must be identity")
+
+	m = maskView(c, sim.GroupBase|sim.GroupBackend)
+	if m.SlotsCore != c.SlotsCore || m.SlotsMemory != c.SlotsMemory {
+		t.Fatal("backend group not delivered")
+	}
+	if m.SlotsL1 != 0 {
+		t.Fatal("memory group leaked through backend mask")
+	}
+
+	m = maskView(c, sim.GroupBase|sim.GroupMemory)
+	if m.SlotsL3 != c.SlotsL3 || m.SlotsDRAM != c.SlotsDRAM {
+		t.Fatal("memory group not delivered")
+	}
+
+	m = maskView(c, sim.GroupBase|sim.GroupOS)
+	if m.SoftPF != c.SoftPF || m.InvolCS != c.InvolCS || m.SuspensionNS != c.SuspensionNS {
+		t.Fatal("OS group not delivered")
+	}
+
+	m = maskView(c, sim.GroupBase|sim.GroupExtra)
+	if m.LoadStores != c.LoadStores || m.L2MissStall != c.L2MissStall {
+		t.Fatal("extra group not delivered")
+	}
+}
+
+// Property: masking is idempotent.
+func TestMaskViewIdempotent(t *testing.T) {
+	f := func(armedBits uint8) bool {
+		armed := sim.Group(armedBits) & allGroups
+		once := maskView(maskCounters, armed)
+		return maskView(once, armed) == once
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

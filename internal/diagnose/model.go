@@ -74,24 +74,6 @@ func (f Factor) Stage() int {
 	}
 }
 
-// Parent returns the factor one stage up (or -1 for stage-1 factors).
-func (f Factor) Parent() Factor {
-	switch f {
-	case CoreBound, MemoryBound:
-		return BackendBound
-	case PageFault, ContextSwitch, Signal:
-		return Suspension
-	case L1Bound, L2Bound, L3Bound, DRAMBound:
-		return MemoryBound
-	case SoftPageFault, HardPageFault:
-		return PageFault
-	case VoluntaryCS, InvoluntaryCS:
-		return ContextSwitch
-	default:
-		return -1
-	}
-}
-
 // Children returns the factor's direct refinements.
 func (f Factor) Children() []Factor {
 	switch f {

@@ -62,9 +62,6 @@ func NewClusterMoments(factors []Factor) *ClusterMoments {
 	return c
 }
 
-// N returns the number of fragments accumulated.
-func (c *ClusterMoments) N() int { return c.n }
-
 // Add folds one cluster member into the moments. It never allocates.
 //
 // The fold is the rank-1 update m += v·v' over only the entries of

@@ -107,8 +107,9 @@ func collect(clusters [][]trace.Fragment, armed sim.Group) [][]trace.Fragment {
 	return out
 }
 
-// maskView zeroes counters outside the armed groups (mirror of
-// sim.Counters.Mask for the wire view).
+// maskView zeroes counters outside the armed groups. The base fields
+// are always retained: TOT_INS and cycles drive clustering and
+// detection at every stage.
 func maskView(c trace.CountersView, armed sim.Group) trace.CountersView {
 	out := trace.CountersView{TotIns: c.TotIns, Cycles: c.Cycles}
 	if armed.Has(sim.GroupTopdownL1) {
@@ -416,14 +417,6 @@ func (r *Report) String() string {
 	}
 	walk(r.Factors, 0)
 	return b.String()
-}
-
-// TopFactor returns the highest-impact stage-1 factor (or -1).
-func (r *Report) TopFactor() Factor {
-	if len(r.Factors) == 0 {
-		return -1
-	}
-	return r.Factors[0].Factor
 }
 
 // Find returns the report node for factor f, searching the tree.

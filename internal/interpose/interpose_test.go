@@ -293,8 +293,8 @@ func TestArmedSharedHandle(t *testing.T) {
 	if a.Get() != sim.GroupBase {
 		t.Fatal("initial groups")
 	}
-	a.Set(sim.GroupAll)
-	if a.Get() != sim.GroupAll {
+	a.Set(sim.GroupBase | sim.GroupOS)
+	if a.Get() != sim.GroupBase|sim.GroupOS {
 		t.Fatal("update lost")
 	}
 	var zero Armed

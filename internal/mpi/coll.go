@@ -95,28 +95,6 @@ func (r *Rank) Allgather(bytesPerRank int) sim.Duration {
 	return r.clock.Sub(start)
 }
 
-// Scan computes an inclusive prefix reduction across ranks (MPI_Scan):
-// rank i's result depends on ranks 0..i, modeled as a log-stage sweep.
-func (r *Rank) Scan(bytes int) sim.Duration {
-	start := r.clock
-	leave := r.world.collective(r.nextColl(), r.clock, func(maxEnter sim.Time) sim.Time {
-		return r.world.collCost(maxEnter, logStages(r.world.size), bytes)
-	})
-	r.AdvanceTo(leave)
-	return r.clock.Sub(start)
-}
-
-// ReduceScatter combines bytesPerRank contributions and scatters one
-// share to each rank (MPI_Reduce_scatter_block).
-func (r *Rank) ReduceScatter(bytesPerRank int) sim.Duration {
-	start := r.clock
-	leave := r.world.collective(r.nextColl(), r.clock, func(maxEnter sim.Time) sim.Time {
-		return r.world.collCost(maxEnter, logStages(r.world.size), bytesPerRank*logStages(r.world.size))
-	})
-	r.AdvanceTo(leave)
-	return r.clock.Sub(start)
-}
-
 // Gather collects bytesPerRank from every rank at root.
 func (r *Rank) Gather(root, bytesPerRank int) sim.Duration {
 	r.world.checkRank(root, "Gather")

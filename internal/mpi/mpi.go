@@ -58,10 +58,8 @@ type World struct {
 
 	inboxes []*inbox
 
-	collMu     sync.Mutex
-	collSlots  map[uint64]*collSlot
-	subSlots   map[uint64]*collSlot
-	splitSlots map[uint64]*splitSlot
+	collMu    sync.Mutex
+	collSlots map[uint64]*collSlot
 }
 
 // NewWorld creates a communicator of the given size on machine m under
@@ -74,14 +72,12 @@ func NewWorld(size int, m *sim.Machine, env sim.Environment) *World {
 		env = sim.IdealEnv{}
 	}
 	w := &World{
-		size:       size,
-		machine:    m,
-		env:        env,
-		cost:       DefaultCostModel(),
-		inboxes:    make([]*inbox, size),
-		collSlots:  make(map[uint64]*collSlot),
-		subSlots:   make(map[uint64]*collSlot),
-		splitSlots: make(map[uint64]*splitSlot),
+		size:      size,
+		machine:   m,
+		env:       env,
+		cost:      DefaultCostModel(),
+		inboxes:   make([]*inbox, size),
+		collSlots: make(map[uint64]*collSlot),
 	}
 	for i := range w.inboxes {
 		w.inboxes[i] = newInbox()
@@ -89,17 +85,8 @@ func NewWorld(size int, m *sim.Machine, env sim.Environment) *World {
 	return w
 }
 
-// SetCostModel overrides the interconnect parameters. Call before Run.
-func (w *World) SetCostModel(c CostModel) { w.cost = c }
-
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// Machine returns the underlying simulated machine.
-func (w *World) Machine() *sim.Machine { return w.machine }
-
-// Env returns the environment the world runs under.
-func (w *World) Env() sim.Environment { return w.env }
 
 // Run starts one goroutine per rank executing body and blocks until all
 // ranks return. It returns the final virtual clocks of all ranks (the
@@ -131,12 +118,9 @@ func (w *World) newRank(id int) *Rank {
 	}
 }
 
-// message is an in-flight point-to-point transfer. ctx is the
-// communicator context: traffic from different communicators never
-// matches (MPI's context guarantee); the world uses ctx 0.
+// message is an in-flight point-to-point transfer.
 type message struct {
 	src, tag int
-	ctx      uint64
 	bytes    int
 	avail    sim.Time // when the payload is fully available at the receiver
 }
@@ -163,16 +147,16 @@ func (b *inbox) put(m message) {
 	b.cond.Signal()
 }
 
-// take blocks until a message matching (src, tag, ctx) is present and
+// take blocks until a message matching (src, tag) is present and
 // removes it. Arrival order is preserved per sender, which is all MPI
 // promises.
-func (b *inbox) take(src, tag int, ctx uint64) message {
+func (b *inbox) take(src, tag int) message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
 		for i := range b.queue {
 			m := b.queue[i]
-			if m.ctx == ctx && (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
 				b.queue = append(b.queue[:i], b.queue[i+1:]...)
 				return m
 			}
@@ -215,41 +199,6 @@ func (w *World) collective(seq uint64, enter sim.Time, cost func(maxEnter sim.Ti
 		// Last participant retires the slot.
 		w.collMu.Lock()
 		delete(w.collSlots, seq)
-		w.collMu.Unlock()
-	} else {
-		for !s.done {
-			s.cond.Wait()
-		}
-	}
-	leave := s.leaveAt
-	s.mu.Unlock()
-	return leave
-}
-
-// subCollective synchronizes `size` participants at the slot keyed by
-// seq (used by sub-communicator collectives; the key space is disjoint
-// from world collectives by construction).
-func (w *World) subCollective(seq uint64, size int, enter sim.Time, cost func(maxEnter sim.Time) sim.Time) sim.Time {
-	w.collMu.Lock()
-	s, ok := w.subSlots[seq]
-	if !ok {
-		s = &collSlot{}
-		s.cond = sync.NewCond(&s.mu)
-		w.subSlots[seq] = s
-	}
-	w.collMu.Unlock()
-
-	s.mu.Lock()
-	if enter > s.maxEnter {
-		s.maxEnter = enter
-	}
-	s.arrived++
-	if s.arrived == size {
-		s.leaveAt = cost(s.maxEnter)
-		s.done = true
-		s.cond.Broadcast()
-		w.collMu.Lock()
-		delete(w.subSlots, seq)
 		w.collMu.Unlock()
 	} else {
 		for !s.done {

@@ -138,8 +138,8 @@ func TestWaitall(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				qs = append(qs, r.Irecv(0, i))
 			}
-			r.Waitall(qs)
 			for _, q := range qs {
+				r.Wait(q)
 				total += q.Bytes()
 			}
 		}
@@ -297,5 +297,56 @@ func TestRankPanicsOnBadPeer(t *testing.T) {
 	})
 	if !panicked {
 		t.Fatal("Send to out-of-range rank did not panic")
+	}
+}
+
+func TestSendrecv(t *testing.T) {
+	w := smallWorld(4)
+	w.Run(func(r *Rank) {
+		right := (r.ID() + 1) % 4
+		left := (r.ID() + 3) % 4
+		n, d := r.Sendrecv(right, 9, 1000+r.ID(), left, 9)
+		if n != 1000+left {
+			t.Errorf("rank %d sendrecv got %d", r.ID(), n)
+		}
+		if d <= 0 {
+			t.Error("no elapsed time")
+		}
+	})
+}
+
+func TestInterNodeCostsMore(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Nodes: 2, CoresPerNode: 2, FreqGHz: 2, Seed: 1})
+	w := NewWorld(4, m, sim.IdealEnv{}) // ranks 0,1 node 0; ranks 2,3 node 1
+	var intra, inter sim.Duration
+	w.Run(func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			r.Send(1, 0, 1<<20) // same node
+			r.Send(2, 1, 1<<20) // cross node
+		case 1:
+			_, intra = r.Recv(0, 0)
+		case 2:
+			_, inter = r.Recv(0, 1)
+		}
+	})
+	if inter <= intra {
+		t.Fatalf("inter-node transfer (%v) not slower than intra-node (%v)", inter, intra)
+	}
+}
+
+func TestCollectiveSlotReuse(t *testing.T) {
+	// Many collectives in sequence must not leak slots.
+	w := smallWorld(4)
+	w.Run(func(r *Rank) {
+		for i := 0; i < 200; i++ {
+			r.Barrier()
+		}
+	})
+	w.collMu.Lock()
+	n := len(w.collSlots)
+	w.collMu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d collective slots leaked", n)
 	}
 }

@@ -13,9 +13,7 @@ type Rank struct {
 	clock sim.Time
 	rng   *sim.RNG
 
-	collSeq  uint64
-	splitSeq uint64
-	reqSeq   uint64
+	collSeq uint64
 }
 
 // ID returns the rank number in [0, Size).
@@ -24,14 +22,8 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.world.size }
 
-// World returns the communicator this rank belongs to.
-func (r *Rank) World() *World { return r.world }
-
 // Node returns the node index the rank is placed on.
 func (r *Rank) Node() int { return r.node }
-
-// Core returns the core index within the node.
-func (r *Rank) Core() int { return r.core }
 
 // Clock returns the rank's current virtual time.
 func (r *Rank) Clock() sim.Time { return r.clock }
@@ -66,10 +58,6 @@ func (r *Rank) Compute(w sim.Workload) (sim.Duration, sim.Counters) {
 // the call (the eager-protocol local cost; the payload arrives at the
 // receiver after the network latency and serialization delay).
 func (r *Rank) Send(dst, tag, bytes int) sim.Duration {
-	return r.sendCtx(dst, tag, bytes, 0)
-}
-
-func (r *Rank) sendCtx(dst, tag, bytes int, ctx uint64) sim.Duration {
 	r.world.checkRank(dst, "Send")
 	start := r.clock
 	lat, gap := r.world.transferCost(r.id, dst, start)
@@ -78,7 +66,6 @@ func (r *Rank) sendCtx(dst, tag, bytes int, ctx uint64) sim.Duration {
 	r.world.inboxes[dst].put(message{
 		src:   r.id,
 		tag:   tag,
-		ctx:   ctx,
 		bytes: bytes,
 		avail: r.clock.Add(lat + sim.Duration(float64(bytes)*gap)),
 	})
@@ -90,15 +77,11 @@ func (r *Rank) sendCtx(dst, tag, bytes int, ctx uint64) sim.Duration {
 // elapsed time of the call (including any waiting, as the paper's
 // interception measures it).
 func (r *Rank) Recv(src, tag int) (bytes int, elapsed sim.Duration) {
-	return r.recvCtx(src, tag, 0)
-}
-
-func (r *Rank) recvCtx(src, tag int, ctx uint64) (bytes int, elapsed sim.Duration) {
 	if src != AnySource {
 		r.world.checkRank(src, "Recv")
 	}
 	start := r.clock
-	m := r.world.inboxes[r.id].take(src, tag, ctx)
+	m := r.world.inboxes[r.id].take(src, tag)
 	end := start.Add(r.world.cost.Overhead)
 	if m.avail > end {
 		end = m.avail
@@ -137,7 +120,6 @@ func (r *Rank) Isend(dst, tag, bytes int) *Request {
 	r.world.inboxes[dst].put(message{
 		src:   r.id,
 		tag:   tag,
-		ctx:   0,
 		bytes: bytes,
 		avail: r.clock.Add(lat + sim.Duration(float64(bytes)*gap)),
 	})
@@ -162,7 +144,7 @@ func (r *Rank) Wait(q *Request) sim.Duration {
 	start := r.clock
 	if !q.done {
 		if q.isRecv {
-			m := r.world.inboxes[r.id].take(q.src, q.tag, 0)
+			m := r.world.inboxes[r.id].take(q.src, q.tag)
 			q.bytes = m.bytes
 			if m.avail > q.completeAt {
 				q.completeAt = m.avail
@@ -172,16 +154,6 @@ func (r *Rank) Wait(q *Request) sim.Duration {
 	}
 	r.Advance(r.world.cost.Overhead / 4)
 	r.AdvanceTo(q.completeAt)
-	return r.clock.Sub(start)
-}
-
-// Waitall waits for every request in order and returns the total elapsed
-// time of the call.
-func (r *Rank) Waitall(qs []*Request) sim.Duration {
-	start := r.clock
-	for _, q := range qs {
-		r.Wait(q)
-	}
 	return r.clock.Sub(start)
 }
 

@@ -8,9 +8,6 @@
 package mpip
 
 import (
-	"fmt"
-	"strings"
-
 	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
@@ -22,9 +19,6 @@ type RankProfile struct {
 	CommNS int64
 	IONS   int64
 }
-
-// Total returns the rank's accounted time.
-func (r RankProfile) Total() int64 { return r.CompNS + r.CommNS + r.IONS }
 
 // Profile summarizes an STG into per-rank computation/communication/IO
 // time, exactly what a PMPI profiler derives from wrapper timers.
@@ -85,23 +79,4 @@ func Summarize(ps []RankProfile) Summary {
 	s.MeanCommNS /= n
 	s.MeanIONS /= n
 	return s
-}
-
-// Render prints a compact per-rank stacked summary (downsampled).
-func Render(ps []RankProfile, maxRows int) string {
-	if maxRows <= 0 {
-		maxRows = 16
-	}
-	step := (len(ps) + maxRows - 1) / maxRows
-	if step < 1 {
-		step = 1
-	}
-	var b strings.Builder
-	b.WriteString("rank      comp(s)   comm(s)     io(s)\n")
-	for i := 0; i < len(ps); i += step {
-		p := ps[i]
-		fmt.Fprintf(&b, "%-6d %9.3f %9.3f %9.3f\n",
-			p.Rank, float64(p.CompNS)/1e9, float64(p.CommNS)/1e9, float64(p.IONS)/1e9)
-	}
-	return b.String()
 }

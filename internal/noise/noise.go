@@ -8,7 +8,6 @@ package noise
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"vapro/internal/sim"
@@ -83,16 +82,6 @@ func (s *Schedule) Add(e Event) *Schedule {
 	}
 	s.events = append(s.events, e)
 	return s
-}
-
-// Events returns a copy of the event list, sorted by start time.
-func (s *Schedule) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }
 
 // At implements sim.Environment by folding every active event into the
@@ -219,13 +208,5 @@ func IOInterference(start, end sim.Time, slowdown float64) Event {
 	return Event{
 		Start: start, End: end, Node: -1, Core: -1, AllCores: true,
 		IOSlowdown: slowdown, Label: "io-interference",
-	}
-}
-
-// MemoryPressure injects extra soft page faults across a node.
-func MemoryPressure(node int, start, end sim.Time, faultsPerSec float64) Event {
-	return Event{
-		Start: start, End: end, Node: node, Core: -1, AllCores: true,
-		PageFaultRate: faultsPerSec, Label: "memory-pressure",
 	}
 }

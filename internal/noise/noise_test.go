@@ -90,16 +90,6 @@ func TestAddAfterUsePanics(t *testing.T) {
 	s.Add(MemContention(0, 0, 100, 2))
 }
 
-func TestEventsSorted(t *testing.T) {
-	s := NewSchedule()
-	s.Add(MemContention(0, 300, 400, 2))
-	s.Add(MemContention(0, 100, 200, 2))
-	evs := s.Events()
-	if len(evs) != 2 || evs[0].Start != 100 {
-		t.Fatalf("Events not sorted: %+v", evs)
-	}
-}
-
 func TestDegradedMemoryNode(t *testing.T) {
 	ev := DegradedMemoryNode(3, 0.845)
 	if ev.Node != 3 || !ev.AllCores {
@@ -161,7 +151,7 @@ func TestIOInterference(t *testing.T) {
 
 func TestMemoryPressure(t *testing.T) {
 	s := NewSchedule()
-	s.Add(MemoryPressure(0, 0, 100, 1000))
+	s.Add(Event{Start: 0, End: 100, Node: 0, Core: -1, AllCores: true, PageFaultRate: 1000})
 	if c := s.At(0, 5, 50); c.PageFaultRate != 1000 {
 		t.Fatal("memory pressure missing")
 	}

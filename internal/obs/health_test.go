@@ -63,7 +63,7 @@ func TestSeriesSetObserveHistP99(t *testing.T) {
 		t.Fatalf("p99 series %v", got)
 	}
 	var nilSet *SeriesSet
-	if nilSet.Get("x") != nil || nilSet.Rate("x") != 0 {
+	if nilSet.Get("x") != nil || nilSet.Get("x").Rate() != 0 {
 		t.Fatal("nil set not inert")
 	}
 }

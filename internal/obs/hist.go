@@ -65,15 +65,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // HistSnapshot is a consistent-enough copy of a histogram (buckets are
 // read individually; a snapshot taken mid-Observe may be off by the
 // in-flight observation, which is fine for telemetry).

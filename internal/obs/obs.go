@@ -11,8 +11,8 @@
 //
 //   - Hot-path operations (Counter.Add, Gauge.Set/SetMax,
 //     Histogram.Observe, Spans.RecordNS) perform no allocation — pinned
-//     by testing.AllocsPerRun — and use only atomic loads/stores plus,
-//     for span rings, one short mutex hold on a cold-enough path.
+//     by testing.AllocsPerRun — and use only atomic loads/stores: a span
+//     is one histogram observation.
 //   - Registration (Registry.Counter, …) allocates and takes locks; it
 //     happens once at construction time, never per event.
 //   - Reading (Snapshot, the HTTP handler) is a cold path and may
@@ -43,9 +43,6 @@ type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d and returns the new value.
-func (g *Gauge) Add(d int64) int64 { return g.v.Add(d) }
 
 // SetMax raises the gauge to v if v is larger (a high-water mark).
 func (g *Gauge) SetMax(v int64) {

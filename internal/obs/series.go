@@ -147,6 +147,3 @@ func (ss *SeriesSet) Get(name string) *Series {
 	}
 	return ss.m[name]
 }
-
-// Rate returns the named series' Rate (0 when absent).
-func (ss *SeriesSet) Rate(name string) float64 { return ss.Get(name).Rate() }

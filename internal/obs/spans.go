@@ -1,44 +1,19 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
-
 // Spans is lightweight pipeline tracing: a fixed set of named stages,
-// each backed by a latency histogram, plus a bounded ring of the most
-// recent spans for the live status surface. Recording a span is one
-// histogram observation (atomics) and one ring write under a short
-// mutex — no allocation. Stages are addressed by index (resolved once
-// at construction), never by string on the hot path.
+// each backed by a latency histogram. Recording a span is one histogram
+// observation (atomics) — no allocation, no lock. Stages are addressed
+// by index (resolved once at construction), never by string on the hot
+// path.
 type Spans struct {
-	stages []string
-	hists  []*Histogram
-
-	mu    sync.Mutex
-	ring  []spanRec
-	next  int
-	total uint64
+	hists []*Histogram
 }
-
-type spanRec struct {
-	stage int32
-	endNS int64 // wall clock, UnixNano
-	durNS int64
-}
-
-// spanRingSize bounds the recent-span ring.
-const spanRingSize = 256
 
 // NewSpans registers one latency histogram per stage into reg, named
 // <prefix>_<stage>_ns, and returns the tracer. Stage order fixes the
 // indices used with RecordNS.
 func NewSpans(reg *Registry, prefix, layer string, stages ...string) *Spans {
-	s := &Spans{
-		stages: stages,
-		hists:  make([]*Histogram, len(stages)),
-		ring:   make([]spanRec, spanRingSize),
-	}
+	s := &Spans{hists: make([]*Histogram, len(stages))}
 	for i, name := range stages {
 		s.hists[i] = reg.Histogram(prefix+"_"+name+"_ns", layer,
 			"span latency of the "+name+" stage (ns)", LatencyBounds())
@@ -53,53 +28,4 @@ func (s *Spans) RecordNS(stage int, durNS int64) {
 		return
 	}
 	s.hists[stage].Observe(durNS)
-	end := time.Now().UnixNano()
-	s.mu.Lock()
-	s.ring[s.next] = spanRec{stage: int32(stage), endNS: end, durNS: durNS}
-	s.next = (s.next + 1) % len(s.ring)
-	s.total++
-	s.mu.Unlock()
-}
-
-// Record is RecordNS with a start time: Record(stage, t0) closes a span
-// opened at t0.
-func (s *Spans) Record(stage int, start time.Time) {
-	s.RecordNS(stage, time.Since(start).Nanoseconds())
-}
-
-// Hist returns the latency histogram of one stage.
-func (s *Spans) Hist(stage int) *Histogram { return s.hists[stage] }
-
-// Stages returns the stage names in index order.
-func (s *Spans) Stages() []string { return s.stages }
-
-// SpanRecord is one recent span, newest first in Recent's output.
-type SpanRecord struct {
-	Stage string    `json:"stage"`
-	End   time.Time `json:"end"`
-	DurNS int64     `json:"dur_ns"`
-}
-
-// Recent returns up to n of the most recent spans, newest first.
-func (s *Spans) Recent(n int) []SpanRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	have := int(s.total)
-	if uint64(have) > uint64(len(s.ring)) {
-		have = len(s.ring)
-	}
-	if n > have {
-		n = have
-	}
-	out := make([]SpanRecord, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (s.next - 1 - i + 2*len(s.ring)) % len(s.ring)
-		r := s.ring[idx]
-		out = append(out, SpanRecord{
-			Stage: s.stages[r.stage],
-			End:   time.Unix(0, r.endNS),
-			DurNS: r.durNS,
-		})
-	}
-	return out
 }

@@ -83,7 +83,7 @@ const defaultTraceRing = 128
 // path (per batch, 0 allocs); Record/MarkDrained/CompleteAnalyze run
 // only for sampled batches and take a short mutex.
 type Trace struct {
-	interval atomic.Uint64
+	interval uint64
 	total    atomic.Uint64 // trace-stamped batches seen
 	sampled  atomic.Uint64
 
@@ -101,7 +101,7 @@ type Trace struct {
 // NewTrace builds a tracer sampling every interval-th sequence number
 // into a ring of ringSize journeys, and registers its counters on reg
 // (nil reg skips registration). interval <= 0 and ringSize <= 0 use the
-// defaults; SetInterval(0) disables sampling entirely.
+// defaults.
 func NewTrace(reg *Registry, layer string, interval, ringSize int) *Trace {
 	if interval <= 0 {
 		interval = defaultTraceInterval
@@ -114,7 +114,7 @@ func NewTrace(reg *Registry, layer string, interval, ringSize int) *Trace {
 		ring:  make([]Journey, ringSize),
 		slots: make(map[TraceKey]int, ringSize),
 	}
-	t.interval.Store(uint64(interval))
+	t.interval = uint64(interval)
 	if reg != nil {
 		reg.Func("vapro_trace_batches_total", layer,
 			"trace-stamped batches seen by the sampler", func() float64 {
@@ -131,8 +131,8 @@ func NewTrace(reg *Registry, layer string, interval, ringSize int) *Trace {
 				return float64(len(t.slots))
 			})
 		reg.Func("vapro_trace_sample_interval", layer,
-			"sequence-number sampling interval (0 = tracing off)", func() float64 {
-				return float64(t.interval.Load())
+			"sequence-number sampling interval", func() float64 {
+				return float64(t.interval)
 			})
 	}
 	return t
@@ -142,22 +142,15 @@ func NewTrace(reg *Registry, layer string, interval, ringSize int) *Trace {
 // clock). Call before any traffic.
 func (t *Trace) SetNow(now func() int64) { t.now = now }
 
-// SetInterval replaces the sampling interval; 0 disables sampling.
-func (t *Trace) SetInterval(n uint64) { t.interval.Store(n) }
-
-// Interval returns the current sampling interval.
-func (t *Trace) Interval() uint64 { return t.interval.Load() }
-
 // Sample reports whether the batch with this sequence number is an
-// exemplar. It is the unsampled-path cost of tracing: two atomic ops
+// exemplar. It is the unsampled-path cost of tracing: one atomic op
 // and a modulo, no allocation (pinned by AllocsPerRun), nil-safe.
 func (t *Trace) Sample(seq uint64) bool {
 	if t == nil {
 		return false
 	}
 	t.total.Add(1)
-	iv := t.interval.Load()
-	if iv == 0 || seq%iv != 0 {
+	if seq%t.interval != 0 {
 		return false
 	}
 	t.sampled.Add(1)
@@ -259,7 +252,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	if t == nil {
 		return s
 	}
-	s.Interval = t.interval.Load()
+	s.Interval = t.interval
 	s.Total = t.total.Load()
 	s.Sampled = t.sampled.Load()
 	t.mu.Lock()

@@ -95,15 +95,13 @@ func (c *Counters) Add(o Counters) {
 	c.L2MissStall += o.L2MissStall
 }
 
-// TotalSlots returns 4*Cycles, the top-down pipeline slot budget.
-func (c *Counters) TotalSlots() uint64 { return 4 * c.Cycles }
-
 // Group identifies a set of counters that can be armed simultaneously.
 // Real PMUs expose only a few programmable counters at a time; the
 // progressive diagnosis asks clients to switch groups stage by stage so
 // that the concurrently active set stays small. The simulator always
-// computes every counter; Mask zeroes the ones outside the armed groups
-// so the analysis layers only ever see what a real client would deliver.
+// computes every counter; the progressive diagnosis zeroes the ones
+// outside the armed groups, so it only ever reads what a real client
+// would deliver.
 type Group uint8
 
 const (
@@ -123,9 +121,6 @@ const (
 	GroupExtra
 )
 
-// GroupAll arms every counter group.
-const GroupAll = GroupBase | GroupTopdownL1 | GroupBackend | GroupMemory | GroupOS | GroupExtra
-
 // Has reports whether g includes all groups in q.
 func (g Group) Has(q Group) bool { return g&q == q }
 
@@ -139,42 +134,4 @@ func (g Group) Count() int {
 		}
 	}
 	return n
-}
-
-// Mask returns a copy of c with every counter outside the armed groups
-// zeroed. GroupBase fields are always retained because TSC and TOT_INS
-// drive clustering and detection at every stage.
-func (c Counters) Mask(armed Group) Counters {
-	out := Counters{TotIns: c.TotIns, Cycles: c.Cycles, TSC: c.TSC}
-	if armed.Has(GroupTopdownL1) {
-		out.SlotsFrontend = c.SlotsFrontend
-		out.SlotsBadSpec = c.SlotsBadSpec
-		out.SlotsRetiring = c.SlotsRetiring
-		out.SlotsBackend = c.SlotsBackend
-		out.Suspension = c.Suspension
-	}
-	if armed.Has(GroupBackend) {
-		out.SlotsCore = c.SlotsCore
-		out.SlotsMemory = c.SlotsMemory
-	}
-	if armed.Has(GroupMemory) {
-		out.SlotsL1 = c.SlotsL1
-		out.SlotsL2 = c.SlotsL2
-		out.SlotsL3 = c.SlotsL3
-		out.SlotsDRAM = c.SlotsDRAM
-	}
-	if armed.Has(GroupOS) {
-		out.Suspension = c.Suspension
-		out.SoftPF = c.SoftPF
-		out.HardPF = c.HardPF
-		out.VolCS = c.VolCS
-		out.InvolCS = c.InvolCS
-		out.Signals = c.Signals
-	}
-	if armed.Has(GroupExtra) {
-		out.LoadStores = c.LoadStores
-		out.CacheMisses = c.CacheMisses
-		out.L2MissStall = c.L2MissStall
-	}
-	return out
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func sampleCounters() Counters {
 	return Counters{
@@ -28,13 +25,6 @@ func TestCountersAdd(t *testing.T) {
 	}
 }
 
-func TestTotalSlots(t *testing.T) {
-	c := Counters{Cycles: 25}
-	if c.TotalSlots() != 100 {
-		t.Fatalf("TotalSlots = %d", c.TotalSlots())
-	}
-}
-
 func TestGroupHasAndCount(t *testing.T) {
 	g := GroupBase | GroupOS
 	if !g.Has(GroupBase) || !g.Has(GroupOS) || g.Has(GroupMemory) {
@@ -43,74 +33,7 @@ func TestGroupHasAndCount(t *testing.T) {
 	if g.Count() != 2 {
 		t.Fatalf("Count = %d", g.Count())
 	}
-	if GroupAll.Count() != 6 {
-		t.Fatalf("GroupAll.Count = %d", GroupAll.Count())
-	}
-}
-
-func TestMaskBaseAlwaysKept(t *testing.T) {
-	c := sampleCounters()
-	m := c.Mask(GroupBase)
-	if m.TotIns != c.TotIns || m.Cycles != c.Cycles || m.TSC != c.TSC {
-		t.Fatal("base fields must survive any mask")
-	}
-	if m.SlotsBackend != 0 || m.SoftPF != 0 || m.LoadStores != 0 {
-		t.Fatalf("non-armed fields leaked: %+v", m)
-	}
-}
-
-func TestMaskGroupSelectivity(t *testing.T) {
-	c := sampleCounters()
-
-	m := c.Mask(GroupBase | GroupTopdownL1)
-	if m.SlotsFrontend != c.SlotsFrontend || m.Suspension != c.Suspension {
-		t.Fatal("topdown L1 group not delivered")
-	}
-	if m.SlotsMemory != 0 || m.SlotsL2 != 0 || m.SoftPF != 0 {
-		t.Fatal("other groups leaked through topdown mask")
-	}
-
-	m = c.Mask(GroupBase | GroupBackend)
-	if m.SlotsCore != c.SlotsCore || m.SlotsMemory != c.SlotsMemory {
-		t.Fatal("backend group not delivered")
-	}
-	if m.SlotsL1 != 0 {
-		t.Fatal("memory group leaked through backend mask")
-	}
-
-	m = c.Mask(GroupBase | GroupMemory)
-	if m.SlotsL3 != c.SlotsL3 || m.SlotsDRAM != c.SlotsDRAM {
-		t.Fatal("memory group not delivered")
-	}
-
-	m = c.Mask(GroupBase | GroupOS)
-	if m.SoftPF != c.SoftPF || m.InvolCS != c.InvolCS || m.Suspension != c.Suspension {
-		t.Fatal("OS group not delivered")
-	}
-
-	m = c.Mask(GroupBase | GroupExtra)
-	if m.LoadStores != c.LoadStores || m.L2MissStall != c.L2MissStall {
-		t.Fatal("extra group not delivered")
-	}
-}
-
-func TestMaskAllIsIdentity(t *testing.T) {
-	c := sampleCounters()
-	if c.Mask(GroupAll) != c {
-		t.Fatal("GroupAll mask must be identity")
-	}
-}
-
-// Property: masking is idempotent.
-func TestMaskIdempotent(t *testing.T) {
-	f := func(armedBits uint8) bool {
-		armed := Group(armedBits) & GroupAll
-		c := sampleCounters()
-		once := c.Mask(armed)
-		twice := once.Mask(armed)
-		return once == twice
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if all := GroupBase | GroupTopdownL1 | GroupBackend | GroupMemory | GroupOS | GroupExtra; all.Count() != 6 {
+		t.Fatalf("Count of every group = %d", all.Count())
 	}
 }

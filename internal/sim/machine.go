@@ -113,17 +113,8 @@ func NewMachine(cfg Config) *Machine {
 	return &Machine{cfg: cfg}
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Nodes returns the node count.
 func (m *Machine) Nodes() int { return m.cfg.Nodes }
-
-// CoresPerNode returns the per-node core count.
-func (m *Machine) CoresPerNode() int { return m.cfg.CoresPerNode }
-
-// TotalCores returns Nodes*CoresPerNode.
-func (m *Machine) TotalCores() int { return m.cfg.Nodes * m.cfg.CoresPerNode }
 
 // Place maps a rank (or thread) index to a (node, core) pair, filling
 // nodes densely in rank order like an MPI block distribution.

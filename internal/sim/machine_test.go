@@ -32,7 +32,7 @@ func TestSlotIdentity(t *testing.T) {
 	} {
 		_, c := exec(m, w, IdealEnv{})
 		sum := c.SlotsFrontend + c.SlotsBadSpec + c.SlotsRetiring + c.SlotsBackend
-		total := c.TotalSlots()
+		total := 4 * c.Cycles // the top-down pipeline slot budget
 		if diff := math.Abs(float64(sum) - float64(total)); diff > 8 {
 			t.Fatalf("S1 slot identity broken: sum=%d total=%d", sum, total)
 		}
@@ -185,11 +185,8 @@ func TestPlacement(t *testing.T) {
 
 func TestDefaultsFilled(t *testing.T) {
 	m := NewMachine(Config{})
-	if m.Nodes() != 1 || m.CoresPerNode() != 24 || m.Config().FreqGHz != 2.2 {
-		t.Fatalf("defaults not filled: %+v", m.Config())
-	}
-	if m.TotalCores() != 24 {
-		t.Fatalf("TotalCores = %d", m.TotalCores())
+	if m.Nodes() != 1 || m.cfg.CoresPerNode != 24 || m.cfg.FreqGHz != 2.2 {
+		t.Fatalf("defaults not filled: %+v", m.cfg)
 	}
 }
 

@@ -69,12 +69,3 @@ func (r *RNG) Jitter(scale float64) float64 {
 	}
 	return f
 }
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}

@@ -120,22 +120,6 @@ func TestJitterBounds(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Positive(t *testing.T) {
-	r := NewRNG(8)
-	sum := 0.0
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential draw negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.03 {
-		t.Fatalf("exponential mean %v, want ~1", mean)
-	}
-}
-
 // Property: Split is deterministic in (parent state, id).
 func TestSplitDeterministicProperty(t *testing.T) {
 	f := func(seed, id uint64) bool {

@@ -146,42 +146,10 @@ func ChiSquareCDF(x float64, df float64) float64 {
 // ChiSquareSF returns the survival function P(X > x).
 func ChiSquareSF(x float64, df float64) float64 { return 1 - ChiSquareCDF(x, df) }
 
-// StudentTCDF returns P(T <= t) for Student's t with df degrees of
-// freedom.
-func StudentTCDF(t float64, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
 // StudentTSF2 returns the two-sided p-value P(|T| > |t|).
 func StudentTSF2(t float64, df float64) float64 {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return 0
 	}
 	return RegIncBeta(df/2, 0.5, df/(df+t*t))
-}
-
-// FCDF returns P(X <= f) for an F distribution with (d1, d2) degrees of
-// freedom.
-func FCDF(f, d1, d2 float64) float64 {
-	if f <= 0 {
-		return 0
-	}
-	x := d1 * f / (d1*f + d2)
-	return RegIncBeta(d1/2, d2/2, x)
-}
-
-// FSF returns the survival function P(X > f).
-func FSF(f, d1, d2 float64) float64 { return 1 - FCDF(f, d1, d2) }
-
-// NormalCDF returns the standard normal CDF.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }

@@ -68,29 +68,3 @@ func ksQ(lambda float64) float64 {
 	}
 	return q
 }
-
-// WelchT runs Welch's unequal-variance t-test and returns the t
-// statistic and the two-sided p-value for the hypothesis that the two
-// samples share a mean.
-func WelchT(xs, ys []float64) (t, p float64) {
-	n, m := float64(len(xs)), float64(len(ys))
-	if n < 2 || m < 2 {
-		return 0, 1
-	}
-	mx, my := Mean(xs), Mean(ys)
-	vx, vy := Variance(xs), Variance(ys)
-	se := math.Sqrt(vx/n + vy/m)
-	if se == 0 {
-		if mx == my {
-			return 0, 1
-		}
-		return math.Inf(1), 0
-	}
-	t = (mx - my) / se
-	// Welch–Satterthwaite degrees of freedom.
-	num := math.Pow(vx/n+vy/m, 2)
-	den := math.Pow(vx/n, 2)/(n-1) + math.Pow(vy/m, 2)/(m-1)
-	df := num / den
-	p = StudentTSF2(t, df)
-	return t, p
-}

@@ -3,15 +3,17 @@ package stg
 import (
 	"strings"
 	"testing"
+
+	"vapro/internal/trace"
 )
 
 func TestDOT(t *testing.T) {
 	g := New()
 	g.SetName(1, `cg.f:1180 "send"`)
 	g.SetName(2, "cg.f:1200")
-	g.Add(fragComp(0, 1, 2, 0, 1_000_000))
-	g.Add(fragComp(0, 1, 2, 0, 3_000_000))
-	g.Add(fragComm(0, 2, 10, 5))
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 0, 1_000_000)})
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 0, 3_000_000)})
+	g.AddBatch([]trace.Fragment{fragComm(0, 2, 10, 5)})
 	dot := g.DOT()
 	if !strings.HasPrefix(dot, "digraph stg {") || !strings.HasSuffix(dot, "}\n") {
 		t.Fatalf("dot framing: %q", dot)

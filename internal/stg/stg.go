@@ -32,13 +32,6 @@ type Gen struct {
 	Count uint64
 }
 
-// Before reports whether g is an earlier watermark of the same append
-// log as cur — i.e. the fragments at positions [g.Count, cur.Count) are
-// exactly what arrived between the two observations.
-func (g Gen) Before(cur Gen) bool {
-	return g.Epoch == cur.Epoch && g.Count <= cur.Count
-}
-
 // Element is what a Vertex and an Edge have in common: a fragment log,
 // its generation watermark and its time envelope.
 type Element struct {
@@ -49,7 +42,7 @@ type Element struct {
 	// checks can reject whole elements without scanning fragments.
 	MinStart, MaxEnd int64
 
-	// The log is either the element's own (grown by Graph.Add) or a
+	// The log is either the element's own (grown by Graph.AddBatch) or a
 	// view of someone else's (installed by Graph.AliasEdge/AliasVertex).
 	own   *trace.Log
 	alias trace.LogView
@@ -62,17 +55,6 @@ func (el *Element) Log() trace.LogView {
 		return el.own.View()
 	}
 	return el.alias
-}
-
-// Since returns the row at which the fragments appended after
-// watermark g begin — rows [from, Log().Len()) are exactly what
-// arrived since — or ok=false when g is not an earlier watermark of
-// this log (the element was rebased and the caller must re-read it).
-func (el *Element) Since(g Gen) (from int, ok bool) {
-	if !g.Before(el.Gen) {
-		return 0, false
-	}
-	return int(g.Count), true
 }
 
 // widen grows the envelope to include [start, end); first starts it
@@ -162,7 +144,7 @@ type Edge struct {
 
 // Graph is a State Transition Graph built from a fragment stream. The
 // zero value is not ready; construct with New. Graph is not safe for
-// concurrent mutation; the collector serializes Add calls per graph.
+// concurrent mutation; the collector serializes AddBatch calls per graph.
 type Graph struct {
 	vertices map[uint64]*Vertex
 	edges    map[trace.EdgeKey]*Edge
@@ -244,11 +226,8 @@ func (g *Graph) vertex(key uint64, kind trace.Kind) *Vertex {
 	return v
 }
 
-// Add attaches one fragment: computation fragments to the edge
+// add attaches one fragment: computation fragments to the edge
 // (From→State), everything else to the vertex State.
-func (g *Graph) Add(f trace.Fragment) { g.add(&f) }
-
-// add is Add by pointer (AddBatch walks its batch in place).
 func (g *Graph) add(f *trace.Fragment) {
 	g.frags++
 	if f.Kind == trace.Comp {
@@ -269,7 +248,7 @@ func (g *Graph) AddBatch(frags []trace.Fragment) {
 // needed, without copying a row: the collector's analysis snapshot
 // points its elements at the logs of the graph that holds the
 // fragments. Gen.Count becomes log.Len(), the
-// count an Add-built element would carry, so downstream memoization
+// count an AddBatch-built element would carry, so downstream memoization
 // keys stay aligned; the epoch survives exactly when log extends what
 // the edge held before (Element.setAlias).
 func (g *Graph) AliasEdge(key trace.EdgeKey, log trace.LogView) {
@@ -348,19 +327,6 @@ func (g *Graph) Vertex(key uint64) *Vertex { return g.vertices[key] }
 
 // Edge returns the edge for key, or nil.
 func (g *Graph) Edge(key trace.EdgeKey) *Edge { return g.edges[key] }
-
-// Successors returns the distinct destination states reachable from the
-// state `from`, sorted.
-func (g *Graph) Successors(from uint64) []uint64 {
-	var out []uint64
-	for k := range g.edges {
-		if k.From == from {
-			out = append(out, k.To)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
 
 // Merge folds other into g (used when concatenating per-window graphs or
 // per-server shards).

@@ -17,8 +17,8 @@ func fragComm(rank int, state uint64, start, elapsed int64) trace.Fragment {
 
 func TestAddRouting(t *testing.T) {
 	g := New()
-	g.Add(fragComp(0, 1, 2, 0, 10))
-	g.Add(fragComm(0, 2, 10, 5))
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 0, 10)})
+	g.AddBatch([]trace.Fragment{fragComm(0, 2, 10, 5)})
 	if g.NumEdges() != 1 || g.NumVertices() != 1 || g.NumFragments() != 2 {
 		t.Fatalf("routing: %s", g)
 	}
@@ -30,17 +30,6 @@ func TestAddRouting(t *testing.T) {
 	}
 }
 
-func TestSuccessors(t *testing.T) {
-	g := New()
-	g.Add(fragComp(0, 1, 2, 0, 1))
-	g.Add(fragComp(0, 1, 3, 0, 1))
-	g.Add(fragComp(0, 2, 3, 0, 1))
-	succ := g.Successors(1)
-	if len(succ) != 2 || succ[0] != 2 || succ[1] != 3 {
-		t.Fatalf("successors: %v", succ)
-	}
-}
-
 func TestDeterministicIteration(t *testing.T) {
 	// The element lists are kept in key order by insertion, whatever
 	// order the elements first appear in.
@@ -48,8 +37,8 @@ func TestDeterministicIteration(t *testing.T) {
 		g := New()
 		for j := uint64(0); j < 50; j++ {
 			i := j * stride % 50
-			g.Add(fragComp(0, i%7, i, 0, 1))
-			g.Add(fragComm(0, i, 0, 1))
+			g.AddBatch([]trace.Fragment{fragComp(0, i%7, i, 0, 1)})
+			g.AddBatch([]trace.Fragment{fragComm(0, i, 0, 1)})
 		}
 		return g
 	}
@@ -93,9 +82,9 @@ func TestFragmentConservation(t *testing.T) {
 				fr.Kind = trace.Comm
 			}
 			if i%2 == 0 {
-				g1.Add(fr)
+				g1.AddBatch([]trace.Fragment{fr})
 			} else {
-				g2.Add(fr)
+				g2.AddBatch([]trace.Fragment{fr})
 			}
 			n++
 		}
@@ -112,9 +101,9 @@ func TestBoundsMaintainedOnAdd(t *testing.T) {
 	if _, _, ok := g.Bounds(); ok {
 		t.Fatal("empty graph reported bounds")
 	}
-	g.Add(fragComp(0, 1, 2, 100, 50)) // [100, 150)
-	g.Add(fragComp(0, 1, 2, 20, 10))  // [20, 30)
-	g.Add(fragComm(0, 2, 400, 25))    // [400, 425)
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 100, 50)}) // [100, 150)
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 20, 10)})  // [20, 30)
+	g.AddBatch([]trace.Fragment{fragComm(0, 2, 400, 25)})    // [400, 425)
 	e := g.Edge(trace.EdgeKey{From: 1, To: 2})
 	if e.MinStart != 20 || e.MaxEnd != 150 {
 		t.Fatalf("edge bounds [%d, %d)", e.MinStart, e.MaxEnd)
@@ -133,8 +122,8 @@ func TestBoundsMaintainedOnAdd(t *testing.T) {
 // fragment touches; Overlaps must confirm per fragment, not per bound.
 func TestOverlapsExactOnGaps(t *testing.T) {
 	g := New()
-	g.Add(fragComp(0, 1, 2, 0, 10))   // [0, 10)
-	g.Add(fragComp(0, 1, 2, 200, 10)) // [200, 210)
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 0, 10)})   // [0, 10)
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 200, 10)}) // [200, 210)
 	if !g.Overlaps(0, 5) || !g.Overlaps(205, 300) {
 		t.Fatal("missed real overlap")
 	}
@@ -154,10 +143,10 @@ func TestPutMatchesAdd(t *testing.T) {
 	}
 	vfrags := []trace.Fragment{fragComm(0, 9, 70, 5)}
 	for _, f := range frags {
-		added.Add(f)
+		added.AddBatch([]trace.Fragment{f})
 	}
 	for _, f := range vfrags {
-		added.Add(f)
+		added.AddBatch([]trace.Fragment{f})
 	}
 	key := trace.EdgeKey{From: 1, To: 2}
 	put.AliasEdge(key, trace.LogOf(frags))
@@ -201,7 +190,7 @@ func TestPutMatchesAdd(t *testing.T) {
 	}
 	// Add on an aliasing element copies the rows into a log of its own
 	// first: the aliased log is untouched, the edge's rows stay a prefix.
-	put.Add(fragComp(4, 1, 2, 700, 10))
+	put.AddBatch([]trace.Fragment{fragComp(4, 1, 2, 700, 10)})
 	if ep3 := put.Edge(key); ep3.Gen.Epoch != epoch0+1 || ep3.Gen.Count != 5 || ep3.MaxEnd != 710 || ep3.Log().Len() != 5 {
 		t.Fatalf("edge after add-on-alias: %+v", ep3.Gen)
 	}
@@ -210,46 +199,11 @@ func TestPutMatchesAdd(t *testing.T) {
 	}
 }
 
-func TestGenSince(t *testing.T) {
-	g := New()
-	for i := 0; i < 5; i++ {
-		g.Add(fragComp(0, 1, 2, int64(i*10), 5))
-	}
-	e := g.Edge(trace.EdgeKey{From: 1, To: 2})
-	mark := e.Gen
-	if mark.Count != 5 {
-		t.Fatalf("gen count %d, want 5", mark.Count)
-	}
-	// Nothing new yet.
-	if from, ok := e.Since(mark); !ok || from != e.Log().Len() {
-		t.Fatalf("since(now): from %d ok=%v", from, ok)
-	}
-	for i := 5; i < 8; i++ {
-		g.Add(fragComp(0, 1, 2, int64(i*10), 5))
-	}
-	e = g.Edge(trace.EdgeKey{From: 1, To: 2})
-	from, ok := e.Since(mark)
-	if !ok || e.Log().Len()-from != 3 {
-		t.Fatalf("since(mark): from %d of %d ok=%v", from, e.Log().Len(), ok)
-	}
-	if _, start, _ := e.Log().Span(from); start != 50 {
-		t.Fatalf("since(mark): first new fragment starts at %d", start)
-	}
-	// A watermark from another epoch is unanswerable.
-	if _, ok := e.Since(Gen{Epoch: mark.Epoch + 1, Count: 1}); ok {
-		t.Fatal("cross-epoch since must fail")
-	}
-	// A watermark from the future (count beyond the log) likewise.
-	if _, ok := e.Since(Gen{Epoch: e.Gen.Epoch, Count: e.Gen.Count + 1}); ok {
-		t.Fatal("future since must fail")
-	}
-}
-
 func TestStats(t *testing.T) {
 	g := New()
-	g.Add(fragComp(0, 1, 2, 0, 100))
-	g.Add(fragComm(0, 2, 100, 50))
-	g.Add(trace.Fragment{Rank: 0, Kind: trace.IO, State: 3, Elapsed: 25})
+	g.AddBatch([]trace.Fragment{fragComp(0, 1, 2, 0, 100)})
+	g.AddBatch([]trace.Fragment{fragComm(0, 2, 100, 50)})
+	g.AddBatch([]trace.Fragment{{Rank: 0, Kind: trace.IO, State: 3, Elapsed: 25}})
 	s := g.Stats()
 	if s.CompFragments != 1 || s.CommFragments != 1 || s.IOFragments != 1 {
 		t.Fatalf("stats counts: %+v", s)
@@ -353,7 +307,7 @@ func TestExtendMatchesAdd(t *testing.T) {
 		fragComp(0, 1, 2, 0, 10), fragComp(1, 1, 2, 3, 4), fragComp(0, 1, 2, 20, 1),
 	}
 	for _, f := range batch {
-		a.Add(f)
+		a.AddBatch([]trace.Fragment{f})
 	}
 	key := trace.EdgeKey{From: 1, To: 2}
 	be := extendEdge(b, trace.NewLog(nil), key, batch)

@@ -118,7 +118,7 @@ func setCounterLanes(c *CountersView, l [numCounterLanes]uint64) {
 }
 
 // AppendBatch encodes one client batch onto dst and returns the
-// extended slice. The encoding is decoded by DecodeBatch.
+// extended slice. The encoding is decoded by DecodeBatchMeta.
 func AppendBatch(dst []byte, rank int, frags []Fragment) []byte {
 	dst = append(dst, wireMagic, wireVersion)
 	dst = binary.AppendUvarint(dst, uint64(rank))
@@ -158,12 +158,6 @@ func AppendHello(dst []byte, version uint64, addrs []string) []byte {
 		dst = append(dst, a...)
 	}
 	return dst
-}
-
-// IsHello reports whether a frame payload is a shard-map hello rather
-// than a fragment batch.
-func IsHello(payload []byte) bool {
-	return len(payload) >= 2 && payload[0] == wireMagic && payload[1] == wireVersionHello
 }
 
 // DecodeHello decodes a hello payload produced by AppendHello. The
@@ -472,16 +466,10 @@ type BatchMeta struct {
 	HasTrace bool
 }
 
-// DecodeBatch decodes a batch produced by AppendBatch or
-// AppendBatchSeq, discarding any sequence metadata. The whole input
-// must be consumed (the transport frames batches with explicit lengths).
-func DecodeBatch(data []byte) (rank int, frags []Fragment, err error) {
-	meta, frags, err := DecodeBatchMeta(data)
-	return meta.Rank, frags, err
-}
-
-// DecodeBatchMeta decodes a batch along with its header metadata into
-// a freshly allocated fragment slice.
+// DecodeBatchMeta decodes a batch produced by any AppendBatch* along
+// with its header metadata into a freshly allocated fragment slice. The
+// whole input must be consumed (the transport frames batches with
+// explicit lengths).
 func DecodeBatchMeta(data []byte) (meta BatchMeta, frags []Fragment, err error) {
 	return DecodeBatchMetaInto(nil, data)
 }

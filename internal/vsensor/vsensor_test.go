@@ -34,12 +34,12 @@ func buildGraph(static bool) *stg.Graph {
 	g := stg.New()
 	for rank := 0; rank < 4; rank++ {
 		for i := 0; i < 10; i++ {
-			g.Add(trace.Fragment{
+			g.AddBatch([]trace.Fragment{{
 				Rank: rank, Kind: trace.Comp, From: 1, State: 2,
 				Start: int64(i) * 1000, Elapsed: 800,
 				Counters: trace.CountersView{TotIns: 1000, Cycles: 500},
 				Static:   static, Truth: 42,
-			})
+			}})
 		}
 	}
 	return g
@@ -64,11 +64,11 @@ func TestSingleExecutionStillVerified(t *testing.T) {
 	// A statically-verified snippet executed once counts for vSensor —
 	// that is the FT-setup distinction against clustering.
 	g := stg.New()
-	g.Add(trace.Fragment{
+	g.AddBatch([]trace.Fragment{{
 		Rank: 0, Kind: trace.Comp, From: 1, State: 2, Elapsed: 500,
 		Counters: trace.CountersView{TotIns: 1000, Cycles: 500},
 		Static:   true, Truth: 7,
-	})
+	}})
 	res := Analyze(g, 1, Capability{SourceAvailable: true}, detect.Options{Window: sim.Millisecond})
 	if res.Coverage < 0.999 {
 		t.Fatalf("single static execution coverage %v", res.Coverage)
@@ -80,18 +80,18 @@ func TestTruthSeparatesWorkloads(t *testing.T) {
 	// own fastest.
 	g := stg.New()
 	for i := 0; i < 6; i++ {
-		g.Add(trace.Fragment{
+		g.AddBatch([]trace.Fragment{{
 			Rank: 0, Kind: trace.Comp, From: 1, State: 2,
 			Start: int64(i) * 10_000, Elapsed: 1000,
 			Counters: trace.CountersView{TotIns: 1000, Cycles: 500},
 			Static:   true, Truth: 1,
-		})
-		g.Add(trace.Fragment{
+		}})
+		g.AddBatch([]trace.Fragment{{
 			Rank: 0, Kind: trace.Comp, From: 1, State: 2,
 			Start: int64(i)*10_000 + 5000, Elapsed: 4000,
 			Counters: trace.CountersView{TotIns: 4000, Cycles: 2000},
 			Static:   true, Truth: 2,
-		})
+		}})
 	}
 	res := Analyze(g, 1, Capability{SourceAvailable: true}, detect.Options{Window: sim.Millisecond})
 	for _, s := range res.Samples {

@@ -179,10 +179,6 @@ func AnalyzeRecording(r io.Reader, dopt detect.Options) (*Result, error) {
 	return core.AnalyzeRecording(r, dopt)
 }
 
-// DefaultDetectOptions returns the paper's detection thresholds
-// (clustering 5%, min 5 repetitions, region threshold 0.85).
-func DefaultDetectOptions() detect.Options { return detect.DefaultOptions() }
-
 // ReportHTML renders a complete self-contained HTML report for the run:
 // coverage, the ranked variance-region table, per-class heat maps as
 // inline SVG, and the progressive diagnosis factor trees.

@@ -74,7 +74,7 @@ func TestRecordingPublicRoundTrip(t *testing.T) {
 	if err := res.SaveRecording(&buf); err != nil {
 		t.Fatal(err)
 	}
-	re, err := vapro.AnalyzeRecording(&buf, vapro.DefaultDetectOptions())
+	re, err := vapro.AnalyzeRecording(&buf, vapro.DefaultOptions().Collector.Detect)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,11 @@ func TestNoiseConstructors(t *testing.T) {
 	sch.Add(vapro.MemContention(0, vapro.Seconds(0), vapro.Seconds(1), 2))
 	sch.Add(vapro.IOInterference(vapro.Seconds(0), vapro.Seconds(1), 3))
 	sch.Add(vapro.DegradedMemoryNode(1, 0.845))
-	if len(sch.Events()) != 3 {
-		t.Fatal("noise constructors")
+	if c := sch.At(0, 0, vapro.Seconds(0.5)); c.MemSlowdown != 2 || c.IOSlowdown != 3 {
+		t.Fatalf("noise constructors on node 0: %+v", c)
+	}
+	if c := sch.At(1, 0, vapro.Seconds(0.5)); c.MemSlowdown <= 1 || c.IOSlowdown != 3 {
+		t.Fatalf("noise constructors on node 1: %+v", c)
 	}
 	if vapro.Seconds(1.5) != vapro.Time(1500000000) {
 		t.Fatal("Seconds conversion")
