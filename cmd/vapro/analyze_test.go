@@ -15,59 +15,58 @@ import (
 	"vapro/internal/wal"
 )
 
-// `vapro analyze FILE.vrec` is the offline half of `vapro -record`: its
-// report opens with the summary AnalyzeRecording gives for the file, and
-// renders the heat maps beneath it.
+// `vapro analyze -journal DIR` is the offline half of `vapro -record
+// DIR`: its report opens with the summary AnalyzeJournal gives for the
+// directory — the run's own — and renders the heat maps beneath it.
 func TestAnalyzeRecording(t *testing.T) {
 	app, err := vapro.App("CG")
 	if err != nil {
 		t.Fatal(err)
 	}
 	app.(vapro.SizeScaler).ScaleSize(0.5)
+	dir := t.TempDir()
+	jl, err := vapro.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt := vapro.DefaultOptions()
 	opt.Ranks = 8
+	opt.Journal = jl
 	res := vapro.Run(app, opt)
-	path := filepath.Join(t.TempDir(), "run.vrec")
-	if err := writeFile(path, res.SaveRecording); err != nil {
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.SaveRunInfo(dir); err != nil {
 		t.Fatal(err)
 	}
 
 	var stdout, stderr bytes.Buffer
-	if code := analyzeMain([]string{path}, &stdout, &stderr); code != 0 {
+	if code := analyzeMain([]string{"-journal", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("analyze exited %d: %s", code, stderr.String())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want, err := vapro.AnalyzeRecording(f, vapro.DefaultOptions().Collector.Detect)
-	if err != nil {
-		t.Fatal(err)
 	}
 	out := stdout.String()
 	summary, rest, _ := strings.Cut(out, "\n")
-	if summary != want.Summary() {
-		t.Fatalf("summary line:\n got %q\nwant %q", summary, want.Summary())
+	if summary != res.Summary() {
+		t.Fatalf("summary line:\n got %q\nwant %q", summary, res.Summary())
 	}
 	if !strings.Contains(rest, "performance heat map") {
 		t.Fatalf("no heat map rendered:\n%s", out)
 	}
+	if strings.Contains(out, "window ") {
+		t.Fatalf("window rows printed without -from or -to:\n%s", out)
+	}
 }
 
-// With neither a journal nor a recording (or with both), analyze prints
-// its usage and exits 2.
+// Without a journal, or with a positional argument, analyze prints its
+// usage and exits 2. A journal directory that holds no journal is an
+// error naming it, exit 1.
 func TestAnalyzeUsage(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		nil,
 		{"-journal", dir, "run.vrec"},
 		{"a.vrec", "b.vrec"},
-		// A flag the input ignores: report flags with a journal, range
-		// flags with a recording.
-		{"-journal", dir, "-diagnose"},
-		{"-journal", dir, "-html", filepath.Join(dir, "r.html")},
-		{"-from", "1", "a.vrec"},
+		{"-diagnose"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := analyzeMain(args, &stdout, &stderr); code != 2 {
@@ -76,6 +75,17 @@ func TestAnalyzeUsage(t *testing.T) {
 		if !strings.HasPrefix(stderr.String(), "usage: vapro analyze") || stdout.Len() != 0 {
 			t.Fatalf("analyze %q: stdout %q, stderr %q", args, stdout.String(), stderr.String())
 		}
+	}
+	file := filepath.Join(dir, "run.vrec")
+	if err := os.WriteFile(file, []byte("not a journal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := analyzeMain([]string{"-journal", file, "-diagnose"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("analyze -journal FILE exited %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), file) || stdout.Len() != 0 {
+		t.Fatalf("analyze -journal FILE: stdout %q, stderr %q", stdout.String(), stderr.String())
 	}
 }
 
@@ -135,36 +145,22 @@ func TestAnalyzeShardedJournal(t *testing.T) {
 		t.Fatal("the live tier analyzed no windows")
 	}
 	var stdout, stderr bytes.Buffer
-	if code := analyzeMain([]string{"-journal", dir, "-json"}, &stdout, &stderr); code != 0 {
+	if code := analyzeMain([]string{"-journal", dir, "-from", "0", "-json"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("analyze exited %d: %s", code, stderr.String())
 	}
 	if stdout.String() != want.String() {
 		t.Fatalf("analyze -journal rows differ from the live tier's:\n got %s\nwant %s", stdout.String(), want.String())
 	}
-}
 
-// journalDirs returns shard i's journal at index i, however its name
-// sorts: shard10 sorts before shard2.
-func TestJournalDirsShardOrder(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 11; i++ {
-		if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("shard%d", i)), 0o755); err != nil {
-			t.Fatal(err)
-		}
+	// The same journal gets the run mode's report: a summary over every
+	// fragment of both shards.
+	stdout.Reset()
+	if code := analyzeMain([]string{"-journal", dir, "-diagnose"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("analyze -diagnose exited %d: %s", code, stderr.String())
 	}
-	dirs, err := journalDirs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dirs {
-		if want := filepath.Join(dir, fmt.Sprintf("shard%d", i)); d != want {
-			t.Fatalf("dirs[%d] = %s, want %s", i, d, want)
-		}
-	}
-	if err := os.RemoveAll(filepath.Join(dir, "shard4")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := journalDirs(dir); err == nil {
-		t.Fatal("a tier missing shard4 resolved")
+	summary, _, _ := strings.Cut(stdout.String(), "\n")
+	if want := fmt.Sprintf("journal: %d ranks, ", ranks); !strings.HasPrefix(summary, want) ||
+		!strings.Contains(summary, fmt.Sprintf("; %d fragments (", batches*ranks*perBatch)) {
+		t.Fatalf("analyze -diagnose summary %q", summary)
 	}
 }

@@ -16,8 +16,8 @@
 //	vapro status -addr HOST:PORT                            render its live metrics
 //	vapro status -addr HOST:PORT -json|-trace|-fleet        /fleet health schema / batch journeys / health table
 //	vapro feed   -bootstrap HOST:PORT -ranks 4 -batches 32  stream synthetic traced batches into it
-//	vapro analyze -journal DIR -from 0 -to 30               re-run window analysis over a journal range
-//	vapro analyze -diagnose run.vrec                        re-analyze a run recorded with -record
+//	vapro analyze -journal DIR -diagnose                    re-analyze a journal: serve's, or a run recorded with -record DIR
+//	vapro analyze -journal DIR -from 0 -to 30               …plus its analysis windows over a range
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 	memNoise := flag.String("mem-noise", "", "inject memory contention: node=N,start=S,end=E,slow=F")
 	ioNoise := flag.String("io-noise", "", "inject IO interference: start=S,end=E,slow=F")
 	degraded := flag.Int("degraded-node", -1, "node with degraded memory bandwidth (84.5%)")
-	record := flag.String("record", "", "persist the raw fragment stream to this file (analyze later with vapro analyze FILE)")
+	record := flag.String("record", "", "journal the delivered fragment stream into this directory (analyze later with vapro analyze -journal DIR)")
 	jsonOut := flag.String("json", "", "write a machine-readable JSON summary to this file")
 	rf := addReportFlags(flag.CommandLine)
 	online := flag.Bool("online", false, "run in deployment mode: report variance events live (Figure 8)")
@@ -139,6 +139,19 @@ func main() {
 		plain = vapro.RunPlain(base, opt)
 	}
 
+	if *record != "" {
+		jl, err := vapro.OpenJournal(*record)
+		if err == nil && jl.Pending() > 0 {
+			jl.Close()
+			err = fmt.Errorf("%s already holds a journal", *record)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vapro:", err)
+			os.Exit(1)
+		}
+		opt.Journal = jl
+	}
+
 	var res *vapro.Result
 	if *online {
 		on := vapro.RunOnline(app, opt)
@@ -152,7 +165,11 @@ func main() {
 		res = vapro.Run(app, opt)
 	}
 	if *record != "" {
-		if err := writeFile(*record, res.SaveRecording); err != nil {
+		err := opt.Journal.Close()
+		if err == nil {
+			err = res.SaveRunInfo(*record)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "vapro:", err)
 			os.Exit(1)
 		}

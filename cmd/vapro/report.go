@@ -10,7 +10,7 @@ import (
 )
 
 // reportFlags are the output flags the run mode and `vapro analyze
-// FILE.vrec` share.
+// -journal DIR` share.
 type reportFlags struct {
 	diagnose            *bool
 	html, png, svg, dot *string
@@ -44,6 +44,25 @@ func printReport(w io.Writer, res *vapro.Result, plain *vapro.PlainResult, jsonO
 		fmt.Fprintln(w)
 		fmt.Fprint(w, vapro.RenderHeatMap(res, class))
 	}
+	if err := writeReportFiles(w, res, jsonOut, rf); err != nil {
+		return err
+	}
+	if *rf.diagnose {
+		for _, class := range classes {
+			rep := res.DiagnoseTop(class, vapro.DefaultDiagnoseOptions())
+			if rep == nil || rep.AbnormalFrags == 0 {
+				continue
+			}
+			fmt.Fprintf(w, "\nprogressive diagnosis (%s):\n%s", class, rep.String())
+		}
+	}
+	return nil
+}
+
+// writeReportFiles writes every requested file (jsonOut and the
+// reportFlags files), naming each on w, and stops at the first it
+// cannot write.
+func writeReportFiles(w io.Writer, res *vapro.Result, jsonOut string, rf reportFlags) error {
 	files := []struct {
 		path  string
 		write func(io.Writer) error
@@ -71,15 +90,6 @@ func printReport(w io.Writer, res *vapro.Result, plain *vapro.PlainResult, jsonO
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", out.path)
-	}
-	if *rf.diagnose {
-		for _, class := range classes {
-			rep := res.DiagnoseTop(class, vapro.DefaultDiagnoseOptions())
-			if rep == nil || rep.AbnormalFrags == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "\nprogressive diagnosis (%s):\n%s", class, rep.String())
-		}
 	}
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 	"vapro/internal/sim"
 	"vapro/internal/stg"
 	"vapro/internal/trace"
-	"vapro/internal/wal"
 )
 
 // Options configures the collection plane.
@@ -88,11 +87,13 @@ type plane struct {
 	// exactly the window where batches get lost.
 	seq *SeqTracker
 
-	// jour is the delivery journal the serving process attached
-	// (AttachJournal), if any; the wire server appends every delivered
-	// frame to it. The plane only holds the handle — open/close belong
-	// to whoever runs the process.
-	jour *wal.Log
+	// local is the delivery step Pool.Consume's batches take while a
+	// journal is attached (AttachJournal): the wire server's, so an
+	// in-process batch is journaled, staged and counted as the same
+	// frame off a connection would be. Its jour is the plane's journal;
+	// the plane only holds the handle — open/close belong to whoever
+	// runs the process.
+	local delivery
 }
 
 // newPlane builds one analysis server over a rank space of size ranks;
@@ -276,7 +277,9 @@ func NewShardedPool(ranks, shards int, opt Options) *Pool {
 		// vapro_ranks merges by max and the per-plane storage rate divides
 		// by the global rank count, so the merged values read exactly like
 		// one plane's.
-		p.planes = append(p.planes, newPlane(ranks, opt))
+		pl := newPlane(ranks, opt)
+		p.planes = append(p.planes, pl)
+		pl.local.probe(p.WireSink(i))
 		p.series = append(p.series, obs.NewSeriesSet(fleetSeriesLen))
 	}
 	if shards == 1 {

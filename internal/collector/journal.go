@@ -78,15 +78,16 @@ func fragSpan(frags []trace.Fragment) (minStart, maxEnd int64) {
 // reads Journal() from its sink once, so attach before ServeWire; the
 // plane takes no ownership (the serving process opened it and closes
 // it).
-func (pl *plane) AttachJournal(l *wal.Log) { pl.jour = l }
+func (pl *plane) AttachJournal(l *wal.Log) { pl.local.jour = l }
 
 // Journal returns the plane's delivery journal, nil when none.
-func (pl *plane) Journal() *wal.Log { return pl.jour }
+func (pl *plane) Journal() *wal.Log { return pl.local.jour }
 
 // AttachJournal hands a one-plane pool's plane its delivery journal, so
 // a wire server fed by the pool (or a Monitor over it) journals what it
-// delivers. A pool of several planes refuses with a panic — a caller
-// bug: each plane journals its own stream (Plane(i).AttachJournal).
+// delivers, and so does Consume. A pool of several planes refuses with
+// a panic — a caller bug: each plane journals its own stream
+// (Plane(i).AttachJournal).
 func (p *Pool) AttachJournal(l *wal.Log) {
 	pl := p.solo()
 	if pl == nil {
@@ -99,7 +100,7 @@ func (p *Pool) AttachJournal(l *wal.Log) {
 // attached or over several planes, whose journals are per plane.
 func (p *Pool) Journal() *wal.Log {
 	if pl := p.solo(); pl != nil {
-		return pl.jour
+		return pl.Journal()
 	}
 	return nil
 }

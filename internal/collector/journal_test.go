@@ -105,6 +105,36 @@ func poolFragments(p *Pool) []trace.Fragment {
 	return fs
 }
 
+// TestConsumeJournals: with a journal attached, Consume journals each
+// batch as its wire encoding before staging it, so the journal replays
+// into a fresh pool holding the same fragments; ConsumeSized and
+// ConsumeTraced journal nothing — their frames are the wire server's,
+// which journaled them already.
+func TestConsumeJournals(t *testing.T) {
+	jlog := openTestWAL(t, t.TempDir(), wal.Options{})
+	live, want := NewPool(2, DefaultOptions()), NewPool(2, DefaultOptions())
+	live.AttachJournal(jlog)
+	for i := 0; i < 3; i++ {
+		for r := 0; r < 2; r++ {
+			frags := []trace.Fragment{frag(r, int64(i)*int64(sim.Second), int64(sim.Second/2))}
+			live.Consume(r, frags)
+			want.Consume(r, frags)
+		}
+	}
+	live.ConsumeSized(0, []trace.Fragment{frag(0, 9*int64(sim.Second), 1)}, 1)
+	live.ConsumeTraced(1, []trace.Fragment{frag(1, 9*int64(sim.Second), 1)}, 1, TraceCtx{Rank: 1})
+	if got := jlog.Pending(); got != 6 {
+		t.Fatalf("journal holds %d frames, want the 6 Consume delivered", got)
+	}
+	replayed := NewPool(2, DefaultOptions())
+	if n, err := ReplayJournal(jlog, replayed); err != nil || n != 6 {
+		t.Fatalf("replay: %d frames, %v", n, err)
+	}
+	if !reflect.DeepEqual(poolFragments(replayed), poolFragments(want)) {
+		t.Fatal("the journal replayed to other fragments than Consume delivered")
+	}
+}
+
 // TestJournalReplayBitIdentical pins the tentpole equivalence: a live
 // wire server journaling a stream with gaps, a duplicate retransmit
 // and a client restart, then a fresh pool rebuilt purely from the

@@ -85,10 +85,18 @@ func (p *Pool) Rebalance(addrs []string) error {
 }
 
 // Consume implements interpose.Sink: stage the batch on the rank's
-// owning plane. The encoded size is measured here (outside every lock)
-// so Stats reports real wire bytes.
+// owning plane. The batch is encoded here (outside every lock), so
+// Stats reports real wire bytes; while the plane has a journal, that
+// encoding is the frame its delivery step journals before staging.
 func (p *Pool) Consume(rank int, frags []trace.Fragment) {
-	p.deliver(p.planes[p.Owner(rank)], rank, frags, trace.BatchWireSize(rank, frags), TraceCtx{}, false)
+	pl := p.planes[p.Owner(rank)]
+	trace.BatchPayload(rank, frags, func(payload []byte) {
+		if pl.local.jour != nil {
+			pl.local.deliver(trace.BatchMeta{Rank: rank}, frags, payload)
+		} else {
+			p.deliver(pl, rank, frags, len(payload), TraceCtx{}, false)
+		}
+	})
 }
 
 // ConsumeSized stages a batch whose encoded wire size was already
@@ -214,7 +222,7 @@ func (k *ShardSink) SeqState() *SeqTracker { return k.plane.seq }
 // Journal returns this plane's delivery journal (attached per plane —
 // each plane journals its own delivered stream into its own directory,
 // so plane restarts replay independently).
-func (k *ShardSink) Journal() *wal.Log { return k.plane.jour }
+func (k *ShardSink) Journal() *wal.Log { return k.plane.Journal() }
 
 // Hello returns the pool's shard map for the wire handshake once
 // Rebalance has published one.

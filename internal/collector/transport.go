@@ -45,12 +45,6 @@ const frameReadChunk = 1 << 20
 // worst case for the connection's lifetime.
 const maxRetainedFrags = 64 << 10
 
-// Batch is the transport unit: one client's buffered fragments.
-type Batch struct {
-	Rank      int
-	Fragments []trace.Fragment
-}
-
 // wireSink is what the delivery step takes from its sink: sized and
 // traced consumption (the wire server passes the payload length it just
 // decoded, so the §6.2 byte accounting needs no re-encode), the
@@ -77,8 +71,9 @@ type helloProvider interface {
 }
 
 // delivery is one sink and the observe→journal→deliver→count step
-// every delivered frame takes, live off a connection (WireServer) or
-// from disk (ReplayJournal).
+// every delivered frame takes, live off a connection (WireServer), from
+// disk (ReplayJournal), or from Pool.Consume onto a plane with a journal
+// (the plane's local step).
 type delivery struct {
 	sink  wireSink
 	seq   *SeqTracker   // the sink's tracker; nil skips sequence accounting

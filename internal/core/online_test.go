@@ -1,17 +1,18 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"vapro/internal/apps"
-	"vapro/internal/collector"
 	"vapro/internal/detect"
 	"vapro/internal/diagnose"
 	"vapro/internal/noise"
 	"vapro/internal/sim"
+	"vapro/internal/stg"
+	"vapro/internal/wal"
 )
 
 func TestRunOnline(t *testing.T) {
@@ -54,22 +55,39 @@ func TestRunOnline(t *testing.T) {
 	}
 }
 
+// recordAndReplay runs one job recording through Options.Journal into a
+// fresh directory, and replays that journal as `vapro analyze` does.
+func recordAndReplay(t *testing.T, opt Options, run func(Options) *Result) (res, re *Result) {
+	t.Helper()
+	dir := t.TempDir()
+	jl, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Journal = jl
+	res = run(opt)
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.SaveRunInfo(dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err = AnalyzeJournal(dir, 0, opt.Collector.Detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, re
+}
+
+// TestRecordAnalyzeRoundTrip: a traced run's journal replays to the same
+// fragments, coverage and regions, and diagnosis works on the replay.
 func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ranks = 8
 	sch := noise.NewSchedule()
 	sch.Add(noise.CPUContention(0, 1, sim.Time(700*sim.Millisecond), sim.Time(1200*sim.Millisecond), 0.5))
 	opt.Noise = sch
-	res := RunTraced(apps.NewCG(10), opt)
-
-	var buf bytes.Buffer
-	if err := res.SaveRecording(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := AnalyzeRecording(&buf, opt.Collector.Detect)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, re := recordAndReplay(t, opt, func(opt Options) *Result { return RunTraced(apps.NewCG(10), opt) })
 	if re.Graph.NumFragments() != res.Graph.NumFragments() {
 		t.Fatalf("fragments: %d vs %d", re.Graph.NumFragments(), res.Graph.NumFragments())
 	}
@@ -80,19 +98,18 @@ func TestRecordAnalyzeRoundTrip(t *testing.T) {
 	if len(re.Detection.Regions) != len(res.Detection.Regions) {
 		t.Fatalf("regions: %d vs %d", len(re.Detection.Regions), len(res.Detection.Regions))
 	}
-	// Diagnosis works on the reloaded data.
-	if len(re.Detection.Regions) > 0 {
-		rep := re.Diagnose(&re.Detection.Regions[0], diagnose.DefaultOptions())
-		if rep == nil {
-			t.Fatal("no diagnosis from reloaded recording")
-		}
+	if len(re.Detection.Regions) == 0 {
+		t.Fatal("the injected contention was not detected")
+	}
+	if rep := re.Diagnose(&re.Detection.Regions[0], diagnose.DefaultOptions()); rep == nil {
+		t.Fatal("no diagnosis from the replayed journal")
 	}
 }
 
-// TestSaveRecordingOfEveryRun: a recording is written from the run's
-// graph, so an offline and an online run both save, the saved file
-// re-analyzes to the run's own Detection, and saving the re-analysis
-// writes the same stream again.
+// TestSaveRecordingOfEveryRun: the recording is the journal the run's
+// graph writes, so an offline and an online run both record, and each
+// journal replays to the run's own graph — every element at the same
+// generation and log length — and to the run's own Detection.
 func TestSaveRecordingOfEveryRun(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ranks = 8
@@ -103,43 +120,45 @@ func TestSaveRecordingOfEveryRun(t *testing.T) {
 	opt.Noise = sch
 	for _, tc := range []struct {
 		name string
-		res  *Result
+		run  func(opt Options) *Result
 	}{
-		{"offline", RunTraced(apps.NewCG(10), opt)},
-		{"online", RunOnline(apps.NewCG(10), opt).Result},
+		{"offline", func(opt Options) *Result { return RunTraced(apps.NewCG(10), opt) }},
+		{"online", func(opt Options) *Result { return RunOnline(apps.NewCG(10), opt).Result }},
 	} {
-		var saved bytes.Buffer
-		if err := tc.res.SaveRecording(&saved); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		res, re := recordAndReplay(t, opt, tc.run)
+		if re.Summary() != res.Summary() {
+			t.Fatalf("%s: summary\n got %s\nwant %s", tc.name, re.Summary(), res.Summary())
 		}
-		first := saved.Bytes()
-		re, err := AnalyzeRecording(bytes.NewReader(first), opt.Collector.Detect)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		sameElement := func(what string, a, b *stg.Element) {
+			t.Helper()
+			if a.Gen != b.Gen || a.Log().Len() != b.Log().Len() {
+				t.Fatalf("%s: %s replayed to a different element", tc.name, what)
+			}
 		}
-		if !sameDetection(re.Detection, tc.res.Detection) {
+		for _, v := range res.Graph.Vertices() {
+			w := re.Graph.Vertex(v.Key)
+			if w == nil {
+				t.Fatalf("%s: vertex %x missing after replay", tc.name, v.Key)
+			}
+			sameElement(fmt.Sprintf("vertex %x", v.Key), &v.Element, &w.Element)
+		}
+		for _, e := range res.Graph.Edges() {
+			f := re.Graph.Edge(e.Key)
+			if f == nil {
+				t.Fatalf("%s: edge %v missing after replay", tc.name, e.Key)
+			}
+			sameElement(fmt.Sprintf("edge %v", e.Key), &e.Element, &f.Element)
+		}
+		if st, rst := res.Graph.Stats(), re.Graph.Stats(); st != rst {
+			t.Fatalf("%s: graph stats %+v, replayed %+v", tc.name, st, rst)
+		}
+		if !sameDetection(re.Detection, res.Detection) {
 			t.Fatalf("%s: re-analyzed detection differs from the run's", tc.name)
 		}
-		var again bytes.Buffer
-		if err := re.SaveRecording(&again); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		// gob writes a map in Go's randomized iteration order, so two
-		// saves may place SiteNames' entries differently: compare what
-		// the files hold.
-		if !reflect.DeepEqual(readRecording(t, first), readRecording(t, again.Bytes())) {
-			t.Fatalf("%s: save→analyze→save changed the recording", tc.name)
+		if len(re.Detection.Regions) == 0 {
+			t.Fatalf("%s: the injected contention was not detected", tc.name)
 		}
 	}
-}
-
-func readRecording(t *testing.T, file []byte) *collector.Recording {
-	t.Helper()
-	rec, err := collector.ReadRecording(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
 }
 
 // sameDetection is reflect.DeepEqual with heat-map cells compared

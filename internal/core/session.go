@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"vapro/internal/apps"
 	"vapro/internal/cluster"
@@ -23,6 +22,7 @@ import (
 	"vapro/internal/stg"
 	"vapro/internal/trace"
 	"vapro/internal/vfs"
+	"vapro/internal/wal"
 )
 
 // Options configures a session.
@@ -44,6 +44,11 @@ type Options struct {
 	BufferedIO bool
 	// PMUJitter overrides the counter-read jitter (default 0.002).
 	PMUJitter float64
+	// Journal, when set, records a traced run: every batch the ranks
+	// deliver is journaled, in staging order, as the frame a wire server
+	// would journal, so AnalyzeJournal reads it back like a served
+	// stream. The caller opens and closes it.
+	Journal *wal.Log
 }
 
 // DefaultOptions returns the evaluation configuration.
@@ -158,6 +163,9 @@ func RunTraced(app apps.App, opt Options) *Result {
 func runTraced(app apps.App, opt Options, attach func(pool *collector.Pool, ranks int)) *Result {
 	world, fs, ranks := setup(app, &opt)
 	pool := collector.NewPool(ranks, opt.Collector)
+	if opt.Journal != nil {
+		pool.AttachJournal(opt.Journal)
+	}
 	if attach != nil {
 		attach(pool, ranks)
 	}
@@ -200,44 +208,19 @@ func runTraced(app apps.App, opt Options, attach func(pool *collector.Pool, rank
 			res.SiteNames[k] = v
 		}
 	}
-	res.Graph = pool.Graph()
-	for k, v := range res.SiteNames {
-		res.Graph.SetName(k, v)
-	}
-	res.analyzer = detect.NewAnalyzer()
-	res.Detection = res.analyzer.Run(res.Graph, ranks, opt.Collector.Detect)
+	res.analyze(opt.Collector.Detect)
 	return res
 }
 
-// SaveRecording persists the run's fragment stream, written from the
-// whole-run graph (collector.NewRecording), so every traced run —
-// online, offline or itself re-analyzed — can be saved. Load it back
-// with AnalyzeRecording.
-func (r *Result) SaveRecording(w io.Writer) error {
-	return collector.WriteRecording(w, collector.NewRecording(r.Graph, r.Ranks, int64(r.Makespan), r.SiteNames))
-}
-
-// AnalyzeRecording rebuilds an analysis Result from a persisted
-// fragment stream: the offline half of the record/analyze workflow.
-// The resulting Result supports detection rendering and diagnosis but
-// has no Pool (there was no live collection).
-func AnalyzeRecording(rd io.Reader, dopt detect.Options) (*Result, error) {
-	rec, err := collector.ReadRecording(rd)
-	if err != nil {
-		return nil, err
+// analyze builds the whole-run graph from the result's pool, names its
+// call-sites and runs the whole-run detection pass.
+func (r *Result) analyze(dopt detect.Options) {
+	r.Graph = r.Pool.Graph()
+	for k, v := range r.SiteNames {
+		r.Graph.SetName(k, v)
 	}
-	g := rec.Graph()
-	res := &Result{
-		Ranks:      rec.Ranks,
-		Makespan:   sim.Duration(rec.MakespanNS),
-		Graph:      g,
-		SiteNames:  rec.SiteNames,
-		clusterOpt: dopt.Cluster,
-	}
-	res.App.Name = "recording"
-	res.analyzer = detect.NewAnalyzer()
-	res.Detection = res.analyzer.Run(g, rec.Ranks, dopt)
-	return res, nil
+	r.analyzer = detect.NewAnalyzer()
+	r.Detection = r.analyzer.Run(r.Graph, r.Ranks, dopt)
 }
 
 // OnlineResult is the outcome of a monitored (online) run: the offline

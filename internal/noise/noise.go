@@ -27,12 +27,11 @@ type Event struct {
 
 	// Effect. Zero-valued fields leave the corresponding condition
 	// untouched; set fields combine multiplicatively (shares multiply,
-	// slowdowns multiply, rates and probabilities add).
+	// slowdowns multiply, probabilities add).
 	CPUShare      float64 // app's CPU share while active (e.g. 0.5)
 	MemSlowdown   float64 // memory stall multiplier (e.g. 2.5)
 	IOSlowdown    float64 // IO service-time multiplier
 	NetSlowdown   float64 // network cost multiplier
-	PageFaultRate float64 // extra soft PF per CPU-second
 	L2BugProb     float64 // per-fragment erratum probability
 	L2BugSeverity float64 // stall slots per retiring slot per episode
 
@@ -112,7 +111,6 @@ func (s *Schedule) At(node, core int, t sim.Time) sim.Conditions {
 		if e.NetSlowdown > 1 {
 			c.NetSlowdown *= e.NetSlowdown
 		}
-		c.PageFaultRate += e.PageFaultRate
 		c.L2BugProb += e.L2BugProb
 		if e.L2BugSeverity > c.L2BugSeverity {
 			c.L2BugSeverity = e.L2BugSeverity

@@ -149,14 +149,6 @@ func TestIOInterference(t *testing.T) {
 	}
 }
 
-func TestMemoryPressure(t *testing.T) {
-	s := NewSchedule()
-	s.Add(Event{Start: 0, End: 100, Node: 0, Core: -1, AllCores: true, PageFaultRate: 1000})
-	if c := s.At(0, 5, 50); c.PageFaultRate != 1000 {
-		t.Fatal("memory pressure missing")
-	}
-}
-
 func TestL2BugProbClamp(t *testing.T) {
 	s := NewSchedule()
 	s.Add(Event{Node: -1, Core: -1, L2BugProb: 0.8})

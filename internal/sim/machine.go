@@ -26,9 +26,6 @@ type Conditions struct {
 	IOSlowdown float64
 	// NetSlowdown multiplies network latency and inverse bandwidth.
 	NetSlowdown float64
-	// PageFaultRate is the rate of extra soft page faults per second of
-	// CPU time (memory-pressure noise).
-	PageFaultRate float64
 }
 
 // Ideal returns the conditions of a quiet, healthy machine.
@@ -261,8 +258,7 @@ func (m *Machine) Execute(node, core int, w Workload, at Time, env Environment, 
 		}
 	}
 	basePF := float64(w.Instructions) / 2e8 // rare background faults
-	extraPF := cond.PageFaultRate * runTime.Seconds()
-	softPF += poissonish(rng, basePF+extraPF)
+	softPF += poissonish(rng, basePF)
 	susp += Duration(softPF) * softPFCost
 	susp += Duration(hardPF) * hardPFCost
 

@@ -157,19 +157,6 @@ func TestL2BugEpisode(t *testing.T) {
 	}
 }
 
-func TestPageFaultNoise(t *testing.T) {
-	m := testMachine()
-	w := Workload{Instructions: 5e7, MemRatio: 0.3, WorkingSet: 1 << 20}
-	env := constEnv{Conditions{CPUShare: 1, MemSlowdown: 1, IOSlowdown: 1, NetSlowdown: 1, PageFaultRate: 1e5}}
-	_, c := exec(m, w, env)
-	if c.SoftPF == 0 {
-		t.Fatal("page-fault noise produced no faults")
-	}
-	if c.Suspension == 0 {
-		t.Fatal("page faults must suspend")
-	}
-}
-
 func TestPlacement(t *testing.T) {
 	m := testMachine() // 2 nodes × 4 cores
 	cases := []struct{ rank, node, core int }{

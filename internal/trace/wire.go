@@ -638,18 +638,24 @@ func DecodeBatchMetaInto(dst []Fragment, data []byte) (meta BatchMeta, frags []F
 	return meta, frags, nil
 }
 
-// sizeBufs recycles the scratch buffer BatchWireSize encodes into, so
-// the per-batch byte accounting on the ingestion hot path allocates
+// payloadBufs recycles the scratch buffer BatchPayload encodes into,
+// so the per-batch byte accounting on the ingestion hot path allocates
 // nothing in steady state.
-var sizeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
+var payloadBufs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
+
+// BatchPayload encodes a batch (AppendBatch) into a recycled buffer and
+// hands it to use; the payload is valid only during the call.
+func BatchPayload(rank int, frags []Fragment, use func(payload []byte)) {
+	bp := payloadBufs.Get().(*[]byte)
+	b := AppendBatch((*bp)[:0], rank, frags)
+	use(b)
+	*bp = b[:0]
+	payloadBufs.Put(bp)
+}
 
 // BatchWireSize returns the encoded size of a batch in bytes — the
 // measured transport volume the §6.2 storage accounting reports.
-func BatchWireSize(rank int, frags []Fragment) int {
-	bp := sizeBufs.Get().(*[]byte)
-	b := AppendBatch((*bp)[:0], rank, frags)
-	n := len(b)
-	*bp = b[:0]
-	sizeBufs.Put(bp)
+func BatchWireSize(rank int, frags []Fragment) (n int) {
+	BatchPayload(rank, frags, func(payload []byte) { n = len(payload) })
 	return n
 }

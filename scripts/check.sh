@@ -204,36 +204,39 @@ vapro_check() {
 	fi
 }
 
-# Record→analyze smoke: a run recorded with -record and re-analyzed
-# offline by `vapro analyze FILE.vrec` must report the same summary
-# (ranks, makespan, STG, fragments, coverage, regions) as the run did;
-# only the label differs ("CG:" against "recording:"). A recorded run
+# Record→analyze smoke: a run recorded with -record DIR (its delivery
+# journal plus run.json) and re-analyzed offline by `vapro analyze
+# -journal DIR` must report the same summary line (app, ranks, makespan,
+# STG, fragments, coverage, regions) as the run did. A recorded run
 # whose diagnosis quantifies by OLS must re-diagnose offline
-# (`vapro analyze -diagnose`) to byte-identical progressive diagnosis
-# sections, with at least one OLS p-value among them. The recordings
-# stay behind on failure for the CI artifact upload.
+# (`vapro analyze -journal DIR -diagnose`) to byte-identical
+# progressive diagnosis sections, with at least one OLS p-value among
+# them. The record directories stay behind on failure for the CI
+# artifact upload.
 stage_record_analyze() {
 	vapro_check
-	# Offline and online runs both save; either file re-analyzes to the
-	# run's own summary line.
+	# Offline and online runs both record; either journal re-analyzes to
+	# the run's own summary line.
 	for MODE in "" -online; do
-		/tmp/vapro-check -app CG -ranks 8 $MODE -record /tmp/vapro-run.vrec >/tmp/vapro-run.out
-		/tmp/vapro-check analyze /tmp/vapro-run.vrec >/tmp/vapro-run-analyze.out
-		RUN_SUMMARY=$(grep ' ranks, makespan ' /tmp/vapro-run.out | sed 's/^[^:]*: //')
-		ANALYZE_SUMMARY=$(grep ' ranks, makespan ' /tmp/vapro-run-analyze.out | sed 's/^[^:]*: //')
+		rm -rf /tmp/vapro-run.rec
+		/tmp/vapro-check -app CG -ranks 8 $MODE -record /tmp/vapro-run.rec >/tmp/vapro-run.out
+		/tmp/vapro-check analyze -journal /tmp/vapro-run.rec >/tmp/vapro-run-analyze.out
+		RUN_SUMMARY=$(grep ' ranks, makespan ' /tmp/vapro-run.out)
+		ANALYZE_SUMMARY=$(grep ' ranks, makespan ' /tmp/vapro-run-analyze.out)
 		[ -n "$RUN_SUMMARY" ] && [ "$RUN_SUMMARY" = "$ANALYZE_SUMMARY" ]
 		grep -q 'performance heat map' /tmp/vapro-run-analyze.out
-		rm -f /tmp/vapro-run.vrec
+		rm -rf /tmp/vapro-run.rec
 	done
+	rm -rf /tmp/vapro-diag.rec
 	/tmp/vapro-check -app CG -ranks 48 -cpu-noise node=1,start=0.5,end=2,share=0.5 \
-		-diagnose -record /tmp/vapro-diag.vrec >/tmp/vapro-diag-run.out
-	/tmp/vapro-check analyze -diagnose /tmp/vapro-diag.vrec >/tmp/vapro-diag-analyze.out
+		-diagnose -record /tmp/vapro-diag.rec >/tmp/vapro-diag-run.out
+	/tmp/vapro-check analyze -journal /tmp/vapro-diag.rec -diagnose >/tmp/vapro-diag-analyze.out
 	sed -n '/^progressive diagnosis/,$p' /tmp/vapro-diag-run.out >/tmp/vapro-diag-run.sec
 	sed -n '/^progressive diagnosis/,$p' /tmp/vapro-diag-analyze.out >/tmp/vapro-diag-analyze.sec
 	[ -s /tmp/vapro-diag-run.sec ]
 	cmp /tmp/vapro-diag-run.sec /tmp/vapro-diag-analyze.sec
 	grep -q ' p=' /tmp/vapro-diag-run.sec
-	rm -f /tmp/vapro-diag.vrec
+	rm -rf /tmp/vapro-diag.rec
 }
 
 # Observability smoke: boot a real collector, scrape its metrics
@@ -469,10 +472,12 @@ stage_crash_replay() {
 	kill $JRN2_PID
 	trap - EXIT
 	wait $JRN2_PID 2>/dev/null || true
-	# Offline historical queries over the journal reproduce the whole run.
-	/tmp/vapro-check analyze -journal "$JDIR" | tee /tmp/vapro-analyze.out
+	# Offline historical queries over the journal reproduce the whole run,
+	# under the run mode's report and its diagnosis.
+	/tmp/vapro-check analyze -journal "$JDIR" -from 0 -diagnose | tee /tmp/vapro-analyze.out
+	grep -q ' ranks, makespan ' /tmp/vapro-analyze.out
 	grep -Fq 'replayed 96 frame(s)' /tmp/vapro-analyze.out
-	/tmp/vapro-check analyze -journal "$JDIR" -json |
+	/tmp/vapro-check analyze -journal "$JDIR" -from 0 -json |
 		grep -q '"replayed_frames": 96'
 	rm -rf "$JDIR" "$WDIR"
 }

@@ -40,6 +40,7 @@ import (
 	"vapro/internal/noise"
 	"vapro/internal/report"
 	"vapro/internal/sim"
+	"vapro/internal/wal"
 )
 
 // Re-exported core types. See the internal packages for full
@@ -171,12 +172,21 @@ func RenderHeatMapSVG(res *Result, class Class) string {
 // syntax (Figure 4).
 func RenderSTG(res *Result) string { return res.Graph.DOT() }
 
-// AnalyzeRecording rebuilds an analysis result from a fragment stream
-// persisted with Result.SaveRecording (any traced run, online or
-// offline, can be saved): the offline half of the record/analyze
-// workflow.
-func AnalyzeRecording(r io.Reader, dopt detect.Options) (*Result, error) {
-	return core.AnalyzeRecording(r, dopt)
+// Journal is a delivery journal: the frames a served or recorded run
+// delivered, in delivery order.
+type Journal = wal.Log
+
+// OpenJournal opens the delivery journal in dir, creating it if need
+// be. Set it as Options.Journal to record a run, and close it after.
+func OpenJournal(dir string) (*Journal, error) { return wal.Open(dir, wal.Options{}) }
+
+// AnalyzeJournal rebuilds an analysis result from a delivery journal —
+// a recorded run's (Options.Journal, with Result.SaveRunInfo beside it)
+// or a `vapro serve -journal` directory: the offline half of the
+// record/analyze workflow. ranks widens the rank space past the
+// journal's own (0: the journal's).
+func AnalyzeJournal(dir string, ranks int, dopt detect.Options) (*Result, error) {
+	return core.AnalyzeJournal(dir, ranks, dopt)
 }
 
 // ReportHTML renders a complete self-contained HTML report for the run:

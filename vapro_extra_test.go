@@ -68,18 +68,36 @@ func TestRenderExports(t *testing.T) {
 	}
 }
 
+// A run recorded through the public API (OpenJournal, Options.Journal,
+// SaveRunInfo) re-analyzes through AnalyzeJournal to the run's own
+// summary.
 func TestRecordingPublicRoundTrip(t *testing.T) {
-	res := noisyRun(t)
-	var buf bytes.Buffer
-	if err := res.SaveRecording(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := vapro.AnalyzeRecording(&buf, vapro.DefaultOptions().Collector.Detect)
+	app, err := vapro.App("CG")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Graph.NumFragments() != res.Graph.NumFragments() {
-		t.Fatal("fragments lost through the public round trip")
+	dir := t.TempDir()
+	jl, err := vapro.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := vapro.DefaultOptions()
+	opt.Ranks = 16
+	opt.Noise = vapro.NewNoise().Add(vapro.CPUContention(0, 1, vapro.Seconds(0.9), vapro.Seconds(1.6), 0.5))
+	opt.Journal = jl
+	res := vapro.Run(app, opt)
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.SaveRunInfo(dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err := vapro.AnalyzeJournal(dir, 0, vapro.DefaultOptions().Collector.Detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Summary() != res.Summary() {
+		t.Fatalf("summary through the public round trip:\n got %s\nwant %s", re.Summary(), res.Summary())
 	}
 }
 
