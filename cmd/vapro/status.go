@@ -256,9 +256,9 @@ func renderStatus(s *obs.Snapshot) string {
 
 	// What the fragments cost to keep: the columnar logs are the
 	// server's one resident copy of every fragment received.
-	fmt.Fprintf(&b, "resident  %s   %.0f chunk(s), %.0f live lane(s)\n",
+	fmt.Fprintf(&b, "resident  %s   %.0f chunk(s), %.0f live lane(s), %.0f wide\n",
 		residentLog(val(s, "vapro_intake_fragments_total"), val(s, "vapro_stg_log_bytes")),
-		val(s, "vapro_stg_log_chunks"), val(s, "vapro_stg_log_lanes_live"))
+		val(s, "vapro_stg_log_chunks"), val(s, "vapro_stg_log_lanes_live"), val(s, "vapro_stg_log_lanes_wide"))
 
 	fmt.Fprintf(&b, "wire      conns %.0f   frames %.0f (rejected %.0f, decode errors %.0f, panics %.0f)   bytes %s\n",
 		val(s, "vapro_wire_conns_total"), val(s, "vapro_wire_frames_total"),

@@ -62,7 +62,7 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"batches 60",
 		"fragments 60",
 		"resident  fragments 60   log ",
-		"B/fragment   1 chunk(s), 0 live lane(s)",
+		"B/fragment   1 chunk(s), 0 live lane(s), 0 wide\n",
 		"seq gaps 0 (lost batches)   dups 0\n",
 		"detect    windows",
 		"latency p50",
@@ -133,7 +133,7 @@ func TestStatusRenderSharded(t *testing.T) {
 		"shard 1: resident",
 		"seq gaps",
 		"resident  fragments 240   log ",
-		"B/fragment   2 chunk(s), 0 live lane(s)",
+		"B/fragment   2 chunk(s), 0 live lane(s), 0 wide\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sharded status panel missing %q:\n%s", want, out)

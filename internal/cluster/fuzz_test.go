@@ -25,8 +25,9 @@ import (
 //
 // An advance reads TOT_INS back through a table of the log's lanes, one
 // per chunk, whose last entry it refreshes: a run of one value keeps a
-// chunk's lane constant until a later row differs, which the table must
-// notice.
+// chunk's lane constant until a later row differs, and a lane of small
+// deltas stays narrow until one does not fit an int32 ('a' after a
+// digit), which the table must notice.
 func FuzzIncremental1D(f *testing.F) {
 	f.Add([]byte("011112.12.3*.4."))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -151,33 +151,37 @@ type incState struct {
 }
 
 // totTable reads a 1-D element's norms back from its log: entry c is
-// chunk c's TOT_INS lane, or nil and the value the lane is constant at.
+// chunk c's TOT_INS lane in the state trace.LogView.TotInsLane reports.
 type totTable []totLane
 
 type totLane struct {
-	arr *[trace.LogChunkRows]uint64
-	c   uint64
+	wide   *[trace.LogChunkRows]uint64
+	narrow *[trace.LogChunkRows]int32
+	base   uint64
 }
 
 // refresh brings the table up to frags: an entry for every new chunk,
 // and a fresh one for the chunk the previous view ended in, whose lane
-// may have become an array since. Full chunks never change.
+// may have turned narrow or wide since. Full chunks never change.
 func (t *totTable) refresh(frags trace.LogView) {
 	nc := (frags.Len() + trace.LogChunkRows - 1) / trace.LogChunkRows
 	*t = (*t)[:max(len(*t)-1, 0)]
 	for c := len(*t); c < nc; c++ {
-		arr, k := frags.TotInsLane(c)
-		*t = append(*t, totLane{arr, k})
+		wide, narrow, base := frags.TotInsLane(c)
+		*t = append(*t, totLane{wide, narrow, base})
 	}
 }
 
 // norm returns fragment i's norm, by the expression Run computes it with.
 func (t totTable) norm(i int32) float64 {
 	l := &t[uint32(i)/trace.LogChunkRows]
-	if l.arr == nil {
-		return float64(l.c)
+	switch r := uint32(i) % trace.LogChunkRows; {
+	case l.wide != nil:
+		return float64(l.wide[r])
+	case l.narrow != nil:
+		return float64(l.base + uint64(int64(l.narrow[r])))
 	}
-	return float64(l.arr[uint32(i)%trace.LogChunkRows])
+	return float64(l.base)
 }
 
 // norm returns fragment i's norm: cached on the multi-D path, read back

@@ -230,6 +230,10 @@ func (pl *plane) registerDerived() {
 		"lane arrays materialised in those chunks (fields that varied within a chunk)", func() float64 {
 			return float64(pl.graph.LogStats().Lanes())
 		})
+	reg.Func("vapro_stg_log_lanes_wide", "stg",
+		"lanes widened to 64-bit arrays in those chunks, start and elapsed included (deltas past int32)", func() float64 {
+			return float64(pl.graph.LogStats().Wide())
+		})
 	registerCacheDerived(reg, pl.an.Cache())
 }
 

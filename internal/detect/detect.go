@@ -418,17 +418,6 @@ type elemOut struct {
 	smallClusters int
 }
 
-// elemDirect is the materialized form of an element's window
-// contribution, produced by normalizeElement. The production path uses
-// elemOut's referenced samples instead; this form exists for the
-// equivalence tests that pin the two paths bit-identical.
-type elemDirect struct {
-	samples       [numClasses][]Sample
-	total, fixed  [numClasses]int64
-	fixedClusters int
-	smallClusters int
-}
-
 const numClasses = 3
 
 func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin int64) *Result {
@@ -555,84 +544,6 @@ func (a *Analyzer) partial(g *stg.Graph, opt Options, start, end, origin int64) 
 // discovery order.
 func sortRegionsByLoss(regions []Region) {
 	slices.SortStableFunc(regions, func(a, b Region) int { return cmp.Compare(b.LossNS, a.LossNS) })
-}
-
-// normalizeElement turns one element's clustering into normalized
-// samples and coverage partials, keeping only fragments overlapping
-// [start, end). Each fragment is classed by its own kind — a vertex
-// carrying mixed fragment kinds contributes to several classes rather
-// than being classed wholesale by its first fragment.
-//
-// The hot path no longer calls this per window — prepElem.window slices
-// the same outputs from a memoized full-population pass — but this
-// direct form remains the semantic reference: the equivalence tests pin
-// the sliced path bit-identical to it.
-func normalizeElement(frags trace.LogView, cl cluster.Result, ref ClusterRef, opt Options, start, end int64) (out elemDirect) {
-	minFrag := opt.Cluster.MinFragments
-	if minFrag <= 0 {
-		minFrag = 5
-	}
-	groups := cl.Groups()
-	for ci := range cl.Clusters {
-		if cl.Clusters[ci].Fixed {
-			out.fixedClusters++
-		} else {
-			out.smallClusters++
-			continue
-		}
-		// Fastest member defines performance 1.0.
-		best := int64(math.MaxInt64)
-		perRank := make(map[int]int)
-		for _, m := range groups[ci] {
-			rank, _, e := frags.Span(int(m))
-			perRank[rank]++
-			if e > 0 && e < best {
-				best = e
-			}
-		}
-		if best == math.MaxInt64 {
-			continue
-		}
-		for _, m := range groups[ci] {
-			rank, fstart, elapsed := frags.Span(int(m))
-			if fstart >= end || fstart+elapsed <= start {
-				continue
-			}
-			class := ClassOf(frags.Kind(int(m)))
-			// Detection pools fragments across processes (the
-			// inter-process comparison needs that), but coverage
-			// follows the paper's repetition notion: the snippet
-			// must recur within a process to count as repeated
-			// fixed workload there.
-			covered := perRank[rank] >= minFrag
-			if covered {
-				out.fixed[class] += elapsed
-			}
-			perf := 1.0
-			if elapsed > 0 {
-				perf = float64(best) / float64(elapsed)
-			}
-			ref := ref
-			ref.Cluster = ci
-			out.samples[class] = append(out.samples[class], Sample{
-				Rank:       rank,
-				Start:      fstart,
-				Elapsed:    elapsed,
-				Perf:       perf,
-				Covered:    covered,
-				ClusterRef: ref,
-				FragIndex:  int(m),
-			})
-		}
-	}
-	for i := 0; i < frags.Len(); i++ {
-		_, fstart, elapsed := frags.Span(i)
-		if fstart >= end || fstart+elapsed <= start {
-			continue
-		}
-		out.total[ClassOf(frags.Kind(i))] += elapsed
-	}
-	return out
 }
 
 // forEach runs fn(0..n-1) across a bounded worker pool. parallelism 0

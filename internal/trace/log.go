@@ -14,34 +14,45 @@ import (
 // 280-byte row is almost entirely zeros and constants: one counter
 // group is armed at a time, computation fragments carry no arguments,
 // and per STG element the state keys, kind and operation never change.
-// A Log therefore stores fragments in fixed-size chunks of columns.
-// Rank, Start and Elapsed — the only fields a window or a watermark
-// reads — are always present; every other field is a lane that costs
-// nothing while the chunk has seen only one value in it (the value of
-// the chunk's first row, usually zero) and becomes an 8 KB array the
-// first time a row differs.
+// A Log therefore stores fragments in fixed-size chunks of columns, and
+// every field but the rank is a lane in one of three states:
+//
+//   - constant: free while the chunk has seen only one value in it (the
+//     value of the chunk's first row, usually zero);
+//   - narrow: a 4 KB array of int32 deltas from that first-row value,
+//     from the first row that differs;
+//   - wide: an 8 KB array of the values themselves, from the first row
+//     whose delta does not fit an int32 (backfilled once from the
+//     deltas or the constant; the lane never narrows again).
+//
+// Start and Elapsed — with the rank column the only fields a window or
+// a watermark reads — are lanes born narrow: inside one chunk the
+// starts sit within a second of each other and elapsed times fit 32
+// bits, so a computation row (rank, start, elapsed, TOT_INS) costs 16
+// bytes. Rank stays an int32 column; what of it does not fit is a lane.
 //
 // Appending never moves a resident row: a full chunk is simply
 // followed by a new one. That makes a LogView — the chunk table header
 // plus a length — a physically stable snapshot. The owner keeps
 // appending while readers hold views, and the only owner writes a
 // reader can observe are the publication of a lane array inside the
-// view's tail chunk (one atomic store of the chunk's live mask, after
-// the array is filled) and nothing else: rows past the view's length,
-// later chunks and chunk-table growth all land in memory the view
-// never reads. A view must be taken with a happens-before edge to its
-// reader (the collector takes them under the server lock).
+// view's tail chunk (one atomic store of the chunk's live or wide mask,
+// after the array is filled) and nothing else: rows past the view's
+// length, later chunks and chunk-table growth all land in memory the
+// view never reads, and a widened lane's narrow array keeps the rows it
+// held. A view must be taken with a happens-before edge to its reader
+// (the collector takes them under the server lock).
 
 // LogChunkRows is the number of rows in one chunk of a Log.
 const LogChunkRows = 1 << logChunkShift
 
 const (
-	logChunkShift = 10 // 1024 rows: 8 KB lanes, one page of ranks
+	logChunkShift = 10 // 1024 rows: 4 KB narrow lanes, one page of ranks
 	logChunkMask  = LogChunkRows - 1
 )
 
-// Lane indexes: the counter lanes in counterLanes order, then the
-// remaining non-hot fields.
+// Lane indexes: the counter lanes in counterLanesInto order, then the
+// remaining fields.
 const (
 	laneTotIns     = 0
 	laneLoadStores = 18 // its place in counterLanesInto
@@ -58,7 +69,13 @@ const (
 	laneMode
 	laneTruth
 	laneRankHi // what of Rank does not fit the int32 column
+	// The hot lanes: narrow from a chunk's first row, never constant,
+	// and charged to the chunk rather than counted as lanes.
+	laneStart
+	laneElapsed
 	numLogLanes
+
+	hotLanes = 1<<laneStart | 1<<laneElapsed
 )
 
 const metaStatic = 1 << 8
@@ -75,46 +92,84 @@ func (w *logLanes) differ(o *logLanes) (m uint64) {
 	return m
 }
 
-// logChunk is one fixed-size block of rows. The hot columns and the
+// logChunk is one fixed-size block of rows. The rank column and the
 // lane arrays are separate pointer-free allocations.
 type logChunk struct {
-	rank    *[LogChunkRows]int32
-	start   *[LogChunkRows]int64
-	elapsed *[LogChunkRows]int64
+	rank *[LogChunkRows]int32
 
-	// live is the set of lanes held as arrays. A bit is set — after the
-	// array behind it is filled — and never cleared: this store is the
-	// log's one publication point.
-	live atomic.Uint64
+	// live is the set of lanes held as arrays and wide the subset whose
+	// array is the 64-bit one. A bit is set — after the array behind it
+	// is filled — and never cleared; a lane that turns wide from
+	// constant sets its wide bit before its live bit, so a reader loads
+	// live, then wide. These two stores are the log's publication points.
+	live, wide atomic.Uint64
 	// consts[k] is lane k's value in every row while its live bit is
-	// clear, and nonzero the set of lanes where that value is not zero.
-	// Both are written only by the chunk's first row, before any view
-	// can cover a row of the chunk.
+	// clear and the base a narrow lane's deltas are added to; nonzero is
+	// the set of lanes where that value is not zero. Both are written
+	// only by the chunk's first row, before any view can cover a row of
+	// the chunk.
 	nonzero uint64
 	consts  logLanes
+	narrow  [numLogLanes]*[LogChunkRows]int32
 	arrs    [numLogLanes]*[LogChunkRows]uint64
 }
 
+// at reads lane k of row r under the chunk's live and wide masks,
+// loaded in that order.
+func (c *logChunk) at(k, r int, live, wide uint64) uint64 {
+	switch {
+	case live>>k&1 == 0:
+		return c.consts[k]
+	case wide>>k&1 != 0:
+		return c.arrs[k][r]
+	}
+	return c.consts[k] + uint64(int64(c.narrow[k][r]))
+}
+
+// lane reads lane k of row r.
+func (c *logChunk) lane(k, r int) uint64 {
+	live := c.live.Load()
+	if live>>k&1 == 0 {
+		return c.consts[k]
+	}
+	return c.at(k, r, live, c.wide.Load())
+}
+
+// startElapsed reads row r's Start and Elapsed, the lanes every chunk
+// holds as arrays.
+func (c *logChunk) startElapsed(r int) (start, elapsed int64) {
+	wide := c.wide.Load()
+	return int64(c.at(laneStart, r, hotLanes, wide)), int64(c.at(laneElapsed, r, hotLanes, wide))
+}
+
 const (
-	logChunkBytes = int64(unsafe.Sizeof(logChunk{})) + LogChunkRows*(4+8+8)
-	logLaneBytes  = LogChunkRows * 8
+	logChunkBytes  = int64(unsafe.Sizeof(logChunk{})) + LogChunkRows*(4+4+4)
+	logNarrowBytes = LogChunkRows * 4
+	logWideBytes   = LogChunkRows * 8
 )
 
 // LogStats accumulates the allocation footprint of the logs charged to
 // it (NewLog). Reads are lock-free and may run beside appends.
 type LogStats struct {
-	chunks, lanes atomic.Int64
+	chunks, lanes, narrow, wide atomic.Int64
 }
 
 // Chunks returns the number of chunks allocated.
 func (s *LogStats) Chunks() int64 { return s.chunks.Load() }
 
-// Lanes returns the number of lane arrays materialised.
+// Lanes returns the number of lanes held as arrays, narrow or wide, not
+// counting Start and Elapsed, which every chunk holds.
 func (s *LogStats) Lanes() int64 { return s.lanes.Load() }
 
-// Bytes returns the heap bytes behind those chunks and lanes.
+// Wide returns the number of lanes widened to 64-bit arrays, Start and
+// Elapsed included: the lanes whose deltas overflowed an int32.
+func (s *LogStats) Wide() int64 { return s.wide.Load() }
+
+// Bytes returns the heap bytes behind those chunks and lanes: a chunk's
+// rank, start and elapsed columns, 4 KB per narrow array and 8 KB per
+// wide one (a widened lane keeps its narrow array).
 func (s *LogStats) Bytes() int64 {
-	return s.Chunks()*logChunkBytes + s.Lanes()*logLaneBytes
+	return s.Chunks()*logChunkBytes + s.narrow.Load()*logNarrowBytes + s.Wide()*logWideBytes
 }
 
 // Log is an append-only columnar fragment log. It has one owner, which
@@ -135,7 +190,7 @@ func (l *Log) Len() int { return l.n }
 // View returns the immutable snapshot of the log's current rows.
 func (l *Log) View() LogView { return LogView{chunks: l.chunks, n: l.n} }
 
-// lanesOf flattens f's non-hot fields; lo is the rank column's value.
+// lanesOf flattens f's fields but Rank; lo is the rank column's value.
 func lanesOf(f *Fragment, lo int32, w *logLanes) {
 	counterLanesInto((*[numCounterLanes]uint64)(w[:numCounterLanes]), &f.Counters)
 	w[laneFrom], w[laneState] = f.From, f.State
@@ -148,25 +203,26 @@ func lanesOf(f *Fragment, lo int32, w *logLanes) {
 	w[laneFD], w[laneMode] = uint64(f.Args.FD), uint64(f.Args.Mode)
 	w[laneTruth] = f.Truth
 	w[laneRankHi] = uint64(int64(f.Rank) - int64(lo))
+	w[laneStart], w[laneElapsed] = uint64(f.Start), uint64(f.Elapsed)
 }
 
-// Append adds one row. It allocates only when the row opens a chunk or
-// is the first of its chunk to differ in some lane.
+// Append adds one row. It allocates only when the row opens a chunk,
+// is the first of its chunk to differ in some lane, or is the first
+// whose delta in some lane does not fit an int32.
 func (l *Log) Append(f *Fragment) {
 	r := l.n & logChunkMask
 	if r == 0 {
-		l.chunks = append(l.chunks, &logChunk{
-			rank:    new([LogChunkRows]int32),
-			start:   new([LogChunkRows]int64),
-			elapsed: new([LogChunkRows]int64),
-		})
+		c := &logChunk{rank: new([LogChunkRows]int32)}
+		c.narrow[laneStart], c.narrow[laneElapsed] = new([LogChunkRows]int32), new([LogChunkRows]int32)
+		c.live.Store(hotLanes)
+		l.chunks = append(l.chunks, c)
 		if l.stats != nil {
 			l.stats.chunks.Add(1)
 		}
 	}
 	c := l.chunks[len(l.chunks)-1]
 	lo := int32(f.Rank)
-	c.rank[r], c.start[r], c.elapsed[r] = lo, f.Start, f.Elapsed
+	c.rank[r] = lo
 	var w logLanes
 	lanesOf(f, lo, &w)
 	l.n++
@@ -175,32 +231,63 @@ func (l *Log) Append(f *Fragment) {
 		return
 	}
 	// Most lanes of most rows repeat the chunk's constant: find the few
-	// that do not, then visit only those and the lanes already arrays.
-	live := c.live.Load()
-	for m := w.differ(&c.consts) | live; m != 0; m &= m - 1 {
+	// that do not, then visit only those and the wide lanes. A narrow
+	// array's unwritten rows already hold delta zero.
+	live, wide := c.live.Load(), c.wide.Load()
+	for m := w.differ(&c.consts) | wide; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros64(m)
-		if live>>k&1 != 0 {
+		switch d := int64(w[k] - c.consts[k]); {
+		case wide>>k&1 != 0:
 			c.arrs[k][r] = w[k]
-		} else {
-			l.materialise(c, k, r, w[k])
+		case int64(int32(d)) != d:
+			l.widen(c, k, r, w[k])
+		case live>>k&1 != 0:
+			c.narrow[k][r] = int32(d)
+		default:
+			l.materialise(c, k, r, int32(d))
 		}
 	}
 }
 
-// materialise turns lane k of c, constant over rows [0, r), into an
-// array holding x at row r, and publishes it.
-func (l *Log) materialise(c *logChunk, k, r int, x uint64) {
+// materialise turns lane k of c, constant over rows [0, r), into a
+// narrow array holding delta d at row r, and publishes it.
+func (l *Log) materialise(c *logChunk, k, r int, d int32) {
+	a := new([LogChunkRows]int32)
+	a[r] = d
+	c.narrow[k] = a
+	c.live.Store(c.live.Load() | 1<<k)
+	if l.stats != nil {
+		l.stats.lanes.Add(1)
+		l.stats.narrow.Add(1)
+	}
+}
+
+// widen turns lane k of c, constant or narrow over rows [0, r), into a
+// wide array holding x at row r, and publishes it. The narrow array, if
+// any, stays: a reader may still hold the mask that points to it.
+func (l *Log) widen(c *logChunk, k, r int, x uint64) {
 	a := new([LogChunkRows]uint64)
-	if v := c.consts[k]; v != 0 {
-		for i := 0; i < r; i++ {
+	v, live := c.consts[k], c.live.Load()
+	if live>>k&1 != 0 {
+		for i, d := range c.narrow[k][:r] {
+			a[i] = v + uint64(int64(d))
+		}
+	} else if v != 0 {
+		for i := range a[:r] {
 			a[i] = v
 		}
 	}
 	a[r] = x
 	c.arrs[k] = a
-	c.live.Store(c.live.Load() | 1<<k)
+	c.wide.Store(c.wide.Load() | 1<<k)
 	if l.stats != nil {
-		l.stats.lanes.Add(1)
+		l.stats.wide.Add(1)
+	}
+	if live>>k&1 == 0 {
+		c.live.Store(live | 1<<k)
+		if l.stats != nil {
+			l.stats.lanes.Add(1)
+		}
 	}
 }
 
@@ -247,29 +334,19 @@ func (v LogView) row(i int) (*logChunk, int) {
 	return v.chunks[i>>logChunkShift], i & logChunkMask
 }
 
-// lane reads lane k of row r.
-func (c *logChunk) lane(k, r int) uint64 {
-	if c.live.Load()>>k&1 != 0 {
-		return c.arrs[k][r]
-	}
-	return c.consts[k]
-}
-
 // Span returns row i's hot columns.
 func (v LogView) Span(i int) (rank int, start, elapsed int64) {
 	c, r := v.row(i)
-	rank = int(c.rank[r])
-	if hi := c.lane(laneRankHi, r); hi != 0 {
-		rank = int(int64(rank) + int64(hi))
-	}
-	return rank, c.start[r], c.elapsed[r]
+	rank = int(int64(c.rank[r]) + int64(c.lane(laneRankHi, r)))
+	start, elapsed = c.startElapsed(r)
+	return rank, start, elapsed
 }
 
 // StartElapsed returns row i's Start and Elapsed: the two hot columns a
 // span index orders and filters by, without the rank lane.
 func (v LogView) StartElapsed(i int) (start, elapsed int64) {
 	c, r := v.row(i)
-	return c.start[r], c.elapsed[r]
+	return c.startElapsed(r)
 }
 
 // Kind returns row i's fragment kind.
@@ -284,13 +361,14 @@ func (v LogView) AllKind(from int, k Kind) bool {
 	for i := from; i < v.n; {
 		c, r := v.row(i)
 		end := min(v.n-i+r, LogChunkRows)
-		if c.live.Load()>>laneMeta&1 == 0 {
+		live, wide := c.live.Load(), c.wide.Load()
+		if live>>laneMeta&1 == 0 {
 			if Kind(c.consts[laneMeta]) != k {
 				return false
 			}
 		} else {
-			for a := c.arrs[laneMeta]; r < end; r++ {
-				if Kind(a[r]) != k {
+			for ; r < end; r++ {
+				if Kind(c.at(laneMeta, r, live, wide)) != k {
 					return false
 				}
 			}
@@ -307,40 +385,42 @@ func (v LogView) TotIns(i int) uint64 {
 }
 
 // TotInsLane returns chunk c's TOT_INS lane for a reader that keeps it
-// across reads: the chunk's array once the lane is one (index it by row
-// modulo LogChunkRows, only at rows the view covers), else nil and the
-// value every row of the chunk holds. The chunk a view ends in may turn
-// its lane into an array later, so an answer kept for it must be asked
-// again under a longer view.
-func (v LogView) TotInsLane(c int) (lane *[LogChunkRows]uint64, constant uint64) {
+// across reads, in the lane's state: its wide array, or its narrow
+// array of deltas from base, or neither and the value base every row of
+// the chunk holds. Index an array by row modulo LogChunkRows, only at
+// rows the view covers. The chunk a view ends in may turn its lane
+// narrow or wide later, so an answer kept for it must be asked again
+// under a longer view.
+func (v LogView) TotInsLane(c int) (wide *[LogChunkRows]uint64, narrow *[LogChunkRows]int32, base uint64) {
 	ch := v.chunks[c]
-	if ch.live.Load()>>laneTotIns&1 != 0 {
-		return ch.arrs[laneTotIns], 0
+	live := ch.live.Load()
+	switch {
+	case live>>laneTotIns&1 == 0:
+		return nil, nil, ch.consts[laneTotIns]
+	case ch.wide.Load()>>laneTotIns&1 != 0:
+		return ch.arrs[laneTotIns], nil, 0
 	}
-	return nil, ch.consts[laneTotIns]
+	return nil, ch.narrow[laneTotIns], ch.consts[laneTotIns]
 }
 
 // fill copies row r's lanes in mask into w, visiting only those present
 // in the chunk (the rest stay zero).
 func (c *logChunk) fill(r int, mask uint64, w *logLanes) {
 	live := c.live.Load()
+	wide := c.wide.Load()
 	for m := (live | c.nonzero) & mask; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros64(m)
-		if live>>k&1 != 0 {
-			w[k] = c.arrs[k][r]
-		} else {
-			w[k] = c.consts[k]
-		}
+		w[k] = c.at(k, r, live, wide)
 	}
 }
 
 // ReadCounters fills only f.Elapsed and f.Counters from row i — the
-// fields diagnose.Metric reads — visiting counter lanes only.
+// fields diagnose.Metric reads — visiting those lanes only.
 func (v LogView) ReadCounters(i int, f *Fragment) {
 	c, r := v.row(i)
 	var w logLanes
-	c.fill(r, 1<<numCounterLanes-1, &w)
-	f.Elapsed = c.elapsed[r]
+	c.fill(r, 1<<numCounterLanes-1|1<<laneElapsed, &w)
+	f.Elapsed = int64(w[laneElapsed])
 	setCounterLanes(&f.Counters, *(*[numCounterLanes]uint64)(w[:numCounterLanes]))
 }
 
@@ -368,7 +448,7 @@ func (v LogView) Read(i int, f *Fragment) {
 	var w logLanes
 	c.fill(r, ^uint64(0), &w)
 	f.Rank = int(int64(c.rank[r]) + int64(w[laneRankHi]))
-	f.Start, f.Elapsed = c.start[r], c.elapsed[r]
+	f.Start, f.Elapsed = int64(w[laneStart]), int64(w[laneElapsed])
 	setCounterLanes(&f.Counters, *(*[numCounterLanes]uint64)(w[:numCounterLanes]))
 	f.From, f.State = w[laneFrom], w[laneState]
 	meta := w[laneMeta]

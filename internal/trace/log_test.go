@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -331,6 +332,21 @@ func logScriptSeeds() [][]byte {
 	susp := comp
 	susp.Counters.SuspensionNS = -12345
 	escaped := Fragment{Rank: 1, Kind: Kind(200), State: 9, Static: true, Truth: math.MaxUint64}
+	// Widening: a rank whose clock runs 5 s ahead of the chunk's first
+	// row, an elapsed past int32 and a TOT_INS jump past int32, each
+	// against lanes that were constant or narrow before.
+	compNarrow := comp
+	compNarrow.Counters.TotIns = 1_000_500
+	skewed := comp
+	skewed.Rank, skewed.Start, skewed.Elapsed = 4, comp.Start+5_000_000_000, 3_000_000_000
+	skewed.Counters.TotIns = comp.Counters.TotIns + 5_000_000_000
+	behind := comp
+	behind.Start = comp.Start - 1<<31 - 1 // the first start a delta cannot reach downward
+	edges := func(start, elapsed int64, tot uint64) Fragment {
+		f := comp
+		f.Start, f.Elapsed, f.Counters.TotIns = start, elapsed, tot
+		return f
+	}
 	return [][]byte{
 		{},
 		// all-zero rows
@@ -348,6 +364,21 @@ func logScriptSeeds() [][]byte {
 		// two logs feeding each other with AppendFrom across boundaries
 		program(opRun(comm, 70), opSwap(), opRun(comp, 100), opAppendFrom(0), opHold(), opAppendFrom(30),
 			opSwap(), opAppendFrom(50), opAppend(escaped), opAppendFrom(255), opSlice(), opSwap(), opSlice()),
+		// start, elapsed and TOT_INS go narrow then wide mid-chunk; views
+		// held before each step are re-read at the end
+		program(opRun(comp, 20), opAppend(compNarrow), opHold(), opRun(compNarrow, 2), opHold(),
+			opRun(skewed, 10), opHold(), opCheckRow(150), opCheckRow(200), opAppend(comp),
+			opAllKindPick(0), opSlice()),
+		// constant lanes jump straight to wide, first in a chunk's second
+		// row, then past a chunk boundary while the first chunk's views stay
+		program(opAppend(comp), opHold(), opAppend(skewed), opAppend(behind), opHold(),
+			opRun(comp, 127), opHold(), opAppend(skewed), opRun(behind, 3), opCheckRow(1), opCheckRow(1030), opSlice()),
+		// deltas at the int32 edges: MaxInt32 and MinInt32 stay narrow,
+		// one past either end widens
+		program(opAppend(edges(0, 0, 0)), opAppend(edges(math.MaxInt32, math.MaxInt32, math.MaxInt32)),
+			opAppend(edges(math.MinInt32, 0, uint64(1)<<63)), opHold(),
+			opAppend(edges(math.MaxInt32+1, math.MinInt32-1, math.MaxUint64)), opHold(),
+			opAppend(edges(math.MinInt32-1, 5, 1)), opCheckRow(1), opCheckRow(3), opSlice()),
 	}
 }
 
@@ -453,6 +484,10 @@ func TestLogViewStableUnderAppend(t *testing.T) {
 						t.Errorf("pass %d: span of row %d changed", pass, i)
 						return
 					}
+					if start, elapsed := h.v.StartElapsed(i); start != f.Start || elapsed != f.Elapsed || h.v.TotIns(i) != f.Counters.TotIns {
+						t.Errorf("pass %d: start, elapsed or TOT_INS of row %d changed", pass, i)
+						return
+					}
 				}
 				if !h.v.AllKind(0, Comp) {
 					t.Errorf("pass %d: kind changed under append", pass)
@@ -480,6 +515,9 @@ func TestLogViewStableUnderAppend(t *testing.T) {
 	}
 	vary := []func(f *Fragment, i int){
 		func(f *Fragment, i int) { f.Counters.TotIns = uint64(i) },
+		func(f *Fragment, i int) { f.Start += 1 << 33 },                    // a rank clock 8.6 s ahead: start widens
+		func(f *Fragment, i int) { f.Counters.TotIns = 1<<40 + uint64(i) }, // narrow TOT_INS widens
+		func(f *Fragment, i int) { f.Elapsed = 1<<31 + int64(i) },          // elapsed widens
 		func(f *Fragment, i int) { f.Counters.SuspensionNS = -int64(i) },
 		func(f *Fragment, i int) { f.Args.Peer = -1 },
 		func(f *Fragment, i int) { f.From = uint64(i) },
@@ -489,10 +527,10 @@ func TestLogViewStableUnderAppend(t *testing.T) {
 	}
 	for ; n < 4*LogChunkRows; n++ {
 		f := next(n)
-		// Each field starts varying at its own moment, the first few
-		// inside the readers' shared tail chunk.
+		// Each field starts varying at its own moment, all inside the
+		// readers' shared tail chunk.
 		for k, fn := range vary {
-			if n >= LogChunkRows/2+readers*100+k*40 {
+			if n >= LogChunkRows/2+readers*100+k*10 {
 				fn(&f, n)
 			}
 		}
@@ -500,6 +538,51 @@ func TestLogViewStableUnderAppend(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestLogNarrowRows pins the narrow layout: a computation edge row —
+// rank, start, elapsed and a varying TOT_INS — costs 16 bytes plus the
+// chunk header's share, every lane stays narrow, and one row whose
+// delta overflows widens exactly that lane with one 8 KB array.
+func TestLogNarrowRows(t *testing.T) {
+	var st LogStats
+	l := NewLog(&st)
+	f := Fragment{Kind: Comp, From: 1, State: 2}
+	for i := 0; i < LogChunkRows; i++ {
+		f.Rank, f.Start, f.Elapsed = i%64, 1_000_000_000+int64(i)*900_000, int64(800_000+i%1000)
+		f.Counters.TotIns = uint64(2_000_000 + i*7)
+		l.Append(&f)
+	}
+	if st.Chunks() != 1 || st.Lanes() != 1 || st.Wide() != 0 {
+		t.Fatalf("one chunk of edge rows: %d chunks, %d lanes, %d wide; want 1, 1, 0", st.Chunks(), st.Lanes(), st.Wide())
+	}
+	if per := float64(st.Bytes()) / LogChunkRows; per < 16 || per > 17 {
+		t.Fatalf("an edge row costs %.2f B, want 16 plus the chunk header", per)
+	}
+	// Open a second chunk whose TOT_INS lane is narrow, then widen it.
+	l.Append(&f)
+	f.Counters.TotIns++
+	l.Append(&f)
+	before := st.Bytes()
+	f.Counters.TotIns += 1 << 32
+	var m0, m1 runtime.MemStats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.ReadMemStats(&m0)
+	l.Append(&f)
+	runtime.ReadMemStats(&m1)
+	if mallocs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; mallocs != 1 || bytes != logWideBytes {
+		t.Fatalf("widening allocated %d objects, %d B; want one array of %d B", mallocs, bytes, logWideBytes)
+	}
+	if st.Wide() != 1 || st.Lanes() != 2 || st.Bytes()-before != logWideBytes {
+		t.Fatalf("after widening: %d wide, %d lanes, +%d B", st.Wide(), st.Lanes(), st.Bytes()-before)
+	}
+	// The hot columns widen in place: counted wide, not as lanes.
+	f.Start += 1 << 32
+	f.Elapsed = 1 << 40
+	l.Append(&f)
+	if st.Wide() != 3 || st.Lanes() != 2 {
+		t.Fatalf("after start and elapsed widen: %d wide, %d lanes; want 3, 2", st.Wide(), st.Lanes())
+	}
 }
 
 // TestLogAppendAllocs: an append that opens no chunk and needs no new
@@ -511,7 +594,7 @@ func TestLogAppendAllocs(t *testing.T) {
 	f.Counters.TotIns = 2
 	l.Append(&f) // the one lane this stream needs
 	const runs = 100
-	if 2+runs*4 >= LogChunkRows {
+	if 2+runs*4+2+runs+1 >= LogChunkRows {
 		t.Fatal("test would cross a chunk boundary")
 	}
 	i := 0
@@ -524,6 +607,17 @@ func TestLogAppendAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm append allocates %.0f times", allocs)
+	}
+	// Nor once the lane and the start column are wide.
+	f.Counters.TotIns, f.Start = 1<<40, 1<<40
+	l.Append(&f)
+	allocs = testing.AllocsPerRun(runs, func() {
+		i++
+		f.Rank, f.Start, f.Counters.TotIns = i%64, 1<<40+int64(i), uint64(1<<40+i)
+		l.Append(&f)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm append to wide lanes allocates %.0f times", allocs)
 	}
 	// Reading allocates nothing either.
 	v := l.View()

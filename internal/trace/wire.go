@@ -87,15 +87,10 @@ const (
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// counterLanes flattens a CountersView into uint64 lanes in field order
-// (SuspensionNS is reinterpreted; wrapping deltas preserve it exactly).
-func counterLanes(c *CountersView) (l [numCounterLanes]uint64) {
-	counterLanesInto(&l, c)
-	return l
-}
-
-// counterLanesInto is counterLanes written in place (the fragment log
-// flattens a row per append and cannot afford the array copy).
+// counterLanesInto flattens a CountersView into uint64 lanes in field
+// order (SuspensionNS is reinterpreted; wrapping deltas preserve it
+// exactly), in place: the fragment log flattens a row per append and
+// cannot afford an array copy.
 func counterLanesInto(l *[numCounterLanes]uint64, c *CountersView) {
 	l[0], l[1] = c.TotIns, c.Cycles
 	l[2], l[3], l[4], l[5] = c.SlotsFrontend, c.SlotsBadSpec, c.SlotsRetiring, c.SlotsBackend
@@ -106,7 +101,7 @@ func counterLanesInto(l *[numCounterLanes]uint64, c *CountersView) {
 	l[18], l[19], l[20] = c.LoadStores, c.CacheMisses, c.L2MissStall
 }
 
-// setCounterLanes is the inverse of counterLanes.
+// setCounterLanes is the inverse of counterLanesInto.
 func setCounterLanes(c *CountersView, l [numCounterLanes]uint64) {
 	c.TotIns, c.Cycles = l[0], l[1]
 	c.SlotsFrontend, c.SlotsBadSpec, c.SlotsRetiring, c.SlotsBackend = l[2], l[3], l[4], l[5]

@@ -313,3 +313,10 @@ func TestHelloCorruptInputs(t *testing.T) {
 		t.Fatal("absurd shard count decoded cleanly")
 	}
 }
+
+// counterLanes flattens a CountersView into uint64 lanes in field order
+// (SuspensionNS is reinterpreted; wrapping deltas preserve it exactly).
+func counterLanes(c *CountersView) (l [numCounterLanes]uint64) {
+	counterLanesInto(&l, c)
+	return l
+}

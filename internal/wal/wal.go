@@ -141,6 +141,9 @@ type Log struct {
 	active  *os.File
 	pending int
 	closed  bool
+	// rec is Append's record buffer, reused under mu: the file write
+	// does not keep it.
+	rec []byte
 
 	// Cursor state: the consumer reads records through Next (peek) and
 	// Ack (consume). curSeg indexes segs; curOff is the byte offset of
@@ -406,7 +409,8 @@ func (l *Log) Append(payload []byte) error {
 			return err
 		}
 	}
-	rec := trace.AppendRecord(make([]byte, 0, len(payload)+16), payload)
+	l.rec = trace.AppendRecord(l.rec[:0], payload)
+	rec := l.rec
 	cur := l.segs[len(l.segs)-1]
 	if cur.records > 0 && cur.size+int64(len(rec)) > l.opt.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {

@@ -758,3 +758,41 @@ func TestCursorAcrossDeletedSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendReusesRecordBuffer: a warm append that opens no segment
+// allocates nothing — the record is framed in the log's own buffer —
+// and reusing that buffer leaves every written record intact.
+func TestAppendReusesRecordBuffer(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := bytes.Repeat([]byte("frame"), 40)
+	if err := l.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		i++
+		payload[0] = byte(i)
+		if err := l.Append(payload[:len(payload)-i%7]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Append allocates %.1f times", allocs)
+	}
+	got := drain(t, l)
+	if len(got) != runs+2 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("%d records, want %d", len(got), runs+2)
+	}
+	for j, rec := range got[1:] {
+		want := bytes.Repeat([]byte("frame"), 40)[:len(payload)-(j+1)%7]
+		want[0] = byte(j + 1)
+		if !bytes.Equal(rec, want) {
+			t.Fatalf("record %d = %q, want %q", j+1, rec, want)
+		}
+	}
+}

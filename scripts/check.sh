@@ -155,10 +155,12 @@ stage_fuzz() {
 # plus the analyzer
 # (resident_B_per_frag of MonitorTickWindow/plane=inc and of
 # MonitorTickMultiD/plane=inc at 1M resident, each 5 % above its
-# measured 49.5 and 51.1 B, live heap after two collections so pooled
-# scratch is not counted; and plane=inc's B/op at ≤ 5.2 MB, the largest
-# one-shot reading, 4.73 MB, plus 10 %). BenchmarkLogAppend (ns/frag and B/frag per
-# end-to-end population) and BenchmarkPoolIngest's resident_B_per_frag
+# measured 37.7 and 40.0 B since log lanes went narrow (49.5 and 51.1 B
+# before), live heap after two collections so pooled scratch is not
+# counted; BenchmarkLogAppend/pop=comp's B/frag, 5 % above its measured
+# 17.5 B; and plane=inc's B/op at ≤ 5.2 MB, the largest one-shot
+# reading, 4.73 MB, plus 10 %). BenchmarkLogAppend's ns/frag and the
+# commio B/frag and BenchmarkPoolIngest's resident_B_per_frag
 # record what the columnar fragment log costs,
 # MonitorTickWindow/plane=monitor the whole monitor round, and
 # BenchmarkEncodeFrame a client flush's encoding (ns/frag, B/frag,
@@ -182,8 +184,9 @@ stage_bench_smoke() {
 		-assert 'MonitorTickWindow/plane=tier<=1.93*MonitorTickWindow/plane=monitor@B/op' \
 		-assert 'MonitorTickWindow/plane=inc@B/op<=5.2e6' \
 		-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
-		-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=52.0' \
-		-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=53.6' \
+		-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=39.6' \
+		-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=42.0' \
+		-assert 'LogAppend/pop=comp@B/frag<=18.3' \
 		< bench-smoke.out
 }
 
@@ -268,7 +271,8 @@ stage_obs() {
 		vapro_detect_region_cells_carried_total \
 		vapro_detect_region_cells_regrown_total \
 		vapro_ols_rank1_updates_total vapro_ols_refactors_total \
-		vapro_stg_log_bytes vapro_stg_log_chunks vapro_stg_log_lanes_live; do
+		vapro_stg_log_bytes vapro_stg_log_chunks vapro_stg_log_lanes_live \
+		vapro_stg_log_lanes_wide; do
 		grep -q "$name" /tmp/vapro-metrics.out || {
 			echo "metrics endpoint missing $name"; exit 1; }
 	done
