@@ -50,9 +50,11 @@ type Cache struct {
 
 	hits, misses, evictions atomic.Uint64
 	incHits, staleRejects   atomic.Uint64
-	// Incremental fallbacks: structural multi-D events (vector-shape
-	// change, partition restructured by a new seed).
+	// Incremental fallbacks: a vector-shape change, or a multi-D
+	// partition restructured by a new seed.
 	incFallbacks atomic.Uint64
+	// 1-D re-cuts: appended fragments whose band stole resident members.
+	incRecuts atomic.Uint64
 }
 
 // NewCache returns an empty cache.
@@ -83,7 +85,7 @@ func (c *Cache) entryFor(key Key) *entry {
 //
 //   - unchanged (gen, count, options match): pure hit;
 //   - append-only advance (same epoch, grown count): the incremental
-//     splice — 1-D run deltas or the multi-D vector path — equivalent
+//     splice — the 1-D band walk or the multi-D vector path — equivalent
 //     to Run by construction and pinned by the equivalence fuzz; falls
 //     back to a full Run when the element changed vector shape or an
 //     appended fragment restructured the multi-D partition;
@@ -134,9 +136,10 @@ func (c *Cache) run(key Key, gen stg.Gen, frags trace.LogView, opt Options, allo
 		uint64(frags.Len()) == gen.Count && uint64(e.nfrags) == e.gen.Count {
 		// Append-only advance: Gen.Count is the append-log length, so
 		// frags[e.nfrags:] is exactly what arrived since e.gen.
-		res, d, ok := e.inc.update(frags, e.res, opt)
+		res, d, recuts, ok := e.inc.update(frags, e.res, opt)
 		if ok {
 			c.incHits.Add(1)
+			c.incRecuts.Add(uint64(recuts))
 			d.From = e.gen
 			e.gen, e.nfrags, e.res = gen, frags.Len(), res
 			return res, d
@@ -168,12 +171,16 @@ func (c *Cache) Stats() (hits, misses uint64) {
 }
 
 // IncStats returns the incremental-path counters: advances that spliced
-// the previous clustering, and fallbacks where the splice was abandoned
-// and a full Run was paid instead — every one a structural multi-D
-// event (the element changed vector shape, or an appended fragment
-// seeded a new cluster that stole resident members).
-func (c *Cache) IncStats() (incHits, incFallbacks uint64) {
-	return c.incHits.Load(), c.incFallbacks.Load()
+// the previous clustering; fallbacks, where the splice was abandoned
+// and a full Run was paid instead — the element changed vector shape
+// (a 1-D element saw a comm/IO fragment), or on the multi-D path an
+// appended fragment seeded a new cluster that stole resident members;
+// and 1-D re-cuts, the spliced advances' O(resident) step — an
+// appended fragment whose band reached a resident cluster's seed, so
+// that cluster's members were gathered and re-cut. A re-cut is not a
+// fallback: its advance also counts as a hit.
+func (c *Cache) IncStats() (incHits, incFallbacks, recuts uint64) {
+	return c.incHits.Load(), c.incFallbacks.Load(), c.incRecuts.Load()
 }
 
 // StaleRejects returns how many lookups carried an older generation

@@ -87,7 +87,7 @@ func TestCacheEvictions(t *testing.T) {
 	if got := c.Evictions(); got != 0 {
 		t.Fatalf("evictions after incremental advance: %d, want 0", got)
 	}
-	if incHits, _ := c.IncStats(); incHits != 1 {
+	if incHits, _, _ := c.IncStats(); incHits != 1 {
 		t.Fatalf("incremental hits: %d, want 1", incHits)
 	}
 	// An epoch bump is a wholesale replacement: the entry is rebuilt.
@@ -134,7 +134,7 @@ func TestCacheGenerationBumpTouchesOnlyGrownElement(t *testing.T) {
 	}
 	runBoth() // edge advances incrementally, vertex hits
 	hits, misses := c.Stats()
-	incHits, incFallbacks := c.IncStats()
+	incHits, incFallbacks, _ := c.IncStats()
 	if hits != 3 || misses != 2 || incHits != 1 || incFallbacks != 0 {
 		t.Fatalf("hits=%d misses=%d inc=%d/%d, want 3/2/1/0 (only the grown edge re-clustered, incrementally)",
 			hits, misses, incHits, incFallbacks)

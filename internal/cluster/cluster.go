@@ -134,10 +134,11 @@ type scratch struct {
 	// vecs holds multi-D workload vectors: Run's for every fragment, an
 	// advance's for the appended batch.
 	vecs []wvec
-	// An advance's: mergeAppended's outputs and radix keys, updateMultiD's
-	// absorb flags and batch positions, the 1-D update's run list.
-	batch, inserted, ipos []int32
+	// An advance's: the radix keys of its batch, mergeAppended's outputs,
+	// updateMultiD's absorb flags and batch positions, the 1-D walk's
+	// middle clusters.
 	keys                  []normKey
+	batch, inserted, ipos []int32
 	absorbed              []bool
 	jOf                   []int32
 	mids                  []midRun
@@ -190,9 +191,10 @@ func Run(frags trace.LogView, opt Options) Result {
 }
 
 // runCapture is Run plus an optional capture of the incremental state
-// (norm-sorted order, cluster seed positions, multi-D norms) straight
-// out of the working set, so the cache does not pay a second sort to
-// seed the delta path. Neither multi-D vectors nor 1-D norms are
+// straight out of the working set, so the cache does not pay a second
+// sort to seed the delta path: for a multi-D element the norm-sorted
+// order, the cluster seed positions and the norms; for a 1-D element
+// nothing beyond the Result. Neither multi-D vectors nor 1-D norms are
 // captured: the log keeps their inputs.
 func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incState) {
 	opt = opt.normalized()
@@ -207,7 +209,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		// capture nothing, and the first growth clusters from scratch.
 		var st *incState
 		if capture && !opt.UseExtraMetrics {
-			st = &incState{runStart: []int32{0}}
+			st = &incState{}
 		}
 		return res, st
 	}
@@ -225,8 +227,8 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 	oneD := !opt.UseExtraMetrics && frags.AllKind(0, trace.Comp)
 	var vecs []wvec
 	if oneD {
-		for i := 0; i < n; i++ {
-			norms[i] = float64(frags.TotIns(i))
+		trace.ReadColumn(frags, trace.ColTotIns, 0, norms)
+		for i := range order {
 			order[i] = int32(i)
 		}
 	} else {
@@ -253,7 +255,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		if processed[seed] {
 			continue
 		}
-		if capture {
+		if capture && !oneD {
 			seedPos = append(seedPos, int32(pos))
 		}
 		ci := int32(len(res.Clusters))
@@ -296,14 +298,13 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 	}
 	var st *incState
 	if capture {
-		st = &incState{n: n, order: slices.Clone(order), assign: res.Assign}
-		if oneD {
-			// 1-D clusters are contiguous runs: the seed positions are
-			// exactly the run starts.
-			st.runStart = append(seedPos, int32(n))
-		} else {
+		// A 1-D state is its Assign: the clusters' seed norms are the
+		// partition (see incremental.go).
+		st = &incState{n: n, assign: res.Assign}
+		if !oneD {
 			st.multiD = true
 			st.norms = slices.Clone(norms)
+			st.order = slices.Clone(order)
 			st.seedPos = seedPos
 		}
 	}

@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"vapro/internal/sim"
+	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
 
@@ -237,5 +239,52 @@ func TestSortNormKeysMatchesStableSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOneDStateKeepsOnlyAssign: a 1-D element's incremental state holds
+// no per-fragment slice but the Assign backing it shares with the
+// Result it last returned — the seed norms of that Result describe the
+// partition — after many advances of every kind: absorbs, new clusters
+// in gaps and re-cuts under new minima. Every slice field of incState is
+// checked, so a field added later is held to the rule too.
+func TestOneDStateKeepsOnlyAssign(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := NewCache()
+	key := VertexKey(1)
+	opt := DefaultOptions()
+	log := trace.NewLog(nil)
+	low := uint64(1_000_000) // the next new minimum steals cluster 0
+	for step := 0; step < 60; step++ {
+		for i, n := 0, 1+rng.Intn(200); i < n; i++ {
+			ins := uint64(1+rng.Intn(6))*1_000_000 + uint64(rng.Intn(30_000))
+			switch rng.Intn(50) {
+			case 0:
+				low -= low / 50
+				ins = low
+			case 1:
+				ins = uint64(7+rng.Intn(1000)) * 1_000_000 // a gap far above
+			}
+			f := compFrag(ins, 10)
+			log.Append(&f)
+		}
+		v := log.View()
+		res := c.Run(key, stg.Gen{Count: uint64(v.Len())}, v, opt)
+		e := c.entries[key]
+		st := reflect.ValueOf(e.inc).Elem()
+		for i := 0; i < st.NumField(); i++ {
+			f, name := st.Field(i), st.Type().Field(i).Name
+			if f.Kind() != reflect.Slice || f.IsNil() || name == "assign" {
+				continue
+			}
+			t.Fatalf("step %d: a 1-D state holds %s (%d entries)", step, name, f.Len())
+		}
+		if e.inc.n != v.Len() || &e.inc.assign[0] != &res.Assign[0] {
+			t.Fatalf("step %d: the state does not describe the Result it returned", step)
+		}
+	}
+	hits, fallbacks, recuts := c.IncStats()
+	if hits != 59 || fallbacks != 0 || recuts == 0 {
+		t.Fatalf("%d advances, %d fallbacks, %d re-cuts; want 59, 0 and some", hits, fallbacks, recuts)
 	}
 }

@@ -4,23 +4,41 @@
 // already hold large resident populations; re-running Algorithm 1 from
 // scratch costs O(total·log total) per tick. For the dominant 1-D
 // TOT_INS population the greedy cut has a structural property that
-// makes a delta recompute possible: once a candidate fails the absorb
-// test, every later (larger-norm) candidate fails it too, so every
-// cluster is a CONTIGUOUS RUN of the norm-sorted order and the next
-// seed is always the first fragment past the previous run. An append
-// therefore only perturbs the runs its insertions land in (plus a
-// bounded cascade to the right, until a recomputed cut lines up with an
-// old one again); everything before the first insertion and after the
-// re-aligned cut is carried over untouched. Between two insertion
-// sites the same re-alignment argument lets the recompute skip ahead:
-// once a cut matches an old cut, the old runs up to the next
-// insertion's predecessor are reproduced verbatim and only the run the
-// insertion lands in is re-run, so a batch scattered across the whole
-// norm range costs the sum of the runs it touches, not the span
-// between its extremes.
+// makes a delta cheap: the absorb test is monotone in the candidate's
+// norm, so every cluster is a NORM BAND. Cluster i holds exactly the
+// fragments whose norm lies in [SeedNorm_i, SeedNorm_i+1), every one of
+// them passes the absorb test against SeedNorm_i, and SeedNorm_i+1
+// fails it. The previous Result's seed norms — in memory, ascending —
+// therefore describe the whole partition, and the 1-D state keeps no
+// sorted order at all. An advance sorts only the appended norms and
+// walks them together with the seed norms. The greedy pass over the
+// merged population picks the smallest unplaced norm as the next seed,
+// and each appended fragment meets one of three cases:
+//
+//   - absorb: the last old seed at or below it is the next seed, and its
+//     band takes the fragment. The old cluster keeps every resident
+//     member (their norms still pass the same test) and gains the
+//     fragment; no resident norm is read.
+//   - new cluster: the fragment falls in a gap between one band's end
+//     and the next seed, and its own band does not reach that seed. It
+//     seeds a cluster of appended fragments only; the later clusters
+//     keep their members and shift one index up.
+//   - re-cut: its band reaches the next old seed, so the cluster it
+//     seeds steals resident members (a new minimum below cluster 0 is
+//     one case). Only here are residents read: one sequential scan of
+//     the old Assign gathers the members of a window of old clusters,
+//     their norms are read back from the log and sorted by (norm,
+//     index), and the greedy re-runs over them and the remaining
+//     appended norms until a cut lines up with an old seed — from a
+//     boundary at an old seed the old partition reproduces. A band
+//     that reaches past the window widens it (doubling) with another
+//     scan. The rebuilt clusters are rebuilt runs (OldIndex -1).
+//
+// So a steady advance, whose fragments repeat the element's workloads,
+// costs the sort of its own batch plus one step per cluster it passes.
 //
 // Multi-dimensional elements (UseExtraMetrics, comm/IO vertices) have
-// no contiguity guarantee, but the greedy pass still has the structure
+// no band guarantee, but the greedy pass still has the structure
 // a delta needs: seeds are taken in norm order, scans only run forward,
 // and a seed's reach is bounded by its norm band [seed, seed·(1+t)].
 // So an appended fragment with norm nb can only be absorbed by a
@@ -28,28 +46,27 @@
 // limit reproduces verbatim — and a cluster that does reach it absorbs
 // it iff the full squared-distance test passes, without re-scanning the
 // cluster's resident members at all (old-vs-old absorb decisions cannot
-// change when the only new candidates are the insertions). The state
-// caches norms and the norm-sorted order, so an advance re-sorts nothing
-// resident; the few resident vectors it needs (a reaching cluster's
-// seed, a candidate a new seed might steal) are read back from the log's
-// lanes. The one case it cannot patch is an insertion that seeds a NEW
-// cluster and steals a resident fragment from a later cluster — that
-// restructures the partition and falls back to the batch path (counted
-// separately, see Cache.IncFallbackReasons).
+// change when the only new candidates are the insertions). The multi-D
+// state caches norms and the norm-sorted order, so an advance re-sorts
+// nothing resident; the few resident vectors it needs (a reaching
+// cluster's seed, a candidate a new seed might steal) are read back
+// from the log's lanes. The one case it cannot patch is an insertion
+// that seeds a NEW cluster and steals a resident fragment from a later
+// cluster — that restructures the partition and falls back to the
+// batch path (Cache.IncStats counts it).
 //
 // Bit-identity with Run is non-negotiable — an advanced Result is
 // reflect.DeepEqual to Run's on the same log (the equivalence fuzz pins
-// it) — which dictates two details: the sorted order must be the exact
+// it) — which dictates two details: the merged order must be the exact
 // stable order Run produces — ties broken by ascending fragment index,
-// which a backward merge of the old order with the sorted new batch
-// preserves because new fragments always carry the largest indices —
-// and the absorb test must be the exact float expression Run evaluates:
-// norms[cand]-norms[seed] <= seedNorm*Threshold in 1-D (NOT the
-// algebraically equal norms[cand] <= seedNorm*(1+Threshold), which
-// rounds differently) and distSq(cand, seed) <= (seedNorm*Threshold)²
-// in multi-D. A Cluster lists no members — membership is Assign — so
-// an advance hands the fragments that moved to consumers in its Delta:
-// each dirty run's Added, owned by the Delta.
+// so on a tie a resident goes before every appended fragment — and the
+// absorb test must be the exact float expressions Run evaluates: the
+// break norms[cand] > seedNorm*(1+Threshold) and the test
+// norms[cand]-norms[seed] <= seedNorm*Threshold in 1-D (the two round
+// differently, and Run applies both), distSq(cand, seed) <=
+// (seedNorm*Threshold)² in multi-D. A Cluster lists no members —
+// membership is Assign — so an advance hands the fragments that moved
+// to consumers in its Delta: each dirty run's Added, owned by the Delta.
 package cluster
 
 import (
@@ -96,7 +113,8 @@ type Delta struct {
 	// and — when the cascade re-aligned between two insertion sites —
 	// old runs carried over verbatim (OldIndex set, empty Added).
 	Dirty []DirtyRun
-	// Ratio is the fraction of the sorted order the recompute spanned.
+	// Ratio is the share of the population the advance examined: its
+	// appended fragments and the residents it re-read or re-scanned.
 	Ratio float64
 }
 
@@ -105,40 +123,26 @@ func unchangedDelta(from stg.Gen, nClusters int) Delta {
 	return Delta{From: from, Prefix: nClusters, TailNew: nClusters, TailOld: nClusters}
 }
 
-// midRun is one cluster of a 1-D update's middle region [r0, tailOld):
-// either a greedy-recomputed run or an old run carried over verbatim
-// because the cascade re-aligned before the next insertion (skip=true).
-type midRun struct {
-	a, b   int32 // span in the new sorted order
-	oldIdx int32 // skip: the old cluster reproduced verbatim
-	skip   bool
-}
-
 // incState is the persistent per-element state behind the incremental
-// path: the norm-sorted order and the cut structure of the previous
-// clustering — per fragment a 4-byte order entry, plus an 8-byte norm
-// on the multi-D path (a 1-D norm is read back from the log). The Assign
-// backing is shared with the Results. Guarded by the owning cache
-// entry's mutex.
+// path. A 1-D state is the fragment count and the Assign backing: the
+// previous Result's seed norms describe the partition. A multi-D state
+// adds the norm-sorted order (4 bytes a fragment), the norms (8) and
+// the seed positions. The Assign backing is shared with the Results.
+// Guarded by the owning cache entry's mutex.
 type incState struct {
 	// multiD marks an element on the vector path: clusters are tracked
-	// by seed position instead of contiguous runs.
+	// by seed position in the sorted order instead of norm bands.
 	multiD bool
 	// dead marks a state that cannot advance any more (the element
 	// changed vector shape); the next advance falls back and recaptures.
 	dead bool
 	// n is the fragment count the state describes.
-	n     int
-	norms []float64 // multi-D only
-	tot   totTable  // 1-D only
-	// order is the stable norm-sorted fragment order (Run's line 2).
-	order []int32
-	// runStart[i] is the position in order where cluster i begins;
-	// runStart[len(clusters)] == n. Valid because 1-D clusters are
-	// contiguous runs of the sorted order. 1-D only.
-	runStart []int32
-	// seedPos[i] is the position in order of cluster i's seed. Seeds
-	// are taken in position order, so it is ascending. Multi-D only.
+	n int
+	// Multi-D only: the norms, the stable norm-sorted fragment order
+	// (Run's line 2), and seedPos[i], the position in order of cluster
+	// i's seed. Seeds are taken in position order, so it is ascending.
+	norms   []float64
+	order   []int32
 	seedPos []int32
 	// assign is the grow-only backing array behind the Assign slices of
 	// the Results produced so far. An advance whose patches all land in
@@ -150,57 +154,15 @@ type incState struct {
 	assign []int32
 }
 
-// totTable reads a 1-D element's norms back from its log: entry c is
-// chunk c's TOT_INS lane in the state trace.LogView.TotInsLane reports.
-type totTable []totLane
-
-type totLane struct {
-	wide   *[trace.LogChunkRows]uint64
-	narrow *[trace.LogChunkRows]int32
-	base   uint64
-}
-
-// refresh brings the table up to frags: an entry for every new chunk,
-// and a fresh one for the chunk the previous view ended in, whose lane
-// may have turned narrow or wide since. Full chunks never change.
-func (t *totTable) refresh(frags trace.LogView) {
-	nc := (frags.Len() + trace.LogChunkRows - 1) / trace.LogChunkRows
-	*t = (*t)[:max(len(*t)-1, 0)]
-	for c := len(*t); c < nc; c++ {
-		wide, narrow, base := frags.TotInsLane(c)
-		*t = append(*t, totLane{wide, narrow, base})
-	}
-}
-
-// norm returns fragment i's norm, by the expression Run computes it with.
-func (t totTable) norm(i int32) float64 {
-	l := &t[uint32(i)/trace.LogChunkRows]
-	switch r := uint32(i) % trace.LogChunkRows; {
-	case l.wide != nil:
-		return float64(l.wide[r])
-	case l.narrow != nil:
-		return float64(l.base + uint64(int64(l.narrow[r])))
-	}
-	return float64(l.base)
-}
-
-// norm returns fragment i's norm: cached on the multi-D path, read back
-// from the log in 1-D.
-func (s *incState) norm(i int32) float64 {
-	if s.multiD {
-		return s.norms[i]
-	}
-	return s.tot.norm(i)
-}
-
-// mergeAppended orders the appended fragments [s.n, s.n+len(bnorms)) —
-// fragment s.n+j has norm bnorms[j] — by (norm, index) and merges them
-// into s.order, preserving Run's exact stable order (on a norm tie the
-// resident fragment goes first — its index is smaller than every
-// appended index). It returns the sorted new fragment ids, their final
-// merged positions (ascending), and their insertion points among the old
-// order (ascending), all three in sc.
-func (s *incState) mergeAppended(bnorms []float64, sc *scratch) (batch, inserted, ipos []int32) {
+// mergeAppended orders the appended fragments [s.n, len(s.norms)) by
+// (norm, index) and merges them into s.order, preserving Run's exact
+// stable order (on a norm tie the resident fragment goes first — its
+// index is smaller than every appended index). It returns the sorted
+// new fragment ids, their final merged positions (ascending), and their
+// insertion points among the old order (ascending), all three in sc.
+func (s *incState) mergeAppended(sc *scratch) (batch, inserted, ipos []int32) {
+	norms := s.norms
+	bnorms := norms[s.n:]
 	k := len(bnorms)
 	keys := sortNormKeys(&sc.keys, bnorms, int32(s.n))
 
@@ -208,8 +170,7 @@ func (s *incState) mergeAppended(bnorms []float64, sc *scratch) (batch, inserted
 	// elements: the batch is ascending, so each search resumes where the
 	// previous one ended and doubles its stride until it overshoots — the
 	// probes stay near the last insertion instead of re-bisecting the
-	// whole resident order k times. Every probe reads the norm of a row
-	// scattered across the log, so the first stride is the gap the
+	// whole resident order k times. The first stride is the gap the
 	// remaining keys leave on average: a typical search overshoots at once
 	// and bisects that gap, instead of doubling up to it from one. The
 	// displaced old spans then shift right in chunks: the byte traffic of
@@ -224,11 +185,11 @@ func (s *incState) mergeAppended(bnorms []float64, sc *scratch) (batch, inserted
 	for j, key := range keys {
 		norm := bnorms[int(key.idx)-s.n]
 		hi, step := lo, max(1, (s.n-lo)/(k-j))
-		for hi < s.n && s.norm(order[hi]) <= norm {
+		for hi < s.n && norms[order[hi]] <= norm {
 			lo, hi, step = hi+1, hi+step, step<<1
 		}
 		for hi = min(hi, s.n); lo < hi; {
-			if mid := int(uint(lo+hi) >> 1); s.norm(order[mid]) <= norm {
+			if mid := int(uint(lo+hi) >> 1); norms[order[mid]] <= norm {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -249,8 +210,8 @@ func (s *incState) mergeAppended(bnorms []float64, sc *scratch) (batch, inserted
 	return batch, inserted, ipos
 }
 
-// normKey is an appended fragment's sort key: the radix image of its
-// norm and its fragment index.
+// normKey is a fragment's sort key: the radix image of its norm and its
+// fragment index.
 type normKey struct {
 	key uint64
 	idx int32
@@ -273,21 +234,35 @@ func radixNorm(x float64) uint64 {
 	}
 }
 
+// norm inverts radixNorm for a non-negative norm, which every 1-D norm
+// (a TOT_INS count) is: the key carries the norm's bits exactly.
+func (k normKey) norm() float64 { return math.Float64frombits(k.key &^ (1 << 63)) }
+
 // sortNormKeys returns the keys of norms — fragment indexes base,
-// base+1, … — ordered by (norm, index) under cmp.Compare, by a stable
-// LSD radix sort on radixNorm: one 8-bit digit per pass, skipping every
-// pass whose digit is the same in all keys. The keys start in index
-// order and each pass is stable, so equal norms stay in index order.
-// *buf is the sort's scratch, grown as needed; the result aliases it.
+// base+1, … — ordered by (norm, index) under cmp.Compare. *buf is the
+// sort's scratch, grown as needed; the result aliases it.
 func sortNormKeys(buf *[]normKey, norms []float64, base int32) []normKey {
 	k := len(norms)
 	*buf = resize(*buf, 2*k)
-	keys, tmp := (*buf)[:k], (*buf)[k:]
-	var count [8][256]int32
+	keys := (*buf)[:k]
 	for i, x := range norms {
 		keys[i] = normKey{radixNorm(x), base + int32(i)}
+	}
+	return radixSort(keys, (*buf)[k:])
+}
+
+// radixSort orders keys by their radix key, stably, by an LSD radix sort:
+// one 8-bit digit per pass, skipping every pass whose digit is the same
+// in all keys. Keys that start in index order end in (norm, index)
+// order. tmp is scratch at least as long as keys; the result is keys or
+// tmp, whichever the last pass wrote.
+func radixSort(keys, tmp []normKey) []normKey {
+	k := len(keys)
+	tmp = tmp[:k]
+	var count [8][256]int32
+	for _, key := range keys {
 		for p := range count {
-			count[p][byte(keys[i].key>>(8*p))]++
+			count[p][byte(key.key>>(8*p))]++
 		}
 	}
 	for p := range count {
@@ -310,212 +285,248 @@ func sortNormKeys(buf *[]normKey, norms []float64, base int32) []normKey {
 
 // update advances the state with the appended suffix frags[s.n:] and
 // returns the new Result plus its Delta (Delta.From is filled by the
-// caller). ok=false means the state cannot advance incrementally — a
-// structural multi-D event the delta cannot patch: the element changed
+// caller) and the number of 1-D re-cuts the advance made. ok=false
+// means the state cannot advance incrementally — the element changed
 // vector shape (a 1-D state saw a non-computation arrival, forcing a
-// multi-D recapture), or an appended fragment seeded a new cluster that
-// steals resident members — and the caller must re-cluster from
-// scratch; the state is then stale and must be recaptured.
-func (s *incState) update(frags trace.LogView, prev Result, opt Options) (Result, Delta, bool) {
+// multi-D recapture), or on the multi-D path an appended fragment
+// seeded a new cluster that steals resident members — and the caller
+// must re-cluster from scratch; the state is then stale and must be
+// recaptured.
+func (s *incState) update(frags trace.LogView, prev Result, opt Options) (res Result, d Delta, recuts int, ok bool) {
 	k := frags.Len() - s.n
 	if s.dead || k <= 0 {
-		return Result{}, Delta{}, false
+		return Result{}, Delta{}, 0, false
 	}
 	sc := advancePool.Get().(*scratch)
 	defer advancePool.Put(sc)
 	if s.multiD {
-		return s.updateMultiD(frags, prev, opt, sc)
+		res, d, ok = s.updateMultiD(frags, prev, opt, sc)
+		return res, d, 0, ok
 	}
 	if !frags.AllKind(s.n, trace.Comp) {
 		// The element left the 1-D domain; the cached state has no
 		// vectors, so fall back once and recapture as multi-D.
 		s.dead = true
-		return Result{}, Delta{}, false
+		return Result{}, Delta{}, 0, false
 	}
+	res, d, recuts = s.update1D(frags, prev, opt, sc)
+	return res, d, recuts, true
+}
+
+// band is a 1-D seed's reach: Run's break limit and absorb distance.
+type band struct{ sn, limit, maxDist float64 }
+
+func bandOf(sn, t float64) band {
+	if sn == 0 {
+		// Zero-norm seeds (e.g. zero-byte ops) absorb only other zeros.
+		return band{}
+	}
+	return band{sn, sn * (1 + t), sn * t}
+}
+
+// takes reports whether the band's seed absorbs a candidate of norm
+// x >= sn: Run's break test, then its absorb test.
+func (b band) takes(x float64) bool { return x <= b.limit && x-b.sn <= b.maxDist }
+
+// midRun is one cluster of a 1-D advance's middle region: the new
+// cluster, the old one it extends (-1: rebuilt), and its Added list,
+// added[from:to].
+type midRun struct {
+	c        Cluster
+	old      int32
+	from, to int32
+}
+
+// bandWalk is one 1-D advance in progress: the appended keys walked
+// together with the old clusters' seed norms. Every appended fragment
+// before key j and every resident member of an old cluster before c is
+// placed; nothing after them is.
+type bandWalk struct {
+	t        float64
+	minFrags int
+	old      []Cluster
+	keys     []normKey
+	j, c     int
+	mids     []midRun
+	added    []int32 // backs every Added list; owned by the Delta
+	work     int     // fragments placed: the keys plus re-cut residents
+}
+
+// emit appends a middle cluster whose Added list is added[from:].
+func (w *bandWalk) emit(c Cluster, old, from int) {
+	c.Fixed = c.Size >= w.minFrags
+	w.mids = append(w.mids, midRun{c: c, old: int32(old), from: int32(from), to: int32(len(w.added))})
+}
+
+// take appends to added every key from j on that b absorbs, and
+// returns how many it took.
+func (w *bandWalk) take(b band) int {
+	from := len(w.added)
+	for ; w.j < len(w.keys) && b.takes(w.keys[w.j].norm()); w.j++ {
+		w.added = append(w.added, w.keys[w.j].idx)
+	}
+	return len(w.added) - from
+}
+
+// update1D advances a 1-D state: the band walk of the package comment.
+func (s *incState) update1D(frags trace.LogView, prev Result, opt Options, sc *scratch) (Result, Delta, int) {
 	total := frags.Len()
-	s.tot.refresh(frags)
-	tot := s.tot
+	k := total - s.n
 	sc.norms = resize(sc.norms, k)
-	for j := range sc.norms {
-		sc.norms[j] = tot.norm(int32(s.n + j))
+	trace.ReadColumn(frags, trace.ColTotIns, s.n, sc.norms)
+	w := bandWalk{
+		t:        opt.Threshold,
+		minFrags: opt.MinFragments,
+		old:      prev.Clusters,
+		keys:     sortNormKeys(&sc.keys, sc.norms, int32(s.n)),
+		mids:     sc.mids[:0],
+		added:    make([]int32, 0, k),
+		work:     k,
 	}
-
-	batch, inserted, _ := s.mergeAppended(sc.norms, sc)
-	order := s.order
-
-	// The recompute starts at the run containing the predecessor of the
-	// first insertion: an insertion can extend the preceding run.
-	// The predecessor's position is unchanged by the merge: all
-	// insertions are at >= inserted[0].
-	oldNC := len(prev.Clusters)
-	pred := int(inserted[0]) - 1
-	r0 := max(sort.Search(oldNC, func(r int) bool { return int(s.runStart[r]) > pred })-1, 0)
-	startPos := int(s.runStart[r0]) // no insertions precede it, so old == new coords
-
-	t := opt.Threshold
-	mids := sc.mids[:0]
-	tailOld := oldNC // old cluster index where the preserved tail begins (oldNC: none)
-	insIdx := 0      // insertions at positions < pos
-	convPtr := r0    // old-run pointer for the convergence check
-	pos := startPos
-	work := 0 // positions actually re-run through the greedy loop
-	for pos < total {
-		// Convergence check: when the current cut lines up with an old
-		// cut, the greedy process — memoryless from a boundary, over an
-		// unchanged span — reproduces the old partition verbatim until
-		// the next insertion. With no insertions left that means the
-		// whole old tail can be spliced; otherwise old runs are carried
-		// over unrecomputed up to the run containing the next
-		// insertion's predecessor (which the insertion may extend, so
-		// the greedy re-run resumes there).
-		op := pos - insIdx // old coordinates of pos
-		for convPtr < oldNC && int(s.runStart[convPtr]) < op {
-			convPtr++
-		}
-		if convPtr < oldNC && int(s.runStart[convPtr]) == op {
-			if insIdx == k {
-				tailOld = convPtr
-				break
-			}
-			opred := int(inserted[insIdx]) - 1 - insIdx
-			rNext := convPtr
-			for rNext+1 < oldNC && int(s.runStart[rNext+1]) <= opred {
-				rNext++
-			}
-			if rNext > convPtr {
-				for r := convPtr; r < rNext; r++ {
-					mids = append(mids, midRun{
-						a:      s.runStart[r] + int32(insIdx),
-						b:      s.runStart[r+1] + int32(insIdx),
-						oldIdx: int32(r),
-						skip:   true,
-					})
-				}
-				convPtr = rNext
-				pos = int(s.runStart[rNext]) + insIdx
-			}
-		}
-		// One greedy run, bit-identical to Run's inner loop: in 1-D the
-		// absorbed candidates are exactly the contiguous span where
-		// norms[cand]-norms[seed] <= seedNorm*Threshold (for a zero
-		// seed norm both sides are 0, matching Run's zero special
-		// case). The norms are sorted along order, so the absorb
-		// predicate is monotone and the cut is a binary search away —
-		// the run's length no longer prices its recompute.
-		sn := tot.norm(order[pos])
-		maxDist := sn * t
-		e := pos + sort.Search(total-pos, func(i int) bool {
-			return tot.norm(order[pos+i])-sn > maxDist
-		})
-		mids = append(mids, midRun{a: int32(pos), b: int32(e)})
-		work += e - pos
-		pos = e
-		for insIdx < k && int(inserted[insIdx]) < pos {
-			insIdx++
+	oldNC := len(w.old)
+	// Every cluster before the last one seeded at or below the smallest
+	// appended norm ends below it: an untouched prefix.
+	x0 := w.keys[0].norm()
+	r0 := max(sort.Search(oldNC, func(i int) bool { return w.old[i].SeedNorm > x0 })-1, 0)
+	w.c = r0
+	recuts := 0
+	for w.j < k {
+		key := w.keys[w.j]
+		x := key.norm()
+		switch {
+		case w.c < oldNC && w.old[w.c].SeedNorm <= x:
+			// Absorb: old cluster c seeds next (a resident wins a norm
+			// tie) and keeps its members; it takes the keys its band
+			// reaches — none when the key lies past the band.
+			oc := w.old[w.c]
+			from := len(w.added)
+			oc.Size += w.take(bandOf(oc.SeedNorm, w.t))
+			w.emit(oc, w.c, from)
+			w.c++
+		case w.c < oldNC && bandOf(x, w.t).takes(w.old[w.c].SeedNorm):
+			w.recut(frags, prev.Assign)
+			recuts++
+		default:
+			// New cluster: the key seeds in a gap, and its band ends
+			// before the next old seed.
+			from := len(w.added)
+			size := w.take(bandOf(x, w.t))
+			w.emit(Cluster{Size: size, Seed: int(key.idx), SeedNorm: x}, -1, from)
 		}
 	}
+	sc.mids = w.mids
 
-	sc.mids = mids
-
-	// Assemble the new Result: untouched clusters are copied from prev, a
-	// dirty run's membership goes into the Delta's Added lists.
+	// The last middle cluster placed the last key; every old cluster
+	// from c on is the verbatim tail.
+	mids, tailOld := w.mids, w.c
 	tailNew := r0 + len(mids)
-	shift := tailNew - tailOld
-	nc := tailNew + (oldNC - tailOld)
-	clusters := make([]Cluster, 0, nc)
-	clusters = append(clusters, prev.Clusters[:r0]...)
-
-	dirty := make([]DirtyRun, 0, len(mids))
-	// added backs the Added lists of grown runs, which hold only appended
-	// fragments, so it never outgrows k; a rebuilt run's list is its own.
-	added := make([]int32, 0, k)
-	ai := 0        // pointer into inserted
-	matchPtr := r0 // old-run pointer for grown-run matching
+	clusters := make([]Cluster, 0, tailNew+oldNC-tailOld)
+	clusters = append(clusters, w.old[:r0]...)
+	dirty := make([]DirtyRun, len(mids))
 	small := prev.Small
 	for i := r0; i < tailOld; i++ {
-		if !prev.Clusters[i].Fixed {
+		if !w.old[i].Fixed {
 			small--
 		}
 	}
-	for _, r := range mids {
-		if r.skip {
-			// Carried over verbatim: share the old Cluster struct; the
-			// delta records it as a grown run with nothing added.
-			c := prev.Clusters[r.oldIdx]
-			if !c.Fixed {
-				small++
-			}
-			clusters = append(clusters, c)
-			dirty = append(dirty, DirtyRun{OldIndex: int(r.oldIdx)})
-			if matchPtr <= int(r.oldIdx) {
-				matchPtr = int(r.oldIdx) + 1
-			}
-			continue
-		}
-		insStart := ai
-		for ai < k && inserted[ai] < r.b {
-			ai++
-		}
-		// Old coordinates of the run's non-inserted span: positions
-		// before r.a lost insStart insertions, before r.b lost ai.
-		aOld, bOld := int(r.a)-insStart, int(r.b)-ai
-		oldIdx := -1
-		for matchPtr < tailOld && int(s.runStart[matchPtr]) < aOld {
-			matchPtr++
-		}
-		if bOld > aOld && matchPtr < tailOld &&
-			int(s.runStart[matchPtr]) == aOld && int(s.runStart[matchPtr+1]) == bOld {
-			// The run's surviving members are exactly old cluster
-			// matchPtr: it only grew.
-			oldIdx = matchPtr
-		}
-		var gained []int32
-		if oldIdx >= 0 {
-			// Grown run: the old members stay, the insertions join.
-			from := len(added)
-			added = append(added, batch[insStart:ai]...)
-			gained = added[from:len(added):len(added)]
-		} else {
-			gained = slices.Clone(order[r.a:r.b])
-		}
-		size := int(r.b - r.a)
-		c := Cluster{
-			Size:     size,
-			Seed:     int(order[r.a]),
-			SeedNorm: tot.norm(order[r.a]),
-			Fixed:    size >= opt.MinFragments,
-		}
-		if !c.Fixed {
+	for i, m := range mids {
+		clusters = append(clusters, m.c)
+		dirty[i] = DirtyRun{OldIndex: int(m.old), Added: w.added[m.from:m.to:m.to]}
+		if !m.c.Fixed {
 			small++
 		}
-		clusters = append(clusters, c)
-		dirty = append(dirty, DirtyRun{OldIndex: oldIdx, Added: gained})
 	}
-	clusters = append(clusters, prev.Clusters[tailOld:]...)
+	clusters = append(clusters, w.old[tailOld:]...)
 
-	assign := s.commitAssign(prev, dirty, r0, tailOld, shift, k)
-	res := Result{Clusters: clusters, Assign: assign[:total:total], Small: small}
-
-	// Commit the state.
-	newRunStart := make([]int32, 0, nc+1)
-	newRunStart = append(newRunStart, s.runStart[:r0]...)
-	for _, r := range mids {
-		newRunStart = append(newRunStart, r.a)
-	}
-	for i := tailOld; i <= oldNC; i++ {
-		newRunStart = append(newRunStart, s.runStart[i]+int32(k))
-	}
-	s.runStart = newRunStart
+	assign := s.commitAssign(prev, dirty, r0, tailOld, tailNew-tailOld, k)
 	s.n = total
-
+	res := Result{Clusters: clusters, Assign: assign[:total:total], Small: small}
 	d := Delta{
 		Prefix:  r0,
 		TailNew: tailNew,
 		TailOld: tailOld,
 		Dirty:   dirty,
-		Ratio:   float64(work) / float64(total),
+		Ratio:   float64(w.work) / float64(total),
 	}
-	return res, d, true
+	return res, d, recuts
+}
+
+// recut places the fragments from the walk's key j on, whose band
+// reaches old cluster c's seed, by re-running the greedy over the
+// resident members of the old clusters from c on together with the
+// remaining keys, until a cut lines up with an old seed; the walk
+// resumes there. The residents are gathered a window of old clusters at
+// a time, each window by one scan of the old Assign, their norms read
+// from the log a chunk lane at a time and sorted by (norm, index) —
+// clusters are disjoint norm bands, so the windows concatenate in
+// order. A seed whose band reaches the first seed past the window
+// widens it; nothing past the window can join a band that does not.
+// Every cluster the re-cut forms is rebuilt: its Added list is its
+// whole membership. The gathered residents are the re-cut's own
+// garbage, not pooled scratch: a pool would keep the largest window
+// ever gathered resident beside every element.
+func (w *bandWalk) recut(frags trace.LogView, assign []int32) {
+	lo := w.c
+	var res, tmp []normKey // the gathered residents, by (norm, index); the sort's buffer
+	e := lo                // the window is old clusters [lo, e)
+	gather := func() {
+		hi := min(len(w.old), e+max(1, e-lo))
+		base, need := len(res), 0
+		for i := e; i < hi; i++ {
+			need += w.old[i].Size
+		}
+		res = slices.Grow(res, need)
+		var lane trace.Lane
+		chunk := -1
+		span := uint32(hi - e)
+		for i, a := range assign {
+			if uint32(a)-uint32(e) >= span {
+				continue
+			}
+			if c := i / trace.LogChunkRows; c != chunk {
+				chunk, lane = c, frags.Lane(trace.ColTotIns, c)
+			}
+			res = append(res, normKey{radixNorm(float64(lane.At(i % trace.LogChunkRows))), int32(i)})
+		}
+		tmp = resize(tmp, need)
+		if sorted := radixSort(res[base:], tmp); &sorted[0] != &res[base] {
+			copy(res[base:], sorted)
+		}
+		w.work += need
+		e = hi
+	}
+	gather()
+	p := 0         // residents res[:p] are placed
+	m, at := lo, 0 // at is where old cluster m begins in res
+	for {
+		// The next seed: the smaller of the first unplaced resident and
+		// the first unplaced key, the resident on a tie. Until the walk
+		// re-aligns, an unplaced resident remains.
+		seed := res[p]
+		if w.j < len(w.keys) && w.keys[w.j].norm() < seed.norm() {
+			seed = w.keys[w.j]
+		}
+		b := bandOf(seed.norm(), w.t)
+		for e < len(w.old) && b.takes(w.old[e].SeedNorm) {
+			gather()
+		}
+		from := len(w.added)
+		for ; p < len(res) && b.takes(res[p].norm()); p++ {
+			w.added = append(w.added, res[p].idx)
+		}
+		w.take(b)
+		w.emit(Cluster{Size: len(w.added) - from, Seed: int(seed.idx), SeedNorm: seed.norm()}, -1, from)
+		for at < p {
+			at += w.old[m].Size
+			m++
+		}
+		if at == p {
+			// The cut lines up with old cluster m's seed (or every
+			// gathered resident is placed and m is the window's end).
+			w.c = m
+			return
+		}
+	}
 }
 
 // commitAssign builds the Assign backing of an advance: when every
@@ -608,7 +619,7 @@ func (s *incState) updateMultiD(frags trace.LogView, prev Result, opt Options, s
 	}
 	norms := s.norms
 
-	batch, inserted, ipos := s.mergeAppended(norms[oldN:], sc)
+	batch, inserted, ipos := s.mergeAppended(sc)
 	order := s.order
 
 	oldNC := len(prev.Clusters)

@@ -239,7 +239,7 @@ func TestCacheGeometricChainSplices(t *testing.T) {
 	if d.Full {
 		t.Fatal("fully dirty advance fell back to a full re-cluster")
 	}
-	incHits, incFallbacks := c.IncStats()
+	incHits, incFallbacks, _ := c.IncStats()
 	if incHits != 1 || incFallbacks != 0 {
 		t.Fatalf("inc stats %d/%d, want 1 hit / 0 fallbacks", incHits, incFallbacks)
 	}
@@ -455,7 +455,7 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D diverges", s, b)
 			}
 		}
-		if incHits, incFallbacks := c.IncStats(); incHits != uint64(advances) || incFallbacks != 0 {
+		if incHits, incFallbacks, _ := c.IncStats(); incHits != uint64(advances) || incFallbacks != 0 {
 			t.Fatalf("schedule %d: incHits=%d fallbacks=%d, want %d/0",
 				s, incHits, incFallbacks, advances)
 		}

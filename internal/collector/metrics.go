@@ -261,13 +261,18 @@ func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 		})
 	reg.Func("vapro_cluster_cache_inc_hits", "cluster",
 		"element growths absorbed by the incremental delta-clustering path", func() float64 {
-			h, _ := cache.IncStats()
+			h, _, _ := cache.IncStats()
 			return float64(h)
 		})
 	reg.Func("vapro_cluster_cache_inc_fallbacks", "cluster",
 		"incremental updates abandoned for a full re-cluster", func() float64 {
-			_, f := cache.IncStats()
+			_, f, _ := cache.IncStats()
 			return float64(f)
+		})
+	reg.Func("vapro_cluster_cache_inc_recuts", "cluster",
+		"1-D incremental updates that re-cut resident clusters an appended fragment's band reached", func() float64 {
+			_, _, r := cache.IncStats()
+			return float64(r)
 		})
 	reg.Func("vapro_cluster_cache_stale_rejects", "cluster",
 		"reads at an older generation than the cached entry (answered one-off, entry kept)", func() float64 {

@@ -300,10 +300,10 @@ func runMixedMultiDSchedule(t *testing.T, seed int64) {
 	if met.PrepIncremental.Load() == 0 {
 		t.Fatalf("no prep advanced incrementally across %d bursts", bursts)
 	}
-	if _, multiD := inc.Cache().IncStats(); multiD != 0 {
+	if _, multiD, _ := inc.Cache().IncStats(); multiD != 0 {
 		t.Fatalf("steady-state palette appends hit %d structural multi-D fallbacks", multiD)
 	}
-	if hits, _ := inc.Cache().IncStats(); hits == 0 {
+	if hits, _, _ := inc.Cache().IncStats(); hits == 0 {
 		t.Fatalf("cluster cache never advanced incrementally")
 	}
 }

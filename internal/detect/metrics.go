@@ -38,7 +38,8 @@ type Metrics struct {
 	// elements, epoch bumps, option changes, fallback re-clusters).
 	PrepRebuilds *obs.Counter
 	// DirtySpanPct is the distribution of the dirty-span ratio (percent
-	// of the sorted order each incremental advance recomputed).
+	// of an element's population each incremental advance examined:
+	// its appended fragments and the residents it re-read).
 	DirtySpanPct *obs.Histogram
 	// StoreAppends counts fragments appended to store-backed elements
 	// (both initial builds and incremental advances).
@@ -76,7 +77,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PrepRebuilds: reg.Counter("vapro_detect_prep_rebuilds_total", "detect",
 			"element preps rebuilt from scratch"),
 		DirtySpanPct: reg.Histogram("vapro_detect_dirty_span_pct", "detect",
-			"dirty-span ratio of incremental advances (percent of sorted order recomputed)",
+			"dirty-span ratio of incremental advances (percent of the population examined)",
 			[]int64{1, 2, 5, 10, 25, 50, 100}),
 		StoreAppends: reg.Counter("vapro_detect_store_appends_total", "detect",
 			"fragments appended to store-backed elements"),

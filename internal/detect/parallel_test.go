@@ -143,7 +143,7 @@ func TestAnalyzerMemoizesAcrossRuns(t *testing.T) {
 	g.AddBatch([]trace.Fragment{f})
 	a.Run(g, ranks, opt)
 	hits, misses := a.Cache().Stats()
-	incHits, incFallbacks := a.Cache().IncStats()
+	incHits, incFallbacks, _ := a.Cache().IncStats()
 	if hits != 2*elements-1 || misses != elements || incHits+incFallbacks != 1 {
 		t.Fatalf("after growth: hits=%d misses=%d inc=%d/%d, want %d/%d and exactly one incremental advance",
 			hits, misses, incHits, incFallbacks, 2*elements-1, elements)

@@ -194,7 +194,7 @@ func checkSegIndex(t *testing.T, rng *rand.Rand, v trace.LogView, seg *[numClass
 				var segSel, colSel []int32
 				for i := l; i < h; i++ {
 					p := ss[si].pos[i]
-					s, el := v.StartElapsed(int(p))
+					_, s, el := v.Span(int(p))
 					if s+el <= start {
 						continue
 					}

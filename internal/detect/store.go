@@ -47,10 +47,10 @@ import (
 // back as one ordered run per segment and the stream merge never sorts.
 // A segment entry is the fragment's 4-byte position and nothing else:
 // the start and elapsed it is ordered, filtered and summed by are read
-// from the element's log (trace.LogView.StartElapsed), which holds them
-// once already. They are the same int64s a copy would hold, so every
-// comparison and sum comes out bit for bit as over a column index (the
-// oracle's).
+// from the element's log (its start and elapsed lanes,
+// trace.LogView.Lane), which holds them once already. They are the
+// same int64s a copy would hold, so every comparison and sum comes out
+// bit for bit as over a column index (the oracle's).
 
 // sampleStore is the store representation of one element.
 type sampleStore struct {
@@ -85,10 +85,11 @@ type segment struct {
 	maxElapsed int64
 }
 
-// startAt reads fragment p's start, the key every segment is ordered by.
+// startAt reads fragment p's start, the key every segment is ordered by,
+// through its chunk's start lane.
 func startAt(frags trace.LogView, p int32) int64 {
-	s, _ := frags.StartElapsed(int(p))
-	return s
+	l := frags.Lane(trace.ColStart, int(uint32(p)/trace.LogChunkRows))
+	return int64(l.At(int(uint32(p) % trace.LogChunkRows)))
 }
 
 // add appends one ordered segment of positions newer than everything
@@ -174,17 +175,20 @@ func classSpans(frags trace.LogView, from int) (out [numClasses]segment) {
 			out[c].pos = make([]int32, 0, sz)
 		}
 	}
-	starts := make([]int64, n-from) // starts[i-from]: row i's start, the sort key
+	// One buffer holds the rows' elapsed times, then their starts (the
+	// sort key, starts[i-from] for row i), each column read a chunk's
+	// lane at a time.
+	starts := make([]int64, n-from)
+	trace.ReadColumn(frags, trace.ColElapsed, from, starts)
 	for i := from; i < n; i++ {
 		c := only
 		if c < 0 {
 			c = int(ClassOf(frags.Kind(i)))
 		}
-		s, el := frags.StartElapsed(i)
-		starts[i-from] = s
 		out[c].pos = append(out[c].pos, int32(i))
-		out[c].maxElapsed = max(out[c].maxElapsed, el)
+		out[c].maxElapsed = max(out[c].maxElapsed, starts[i-from])
 	}
+	trace.ReadColumn(frags, trace.ColStart, from, starts)
 	for c := range out {
 		out[c].pos = orderPositions(out[c].pos, starts, from)
 	}

@@ -342,13 +342,6 @@ func (v LogView) Span(i int) (rank int, start, elapsed int64) {
 	return rank, start, elapsed
 }
 
-// StartElapsed returns row i's Start and Elapsed: the two hot columns a
-// span index orders and filters by, without the rank lane.
-func (v LogView) StartElapsed(i int) (start, elapsed int64) {
-	c, r := v.row(i)
-	return c.startElapsed(r)
-}
-
 // Kind returns row i's fragment kind.
 func (v LogView) Kind(i int) Kind {
 	c, r := v.row(i)
@@ -378,29 +371,84 @@ func (v LogView) AllKind(from int, k Kind) bool {
 	return true
 }
 
-// TotIns returns row i's Counters.TotIns, the 1-D clustering norm.
-func (v LogView) TotIns(i int) uint64 {
-	c, r := v.row(i)
-	return c.lane(laneTotIns, r)
+// Column names a lane a range reader visits.
+type Column int
+
+// The columns read a chunk at a time: the two a span index orders and
+// filters by, and the 1-D clustering norm.
+const (
+	ColStart   Column = laneStart
+	ColElapsed Column = laneElapsed
+	ColTotIns  Column = laneTotIns
+)
+
+// Lane is one chunk's column held for reading many of its rows, in the
+// lane's state: its wide array, or its narrow array of deltas from
+// base, or neither and the value base every row of the chunk holds.
+type Lane struct {
+	wide   *[LogChunkRows]uint64
+	narrow *[LogChunkRows]int32
+	base   uint64
 }
 
-// TotInsLane returns chunk c's TOT_INS lane for a reader that keeps it
-// across reads, in the lane's state: its wide array, or its narrow
-// array of deltas from base, or neither and the value base every row of
-// the chunk holds. Index an array by row modulo LogChunkRows, only at
-// rows the view covers. The chunk a view ends in may turn its lane
-// narrow or wide later, so an answer kept for it must be asked again
-// under a longer view.
-func (v LogView) TotInsLane(c int) (wide *[LogChunkRows]uint64, narrow *[LogChunkRows]int32, base uint64) {
-	ch := v.chunks[c]
-	live := ch.live.Load()
+// At returns the column's value in row r of the chunk (a row index
+// modulo LogChunkRows), only at rows the view it came from covers.
+func (l *Lane) At(r int) uint64 {
 	switch {
-	case live>>laneTotIns&1 == 0:
-		return nil, nil, ch.consts[laneTotIns]
-	case ch.wide.Load()>>laneTotIns&1 != 0:
-		return ch.arrs[laneTotIns], nil, 0
+	case l.wide != nil:
+		return l.wide[r]
+	case l.narrow != nil:
+		return l.base + uint64(int64(l.narrow[r]))
 	}
-	return nil, ch.narrow[laneTotIns], ch.consts[laneTotIns]
+	return l.base
+}
+
+// Lane returns column col of chunk c (rows c·LogChunkRows onwards): the
+// range reader. The chunk a view ends in may turn its lane narrow or
+// wide later, so a Lane kept for it must be asked again under a longer
+// view.
+func (v LogView) Lane(col Column, c int) Lane {
+	ch := v.chunks[c]
+	k := int(col)
+	live := ch.live.Load() | hotLanes
+	switch {
+	case live>>k&1 == 0:
+		return Lane{base: ch.consts[k]}
+	case ch.wide.Load()>>k&1 != 0:
+		return Lane{wide: ch.arrs[k]}
+	}
+	return Lane{narrow: ch.narrow[k], base: ch.consts[k]}
+}
+
+// ReadColumn fills dst with column col of rows [from, from+len(dst)),
+// converted to T, fetching each chunk's lane once: the sequential walk
+// of a column, at the cost of a loop over each chunk's array.
+func ReadColumn[T int64 | float64](v LogView, col Column, from int, dst []T) {
+	if from < 0 || from+len(dst) > v.n {
+		panic("trace: log rows out of range")
+	}
+	for i := 0; i < len(dst); {
+		row := from + i
+		l := v.Lane(col, row>>logChunkShift)
+		r := row & logChunkMask
+		out := dst[i : i+min(len(dst)-i, LogChunkRows-r)]
+		switch {
+		case l.wide != nil:
+			for q, x := range l.wide[r : r+len(out)] {
+				out[q] = T(x)
+			}
+		case l.narrow != nil:
+			for q, d := range l.narrow[r : r+len(out)] {
+				out[q] = T(l.base + uint64(int64(d)))
+			}
+		default:
+			x := T(l.base)
+			for q := range out {
+				out[q] = x
+			}
+		}
+		i += len(out)
+	}
 }
 
 // fill copies row r's lanes in mask into w, visiting only those present

@@ -121,15 +121,51 @@ func checkView(t *testing.T, what string, v LogView, model []Fragment) {
 		checkWorkload(t, v, model, i)
 		checkStartElapsed(t, v, model, i)
 	}
+	checkColumns(t, v, model, 0)
+	checkColumns(t, v, model, len(model)/3)
 }
 
-// checkStartElapsed: the span reader returns exactly the row's Start
-// and Elapsed.
+// checkColumns: the range reader returns rows [from, Len()) of each
+// column exactly, under the conversion to the destination type.
+func checkColumns(t *testing.T, v LogView, model []Fragment, from int) {
+	t.Helper()
+	n := len(model) - from
+	starts, elapsed, tot := make([]int64, n), make([]int64, n), make([]int64, n)
+	norms := make([]float64, n)
+	ReadColumn(v, ColStart, from, starts)
+	ReadColumn(v, ColElapsed, from, elapsed)
+	ReadColumn(v, ColTotIns, from, tot)
+	ReadColumn(v, ColTotIns, from, norms)
+	for q := range n {
+		m := &model[from+q]
+		if starts[q] != m.Start || elapsed[q] != m.Elapsed || uint64(tot[q]) != m.Counters.TotIns ||
+			norms[q] != float64(m.Counters.TotIns) {
+			t.Fatalf("ReadColumn from %d: row %d reads start %d elapsed %d TotIns %d (%g), model %+v",
+				from, from+q, starts[q], elapsed[q], tot[q], norms[q], *m)
+		}
+	}
+}
+
+// totIns reads one row's TOT_INS through its chunk's lane.
+func totIns(v LogView, i int) uint64 {
+	l := v.Lane(ColTotIns, i/LogChunkRows)
+	return l.At(i % LogChunkRows)
+}
+
+// checkStartElapsed: the start and elapsed lanes return exactly the
+// row's Start and Elapsed.
 func checkStartElapsed(t *testing.T, v LogView, model []Fragment, i int) {
 	t.Helper()
-	if start, elapsed := v.StartElapsed(i); start != model[i].Start || elapsed != model[i].Elapsed {
-		t.Fatalf("StartElapsed(%d) = (%d, %d), model %+v", i, start, elapsed, model[i])
+	if start, elapsed := startElapsed(v, i); start != model[i].Start || elapsed != model[i].Elapsed {
+		t.Fatalf("start, elapsed lanes of row %d read (%d, %d), model %+v", i, start, elapsed, model[i])
 	}
+}
+
+// startElapsed reads one row's Start and Elapsed through its chunk's
+// lanes.
+func startElapsed(v LogView, i int) (start, elapsed int64) {
+	s, e := v.Lane(ColStart, i/LogChunkRows), v.Lane(ColElapsed, i/LogChunkRows)
+	return int64(s.At(i % LogChunkRows)), int64(e.At(i % LogChunkRows))
 }
 
 // checkWorkload: the workload reader fills exactly Read's Kind,
@@ -174,8 +210,8 @@ func checkRow(t *testing.T, v LogView, model []Fragment, i int) {
 	if rank != f.Rank || start != f.Start || elapsed != f.Elapsed {
 		t.Fatalf("Span(%d) = (%d, %d, %d), model %+v", i, rank, start, elapsed, model[i])
 	}
-	if v.Kind(i) != f.Kind || v.TotIns(i) != f.Counters.TotIns {
-		t.Fatalf("Kind/TotIns(%d) = %v/%d, model %+v", i, v.Kind(i), v.TotIns(i), model[i])
+	if v.Kind(i) != f.Kind || totIns(v, i) != f.Counters.TotIns {
+		t.Fatalf("Kind/TotIns(%d) = %v/%d, model %+v", i, v.Kind(i), totIns(v, i), model[i])
 	}
 	checkCounters(t, v, model, i)
 	checkWorkload(t, v, model, i)
@@ -484,7 +520,7 @@ func TestLogViewStableUnderAppend(t *testing.T) {
 						t.Errorf("pass %d: span of row %d changed", pass, i)
 						return
 					}
-					if start, elapsed := h.v.StartElapsed(i); start != f.Start || elapsed != f.Elapsed || h.v.TotIns(i) != f.Counters.TotIns {
+					if start, elapsed := startElapsed(h.v, i); start != f.Start || elapsed != f.Elapsed || totIns(h.v, i) != f.Counters.TotIns {
 						t.Errorf("pass %d: start, elapsed or TOT_INS of row %d changed", pass, i)
 						return
 					}
@@ -622,11 +658,13 @@ func TestLogAppendAllocs(t *testing.T) {
 	// Reading allocates nothing either.
 	v := l.View()
 	var out Fragment
+	col := make([]float64, v.Len()-7)
 	allocs = testing.AllocsPerRun(runs, func() {
 		v.Read(v.Len()/2, &out)
 		v.ReadWorkload(v.Len()/3, &out)
 		v.Span(3)
-		v.StartElapsed(5)
+		startElapsed(v, 5)
+		ReadColumn(v, ColTotIns, 7, col)
 	})
 	if allocs != 0 {
 		t.Fatalf("read allocates %.0f times", allocs)
