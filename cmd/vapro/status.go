@@ -336,9 +336,8 @@ func renderStatus(s *obs.Snapshot) string {
 
 	// The sublinear steady-state planes: how much per-tick work the
 	// incremental paths absorbed vs paid in full.
-	fmt.Fprintf(&b, "steady    store appends %.0f (sort fallbacks %.0f)   region cells carried %.0f / regrown %.0f\n",
-		val(s, "vapro_detect_store_appends_total"), val(s, "vapro_detect_sample_sort_fallbacks_total"),
-		val(s, "vapro_detect_region_cells_carried_total"), val(s, "vapro_detect_region_cells_regrown_total"))
+	fmt.Fprintf(&b, "steady    store appends %.0f (sort fallbacks %.0f)\n",
+		val(s, "vapro_detect_store_appends_total"), val(s, "vapro_detect_sample_sort_fallbacks_total"))
 	fmt.Fprintf(&b, "          ols rank-1 %.0f / refactors %.0f\n",
 		val(s, "vapro_ols_rank1_updates_total"), val(s, "vapro_ols_refactors_total"))
 

@@ -226,10 +226,8 @@ type Pool struct {
 	mmu sync.Mutex
 	mp  ShardMap
 
-	// amu serializes merges: the Merger's region carry is warm state
-	// threaded from tick to tick. A one-plane pool has no merger, which
-	// is what selects its full pass (pass).
-	amu    sync.Mutex
+	// merger completes the planes' partials into one result. A one-plane
+	// pool has none, which is what selects its full pass (pass).
 	merger *detect.Merger
 
 	// hmu serializes Health (fleet.go): each call appends one point to
@@ -292,7 +290,6 @@ func NewShardedPool(ranks, shards int, opt Options) *Pool {
 			p.mets = append(p.mets, pl.met)
 		}
 		p.merger = detect.NewMerger()
-		p.merger.SetMetrics(p.met.Detect)
 		p.registerTierDerived()
 	}
 	p.health = p.met.Registry.Gauge("vapro_fleet_health", "fleet",
@@ -409,8 +406,6 @@ func (p *Pool) pass(start, end int64, dopt detect.Options, on func(i int, share 
 		}(i, pl)
 	}
 	wg.Wait()
-	p.amu.Lock()
-	defer p.amu.Unlock()
 	res, stats := p.merger.Merge(parts, p.ranks, p.Owner, dopt)
 	p.met.ShardStripsMerged.Add(uint64(stats.Strips))
 	p.met.ShardRegionsStitched.Add(uint64(stats.Stitched))

@@ -6,8 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"vapro/internal/obs"
+	"vapro/internal/detect"
 	"vapro/internal/sim"
+	"vapro/internal/stg"
 	"vapro/internal/trace"
 )
 
@@ -157,8 +158,9 @@ func TestShardHelloRedirect(t *testing.T) {
 }
 
 // TestShardTierMetrics: the tier registers the shard surface — global
-// counters plus one row of Funcs per shard — and counts the region
-// growth it keeps: the tier's merge grows regions, no plane does.
+// counters plus one row of Funcs per shard — and keeps region growth to
+// its merge: every plane stops at its partial (no maps, no regions),
+// and the tier's merge bins their strips and grows the regions.
 func TestShardTierMetrics(t *testing.T) {
 	const ranks, shards = 32, 4
 	tier := NewShardedPool(ranks, shards, shardTestOptions())
@@ -175,27 +177,20 @@ func TestShardTierMetrics(t *testing.T) {
 	if res := tier.RunWindow(0, 30_000_000); res == nil {
 		t.Fatal("tier window returned nil")
 	}
-	if res := tier.RunWindow(10_000_000, 40_000_000); len(res.Regions) == 0 {
+	parts := make([]*detect.Result, shards)
+	res := tier.pass(10_000_000, 40_000_000, tier.outageOptions(), func(i int, share func(g *stg.Graph) *detect.Result) *detect.Result {
+		parts[i] = tier.Plane(i).analyze(share)
+		return parts[i]
+	})
+	if len(res.Regions) == 0 {
 		t.Fatal("no region in the overlapped window")
 	}
-	cells := func(snap obs.Snapshot) float64 {
-		n := 0.0
-		for _, name := range []string{"vapro_detect_region_cells_carried_total", "vapro_detect_region_cells_regrown_total"} {
-			if m := snap.Get(name); m != nil {
-				n += m.Value
-			}
-		}
-		return n
-	}
-	for i := 0; i < shards; i++ {
-		if n := cells(tier.Plane(i).Metrics().Registry.Snapshot()); n != 0 {
-			t.Fatalf("plane %d grew regions over %v cells; only the tier's merge grows them", i, n)
+	for i, p := range parts {
+		if p == nil || p.Maps != nil || p.Regions != nil {
+			t.Fatalf("plane %d's pass built maps or regions; only the tier's merge grows them", i)
 		}
 	}
 	snap := tier.Metrics().Registry.Snapshot()
-	if cells(snap) == 0 {
-		t.Fatal("the tier's merge counted no carried or regrown region cells")
-	}
 	if m := snap.Get("vapro_shards"); m == nil || m.Value != float64(shards) {
 		t.Fatalf("vapro_shards = %+v", m)
 	}

@@ -27,12 +27,12 @@ import (
 //
 // 25 seeds × shard counts {1,2,4,8} × misroute shares {0, 0.25} = 175
 // scripted schedules (a single shard has nowhere to misroute), each
-// with two overlapped windows so the warm merge carry is exercised. A
-// misrouted batch lands on a non-owning shard's sink and on that
-// shard's restricted reference, so property 1 pins the merge's owner
-// filter: its samples never reach the rank's row. Its sequence
-// accounting stays with the rank's owner on both sides (one sequence
-// space per rank), so the outage sets the two sides mark agree.
+// with two overlapped windows. A misrouted batch lands on a non-owning
+// shard's sink and on that shard's restricted reference, so property 1
+// pins the merge's owner filter: its samples never reach the rank's
+// row. Its sequence accounting stays with the rank's owner on both
+// sides (one sequence space per rank), so the outage sets the two sides
+// mark agree.
 
 type fuzzBatch struct {
 	rank    int
@@ -230,7 +230,6 @@ func shardedEquivalenceSchedule(t *testing.T, seed, ranks, shards int, misroute 
 // (compareFull), with a plain pool's full pass.
 func forceMerge(p *Pool) {
 	p.merger = detect.NewMerger()
-	p.merger.SetMetrics(p.met.Detect)
 }
 
 // compareRows: every merged heat-map row equals the restricted

@@ -49,9 +49,10 @@ type Options struct {
 	Outages []Outage
 	// DisableIncremental selects the batch oracle (oracle.go): every
 	// element generation change re-clusters and re-normalizes from
-	// scratch, every stream is comparison-sorted and regions are grown
-	// from nothing. Results are bit-identical either way; this is what
-	// the incremental plane is tested and benchmarked against.
+	// scratch and every stream is comparison-sorted. Regions are grown
+	// from nothing on both paths, once per window. Results are
+	// bit-identical either way; this is what the incremental plane is
+	// tested and benchmarked against.
 	DisableIncremental bool
 }
 
@@ -137,8 +138,8 @@ type ClusterRef struct {
 // owning element (edges before vertices, then key) and fragment index.
 // Start alone is not a total order — exact ties across ranks are
 // routine in lockstep SPMD phases — and a total key makes the stream,
-// and everything folded over it (heat-map cells, region growing,
-// carried-region equality), a pure function of the sample multiset.
+// and everything folded over it (heat-map cells, region growing), a
+// pure function of the sample multiset.
 // The streams are built in this order, not sorted into it: every span
 // index keeps its entries ordered by (start, fragment index), so each
 // selection is a run already ordered under sampleLess, and the partial
@@ -311,10 +312,6 @@ type Analyzer struct {
 	merge       [numClasses]runMerger
 	permuteRuns func(runs []sampleRun) []sampleRun
 
-	// merger is stage 2 over this analyzer's own partial: one part,
-	// whose warm region carry threads from pass to pass.
-	merger Merger
-
 	// met, when set via SetMetrics, receives per-pass latency and
 	// per-stage span observations; clock is its worker-side scratch.
 	met   *Metrics
@@ -422,7 +419,7 @@ const numClasses = 3
 
 func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin int64) *Result {
 	res, t0, tMap := a.partial(g, opt, start, end, origin)
-	a.merger.finish(res, []*Result{res}, ranks, nil, opt)
+	finish(res, []*Result{res}, ranks, nil, opt)
 	a.recordPass(t0, tMap)
 	return res
 }

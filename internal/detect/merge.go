@@ -15,8 +15,9 @@ type sampleRun interface {
 // Start, so an emitted sample costs one next() and about log2(runs)
 // integer compares; a Start tie is decided by sampleLess on the two
 // heads, and heads equal under sampleLess too (possible only across
-// shards) by run order. The scratch is reused across merges — a warm
-// merge allocates nothing but what dst needs.
+// shards) by run order. The analyzer keeps one per class and reuses its
+// scratch across passes, so a warm merge allocates nothing but what dst
+// needs; the spatial merger's is local to one merge.
 type runMerger struct {
 	runs  []sampleRun
 	heads []Sample

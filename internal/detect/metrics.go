@@ -48,12 +48,6 @@ type Metrics struct {
 	// comparison sort instead of the run merge: the DisableIncremental
 	// oracle's streams, and nothing else.
 	SortFallbacks *obs.Counter
-	// RegionCellsCarried counts heat-map cells whose region membership
-	// was carried over from the previous window unchanged.
-	RegionCellsCarried *obs.Counter
-	// RegionCellsRegrown counts heat-map cells the region-growing pass
-	// actually revisited (changed, shifted out of overlap, or batch).
-	RegionCellsRegrown *obs.Counter
 	// OLSRank1Updates counts fragments folded into a cluster's warm
 	// regression moments by one rank-1 Add; OLSRefactors counts moment
 	// sets built from a cluster's whole membership (a cold or rebuilt
@@ -83,10 +77,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"fragments appended to store-backed elements"),
 		SortFallbacks: reg.Counter("vapro_detect_sample_sort_fallbacks_total", "detect",
 			"per-class sample streams ordered by a comparison sort instead of the run merge"),
-		RegionCellsCarried: reg.Counter("vapro_detect_region_cells_carried_total", "detect",
-			"heat-map cells carried over from the previous window's regions"),
-		RegionCellsRegrown: reg.Counter("vapro_detect_region_cells_regrown_total", "detect",
-			"heat-map cells revisited by region growing"),
 		OLSRank1Updates: reg.Counter("vapro_ols_rank1_updates_total", "ols",
 			"fragments folded into warm regression moments by rank-1 updates"),
 		OLSRefactors: reg.Counter("vapro_ols_refactors_total", "ols",
@@ -98,7 +88,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // is observational only — results are bit-identical with or without it.
 func (a *Analyzer) SetMetrics(m *Metrics) {
 	a.met = m
-	a.merger.SetMetrics(m)
 }
 
 // stageClock accumulates worker CPU time for the sub-stages that run

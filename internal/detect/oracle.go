@@ -13,13 +13,14 @@ import (
 // incremental structure is pinned bit-identical to (the equivalence
 // fuzzes, bench/'s gate, BenchmarkMonitorTick*/plane=batch). Its chain
 // is cache.RunBatch → buildFlat → flatPrep.window → runMerger.concat →
-// sortSamples → batch growRegions: samples materialized per element
-// generation, a window's stream comparison-sorted, regions grown from
-// nothing. It is rebuilt whenever its element moves and never advanced,
-// and it shares no state with the sample store — only the cluster-state
-// arithmetic both are made of. Its span index is its own: a column
-// index, comparison-sorted, holding every span it answers for, which
-// the store's position-only segments are pinned to.
+// sortSamples → growRegions: samples materialized per element
+// generation, a window's stream comparison-sorted, regions grown by the
+// grower the incremental plane uses too. It is rebuilt whenever its
+// element moves and never advanced, and it shares no state with the
+// sample store — only the cluster-state arithmetic both are made of.
+// Its span index is its own: a column index, comparison-sorted, holding
+// every span it answers for, which the store's position-only segments
+// are pinned to.
 
 // flatPrep is the oracle's body of a prepElem.
 type flatPrep struct {

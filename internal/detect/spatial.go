@@ -11,10 +11,12 @@ import "vapro/internal/sim"
 // from the parts' streams (each filtered to the ranks its part owns, so
 // a misrouted fragment never enters the map or the regions), every
 // sample binned straight into one grid — rows are disjoint across parts,
-// so a merged row is the owner's row — and regions grown once, with one
-// carry. That is what lets a variance region span a shard boundary: two
-// adjacent rank rows owned by different shards stitch into one
-// 4-connected component exactly as they would in an unsharded pass.
+// so a merged row is the owner's row — and regions grown once. That is
+// what lets a variance region span a shard boundary: two adjacent rank
+// rows owned by different shards stitch into one 4-connected component
+// exactly as they would in an unsharded pass. A window's regions depend
+// on its grid alone, so a merge keeps nothing from one window to the
+// next.
 
 // MergeStats reports what one merge pass combined.
 type MergeStats struct {
@@ -26,15 +28,9 @@ type MergeStats struct {
 	Stitched int
 }
 
-// Merger completes partials into one Result. It is warm: region growing
-// carries unchanged regions across overlapped windows, so the steady
-// cost beyond binning is the regrowth of changed cells only. A Merger
-// is not safe for concurrent Merge calls.
-type Merger struct {
-	carry [numClasses]*regionCarryState
-	merge [numClasses]runMerger
-	met   *Metrics
-}
+// Merger completes partials into one Result. It holds no state, so
+// Merge is safe for concurrent calls.
+type Merger struct{}
 
 // shardRun is one part's sample stream as a merge input: already
 // ordered by the part's own pass, restricted to the ranks the part owns
@@ -59,11 +55,8 @@ func (r *shardRun) next(dst *Sample) bool {
 	return false
 }
 
-// NewMerger returns a Merger with cold region-carry state.
+// NewMerger returns a Merger.
 func NewMerger() *Merger { return &Merger{} }
-
-// SetMetrics points the region-growth counters at m; nil detaches.
-func (m *Merger) SetMetrics(met *Metrics) { m.met = met }
 
 // Merge completes parts into one Result over a global rank space of
 // size ranks. From each part it reads only a partial's fields — the
@@ -74,7 +67,7 @@ func (m *Merger) SetMetrics(met *Metrics) { m.met = met }
 // that received none of its fragments would. The parts cover one
 // window: they share opt.Window and their origin. Staleness comes from
 // opt.Outages.
-func (m *Merger) Merge(parts []*Result, ranks int, owner func(rank int) int, opt Options) (*Result, MergeStats) {
+func (*Merger) Merge(parts []*Result, ranks int, owner func(rank int) int, opt Options) (*Result, MergeStats) {
 	res := &Result{
 		Samples:     make(map[Class][]Sample),
 		TotalTimeNS: make(map[Class]int64),
@@ -94,7 +87,7 @@ func (m *Merger) Merge(parts []*Result, ranks int, owner func(rank int) int, opt
 		}
 	}
 	res.setTimes(&total, &fixed)
-	return res, m.finish(res, parts, ranks, owner, opt)
+	return res, finish(res, parts, ranks, owner, opt)
 }
 
 // classMerge is one class's share of a merge.
@@ -107,10 +100,10 @@ type classMerge struct {
 
 // finish completes res — whose time sums, cluster counts and origin are
 // the parts' totals — from parts: its coverage, then each class's
-// stream, heat map and regions, the classes concurrently (each owns its
-// carry and merge slots). A nil owner means parts[0] owns every rank:
-// its stream is used as is, unfiltered and uncopied.
-func (m *Merger) finish(res *Result, parts []*Result, ranks int, owner func(rank int) int, opt Options) MergeStats {
+// stream, heat map and regions, the classes concurrently. A nil owner
+// means parts[0] owns every rank: its stream is used as is, unfiltered
+// and uncopied.
+func finish(res *Result, parts []*Result, ranks int, owner func(rank int) int, opt Options) MergeStats {
 	if opt.Window <= 0 {
 		opt.Window = 500 * sim.Millisecond
 	}
@@ -134,7 +127,7 @@ func (m *Merger) finish(res *Result, parts []*Result, ranks int, owner func(rank
 	res.Maps = make(map[Class]*HeatMap)
 	var out [numClasses]classMerge
 	forEach(numClasses, opt.Parallelism, func(c int) {
-		out[c] = m.class(Class(c), parts, ranks, owner, int64(res.Origin), opt)
+		out[c] = mergeClass(Class(c), parts, ranks, owner, int64(res.Origin), opt)
 	})
 	var stats MergeStats
 	for c := range out {
@@ -153,10 +146,10 @@ func (m *Merger) finish(res *Result, parts []*Result, ranks int, owner func(rank
 	return stats
 }
 
-// class merges one class. A part's width comes from its whole stream,
-// misrouted samples included, and the map is as wide as the widest
-// part; a row's stale marks stop at its owner's width.
-func (m *Merger) class(class Class, parts []*Result, ranks int, owner func(rank int) int, origin int64, opt Options) (out classMerge) {
+// mergeClass merges one class. A part's width comes from its whole
+// stream, misrouted samples included, and the map is as wide as the
+// widest part; a row's stale marks stop at its owner's width.
+func mergeClass(class Class, parts []*Result, ranks int, owner func(rank int) int, origin int64, opt Options) (out classMerge) {
 	widths := make([]int, len(parts))
 	wins := 0
 	for i, p := range parts {
@@ -169,7 +162,7 @@ func (m *Merger) class(class Class, parts []*Result, ranks int, owner func(rank 
 		return out
 	}
 	if owner != nil {
-		out.samples = m.owned(class, parts, ranks, owner)
+		out.samples = owned(class, parts, ranks, owner)
 	} else {
 		out.samples = parts[0].Samples[class]
 		owner = func(int) int { return 0 }
@@ -194,19 +187,7 @@ func (m *Merger) class(class Class, parts []*Result, ranks int, owner func(rank 
 		}
 	}
 	out.h = h
-
-	c := int(class)
-	if opt.DisableIncremental {
-		m.carry[c] = nil
-		out.regions = growRegions(h, out.samples, opt)
-	} else {
-		var carried, regrown uint64
-		out.regions, m.carry[c], carried, regrown = growRegionsCarry(m.carry[c], h, out.samples, opt)
-		if m.met != nil {
-			m.met.RegionCellsCarried.Add(carried)
-			m.met.RegionCellsRegrown.Add(regrown)
-		}
-	}
+	out.regions = growRegions(h, out.samples, opt)
 	for i := range out.regions {
 		first := owner(out.regions[i].RankMin)
 		for r := out.regions[i].RankMin + 1; r <= out.regions[i].RankMax; r++ {
@@ -222,9 +203,10 @@ func (m *Merger) class(class Class, parts []*Result, ranks int, owner func(rank 
 // owned merges the parts' class streams, each filtered to the ranks its
 // part owns, under sampleLess by the same runMerger the analyzer builds
 // its streams with. Samples equal under sampleLess (the same element
-// and fragment index on two shards) keep part order.
-func (m *Merger) owned(class Class, parts []*Result, ranks int, owner func(rank int) int) []Sample {
-	mg := &m.merge[class]
+// and fragment index on two shards) keep part order. The merger is
+// local: its heads and heap are O(parts).
+func owned(class Class, parts []*Result, ranks int, owner func(rank int) int) []Sample {
+	var mg runMerger
 	want := 0
 	runs := make([]shardRun, len(parts))
 	for i, p := range parts {

@@ -161,11 +161,11 @@ func spatialBoundaryStitch(t *testing.T, parts []*Result, global []Sample, ranks
 		}
 	}
 
-	// Warm re-merge over identical parts: the carried regions must stay
-	// bit-identical to the batch reference.
+	// A second merge over identical parts: the Merger keeps nothing
+	// from the first, so its regions are the batch reference's again.
 	merged2, _ := m.Merge(parts, ranks, owner, opt)
 	if !reflect.DeepEqual(merged2.Regions, want) {
-		t.Fatalf("warm re-merge regions differ:\n got %+v\nwant %+v", merged2.Regions, want)
+		t.Fatalf("re-merge regions differ:\n got %+v\nwant %+v", merged2.Regions, want)
 	}
 
 	// Coverage merges from the raw int64 sums.
@@ -268,4 +268,68 @@ func TestSpatialMergeConcurrent(t *testing.T) {
 			wg.Wait()
 		})
 	}
+}
+
+// TestMergerConcurrentMerges: a Merger keeps nothing between merges, so
+// goroutines may share one. Each merges the same three partials of two
+// overlapped windows, over and over, and every result must deep-equal
+// the window's sequential merge. The race detector (check.sh's race
+// stage) flags any state a merge writes.
+func TestMergerConcurrentMerges(t *testing.T) {
+	const ranks, parts, workers, rounds = 9, 3, 4, 8
+	const window = int64(100)
+	owner := func(r int) int { return r % parts }
+	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1}
+	// A slow blob across ranks 2–5 (three owners) and buckets 2–4, seen
+	// by both windows: [0, 6) and the overlapped [3, 9) buckets.
+	slow := func(r, w int) bool { return r >= 2 && r <= 5 && w >= 2 && w <= 4 }
+	var windows [2][]*Result
+	for wi, origin := range []int{0, 3} {
+		ps := make([]*Result, parts)
+		for p := range ps {
+			ps[p] = &Result{
+				Origin:      sim.Time(int64(origin) * window),
+				Samples:     make(map[Class][]Sample),
+				TotalTimeNS: make(map[Class]int64),
+				FixedTimeNS: make(map[Class]int64),
+			}
+		}
+		for w := origin; w < origin+6; w++ {
+			for r := 0; r < ranks; r++ {
+				perf := 1.0
+				if slow(r, w) {
+					perf = 0.5
+				}
+				p := ps[owner(r)]
+				p.Samples[Computation] = append(p.Samples[Computation], spatialSample(r, w, window, perf))
+				p.TotalTimeNS[Computation] += window / 2
+				p.FixedTimeNS[Computation] += window / 2
+			}
+		}
+		windows[wi] = ps
+	}
+	var want [2]*Result
+	for wi, ps := range windows {
+		want[wi], _ = NewMerger().Merge(ps, ranks, owner, opt)
+		if len(want[wi].Regions) == 0 {
+			t.Fatalf("window %d: the sequential merge grew no region", wi)
+		}
+	}
+
+	m := NewMerger()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds*2; i++ {
+				wi := (g + i) % 2
+				if got, _ := m.Merge(windows[wi], ranks, owner, opt); !reflect.DeepEqual(got, want[wi]) {
+					t.Errorf("worker %d: window %d differs from its sequential merge", g, wi)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

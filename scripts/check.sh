@@ -270,8 +270,6 @@ stage_obs() {
 		vapro_detect_prep_rebuilds_total \
 		vapro_storage_bytes_per_rank_second \
 		vapro_detect_store_appends_total vapro_detect_sample_sort_fallbacks_total \
-		vapro_detect_region_cells_carried_total \
-		vapro_detect_region_cells_regrown_total \
 		vapro_ols_rank1_updates_total vapro_ols_refactors_total \
 		vapro_stg_log_bytes vapro_stg_log_chunks vapro_stg_log_lanes_live \
 		vapro_stg_log_lanes_wide; do
