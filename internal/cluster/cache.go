@@ -50,10 +50,9 @@ type Cache struct {
 
 	hits, misses, evictions atomic.Uint64
 	incHits, staleRejects   atomic.Uint64
-	// Incremental fallbacks: a vector-shape change, or a multi-D
-	// partition restructured by a new seed.
+	// Incremental fallbacks: a vector-shape change.
 	incFallbacks atomic.Uint64
-	// 1-D re-cuts: appended fragments whose band stole resident members.
+	// Re-cuts: appended fragments whose band reached a resident seed.
 	incRecuts atomic.Uint64
 }
 
@@ -85,10 +84,11 @@ func (c *Cache) entryFor(key Key) *entry {
 //
 //   - unchanged (gen, count, options match): pure hit;
 //   - append-only advance (same epoch, grown count): the incremental
-//     splice — the 1-D band walk or the multi-D vector path — equivalent
-//     to Run by construction and pinned by the equivalence fuzz; falls
-//     back to a full Run when the element changed vector shape or an
-//     appended fragment restructured the multi-D partition;
+//     splice — one band walk on the 1-D and the multi-D plane alike,
+//     which re-cuts the resident clusters an appended fragment's band
+//     reaches — equivalent to Run by construction and pinned by the
+//     equivalence fuzzes; falls back to a full Run only when the element
+//     changed vector shape (a 1-D element saw a comm/IO fragment);
 //   - anything else — epoch bump, option change, first sight: full Run.
 //
 // A STALE generation (an older snapshot of the element, from a caller
@@ -172,13 +172,12 @@ func (c *Cache) Stats() (hits, misses uint64) {
 
 // IncStats returns the incremental-path counters: advances that spliced
 // the previous clustering; fallbacks, where the splice was abandoned
-// and a full Run was paid instead — the element changed vector shape
-// (a 1-D element saw a comm/IO fragment), or on the multi-D path an
-// appended fragment seeded a new cluster that stole resident members;
-// and 1-D re-cuts, the spliced advances' O(resident) step — an
+// and a full Run was paid instead, which happens only when the element
+// changed vector shape (a 1-D element saw a comm/IO fragment); and
+// re-cuts, the spliced advances' O(resident) step on either plane — an
 // appended fragment whose band reached a resident cluster's seed, so
-// that cluster's members were gathered and re-cut. A re-cut is not a
-// fallback: its advance also counts as a hit.
+// the members of the clusters it reached were gathered and re-cut. A
+// re-cut is not a fallback: its advance also counts as a hit.
 func (c *Cache) IncStats() (incHits, incFallbacks, recuts uint64) {
 	return c.incHits.Load(), c.incFallbacks.Load(), c.incRecuts.Load()
 }

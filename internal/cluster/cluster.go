@@ -127,21 +127,17 @@ func (w *wvec) read(frags trace.LogView, i int, opt Options, f *trace.Fragment) 
 // element keeps any of it between advances. Nothing in a returned Result
 // or Delta aliases the scratch.
 type scratch struct {
-	// norms holds Run's norms, or a 1-D advance's for its appended batch.
+	// norms holds Run's norms, or an advance's for its appended batch.
 	norms     []float64
 	order     []int32
 	processed []bool
 	// vecs holds multi-D workload vectors: Run's for every fragment, an
 	// advance's for the appended batch.
 	vecs []wvec
-	// An advance's: the radix keys of its batch, mergeAppended's outputs,
-	// updateMultiD's absorb flags and batch positions, the 1-D walk's
-	// middle clusters.
-	keys                  []normKey
-	batch, inserted, ipos []int32
-	absorbed              []bool
-	jOf                   []int32
-	mids                  []midRun
+	// An advance's: the radix keys of its batch and the walk's middle
+	// clusters.
+	keys []normKey
+	mids []midRun
 }
 
 // Run and the advances draw from separate pools. A Run's scratch is
@@ -190,12 +186,10 @@ func Run(frags trace.LogView, opt Options) Result {
 	return res
 }
 
-// runCapture is Run plus an optional capture of the incremental state
-// straight out of the working set, so the cache does not pay a second
-// sort to seed the delta path: for a multi-D element the norm-sorted
-// order, the cluster seed positions and the norms; for a 1-D element
-// nothing beyond the Result. Neither multi-D vectors nor 1-D norms are
-// captured: the log keeps their inputs.
+// runCapture is Run plus an optional capture of the incremental state:
+// the fragment count, the plane and the Result's Assign backing. The
+// clusters' seeds are the partition, and the log keeps the inputs of
+// every norm and vector, so nothing else is captured.
 func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incState) {
 	opt = opt.normalized()
 	n := frags.Len()
@@ -249,14 +243,10 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 	// contiguous norm range [seed, seed*(1+threshold)]; the scan is a
 	// single forward pass, linear overall.
 	processed := sc.processed
-	var seedPos []int32 // per-cluster seed position in order, when capturing
 	for pos := 0; pos < n; pos++ {
 		seed := order[pos]
 		if processed[seed] {
 			continue
-		}
-		if capture && !oneD {
-			seedPos = append(seedPos, int32(pos))
 		}
 		ci := int32(len(res.Clusters))
 		c := Cluster{Seed: int(seed), SeedNorm: norms[seed]}
@@ -298,15 +288,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 	}
 	var st *incState
 	if capture {
-		// A 1-D state is its Assign: the clusters' seed norms are the
-		// partition (see incremental.go).
-		st = &incState{n: n, assign: res.Assign}
-		if !oneD {
-			st.multiD = true
-			st.norms = slices.Clone(norms)
-			st.order = slices.Clone(order)
-			st.seedPos = seedPos
-		}
+		st = &incState{multiD: !oneD, n: n, assign: res.Assign}
 	}
 	return res, st
 }

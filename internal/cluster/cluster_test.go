@@ -242,12 +242,30 @@ func TestSortNormKeysMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestOneDStateKeepsOnlyAssign: a 1-D element's incremental state holds
-// no per-fragment slice but the Assign backing it shares with the
-// Result it last returned — the seed norms of that Result describe the
-// partition — after many advances of every kind: absorbs, new clusters
-// in gaps and re-cuts under new minima. Every slice field of incState is
+// checkStateKeepsOnlyAssign fails unless the incremental state behind
+// key holds no per-fragment slice but the Assign backing it shares with
+// res, the Result it last returned. Every slice field of incState is
 // checked, so a field added later is held to the rule too.
+func checkStateKeepsOnlyAssign(t *testing.T, c *Cache, key Key, res Result, step int) {
+	t.Helper()
+	st := c.entries[key].inc
+	v := reflect.ValueOf(st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		if f.Kind() != reflect.Slice || f.IsNil() || name == "assign" {
+			continue
+		}
+		t.Fatalf("step %d: the state holds %s (%d entries)", step, name, f.Len())
+	}
+	if st.n != len(res.Assign) || &st.assign[0] != &res.Assign[0] {
+		t.Fatalf("step %d: the state does not describe the Result it returned", step)
+	}
+}
+
+// TestOneDStateKeepsOnlyAssign: a 1-D element's incremental state holds
+// only the Assign backing — the seed norms of the Result it last
+// returned describe the partition — after many advances of every kind:
+// absorbs, new clusters in gaps and re-cuts under new minima.
 func TestOneDStateKeepsOnlyAssign(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewCache()
@@ -269,22 +287,47 @@ func TestOneDStateKeepsOnlyAssign(t *testing.T) {
 			log.Append(&f)
 		}
 		v := log.View()
-		res := c.Run(key, stg.Gen{Count: uint64(v.Len())}, v, opt)
-		e := c.entries[key]
-		st := reflect.ValueOf(e.inc).Elem()
-		for i := 0; i < st.NumField(); i++ {
-			f, name := st.Field(i), st.Type().Field(i).Name
-			if f.Kind() != reflect.Slice || f.IsNil() || name == "assign" {
-				continue
-			}
-			t.Fatalf("step %d: a 1-D state holds %s (%d entries)", step, name, f.Len())
-		}
-		if e.inc.n != v.Len() || &e.inc.assign[0] != &res.Assign[0] {
-			t.Fatalf("step %d: the state does not describe the Result it returned", step)
-		}
+		checkStateKeepsOnlyAssign(t, c, key, c.Run(key, stg.Gen{Count: uint64(v.Len())}, v, opt), step)
 	}
 	hits, fallbacks, recuts := c.IncStats()
 	if hits != 59 || fallbacks != 0 || recuts == 0 {
 		t.Fatalf("%d advances, %d fallbacks, %d re-cuts; want 59, 0 and some", hits, fallbacks, recuts)
 	}
+}
+
+// TestMultiDStateKeepsOnlyAssign is its multi-D twin: a comm element's
+// state holds only the Assign backing — no norms, no sorted order, no
+// seed positions — after advances that grow clusters, seed new ones and
+// steal residents from old ones (a new minimum below cluster 0, and
+// sizes just below a cluster's seed, within its band).
+func TestMultiDStateKeepsOnlyAssign(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	c := NewCache()
+	key := VertexKey(1)
+	opt := DefaultOptions()
+	log := trace.NewLog(nil)
+	low := 1 << 20
+	for step := 0; step < 60; step++ {
+		for i, n := 0, 1+rng.Intn(200); i < n; i++ {
+			bytes := (2+rng.Intn(6))<<20 + rng.Intn(40_000)
+			switch rng.Intn(40) {
+			case 0:
+				low -= low / 50
+				bytes = low
+			case 1:
+				bytes = (2 + rng.Intn(6)) << 20 * 97 / 100 // steals the class above
+			case 2:
+				bytes = (9 + rng.Intn(1000)) << 20 // a gap far above
+			}
+			f := commFrag(bytes, rng.Intn(4), rng.Intn(2))
+			log.Append(&f)
+		}
+		v := log.View()
+		checkStateKeepsOnlyAssign(t, c, key, c.Run(key, stg.Gen{Count: uint64(v.Len())}, v, opt), step)
+	}
+	hits, fallbacks, recuts := c.IncStats()
+	if hits != 59 || fallbacks != 0 || recuts == 0 {
+		t.Fatalf("%d advances, %d fallbacks, %d re-cuts; want 59, 0 and some", hits, fallbacks, recuts)
+	}
+	t.Logf("%d advances, %d re-cuts", hits, recuts)
 }

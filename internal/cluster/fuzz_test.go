@@ -92,13 +92,18 @@ func FuzzIncremental1D(f *testing.F) {
 // FuzzIncrementalMultiD is the native form of the multi-D equivalence
 // fuzz: the input bytes script one element's appends, and after every
 // advance Cache.RunInc must return what a cold Run on the same log does
-// (reflect.DeepEqual) and its Delta must describe the step. The script is text-shaped, so a
-// committed corpus entry reads as what it does:
+// (reflect.DeepEqual) and its Delta must describe the step. No advance
+// may fall back to a batch run (Delta.Full) unless the cache held no
+// state to advance from — the first advance, or an element that was
+// empty under UseExtraMetrics — or the element turned from all
+// computation to multi-D. The script is text-shaped, so a committed
+// corpus entry reads as what it does:
 //
 //	byte 0       options, low three bits: 1 UseExtraMetrics,
 //	             2 MinFragments 2, 4 Threshold 0.2 (so '0'…'7')
 //	'0'…'9'      a computation fragment of class d: TotIns (d+1)·100 000,
 //	             LoadStores TotIns/(2+d%3)
+//	'_'          a computation fragment with zero counts: a zero norm
 //	'a'…'z'      a communication fragment of class c: Bytes 1 KiB << c%5,
 //	             Peer c/5-1, Tag c%2 ('z': zero bytes)
 //	'A'…'Z'      an IO fragment of class c: Bytes 4 KiB << c%4, FD 3+c%2,
@@ -107,7 +112,12 @@ func FuzzIncremental1D(f *testing.F) {
 //	anything     else: advance (RunInc, then the checks)
 //
 // A kind flip is any change of letter case or digit-to-letter: an
-// element that was all computation turns multi-D there.
+// element that was all computation turns multi-D there. Without
+// UseExtraMetrics a computation fragment's vector is TOT_INS alone, so
+// in a mixed element its norm is TotIns exactly: at the default
+// threshold, a class 1 fragment grown by p per mille, p a multiple of
+// 20, has for its band limit exactly the norm of one grown by p·1.05+50
+// (the corpus's boundary-reach seeds use this).
 func FuzzIncrementalMultiD(f *testing.F) {
 	f.Add([]byte("0aaaab.aab.ba."))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -128,20 +138,27 @@ func FuzzIncrementalMultiD(f *testing.F) {
 		var prev cluster.Result
 		havePrev := false
 		permille := 0
+		multiD, wasMultiD := opt.UseExtraMetrics, false // the element, now and at the last advance
 		advance := func(step int) {
 			v := log.View()
 			got, d := c.RunInc(key, stg.Gen{Count: uint64(v.Len())}, v, opt)
 			if !reflect.DeepEqual(got, cluster.Run(v, opt)) {
 				t.Fatalf("step %d (%d fragments): incremental clustering diverges from Run", step, v.Len())
 			}
+			fresh := !havePrev || opt.UseExtraMetrics && len(prev.Assign) == 0
+			if d.Full && !fresh && wasMultiD == multiD {
+				t.Fatalf("step %d (%d fragments): the advance fell back to a batch run", step, v.Len())
+			}
 			if !d.Full && havePrev {
 				checkDelta(t, 0, step, prev, got, d)
 			}
-			prev, havePrev = got, true
+			prev, havePrev, wasMultiD = got, true, multiD
 		}
 		for step, b := range data[1:] {
 			var fr trace.Fragment
 			switch {
+			case b == '_':
+				fr.Kind = trace.Comp
 			case b >= '0' && b <= '9':
 				d := int(b - '0')
 				fr.Kind = trace.Comp
@@ -164,6 +181,7 @@ func FuzzIncrementalMultiD(f *testing.F) {
 				continue
 			}
 			if fr.Kind != trace.Comp {
+				multiD = true
 				if b == 'z' || b == 'Z' {
 					fr.Args.Bytes = 0
 				}

@@ -345,7 +345,7 @@ func mdPalette(rng *rand.Rand) []mdClass {
 // across randomized append schedules over comm/IO/mixed-kind elements —
 // palette classes with jitter straddling the 5% band, zero-byte ops,
 // novel vectors that seed new clusters mid-order (including ones that
-// restructure the partition and must fall back), extra-metrics 2-D
+// steal residents, which the advance re-cuts), extra-metrics 2-D
 // computation vectors, stale reads, and epoch rebases — the incremental
 // path returns results bit-identical (reflect.DeepEqual) to cluster.Run
 // on the same fragment set and its Deltas accurately describe the
@@ -377,7 +377,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 				switch {
 				case rng.Intn(12) == 0:
 					// Novel vector: may seed a new cluster mid-order or
-					// restructure the partition (steal fallback path).
+					// steal residents (a re-cut).
 					f = trace.Fragment{Kind: trace.Comm, Rank: rng.Intn(8),
 						Args: trace.Args{Op: trace.Op("Send"), Bytes: rng.Intn(70_000), Peer: -1 + rng.Intn(6)}}
 				case rng.Intn(20) == 0:
@@ -425,8 +425,9 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 // TestIncrementalMultiDSteadyState pins the perf contract behind
 // BenchmarkMonitorTickMultiD: a resident multi-D population whose
 // appends repeat existing workload classes advances incrementally on
-// EVERY burst — zero fallbacks of any reason — because each appended
-// fragment is absorbed by the cluster whose band covers it.
+// EVERY burst — no fallback and no re-cut, so no advance reads Assign —
+// because each appended fragment is absorbed by the cluster whose band
+// covers it.
 func TestIncrementalMultiDSteadyState(t *testing.T) {
 	for s := 0; s < 40; s++ {
 		rng := rand.New(rand.NewSource(int64(331*s + 7)))
@@ -455,18 +456,21 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D diverges", s, b)
 			}
 		}
-		if incHits, incFallbacks, _ := c.IncStats(); incHits != uint64(advances) || incFallbacks != 0 {
-			t.Fatalf("schedule %d: incHits=%d fallbacks=%d, want %d/0",
-				s, incHits, incFallbacks, advances)
+		if incHits, incFallbacks, recuts := c.IncStats(); incHits != uint64(advances) || incFallbacks != 0 || recuts != 0 {
+			t.Fatalf("schedule %d: incHits=%d fallbacks=%d re-cuts=%d, want %d/0/0",
+				s, incHits, incFallbacks, recuts, advances)
 		}
 	}
 }
 
 // TestMultiDAdvanceAllocsPinned pins the steady-state allocation count
-// of one grown multi-D advance: with the cached norms and order and the
-// grow-only Assign backing, an advance allocates only the small
-// per-delta bookkeeping — nothing proportional to the resident
-// population.
+// of one grown multi-D advance: the walk reads no resident but the
+// seeds it absorbs into, and with the grow-only Assign backing an
+// advance allocates only what it hands out — the Result's cluster
+// slice, the Delta's dirty list and the backing of its Added lists —
+// and nothing proportional to the resident population. It reads 3; the
+// budget leaves room for the race detector, whose sync.Pool drops
+// entries at random (4–6).
 func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pal := mdPalette(rng)
@@ -492,19 +496,18 @@ func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 			t.Fatal("measured advance fell back to batch")
 		}
 	})
-	if allocs > 48 {
-		t.Fatalf("grown multi-D advance allocates %.0f times, budget 48", allocs)
+	if allocs > 8 {
+		t.Fatalf("grown multi-D advance allocates %.0f times, budget 8", allocs)
 	}
 }
 
 // TestWarmAdvanceAllocsIndependentOfBatch: an advance's scratch (the
-// merge's positions and radix keys, the appended vectors, the absorb
-// flags, the 1-D run list) is recycled through the advances' scratch
-// pool, so a warm advance allocates the same number of times whether it
+// appended norms and radix keys, the appended vectors, the walk's list
+// of middle clusters) is recycled through the advances' scratch pool,
+// so a warm advance allocates the same number of times whether it
 // appends 64 fragments or 4 096, on the 1-D path and on the multi-D one,
 // and only for what it hands out: the Result's cluster slice, the
-// Delta's dirty list and the backing of its Added lists, the next cut
-// table (and on the multi-D path the growth of its mid-cluster lists).
+// Delta's dirty list and the backing of its Added lists.
 // Every view is taken before measuring, so the log's own chunk
 // allocations stay out of the count.
 func TestWarmAdvanceAllocsIndependentOfBatch(t *testing.T) {

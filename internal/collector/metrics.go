@@ -265,12 +265,12 @@ func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 			return float64(h)
 		})
 	reg.Func("vapro_cluster_cache_inc_fallbacks", "cluster",
-		"incremental updates abandoned for a full re-cluster", func() float64 {
+		"incremental updates abandoned for a full re-cluster: the element changed vector shape", func() float64 {
 			_, f, _ := cache.IncStats()
 			return float64(f)
 		})
 	reg.Func("vapro_cluster_cache_inc_recuts", "cluster",
-		"1-D incremental updates that re-cut resident clusters an appended fragment's band reached", func() float64 {
+		"incremental updates that re-cut resident clusters an appended fragment's band reached", func() float64 {
 			_, _, r := cache.IncStats()
 			return float64(r)
 		})

@@ -56,14 +56,13 @@ func benchFragment(rng *rand.Rand, commIO bool, rank int, clock int64) trace.Fra
 // fragment stays inside a fixed number of bytes. The columnar log is
 // ≈ 30 B of it; the rest is the analysis planes' per-fragment state,
 // none of which restates the log. The cluster cache keeps a 4-byte
-// order entry and a 4-byte Assign entry, plus an 8-byte norm on the
-// multi-D path (a 1-D norm is TOT_INS, read back through a table of the
-// log's lanes); a cluster lists no members, Assign is its membership. The sample store keeps one
-// 4-byte span-index position: it reads the cluster of a fragment from
-// the cache's Assign, and its span and rank from the log. A multi-D
-// workload vector is not kept either: it is read back from the log's
-// lanes. Measured 45.1 B (computation) and 53.5 B (comm/IO); each
-// budget is 5 % above.
+// Assign entry and no sorted order or norm on either plane (a 1-D norm
+// is TOT_INS, a multi-D workload vector is read back from the log's
+// lanes); a cluster lists no members, Assign is its membership. The
+// sample store keeps one 4-byte span-index position: it reads the
+// cluster of a fragment from the cache's Assign, and its span and rank
+// from the log. Measured 45.1 B (computation) and 53.5 B (comm/IO)
+// when the budgets were set; each budget is 5 % above.
 // TestMonitorSingleResidentCopy is the relative bound beside it.
 func TestResidentBytesPerFragmentBudget(t *testing.T) {
 	if testing.Short() {

@@ -24,20 +24,22 @@ func spatialSample(rank, win int, window int64, perf float64) Sample {
 
 // spatialPart assembles one shard's Result from its samples, the way a
 // plane's detection pass would: start-sorted samples, a heat map over
-// the global rank axis (unowned rows stay NaN), outage staleness.
-func spatialPart(t *testing.T, ranks int, samples []Sample, window int64, outages []Outage) *Result {
+// the global rank axis from origin (unowned rows stay NaN), outage
+// staleness.
+func spatialPart(t *testing.T, ranks int, samples []Sample, window, origin int64, outages []Outage) *Result {
 	t.Helper()
 	for i := 1; i < len(samples); i++ {
 		if samples[i].Start < samples[i-1].Start {
 			t.Fatalf("test samples not start-sorted at %d", i)
 		}
 	}
-	h := buildHeatMap(Computation, samples, ranks, sim.Duration(window), 0)
+	h := buildHeatMap(Computation, samples, ranks, sim.Duration(window), origin)
 	if h == nil {
 		t.Fatal("buildHeatMap returned nil")
 	}
 	h.markStale(outages, nil)
 	res := &Result{
+		Origin:      sim.Time(origin),
 		Maps:        map[Class]*HeatMap{Computation: h},
 		Samples:     map[Class][]Sample{Computation: samples},
 		Coverage:    make(map[Class]float64),
@@ -102,8 +104,8 @@ func TestSpatialMergeBoundaryStitch(t *testing.T) {
 	// reports the outage, and the merged grid must exclude that cell.
 	outages := []Outage{{Rank: 4, Start: 2 * window, End: 3 * window}}
 	full := []*Result{
-		spatialPart(t, ranks, perShard[0], window, nil),
-		spatialPart(t, ranks, perShard[1], window, outages),
+		spatialPart(t, ranks, perShard[0], window, 0, nil),
+		spatialPart(t, ranks, perShard[1], window, 0, outages),
 	}
 	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1, Outages: outages}
 	for _, pf := range partForms {
@@ -195,7 +197,7 @@ func TestSpatialMergeDownShard(t *testing.T) {
 		s0 = append(s0, spatialSample(0, w, window, 0.5), spatialSample(2, w, window, 0.5))
 	}
 	sortSamplesByStart(s0)
-	full := spatialPart(t, ranks, s0, window, nil)
+	full := spatialPart(t, ranks, s0, window, 0, nil)
 	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1}
 	for _, pf := range partForms {
 		t.Run(pf.name, func(t *testing.T) {
@@ -242,8 +244,8 @@ func TestSpatialMergeConcurrent(t *testing.T) {
 		sortSamplesByStart(perShard[i])
 	}
 	full := []*Result{
-		spatialPart(t, ranks, perShard[0], window, nil),
-		spatialPart(t, ranks, perShard[1], window, nil),
+		spatialPart(t, ranks, perShard[0], window, 0, nil),
+		spatialPart(t, ranks, perShard[1], window, 0, nil),
 	}
 	opt := Options{Window: sim.Duration(window), Threshold: 0.85, MinRegionCells: 1}
 	for _, pf := range partForms {
@@ -271,10 +273,11 @@ func TestSpatialMergeConcurrent(t *testing.T) {
 }
 
 // TestMergerConcurrentMerges: a Merger keeps nothing between merges, so
-// goroutines may share one. Each merges the same three partials of two
-// overlapped windows, over and over, and every result must deep-equal
-// the window's sequential merge. The race detector (check.sh's race
-// stage) flags any state a merge writes.
+// goroutines may share one, and the parts they merge are read-only.
+// Each merges the same three parts of two overlapped windows, over and
+// over, in either form a part reaches Merge in, and every result must
+// deep-equal the window's sequential merge. The race detector
+// (check.sh's race stage) flags any state a merge writes.
 func TestMergerConcurrentMerges(t *testing.T) {
 	const ranks, parts, workers, rounds = 9, 3, 4, 8
 	const window = int64(100)
@@ -283,53 +286,51 @@ func TestMergerConcurrentMerges(t *testing.T) {
 	// A slow blob across ranks 2–5 (three owners) and buckets 2–4, seen
 	// by both windows: [0, 6) and the overlapped [3, 9) buckets.
 	slow := func(r, w int) bool { return r >= 2 && r <= 5 && w >= 2 && w <= 4 }
-	var windows [2][]*Result
+	var full [2][]*Result
 	for wi, origin := range []int{0, 3} {
-		ps := make([]*Result, parts)
-		for p := range ps {
-			ps[p] = &Result{
-				Origin:      sim.Time(int64(origin) * window),
-				Samples:     make(map[Class][]Sample),
-				TotalTimeNS: make(map[Class]int64),
-				FixedTimeNS: make(map[Class]int64),
-			}
-		}
+		samples := make([][]Sample, parts)
 		for w := origin; w < origin+6; w++ {
 			for r := 0; r < ranks; r++ {
 				perf := 1.0
 				if slow(r, w) {
 					perf = 0.5
 				}
-				p := ps[owner(r)]
-				p.Samples[Computation] = append(p.Samples[Computation], spatialSample(r, w, window, perf))
-				p.TotalTimeNS[Computation] += window / 2
-				p.FixedTimeNS[Computation] += window / 2
+				samples[owner(r)] = append(samples[owner(r)], spatialSample(r, w, window, perf))
 			}
 		}
-		windows[wi] = ps
-	}
-	var want [2]*Result
-	for wi, ps := range windows {
-		want[wi], _ = NewMerger().Merge(ps, ranks, owner, opt)
-		if len(want[wi].Regions) == 0 {
-			t.Fatalf("window %d: the sequential merge grew no region", wi)
+		for _, s := range samples {
+			full[wi] = append(full[wi], spatialPart(t, ranks, s, window, int64(origin)*window, nil))
 		}
 	}
-
-	m := NewMerger()
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds*2; i++ {
-				wi := (g + i) % 2
-				if got, _ := m.Merge(windows[wi], ranks, owner, opt); !reflect.DeepEqual(got, want[wi]) {
-					t.Errorf("worker %d: window %d differs from its sequential merge", g, wi)
-					return
+	for _, pf := range partForms {
+		t.Run(pf.name, func(t *testing.T) {
+			var windows [2][]*Result
+			var want [2]*Result
+			for wi := range full {
+				for _, p := range full[wi] {
+					windows[wi] = append(windows[wi], pf.form(p))
+				}
+				want[wi], _ = NewMerger().Merge(windows[wi], ranks, owner, opt)
+				if len(want[wi].Regions) == 0 {
+					t.Fatalf("window %d: the sequential merge grew no region", wi)
 				}
 			}
-		}(g)
+			m := NewMerger()
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < rounds*2; i++ {
+						wi := (g + i) % 2
+						if got, _ := m.Merge(windows[wi], ranks, owner, opt); !reflect.DeepEqual(got, want[wi]) {
+							t.Errorf("worker %d: window %d differs from its sequential merge", g, wi)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
