@@ -255,9 +255,12 @@ func renderStatus(s *obs.Snapshot) string {
 		humanBytes(val(s, "vapro_storage_bytes_per_rank_second")))
 
 	// What the fragments cost to keep: the columnar logs are the
-	// server's one resident copy of every fragment received.
-	fmt.Fprintf(&b, "resident  %s   %.0f chunk(s), %.0f live lane(s), %.0f wide\n",
-		residentLog(val(s, "vapro_intake_fragments_total"), val(s, "vapro_stg_log_bytes")),
+	// server's one resident copy of every fragment received, and the
+	// clusterings' label chunks hold each one's cluster.
+	frags := val(s, "vapro_intake_fragments_total")
+	fmt.Fprintf(&b, "resident  %s   %s   %.0f chunk(s), %.0f live lane(s), %.0f wide\n",
+		residentLog(frags, val(s, "vapro_stg_log_bytes")),
+		perFragment("assign", frags, val(s, "vapro_cluster_assign_bytes")),
 		val(s, "vapro_stg_log_chunks"), val(s, "vapro_stg_log_lanes_live"), val(s, "vapro_stg_log_lanes_wide"))
 
 	fmt.Fprintf(&b, "wire      conns %.0f   frames %.0f (rejected %.0f, decode errors %.0f, panics %.0f)   bytes %s\n",
@@ -349,11 +352,17 @@ func renderStatus(s *obs.Snapshot) string {
 
 // residentLog renders a fragment count against the log bytes holding it.
 func residentLog(frags, bytes float64) string {
+	return fmt.Sprintf("fragments %.0f   %s", frags, perFragment("log", frags, bytes))
+}
+
+// perFragment renders what one resident structure costs: its bytes and
+// their share per fragment.
+func perFragment(name string, frags, bytes float64) string {
 	per := 0.0
 	if frags > 0 {
 		per = bytes / frags
 	}
-	return fmt.Sprintf("fragments %.0f   log %s   %.1f B/fragment", frags, humanBytes(bytes), per)
+	return fmt.Sprintf("%s %s   %.1f B/fragment", name, humanBytes(bytes), per)
 }
 
 func humanSeconds(s float64) string {

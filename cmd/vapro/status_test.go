@@ -62,6 +62,7 @@ func TestStatusRenderFromLivePool(t *testing.T) {
 		"batches 60",
 		"fragments 60",
 		"resident  fragments 60   log ",
+		" B/fragment   assign ",
 		"B/fragment   1 chunk(s), 0 live lane(s), 0 wide\n",
 		"seq gaps 0 (lost batches)   dups 0\n",
 		"detect    windows",
@@ -133,6 +134,7 @@ func TestStatusRenderSharded(t *testing.T) {
 		"shard 1: resident",
 		"seq gaps",
 		"resident  fragments 240   log ",
+		" B/fragment   assign ",
 		"B/fragment   2 chunk(s), 0 live lane(s), 0 wide\n",
 	} {
 		if !strings.Contains(out, want) {

@@ -54,6 +54,9 @@ type Cache struct {
 	incFallbacks atomic.Uint64
 	// Re-cuts: appended fragments whose band reached a resident seed.
 	incRecuts atomic.Uint64
+	// assignBytes is the heap bytes of the cached Results' label chunks,
+	// moved by every commit that allocates or drops one.
+	assignBytes atomic.Int64
 }
 
 // NewCache returns an empty cache.
@@ -124,7 +127,7 @@ func (c *Cache) run(key Key, gen stg.Gen, frags trace.LogView, opt Options, allo
 
 	if e.have && e.gen == gen && e.nfrags == frags.Len() && e.opt == opt {
 		c.hits.Add(1)
-		return e.res, unchangedDelta(gen, len(e.res.Clusters))
+		return e.res, Delta{From: gen}
 	}
 	if e.have && e.opt == opt && gen.Epoch == e.gen.Epoch && gen.Count < e.gen.Count {
 		// Stale read: compute it on the side, keep the fresher entry.
@@ -141,6 +144,7 @@ func (c *Cache) run(key Key, gen stg.Gen, frags trace.LogView, opt Options, allo
 			c.incHits.Add(1)
 			c.incRecuts.Add(uint64(recuts))
 			d.From = e.gen
+			c.assignBytes.Add(res.assign.bytes() - e.res.assign.bytes())
 			e.gen, e.nfrags, e.res = gen, frags.Len(), res
 			return res, d
 		}
@@ -151,6 +155,7 @@ func (c *Cache) run(key Key, gen stg.Gen, frags trace.LogView, opt Options, allo
 		c.evictions.Add(1) // stale entry replaced by a fresher clustering
 	}
 	res, inc := runCapture(frags, opt, allowInc)
+	c.assignBytes.Add(res.assign.bytes() - e.res.assign.bytes())
 	e.have, e.gen, e.nfrags, e.opt, e.res = true, gen, frags.Len(), opt, res
 	e.inc = inc
 	return res, Delta{From: gen, Full: true}
@@ -187,6 +192,12 @@ func (c *Cache) IncStats() (incHits, incFallbacks, recuts uint64) {
 func (c *Cache) StaleRejects() uint64 {
 	return c.staleRejects.Load()
 }
+
+// AssignBytes returns the heap bytes of the label chunks behind the
+// cached clusterings' Assign (the chunks in use; an older Result a
+// caller still holds keeps its own). Lock-free: a scrape takes no entry
+// lock.
+func (c *Cache) AssignBytes() int64 { return c.assignBytes.Load() }
 
 // Evictions returns how many cached clusterings were discarded: stale
 // entries overwritten on recompute.

@@ -142,7 +142,7 @@ func TestCacheGenerationBumpTouchesOnlyGrownElement(t *testing.T) {
 
 	// The advanced edge clustering must see the appended fragment.
 	res := c.Run(cluster.EdgeKey(e.Key), e.Gen, e.Log(), opt)
-	if got := len(res.Assign); got != 7 {
+	if got := res.Len(); got != 7 {
 		t.Fatalf("cached edge clustering covers %d fragments, want 7", got)
 	}
 }

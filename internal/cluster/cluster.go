@@ -153,8 +153,8 @@ var (
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Cluster is one identified workload class. Which fragments belong to
-// it is Result.Assign's answer alone; Result.Groups lists them for the
-// cold readers that need lists.
+// it is Result.ClusterOf's answer alone; Result.Groups lists them for
+// the cold readers that need lists.
 type Cluster struct {
 	// Size is the number of member fragments.
 	Size int
@@ -169,14 +169,39 @@ type Cluster struct {
 
 // Result is the clustering of one STG edge or vertex.
 type Result struct {
+	// Clusters in seed order: a cluster's index is its place here.
 	Clusters []Cluster
-	// Assign maps fragment index -> cluster index (-1 for none; cannot
-	// happen with Algorithm 1, every fragment lands somewhere).
-	Assign []int32
 	// Small is the number of clusters below MinFragments (reported to
 	// the user as possibly-abnormal rarely-executed paths).
 	Small int
+	// assign holds each fragment's cluster label (labels.go) and index
+	// maps a label to its cluster's index, -1 for a label no cluster
+	// holds. Run labels each cluster with its index; an advance keeps
+	// every surviving cluster's label.
+	assign labels
+	index  []int32
 }
+
+// Len returns the number of fragments clustered.
+func (r *Result) Len() int { return r.assign.n }
+
+// LabelOf returns the label of fragment i's cluster.
+func (r *Result) LabelOf(i int) int { return r.assign.at(i) }
+
+// ClusterOf returns the index of fragment i's cluster: every fragment
+// lands in one.
+func (r *Result) ClusterOf(i int) int { return int(r.index[r.LabelOf(i)]) }
+
+// Labels returns one past the largest label the Result can hold.
+func (r *Result) Labels() int { return len(r.index) }
+
+// Index returns the index of the cluster labelled label, or -1 when no
+// cluster holds it.
+func (r *Result) Index(label int) int { return int(r.index[label]) }
+
+// LabelChunk returns chunk c of the labels (fragments c·LogChunkRows
+// onwards).
+func (r *Result) LabelChunk(c int) LabelChunk { return LabelChunk{r.assign.chunks[c], r.assign.shift} }
 
 // Run clusters the fragments with Algorithm 1. The input order is
 // irrelevant to the result (fragments are sorted by norm internally).
@@ -187,16 +212,15 @@ func Run(frags trace.LogView, opt Options) Result {
 }
 
 // runCapture is Run plus an optional capture of the incremental state:
-// the fragment count, the plane and the Result's Assign backing. The
-// clusters' seeds are the partition, and the log keeps the inputs of
-// every norm and vector, so nothing else is captured.
+// the fragment count and the plane. The clusters' seeds are the
+// partition, the Result holds the labels, and the log keeps the inputs
+// of every norm and vector, so nothing else is captured.
 func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incState) {
 	opt = opt.normalized()
 	n := frags.Len()
-	res := Result{Assign: make([]int32, n)}
-	for i := range res.Assign {
-		res.Assign[i] = -1
-	}
+	var lane laneWriter
+	lane.grow(n)
+	res := Result{assign: lane.l}
 	if n == 0 {
 		// An empty element captures the 1-D state (a comm/IO suffix
 		// kills it on sight). Under UseExtraMetrics no element is 1-D:
@@ -248,7 +272,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		if processed[seed] {
 			continue
 		}
-		ci := int32(len(res.Clusters))
+		ci := len(res.Clusters)
 		c := Cluster{Seed: int(seed), SeedNorm: norms[seed]}
 		limit := norms[seed] * (1 + opt.Threshold)
 		maxDist := norms[seed] * opt.Threshold
@@ -276,7 +300,7 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 			}
 			if in {
 				processed[cand] = true
-				res.Assign[cand] = ci
+				lane.set(int(cand), ci)
 				c.Size++
 			}
 		}
@@ -286,29 +310,33 @@ func runCapture(frags trace.LogView, opt Options, capture bool) (Result, *incSta
 		}
 		res.Clusters = append(res.Clusters, c)
 	}
+	res.assign = lane.l
+	res.index = make([]int32, len(res.Clusters))
+	for ci := range res.index {
+		res.index[ci] = int32(ci)
+	}
 	var st *incState
 	if capture {
-		st = &incState{multiD: !oneD, n: n, assign: res.Assign}
+		st = &incState{multiD: !oneD, n: n}
 	}
 	return res, st
 }
 
 // Groups returns every cluster's members, indexed like Clusters, each
-// list in ascending fragment order: one pass over Assign into a single
-// backing array cut by the clusters' sizes.
+// list in ascending fragment order: one pass over the labels into a
+// single backing array cut by the clusters' sizes.
 func (r *Result) Groups() [][]int32 {
 	groups := make([][]int32, len(r.Clusters))
-	flat := make([]int32, len(r.Assign))
+	flat := make([]int32, r.Len())
 	off := 0
 	for ci := range r.Clusters {
 		n := r.Clusters[ci].Size
 		groups[ci] = flat[off : off : off+n]
 		off += n
 	}
-	for i, ci := range r.Assign {
-		if ci >= 0 {
-			groups[ci] = append(groups[ci], int32(i))
-		}
+	for i := range flat {
+		ci := r.ClusterOf(i)
+		groups[ci] = append(groups[ci], int32(i))
 	}
 	return groups
 }

@@ -31,7 +31,7 @@ func commFrag(bytes, peer, tag int) trace.Fragment {
 
 func TestEmptyInput(t *testing.T) {
 	res := Run(trace.LogOf(nil), DefaultOptions())
-	if len(res.Clusters) != 0 || len(res.Assign) != 0 {
+	if len(res.Clusters) != 0 || res.Len() != 0 {
 		t.Fatal("empty input must give empty result")
 	}
 }
@@ -95,9 +95,9 @@ func TestEveryFragmentAssigned(t *testing.T) {
 		frags = append(frags, compFrag(uint64(1000+rng.Intn(1000000)), 1))
 	}
 	res := Run(trace.LogOf(frags), DefaultOptions())
-	for i, a := range res.Assign {
-		if a < 0 || int(a) >= len(res.Clusters) {
-			t.Fatalf("fragment %d unassigned (%d)", i, a)
+	for i := range res.Len() {
+		if ci := res.ClusterOf(i); ci < 0 || ci >= len(res.Clusters) {
+			t.Fatalf("fragment %d unassigned (%d)", i, ci)
 		}
 	}
 }
@@ -176,7 +176,7 @@ func TestZeroNormCluster(t *testing.T) {
 	frags = append(frags, compFrag(500000, 1))
 	res := Run(trace.LogOf(frags), DefaultOptions())
 	// Zero-norm fragments must not swallow the real workload.
-	if res.Assign[6] == res.Assign[0] {
+	if res.ClusterOf(6) == res.ClusterOf(0) {
 		t.Fatal("zero-norm seed absorbed a real workload")
 	}
 }
@@ -243,8 +243,8 @@ func TestSortNormKeysMatchesStableSort(t *testing.T) {
 }
 
 // checkStateKeepsOnlyAssign fails unless the incremental state behind
-// key holds no per-fragment slice but the Assign backing it shares with
-// res, the Result it last returned. Every slice field of incState is
+// key holds no per-fragment slice but the label lane of res, the Result
+// it last returned, and describes res. Every field of incState is
 // checked, so a field added later is held to the rule too.
 func checkStateKeepsOnlyAssign(t *testing.T, c *Cache, key Key, res Result, step int) {
 	t.Helper()
@@ -252,19 +252,25 @@ func checkStateKeepsOnlyAssign(t *testing.T, c *Cache, key Key, res Result, step
 	v := reflect.ValueOf(st).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f, name := v.Field(i), v.Type().Field(i).Name
-		if f.Kind() != reflect.Slice || f.IsNil() || name == "assign" {
+		if f.Type() == reflect.TypeOf(labels{}) {
+			if f.FieldByName("n").Int() != int64(res.Len()) {
+				t.Fatalf("step %d: the state's %s is not the lane of the Result it returned", step, name)
+			}
 			continue
 		}
-		t.Fatalf("step %d: the state holds %s (%d entries)", step, name, f.Len())
+		if f.Kind() == reflect.Slice && !f.IsNil() {
+			t.Fatalf("step %d: the state holds %s (%d entries)", step, name, f.Len())
+		}
 	}
-	if st.n != len(res.Assign) || &st.assign[0] != &res.Assign[0] {
+	if st.n != res.Len() {
 		t.Fatalf("step %d: the state does not describe the Result it returned", step)
 	}
 }
 
 // TestOneDStateKeepsOnlyAssign: a 1-D element's incremental state holds
-// only the Assign backing — the seed norms of the Result it last
-// returned describe the partition — after many advances of every kind:
+// no per-fragment slice — the seed norms of the Result it last returned
+// describe the partition, its labels the membership — after many
+// advances of every kind:
 // absorbs, new clusters in gaps and re-cuts under new minima.
 func TestOneDStateKeepsOnlyAssign(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -296,7 +302,7 @@ func TestOneDStateKeepsOnlyAssign(t *testing.T) {
 }
 
 // TestMultiDStateKeepsOnlyAssign is its multi-D twin: a comm element's
-// state holds only the Assign backing — no norms, no sorted order, no
+// state holds no per-fragment slice — no norms, no sorted order, no
 // seed positions — after advances that grow clusters, seed new ones and
 // steal residents from old ones (a new minimum below cluster 0, and
 // sizes just below a cluster's seed, within its band).

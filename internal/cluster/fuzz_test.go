@@ -1,7 +1,7 @@
 package cluster_test
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"vapro/internal/cluster"
@@ -12,7 +12,9 @@ import (
 // FuzzIncremental1D is the native form of the 1-D equivalence fuzz:
 // the input bytes script one computation element's appends, and after
 // every advance Cache.RunInc must agree with a cold Run on the same log
-// and its Delta must describe the step. The script is text-shaped:
+// through ClusterOf, its Delta must describe the step, and the Result
+// of the advance before must still read as it did. The script is
+// text-shaped:
 //
 //	byte 0       options, low two bits: 1 MinFragments 2,
 //	             2 Threshold 0.2 (so '0'…'3')
@@ -20,6 +22,8 @@ import (
 //	'a'…'z'      TotIns 2^53 + c, past where float64 tells integers apart
 //	'A'…'Z'      TotIns 2^63 + c·2^10, the top of the uint64 range
 //	'*'          the previous fragment 127 more times (a chunk is 1 024 rows)
+//	'+'          a fragment 6 % above the previous one: a band of its own
+//	             (a 257th live label widens the lane)
 //	0x80…0xff    the next fragment's TotIns grows by (b-0x80) per mille
 //	anything     else: advance (RunInc, then the checks)
 //
@@ -45,19 +49,23 @@ func FuzzIncremental1D(f *testing.F) {
 		key := cluster.EdgeKey(trace.EdgeKey{From: 1, To: 2})
 		log := trace.NewLog(nil)
 		var prev cluster.Result
+		var prevOf []int
 		havePrev := false
 		permille := uint64(0)
 		last := trace.Fragment{Kind: trace.Comp, Elapsed: 1000}
 		advance := func(step int) {
 			v := log.View()
 			got, d := c.RunInc(key, stg.Gen{Count: uint64(v.Len())}, v, opt)
-			if !reflect.DeepEqual(got, cluster.Run(v, opt)) {
+			if !sameClustering(got, cluster.Run(v, opt)) {
 				t.Fatalf("step %d (%d fragments): incremental clustering diverges from Run", step, v.Len())
+			}
+			if havePrev && !slices.Equal(clusterOfAll(prev), prevOf) {
+				t.Fatalf("step %d (%d fragments): the previous Result changed under the advance", step, v.Len())
 			}
 			if !d.Full && havePrev {
 				checkDelta(t, 0, step, prev, got, d)
 			}
-			prev, havePrev = got, true
+			prev, prevOf, havePrev = got, clusterOfAll(got), true
 		}
 		for step, b := range data[1:] {
 			fr := trace.Fragment{Kind: trace.Comp, Elapsed: 1000}
@@ -68,6 +76,8 @@ func FuzzIncremental1D(f *testing.F) {
 				fr.Counters.TotIns = 1<<53 + uint64(b-'a')
 			case b >= 'A' && b <= 'Z':
 				fr.Counters.TotIns = 1<<63 + uint64(b-'A')<<10
+			case b == '+':
+				fr.Counters.TotIns = last.Counters.TotIns + last.Counters.TotIns*6/100 + 1
 			case b == '*':
 				for i := 0; i < 127; i++ {
 					log.Append(&last)
@@ -92,7 +102,9 @@ func FuzzIncremental1D(f *testing.F) {
 // FuzzIncrementalMultiD is the native form of the multi-D equivalence
 // fuzz: the input bytes script one element's appends, and after every
 // advance Cache.RunInc must return what a cold Run on the same log does
-// (reflect.DeepEqual) and its Delta must describe the step. No advance
+// (sameClustering: its Clusters and every fragment's ClusterOf), its
+// Delta must describe the step, and the Result of the advance before
+// must still read as it did. No advance
 // may fall back to a batch run (Delta.Full) unless the cache held no
 // state to advance from — the first advance, or an element that was
 // empty under UseExtraMetrics — or the element turned from all
@@ -108,6 +120,9 @@ func FuzzIncremental1D(f *testing.F) {
 //	             Peer c/5-1, Tag c%2 ('z': zero bytes)
 //	'A'…'Z'      an IO fragment of class c: Bytes 4 KiB << c%4, FD 3+c%2,
 //	             Mode c/4%3 ('Z': zero bytes)
+//	'+'          the previous fragment again, its size (TotIns, or Bytes)
+//	             6 % larger: a cluster of its own (a 257th live label
+//	             widens the lane)
 //	0x80…0xff    the next fragment's size grows by (b-0x80) per mille
 //	anything     else: advance (RunInc, then the checks)
 //
@@ -136,23 +151,28 @@ func FuzzIncrementalMultiD(f *testing.F) {
 		key := cluster.VertexKey(1)
 		log := trace.NewLog(nil)
 		var prev cluster.Result
+		var prevOf []int
+		var last trace.Fragment
 		havePrev := false
 		permille := 0
 		multiD, wasMultiD := opt.UseExtraMetrics, false // the element, now and at the last advance
 		advance := func(step int) {
 			v := log.View()
 			got, d := c.RunInc(key, stg.Gen{Count: uint64(v.Len())}, v, opt)
-			if !reflect.DeepEqual(got, cluster.Run(v, opt)) {
+			if !sameClustering(got, cluster.Run(v, opt)) {
 				t.Fatalf("step %d (%d fragments): incremental clustering diverges from Run", step, v.Len())
 			}
-			fresh := !havePrev || opt.UseExtraMetrics && len(prev.Assign) == 0
+			if havePrev && !slices.Equal(clusterOfAll(prev), prevOf) {
+				t.Fatalf("step %d (%d fragments): the previous Result changed under the advance", step, v.Len())
+			}
+			fresh := !havePrev || opt.UseExtraMetrics && prev.Len() == 0
 			if d.Full && !fresh && wasMultiD == multiD {
 				t.Fatalf("step %d (%d fragments): the advance fell back to a batch run", step, v.Len())
 			}
 			if !d.Full && havePrev {
 				checkDelta(t, 0, step, prev, got, d)
 			}
-			prev, havePrev, wasMultiD = got, true, multiD
+			prev, prevOf, havePrev, wasMultiD = got, clusterOfAll(got), true, multiD
 		}
 		for step, b := range data[1:] {
 			var fr trace.Fragment
@@ -173,6 +193,17 @@ func FuzzIncrementalMultiD(f *testing.F) {
 				cl := int(b - 'A')
 				fr.Kind = trace.IO
 				fr.Args = trace.Args{Op: trace.Op("write"), Bytes: 4096 << (cl % 4), FD: 3 + cl%2, Mode: cl / 4 % 3}
+			case b == '+':
+				fr = last
+				if fr.Kind == trace.Comp {
+					fr.Counters.TotIns += fr.Counters.TotIns*6/100 + 1
+					fr.Counters.LoadStores += fr.Counters.LoadStores*6/100 + 1
+				} else {
+					fr.Args.Bytes += fr.Args.Bytes*6/100 + 1
+				}
+				log.Append(&fr)
+				last = fr
+				continue
 			case b >= 0x80:
 				permille = int(b - 0x80)
 				continue
@@ -189,6 +220,7 @@ func FuzzIncrementalMultiD(f *testing.F) {
 			}
 			permille = 0
 			log.Append(&fr)
+			last = fr
 		}
 		advance(len(data))
 	})

@@ -10,9 +10,9 @@
 // seed's band [SeedNorm, SeedNorm·(1+t)], and the previous Result's
 // clusters — seeds and seed norms, in seed order, in memory — describe
 // the whole partition. The state keeps no sorted order and no norm:
-// only the fragment count and the Assign backing. An advance sorts only
-// the appended norms and walks them together with the old seeds; each
-// appended fragment (a key) meets one of three cases:
+// only the fragment count; the Result holds its label lane. An advance
+// sorts only the appended norms and walks them together with the old
+// seeds; each appended fragment (a key) meets one of three cases:
 //
 //   - absorb: the next old seed comes first (a resident wins a norm tie:
 //     its index is smaller than every appended one). The old cluster
@@ -22,19 +22,21 @@
 //   - new cluster: the key comes first and its band ends before the next
 //     old seed, so no resident is a candidate (every unplaced resident
 //     lies at or above that seed's norm). It seeds a cluster of appended
-//     fragments only; the later clusters keep their members and shift
-//     one index up.
+//     fragments only, under a free label; the later clusters keep their
+//     members and labels and shift one index up, which rewrites no
+//     fragment's entry.
 //   - re-cut: its band reaches the next old seed, so the cluster it seeds
 //     may steal residents (a new minimum below cluster 0 is one case).
-//     Only here is Assign read: one sequential scan gathers the members
+//     Only here are the labels read: one sequential scan gathers the members
 //     of a window of old clusters, their norms are read back from the
 //     log and sorted by (norm, index), and the greedy re-runs over them
 //     and the pending keys until the residents it has placed are exactly
 //     the members of the old clusters before an old seed — from there
 //     the old partition reproduces. A band that reaches past the window,
 //     or an old seed past it that precedes every unplaced fragment,
-//     widens it (doubling) with another scan. The re-cut's clusters are
-//     rebuilt runs (OldIndex -1).
+//     widens it (doubling) with another scan. The old clusters the
+//     re-cut dissolved retire their labels; the clusters it formed are
+//     born under free labels, and every member of theirs is relabelled.
 //
 // The absorb test is the one thing the planes do not share. On the
 // dominant 1-D TOT_INS plane it is monotone in the candidate's norm:
@@ -49,23 +51,27 @@
 //
 // So a steady advance, whose fragments repeat the element's workloads,
 // costs the sort of its own batch plus one step per cluster it passes
-// and reads no Assign: a key that repeats a resident's vector passes
+// and reads no label: a key that repeats a resident's vector passes
 // the test of that resident's seed. The one fallback is a change of
 // vector shape: a 1-D element that sees a comm/IO fragment is
 // re-clustered once from scratch and recaptured multi-D.
 //
-// Bit-identity with Run is non-negotiable — an advanced Result is
-// reflect.DeepEqual to Run's on the same log (the equivalence fuzzes
-// pin it) — which dictates two details: the walk must follow the exact
+// Identity with Run is non-negotiable — an advanced Result has Run's
+// Clusters and Small, and every fragment's ClusterOf is Run's, on the
+// same log (the equivalence fuzzes pin it; the labels may differ) —
+// which dictates two details: the walk must follow the exact
 // stable order Run produces — ties broken by ascending fragment index,
 // so on a tie a resident goes before every appended fragment — and the
 // absorb test must be the exact float expressions Run evaluates: the
 // break norms[cand] > seedNorm*(1+Threshold), then norms[cand]-norms[seed]
 // <= seedNorm*Threshold in 1-D (the two round differently, and Run
 // applies both) or distSq(cand, seed) <= (seedNorm*Threshold)² in
-// multi-D. A Cluster lists no members — membership is Assign — so an
-// advance hands the fragments that moved to consumers in its Delta:
-// each dirty run's Added, owned by the Delta.
+// multi-D. A Cluster lists no members — membership is the label lane —
+// so an advance hands consumers what changed in its Delta, by label:
+// the labels retired, the clusters born (Added: the whole membership)
+// and the clusters grown (Added: the appended members), the lists owned
+// by the Delta. No surviving cluster's label moves, so a consumer that
+// keys its state by label never remaps it.
 package cluster
 
 import (
@@ -76,23 +82,19 @@ import (
 	"vapro/internal/trace"
 )
 
-// DirtyRun describes one recomputed cluster inside a Delta.
-type DirtyRun struct {
-	// OldIndex is the cluster of the previous Result whose membership
-	// this cluster extends (new members = old members plus Added), or -1
-	// when the cluster was rebuilt from fragments that previously
-	// belonged to other clusters or arrived in this advance.
-	OldIndex int
-	// Added lists the fragments the cluster gained: with OldIndex >= 0
-	// the appended fragments it absorbed, with OldIndex < 0 its whole
-	// membership. The Delta owns the lists; nothing the cluster state
-	// keeps aliases them. Their order is unspecified.
+// LabelRun is one cluster of a Delta, by label, and the fragments it
+// gained. The Delta owns the Added lists; nothing the cluster state
+// keeps aliases them. Their order is unspecified.
+type LabelRun struct {
+	Label int
 	Added []int32
 }
 
 // Delta tells a consumer how a Result evolved from the Result of the
 // previous generation, so derived state (normalized series, span
-// indexes) can be patched instead of rebuilt.
+// indexes) can be patched instead of rebuilt. It speaks in labels: a
+// cluster keeps its label while it lives, so only the clusters listed
+// here changed, whatever their indexes did.
 type Delta struct {
 	// From is the generation the delta advances from; a consumer whose
 	// derived state is pinned to a different generation must rebuild.
@@ -100,31 +102,26 @@ type Delta struct {
 	// Full marks a batch recompute: no structural relationship to the
 	// previous Result is known.
 	Full bool
-	// Prefix: clusters [0, Prefix) are identical to the old clusters at
-	// the same indexes (same members, seed, flags).
-	Prefix int
-	// TailNew/TailOld: new clusters [TailNew, len) equal old clusters
-	// [TailOld, oldLen) member-for-member; only the cluster index
-	// shifted by TailNew-TailOld.
-	TailNew, TailOld int
-	// Dirty has one entry per middle cluster Prefix+i: recomputed runs
-	// and — when the cascade re-aligned between two insertion sites —
-	// old runs carried over verbatim (OldIndex set, empty Added).
-	Dirty []DirtyRun
+	// Retired lists the labels of the previous Result's clusters that
+	// dissolved: their members are in Born clusters now, and no entry of
+	// the new Result holds them.
+	Retired []int
+	// Born lists the clusters the advance formed, each under a label no
+	// cluster of the previous Result held or one Retired lists; Added is
+	// the whole membership.
+	Born []LabelRun
+	// Grown lists the surviving clusters that gained members; Added is
+	// the appended fragments each absorbed.
+	Grown []LabelRun
 	// Ratio is the share of the population the advance examined: its
 	// appended fragments and the residents it re-read or re-scanned.
 	Ratio float64
 }
 
-// unchangedDelta builds the delta of a cache hit: nothing recomputed.
-func unchangedDelta(from stg.Gen, nClusters int) Delta {
-	return Delta{From: from, Prefix: nClusters, TailNew: nClusters, TailOld: nClusters}
-}
-
 // incState is the persistent per-element state behind the incremental
-// path: the fragment count and the Assign backing, on either plane. The
-// previous Result's seeds are the partition. The Assign backing is
-// shared with the Results. Guarded by the owning cache entry's mutex.
+// path: the fragment count and the plane. The previous Result's seeds
+// are the partition and its labels the membership. Guarded by the
+// owning cache entry's mutex.
 type incState struct {
 	// multiD marks an element on the vector path: its absorb test is a
 	// squared distance to the seed's workload vector.
@@ -134,14 +131,6 @@ type incState struct {
 	dead bool
 	// n is the fragment count the state describes.
 	n int
-	// assign is the grow-only backing array behind the Assign slices of
-	// the Results produced so far. An advance whose patches all land in
-	// the appended suffix (every dirty run kept its index and the tail
-	// did not shift) extends it in place and hands out a longer
-	// length-capped view — older Results only see their own prefix, so
-	// sharing is safe. Any advance that must rewrite a prefix entry
-	// clones to a fresh array first and adopts that as the new backing.
-	assign []int32
 }
 
 // normKey is a fragment's sort key: the radix image of its norm and its
@@ -261,15 +250,15 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (res Re
 	sc := advancePool.Get().(*scratch)
 	defer advancePool.Put(sc)
 	w := bandWalk{
-		old:    prev.Clusters,
-		assign: prev.Assign,
-		mids:   sc.mids[:0],
-		added:  make([]int32, 0, k),
-		work:   k,
-		frags:  frags,
-		opt:    opt,
-		n:      s.n,
-		chunk:  -1,
+		old:   prev.Clusters,
+		prev:  prev,
+		mids:  sc.mids[:0],
+		added: make([]int32, 0, k),
+		work:  k,
+		frags: frags,
+		opt:   opt,
+		n:     s.n,
+		chunk: -1,
 	}
 	sc.norms = resize(sc.norms, k)
 	if s.multiD {
@@ -319,36 +308,90 @@ func (s *incState) update(frags trace.LogView, prev Result, opt Options) (res Re
 	// The last middle cluster placed the last key; every old cluster
 	// from c on is the verbatim tail.
 	mids, tailOld := w.mids, w.c
-	tailNew := r0 + len(mids)
-	clusters := make([]Cluster, 0, tailNew+oldNC-tailOld)
+	shift := r0 + len(mids) - tailOld
+	clusters := make([]Cluster, 0, oldNC+shift)
 	clusters = append(clusters, w.old[:r0]...)
-	dirty := make([]DirtyRun, len(mids))
-	small := prev.Small
-	for i := r0; i < tailOld; i++ {
-		if !w.old[i].Fixed {
-			small--
-		}
-	}
-	for i, m := range mids {
+	for _, m := range mids {
 		clusters = append(clusters, m.c)
-		dirty[i] = DirtyRun{OldIndex: int(m.old), Added: w.added[m.from:m.to:m.to]}
-		if !m.c.Fixed {
+	}
+	clusters = append(clusters, w.old[tailOld:]...)
+	small := 0
+	for _, c := range clusters {
+		if !c.Fixed {
 			small++
 		}
 	}
-	clusters = append(clusters, w.old[tailOld:]...)
 
-	assign := s.commitAssign(prev, dirty, r0, tailOld, tailNew-tailOld, k)
-	s.n = total
-	res = Result{Clusters: clusters, Assign: assign[:total:total], Small: small}
-	d = Delta{
-		Prefix:  r0,
-		TailNew: tailNew,
-		TailOld: tailOld,
-		Dirty:   dirty,
-		Ratio:   float64(w.work) / float64(total),
+	// The labels: a surviving cluster keeps its own under its new index,
+	// a dissolved one's is retired, and each cluster the advance formed
+	// takes the smallest free label — one retired just now included.
+	// When every cluster kept its index, the previous Result's table
+	// serves. Only the Added lists are written.
+	labelOf := resize(sc.order, oldNC) // by old index
+	for l, ci := range prev.index {
+		if ci >= 0 {
+			labelOf[ci] = int32(l)
+		}
 	}
-	return res, d, recuts, true
+	sc.order = labelOf
+	index, moved := prev.index, shift != 0
+	for i, m := range mids {
+		moved = moved || int(m.old) != r0+i
+	}
+	if moved {
+		index = make([]int32, len(prev.index))
+		for l := range index {
+			index[l] = -1
+		}
+		for ci, l := range labelOf[:r0] {
+			index[l] = int32(ci)
+		}
+		for ci := tailOld; ci < oldNC; ci++ {
+			index[labelOf[ci]] = int32(ci + shift)
+		}
+		for i, m := range mids {
+			if m.old >= 0 {
+				index[labelOf[m.old]] = int32(r0 + i)
+			}
+		}
+		for _, l := range labelOf[r0:tailOld] {
+			if index[l] < 0 {
+				d.Retired = append(d.Retired, int(l))
+			}
+		}
+	}
+	runs := make([]LabelRun, 0, len(mids)) // Grown, then Born
+	for _, m := range mids {
+		if m.old >= 0 && m.to > m.from {
+			runs = append(runs, LabelRun{Label: int(labelOf[m.old]), Added: w.added[m.from:m.to:m.to]})
+		}
+	}
+	d.Grown = runs[:len(runs):len(runs)]
+	free := 0
+	for i, m := range mids {
+		if m.old >= 0 {
+			continue
+		}
+		for free < len(index) && index[free] >= 0 {
+			free++
+		}
+		if free == len(index) {
+			index = append(index, -1)
+		}
+		index[free] = int32(r0 + i)
+		runs = append(runs, LabelRun{Label: free, Added: w.added[m.from:m.to:m.to]})
+	}
+	d.Born = runs[len(d.Grown):]
+	lane := laneWriter{l: prev.assign, shared: s.n}
+	lane.grow(total)
+	for _, r := range runs {
+		for _, m := range r.Added {
+			lane.set(int(m), r.Label)
+		}
+	}
+	s.n = total
+	d.Ratio = float64(w.work) / float64(total)
+	return Result{Clusters: clusters, Small: small, assign: lane.l, index: index}, d, recuts, true
 }
 
 // band is a seed's reach: Run's break limit and absorb distance.
@@ -379,13 +422,13 @@ type midRun struct {
 // with the old clusters' seeds. Every resident member of an old cluster
 // before c is placed, and every key no longer in keys; nothing else is.
 type bandWalk struct {
-	old    []Cluster
-	assign []int32   // the previous Result's Assign
-	keys   []normKey // the unplaced appended fragments, by (norm, index)
-	c      int
-	mids   []midRun
-	added  []int32 // backs every Added list; owned by the Delta
-	work   int     // fragments placed: the keys plus re-cut residents
+	old   []Cluster
+	prev  Result    // the previous Result: old's labels
+	keys  []normKey // the unplaced appended fragments, by (norm, index)
+	c     int
+	mids  []midRun
+	added []int32 // backs every Added list; owned by the Delta
+	work  int     // fragments placed: the keys plus re-cut residents
 
 	// Where the walk reads: the log and the fragments appended after its
 	// first n rows. vecs holds a multi-D batch's vectors (nil in 1-D);
@@ -471,7 +514,7 @@ func (w *bandWalk) residentNorm(i int) float64 {
 // pending keys, until the residents it has placed are exactly the
 // members of the old clusters before an old seed; the walk resumes at
 // that seed. The residents are gathered a window of old clusters at a
-// time, each window by one scan of the old Assign, their norms read
+// time, each window by one scan of the old labels, their norms read
 // back and sorted by (norm, index). A seed whose band reaches the first
 // seed past the window widens it, and so does that seed when it precedes
 // every unplaced fragment (only multi-D bands overlap so): nothing past
@@ -493,9 +536,13 @@ func (w *bandWalk) recut() {
 		}
 		fresh := make([]normKey, 0, need)
 		span := uint32(hi - e)
-		for i, a := range w.assign {
-			if uint32(a)-uint32(e) < span {
-				fresh = append(fresh, normKey{radixNorm(w.residentNorm(i)), int32(i)})
+		for c := 0; c*laneRows < w.n; c++ {
+			lc := w.prev.LabelChunk(c)
+			for r := range min(laneRows, w.n-c*laneRows) {
+				if uint32(w.prev.index[lc.At(r)])-uint32(e) < span {
+					i := c*laneRows + r
+					fresh = append(fresh, normKey{radixNorm(w.residentNorm(i)), int32(i)})
+				}
 			}
 		}
 		res = mergeKeys(res, radixSort(fresh, make([]normKey, need)))
@@ -523,7 +570,7 @@ func (w *bandWalk) recut() {
 		from := len(w.added)
 		res = w.take(res, x, seed.idx)
 		for _, i := range w.added[from:] {
-			placedOf[int(w.assign[i])-lo]++
+			placedOf[w.prev.ClusterOf(int(i))-lo]++
 		}
 		placed += len(w.added) - from
 		w.keys = w.take(w.keys, x, seed.idx)
@@ -540,66 +587,4 @@ func (w *bandWalk) recut() {
 			return
 		}
 	}
-}
-
-// commitAssign builds the Assign backing of an advance: when every
-// dirty run kept its cluster index and the tail did not shift, the only
-// entries that differ from prev.Assign are the k appended members —
-// extend the shared grow-only backing in place (older Results hold
-// length-capped prefixes of it, which the suffix writes cannot reach)
-// and skip the O(n) prefix copy entirely. Otherwise clone prev's
-// entries into a fresh array, remap every surviving old cluster index
-// to its new one in one pass, write the Added lists, and adopt the
-// clone as the new backing.
-func (s *incState) commitAssign(prev Result, dirty []DirtyRun, r0, tailOld, shift, k int) []int32 {
-	shared := shift == 0 && s.assign != nil && len(prev.Assign) == s.n &&
-		(s.n == 0 || &prev.Assign[0] == &s.assign[0])
-	if shared {
-		for i := range dirty {
-			if dirty[i].OldIndex != r0+i {
-				shared = false
-				break
-			}
-		}
-	}
-	var assign []int32
-	if shared {
-		s.assign = append(s.assign, make([]int32, k)...)
-		assign = s.assign
-	} else {
-		// append with a full-sliced base reallocates — growslice does not
-		// zero noscan memory, so the cost is one memmove of the prefix,
-		// not a zero+copy of the whole array.
-		assign = append(prev.Assign[:s.n:s.n], make([]int32, k)...)
-		// remap[o-r0] is the new index of middle cluster o, or -1 when o
-		// dissolved into rebuilt runs, whose Added lists rewrite its
-		// members below.
-		remap := make([]int32, tailOld-r0)
-		for i := range remap {
-			remap[i] = -1
-		}
-		for i := range dirty {
-			if o := dirty[i].OldIndex; o >= 0 {
-				remap[o-r0] = int32(r0 + i)
-			}
-		}
-		lo, hi := int32(r0), int32(tailOld)
-		for m, a := range assign[:s.n] {
-			switch {
-			case a < lo:
-			case a >= hi:
-				assign[m] = a + int32(shift)
-			default:
-				assign[m] = remap[a-lo]
-			}
-		}
-		s.assign = assign
-	}
-	for i := range dirty {
-		ci := int32(r0 + i)
-		for _, m := range dirty[i].Added {
-			assign[m] = ci
-		}
-	}
-	return assign
 }

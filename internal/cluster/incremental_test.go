@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -12,56 +11,108 @@ import (
 	"vapro/internal/trace"
 )
 
-// checkDelta verifies the structural claims a non-Full Delta makes
-// about how `got` evolved from `prev`. A dirty run's Added must be
-// exactly the fragments whose new Assign is its cluster and which are
-// new to it: for a grown run the members its old cluster did not have
-// (and every old member must stay, so the sizes add up), for a rebuilt
-// run every member.
+// sameClustering reports whether a and b partition the fragments alike:
+// the same Clusters and Small, and the same cluster index (ClusterOf)
+// for every fragment. Their labels may differ.
+func sameClustering(a, b cluster.Result) bool {
+	if a.Len() != b.Len() || a.Small != b.Small || !slices.Equal(a.Clusters, b.Clusters) {
+		return false
+	}
+	for i := range a.Len() {
+		if a.ClusterOf(i) != b.ClusterOf(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// clusterOfAll reads every fragment's cluster index out of r.
+func clusterOfAll(r cluster.Result) []int {
+	out := make([]int, r.Len())
+	for i := range out {
+		out[i] = r.ClusterOf(i)
+	}
+	return out
+}
+
+// checkDelta verifies the claims a non-Full Delta makes about how `got`
+// evolved from `prev`. A retired label was live; a grown one lives on
+// and a born one is live now and was not, unless it was retired; every
+// label of got is live. A resident whose label was not retired keeps
+// it; a retired label's members moved to born ones. A run's Added is
+// exactly the fragments new to its label: a grown run's appended
+// members, a born run's whole membership. A surviving cluster keeps its
+// seed and grows by its Added only.
 func checkDelta(t *testing.T, sched, burst int, prev, got cluster.Result, d cluster.Delta) {
 	t.Helper()
-	if d.Prefix < 0 || d.Prefix > d.TailNew || d.TailNew > len(got.Clusters) ||
-		d.TailOld > len(prev.Clusters) || d.TailNew-d.Prefix != len(d.Dirty) ||
-		len(got.Clusters)-d.TailNew != len(prev.Clusters)-d.TailOld {
-		t.Fatalf("schedule %d burst %d: inconsistent delta %+v (old %d, new %d clusters)",
-			sched, burst, d, len(prev.Clusters), len(got.Clusters))
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("schedule %d burst %d: "+format, append([]any{sched, burst}, args...)...)
 	}
-	for i := 0; i < d.Prefix; i++ {
-		if !reflect.DeepEqual(got.Clusters[i], prev.Clusters[i]) {
-			t.Fatalf("schedule %d burst %d: prefix cluster %d changed", sched, burst, i)
+	live := func(r cluster.Result, l int) bool { return l < r.Labels() && r.Index(l) >= 0 }
+	retired := map[int]bool{}
+	for _, l := range d.Retired {
+		if !live(prev, l) || retired[l] {
+			fail("retires label %d, which no cluster held", l)
 		}
+		retired[l] = true
 	}
-	for i := d.TailNew; i < len(got.Clusters); i++ {
-		if !reflect.DeepEqual(got.Clusters[i], prev.Clusters[i-d.TailNew+d.TailOld]) {
-			t.Fatalf("schedule %d burst %d: tail cluster %d changed", sched, burst, i)
+	runs := map[int][]int32{} // by label: the members the delta says are new to it
+	born := map[int]bool{}
+	for _, r := range d.Born {
+		if _, dup := runs[r.Label]; dup || !live(got, r.Label) || live(prev, r.Label) && !retired[r.Label] {
+			fail("born label %d is not a fresh live one", r.Label)
 		}
+		runs[r.Label], born[r.Label] = r.Added, true
 	}
-	want := make([][]int32, len(d.Dirty)) // by dirty run: the members new to it
-	for m, ci := range got.Assign {
-		di := int(ci) - d.Prefix
-		if di < 0 || di >= len(d.Dirty) {
-			continue
+	for _, r := range d.Grown {
+		if _, dup := runs[r.Label]; dup || !live(prev, r.Label) || !live(got, r.Label) || retired[r.Label] {
+			fail("grown label %d is not a surviving one", r.Label)
 		}
-		if o := d.Dirty[di].OldIndex; o >= 0 && m < len(prev.Assign) && int(prev.Assign[m]) == o {
-			continue
-		}
-		want[di] = append(want[di], int32(m))
+		runs[r.Label] = r.Added
 	}
-	for di, dr := range d.Dirty {
-		if dr.OldIndex >= 0 {
-			if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld {
-				t.Fatalf("schedule %d burst %d: grown run references preserved cluster %d", sched, burst, dr.OldIndex)
+	want := map[int][]int32{}
+	for m := range got.Len() {
+		l := got.LabelOf(m)
+		if !live(got, l) {
+			fail("fragment %d holds label %d, which no cluster holds", m, l)
+		}
+		if m < prev.Len() {
+			if pl := prev.LabelOf(m); !retired[pl] {
+				if l != pl {
+					fail("resident %d moved from label %d to %d", m, pl, l)
+				}
+				continue
 			}
-			if got.Clusters[d.Prefix+di].Size != prev.Clusters[dr.OldIndex].Size+len(dr.Added) {
-				t.Fatalf("schedule %d burst %d: dirty run %d is not old cluster %d plus Added",
-					sched, burst, di, dr.OldIndex)
+			if !born[l] {
+				fail("resident %d of retired label %d moved to label %d, which was not born", m, prev.LabelOf(m), l)
 			}
 		}
-		added := slices.Clone(dr.Added)
+		want[l] = append(want[l], int32(m))
+	}
+	for l, added := range runs {
+		added = slices.Clone(added)
 		slices.Sort(added)
-		if !slices.Equal(added, want[di]) {
-			t.Fatalf("schedule %d burst %d: dirty run %d (old %d) added %v, want %v",
-				sched, burst, di, dr.OldIndex, added, want[di])
+		if !slices.Equal(added, want[l]) {
+			fail("label %d added %v, want %v", l, added, want[l])
+		}
+		delete(want, l)
+	}
+	for l, ms := range want {
+		fail("label %d gained %v, which the delta does not list", l, ms)
+	}
+	for l := range prev.Labels() {
+		if !live(prev, l) || retired[l] {
+			continue
+		}
+		pc, gc := prev.Clusters[prev.Index(l)], got.Clusters[got.Index(l)]
+		if gc.Seed != pc.Seed || gc.SeedNorm != pc.SeedNorm || gc.Size != pc.Size+len(runs[l]) {
+			fail("label %d: cluster %+v is not %+v plus its Added", l, gc, pc)
+		}
+	}
+	for l := range born {
+		if got.Clusters[got.Index(l)].Size != len(runs[l]) {
+			fail("born label %d: size %d, %d members", l, got.Clusters[got.Index(l)].Size, len(runs[l]))
 		}
 	}
 }
@@ -71,7 +122,8 @@ func checkDelta(t *testing.T, sched, burst int, prev, got cluster.Result, d clus
 // ranks, out-of-order starts, outage gaps, dense norm ties, values
 // straddling the 5% boundary, zero-norm fragments, occasional non-1-D
 // arrivals, stale reads, and epoch-bump rebases — the incremental path
-// returns results bit-identical (reflect.DeepEqual) to cluster.Run on
+// returns results identical to cluster.Run
+// through ClusterOf (sameClustering) on
 // the same fragment set, and its Deltas accurately describe the
 // evolution.
 func TestIncrementalEquivalenceFuzz(t *testing.T) {
@@ -127,7 +179,7 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 			g.Count = uint64(len(frags))
 			got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
 			want := cluster.Run(trace.LogOf(frags), opt)
-			if !reflect.DeepEqual(got, want) {
+			if !sameClustering(got, want) {
 				t.Fatalf("schedule %d burst %d (n=%d, opt=%+v): incremental clustering diverges from batch",
 					s, b, len(frags), opt)
 			}
@@ -142,7 +194,7 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 				m := 1 + rng.Intn(len(frags)-1)
 				sg := stg.Gen{Epoch: g.Epoch, Count: uint64(m)}
 				sres := c.Run(key, sg, trace.LogOf(frags[:m]), opt)
-				if !reflect.DeepEqual(sres, cluster.Run(trace.LogOf(frags[:m]), opt)) {
+				if !sameClustering(sres, cluster.Run(trace.LogOf(frags[:m]), opt)) {
 					t.Fatalf("schedule %d burst %d: stale read at %d diverges", s, b, m)
 				}
 			}
@@ -155,7 +207,7 @@ func TestIncrementalEquivalenceFuzz(t *testing.T) {
 				if !d.Full {
 					t.Fatalf("schedule %d burst %d: rebase did not take the batch path", s, b)
 				}
-				if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags), opt)) {
+				if !sameClustering(got, cluster.Run(trace.LogOf(frags), opt)) {
 					t.Fatalf("schedule %d burst %d: post-rebase clustering diverges", s, b)
 				}
 				prev = got
@@ -175,7 +227,7 @@ func TestCacheStaleGenerationRejected(t *testing.T) {
 	c.Run(key, gen(20), trace.LogOf(frags), opt)
 
 	res := c.Run(key, gen(12), trace.LogOf(frags[:12]), opt)
-	if !reflect.DeepEqual(res, cluster.Run(trace.LogOf(frags[:12]), opt)) {
+	if !sameClustering(res, cluster.Run(trace.LogOf(frags[:12]), opt)) {
 		t.Fatal("stale lookup returned a wrong clustering")
 	}
 	if got := c.StaleRejects(); got != 1 {
@@ -204,7 +256,7 @@ func TestCacheEmptyElementExtraMetrics(t *testing.T) {
 	key := cluster.EdgeKey(trace.EdgeKey{From: 1, To: 2})
 	for n := 0; n <= len(frags); n++ {
 		got, _ := c.RunInc(key, gen(n), trace.LogOf(frags[:n]), opt)
-		if want := cluster.Run(trace.LogOf(frags[:n]), opt); !reflect.DeepEqual(got, want) {
+		if want := cluster.Run(trace.LogOf(frags[:n]), opt); !sameClustering(got, want) {
 			t.Fatalf("%d fragments: incremental %+v, batch %+v", n, got, want)
 		}
 	}
@@ -233,7 +285,7 @@ func TestCacheGeometricChainSplices(t *testing.T) {
 	}
 	frags = append(frags, cacheFrag(96_153)) // just below the old minimum, within 5% of it
 	res, d := c.RunInc(key, gen(201), trace.LogOf(frags), opt)
-	if !reflect.DeepEqual(res, cluster.Run(trace.LogOf(frags), opt)) {
+	if !sameClustering(res, cluster.Run(trace.LogOf(frags), opt)) {
 		t.Fatal("spliced clustering diverges from batch")
 	}
 	if d.Full {
@@ -267,8 +319,8 @@ func TestCacheConcurrentIncrementalRace(t *testing.T) {
 		defer wg.Done()
 		for n := step; n <= total; n += step {
 			got, _ := c.RunInc(key, gen(n), trace.LogOf(frags[:n]), opt)
-			if len(got.Assign) != n {
-				t.Errorf("writer at %d: %d assignments", n, len(got.Assign))
+			if got.Len() != n {
+				t.Errorf("writer at %d: %d assignments", n, got.Len())
 				return
 			}
 		}
@@ -281,7 +333,7 @@ func TestCacheConcurrentIncrementalRace(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				n := step * (1 + rng.Intn(total/step))
 				got := c.Run(key, gen(n), trace.LogOf(frags[:n]), opt)
-				if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags[:n]), opt)) {
+				if !sameClustering(got, cluster.Run(trace.LogOf(frags[:n]), opt)) {
 					t.Errorf("reader snapshot %d diverges from batch", n)
 					return
 				}
@@ -347,7 +399,8 @@ func mdPalette(rng *rand.Rand) []mdClass {
 // novel vectors that seed new clusters mid-order (including ones that
 // steal residents, which the advance re-cuts), extra-metrics 2-D
 // computation vectors, stale reads, and epoch rebases — the incremental
-// path returns results bit-identical (reflect.DeepEqual) to cluster.Run
+// path returns results identical to cluster.Run
+// through ClusterOf (sameClustering)
 // on the same fragment set and its Deltas accurately describe the
 // evolution.
 func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
@@ -390,7 +443,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 			g.Count = uint64(len(frags))
 			got, d := c.RunInc(key, g, trace.LogOf(frags), opt)
 			want := cluster.Run(trace.LogOf(frags), opt)
-			if !reflect.DeepEqual(got, want) {
+			if !sameClustering(got, want) {
 				t.Fatalf("schedule %d burst %d (n=%d, opt=%+v): multi-D incremental diverges from batch",
 					s, b, len(frags), opt)
 			}
@@ -402,7 +455,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 			if rng.Intn(8) == 0 && len(frags) > 5 {
 				m := 1 + rng.Intn(len(frags)-1)
 				sg := stg.Gen{Epoch: g.Epoch, Count: uint64(m)}
-				if !reflect.DeepEqual(c.Run(key, sg, trace.LogOf(frags[:m]), opt), cluster.Run(trace.LogOf(frags[:m]), opt)) {
+				if !sameClustering(c.Run(key, sg, trace.LogOf(frags[:m]), opt), cluster.Run(trace.LogOf(frags[:m]), opt)) {
 					t.Fatalf("schedule %d burst %d: stale multi-D read at %d diverges", s, b, m)
 				}
 			}
@@ -413,7 +466,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 				if !d.Full {
 					t.Fatalf("schedule %d burst %d: multi-D rebase did not take the batch path", s, b)
 				}
-				if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags), opt)) {
+				if !sameClustering(got, cluster.Run(trace.LogOf(frags), opt)) {
 					t.Fatalf("schedule %d burst %d: post-rebase multi-D clustering diverges", s, b)
 				}
 				prev = got
@@ -425,7 +478,7 @@ func TestIncrementalMultiDEquivalenceFuzz(t *testing.T) {
 // TestIncrementalMultiDSteadyState pins the perf contract behind
 // BenchmarkMonitorTickMultiD: a resident multi-D population whose
 // appends repeat existing workload classes advances incrementally on
-// EVERY burst — no fallback and no re-cut, so no advance reads Assign —
+// EVERY burst — no fallback and no re-cut, so no advance reads a label —
 // because each appended fragment is absorbed by the cluster whose band
 // covers it.
 func TestIncrementalMultiDSteadyState(t *testing.T) {
@@ -452,7 +505,7 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 			if d.Full {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D burst fell back to batch", s, b)
 			}
-			if !reflect.DeepEqual(got, cluster.Run(trace.LogOf(frags), opt)) {
+			if !sameClustering(got, cluster.Run(trace.LogOf(frags), opt)) {
 				t.Fatalf("schedule %d advance %d: steady-state multi-D diverges", s, b)
 			}
 		}
@@ -465,10 +518,10 @@ func TestIncrementalMultiDSteadyState(t *testing.T) {
 
 // TestMultiDAdvanceAllocsPinned pins the steady-state allocation count
 // of one grown multi-D advance: the walk reads no resident but the
-// seeds it absorbs into, and with the grow-only Assign backing an
-// advance allocates only what it hands out — the Result's cluster
-// slice, the Delta's dirty list and the backing of its Added lists —
-// and nothing proportional to the resident population. It reads 3; the
+// seeds it absorbs into, and with label chunks written in place past
+// every held Result an advance allocates only what it hands out — the
+// Result's cluster slice, the Delta's run list and the backing of its
+// Added lists — and nothing proportional to the resident population. It reads 3; the
 // budget leaves room for the race detector, whose sync.Pool drops
 // entries at random (4–6).
 func TestMultiDAdvanceAllocsPinned(t *testing.T) {
@@ -486,8 +539,8 @@ func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 		return stg.Gen{Count: uint64(log.Len())}
 	}
 	c.RunInc(key, grow(50_000), log.View(), opt)
-	// Warm the grow-only backings past their first few geometric
-	// doublings so the measured advances see the amortized state.
+	// Warm the label chunks and their table past their first few
+	// allocations so the measured advances see the amortized state.
 	for b := 0; b < 32; b++ {
 		c.RunInc(key, grow(8), log.View(), opt)
 	}
@@ -507,7 +560,8 @@ func TestMultiDAdvanceAllocsPinned(t *testing.T) {
 // so a warm advance allocates the same number of times whether it
 // appends 64 fragments or 4 096, on the 1-D path and on the multi-D one,
 // and only for what it hands out: the Result's cluster slice, the
-// Delta's dirty list and the backing of its Added lists.
+// Delta's run list and the backing of its Added lists (label chunks
+// come a slab ahead, so they allocate rarely whatever the batch).
 // Every view is taken before measuring, so the log's own chunk
 // allocations stay out of the count.
 func TestWarmAdvanceAllocsIndependentOfBatch(t *testing.T) {

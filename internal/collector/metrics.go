@@ -274,6 +274,10 @@ func registerCacheDerived(reg *obs.Registry, cache *cluster.Cache) {
 			_, _, r := cache.IncStats()
 			return float64(r)
 		})
+	reg.Func("vapro_cluster_assign_bytes", "cluster",
+		"heap bytes of the cached clusterings' label chunks (Assign: a cluster label per resident fragment)", func() float64 {
+			return float64(cache.AssignBytes())
+		})
 	reg.Func("vapro_cluster_cache_stale_rejects", "cluster",
 		"reads at an older generation than the cached entry (answered one-off, entry kept)", func() float64 {
 			return float64(cache.StaleRejects())

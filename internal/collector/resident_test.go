@@ -54,15 +54,18 @@ func benchFragment(rng *rand.Rand, commIO bool, rank int, clock int64) trace.Fra
 // 64 ranks flushing 256 fragments at a time through NewPool+NewMonitor,
 // windows closing as they go — the live heap the server keeps per
 // fragment stays inside a fixed number of bytes. The columnar log is
-// ≈ 30 B of it; the rest is the analysis planes' per-fragment state,
-// none of which restates the log. The cluster cache keeps a 4-byte
-// Assign entry and no sorted order or norm on either plane (a 1-D norm
-// is TOT_INS, a multi-D workload vector is read back from the log's
-// lanes); a cluster lists no members, Assign is its membership. The
-// sample store keeps one 4-byte span-index position: it reads the
-// cluster of a fragment from the cache's Assign, and its span and rank
-// from the log. Measured 45.1 B (computation) and 53.5 B (comm/IO)
-// when the budgets were set; each budget is 5 % above.
+// ≈ 18 B of it; the rest is the analysis planes' per-fragment state,
+// none of which restates the log. The cluster cache keeps a 1-byte
+// cluster label per fragment (Assign, in chunks; 2 bytes past 256 live
+// labels) and no sorted order or norm on either plane (a 1-D norm is
+// TOT_INS, a multi-D workload vector is read back from the log's
+// lanes); a cluster lists no members, the labels are its membership.
+// The sample store keeps one 4-byte span-index position: it reads the
+// cluster of a fragment from the cache's labels, and its span and rank
+// from the log. Measured 23.9 B (computation) and 24.5 B (comm/IO)
+// when the budgets were set (45.1 and 53.5 B when a 4-byte cluster
+// index per fragment and wide log lanes set them first); each budget is
+// 5 % above.
 // TestMonitorSingleResidentCopy is the relative bound beside it.
 func TestResidentBytesPerFragmentBudget(t *testing.T) {
 	if testing.Short() {
@@ -74,8 +77,8 @@ func TestResidentBytesPerFragmentBudget(t *testing.T) {
 		commIO bool
 		budget float64
 	}{
-		{"computation", false, 47.3},
-		{"commio", true, 56.2},
+		{"computation", false, 25.1},
+		{"commio", true, 25.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			copt := DefaultOptions()
@@ -109,7 +112,7 @@ func TestResidentBytesPerFragmentBudget(t *testing.T) {
 				t.Fatalf("%d fragments, %d windows: the budget needs a loaded, ticking server", frags, windows)
 			}
 			perFrag := float64(resident) / float64(frags)
-			t.Logf("%d fragments, %d windows: %.1f MB live, %.0f B per fragment (log %.1f)",
+			t.Logf("%d fragments, %d windows: %.1f MB live, %.1f B per fragment (log %.1f)",
 				frags, windows, float64(resident)/1e6, perFrag, float64(logBytes)/float64(frags))
 			if perFrag > tc.budget {
 				t.Fatalf("a resident fragment costs %.0f B of live heap, budget %.1f", perFrag, tc.budget)

@@ -292,7 +292,13 @@ func (r *Result) regionClusters(region *detect.Region) [][]trace.Fragment {
 		if k.cluster < 0 || k.cluster >= len(cl.Clusters) {
 			continue
 		}
-		if members := cl.Groups()[k.cluster]; len(members) > 0 {
+		members := make([]int32, 0, cl.Clusters[k.cluster].Size)
+		for i := range cl.Len() {
+			if cl.ClusterOf(i) == k.cluster {
+				members = append(members, int32(i))
+			}
+		}
+		if len(members) > 0 {
 			out = append(out, el.Log().PickByTime(members))
 		}
 	}

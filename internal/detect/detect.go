@@ -356,12 +356,14 @@ func (a *Analyzer) ClusterMoments(key cluster.Key, gen stg.Gen, factors []diagno
 	if p == nil || p.store == nil || p.gen != gen || len(factors) == 0 || !slices.Equal(p.factors, factors) {
 		return nil, false
 	}
-	out := make([]*diagnose.ClusterMoments, 0, p.fixedClusters)
-	for i := range p.store.cstate {
-		if cm := p.store.cstate[i].mom; cm != nil {
-			out = append(out, cm)
+	cl := &p.store.cl
+	byIndex := make([]*diagnose.ClusterMoments, len(cl.Clusters))
+	for l, st := range p.store.cstate {
+		if st.mom != nil {
+			byIndex[cl.Index(l)] = st.mom
 		}
 	}
+	out := slices.DeleteFunc(byIndex, func(cm *diagnose.ClusterMoments) bool { return cm == nil })
 	return out, len(out) == p.fixedClusters
 }
 

@@ -103,9 +103,10 @@ func (m *runMerger) reset() {
 // fragments, whose samples the store-backed prep derives; from the
 // oracle's flat index it names positions in its materialized samples.
 type elemRun struct {
-	sel   []int32
-	store *prepElem // store segment
-	flat  []Sample  // oracle
+	sel    []int32
+	store  *prepElem   // store segment
+	labels labelReader // the store's label reader for sel
+	flat   []Sample    // oracle
 }
 
 func (r *elemRun) next(dst *Sample) bool {
@@ -115,7 +116,7 @@ func (r *elemRun) next(dst *Sample) bool {
 	i := r.sel[0]
 	r.sel = r.sel[1:]
 	if r.store != nil {
-		r.store.sampleAt(i, dst)
+		r.store.sampleAt(i, dst, &r.labels)
 	} else {
 		*dst = r.flat[i]
 	}

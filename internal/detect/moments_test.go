@@ -118,16 +118,17 @@ func TestStoreMomentsTrackFixedClusters(t *testing.T) {
 			if !seen || d.Full {
 				continue
 			}
-			for di, dr := range d.Dirty {
-				if !cl.Clusters[d.Prefix+di].Fixed {
-					continue
-				}
-				switch {
-				case dr.OldIndex < 0:
+			for _, r := range d.Born {
+				if cl.Clusters[cl.Index(r.Label)].Fixed {
 					reformed++
-				case !old.Clusters[dr.OldIndex].Fixed:
+				}
+			}
+			for _, r := range d.Grown {
+				switch {
+				case !cl.Clusters[cl.Index(r.Label)].Fixed:
+				case !old.Clusters[old.Index(r.Label)].Fixed:
 					intoFixed++
-				case len(dr.Added) > 0:
+				default:
 					grown++
 				}
 			}

@@ -80,33 +80,30 @@ func (ix *spanIndex) candidates(start, end int64) (lo, hi int) {
 // outputs for window slicing.
 func buildFlat(frags trace.LogView, cl cluster.Result, ref ClusterRef, minFrag int) *flatPrep {
 	p := &flatPrep{}
+	st := make([]clustState, len(cl.Clusters))
+	for ci := range st {
+		st[ci].best = math.MaxInt64
+	}
+	for i := 0; i < frags.Len(); i++ {
+		if ci := cl.ClusterOf(i); cl.Clusters[ci].Fixed {
+			st[ci].observe(frags, int32(i), nil) // no moments: no scratch read
+		}
+	}
 	var all, ents [numClasses][]spanEnt
 	for i := 0; i < frags.Len(); i++ {
 		_, start, elapsed := frags.Span(i)
 		c := ClassOf(frags.Kind(i))
 		all[c] = append(all[c], spanEnt{start: start, elapsed: elapsed, pos: int32(i), frag: int32(i)})
-	}
-	groups := cl.Groups()
-	for ci := range cl.Clusters {
-		if !cl.Clusters[ci].Fixed {
+		ci := cl.ClusterOf(i)
+		if !cl.Clusters[ci].Fixed || st[ci].best == math.MaxInt64 {
 			continue
 		}
-		st := clustState{best: math.MaxInt64}
-		for _, m := range groups[ci] {
-			st.observe(frags, m, nil) // no moments: no scratch read
-		}
-		if st.best == math.MaxInt64 {
-			continue
-		}
-		for _, m := range groups[ci] {
-			s := st.sample(frags, m, ref, ci, minFrag)
-			class := ClassOf(frags.Kind(int(m)))
-			ents[class] = append(ents[class], spanEnt{
-				start: s.Start, elapsed: s.Elapsed,
-				pos: int32(len(p.samples[class])), frag: m, covered: s.Covered,
-			})
-			p.samples[class] = append(p.samples[class], s)
-		}
+		s := st[ci].sample(frags, int32(i), ref, ci, minFrag)
+		ents[c] = append(ents[c], spanEnt{
+			start: s.Start, elapsed: s.Elapsed,
+			pos: int32(len(p.samples[c])), frag: int32(i), covered: s.Covered,
+		})
+		p.samples[c] = append(p.samples[c], s)
 	}
 	for c := range ents {
 		p.fragIdx[c] = newSpanIndex(all[c])

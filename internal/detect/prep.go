@@ -59,9 +59,6 @@ type clustState struct {
 	emitted bool
 	best    int64
 	ranks   rankTable
-	// nStored counts the members the state accounts for, for delta
-	// validation.
-	nStored int32
 	// mom is the cluster's regression moments: set on every Fixed
 	// cluster (emitted or not) of a prep with factors, nil otherwise.
 	// Nothing a Result holds reads it.

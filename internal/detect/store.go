@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"vapro/internal/cluster"
@@ -22,17 +21,19 @@ import (
 // the cluster index follow from the owning cluster's current state
 // (its fastest member and per-rank counts, both monotone). The store
 // therefore keeps no samples at all. Which cluster frags[i] belongs to
-// is the clustering's own Assign, which the store reads instead of
-// restating: a Result's Assign is never rewritten (an advance extends a
-// grow-only backing past every older view, or clones), so the store
-// holds the Assign of the Result it advanced to, and a fragment's rank
-// is read from the log like its span. So the store keeps nothing per
-// fragment beyond its span-index entry, and a sample is derived as it
-// is written into a window's stream. An append folds the appended
-// positions into their clusters' states and touches nothing else; a
-// rebuilt cluster folds the whole membership its Delta lists, and a
-// cluster that starts to emit is walked in one pass over Assign.
-// Nothing is ever dead, so there is nothing to compact.
+// is the clustering's own label lane, which the store reads instead of
+// restating: a Result's labels are never rewritten (an advance writes
+// past every older view, or copies the chunk), so the store holds the
+// Result it advanced to, and a fragment's rank is read from the log
+// like its span. The store keys each cluster's state by the cluster's
+// label, which it keeps while it lives, so an advance never moves a
+// state: it drops the retired labels' states, builds the born ones'
+// from their whole memberships and folds the grown ones' appended
+// members, and a cluster that starts to emit is walked in one pass over
+// the labels. So the store keeps nothing per fragment beyond its
+// span-index entry, and a sample is derived as it is written into a
+// window's stream. Nothing is ever dead, so there is nothing to
+// compact.
 //
 // Every fragment's span is indexed once, under the fragment's own
 // heat-map class: class is a property of a fragment's place in the
@@ -54,20 +55,19 @@ import (
 
 // sampleStore is the store representation of one element.
 type sampleStore struct {
-	// assign is the Assign of the clustering the store advanced to:
-	// frags[i] belongs to cluster assign[i], and is a sample iff that
-	// cluster's state is emitted. Shared with the Result, never written.
-	assign []int32
+	// cl is the clustering the store advanced to: frags[i] belongs to
+	// the cluster labelled cl.LabelOf(i), and is a sample iff that
+	// label's state is emitted. Shared with the cache, never written.
+	cl cluster.Result
 	// spans[c] indexes the spans of the class-c fragments by fragment
 	// position.
 	spans [numClasses]segIndex
-	// cstate[ci] is cluster ci's normalization state.
+	// cstate[l] is the normalization state of the cluster labelled l
+	// (zero for a label no cluster holds).
 	cstate []clustState
 
-	// Scratch, reused: the old dirty clusters an advance's delta has
-	// claimed, and a window's candidate band per segment.
-	claimed []bool
-	bands   []band
+	// Scratch, reused: a window's candidate band per segment.
+	bands []band
 }
 
 // band is one segment's candidate range for a window.
@@ -255,13 +255,12 @@ func (st *sampleStore) addSpans(frags trace.LogView, from int) {
 // cluster with a valid best emits its members as samples; a small one,
 // or a fixed one with no positive elapsed, emits nothing (the latter
 // keeps its moments).
-func (st *clustState) seal(size int) {
+func (st *clustState) seal() {
 	if st.best == math.MaxInt64 {
 		*st = clustState{mom: st.mom}
 		return
 	}
 	st.emitted = true
-	st.nStored = int32(size)
 }
 
 // fresh returns a cluster's state before any member is folded: with
@@ -274,27 +273,30 @@ func fresh(factors []diagnose.Factor) clustState {
 	return st
 }
 
-// walkAssign computes the states of the clusters marked in need (all
-// Fixed) from their whole memberships, in one pass over Assign, and
-// returns how many moment sets it built.
+// walkAssign computes the states of the labels marked in need (all of
+// Fixed clusters) from their whole memberships, in one pass over the
+// labels, a chunk at a time, and returns how many moment sets it built.
 func walkAssign(frags trace.LogView, cl cluster.Result, cstate []clustState, need []bool, factors []diagnose.Factor) (built uint64) {
-	for ci := range cstate {
-		if need[ci] {
-			cstate[ci] = fresh(factors)
+	for l := range need {
+		if need[l] {
+			cstate[l] = fresh(factors)
 			if factors != nil {
 				built++
 			}
 		}
 	}
 	var f trace.Fragment
-	for i, ci := range cl.Assign {
-		if need[ci] {
-			cstate[ci].observe(frags, int32(i), &f)
+	for c := 0; c*trace.LogChunkRows < cl.Len(); c++ {
+		lc, base := cl.LabelChunk(c), c*trace.LogChunkRows
+		for r := range min(trace.LogChunkRows, cl.Len()-base) {
+			if l := lc.At(r); need[l] {
+				cstate[l].observe(frags, int32(base+r), &f)
+			}
 		}
 	}
-	for ci := range cstate {
-		if need[ci] {
-			cstate[ci].seal(cl.Clusters[ci].Size)
+	for l := range need {
+		if need[l] {
+			cstate[l].seal()
 		}
 	}
 	return built
@@ -302,14 +304,11 @@ func walkAssign(frags trace.LogView, cl cluster.Result, cstate []clustState, nee
 
 // buildStore builds the store representation from scratch.
 func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result, met *Metrics) {
-	st := &sampleStore{
-		assign: cl.Assign,
-		cstate: make([]clustState, len(cl.Clusters)),
-	}
+	st := &sampleStore{cl: cl, cstate: make([]clustState, cl.Labels())}
 	p.store = st
-	need := make([]bool, len(cl.Clusters))
-	for ci := range cl.Clusters {
-		need[ci] = cl.Clusters[ci].Fixed
+	need := make([]bool, cl.Labels())
+	for l := range need {
+		need[l] = cl.Index(l) >= 0 && cl.Clusters[cl.Index(l)].Fixed
 	}
 	if built := walkAssign(frags, cl, st.cstate, need, p.factors); met != nil {
 		met.OLSRefactors.Add(built)
@@ -320,13 +319,13 @@ func (p *prepElem) buildStore(frags trace.LogView, cl cluster.Result, met *Metri
 // advanceStore patches the store with an append-only clustering delta,
 // in place, in O(batch), and reports whether it could. False means the
 // caller must rebuild: the delta is unstructured (Full), it advances
-// from a different generation than the prep holds, the options moved,
-// or a consistency check failed. Prefix and tail clusters keep their
-// state (the tail's under its shifted index), grown emitted clusters
-// fold in just their Added members, and rebuilt clusters fold their
-// Added lists, which hold their whole memberships. A grown cluster that
-// starts to emit had its old members never folded: those clusters are
-// walked together in one pass over Assign. The state derived per sample
+// from a different generation than the prep holds, or the options
+// moved. A retired label's state is dropped, a born cluster folds its
+// Added list, which holds its whole membership, and a grown emitted
+// cluster folds in just its Added members. A grown cluster that starts
+// to emit had its old members never folded: those clusters are walked
+// together in one pass over the labels. Every other state stays where
+// it is, whatever its cluster's index did; the state derived per sample
 // absorbs best and coverage movement without touching anything
 // resident. Moment work is counted into met, if set.
 func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluster.Delta, opt Options, gen stg.Gen, met *Metrics) bool {
@@ -335,89 +334,61 @@ func (p *prepElem) advanceStore(frags trace.LogView, cl cluster.Result, d cluste
 	}
 	oldN := p.nfrags
 	nn := frags.Len()
-	if nn <= oldN || len(cl.Assign) != nn {
+	if nn <= oldN || cl.Len() != nn {
 		return false
 	}
 	st := p.store
-	oldNC := len(st.cstate)
-	newNC := len(cl.Clusters)
-	if d.Prefix < 0 || d.Prefix > d.TailNew || d.TailNew > newNC ||
-		d.Prefix > d.TailOld || d.TailOld > oldNC ||
-		d.TailNew-d.Prefix != len(d.Dirty) ||
-		newNC-d.TailNew != oldNC-d.TailOld {
-		return false
+	for _, l := range d.Retired {
+		st.cstate[l] = clustState{}
 	}
-	// Validate the whole delta before mutating any shared state (the
-	// rank tables are updated in place below).
-	st.claimed = slices.Grow(st.claimed[:0], d.TailOld-d.Prefix)[:d.TailOld-d.Prefix]
-	clear(st.claimed)
-	for di, dr := range d.Dirty {
-		size := cl.Clusters[d.Prefix+di].Size
-		if dr.OldIndex < 0 {
-			if len(dr.Added) != size {
-				return false
-			}
-			continue
-		}
-		if dr.OldIndex < d.Prefix || dr.OldIndex >= d.TailOld || st.claimed[dr.OldIndex-d.Prefix] {
-			return false
-		}
-		st.claimed[dr.OldIndex-d.Prefix] = true
-		if os := &st.cstate[dr.OldIndex]; os.emitted && int(os.nStored) != size-len(dr.Added) {
-			return false
-		}
+	if n := cl.Labels(); n > len(st.cstate) {
+		st.cstate = append(st.cstate, make([]clustState, n-len(st.cstate))...)
 	}
-
-	newState := make([]clustState, newNC)
-	copy(newState, st.cstate[:d.Prefix])
-	copy(newState[d.TailNew:], st.cstate[d.TailOld:])
-
-	var need []bool // the clusters walkAssign computes
+	var need []bool // the labels walkAssign computes
 	var f trace.Fragment
 	var adds, rebuilt uint64
-	for di, dr := range d.Dirty {
-		ci := d.Prefix + di
-		cc := &cl.Clusters[ci]
+	for _, r := range d.Born {
+		cst := &st.cstate[r.Label]
+		if !cl.Clusters[cl.Index(r.Label)].Fixed {
+			*cst = clustState{} // small: no member is a sample
+			continue
+		}
+		*cst = fresh(p.factors)
+		for _, m := range r.Added {
+			cst.observe(frags, m, &f)
+		}
+		cst.seal()
+		rebuilt++
+	}
+	for _, r := range d.Grown {
+		cst := &st.cstate[r.Label]
 		switch {
-		case !cc.Fixed:
-			// Small: no member is a sample; the zero state says so.
-		case dr.OldIndex < 0:
-			// Rebuilt: Added is the whole membership.
-			cst := fresh(p.factors)
-			for _, m := range dr.Added {
+		case !cl.Clusters[cl.Index(r.Label)].Fixed:
+			// Still small: the zero state says so.
+		case cst.emitted:
+			// Only the added members are new.
+			for _, m := range r.Added {
 				cst.observe(frags, m, &f)
 			}
-			cst.seal(cc.Size)
-			newState[ci] = cst
-			rebuilt++
-		case st.cstate[dr.OldIndex].emitted:
-			// Grown emitted cluster: only the added members are new.
-			cst := st.cstate[dr.OldIndex] // shares (and intentionally updates) the rank table and moments
-			for _, m := range dr.Added {
-				cst.observe(frags, m, &f)
-			}
-			cst.nStored += int32(len(dr.Added))
-			newState[ci] = cst
-			adds += uint64(len(dr.Added))
+			adds += uint64(len(r.Added))
 		default:
 			// Grown into emission, or into Fixed: its old members were
 			// never folded.
 			if need == nil {
-				need = make([]bool, newNC)
+				need = make([]bool, len(st.cstate))
 			}
-			need[ci] = true
+			need[r.Label] = true
 		}
 	}
 	if need != nil {
-		rebuilt += walkAssign(frags, cl, newState, need, p.factors)
+		rebuilt += walkAssign(frags, cl, st.cstate, need, p.factors)
 	}
 	if met != nil && p.factors != nil {
 		met.OLSRank1Updates.Add(adds)
 		met.OLSRefactors.Add(rebuilt)
 	}
 
-	st.assign = cl.Assign
-	st.cstate = newState
+	st.cl = cl
 	p.countClusters(cl)
 	st.addSpans(frags, oldN)
 	p.gen = gen
@@ -452,6 +423,7 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 		return
 	}
 	minFrag := int32(p.minFrag)
+	lr := labelReader{c: -1}
 	buf := make([]int32, 0, cand)
 	runs := make([]elemRun, 0, nruns)
 	bands := st.bands
@@ -467,7 +439,7 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 					continue
 				}
 				total += el
-				cst := &st.cstate[st.assign[pos]]
+				cst := &st.cstate[lr.at(&st.cl, pos)]
 				if !cst.emitted {
 					continue
 				}
@@ -477,7 +449,7 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 				buf = append(buf, pos)
 			}
 			if len(buf) > from {
-				runs = append(runs, elemRun{sel: buf[from:len(buf):len(buf)], store: p})
+				runs = append(runs, elemRun{sel: buf[from:len(buf):len(buf)], store: p, labels: labelReader{c: -1}})
 			}
 		}
 		bands = bands[len(segs):]
@@ -489,13 +461,28 @@ func (p *prepElem) windowStore(start, end int64, out *elemOut) {
 	}
 }
 
+// labelReader reads a Result's labels a chunk at a time: it holds the
+// chunk of the last position read until a position in another is read.
+type labelReader struct {
+	c  int // the held chunk; -1: none
+	lc cluster.LabelChunk
+}
+
+func (lr *labelReader) at(cl *cluster.Result, pos int32) int {
+	if c := int(pos) / trace.LogChunkRows; c != lr.c {
+		lr.c, lr.lc = c, cl.LabelChunk(c)
+	}
+	return lr.lc.At(int(pos) % trace.LogChunkRows)
+}
+
 // sampleAt derives the sample of fragment pos from its span in the log
 // and the owning cluster's current state: Perf against its current
-// fastest member, Covered from its current per-rank counts.
-func (p *prepElem) sampleAt(pos int32, dst *Sample) {
+// fastest member, Covered from its current per-rank counts. lr reads
+// the label; a run keeps its own.
+func (p *prepElem) sampleAt(pos int32, dst *Sample, lr *labelReader) {
 	st := p.store
-	ci := st.assign[pos]
-	cst := &st.cstate[ci]
+	l := lr.at(&st.cl, pos)
+	cst := &st.cstate[l]
 	rank, start, el := p.frags.Span(int(pos))
 	perf := 1.0
 	if el > 0 {
@@ -510,5 +497,5 @@ func (p *prepElem) sampleAt(pos int32, dst *Sample) {
 		ClusterRef: p.ref,
 		FragIndex:  int(pos),
 	}
-	dst.ClusterRef.Cluster = int(ci)
+	dst.ClusterRef.Cluster = st.cl.Index(l)
 }

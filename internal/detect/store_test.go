@@ -276,11 +276,7 @@ func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	countReformed := func() {
 		for _, e := range g.Edges() {
 			_, d := deltas.RunInc(cluster.EdgeKey(e.Key), e.Gen, e.Log(), opt.Cluster)
-			for _, dr := range d.Dirty {
-				if dr.OldIndex < 0 {
-					reformed++
-				}
-			}
+			reformed += len(d.Born)
 		}
 	}
 
@@ -344,8 +340,8 @@ func TestSampleStoreRebuildsLeaveNothingDead(t *testing.T) {
 	if reformed == 0 {
 		t.Fatal("no cluster was ever re-formed")
 	}
-	if len(st.assign) != p.nfrags || p.nfrags != g.NumFragments() {
-		t.Fatalf("store reads %d assignments for %d fragments (graph: %d)", len(st.assign), p.nfrags, g.NumFragments())
+	if st.cl.Len() != p.nfrags || p.nfrags != g.NumFragments() {
+		t.Fatalf("store reads %d labels for %d fragments (graph: %d)", st.cl.Len(), p.nfrags, g.NumFragments())
 	}
 	if indexed := indexedSpans(st); indexed != p.nfrags {
 		t.Fatalf("span index holds %d entries for %d fragments", indexed, p.nfrags)

@@ -79,7 +79,7 @@ func Table2(w io.Writer, scale Scale) *Table2Result {
 					truthID[f.Truth] = id
 				}
 				truth = append(truth, id)
-				pred = append(pred, clusterBase+int(cl.Assign[i]))
+				pred = append(pred, clusterBase+cl.ClusterOf(i))
 				nFrags++
 			}
 			clusterBase += len(cl.Clusters)

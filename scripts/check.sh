@@ -155,10 +155,11 @@ stage_fuzz() {
 # plus the analyzer
 # (resident_B_per_frag of MonitorTickWindow/plane=inc and of
 # MonitorTickMultiD/plane=inc at 1M resident, each 5 % above its
-# measured 33.2 and 26.7 B — the 1-D figure since a 1-D element keeps
-# no sorted order (37.7 B before), the multi-D one since a multi-D
-# element keeps no sorted order or norms either (39.4 B before, 51.1 B
-# before log lanes went narrow) — live heap after two collections so pooled
+# measured 29.9 and 23.0 B — since Assign holds 1-byte cluster labels
+# in chunks (33.2 and 26.7 B before, with a 4-byte cluster index per
+# fragment; 37.7 B before a 1-D element kept no sorted order, 39.4 B
+# before a multi-D one kept no sorted order or norms, 51.1 B before
+# log lanes went narrow) — live heap after two collections so pooled
 # scratch is not counted; BenchmarkLogAppend/pop=comp's B/frag, 5 %
 # above its measured 17.5 B; and plane=inc's B/op at ≤ 4.9 MB, the
 # largest one-shot reading, 4.44 MB, plus 10 %). BenchmarkLogAppend's ns/frag and the
@@ -186,8 +187,8 @@ stage_bench_smoke() {
 		-assert 'MonitorTickWindow/plane=tier<=1.93*MonitorTickWindow/plane=monitor@B/op' \
 		-assert 'MonitorTickWindow/plane=inc@B/op<=4.9e6' \
 		-assert 'ClusterMomentsAdd/counters=idle<=0.5*ClusterMomentsAdd/counters=armed' \
-		-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=34.9' \
-		-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=28.1' \
+		-assert 'MonitorTickWindow/plane=inc@resident_B_per_frag<=31.4' \
+		-assert 'MonitorTickMultiD/plane=inc/resident=1000k@resident_B_per_frag<=24.1' \
 		-assert 'LogAppend/pop=comp@B/frag<=18.3' \
 		< bench-smoke.out
 }
@@ -273,7 +274,7 @@ stage_obs() {
 		vapro_detect_store_appends_total vapro_detect_sample_sort_fallbacks_total \
 		vapro_ols_rank1_updates_total vapro_ols_refactors_total \
 		vapro_stg_log_bytes vapro_stg_log_chunks vapro_stg_log_lanes_live \
-		vapro_stg_log_lanes_wide; do
+		vapro_stg_log_lanes_wide vapro_cluster_assign_bytes; do
 		grep -q "$name" /tmp/vapro-metrics.out || {
 			echo "metrics endpoint missing $name"; exit 1; }
 	done
