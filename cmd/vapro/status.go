@@ -222,12 +222,16 @@ func renderStatus(s *obs.Snapshot) string {
 	// one row per shard. A single-server collector never registers
 	// vapro_shards, so the legacy panel is untouched.
 	if shards := val(s, "vapro_shards"); shards > 0 {
-		fmt.Fprintf(&b, "shards    %.0f   strips merged %.0f   regions stitched %.0f   rebalances %.0f   redirects %.0f   misroutes %.0f\n",
+		fmt.Fprintf(&b, "shards    %.0f   strips merged %.0f   regions stitched %.0f   rebalances %.0f   redirects %.0f   misroutes %.0f",
 			shards, val(s, "vapro_shard_strips_merged_total"),
 			val(s, "vapro_shard_regions_stitched_total"),
 			val(s, "vapro_shardmap_rebalances_total"),
 			val(s, "vapro_shard_redirects_total"),
 			val(s, "vapro_shard_misroutes_total"))
+		if h := hist(s, "vapro_shard_merge_ns"); h != nil && h.Total > 0 {
+			fmt.Fprintf(&b, "   merge p50 %s p99 %s", humanNS(h.P50), humanNS(h.P99))
+		}
+		b.WriteString("\n")
 		// One row per shard the tier declares — a shard whose row is
 		// missing from the scrape renders as "(no data)" instead of
 		// silently truncating the table at the first gap.

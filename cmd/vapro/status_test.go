@@ -128,6 +128,7 @@ func TestStatusRenderSharded(t *testing.T) {
 	for _, want := range []string{
 		"shards    2",
 		"strips merged",
+		"merge p50",
 		"regions stitched",
 		"rebalances",
 		"shard 0: resident",

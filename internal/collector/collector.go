@@ -10,6 +10,7 @@ package collector
 import (
 	"math"
 	"sync"
+	"time"
 
 	"vapro/internal/detect"
 	"vapro/internal/interpose"
@@ -402,11 +403,13 @@ func (p *Pool) pass(start, end int64, dopt detect.Options, on func(i int, share 
 		wg.Add(1)
 		go func(i int, pl *plane) {
 			defer wg.Done()
-			parts[i] = on(i, func(g *stg.Graph) *detect.Result { return pl.an.Partial(g, pl.opt.Detect, start, end) })
+			parts[i] = on(i, func(g *stg.Graph) *detect.Result { return pl.an.Partial(g, p.ranks, pl.opt.Detect, start, end) })
 		}(i, pl)
 	}
 	wg.Wait()
+	t0 := time.Now()
 	res, stats := p.merger.Merge(parts, p.ranks, p.Owner, dopt)
+	p.met.ShardMergeNS.Observe(int64(time.Since(t0)))
 	p.met.ShardStripsMerged.Add(uint64(stats.Strips))
 	p.met.ShardRegionsStitched.Add(uint64(stats.Stitched))
 	return res

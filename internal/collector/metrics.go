@@ -52,13 +52,15 @@ type Metrics struct {
 	NetSpillPeak     *obs.Gauge   // high-water mark of the spill queue
 	NetSpillBytes    *obs.Gauge   // encoded bytes currently spilled in memory
 
-	// Shard is the spatial scale-out surface: merged strips and region
-	// stitches per tier tick, shard-map version churn, and the routing
+	// Shard is the spatial scale-out surface: merged strips, region
+	// stitches and merge latency per tier tick, shard-map version churn,
+	// and the routing
 	// corrections (redirects are clients re-dialed to their owner after
 	// a hello; misroutes are batches that arrived at a non-owning shard
 	// and were delivered anyway).
 	ShardStripsMerged    *obs.Counter
 	ShardRegionsStitched *obs.Counter
+	ShardMergeNS         *obs.Histogram // one tier tick's Merger.Merge
 	ShardmapRebalances   *obs.Counter
 	ShardRedirects       *obs.Counter
 	ShardMisroutes       *obs.Counter
@@ -130,6 +132,8 @@ func NewMetrics() *Metrics {
 			"(class, plane) pairs binned into the tier's merged heat maps"),
 		ShardRegionsStitched: reg.Counter("vapro_shard_regions_stitched_total", "shard",
 			"merged variance regions spanning more than one shard's ranks"),
+		ShardMergeNS: reg.Histogram("vapro_shard_merge_ns", "shard",
+			"wall time of the tier's merge of its planes' partials per window", nil),
 		ShardmapRebalances: reg.Counter("vapro_shardmap_rebalances_total", "shard",
 			"shard-map versions published (server set changes)"),
 		ShardRedirects: reg.Counter("vapro_shard_redirects_total", "shard",

@@ -186,9 +186,20 @@ func TestShardTierMetrics(t *testing.T) {
 		t.Fatal("no region in the overlapped window")
 	}
 	for i, p := range parts {
-		if p == nil || p.Maps != nil || p.Regions != nil {
-			t.Fatalf("plane %d's pass built maps or regions; only the tier's merge grows them", i)
+		if p == nil || p.Regions != nil || p.Coverage != nil {
+			t.Fatalf("plane %d's pass grew regions; only the tier's merge grows them", i)
 		}
+		if len(p.Maps) == 0 {
+			t.Fatalf("plane %d's pass binned no grid; each plane bins its own rows", i)
+		}
+		for c, h := range p.Maps {
+			if h.Stale != nil {
+				t.Fatalf("plane %d's %v grid is marked stale; only the tier's merge marks it", i, c)
+			}
+		}
+	}
+	if res.Samples != nil {
+		t.Fatal("the tier's merged Result carries sample streams; the merge reads rows")
 	}
 	snap := tier.Metrics().Registry.Snapshot()
 	if m := snap.Get("vapro_shards"); m == nil || m.Value != float64(shards) {
@@ -199,6 +210,13 @@ func TestShardTierMetrics(t *testing.T) {
 	}
 	if m := snap.Get("vapro_shard_strips_merged_total"); m == nil || m.Value == 0 {
 		t.Fatalf("vapro_shard_strips_merged_total = %+v", m)
+	}
+	// Both passes above merged once each; the observe costs no allocation.
+	if m := snap.Get("vapro_shard_merge_ns"); m == nil || m.Hist == nil || m.Hist.Total != 2 || m.Hist.Sum <= 0 {
+		t.Fatalf("vapro_shard_merge_ns = %+v, want 2 timed merges", m)
+	}
+	if n := testing.AllocsPerRun(100, func() { tier.met.ShardMergeNS.Observe(int64(time.Since(time.Now()))) }); n != 0 {
+		t.Fatalf("observing a merge allocates %.0f times", n)
 	}
 	residentSum := 0.0
 	for i := 0; i < shards; i++ {

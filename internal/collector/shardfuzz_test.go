@@ -1,9 +1,11 @@
 package collector
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,10 +22,12 @@ import (
 //  1. every merged heat-map row equals the row a plain Pool computes
 //     when fed exactly the rank's owning shard's deliveries (the
 //     restricted reference), including staleness from sequence gaps;
-//  2. the stitched region set equals the exported batch grower run
-//     over the merged grid and samples;
-//  3. at shard count 1 the entire Result (maps, samples, regions,
-//     coverage) deep-equals a plain Pool.RunWindow.
+//  2. the stitched region set, members included, equals the exported
+//     batch grower run over the merged grid and the stream the parts'
+//     owned samples merge into (which the merge itself never builds);
+//  3. at shard count 1 the entire Result (maps, regions with their
+//     members, coverage) deep-equals a plain Pool.RunWindow; being a
+//     merge, it carries no sample streams.
 //
 // 25 seeds × shard counts {1,2,4,8} × misroute shares {0, 0.25} = 175
 // scripted schedules (a single shard has nowhere to misroute), each
@@ -212,7 +216,7 @@ func shardedEquivalenceSchedule(t *testing.T, seed, ranks, shards int, misroute 
 			refRes[s] = refs[s].RunWindow(w[0], w[1])
 		}
 		compareRows(t, seed, shards, wi, tier, merged, refRes, ranks)
-		compareRegions(t, seed, shards, wi, merged, opt.Detect)
+		compareRegions(t, seed, shards, wi, merged, refRes, tier.Owner, ranks, opt.Detect)
 		if shards == 1 {
 			compareFull(t, seed, wi, merged, refRes[0])
 		}
@@ -270,13 +274,18 @@ func compareRows(t *testing.T, seed, shards, wi int, tier *Pool, merged *detect.
 }
 
 // compareRegions: the merged region set equals the exported batch
-// grower over the merged grid — cross-shard stitching included.
-func compareRegions(t *testing.T, seed, shards, wi int, merged *detect.Result, dopt detect.Options) {
+// grower over the merged grid and the parts' owned stream — cross-shard
+// stitching and member order included. parts are the restricted
+// references, whose streams are the planes' own.
+func compareRegions(t *testing.T, seed, shards, wi int, merged *detect.Result, parts []*detect.Result, owner func(int) int, ranks int, dopt detect.Options) {
 	t.Helper()
+	if merged.Samples != nil {
+		t.Fatalf("seed=%d shards=%d win=%d: a merged Result carries sample streams", seed, shards, wi)
+	}
 	var want []detect.Region
 	for c := detect.Computation; c <= detect.IOClass; c++ {
 		if mh := merged.Maps[c]; mh != nil {
-			want = append(want, detect.GrowRegions(mh, merged.Samples[c], dopt)...)
+			want = append(want, detect.GrowRegions(mh, ownedStream(parts, c, ranks, owner), dopt)...)
 		}
 	}
 	got := regionOrder(merged.Regions)
@@ -287,8 +296,39 @@ func compareRegions(t *testing.T, seed, shards, wi int, merged *detect.Result, d
 	}
 }
 
+// ownedStream is the stream a merge never builds: each part's class
+// stream filtered to the ranks the part owns, merged under the streams'
+// own order (detect's sampleLess: start, edges before vertices, element
+// key, fragment index), samples equal under it in part order — a
+// stable sort of the filtered streams concatenated in part order.
+func ownedStream(parts []*detect.Result, c detect.Class, ranks int, owner func(int) int) []detect.Sample {
+	var out []detect.Sample
+	for i, p := range parts {
+		for _, s := range p.Samples[c] {
+			if s.Rank >= 0 && s.Rank < ranks && owner(s.Rank) == i {
+				out = append(out, s)
+			}
+		}
+	}
+	edgeFirst := func(b bool) int {
+		if b {
+			return 0
+		}
+		return 1
+	}
+	slices.SortStableFunc(out, func(a, b detect.Sample) int {
+		ra, rb := &a.ClusterRef, &b.ClusterRef
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(edgeFirst(ra.IsEdge), edgeFirst(rb.IsEdge)),
+			cmp.Compare(ra.Edge.From, rb.Edge.From), cmp.Compare(ra.Edge.To, rb.Edge.To),
+			cmp.Compare(ra.Vertex, rb.Vertex), cmp.Compare(a.FragIndex, b.FragIndex))
+	})
+	return out
+}
+
 // compareFull: the merge of one plane's partial is an identity — the
-// whole Result deep-equals the plain pool's full pass.
+// whole Result deep-equals the plain pool's full pass, sample streams
+// where both sides carry them (a merged Result carries none; its
+// members are in its regions).
 func compareFull(t *testing.T, seed, wi int, merged, ref *detect.Result) {
 	t.Helper()
 	if len(merged.Maps) != len(ref.Maps) {
@@ -307,7 +347,7 @@ func compareFull(t *testing.T, seed, wi int, merged, ref *detect.Result) {
 		if !reflect.DeepEqual(mh.Stale, rh.Stale) {
 			t.Fatalf("seed=%d win=%d class=%v: stale masks differ", seed, wi, c)
 		}
-		if !reflect.DeepEqual(merged.Samples[c], ref.Samples[c]) {
+		if merged.Samples != nil && ref.Samples != nil && !reflect.DeepEqual(merged.Samples[c], ref.Samples[c]) {
 			t.Fatalf("seed=%d win=%d class=%v: samples differ", seed, wi, c)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,12 +255,17 @@ func (r *Region) EndTime(h *HeatMap) sim.Time {
 }
 
 // Result is the outcome of a detection pass. A partial (Analyzer.Partial)
-// is a Result with nil Maps, Regions and Coverage: the sample streams,
-// time sums, cluster counts and origin a Merger completes it from.
+// is a Result with nil Regions and Coverage and unmarked Maps: each
+// class's grid binned over the whole global rank axis with no stale
+// marks, beside the sample streams, time sums, cluster counts and origin
+// a Merger completes it from. A merged Result (Merger.Merge) carries
+// Maps, Regions (with their member samples) and Coverage but no Samples:
+// the merge reads the parts' rows and never rebuilds a global stream.
 type Result struct {
 	Maps    map[Class]*HeatMap
 	Regions []Region
-	// Samples per class (time-ordered), the raw normalized series.
+	// Samples per class (time-ordered), the raw normalized series of a
+	// one-plane pass (nil in a merged Result).
 	Samples map[Class][]Sample
 	// Coverage is the fraction of total observed time attributable to
 	// repeated fixed-workload fragments, per class and overall (§6.2).
@@ -394,13 +400,16 @@ func (a *Analyzer) RunWindow(g *stg.Graph, ranks int, opt Options, start, end in
 }
 
 // Partial is a plane's half of RunWindow: stage 1 over every element,
-// each class's ordered sample stream, the int64 time sums, the cluster
-// counts and the window origin. It builds no heat map and grows no
-// region (Maps, Regions and Coverage are nil); a Merger completes one
-// or more partials into the Result. The sharded collector tier runs one
-// per plane and merges them once, over one grid.
-func (a *Analyzer) Partial(g *stg.Graph, opt Options, start, end int64) *Result {
-	res, t0, tMap := a.partial(g, opt, start, end, start)
+// each class's ordered sample stream and its heat map over global rows
+// [0, ranks) — binned by the worker that merged the stream, so the grid
+// is RunWindow's before stale marks —, the int64 time sums, the cluster
+// counts and the window origin. It marks no cell stale and grows no
+// region (Regions and Coverage are nil); a Merger completes one or more
+// partials into the Result by reading each rank's row from the part
+// that owns it. The sharded collector tier runs one per plane and
+// merges them once, over one grid.
+func (a *Analyzer) Partial(g *stg.Graph, ranks int, opt Options, start, end int64) *Result {
+	res, t0, tMap := a.partial(g, ranks, opt, start, end, start)
 	a.recordPass(t0, tMap)
 	return res
 }
@@ -420,7 +429,7 @@ type elemOut struct {
 const numClasses = 3
 
 func (a *Analyzer) run(g *stg.Graph, ranks int, opt Options, start, end, origin int64) *Result {
-	res, t0, tMap := a.partial(g, opt, start, end, origin)
+	res, t0, tMap := a.partial(g, ranks, opt, start, end, origin)
 	finish(res, []*Result{res}, ranks, nil, opt)
 	a.recordPass(t0, tMap)
 	return res
@@ -436,10 +445,13 @@ func (a *Analyzer) recordPass(t0, tMap time.Time) {
 	}
 }
 
-// partial runs stage 1 and builds the class streams; t0 and tMap are
-// the pass's start and its stream stage's start (zero without metrics).
-func (a *Analyzer) partial(g *stg.Graph, opt Options, start, end, origin int64) (res *Result, t0, tMap time.Time) {
+// partial runs stage 1, builds the class streams and bins each into its
+// grid over ranks [0, ranks) (none when ranks <= 0); t0 and tMap are the
+// pass's start and its stream stage's start (zero without metrics).
+func (a *Analyzer) partial(g *stg.Graph, ranks int, opt Options, start, end, origin int64) (res *Result, t0, tMap time.Time) {
+	opt = opt.withDefaults()
 	res = &Result{
+		Maps:        make(map[Class]*HeatMap),
 		Samples:     make(map[Class][]Sample),
 		TotalTimeNS: make(map[Class]int64),
 		FixedTimeNS: make(map[Class]int64),
@@ -502,9 +514,10 @@ func (a *Analyzer) partial(g *stg.Graph, opt Options, start, end, origin int64) 
 	// Each class's stream is merged from its elements' runs — in
 	// element order (edges then vertices, both key-sorted), which is
 	// sampleLess's own tie order, so the merge decides almost every
-	// comparison on Start. The classes are independent: merge them
-	// concurrently.
+	// comparison on Start — and binned into its grid while it is hot.
+	// The classes are independent: merge them concurrently.
 	var streams [numClasses][]Sample
+	var maps [numClasses]*HeatMap
 	forEach(numClasses, opt.Parallelism, func(c int) {
 		if counts[c] == 0 {
 			return
@@ -529,13 +542,29 @@ func (a *Analyzer) partial(g *stg.Graph, opt Options, start, end, origin int64) 
 			samples = mg.merge(samples)
 		}
 		streams[c] = samples
+		maps[c] = buildHeatMap(Class(c), samples, ranks, opt.Window, origin)
 	})
 	for c := 0; c < numClasses; c++ {
 		if streams[c] != nil {
 			res.Samples[Class(c)] = streams[c]
 		}
+		if maps[c] != nil {
+			res.Maps[Class(c)] = maps[c]
+		}
 	}
 	return res, t0, tMap
+}
+
+// withDefaults fills in the paper's window and threshold where opt
+// leaves them unset.
+func (opt Options) withDefaults() Options {
+	if opt.Window <= 0 {
+		opt.Window = 500 * sim.Millisecond
+	}
+	if opt.Threshold <= 0 {
+		opt.Threshold = 0.85
+	}
+	return opt
 }
 
 // sortRegionsByLoss puts the most impactful regions first (§3.5:
@@ -586,12 +615,7 @@ func forEach(n, parallelism int, fn func(int)) {
 // region growing over it. It is the shared back half of detection, also
 // used by the vSensor baseline (which produces its samples differently).
 func MapAndRegions(class Class, samples []Sample, ranks int, opt Options) (*HeatMap, []Region) {
-	if opt.Window <= 0 {
-		opt.Window = 500 * sim.Millisecond
-	}
-	if opt.Threshold <= 0 {
-		opt.Threshold = 0.85
-	}
+	opt = opt.withDefaults()
 	h := buildHeatMap(class, samples, ranks, opt.Window, 0)
 	if h == nil {
 		return nil, nil
@@ -613,14 +637,16 @@ func buildHeatMap(class Class, samples []Sample, ranks int, window sim.Duration,
 }
 
 // mapWidth is the column count a heat map over samples needs to reach
-// their latest end from origin: at least 1, and 0 for no samples.
+// their latest end from origin: at least 1, and 0 for no samples. A
+// sample with a negative elapsed time is binned at its start, so it
+// reaches its start.
 func mapWidth(samples []Sample, window sim.Duration, origin int64) int {
 	if len(samples) == 0 {
 		return 0
 	}
 	maxEnd := origin
 	for i := range samples {
-		if e := samples[i].Start + samples[i].Elapsed; e > maxEnd {
+		if e := samples[i].Start + max(samples[i].Elapsed, 0); e > maxEnd {
 			maxEnd = e
 		}
 	}
@@ -629,7 +655,8 @@ func mapWidth(samples []Sample, window sim.Duration, origin int64) int {
 
 // binHeatMap is buildHeatMap over a grid wins columns wide. A sample
 // never reaches past its own stream's mapWidth, so a wider grid leaves
-// every cell it shares with the narrower one bit-identical.
+// every cell it shares with the narrower one bit-identical: that is why
+// a merged row can be copied from its owner's narrower grid.
 func binHeatMap(class Class, samples []Sample, ranks int, window sim.Duration, origin int64, wins int) *HeatMap {
 	h := &HeatMap{Class: class, Ranks: ranks, Windows: wins, Window: window, Origin: sim.Time(origin)}
 	h.Cells = make([]float64, ranks*wins)
@@ -687,19 +714,26 @@ func binHeatMap(class Class, samples []Sample, ranks int, window sim.Duration, o
 
 // GrowRegions is the exported batch region grower: 4-connected
 // components of sub-threshold cells over an arbitrary heat map, with
-// samples re-attached and loss quantified. The spatial merger's
+// the members re-attached from samples (ordered by Start, as every
+// class stream is) and loss quantified. The spatial merger's
 // equivalence tests pin the stitched cross-shard regions bit-identical
-// to this reference run over the merged grid.
+// to this reference run over the merged grid and the parts' merged
+// stream.
 func GrowRegions(h *HeatMap, samples []Sample, opt Options) []Region {
-	if opt.Threshold <= 0 {
-		opt.Threshold = 0.85
-	}
-	return growRegions(h, samples, opt)
+	return growRegions(h, samples, opt.withDefaults())
 }
 
-// growRegions finds 4-connected components of sub-threshold cells and
-// aggregates their bounding boxes and losses.
+// growRegions finds h's regions and attaches their members from one
+// stream.
 func growRegions(h *HeatMap, samples []Sample, opt Options) []Region {
+	regions := findRegions(h, opt)
+	attachMembers(regions, h, [][]Sample{samples}, nil)
+	return regions
+}
+
+// findRegions finds 4-connected components of sub-threshold cells and
+// aggregates their bounding boxes and mean performance.
+func findRegions(h *HeatMap, opt Options) []Region {
 	low := func(r, w int) bool {
 		if h.StaleAt(r, w) {
 			return false // lost data is neither fast nor slow
@@ -757,56 +791,76 @@ func growRegions(h *HeatMap, samples []Sample, opt Options) []Region {
 			regions = append(regions, reg)
 		}
 	}
-	// Attach member samples and quantify loss.
-	attachSamples(regions, h, samples)
 	return regions
 }
 
-// attachSamples appends each region's member samples (rank within the
-// region's span, time overlapping its window range) and accumulates the
-// quantified loss. It produces exactly what a full scan of the sample
-// slice per region would — same members, same ascending-index order —
-// but via a per-rank bucket index, so the cost is O(samples) plus the
-// regions' actual membership instead of O(regions × samples). The
-// distinction is what keeps a spatially merged grid (thousands of
-// ranks, one region per slow rank) on the linear cost curve.
-func attachSamples(regions []Region, h *HeatMap, samples []Sample) {
-	if len(regions) == 0 || len(samples) == 0 {
+// attachMembers appends each region's member samples — rank within the
+// region's span, time overlapping its window range — and accumulates
+// the quantified loss. streams are the parts' class streams, each
+// ordered under sampleLess, and a sample counts only in the stream of
+// the part that owns its rank (owner nil: one stream, owning every
+// rank). The
+// members come out as a scan of the parts' streams merged under
+// sampleLess (ties in part order) would find them — the same samples in
+// the same order — without that stream being built: each part's
+// stream is scanned once, up to the latest region end, and a sample on
+// a row no region spans costs one lookup. A region whose rows have more
+// than one owner gathers one ordered list per part, in part order, so
+// a stable sort under sampleLess is their merge.
+func attachMembers(regions []Region, h *HeatMap, streams [][]Sample, owner func(rank int) int) {
+	if len(regions) == 0 {
 		return
 	}
-	byRank := make([][]int32, h.Ranks)
-	for i := range samples {
-		if r := samples[i].Rank; r >= 0 && r < h.Ranks {
-			byRank[r] = append(byRank[r], int32(i))
+	// cover[first[r]:first[r+1]] lists the regions whose span holds row r.
+	first := make([]int32, h.Ranks+1)
+	tEnd := int64(math.MinInt64)
+	for i := range regions {
+		reg := &regions[i]
+		for r := reg.RankMin; r <= reg.RankMax; r++ {
+			first[r+1]++
+		}
+		tEnd = max(tEnd, int64(h.Origin)+int64(reg.WinMax+1)*int64(h.Window))
+	}
+	for r := 0; r < h.Ranks; r++ {
+		first[r+1] += first[r]
+	}
+	cover := make([]int32, first[h.Ranks])
+	fill := slices.Clone(first[:h.Ranks])
+	for i := range regions {
+		for r := regions[i].RankMin; r <= regions[i].RankMax; r++ {
+			cover[fill[r]] = int32(i)
+			fill[r]++
 		}
 	}
-	var idxs []int32
-	for ri := range regions {
-		reg := &regions[ri]
-		t0 := int64(h.Origin) + int64(reg.WinMin)*int64(h.Window)
-		t1 := int64(h.Origin) + int64(reg.WinMax+1)*int64(h.Window)
-		idxs = idxs[:0]
-		for r := reg.RankMin; r <= reg.RankMax && r < h.Ranks; r++ {
-			if r < 0 {
+	from := make([]int, len(regions)) // the last part a member came from, plus one; -1 once two did
+	for part, stream := range streams {
+		n := sort.Search(len(stream), func(i int) bool { return stream[i].Start >= tEnd })
+		for i := range stream[:n] {
+			s := &stream[i]
+			r := s.Rank
+			if r < 0 || r >= h.Ranks || first[r] == first[r+1] || (owner != nil && owner(r) != part) {
 				continue
 			}
-			for _, i := range byRank[r] {
-				s := &samples[i]
+			for _, ri := range cover[first[r]:first[r+1]] {
+				reg := &regions[ri]
+				t0 := int64(h.Origin) + int64(reg.WinMin)*int64(h.Window)
+				t1 := int64(h.Origin) + int64(reg.WinMax+1)*int64(h.Window)
 				if s.Start+s.Elapsed <= t0 || s.Start >= t1 {
 					continue
 				}
-				idxs = append(idxs, i)
+				reg.Samples = append(reg.Samples, *s)
+				reg.LossNS += int64((1 - s.Perf) * float64(s.Elapsed))
+				if f := from[ri]; f == 0 {
+					from[ri] = part + 1
+				} else if f != part+1 {
+					from[ri] = -1
+				}
 			}
 		}
-		// Multi-rank spans interleave buckets; restore the global scan
-		// order (ascending sample index) before appending.
-		if reg.RankMax > reg.RankMin {
-			slices.Sort(idxs)
-		}
-		for _, i := range idxs {
-			s := &samples[i]
-			reg.Samples = append(reg.Samples, *s)
-			reg.LossNS += int64((1 - s.Perf) * float64(s.Elapsed))
+	}
+	for ri, f := range from {
+		if f < 0 {
+			slices.SortStableFunc(regions[ri].Samples, compareSamples)
 		}
 	}
 }

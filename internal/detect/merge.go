@@ -9,15 +9,13 @@ type sampleRun interface {
 
 // runMerger is the one k-way merge every ordered sample stream is built
 // by: the analyzer's per-class window stream (runs: each store segment's
-// ascending selection) and the spatial merger's cross-shard stream
-// (runs: the shards' own streams). It holds each
-// run's head materialized and a binary heap of the heads keyed by
-// Start, so an emitted sample costs one next() and about log2(runs)
-// integer compares; a Start tie is decided by sampleLess on the two
-// heads, and heads equal under sampleLess too (possible only across
-// shards) by run order. The analyzer keeps one per class and reuses its
-// scratch across passes, so a warm merge allocates nothing but what dst
-// needs; the spatial merger's is local to one merge.
+// ascending selection). It holds each run's head materialized and a
+// binary heap of the heads keyed by Start, so an emitted sample costs
+// one next() and about log2(runs) integer compares; a Start tie is
+// decided by sampleLess on the two heads, and heads equal under
+// sampleLess too by run order. The analyzer keeps one per class and
+// reuses its scratch across passes, so a warm merge allocates nothing
+// but what dst needs.
 type runMerger struct {
 	runs  []sampleRun
 	heads []Sample

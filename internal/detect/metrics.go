@@ -12,9 +12,9 @@ import (
 // CPU time summed across workers inside it (cache-miss clustering, and
 // prep rebuilds and advances — the regression-moment fold included —
 // both near zero on warm windows); StageMerge sums the per-element
-// partials; StageMap is the per-class stream merge plus, in a whole
-// pass, the heat-map and region-growing pass (a Partial stops at the
-// streams).
+// partials; StageMap is the per-class stream merge and heat-map binning
+// plus, in a whole pass, the stale marks and region growing (a Partial
+// stops at the binned grids).
 const (
 	StagePrep = iota
 	StageCluster
