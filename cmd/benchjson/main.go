@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -120,12 +121,21 @@ func (a assertion) check(rep *report) (bool, string) {
 		if !ok {
 			return false, fmt.Sprintf("assert: %s has no %s", a.b, unit)
 		}
-		bound, of = a.factor*bv, fmt.Sprintf("%.2f * %s (= %.0f %s)", a.factor, a.b, a.factor*bv, unit)
+		bound, of = a.factor*bv, fmt.Sprintf("%.2f * %s (= %s %s)", a.factor, a.b, num(a.factor*bv), unit)
 	}
 	if av > bound {
-		return false, fmt.Sprintf("assert FAILED: %s = %.0f %s > %s", a.a, av, unit, of)
+		return false, fmt.Sprintf("assert FAILED: %s = %s %s > %s", a.a, num(av), unit, of)
 	}
-	return true, fmt.Sprintf("assert ok: %s = %.0f %s <= %s", a.a, av, unit, of)
+	return true, fmt.Sprintf("assert ok: %s = %s %s <= %s", a.a, num(av), unit, of)
+}
+
+// num prints a measured value: whole when it counts ns or bytes, to four
+// significant digits when it is a ratio, which printed whole reads 1.
+func num(v float64) string {
+	if math.Abs(v) >= 1000 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.4g", v)
 }
 
 // value resolves an assertion side: the benchmark's ns/op, its B/op or

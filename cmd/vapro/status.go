@@ -348,9 +348,9 @@ func renderStatus(s *obs.Snapshot) string {
 	fmt.Fprintf(&b, "          ols rank-1 %.0f / refactors %.0f\n",
 		val(s, "vapro_ols_rank1_updates_total"), val(s, "vapro_ols_refactors_total"))
 
-	fmt.Fprintf(&b, "client    interceptions %.0f   dropped %.0f   bytes out %s   flushes %.0f\n",
+	fmt.Fprintf(&b, "client    interceptions %.0f   dropped %.0f   flushes %.0f\n",
 		val(s, "vapro_client_interceptions_total"), val(s, "vapro_client_dropped_total"),
-		humanBytes(val(s, "vapro_client_bytes_out_total")), val(s, "vapro_client_flushes_total"))
+		val(s, "vapro_client_flushes_total"))
 	return b.String()
 }
 

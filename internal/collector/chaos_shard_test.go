@@ -154,9 +154,9 @@ func TestChaosShardServerKillRestart(t *testing.T) {
 	}
 
 	// Per-shard exact loss accounting: what a shard's clients consumed
-	// equals what its plane holds plus its tracker's gap count. Both
-	// sides live on the plane, so they survived the wire-server
-	// restarts. Delivery can trail the drain by a beat; poll.
+	// equals what its plane delivered plus its gap count, both read from
+	// the plane's registry. Both live on the plane, so they survived the
+	// wire-server restarts. Delivery can trail the drain by a beat; poll.
 	consumedBy := make([]uint64, shards)
 	var lost uint64
 	for r, c := range clients {
@@ -172,13 +172,12 @@ func TestChaosShardServerKillRestart(t *testing.T) {
 	}
 	for s := 0; s < shards; s++ {
 		s := s
+		pm := tier.WireSink(s).Metrics()
 		if !waitUntil(10*time.Second, func() bool {
-			delivered := uint64(tier.Plane(s).stats().Batches)
-			return consumedBy[s] == delivered+tier.Plane(s).SeqState().GapFrames()
+			return consumedBy[s] == pm.IntakeBatches.Load()+pm.WireSeqGaps.Load()
 		}) {
 			t.Fatalf("shard %d books never balanced: consumed %d != delivered %d + gaps %d (dups %d)",
-				s, consumedBy[s], tier.Plane(s).stats().Batches,
-				tier.Plane(s).SeqState().GapFrames(), tier.Plane(s).SeqState().Dups())
+				s, consumedBy[s], pm.IntakeBatches.Load(), pm.WireSeqGaps.Load(), pm.WireDups.Load())
 		}
 	}
 	if met.ShardMisroutes.Load() != 0 {

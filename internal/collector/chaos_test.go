@@ -171,13 +171,13 @@ func TestChaosSoakServerRestarts(t *testing.T) {
 	// survived all five server instances. Delivery of the sentinels can
 	// trail the drain by a beat, so poll for balance.
 	balanced := func() bool {
-		return consumed == met.WireFrames.Load()+pool.SeqState().GapFrames()
+		return consumed == met.WireFrames.Load()+met.WireSeqGaps.Load()
 	}
 	if !waitUntil(10*time.Second, balanced) {
 		t.Fatalf("books never balanced: consumed %d != delivered %d + gaps %d (dups %d)",
-			consumed, met.WireFrames.Load(), pool.SeqState().GapFrames(), pool.SeqState().Dups())
+			consumed, met.WireFrames.Load(), met.WireSeqGaps.Load(), met.WireDups.Load())
 	}
-	if gaps := pool.SeqState().GapFrames(); gaps < lost {
+	if gaps := met.WireSeqGaps.Load(); gaps < lost {
 		t.Fatalf("server saw %d gap frames, client evicted %d — gaps must cover every eviction", gaps, lost)
 	}
 	srv.Close()

@@ -69,10 +69,6 @@ type plane struct {
 	free  chan []trace.Fragment
 	mu    sync.Mutex
 	graph *stg.Graph
-	// bytesIn tracks the transport volume for the storage-overhead
-	// accounting of §6.2, measured over the encoded wire format.
-	bytesIn int64
-	batches int
 
 	// amu serializes the analysis side (snapshot + analyzer); ingestion
 	// never takes it.
@@ -168,25 +164,6 @@ func (pl *plane) analyze(pass func(g *stg.Graph) *detect.Result) *detect.Result 
 	// Journeys drained before this tick are now visible to analysis.
 	pl.met.Trace.CompleteAnalyze()
 	return res
-}
-
-// stats returns the plane's transport statistics; the storage rate is
-// the pool's, over its whole rank space.
-func (pl *plane) stats() Stats {
-	pl.drain()
-	st := Stats{Servers: 1}
-	pl.mu.Lock()
-	st.Fragments = pl.graph.NumFragments()
-	st.BytesIn = pl.bytesIn
-	st.Batches = pl.batches
-	pl.mu.Unlock()
-	st.IntakeStalls = pl.met.IntakeStalls.Load()
-	st.MaxStagedDepth = pl.met.IntakeStagedPeak.Load()
-	st.FramesRejected = pl.met.WireFramesRejected.Load()
-	st.SeqGaps = pl.seq.GapFrames()
-	st.DupFrames = pl.seq.Dups()
-	st.Outages = len(pl.seq.Outages())
-	return st
 }
 
 // Pool is the analysis service over one rank space: n ≥ 1 planes, each
@@ -518,49 +495,26 @@ type WindowResult struct {
 	Result     *detect.Result
 }
 
-// Stats summarizes a pool's transport volume.
+// Stats summarizes a pool's transport volume: the planes' intake
+// counters (vapro_intake_batches_total, vapro_intake_bytes_total), the
+// books an operator scrapes, summed.
 type Stats struct {
 	// Servers counts analysis servers: the pool's plane count.
-	Servers   int
-	Fragments int
-	BytesIn   int64
-	Batches   int
+	Servers int
+	BytesIn int64
+	Batches int
 	// BytesPerRankSecond is the storage rate per client (§6.2 reports
 	// 12.8-47.4 KB/s), measured over the encoded wire format.
 	BytesPerRankSecond float64
-	// IntakeStalls counts consumers that found the staged backlog at
-	// its bound and had to drain synchronously (backpressure).
-	IntakeStalls uint64
-	// MaxStagedDepth is the high-water mark of batches staged at once.
-	MaxStagedDepth int64
-	// FramesRejected counts wire frames that terminated their
-	// connection (oversized, torn, or undecodable payloads).
-	FramesRejected uint64
-	// SeqGaps counts batches inferred lost from per-rank sequence gaps
-	// (client-side spill evictions and frames that died with a
-	// connection), DupFrames the suppressed retransmit duplicates, and
-	// Outages the recorded per-rank loss intervals in virtual time.
-	SeqGaps   uint64
-	DupFrames uint64
-	Outages   int
 }
 
 // Stats returns transport statistics, summed over the planes, given the
 // run's virtual makespan.
 func (p *Pool) Stats(makespan sim.Duration) Stats {
-	var st Stats
+	st := Stats{Servers: len(p.planes)}
 	for _, pl := range p.planes {
-		ps := pl.stats()
-		st.Servers += ps.Servers
-		st.Fragments += ps.Fragments
-		st.BytesIn += ps.BytesIn
-		st.Batches += ps.Batches
-		st.SeqGaps += ps.SeqGaps
-		st.DupFrames += ps.DupFrames
-		st.Outages += ps.Outages
-		st.IntakeStalls += ps.IntakeStalls
-		st.FramesRejected += ps.FramesRejected
-		st.MaxStagedDepth = max(st.MaxStagedDepth, ps.MaxStagedDepth)
+		st.BytesIn += int64(pl.met.IntakeBytes.Load())
+		st.Batches += int(pl.met.IntakeBatches.Load())
 	}
 	if sec := makespan.Seconds(); sec > 0 && p.ranks > 0 {
 		st.BytesPerRankSecond = float64(st.BytesIn) / sec / float64(p.ranks)

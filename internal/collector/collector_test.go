@@ -142,14 +142,14 @@ func TestStats(t *testing.T) {
 		p.Consume(rank, []trace.Fragment{frag(rank, 0, 100), frag(rank, 100, 100)})
 	}
 	st := p.Stats(2 * sim.Second)
-	if st.Fragments != 8 || st.Batches != 4 {
-		t.Fatalf("stats: %+v", st)
+	if p.FragmentCount() != 8 || st.Batches != 4 {
+		t.Fatalf("stats: %+v, fragments %d", st, p.FragmentCount())
 	}
 	// BytesIn is the measured wire encoding, not an estimate. Each batch
 	// (2 fragments, 2 dictionary keys, identical counters so the second
 	// fragment delta-encodes to a few bytes) is 38 bytes with the v1
 	// format — this pin catches accidental format or accounting drift.
-	wantBatch := trace.BatchWireSize(0, []trace.Fragment{frag(0, 0, 100), frag(0, 100, 100)})
+	wantBatch := len(trace.AppendBatch(nil, 0, []trace.Fragment{frag(0, 0, 100), frag(0, 100, 100)}))
 	if wantBatch != 38 {
 		t.Fatalf("wire format drifted: batch is %d bytes, want 38", wantBatch)
 	}
@@ -163,14 +163,15 @@ func TestStats(t *testing.T) {
 	// Sequential consumes stage one batch and immediately drain it via
 	// the uncontended TryLock, so the backlog never exceeds one and no
 	// backpressure fires; nothing arrived over the wire to be rejected.
-	if st.IntakeStalls != 0 {
-		t.Fatalf("stalls: %d, want 0", st.IntakeStalls)
+	met := p.Metrics()
+	if got := met.IntakeStalls.Load(); got != 0 {
+		t.Fatalf("stalls: %d, want 0", got)
 	}
-	if st.MaxStagedDepth != 1 {
-		t.Fatalf("max staged depth: %d, want 1", st.MaxStagedDepth)
+	if got := met.IntakeStagedPeak.Load(); got != 1 {
+		t.Fatalf("max staged depth: %d, want 1", got)
 	}
-	if st.FramesRejected != 0 {
-		t.Fatalf("frames rejected: %d, want 0", st.FramesRejected)
+	if got := met.WireFramesRejected.Load(); got != 0 {
+		t.Fatalf("frames rejected: %d, want 0", got)
 	}
 }
 

@@ -62,7 +62,7 @@ func (p *Pool) Health(ns int64) FleetStatus {
 			Reasons:       rep.Reasons,
 			ResidentRanks: float64(p.resident[i]),
 			IntakeStaged:  float64(pl.stagedNow()),
-			SeqGaps:       float64(pl.seq.GapFrames()),
+			SeqGaps:       float64(pl.met.WireSeqGaps.Load()),
 		}
 		st.Shards = append(st.Shards, row)
 		st.WireFrames += float64(pl.met.WireFrames.Load())

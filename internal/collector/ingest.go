@@ -24,7 +24,6 @@ const (
 
 // stagedBatch is one client batch waiting to be merged.
 type stagedBatch struct {
-	bytes  int
 	frags  []trace.Fragment
 	tc     TraceCtx // provenance of a sampled traced batch
 	traced bool
@@ -43,7 +42,7 @@ func (pl *plane) stage(frags []trace.Fragment, bytes int, tc TraceCtx, traced bo
 	// zero the pointer-free rows it is about to overwrite.
 	cp = append(cp[:0], frags...)
 	pl.smu.Lock()
-	pl.staged = append(pl.staged, stagedBatch{bytes: bytes, frags: cp, tc: tc, traced: traced})
+	pl.staged = append(pl.staged, stagedBatch{frags: cp, tc: tc, traced: traced})
 	n := len(pl.staged)
 	pl.smu.Unlock()
 	if traced {
@@ -94,8 +93,6 @@ func (pl *plane) drainLocked() {
 	}
 	for i := range all {
 		pl.graph.AddBatch(all[i].frags)
-		pl.bytesIn += int64(all[i].bytes)
-		pl.batches++
 		if all[i].traced {
 			tc := all[i].tc
 			pl.met.Trace.MarkDrained(tc.Key(), tc.Rank, tc.FlushNS)

@@ -135,6 +135,53 @@ func TestConsumeJournals(t *testing.T) {
 	}
 }
 
+// TestShardSinkConsumeJournals: a plane's wire sink takes Pool.Consume's
+// path, so a journaled tier fed in process through WireSink(i).Consume
+// journals every batch on the plane that took it (a misrouted batch
+// too, counted as a misroute), and each plane's journal replays into a
+// fresh tier holding the same frames.
+func TestShardSinkConsumeJournals(t *testing.T) {
+	const ranks, shards = 4, 2
+	live := NewShardedPool(ranks, shards, DefaultOptions())
+	jlogs := make([]*wal.Log, shards)
+	for i := range jlogs {
+		jlogs[i] = openTestWAL(t, t.TempDir(), wal.Options{})
+		defer jlogs[i].Close()
+		live.Plane(i).AttachJournal(jlogs[i])
+	}
+	sent := make([]int, shards)
+	for i := 0; i < 3; i++ {
+		for r := 0; r < ranks; r++ {
+			s := live.Owner(r)
+			if i == 2 && r == 0 {
+				s = 1 - s // one batch lands on the plane that does not own its rank
+			}
+			live.WireSink(s).Consume(r, []trace.Fragment{frag(r, int64(i)*int64(sim.Second), int64(sim.Second/2))})
+			sent[s]++
+		}
+	}
+	if got := live.Metrics().ShardMisroutes.Load(); got != 1 {
+		t.Fatalf("misroutes = %d, want 1", got)
+	}
+	replayed := NewShardedPool(ranks, shards, DefaultOptions())
+	for i, jlog := range jlogs {
+		if got := jlog.Pending(); got != sent[i] {
+			t.Fatalf("plane %d journal holds %d frames, want the %d its sink consumed", i, got, sent[i])
+		}
+		if n, err := ReplayJournal(jlog, replayed.WireSink(i)); err != nil || n != sent[i] {
+			t.Fatalf("plane %d replay: %d frames, %v; want %d", i, n, err, sent[i])
+		}
+		lm, rm := live.WireSink(i).Metrics(), replayed.WireSink(i).Metrics()
+		if lm.IntakeBytes.Load() != rm.IntakeBytes.Load() || lm.WireFrames.Load() != rm.WireFrames.Load() {
+			t.Fatalf("plane %d books: live %d B / %d frames, replay %d B / %d frames", i,
+				lm.IntakeBytes.Load(), lm.WireFrames.Load(), rm.IntakeBytes.Load(), rm.WireFrames.Load())
+		}
+	}
+	if !reflect.DeepEqual(poolFragments(replayed), poolFragments(live)) {
+		t.Fatal("the planes' journals replayed to other fragments than their sinks consumed")
+	}
+}
+
 // TestJournalReplayBitIdentical pins the tentpole equivalence: a live
 // wire server journaling a stream with gaps, a duplicate retransmit
 // and a client restart, then a fresh pool rebuilt purely from the
@@ -180,9 +227,9 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 	}
 	// Rank 1's second seq 0 is a restart: delivered (11 frames, one
 	// dup) and charged no gap.
-	seq1 := pool1.SeqState()
-	if seq1.GapFrames() != 2 || seq1.Dups() != 1 {
-		t.Fatalf("live seq state: gaps=%d dups=%d, want 2/1", seq1.GapFrames(), seq1.Dups())
+	seq1, m1 := pool1.SeqState(), pool1.Metrics()
+	if m1.WireSeqGaps.Load() != 2 || m1.WireDups.Load() != 1 {
+		t.Fatalf("live seq books: gaps=%d dups=%d, want 2/1", m1.WireSeqGaps.Load(), m1.WireDups.Load())
 	}
 
 	pool2, jlog2, n := openJournalSink(t, dir, 2)
@@ -190,16 +237,15 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 	if n != delivered {
 		t.Fatalf("replayed %d frames, want %d", n, delivered)
 	}
-	seq2 := pool2.SeqState()
+	seq2, m2 := pool2.SeqState(), pool2.Metrics()
 	// Duplicates were never journaled, so replay re-derives the exact
 	// delivered stream: same gaps and restarts, zero dups of its own.
-	if seq2.GapFrames() != 2 || seq2.Dups() != 0 {
-		t.Fatalf("replayed seq state: gaps=%d dups=%d, want 2/0", seq2.GapFrames(), seq2.Dups())
+	if m2.WireSeqGaps.Load() != 2 || m2.WireDups.Load() != 0 {
+		t.Fatalf("replayed seq books: gaps=%d dups=%d, want 2/0", m2.WireSeqGaps.Load(), m2.WireDups.Load())
 	}
 	if !reflect.DeepEqual(seq2.Outages(), seq1.Outages()) {
 		t.Fatalf("outage intervals differ:\n  live   %+v\n  replay %+v", seq1.Outages(), seq2.Outages())
 	}
-	m1, m2 := pool1.Metrics(), pool2.Metrics()
 	if m2.WireFrames.Load() != m1.WireFrames.Load() || m2.WireBytes.Load() != m1.WireBytes.Load() {
 		t.Fatalf("wire counters: replay frames=%d bytes=%d, live frames=%d bytes=%d",
 			m2.WireFrames.Load(), m2.WireBytes.Load(), m1.WireFrames.Load(), m1.WireBytes.Load())
@@ -313,13 +359,14 @@ func TestSeqRetransmitAfterJournalReplaySuppressed(t *testing.T) {
 	for _, seq := range []uint64{2, 3, 4} {
 		writeRaw(t, conn2, seqPayload(0, seq, []trace.Fragment{frag(0, int64(seq)*1000, 500)}))
 	}
-	if !waitUntil(10*time.Second, func() bool { return pool2.SeqState().Dups() == 2 && live() == 1 }) {
-		t.Fatalf("dups=%d live-delivered=%d, want 2 and 1", pool2.SeqState().Dups(), live())
+	m2 := pool2.Metrics()
+	if !waitUntil(10*time.Second, func() bool { return m2.WireDups.Load() == 2 && live() == 1 }) {
+		t.Fatalf("dups=%d live-delivered=%d, want 2 and 1", m2.WireDups.Load(), live())
 	}
-	if got := pool2.Metrics().WireFrames.Load(); got != 5 {
+	if got := m2.WireFrames.Load(); got != 5 {
 		t.Fatalf("total delivered frames %d, want 5 (4 replayed + 1 live)", got)
 	}
-	if gaps := pool2.SeqState().GapFrames(); gaps != 0 {
+	if gaps := m2.WireSeqGaps.Load(); gaps != 0 {
 		t.Fatalf("retransmit charged %d gap frames, want 0", gaps)
 	}
 }
@@ -359,10 +406,10 @@ func TestSeqClientRestartInJournalReplay(t *testing.T) {
 	if n != 7 {
 		t.Fatalf("replayed %d, want 7", n)
 	}
-	s := pool2.SeqState()
+	m := pool2.Metrics()
 	// The second seq 0 replays as a restart: delivered, no gap, no dup.
-	if s.GapFrames() != 0 || s.Dups() != 0 {
-		t.Fatalf("replayed seq state: gaps=%d dups=%d, want 0/0", s.GapFrames(), s.Dups())
+	if m.WireSeqGaps.Load() != 0 || m.WireDups.Load() != 0 {
+		t.Fatalf("replayed seq books: gaps=%d dups=%d, want 0/0", m.WireSeqGaps.Load(), m.WireDups.Load())
 	}
 	if got := pool2.FragmentCount(); got != 7 {
 		t.Fatalf("fragments %d, want 7", got)
@@ -586,10 +633,10 @@ func TestChaosSoakJournalCrashReplay(t *testing.T) {
 	// and the only gaps are the frames gen1 had to abandon at Close.
 	met2, seq2 := pool2.Metrics(), pool2.SeqState()
 	if !waitUntil(20*time.Second, func() bool {
-		return met2.WireFrames.Load()+seq2.GapFrames() == consumed
+		return met2.WireFrames.Load()+met2.WireSeqGaps.Load() == consumed
 	}) {
 		t.Fatalf("balance never closed: delivered=%d gaps=%d consumed=%d",
-			met2.WireFrames.Load(), seq2.GapFrames(), consumed)
+			met2.WireFrames.Load(), met2.WireSeqGaps.Load(), consumed)
 	}
 	for r := 0; r < ranks; r++ {
 		gen2[r].Close()
@@ -608,13 +655,13 @@ func TestChaosSoakJournalCrashReplay(t *testing.T) {
 	// server never journaled (a writer may complete several writes on the
 	// closing socket before the reset reaches it).
 	died := sent1 - uint64(nrep)
-	if gaps := seq2.GapFrames(); gaps != abandoned+died {
+	if gaps := met2.WireSeqGaps.Load(); gaps != abandoned+died {
 		t.Fatalf("gaps=%d, want %d (abandoned %d + %d sent but never journaled)",
 			gaps, abandoned+died, abandoned, died)
 	}
 	// Each rank's gen2 numbering restarts at 0: were it taken for a
 	// duplicate, the balance above would never close.
-	if dups := seq2.Dups(); dups != 0 {
+	if dups := met2.WireDups.Load(); dups != 0 {
 		t.Fatalf("dups=%d, want 0 (gen2's fresh numbering is a restart, not a retransmit)", dups)
 	}
 	srv2.Close()
@@ -628,10 +675,10 @@ func TestChaosSoakJournalCrashReplay(t *testing.T) {
 	if n3 != int(met2.WireFrames.Load()) {
 		t.Fatalf("final journal holds %d frames, live server delivered %d", n3, met2.WireFrames.Load())
 	}
-	seq3 := pool3.SeqState()
-	if seq3.GapFrames() != seq2.GapFrames() || seq3.Dups() != 0 {
-		t.Fatalf("replayed seq state gaps=%d dups=%d, live gaps=%d",
-			seq3.GapFrames(), seq3.Dups(), seq2.GapFrames())
+	seq3, met3 := pool3.SeqState(), pool3.Metrics()
+	if met3.WireSeqGaps.Load() != met2.WireSeqGaps.Load() || met3.WireDups.Load() != 0 {
+		t.Fatalf("replayed seq books gaps=%d dups=%d, live gaps=%d",
+			met3.WireSeqGaps.Load(), met3.WireDups.Load(), met2.WireSeqGaps.Load())
 	}
 	if !reflect.DeepEqual(seq3.Outages(), seq2.Outages()) {
 		t.Fatal("outage intervals differ between live run and journal replay")

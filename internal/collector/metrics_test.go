@@ -18,12 +18,12 @@ func TestIntakeBackpressureStall(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.Consume(0, []trace.Fragment{frag(0, int64(i)*1000, 500)})
 	}
-	st := p.Stats(sim.Second)
-	if st.IntakeStalls != n {
-		t.Fatalf("stalls: %d, want %d (a bound of 1 stalls every consume)", st.IntakeStalls, n)
+	met := p.Metrics()
+	if got := met.IntakeStalls.Load(); got != n {
+		t.Fatalf("stalls: %d, want %d (a bound of 1 stalls every consume)", got, n)
 	}
-	if st.MaxStagedDepth != 1 {
-		t.Fatalf("max staged depth: %d, want 1", st.MaxStagedDepth)
+	if got := met.IntakeStagedPeak.Load(); got != 1 {
+		t.Fatalf("max staged depth: %d, want 1", got)
 	}
 	if p.FragmentCount() != n {
 		t.Fatalf("fragments: %d", p.FragmentCount())

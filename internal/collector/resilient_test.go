@@ -134,7 +134,7 @@ func TestResilientSpillEviction(t *testing.T) {
 	if !waitUntil(5*time.Second, func() bool { return pool.FragmentCount() == 3 }) {
 		t.Fatalf("survivors not delivered: %d fragments", pool.FragmentCount())
 	}
-	if got := pool.SeqState().GapFrames(); got != 2 {
+	if got := pool.Metrics().WireSeqGaps.Load(); got != 2 {
 		t.Fatalf("server gap frames = %d, want 2", got)
 	}
 	g := pool.Graph()
@@ -201,12 +201,13 @@ func TestResilientReconnectAcrossRestart(t *testing.T) {
 	// frame past any lost sequence numbers, so every loss materializes
 	// as a gap and the books can balance.
 	c.Consume(0, []trace.Fragment{frag(0, 3000, 500)})
+	met := pool.Metrics()
 	balanced := func() bool {
-		return uint64(pool.FragmentCount())+pool.SeqState().GapFrames() == 4
+		return uint64(pool.FragmentCount())+met.WireSeqGaps.Load() == 4
 	}
 	if !waitUntil(5*time.Second, balanced) {
 		t.Fatalf("books never balanced: %d fragments + %d gaps != 4 consumed",
-			pool.FragmentCount(), pool.SeqState().GapFrames())
+			pool.FragmentCount(), met.WireSeqGaps.Load())
 	}
 	if !c.Drain(5 * time.Second) {
 		t.Fatal("client queue never drained")
@@ -225,18 +226,28 @@ func TestResilientReconnectAcrossRestart(t *testing.T) {
 
 // TestSeqTrackerAccounting pins the tracker's state machine: in-order
 // delivery, gap booking with outage intervals, duplicate suppression,
-// and the seq-0 client-restart reset.
+// and the seq-0 client-restart reset. The totals are the sums of
+// Observe's decisions, which is what the delivery step books.
 func TestSeqTrackerAccounting(t *testing.T) {
 	tr := NewSeqTracker()
-	if deliver, gap := tr.Observe(3, 0, 0, 1000); !deliver || gap != 0 {
+	var gaps, dups uint64
+	observe := func(seq uint64, minStart, maxEnd int64) (bool, uint64) {
+		deliver, gap := tr.Observe(3, seq, minStart, maxEnd)
+		gaps += gap
+		if !deliver {
+			dups++
+		}
+		return deliver, gap
+	}
+	if deliver, gap := observe(0, 0, 1000); !deliver || gap != 0 {
 		t.Fatalf("first batch: deliver=%v gap=%d", deliver, gap)
 	}
-	if deliver, gap := tr.Observe(3, 1, 1000, 2000); !deliver || gap != 0 {
+	if deliver, gap := observe(1, 1000, 2000); !deliver || gap != 0 {
 		t.Fatalf("in-order batch: deliver=%v gap=%d", deliver, gap)
 	}
 	// Batches 2,3,4 lost: seq 5 arrives with a gap of 3 covering
 	// virtual time [2000 (rank high-water), 7000 (next batch start)).
-	if deliver, gap := tr.Observe(3, 5, 7000, 8000); !deliver || gap != 3 {
+	if deliver, gap := observe(5, 7000, 8000); !deliver || gap != 3 {
 		t.Fatalf("gap batch: deliver=%v gap=%d", deliver, gap)
 	}
 	out := tr.Outages()
@@ -244,23 +255,23 @@ func TestSeqTrackerAccounting(t *testing.T) {
 		t.Fatalf("outages = %+v", out)
 	}
 	// A retransmit of an already-delivered seq is suppressed.
-	if deliver, _ := tr.Observe(3, 5, 7000, 8000); deliver {
+	if deliver, _ := observe(5, 7000, 8000); deliver {
 		t.Fatal("duplicate delivered")
 	}
-	if tr.Dups() != 1 || tr.GapFrames() != 3 {
-		t.Fatalf("dups=%d gaps=%d, want 1/3", tr.Dups(), tr.GapFrames())
+	if dups != 1 || gaps != 3 {
+		t.Fatalf("dups=%d gaps=%d, want 1/3", dups, gaps)
 	}
 	// Seq 0 again: the client restarted; numbering resets with no gap
 	// charged and no duplicate suppression.
-	if deliver, gap := tr.Observe(3, 0, 9000, 9500); !deliver || gap != 0 {
+	if deliver, gap := observe(0, 9000, 9500); !deliver || gap != 0 {
 		t.Fatalf("restart batch: deliver=%v gap=%d", deliver, gap)
 	}
 	// The new generation numbers from 1 on: in order, not a gap.
-	if deliver, gap := tr.Observe(3, 1, 9500, 9900); !deliver || gap != 0 {
+	if deliver, gap := observe(1, 9500, 9900); !deliver || gap != 0 {
 		t.Fatalf("post-restart batch: deliver=%v gap=%d", deliver, gap)
 	}
-	if tr.Dups() != 1 || tr.GapFrames() != 3 {
-		t.Fatalf("after restart dups=%d gaps=%d, want 1/3", tr.Dups(), tr.GapFrames())
+	if dups != 1 || gaps != 3 {
+		t.Fatalf("after restart dups=%d gaps=%d, want 1/3", dups, gaps)
 	}
 }
 
@@ -274,7 +285,7 @@ func TestPoolWindowResultsMarkStale(t *testing.T) {
 	// virtual time [1s, 20s).
 	tr := pool.SeqState()
 	tr.Observe(1, 0, 0, 1_000_000_000)
-	tr.Observe(1, 3, 20_000_000_000, 21_000_000_000)
+	_, gap := tr.Observe(1, 3, 20_000_000_000, 21_000_000_000)
 	for i := 0; i < 20; i++ {
 		pool.Consume(0, []trace.Fragment{frag(0, int64(i)*1_000_000_000, 100_000_000)})
 		pool.Consume(1, []trace.Fragment{frag(1, int64(i)*1_000_000_000, 100_000_000)})
@@ -295,9 +306,8 @@ func TestPoolWindowResultsMarkStale(t *testing.T) {
 	if !stale {
 		t.Fatal("no window marked rank 1 stale despite a recorded outage")
 	}
-	st := pool.Stats(0)
-	if st.SeqGaps != 2 || st.Outages != 1 {
-		t.Fatalf("stats gaps=%d outages=%d, want 2/1", st.SeqGaps, st.Outages)
+	if out := tr.Outages(); gap != 2 || len(out) != 1 {
+		t.Fatalf("gap=%d outages=%d, want 2/1", gap, len(out))
 	}
 }
 

@@ -82,10 +82,10 @@ func TestResilientSpillToWALZeroLoss(t *testing.T) {
 	if !waitUntil(5*time.Second, func() bool { return met.WireFrames.Load() == batches }) {
 		t.Fatalf("server consumed %d frames, want %d", met.WireFrames.Load(), batches)
 	}
-	if gaps := pool.SeqState().GapFrames(); gaps != 0 {
+	if gaps := met.WireSeqGaps.Load(); gaps != 0 {
 		t.Fatalf("zero-loss drain still booked %d gaps", gaps)
 	}
-	if dups := pool.SeqState().Dups(); dups != 0 {
+	if dups := met.WireDups.Load(); dups != 0 {
 		t.Fatalf("in-order WAL drain produced %d dups (ordering broken)", dups)
 	}
 }
@@ -200,21 +200,21 @@ func TestResilientWALRestartReplay(t *testing.T) {
 	wantDelivered := uint64(st1.WALPending + gen2)
 	met := srv.Metrics()
 	if !waitUntil(5*time.Second, func() bool {
-		return met.WireFrames.Load()+pool.SeqState().GapFrames() >= wantDelivered
+		return met.WireFrames.Load()+met.WireSeqGaps.Load() >= wantDelivered
 	}) {
 		t.Fatalf("server frames=%d gaps=%d, want total %d",
-			met.WireFrames.Load(), pool.SeqState().GapFrames(), wantDelivered)
+			met.WireFrames.Load(), met.WireSeqGaps.Load(), wantDelivered)
 	}
 	// The abandoned pre-WAL heads surface as gaps once later frames for
 	// their ranks arrive; nothing else may be lost or duplicated.
-	if gaps := pool.SeqState().GapFrames(); gaps != st1.Abandoned {
+	if gaps := met.WireSeqGaps.Load(); gaps != st1.Abandoned {
 		t.Fatalf("gaps=%d, want exactly the %d abandoned heads", gaps, st1.Abandoned)
 	}
 	if met.WireFrames.Load() != wantDelivered {
 		t.Fatalf("delivered %d frames, want %d", met.WireFrames.Load(), wantDelivered)
 	}
 	// gen2's fresh numbering restarts at 0: a restart, not a duplicate.
-	if dups := pool.SeqState().Dups(); dups != 0 {
+	if dups := met.WireDups.Load(); dups != 0 {
 		t.Fatalf("dups=%d: gen2's fresh numbering was taken for retransmits", dups)
 	}
 }
@@ -297,7 +297,7 @@ func TestResilientWALDiskFullDegrades(t *testing.T) {
 	if !waitUntil(5*time.Second, func() bool { return met.WireFrames.Load() == uint64(st.Sent) }) {
 		t.Fatalf("server frames=%d, want %d", met.WireFrames.Load(), st.Sent)
 	}
-	if dups := pool.SeqState().Dups(); dups != 0 {
+	if dups := met.WireDups.Load(); dups != 0 {
 		t.Fatalf("degraded drain reordered frames: %d dups", dups)
 	}
 }
@@ -356,9 +356,9 @@ func TestResilientWALRetentionBooksLoss(t *testing.T) {
 	// Server-side: delivered + gaps covers every consumed batch.
 	met := srv.Metrics()
 	if !waitUntil(5*time.Second, func() bool {
-		return met.WireFrames.Load()+pool.SeqState().GapFrames() == batches
+		return met.WireFrames.Load()+met.WireSeqGaps.Load() == batches
 	}) {
 		t.Fatalf("frames=%d gaps=%d, want sum %d",
-			met.WireFrames.Load(), pool.SeqState().GapFrames(), batches)
+			met.WireFrames.Load(), met.WireSeqGaps.Load(), batches)
 	}
 }

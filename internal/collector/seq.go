@@ -9,7 +9,7 @@ import (
 
 // SeqTracker is the server-side half of the loss accounting: it follows
 // each rank's batch sequence numbers (stamped by ResilientClient,
-// wire format v2) and turns anomalies into exact bookkeeping —
+// wire format v2) and decides what each anomaly means —
 //
 //   - a jump past the expected sequence is a gap: that many batches died
 //     with a connection or were evicted from the client's spill queue;
@@ -22,15 +22,15 @@ import (
 //   - sequence zero from a rank already tracked is a client restart: the
 //     rank's numbering begins again and no gap is charged.
 //
-// The tracker lives on the sink (Pool), not the WireServer, so its
-// state survives server restarts — exactly the window where gaps occur.
+// The tracker decides; it keeps no counts. The delivery step books
+// each decision on its sink's registry (vapro_wire_seq_gaps_total,
+// vapro_wire_dups_total), the one ledger an operator scrapes. The
+// tracker lives on the sink (a plane), not the WireServer, so its state
+// survives server restarts — exactly the window where gaps occur.
 type SeqTracker struct {
-	mu    sync.Mutex
-	ranks map[int]*rankSeq
-
-	gapFrames uint64
-	dups      uint64
-	outages   []detect.Outage
+	mu      sync.Mutex
+	ranks   map[int]*rankSeq
+	outages []detect.Outage
 }
 
 // rankSeq is one rank's tracking state.
@@ -63,11 +63,9 @@ func (t *SeqTracker) Observe(rank int, seq uint64, minStart, maxEnd int64) (deli
 		// already accounted, so no gap.
 		rs.next = 1
 	case seq < rs.next:
-		t.dups++
 		return false, 0
 	default:
 		if gap = seq - rs.next; gap > 0 {
-			t.gapFrames += gap
 			end := minStart
 			if minStart == math.MaxInt64 {
 				end = rs.high // empty batch: zero-length interval at the high-water mark
@@ -80,20 +78,6 @@ func (t *SeqTracker) Observe(rank int, seq uint64, minStart, maxEnd int64) (deli
 		rs.high = maxEnd
 	}
 	return true, gap
-}
-
-// GapFrames returns the total batches inferred lost from sequence gaps.
-func (t *SeqTracker) GapFrames() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.gapFrames
-}
-
-// Dups returns how many duplicate batches were suppressed.
-func (t *SeqTracker) Dups() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dups
 }
 
 // Outages returns a copy of the recorded per-rank loss intervals in

@@ -85,18 +85,11 @@ func (p *Pool) Rebalance(addrs []string) error {
 }
 
 // Consume implements interpose.Sink: stage the batch on the rank's
-// owning plane. The batch is encoded here (outside every lock), so
-// Stats reports real wire bytes; while the plane has a journal, that
-// encoding is the frame its delivery step journals before staging.
+// owning plane, by that plane's sink (ShardSink.Consume).
 func (p *Pool) Consume(rank int, frags []trace.Fragment) {
-	pl := p.planes[p.Owner(rank)]
-	trace.BatchPayload(rank, frags, func(payload []byte) {
-		if pl.local.jour != nil {
-			pl.local.deliver(trace.BatchMeta{Rank: rank}, frags, payload)
-		} else {
-			p.deliver(pl, rank, frags, len(payload), TraceCtx{}, false)
-		}
-	})
+	i := p.Owner(rank)
+	k := ShardSink{pool: p, plane: p.planes[i], shard: i}
+	k.Consume(rank, frags)
 }
 
 // ConsumeSized stages a batch whose encoded wire size was already
@@ -149,7 +142,7 @@ func (p *Pool) registerTierDerived() {
 			})
 		reg.Func(fmt.Sprintf("vapro_shard%d_seq_gaps", i), "shard",
 			fmt.Sprintf("batches inferred lost on shard %d", i), func() float64 {
-				return float64(pl.seq.GapFrames())
+				return float64(pl.met.WireSeqGaps.Load())
 			})
 		reg.Func(fmt.Sprintf("vapro_shard%d_intake_fragments", i), "shard",
 			fmt.Sprintf("fragments received by shard %d", i), func() float64 {
@@ -181,12 +174,22 @@ type ShardSink struct {
 	shard int
 }
 
-// Consume implements interpose.Sink. A batch whose rank the plane does
-// not own is still delivered — its samples won't enter the merged result
-// (the merge keeps each rank's samples from its owner only) but its
-// loss accounting and bytes must not vanish — and counted as a misroute.
+// Consume implements interpose.Sink: the in-process entry onto this
+// plane, which Pool.Consume takes too. The batch is encoded once, here
+// (outside every lock), so the plane books real wire bytes; while the
+// plane has a journal, that encoding is the frame its delivery step
+// journals before staging. A batch whose rank the plane does not own is
+// still delivered — its samples won't enter the merged result (the
+// merge keeps each rank's samples from its owner only) but its loss
+// accounting and bytes must not vanish — and counted as a misroute.
 func (k *ShardSink) Consume(rank int, frags []trace.Fragment) {
-	k.ConsumeSized(rank, frags, trace.BatchWireSize(rank, frags))
+	trace.BatchPayload(rank, frags, func(payload []byte) {
+		if d := &k.plane.local; d.jour != nil {
+			d.deliver(trace.BatchMeta{Rank: rank}, frags, payload)
+		} else {
+			k.ConsumeSized(rank, frags, len(payload))
+		}
+	})
 }
 
 // ConsumeSized mirrors Consume for pre-measured wire batches.

@@ -247,6 +247,64 @@ func TestShardTierMetrics(t *testing.T) {
 			t.Fatalf("snapshot missing %s", name)
 		}
 	}
+
+	// The planes' registries are the only books: a 2-plane tier fed
+	// through its wire sinks' delivery step with one gap and one
+	// duplicate reads the injected numbers from Stats, the fleet rows,
+	// the shard rows and the merged registry alike.
+	loss := NewShardedPool(4, 2, shardTestOptions())
+	defer loss.Close()
+	var sinks [2]delivery
+	for i := range sinks {
+		sinks[i].probe(loss.WireSink(i))
+	}
+	batches, bytes := 0, 0
+	send := func(rank int, seq uint64) {
+		frags := []trace.Fragment{frag(rank, int64(seq)*1_000_000, 500_000)}
+		payload := seqPayload(rank, seq, frags)
+		if sinks[loss.Owner(rank)].deliver(trace.BatchMeta{Rank: rank, Seq: seq, HasSeq: true}, frags, payload) {
+			batches++
+			bytes += len(payload)
+		}
+	}
+	lossy := 0 // the first rank plane 1 owns: seq 2 is lost, seq 3 arrives twice
+	for loss.Owner(lossy) != 1 {
+		lossy++
+	}
+	for _, seq := range []uint64{0, 1, 3, 3} {
+		send(lossy, seq)
+	}
+	for r := 0; r < 4; r++ {
+		if r != lossy {
+			send(r, 0)
+		}
+	}
+	if st := loss.Stats(sim.Second); st.Batches != batches || st.BytesIn != int64(bytes) {
+		t.Fatalf("stats batches=%d bytes=%d, want %d/%d", st.Batches, st.BytesIn, batches, bytes)
+	}
+	fleet := loss.Health(int64(time.Second))
+	if fleet.SeqGaps != 1 || fleet.Shards[0].SeqGaps != 0 || fleet.Shards[1].SeqGaps != 1 {
+		t.Fatalf("fleet seq gaps %v, rows %v/%v, want 1, 0/1", fleet.SeqGaps, fleet.Shards[0].SeqGaps, fleet.Shards[1].SeqGaps)
+	}
+	tsnap := loss.Metrics().Registry.Snapshot()
+	for i, want := range []float64{0, 1} {
+		name := "vapro_shard" + string(rune('0'+i)) + "_seq_gaps"
+		if m := tsnap.Get(name); m == nil || m.Value != want {
+			t.Fatalf("%s = %+v, want %v", name, m, want)
+		}
+	}
+	merged := loss.MergedSnapshot()
+	for name, want := range map[string]float64{
+		"vapro_wire_seq_gaps_total":  1,
+		"vapro_wire_dups_total":      1,
+		"vapro_wire_frames_total":    float64(batches),
+		"vapro_intake_batches_total": float64(batches),
+		"vapro_intake_bytes_total":   float64(bytes),
+	} {
+		if m := merged.Get(name); m == nil || m.Value != want {
+			t.Fatalf("merged %s = %+v, want %v", name, m, want)
+		}
+	}
 }
 
 // TestShardedMonitorDetectsOnline mirrors TestMonitorDetectsOnline over

@@ -49,8 +49,9 @@ func TestWireTransportRoundTrip(t *testing.T) {
 		var payloads [][]byte
 		for i := 0; i < 5; i++ {
 			batch := []trace.Fragment{frag(rank, int64(i)*1000, 500)}
-			wantBytes += int64(trace.BatchWireSize(rank, batch))
-			payloads = append(payloads, trace.AppendBatch(nil, rank, batch))
+			payload := trace.AppendBatch(nil, rank, batch)
+			wantBytes += int64(len(payload))
+			payloads = append(payloads, payload)
 		}
 		writeFrames(t, conn, payloads...)
 		conn.Close()
@@ -162,12 +163,12 @@ func TestWireServerHostileFrame(t *testing.T) {
 		t.Fatalf("panics: %d, want 0", got)
 	}
 	// The server counts into the sink's own surface, so the pool's
-	// Stats see the wire rejections too.
+	// registry sees the wire rejections too.
 	if srv.Metrics() != pool.Metrics() {
 		t.Fatal("wire server must share the pool's metrics surface")
 	}
-	if got := pool.Stats(sim.Second).FramesRejected; got != 3 {
-		t.Fatalf("pool stats FramesRejected: %d, want 3", got)
+	if got := pool.Metrics().WireFramesRejected.Load(); got != 3 {
+		t.Fatalf("pool registry frames rejected: %d, want 3", got)
 	}
 	if got := srv.Metrics().WireFrames.Load(); got != 1 {
 		t.Fatalf("accepted frames: %d, want 1", got)

@@ -128,10 +128,9 @@ type Result struct {
 	Graph *stg.Graph
 	// Detection is the whole-run detection result.
 	Detection *detect.Result
-	// Events / Dropped / BytesOut aggregate the interposition layer's
-	// work across ranks.
+	// Events / Dropped aggregate the interposition layer's work across
+	// ranks.
 	Events, Dropped int
-	BytesOut        int64
 	// SiteNames maps state keys to human-readable call-sites.
 	SiteNames map[uint64]string
 
@@ -173,7 +172,6 @@ func runTraced(app apps.App, opt Options, attach func(pool *collector.Pool, rank
 
 	type rankStats struct {
 		events, dropped int
-		bytes           int64
 		sites           map[uint64]string
 	}
 	stats := make([]rankStats, ranks)
@@ -186,7 +184,6 @@ func runTraced(app apps.App, opt Options, attach func(pool *collector.Pool, rank
 		stats[r.ID()] = rankStats{
 			events:  tr.Events,
 			dropped: tr.Dropped,
-			bytes:   tr.BytesOut,
 			sites:   tr.SiteNames(),
 		}
 	})
@@ -203,7 +200,6 @@ func runTraced(app apps.App, opt Options, attach func(pool *collector.Pool, rank
 	for i := range stats {
 		res.Events += stats[i].events
 		res.Dropped += stats[i].dropped
-		res.BytesOut += stats[i].bytes
 		for k, v := range stats[i].sites {
 			res.SiteNames[k] = v
 		}

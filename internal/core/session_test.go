@@ -148,7 +148,7 @@ func TestContextModeOption(t *testing.T) {
 func TestCollectorPoolWiring(t *testing.T) {
 	res := RunTraced(apps.NewCG(3), smallOpt())
 	st := res.Pool.Stats(res.Makespan)
-	if st.Fragments != res.Graph.NumFragments() {
+	if res.Pool.FragmentCount() != res.Graph.NumFragments() {
 		t.Fatal("pool stats disagree with graph")
 	}
 	if st.BytesPerRankSecond <= 0 {

@@ -691,7 +691,7 @@ func binHeatMap(class Class, samples []Sample, ranks int, window sim.Duration, o
 		for w := w0; w <= w1; w++ {
 			bs := origin + int64(w)*int64(window)
 			be := bs + int64(window)
-			ov := min64(end, be) - max64(start, bs)
+			ov := min(end, be) - max(start, bs)
 			if ov <= 0 {
 				continue
 			}
@@ -863,18 +863,4 @@ func attachMembers(regions []Region, h *HeatMap, streams [][]Sample, owner func(
 			slices.SortStableFunc(regions[ri].Samples, compareSamples)
 		}
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -151,9 +151,8 @@ type Traced struct {
 	skipping bool
 
 	// Statistics for overhead/coverage accounting.
-	Events   int
-	Dropped  int
-	BytesOut int64
+	Events  int
+	Dropped int
 
 	// met, when set, receives deltas of the stats above at each Flush;
 	// pushed are the previously unreported amounts, so shared counters
@@ -161,7 +160,6 @@ type Traced struct {
 	met          *Metrics
 	pushedEvents int
 	pushedDrops  int
-	pushedBytes  int64
 }
 
 // Metrics is the client layer's shared observability surface — one set
@@ -173,8 +171,6 @@ type Metrics struct {
 	Fragments *obs.Counter
 	// Dropped counts invocations sampled out by short-op backoff.
 	Dropped *obs.Counter
-	// BytesOut counts wire-encoded bytes pushed toward the collector.
-	BytesOut *obs.Counter
 	// Flushes counts client batch flushes.
 	Flushes *obs.Counter
 }
@@ -188,8 +184,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"fragments shipped by traced ranks"),
 		Dropped: reg.Counter("vapro_client_dropped_total", "client",
 			"invocations sampled out by short-op backoff"),
-		BytesOut: reg.Counter("vapro_client_bytes_out_total", "client",
-			"wire-encoded bytes pushed toward the collector"),
 		Flushes: reg.Counter("vapro_client_flushes_total", "client",
 			"client batch flushes"),
 	}
@@ -426,15 +420,14 @@ func (t *Traced) emit(f trace.Fragment) {
 }
 
 // Flush pushes buffered fragments to the sink. Called automatically
-// when the buffer fills and must be called once at rank exit. BytesOut
-// grows by the batch's measured wire encoding — the bytes this rank
-// would put on the management network, not a per-record estimate.
+// when the buffer fills and must be called once at rank exit. The sink
+// encodes the batch and books its bytes (vapro_intake_bytes_total);
+// the client encodes nothing.
 func (t *Traced) Flush() {
 	if t.sink == nil || len(t.batch) == 0 {
 		return
 	}
 	n := len(t.batch)
-	t.BytesOut += int64(trace.BatchWireSize(t.r.ID(), t.batch))
 	t.sink.Consume(t.r.ID(), t.batch)
 	t.batch = nil
 	if t.met != nil {
@@ -447,10 +440,6 @@ func (t *Traced) Flush() {
 		if d := t.Dropped - t.pushedDrops; d > 0 {
 			t.met.Dropped.Add(uint64(d))
 			t.pushedDrops = t.Dropped
-		}
-		if d := t.BytesOut - t.pushedBytes; d > 0 {
-			t.met.BytesOut.Add(uint64(d))
-			t.pushedBytes = t.BytesOut
 		}
 	}
 }

@@ -647,10 +647,3 @@ func BatchPayload(rank int, frags []Fragment, use func(payload []byte)) {
 	*bp = b[:0]
 	payloadBufs.Put(bp)
 }
-
-// BatchWireSize returns the encoded size of a batch in bytes — the
-// measured transport volume the §6.2 storage accounting reports.
-func BatchWireSize(rank int, frags []Fragment) (n int) {
-	BatchPayload(rank, frags, func(payload []byte) { n = len(payload) })
-	return n
-}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -100,9 +101,11 @@ func TestWireRoundTripProperty(t *testing.T) {
 				t.Fatalf("trial %d frag %d:\n got %+v\nwant %+v", trial, i, got[i], frags[i])
 			}
 		}
-		if sz := BatchWireSize(rank, frags); sz != len(enc) {
-			t.Fatalf("trial %d: BatchWireSize %d, encoded %d", trial, sz, len(enc))
-		}
+		BatchPayload(rank, frags, func(payload []byte) {
+			if !bytes.Equal(payload, enc) {
+				t.Fatalf("trial %d: BatchPayload %d bytes differ from AppendBatch's %d", trial, len(payload), len(enc))
+			}
+		})
 	}
 }
 
@@ -199,7 +202,7 @@ func TestWireCompactness(t *testing.T) {
 			},
 		}
 	}
-	n := BatchWireSize(9, frags)
+	n := len(AppendBatch(nil, 9, frags))
 	if per := float64(n) / float64(len(frags)); per >= 32 {
 		t.Fatalf("%.1f bytes/fragment; want < 32 (old accounting fabricated 96)", per)
 	}
